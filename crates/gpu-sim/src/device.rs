@@ -291,7 +291,26 @@ impl Device {
     where
         K: Fn(&mut Warp) + Sync,
     {
-        let report = run_launch_warps(&self.config, self.sanitizer.as_deref(), threads, &kernel);
+        self.launch_warps_ordered(threads, kernel, |_, ()| {})
+    }
+
+    /// [`Device::launch_warps`] split in two: `body` runs per warp in
+    /// parallel and returns what the warp staged; `epilogue` then runs once
+    /// per warp, one at a time and **in warp order**. A kernel whose
+    /// epilogue commits to a buffer that can fill must use this form, so
+    /// which commit overflows never depends on host scheduling.
+    pub fn launch_warps_ordered<S, B, E>(
+        &self,
+        threads: usize,
+        body: B,
+        epilogue: E,
+    ) -> LaunchReport
+    where
+        B: Fn(&mut Warp) -> S + Sync,
+        E: Fn(&mut Warp, S) + Sync,
+    {
+        let san = self.sanitizer.as_deref();
+        let report = run_launch_warps(&self.config, san, threads, &body, &epilogue);
         self.charge_launch(&report);
         report
     }
@@ -318,7 +337,23 @@ impl Device {
     where
         K: Fn(&mut Warp, Tile) + Sync,
     {
-        let report = run_launch_persistent(&self.config, self.sanitizer.as_deref(), queue, &kernel);
+        self.launch_persistent_ordered(queue, kernel, |_, ()| {})
+    }
+
+    /// [`Device::launch_persistent`] with the per-tile epilogue run in queue
+    /// order (see [`Device::launch_warps_ordered`]).
+    pub fn launch_persistent_ordered<S, B, E>(
+        &self,
+        queue: &WorkQueue,
+        body: B,
+        epilogue: E,
+    ) -> LaunchReport
+    where
+        B: Fn(&mut Warp, Tile) -> S + Sync,
+        E: Fn(&mut Warp, S) + Sync,
+    {
+        let san = self.sanitizer.as_deref();
+        let report = run_launch_persistent(&self.config, san, queue, &body, &epilogue);
         self.charge_launch(&report);
         report
     }

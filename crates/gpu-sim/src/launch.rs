@@ -4,7 +4,7 @@
 //!
 //! A launch of `n` threads is partitioned into warps of
 //! [`DeviceConfig::warp_size`] consecutive global ids. Warps execute in
-//! parallel on the host's rayon thread pool; within a warp, lanes run
+//! parallel on host worker threads; within a warp, lanes run
 //! sequentially (their *results* are identical to lock-step execution
 //! because lanes only communicate through device atomics).
 //!
@@ -39,11 +39,18 @@
 //! divergence multiplier on instructions and no uncoalesced factor on memory
 //! traffic, because all lanes execute the epilogue together and commit
 //! writes are contiguous.
+//!
+//! Lane work runs on host threads in whatever order they get to it. An
+//! epilogue that commits to a buffer that can fill is therefore passed
+//! separately ([`crate::Device::launch_warps_ordered`],
+//! [`crate::Device::launch_persistent_ordered`]) and run one warp at a
+//! time, in warp order: which commit crosses the capacity, which queries
+//! are redone, and every counter of every later round are then a function
+//! of the launch alone.
 
 use crate::config::DeviceConfig;
 use crate::counters::{Counters, Lane};
 use crate::sanitizer::Sanitizer;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Kernel-shape label of static-grid launches in sanitizer findings.
@@ -66,13 +73,14 @@ pub const MAX_WARP_LANES: usize = 64;
 pub struct Warp {
     index: usize,
     lanes: Vec<Lane>,
+    lane_count: usize,
     counters: Counters,
 }
 
 impl Warp {
     pub(crate) fn with_lanes(index: usize, lanes: Vec<Lane>) -> Self {
         debug_assert!(lanes.len() <= MAX_WARP_LANES);
-        Warp { index, lanes, counters: Counters::default() }
+        Warp { index, lane_count: lanes.len(), lanes, counters: Counters::default() }
     }
 
     /// A detached warp of `lane_count` fresh lanes (global ids `0..count`).
@@ -93,11 +101,12 @@ impl Warp {
     /// partial).
     #[inline]
     pub fn lane_count(&self) -> usize {
-        self.lanes.len()
+        self.lane_count
     }
 
     /// Run `f` once per lane, in lane order. May be called repeatedly; the
-    /// lanes keep accumulating onto the same counters.
+    /// lanes keep accumulating onto the same counters. By the time an
+    /// ordered epilogue runs the lanes have retired and `f` is not called.
     pub fn for_each_lane(&mut self, mut f: impl FnMut(&mut Lane)) {
         for lane in &mut self.lanes {
             f(lane);
@@ -185,58 +194,148 @@ impl LaunchReport {
     }
 }
 
-/// Compute the simulated cost of one warp from its lanes' counters and
-/// paths, plus warp-scoped `warp_extra` charges recorded by a per-warp
-/// epilogue. The extra charges are converged: no `k` multiplier on
-/// instructions, no uncoalesced factor on memory bytes.
-pub(crate) fn warp_cost(
-    config: &DeviceConfig,
-    lanes: &[(Counters, u64)],
-    warp_extra: &Counters,
-) -> WarpCost {
-    debug_assert!(!lanes.is_empty());
-    let mut max = Counters::default();
-    let mut totals = Counters::default();
-    for (c, _) in lanes {
-        max = max.max(c);
-        totals.add(c);
-    }
-    // Count distinct path tags (warp sizes are small; O(k^2) is fine and
-    // avoids allocation).
-    let mut distinct: Vec<u64> = Vec::with_capacity(4);
-    for (_, p) in lanes {
-        if !distinct.contains(p) {
-            distinct.push(*p);
+/// What a warp's lanes contribute to its cost, reduced as soon as the lane
+/// work is done so the lanes need not outlive it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LaneCost {
+    max_instructions: u64,
+    /// Distinct control-path tags among the lanes (`k` in the module docs).
+    paths: usize,
+    totals: Counters,
+}
+
+impl LaneCost {
+    pub(crate) fn of(lanes: impl IntoIterator<Item = (Counters, u64)>) -> LaneCost {
+        let mut max = Counters::default();
+        let mut totals = Counters::default();
+        // Distinct path tags (warp sizes are small; O(k^2) is fine).
+        let mut distinct: Vec<u64> = Vec::with_capacity(4);
+        for (c, p) in lanes {
+            max = max.max(&c);
+            totals.add(&c);
+            if !distinct.contains(&p) {
+                distinct.push(p);
+            }
         }
+        debug_assert!(!distinct.is_empty(), "a warp has at least one lane");
+        LaneCost { max_instructions: max.instructions, paths: distinct.len(), totals }
     }
-    let k = distinct.len() as f64;
-    let divergent = distinct.len() > 1;
 
-    let alu =
-        (k * max.instructions as f64 + warp_extra.instructions as f64) * config.cycles_per_instr;
-    let bytes = (totals.gmem_read_bytes + totals.gmem_write_bytes) as f64;
-    let transactions = (bytes / config.gmem_transaction_bytes).ceil();
-    let mem_penalty = if divergent { config.uncoalesced_factor } else { 1.0 };
-    let extra_bytes = (warp_extra.gmem_read_bytes + warp_extra.gmem_write_bytes) as f64;
-    let extra_transactions = (extra_bytes / config.gmem_transaction_bytes).ceil();
-    let mem =
-        (transactions * mem_penalty + extra_transactions) * config.cycles_per_gmem_transaction;
-    let atom = (totals.atomics + warp_extra.atomics) as f64 * config.cycles_per_atomic;
+    /// The warp's simulated cost: the lanes' share plus warp-scoped
+    /// `warp_extra` charges recorded by a per-warp epilogue. The extra
+    /// charges are converged: no `k` multiplier on instructions, no
+    /// uncoalesced factor on memory bytes.
+    pub(crate) fn with_epilogue(self, config: &DeviceConfig, warp_extra: &Counters) -> WarpCost {
+        let k = self.paths as f64;
+        let divergent = self.paths > 1;
+        let mut totals = self.totals;
 
-    totals.add(warp_extra);
-    WarpCost { cycles: alu + mem + atom, divergent, totals }
+        let alu = (k * self.max_instructions as f64 + warp_extra.instructions as f64)
+            * config.cycles_per_instr;
+        let bytes = (totals.gmem_read_bytes + totals.gmem_write_bytes) as f64;
+        let transactions = (bytes / config.gmem_transaction_bytes).ceil();
+        let mem_penalty = if divergent { config.uncoalesced_factor } else { 1.0 };
+        let extra_bytes = (warp_extra.gmem_read_bytes + warp_extra.gmem_write_bytes) as f64;
+        let extra_transactions = (extra_bytes / config.gmem_transaction_bytes).ceil();
+        let mem =
+            (transactions * mem_penalty + extra_transactions) * config.cycles_per_gmem_transaction;
+        let atom = (totals.atomics + warp_extra.atomics) as f64 * config.cycles_per_atomic;
+
+        totals.add(warp_extra);
+        WarpCost { cycles: alu + mem + atom, divergent, totals }
+    }
+}
+
+/// Warps one host worker holds between its bodies and its epilogues; bounds
+/// the memory of a launch with millions of tiles.
+const WARPS_PER_WORKER: usize = 2048;
+
+/// Run `n` warps: `body(i)` builds warp `i` and runs its lane work, on
+/// host worker threads and in no particular order across them; `epilogue`
+/// then runs once per warp, one at a time and **in ascending warp order**.
+/// Everything a warp does to state shared across warps — bumping a
+/// result-buffer cursor above all — belongs in the epilogue: which commit
+/// overflows a full buffer, and with it every later redo round, is then a
+/// function of the launch alone and never of the host scheduler.
+///
+/// Each worker takes a contiguous run of warps, runs their bodies, waits
+/// until the worker before it has finished its epilogues, then runs its own
+/// — on the thread that allocated what the bodies staged, so nothing is
+/// freed across threads.
+fn run_ordered<S, B, E>(config: &DeviceConfig, n: usize, body: &B, epilogue: &E) -> Vec<WarpCost>
+where
+    B: Fn(usize) -> (Warp, S) + Sync,
+    E: Fn(&mut Warp, S) + Sync,
+{
+    use std::sync::mpsc;
+
+    // A gate opens when its sender is dropped: nothing is ever sent.
+    let run_part = |part: std::ops::Range<usize>, gate: mpsc::Receiver<()>| {
+        let staged: Vec<(Warp, LaneCost, S)> = part
+            .map(|i| {
+                let (mut warp, state) = body(i);
+                // The lanes retire with the body; only their cost is kept.
+                let lanes = std::mem::take(&mut warp.lanes);
+                (warp, LaneCost::of(lanes.iter().map(|l| (l.counters, l.path))), state)
+            })
+            .collect();
+        let _ = gate.recv();
+        staged
+            .into_iter()
+            .map(|(mut warp, lanes, state)| {
+                epilogue(&mut warp, state);
+                lanes.with_epilogue(config, &warp.counters)
+            })
+            .collect::<Vec<WarpCost>>()
+    };
+
+    let workers = std::thread::available_parallelism().map_or(1, |p| p.get()).min(n).max(1);
+    let mut costs = Vec::with_capacity(n);
+    for chunk in (0..n).step_by(workers * WARPS_PER_WORKER) {
+        let end = (chunk + workers * WARPS_PER_WORKER).min(n);
+        let per_worker = (end - chunk).div_ceil(workers);
+        std::thread::scope(|scope| {
+            let (open, mut gate) = mpsc::channel::<()>();
+            drop(open);
+            let mut handles = Vec::new();
+            let mut lo = chunk;
+            while lo + per_worker < end {
+                let (done, next_gate) = mpsc::channel::<()>();
+                let gate = std::mem::replace(&mut gate, next_gate);
+                let part = lo..lo + per_worker;
+                let run_part = &run_part;
+                handles.push(scope.spawn(move || {
+                    // Dropped when this worker returns or unwinds, which
+                    // opens the next worker's gate.
+                    let _done = done;
+                    run_part(part, gate)
+                }));
+                lo += per_worker;
+            }
+            // The last run needs no thread of its own.
+            let last = run_part(lo..end, gate);
+            for handle in handles {
+                costs.extend(handle.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+            }
+            costs.extend(last);
+        });
+    }
+    costs
 }
 
 /// Execute a warp-scoped kernel over `threads` threads and compute the
-/// launch report.
-pub(crate) fn run_launch_warps<K>(
+/// launch report: `body` per warp in parallel, then `epilogue` per warp in
+/// warp order (see [`run_ordered`]).
+pub(crate) fn run_launch_warps<S, B, E>(
     config: &DeviceConfig,
     san: Option<&Sanitizer>,
     threads: usize,
-    kernel: &K,
+    body: &B,
+    epilogue: &E,
 ) -> LaunchReport
 where
-    K: Fn(&mut Warp) + Sync,
+    B: Fn(&mut Warp) -> S + Sync,
+    E: Fn(&mut Warp, S) + Sync,
 {
     let warp_size = config.warp_size;
     let warps = threads.div_ceil(warp_size);
@@ -245,19 +344,19 @@ where
     }
     let start = std::time::Instant::now();
 
-    let costs: Vec<WarpCost> = (0..warps)
-        .into_par_iter()
-        .map(|w| {
+    let costs = run_ordered(
+        config,
+        warps,
+        &|w| {
             let first = w * warp_size;
             let last = ((w + 1) * warp_size).min(threads);
             let lanes = (first..last).map(|gid| Lane::at(gid, gid - first)).collect();
             let mut warp = Warp::with_lanes(w, lanes);
-            kernel(&mut warp);
-            let lane_costs: Vec<(Counters, u64)> =
-                warp.lanes.iter().map(|l| (l.counters, l.path)).collect();
-            warp_cost(config, &lane_costs, &warp.counters)
-        })
-        .collect();
+            let state = body(&mut warp);
+            (warp, state)
+        },
+        epilogue,
+    );
 
     let wall_seconds = start.elapsed().as_secs_f64();
     if let Some(san) = san {
@@ -339,22 +438,25 @@ fn finish_report(
 /// (atomicAdd(&cursor, 1) < n)` loop.
 ///
 /// Host execution and simulated dispatch are decoupled to keep the
-/// determinism guarantee: tiles run on the rayon pool in any order (a
-/// tile's cost is a function of the tile alone — warp-cooperative kernels
+/// determinism guarantee: tile bodies run on host workers in any order
+/// and their epilogues in queue order (see [`run_ordered`]), so a tile's
+/// cost is a function of the launch alone — warp-cooperative kernels
 /// address only [`Lane::lane_index`] and the tile, never which persistent
-/// warp happened to grab it), then the atomic cursor is replayed
+/// warp happened to grab it; then the atomic cursor is replayed
 /// deterministically, handing each tile in queue order to the warp that
 /// becomes free earliest (ties to the lowest warp index) — which is
 /// exactly the assignment lock-step SIMT timing produces for a device-side
 /// cursor, and never the host thread scheduler's racing order.
-pub(crate) fn run_launch_persistent<K>(
+pub(crate) fn run_launch_persistent<S, B, E>(
     config: &DeviceConfig,
     san: Option<&Sanitizer>,
     queue: &crate::workqueue::WorkQueue,
-    kernel: &K,
+    body: &B,
+    epilogue: &E,
 ) -> LaunchReport
 where
-    K: Fn(&mut Warp, crate::workqueue::Tile) + Sync,
+    B: Fn(&mut Warp, crate::workqueue::Tile) -> S + Sync,
+    E: Fn(&mut Warp, S) + Sync,
 {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
@@ -370,22 +472,21 @@ where
     // Phase 1 — execution: every tile runs exactly once, in parallel on
     // the host; per-tile divergence and the max-over-lanes rule are
     // resolved here.
-    let tile_costs: Vec<WarpCost> = (0..n)
-        .into_par_iter()
-        .map(|i| {
-            let tile = queue.tile_at(i);
+    let tile_costs = run_ordered(
+        config,
+        n,
+        &|i| {
             let lanes = (0..warp_size).map(|l| Lane::at(l, l)).collect();
             let mut warp = Warp::with_lanes(i, lanes);
             // The grab itself: leader's cursor atomicAdd + one converged
             // read of the tile descriptor.
             warp.atomics(1);
             warp.gmem_read(std::mem::size_of::<crate::workqueue::Tile>() as u64);
-            kernel(&mut warp, tile);
-            let lane_costs: Vec<(Counters, u64)> =
-                warp.lanes.iter().map(|l| (l.counters, l.path)).collect();
-            warp_cost(config, &lane_costs, &warp.counters)
-        })
-        .collect();
+            let state = body(&mut warp, queue.tile_at(i));
+            (warp, state)
+        },
+        epilogue,
+    );
     queue.mark_drained(grid);
     let wall_seconds = start.elapsed().as_secs_f64();
     if let Some(san) = san {
@@ -435,9 +536,13 @@ pub(crate) fn run_launch<K>(
 where
     K: Fn(&mut Lane) + Sync,
 {
-    run_launch_warps(config, san, threads, &|warp: &mut Warp| {
-        warp.for_each_lane(|lane| kernel(lane))
-    })
+    run_launch_warps(
+        config,
+        san,
+        threads,
+        &|warp: &mut Warp| warp.for_each_lane(|lane| kernel(lane)),
+        &|_, ()| {},
+    )
 }
 
 #[cfg(test)]
@@ -549,7 +654,7 @@ mod tests {
     fn warp_cost_formula() {
         let c = DeviceConfig::test_tiny();
         // Uniform warp: 2 lanes, 10 instr each, 16 bytes read total, 1 atomic.
-        let lanes = vec![
+        let lanes = [
             (
                 Counters { instructions: 10, gmem_read_bytes: 8, gmem_write_bytes: 0, atomics: 1 },
                 0u64,
@@ -559,15 +664,16 @@ mod tests {
                 0u64,
             ),
         ];
-        let cost = warp_cost(&c, &lanes, &Counters::default());
+        let cost = LaneCost::of(lanes.iter().copied()).with_epilogue(&c, &Counters::default());
         // alu = 1 * 10 * 1 = 10; mem = ceil(16/16)=1 txn * 10 = 10; atomics = 1*20.
         assert_eq!(cost.cycles, 40.0);
         assert!(!cost.divergent);
 
         // Divergent version: distinct paths double ALU and apply the
         // uncoalesced factor.
-        let lanes_div = vec![(lanes[0].0, 1u64), (lanes[1].0, 2u64)];
-        let cost_div = warp_cost(&c, &lanes_div, &Counters::default());
+        let lanes_div = [(lanes[0].0, 1u64), (lanes[1].0, 2u64)];
+        let cost_div =
+            LaneCost::of(lanes_div.iter().copied()).with_epilogue(&c, &Counters::default());
         // alu = 2 * 10 = 20; mem = 1 * 10 * 2 = 20; atomics = 20.
         assert_eq!(cost_div.cycles, 60.0);
         assert!(cost_div.divergent);
@@ -576,7 +682,7 @@ mod tests {
     #[test]
     fn warp_extra_charges_are_converged() {
         let c = DeviceConfig::test_tiny();
-        let lanes = vec![
+        let lanes = [
             (
                 Counters { instructions: 10, gmem_read_bytes: 8, gmem_write_bytes: 0, atomics: 0 },
                 1u64,
@@ -588,7 +694,7 @@ mod tests {
         ];
         let extra =
             Counters { instructions: 5, gmem_read_bytes: 0, gmem_write_bytes: 32, atomics: 1 };
-        let cost = warp_cost(&c, &lanes, &extra);
+        let cost = LaneCost::of(lanes.iter().copied()).with_epilogue(&c, &extra);
         // Divergent lanes: alu = 2*10 + 5 (no k multiplier on extra) = 25;
         // mem = ceil(16/16)*10*2 (uncoalesced) + ceil(32/16)*10 (coalesced
         // commit) = 20 + 20 = 40; atomics = 1 * 20 = 20.
@@ -619,6 +725,26 @@ mod tests {
         assert_eq!(lanes_run.load(Ordering::Relaxed), 10);
         assert_eq!(report.totals.instructions, 10);
         assert_eq!(report.totals.atomics, 3);
+    }
+
+    #[test]
+    fn ordered_epilogues_run_in_warp_order_and_are_charged() {
+        let dev = tiny();
+        let order = std::sync::Mutex::new(Vec::new());
+        // More warps than two workers hold at once, so the seams between
+        // workers and between chunks are covered.
+        let threads = (2 * WARPS_PER_WORKER + 3) * 4;
+        let report = dev.launch_warps_ordered(
+            threads,
+            |warp| warp.index() as u64,
+            |warp, staged| {
+                warp.atomics(1);
+                order.lock().unwrap().push(staged);
+            },
+        );
+        let order = order.into_inner().unwrap();
+        assert_eq!(order, (0..report.warps as u64).collect::<Vec<_>>());
+        assert_eq!(report.totals.atomics, report.warps as u64);
     }
 
     #[test]

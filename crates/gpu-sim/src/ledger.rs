@@ -120,6 +120,14 @@ impl ResponseTime {
         self.d2h_bytes += other.d2h_bytes;
     }
 
+    /// The simulated phases alone: `HostCompute`, the one phase measured
+    /// with a wall clock, is cleared.
+    pub fn simulated(&self) -> ResponseTime {
+        let mut out = *self;
+        out.seconds[Phase::HostCompute.index()] = 0.0;
+        out
+    }
+
     /// Total minus kernel-launch overhead — the paper's "optimistic" curve
     /// for `GPUSpatial` in Fig. 4 discounts re-invocation overhead.
     pub fn total_discounting_launches(&self) -> f64 {

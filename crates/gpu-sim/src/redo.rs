@@ -43,7 +43,14 @@ impl RedoSchedule {
     /// Record a finished round: `redo` lists the queries that overflowed out
     /// of a batch of `batch_len`, and the return value says what to run
     /// next.
-    pub fn next(&mut self, redo: Vec<u32>, batch_len: usize) -> NextBatch {
+    ///
+    /// `redo` arrives in whatever order the device's warps finished (and
+    /// once per overflowing tile of a query); it is put in ascending,
+    /// duplicate-free order here so the next round's warp composition — and
+    /// every cost derived from it — never depends on host scheduling.
+    pub fn next(&mut self, mut redo: Vec<u32>, batch_len: usize) -> NextBatch {
+        redo.sort_unstable();
+        redo.dedup();
         assert!(redo.len() <= batch_len, "more redo ids than launched threads");
         let no_progress = !redo.is_empty() && redo.len() == batch_len;
         self.queue.extend(redo);
@@ -100,6 +107,14 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert_eq!(s.pending(), 6);
+    }
+
+    #[test]
+    fn redo_order_and_duplicates_do_not_matter() {
+        let a = RedoSchedule::new().next(vec![9, 3, 7, 3], 4);
+        let b = RedoSchedule::new().next(vec![3, 7, 3, 9], 4);
+        assert_eq!(a, NextBatch::Ids(vec![3, 7, 9]));
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -171,6 +171,15 @@ impl SearchReport {
         self.response.total()
     }
 
+    /// The report with its measured quantities cleared: host wall seconds
+    /// and the `HostCompute` phase derived from them. What remains is a
+    /// function of counted work alone, so two runs of the same search on
+    /// fresh devices must compare equal on it whatever the host scheduler
+    /// did (`tests/determinism.rs`).
+    pub fn deterministic(&self) -> SearchReport {
+        SearchReport { response: self.response.simulated(), wall_seconds: 0.0, ..*self }
+    }
+
     /// Accumulate another search's report into this one. Used by callers
     /// that run many searches (a batching service, a cluster) and want one
     /// aggregate report: phases, counters, and load metrics sum; wall time

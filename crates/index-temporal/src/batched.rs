@@ -200,37 +200,43 @@ impl GpuBatchedTemporalSearch {
             let upload_secs = self.device.config().h2d_seconds(upload_bytes);
             let base = start as u32;
 
-            let launch = self.device.launch_warps(dev_batch.len(), |warp| {
-                let mut stash = results.warp_stash();
-                warp.for_each_lane(|lane| {
-                    let local = lane.global_id;
-                    let range = dev_schedule.read(lane, local);
-                    lane.instr(SCHEDULE_INSTR);
-                    let q = load_query(lane, &dev_batch, local as u32);
-                    let mut compared = 0u64;
-                    for pos in range[0]..range[1] {
-                        compared += 1;
-                        // Result records carry the *global* sorted query
-                        // index. A per-lane-mode overflow stops early; the
-                        // warp-aggregated commit reports overflow below and
-                        // the host halves the batch either way.
-                        if compare_and_stage(
-                            lane,
-                            &self.dev_entries,
-                            pos,
-                            &q,
-                            base + local as u32,
-                            d,
-                            &mut stash,
-                        ) == PushOutcome::Overflow
-                        {
-                            break;
+            let launch = self.device.launch_warps_ordered(
+                dev_batch.len(),
+                |warp| {
+                    let mut stash = results.warp_stash();
+                    warp.for_each_lane(|lane| {
+                        let local = lane.global_id;
+                        let range = dev_schedule.read(lane, local);
+                        lane.instr(SCHEDULE_INSTR);
+                        let q = load_query(lane, &dev_batch, local as u32);
+                        let mut compared = 0u64;
+                        for pos in range[0]..range[1] {
+                            compared += 1;
+                            // Result records carry the *global* sorted query
+                            // index. A per-lane-mode overflow stops early; the
+                            // warp-aggregated commit reports overflow below
+                            // and the host halves the batch either way.
+                            if compare_and_stage(
+                                lane,
+                                &self.dev_entries,
+                                pos,
+                                &q,
+                                base + local as u32,
+                                d,
+                                &mut stash,
+                            ) == PushOutcome::Overflow
+                            {
+                                break;
+                            }
                         }
-                    }
-                    comparisons.fetch_add(compared, Ordering::Relaxed);
-                });
-                stash.commit(warp);
-            });
+                        comparisons.fetch_add(compared, Ordering::Relaxed);
+                    });
+                    stash
+                },
+                |warp, mut stash| {
+                    stash.commit(warp);
+                },
+            );
             report.divergent_warps += launch.divergent_warps as u64;
             report.totals.add(&launch.totals);
             report.load.add_launch(&launch);

@@ -98,8 +98,8 @@ pub trait CandidateGenerator: KernelContext {
         round: &Self::Round,
     ) -> LaneWork;
 
-    /// Warp epilogue hook, run after the lanes and *before* the stash
-    /// commit. `GPUSpatial` flushes its staged candidate-buffer bytes here.
+    /// Warp hook, run after the lanes and *before* the stash commit.
+    /// `GPUSpatial` flushes its staged candidate-buffer bytes here.
     fn end_warp(&self, _warp: &mut Warp, _round: &Self::Round, _scratch_bytes: u64) {}
 
     /// The error when a single query cannot complete even alone in a batch.
@@ -150,38 +150,43 @@ pub fn run_thread_per_query<G: CandidateGenerator>(
 
     loop {
         let round = generator.begin_round(batch_len)?;
-        let launch = device.launch_warps(launch_threads, |warp| {
-            let mut stash = results.warp_stash();
-            let mut qids = [0u32; MAX_WARP_LANES];
-            let mut scratch_bytes = 0u64;
-            warp.for_each_lane(|lane| {
-                let slot = match &batch {
-                    None => generator.first_round_slot(lane),
-                    Some(ids) => ids.read(lane, lane.global_id),
-                };
-                let Some(qid) = generator.decode_slot(lane, slot) else {
-                    return;
-                };
-                qids[lane.lane_index()] = qid;
-                let work = generator.run_query(lane, qid, &mut stash, &round);
-                scratch_bytes += work.scratch_bytes;
-                comparisons.fetch_add(work.compared, Ordering::Relaxed);
-            });
-            // Warp epilogue: method hook (scratch flush), then one cursor
-            // bump for the warp's matches, then stage redo ids for lanes
-            // that lost records.
-            generator.end_warp(warp, &round, scratch_bytes);
-            let dropped = stash.commit(warp);
-            if dropped != 0 {
-                let mut redo_stash = redo.warp_stash();
-                for (li, &qid) in qids.iter().enumerate().take(warp.lane_count()) {
-                    if dropped & (1 << li) != 0 {
-                        redo_stash.stage_at(li, qid);
+        let launch = device.launch_warps_ordered(
+            launch_threads,
+            |warp| {
+                let mut stash = results.warp_stash();
+                let mut qids = [0u32; MAX_WARP_LANES];
+                let mut scratch_bytes = 0u64;
+                warp.for_each_lane(|lane| {
+                    let slot = match &batch {
+                        None => generator.first_round_slot(lane),
+                        Some(ids) => ids.read(lane, lane.global_id),
+                    };
+                    let Some(qid) = generator.decode_slot(lane, slot) else {
+                        return;
+                    };
+                    qids[lane.lane_index()] = qid;
+                    let work = generator.run_query(lane, qid, &mut stash, &round);
+                    scratch_bytes += work.scratch_bytes;
+                    comparisons.fetch_add(work.compared, Ordering::Relaxed);
+                });
+                generator.end_warp(warp, &round, scratch_bytes);
+                (stash, qids)
+            },
+            // Warp epilogue, in warp order: one cursor bump for the warp's
+            // matches, then stage redo ids for lanes that lost records.
+            |warp, (mut stash, qids)| {
+                let dropped = stash.commit(warp);
+                if dropped != 0 {
+                    let mut redo_stash = redo.warp_stash();
+                    for (li, &qid) in qids.iter().enumerate().take(warp.lane_count()) {
+                        if dropped & (1 << li) != 0 {
+                            redo_stash.stage_at(li, qid);
+                        }
                     }
+                    redo_stash.commit(warp);
                 }
-                redo_stash.commit(warp);
-            }
-        });
+            },
+        );
         report.divergent_warps += launch.divergent_warps as u64;
         report.totals.add(&launch.totals);
         report.load.add_launch(&launch);
@@ -245,43 +250,49 @@ pub fn run_warp_per_tile<G: TileGenerator>(
 
     loop {
         let queue = device.work_queue(std::mem::take(&mut tiles))?;
-        let launch = device.launch_persistent(&queue, |warp, tile| {
-            let mut stash = results.warp_stash();
-            // The warp leader reads the tile's query once and broadcasts it
-            // (__shfl_sync analogue): converged charges, one row in the
-            // buffer's layout.
-            let q = generator.queries().broadcast(warp, tile.query as usize);
-            warp.instr(generator.tile_setup_instr());
-            warp.for_each_lane(|lane| {
-                let mut compared = 0u64;
-                let mut i = tile.lo as usize + lane.lane_index();
-                while i < tile.hi as usize {
-                    let entry_pos = generator.tile_entry_pos(lane, &tile, i);
-                    compared += 1;
-                    if compare_and_stage(
-                        lane,
-                        generator.entries(),
-                        entry_pos,
-                        &q,
-                        tile.query,
-                        generator.distance(),
-                        &mut stash,
-                    ) == PushOutcome::Overflow
-                    {
-                        break;
+        let launch = device.launch_persistent_ordered(
+            &queue,
+            |warp, tile| {
+                let mut stash = results.warp_stash();
+                // The warp leader reads the tile's query once and broadcasts
+                // it (__shfl_sync analogue): converged charges, one row in
+                // the buffer's layout.
+                let q = generator.queries().broadcast(warp, tile.query as usize);
+                warp.instr(generator.tile_setup_instr());
+                warp.for_each_lane(|lane| {
+                    let mut compared = 0u64;
+                    let mut i = tile.lo as usize + lane.lane_index();
+                    while i < tile.hi as usize {
+                        let entry_pos = generator.tile_entry_pos(lane, &tile, i);
+                        compared += 1;
+                        if compare_and_stage(
+                            lane,
+                            generator.entries(),
+                            entry_pos,
+                            &q,
+                            tile.query,
+                            generator.distance(),
+                            &mut stash,
+                        ) == PushOutcome::Overflow
+                        {
+                            break;
+                        }
+                        i += warp_size;
                     }
-                    i += warp_size;
+                    comparisons.fetch_add(compared, Ordering::Relaxed);
+                });
+                (stash, tile.query)
+            },
+            // Tile epilogue, in queue order.
+            |warp, (mut stash, query)| {
+                if stash.commit(warp) != 0 {
+                    // Any lost record re-queues the whole query.
+                    let mut redo_stash = redo.warp_stash();
+                    redo_stash.stage_at(0, query);
+                    redo_stash.commit(warp);
                 }
-                comparisons.fetch_add(compared, Ordering::Relaxed);
-            });
-            let dropped = stash.commit(warp);
-            if dropped != 0 {
-                // Any lost record re-queues the whole query.
-                let mut redo_stash = redo.warp_stash();
-                redo_stash.stage_at(0, tile.query);
-                redo_stash.commit(warp);
-            }
-        });
+            },
+        );
         report.divergent_warps += launch.divergent_warps as u64;
         report.totals.add(&launch.totals);
         report.load.add_launch(&launch);
@@ -289,11 +300,10 @@ pub fn run_warp_per_tile<G: TileGenerator>(
         let produced = results.len();
         device.charge_download(produced * std::mem::size_of::<MatchRecord>());
         matches.extend(results.drain_to_host());
-        let mut redo_ids = redo.drain_to_host();
+        // Several tiles of one query may each report the overflow; the redo
+        // schedule collapses them.
+        let redo_ids = redo.drain_to_host();
         device.charge_download(redo_ids.len() * std::mem::size_of::<u32>());
-        // Several tiles of one query may each report the overflow.
-        redo_ids.sort_unstable();
-        redo_ids.dedup();
 
         match redo_schedule.next(redo_ids, batch_len) {
             NextBatch::Done => break,

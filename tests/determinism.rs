@@ -1,0 +1,116 @@
+//! Tier-1: the cost model is deterministic, not just the match set.
+//!
+//! Two searches of the same queries on freshly built devices must agree on
+//! [`SearchReport::deterministic`] — every counter, every simulated phase —
+//! whatever the host scheduler did, with and without result-buffer pressure
+//! (where the redo protocol re-launches over the queries that lost records).
+//! The absolute counters of one small fixture are pinned as well: a
+//! refactoring that claims to change no counter has to leave that table
+//! alone.
+
+use tdts::prelude::*;
+
+const D: f64 = 1.5;
+const AMPLE: usize = 2_000_000;
+const SHAPES: [KernelShape; 2] = [KernelShape::ThreadPerQuery, KernelShape::WarpPerTile];
+
+fn fixture() -> (PreparedDataset, SegmentStore) {
+    let scenario = Scenario::new(ScenarioKind::S2Merger, 1.0 / 256.0);
+    (PreparedDataset::new(scenario.dataset()), scenario.queries())
+}
+
+fn methods() -> [Method; 5] {
+    [
+        Method::CpuRTree(RTreeConfig::default()),
+        Method::GpuSpatial(GpuSpatialConfig {
+            fsg: FsgConfig { cells_per_dim: 10 },
+            total_scratch: 2_000_000,
+            compaction_threshold: 4_096,
+        }),
+        Method::GpuTemporal(TemporalIndexConfig { bins: 50 }),
+        Method::GpuBatchedTemporal(BatchedConfig {
+            index: TemporalIndexConfig { bins: 50 },
+            batch_size: 256,
+        }),
+        Method::GpuSpatioTemporal(SpatioTemporalIndexConfig {
+            bins: 50,
+            subbins: 4,
+            sort_by_selector: true,
+        }),
+    ]
+}
+
+/// One search on a device and an index nothing else has touched.
+fn fresh_search(
+    dataset: &PreparedDataset,
+    queries: &SegmentStore,
+    method: Method,
+    shape: KernelShape,
+    result_capacity: usize,
+) -> (Vec<MatchRecord>, SearchReport) {
+    let config = DeviceConfig { kernel_shape: shape, ..DeviceConfig::tesla_c2075() };
+    let engine = SearchEngine::build(dataset, method, Device::new(config).unwrap()).unwrap();
+    engine.search(queries, D, result_capacity).unwrap()
+}
+
+#[test]
+fn repeated_searches_report_identical_costs() {
+    let (dataset, queries) = fixture();
+    for shape in SHAPES {
+        for method in methods() {
+            let label = format!("{} / {shape:?}", method.name());
+            let mut capacity = AMPLE;
+            let mut expected = None;
+            for pressure in [false, true] {
+                let (m1, r1) = fresh_search(&dataset, &queries, method, shape, capacity);
+                let (m2, r2) = fresh_search(&dataset, &queries, method, shape, capacity);
+                assert_eq!(m1, m2, "{label} / {capacity}: matches differ between runs");
+                assert_eq!(
+                    r1.deterministic(),
+                    r2.deterministic(),
+                    "{label} / {capacity}: cost model differs between runs"
+                );
+                assert_eq!(
+                    expected.get_or_insert_with(|| m1.clone()),
+                    &m1,
+                    "{label}: matches depend on the result capacity"
+                );
+                if pressure {
+                    let redo_expected = !matches!(method, Method::CpuRTree(_));
+                    assert_eq!(r1.redo_rounds >= 1, redo_expected, "{label}: redo rounds");
+                } else {
+                    // A third of the raw result set forces the redo protocol.
+                    capacity = (r1.raw_matches / 3) as usize;
+                }
+            }
+        }
+    }
+}
+
+/// `(comparisons, atomics, gmem_read_bytes, instructions)` of the fixture at
+/// ample capacity, per method (rows, in [`methods`] order) and kernel shape
+/// (columns, in [`SHAPES`] order).
+const PINNED: [[(u64, u64, u64, u64); 2]; 5] = [
+    [(24_006, 0, 0, 0), (24_006, 0, 0, 0)],
+    [(2_391_505, 124, 71_954_640, 123_636_250), (2_391_505, 21_462, 55_745_700, 117_451_831)],
+    [(1_147_904, 84, 46_607_360, 55_117_401), (1_147_904, 11_877, 47_297_152, 55_174_113)],
+    [(1_147_904, 84, 46_607_360, 55_117_401), (1_147_904, 84, 46_607_360, 55_117_401)],
+    [(494_346, 93, 21_943_952, 23_746_689), (494_346, 5_801, 22_234_952, 23_774_421)],
+];
+
+#[test]
+fn fixture_counters_are_pinned() {
+    let (dataset, queries) = fixture();
+    for (method, row) in methods().into_iter().zip(PINNED) {
+        for (shape, pinned) in SHAPES.into_iter().zip(row) {
+            let (_, r) = fresh_search(&dataset, &queries, method, shape, AMPLE);
+            let t = r.totals;
+            assert_eq!(
+                (r.comparisons, t.atomics, t.gmem_read_bytes, t.instructions),
+                pinned,
+                "{} / {shape:?}",
+                method.name()
+            );
+        }
+    }
+}

@@ -52,28 +52,6 @@ fn methods() -> Vec<Method> {
     ]
 }
 
-/// Deterministic slice of a report: everything except measured wall time
-/// and the host-compute seconds derived from it.
-fn deterministic_view(r: &SearchReport) -> impl PartialEq + std::fmt::Debug {
-    (
-        (r.comparisons, r.raw_matches, r.matches, r.redo_rounds),
-        (r.fallback_queries, r.divergent_warps, r.totals),
-        (
-            r.load.max_warp_cycles.to_bits(),
-            r.load.warp_cycles.to_bits(),
-            r.load.warps,
-            r.load.tiles_dispatched,
-            r.load.queue_atomics,
-        ),
-        (r.response.kernel_invocations, r.response.h2d_bytes, r.response.d2h_bytes),
-        (
-            r.response.get(Phase::KernelExec).to_bits(),
-            r.response.get(Phase::HostToDevice).to_bits(),
-            r.response.get(Phase::DeviceToHost).to_bits(),
-        ),
-    )
-}
-
 fn run_clean_matrix(kind: ScenarioKind, result_capacity: usize) {
     let scenario = Scenario::new(kind, SCALE);
     let dataset = PreparedDataset::new(scenario.dataset());
@@ -92,12 +70,12 @@ fn run_clean_matrix(kind: ScenarioKind, result_capacity: usize) {
 
             let label = format!("{} / {shape:?} / {kind:?}", method.name());
             assert_eq!(m_off, m_san, "{label}: results differ under sanitizer");
-            assert_eq!(
-                deterministic_view(&r_off),
-                deterministic_view(&r_san),
-                "{label}: sanitizer perturbed the cost model"
-            );
             assert_eq!(r_san.sanitizer_findings, 0, "{label}: findings on clean code");
+            assert_eq!(
+                r_off.deterministic(),
+                r_san.deterministic(),
+                "{label}: deterministic report differs between the sanitizer-off and -on runs"
+            );
             let report = dev_san.sanitizer_report();
             assert!(report.is_clean(), "{label}: sanitizer found defects:\n{report}");
             dev_san.assert_sanitizer_clean();
