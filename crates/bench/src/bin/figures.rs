@@ -5,7 +5,7 @@
 //!
 //! targets: fig4 fig5 fig6 fig7 sweep-fsg sweep-bins sweep-subbins
 //!          ablation-indirection ablation-buffer fallback-rate
-//!          ablation-warp-agg ablation-workqueue ablation-columnar
+//!          ablation-workqueue ablation-columnar
 //!          ablation-sharding ablation-routing scaling-sharding
 //!          ablation-streaming all
 //! options: --scale <f>         dataset scale vs the paper (default 1/16)
@@ -119,7 +119,7 @@ fn main() {
              [--tile-size n] [--shards n] [--partition s] [--routing s] [--slab-mode s] \
              [--json path] [--sanitizer m] \
              <fig4|fig5|fig6|fig7|sweep-fsg|sweep-bins|sweep-subbins|\
-             ablation-indirection|ablation-buffer|fallback-rate|future-trends|batched|ablation-sort|crossover|ablation-write|ablation-warp-agg|ablation-workqueue|ablation-columnar|ablation-sharding|ablation-routing|scaling-sharding|ablation-streaming|all>..."
+             ablation-indirection|ablation-buffer|fallback-rate|future-trends|batched|ablation-sort|crossover|ablation-write|ablation-workqueue|ablation-columnar|ablation-sharding|ablation-routing|scaling-sharding|ablation-streaming|all>..."
         );
         std::process::exit(2);
     }
@@ -140,7 +140,6 @@ fn main() {
             "ablation-sort",
             "crossover",
             "ablation-write",
-            "ablation-warp-agg",
             "ablation-workqueue",
             "ablation-columnar",
             "ablation-sharding",
@@ -185,7 +184,6 @@ fn main() {
             "ablation-sort" => runner.ablation_sort(),
             "crossover" => runner.crossover(),
             "ablation-write" => runner.ablation_write(),
-            "ablation-warp-agg" => runner.ablation_warp_agg(),
             "ablation-workqueue" => runner.ablation_workqueue(),
             "ablation-columnar" => runner.ablation_columnar(),
             "ablation-sharding" => runner.ablation_sharding(),

@@ -678,83 +678,6 @@ impl Runner {
         out
     }
 
-    /// Result-write ablation: per-lane atomic appends vs warp-aggregated
-    /// stash commits, across all three GPU methods on S1 (Random). The
-    /// warp path stages matches per lane and advances the result cursor
-    /// with one `fetch_add` per stash flush, so `totals.atomics` — the
-    /// headline column — collapses while result sets stay identical.
-    pub fn ablation_warp_agg(&self) -> Vec<Measurement> {
-        use tdts_gpu_sim::ResultWriteMode;
-        let p = self.prepare(ScenarioKind::S1Random);
-        let params = p.scenario.params();
-        let cap = params.result_buffer_capacity;
-        let methods = [
-            Method::GpuSpatial(GpuSpatialConfig {
-                fsg: FsgConfig { cells_per_dim: params.fsg_cells_per_dim },
-                total_scratch: 4_000_000,
-                compaction_threshold: 4_096,
-            }),
-            Method::GpuTemporal(TemporalIndexConfig { bins: params.temporal_bins }),
-            Method::GpuSpatioTemporal(SpatioTemporalIndexConfig {
-                bins: params.temporal_bins,
-                subbins: params.subbins,
-                sort_by_selector: true,
-            }),
-        ];
-        println!(
-            "\n## Result-write ablation — per-lane atomics vs warp-aggregated commits (S1 Random)"
-        );
-        println!(
-            "{:>22} {:>10} {:>12} {:>16} {:>14} {:>10}",
-            "method", "d", "mode", "response (s)", "atomics", "ratio"
-        );
-        let mut out = Vec::new();
-        for method in methods {
-            let engines: Vec<SearchEngine> =
-                [ResultWriteMode::PerLane, ResultWriteMode::WarpAggregated]
-                    .into_iter()
-                    .map(|mode| {
-                        let mut dc = self.cfg.device.clone();
-                        dc.result_write_mode = mode;
-                        let device = Device::new(dc).unwrap_or_else(|e| die("device config", e));
-                        eprintln!("[harness] building {} ({mode:?}) ...", method.name());
-                        SearchEngine::build(&p.dataset, method, device)
-                            .unwrap_or_else(|e| die("engine build", e))
-                    })
-                    .collect();
-            for &d in &p.scenario.query_distances() {
-                let (m_pl, mut meas_pl) = self.run_one(&engines[0], &p.queries, d, cap);
-                let (m_wa, mut meas_wa) = self.run_one(&engines[1], &p.queries, d, cap);
-                assert_eq!(m_pl, m_wa, "{}: write modes disagree at d = {d}", method.name());
-                meas_pl.method = format!("{}/per-lane", method.name());
-                meas_wa.method = format!("{}/warp-agg", method.name());
-                let (a_pl, a_wa) = (meas_pl.report.totals.atomics, meas_wa.report.totals.atomics);
-                let ratio = a_pl as f64 / (a_wa.max(1)) as f64;
-                println!(
-                    "{:>22} {:>10.3} {:>12} {:>16.6} {:>14} {:>10}",
-                    method.name(),
-                    d,
-                    "per-lane",
-                    meas_pl.report.response_seconds(),
-                    a_pl,
-                    ""
-                );
-                println!(
-                    "{:>22} {:>10.3} {:>12} {:>16.6} {:>14} {:>9.1}x",
-                    method.name(),
-                    d,
-                    "warp-agg",
-                    meas_wa.report.response_seconds(),
-                    a_wa,
-                    ratio
-                );
-                out.push(meas_pl);
-                out.push(meas_wa);
-            }
-        }
-        out
-    }
-
     /// Data-layout ablation: array-of-structs rows (72 bytes per segment
     /// touched whole) vs per-column device buffers, where the refinement
     /// loads only the two timestamp columns (16 bytes) and fetches the six

@@ -4,24 +4,6 @@ use crate::report::SearchError;
 use crate::sanitizer::SanitizerMode;
 use serde::{Deserialize, Serialize};
 
-/// How kernels write records into atomic-append result buffers.
-///
-/// The paper's kernels (§III) append every match through one shared atomic
-/// cursor — one `atomicAdd` per record. The warp-aggregated strategy is the
-/// classic mitigation (ballot the hitting lanes, elect a leader that performs
-/// a single `atomicAdd(total)` for the whole warp, scatter at
-/// `base + lane_rank`): lanes stage matches in a small per-lane stash and the
-/// warp commits them together, paying one atomic per *flush* instead of one
-/// per *record*.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ResultWriteMode {
-    /// One atomic cursor bump per appended record (the paper's baseline).
-    PerLane,
-    /// Stage per lane, commit per warp: one cursor bump per warp flush.
-    #[default]
-    WarpAggregated,
-}
-
 /// How kernels map queries onto the launch grid.
 ///
 /// The paper assigns one thread per query (§IV-B/C): each thread scans its
@@ -105,9 +87,8 @@ pub struct DeviceConfig {
     /// Latency-hiding factor: how many warps an SM overlaps effectively.
     /// SM time = (sum of its warp costs) / occupancy_factor.
     pub occupancy_factor: f64,
-    /// Result-buffer write strategy (see [`ResultWriteMode`]).
-    pub result_write_mode: ResultWriteMode,
-    /// Per-lane stash capacity for warp-aggregated writes: a lane staging
+    /// Per-lane stash capacity of the warp-aggregated result writes (see
+    /// [`crate::WarpStash`]): a lane staging
     /// more than this many records in one kernel invocation costs extra
     /// warp flushes (`ceil(n / capacity)` per lane, max over lanes).
     pub warp_stash_capacity: usize,
@@ -162,7 +143,6 @@ impl DeviceConfig {
             uncoalesced_factor: 4.0,
             cycles_per_atomic: 120.0,
             occupancy_factor: 2.0,
-            result_write_mode: ResultWriteMode::default(),
             warp_stash_capacity: 16,
             kernel_shape: KernelShape::default(),
             tile_size: 128,
@@ -196,7 +176,6 @@ impl DeviceConfig {
             uncoalesced_factor: 3.0,
             cycles_per_atomic: 60.0,
             occupancy_factor: 4.0,
-            result_write_mode: ResultWriteMode::default(),
             warp_stash_capacity: 16,
             kernel_shape: KernelShape::default(),
             tile_size: 128,
@@ -224,7 +203,6 @@ impl DeviceConfig {
             uncoalesced_factor: 2.0,
             cycles_per_atomic: 20.0,
             occupancy_factor: 1.0,
-            result_write_mode: ResultWriteMode::default(),
             warp_stash_capacity: 4,
             kernel_shape: KernelShape::default(),
             // Small tiles so tiny fixtures still split into several tiles.
@@ -348,8 +326,6 @@ impl DeviceConfigBuilder {
         cycles_per_atomic: f64,
         /// Latency-hiding factor (effective warps overlapped per SM).
         occupancy_factor: f64,
-        /// Result-buffer write strategy.
-        result_write_mode: ResultWriteMode,
         /// Per-lane stash capacity for warp-aggregated writes.
         warp_stash_capacity: usize,
         /// Query-to-thread mapping of the search kernels.
@@ -481,15 +457,5 @@ mod tests {
         }
         let aos = DeviceConfig::builder().segment_layout(SegmentLayout::Aos).build().unwrap();
         assert_eq!(aos.segment_layout, SegmentLayout::Aos);
-    }
-
-    #[test]
-    fn warp_aggregation_is_the_default() {
-        for c in
-            [DeviceConfig::tesla_c2075(), DeviceConfig::modern_gpu(), DeviceConfig::test_tiny()]
-        {
-            assert_eq!(c.result_write_mode, ResultWriteMode::WarpAggregated);
-            assert!(c.warp_stash_capacity >= 1);
-        }
     }
 }

@@ -219,12 +219,7 @@ impl Device {
         let bytes = capacity * std::mem::size_of::<T>();
         let reservation =
             Reservation::new(self, bytes, "ResultBuffer", short_type_name::<T>(), capacity)?;
-        Ok(ResultBuffer::with_capacity(
-            capacity,
-            self.config.result_write_mode,
-            self.config.warp_stash_capacity,
-            reservation,
-        ))
+        Ok(ResultBuffer::with_capacity(capacity, self.config.warp_stash_capacity, reservation))
     }
 
     /// Allocate a scatter buffer (offline): kernels write at explicit,
@@ -237,11 +232,7 @@ impl Device {
         let bytes = capacity * std::mem::size_of::<T>();
         let reservation =
             Reservation::new(self, bytes, "ScatterBuffer", short_type_name::<T>(), capacity)?;
-        Ok(crate::memory::ScatterBuffer::with_capacity(
-            capacity,
-            self.config.result_write_mode,
-            reservation,
-        ))
+        Ok(crate::memory::ScatterBuffer::with_capacity(capacity, reservation))
     }
 
     /// Allocate per-thread scratch partitions (offline): `partitions` areas
@@ -260,12 +251,7 @@ impl Device {
             short_type_name::<T>(),
             partitions * per_thread,
         )?;
-        Ok(PartitionedScratch::new(
-            partitions,
-            per_thread,
-            self.config.result_write_mode,
-            reservation,
-        ))
+        Ok(PartitionedScratch::new(partitions, per_thread, reservation))
     }
 
     /// Launch a kernel over `threads` GPU threads and charge launch overhead

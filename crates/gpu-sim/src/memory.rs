@@ -1,14 +1,12 @@
 //! Simulated device global memory: read-only buffers, atomic-append result
 //! buffers, and per-thread scratch partitions.
 //!
-//! Result writes support two strategies (see
-//! [`crate::config::ResultWriteMode`]): the paper's per-record atomic append,
-//! and warp-aggregated commits in which lanes stage matches in a
+//! Result writes are warp-aggregated: lanes stage matches in a
 //! [`WarpStash`] and the warp flushes them together with a single cursor
 //! `fetch_add` — the simulated analogue of the ballot/leader-`atomicAdd`/
-//! scatter idiom on real hardware.
+//! scatter idiom on real hardware, in place of the paper's one `atomicAdd`
+//! per record (§III).
 
-use crate::config::ResultWriteMode;
 use crate::counters::Lane;
 use crate::device::Device;
 use crate::launch::{Warp, MAX_WARP_LANES};
@@ -335,7 +333,6 @@ pub struct ResultBuffer<T> {
     slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
     cursor: AtomicUsize,
     overflowed: AtomicBool,
-    mode: ResultWriteMode,
     stash_capacity: usize,
     reservation: Reservation,
 }
@@ -351,7 +348,6 @@ unsafe impl<T: Send> Send for ResultBuffer<T> {}
 impl<T> ResultBuffer<T> {
     pub(crate) fn with_capacity(
         capacity: usize,
-        mode: ResultWriteMode,
         stash_capacity: usize,
         reservation: Reservation,
     ) -> Self {
@@ -361,7 +357,6 @@ impl<T> ResultBuffer<T> {
             slots: slots.into_boxed_slice(),
             cursor: AtomicUsize::new(0),
             overflowed: AtomicBool::new(false),
-            mode,
             stash_capacity: stash_capacity.max(1),
             reservation,
         }
@@ -371,12 +366,6 @@ impl<T> ResultBuffer<T> {
     #[inline]
     pub fn capacity(&self) -> usize {
         self.slots.len()
-    }
-
-    /// The write strategy this buffer was allocated with.
-    #[inline]
-    pub fn write_mode(&self) -> ResultWriteMode {
-        self.mode
     }
 
     /// Store `item` at `idx` without cost accounting; `false` (plus the
@@ -394,25 +383,10 @@ impl<T> ResultBuffer<T> {
         }
     }
 
-    /// Append `item` from a kernel lane. Returns `true` on success, `false`
-    /// when the buffer is full (the overflow flag is then set and the item
-    /// dropped). Charges one atomic plus the write bytes on success.
-    #[inline]
-    pub fn push(&self, lane: &mut Lane, item: T) -> bool {
-        lane.atomic();
-        let idx = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let stored = self.raw_write(idx, item);
-        if stored {
-            lane.gmem_write(std::mem::size_of::<T>() as u64);
-        }
-        stored
-    }
-
     /// Begin a warp's staged append session. Lanes [`WarpStash::stage`]
     /// matches during the lane loop; the warp epilogue calls
     /// [`WarpStash::commit`] to flush them with one cursor `fetch_add` for
-    /// the whole warp ([`ResultWriteMode::WarpAggregated`]) or to replay the
-    /// per-record behaviour ([`ResultWriteMode::PerLane`]).
+    /// the whole warp.
     pub fn warp_stash(&self) -> WarpStash<'_, T> {
         WarpStash { buffer: self, staged: Vec::new(), dropped: 0, stored: 0, lost: 0 }
     }
@@ -452,7 +426,7 @@ impl<T> ResultBuffer<T> {
         let n = self.len();
         let mut out = Vec::with_capacity(n);
         for slot in &mut self.slots[..n] {
-            // SAFETY: slots [0, n) were initialised by `push`; after this
+            // SAFETY: slots [0, n) were initialised by `raw_write`; after this
             // drain the cursor is reset so they are treated as uninit again.
             out.push(unsafe { slot.get_mut().assume_init_read() });
         }
@@ -479,16 +453,13 @@ impl<T> Drop for ResultBuffer<T> {
 
 /// One warp's staged appends into a [`ResultBuffer`].
 ///
-/// In [`ResultWriteMode::WarpAggregated`] each lane stages matches into its
-/// own slot of the stash (a register/shared-memory tile on real hardware,
-/// sized by [`crate::DeviceConfig::warp_stash_capacity`]); [`commit`] then
-/// bumps the shared cursor **once** for the warp's whole batch and scatters
-/// the records contiguously. In [`ResultWriteMode::PerLane`] the stash is
-/// transparent: [`stage`] forwards straight to [`ResultBuffer::push`],
-/// reproducing the paper's one-atomic-per-record baseline.
+/// Each lane stages matches into its own slot of the stash (a
+/// register/shared-memory tile on real hardware, sized by
+/// [`crate::DeviceConfig::warp_stash_capacity`]); [`commit`] then bumps the
+/// shared cursor **once** for the warp's whole batch and scatters the
+/// records contiguously.
 ///
 /// [`commit`]: WarpStash::commit
-/// [`stage`]: WarpStash::stage
 pub struct WarpStash<'a, T> {
     buffer: &'a ResultBuffer<T>,
     staged: Vec<Vec<T>>,
@@ -510,36 +481,17 @@ impl<'a, T> WarpStash<'a, T> {
         &mut self.staged[lane_index]
     }
 
-    /// Stage `item` from a kernel lane.
-    ///
-    /// Per-lane mode appends immediately (one atomic per record) and returns
-    /// whether the record was stored; warp-aggregated mode buffers the item
-    /// (one ALU op) and always returns `true` — capacity is only checked at
-    /// [`WarpStash::commit`].
+    /// Stage `item` from a kernel lane: one ALU op. Capacity is only
+    /// checked at [`WarpStash::commit`].
     #[inline]
-    pub fn stage(&mut self, lane: &mut Lane, item: T) -> bool {
-        match self.buffer.mode {
-            ResultWriteMode::PerLane => {
-                let stored = self.buffer.push(lane, item);
-                if stored {
-                    self.stored += 1;
-                } else {
-                    self.lost += 1;
-                    self.dropped |= 1 << lane.lane_index();
-                }
-                stored
-            }
-            ResultWriteMode::WarpAggregated => {
-                lane.instr(1);
-                self.lane_slot(lane.lane_index()).push(item);
-                true
-            }
-        }
+    pub fn stage(&mut self, lane: &mut Lane, item: T) {
+        lane.instr(1);
+        self.lane_slot(lane.lane_index()).push(item);
     }
 
     /// Stage `item` on behalf of lane `lane_index` from the warp epilogue
-    /// (no `Lane` handle there). Buffered in both modes and flushed at
-    /// [`WarpStash::commit`]; used e.g. to stage redo ids for dropped lanes.
+    /// (no `Lane` handle there); flushed at [`WarpStash::commit`]. Used e.g.
+    /// to stage redo ids for dropped lanes.
     #[inline]
     pub fn stage_at(&mut self, lane_index: usize, item: T) {
         self.lane_slot(lane_index).push(item);
@@ -558,60 +510,37 @@ impl<'a, T> WarpStash<'a, T> {
     /// `i` set ⇔ lane `i` lost at least one record to buffer overflow, or
     /// was [`WarpStash::mark_dropped`]).
     ///
-    /// Warp-aggregated mode charges one atomic per *flush round* — a lane
-    /// staging more than `warp_stash_capacity` records forces
-    /// `ceil(n/capacity)` rounds, the max over lanes — instead of one per
-    /// record, plus `COMMIT_INSTR` converged instructions per round and
-    /// coalesced write bytes for the stored records.
+    /// Charges one atomic per *flush round* — a lane staging more than
+    /// `warp_stash_capacity` records forces `ceil(n/capacity)` rounds, the
+    /// max over lanes — instead of one per record, plus `COMMIT_INSTR`
+    /// converged instructions per round and coalesced write bytes for the
+    /// stored records.
     pub fn commit(&mut self, warp: &mut Warp) -> u64 {
         let item_bytes = std::mem::size_of::<T>() as u64;
-        match self.buffer.mode {
-            ResultWriteMode::PerLane => {
-                // Only `stage_at` items are pending here; replay them through
-                // the per-record cursor protocol.
-                for li in 0..self.staged.len() {
-                    for item in std::mem::take(&mut self.staged[li]) {
-                        warp.atomics(1);
-                        let idx = self.buffer.cursor.fetch_add(1, Ordering::Relaxed);
-                        if self.buffer.raw_write(idx, item) {
-                            warp.gmem_write(item_bytes);
-                            self.stored += 1;
-                        } else {
-                            self.lost += 1;
-                            self.dropped |= 1 << li;
-                        }
+        let total: usize = self.staged.iter().map(Vec::len).sum();
+        if total > 0 {
+            let cap = self.buffer.stash_capacity;
+            let flushes =
+                self.staged.iter().map(|s| s.len().div_ceil(cap)).max().unwrap_or(1) as u64;
+            warp.instr(flushes * COMMIT_INSTR);
+            warp.atomics(flushes);
+            let base = self.buffer.cursor.fetch_add(total, Ordering::Relaxed);
+            let mut offset = 0usize;
+            for li in 0..self.staged.len() {
+                for item in std::mem::take(&mut self.staged[li]) {
+                    if self.buffer.raw_write(base + offset, item) {
+                        warp.gmem_write(item_bytes);
+                        self.stored += 1;
+                    } else {
+                        self.lost += 1;
+                        self.dropped |= 1 << li;
                     }
+                    offset += 1;
                 }
-                self.log_commit(warp);
-                std::mem::take(&mut self.dropped)
-            }
-            ResultWriteMode::WarpAggregated => {
-                let total: usize = self.staged.iter().map(Vec::len).sum();
-                if total > 0 {
-                    let cap = self.buffer.stash_capacity;
-                    let flushes =
-                        self.staged.iter().map(|s| s.len().div_ceil(cap)).max().unwrap_or(1) as u64;
-                    warp.instr(flushes * COMMIT_INSTR);
-                    warp.atomics(flushes);
-                    let base = self.buffer.cursor.fetch_add(total, Ordering::Relaxed);
-                    let mut offset = 0usize;
-                    for li in 0..self.staged.len() {
-                        for item in std::mem::take(&mut self.staged[li]) {
-                            if self.buffer.raw_write(base + offset, item) {
-                                warp.gmem_write(item_bytes);
-                                self.stored += 1;
-                            } else {
-                                self.lost += 1;
-                                self.dropped |= 1 << li;
-                            }
-                            offset += 1;
-                        }
-                    }
-                }
-                self.log_commit(warp);
-                std::mem::take(&mut self.dropped)
             }
         }
+        self.log_commit(warp);
+        std::mem::take(&mut self.dropped)
     }
 
     /// Report this commit's stored/lost counts to the sanitizer's
@@ -638,30 +567,19 @@ impl<'a, T> WarpStash<'a, T> {
 /// conflicting slots surface as structured findings at launch end instead.
 pub struct ScatterBuffer<T> {
     slots: Box<[Mutex<Option<T>>]>,
-    mode: ResultWriteMode,
     reservation: Reservation,
 }
 
 impl<T> ScatterBuffer<T> {
-    pub(crate) fn with_capacity(
-        capacity: usize,
-        mode: ResultWriteMode,
-        reservation: Reservation,
-    ) -> Self {
+    pub(crate) fn with_capacity(capacity: usize, reservation: Reservation) -> Self {
         let mut slots = Vec::with_capacity(capacity);
         slots.resize_with(capacity, || Mutex::new(None));
-        ScatterBuffer { slots: slots.into_boxed_slice(), mode, reservation }
+        ScatterBuffer { slots: slots.into_boxed_slice(), reservation }
     }
 
     /// Capacity in elements.
     pub fn capacity(&self) -> usize {
         self.slots.len()
-    }
-
-    /// The write strategy this buffer was allocated with.
-    #[inline]
-    pub fn write_mode(&self) -> ResultWriteMode {
-        self.mode
     }
 
     /// Store `item` at `idx` without cost accounting. Panics on
@@ -737,8 +655,7 @@ impl<T> ScatterBuffer<T> {
 /// Scatter writes already use no atomics; what warp aggregation buys here is
 /// write-combining: staged records are flushed together in
 /// [`ScatterStash::commit`] as coalesced warp traffic instead of per-lane
-/// stores scattered across the launch. In [`ResultWriteMode::PerLane`] the
-/// stash is transparent and [`ScatterStash::stage`] writes immediately.
+/// stores scattered across the launch.
 pub struct ScatterStash<'a, T> {
     buffer: &'a ScatterBuffer<T>,
     staged: Vec<(usize, T)>,
@@ -748,13 +665,8 @@ impl<'a, T> ScatterStash<'a, T> {
     /// Stage `item` for slot `idx` from a kernel lane.
     #[inline]
     pub fn stage(&mut self, lane: &mut Lane, idx: usize, item: T) {
-        match self.buffer.mode {
-            ResultWriteMode::PerLane => self.buffer.write(lane, idx, item),
-            ResultWriteMode::WarpAggregated => {
-                lane.instr(1);
-                self.staged.push((idx, item));
-            }
-        }
+        lane.instr(1);
+        self.staged.push((idx, item));
     }
 
     /// Flush all staged writes, charging the warp coalesced write bytes.
@@ -786,17 +698,11 @@ pub struct PartitionedScratch<T> {
     parts: Box<[Mutex<Vec<T>>]>,
     per_thread: usize,
     taken: Box<[AtomicBool]>,
-    mode: ResultWriteMode,
     reservation: Reservation,
 }
 
 impl<T: Copy + Default> PartitionedScratch<T> {
-    pub(crate) fn new(
-        partitions: usize,
-        per_thread: usize,
-        mode: ResultWriteMode,
-        reservation: Reservation,
-    ) -> Self {
+    pub(crate) fn new(partitions: usize, per_thread: usize, reservation: Reservation) -> Self {
         let mut parts = Vec::with_capacity(partitions);
         parts.resize_with(partitions, || Mutex::new(Vec::with_capacity(per_thread)));
         let mut taken = Vec::with_capacity(partitions);
@@ -805,7 +711,6 @@ impl<T: Copy + Default> PartitionedScratch<T> {
             parts: parts.into_boxed_slice(),
             per_thread,
             taken: taken.into_boxed_slice(),
-            mode,
             reservation,
         }
     }
@@ -834,7 +739,6 @@ impl<T: Copy + Default> PartitionedScratch<T> {
             data,
             base: idx * self.per_thread,
             cap: self.per_thread,
-            mode: self.mode,
             pending: 0,
             shadow: self.reservation.shadow().cloned(),
         }
@@ -856,7 +760,6 @@ pub struct ScratchPartition<'a, T> {
     /// (sanitizer findings report absolute offsets).
     base: usize,
     cap: usize,
-    mode: ResultWriteMode,
     pending: u64,
     shadow: Option<ShadowRef>,
 }
@@ -865,9 +768,7 @@ impl<'a, T: Copy + Default> ScratchPartition<'a, T> {
     /// Append `item`; returns `false` (buffer full) when the partition's
     /// capacity is exceeded — the paper's `U_k` overflow condition.
     ///
-    /// In [`ResultWriteMode::PerLane`] each append is an immediate per-lane
-    /// global write. In [`ResultWriteMode::WarpAggregated`] appends cost one
-    /// ALU op and the write bytes accumulate in
+    /// An append costs one ALU op and its write bytes accumulate in
     /// [`ScratchPartition::pending_write_bytes`], which the kernel's warp
     /// epilogue charges as coalesced warp traffic (staged chunk
     /// write-combining).
@@ -876,20 +777,14 @@ impl<'a, T: Copy + Default> ScratchPartition<'a, T> {
         if self.data.len() >= self.cap {
             return false;
         }
-        match self.mode {
-            ResultWriteMode::PerLane => lane.gmem_write(std::mem::size_of::<T>() as u64),
-            ResultWriteMode::WarpAggregated => {
-                lane.instr(1);
-                self.pending += std::mem::size_of::<T>() as u64;
-            }
-        }
+        lane.instr(1);
+        self.pending += std::mem::size_of::<T>() as u64;
         self.data.push(item);
         true
     }
 
-    /// Write bytes accumulated by warp-aggregated appends and not yet
-    /// charged; the caller's warp epilogue should charge these via
-    /// [`Warp::gmem_write`]. Always zero in per-lane mode.
+    /// Write bytes accumulated by appends and not yet charged; the caller's
+    /// warp epilogue should charge these via [`Warp::gmem_write`].
     #[inline]
     pub fn pending_write_bytes(&self) -> u64 {
         self.pending
@@ -944,15 +839,19 @@ mod tests {
         Device::new(DeviceConfig::test_tiny()).unwrap()
     }
 
+    /// Stage `items` from lane 0 of a one-lane warp and commit them.
+    fn commit_all(buf: &ResultBuffer<u32>, items: &[u32]) {
+        let mut warp = Warp::standalone(1);
+        let mut stash = buf.warp_stash();
+        warp.for_each_lane(|lane| items.iter().for_each(|&i| stash.stage(lane, i)));
+        stash.commit(&mut warp);
+    }
+
     #[test]
-    fn result_buffer_push_and_drain() {
+    fn result_buffer_fills_overflows_and_drains() {
         let dev = device();
         let mut buf: ResultBuffer<u32> = dev.alloc_result(4).unwrap();
-        let mut lane = Lane::new(0);
-        for i in 0..4 {
-            assert!(buf.push(&mut lane, i));
-        }
-        assert!(!buf.push(&mut lane, 99));
+        commit_all(&buf, &[0, 1, 2, 3, 99]);
         assert!(buf.overflowed());
         assert_eq!(buf.len(), 4);
         assert_eq!(buf.attempted(), 5);
@@ -961,23 +860,8 @@ mod tests {
         assert!(!buf.overflowed());
         assert_eq!(buf.len(), 0);
         // Reusable after drain.
-        assert!(buf.push(&mut lane, 7));
+        commit_all(&buf, &[7]);
         assert_eq!(buf.drain_to_host(), vec![7]);
-    }
-
-    #[test]
-    fn result_buffer_charges_counters() {
-        let dev = device();
-        let buf: ResultBuffer<u64> = dev.alloc_result(2).unwrap();
-        let mut lane = Lane::new(0);
-        buf.push(&mut lane, 1);
-        assert_eq!(lane.counters().atomics, 1);
-        assert_eq!(lane.counters().gmem_write_bytes, 8);
-        // Overflowing push charges the atomic but not the write.
-        buf.push(&mut lane, 2);
-        buf.push(&mut lane, 3);
-        assert_eq!(lane.counters().atomics, 3);
-        assert_eq!(lane.counters().gmem_write_bytes, 16);
     }
 
     #[test]
@@ -1170,15 +1054,9 @@ mod tests {
         assert_eq!(dev.mem_used(), 0);
     }
 
-    fn device_with(mode: ResultWriteMode) -> Arc<Device> {
-        let mut c = DeviceConfig::test_tiny();
-        c.result_write_mode = mode;
-        Device::new(c).unwrap()
-    }
-
     #[test]
     fn warp_stash_commits_with_one_atomic_per_flush() {
-        let dev = device_with(ResultWriteMode::WarpAggregated);
+        let dev = device();
         let mut buf: ResultBuffer<u32> = dev.alloc_result(16).unwrap();
         let mut warp = Warp::standalone(4);
         {
@@ -1186,7 +1064,7 @@ mod tests {
             warp.for_each_lane(|lane| {
                 // Lane i stages i records; staging costs ALU, not atomics.
                 for i in 0..lane.lane_index() as u32 {
-                    assert!(stash.stage(lane, lane.lane_index() as u32 * 10 + i));
+                    stash.stage(lane, lane.lane_index() as u32 * 10 + i);
                 }
                 assert_eq!(lane.counters().atomics, 0);
             });
@@ -1204,7 +1082,7 @@ mod tests {
 
     #[test]
     fn warp_stash_deep_lane_forces_extra_flushes() {
-        let dev = device_with(ResultWriteMode::WarpAggregated);
+        let dev = device();
         let buf: ResultBuffer<u32> = dev.alloc_result(16).unwrap();
         let mut warp = Warp::standalone(2);
         let mut stash = buf.warp_stash();
@@ -1222,7 +1100,7 @@ mod tests {
 
     #[test]
     fn warp_stash_overflow_sets_flag_and_lane_mask() {
-        let dev = device_with(ResultWriteMode::WarpAggregated);
+        let dev = device();
         let mut buf: ResultBuffer<u32> = dev.alloc_result(3).unwrap();
         let mut warp = Warp::standalone(4);
         let dropped = {
@@ -1247,7 +1125,7 @@ mod tests {
 
     #[test]
     fn warp_stash_mark_dropped_and_stage_at() {
-        let dev = device_with(ResultWriteMode::WarpAggregated);
+        let dev = device();
         let mut buf: ResultBuffer<u32> = dev.alloc_result(8).unwrap();
         let mut warp = Warp::standalone(4);
         let dropped = {
@@ -1265,46 +1143,8 @@ mod tests {
     }
 
     #[test]
-    fn per_lane_stash_is_transparent() {
-        let dev = device_with(ResultWriteMode::PerLane);
-        let mut buf: ResultBuffer<u32> = dev.alloc_result(2).unwrap();
-        let mut warp = Warp::standalone(4);
-        let dropped = {
-            let mut stash = buf.warp_stash();
-            warp.for_each_lane(|lane| {
-                // One record per lane against capacity 2: lanes 2 and 3
-                // overflow immediately (per-record atomic protocol).
-                let stored = stash.stage(lane, lane.lane_index() as u32);
-                assert_eq!(stored, lane.lane_index() < 2);
-                assert_eq!(lane.counters().atomics, 1);
-            });
-            stash.commit(&mut warp)
-        };
-        assert_eq!(dropped, (1 << 2) | (1 << 3));
-        // The stash added no warp-level atomics in per-lane mode.
-        assert_eq!(warp.counters().atomics, 0);
-        assert!(buf.overflowed());
-        assert_eq!(buf.drain_to_host(), vec![0, 1]);
-    }
-
-    #[test]
-    fn per_lane_stage_at_replays_cursor_protocol() {
-        let dev = device_with(ResultWriteMode::PerLane);
-        let mut buf: ResultBuffer<u32> = dev.alloc_result(4).unwrap();
-        let mut warp = Warp::standalone(4);
-        {
-            let mut stash = buf.warp_stash();
-            stash.stage_at(0, 7);
-            stash.stage_at(3, 9);
-            assert_eq!(stash.commit(&mut warp), 0);
-        }
-        assert_eq!(warp.counters().atomics, 2);
-        assert_eq!(buf.drain_to_host(), vec![7, 9]);
-    }
-
-    #[test]
     fn scatter_stash_write_combines() {
-        let dev = device_with(ResultWriteMode::WarpAggregated);
+        let dev = device();
         let mut buf: ScatterBuffer<u32> = dev.alloc_scatter(4).unwrap();
         let mut warp = Warp::standalone(4);
         {
@@ -1322,26 +1162,8 @@ mod tests {
     }
 
     #[test]
-    fn scatter_stash_per_lane_writes_immediately() {
-        let dev = device_with(ResultWriteMode::PerLane);
-        let mut buf: ScatterBuffer<u32> = dev.alloc_scatter(2).unwrap();
-        let mut warp = Warp::standalone(2);
-        {
-            let mut stash = buf.warp_stash();
-            warp.for_each_lane(|lane| {
-                let li = lane.lane_index();
-                stash.stage(lane, li, li as u32);
-                assert_eq!(lane.counters().gmem_write_bytes, 4);
-            });
-            stash.commit(&mut warp);
-        }
-        assert_eq!(warp.counters().gmem_write_bytes, 0);
-        assert_eq!(buf.drain_to_host(2), vec![0, 1]);
-    }
-
-    #[test]
-    fn scratch_pending_bytes_accumulate_in_warp_mode() {
-        let dev = device_with(ResultWriteMode::WarpAggregated);
+    fn scratch_pending_bytes_accumulate() {
+        let dev = device();
         let scratch: PartitionedScratch<u32> = dev.alloc_scratch(1, 8).unwrap();
         let mut lane = Lane::new(0);
         let mut p = scratch.take_partition(0);
@@ -1353,13 +1175,5 @@ mod tests {
         // Reads still charge the lane.
         assert_eq!(p.read(&mut lane, 1), 1);
         assert_eq!(lane.counters().gmem_read_bytes, 4);
-
-        let dev = device_with(ResultWriteMode::PerLane);
-        let scratch: PartitionedScratch<u32> = dev.alloc_scratch(1, 8).unwrap();
-        let mut lane = Lane::new(0);
-        let mut p = scratch.take_partition(0);
-        assert!(p.push(&mut lane, 5));
-        assert_eq!(p.pending_write_bytes(), 0);
-        assert_eq!(lane.counters().gmem_write_bytes, 4);
     }
 }

@@ -49,8 +49,10 @@ proptest! {
     ) {
         let dev = tiny_with(32, 4);
         let mut buf = dev.alloc_result::<u32>(capacity).unwrap();
-        dev.launch(threads, |lane| {
-            buf.push(lane, lane.global_id as u32);
+        dev.launch_warps(threads, |warp| {
+            let mut stash = buf.warp_stash();
+            warp.for_each_lane(|lane| stash.stage(lane, lane.global_id as u32));
+            stash.commit(warp);
         });
         prop_assert_eq!(buf.attempted(), threads);
         if threads <= capacity {

@@ -208,8 +208,10 @@ fn malformed_tile_is_reported_and_clamped() {
 fn uncharged_drain_is_a_transfer_mismatch() {
     let dev = device(SanitizerMode::Memcheck);
     let mut results = dev.alloc_result::<u32>(8).unwrap();
-    dev.launch(3, |lane| {
-        results.push(lane, lane.global_id as u32);
+    dev.launch_warps(3, |warp| {
+        let mut stash = results.warp_stash();
+        warp.for_each_lane(|lane| stash.stage(lane, lane.global_id as u32));
+        stash.commit(warp);
     });
     let out = results.drain_to_host();
     assert_eq!(out.len(), 3);

@@ -19,7 +19,7 @@ use tdts_gpu_sim::{
 };
 use tdts_kernels::{
     compare_and_stage, finish_search, load_query, run_thread_per_query, run_warp_per_tile,
-    CandidateGenerator, DeviceSegments, KernelContext, LaneWork, PushOutcome, TileGenerator,
+    CandidateGenerator, DeviceSegments, KernelContext, LaneWork, TileGenerator,
 };
 
 /// `GPUSpatial` parameters.
@@ -415,7 +415,7 @@ impl CandidateGenerator for SpatialThreads<'_> {
             for i in 0..uk.len() {
                 let entry_pos = uk.read(lane, i);
                 compared += 1;
-                if compare_and_stage(
+                compare_and_stage(
                     lane,
                     &self.search.dev_entries,
                     entry_pos,
@@ -423,10 +423,7 @@ impl CandidateGenerator for SpatialThreads<'_> {
                     qid,
                     self.d,
                     stash,
-                ) == PushOutcome::Overflow
-                {
-                    break;
-                }
+                );
             }
         }
         LaneWork { compared, scratch_bytes: uk.pending_write_bytes() }

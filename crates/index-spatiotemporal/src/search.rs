@@ -16,8 +16,8 @@ use tdts_gpu_sim::{
 };
 use tdts_kernels::{
     compare_and_stage, finish_search, load_query, run_thread_per_query, run_warp_per_tile,
-    CandidateGenerator, DeviceSegments, KernelContext, LaneWork, PushOutcome, SortedQueries,
-    TileGenerator, SCHEDULE_INSTR,
+    CandidateGenerator, DeviceSegments, KernelContext, LaneWork, SortedQueries, TileGenerator,
+    SCHEDULE_INSTR,
 };
 
 /// High bit of an execution-order slot: the lane is warp-alignment padding
@@ -310,11 +310,7 @@ impl CandidateGenerator for SpatioTemporalThreads<'_> {
                 i
             };
             compared += 1;
-            if compare_and_stage(lane, &self.search.dev_entries, entry_pos, &q, qid, self.d, stash)
-                == PushOutcome::Overflow
-            {
-                break;
-            }
+            compare_and_stage(lane, &self.search.dev_entries, entry_pos, &q, qid, self.d, stash);
         }
         LaneWork { compared, scratch_bytes: 0 }
     }

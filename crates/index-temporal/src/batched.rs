@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use tdts_geom::{dedup_matches, MatchRecord, SegmentStore, StoreStats};
 use tdts_gpu_sim::{pipeline_makespan, Device, Phase, SearchError, SearchReport};
-use tdts_kernels::{compare_and_stage, load_query, DeviceSegments, PushOutcome, SCHEDULE_INSTR};
+use tdts_kernels::{compare_and_stage, load_query, DeviceSegments, SCHEDULE_INSTR};
 
 /// Batched search parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,10 +213,9 @@ impl GpuBatchedTemporalSearch {
                         for pos in range[0]..range[1] {
                             compared += 1;
                             // Result records carry the *global* sorted query
-                            // index. A per-lane-mode overflow stops early; the
-                            // warp-aggregated commit reports overflow below
-                            // and the host halves the batch either way.
-                            if compare_and_stage(
+                            // index. The commit below reports overflow and
+                            // the host halves the batch.
+                            compare_and_stage(
                                 lane,
                                 &self.dev_entries,
                                 pos,
@@ -224,10 +223,7 @@ impl GpuBatchedTemporalSearch {
                                 base + local as u32,
                                 d,
                                 &mut stash,
-                            ) == PushOutcome::Overflow
-                            {
-                                break;
-                            }
+                            );
                         }
                         comparisons.fetch_add(compared, Ordering::Relaxed);
                     });

@@ -5,6 +5,4 @@
 //! rebuilt on one kernel pipeline; this shim keeps the historical paths
 //! (`tdts_index_temporal::kernel::*`) working.
 
-pub use tdts_kernels::{
-    compare, compare_and_stage, load_query, PushOutcome, COMPARE_INSTR, SCHEDULE_INSTR,
-};
+pub use tdts_kernels::{compare, compare_and_stage, load_query, COMPARE_INSTR, SCHEDULE_INSTR};

@@ -14,8 +14,7 @@ use tdts_gpu_sim::{Device, DeviceBuffer, KernelShape, Lane, SearchError, SearchR
 pub use tdts_kernels::SortedQueries;
 use tdts_kernels::{
     compare, compare_and_stage, finish_search, load_query, run_thread_per_query, run_warp_per_tile,
-    CandidateGenerator, DeviceSegments, KernelContext, LaneWork, PushOutcome, TileGenerator,
-    SCHEDULE_INSTR,
+    CandidateGenerator, DeviceSegments, KernelContext, LaneWork, TileGenerator, SCHEDULE_INSTR,
 };
 
 /// The host-computed schedule `S`: one candidate entry range per (sorted)
@@ -89,15 +88,7 @@ impl CandidateGenerator for TemporalThreads<'_> {
         let mut compared = 0u64;
         for pos in range[0]..range[1] {
             compared += 1;
-            if compare_and_stage(lane, self.entries, pos, &q, qid, self.d, stash)
-                == PushOutcome::Overflow
-            {
-                // Per-lane mode: result buffer exhausted, stop and ask the
-                // host to re-run this query (the paper's incremental
-                // processing of Q, §V-E). Warp-aggregated staging never
-                // rejects here; overflow surfaces at the commit instead.
-                break;
-            }
+            compare_and_stage(lane, self.entries, pos, &q, qid, self.d, stash);
         }
         LaneWork { compared, scratch_bytes: 0 }
     }

@@ -4,8 +4,7 @@
 //! accounting the simulator needs: reading a segment charges global memory
 //! according to the buffer's layout (see [`DeviceSegments`]), the quadratic
 //! solve charges a fixed instruction count, and a match is staged into the
-//! warp's result stash (committed per warp, or appended per record when the
-//! device runs in per-lane mode).
+//! warp's result stash, which the warp commits with one cursor bump.
 
 use crate::segments::DeviceSegments;
 use tdts_geom::{MatchRecord, Segment, TimeInterval};
@@ -19,18 +18,6 @@ pub const COMPARE_INSTR: u64 = 48;
 
 /// Instruction cost of reading a schedule entry / index arithmetic.
 pub const SCHEDULE_INSTR: u64 = 4;
-
-/// Outcome of [`compare_and_stage`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PushOutcome {
-    /// Within distance; result stored (or staged for the warp commit).
-    Stored,
-    /// Within distance but the result buffer was full (per-lane mode only;
-    /// warp-aggregated staging never rejects — overflow surfaces at commit).
-    Overflow,
-    /// Not within distance.
-    NoMatch,
-}
 
 /// Read the query segment assigned to this thread, charging the access.
 #[inline]
@@ -56,7 +43,9 @@ pub fn compare(
 }
 
 /// Compare entry `entry_pos` against query `q` and stage a result record on
-/// a hit — one iteration of the refinement loop of Algorithms 1–3.
+/// a hit — one iteration of the refinement loop of Algorithms 1–3. Staging
+/// never rejects: a full result buffer surfaces at the warp's commit, which
+/// reports the lanes that lost records so the host can redo their queries.
 #[inline]
 pub fn compare_and_stage(
     lane: &mut Lane,
@@ -66,16 +55,9 @@ pub fn compare_and_stage(
     query_pos: u32,
     d: f64,
     stash: &mut WarpStash<'_, MatchRecord>,
-) -> PushOutcome {
-    match compare(lane, entries, entry_pos, q, d) {
-        Some(interval) => {
-            if stash.stage(lane, MatchRecord::new(query_pos, entry_pos, interval)) {
-                PushOutcome::Stored
-            } else {
-                PushOutcome::Overflow
-            }
-        }
-        None => PushOutcome::NoMatch,
+) {
+    if let Some(interval) = compare(lane, entries, entry_pos, q, d) {
+        stash.stage(lane, MatchRecord::new(query_pos, entry_pos, interval));
     }
 }
 
@@ -84,7 +66,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use tdts_geom::{Point3, SegId, TrajId};
-    use tdts_gpu_sim::{Device, DeviceConfig, ResultWriteMode, SegmentLayout, Warp};
+    use tdts_gpu_sim::{Device, DeviceConfig, SegmentLayout, Warp};
 
     fn seg(x: f64) -> Segment {
         Segment::new(
@@ -97,61 +79,53 @@ mod tests {
         )
     }
 
-    fn device(mode: ResultWriteMode, layout: SegmentLayout) -> Arc<Device> {
+    fn device(layout: SegmentLayout) -> Arc<Device> {
         let mut c = DeviceConfig::test_tiny();
-        c.result_write_mode = mode;
         c.segment_layout = layout;
         Device::new(c).unwrap()
     }
 
-    fn outcomes_per_lane(layout: SegmentLayout, full_row: u64) {
-        let dev = device(ResultWriteMode::PerLane, layout);
+    fn staging_charges(layout: SegmentLayout, full_row: u64) {
+        let dev = device(layout);
         let entries = DeviceSegments::alloc(&dev, &[seg(0.0), seg(100.0)]).unwrap();
-        let results = dev.alloc_result::<MatchRecord>(1).unwrap();
+        let mut results = dev.alloc_result::<MatchRecord>(8).unwrap();
         let mut warp = Warp::standalone(1);
-        warp.for_each_lane(|lane| {
+        {
             let mut stash = results.warp_stash();
-            let q = seg(0.5);
-            assert_eq!(
-                compare_and_stage(lane, &entries, 0, &q, 7, 2.0, &mut stash),
-                PushOutcome::Stored
-            );
-            assert_eq!(
-                compare_and_stage(lane, &entries, 1, &q, 7, 2.0, &mut stash),
-                PushOutcome::NoMatch
-            );
-            // Buffer now full; a second hit overflows.
-            assert_eq!(
-                compare_and_stage(lane, &entries, 0, &q, 7, 2.0, &mut stash),
-                PushOutcome::Overflow
-            );
-            assert!(results.overflowed());
-            // Costs were charged per record, whatever the layout; memory
-            // traffic reflects the rows each layout makes the lane touch.
-            assert!(lane.counters().instructions >= 3 * COMPARE_INSTR);
-            assert_eq!(lane.counters().gmem_read_bytes, 3 * full_row);
-            assert_eq!(lane.counters().atomics, 2);
-        });
+            warp.for_each_lane(|lane| {
+                let q = seg(0.5);
+                // Hit, miss, hit. The entry at x = 100 shares the query's
+                // time span, so no temporal reject fires: every comparison
+                // reads a full row of the layout.
+                compare_and_stage(lane, &entries, 0, &q, 7, 2.0, &mut stash);
+                compare_and_stage(lane, &entries, 1, &q, 7, 2.0, &mut stash);
+                compare_and_stage(lane, &entries, 0, &q, 7, 2.0, &mut stash);
+                assert!(lane.counters().instructions >= 3 * COMPARE_INSTR);
+                assert_eq!(lane.counters().gmem_read_bytes, 3 * full_row);
+                // Staging costs no lane atomics.
+                assert_eq!(lane.counters().atomics, 0);
+            });
+            assert_eq!(stash.commit(&mut warp), 0);
+        }
+        // One warp flush for both records.
+        assert_eq!(warp.counters().atomics, 1);
+        assert_eq!(results.drain_to_host().len(), 2);
     }
 
     #[test]
-    fn outcomes_per_lane_aos() {
-        // Every comparison reads the whole 72-byte struct; the entry at
-        // x = 100 shares the query's time span, so no temporal reject fires.
-        outcomes_per_lane(SegmentLayout::Aos, std::mem::size_of::<Segment>() as u64);
+    fn staging_charges_aos() {
+        staging_charges(SegmentLayout::Aos, std::mem::size_of::<Segment>() as u64);
     }
 
     #[test]
-    fn outcomes_per_lane_columnar() {
-        // All three candidates overlap temporally, so each comparison reads
-        // the timestamps (16 B) plus the coordinates (48 B) = one 64-byte
-        // row — already cheaper than the 72-byte struct.
-        outcomes_per_lane(SegmentLayout::Columnar, 64);
+    fn staging_charges_columnar() {
+        // Timestamps (16 B) plus coordinates (48 B) = one 64-byte row.
+        staging_charges(SegmentLayout::Columnar, 64);
     }
 
     #[test]
-    fn columnar_temporal_reject_halves_traffic() {
-        let dev = device(ResultWriteMode::PerLane, SegmentLayout::Columnar);
+    fn columnar_temporal_reject_reads_timestamps_only() {
+        let dev = device(SegmentLayout::Columnar);
         // Second entry is temporally disjoint from the query.
         let far = Segment::new(
             Point3::new(0.0, 0.0, 0.0),
@@ -162,74 +136,38 @@ mod tests {
             TrajId(1),
         );
         let entries = DeviceSegments::alloc(&dev, &[seg(0.0), far]).unwrap();
-        let results = dev.alloc_result::<MatchRecord>(8).unwrap();
+        let mut results = dev.alloc_result::<MatchRecord>(8).unwrap();
         let mut warp = Warp::standalone(1);
-        warp.for_each_lane(|lane| {
+        {
             let mut stash = results.warp_stash();
-            let q = seg(0.5);
-            assert_eq!(
-                compare_and_stage(lane, &entries, 0, &q, 2, 2.0, &mut stash),
-                PushOutcome::Stored
-            );
-            assert_eq!(
-                compare_and_stage(lane, &entries, 1, &q, 2, 2.0, &mut stash),
-                PushOutcome::NoMatch
-            );
-            // 64 bytes for the hit + 16 for the temporally-rejected miss;
-            // AoS would have charged 2 * 72 = 144.
-            assert_eq!(lane.counters().gmem_read_bytes, 64 + 16);
-            // The instruction cost is layout-independent: both comparisons
-            // charged the full compare cost.
-            assert!(lane.counters().instructions >= 2 * COMPARE_INSTR);
-        });
-    }
-
-    #[test]
-    fn outcomes_warp_aggregated() {
-        for layout in [SegmentLayout::Aos, SegmentLayout::Columnar] {
-            let dev = device(ResultWriteMode::WarpAggregated, layout);
-            let entries = DeviceSegments::alloc(&dev, &[seg(0.0), seg(100.0)]).unwrap();
-            let mut results = dev.alloc_result::<MatchRecord>(8).unwrap();
-            let mut warp = Warp::standalone(1);
-            {
-                let mut stash = results.warp_stash();
-                warp.for_each_lane(|lane| {
-                    let q = seg(0.5);
-                    // Staging never reports overflow and costs no lane atomics.
-                    assert_eq!(
-                        compare_and_stage(lane, &entries, 0, &q, 7, 2.0, &mut stash),
-                        PushOutcome::Stored
-                    );
-                    assert_eq!(
-                        compare_and_stage(lane, &entries, 1, &q, 7, 2.0, &mut stash),
-                        PushOutcome::NoMatch
-                    );
-                    assert_eq!(
-                        compare_and_stage(lane, &entries, 0, &q, 7, 2.0, &mut stash),
-                        PushOutcome::Stored
-                    );
-                    assert_eq!(lane.counters().atomics, 0);
-                });
-                assert_eq!(stash.commit(&mut warp), 0);
-            }
-            // One warp flush for both records.
-            assert_eq!(warp.counters().atomics, 1);
-            assert_eq!(results.drain_to_host().len(), 2);
+            warp.for_each_lane(|lane| {
+                let q = seg(0.5);
+                compare_and_stage(lane, &entries, 0, &q, 2, 2.0, &mut stash);
+                compare_and_stage(lane, &entries, 1, &q, 2, 2.0, &mut stash);
+                // 64 bytes for the hit + 16 for the temporally-rejected miss.
+                assert_eq!(lane.counters().gmem_read_bytes, 64 + 16);
+                // Both comparisons charged the full compare cost.
+                assert!(lane.counters().instructions >= 2 * COMPARE_INSTR);
+            });
+            stash.commit(&mut warp);
         }
+        assert_eq!(results.drain_to_host().len(), 1);
     }
 
     #[test]
     fn stored_record_is_correct() {
         for layout in [SegmentLayout::Aos, SegmentLayout::Columnar] {
-            let dev = device(ResultWriteMode::PerLane, layout);
+            let dev = device(layout);
             let entries = DeviceSegments::alloc(&dev, &[seg(0.0)]).unwrap();
             let mut results = dev.alloc_result::<MatchRecord>(8).unwrap();
             let mut warp = Warp::standalone(1);
-            warp.for_each_lane(|lane| {
+            {
                 let mut stash = results.warp_stash();
-                let q = seg(0.0);
-                compare_and_stage(lane, &entries, 0, &q, 3, 0.5, &mut stash);
-            });
+                warp.for_each_lane(|lane| {
+                    compare_and_stage(lane, &entries, 0, &seg(0.0), 3, 0.5, &mut stash);
+                });
+                stash.commit(&mut warp);
+            }
             let got = results.drain_to_host();
             assert_eq!(got.len(), 1);
             assert_eq!(got[0].query, 3);

@@ -25,9 +25,7 @@ pub mod pipeline;
 pub mod queries;
 pub mod segments;
 
-pub use compare::{
-    compare, compare_and_stage, load_query, PushOutcome, COMPARE_INSTR, SCHEDULE_INSTR,
-};
+pub use compare::{compare, compare_and_stage, load_query, COMPARE_INSTR, SCHEDULE_INSTR};
 pub use pipeline::{
     finish_search, run_thread_per_query, run_warp_per_tile, CandidateGenerator, KernelContext,
     LaneWork, TileGenerator,

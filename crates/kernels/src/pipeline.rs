@@ -24,7 +24,7 @@
 //! else — result/redo buffers, downloads, ledger charges, report totals,
 //! and the final unpermute/dedup ([`finish_search`]) — lives here once.
 
-use crate::compare::{compare_and_stage, PushOutcome, SCHEDULE_INSTR};
+use crate::compare::{compare_and_stage, SCHEDULE_INSTR};
 use crate::queries::SortedQueries;
 use crate::segments::DeviceSegments;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,8 +88,9 @@ pub trait CandidateGenerator: KernelContext {
     }
 
     /// Generate and refine the candidates of query `qid`, staging matches
-    /// into the warp stash. Overflow handling is the skeleton's job: stop
-    /// early (or mark the lane dropped) and the query is redone.
+    /// into the warp stash. Overflow handling is the skeleton's job: the
+    /// commit reports lanes that lost records (a lane that gave up early
+    /// marks itself dropped) and their queries are redone.
     fn run_query(
         &self,
         lane: &mut Lane,
@@ -265,7 +266,7 @@ pub fn run_warp_per_tile<G: TileGenerator>(
                     while i < tile.hi as usize {
                         let entry_pos = generator.tile_entry_pos(lane, &tile, i);
                         compared += 1;
-                        if compare_and_stage(
+                        compare_and_stage(
                             lane,
                             generator.entries(),
                             entry_pos,
@@ -273,10 +274,7 @@ pub fn run_warp_per_tile<G: TileGenerator>(
                             tile.query,
                             generator.distance(),
                             &mut stash,
-                        ) == PushOutcome::Overflow
-                        {
-                            break;
-                        }
+                        );
                         i += warp_size;
                     }
                     comparisons.fetch_add(compared, Ordering::Relaxed);

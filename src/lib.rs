@@ -88,8 +88,7 @@ pub mod prelude {
     };
     pub use tdts_gpu_sim::{
         Device, DeviceConfig, Finding, FindingKind, KernelShape, LoadBalance, Phase,
-        ResultWriteMode, RoutingSummary, SanitizerMode, SanitizerReport, SearchError, SearchReport,
-        SegmentLayout,
+        RoutingSummary, SanitizerMode, SanitizerReport, SearchError, SearchReport, SegmentLayout,
     };
     pub use tdts_index_spatial::{FsgConfig, GpuSpatialConfig};
     pub use tdts_index_spatiotemporal::SpatioTemporalIndexConfig;
