@@ -5,9 +5,8 @@
 //!
 //! targets: fig4 fig5 fig6 fig7 sweep-fsg sweep-bins sweep-subbins
 //!          ablation-indirection ablation-buffer fallback-rate
-//!          ablation-workqueue ablation-columnar
-//!          ablation-sharding ablation-routing scaling-sharding
-//!          ablation-streaming all
+//!          ablation-workqueue ablation-sharding ablation-routing
+//!          scaling-sharding ablation-streaming all
 //! options: --scale <f>         dataset scale vs the paper (default 1/16)
 //!          --no-verify         skip cross-method result-set verification
 //!          --trials <n>        trials per measurement (default 2)
@@ -119,7 +118,7 @@ fn main() {
              [--tile-size n] [--shards n] [--partition s] [--routing s] [--slab-mode s] \
              [--json path] [--sanitizer m] \
              <fig4|fig5|fig6|fig7|sweep-fsg|sweep-bins|sweep-subbins|\
-             ablation-indirection|ablation-buffer|fallback-rate|future-trends|batched|ablation-sort|crossover|ablation-write|ablation-workqueue|ablation-columnar|ablation-sharding|ablation-routing|scaling-sharding|ablation-streaming|all>..."
+             ablation-indirection|ablation-buffer|fallback-rate|future-trends|batched|ablation-sort|crossover|ablation-write|ablation-workqueue|ablation-sharding|ablation-routing|scaling-sharding|ablation-streaming|all>..."
         );
         std::process::exit(2);
     }
@@ -141,7 +140,6 @@ fn main() {
             "crossover",
             "ablation-write",
             "ablation-workqueue",
-            "ablation-columnar",
             "ablation-sharding",
             "ablation-routing",
             "scaling-sharding",
@@ -185,7 +183,6 @@ fn main() {
             "crossover" => runner.crossover(),
             "ablation-write" => runner.ablation_write(),
             "ablation-workqueue" => runner.ablation_workqueue(),
-            "ablation-columnar" => runner.ablation_columnar(),
             "ablation-sharding" => runner.ablation_sharding(),
             "ablation-routing" => runner.ablation_routing(),
             "scaling-sharding" => runner.scaling_sharding(),

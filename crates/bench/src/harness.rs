@@ -678,107 +678,6 @@ impl Runner {
         out
     }
 
-    /// Data-layout ablation: array-of-structs rows (72 bytes per segment
-    /// touched whole) vs per-column device buffers, where the refinement
-    /// loads only the two timestamp columns (16 bytes) and fetches the six
-    /// coordinate columns only after the temporal prefilter passes. On
-    /// candidate streams dominated by temporal misses — GPUSpatial's
-    /// spatially-selected candidates and a coarse-binned GPUTemporal — the
-    /// simulated global-memory read traffic collapses while result sets and
-    /// comparison counts stay byte-identical. The query upload also shrinks
-    /// (64 of 72 bytes per segment: ids stay on the host), which shows up
-    /// in the host→device phase time.
-    pub fn ablation_columnar(&self) -> Vec<Measurement> {
-        use tdts_gpu_sim::SegmentLayout;
-        let p = self.prepare(ScenarioKind::S2Merger);
-        let params = p.scenario.params();
-        let cap = params.result_buffer_capacity;
-        let methods = [
-            Method::GpuSpatial(GpuSpatialConfig {
-                fsg: FsgConfig { cells_per_dim: params.fsg_cells_per_dim },
-                total_scratch: 4_000_000,
-                compaction_threshold: 4_096,
-            }),
-            // Deliberately coarse bins: wide candidate ranges whose entries
-            // mostly miss temporally, the hot path for the prefilter.
-            Method::GpuTemporal(TemporalIndexConfig { bins: 32 }),
-            Method::GpuSpatioTemporal(SpatioTemporalIndexConfig {
-                bins: params.temporal_bins,
-                subbins: params.subbins,
-                sort_by_selector: true,
-            }),
-        ];
-        println!("\n## Data-layout ablation — AoS rows vs per-column buffers (S2 Merger)");
-        println!(
-            "{:>22} {:>10} {:>10} {:>16} {:>16} {:>10} {:>10}",
-            "method", "d", "layout", "gmem read (B)", "response (s)", "h2d (s)", "ratio"
-        );
-        let mut out = Vec::new();
-        let mut best_ratio = 0.0f64;
-        let distances: Vec<f64> = p.scenario.query_distances().into_iter().take(4).collect();
-        for method in methods {
-            let engines: Vec<SearchEngine> = [SegmentLayout::Aos, SegmentLayout::Columnar]
-                .into_iter()
-                .map(|layout| {
-                    let mut dc = self.cfg.device.clone();
-                    dc.segment_layout = layout;
-                    let device = Device::new(dc).unwrap_or_else(|e| die("device config", e));
-                    eprintln!("[harness] building {} ({layout:?}) ...", method.name());
-                    SearchEngine::build(&p.dataset, method, device)
-                        .unwrap_or_else(|e| die("engine build", e))
-                })
-                .collect();
-            for &d in &distances {
-                let (m_aos, mut meas_aos) = self.run_one(&engines[0], &p.queries, d, cap);
-                let (m_col, mut meas_col) = self.run_one(&engines[1], &p.queries, d, cap);
-                assert_eq!(m_aos, m_col, "{}: layouts disagree at d = {d}", method.name());
-                assert_eq!(
-                    meas_aos.report.comparisons,
-                    meas_col.report.comparisons,
-                    "{}: comparisons must be layout-independent at d = {d}",
-                    method.name()
-                );
-                meas_aos.method = format!("{}/aos", method.name());
-                meas_col.method = format!("{}/columnar", method.name());
-                let (g_aos, g_col) = (
-                    meas_aos.report.totals.gmem_read_bytes,
-                    meas_col.report.totals.gmem_read_bytes,
-                );
-                let ratio = g_aos as f64 / g_col.max(1) as f64;
-                best_ratio = best_ratio.max(ratio);
-                println!(
-                    "{:>22} {:>10.3} {:>10} {:>16} {:>16.6} {:>10.6} {:>10}",
-                    method.name(),
-                    d,
-                    "aos",
-                    g_aos,
-                    meas_aos.report.response_seconds(),
-                    meas_aos.report.response.get(Phase::HostToDevice),
-                    ""
-                );
-                println!(
-                    "{:>22} {:>10.3} {:>10} {:>16} {:>16.6} {:>10.6} {:>9.2}x",
-                    method.name(),
-                    d,
-                    "columnar",
-                    g_col,
-                    meas_col.report.response_seconds(),
-                    meas_col.report.response.get(Phase::HostToDevice),
-                    ratio
-                );
-                out.push(meas_aos);
-                out.push(meas_col);
-            }
-        }
-        assert!(
-            best_ratio >= 2.0,
-            "columnar layout must cut simulated gmem reads at least 2x on some hot path \
-             (best observed {best_ratio:.2}x)"
-        );
-        println!("best gmem-read reduction: {best_ratio:.2}x");
-        out
-    }
-
     /// Work-queue ablation: the paper's static one-thread-per-query mapping
     /// vs warp-per-tile kernels pulling candidate tiles off the device-side
     /// queue, across all three GPU methods on S2 (Merger) at small-to-mid

@@ -24,26 +24,6 @@ pub enum KernelShape {
     WarpPerTile,
 }
 
-/// How segment data is laid out in device global memory.
-///
-/// `Aos` uploads the host's array-of-structs `Vec<Segment>` as-is: every
-/// lane touching any field drags the whole 72-byte struct through the memory
-/// system. `Columnar` transposes segments into per-field `f64` columns
-/// (struct-of-arrays) before upload, so consecutive lanes reading the same
-/// field hit consecutive words — the coalescing-friendly layout the paper's
-/// `X`/`Y`/`Z` id arrays already use — and a schedule-filtering lane that
-/// only needs `t_start`/`t_end` is charged 16 bytes, not 72. Ids stay on the
-/// host in either layout (kernels address entries by position), which also
-/// shrinks the H2D query upload from 72 to 64 bytes per segment.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SegmentLayout {
-    /// Whole-struct device buffers (the pre-columnar behaviour).
-    Aos,
-    /// Per-field `f64` column buffers with per-column read charging.
-    #[default]
-    Columnar,
-}
-
 /// Parameters of the simulated device.
 ///
 /// The defaults ([`DeviceConfig::tesla_c2075`]) approximate the NVIDIA Tesla
@@ -97,8 +77,6 @@ pub struct DeviceConfig {
     /// Maximum candidate entries per work-queue tile in
     /// [`KernelShape::WarpPerTile`]; ignored by `ThreadPerQuery`.
     pub tile_size: usize,
-    /// Device-memory layout of segment data (see [`SegmentLayout`]).
-    pub segment_layout: SegmentLayout,
     /// Shadow-state sanitizer passes (see [`SanitizerMode`]). `Off` by
     /// default: the device then allocates no shadow state and kernel-visible
     /// behaviour and counters are bit-identical to a sanitizer-free build.
@@ -146,7 +124,6 @@ impl DeviceConfig {
             warp_stash_capacity: 16,
             kernel_shape: KernelShape::default(),
             tile_size: 128,
-            segment_layout: SegmentLayout::default(),
             sanitizer: SanitizerMode::default(),
         }
     }
@@ -179,7 +156,6 @@ impl DeviceConfig {
             warp_stash_capacity: 16,
             kernel_shape: KernelShape::default(),
             tile_size: 128,
-            segment_layout: SegmentLayout::default(),
             sanitizer: SanitizerMode::default(),
         }
     }
@@ -207,7 +183,6 @@ impl DeviceConfig {
             kernel_shape: KernelShape::default(),
             // Small tiles so tiny fixtures still split into several tiles.
             tile_size: 8,
-            segment_layout: SegmentLayout::default(),
             sanitizer: SanitizerMode::default(),
         }
     }
@@ -332,8 +307,6 @@ impl DeviceConfigBuilder {
         kernel_shape: KernelShape,
         /// Maximum candidate entries per work-queue tile.
         tile_size: usize,
-        /// Device-memory layout of segment data.
-        segment_layout: SegmentLayout,
         /// Shadow-state sanitizer passes.
         sanitizer: SanitizerMode,
     }
@@ -446,16 +419,5 @@ mod tests {
         let tiny = DeviceConfig::test_tiny().to_builder().tile_size(4).build().unwrap();
         assert_eq!(tiny.num_sms, 2);
         assert_eq!(tiny.tile_size, 4);
-    }
-
-    #[test]
-    fn columnar_layout_is_the_default() {
-        for c in
-            [DeviceConfig::tesla_c2075(), DeviceConfig::modern_gpu(), DeviceConfig::test_tiny()]
-        {
-            assert_eq!(c.segment_layout, SegmentLayout::Columnar);
-        }
-        let aos = DeviceConfig::builder().segment_layout(SegmentLayout::Aos).build().unwrap();
-        assert_eq!(aos.segment_layout, SegmentLayout::Aos);
     }
 }

@@ -179,8 +179,7 @@ impl Device {
 
     /// Allocate a columnar (struct-of-arrays) buffer *offline* (no ledger
     /// entry): one device column per input slice, all of equal length. Used
-    /// for the database `D` under
-    /// [`crate::config::SegmentLayout::Columnar`].
+    /// for the database `D`.
     pub fn alloc_columns<T: Copy>(
         self: &Arc<Self>,
         columns: &[&[T]],
@@ -194,9 +193,8 @@ impl Device {
 
     /// Allocate and transfer a columnar buffer *online*, charging one
     /// host→device transfer of the combined column bytes to the ledger.
-    /// Used for query sets under the columnar layout — note this is
-    /// `num_columns * 8` bytes per segment, not `size_of::<Segment>()`:
-    /// ids stay on the host.
+    /// Used for query sets — note this is `num_columns * 8` bytes per
+    /// segment, not `size_of::<Segment>()`: ids stay on the host.
     pub fn upload_columns<T: Copy>(
         self: &Arc<Self>,
         columns: &[&[T]],

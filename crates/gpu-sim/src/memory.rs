@@ -160,51 +160,18 @@ impl<T: Copy> DeviceBuffer<T> {
     pub fn as_slice(&self) -> &[T] {
         &self.data
     }
-
-    /// Extend the buffer in place with host data, *offline* — analogous to
-    /// [`Device::alloc_from_host`], no transfer is charged to the
-    /// response-time ledger. This is the device side of generational
-    /// ingestion: only the appended tail is copied, existing elements stay
-    /// resident. Requires `&mut self`, i.e. no kernel running.
-    pub fn extend_from_host(&mut self, more: &[T]) -> Result<(), OutOfDeviceMemory> {
-        self.reservation.grow(std::mem::size_of_val(more))?;
-        self.data.extend_from_slice(more);
-        Ok(())
-    }
-
-    /// Remove the elements at the ascending positions in `removed`,
-    /// preserving the order of survivors and returning the freed bytes to
-    /// the device — the expire side of generational ingestion. Positions out
-    /// of range are ignored. Requires `&mut self`, i.e. no kernel running.
-    pub fn remove_positions(&mut self, removed: &[u32]) {
-        if removed.is_empty() {
-            return;
-        }
-        let before = self.data.len();
-        let mut next = 0usize;
-        let mut pos = 0u32;
-        self.data.retain(|_| {
-            let drop_it = removed.get(next).is_some_and(|&r| r == pos);
-            if drop_it {
-                next += 1;
-            }
-            pos += 1;
-            !drop_it
-        });
-        self.reservation.shrink((before - self.data.len()) * std::mem::size_of::<T>());
-    }
 }
 
 /// A columnar (struct-of-arrays) device buffer: `num_columns` equal-length
 /// columns of `T`, read-only from kernels.
 ///
-/// This is the device side of [`crate::config::SegmentLayout::Columnar`]:
-/// where a [`DeviceBuffer`]`<Segment>` charges a lane the whole struct for
-/// any field access, a columnar read charges exactly the `size_of::<T>()`
-/// bytes of the one column touched — so a schedule-filtering lane that only
-/// inspects `t_start`/`t_end` pays 16 bytes instead of 72, and consecutive
-/// lanes reading the same column at consecutive rows model a perfectly
-/// coalesced access. Allocate through [`Device::alloc_columns`] (offline) or
+/// Segment data lives on the device in this form: where a [`DeviceBuffer`]
+/// of structs would charge a lane the whole struct for any field access, a
+/// columnar read charges exactly the `size_of::<T>()` bytes of the one
+/// column touched — so a schedule-filtering lane that only inspects
+/// `t_start`/`t_end` pays 16 bytes, not a row, and consecutive lanes
+/// reading the same column at consecutive rows model a perfectly coalesced
+/// access. Allocate through [`Device::alloc_columns`] (offline) or
 /// [`Device::upload_columns`] (charged to the response-time ledger).
 #[derive(Debug)]
 pub struct ColumnarBuffer<T> {
@@ -281,9 +248,10 @@ impl<T: Copy> ColumnarBuffer<T> {
     }
 
     /// Extend every column in place with host data, *offline* (no transfer
-    /// charge) — the columnar counterpart of
-    /// [`DeviceBuffer::extend_from_host`]. `more` must provide one
-    /// equal-length slice per existing column. Requires `&mut self`.
+    /// charge): the device side of generational ingestion — only the
+    /// appended tail is copied, existing rows stay resident. `more` must
+    /// provide one equal-length slice per existing column. Requires
+    /// `&mut self`, i.e. no kernel running.
     pub fn extend_columns(&mut self, more: &[&[T]]) -> Result<(), OutOfDeviceMemory> {
         assert_eq!(more.len(), self.columns.len(), "column count must match");
         let added = more.first().map_or(0, |c| c.len());
@@ -297,8 +265,9 @@ impl<T: Copy> ColumnarBuffer<T> {
     }
 
     /// Remove the rows at the ascending positions in `removed` from every
-    /// column, preserving survivor order and returning the freed bytes —
-    /// the columnar counterpart of [`DeviceBuffer::remove_positions`].
+    /// column, preserving survivor order and returning the freed bytes to
+    /// the device — the expire side of generational ingestion. Positions
+    /// out of range are ignored. Requires `&mut self`.
     pub fn remove_positions(&mut self, removed: &[u32]) {
         if removed.is_empty() {
             return;
@@ -992,21 +961,6 @@ mod tests {
     }
 
     #[test]
-    fn device_buffer_extends_and_compacts_in_place() {
-        let dev = device();
-        let mut buf = dev.alloc_from_host(vec![1u32, 2, 3]).unwrap();
-        let used = dev.mem_used();
-        buf.extend_from_host(&[4, 5]).unwrap();
-        assert_eq!(buf.as_slice(), &[1, 2, 3, 4, 5]);
-        assert_eq!(dev.mem_used(), used + 8, "growth reserves the new bytes");
-        buf.remove_positions(&[0, 3]);
-        assert_eq!(buf.as_slice(), &[2, 3, 5]);
-        assert_eq!(dev.mem_used(), used, "compaction returns the freed bytes");
-        drop(buf);
-        assert_eq!(dev.mem_used(), 0, "drop releases the final size");
-    }
-
-    #[test]
     fn columnar_buffer_extends_and_compacts_in_place() {
         let dev = device();
         let mut buf = dev.alloc_columns(&[&[1.0f64, 2.0][..], &[10.0, 20.0][..]]).unwrap();
@@ -1028,8 +982,8 @@ mod tests {
     #[test]
     fn extend_past_device_memory_fails() {
         let dev = device(); // 1 MiB
-        let mut buf = dev.alloc_from_host(vec![0u8; 1024]).unwrap();
-        assert!(buf.extend_from_host(&vec![0u8; 2 * 1024 * 1024]).is_err());
+        let mut buf = dev.alloc_columns(&[&[0u8; 1024][..]]).unwrap();
+        assert!(buf.extend_columns(&[&vec![0u8; 2 * 1024 * 1024][..]]).is_err());
         // The failed growth reserved nothing.
         assert_eq!(dev.mem_used(), 1024);
     }

@@ -2,7 +2,7 @@
 //!
 //! These wrap the `compare()` refinement of Algorithms 1–3 with the cost
 //! accounting the simulator needs: reading a segment charges global memory
-//! according to the buffer's layout (see [`DeviceSegments`]), the quadratic
+//! per column touched (see [`DeviceSegments`]), the quadratic
 //! solve charges a fixed instruction count, and a match is staged into the
 //! warp's result stash, which the warp commits with one cursor bump.
 
@@ -13,7 +13,7 @@ use tdts_gpu_sim::{Lane, WarpStash};
 /// Instruction cost of one continuous distance comparison (quadratic
 /// coefficient computation + root solve + interval clamp). Charged whatever
 /// the outcome, so the comparison count and instruction totals are
-/// independent of both the distance threshold and the memory layout.
+/// independent of both the distance threshold and the temporal prefilter.
 pub const COMPARE_INSTR: u64 = 48;
 
 /// Instruction cost of reading a schedule entry / index arithmetic.
@@ -26,7 +26,7 @@ pub fn load_query(lane: &mut Lane, queries: &DeviceSegments, query_pos: u32) -> 
 }
 
 /// One refinement comparison *without* result staging: load entry
-/// `entry_pos` (layout-dependent bytes) and run the continuous distance
+/// `entry_pos` (16 or 64 bytes) and run the continuous distance
 /// test, charging the fixed compare cost. Used directly by the counting
 /// pass of the two-pass writer.
 #[inline]
@@ -66,42 +66,41 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use tdts_geom::{Point3, SegId, TrajId};
-    use tdts_gpu_sim::{Device, DeviceConfig, SegmentLayout, Warp};
+    use tdts_gpu_sim::{Device, DeviceConfig, Warp};
 
-    fn seg(x: f64) -> Segment {
+    fn seg(x: f64, t0: f64) -> Segment {
         Segment::new(
             Point3::new(x, 0.0, 0.0),
             Point3::new(x + 1.0, 0.0, 0.0),
-            0.0,
-            1.0,
+            t0,
+            t0 + 1.0,
             SegId(0),
             TrajId(0),
         )
     }
 
-    fn device(layout: SegmentLayout) -> Arc<Device> {
-        let mut c = DeviceConfig::test_tiny();
-        c.segment_layout = layout;
-        Device::new(c).unwrap()
+    fn device() -> Arc<Device> {
+        Device::new(DeviceConfig::test_tiny()).unwrap()
     }
 
-    fn staging_charges(layout: SegmentLayout, full_row: u64) {
-        let dev = device(layout);
-        let entries = DeviceSegments::alloc(&dev, &[seg(0.0), seg(100.0)]).unwrap();
+    #[test]
+    fn staging_charges_rows_and_one_flush() {
+        let dev = device();
+        let entries = DeviceSegments::alloc(&dev, &[seg(0.0, 0.0), seg(100.0, 0.0)]).unwrap();
         let mut results = dev.alloc_result::<MatchRecord>(8).unwrap();
         let mut warp = Warp::standalone(1);
         {
             let mut stash = results.warp_stash();
             warp.for_each_lane(|lane| {
-                let q = seg(0.5);
+                let q = seg(0.5, 0.0);
                 // Hit, miss, hit. The entry at x = 100 shares the query's
                 // time span, so no temporal reject fires: every comparison
-                // reads a full row of the layout.
+                // reads the timestamps (16 B) plus the coordinates (48 B).
                 compare_and_stage(lane, &entries, 0, &q, 7, 2.0, &mut stash);
                 compare_and_stage(lane, &entries, 1, &q, 7, 2.0, &mut stash);
                 compare_and_stage(lane, &entries, 0, &q, 7, 2.0, &mut stash);
                 assert!(lane.counters().instructions >= 3 * COMPARE_INSTR);
-                assert_eq!(lane.counters().gmem_read_bytes, 3 * full_row);
+                assert_eq!(lane.counters().gmem_read_bytes, 3 * 64);
                 // Staging costs no lane atomics.
                 assert_eq!(lane.counters().atomics, 0);
             });
@@ -113,35 +112,16 @@ mod tests {
     }
 
     #[test]
-    fn staging_charges_aos() {
-        staging_charges(SegmentLayout::Aos, std::mem::size_of::<Segment>() as u64);
-    }
-
-    #[test]
-    fn staging_charges_columnar() {
-        // Timestamps (16 B) plus coordinates (48 B) = one 64-byte row.
-        staging_charges(SegmentLayout::Columnar, 64);
-    }
-
-    #[test]
-    fn columnar_temporal_reject_reads_timestamps_only() {
-        let dev = device(SegmentLayout::Columnar);
+    fn temporal_reject_reads_timestamps_only() {
+        let dev = device();
         // Second entry is temporally disjoint from the query.
-        let far = Segment::new(
-            Point3::new(0.0, 0.0, 0.0),
-            Point3::new(1.0, 0.0, 0.0),
-            50.0,
-            51.0,
-            SegId(1),
-            TrajId(1),
-        );
-        let entries = DeviceSegments::alloc(&dev, &[seg(0.0), far]).unwrap();
+        let entries = DeviceSegments::alloc(&dev, &[seg(0.0, 0.0), seg(0.0, 50.0)]).unwrap();
         let mut results = dev.alloc_result::<MatchRecord>(8).unwrap();
         let mut warp = Warp::standalone(1);
         {
             let mut stash = results.warp_stash();
             warp.for_each_lane(|lane| {
-                let q = seg(0.5);
+                let q = seg(0.5, 0.0);
                 compare_and_stage(lane, &entries, 0, &q, 2, 2.0, &mut stash);
                 compare_and_stage(lane, &entries, 1, &q, 2, 2.0, &mut stash);
                 // 64 bytes for the hit + 16 for the temporally-rejected miss.
@@ -156,23 +136,21 @@ mod tests {
 
     #[test]
     fn stored_record_is_correct() {
-        for layout in [SegmentLayout::Aos, SegmentLayout::Columnar] {
-            let dev = device(layout);
-            let entries = DeviceSegments::alloc(&dev, &[seg(0.0)]).unwrap();
-            let mut results = dev.alloc_result::<MatchRecord>(8).unwrap();
-            let mut warp = Warp::standalone(1);
-            {
-                let mut stash = results.warp_stash();
-                warp.for_each_lane(|lane| {
-                    compare_and_stage(lane, &entries, 0, &seg(0.0), 3, 0.5, &mut stash);
-                });
-                stash.commit(&mut warp);
-            }
-            let got = results.drain_to_host();
-            assert_eq!(got.len(), 1);
-            assert_eq!(got[0].query, 3);
-            assert_eq!(got[0].entry, 0);
-            assert_eq!(got[0].interval, TimeInterval::new(0.0, 1.0));
+        let dev = device();
+        let entries = DeviceSegments::alloc(&dev, &[seg(0.0, 0.0)]).unwrap();
+        let mut results = dev.alloc_result::<MatchRecord>(8).unwrap();
+        let mut warp = Warp::standalone(1);
+        {
+            let mut stash = results.warp_stash();
+            warp.for_each_lane(|lane| {
+                compare_and_stage(lane, &entries, 0, &seg(0.0, 0.0), 3, 0.5, &mut stash);
+            });
+            stash.commit(&mut warp);
         }
+        let got = results.drain_to_host();
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].query, 3);
+        assert_eq!(got[0].entry, 0);
+        assert_eq!(got[0].interval, TimeInterval::new(0.0, 1.0));
     }
 }

@@ -8,10 +8,9 @@
 //! This crate holds that skeleton once:
 //!
 //! * [`segments`] — [`DeviceSegments`], the device-resident segment database
-//!   in either layout ([AoS](tdts_gpu_sim::SegmentLayout::Aos) structs or
-//!   [columnar](tdts_gpu_sim::SegmentLayout::Columnar) `f64` columns), with
-//!   layout-aware memory-traffic accounting: the columnar compare touches
-//!   only the timestamp columns (16 B) when the temporal prefilter rejects.
+//!   as eight `f64` columns, with per-column memory-traffic accounting: the
+//!   compare touches only the timestamp columns (16 B) when the temporal
+//!   prefilter rejects, the full 64-byte row otherwise.
 //! * [`mod@compare`] — the refinement comparison and its fixed cost model.
 //! * [`queries`] — [`SortedQueries`], the `t_start`-sorted query permutation.
 //! * [`pipeline`] — the host-side round protocol for both kernel shapes,

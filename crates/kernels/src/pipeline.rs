@@ -256,8 +256,7 @@ pub fn run_warp_per_tile<G: TileGenerator>(
             |warp, tile| {
                 let mut stash = results.warp_stash();
                 // The warp leader reads the tile's query once and broadcasts
-                // it (__shfl_sync analogue): converged charges, one row in
-                // the buffer's layout.
+                // it (__shfl_sync analogue): converged charges, one row.
                 let q = generator.queries().broadcast(warp, tile.query as usize);
                 warp.instr(generator.tile_setup_instr());
                 warp.for_each_lane(|lane| {

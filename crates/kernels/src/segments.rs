@@ -1,33 +1,26 @@
-//! Device-resident segment databases in either memory layout.
+//! Device-resident segment databases.
 //!
-//! [`DeviceSegments`] hides the choice between the array-of-structs layout
-//! (one 72-byte [`Segment`] per element, read whole) and the columnar
-//! struct-of-arrays layout (eight `f64` columns, read per field). The layout
-//! is selected by [`DeviceConfig::segment_layout`] at allocation time and is
-//! transparent to the kernels: every accessor charges exactly the bytes the
-//! layout makes a lane touch.
+//! [`DeviceSegments`] keeps a segment set in device memory as eight `f64`
+//! columns (struct of arrays): consecutive lanes reading the same field hit
+//! consecutive words — the coalescing-friendly layout the paper's `X`/`Y`/`Z`
+//! id arrays already use — and every accessor charges exactly the column
+//! elements a lane touches.
 //!
 //! Accounting rules (see DESIGN.md §"Data layout"):
 //!
-//! * AoS reads always charge `size_of::<Segment>()` = 72 bytes — the whole
-//!   struct travels even when only the timestamps are needed.
-//! * Columnar reads charge 8 bytes per column element actually touched. The
-//!   distance compare reads `t_start`/`t_end` first (16 bytes) and loads the
-//!   six coordinate columns (48 bytes) only when the temporal overlap test
-//!   passes, so temporally-rejected candidates cost 16 bytes instead of 72.
-//! * Segment ids never reach the device in the columnar layout (result
-//!   records carry entry *positions*), so a full columnar row is 64 bytes
-//!   and uploads are charged accordingly.
-//!
-//! [`DeviceConfig::segment_layout`]: tdts_gpu_sim::DeviceConfig
+//! * Reads charge 8 bytes per column element actually touched. The distance
+//!   compare reads `t_start`/`t_end` first (16 bytes) and loads the six
+//!   coordinate columns (48 bytes) only when the temporal overlap test
+//!   passes, so temporally-rejected candidates cost 16 bytes, not a row.
+//! * Segment ids never reach the device (result records carry entry
+//!   *positions*), so a full row is 64 bytes and uploads are charged
+//!   accordingly.
 
 use std::sync::Arc;
 use tdts_geom::{
     within_distance, Point3, SegId, Segment, SegmentColumns, SegmentStore, TimeInterval, TrajId,
 };
-use tdts_gpu_sim::{
-    ColumnarBuffer, Device, DeviceBuffer, Lane, OutOfDeviceMemory, SegmentLayout, Warp,
-};
+use tdts_gpu_sim::{ColumnarBuffer, Device, Lane, OutOfDeviceMemory, Warp};
 
 /// Column indices of the canonical device order (matching
 /// [`SegmentColumns::f64_columns`]).
@@ -40,72 +33,48 @@ const COL_EZ: usize = 5;
 const COL_TS: usize = 6;
 const COL_TE: usize = 7;
 
-/// Bytes of one columnar row: eight `f64` fields, ids not stored.
+/// Bytes of one row: eight `f64` fields, ids not stored.
 pub const COLUMNAR_ROW_BYTES: u64 = 8 * std::mem::size_of::<f64>() as u64;
 
-/// A segment database (or query set) resident in device memory, in the
-/// layout chosen by the device configuration.
+/// A segment database (or query set) resident in device memory: eight `f64`
+/// columns in the canonical order of [`SegmentColumns::f64_columns`]; ids
+/// stay on the host.
 #[derive(Debug)]
-pub enum DeviceSegments {
-    /// Array of structs: one [`Segment`] per element.
-    Aos(DeviceBuffer<Segment>),
-    /// Struct of arrays: eight `f64` columns in the canonical order of
-    /// [`SegmentColumns::f64_columns`]; ids stay on the host.
-    Columnar(ColumnarBuffer<f64>),
+pub struct DeviceSegments {
+    cols: ColumnarBuffer<f64>,
 }
 
 impl DeviceSegments {
-    /// Place `segments` in device memory *offline* (no transfer charge) in
-    /// the device's configured layout.
+    /// Place `segments` in device memory *offline* (no transfer charge).
     pub fn alloc(
         device: &Arc<Device>,
         segments: &[Segment],
     ) -> Result<DeviceSegments, OutOfDeviceMemory> {
-        match device.config().segment_layout {
-            SegmentLayout::Aos => {
-                Ok(DeviceSegments::Aos(device.alloc_from_host(segments.to_vec())?))
-            }
-            SegmentLayout::Columnar => {
-                let cols = SegmentColumns::from_segments(segments);
-                Ok(DeviceSegments::Columnar(device.alloc_columns(&cols.f64_columns())?))
-            }
-        }
+        let cols = SegmentColumns::from_segments(segments);
+        Ok(DeviceSegments { cols: device.alloc_columns(&cols.f64_columns())? })
     }
 
     /// Place a whole [`SegmentStore`] in device memory *offline*, reading
-    /// the store's generation-tagged columnar mirror for the columnar
-    /// layout — repeated builds (or a compaction rebuild) at the same store
-    /// generation share one host-side transpose, and a mirror from a
-    /// previous generation can never be shipped (the tag forces a fresh
-    /// transpose after any mutation).
+    /// the store's generation-tagged columnar mirror — repeated builds (or a
+    /// compaction rebuild) at the same store generation share one host-side
+    /// transpose, and a mirror from a previous generation can never be
+    /// shipped (the tag forces a fresh transpose after any mutation).
     pub fn alloc_store(
         device: &Arc<Device>,
         store: &SegmentStore,
     ) -> Result<DeviceSegments, OutOfDeviceMemory> {
-        match device.config().segment_layout {
-            SegmentLayout::Aos => {
-                Ok(DeviceSegments::Aos(device.alloc_from_host(store.segments().to_vec())?))
-            }
-            SegmentLayout::Columnar => {
-                let cols = store.columns();
-                Ok(DeviceSegments::Columnar(device.alloc_columns(&cols.f64_columns())?))
-            }
-        }
+        let cols = store.columns();
+        Ok(DeviceSegments { cols: device.alloc_columns(&cols.f64_columns())? })
     }
 
     /// Upload `segments` *online*, charging the host-to-device transfer for
-    /// exactly the bytes the layout ships (72 per segment AoS, 64 columnar).
+    /// exactly the bytes shipped (64 per segment).
     pub fn upload(
         device: &Arc<Device>,
         segments: &[Segment],
     ) -> Result<DeviceSegments, OutOfDeviceMemory> {
-        match device.config().segment_layout {
-            SegmentLayout::Aos => Ok(DeviceSegments::Aos(device.upload(segments.to_vec())?)),
-            SegmentLayout::Columnar => {
-                let cols = SegmentColumns::from_segments(segments);
-                Ok(DeviceSegments::Columnar(device.upload_columns(&cols.f64_columns())?))
-            }
-        }
+        let cols = SegmentColumns::from_segments(segments);
+        Ok(DeviceSegments { cols: device.upload_columns(&cols.f64_columns())? })
     }
 
     /// Append `segments` to the resident database in place, *offline* (no
@@ -114,39 +83,20 @@ impl DeviceSegments {
     ///
     /// [`alloc`]: DeviceSegments::alloc
     pub fn extend(&mut self, segments: &[Segment]) -> Result<(), OutOfDeviceMemory> {
-        match self {
-            DeviceSegments::Aos(buf) => buf.extend_from_host(segments),
-            DeviceSegments::Columnar(cols) => {
-                let tail = SegmentColumns::from_segments(segments);
-                cols.extend_columns(&tail.f64_columns())
-            }
-        }
+        let tail = SegmentColumns::from_segments(segments);
+        self.cols.extend_columns(&tail.f64_columns())
     }
 
     /// Remove the rows at the ascending positions in `removed`, preserving
     /// survivor order — the expire side of generational ingestion. Freed
     /// device bytes are returned to the allocator.
     pub fn remove_positions(&mut self, removed: &[u32]) {
-        match self {
-            DeviceSegments::Aos(buf) => buf.remove_positions(removed),
-            DeviceSegments::Columnar(cols) => cols.remove_positions(removed),
-        }
-    }
-
-    /// The layout this buffer was allocated in.
-    pub fn layout(&self) -> SegmentLayout {
-        match self {
-            DeviceSegments::Aos(_) => SegmentLayout::Aos,
-            DeviceSegments::Columnar(_) => SegmentLayout::Columnar,
-        }
+        self.cols.remove_positions(removed)
     }
 
     /// Number of segments.
     pub fn len(&self) -> usize {
-        match self {
-            DeviceSegments::Aos(buf) => buf.len(),
-            DeviceSegments::Columnar(cols) => cols.len(),
-        }
+        self.cols.len()
     }
 
     /// True if no segments are stored.
@@ -158,71 +108,47 @@ impl DeviceSegments {
     ///
     /// [`upload`]: DeviceSegments::upload
     pub fn size_bytes(&self) -> usize {
-        match self {
-            DeviceSegments::Aos(buf) => buf.size_bytes(),
-            DeviceSegments::Columnar(cols) => cols.size_bytes(),
-        }
-    }
-
-    /// Bytes one *full* segment read charges in this layout.
-    pub fn row_bytes(&self) -> u64 {
-        match self {
-            DeviceSegments::Aos(_) => std::mem::size_of::<Segment>() as u64,
-            DeviceSegments::Columnar(_) => COLUMNAR_ROW_BYTES,
-        }
+        self.cols.size_bytes()
     }
 
     /// Reconstruct segment `pos` *without* cost accounting. Host-side use
     /// only (the warp-broadcast prologue reads through the leader and
-    /// charges via [`broadcast`]). Columnar rows carry placeholder ids.
+    /// charges via [`broadcast`]). Rows carry placeholder ids.
     ///
     /// [`broadcast`]: DeviceSegments::broadcast
     pub fn host_segment(&self, pos: usize) -> Segment {
-        match self {
-            DeviceSegments::Aos(buf) => buf.as_slice()[pos],
-            DeviceSegments::Columnar(cols) => Segment::new(
-                Point3::new(
-                    cols.column(COL_SX)[pos],
-                    cols.column(COL_SY)[pos],
-                    cols.column(COL_SZ)[pos],
-                ),
-                Point3::new(
-                    cols.column(COL_EX)[pos],
-                    cols.column(COL_EY)[pos],
-                    cols.column(COL_EZ)[pos],
-                ),
-                cols.column(COL_TS)[pos],
-                cols.column(COL_TE)[pos],
-                SegId(0),
-                TrajId(0),
-            ),
-        }
+        let at = |col: usize| self.cols.column(col)[pos];
+        Segment::new(
+            Point3::new(at(COL_SX), at(COL_SY), at(COL_SZ)),
+            Point3::new(at(COL_EX), at(COL_EY), at(COL_EZ)),
+            at(COL_TS),
+            at(COL_TE),
+            SegId(0),
+            TrajId(0),
+        )
     }
 
-    /// Read the whole segment at `pos` from a kernel lane, charging the
-    /// layout's full row (72 bytes AoS, 64 bytes columnar — every column is
-    /// touched). Columnar rows carry placeholder ids; no kernel consumes
-    /// them (result records store entry positions).
+    /// Read the whole segment at `pos` from a kernel lane, charging the full
+    /// 64-byte row (every column is touched). Rows carry placeholder ids; no
+    /// kernel consumes them (result records store entry positions).
     pub fn read_segment(&self, lane: &mut Lane, pos: usize) -> Segment {
-        match self {
-            DeviceSegments::Aos(buf) => buf.read(lane, pos),
-            DeviceSegments::Columnar(cols) => Segment::new(
-                Point3::new(
-                    cols.read(lane, COL_SX, pos),
-                    cols.read(lane, COL_SY, pos),
-                    cols.read(lane, COL_SZ, pos),
-                ),
-                Point3::new(
-                    cols.read(lane, COL_EX, pos),
-                    cols.read(lane, COL_EY, pos),
-                    cols.read(lane, COL_EZ, pos),
-                ),
-                cols.read(lane, COL_TS, pos),
-                cols.read(lane, COL_TE, pos),
-                SegId(0),
-                TrajId(0),
+        let cols = &self.cols;
+        Segment::new(
+            Point3::new(
+                cols.read(lane, COL_SX, pos),
+                cols.read(lane, COL_SY, pos),
+                cols.read(lane, COL_SZ, pos),
             ),
-        }
+            Point3::new(
+                cols.read(lane, COL_EX, pos),
+                cols.read(lane, COL_EY, pos),
+                cols.read(lane, COL_EZ, pos),
+            ),
+            cols.read(lane, COL_TS, pos),
+            cols.read(lane, COL_TE, pos),
+            SegId(0),
+            TrajId(0),
+        )
     }
 
     /// Warp-leader read of segment `pos`, broadcast to the warp
@@ -230,22 +156,28 @@ impl DeviceSegments {
     /// scope.
     pub fn broadcast(&self, warp: &mut Warp, pos: usize) -> Segment {
         let q = self.host_segment(pos);
-        warp.gmem_read(self.row_bytes());
+        warp.gmem_read(COLUMNAR_ROW_BYTES);
         q
     }
 
     /// The refinement memory access: load entry `pos` and run the continuous
     /// distance test against query `q`.
     ///
-    /// AoS reads the whole 72-byte struct unconditionally. Columnar reads
-    /// the two timestamp columns (16 bytes), applies the same temporal
+    /// Reads the two timestamp columns (16 bytes), applies the same temporal
     /// overlap test [`within_distance`] starts with, and loads the six
     /// coordinate columns (48 more bytes) only for candidates that overlap
-    /// in time — the result is bit-identical, only the charged bytes differ.
+    /// in time.
     ///
     /// Instruction cost is *not* charged here (the caller charges the fixed
     /// compare cost whatever the outcome, keeping the comparison count and
-    /// instruction accounting layout-independent).
+    /// instruction accounting independent of the prefilter).
+    ///
+    /// The eight reads are written out here and in [`read_segment`] on
+    /// purpose: sharing them through a helper (a column closure, or a
+    /// function returning both endpoints) measured 20–25 % slower per
+    /// comparison on the `batch-temporal` benchmark workload.
+    ///
+    /// [`read_segment`]: DeviceSegments::read_segment
     pub fn compare_within(
         &self,
         lane: &mut Lane,
@@ -253,37 +185,30 @@ impl DeviceSegments {
         q: &Segment,
         d: f64,
     ) -> Option<TimeInterval> {
-        match self {
-            DeviceSegments::Aos(buf) => {
-                let entry = buf.read(lane, pos);
-                within_distance(q, &entry, d)
-            }
-            DeviceSegments::Columnar(cols) => {
-                let t_start = cols.read(lane, COL_TS, pos);
-                let t_end = cols.read(lane, COL_TE, pos);
-                // Identical predicate to within_distance's first step:
-                // temporally disjoint candidates are rejected after touching
-                // only the timestamp columns.
-                q.time_span().intersect(&TimeInterval::new(t_start, t_end))?;
-                let entry = Segment::new(
-                    Point3::new(
-                        cols.read(lane, COL_SX, pos),
-                        cols.read(lane, COL_SY, pos),
-                        cols.read(lane, COL_SZ, pos),
-                    ),
-                    Point3::new(
-                        cols.read(lane, COL_EX, pos),
-                        cols.read(lane, COL_EY, pos),
-                        cols.read(lane, COL_EZ, pos),
-                    ),
-                    t_start,
-                    t_end,
-                    SegId(0),
-                    TrajId(0),
-                );
-                within_distance(q, &entry, d)
-            }
-        }
+        let cols = &self.cols;
+        let t_start = cols.read(lane, COL_TS, pos);
+        let t_end = cols.read(lane, COL_TE, pos);
+        // Identical predicate to within_distance's first step: temporally
+        // disjoint candidates are rejected after touching only the
+        // timestamp columns.
+        q.time_span().intersect(&TimeInterval::new(t_start, t_end))?;
+        let entry = Segment::new(
+            Point3::new(
+                cols.read(lane, COL_SX, pos),
+                cols.read(lane, COL_SY, pos),
+                cols.read(lane, COL_SZ, pos),
+            ),
+            Point3::new(
+                cols.read(lane, COL_EX, pos),
+                cols.read(lane, COL_EY, pos),
+                cols.read(lane, COL_EZ, pos),
+            ),
+            t_start,
+            t_end,
+            SegId(0),
+            TrajId(0),
+        );
+        within_distance(q, &entry, d)
     }
 }
 
@@ -303,112 +228,100 @@ mod tests {
         )
     }
 
-    fn device(layout: SegmentLayout) -> Arc<Device> {
-        let mut c = DeviceConfig::test_tiny();
-        c.segment_layout = layout;
-        Device::new(c).unwrap()
+    fn device() -> Arc<Device> {
+        Device::new(DeviceConfig::test_tiny()).unwrap()
     }
 
     #[test]
-    fn layout_follows_device_config() {
+    fn rows_are_64_bytes_without_ids() {
         let segs = vec![seg(0.0, 0.0, 3), seg(2.0, 1.0, 4)];
-        let aos = DeviceSegments::alloc(&device(SegmentLayout::Aos), &segs).unwrap();
-        assert_eq!(aos.layout(), SegmentLayout::Aos);
-        assert_eq!(aos.size_bytes(), 2 * std::mem::size_of::<Segment>());
-        let col = DeviceSegments::alloc(&device(SegmentLayout::Columnar), &segs).unwrap();
-        assert_eq!(col.layout(), SegmentLayout::Columnar);
-        assert_eq!(col.size_bytes(), 2 * COLUMNAR_ROW_BYTES as usize);
-        assert_eq!(aos.len(), col.len());
+        let resident = DeviceSegments::alloc(&device(), &segs).unwrap();
+        assert_eq!(resident.len(), 2);
+        assert_eq!(resident.size_bytes(), 2 * COLUMNAR_ROW_BYTES as usize);
     }
 
     #[test]
-    fn reads_agree_across_layouts_up_to_ids() {
+    fn reads_return_the_stored_segments_up_to_ids() {
         let segs: Vec<Segment> = (0..6).map(|i| seg(i as f64 * 2.0, i as f64 * 0.3, i)).collect();
-        let aos = DeviceSegments::alloc(&device(SegmentLayout::Aos), &segs).unwrap();
-        let col = DeviceSegments::alloc(&device(SegmentLayout::Columnar), &segs).unwrap();
+        let resident = DeviceSegments::alloc(&device(), &segs).unwrap();
         let mut warp = Warp::standalone(1);
         warp.for_each_lane(|lane| {
             for (i, s) in segs.iter().enumerate() {
-                let a = aos.read_segment(lane, i);
-                let c = col.read_segment(lane, i);
-                assert_eq!(a.start, c.start);
-                assert_eq!(a.end, c.end);
-                assert_eq!(a.t_start, c.t_start);
-                assert_eq!(a.t_end, c.t_end);
-                assert_eq!(&a, s);
+                for r in [resident.read_segment(lane, i), resident.host_segment(i)] {
+                    assert_eq!(r.start, s.start);
+                    assert_eq!(r.end, s.end);
+                    assert_eq!(r.t_start, s.t_start);
+                    assert_eq!(r.t_end, s.t_end);
+                }
             }
         });
     }
 
     #[test]
-    fn columnar_full_read_charges_64_bytes() {
-        let segs = vec![seg(0.0, 0.0, 0)];
-        let col = DeviceSegments::alloc(&device(SegmentLayout::Columnar), &segs).unwrap();
+    fn full_read_charges_64_bytes() {
+        let resident = DeviceSegments::alloc(&device(), &[seg(0.0, 0.0, 0)]).unwrap();
         let mut warp = Warp::standalone(1);
         warp.for_each_lane(|lane| {
-            col.read_segment(lane, 0);
+            resident.read_segment(lane, 0);
             assert_eq!(lane.counters().gmem_read_bytes, 64);
         });
+        resident.broadcast(&mut warp, 0);
+        assert_eq!(warp.counters().gmem_read_bytes, 64);
     }
 
     #[test]
     fn temporal_reject_touches_only_timestamps() {
         // Query at t in [100, 101]; entry at t in [0, 1]: disjoint.
-        let segs = vec![seg(0.0, 0.0, 0)];
-        let q = seg(0.0, 100.0, 9);
-        let col = DeviceSegments::alloc(&device(SegmentLayout::Columnar), &segs).unwrap();
-        let aos = DeviceSegments::alloc(&device(SegmentLayout::Aos), &segs).unwrap();
+        let resident = DeviceSegments::alloc(&device(), &[seg(0.0, 0.0, 0)]).unwrap();
         let mut warp = Warp::standalone(2);
         warp.for_each_lane(|lane| {
             if lane.lane_index() == 0 {
-                assert!(col.compare_within(lane, 0, &q, 5.0).is_none());
+                let q = seg(0.0, 100.0, 9);
+                assert!(resident.compare_within(lane, 0, &q, 5.0).is_none());
                 assert_eq!(lane.counters().gmem_read_bytes, 16, "timestamps only");
             } else {
-                assert!(aos.compare_within(lane, 0, &q, 5.0).is_none());
-                assert_eq!(lane.counters().gmem_read_bytes, 72, "whole struct");
+                let q = seg(0.0, 0.0, 9);
+                assert!(resident.compare_within(lane, 0, &q, 5.0).is_some());
+                assert_eq!(lane.counters().gmem_read_bytes, 64, "the full row");
             }
         });
     }
 
     #[test]
     fn extend_and_remove_track_store_mutations() {
-        for layout in [SegmentLayout::Aos, SegmentLayout::Columnar] {
-            let dev = device(layout);
-            let mut store: SegmentStore =
-                (0..5).map(|i| seg(i as f64, i as f64 * 0.5, i)).collect();
-            let mut resident = DeviceSegments::alloc_store(&dev, &store).unwrap();
-            let delta = store.append(&[seg(9.0, 5.0, 9), seg(10.0, 6.0, 10)]);
-            resident.extend(&store.segments()[delta.from..]).unwrap();
-            assert_eq!(resident.len(), store.len());
-            let expired = store.expire_before(2.0);
-            assert!(!expired.removed.is_empty());
-            resident.remove_positions(&expired.removed);
-            assert_eq!(resident.len(), store.len());
-            for (i, s) in store.segments().iter().enumerate() {
-                let r = resident.host_segment(i);
-                assert_eq!(r.start, s.start, "{layout:?}");
-                assert_eq!(r.end, s.end, "{layout:?}");
-                assert_eq!(r.t_start, s.t_start, "{layout:?}");
-                assert_eq!(r.t_end, s.t_end, "{layout:?}");
-            }
+        let dev = device();
+        let mut store: SegmentStore = (0..5).map(|i| seg(i as f64, i as f64 * 0.5, i)).collect();
+        let mut resident = DeviceSegments::alloc_store(&dev, &store).unwrap();
+        let delta = store.append(&[seg(9.0, 5.0, 9), seg(10.0, 6.0, 10)]);
+        resident.extend(&store.segments()[delta.from..]).unwrap();
+        assert_eq!(resident.len(), store.len());
+        let expired = store.expire_before(2.0);
+        assert!(!expired.removed.is_empty());
+        resident.remove_positions(&expired.removed);
+        assert_eq!(resident.len(), store.len());
+        for (i, s) in store.segments().iter().enumerate() {
+            let r = resident.host_segment(i);
+            assert_eq!(r.start, s.start);
+            assert_eq!(r.end, s.end);
+            assert_eq!(r.t_start, s.t_start);
+            assert_eq!(r.t_end, s.t_end);
         }
     }
 
     #[test]
-    fn compare_results_are_identical_across_layouts() {
+    fn compare_agrees_with_within_distance() {
         let segs: Vec<Segment> = (0..8).map(|i| seg(i as f64 * 1.5, i as f64 * 0.4, i)).collect();
-        let aos = DeviceSegments::alloc(&device(SegmentLayout::Aos), &segs).unwrap();
-        let col = DeviceSegments::alloc(&device(SegmentLayout::Columnar), &segs).unwrap();
+        let resident = DeviceSegments::alloc(&device(), &segs).unwrap();
         let queries: Vec<Segment> =
             (0..5).map(|i| seg(i as f64 * 2.3, i as f64 * 0.7, i)).collect();
         let mut warp = Warp::standalone(1);
         warp.for_each_lane(|lane| {
             for q in &queries {
-                for (i, _) in segs.iter().enumerate() {
+                for (i, s) in segs.iter().enumerate() {
                     for d in [0.1, 1.0, 10.0] {
                         assert_eq!(
-                            aos.compare_within(lane, i, q, d),
-                            col.compare_within(lane, i, q, d),
+                            resident.compare_within(lane, i, q, d),
+                            within_distance(q, s, d)
                         );
                     }
                 }

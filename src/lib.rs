@@ -88,7 +88,7 @@ pub mod prelude {
     };
     pub use tdts_gpu_sim::{
         Device, DeviceConfig, Finding, FindingKind, KernelShape, LoadBalance, Phase,
-        RoutingSummary, SanitizerMode, SanitizerReport, SearchError, SearchReport, SegmentLayout,
+        RoutingSummary, SanitizerMode, SanitizerReport, SearchError, SearchReport,
     };
     pub use tdts_index_spatial::{FsgConfig, GpuSpatialConfig};
     pub use tdts_index_spatiotemporal::SpatioTemporalIndexConfig;

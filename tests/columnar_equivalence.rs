@@ -1,12 +1,11 @@
-//! Tier-1: the columnar device layout is an accounting change only.
+//! Tier-1: the columnar device layout and its temporal prefilter change
+//! what a comparison is charged, never what it computes.
 //!
 //! All five methods must return *byte-identical* result sets (exact
 //! `MatchRecord` equality, not tolerance-based diffing) on the Merger and
-//! Random-dense scenario generators, and each GPU method must return the
-//! same records and perform the same number of comparisons under the AoS
-//! and Columnar layouts — only the memory-traffic counters may move.
+//! Random-dense scenario generators, and each method's comparison count is
+//! pinned: the prefilter rejects inside a comparison, it must not skip one.
 
-use std::sync::Arc;
 use tdts::prelude::*;
 
 fn methods() -> Vec<Method> {
@@ -30,12 +29,6 @@ fn methods() -> Vec<Method> {
     ]
 }
 
-fn device(layout: SegmentLayout) -> Arc<Device> {
-    let mut config = DeviceConfig::tesla_c2075();
-    config.segment_layout = layout;
-    Device::new(config).unwrap()
-}
-
 /// Exact equality — every field of every record, bit for bit.
 fn assert_byte_identical(got: &[MatchRecord], expect: &[MatchRecord], label: &str) {
     assert_eq!(got.len(), expect.len(), "{label}: result count");
@@ -55,31 +48,28 @@ fn assert_byte_identical(got: &[MatchRecord], expect: &[MatchRecord], label: &st
     }
 }
 
-fn check_scenario(store: SegmentStore, queries: SegmentStore, distances: &[f64], label: &str) {
+/// `comparisons[i][j]` is the pinned count of `methods()[j]` at
+/// `distances[i]`.
+fn check_scenario(
+    store: SegmentStore,
+    queries: SegmentStore,
+    distances: &[f64],
+    comparisons: &[[u64; 5]],
+    label: &str,
+) {
     let dataset = PreparedDataset::new(store);
-    for &d in distances {
+    for (&d, pinned) in distances.iter().zip(comparisons) {
         let mut reference: Option<Vec<MatchRecord>> = None;
-        for method in methods() {
-            // Cross-layout identity per method: same records, same number
-            // of comparisons; only memory traffic may differ.
-            let aos_engine =
-                SearchEngine::build(&dataset, method, device(SegmentLayout::Aos)).unwrap();
-            let col_engine =
-                SearchEngine::build(&dataset, method, device(SegmentLayout::Columnar)).unwrap();
-            let (aos, aos_report) = aos_engine.search(&queries, d, 2_000_000).unwrap();
-            let (col, col_report) = col_engine.search(&queries, d, 2_000_000).unwrap();
+        for (method, &pinned) in methods().into_iter().zip(pinned) {
+            let device = Device::new(DeviceConfig::tesla_c2075()).unwrap();
+            let engine = SearchEngine::build(&dataset, method, device).unwrap();
+            let (got, report) = engine.search(&queries, d, 2_000_000).unwrap();
             let name = method.name();
-            assert_byte_identical(&col, &aos, &format!("{label}/{name} layouts d={d}"));
-            assert_eq!(
-                col_report.comparisons, aos_report.comparisons,
-                "{label}/{name} d={d}: comparisons must be layout-independent"
-            );
-
-            // Cross-method identity at fixed (default) layout.
+            assert_eq!(report.comparisons, pinned, "{label}/{name} d={d}: comparisons");
             match &reference {
-                None => reference = Some(col),
+                None => reference = Some(got),
                 Some(r) => {
-                    assert_byte_identical(&col, r, &format!("{label}/{name} vs reference d={d}"))
+                    assert_byte_identical(&got, r, &format!("{label}/{name} vs reference d={d}"))
                 }
             }
         }
@@ -95,7 +85,9 @@ fn merger_scenario_byte_identical() {
     let store = MergerConfig { particles: 60, timesteps: 25, ..Default::default() }.generate();
     let queries =
         MergerConfig { particles: 12, timesteps: 25, seed: 77, ..Default::default() }.generate();
-    check_scenario(store, queries, &[1.0, 4.0], "merger");
+    let comparisons =
+        [[2_017, 29_329, 50_400, 50_400, 21_940], [10_805, 87_437, 50_400, 50_400, 33_594]];
+    check_scenario(store, queries, &[1.0, 4.0], &comparisons, "merger");
 }
 
 #[test]
@@ -104,5 +96,7 @@ fn random_dense_scenario_byte_identical() {
     let queries =
         RandomDenseConfig { particles: 12, timesteps: 20, seed: 55, ..Default::default() }
             .generate();
-    check_scenario(store, queries, &[2.0, 12.0], "random-dense");
+    let comparisons =
+        [[22_191, 6_310_153, 42_240, 42_240, 42_240], [42_240, 18_166_356, 42_240, 42_240, 42_240]];
+    check_scenario(store, queries, &[2.0, 12.0], &comparisons, "random-dense");
 }
