@@ -16,7 +16,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cluster;
 pub mod engine;
 pub mod error;
 pub mod hybrid;
@@ -26,7 +25,6 @@ pub mod resolve;
 pub mod sharding;
 pub mod traits;
 
-pub use cluster::{ClusterConfig, ClusterReport, ClusterSearch};
 pub use engine::{Method, PreparedDataset, SearchEngine};
 pub use error::TdtsError;
 pub use hybrid::{HybridConfig, HybridReport, HybridSearch};
