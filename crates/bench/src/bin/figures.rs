@@ -21,8 +21,8 @@
 //!                              for sharded runs
 //!          --slab-mode <s>     uniform (default) | balanced slab edge
 //!                              placement for sharded runs
-//!          --json <path>       machine-readable output path (default
-//!                              BENCH_9.json; "none" disables)
+//!          --json <path>       also write the measurements as JSON to
+//!                              <path> (default "none": no file)
 //!          --sanitizer <m>     off (default) | memcheck | racecheck | full;
 //!                              the shadow-state device sanitizer (also set
 //!                              by the TDTS_SANITIZER env var). Findings
@@ -37,7 +37,7 @@ use tdts_gpu_sim::{KernelShape, SanitizerMode};
 fn main() {
     let mut cfg = RunConfig::default();
     let mut targets: Vec<String> = Vec::new();
-    let mut json_path = String::from("BENCH_9.json");
+    let mut json_path = String::from("none");
     let mut args = std::env::args().skip(1);
     if let Some(mode) = SanitizerMode::from_env() {
         cfg.device.sanitizer = mode;

@@ -75,7 +75,7 @@ pub struct Measurement {
 }
 
 impl Measurement {
-    /// The machine-readable form emitted into `BENCH_9.json`.
+    /// The machine-readable form `figures --json <path>` writes.
     pub fn to_json(&self) -> Json {
         let routing = &self.report.routing;
         Json::obj()

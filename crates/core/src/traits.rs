@@ -122,145 +122,61 @@ impl<T: TrajectoryIndex + ?Sized> TrajectoryIndex for Arc<T> {
     }
 }
 
-impl TrajectoryIndex for GpuSpatialSearch {
-    fn search(&self, batch: &QueryBatch<'_>) -> Result<SearchOutcome, TdtsError> {
-        let (matches, report) =
-            GpuSpatialSearch::search(self, batch.queries, batch.d, batch.result_capacity)?;
-        Ok(SearchOutcome { matches, report })
-    }
+/// Implement [`TrajectoryIndex`] for a GPU search type by forwarding to its
+/// inherent `search` / `generation` / `ingest` / `expire` methods. Every GPU
+/// method applies deltas in place; only `GPUSpatial` keeps a delta overlay
+/// to report as backlog.
+macro_rules! impl_gpu_index {
+    ($ty:ty, $name:literal $(, delta_backlog = $backlog:expr)?) => {
+        impl TrajectoryIndex for $ty {
+            fn search(&self, batch: &QueryBatch<'_>) -> Result<SearchOutcome, TdtsError> {
+                let (matches, report) =
+                    <$ty>::search(self, batch.queries, batch.d, batch.result_capacity)?;
+                Ok(SearchOutcome { matches, report })
+            }
 
-    fn name(&self) -> &'static str {
-        "GPUSpatial"
-    }
+            fn name(&self) -> &'static str {
+                $name
+            }
 
-    fn supports_incremental(&self) -> bool {
-        true
-    }
+            fn supports_incremental(&self) -> bool {
+                true
+            }
 
-    fn generation(&self) -> u64 {
-        GpuSpatialSearch::generation(self)
-    }
+            fn generation(&self) -> u64 {
+                <$ty>::generation(self)
+            }
 
-    fn delta_backlog(&self) -> usize {
-        self.fsg().delta_segments()
-    }
+            $(fn delta_backlog(&self) -> usize {
+                let backlog: fn(&$ty) -> usize = $backlog;
+                backlog(self)
+            })?
 
-    fn ingest(&mut self, store: &Arc<SegmentStore>, delta: &AppendDelta) -> Result<(), TdtsError> {
-        GpuSpatialSearch::ingest(self, store, delta)?;
-        Ok(())
-    }
+            fn ingest(
+                &mut self,
+                store: &Arc<SegmentStore>,
+                delta: &AppendDelta,
+            ) -> Result<(), TdtsError> {
+                <$ty>::ingest(self, store, delta)?;
+                Ok(())
+            }
 
-    fn expire_before(
-        &mut self,
-        store: &Arc<SegmentStore>,
-        delta: &ExpireDelta,
-    ) -> Result<(), TdtsError> {
-        GpuSpatialSearch::expire(self, store, delta)?;
-        Ok(())
-    }
+            fn expire_before(
+                &mut self,
+                store: &Arc<SegmentStore>,
+                delta: &ExpireDelta,
+            ) -> Result<(), TdtsError> {
+                <$ty>::expire(self, store, delta)?;
+                Ok(())
+            }
+        }
+    };
 }
 
-impl TrajectoryIndex for GpuTemporalSearch {
-    fn search(&self, batch: &QueryBatch<'_>) -> Result<SearchOutcome, TdtsError> {
-        let (matches, report) =
-            GpuTemporalSearch::search(self, batch.queries, batch.d, batch.result_capacity)?;
-        Ok(SearchOutcome { matches, report })
-    }
-
-    fn name(&self) -> &'static str {
-        "GPUTemporal"
-    }
-
-    fn supports_incremental(&self) -> bool {
-        true
-    }
-
-    fn generation(&self) -> u64 {
-        GpuTemporalSearch::generation(self)
-    }
-
-    fn ingest(&mut self, store: &Arc<SegmentStore>, delta: &AppendDelta) -> Result<(), TdtsError> {
-        GpuTemporalSearch::ingest(self, store, delta)?;
-        Ok(())
-    }
-
-    fn expire_before(
-        &mut self,
-        store: &Arc<SegmentStore>,
-        delta: &ExpireDelta,
-    ) -> Result<(), TdtsError> {
-        GpuTemporalSearch::expire(self, store, delta)?;
-        Ok(())
-    }
-}
-
-impl TrajectoryIndex for GpuBatchedTemporalSearch {
-    fn search(&self, batch: &QueryBatch<'_>) -> Result<SearchOutcome, TdtsError> {
-        let (matches, report) =
-            GpuBatchedTemporalSearch::search(self, batch.queries, batch.d, batch.result_capacity)?;
-        Ok(SearchOutcome { matches, report })
-    }
-
-    fn name(&self) -> &'static str {
-        "GPUBatchedTemporal"
-    }
-
-    fn supports_incremental(&self) -> bool {
-        true
-    }
-
-    fn generation(&self) -> u64 {
-        GpuBatchedTemporalSearch::generation(self)
-    }
-
-    fn ingest(&mut self, store: &Arc<SegmentStore>, delta: &AppendDelta) -> Result<(), TdtsError> {
-        GpuBatchedTemporalSearch::ingest(self, store, delta)?;
-        Ok(())
-    }
-
-    fn expire_before(
-        &mut self,
-        store: &Arc<SegmentStore>,
-        delta: &ExpireDelta,
-    ) -> Result<(), TdtsError> {
-        GpuBatchedTemporalSearch::expire(self, store, delta)?;
-        Ok(())
-    }
-}
-
-impl TrajectoryIndex for GpuSpatioTemporalSearch {
-    fn search(&self, batch: &QueryBatch<'_>) -> Result<SearchOutcome, TdtsError> {
-        let (matches, report) =
-            GpuSpatioTemporalSearch::search(self, batch.queries, batch.d, batch.result_capacity)?;
-        Ok(SearchOutcome { matches, report })
-    }
-
-    fn name(&self) -> &'static str {
-        "GPUSpatioTemporal"
-    }
-
-    fn supports_incremental(&self) -> bool {
-        true
-    }
-
-    fn generation(&self) -> u64 {
-        GpuSpatioTemporalSearch::generation(self)
-    }
-
-    fn ingest(&mut self, store: &Arc<SegmentStore>, delta: &AppendDelta) -> Result<(), TdtsError> {
-        GpuSpatioTemporalSearch::ingest(self, store, delta)?;
-        Ok(())
-    }
-
-    fn expire_before(
-        &mut self,
-        store: &Arc<SegmentStore>,
-        delta: &ExpireDelta,
-    ) -> Result<(), TdtsError> {
-        GpuSpatioTemporalSearch::expire(self, store, delta)?;
-        Ok(())
-    }
-}
+impl_gpu_index!(GpuSpatialSearch, "GPUSpatial", delta_backlog = |s| s.fsg().delta_segments());
+impl_gpu_index!(GpuTemporalSearch, "GPUTemporal");
+impl_gpu_index!(GpuBatchedTemporalSearch, "GPUBatchedTemporal");
+impl_gpu_index!(GpuSpatioTemporalSearch, "GPUSpatioTemporal");
 
 /// The CPU baseline behind the trait. [`RTree`] does not own the entry
 /// store (its result positions refer to an external store), so this
