@@ -6,7 +6,7 @@
 //! targets: fig4 fig5 fig6 fig7 sweep-fsg sweep-bins sweep-subbins
 //!          ablation-indirection ablation-buffer fallback-rate
 //!          ablation-workqueue ablation-sharding ablation-routing
-//!          scaling-sharding ablation-streaming all
+//!          scaling-sharding all
 //! options: --scale <f>         dataset scale vs the paper (default 1/16)
 //!          --no-verify         skip cross-method result-set verification
 //!          --trials <n>        trials per measurement (default 2)
@@ -118,7 +118,7 @@ fn main() {
              [--tile-size n] [--shards n] [--partition s] [--routing s] [--slab-mode s] \
              [--json path] [--sanitizer m] \
              <fig4|fig5|fig6|fig7|sweep-fsg|sweep-bins|sweep-subbins|\
-             ablation-indirection|ablation-buffer|fallback-rate|future-trends|batched|ablation-sort|crossover|ablation-write|ablation-workqueue|ablation-sharding|ablation-routing|scaling-sharding|ablation-streaming|all>..."
+             ablation-indirection|ablation-buffer|fallback-rate|future-trends|batched|ablation-sort|crossover|ablation-write|ablation-workqueue|ablation-sharding|ablation-routing|scaling-sharding|all>..."
         );
         std::process::exit(2);
     }
@@ -143,7 +143,6 @@ fn main() {
             "ablation-sharding",
             "ablation-routing",
             "scaling-sharding",
-            "ablation-streaming",
         ]
         .iter()
         .map(|s| s.to_string())
@@ -186,7 +185,6 @@ fn main() {
             "ablation-sharding" => runner.ablation_sharding(),
             "ablation-routing" => runner.ablation_routing(),
             "scaling-sharding" => runner.scaling_sharding(),
-            "ablation-streaming" => runner.ablation_streaming(),
             other => {
                 eprintln!("unknown target {other}");
                 std::process::exit(2);

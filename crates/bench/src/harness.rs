@@ -2,15 +2,12 @@
 
 use crate::json::Json;
 use std::sync::Arc;
-use std::time::Instant;
 use tdts_core::{
     Method, PreparedDataset, QueryBatch, RoutingMode, SearchEngine, ShardedIndex,
     ShardedIndexConfig, TrajectoryIndex,
 };
 use tdts_data::{MergerConfig, Scenario, ScenarioKind};
-use tdts_geom::{
-    MatchRecord, Mbb, PartitionStrategy, Point3, SegId, Segment, SegmentStore, SlabMode, TrajId,
-};
+use tdts_geom::{MatchRecord, PartitionStrategy, SegmentStore, SlabMode};
 use tdts_gpu_sim::{Device, DeviceConfig, Phase, SearchReport};
 use tdts_index_spatial::{FsgConfig, GpuSpatialConfig};
 use tdts_index_spatiotemporal::SpatioTemporalIndexConfig;
@@ -1355,176 +1352,6 @@ impl Runner {
         out
     }
 
-    /// Streaming ablation: per-tick incremental ingest versus the full cold
-    /// rebuild a build-once system would pay for the same store state,
-    /// across delta sizes (ticks of ~0.1%, 1%, and 5% of |D|), on S2 Merger
-    /// and S3 Random-dense. The generational lifecycle only earns its
-    /// complexity if absorbing a small delta is much cheaper than
-    /// rebuilding, so the harness asserts the smallest-delta ingest beats
-    /// the rebuild by at least 5x. With verification on, each warm engine's
-    /// results are checked byte-identical to its cold rebuild at the same
-    /// generation before any timing is reported.
-    pub fn ablation_streaming(&self) -> Vec<Measurement> {
-        if self.cfg.shards > 1 {
-            die("streaming ablation", "streaming is single-device; rerun with --shards 1");
-        }
-        let delta_fracs = [0.001f64, 0.01, 0.05];
-        let ticks = 4usize;
-        let mut out = Vec::new();
-        let mut worst_small_speedup = f64::INFINITY;
-        for kind in [ScenarioKind::S2Merger, ScenarioKind::S3RandomDense] {
-            let p = self.prepare(kind);
-            let params = p.scenario.params();
-            let cap = params.result_buffer_capacity;
-            let stats =
-                p.dataset.store().stats().unwrap_or_else(|| die("dataset stats", "empty dataset"));
-            // The smallest sweep distance: the verify search is a
-            // byte-identity check, not a timing row, and the dense
-            // scenario's candidate volume at mid-sweep distances sends the
-            // FSG redo loop into the tens of minutes.
-            let d = p.scenario.query_distances()[0];
-            let probes: SegmentStore = p.queries.iter().take(512).copied().collect();
-            // Scratch sized for the dense scenario's candidate volume; the
-            // compaction threshold keeps the two small delta sizes in the
-            // FSG overlay while the 5% ticks compact every time, so the
-            // table shows both sides of the crossover.
-            let methods = [
-                Method::GpuSpatial(GpuSpatialConfig {
-                    fsg: FsgConfig { cells_per_dim: params.fsg_cells_per_dim },
-                    total_scratch: 32_000_000,
-                    compaction_threshold: 65_536,
-                }),
-                Method::GpuTemporal(TemporalIndexConfig { bins: params.temporal_bins }),
-            ];
-            println!(
-                "\n## Streaming ablation — per-tick ingest vs full rebuild ({}, {} ticks)",
-                p.scenario.name(),
-                ticks
-            );
-            println!(
-                "{:>22} {:>8} {:>10} {:>14} {:>14} {:>10}",
-                "method", "delta", "segs/tick", "ingest (s)", "rebuild (s)", "speedup"
-            );
-            for method in methods {
-                for &frac in &delta_fracs {
-                    let tick_len = ((p.dataset.store().len() as f64 * frac).ceil() as usize).max(1);
-                    let mut engine = self.build(&p, method);
-                    let mut rng = 0x57ea_u64 ^ p.dataset.store().len() as u64;
-                    let mut next_id = p.dataset.store().len() as u32 + 50_000_000;
-                    let mut frontier = stats.time_span.end;
-                    let duration = stats.mean_duration.max(1e-3);
-                    // Untimed warm-up tick: while `p.dataset` still pins the
-                    // pre-stream snapshot, the first append pays a one-time
-                    // epoch-pinning store copy (`Arc::make_mut`). Steady
-                    // state — a unique store handle, O(delta) appends — is
-                    // what the per-tick comparison is about.
-                    let warmup = synth_stream_tick(
-                        &stats.bounds,
-                        frontier,
-                        16,
-                        duration,
-                        &mut rng,
-                        &mut next_id,
-                    );
-                    frontier = warmup.iter().map(|s| s.t_end).fold(frontier, f64::max);
-                    engine.ingest(&warmup).unwrap_or_else(|e| die("warm-up ingest", e));
-                    let mut ingest_total = 0.0f64;
-                    for _ in 0..ticks {
-                        let tick = synth_stream_tick(
-                            &stats.bounds,
-                            frontier,
-                            tick_len,
-                            duration,
-                            &mut rng,
-                            &mut next_id,
-                        );
-                        frontier = tick.iter().map(|s| s.t_end).fold(frontier, f64::max);
-                        let t = Instant::now();
-                        engine.ingest(&tick).unwrap_or_else(|e| die("streaming ingest", e));
-                        ingest_total += t.elapsed().as_secs_f64();
-                    }
-                    let ingest_per_tick = ingest_total / ticks as f64;
-                    // What a build-once system pays per tick instead:
-                    // re-prepare the grown store and build the index cold.
-                    // Best-of-trials, like every other timing in the
-                    // harness, to damp allocator first-touch noise.
-                    let mut rebuild = f64::INFINITY;
-                    let mut cold = None;
-                    for _ in 0..self.cfg.trials.max(1) {
-                        let t = Instant::now();
-                        let cold_set = PreparedDataset::new(engine.store().clone());
-                        let built =
-                            SearchEngine::build(&cold_set, method, Arc::clone(&self.device))
-                                .unwrap_or_else(|e| die("cold rebuild", e));
-                        rebuild = rebuild.min(t.elapsed().as_secs_f64());
-                        cold = Some(built);
-                    }
-                    let cold = cold.expect("at least one rebuild trial");
-                    if self.cfg.verify {
-                        let (got, _) = engine
-                            .search(&probes, d, cap)
-                            .unwrap_or_else(|e| die("warm search", e));
-                        let (want, _) =
-                            cold.search(&probes, d, cap).unwrap_or_else(|e| die("cold search", e));
-                        assert_eq!(
-                            got,
-                            want,
-                            "{} warm engine diverged from its cold rebuild ({}, delta {frac})",
-                            method.name(),
-                            p.scenario.name()
-                        );
-                    }
-                    let speedup = rebuild / ingest_per_tick;
-                    if frac <= delta_fracs[0] {
-                        worst_small_speedup = worst_small_speedup.min(speedup);
-                    }
-                    println!(
-                        "{:>22} {:>7.1}% {:>10} {:>14.6} {:>14.6} {:>9.1}x",
-                        method.name(),
-                        frac * 100.0,
-                        tick_len,
-                        ingest_per_tick,
-                        rebuild,
-                        speedup
-                    );
-                    // `d` carries the delta fraction for these rows; the
-                    // wall-clock column is the per-tick cost being compared.
-                    out.push(Measurement {
-                        method: format!("{}/{}/ingest", p.scenario.name(), method.name()),
-                        d: frac,
-                        matches: 0,
-                        report: SearchReport {
-                            wall_seconds: ingest_per_tick,
-                            ..SearchReport::default()
-                        },
-                        shards: 1,
-                        speedup: Some(speedup),
-                        routed_per_shard: None,
-                    });
-                    out.push(Measurement {
-                        method: format!("{}/{}/rebuild", p.scenario.name(), method.name()),
-                        d: frac,
-                        matches: 0,
-                        report: SearchReport { wall_seconds: rebuild, ..SearchReport::default() },
-                        shards: 1,
-                        speedup: None,
-                        routed_per_shard: None,
-                    });
-                }
-            }
-        }
-        assert!(
-            worst_small_speedup >= 5.0,
-            "streaming ablation: smallest-delta ingest speedup {worst_small_speedup:.2}x \
-             is below the 5x floor over full rebuild"
-        );
-        println!(
-            "\nworst smallest-delta speedup: {worst_small_speedup:.1}x \
-             (floor: 5x; warm results byte-identical to cold rebuilds)"
-        );
-        out
-    }
-
     fn check(
         &self,
         reference: &mut Option<Vec<MatchRecord>>,
@@ -1543,47 +1370,4 @@ impl Runner {
             ),
         }
     }
-}
-
-/// One deterministic tick of time-ordered synthetic updates for the
-/// streaming ablation: positions drawn inside the dataset's bounding box
-/// (so appended segments land in populated index cells), `t_start`s past
-/// the current frontier (the streaming contract).
-fn synth_stream_tick(
-    bounds: &Mbb,
-    frontier: f64,
-    count: usize,
-    duration: f64,
-    state: &mut u64,
-    next_id: &mut u32,
-) -> Vec<Segment> {
-    let unit = |state: &mut u64| -> f64 {
-        *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        ((*state >> 33) as f64) / ((1u64 << 31) as f64)
-    };
-    let extent = [
-        (bounds.hi.x - bounds.lo.x).max(1e-9),
-        (bounds.hi.y - bounds.lo.y).max(1e-9),
-        (bounds.hi.z - bounds.lo.z).max(1e-9),
-    ];
-    let dt = duration / count.max(1) as f64;
-    (0..count)
-        .map(|i| {
-            let start = Point3::new(
-                bounds.lo.x + unit(state) * extent[0],
-                bounds.lo.y + unit(state) * extent[1],
-                bounds.lo.z + unit(state) * extent[2],
-            );
-            let step = duration * 0.1;
-            let end = Point3::new(
-                start.x + (unit(state) - 0.5) * step,
-                start.y + (unit(state) - 0.5) * step,
-                start.z + (unit(state) - 0.5) * step,
-            );
-            let t0 = frontier + i as f64 * dt;
-            let id = *next_id;
-            *next_id += 1;
-            Segment::new(start, end, t0, t0 + duration, SegId(id), TrajId(id % 97))
-        })
-        .collect()
 }
