@@ -21,15 +21,13 @@
 //!                              for sharded runs
 //!          --slab-mode <s>     uniform (default) | balanced slab edge
 //!                              placement for sharded runs
-//!          --json <path>       also write the measurements as JSON to
-//!                              <path> (default "none": no file)
 //!          --sanitizer <m>     off (default) | memcheck | racecheck | full;
 //!                              the shadow-state device sanitizer (also set
 //!                              by the TDTS_SANITIZER env var). Findings
 //!                              abort the run.
 //! ```
 
-use tdts_bench::{Json, Measurement, RunConfig, Runner};
+use tdts_bench::{RunConfig, Runner};
 use tdts_core::RoutingMode;
 use tdts_geom::{PartitionStrategy, SlabMode};
 use tdts_gpu_sim::{KernelShape, SanitizerMode};
@@ -37,7 +35,6 @@ use tdts_gpu_sim::{KernelShape, SanitizerMode};
 fn main() {
     let mut cfg = RunConfig::default();
     let mut targets: Vec<String> = Vec::new();
-    let mut json_path = String::from("none");
     let mut args = std::env::args().skip(1);
     if let Some(mode) = SanitizerMode::from_env() {
         cfg.device.sanitizer = mode;
@@ -99,7 +96,6 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--json" => json_path = args.next().expect("--json needs a path"),
             "--sanitizer" => {
                 let v = args.next().expect("--sanitizer needs a value");
                 cfg.device.sanitizer = SanitizerMode::parse(&v)
@@ -116,7 +112,7 @@ fn main() {
         eprintln!(
             "usage: figures [--scale f] [--no-verify] [--trials n] [--kernel-shape s] \
              [--tile-size n] [--shards n] [--partition s] [--routing s] [--slab-mode s] \
-             [--json path] [--sanitizer m] \
+             [--sanitizer m] \
              <fig4|fig5|fig6|fig7|sweep-fsg|sweep-bins|sweep-subbins|\
              ablation-indirection|ablation-buffer|fallback-rate|future-trends|batched|ablation-sort|crossover|ablation-write|ablation-workqueue|ablation-sharding|ablation-routing|scaling-sharding|all>..."
         );
@@ -156,16 +152,9 @@ fn main() {
             cfg.shards, cfg.partition, cfg.routing, cfg.slab_mode
         );
     }
-    let scale = cfg.scale;
-    let shards = cfg.shards;
-    let partition = cfg.partition.to_string();
-    let routing = cfg.routing.to_string();
-    let slab_mode = cfg.slab_mode.to_string();
-    let device_name = cfg.device.name.clone();
     let runner = Runner::new(cfg);
-    let mut results: Vec<(String, Vec<Measurement>)> = Vec::new();
     for t in &targets {
-        let measurements = match t.as_str() {
+        match t.as_str() {
             "fig4" => runner.fig4(),
             "fig5" => runner.fig5(),
             "fig6" => runner.fig6(),
@@ -190,30 +179,5 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        results.push((t.clone(), measurements));
-    }
-
-    if json_path != "none" {
-        let doc = Json::obj()
-            .field("schema", "tdts-bench/1")
-            .field("scale", scale)
-            .field("device", device_name)
-            .field("shards", shards)
-            .field("partition", partition)
-            .field("routing", routing)
-            .field("slab_mode", slab_mode)
-            .field(
-                "targets",
-                results.into_iter().fold(Json::obj(), |doc, (target, ms)| {
-                    doc.field(&target, ms.iter().map(Measurement::to_json).collect::<Vec<_>>())
-                }),
-            );
-        match std::fs::write(&json_path, doc.render()) {
-            Ok(()) => eprintln!("[figures] wrote machine-readable results to {json_path}"),
-            Err(e) => {
-                eprintln!("[figures] failed to write {json_path}: {e}");
-                std::process::exit(1);
-            }
-        }
     }
 }

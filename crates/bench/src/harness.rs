@@ -1,6 +1,5 @@
 //! Experiment runners: one per figure/table of the paper.
 
-use crate::json::Json;
 use std::sync::Arc;
 use tdts_core::{
     Method, PreparedDataset, QueryBatch, RoutingMode, SearchEngine, ShardedIndex,
@@ -63,43 +62,6 @@ pub struct Measurement {
     pub matches: usize,
     /// Devices the entry database was partitioned across for this cell.
     pub shards: usize,
-    /// Response-time speedup over the 1-shard baseline of the same row,
-    /// where the experiment computes one.
-    pub speedup: Option<f64>,
-    /// Queries dispatched to each shard for this cell (routing ablation
-    /// rows only), in ascending slab order.
-    pub routed_per_shard: Option<Vec<u64>>,
-}
-
-impl Measurement {
-    /// The machine-readable form `figures --json <path>` writes.
-    pub fn to_json(&self) -> Json {
-        let routing = &self.report.routing;
-        Json::obj()
-            .field("method", self.method.as_str())
-            .field("d", self.d)
-            .field("shards", self.shards)
-            .field("matches", self.matches)
-            .field("response_seconds", self.report.response_seconds())
-            .field("wall_seconds", self.report.wall_seconds)
-            .field("comparisons", self.report.comparisons)
-            .field("raw_matches", self.report.raw_matches)
-            .field("kernel_invocations", self.report.response.kernel_invocations)
-            .field("h2d_bytes", self.report.response.h2d_bytes)
-            .field("d2h_bytes", self.report.response.d2h_bytes)
-            .field("speedup", self.speedup)
-            .field("shard_queries_routed", routing.shard_queries_routed)
-            .field("shard_queries_skipped", routing.shard_queries_skipped)
-            .field("shards_probed", routing.shards_probed)
-            .field("shards_skipped", routing.shards_skipped)
-            .field("budget_redos", routing.budget_redos)
-            .field(
-                "routed_per_shard",
-                self.routed_per_shard
-                    .as_ref()
-                    .map(|v| v.iter().map(|&n| Json::from(n)).collect::<Vec<Json>>()),
-            )
-    }
 }
 
 /// Print a readable error and exit instead of unwinding with a panic
@@ -213,8 +175,6 @@ impl Runner {
             matches: matches.len(),
             report,
             shards: self.cfg.shards.max(1),
-            speedup: None,
-            routed_per_shard: None,
         };
         (matches, m)
     }
@@ -659,8 +619,6 @@ impl Runner {
                 matches: ma.len(),
                 report: ra,
                 shards: 1,
-                speedup: None,
-                routed_per_shard: None,
             });
             out.push(Measurement {
                 method: "GPUTemporal/two-pass".into(),
@@ -668,8 +626,6 @@ impl Runner {
                 matches: mt.len(),
                 report: rt,
                 shards: 1,
-                speedup: None,
-                routed_per_shard: None,
             });
         }
         out
@@ -904,8 +860,6 @@ impl Runner {
                     matches: matches.len(),
                     report,
                     shards: 1,
-                    speedup: None,
-                    routed_per_shard: None,
                 });
             }
         }
@@ -1035,8 +989,6 @@ impl Runner {
                         matches: report.matches as usize,
                         report,
                         shards,
-                        speedup,
-                        routed_per_shard: None,
                     });
                 }
             }
@@ -1065,7 +1017,6 @@ impl Runner {
         let cap = params.result_buffer_capacity;
         let store = p.dataset.store_arc();
         let stats = store.stats().unwrap_or_else(|| die("dataset stats", "empty dataset"));
-        let trials = self.cfg.trials.max(1) as u64;
         // GpuBatchedTemporal is the showcase for routing: it pays per-batch
         // kernel invocations and transfers proportional to the queries a
         // shard is *assigned*, so broadcast's irrelevant queries cost real
@@ -1140,18 +1091,7 @@ impl Runner {
                         ShardedIndex::build(method, &store, &stats, &self.cfg.device, &config)
                             .unwrap_or_else(|e| die("sharded build", e));
                     for (i, &d) in picks.iter().enumerate() {
-                        let before: Vec<u64> =
-                            index.shard_stats().iter().map(|s| s.queries_routed).collect();
                         let (matches, report) = self.run_index(&index, &p.queries, d, cap);
-                        // Counters accumulate over the (deterministic)
-                        // trials; the delta over trials is one search's
-                        // per-shard routed-query split.
-                        let routed_per_shard: Vec<u64> = index
-                            .shard_stats()
-                            .iter()
-                            .zip(&before)
-                            .map(|(s, b)| (s.queries_routed - b) / trials)
-                            .collect();
                         assert_eq!(
                             matches,
                             oracles[i],
@@ -1214,8 +1154,6 @@ impl Runner {
                             matches: report.matches as usize,
                             report,
                             shards,
-                            speedup: win,
-                            routed_per_shard: Some(routed_per_shard),
                         });
                     }
                 }
@@ -1302,8 +1240,6 @@ impl Runner {
                 matches: report.matches as usize,
                 report,
                 shards,
-                speedup: (shards > 1).then_some(speedup),
-                routed_per_shard: None,
             });
         }
 
@@ -1344,8 +1280,6 @@ impl Runner {
                 matches: report.matches as usize,
                 report,
                 shards,
-                speedup: (shards > 1).then_some(weak_base / response),
-                routed_per_shard: None,
             });
         }
         println!("(weak ideal: flat at 1.00x — rises measure replication + merge overheads)");

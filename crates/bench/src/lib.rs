@@ -5,7 +5,5 @@
 #![forbid(unsafe_code)]
 
 pub mod harness;
-pub mod json;
 
 pub use harness::{Measurement, RunConfig, Runner};
-pub use json::Json;
