@@ -1,6 +1,6 @@
 //! Offline stand-in for `criterion`: the group/bench/iter API surface this
 //! workspace's benches use, with a simple adaptive timing loop (warm-up,
-//! batch-size calibration to ~5 ms, then `sample_size` samples reporting
+//! batch-size calibration to ~5 ms, then 20 samples reporting
 //! min/mean/max per iteration). No plotting, no statistics machinery —
 //! numbers print to stdout in a `name  time: [..]` format.
 
@@ -73,33 +73,6 @@ fn fmt_time(secs: f64) -> String {
     }
 }
 
-/// Benchmark identifier: `function_name/parameter`.
-pub struct BenchmarkId {
-    id: String,
-}
-
-impl BenchmarkId {
-    pub fn new(function: impl Into<String>, parameter: impl Display) -> BenchmarkId {
-        BenchmarkId { id: format!("{}/{}", function.into(), parameter) }
-    }
-
-    pub fn from_parameter(parameter: impl Display) -> BenchmarkId {
-        BenchmarkId { id: parameter.to_string() }
-    }
-}
-
-impl From<&str> for BenchmarkId {
-    fn from(s: &str) -> BenchmarkId {
-        BenchmarkId { id: s.to_string() }
-    }
-}
-
-impl From<String> for BenchmarkId {
-    fn from(s: String) -> BenchmarkId {
-        BenchmarkId { id: s }
-    }
-}
-
 #[derive(Default)]
 pub struct Criterion {
     _priv: (),
@@ -113,40 +86,23 @@ impl Criterion {
     }
 
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        BenchmarkGroup { _c: self, name: name.into(), samples: DEFAULT_SAMPLES }
+        BenchmarkGroup { _c: self, name: name.into() }
     }
 }
 
 pub struct BenchmarkGroup<'a> {
     _c: &'a mut Criterion,
     name: String,
-    samples: usize,
 }
 
 impl BenchmarkGroup<'_> {
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.samples = n.max(2);
-        self
-    }
-
     pub fn bench_function<F: FnMut(&mut Bencher)>(
         &mut self,
-        id: impl Into<BenchmarkId>,
+        id: impl Display,
         mut f: F,
     ) -> &mut Self {
-        println!("{}/{}", self.name, id.into().id);
-        f(&mut Bencher { samples: self.samples });
-        self
-    }
-
-    pub fn bench_with_input<I: ?Sized, F: FnMut(&mut Bencher, &I)>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut f: F,
-    ) -> &mut Self {
-        println!("{}/{}", self.name, id.id);
-        f(&mut Bencher { samples: self.samples }, input);
+        println!("{}/{id}", self.name);
+        f(&mut Bencher { samples: DEFAULT_SAMPLES });
         self
     }
 
@@ -189,9 +145,8 @@ mod tests {
     #[test]
     fn group_api_compiles_and_runs() {
         let mut c = Criterion::default();
+        c.bench_function("f", |b| b.iter(|| 1 + 1));
         let mut group = c.benchmark_group("g");
-        group.sample_size(2);
-        group.bench_with_input(BenchmarkId::new("f", 3), &3u32, |b, &x| b.iter(|| x + 1));
         group.bench_function(format!("s={}", 1), |b| b.iter(|| 2 + 2));
         group.finish();
     }
