@@ -84,11 +84,8 @@ struct Prepared {
 }
 
 impl Runner {
-    /// Create a runner. Warms the thread pool up so the first CPU wall-time
-    /// measurement does not pay thread-spawn costs.
+    /// Create a runner on the configured simulated device.
     pub fn new(cfg: RunConfig) -> Runner {
-        use rayon::prelude::*;
-        let _: u64 = (0..1u64 << 16).into_par_iter().sum();
         let device = Device::new(cfg.device.clone()).unwrap_or_else(|e| die("device config", e));
         Runner { cfg, device }
     }
