@@ -350,6 +350,40 @@ mod tests {
         assert!(!reference.unwrap().is_empty());
     }
 
+    /// NaN, negative and infinite thresholds are refused at every
+    /// `TrajectoryIndex::search` entry point (the four macro'd GPU indexes,
+    /// the CPU baseline, the sharded index); `d = 0` is a valid query.
+    #[test]
+    fn hostile_d_is_a_typed_error_at_every_entry_point() {
+        let dataset = PreparedDataset::new(store(40));
+        let queries = store(8);
+        let mut engines: Vec<SearchEngine> = all_methods()
+            .into_iter()
+            .map(|m| SearchEngine::build(&dataset, m, device()).unwrap())
+            .collect();
+        let sharding = crate::sharding::ShardedIndexConfig::builder().shards(2).build().unwrap();
+        engines.push(
+            SearchEngine::build_sharded(
+                &dataset,
+                Method::GpuTemporal(TemporalIndexConfig { bins: 8 }),
+                &DeviceConfig::test_tiny(),
+                &sharding,
+            )
+            .unwrap(),
+        );
+        for engine in &engines {
+            for d in [f64::NAN, -1.0, f64::INFINITY, f64::NEG_INFINITY] {
+                let err = engine.search(&queries, d, 20_000).unwrap_err();
+                assert!(
+                    matches!(err, TdtsError::InvalidConfig(_)),
+                    "{} at d = {d}: {err}",
+                    engine.method().name()
+                );
+            }
+            engine.search(&queries, 0.0, 20_000).unwrap();
+        }
+    }
+
     /// One segment near the origin cluster, time-stamped so appends stay
     /// `t_start`-ordered.
     fn seg(i: u32, t: f64) -> Segment {

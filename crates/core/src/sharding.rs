@@ -658,6 +658,7 @@ impl ShardedIndex {
 
 impl TrajectoryIndex for ShardedIndex {
     fn search(&self, batch: &QueryBatch<'_>) -> Result<SearchOutcome, TdtsError> {
+        batch.validate()?;
         self.search_sharded(batch)
     }
 

@@ -29,6 +29,23 @@ pub struct QueryBatch<'a> {
     pub result_capacity: usize,
 }
 
+impl QueryBatch<'_> {
+    /// Refuse a threshold no exact search can answer. Every comparison
+    /// against NaN is false and a negative `d` is squared away, so without
+    /// this check a release build returns a confidently wrong result set
+    /// instead of an error.
+    pub fn validate(&self) -> Result<(), TdtsError> {
+        if self.d.is_finite() && self.d >= 0.0 {
+            Ok(())
+        } else {
+            Err(TdtsError::InvalidConfig(format!(
+                "distance threshold d must be finite and non-negative, got {}",
+                self.d
+            )))
+        }
+    }
+}
+
 /// The product of one batch search: canonical deduplicated result records
 /// and the instrumentation report.
 #[derive(Debug, Clone)]
@@ -130,6 +147,7 @@ macro_rules! impl_gpu_index {
     ($ty:ty, $name:literal $(, delta_backlog = $backlog:expr)?) => {
         impl TrajectoryIndex for $ty {
             fn search(&self, batch: &QueryBatch<'_>) -> Result<SearchOutcome, TdtsError> {
+                batch.validate()?;
                 let (matches, report) =
                     <$ty>::search(self, batch.queries, batch.d, batch.result_capacity)?;
                 Ok(SearchOutcome { matches, report })
@@ -208,6 +226,7 @@ impl CpuRTreeIndex {
 
 impl TrajectoryIndex for CpuRTreeIndex {
     fn search(&self, batch: &QueryBatch<'_>) -> Result<SearchOutcome, TdtsError> {
+        batch.validate()?;
         let start = Instant::now();
         let (matches, stats) = self.tree.search(&self.store, batch.queries, batch.d);
         let wall = start.elapsed().as_secs_f64();

@@ -435,7 +435,9 @@ impl QueryService {
     /// Submit without blocking; redeem the ticket with
     /// [`SearchTicket::wait`]. Admission control applies here: beyond
     /// [`ServiceConfig::queue_capacity`] unfinished requests this returns
-    /// [`TdtsError::Overloaded`] instead of queueing.
+    /// [`TdtsError::Overloaded`] instead of queueing. A `d` that is NaN,
+    /// negative or infinite is [`TdtsError::InvalidConfig`] and is never
+    /// admitted.
     pub fn submit_nowait(
         &self,
         queries: &SegmentStore,
@@ -443,6 +445,10 @@ impl QueryService {
         deadline: Option<Instant>,
     ) -> Result<SearchTicket, TdtsError> {
         let shared = &self.shared;
+        // Before admission: a hostile threshold takes no queue slot and can
+        // never join a coalesced batch, where it would fail (or silently
+        // change the answers of) every request batched with it.
+        QueryBatch { queries, d, result_capacity: shared.config.result_capacity }.validate()?;
         if shared.shutdown.load(Ordering::SeqCst) {
             return Err(TdtsError::ShuttingDown);
         }

@@ -100,6 +100,52 @@ fn timeout_and_queue_full_are_typed_errors() {
 }
 
 #[test]
+fn hostile_d_is_refused_before_admission() {
+    let (dataset, requests) = merger_requests();
+    // One admission slot: a refused request that leaked its slot would
+    // bounce the valid request below as Overloaded.
+    let config = ServiceConfig::builder(temporal())
+        .device(DeviceConfig::test_tiny())
+        .workers(1)
+        .max_batch(16)
+        .max_delay(Duration::from_millis(1))
+        .queue_capacity(1)
+        .result_capacity(CAPACITY)
+        .build()
+        .unwrap();
+    let service = QueryService::start(&dataset, config).unwrap();
+
+    for d in [f64::NAN, -1.0, f64::INFINITY] {
+        let err = service.submit_nowait(&requests[0], d, None).unwrap_err();
+        assert!(matches!(err, TdtsError::InvalidConfig(_)), "d = {d}: got {err:?}");
+    }
+    let stats = service.stats();
+    assert_eq!(stats.requests_rejected, 0);
+    assert_eq!(stats.requests_admitted, 0);
+    assert_eq!(stats.max_queue_depth, 0);
+
+    assert!(!service.submit(&requests[0], D).unwrap().matches.is_empty());
+    service.shutdown();
+    assert_eq!(service.stats().requests_served, 1);
+}
+
+/// The same refusal end to end: the CLI must exit non-zero with the typed
+/// error's message instead of printing a match count.
+#[test]
+fn cli_search_refuses_hostile_d() {
+    for d in ["nan", "-1", "inf"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_tdts-cli"))
+            .args(["search", "--dataset", "merger", "--scale", "0.002", "--method", "temporal"])
+            .args(["--d", d])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "--d {d} exited 0");
+        assert!(stderr.contains("invalid configuration"), "--d {d}: {stderr}");
+    }
+}
+
+#[test]
 fn degradation_reroutes_batches_to_fallback() {
     let (dataset, requests) = merger_requests();
     // A one-entry scratch buffer makes every GPUSpatial batch fail with
