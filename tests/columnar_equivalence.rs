@@ -8,44 +8,11 @@
 
 use tdts::prelude::*;
 
-fn methods() -> Vec<Method> {
-    vec![
-        Method::CpuRTree(RTreeConfig::default()),
-        Method::GpuSpatial(GpuSpatialConfig {
-            fsg: FsgConfig { cells_per_dim: 10 },
-            total_scratch: 500_000,
-            compaction_threshold: 4_096,
-        }),
-        Method::GpuTemporal(TemporalIndexConfig { bins: 40 }),
-        Method::GpuBatchedTemporal(BatchedConfig {
-            index: TemporalIndexConfig { bins: 40 },
-            batch_size: 9,
-        }),
-        Method::GpuSpatioTemporal(SpatioTemporalIndexConfig {
-            bins: 40,
-            subbins: 4,
-            sort_by_selector: true,
-        }),
-    ]
-}
+mod common;
+use common::assert_byte_identical;
 
-/// Exact equality — every field of every record, bit for bit.
-fn assert_byte_identical(got: &[MatchRecord], expect: &[MatchRecord], label: &str) {
-    assert_eq!(got.len(), expect.len(), "{label}: result count");
-    for (i, (g, e)) in got.iter().zip(expect).enumerate() {
-        assert_eq!(g.query, e.query, "{label}: record {i} query");
-        assert_eq!(g.entry, e.entry, "{label}: record {i} entry");
-        assert_eq!(
-            g.interval.start.to_bits(),
-            e.interval.start.to_bits(),
-            "{label}: record {i} interval start"
-        );
-        assert_eq!(
-            g.interval.end.to_bits(),
-            e.interval.end.to_bits(),
-            "{label}: record {i} interval end"
-        );
-    }
+fn methods() -> Vec<Method> {
+    common::methods(40, 500_000, 9)
 }
 
 /// `comparisons[i][j]` is the pinned count of `methods()[j]` at

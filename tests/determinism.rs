@@ -10,6 +10,12 @@
 
 use tdts::prelude::*;
 
+mod common;
+
+fn methods() -> Vec<Method> {
+    common::methods(50, 2_000_000, 256)
+}
+
 const D: f64 = 1.5;
 const AMPLE: usize = 2_000_000;
 const SHAPES: [KernelShape; 2] = [KernelShape::ThreadPerQuery, KernelShape::WarpPerTile];
@@ -17,27 +23,6 @@ const SHAPES: [KernelShape; 2] = [KernelShape::ThreadPerQuery, KernelShape::Warp
 fn fixture() -> (PreparedDataset, SegmentStore) {
     let scenario = Scenario::new(ScenarioKind::S2Merger, 1.0 / 256.0);
     (PreparedDataset::new(scenario.dataset()), scenario.queries())
-}
-
-fn methods() -> [Method; 5] {
-    [
-        Method::CpuRTree(RTreeConfig::default()),
-        Method::GpuSpatial(GpuSpatialConfig {
-            fsg: FsgConfig { cells_per_dim: 10 },
-            total_scratch: 2_000_000,
-            compaction_threshold: 4_096,
-        }),
-        Method::GpuTemporal(TemporalIndexConfig { bins: 50 }),
-        Method::GpuBatchedTemporal(BatchedConfig {
-            index: TemporalIndexConfig { bins: 50 },
-            batch_size: 256,
-        }),
-        Method::GpuSpatioTemporal(SpatioTemporalIndexConfig {
-            bins: 50,
-            subbins: 4,
-            sort_by_selector: true,
-        }),
-    ]
 }
 
 /// One search on a device and an index nothing else has touched.

@@ -6,36 +6,8 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use tdts::prelude::*;
 
-fn arb_store(max_trajs: usize, max_segs_per: usize) -> impl Strategy<Value = SegmentStore> {
-    proptest::collection::vec(
-        (
-            proptest::collection::vec(
-                (-30.0f64..30.0, -30.0f64..30.0, -30.0f64..30.0),
-                2..=max_segs_per + 1,
-            ),
-            0.0f64..8.0,
-        ),
-        1..=max_trajs,
-    )
-    .prop_map(|trajs| {
-        let mut store = SegmentStore::new();
-        let mut seg = 0u32;
-        for (ti, (points, t0)) in trajs.into_iter().enumerate() {
-            for (i, w) in points.windows(2).enumerate() {
-                store.push(Segment::new(
-                    Point3::new(w[0].0, w[0].1, w[0].2),
-                    Point3::new(w[1].0, w[1].1, w[1].2),
-                    t0 + i as f64,
-                    t0 + i as f64 + 1.0,
-                    SegId(seg),
-                    TrajId(ti as u32),
-                ));
-                seg += 1;
-            }
-        }
-        store
-    })
-}
+mod common;
+use common::arb_store;
 
 fn device() -> Arc<Device> {
     Device::new(DeviceConfig::tesla_c2075()).unwrap()

@@ -11,24 +11,8 @@
 use proptest::prelude::*;
 use tdts::prelude::*;
 
-/// Exact equality — every field of every record, bit for bit.
-fn assert_byte_identical(got: &[MatchRecord], expect: &[MatchRecord], label: &str) {
-    assert_eq!(got.len(), expect.len(), "{label}: result count");
-    for (i, (g, e)) in got.iter().zip(expect).enumerate() {
-        assert_eq!(g.query, e.query, "{label}: record {i} query");
-        assert_eq!(g.entry, e.entry, "{label}: record {i} entry");
-        assert_eq!(
-            g.interval.start.to_bits(),
-            e.interval.start.to_bits(),
-            "{label}: record {i} interval start"
-        );
-        assert_eq!(
-            g.interval.end.to_bits(),
-            e.interval.end.to_bits(),
-            "{label}: record {i} interval end"
-        );
-    }
-}
+mod common;
+use common::{arb_store, assert_byte_identical};
 
 fn sharded(
     dataset: &PreparedDataset,
@@ -159,37 +143,6 @@ fn whole_span_queries_probe_every_shard() {
     assert_eq!(r_report.routing.shard_queries_skipped, 0);
     assert_eq!(r_report.routing.shards_probed, shards as u64);
     assert_eq!(r_report.routing.shard_queries_routed, (queries.len() * shards) as u64);
-}
-
-fn arb_store(max_trajs: usize, max_segs_per: usize) -> impl Strategy<Value = SegmentStore> {
-    proptest::collection::vec(
-        (
-            proptest::collection::vec(
-                (-30.0f64..30.0, -30.0f64..30.0, -30.0f64..30.0),
-                2..=max_segs_per + 1,
-            ),
-            0.0f64..8.0,
-        ),
-        1..=max_trajs,
-    )
-    .prop_map(|trajs| {
-        let mut store = SegmentStore::new();
-        let mut seg = 0u32;
-        for (ti, (points, t0)) in trajs.into_iter().enumerate() {
-            for (i, w) in points.windows(2).enumerate() {
-                store.push(Segment::new(
-                    Point3::new(w[0].0, w[0].1, w[0].2),
-                    Point3::new(w[1].0, w[1].1, w[1].2),
-                    t0 + i as f64,
-                    t0 + i as f64 + 1.0,
-                    SegId(seg),
-                    TrajId(ti as u32),
-                ));
-                seg += 1;
-            }
-        }
-        store
-    })
 }
 
 proptest! {

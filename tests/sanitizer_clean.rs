@@ -14,6 +14,12 @@ use std::sync::Arc;
 use std::time::Instant;
 use tdts::prelude::*;
 
+mod common;
+
+fn methods() -> Vec<Method> {
+    common::methods(50, 2_000_000, 64)
+}
+
 const SCALE: f64 = 1.0 / 256.0;
 
 /// The mode the clean matrix runs under: `TDTS_SANITIZER` when set, else
@@ -29,27 +35,6 @@ fn device_with(shape: KernelShape, mode: SanitizerMode) -> Arc<Device> {
     let config =
         DeviceConfig { kernel_shape: shape, sanitizer: mode, ..DeviceConfig::tesla_c2075() };
     Device::new(config).unwrap()
-}
-
-fn methods() -> Vec<Method> {
-    vec![
-        Method::CpuRTree(RTreeConfig::default()),
-        Method::GpuSpatial(GpuSpatialConfig {
-            fsg: FsgConfig { cells_per_dim: 10 },
-            total_scratch: 2_000_000,
-            compaction_threshold: 4_096,
-        }),
-        Method::GpuTemporal(TemporalIndexConfig { bins: 50 }),
-        Method::GpuBatchedTemporal(BatchedConfig {
-            index: TemporalIndexConfig { bins: 50 },
-            batch_size: 64,
-        }),
-        Method::GpuSpatioTemporal(SpatioTemporalIndexConfig {
-            bins: 50,
-            subbins: 4,
-            sort_by_selector: true,
-        }),
-    ]
 }
 
 fn run_clean_matrix(kind: ScenarioKind, result_capacity: usize) {

@@ -10,50 +10,17 @@
 use proptest::prelude::*;
 use tdts::prelude::*;
 
+mod common;
+use common::{arb_store, assert_byte_identical};
+
 fn methods() -> Vec<Method> {
-    vec![
-        Method::CpuRTree(RTreeConfig::default()),
-        Method::GpuSpatial(GpuSpatialConfig {
-            fsg: FsgConfig { cells_per_dim: 10 },
-            total_scratch: 500_000,
-            compaction_threshold: 4_096,
-        }),
-        Method::GpuTemporal(TemporalIndexConfig { bins: 40 }),
-        Method::GpuBatchedTemporal(BatchedConfig {
-            index: TemporalIndexConfig { bins: 40 },
-            batch_size: 9,
-        }),
-        Method::GpuSpatioTemporal(SpatioTemporalIndexConfig {
-            bins: 40,
-            subbins: 4,
-            sort_by_selector: true,
-        }),
-    ]
+    common::methods(40, 500_000, 9)
 }
 
 fn device_config(shape: KernelShape) -> DeviceConfig {
     let mut config = DeviceConfig::tesla_c2075();
     config.kernel_shape = shape;
     config
-}
-
-/// Exact equality — every field of every record, bit for bit.
-fn assert_byte_identical(got: &[MatchRecord], expect: &[MatchRecord], label: &str) {
-    assert_eq!(got.len(), expect.len(), "{label}: result count");
-    for (i, (g, e)) in got.iter().zip(expect).enumerate() {
-        assert_eq!(g.query, e.query, "{label}: record {i} query");
-        assert_eq!(g.entry, e.entry, "{label}: record {i} entry");
-        assert_eq!(
-            g.interval.start.to_bits(),
-            e.interval.start.to_bits(),
-            "{label}: record {i} interval start"
-        );
-        assert_eq!(
-            g.interval.end.to_bits(),
-            e.interval.end.to_bits(),
-            "{label}: record {i} interval end"
-        );
-    }
 }
 
 fn check_scenario(store: SegmentStore, queries: SegmentStore, distances: &[f64], label: &str) {
@@ -204,37 +171,6 @@ fn boundary_straddling_segment_dedups_to_one_record() {
     // The straddler reported from both shards; exactly one replica dropped.
     assert_eq!(report.raw_matches, 4, "replicated entry must match in both shards");
     assert_eq!(report.matches, 3);
-}
-
-fn arb_store(max_trajs: usize, max_segs_per: usize) -> impl Strategy<Value = SegmentStore> {
-    proptest::collection::vec(
-        (
-            proptest::collection::vec(
-                (-30.0f64..30.0, -30.0f64..30.0, -30.0f64..30.0),
-                2..=max_segs_per + 1,
-            ),
-            0.0f64..8.0,
-        ),
-        1..=max_trajs,
-    )
-    .prop_map(|trajs| {
-        let mut store = SegmentStore::new();
-        let mut seg = 0u32;
-        for (ti, (points, t0)) in trajs.into_iter().enumerate() {
-            for (i, w) in points.windows(2).enumerate() {
-                store.push(Segment::new(
-                    Point3::new(w[0].0, w[0].1, w[0].2),
-                    Point3::new(w[1].0, w[1].1, w[1].2),
-                    t0 + i as f64,
-                    t0 + i as f64 + 1.0,
-                    SegId(seg),
-                    TrajId(ti as u32),
-                ));
-                seg += 1;
-            }
-        }
-        store
-    })
 }
 
 proptest! {
