@@ -6,4 +6,4 @@
 
 pub mod harness;
 
-pub use harness::{Measurement, RunConfig, Runner};
+pub use harness::{names, run, select, Cell, Ran, RunConfig, Target, TARGETS};
