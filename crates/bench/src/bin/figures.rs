@@ -1,4 +1,4 @@
-//! Regenerate the paper's tables and figures: one target per entry of
+//! Regenerate the paper's tables and figures: one target per name in
 //! `tdts_bench::TARGETS`. Run without arguments for the options.
 //!
 //! ```sh

@@ -17,7 +17,7 @@ use tdts_core::{
 use tdts_data::scenario::ScenarioParams;
 use tdts_data::{GaussianClusterConfig, MergerConfig, Scenario, ScenarioKind};
 use tdts_geom::{MatchRecord, SegmentStore, SlabMode, StoreStats};
-use tdts_gpu_sim::{Device, DeviceConfig, KernelShape, Phase, SearchReport};
+use tdts_gpu_sim::{Device, DeviceConfig, KernelShape, SearchReport};
 use tdts_index_spatial::{FsgConfig, GpuSpatialConfig};
 use tdts_index_spatiotemporal::SpatioTemporalIndexConfig;
 use tdts_index_temporal::{BatchedConfig, GpuTemporalSearch, TemporalIndexConfig};
@@ -73,10 +73,10 @@ pub struct Target {
     close: Option<Close>,
 }
 
-/// From a table's measured cells (`[d][arm]`): its closing line, or why its
-/// scale-calibrated shape check failed. A check reads counters and the
-/// simulated clock only — `response_seconds()` includes measured host wall
-/// time, which no assertion may depend on.
+/// From a table's measured cells (`[d][arm]`): its closing line (none when
+/// empty), or why its scale-calibrated shape check failed. A check reads
+/// counters and the simulated clock only — `response_seconds()` includes
+/// measured host wall time, which no assertion may depend on.
 type Close = fn(&[Vec<Cell>]) -> Result<String, String>;
 
 /// The target names, in `all` order.
@@ -89,12 +89,11 @@ pub fn names() -> Vec<&'static str> {
 /// The targets a `figures` argument selects: the one it names, or every one
 /// for `all`.
 pub fn select(arg: &str) -> Option<Vec<&'static str>> {
-    let one = |name: &&str| *name == arg;
+    let names = names();
     if arg == "all" {
-        Some(names())
-    } else {
-        names().into_iter().find(one).map(|name| vec![name])
+        return Some(names);
     }
+    names.into_iter().find(|name| *name == arg).map(|name| vec![name])
 }
 
 /// The dataset and query set a table (or one arm) runs on.
@@ -191,9 +190,17 @@ type BuildFn = dyn Fn(&Prepared, Arc<Device>) -> Result<Box<dyn TrajectoryIndex>
 
 impl Arm {
     fn new(label: impl ToString, method: Method) -> Arm {
-        let label = label.to_string();
-        let (device, sharding, data, base, capacity, build) = (None, None, None, None, None, None);
-        Arm { label, method, device, sharding, data, base, capacity, build, hidden: false }
+        Arm {
+            label: label.to_string(),
+            method,
+            device: None,
+            sharding: None,
+            data: None,
+            base: None,
+            capacity: None,
+            build: None,
+            hidden: false,
+        }
     }
 
     fn vs(self, base: usize) -> Arm {
@@ -214,8 +221,6 @@ pub struct Cell {
     pub method: &'static str,
     pub d: f64,
     pub report: SearchReport,
-    /// Result records after dedup.
-    pub matches: usize,
     /// Result-buffer capacity the search ran with.
     pub capacity: usize,
     /// |D| of the dataset the arm searched.
@@ -403,16 +408,14 @@ fn measure(cfg: &RunConfig, table: &Target, p: &Prepared) -> Result<Vec<Vec<Cell
                 let detail = detail.unwrap_or_default();
                 return Err(format!("{who}: sanitizer found defects\n{detail}"));
             }
-            let got = (matches.len(), digest(&matches));
-            match reference[di] {
-                _ if !cfg.verify || own.is_some() => {}
-                None => reference[di] = Some(got),
-                Some(first) if first != got => {
+            if cfg.verify && own.is_none() {
+                let got = (matches.len(), digest(&matches));
+                let first = *reference[di].get_or_insert(got);
+                if first != got {
                     let (n, first) = (got.0, first.0);
                     let first = format!("the {first} the table's first arm found");
                     return Err(format!("{who}: {n} records differ from {first}"));
                 }
-                Some(_) => {}
             }
             // Every trial drops the same (deterministic) duplicates.
             let duplicates_dropped = (dropped() - dropped_before) / cfg.trials.max(1) as u64;
@@ -421,7 +424,6 @@ fn measure(cfg: &RunConfig, table: &Target, p: &Prepared) -> Result<Vec<Vec<Cell
                 method: arm.method.name(),
                 d,
                 report,
-                matches: matches.len(),
                 capacity,
                 entries: p.store.len(),
                 shards: built.sharded.as_ref().map_or(1, |s| s.requested_shards()),
@@ -752,9 +754,8 @@ pub const TARGETS: &[Target] = &[
             response_of("CPU-RTree", 0),
             response_of("GPUSpatial", 1),
             Col("GPUSpatial-opt", 16, |r| {
-                let (response, launch) = (&r.cells[1].report.response, Phase::KernelLaunch);
-                let relaunches = response.get(launch) - r.cfg.device.kernel_launch_overhead;
-                secs(response.total() - relaunches)
+                let one_launch = r.cfg.device.kernel_launch_overhead;
+                secs(r.cells[1].report.response.total_discounting_launches() + one_launch)
             }),
             response_of("GPUTemporal", 2),
             response_of("GPUSpTemporal", 3),
@@ -836,7 +837,8 @@ pub const TARGETS: &[Target] = &[
         title: "T-E — result-buffer ablation (S3 Random-dense, d = 0.09)",
         data: Data::Paper(S3),
         arms: |p, _| {
-            let quarter = |large: usize, base: &Cell| (base.matches / 4).max(2).min(large);
+            let quarter =
+                |large: usize, base: &Cell| (base.report.matches as usize / 4).max(2).min(large);
             let small = Arm::new("small", paper_spatiotemporal(p)).vs(1);
             let large = Arm::new("large", paper_spatiotemporal(p));
             vec![Arm { capacity: Some(quarter), ..small }, large]
