@@ -194,10 +194,6 @@ struct ShardMember {
     to_global: Arc<Vec<u32>>,
     entries: usize,
     replicated: usize,
-    /// The shard's device; kept so callers can reach sanitizer state, and
-    /// so the member provably owns its ledger (no cross-shard interleaving).
-    #[allow(dead_code)]
-    device: Option<Arc<Device>>,
 }
 
 /// Cumulative per-shard work, accumulated across searches.
@@ -250,32 +246,6 @@ pub struct ShardStats {
     /// Searches re-run at full result capacity after this shard's routed
     /// budget share proved too small.
     pub budget_redos: u64,
-}
-
-impl ShardStats {
-    /// Fold another snapshot of the *same* slab into this one (used when a
-    /// service aggregates the shards of several worker replicas).
-    ///
-    /// Work and routing counters sum; the slab geometry (`slab_lo`,
-    /// `slab_hi`, `entries`, `replicated`) describes the shard itself and
-    /// must agree between the two snapshots — replicas of one shard share
-    /// one plan, whether its slabs are uniform or balanced. The `debug_assert`s
-    /// pin that invariant instead of assuming a constant slab width.
-    pub fn absorb(&mut self, other: &ShardStats) {
-        debug_assert_eq!(self.shard, other.shard, "absorb requires matching slabs");
-        debug_assert!(
-            self.slab_lo.to_bits() == other.slab_lo.to_bits()
-                && self.slab_hi.to_bits() == other.slab_hi.to_bits(),
-            "absorb requires replicas of one plan (slab extents differ)"
-        );
-        self.searches += other.searches;
-        self.response_seconds += other.response_seconds;
-        self.comparisons += other.comparisons;
-        self.raw_matches += other.raw_matches;
-        self.queries_routed += other.queries_routed;
-        self.queries_skipped += other.queries_skipped;
-        self.budget_redos += other.budget_redos;
-    }
 }
 
 /// A [`TrajectoryIndex`] that runs any inner [`Method`] partitioned across
@@ -355,20 +325,19 @@ impl ShardedIndex {
         );
         let mut members = Vec::with_capacity(sharded.slices.len());
         for slice in &sharded.slices {
-            // One device per shard: a device's response-time ledger is
-            // shared mutable state, so shards searching concurrently must
-            // not share one.
+            // One device per shard: the slab is resident in that device's
+            // memory, and the merged response time models N devices
+            // answering side by side.
             let device = Device::new(device_config.clone()).map_err(TdtsError::InvalidConfig)?;
             let shard_stats =
                 slice.store.stats().expect("partition slices are non-empty by construction");
-            let index = method.build_index(&slice.store, &shard_stats, Arc::clone(&device))?;
+            let index = method.build_index(&slice.store, &shard_stats, device)?;
             members.push(ShardMember {
                 slab: slice.slab,
                 index,
                 to_global: Arc::clone(&slice.to_global),
                 entries: slice.store.len(),
                 replicated: slice.replicated,
-                device: Some(device),
             });
         }
         if members.is_empty() {

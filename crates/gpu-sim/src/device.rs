@@ -1,5 +1,5 @@
 //! The simulated device: memory accounting, transfers, and the response-time
-//! ledger.
+//! ledger of one search.
 
 use crate::config::DeviceConfig;
 use crate::launch::{run_launch, run_launch_persistent, run_launch_warps, LaunchReport, Warp};
@@ -12,12 +12,60 @@ use crate::workqueue::{Tile, WorkQueue};
 use crate::Lane;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar};
 
-/// A simulated GPU.
+/// What every handle on one simulated GPU shares: the configuration, the
+/// global-memory accounting and the sanitizer.
+#[derive(Debug)]
+pub(crate) struct DeviceCore {
+    config: DeviceConfig,
+    mem_used: AtomicUsize,
+    /// Shadow-state sanitizer; `None` under [`SanitizerMode::Off`], so the
+    /// disabled mode allocates nothing and the hot paths skip one pointer
+    /// check at most.
+    pub(crate) sanitizer: Option<Arc<Sanitizer>>,
+    /// True while a [`Device::for_search`] handle is live on a sanitized
+    /// device. The sanitizer keeps one device-wide "current launch" and one
+    /// charged-vs-drained transfer balance, so — like `compute-sanitizer`
+    /// serialising kernels — such a device admits one search at a time.
+    /// (A `std` mutex, unlike the ledger's: the condvar needs its guard.)
+    searching: std::sync::Mutex<bool>,
+    search_done: Condvar,
+}
+
+impl DeviceCore {
+    pub(crate) fn reserve(&self, bytes: usize) -> Result<(), OutOfDeviceMemory> {
+        let mut used = self.mem_used.load(Ordering::Relaxed);
+        loop {
+            let available = self.config.global_mem_bytes.saturating_sub(used);
+            if bytes > available {
+                return Err(OutOfDeviceMemory { requested: bytes, available });
+            }
+            match self.mem_used.compare_exchange_weak(
+                used,
+                used + bytes,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return Ok(()),
+                Err(actual) => used = actual,
+            }
+        }
+    }
+
+    pub(crate) fn release(&self, bytes: usize) {
+        self.mem_used.fetch_sub(bytes, Ordering::Relaxed);
+    }
+}
+
+/// A handle on a simulated GPU.
 ///
-/// All allocation, transfer, and launch operations go through the device,
-/// which keeps simulated-memory accounting and the [`ResponseTime`] ledger.
+/// All allocation, transfer, and launch operations go through a handle.
+/// Handles on one GPU share its configuration, simulated-memory accounting
+/// and sanitizer; each handle keeps a [`ResponseTime`] ledger of its own. A
+/// search opens with [`Device::for_search`] and charges only the handle it
+/// gets back, so any number of searches can run on one device — and over
+/// the buffers resident on it — without seeing each other's charges.
 ///
 /// ```
 /// use tdts_gpu_sim::{Device, DeviceConfig};
@@ -46,13 +94,10 @@ use std::sync::Arc;
 ///   [`Device::launch`], [`Device::charge_host`]) — everything between query
 ///   arrival and the final result set; each records its simulated duration.
 pub struct Device {
-    config: DeviceConfig,
-    mem_used: AtomicUsize,
+    pub(crate) core: Arc<DeviceCore>,
     ledger: Mutex<ResponseTime>,
-    /// Shadow-state sanitizer; `None` under [`SanitizerMode::Off`], so the
-    /// disabled mode allocates nothing and the hot paths skip one pointer
-    /// check at most.
-    sanitizer: Option<Arc<Sanitizer>>,
+    /// Whether this handle holds the core's one-search-at-a-time gate.
+    gated: bool,
 }
 
 impl Device {
@@ -61,33 +106,52 @@ impl Device {
         config.validate()?;
         let sanitizer =
             (!config.sanitizer.is_off()).then(|| Arc::new(Sanitizer::new(config.sanitizer)));
-        Ok(Arc::new(Device {
+        let core = Arc::new(DeviceCore {
             config,
             mem_used: AtomicUsize::new(0),
-            ledger: Mutex::new(ResponseTime::new()),
             sanitizer,
-        }))
+            searching: std::sync::Mutex::new(false),
+            search_done: Condvar::new(),
+        });
+        Ok(Arc::new(Device { core, ledger: Mutex::new(ResponseTime::new()), gated: false }))
+    }
+
+    /// A handle on the same device with a zeroed ledger of its own: what a
+    /// search charges, so its report covers exactly that search whatever
+    /// else runs on the device. On a sanitized device this blocks until the
+    /// previous search's handle is dropped (see `DeviceCore::searching`), so
+    /// a search must not open a second handle on the device it is searching.
+    pub fn for_search(&self) -> Arc<Device> {
+        let gated = self.core.sanitizer.is_some();
+        if gated {
+            let mut searching = self.core.searching.lock().unwrap_or_else(|e| e.into_inner());
+            while *searching {
+                searching =
+                    self.core.search_done.wait(searching).unwrap_or_else(|e| e.into_inner());
+            }
+            *searching = true;
+        }
+        Arc::new(Device {
+            core: Arc::clone(&self.core),
+            ledger: Mutex::new(ResponseTime::new()),
+            gated,
+        })
     }
 
     /// The device configuration.
     pub fn config(&self) -> &DeviceConfig {
-        &self.config
-    }
-
-    /// The shadow-state sanitizer, when one is active.
-    pub(crate) fn sanitizer_ref(&self) -> Option<&Arc<Sanitizer>> {
-        self.sanitizer.as_ref()
+        &self.core.config
     }
 
     /// The sanitizer mode this device runs under.
     pub fn sanitizer_mode(&self) -> SanitizerMode {
-        self.config.sanitizer
+        self.core.config.sanitizer
     }
 
     /// Snapshot of everything the sanitizer observed so far. Reports an
     /// empty clean report under [`SanitizerMode::Off`].
     pub fn sanitizer_report(&self) -> SanitizerReport {
-        match &self.sanitizer {
+        match &self.core.sanitizer {
             Some(san) => san.report(),
             None => SanitizerReport {
                 mode: SanitizerMode::Off,
@@ -106,7 +170,7 @@ impl Device {
     /// and store the delta on `SearchReport::sanitizer_findings`, so merged
     /// reports sum correctly.
     pub fn sanitizer_checkpoint(&self) -> u64 {
-        self.sanitizer.as_ref().map_or(0, |san| san.checkpoint())
+        self.core.sanitizer.as_ref().map_or(0, |san| san.checkpoint())
     }
 
     /// Panic with the full diagnostic listing if the sanitizer recorded any
@@ -118,35 +182,12 @@ impl Device {
 
     /// Bytes of simulated global memory currently allocated.
     pub fn mem_used(&self) -> usize {
-        self.mem_used.load(Ordering::Relaxed)
+        self.core.mem_used.load(Ordering::Relaxed)
     }
 
     /// Bytes of simulated global memory still free.
     pub fn mem_available(&self) -> usize {
-        self.config.global_mem_bytes - self.mem_used()
-    }
-
-    pub(crate) fn reserve(&self, bytes: usize) -> Result<(), OutOfDeviceMemory> {
-        let mut used = self.mem_used.load(Ordering::Relaxed);
-        loop {
-            let available = self.config.global_mem_bytes.saturating_sub(used);
-            if bytes > available {
-                return Err(OutOfDeviceMemory { requested: bytes, available });
-            }
-            match self.mem_used.compare_exchange_weak(
-                used,
-                used + bytes,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return Ok(()),
-                Err(actual) => used = actual,
-            }
-        }
-    }
-
-    pub(crate) fn release(&self, bytes: usize) {
-        self.mem_used.fetch_sub(bytes, Ordering::Relaxed);
+        self.core.config.global_mem_bytes - self.mem_used()
     }
 
     /// Allocate a read-only device buffer *offline* (no ledger entry).
@@ -171,7 +212,7 @@ impl Device {
         let bytes = data.len() * std::mem::size_of::<T>();
         {
             let mut ledger = self.ledger.lock();
-            ledger.add(Phase::HostToDevice, self.config.h2d_seconds(bytes));
+            ledger.add(Phase::HostToDevice, self.core.config.h2d_seconds(bytes));
             ledger.h2d_bytes += bytes as u64;
         }
         self.alloc_from_host(data)
@@ -202,7 +243,7 @@ impl Device {
         let bytes: usize = columns.iter().map(|c| std::mem::size_of_val(*c)).sum();
         {
             let mut ledger = self.ledger.lock();
-            ledger.add(Phase::HostToDevice, self.config.h2d_seconds(bytes));
+            ledger.add(Phase::HostToDevice, self.core.config.h2d_seconds(bytes));
             ledger.h2d_bytes += bytes as u64;
         }
         self.alloc_columns(columns)
@@ -217,7 +258,7 @@ impl Device {
         let bytes = capacity * std::mem::size_of::<T>();
         let reservation =
             Reservation::new(self, bytes, "ResultBuffer", short_type_name::<T>(), capacity)?;
-        Ok(ResultBuffer::with_capacity(capacity, self.config.warp_stash_capacity, reservation))
+        Ok(ResultBuffer::with_capacity(capacity, self.core.config.warp_stash_capacity, reservation))
     }
 
     /// Allocate a scatter buffer (offline): kernels write at explicit,
@@ -261,7 +302,8 @@ impl Device {
     where
         K: Fn(&mut Lane) + Sync,
     {
-        let report = run_launch(&self.config, self.sanitizer.as_deref(), threads, &kernel);
+        let report =
+            run_launch(&self.core.config, self.core.sanitizer.as_deref(), threads, &kernel);
         self.charge_launch(&report);
         report
     }
@@ -293,8 +335,8 @@ impl Device {
         B: Fn(&mut Warp) -> S + Sync,
         E: Fn(&mut Warp, S) + Sync,
     {
-        let san = self.sanitizer.as_deref();
-        let report = run_launch_warps(&self.config, san, threads, &body, &epilogue);
+        let san = self.core.sanitizer.as_deref();
+        let report = run_launch_warps(&self.core.config, san, threads, &body, &epilogue);
         self.charge_launch(&report);
         report
     }
@@ -305,7 +347,7 @@ impl Device {
         self: &Arc<Self>,
         mut tiles: Vec<Tile>,
     ) -> Result<WorkQueue, OutOfDeviceMemory> {
-        if let Some(san) = &self.sanitizer {
+        if let Some(san) = &self.core.sanitizer {
             crate::workqueue::validate_tiles(san, &mut tiles);
         }
         Ok(WorkQueue::new(self.upload(tiles)?))
@@ -336,8 +378,8 @@ impl Device {
         B: Fn(&mut Warp, Tile) -> S + Sync,
         E: Fn(&mut Warp, S) + Sync,
     {
-        let san = self.sanitizer.as_deref();
-        let report = run_launch_persistent(&self.config, san, queue, &body, &epilogue);
+        let san = self.core.sanitizer.as_deref();
+        let report = run_launch_persistent(&self.core.config, san, queue, &body, &epilogue);
         self.charge_launch(&report);
         report
     }
@@ -354,10 +396,10 @@ impl Device {
     pub fn charge_download(&self, bytes: usize) {
         {
             let mut ledger = self.ledger.lock();
-            ledger.add(Phase::DeviceToHost, self.config.d2h_seconds(bytes));
+            ledger.add(Phase::DeviceToHost, self.core.config.d2h_seconds(bytes));
             ledger.d2h_bytes += bytes as u64;
         }
-        if let Some(san) = &self.sanitizer {
+        if let Some(san) = &self.core.sanitizer {
             san.note_d2h_charged(bytes as u64);
         }
     }
@@ -369,21 +411,25 @@ impl Device {
         self.ledger.lock().add(Phase::HostCompute, seconds);
     }
 
-    /// Snapshot of the response-time ledger.
+    /// Snapshot of this handle's response-time ledger.
     pub fn ledger(&self) -> ResponseTime {
         *self.ledger.lock()
     }
+}
 
-    /// Reset the ledger (start of a new timed search).
-    pub fn reset_ledger(&self) {
-        *self.ledger.lock() = ResponseTime::new();
+impl Drop for Device {
+    fn drop(&mut self) {
+        if self.gated {
+            *self.core.searching.lock().unwrap_or_else(|e| e.into_inner()) = false;
+            self.core.search_done.notify_one();
+        }
     }
 }
 
 impl std::fmt::Debug for Device {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Device")
-            .field("config", &self.config.name)
+            .field("config", &self.core.config.name)
             .field("mem_used", &self.mem_used())
             .finish()
     }
@@ -440,8 +486,46 @@ mod tests {
         let l = dev.ledger();
         assert!((l.get(Phase::DeviceToHost) - 0.501).abs() < 1e-9);
         assert_eq!(l.get(Phase::HostCompute), 0.25);
-        dev.reset_ledger();
+    }
+
+    #[test]
+    fn search_handles_charge_disjoint_ledgers_on_one_device() {
+        let mut config = DeviceConfig::test_tiny();
+        config.sanitizer = SanitizerMode::Off;
+        let dev = Device::new(config).unwrap();
+        let (a, b) = (dev.for_search(), dev.for_search());
+        a.charge_download(500_000);
+        b.charge_host(0.25);
+        let _buf = a.upload(vec![0u8; 1000]).unwrap();
+        assert!((a.ledger().get(Phase::DeviceToHost) - 0.501).abs() < 1e-9);
+        assert_eq!(a.ledger().get(Phase::HostCompute), 0.0);
+        assert_eq!(b.ledger().total(), 0.25);
         assert_eq!(dev.ledger().total(), 0.0);
+        // Memory accounting is the device's, whichever handle allocated.
+        assert_eq!((dev.mem_used(), a.mem_used(), b.mem_used()), (1000, 1000, 1000));
+    }
+
+    #[test]
+    fn sanitized_device_admits_one_search_at_a_time_and_shares_its_report() {
+        let mut config = DeviceConfig::test_tiny();
+        config.sanitizer = SanitizerMode::Full;
+        let dev = Device::new(config).unwrap();
+        let first = dev.for_search();
+        first.launch(8, |lane| lane.instr(1));
+        let (entered, entered_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let second = dev.for_search();
+                entered.send(()).unwrap();
+                second.launch(8, |lane| lane.instr(1));
+            });
+            // The second search cannot enter while the first handle lives.
+            assert!(entered_rx.recv_timeout(std::time::Duration::from_millis(50)).is_err());
+            drop(first);
+            entered_rx.recv().unwrap();
+        });
+        assert_eq!(dev.sanitizer_report().launches, 2);
+        dev.assert_sanitizer_clean();
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! per record (§III).
 
 use crate::counters::Lane;
-use crate::device::Device;
+use crate::device::{Device, DeviceCore};
 use crate::launch::{Warp, MAX_WARP_LANES};
 use crate::sanitizer::{Origin, ShadowRef};
 use parking_lot::{Mutex, MutexGuard};
@@ -46,7 +46,9 @@ impl std::error::Error for OutOfDeviceMemory {}
 /// releases them when dropped.
 #[derive(Debug)]
 pub(crate) struct Reservation {
-    device: Arc<Device>,
+    /// The device's shared core, not a handle: a buffer outlives the search
+    /// handle it was allocated through.
+    device: Arc<DeviceCore>,
     bytes: usize,
     /// Sanitizer registration; `None` when the device runs without one.
     shadow: Option<ShadowRef>,
@@ -60,9 +62,10 @@ impl Reservation {
         ty: &'static str,
         len: usize,
     ) -> Result<Self, OutOfDeviceMemory> {
+        let device = Arc::clone(&device.core);
         device.reserve(bytes)?;
-        let shadow = device.sanitizer_ref().map(|san| ShadowRef::new(san, kind, ty, len));
-        Ok(Reservation { device: Arc::clone(device), bytes, shadow })
+        let shadow = device.sanitizer.as_ref().map(|san| ShadowRef::new(san, kind, ty, len));
+        Ok(Reservation { device, bytes, shadow })
     }
 
     /// The shadow-state handle, when a sanitizer is active.

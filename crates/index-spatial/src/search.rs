@@ -247,73 +247,60 @@ impl GpuSpatialSearch {
         result_capacity: usize,
     ) -> Result<(Vec<MatchRecord>, SearchReport), SearchError> {
         let wall_start = Instant::now();
-        self.device.reset_ledger();
+        let device = self.device.for_search();
         let mut report = SearchReport::default();
 
         if queries.is_empty() {
-            report.response = self.device.ledger();
+            report.response = device.ledger();
             report.wall_seconds = wall_start.elapsed().as_secs_f64();
             return Ok((Vec::new(), report));
         }
 
         // Online transfer: the query set.
-        let dev_queries = DeviceSegments::upload(&self.device, queries.segments())?;
-        let (matches, comparisons) =
-            if self.device.config().kernel_shape == KernelShape::WarpPerTile {
-                // Host getCandidates scheduling, computed once and reused
-                // across redo rounds (d is fixed for the whole search).
-                let host_start = Instant::now();
-                let ranges: Vec<Vec<([u32; 2], u32)>> = queries
-                    .segments()
-                    .par_iter()
-                    .map(|q| {
-                        let search_box = q.mbb().inflate(d);
-                        let mut rs = Vec::new();
-                        if !self.fsg.outside(&search_box) {
-                            for (x, y, z) in self.fsg.rasterise(&search_box).iter() {
-                                let h = self.fsg.linear(x, y, z);
-                                if let Some(ci) = self.fsg.find_cell(h) {
-                                    let r = self.fsg.cell_ranges[ci];
-                                    if r[0] < r[1] {
-                                        rs.push((r, TAG_BASE));
-                                    }
+        let dev_queries = DeviceSegments::upload(&device, queries.segments())?;
+        let (matches, comparisons) = if device.config().kernel_shape == KernelShape::WarpPerTile {
+            // Host getCandidates scheduling, computed once and reused
+            // across redo rounds (d is fixed for the whole search).
+            let host_start = Instant::now();
+            let ranges: Vec<Vec<([u32; 2], u32)>> = queries
+                .segments()
+                .par_iter()
+                .map(|q| {
+                    let search_box = q.mbb().inflate(d);
+                    let mut rs = Vec::new();
+                    if !self.fsg.outside(&search_box) {
+                        for (x, y, z) in self.fsg.rasterise(&search_box).iter() {
+                            let h = self.fsg.linear(x, y, z);
+                            if let Some(ci) = self.fsg.find_cell(h) {
+                                let r = self.fsg.cell_ranges[ci];
+                                if r[0] < r[1] {
+                                    rs.push((r, TAG_BASE));
                                 }
-                                if let Some(ci) = self.fsg.find_delta_cell(h) {
-                                    let r = self.fsg.delta_cell_ranges[ci];
-                                    if r[0] < r[1] {
-                                        rs.push((r, TAG_DELTA));
-                                    }
+                            }
+                            if let Some(ci) = self.fsg.find_delta_cell(h) {
+                                let r = self.fsg.delta_cell_ranges[ci];
+                                if r[0] < r[1] {
+                                    rs.push((r, TAG_DELTA));
                                 }
                             }
                         }
-                        rs
-                    })
-                    .collect();
-                self.device.charge_host(host_start.elapsed().as_secs_f64());
+                    }
+                    rs
+                })
+                .collect();
+            device.charge_host(host_start.elapsed().as_secs_f64());
 
-                let generator =
-                    SpatialTiles { search: self, queries: &dev_queries, ranges: &ranges, d };
-                run_warp_per_tile(
-                    &self.device,
-                    &generator,
-                    queries.len(),
-                    result_capacity,
-                    &mut report,
-                )?
-            } else {
-                let generator = SpatialThreads { search: self, queries: &dev_queries, d };
-                run_thread_per_query(
-                    &self.device,
-                    &generator,
-                    queries.len(),
-                    result_capacity,
-                    &mut report,
-                )?
-            };
+            let generator =
+                SpatialTiles { search: self, queries: &dev_queries, ranges: &ranges, d };
+            run_warp_per_tile(&device, &generator, queries.len(), result_capacity, &mut report)?
+        } else {
+            let generator = SpatialThreads { search: self, queries: &dev_queries, d };
+            run_thread_per_query(&device, &generator, queries.len(), result_capacity, &mut report)?
+        };
 
         // No query sorting → no unpermute; the host dedup collapses pairs an
         // entry rasterised into several cells reported more than once.
-        Ok(finish_search(&self.device, matches, None, comparisons, report, wall_start))
+        Ok(finish_search(&device, matches, None, comparisons, report, wall_start))
     }
 }
 

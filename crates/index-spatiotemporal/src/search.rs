@@ -155,7 +155,7 @@ impl GpuSpatioTemporalSearch {
         result_capacity: usize,
     ) -> Result<(Vec<MatchRecord>, SearchReport), SearchError> {
         let wall_start = Instant::now();
-        self.device.reset_ledger();
+        let device = self.device.for_search();
         let mut report = SearchReport::default();
 
         // Host: sort Q, compute the schedule, and order query execution by
@@ -171,7 +171,7 @@ impl GpuSpatioTemporalSearch {
             }
             schedule.push(entry.encode());
         }
-        let wpt = self.device.config().kernel_shape == KernelShape::WarpPerTile;
+        let wpt = device.config().kernel_shape == KernelShape::WarpPerTile;
         let mut exec_order: Vec<u32> = (0..sorted.len() as u32).collect();
         // Warp-per-tile dispatch skips the selector sort entirely: every
         // tile carries its selector, so warps are selector-homogeneous by
@@ -188,47 +188,40 @@ impl GpuSpatioTemporalSearch {
             // Warp-align the selector groups with idle lanes so no warp
             // mixes control paths (mixing triggers the uncoalesced-memory
             // penalty, which dwarfs the few wasted lanes).
-            exec_order =
-                pad_groups_to_warps(&exec_order, &schedule, self.device.config().warp_size);
+            exec_order = pad_groups_to_warps(&exec_order, &schedule, device.config().warp_size);
         }
-        self.device.charge_host(host_start.elapsed().as_secs_f64());
+        device.charge_host(host_start.elapsed().as_secs_f64());
         report.fallback_queries = fallback;
 
         if sorted.is_empty() {
-            report.response = self.device.ledger();
+            report.response = device.ledger();
             report.wall_seconds = wall_start.elapsed().as_secs_f64();
             return Ok((Vec::new(), report));
         }
 
         // Online transfers: Q, plus (thread-per-query only) S and the
         // execution order.
-        let dev_queries = DeviceSegments::upload(&self.device, &sorted.segments)?;
+        let dev_queries = DeviceSegments::upload(&device, &sorted.segments)?;
         let (matches, comparisons) = if wpt {
             let generator =
                 SpatioTemporalTiles { search: self, queries: &dev_queries, schedule: &schedule, d };
-            run_warp_per_tile(&self.device, &generator, sorted.len(), result_capacity, &mut report)?
+            run_warp_per_tile(&device, &generator, sorted.len(), result_capacity, &mut report)?
         } else {
             let generator = SpatioTemporalThreads {
                 search: self,
                 queries: &dev_queries,
-                schedule: self.device.upload(schedule.clone())?,
-                exec: self.device.upload(exec_order.clone())?,
+                schedule: device.upload(schedule.clone())?,
+                exec: device.upload(exec_order.clone())?,
                 exec_len: exec_order.len(),
                 d,
             };
-            run_thread_per_query(
-                &self.device,
-                &generator,
-                sorted.len(),
-                result_capacity,
-                &mut report,
-            )?
+            run_thread_per_query(&device, &generator, sorted.len(), result_capacity, &mut report)?
         };
 
         // Host postprocessing. Single-subbin lookups produce no duplicates;
         // dedup still runs to canonicalise order and to collapse duplicates
         // from redone queries.
-        Ok(finish_search(&self.device, matches, Some(&sorted), comparisons, report, wall_start))
+        Ok(finish_search(&device, matches, Some(&sorted), comparisons, report, wall_start))
     }
 }
 

@@ -164,21 +164,21 @@ impl GpuBatchedTemporalSearch {
         result_capacity: usize,
     ) -> Result<(Vec<MatchRecord>, SearchReport), SearchError> {
         let wall_start = Instant::now();
-        self.device.reset_ledger();
+        let device = self.device.for_search();
         let mut report = SearchReport::default();
 
         let host_start = Instant::now();
         let sorted = SortedQueries::from_store(queries);
         let schedule = TemporalSchedule::build(&self.index, &sorted);
-        self.device.charge_host(host_start.elapsed().as_secs_f64());
+        device.charge_host(host_start.elapsed().as_secs_f64());
 
         if sorted.is_empty() {
-            report.response = self.device.ledger();
+            report.response = device.ledger();
             report.wall_seconds = wall_start.elapsed().as_secs_f64();
             return Ok((Vec::new(), report));
         }
 
-        let mut results = self.device.alloc_result::<MatchRecord>(result_capacity)?;
+        let mut results = device.alloc_result::<MatchRecord>(result_capacity)?;
         let comparisons = AtomicU64::new(0);
         let mut matches: Vec<MatchRecord> = Vec::new();
         // Per-batch (upload, kernel, download) durations for the pipeline.
@@ -194,13 +194,13 @@ impl GpuBatchedTemporalSearch {
             // The batch replaces the previous one on the device (this is the
             // point of batching: bounded query memory). The upload charges
             // exactly the bytes the segment layout ships.
-            let dev_batch = DeviceSegments::upload(&self.device, &sorted.segments[start..end])?;
-            let dev_schedule = self.device.upload(batch_schedule)?;
+            let dev_batch = DeviceSegments::upload(&device, &sorted.segments[start..end])?;
+            let dev_schedule = device.upload(batch_schedule)?;
             let upload_bytes = dev_batch.size_bytes() + dev_schedule.size_bytes();
-            let upload_secs = self.device.config().h2d_seconds(upload_bytes);
+            let upload_secs = device.config().h2d_seconds(upload_bytes);
             let base = start as u32;
 
-            let launch = self.device.launch_warps_ordered(
+            let launch = device.launch_warps_ordered(
                 dev_batch.len(),
                 |warp| {
                     let mut stash = results.warp_stash();
@@ -239,7 +239,7 @@ impl GpuBatchedTemporalSearch {
 
             let produced = results.len();
             let download_bytes = produced * std::mem::size_of::<MatchRecord>();
-            self.device.charge_download(download_bytes);
+            device.charge_download(download_bytes);
             let overflowed = results.overflowed();
             matches.extend(results.drain_to_host());
             if overflowed {
@@ -256,7 +256,7 @@ impl GpuBatchedTemporalSearch {
             stages.push([
                 upload_secs,
                 launch.sim_total_seconds(),
-                self.device.config().d2h_seconds(download_bytes),
+                device.config().d2h_seconds(download_bytes),
             ]);
             start = end;
             current_batch = self.config.batch_size;
@@ -266,11 +266,11 @@ impl GpuBatchedTemporalSearch {
         report.raw_matches = matches.len() as u64;
         sorted.unpermute(&mut matches);
         dedup_matches(&mut matches);
-        self.device.charge_host(host_start.elapsed().as_secs_f64());
+        device.charge_host(host_start.elapsed().as_secs_f64());
 
         // Replace the serial transfer+kernel accounting with the pipelined
         // makespan: host compute stays serial, device phases overlap.
-        let serial = self.device.ledger();
+        let serial = device.ledger();
         let mut overlapped = tdts_gpu_sim::ResponseTime::new();
         overlapped.add(Phase::HostCompute, serial.get(Phase::HostCompute));
         overlapped.add(Phase::KernelExec, pipeline_makespan(&stages));
@@ -283,7 +283,7 @@ impl GpuBatchedTemporalSearch {
         report.matches = matches.len() as u64;
         report.response = overlapped;
         report.wall_seconds = wall_start.elapsed().as_secs_f64();
-        report.sanitizer_findings = self.device.sanitizer_checkpoint();
+        report.sanitizer_findings = device.sanitizer_checkpoint();
         Ok((matches, report))
     }
 }

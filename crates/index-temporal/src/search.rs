@@ -205,8 +205,9 @@ impl GpuTemporalSearch {
     /// with a result buffer of `result_capacity` records.
     ///
     /// Returns the canonical (sorted, deduplicated) result set and the
-    /// search report. The device ledger is reset at entry, so the report's
-    /// response time covers exactly this search.
+    /// search report. The search charges a ledger of its own
+    /// ([`Device::for_search`]), so the report's response time covers exactly
+    /// this search even while others run on the same index.
     pub fn search(
         &self,
         queries: &SegmentStore,
@@ -214,49 +215,41 @@ impl GpuTemporalSearch {
         result_capacity: usize,
     ) -> Result<(Vec<MatchRecord>, SearchReport), SearchError> {
         let wall_start = Instant::now();
-        self.device.reset_ledger();
+        let device = self.device.for_search();
         let mut report = SearchReport::default();
 
         // Host: sort Q and compute the schedule S.
         let host_start = Instant::now();
         let sorted = SortedQueries::from_store(queries);
         let schedule = TemporalSchedule::build(&self.index, &sorted);
-        self.device.charge_host(host_start.elapsed().as_secs_f64());
+        device.charge_host(host_start.elapsed().as_secs_f64());
 
         if sorted.is_empty() {
-            report.response = self.device.ledger();
+            report.response = device.ledger();
             report.wall_seconds = wall_start.elapsed().as_secs_f64();
             return Ok((Vec::new(), report));
         }
 
         // Online transfers: Q and (thread-per-query only) S.
-        let dev_queries = DeviceSegments::upload(&self.device, &sorted.segments)?;
-        let (matches, comparisons) = if self.device.config().kernel_shape
-            == KernelShape::WarpPerTile
-        {
+        let dev_queries = DeviceSegments::upload(&device, &sorted.segments)?;
+        let (matches, comparisons) = if device.config().kernel_shape == KernelShape::WarpPerTile {
             let generator = TemporalTiles {
                 entries: &self.dev_entries,
                 queries: &dev_queries,
                 schedule: &schedule,
                 d,
             };
-            run_warp_per_tile(&self.device, &generator, sorted.len(), result_capacity, &mut report)?
+            run_warp_per_tile(&device, &generator, sorted.len(), result_capacity, &mut report)?
         } else {
             let generator = TemporalThreads {
                 entries: &self.dev_entries,
                 queries: &dev_queries,
-                schedule: self.device.upload(schedule.ranges.clone())?,
+                schedule: device.upload(schedule.ranges.clone())?,
                 d,
             };
-            run_thread_per_query(
-                &self.device,
-                &generator,
-                sorted.len(),
-                result_capacity,
-                &mut report,
-            )?
+            run_thread_per_query(&device, &generator, sorted.len(), result_capacity, &mut report)?
         };
-        Ok(finish_search(&self.device, matches, Some(&sorted), comparisons, report, wall_start))
+        Ok(finish_search(&device, matches, Some(&sorted), comparisons, report, wall_start))
     }
 }
 
@@ -276,28 +269,28 @@ impl GpuTemporalSearch {
         use std::sync::atomic::{AtomicU64, Ordering};
 
         let wall_start = Instant::now();
-        self.device.reset_ledger();
+        let device = self.device.for_search();
         let mut report = SearchReport::default();
 
         let host_start = Instant::now();
         let sorted = SortedQueries::from_store(queries);
         let schedule = TemporalSchedule::build(&self.index, &sorted);
-        self.device.charge_host(host_start.elapsed().as_secs_f64());
+        device.charge_host(host_start.elapsed().as_secs_f64());
 
         if sorted.is_empty() {
-            report.response = self.device.ledger();
+            report.response = device.ledger();
             report.wall_seconds = wall_start.elapsed().as_secs_f64();
             return Ok((Vec::new(), report));
         }
 
         let n = sorted.len();
-        let dev_queries = DeviceSegments::upload(&self.device, &sorted.segments)?;
-        let dev_schedule = self.device.upload(schedule.ranges.clone())?;
-        let mut counts = self.device.alloc_scatter::<u32>(n)?;
+        let dev_queries = DeviceSegments::upload(&device, &sorted.segments)?;
+        let dev_schedule = device.upload(schedule.ranges.clone())?;
+        let mut counts = device.alloc_scatter::<u32>(n)?;
         let comparisons = AtomicU64::new(0);
 
         // Pass 1: count.
-        let launch1 = self.device.launch_warps(n, |warp| {
+        let launch1 = device.launch_warps(n, |warp| {
             let mut count_stash = counts.warp_stash();
             warp.for_each_lane(|lane| {
                 let qid = lane.global_id;
@@ -321,7 +314,7 @@ impl GpuTemporalSearch {
 
         // Host: exclusive prefix sum of the counts.
         let host_counts = counts.drain_to_host(n);
-        self.device.charge_download(n * std::mem::size_of::<u32>());
+        device.charge_download(n * std::mem::size_of::<u32>());
         let host_start = Instant::now();
         let mut offsets = Vec::with_capacity(n);
         let mut total = 0u32;
@@ -329,12 +322,12 @@ impl GpuTemporalSearch {
             offsets.push(total);
             total += c;
         }
-        self.device.charge_host(host_start.elapsed().as_secs_f64());
+        device.charge_host(host_start.elapsed().as_secs_f64());
 
         // Pass 2: scatter into an exactly-sized buffer.
-        let dev_offsets = self.device.upload(offsets)?;
-        let mut results = self.device.alloc_scatter::<MatchRecord>(total as usize)?;
-        let launch2 = self.device.launch_warps(n, |warp| {
+        let dev_offsets = device.upload(offsets)?;
+        let mut results = device.alloc_scatter::<MatchRecord>(total as usize)?;
+        let launch2 = device.launch_warps(n, |warp| {
             let mut result_stash = results.warp_stash();
             warp.for_each_lane(|lane| {
                 let qid = lane.global_id;
@@ -364,19 +357,19 @@ impl GpuTemporalSearch {
         report.load.add_launch(&launch2);
 
         let mut matches = results.drain_to_host(total as usize);
-        self.device.charge_download(total as usize * std::mem::size_of::<MatchRecord>());
+        device.charge_download(total as usize * std::mem::size_of::<MatchRecord>());
 
         let host_start = Instant::now();
         report.raw_matches = matches.len() as u64;
         sorted.unpermute(&mut matches);
         dedup_matches(&mut matches); // canonical order (no duplicates exist)
-        self.device.charge_host(host_start.elapsed().as_secs_f64());
+        device.charge_host(host_start.elapsed().as_secs_f64());
 
         report.comparisons = comparisons.into_inner();
         report.matches = matches.len() as u64;
-        report.response = self.device.ledger();
+        report.response = device.ledger();
         report.wall_seconds = wall_start.elapsed().as_secs_f64();
-        report.sanitizer_findings = self.device.sanitizer_checkpoint();
+        report.sanitizer_findings = device.sanitizer_checkpoint();
         Ok((matches, report))
     }
 }

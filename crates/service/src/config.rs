@@ -12,19 +12,18 @@ use tdts_gpu_sim::{DeviceConfig, KernelShape};
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct ServiceConfig {
-    /// The search method every worker runs.
+    /// The search method of the primary index.
     pub method: Method,
-    /// Per-worker simulated device (each worker gets its own, so their
-    /// response-time ledgers do not interleave).
+    /// The simulated device the primary index is resident on (one per shard
+    /// when sharded). Every worker searches it; each search charges a
+    /// response-time ledger of its own.
     pub device: DeviceConfig,
     /// Method for the degraded path. `None` keeps [`ServiceConfig::method`]
     /// and only changes the kernel shape (see
     /// [`ServiceConfig::effective_fallback`]).
     pub fallback_method: Option<Method>,
-    /// Device for the degraded path. `None` derives one from
-    /// [`ServiceConfig::device`] with [`KernelShape::ThreadPerQuery`].
-    pub fallback_device: Option<DeviceConfig>,
-    /// Worker threads, each with its own engine pair.
+    /// Worker threads. They share one primary and one fallback index; more
+    /// workers run more batches at once, not more index copies.
     pub workers: usize,
     /// Flush a batch once this many query segments are pending.
     pub max_batch: usize,
@@ -42,7 +41,7 @@ pub struct ServiceConfig {
     /// fallback engine permanently.
     pub max_consecutive_failures: u32,
     /// Simulated devices the entry database is partitioned across. With
-    /// `shards > 1` every worker's primary engine becomes a
+    /// `shards > 1` the primary engine becomes a
     /// [`ShardedIndex`](tdts_core::ShardedIndex): the store is split into
     /// slabs (boundary segments replicated), each slab is pinned to its own
     /// device, and batches fan out to every shard concurrently. The
@@ -59,7 +58,7 @@ pub struct ServiceConfig {
     pub slab_mode: SlabMode,
     /// Sliding time-window retention, enabling streaming mode. With
     /// `Some(w)`, [`advance_window`](crate::QueryService::advance_window)
-    /// ingests new segments into every worker's engines and (every
+    /// ingests new segments into the primary and the fallback index and (every
     /// [`ServiceConfig::advance_every`] advances) expires segments ending
     /// before `frontier - w`, where the frontier is the latest `t_end`
     /// seen. Requires `shards == 1`: sharded indexes partition the store
@@ -79,7 +78,6 @@ impl ServiceConfig {
                 method,
                 device: DeviceConfig::tesla_c2075(),
                 fallback_method: None,
-                fallback_device: None,
                 workers: 2,
                 max_batch: 64,
                 max_delay: Duration::from_millis(2),
@@ -97,17 +95,14 @@ impl ServiceConfig {
         }
     }
 
-    /// The engine pair the degraded path uses: the configured fallback, or
-    /// the primary method on a [`KernelShape::ThreadPerQuery`] device — the
-    /// simplest kernel shape, with no work queue or warp aggregation to go
-    /// wrong.
+    /// What the degraded path runs: the configured fallback method, or the
+    /// primary method, on [`ServiceConfig::device`] with
+    /// [`KernelShape::ThreadPerQuery`] — the simplest kernel shape, with no
+    /// work queue or warp aggregation to go wrong.
     pub fn effective_fallback(&self) -> (Method, DeviceConfig) {
         let method = self.fallback_method.unwrap_or(self.method);
-        let device = self.fallback_device.clone().unwrap_or_else(|| {
-            let mut d = self.device.clone();
-            d.kernel_shape = KernelShape::ThreadPerQuery;
-            d
-        });
+        let mut device = self.device.clone();
+        device.kernel_shape = KernelShape::ThreadPerQuery;
         (method, device)
     }
 
@@ -154,7 +149,7 @@ pub struct ServiceConfigBuilder {
 }
 
 impl ServiceConfigBuilder {
-    /// Per-worker simulated device.
+    /// The simulated device the indexes are resident on.
     pub fn device(mut self, device: DeviceConfig) -> Self {
         self.config.device = device;
         self
@@ -163,12 +158,6 @@ impl ServiceConfigBuilder {
     /// Method for the degraded path.
     pub fn fallback_method(mut self, method: Method) -> Self {
         self.config.fallback_method = Some(method);
-        self
-    }
-
-    /// Device for the degraded path.
-    pub fn fallback_device(mut self, device: DeviceConfig) -> Self {
-        self.config.fallback_device = Some(device);
         self
     }
 

@@ -197,7 +197,8 @@ mod tests {
         let method = Method::GpuTemporal(TemporalIndexConfig { bins: 8 });
         let config = ServiceConfig::builder(method)
             .device(DeviceConfig::test_tiny())
-            .workers(2)
+            // Four workers share the one engine pair the advances update.
+            .workers(4)
             .max_batch(16)
             .max_delay(Duration::from_millis(1))
             .result_capacity(30_000)

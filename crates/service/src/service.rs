@@ -8,17 +8,19 @@
 //!                       flush on max_batch queries or max_delay]
 //!                          │ Batch
 //!                          ▼
-//!                      [worker pool: per-worker engine pair,
+//!                      [worker pool: one shared engine pair,
 //!                       primary → fallback degradation]
 //!                          │ per-request MatchRecord slices
 //!                          ▼
 //!                      [demux: remap query ids, fulfil oneshots]
 //! ```
 //!
-//! Each worker owns its *own* pair of engines on its own simulated device:
-//! the device's response-time ledger is shared mutable state, so engines
-//! cannot be shared across concurrently running batches without
-//! interleaving their phase accounting.
+//! The service holds exactly one primary and one fallback index, whatever
+//! the worker count: a search charges a ledger of its own
+//! ([`Device::for_search`](tdts_gpu_sim::Device::for_search)), so every
+//! worker searches the same resident index concurrently. Workers pin the
+//! pair per batch through the `EngineGate`; a window advance takes the
+//! gate exclusively and applies each delta once per index.
 
 // All synchronisation goes through the tdts-sync shim: in normal builds
 // these are plain `std` re-exports (zero cost, byte-identical behavior);
@@ -33,8 +35,7 @@ use tdts_sync::thread::{self, JoinHandle};
 use tdts_sync::time::{Duration, Instant};
 
 use tdts_core::{
-    PreparedDataset, QueryBatch, ShardStats, ShardedIndex, ShardedIndexConfig, TdtsError,
-    TrajectoryIndex,
+    PreparedDataset, QueryBatch, ShardedIndex, ShardedIndexConfig, TdtsError, TrajectoryIndex,
 };
 use tdts_geom::{MatchRecord, Segment, SegmentStore};
 use tdts_gpu_sim::{Device, SearchError, SearchReport};
@@ -107,9 +108,118 @@ struct Batch {
     oldest: Instant,
 }
 
-struct EnginePair {
+/// The one primary and the one fallback index every worker searches.
+struct Engines {
     primary: Box<dyn TrajectoryIndex>,
     fallback: Box<dyn TrajectoryIndex>,
+}
+
+/// Writer-preferring reader/writer gate over the shared [`Engines`]. Any
+/// number of workers pin the engines for the length of a batch; a window
+/// advance keeps new pins out, waits for the live ones to drop, and then
+/// holds the state lock — and with it the engines — for the whole update.
+/// A batch therefore searches the pre- or the post-advance generation,
+/// never one index at each.
+struct EngineGate {
+    state: Mutex<GateState>,
+    /// Signalled when the last pin drops and when an update ends.
+    changed: Condvar,
+}
+
+struct GateState {
+    engines: Arc<Engines>,
+    /// Batches currently searching a clone of `engines`.
+    pins: usize,
+    /// An update is waiting for `pins` to reach zero.
+    updating: bool,
+    /// The first engine error of an update. The two indexes may then sit at
+    /// different generations, so nothing is served from them again.
+    failed: Option<TdtsError>,
+}
+
+/// A worker's hold on the engines for one batch; dropping it lets a
+/// waiting update through.
+struct PinnedEngines<'a> {
+    /// `Some` until drop, which releases the clone *before* the pin count
+    /// says it is gone — the update relies on being the only owner.
+    engines: Option<Arc<Engines>>,
+    gate: &'a EngineGate,
+}
+
+impl EngineGate {
+    fn new(engines: Engines) -> EngineGate {
+        EngineGate {
+            state: Mutex::new(GateState {
+                engines: Arc::new(engines),
+                pins: 0,
+                updating: false,
+                failed: None,
+            }),
+            changed: Condvar::new(),
+        }
+    }
+
+    /// Pin the engines for one batch, or report the update failure that
+    /// stopped the service from serving.
+    fn pin(&self) -> Result<PinnedEngines<'_>, TdtsError> {
+        let mut state = self.state.lock().unwrap();
+        while state.updating {
+            state = self.changed.wait(state).unwrap();
+        }
+        if let Some(error) = &state.failed {
+            return Err(error.clone());
+        }
+        state.pins += 1;
+        Ok(PinnedEngines { engines: Some(Arc::clone(&state.engines)), gate: self })
+    }
+
+    /// The update failure, if one has stopped the service.
+    fn failure(&self) -> Option<TdtsError> {
+        self.state.lock().unwrap().failed.clone()
+    }
+
+    /// Run `apply` with the engines to itself. Its first error is kept:
+    /// this and every later [`pin`](EngineGate::pin) then return it.
+    fn update(
+        &self,
+        apply: impl FnOnce(&mut Engines) -> Result<(), TdtsError>,
+    ) -> Result<(), TdtsError> {
+        let mut state = self.state.lock().unwrap();
+        state.updating = true;
+        while state.pins > 0 {
+            state = self.changed.wait(state).unwrap();
+        }
+        state.updating = false;
+        let engines = Arc::get_mut(&mut state.engines).expect("no pin outlives its count");
+        let result = apply(engines);
+        if let Err(error) = &result {
+            state.failed = Some(error.clone());
+        }
+        drop(state);
+        self.changed.notify_all();
+        result
+    }
+}
+
+impl std::ops::Deref for PinnedEngines<'_> {
+    type Target = Engines;
+
+    fn deref(&self) -> &Engines {
+        self.engines.as_deref().expect("engines are held until drop")
+    }
+}
+
+impl Drop for PinnedEngines<'_> {
+    fn drop(&mut self) {
+        self.engines = None;
+        // Poison-tolerant: a drop during unwinding must not panic again.
+        let mut state = self.gate.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.pins -= 1;
+        if state.pins == 0 {
+            drop(state);
+            self.gate.changed.notify_all();
+        }
+    }
 }
 
 /// The canonical store behind streaming mode, advanced under one lock so
@@ -139,6 +249,7 @@ pub struct WindowAdvance {
 
 struct Shared {
     config: ServiceConfig,
+    engines: EngineGate,
     pending: Mutex<PendingQueue>,
     pending_cv: Condvar,
     batches: Mutex<VecDeque<Batch>>,
@@ -155,115 +266,96 @@ struct Shared {
 
 /// A long-lived query service over one [`PreparedDataset`].
 ///
-/// Indexes are built once at [`QueryService::start`] (one engine pair per
-/// worker); after that, any number of client threads can [`submit`]
-/// concurrently. Requests are coalesced into batches, each batch runs as a
-/// single kernel invocation on a worker, and the batch's results are
-/// demultiplexed back to the individual clients.
+/// The indexes are built once at [`QueryService::start`] — one primary and
+/// one fallback, shared by every worker; after that, any number of client
+/// threads can [`submit`] concurrently. Requests are coalesced into batches,
+/// each batch runs as a single kernel invocation on a worker, and the
+/// batch's results are demultiplexed back to the individual clients.
 ///
 /// [`submit`]: QueryService::submit
 pub struct QueryService {
     shared: Arc<Shared>,
     batcher: Mutex<Option<JoinHandle<()>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    /// Typed handles to each worker's sharded primary (empty when
-    /// `config.shards == 1`), kept so [`QueryService::stats`] can fold
-    /// per-shard work counters into the snapshot.
-    shard_engines: Vec<Arc<ShardedIndex>>,
-    /// Each worker's engine pair, shared with its worker thread. A worker
-    /// locks its pair per batch; [`QueryService::advance_window`] locks
-    /// pairs one at a time, so an advance only ever stalls the one worker
-    /// whose engines it is updating.
-    engine_pairs: Vec<Arc<Mutex<EnginePair>>>,
+    /// Typed handle to the sharded primary (`None` when
+    /// `config.shards == 1`), kept so [`QueryService::stats`] can read its
+    /// per-shard work counters.
+    shard_engine: Option<Arc<ShardedIndex>>,
     /// Streaming-mode canonical store (window advances mutate it; query
     /// batches never touch it).
     stream: Mutex<StreamState>,
 }
 
 impl QueryService {
-    /// Build every worker's engine pair over `dataset` and start the
-    /// batcher and worker threads.
+    /// Build the primary and the fallback index over `dataset` and start
+    /// the batcher and worker threads.
     pub fn start(
         dataset: &PreparedDataset,
         config: ServiceConfig,
     ) -> Result<QueryService, TdtsError> {
         config.validate()?;
         let store = dataset.store_arc();
-        // One stats scan, shared by every worker's primary and fallback
-        // index build.
+        // One stats scan, shared by the primary and the fallback build.
         let stats = store.stats().ok_or(TdtsError::Search(SearchError::EmptyDataset))?;
+        // With shards > 1 the primary becomes a ShardedIndex: the store
+        // partitioned across `shards` devices, fanned out per batch. The
+        // fallback stays unsharded: one device, the simplest possible path.
+        let mut shard_engine = None;
+        let primary: Box<dyn TrajectoryIndex> = if config.shards > 1 {
+            let sharded = Arc::new(ShardedIndex::build(
+                config.method,
+                &store,
+                &stats,
+                &config.device,
+                &ShardedIndexConfig::builder()
+                    .shards(config.shards)
+                    .partition(config.partition)
+                    .routing(config.routing)
+                    .slab_mode(config.slab_mode)
+                    .build()?,
+            )?);
+            shard_engine = Some(Arc::clone(&sharded));
+            Box::new(sharded)
+        } else {
+            let device = Device::new(config.device.clone()).map_err(TdtsError::InvalidConfig)?;
+            config.method.build_index(&store, &stats, device)?
+        };
         let (fallback_method, fallback_device) = config.effective_fallback();
-        let mut engines = Vec::with_capacity(config.workers);
-        let mut shard_engines = Vec::new();
-        for _ in 0..config.workers {
-            // With shards > 1 the primary becomes a ShardedIndex: the store
-            // partitioned across `shards` devices, fanned out per batch.
-            // Each worker still gets its own copy (its own devices), so
-            // concurrent batches never interleave ledgers. The fallback
-            // stays unsharded: one device, the simplest possible path.
-            let primary: Box<dyn TrajectoryIndex> = if config.shards > 1 {
-                let sharded = Arc::new(ShardedIndex::build(
-                    config.method,
-                    &store,
-                    &stats,
-                    &config.device,
-                    &ShardedIndexConfig::builder()
-                        .shards(config.shards)
-                        .partition(config.partition)
-                        .routing(config.routing)
-                        .slab_mode(config.slab_mode)
-                        .build()?,
-                )?);
-                shard_engines.push(Arc::clone(&sharded));
-                Box::new(sharded)
-            } else {
-                let device =
-                    Device::new(config.device.clone()).map_err(TdtsError::InvalidConfig)?;
-                config.method.build_index(&store, &stats, device)?
-            };
-            let device = Device::new(fallback_device.clone()).map_err(TdtsError::InvalidConfig)?;
-            let fallback = fallback_method.build_index(&store, &stats, device)?;
-            engines.push(EnginePair { primary, fallback });
-        }
+        let device = Device::new(fallback_device).map_err(TdtsError::InvalidConfig)?;
+        let fallback = fallback_method.build_index(&store, &stats, device)?;
 
-        Ok(Self::launch(config, engines, shard_engines, store, stats.time_span.end))
+        let engines = Engines { primary, fallback };
+        Ok(Self::launch(config, engines, shard_engine, store, stats.time_span.end))
     }
 
-    /// Start the service over pre-built engine pairs, skipping every index
-    /// build. This is the model-check seam: harnesses inject cheap mock
+    /// Start the service over a pre-built engine pair, skipping both index
+    /// builds. This is the model-check seam: harnesses inject cheap mock
     /// engines so each of the checker's thousands of executions starts a
     /// real service (real batcher, workers, admission, shutdown protocol)
-    /// in microseconds. `make_pair` is called once per worker and returns
-    /// `(primary, fallback)`.
+    /// in microseconds.
     #[cfg(feature = "model-check")]
-    pub fn start_with_engines<F>(
+    pub fn start_with_engines(
         config: ServiceConfig,
         store: Arc<SegmentStore>,
-        mut make_pair: F,
-    ) -> Result<QueryService, TdtsError>
-    where
-        F: FnMut() -> (Box<dyn TrajectoryIndex>, Box<dyn TrajectoryIndex>),
-    {
+        primary: Box<dyn TrajectoryIndex>,
+        fallback: Box<dyn TrajectoryIndex>,
+    ) -> Result<QueryService, TdtsError> {
         config.validate()?;
         let frontier = store.stats().map_or(0.0, |s| s.time_span.end);
-        let engines: Vec<EnginePair> = (0..config.workers)
-            .map(|_| {
-                let (primary, fallback) = make_pair();
-                EnginePair { primary, fallback }
-            })
-            .collect();
-        Ok(Self::launch(config, engines, Vec::new(), store, frontier))
+        Ok(Self::launch(config, Engines { primary, fallback }, None, store, frontier))
     }
 
     fn launch(
         config: ServiceConfig,
-        engines: Vec<EnginePair>,
-        shard_engines: Vec<Arc<ShardedIndex>>,
+        engines: Engines,
+        shard_engine: Option<Arc<ShardedIndex>>,
         store: Arc<SegmentStore>,
         frontier: f64,
     ) -> QueryService {
+        let workers = config.workers;
         let shared = Arc::new(Shared {
             config,
+            engines: EngineGate::new(engines),
             pending: Mutex::new(PendingQueue::default()),
             pending_cv: Condvar::new(),
             batches: Mutex::new(VecDeque::new()),
@@ -279,14 +371,10 @@ impl QueryService {
             let shared = Arc::clone(&shared);
             thread::spawn(move || batcher_loop(&shared))
         };
-        let engine_pairs: Vec<Arc<Mutex<EnginePair>>> =
-            engines.into_iter().map(|pair| Arc::new(Mutex::new(pair))).collect();
-        let workers = engine_pairs
-            .iter()
-            .map(|pair| {
+        let workers = (0..workers)
+            .map(|_| {
                 let shared = Arc::clone(&shared);
-                let pair = Arc::clone(pair);
-                thread::spawn(move || worker_loop(&shared, &pair))
+                thread::spawn(move || worker_loop(&shared))
             })
             .collect();
 
@@ -294,8 +382,7 @@ impl QueryService {
             shared,
             batcher: Mutex::new(Some(batcher)),
             workers: Mutex::new(workers),
-            shard_engines,
-            engine_pairs,
+            shard_engine,
             stream: Mutex::new(StreamState { store, frontier, advances: 0 }),
         }
     }
@@ -306,38 +393,32 @@ impl QueryService {
     }
 
     /// A point-in-time snapshot of the service counters. Under sharded
-    /// execution (`config.shards > 1`) the snapshot carries per-shard work
-    /// counters summed across the worker replicas of each slab.
+    /// execution (`config.shards > 1`) the snapshot carries the sharded
+    /// primary's per-shard work counters.
     pub fn stats(&self) -> ServiceStats {
         let mut stats = self.shared.stats.snapshot();
         stats.shards = self.shared.config.shards;
-        let mut per_shard: Vec<ShardStats> = Vec::new();
-        for engine in &self.shard_engines {
-            stats.duplicates_dropped += engine.duplicates_dropped();
-            for shard in engine.shard_stats() {
-                match per_shard.iter_mut().find(|s| s.shard == shard.shard) {
-                    Some(existing) => existing.absorb(&shard),
-                    None => per_shard.push(shard),
-                }
-            }
+        if let Some(engine) = &self.shard_engine {
+            stats.duplicates_dropped = engine.duplicates_dropped();
+            stats.per_shard = engine.shard_stats();
         }
-        per_shard.sort_by_key(|s| s.shard);
-        stats.per_shard = per_shard;
         stats
     }
 
     /// Advance the sliding time window: append `new_segments` to the
-    /// canonical store and every worker's engines, and — every
-    /// [`ServiceConfig::advance_every`] advances — expire segments ending
-    /// before `frontier - window`.
+    /// canonical store and to the primary and the fallback index, and —
+    /// every [`ServiceConfig::advance_every`] advances — expire segments
+    /// ending before `frontier - window`.
     ///
-    /// Engines are updated one worker at a time, each under its own lock,
-    /// so batches already running on other workers are never stalled; a
-    /// batch that arrives at a worker mid-advance simply waits for that
-    /// worker's engines to reach the new generation. Queries racing an
-    /// advance see either the old or the new epoch — both are internally
-    /// consistent (epoch pinning: the pre-advance store stays alive behind
-    /// its `Arc` until the last reader drops it).
+    /// The store is mutated while batches keep running; the two indexes are
+    /// then updated together under the engine gate, which waits for the
+    /// batches already searching to finish and holds later ones back until
+    /// both indexes are at the new generation. A query racing an advance is
+    /// answered from the pre- or the post-advance generation, never a mix.
+    ///
+    /// Fail-stop: if an index refuses a delta the indexes may disagree, so
+    /// this call, every later one, and every request admitted afterwards
+    /// get that error.
     ///
     /// `new_segments` must be sorted by `t_start` and start no earlier
     /// than the newest stored segment (the streaming model: updates arrive
@@ -353,6 +434,11 @@ impl QueryService {
             return Err(TdtsError::ShuttingDown);
         }
         let mut stream = self.stream.lock().unwrap();
+        // Advances are serialised by the stream lock, so a failure cannot
+        // appear between this check and the update below.
+        if let Some(error) = self.shared.engines.failure() {
+            return Err(error);
+        }
         let mut sorted_ok = stream
             .store
             .segments()
@@ -381,16 +467,15 @@ impl QueryService {
         let expire = cut.map(|cut| Arc::make_mut(&mut stream.store).expire_before(cut));
         let expired = expire.as_ref().map_or(0, |d| d.removed.len());
 
-        for pair in &self.engine_pairs {
-            let mut pair = pair.lock().unwrap();
-            let EnginePair { primary, fallback } = &mut *pair;
+        self.shared.engines.update(|Engines { primary, fallback }| {
             for engine in [primary, fallback] {
                 engine.ingest(&appended, &append)?;
                 if let Some(delta) = &expire {
                     engine.expire_before(&stream.store, delta)?;
                 }
             }
-        }
+            Ok(())
+        })?;
 
         self.shared.stats.window_advances.fetch_add(1, Ordering::Relaxed);
         self.shared.stats.segments_ingested.fetch_add(append.count as u64, Ordering::Relaxed);
@@ -610,7 +695,7 @@ fn batcher_loop(shared: &Shared) {
     }
 }
 
-fn worker_loop(shared: &Shared, engines: &Mutex<EnginePair>) {
+fn worker_loop(shared: &Shared) {
     loop {
         let batch = {
             let mut batches = shared.batches.lock().unwrap();
@@ -625,13 +710,13 @@ fn worker_loop(shared: &Shared, engines: &Mutex<EnginePair>) {
             }
         };
         match batch {
-            Some(batch) => run_batch(shared, engines, batch),
+            Some(batch) => run_batch(shared, batch),
             None => return,
         }
     }
 }
 
-fn run_batch(shared: &Shared, engines: &Mutex<EnginePair>, batch: Batch) {
+fn run_batch(shared: &Shared, batch: Batch) {
     // Expired requests are answered (and released from the in-flight
     // budget) without costing kernel time.
     let now = Instant::now();
@@ -662,14 +747,14 @@ fn run_batch(shared: &Shared, engines: &Mutex<EnginePair>, batch: Batch) {
 
     let query_batch =
         QueryBatch { queries: &merged, d: batch.d, result_capacity: shared.config.result_capacity };
-    // Hold this worker's engine lock for the whole batch: a window advance
-    // mutating these engines must not interleave with the search (other
-    // workers' engines have their own locks and keep serving).
-    let engines = engines.lock().unwrap();
+    // Pin the engines for the whole batch: a window advance must not
+    // mutate them under the search (other workers pin the same pair and
+    // search alongside).
     let mut used_fallback = shared.stats.degraded.load(Ordering::SeqCst);
-    let result = if used_fallback {
-        engines.fallback.search(&query_batch)
-    } else {
+    let result = shared.engines.pin().and_then(|engines| {
+        if used_fallback {
+            return engines.fallback.search(&query_batch);
+        }
         match engines.primary.search(&query_batch) {
             Ok(outcome) => {
                 shared.consecutive_failures.store(0, Ordering::SeqCst);
@@ -686,8 +771,7 @@ fn run_batch(shared: &Shared, engines: &Mutex<EnginePair>, batch: Batch) {
                 engines.fallback.search(&query_batch)
             }
         }
-    };
-    drop(engines);
+    });
 
     match result {
         Ok(outcome) => {
@@ -719,7 +803,8 @@ fn run_batch(shared: &Shared, engines: &Mutex<EnginePair>, batch: Batch) {
             }
         }
         Err(error) => {
-            // Both engines failed: every rider gets the typed error.
+            // Both engines failed, or a failed window advance stopped the
+            // service: every rider gets the typed error.
             for request in &live {
                 if request.slot.fulfill(Err(error.clone())) {
                     shared.stats.failed.fetch_add(1, Ordering::Relaxed);

@@ -111,10 +111,10 @@ pub struct ServiceStats {
     pub cumulative: SearchReport,
     /// Configured shard count (1 = unsharded primaries).
     pub shards: usize,
-    /// Cross-shard duplicate records dropped by the merge path, summed
-    /// over every worker's sharded primary (0 when unsharded).
+    /// Cross-shard duplicate records dropped by the sharded primary's merge
+    /// path (0 when unsharded).
     pub duplicates_dropped: u64,
-    /// Per-slab work counters, summed across worker replicas and sorted by
-    /// slab id (empty when unsharded).
+    /// Per-slab work counters of the sharded primary, in slab order (empty
+    /// when unsharded).
     pub per_shard: Vec<ShardStats>,
 }

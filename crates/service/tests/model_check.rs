@@ -32,9 +32,12 @@ use tdts_sync::time::{Duration, Instant};
 /// A trajectory index that answers instantly: one self-match per query,
 /// in canonical order (ascending query id), so the service's demux works
 /// exactly as it does over real engines. `fail: true` makes every search
-/// error, driving the primary → fallback degradation path.
+/// error, driving the primary → fallback degradation path; `fail_ingest:
+/// true` makes every window advance error at this index.
+#[derive(Default)]
 struct MockIndex {
     fail: bool,
+    fail_ingest: bool,
 }
 
 impl TrajectoryIndex for MockIndex {
@@ -61,6 +64,9 @@ impl TrajectoryIndex for MockIndex {
         _store: &Arc<SegmentStore>,
         _delta: &AppendDelta,
     ) -> Result<(), TdtsError> {
+        if self.fail_ingest {
+            return Err(TdtsError::IncrementalUnsupported("mock"));
+        }
         Ok(())
     }
 
@@ -103,17 +109,12 @@ fn base_config() -> tdts_service::config::ServiceConfigBuilder {
 }
 
 fn service(config: ServiceConfig) -> QueryService {
-    service_with(config, false)
+    service_with(config, MockIndex::default(), MockIndex::default())
 }
 
-fn service_with(config: ServiceConfig, failing_primary: bool) -> QueryService {
-    QueryService::start_with_engines(config, store(2), || {
-        (
-            Box::new(MockIndex { fail: failing_primary }) as Box<dyn TrajectoryIndex>,
-            Box::new(MockIndex { fail: false }) as Box<dyn TrajectoryIndex>,
-        )
-    })
-    .expect("mock service start")
+fn service_with(config: ServiceConfig, primary: MockIndex, fallback: MockIndex) -> QueryService {
+    QueryService::start_with_engines(config, store(2), Box::new(primary), Box::new(fallback))
+        .expect("mock service start")
 }
 
 /// The bound for the service harnesses. One preemption already reaches
@@ -198,7 +199,11 @@ fn concurrent_clients_each_get_their_answer() {
 fn worker_failure_degrades_to_fallback() {
     let report = check("service/degradation", cfg(), || {
         let config = base_config().max_consecutive_failures(1).build().unwrap();
-        let svc = service_with(config, true);
+        let svc = service_with(
+            config,
+            MockIndex { fail: true, ..Default::default() },
+            MockIndex::default(),
+        );
         let first = svc.submit(&queries(1), 0.5).expect("first submit rides the fallback");
         assert_eq!(first.matches.len(), 1);
         let second = svc.submit(&queries(1), 0.5).expect("degraded submit");
@@ -211,25 +216,82 @@ fn worker_failure_degrades_to_fallback() {
     assert_exhaustive(&report);
 }
 
-/// `advance_window` racing an in-flight query: a client submits while the
-/// root advances the sliding window. The advance locks engine pairs one
-/// at a time against the worker's per-batch engine lock; the query must
-/// be answered and the advance must complete, under every interleaving.
+fn new_segment() -> [Segment; 1] {
+    [Segment::new(Point3::ZERO, Point3::splat(1.0), 2.0, 3.0, SegId(9), TrajId(1))]
+}
+
+/// `advance_window` racing in-flight queries: a client keeps one request
+/// per worker in flight while the root advances the sliding window. The
+/// advance takes the engine gate exclusively against the workers' per-batch
+/// pins; every query must be answered and the advance must complete, under
+/// every interleaving. At preemption bound 1 the one-worker run is
+/// exhaustive. The two-worker run — two pins that can be live at once —
+/// does not exhaust within the default execution budget (100k executions,
+/// bounded out), so like `service/two-clients` it asserts cleanliness over
+/// a fixed 20k-execution DFS prefix.
 #[test]
 fn advance_window_races_inflight_query() {
-    let report = check("service/advance-vs-query", cfg(), || {
-        let config = base_config().window(10.0).advance_every(1).build().unwrap();
-        let svc = Arc::new(service(config));
-        let peer = Arc::clone(&svc);
-        let client = thread::spawn(move || {
-            let response = peer.submit(&queries(1), 0.5).expect("query racing advance");
-            assert_eq!(response.matches.len(), 1);
+    for workers in [1, 2] {
+        let name = format!("service/advance-vs-query/w{workers}");
+        let model = if workers == 1 { cfg() } else { cfg().max_executions(20_000) };
+        let report = check(&name, model, move || {
+            let config =
+                base_config().workers(workers).window(10.0).advance_every(1).build().unwrap();
+            let svc = Arc::new(service(config));
+            let peer = Arc::clone(&svc);
+            let client = thread::spawn(move || {
+                let tickets: Vec<_> = (0..workers)
+                    .map(|_| peer.submit_nowait(&queries(1), 0.5, None).expect("admission"))
+                    .collect();
+                for ticket in tickets {
+                    let response = ticket.wait().expect("query racing advance");
+                    assert_eq!(response.matches.len(), 1);
+                }
+            });
+            let advance = svc.advance_window(&new_segment()).expect("window advance");
+            assert_eq!(advance.ingested, 1);
+            client.join().unwrap();
+            svc.shutdown();
         });
-        let new_segment =
-            [Segment::new(Point3::ZERO, Point3::splat(1.0), 2.0, 3.0, SegId(9), TrajId(1))];
-        let advance = svc.advance_window(&new_segment).expect("window advance");
-        assert_eq!(advance.ingested, 1);
-        client.join().unwrap();
+        if workers == 1 {
+            assert_exhaustive(&report);
+        } else {
+            report.assert_clean();
+            assert_eq!(report.executions, 20_000, "expected the full bounded prefix to run");
+        }
+    }
+}
+
+/// A window advance that fails half-way: the primary takes the delta, the
+/// fallback refuses it, so the two indexes sit at different generations.
+/// The service must stop serving rather than answer from that mix: the
+/// racing request resolves with a pre-advance answer or the advance's typed
+/// error, and the failed advance, a later advance and a later request all
+/// get that same error. No hang, no panic.
+#[test]
+fn failed_advance_stops_the_service() {
+    fn is_advance_error(error: &TdtsError) -> bool {
+        matches!(error, TdtsError::IncrementalUnsupported("mock"))
+    }
+    let report = check("service/advance-error", cfg(), || {
+        let config = base_config().window(10.0).advance_every(1).build().unwrap();
+        let fallback = MockIndex { fail_ingest: true, ..Default::default() };
+        let svc = Arc::new(service_with(config, MockIndex::default(), fallback));
+        let ticket = svc.submit_nowait(&queries(1), 0.5, None).expect("admission");
+        let peer = Arc::clone(&svc);
+        let advancer = thread::spawn(move || {
+            let error = peer.advance_window(&new_segment()).expect_err("fallback refuses");
+            assert!(is_advance_error(&error), "advance: {error:?}");
+        });
+        match ticket.wait() {
+            Ok(response) => assert_eq!(response.matches.len(), 1),
+            Err(error) => assert!(is_advance_error(&error), "racing request: {error:?}"),
+        }
+        advancer.join().unwrap();
+        let error = svc.advance_window(&new_segment()).expect_err("service has stopped");
+        assert!(is_advance_error(&error), "later advance: {error:?}");
+        let error = svc.submit(&queries(1), 0.5).expect_err("service has stopped");
+        assert!(is_advance_error(&error), "later request: {error:?}");
         svc.shutdown();
     });
     assert_exhaustive(&report);

@@ -803,24 +803,30 @@ fn run_service(
     // replay: concurrent clients through the service...
     let clients = o.clients.max(1);
     let start = Instant::now();
-    let service_matches: usize = std::thread::scope(|scope| {
+    let (service_matches, request_errors) = std::thread::scope(|scope| {
         let service = &service;
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 let slice: Vec<&SegmentStore> = requests.iter().skip(c).step_by(clients).collect();
                 scope.spawn(move || {
-                    let mut total = 0usize;
+                    let (mut total, mut errors) = (0usize, 0usize);
                     for request in slice {
                         match service.submit(request, o.d) {
                             Ok(r) => total += r.matches.len(),
-                            Err(e) => eprintln!("client {c}: error: {e}"),
+                            Err(e) => {
+                                eprintln!("client {c}: error: {e}");
+                                errors += 1;
+                            }
                         }
                     }
-                    total
+                    (total, errors)
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("client thread panicked")).sum()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread panicked"))
+            .fold((0, 0), |(total, errors), (t, e)| (total + t, errors + e))
     });
     let service_wall = start.elapsed();
     service.shutdown();
@@ -860,10 +866,45 @@ fn run_service(
         seq_wall.as_secs_f64() / service_wall.as_secs_f64().max(1e-12),
         seq_response / stats.cumulative.response_seconds().max(1e-12)
     );
-    if service_matches != seq_matches {
-        eprintln!(
-            "warning: match totals differ (service {service_matches} vs sequential {seq_matches})"
-        );
-    }
     print_stats(&stats);
+    let findings = stats.cumulative.sanitizer_findings;
+    if let Err(reason) = replay_verdict(service_matches, seq_matches, request_errors, findings) {
+        fail(format!("replay FAILED: {reason}"));
+    }
+}
+
+/// Whether a replay may exit 0: the service's answers must add up to the
+/// sequential engine's, every request must have been answered, and the
+/// sanitizer (when on) must have stayed silent.
+fn replay_verdict(
+    service_matches: usize,
+    seq_matches: usize,
+    request_errors: usize,
+    sanitizer_findings: u64,
+) -> Result<(), String> {
+    if request_errors > 0 {
+        return Err(format!("{request_errors} request(s) resolved with an error"));
+    }
+    if service_matches != seq_matches {
+        return Err(format!(
+            "match totals differ (service {service_matches} vs sequential {seq_matches})"
+        ));
+    }
+    if sanitizer_findings > 0 {
+        return Err(format!("{sanitizer_findings} sanitizer finding(s)"));
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::replay_verdict;
+
+    #[test]
+    fn replay_fails_on_wrong_totals_errors_or_findings() {
+        assert!(replay_verdict(10, 10, 0, 0).is_ok());
+        assert!(replay_verdict(9, 10, 0, 0).unwrap_err().contains("totals differ"));
+        assert!(replay_verdict(10, 10, 1, 0).unwrap_err().contains("error"));
+        assert!(replay_verdict(10, 10, 0, 2).unwrap_err().contains("sanitizer"));
+    }
 }

@@ -48,6 +48,37 @@ pub fn assert_byte_identical(got: &[MatchRecord], expect: &[MatchRecord], label:
     }
 }
 
+/// Search `engine` alone, then from four threads released together (all
+/// inside `search` at once, not one after another), and require every
+/// concurrent search to return the solo search's matches, byte for byte, and
+/// its [`SearchReport::deterministic`] costs. Returns the solo report.
+pub fn assert_concurrent_searches_match_solo(
+    engine: &SearchEngine,
+    queries: &SegmentStore,
+    d: f64,
+    result_capacity: usize,
+    label: &str,
+) -> SearchReport {
+    const THREADS: usize = 4;
+    let (solo_matches, solo) = engine.search(queries, d, result_capacity).unwrap();
+    let start = std::sync::Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for _ in 0..THREADS {
+            scope.spawn(|| {
+                start.wait();
+                let (matches, report) = engine.search(queries, d, result_capacity).unwrap();
+                assert_byte_identical(&matches, &solo_matches, label);
+                assert_eq!(
+                    report.deterministic(),
+                    solo.deterministic(),
+                    "{label}: a concurrent search's costs differ from the solo run"
+                );
+            });
+        }
+    });
+    solo
+}
+
 /// Up to `max_trajs` random trajectories of up to `max_segs_per` unit-time
 /// segments each, in a 60-unit cube, starting within the first 8 time units.
 pub fn arb_store(max_trajs: usize, max_segs_per: usize) -> impl Strategy<Value = SegmentStore> {

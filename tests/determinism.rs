@@ -25,6 +25,12 @@ fn fixture() -> (PreparedDataset, SegmentStore) {
     (PreparedDataset::new(scenario.dataset()), scenario.queries())
 }
 
+/// An index on a device nothing else has touched.
+fn fresh_engine(dataset: &PreparedDataset, method: Method, shape: KernelShape) -> SearchEngine {
+    let config = DeviceConfig { kernel_shape: shape, ..DeviceConfig::tesla_c2075() };
+    SearchEngine::build(dataset, method, Device::new(config).unwrap()).unwrap()
+}
+
 /// One search on a device and an index nothing else has touched.
 fn fresh_search(
     dataset: &PreparedDataset,
@@ -33,9 +39,7 @@ fn fresh_search(
     shape: KernelShape,
     result_capacity: usize,
 ) -> (Vec<MatchRecord>, SearchReport) {
-    let config = DeviceConfig { kernel_shape: shape, ..DeviceConfig::tesla_c2075() };
-    let engine = SearchEngine::build(dataset, method, Device::new(config).unwrap()).unwrap();
-    engine.search(queries, D, result_capacity).unwrap()
+    fresh_engine(dataset, method, shape).search(queries, D, result_capacity).unwrap()
 }
 
 #[test]
@@ -68,6 +72,25 @@ fn repeated_searches_report_identical_costs() {
                     capacity = (r1.raw_matches / 3) as usize;
                 }
             }
+        }
+    }
+}
+
+/// A search charges a ledger of its own, so four threads searching one
+/// shared engine — one resident index, one device — each get the solo
+/// search's report and matches, with and without result-buffer pressure.
+#[test]
+fn concurrent_searches_on_one_engine_report_solo_costs() {
+    let (dataset, queries) = fixture();
+    for shape in SHAPES {
+        for method in methods() {
+            let engine = fresh_engine(&dataset, method, shape);
+            let label = format!("{} / {shape:?}", method.name());
+            let ample =
+                common::assert_concurrent_searches_match_solo(&engine, &queries, D, AMPLE, &label);
+            // A third of the raw result set forces the redo protocol.
+            let pressure = (ample.raw_matches / 3) as usize;
+            common::assert_concurrent_searches_match_solo(&engine, &queries, D, pressure, &label);
         }
     }
 }

@@ -78,6 +78,30 @@ fn random_dense_matrix_is_clean_and_identical() {
     run_clean_matrix(ScenarioKind::S3RandomDense, 2_000_000);
 }
 
+/// Four threads searching one engine on one sanitized device: the device
+/// admits their searches one at a time (the sanitizer tracks one current
+/// launch), so each still reports the solo costs — zero findings among them —
+/// and the device-wide report stays clean.
+#[test]
+fn concurrent_searches_on_one_sanitized_device_are_clean() {
+    let scenario = Scenario::new(ScenarioKind::S2Merger, SCALE);
+    let dataset = PreparedDataset::new(scenario.dataset());
+    let queries = scenario.queries();
+    for shape in [KernelShape::ThreadPerQuery, KernelShape::WarpPerTile] {
+        for method in methods() {
+            let label = format!("{} / {shape:?}", method.name());
+            let dev = device_with(shape, mode_under_test());
+            let engine = SearchEngine::build(&dataset, method, Arc::clone(&dev)).unwrap();
+            let solo = common::assert_concurrent_searches_match_solo(
+                &engine, &queries, 1.5, 2_000_000, &label,
+            );
+            assert_eq!(solo.sanitizer_findings, 0, "{label}: findings on clean code");
+            let report = dev.sanitizer_report();
+            assert!(report.is_clean(), "{label}: sanitizer found defects:\n{report}");
+        }
+    }
+}
+
 /// The redo protocol under buffer pressure must stay clean: lost records
 /// are acknowledged by the redo rounds, not reported as leaks.
 #[test]
