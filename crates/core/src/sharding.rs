@@ -262,6 +262,9 @@ pub struct ShardedIndex {
     requested_shards: usize,
     source_entries: usize,
     members: Vec<ShardMember>,
+    /// Free bytes on the fullest shard device once its index was resident
+    /// (fixed at build: a sharded index takes no deltas).
+    free_device_bytes: usize,
     duplicates_dropped: AtomicU64,
     counters: Mutex<Vec<ShardCounters>>,
 }
@@ -324,6 +327,7 @@ impl ShardedIndex {
             config.slab_mode,
         );
         let mut members = Vec::with_capacity(sharded.slices.len());
+        let mut free_device_bytes = usize::MAX;
         for slice in &sharded.slices {
             // One device per shard: the slab is resident in that device's
             // memory, and the merged response time models N devices
@@ -331,7 +335,8 @@ impl ShardedIndex {
             let device = Device::new(device_config.clone()).map_err(TdtsError::InvalidConfig)?;
             let shard_stats =
                 slice.store.stats().expect("partition slices are non-empty by construction");
-            let index = method.build_index(&slice.store, &shard_stats, device)?;
+            let index = method.build_index(&slice.store, &shard_stats, Arc::clone(&device))?;
+            free_device_bytes = free_device_bytes.min(device.mem_available());
             members.push(ShardMember {
                 slab: slice.slab,
                 index,
@@ -351,6 +356,7 @@ impl ShardedIndex {
             requested_shards: config.shards,
             source_entries: store.len(),
             members,
+            free_device_bytes,
             duplicates_dropped: AtomicU64::new(0),
             counters,
         })
@@ -398,6 +404,12 @@ impl ShardedIndex {
         } else {
             self.resident_entries() as f64 / self.source_entries as f64
         }
+    }
+
+    /// Device memory left for per-search buffers: the free bytes of the
+    /// fullest shard device with its index resident.
+    pub fn free_device_bytes(&self) -> usize {
+        self.free_device_bytes
     }
 
     /// Cross-shard duplicate records dropped by the merge path so far.

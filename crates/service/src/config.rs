@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 use tdts_core::{Method, RoutingMode, TdtsError};
-use tdts_geom::{PartitionStrategy, SlabMode};
+use tdts_geom::{MatchRecord, PartitionStrategy, SlabMode};
 use tdts_gpu_sim::{DeviceConfig, KernelShape};
 
 /// Parameters of a [`QueryService`](crate::QueryService).
@@ -23,7 +23,11 @@ pub struct ServiceConfig {
     /// [`ServiceConfig::effective_fallback`]).
     pub fallback_method: Option<Method>,
     /// Worker threads. They share one primary and one fallback index; more
-    /// workers run more batches at once, not more index copies.
+    /// workers run more batches at once, not more index copies. Each running
+    /// batch holds a result buffer on the shared device, so
+    /// [`QueryService::start`](crate::QueryService::start) refuses a
+    /// configuration where `workers * result_capacity` records do not fit
+    /// beside the resident index.
     pub workers: usize,
     /// Flush a batch once this many query segments are pending.
     pub max_batch: usize,
@@ -32,7 +36,9 @@ pub struct ServiceConfig {
     /// Admitted-but-unfinished request bound; submissions beyond it are
     /// rejected with [`TdtsError::Overloaded`].
     pub queue_capacity: usize,
-    /// Device result-buffer bound per batch search.
+    /// Device result-buffer bound per batch search, allocated up front by
+    /// every running batch (see [`ServiceConfig::workers`] for the memory
+    /// bound this implies).
     pub result_capacity: usize,
     /// Deadline applied to [`submit`](crate::QueryService::submit) calls;
     /// `None` waits indefinitely.
@@ -137,6 +143,25 @@ impl ServiceConfig {
         }
         if self.advance_every < 1 {
             return Err(TdtsError::InvalidConfig("advance_every must be at least 1".into()));
+        }
+        Ok(())
+    }
+
+    /// Refuse a configuration whose workers cannot all hold a result buffer
+    /// at once on the `role` device, which has `free` bytes left beside its
+    /// resident index. Unchecked, the shortfall only shows under load, as
+    /// `OutOfDeviceMemory` batches that degrade the service.
+    pub(crate) fn check_result_room(&self, role: &str, free: usize) -> Result<(), TdtsError> {
+        let need = self
+            .workers
+            .saturating_mul(self.result_capacity)
+            .saturating_mul(std::mem::size_of::<MatchRecord>());
+        if need > free {
+            return Err(TdtsError::InvalidConfig(format!(
+                "{} workers x result_capacity {} need {need} bytes of result buffers, but the \
+                 {role} device has {free} bytes free beside its index",
+                self.workers, self.result_capacity
+            )));
         }
         Ok(())
     }

@@ -67,7 +67,7 @@ mod tests {
             .workers(2)
             .max_batch(16)
             .max_delay(Duration::from_millis(1))
-            .result_capacity(30_000)
+            .result_capacity(4_096)
             .build()
             .unwrap()
     }
@@ -100,6 +100,23 @@ mod tests {
     }
 
     #[test]
+    fn result_buffers_of_all_workers_must_fit_the_device() {
+        // test_tiny has 1 MiB: one 30_000-record buffer (720 kB) fits beside
+        // the index, two do not — and both workers search the same device.
+        let config = |workers| {
+            ServiceConfig::builder(Method::GpuTemporal(TemporalIndexConfig { bins: 8 }))
+                .device(DeviceConfig::test_tiny())
+                .workers(workers)
+                .result_capacity(30_000)
+                .build()
+                .unwrap()
+        };
+        QueryService::start(&dataset(20), config(1)).unwrap().shutdown();
+        let err = QueryService::start(&dataset(20), config(2)).map(|_| ()).unwrap_err();
+        assert!(matches!(err, tdts_core::TdtsError::InvalidConfig(_)), "got {err:?}");
+    }
+
+    #[test]
     fn overload_is_typed_and_deterministic() {
         // Nothing ever flushes (huge batch + delay), so admitted requests
         // pin the in-flight count at the capacity.
@@ -109,7 +126,7 @@ mod tests {
             .max_batch(1_000_000)
             .max_delay(Duration::from_secs(3600))
             .queue_capacity(2)
-            .result_capacity(30_000)
+            .result_capacity(4_096)
             .build()
             .unwrap();
         let service = QueryService::start(&dataset(20), config).unwrap();
@@ -131,7 +148,7 @@ mod tests {
             .workers(1)
             .max_batch(1_000_000)
             .max_delay(Duration::from_secs(3600))
-            .result_capacity(30_000)
+            .result_capacity(4_096)
             .build()
             .unwrap();
         let service = QueryService::start(&dataset(20), config).unwrap();
@@ -155,7 +172,7 @@ mod tests {
             .shards(4)
             .max_batch(16)
             .max_delay(Duration::from_millis(1))
-            .result_capacity(30_000)
+            .result_capacity(4_096)
             .build()
             .unwrap();
         let sharded = QueryService::start(&data, config).unwrap();
@@ -201,7 +218,7 @@ mod tests {
             .workers(4)
             .max_batch(16)
             .max_delay(Duration::from_millis(1))
-            .result_capacity(30_000)
+            .result_capacity(4_096)
             .window(4.0)
             .advance_every(2)
             .build()
@@ -249,13 +266,14 @@ mod tests {
             tdts_gpu_sim::Device::new(DeviceConfig::test_tiny()).unwrap(),
         )
         .unwrap();
-        let (want, _) = cold.search(&probe, 5.0, 30_000).unwrap();
+        let (want, _) = cold.search(&probe, 5.0, 4_096).unwrap();
         assert_eq!(got, want, "streamed service must match cold rebuild");
         assert!(!got.is_empty());
 
         service.shutdown();
         let stats = service.stats();
         assert_eq!(stats.window_advances, 2);
+        assert_eq!(stats.fallback_batches, 0);
         assert_eq!(stats.segments_ingested, 6);
         assert_eq!(stats.segments_expired, adv2.expired as u64);
     }
@@ -265,7 +283,7 @@ mod tests {
         let config = ServiceConfig::builder(Method::GpuTemporal(TemporalIndexConfig { bins: 8 }))
             .device(DeviceConfig::test_tiny())
             .workers(1)
-            .result_capacity(30_000)
+            .result_capacity(4_096)
             .window(100.0)
             .build()
             .unwrap();

@@ -123,7 +123,7 @@ struct Engines {
 struct EngineGate {
     state: Mutex<GateState>,
     /// Signalled when the last pin drops and when an update ends.
-    changed: Condvar,
+    changed_cv: Condvar,
 }
 
 struct GateState {
@@ -155,7 +155,7 @@ impl EngineGate {
                 updating: false,
                 failed: None,
             }),
-            changed: Condvar::new(),
+            changed_cv: Condvar::new(),
         }
     }
 
@@ -164,7 +164,7 @@ impl EngineGate {
     fn pin(&self) -> Result<PinnedEngines<'_>, TdtsError> {
         let mut state = self.state.lock().unwrap();
         while state.updating {
-            state = self.changed.wait(state).unwrap();
+            state = self.changed_cv.wait(state).unwrap();
         }
         if let Some(error) = &state.failed {
             return Err(error.clone());
@@ -187,7 +187,7 @@ impl EngineGate {
         let mut state = self.state.lock().unwrap();
         state.updating = true;
         while state.pins > 0 {
-            state = self.changed.wait(state).unwrap();
+            state = self.changed_cv.wait(state).unwrap();
         }
         state.updating = false;
         let engines = Arc::get_mut(&mut state.engines).expect("no pin outlives its count");
@@ -196,7 +196,7 @@ impl EngineGate {
             state.failed = Some(error.clone());
         }
         drop(state);
-        self.changed.notify_all();
+        self.changed_cv.notify_all();
         result
     }
 }
@@ -217,7 +217,7 @@ impl Drop for PinnedEngines<'_> {
         state.pins -= 1;
         if state.pins == 0 {
             drop(state);
-            self.gate.changed.notify_all();
+            self.gate.changed_cv.notify_all();
         }
     }
 }
@@ -301,6 +301,7 @@ impl QueryService {
         // partitioned across `shards` devices, fanned out per batch. The
         // fallback stays unsharded: one device, the simplest possible path.
         let mut shard_engine = None;
+        let primary_free;
         let primary: Box<dyn TrajectoryIndex> = if config.shards > 1 {
             let sharded = Arc::new(ShardedIndex::build(
                 config.method,
@@ -315,14 +316,19 @@ impl QueryService {
                     .build()?,
             )?);
             shard_engine = Some(Arc::clone(&sharded));
+            primary_free = sharded.free_device_bytes();
             Box::new(sharded)
         } else {
             let device = Device::new(config.device.clone()).map_err(TdtsError::InvalidConfig)?;
-            config.method.build_index(&store, &stats, device)?
+            let index = config.method.build_index(&store, &stats, Arc::clone(&device))?;
+            primary_free = device.mem_available();
+            index
         };
+        config.check_result_room("primary", primary_free)?;
         let (fallback_method, fallback_device) = config.effective_fallback();
         let device = Device::new(fallback_device).map_err(TdtsError::InvalidConfig)?;
-        let fallback = fallback_method.build_index(&store, &stats, device)?;
+        let fallback = fallback_method.build_index(&store, &stats, Arc::clone(&device))?;
+        config.check_result_room("fallback", device.mem_available())?;
 
         let engines = Engines { primary, fallback };
         Ok(Self::launch(config, engines, shard_engine, store, stats.time_span.end))

@@ -9,7 +9,8 @@ use std::time::Duration;
 use tdts::prelude::*;
 
 const D: f64 = 5.0;
-const CAPACITY: usize = 30_000;
+// Two workers' result buffers fit test_tiny's 1 MiB beside the index.
+const CAPACITY: usize = 10_000;
 
 /// A small galaxy-merger dataset plus client requests drawn from it (each
 /// request a handful of consecutive segments, so every request has matches).
@@ -62,6 +63,8 @@ fn concurrent_clients_match_sequential_engine() {
 
     let stats = service.stats();
     assert_eq!(stats.requests_served, requests.len() as u64);
+    // Both workers' batches fit the one shared device: none fell back.
+    assert_eq!(stats.fallback_batches, 0);
     // Coalescing must actually have happened: fewer batches than requests.
     assert!(stats.batches_executed < requests.len() as u64);
 }

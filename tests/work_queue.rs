@@ -99,12 +99,11 @@ fn work_queue_cuts_spread_on_skewed_schedule() {
         tpq.load.spread(),
         wpt.load.spread()
     );
-    // On the simulated clock: `response_seconds()` adds measured host wall,
-    // which on a loaded debug run exceeds the device-side margin.
-    let (tpq_sim, wpt_sim) = (tpq.response.simulated().total(), wpt.response.simulated().total());
     assert!(
-        wpt_sim < tpq_sim,
-        "expected a response-time win: ThreadPerQuery {tpq_sim:.6}s, WarpPerTile {wpt_sim:.6}s"
+        wpt.response_seconds() < tpq.response_seconds(),
+        "expected a response-time win: ThreadPerQuery {:.6}s, WarpPerTile {:.6}s",
+        tpq.response_seconds(),
+        wpt.response_seconds()
     );
 }
 
