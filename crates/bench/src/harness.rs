@@ -9,6 +9,7 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::rc::Rc;
 use std::sync::Arc;
 use tdts_core::{
     Method, PreparedDataset, QueryBatch, RoutingMode, SearchOutcome, ShardedIndex,
@@ -169,6 +170,8 @@ struct Arm {
     method: Method,
     /// Device override (default: the run's device).
     device: Option<DeviceConfig>,
+    /// Kernel shape the arm searches under (default: its device's).
+    shape: Option<KernelShape>,
     /// Sharding override (default: the run's `--shards`, if above 1).
     sharding: Option<ShardedIndexConfig>,
     /// The arm's own dataset (weak scaling). Such an arm is not
@@ -194,6 +197,7 @@ impl Arm {
             label: label.to_string(),
             method,
             device: None,
+            shape: None,
             sharding: None,
             data: None,
             base: None,
@@ -209,6 +213,16 @@ impl Arm {
 
     fn sharded(self, sharding: ShardedIndexConfig) -> Arm {
         Arm { sharding: Some(sharding), ..self }
+    }
+
+    /// Whether `build` would give this arm and `other` the same index, so
+    /// that they differ only in how they search it (kernel shape, capacity).
+    fn same_index(&self, other: &Arm) -> bool {
+        let plain = |arm: &Arm| arm.data.is_none() && arm.build.is_none();
+        plain(self)
+            && plain(other)
+            && (self.method, &self.device, self.sharding)
+                == (other.method, &other.device, other.sharding)
     }
 }
 
@@ -276,7 +290,11 @@ struct Built {
 struct TwoPass(GpuTemporalSearch);
 
 impl TrajectoryIndex for TwoPass {
-    fn search(&self, batch: &QueryBatch<'_>) -> Result<SearchOutcome, TdtsError> {
+    fn search_shaped(
+        &self,
+        batch: &QueryBatch<'_>,
+        _shape: Option<KernelShape>,
+    ) -> Result<SearchOutcome, TdtsError> {
         batch.validate()?;
         let (matches, report) = self.0.search_two_pass(batch.queries, batch.d)?;
         Ok(SearchOutcome { matches, report })
@@ -362,9 +380,11 @@ fn build(cfg: &RunConfig, p: &Prepared, arm: &Arm) -> Result<Built, TdtsError> {
     Ok(Built { index, sharded: None, device: Some(device) })
 }
 
-/// Measure every (arm, `d`) cell, one arm's index alive at a time, and
-/// require each result set to equal the first one measured at that `d` (kept
-/// as length + digest, so a sweep does not hold a result set per distance).
+/// Measure every (arm, `d`) cell — an arm that differs from its base only in
+/// how it searches reuses the base's index, every other index is dropped
+/// before the next is built — and require each result set to equal the first
+/// one measured at that `d` (kept as length + digest, so a sweep does not hold
+/// a result set per distance).
 fn measure(cfg: &RunConfig, table: &Target, p: &Prepared) -> Result<Vec<Vec<Cell>>, String> {
     let (first, last) = (p.sweep[0], p.sweep[p.sweep.len() - 1]);
     let ds = match table.ds {
@@ -378,11 +398,22 @@ fn measure(cfg: &RunConfig, table: &Target, p: &Prepared) -> Result<Vec<Vec<Cell
     let mut reference: Vec<Option<(usize, u64)>> = vec![None; ds.len()];
     let mut order: Vec<usize> = (0..arms.len()).collect();
     order.sort_by_key(|&a| arms[a].base.is_some());
+    let shared = |a: usize| arms[a].base.filter(|&base| arms[a].same_index(&arms[base]));
+    let mut kept: Vec<Option<Rc<Built>>> = arms.iter().map(|_| None).collect();
     for a in order {
         let arm = &arms[a];
         let own = arm.data.map(|data| prepare(cfg, data)).transpose()?;
         let p = own.as_ref().unwrap_or(p);
-        let built = build(cfg, p, arm).map_err(|e| format!("building {}: {e}", arm.label))?;
+        let built = match shared(a) {
+            Some(base) => Rc::clone(kept[base].as_ref().expect("base arms are measured first")),
+            None => {
+                let built = build(cfg, p, arm);
+                Rc::new(built.map_err(|e| format!("building {}: {e}", arm.label))?)
+            }
+        };
+        if (0..arms.len()).any(|later| shared(later) == Some(a)) {
+            kept[a] = Some(Rc::clone(&built));
+        }
         let dropped = || built.sharded.as_ref().map_or(0, |s| s.duplicates_dropped());
         for (di, &d) in ds.iter().enumerate() {
             let who = format!("{} at d = {d}", arm.label);
@@ -394,7 +425,8 @@ fn measure(cfg: &RunConfig, table: &Target, p: &Prepared) -> Result<Vec<Vec<Cell
             let dropped_before = dropped();
             // The harness's one timing loop: the trial with the least response.
             let batch = QueryBatch { queries: &p.queries, d, result_capacity: capacity };
-            let search = || built.index.search(&batch).map_err(|e| format!("{who}: {e}"));
+            let search =
+                || built.index.search_shaped(&batch, arm.shape).map_err(|e| format!("{who}: {e}"));
             let mut best = search()?;
             for _ in 1..cfg.trials {
                 let next = search()?;
@@ -963,14 +995,12 @@ pub const TARGETS: &[Target] = &[
         name: "ablation-workqueue",
         title: "Work-queue ablation — thread-per-query vs warp-per-tile \
                 (S2 Merger, {tile} entries/tile)",
-        arms: |p, cfg| {
+        arms: |p, _| {
             let ScenarioParams { fsg_cells_per_dim: cells, temporal_bins: bins, .. } = p.params;
             let mut arms = Vec::new();
             for method in [spatial(cells), temporal(bins), paper_spatiotemporal(p)] {
-                let shaped = |label: &str, kernel_shape| Arm {
-                    device: Some(DeviceConfig { kernel_shape, ..cfg.device.clone() }),
-                    ..Arm::new(label, method)
-                };
+                let shaped =
+                    |label: &str, shape| Arm { shape: Some(shape), ..Arm::new(label, method) };
                 let per_query = arms.len();
                 arms.push(shaped("thread-per-query", KernelShape::ThreadPerQuery));
                 arms.push(shaped("warp-per-tile", KernelShape::WarpPerTile).vs(per_query));

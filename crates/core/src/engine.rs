@@ -1,9 +1,9 @@
 //! Unified engine over the paper's search implementations.
 
 use std::sync::Arc;
-use tdts_geom::{AppendDelta, ExpireDelta, MatchRecord, Segment, SegmentStore, StoreStats};
+use tdts_geom::{MatchRecord, Segment, SegmentStore, StoreStats};
 use tdts_gpu_sim::SearchError;
-use tdts_gpu_sim::{Device, SearchReport};
+use tdts_gpu_sim::{Device, KernelShape, SearchReport};
 use tdts_index_spatial::{GpuSpatialConfig, GpuSpatialSearch};
 use tdts_index_spatiotemporal::{GpuSpatioTemporalSearch, SpatioTemporalIndexConfig};
 use tdts_index_temporal::{
@@ -184,9 +184,8 @@ impl SearchEngine {
         self.index.generation()
     }
 
-    /// Whether the underlying index applies append/expire deltas in place
-    /// (GPU methods) rather than rebuilding (CPU baseline) or erroring
-    /// (sharded indexes).
+    /// Whether the underlying index accepts append/expire deltas (every
+    /// unsharded method; not sharded or shared indexes).
     pub fn supports_incremental(&self) -> bool {
         self.index.supports_incremental()
     }
@@ -197,44 +196,33 @@ impl SearchEngine {
         self.index.delta_backlog()
     }
 
+    /// Refuse a mutation the index cannot follow, before the store changes.
+    fn check_incremental(&self) -> Result<(), TdtsError> {
+        if self.index.supports_incremental() {
+            Ok(())
+        } else {
+            Err(TdtsError::IncrementalUnsupported(self.index.name()))
+        }
+    }
+
     /// Append `new_segments` to the canonical store and bring the index to
     /// the new generation.
     ///
     /// The temporal methods require appends in `t_start` order (the
     /// streaming model of §V: updates arrive time-ordered), so this
     /// rejects a batch that starts before the current store's last
-    /// `t_start`. After `Ok`, searches are byte-identical to a cold
-    /// rebuild at the new generation.
+    /// `t_start`, and any batch holding an invalid segment
+    /// ([`SegmentStore::check_append`]). After `Ok`, searches are
+    /// byte-identical to a cold rebuild at the new generation.
     ///
     /// Fails with [`TdtsError::IncrementalUnsupported`] when the index is
-    /// sharded or shared; the store is left unmodified in that case.
+    /// sharded or shared. The store is left unmodified by every refusal.
     pub fn ingest(&mut self, new_segments: &[Segment]) -> Result<(), TdtsError> {
         if new_segments.is_empty() {
             return Ok(());
         }
-        let mut sorted_ok =
-            self.store.segments().last().is_none_or(|prev| prev.t_start <= new_segments[0].t_start);
-        sorted_ok &= new_segments.windows(2).all(|w| w[0].t_start <= w[1].t_start);
-        if !sorted_ok {
-            return Err(TdtsError::InvalidConfig(
-                "streaming ingest requires segments in t_start order".into(),
-            ));
-        }
-        if !self.index.supports_incremental() {
-            // Probe before mutating the store so a failed ingest leaves the
-            // engine fully consistent. CPU-RTree reports false but absorbs
-            // deltas by rebuilding, so only a genuine refusal aborts.
-            let probe = AppendDelta {
-                from: self.store.len(),
-                count: 0,
-                generation: self.store.generation(),
-            };
-            let store = Arc::clone(&self.store);
-            if let Err(e @ TdtsError::IncrementalUnsupported(_)) = self.index.ingest(&store, &probe)
-            {
-                return Err(e);
-            }
-        }
+        self.store.check_append(new_segments).map_err(TdtsError::InvalidConfig)?;
+        self.check_incremental()?;
         let delta = Arc::make_mut(&mut self.store).append(new_segments);
         self.index.ingest(&self.store, &delta)
     }
@@ -242,19 +230,7 @@ impl SearchEngine {
     /// Drop every stored segment that ends before `t` from the canonical
     /// store and the index. Same contract as [`SearchEngine::ingest`].
     pub fn expire_before(&mut self, t: f64) -> Result<(), TdtsError> {
-        if !self.index.supports_incremental() {
-            let probe = ExpireDelta {
-                removed: Vec::new(),
-                old_len: self.store.len(),
-                generation: self.store.generation(),
-            };
-            let store = Arc::clone(&self.store);
-            if let Err(e @ TdtsError::IncrementalUnsupported(_)) =
-                self.index.expire_before(&store, &probe)
-            {
-                return Err(e);
-            }
-        }
+        self.check_incremental()?;
         let delta = Arc::make_mut(&mut self.store).expire_before(t);
         self.index.expire_before(&self.store, &delta)
     }
@@ -272,7 +248,20 @@ impl SearchEngine {
         d: f64,
         result_capacity: usize,
     ) -> Result<(Vec<MatchRecord>, SearchReport), TdtsError> {
-        let outcome = self.index.search(&QueryBatch { queries, d, result_capacity })?;
+        self.search_shaped(queries, d, result_capacity, None)
+    }
+
+    /// [`SearchEngine::search`] under kernel `shape` instead of the device's
+    /// configured one (see [`TrajectoryIndex::search_shaped`]).
+    pub fn search_shaped(
+        &self,
+        queries: &SegmentStore,
+        d: f64,
+        result_capacity: usize,
+        shape: Option<KernelShape>,
+    ) -> Result<(Vec<MatchRecord>, SearchReport), TdtsError> {
+        let batch = QueryBatch { queries, d, result_capacity };
+        let outcome = self.index.search_shaped(&batch, shape)?;
         Ok((outcome.matches, outcome.report))
     }
 }
@@ -350,7 +339,8 @@ mod tests {
         assert!(!reference.unwrap().is_empty());
     }
 
-    /// NaN, negative and infinite thresholds are refused at every
+    /// NaN, negative and infinite thresholds, and query segments with a
+    /// non-finite coordinate or an inverted interval, are refused at every
     /// `TrajectoryIndex::search` entry point (the four macro'd GPU indexes,
     /// the CPU baseline, the sharded index); `d = 0` is a valid query.
     #[test]
@@ -381,7 +371,30 @@ mod tests {
                 );
             }
             engine.search(&queries, 0.0, 20_000).unwrap();
+            for poison in hostile_segments(*queries.get(3)) {
+                let mut poisoned = queries.segments().to_vec();
+                poisoned[3] = poison;
+                let err = engine.search(&poisoned.into_iter().collect(), 2.0, 20_000).unwrap_err();
+                assert!(
+                    matches!(err, TdtsError::InvalidConfig(_)),
+                    "{} at {poison:?}: {err}",
+                    engine.method().name()
+                );
+            }
         }
+    }
+
+    /// `valid` with one field made hostile, one variant per way the methods
+    /// used to disagree: a NaN coordinate, an infinite coordinate, a NaN
+    /// timestamp (which also defeats the `t_start <= t_end` ordering), and a
+    /// finite but inverted interval.
+    fn hostile_segments(valid: Segment) -> [Segment; 4] {
+        let mut hostile = [valid; 4];
+        hostile[0].start.x = f64::NAN;
+        hostile[1].end.x = f64::INFINITY;
+        hostile[2].t_end = f64::NAN;
+        hostile[3].t_end = valid.t_start - 1.0;
+        hostile
     }
 
     /// One segment near the origin cluster, time-stamped so appends stay
@@ -431,10 +444,19 @@ mod tests {
             device(),
         )
         .unwrap();
-        let err = engine.ingest(&[seg(200, -5.0)]).unwrap_err();
-        assert!(matches!(err, TdtsError::InvalidConfig(_)));
-        // The store must be untouched by the failed ingest.
-        assert_eq!(engine.store().len(), 30);
+        let generation = engine.store().generation();
+        let in_order = seg(201, 99.0);
+        let refused = [[seg(200, -5.0), in_order]]
+            .into_iter()
+            .chain(hostile_segments(seg(202, 99.5)).map(|hostile| [in_order, hostile]));
+        for batch in refused {
+            let err = engine.ingest(&batch).unwrap_err();
+            assert!(matches!(err, TdtsError::InvalidConfig(_)), "{batch:?}: {err}");
+            // The store must be untouched by the failed ingest.
+            assert_eq!(engine.store().len(), 30, "{batch:?}");
+            assert_eq!(engine.store().generation(), generation, "{batch:?}");
+        }
+        engine.ingest(&[in_order]).unwrap();
     }
 
     #[test]

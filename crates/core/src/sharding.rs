@@ -52,7 +52,9 @@ use std::time::Instant;
 use tdts_geom::{
     dedup_matches, PartitionStrategy, SegmentStore, ShardPlan, ShardedStore, SlabMode, StoreStats,
 };
-use tdts_gpu_sim::{Device, DeviceConfig, Phase, RoutingSummary, SearchError, SearchReport};
+use tdts_gpu_sim::{
+    Device, DeviceConfig, KernelShape, Phase, RoutingSummary, SearchError, SearchReport,
+};
 
 use crate::engine::Method;
 use crate::error::TdtsError;
@@ -483,7 +485,11 @@ impl ShardedIndex {
         share.max(floor).min(capacity)
     }
 
-    fn search_sharded(&self, batch: &QueryBatch<'_>) -> Result<SearchOutcome, TdtsError> {
+    fn search_sharded(
+        &self,
+        batch: &QueryBatch<'_>,
+        shape: Option<KernelShape>,
+    ) -> Result<SearchOutcome, TdtsError> {
         let wall_start = Instant::now();
         let n_queries = batch.queries.len() as u64;
 
@@ -508,7 +514,7 @@ impl ShardedIndex {
                 // Broadcast: every shard sees the whole batch at full
                 // result capacity.
                 for (mi, member) in self.members.iter().enumerate() {
-                    let o = member.index.search(batch)?;
+                    let o = member.index.search_shaped(batch, shape)?;
                     work[mi] =
                         ShardWork { probed: true, routed: n_queries, ..ShardWork::default() };
                     outcomes.push(Some((o, None)));
@@ -541,7 +547,7 @@ impl ShardedIndex {
                     );
                     let sub_batch =
                         QueryBatch { queries: &sub_queries, d: batch.d, result_capacity: capacity };
-                    let (o, redo) = match member.index.search(&sub_batch) {
+                    let (o, redo) = match member.index.search_shaped(&sub_batch, shape) {
                         // The budgeted share cannot hold even one query's
                         // results: retry at the full batch capacity, so
                         // budgeting never fails a search broadcast would
@@ -554,7 +560,7 @@ impl ShardedIndex {
                                 d: batch.d,
                                 result_capacity: batch.result_capacity,
                             };
-                            (member.index.search(&full)?, true)
+                            (member.index.search_shaped(&full, shape)?, true)
                         }
                         r => (r?, false),
                     };
@@ -638,9 +644,13 @@ impl ShardedIndex {
 }
 
 impl TrajectoryIndex for ShardedIndex {
-    fn search(&self, batch: &QueryBatch<'_>) -> Result<SearchOutcome, TdtsError> {
+    fn search_shaped(
+        &self,
+        batch: &QueryBatch<'_>,
+        shape: Option<KernelShape>,
+    ) -> Result<SearchOutcome, TdtsError> {
         batch.validate()?;
-        self.search_sharded(batch)
+        self.search_sharded(batch, shape)
     }
 
     /// The inner method's name: a sharded index is a deployment shape, not

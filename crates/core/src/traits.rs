@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 use tdts_geom::{AppendDelta, ExpireDelta, MatchRecord, SegmentStore};
-use tdts_gpu_sim::{Phase, SearchReport};
+use tdts_gpu_sim::{KernelShape, Phase, SearchReport};
 use tdts_index_spatial::GpuSpatialSearch;
 use tdts_index_spatiotemporal::GpuSpatioTemporalSearch;
 use tdts_index_temporal::{GpuBatchedTemporalSearch, GpuTemporalSearch};
@@ -30,19 +30,23 @@ pub struct QueryBatch<'a> {
 }
 
 impl QueryBatch<'_> {
-    /// Refuse a threshold no exact search can answer. Every comparison
-    /// against NaN is false and a negative `d` is squared away, so without
-    /// this check a release build returns a confidently wrong result set
-    /// instead of an error.
+    /// Refuse a threshold or a query segment no exact search can answer.
+    /// Every comparison against NaN is false and a negative `d` is squared
+    /// away, so without this check a release build returns a confidently
+    /// wrong result set — a different one per method — instead of an error.
     pub fn validate(&self) -> Result<(), TdtsError> {
-        if self.d.is_finite() && self.d >= 0.0 {
-            Ok(())
-        } else {
-            Err(TdtsError::InvalidConfig(format!(
+        if !(self.d.is_finite() && self.d >= 0.0) {
+            return Err(TdtsError::InvalidConfig(format!(
                 "distance threshold d must be finite and non-negative, got {}",
                 self.d
-            )))
+            )));
         }
+        if let Some(bad) = self.queries.iter().position(|q| !q.is_valid()) {
+            return Err(TdtsError::InvalidConfig(format!(
+                "query segment {bad} has a non-finite coordinate or t_start > t_end"
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -66,15 +70,32 @@ pub struct SearchOutcome {
 /// `Send + Sync` is required so a query service can share one index across
 /// worker threads behind an `Arc`.
 pub trait TrajectoryIndex: Send + Sync {
-    /// Run the distance threshold search for every query in the batch.
-    fn search(&self, batch: &QueryBatch<'_>) -> Result<SearchOutcome, TdtsError>;
+    /// Run the distance threshold search for every query in the batch under
+    /// kernel `shape`; `None` means the configured shape of the device the
+    /// index is resident on ([`DeviceConfig::kernel_shape`]). No index build
+    /// depends on the shape, so one resident index serves both. Methods
+    /// with a single kernel shape (CPU-RTree, `GPUBatchedTemporal`) ignore it.
+    ///
+    /// [`DeviceConfig::kernel_shape`]: tdts_gpu_sim::DeviceConfig::kernel_shape
+    fn search_shaped(
+        &self,
+        batch: &QueryBatch<'_>,
+        shape: Option<KernelShape>,
+    ) -> Result<SearchOutcome, TdtsError>;
+
+    /// [`search_shaped`](TrajectoryIndex::search_shaped) under the device's
+    /// configured kernel shape.
+    fn search(&self, batch: &QueryBatch<'_>) -> Result<SearchOutcome, TdtsError> {
+        self.search_shaped(batch, None)
+    }
 
     /// The paper's name for the implementation (e.g. `"GPUTemporal"`).
     fn name(&self) -> &'static str;
 
-    /// Whether [`ingest`](TrajectoryIndex::ingest) and
-    /// [`expire_before`](TrajectoryIndex::expire_before) apply deltas
-    /// in place rather than erroring or rebuilding from scratch.
+    /// Whether the index accepts [`ingest`](TrajectoryIndex::ingest) and
+    /// [`expire_before`](TrajectoryIndex::expire_before) at all, in place
+    /// (the GPU methods) or by rebuilding (CPU-RTree). When `false` both
+    /// return [`TdtsError::IncrementalUnsupported`].
     fn supports_incremental(&self) -> bool {
         false
     }
@@ -118,17 +139,21 @@ pub trait TrajectoryIndex: Send + Sync {
 /// [`ShardedIndex`](crate::sharding::ShardedIndex)) while also handing the
 /// same index to code that wants a `Box<dyn TrajectoryIndex>`.
 impl<T: TrajectoryIndex + ?Sized> TrajectoryIndex for Arc<T> {
-    fn search(&self, batch: &QueryBatch<'_>) -> Result<SearchOutcome, TdtsError> {
-        (**self).search(batch)
+    fn search_shaped(
+        &self,
+        batch: &QueryBatch<'_>,
+        shape: Option<KernelShape>,
+    ) -> Result<SearchOutcome, TdtsError> {
+        (**self).search_shaped(batch, shape)
     }
 
     fn name(&self) -> &'static str {
         (**self).name()
     }
 
-    // `ingest`/`expire_before` keep the erroring defaults: a shared handle
-    // cannot get `&mut` access to the underlying index, so mutation through
-    // an `Arc` is always `IncrementalUnsupported`.
+    // `supports_incremental`/`ingest`/`expire_before` keep the refusing
+    // defaults: a shared handle cannot get `&mut` access to the underlying
+    // index, so mutation through an `Arc` is always `IncrementalUnsupported`.
 
     fn generation(&self) -> u64 {
         (**self).generation()
@@ -139,17 +164,22 @@ impl<T: TrajectoryIndex + ?Sized> TrajectoryIndex for Arc<T> {
     }
 }
 
-/// Implement [`TrajectoryIndex`] for a GPU search type by forwarding to its
-/// inherent `search` / `generation` / `ingest` / `expire` methods. Every GPU
-/// method applies deltas in place; only `GPUSpatial` keeps a delta overlay
-/// to report as backlog.
+/// Implement [`TrajectoryIndex`] for a GPU search type by forwarding to
+/// `$search` (called with the index, `queries`, `d`, `result_capacity` and
+/// the shape) and its inherent `generation` / `ingest` / `expire` methods.
+/// Every GPU method applies deltas in place; only `GPUSpatial` keeps a delta
+/// overlay to report as backlog.
 macro_rules! impl_gpu_index {
-    ($ty:ty, $name:literal $(, delta_backlog = $backlog:expr)?) => {
+    ($ty:ty, $name:literal, $search:expr $(, delta_backlog = $backlog:expr)?) => {
         impl TrajectoryIndex for $ty {
-            fn search(&self, batch: &QueryBatch<'_>) -> Result<SearchOutcome, TdtsError> {
+            fn search_shaped(
+                &self,
+                batch: &QueryBatch<'_>,
+                shape: Option<KernelShape>,
+            ) -> Result<SearchOutcome, TdtsError> {
                 batch.validate()?;
                 let (matches, report) =
-                    <$ty>::search(self, batch.queries, batch.d, batch.result_capacity)?;
+                    ($search)(self, batch.queries, batch.d, batch.result_capacity, shape)?;
                 Ok(SearchOutcome { matches, report })
             }
 
@@ -191,10 +221,24 @@ macro_rules! impl_gpu_index {
     };
 }
 
-impl_gpu_index!(GpuSpatialSearch, "GPUSpatial", delta_backlog = |s| s.fsg().delta_segments());
-impl_gpu_index!(GpuTemporalSearch, "GPUTemporal");
-impl_gpu_index!(GpuBatchedTemporalSearch, "GPUBatchedTemporal");
-impl_gpu_index!(GpuSpatioTemporalSearch, "GPUSpatioTemporal");
+impl_gpu_index!(
+    GpuSpatialSearch,
+    "GPUSpatial",
+    GpuSpatialSearch::search_shaped,
+    delta_backlog = |s| s.fsg().delta_segments()
+);
+impl_gpu_index!(GpuTemporalSearch, "GPUTemporal", GpuTemporalSearch::search_shaped);
+// One kernel shape only: the batched pipeline is thread-per-query.
+impl_gpu_index!(
+    GpuBatchedTemporalSearch,
+    "GPUBatchedTemporal",
+    |s: &GpuBatchedTemporalSearch, q, d, capacity, _shape| s.search(q, d, capacity)
+);
+impl_gpu_index!(
+    GpuSpatioTemporalSearch,
+    "GPUSpatioTemporal",
+    GpuSpatioTemporalSearch::search_shaped
+);
 
 /// The CPU baseline behind the trait. [`RTree`] does not own the entry
 /// store (its result positions refer to an external store), so this
@@ -225,7 +269,11 @@ impl CpuRTreeIndex {
 }
 
 impl TrajectoryIndex for CpuRTreeIndex {
-    fn search(&self, batch: &QueryBatch<'_>) -> Result<SearchOutcome, TdtsError> {
+    fn search_shaped(
+        &self,
+        batch: &QueryBatch<'_>,
+        _shape: Option<KernelShape>,
+    ) -> Result<SearchOutcome, TdtsError> {
         batch.validate()?;
         let start = Instant::now();
         let (matches, stats) = self.tree.search(&self.store, batch.queries, batch.d);
@@ -245,14 +293,15 @@ impl TrajectoryIndex for CpuRTreeIndex {
         "CPU-RTree"
     }
 
+    fn supports_incremental(&self) -> bool {
+        true
+    }
+
     fn generation(&self) -> u64 {
         self.generation
     }
 
     fn ingest(&mut self, store: &Arc<SegmentStore>, delta: &AppendDelta) -> Result<(), TdtsError> {
-        if delta.count == 0 && delta.generation == self.generation {
-            return Ok(()); // no-op probe delta
-        }
         self.rebuild(store, delta.generation);
         Ok(())
     }
@@ -262,9 +311,6 @@ impl TrajectoryIndex for CpuRTreeIndex {
         store: &Arc<SegmentStore>,
         delta: &ExpireDelta,
     ) -> Result<(), TdtsError> {
-        if delta.removed.is_empty() && delta.generation == self.generation {
-            return Ok(()); // no-op probe delta
-        }
         self.rebuild(store, delta.generation);
         Ok(())
     }

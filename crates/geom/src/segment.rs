@@ -42,6 +42,19 @@ impl Segment {
         Segment { start, end, t_start, t_end, seg_id, traj_id }
     }
 
+    /// True when all eight coordinates and timestamps are finite and
+    /// `t_start <= t_end`. Every comparison against NaN is false and the
+    /// index methods prune on different coordinates, so a segment failing
+    /// this makes them disagree with each other instead of erroring; it is
+    /// refused wherever segments enter from outside (query batches, ingest).
+    pub fn is_valid(&self) -> bool {
+        let Segment { start, end, t_start, t_end, .. } = self;
+        [start.x, start.y, start.z, end.x, end.y, end.z, *t_start, *t_end]
+            .iter()
+            .all(|v| v.is_finite())
+            && t_start <= t_end
+    }
+
     /// Temporal extent `[t_start, t_end]`.
     #[inline]
     pub fn time_span(&self) -> TimeInterval {

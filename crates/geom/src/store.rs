@@ -181,6 +181,24 @@ impl SegmentStore {
         self.generation += 1;
     }
 
+    /// Whether `new` may be streamed onto this store: every segment
+    /// [valid](Segment::is_valid), and `t_start` non-decreasing from the
+    /// last stored segment on (the temporal indexes keep the store sorted).
+    /// `Err` carries the reason; callers run this before
+    /// [`append`](SegmentStore::append), which itself accepts anything.
+    pub fn check_append(&self, new: &[Segment]) -> Result<(), String> {
+        if let Some(bad) = new.iter().position(|s| !s.is_valid()) {
+            return Err(format!(
+                "appended segment {bad} has a non-finite coordinate or t_start > t_end"
+            ));
+        }
+        let tail = self.segments.last().into_iter().chain(new);
+        if !tail.clone().zip(tail.skip(1)).all(|(a, b)| a.t_start <= b.t_start) {
+            return Err("appended segments must continue the store's t_start order".into());
+        }
+        Ok(())
+    }
+
     /// Append a batch of segments at the tail, extending the stats scan and
     /// the columnar mirror incrementally when they are fresh.
     ///

@@ -72,7 +72,8 @@ pub struct DeviceConfig {
     /// more than this many records in one kernel invocation costs extra
     /// warp flushes (`ceil(n / capacity)` per lane, max over lanes).
     pub warp_stash_capacity: usize,
-    /// Query-to-thread mapping of the search kernels (see [`KernelShape`]).
+    /// Default query-to-thread mapping of the search kernels on this device
+    /// (see [`KernelShape`]); a search may name the other shape per call.
     pub kernel_shape: KernelShape,
     /// Maximum candidate entries per work-queue tile in
     /// [`KernelShape::WarpPerTile`]; ignored by `ThreadPerQuery`.

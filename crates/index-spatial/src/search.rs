@@ -246,8 +246,22 @@ impl GpuSpatialSearch {
         d: f64,
         result_capacity: usize,
     ) -> Result<(Vec<MatchRecord>, SearchReport), SearchError> {
+        self.search_shaped(queries, d, result_capacity, None)
+    }
+
+    /// [`GpuSpatialSearch::search`] under kernel `shape`; `None` is
+    /// the device's configured [`KernelShape`]. The resident index and
+    /// database are the same for both shapes.
+    pub fn search_shaped(
+        &self,
+        queries: &SegmentStore,
+        d: f64,
+        result_capacity: usize,
+        shape: Option<KernelShape>,
+    ) -> Result<(Vec<MatchRecord>, SearchReport), SearchError> {
         let wall_start = Instant::now();
         let device = self.device.for_search();
+        let shape = shape.unwrap_or(device.config().kernel_shape);
         let mut report = SearchReport::default();
 
         if queries.is_empty() {
@@ -258,7 +272,7 @@ impl GpuSpatialSearch {
 
         // Online transfer: the query set.
         let dev_queries = DeviceSegments::upload(&device, queries.segments())?;
-        let (matches, comparisons) = if device.config().kernel_shape == KernelShape::WarpPerTile {
+        let (matches, comparisons) = if shape == KernelShape::WarpPerTile {
             // Host getCandidates scheduling, computed once and reused
             // across redo rounds (d is fixed for the whole search).
             let host_start = Instant::now();

@@ -154,8 +154,22 @@ impl GpuSpatioTemporalSearch {
         d: f64,
         result_capacity: usize,
     ) -> Result<(Vec<MatchRecord>, SearchReport), SearchError> {
+        self.search_shaped(queries, d, result_capacity, None)
+    }
+
+    /// [`GpuSpatioTemporalSearch::search`] under kernel `shape`; `None` is
+    /// the device's configured [`KernelShape`]. The resident index and
+    /// database are the same for both shapes.
+    pub fn search_shaped(
+        &self,
+        queries: &SegmentStore,
+        d: f64,
+        result_capacity: usize,
+        shape: Option<KernelShape>,
+    ) -> Result<(Vec<MatchRecord>, SearchReport), SearchError> {
         let wall_start = Instant::now();
         let device = self.device.for_search();
+        let shape = shape.unwrap_or(device.config().kernel_shape);
         let mut report = SearchReport::default();
 
         // Host: sort Q, compute the schedule, and order query execution by
@@ -171,7 +185,7 @@ impl GpuSpatioTemporalSearch {
             }
             schedule.push(entry.encode());
         }
-        let wpt = device.config().kernel_shape == KernelShape::WarpPerTile;
+        let wpt = shape == KernelShape::WarpPerTile;
         let mut exec_order: Vec<u32> = (0..sorted.len() as u32).collect();
         // Warp-per-tile dispatch skips the selector sort entirely: every
         // tile carries its selector, so warps are selector-homogeneous by

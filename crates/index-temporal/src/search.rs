@@ -214,8 +214,22 @@ impl GpuTemporalSearch {
         d: f64,
         result_capacity: usize,
     ) -> Result<(Vec<MatchRecord>, SearchReport), SearchError> {
+        self.search_shaped(queries, d, result_capacity, None)
+    }
+
+    /// [`GpuTemporalSearch::search`] under kernel `shape`; `None` is the
+    /// device's configured [`KernelShape`]. The resident index and database
+    /// are the same for both shapes.
+    pub fn search_shaped(
+        &self,
+        queries: &SegmentStore,
+        d: f64,
+        result_capacity: usize,
+        shape: Option<KernelShape>,
+    ) -> Result<(Vec<MatchRecord>, SearchReport), SearchError> {
         let wall_start = Instant::now();
         let device = self.device.for_search();
+        let shape = shape.unwrap_or(device.config().kernel_shape);
         let mut report = SearchReport::default();
 
         // Host: sort Q and compute the schedule S.
@@ -232,7 +246,7 @@ impl GpuTemporalSearch {
 
         // Online transfers: Q and (thread-per-query only) S.
         let dev_queries = DeviceSegments::upload(&device, &sorted.segments)?;
-        let (matches, comparisons) = if device.config().kernel_shape == KernelShape::WarpPerTile {
+        let (matches, comparisons) = if shape == KernelShape::WarpPerTile {
             let generator = TemporalTiles {
                 entries: &self.dev_entries,
                 queries: &dev_queries,

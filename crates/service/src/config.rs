@@ -1,9 +1,9 @@
 //! Service configuration.
 
 use std::time::Duration;
-use tdts_core::{Method, RoutingMode, TdtsError};
-use tdts_geom::{MatchRecord, PartitionStrategy, SlabMode};
-use tdts_gpu_sim::{DeviceConfig, KernelShape};
+use tdts_core::{Method, ShardedIndexConfig, TdtsError};
+use tdts_geom::MatchRecord;
+use tdts_gpu_sim::DeviceConfig;
 
 /// Parameters of a [`QueryService`](crate::QueryService).
 ///
@@ -12,18 +12,17 @@ use tdts_gpu_sim::{DeviceConfig, KernelShape};
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct ServiceConfig {
-    /// The search method of the primary index.
+    /// The search method of the index.
     pub method: Method,
-    /// The simulated device the primary index is resident on (one per shard
-    /// when sharded). Every worker searches it; each search charges a
-    /// response-time ledger of its own.
+    /// The simulated device the index is resident on (one per shard when
+    /// sharded). Every worker searches it; each search charges a
+    /// response-time ledger of its own. Its `kernel_shape` is the shape
+    /// batches run under until the service degrades to
+    /// [`KernelShape::ThreadPerQuery`](tdts_gpu_sim::KernelShape) on the same
+    /// index.
     pub device: DeviceConfig,
-    /// Method for the degraded path. `None` keeps [`ServiceConfig::method`]
-    /// and only changes the kernel shape (see
-    /// [`ServiceConfig::effective_fallback`]).
-    pub fallback_method: Option<Method>,
-    /// Worker threads. They share one primary and one fallback index; more
-    /// workers run more batches at once, not more index copies. Each running
+    /// Worker threads. They share the one index; more workers run more
+    /// batches at once, not more index copies. Each running
     /// batch holds a result buffer on the shared device, so
     /// [`QueryService::start`](crate::QueryService::start) refuses a
     /// configuration where `workers * result_capacity` records do not fit
@@ -44,31 +43,21 @@ pub struct ServiceConfig {
     /// `None` waits indefinitely.
     pub default_deadline: Option<Duration>,
     /// Consecutive failed batches before the service degrades to the
-    /// fallback engine permanently.
+    /// fallback kernel shape permanently.
     pub max_consecutive_failures: u32,
-    /// Simulated devices the entry database is partitioned across. With
-    /// `shards > 1` the primary engine becomes a
-    /// [`ShardedIndex`](tdts_core::ShardedIndex): the store is split into
-    /// slabs (boundary segments replicated), each slab is pinned to its own
-    /// device, and batches fan out to every shard concurrently. The
-    /// fallback path stays unsharded — a deliberately simple degraded mode.
-    pub shards: usize,
-    /// Slab orientation for the sharded primary (temporal by default).
-    pub partition: PartitionStrategy,
-    /// Query dispatch policy for the sharded primary: slab-aware routing
-    /// (the default) probes only the shards each query's reach interval
-    /// touches; broadcast probes all of them. Ignored with `shards == 1`.
-    pub routing: RoutingMode,
-    /// Slab edge placement for the sharded primary (equal-width by
-    /// default; `Balanced` equalises per-shard entry counts).
-    pub slab_mode: SlabMode,
+    /// How the entry database is partitioned across simulated devices. With
+    /// `sharding.shards > 1` the index is a
+    /// [`ShardedIndex`](tdts_core::ShardedIndex) built from exactly this
+    /// value; with 1 (the default) it is one unsharded index and the other
+    /// fields are ignored.
+    pub sharding: ShardedIndexConfig,
     /// Sliding time-window retention, enabling streaming mode. With
     /// `Some(w)`, [`advance_window`](crate::QueryService::advance_window)
-    /// ingests new segments into the primary and the fallback index and (every
+    /// ingests new segments into the index and (every
     /// [`ServiceConfig::advance_every`] advances) expires segments ending
     /// before `frontier - w`, where the frontier is the latest `t_end`
-    /// seen. Requires `shards == 1`: sharded indexes partition the store
-    /// by slab edges fixed at build time and cannot absorb deltas.
+    /// seen. Requires `sharding.shards == 1`: sharded indexes partition the
+    /// store by slab edges fixed at build time and cannot absorb deltas.
     pub window: Option<f64>,
     /// Apply the expiry cut once every this many window advances (ingest
     /// still happens on every advance). Batching expiry amortises the
@@ -83,7 +72,6 @@ impl ServiceConfig {
             config: ServiceConfig {
                 method,
                 device: DeviceConfig::tesla_c2075(),
-                fallback_method: None,
                 workers: 2,
                 max_batch: 64,
                 max_delay: Duration::from_millis(2),
@@ -91,25 +79,11 @@ impl ServiceConfig {
                 result_capacity: 2_000_000,
                 default_deadline: None,
                 max_consecutive_failures: 3,
-                shards: 1,
-                partition: PartitionStrategy::default(),
-                routing: RoutingMode::default(),
-                slab_mode: SlabMode::default(),
+                sharding: ShardedIndexConfig::default(),
                 window: None,
                 advance_every: 1,
             },
         }
-    }
-
-    /// What the degraded path runs: the configured fallback method, or the
-    /// primary method, on [`ServiceConfig::device`] with
-    /// [`KernelShape::ThreadPerQuery`] — the simplest kernel shape, with no
-    /// work queue or warp aggregation to go wrong.
-    pub fn effective_fallback(&self) -> (Method, DeviceConfig) {
-        let method = self.fallback_method.unwrap_or(self.method);
-        let mut device = self.device.clone();
-        device.kernel_shape = KernelShape::ThreadPerQuery;
-        (method, device)
     }
 
     pub(crate) fn validate(&self) -> Result<(), TdtsError> {
@@ -124,16 +98,13 @@ impl ServiceConfig {
                 "queue_capacity must admit at least one request".into(),
             ));
         }
-        if self.shards < 1 {
-            return Err(TdtsError::InvalidConfig("shards must be at least 1".into()));
-        }
         if let Some(window) = self.window {
             if !(window > 0.0 && window.is_finite()) {
                 return Err(TdtsError::InvalidConfig(
                     "window must be a positive finite duration".into(),
                 ));
             }
-            if self.shards > 1 {
+            if self.sharding.shards > 1 {
                 return Err(TdtsError::InvalidConfig(
                     "sliding-window mode requires shards == 1 (sharded indexes cannot \
                      absorb append/expire deltas)"
@@ -148,10 +119,10 @@ impl ServiceConfig {
     }
 
     /// Refuse a configuration whose workers cannot all hold a result buffer
-    /// at once on the `role` device, which has `free` bytes left beside its
+    /// at once on the device, which has `free` bytes left beside its
     /// resident index. Unchecked, the shortfall only shows under load, as
     /// `OutOfDeviceMemory` batches that degrade the service.
-    pub(crate) fn check_result_room(&self, role: &str, free: usize) -> Result<(), TdtsError> {
+    pub(crate) fn check_result_room(&self, free: usize) -> Result<(), TdtsError> {
         let need = self
             .workers
             .saturating_mul(self.result_capacity)
@@ -159,7 +130,7 @@ impl ServiceConfig {
         if need > free {
             return Err(TdtsError::InvalidConfig(format!(
                 "{} workers x result_capacity {} need {need} bytes of result buffers, but the \
-                 {role} device has {free} bytes free beside its index",
+                 device has {free} bytes free beside its index",
                 self.workers, self.result_capacity
             )));
         }
@@ -174,15 +145,9 @@ pub struct ServiceConfigBuilder {
 }
 
 impl ServiceConfigBuilder {
-    /// The simulated device the indexes are resident on.
+    /// The simulated device the index is resident on.
     pub fn device(mut self, device: DeviceConfig) -> Self {
         self.config.device = device;
-        self
-    }
-
-    /// Method for the degraded path.
-    pub fn fallback_method(mut self, method: Method) -> Self {
-        self.config.fallback_method = Some(method);
         self
     }
 
@@ -228,27 +193,10 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Devices to partition the entry database across (1 = unsharded).
-    pub fn shards(mut self, n: usize) -> Self {
-        self.config.shards = n;
-        self
-    }
-
-    /// Slab orientation for the sharded primary.
-    pub fn partition(mut self, strategy: PartitionStrategy) -> Self {
-        self.config.partition = strategy;
-        self
-    }
-
-    /// Query dispatch policy for the sharded primary.
-    pub fn routing(mut self, routing: RoutingMode) -> Self {
-        self.config.routing = routing;
-        self
-    }
-
-    /// Slab edge placement for the sharded primary.
-    pub fn slab_mode(mut self, mode: SlabMode) -> Self {
-        self.config.slab_mode = mode;
+    /// How to partition the entry database across devices (1 shard =
+    /// unsharded).
+    pub fn sharding(mut self, sharding: ShardedIndexConfig) -> Self {
+        self.config.sharding = sharding;
         self
     }
 

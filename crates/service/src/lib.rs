@@ -9,12 +9,12 @@
 //! parallelism the GPU methods are built around (the paper's response times
 //! assume the query set is large enough to saturate the device).
 //!
-//! [`QueryService`] closes that gap. It owns long-lived engines built once
+//! [`QueryService`] closes that gap. It owns one long-lived index built once
 //! per [`PreparedDataset`](tdts_core::PreparedDataset), admits concurrent
 //! requests behind a bounded queue, *coalesces* them into batches (flushed
 //! on [`ServiceConfig::max_batch`] pending queries or
-//! [`ServiceConfig::max_delay`] elapsed), runs each batch through a worker's
-//! engine as one kernel invocation, and demultiplexes the per-query result
+//! [`ServiceConfig::max_delay`] elapsed), runs each batch on a worker as
+//! one kernel invocation, and demultiplexes the per-query result
 //! slices back to the waiting clients. Coalescing changes nothing about the
 //! results: the canonical result order is sorted by query id, so each
 //! request's records form a contiguous slice that is renumbered back to the
@@ -23,10 +23,11 @@
 //!
 //! Robustness: per-request deadlines ([`TdtsError::Timeout`]), bounded
 //! admission ([`TdtsError::Overloaded`]), graceful engine degradation
-//! (after [`ServiceConfig::max_consecutive_failures`] failed batches every
-//! subsequent batch runs on a fallback engine — by default the same method
-//! with the simpler `ThreadPerQuery` kernel shape), and a drain-then-join
-//! shutdown that resolves every admitted request.
+//! (a failed batch re-runs on the same resident index under the simpler
+//! `ThreadPerQuery` kernel shape, and after
+//! [`ServiceConfig::max_consecutive_failures`] failed batches every
+//! subsequent batch goes straight there), and a drain-then-join shutdown
+//! that resolves every admitted request.
 //!
 //! [`TdtsError::Timeout`]: tdts_core::TdtsError::Timeout
 //! [`TdtsError::Overloaded`]: tdts_core::TdtsError::Overloaded
@@ -46,7 +47,7 @@ pub use stats::ServiceStats;
 mod tests {
     use super::*;
     use std::time::Duration;
-    use tdts_core::{Method, PreparedDataset};
+    use tdts_core::{Method, PreparedDataset, ShardedIndexConfig};
     use tdts_data::RandomWalkConfig;
     use tdts_gpu_sim::DeviceConfig;
     use tdts_index_temporal::TemporalIndexConfig;
@@ -169,7 +170,7 @@ mod tests {
         let config = ServiceConfig::builder(Method::GpuTemporal(TemporalIndexConfig { bins: 8 }))
             .device(DeviceConfig::test_tiny())
             .workers(2)
-            .shards(4)
+            .sharding(ShardedIndexConfig::builder().shards(4).build().unwrap())
             .max_batch(16)
             .max_delay(Duration::from_millis(1))
             .result_capacity(4_096)
@@ -198,7 +199,7 @@ mod tests {
     fn window_config_rejects_sharding() {
         let err = ServiceConfig::builder(Method::GpuTemporal(TemporalIndexConfig { bins: 8 }))
             .window(5.0)
-            .shards(2)
+            .sharding(ShardedIndexConfig::builder().shards(2).build().unwrap())
             .build()
             .unwrap_err();
         assert!(matches!(err, tdts_core::TdtsError::InvalidConfig(_)));

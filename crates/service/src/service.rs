@@ -8,19 +8,21 @@
 //!                       flush on max_batch queries or max_delay]
 //!                          │ Batch
 //!                          ▼
-//!                      [worker pool: one shared engine pair,
-//!                       primary → fallback degradation]
+//!                      [worker pool: one shared resident index,
+//!                       configured shape → ThreadPerQuery degradation]
 //!                          │ per-request MatchRecord slices
 //!                          ▼
 //!                      [demux: remap query ids, fulfil oneshots]
 //! ```
 //!
-//! The service holds exactly one primary and one fallback index, whatever
-//! the worker count: a search charges a ledger of its own
-//! ([`Device::for_search`](tdts_gpu_sim::Device::for_search)), so every
-//! worker searches the same resident index concurrently. Workers pin the
-//! pair per batch through the `EngineGate`; a window advance takes the
-//! gate exclusively and applies each delta once per index.
+//! The service holds exactly one index, whatever the worker count: a search
+//! charges a ledger of its own
+//! ([`Device::for_search`](tdts_gpu_sim::Device::for_search)) and names its
+//! kernel shape per call, so every worker searches the same resident index
+//! concurrently and the degraded path is that index under
+//! [`KernelShape::ThreadPerQuery`]. Workers pin the index per batch through
+//! the `EngineGate`; a window advance takes the gate exclusively and applies
+//! each delta once.
 
 // All synchronisation goes through the tdts-sync shim: in normal builds
 // these are plain `std` re-exports (zero cost, byte-identical behavior);
@@ -34,11 +36,9 @@ use tdts_sync::sync::{Condvar, Mutex};
 use tdts_sync::thread::{self, JoinHandle};
 use tdts_sync::time::{Duration, Instant};
 
-use tdts_core::{
-    PreparedDataset, QueryBatch, ShardedIndex, ShardedIndexConfig, TdtsError, TrajectoryIndex,
-};
+use tdts_core::{PreparedDataset, QueryBatch, ShardedIndex, TdtsError, TrajectoryIndex};
 use tdts_geom::{MatchRecord, Segment, SegmentStore};
-use tdts_gpu_sim::{Device, SearchError, SearchReport};
+use tdts_gpu_sim::{Device, KernelShape, SearchError, SearchReport};
 
 use crate::config::ServiceConfig;
 use crate::oneshot::ResponseSlot;
@@ -108,18 +108,15 @@ struct Batch {
     oldest: Instant,
 }
 
-/// The one primary and the one fallback index every worker searches.
-struct Engines {
-    primary: Box<dyn TrajectoryIndex>,
-    fallback: Box<dyn TrajectoryIndex>,
-}
+/// The one resident index every worker searches.
+type Engine = Box<dyn TrajectoryIndex>;
 
-/// Writer-preferring reader/writer gate over the shared [`Engines`]. Any
-/// number of workers pin the engines for the length of a batch; a window
+/// Writer-preferring reader/writer gate over the shared [`Engine`]. Any
+/// number of workers pin the engine for the length of a batch; a window
 /// advance keeps new pins out, waits for the live ones to drop, and then
-/// holds the state lock — and with it the engines — for the whole update.
+/// holds the state lock — and with it the engine — for the whole update.
 /// A batch therefore searches the pre- or the post-advance generation,
-/// never one index at each.
+/// never a half-applied one.
 struct EngineGate {
     state: Mutex<GateState>,
     /// Signalled when the last pin drops and when an update ends.
@@ -127,30 +124,31 @@ struct EngineGate {
 }
 
 struct GateState {
-    engines: Arc<Engines>,
-    /// Batches currently searching a clone of `engines`.
+    engine: Arc<Engine>,
+    /// Batches currently searching a clone of `engine`.
     pins: usize,
     /// An update is waiting for `pins` to reach zero.
     updating: bool,
-    /// The first engine error of an update. The two indexes may then sit at
-    /// different generations, so nothing is served from them again.
+    /// The first engine error of an update. The index may then hold one
+    /// delta of the tick and not the other, so nothing is served from it
+    /// again.
     failed: Option<TdtsError>,
 }
 
-/// A worker's hold on the engines for one batch; dropping it lets a
+/// A worker's hold on the engine for one batch; dropping it lets a
 /// waiting update through.
-struct PinnedEngines<'a> {
+struct PinnedEngine<'a> {
     /// `Some` until drop, which releases the clone *before* the pin count
     /// says it is gone — the update relies on being the only owner.
-    engines: Option<Arc<Engines>>,
+    engine: Option<Arc<Engine>>,
     gate: &'a EngineGate,
 }
 
 impl EngineGate {
-    fn new(engines: Engines) -> EngineGate {
+    fn new(engine: Engine) -> EngineGate {
         EngineGate {
             state: Mutex::new(GateState {
-                engines: Arc::new(engines),
+                engine: Arc::new(engine),
                 pins: 0,
                 updating: false,
                 failed: None,
@@ -159,9 +157,9 @@ impl EngineGate {
         }
     }
 
-    /// Pin the engines for one batch, or report the update failure that
+    /// Pin the engine for one batch, or report the update failure that
     /// stopped the service from serving.
-    fn pin(&self) -> Result<PinnedEngines<'_>, TdtsError> {
+    fn pin(&self) -> Result<PinnedEngine<'_>, TdtsError> {
         let mut state = self.state.lock().unwrap();
         while state.updating {
             state = self.changed_cv.wait(state).unwrap();
@@ -170,7 +168,7 @@ impl EngineGate {
             return Err(error.clone());
         }
         state.pins += 1;
-        Ok(PinnedEngines { engines: Some(Arc::clone(&state.engines)), gate: self })
+        Ok(PinnedEngine { engine: Some(Arc::clone(&state.engine)), gate: self })
     }
 
     /// The update failure, if one has stopped the service.
@@ -178,11 +176,11 @@ impl EngineGate {
         self.state.lock().unwrap().failed.clone()
     }
 
-    /// Run `apply` with the engines to itself. Its first error is kept:
+    /// Run `apply` with the engine to itself. Its first error is kept:
     /// this and every later [`pin`](EngineGate::pin) then return it.
     fn update(
         &self,
-        apply: impl FnOnce(&mut Engines) -> Result<(), TdtsError>,
+        apply: impl FnOnce(&mut Engine) -> Result<(), TdtsError>,
     ) -> Result<(), TdtsError> {
         let mut state = self.state.lock().unwrap();
         state.updating = true;
@@ -190,8 +188,8 @@ impl EngineGate {
             state = self.changed_cv.wait(state).unwrap();
         }
         state.updating = false;
-        let engines = Arc::get_mut(&mut state.engines).expect("no pin outlives its count");
-        let result = apply(engines);
+        let engine = Arc::get_mut(&mut state.engine).expect("no pin outlives its count");
+        let result = apply(engine);
         if let Err(error) = &result {
             state.failed = Some(error.clone());
         }
@@ -201,17 +199,17 @@ impl EngineGate {
     }
 }
 
-impl std::ops::Deref for PinnedEngines<'_> {
-    type Target = Engines;
+impl std::ops::Deref for PinnedEngine<'_> {
+    type Target = Engine;
 
-    fn deref(&self) -> &Engines {
-        self.engines.as_deref().expect("engines are held until drop")
+    fn deref(&self) -> &Engine {
+        self.engine.as_deref().expect("the engine is held until drop")
     }
 }
 
-impl Drop for PinnedEngines<'_> {
+impl Drop for PinnedEngine<'_> {
     fn drop(&mut self) {
-        self.engines = None;
+        self.engine = None;
         // Poison-tolerant: a drop during unwinding must not panic again.
         let mut state = self.gate.state.lock().unwrap_or_else(|e| e.into_inner());
         state.pins -= 1;
@@ -249,7 +247,7 @@ pub struct WindowAdvance {
 
 struct Shared {
     config: ServiceConfig,
-    engines: EngineGate,
+    engine: EngineGate,
     pending: Mutex<PendingQueue>,
     pending_cv: Condvar,
     batches: Mutex<VecDeque<Batch>>,
@@ -266,9 +264,9 @@ struct Shared {
 
 /// A long-lived query service over one [`PreparedDataset`].
 ///
-/// The indexes are built once at [`QueryService::start`] — one primary and
-/// one fallback, shared by every worker; after that, any number of client
-/// threads can [`submit`] concurrently. Requests are coalesced into batches,
+/// The index is built once at [`QueryService::start`] and shared by every
+/// worker; after that, any number of client threads can [`submit`]
+/// concurrently. Requests are coalesced into batches,
 /// each batch runs as a single kernel invocation on a worker, and the
 /// batch's results are demultiplexed back to the individual clients.
 ///
@@ -277,9 +275,9 @@ pub struct QueryService {
     shared: Arc<Shared>,
     batcher: Mutex<Option<JoinHandle<()>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    /// Typed handle to the sharded primary (`None` when
-    /// `config.shards == 1`), kept so [`QueryService::stats`] can read its
-    /// per-shard work counters.
+    /// Typed handle to the sharded index (`None` when
+    /// `config.sharding.shards == 1`), kept so [`QueryService::stats`] can
+    /// read its per-shard work counters.
     shard_engine: Option<Arc<ShardedIndex>>,
     /// Streaming-mode canonical store (window advances mutate it; query
     /// batches never touch it).
@@ -287,73 +285,58 @@ pub struct QueryService {
 }
 
 impl QueryService {
-    /// Build the primary and the fallback index over `dataset` and start
-    /// the batcher and worker threads.
+    /// Build the index over `dataset` and start the batcher and worker
+    /// threads.
     pub fn start(
         dataset: &PreparedDataset,
         config: ServiceConfig,
     ) -> Result<QueryService, TdtsError> {
         config.validate()?;
         let store = dataset.store_arc();
-        // One stats scan, shared by the primary and the fallback build.
         let stats = store.stats().ok_or(TdtsError::Search(SearchError::EmptyDataset))?;
-        // With shards > 1 the primary becomes a ShardedIndex: the store
-        // partitioned across `shards` devices, fanned out per batch. The
-        // fallback stays unsharded: one device, the simplest possible path.
+        // With shards > 1 the index is a ShardedIndex: the store partitioned
+        // across `shards` devices, fanned out per batch.
         let mut shard_engine = None;
-        let primary_free;
-        let primary: Box<dyn TrajectoryIndex> = if config.shards > 1 {
+        let free;
+        let engine: Engine = if config.sharding.shards > 1 {
             let sharded = Arc::new(ShardedIndex::build(
                 config.method,
                 &store,
                 &stats,
                 &config.device,
-                &ShardedIndexConfig::builder()
-                    .shards(config.shards)
-                    .partition(config.partition)
-                    .routing(config.routing)
-                    .slab_mode(config.slab_mode)
-                    .build()?,
+                &config.sharding,
             )?);
             shard_engine = Some(Arc::clone(&sharded));
-            primary_free = sharded.free_device_bytes();
+            free = sharded.free_device_bytes();
             Box::new(sharded)
         } else {
             let device = Device::new(config.device.clone()).map_err(TdtsError::InvalidConfig)?;
             let index = config.method.build_index(&store, &stats, Arc::clone(&device))?;
-            primary_free = device.mem_available();
+            free = device.mem_available();
             index
         };
-        config.check_result_room("primary", primary_free)?;
-        let (fallback_method, fallback_device) = config.effective_fallback();
-        let device = Device::new(fallback_device).map_err(TdtsError::InvalidConfig)?;
-        let fallback = fallback_method.build_index(&store, &stats, Arc::clone(&device))?;
-        config.check_result_room("fallback", device.mem_available())?;
-
-        let engines = Engines { primary, fallback };
-        Ok(Self::launch(config, engines, shard_engine, store, stats.time_span.end))
+        config.check_result_room(free)?;
+        Ok(Self::launch(config, engine, shard_engine, store, stats.time_span.end))
     }
 
-    /// Start the service over a pre-built engine pair, skipping both index
-    /// builds. This is the model-check seam: harnesses inject cheap mock
-    /// engines so each of the checker's thousands of executions starts a
-    /// real service (real batcher, workers, admission, shutdown protocol)
-    /// in microseconds.
+    /// Start the service over a pre-built index, skipping the build. This is
+    /// the model-check seam: harnesses inject a cheap mock engine so each of
+    /// the checker's thousands of executions starts a real service (real
+    /// batcher, workers, admission, shutdown protocol) in microseconds.
     #[cfg(feature = "model-check")]
     pub fn start_with_engines(
         config: ServiceConfig,
         store: Arc<SegmentStore>,
-        primary: Box<dyn TrajectoryIndex>,
-        fallback: Box<dyn TrajectoryIndex>,
+        engine: Box<dyn TrajectoryIndex>,
     ) -> Result<QueryService, TdtsError> {
         config.validate()?;
         let frontier = store.stats().map_or(0.0, |s| s.time_span.end);
-        Ok(Self::launch(config, Engines { primary, fallback }, None, store, frontier))
+        Ok(Self::launch(config, engine, None, store, frontier))
     }
 
     fn launch(
         config: ServiceConfig,
-        engines: Engines,
+        engine: Engine,
         shard_engine: Option<Arc<ShardedIndex>>,
         store: Arc<SegmentStore>,
         frontier: f64,
@@ -361,7 +344,7 @@ impl QueryService {
         let workers = config.workers;
         let shared = Arc::new(Shared {
             config,
-            engines: EngineGate::new(engines),
+            engine: EngineGate::new(engine),
             pending: Mutex::new(PendingQueue::default()),
             pending_cv: Condvar::new(),
             batches: Mutex::new(VecDeque::new()),
@@ -399,11 +382,11 @@ impl QueryService {
     }
 
     /// A point-in-time snapshot of the service counters. Under sharded
-    /// execution (`config.shards > 1`) the snapshot carries the sharded
-    /// primary's per-shard work counters.
+    /// execution (`config.sharding.shards > 1`) the snapshot carries the
+    /// sharded index's per-shard work counters.
     pub fn stats(&self) -> ServiceStats {
         let mut stats = self.shared.stats.snapshot();
-        stats.shards = self.shared.config.shards;
+        stats.shards = self.shared.config.sharding.shards;
         if let Some(engine) = &self.shard_engine {
             stats.duplicates_dropped = engine.duplicates_dropped();
             stats.per_shard = engine.shard_stats();
@@ -412,24 +395,26 @@ impl QueryService {
     }
 
     /// Advance the sliding time window: append `new_segments` to the
-    /// canonical store and to the primary and the fallback index, and —
-    /// every [`ServiceConfig::advance_every`] advances — expire segments
-    /// ending before `frontier - window`.
+    /// canonical store and to the index, and — every
+    /// [`ServiceConfig::advance_every`] advances — expire segments ending
+    /// before `frontier - window`.
     ///
-    /// The store is mutated while batches keep running; the two indexes are
-    /// then updated together under the engine gate, which waits for the
-    /// batches already searching to finish and holds later ones back until
-    /// both indexes are at the new generation. A query racing an advance is
-    /// answered from the pre- or the post-advance generation, never a mix.
+    /// The store is mutated while batches keep running; the index is then
+    /// updated under the engine gate, which waits for the batches already
+    /// searching to finish and holds later ones back until the index is at
+    /// the new generation. A query racing an advance is answered from the
+    /// pre- or the post-advance generation, never a mix.
     ///
-    /// Fail-stop: if an index refuses a delta the indexes may disagree, so
-    /// this call, every later one, and every request admitted afterwards
+    /// Fail-stop: if the index refuses a delta it may hold half of the tick,
+    /// so this call, every later one, and every request admitted afterwards
     /// get that error.
     ///
-    /// `new_segments` must be sorted by `t_start` and start no earlier
-    /// than the newest stored segment (the streaming model: updates arrive
-    /// time-ordered). Fails with [`TdtsError::InvalidConfig`] when the
-    /// service was not configured with [`ServiceConfig::window`].
+    /// `new_segments` must be valid, sorted by `t_start` and start no
+    /// earlier than the newest stored segment (the streaming model: updates
+    /// arrive time-ordered; [`SegmentStore::check_append`]); a refused
+    /// batch leaves store and index untouched. Fails with
+    /// [`TdtsError::InvalidConfig`] when the service was not configured with
+    /// [`ServiceConfig::window`].
     pub fn advance_window(&self, new_segments: &[Segment]) -> Result<WindowAdvance, TdtsError> {
         let Some(window) = self.shared.config.window else {
             return Err(TdtsError::InvalidConfig(
@@ -442,20 +427,10 @@ impl QueryService {
         let mut stream = self.stream.lock().unwrap();
         // Advances are serialised by the stream lock, so a failure cannot
         // appear between this check and the update below.
-        if let Some(error) = self.shared.engines.failure() {
+        if let Some(error) = self.shared.engine.failure() {
             return Err(error);
         }
-        let mut sorted_ok = stream
-            .store
-            .segments()
-            .last()
-            .is_none_or(|prev| new_segments.first().is_none_or(|s| prev.t_start <= s.t_start));
-        sorted_ok &= new_segments.windows(2).all(|w| w[0].t_start <= w[1].t_start);
-        if !sorted_ok {
-            return Err(TdtsError::InvalidConfig(
-                "advance_window requires segments in t_start order".into(),
-            ));
-        }
+        stream.store.check_append(new_segments).map_err(TdtsError::InvalidConfig)?;
 
         let append = Arc::make_mut(&mut stream.store).append(new_segments);
         // Snapshot the post-append epoch: ingest reads the appended tail
@@ -473,14 +448,12 @@ impl QueryService {
         let expire = cut.map(|cut| Arc::make_mut(&mut stream.store).expire_before(cut));
         let expired = expire.as_ref().map_or(0, |d| d.removed.len());
 
-        self.shared.engines.update(|Engines { primary, fallback }| {
-            for engine in [primary, fallback] {
-                engine.ingest(&appended, &append)?;
-                if let Some(delta) = &expire {
-                    engine.expire_before(&stream.store, delta)?;
-                }
+        self.shared.engine.update(|engine| {
+            engine.ingest(&appended, &append)?;
+            match &expire {
+                Some(delta) => engine.expire_before(&stream.store, delta),
+                None => Ok(()),
             }
-            Ok(())
         })?;
 
         self.shared.stats.window_advances.fetch_add(1, Ordering::Relaxed);
@@ -527,8 +500,9 @@ impl QueryService {
     /// [`SearchTicket::wait`]. Admission control applies here: beyond
     /// [`ServiceConfig::queue_capacity`] unfinished requests this returns
     /// [`TdtsError::Overloaded`] instead of queueing. A `d` that is NaN,
-    /// negative or infinite is [`TdtsError::InvalidConfig`] and is never
-    /// admitted.
+    /// negative or infinite, or a query segment that is not
+    /// [valid](Segment::is_valid), is [`TdtsError::InvalidConfig`] and is
+    /// never admitted.
     pub fn submit_nowait(
         &self,
         queries: &SegmentStore,
@@ -536,9 +510,9 @@ impl QueryService {
         deadline: Option<Instant>,
     ) -> Result<SearchTicket, TdtsError> {
         let shared = &self.shared;
-        // Before admission: a hostile threshold takes no queue slot and can
-        // never join a coalesced batch, where it would fail (or silently
-        // change the answers of) every request batched with it.
+        // Before admission: a hostile threshold or segment takes no queue
+        // slot and can never join a coalesced batch, where it would fail (or
+        // silently change the answers of) every request batched with it.
         QueryBatch { queries, d, result_capacity: shared.config.result_capacity }.validate()?;
         if shared.shutdown.load(Ordering::SeqCst) {
             return Err(TdtsError::ShuttingDown);
@@ -753,15 +727,17 @@ fn run_batch(shared: &Shared, batch: Batch) {
 
     let query_batch =
         QueryBatch { queries: &merged, d: batch.d, result_capacity: shared.config.result_capacity };
-    // Pin the engines for the whole batch: a window advance must not
-    // mutate them under the search (other workers pin the same pair and
-    // search alongside).
+    // Pin the engine for the whole batch: a window advance must not mutate
+    // it under the search (other workers pin the same index and search
+    // alongside). The degraded path is the same resident index under the
+    // simplest kernel shape: no work queue or tile list to go wrong.
+    let fallback = Some(KernelShape::ThreadPerQuery);
     let mut used_fallback = shared.stats.degraded.load(Ordering::SeqCst);
-    let result = shared.engines.pin().and_then(|engines| {
+    let result = shared.engine.pin().and_then(|engine| {
         if used_fallback {
-            return engines.fallback.search(&query_batch);
+            return engine.search_shaped(&query_batch, fallback);
         }
-        match engines.primary.search(&query_batch) {
+        match engine.search(&query_batch) {
             Ok(outcome) => {
                 shared.consecutive_failures.store(0, Ordering::SeqCst);
                 Ok(outcome)
@@ -770,11 +746,11 @@ fn run_batch(shared: &Shared, batch: Batch) {
                 let failures = shared.consecutive_failures.fetch_add(1, Ordering::SeqCst) + 1;
                 if failures >= shared.config.max_consecutive_failures {
                     // Degrade permanently: every later batch goes straight
-                    // to the fallback engine.
+                    // to the fallback shape.
                     shared.stats.degraded.store(true, Ordering::SeqCst);
                 }
                 used_fallback = true;
-                engines.fallback.search(&query_batch)
+                engine.search_shaped(&query_batch, fallback)
             }
         }
     });
@@ -809,7 +785,7 @@ fn run_batch(shared: &Shared, batch: Batch) {
             }
         }
         Err(error) => {
-            // Both engines failed, or a failed window advance stopped the
+            // Both shapes failed, or a failed window advance stopped the
             // service: every rider gets the typed error.
             for request in &live {
                 if request.slot.fulfill(Err(error.clone())) {

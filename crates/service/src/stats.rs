@@ -5,7 +5,7 @@
 // Pure-observability counters stay on raw `std` atomics: they carry no
 // protocol decisions, and routing them through the tdts-sync shim would
 // only blow up the model checker's schedule space. The `degraded` flag
-// (drives the fallback-engine routing) and the cumulative-report lock go
+// (drives the fallback-shape routing) and the cumulative-report lock go
 // through the shim.
 use std::sync::atomic::AtomicU64;
 use std::time::Duration;
@@ -86,11 +86,11 @@ pub struct ServiceStats {
     pub requests_served: u64,
     /// Requests that missed their deadline.
     pub requests_timed_out: u64,
-    /// Requests answered with a search error (both engines failed).
+    /// Requests answered with a search error (both kernel shapes failed).
     pub requests_failed: u64,
     /// Coalesced batches run through an engine.
     pub batches_executed: u64,
-    /// Batches served by the fallback engine.
+    /// Batches served under the fallback kernel shape.
     pub fallback_batches: u64,
     /// Mean query segments per executed batch.
     pub mean_batch_queries: f64,
@@ -98,7 +98,8 @@ pub struct ServiceStats {
     pub mean_batch_latency_seconds: f64,
     /// Highest simultaneous admitted-request count observed.
     pub max_queue_depth: u64,
-    /// Whether the service has permanently degraded to the fallback engine.
+    /// Whether the service has permanently degraded to the fallback kernel
+    /// shape.
     pub degraded: bool,
     /// Sliding-window advances applied (0 unless streaming mode).
     pub window_advances: u64,
@@ -109,12 +110,12 @@ pub struct ServiceStats {
     /// Every executed batch's [`SearchReport`] merged together — phase
     /// timings, comparison counts, and aggregated `LoadBalance` metrics.
     pub cumulative: SearchReport,
-    /// Configured shard count (1 = unsharded primaries).
+    /// Configured shard count (1 = unsharded).
     pub shards: usize,
-    /// Cross-shard duplicate records dropped by the sharded primary's merge
+    /// Cross-shard duplicate records dropped by the sharded index's merge
     /// path (0 when unsharded).
     pub duplicates_dropped: u64,
-    /// Per-slab work counters of the sharded primary, in slab order (empty
+    /// Per-slab work counters of the sharded index, in slab order (empty
     /// when unsharded).
     pub per_shard: Vec<ShardStats>,
 }

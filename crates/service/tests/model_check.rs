@@ -2,7 +2,7 @@
 //!
 //! Each test spins up a *real* `QueryService` — real batcher, worker
 //! pool, admission control, and shutdown protocol — inside
-//! `tdts_sync::model::check`, with cheap mock engines injected through
+//! `tdts_sync::model::check`, with a cheap mock engine injected through
 //! the `start_with_engines` seam so every one of the checker's executions
 //! starts in microseconds. The scheduler then explores thread
 //! interleavings exhaustively at the configured preemption bound;
@@ -21,7 +21,7 @@ use tdts_geom::{
     AppendDelta, ExpireDelta, MatchRecord, Point3, SegId, Segment, SegmentStore, TimeInterval,
     TrajId,
 };
-use tdts_gpu_sim::{DeviceConfig, SearchError, SearchReport};
+use tdts_gpu_sim::{DeviceConfig, KernelShape, SearchError, SearchReport};
 use tdts_index_temporal::TemporalIndexConfig;
 use tdts_service::service::QueryService;
 use tdts_service::ServiceConfig;
@@ -31,18 +31,24 @@ use tdts_sync::time::{Duration, Instant};
 
 /// A trajectory index that answers instantly: one self-match per query,
 /// in canonical order (ascending query id), so the service's demux works
-/// exactly as it does over real engines. `fail: true` makes every search
-/// error, driving the primary → fallback degradation path; `fail_ingest:
-/// true` makes every window advance error at this index.
+/// exactly as it does over real engines. `fail_unshaped: true` makes every
+/// search under the device's own kernel shape error and only
+/// `Some(ThreadPerQuery)` succeed, driving the degradation path on the one
+/// index; `fail_expire: true` makes a window advance error after its ingest
+/// has applied.
 #[derive(Default)]
 struct MockIndex {
-    fail: bool,
-    fail_ingest: bool,
+    fail_unshaped: bool,
+    fail_expire: bool,
 }
 
 impl TrajectoryIndex for MockIndex {
-    fn search(&self, batch: &QueryBatch<'_>) -> Result<SearchOutcome, TdtsError> {
-        if self.fail {
+    fn search_shaped(
+        &self,
+        batch: &QueryBatch<'_>,
+        shape: Option<KernelShape>,
+    ) -> Result<SearchOutcome, TdtsError> {
+        if self.fail_unshaped && shape != Some(KernelShape::ThreadPerQuery) {
             return Err(TdtsError::Search(SearchError::EmptyDataset));
         }
         let matches = (0..batch.queries.len() as u32)
@@ -64,9 +70,6 @@ impl TrajectoryIndex for MockIndex {
         _store: &Arc<SegmentStore>,
         _delta: &AppendDelta,
     ) -> Result<(), TdtsError> {
-        if self.fail_ingest {
-            return Err(TdtsError::IncrementalUnsupported("mock"));
-        }
         Ok(())
     }
 
@@ -75,6 +78,9 @@ impl TrajectoryIndex for MockIndex {
         _store: &Arc<SegmentStore>,
         _delta: &ExpireDelta,
     ) -> Result<(), TdtsError> {
+        if self.fail_expire {
+            return Err(TdtsError::IncrementalUnsupported("mock"));
+        }
         Ok(())
     }
 }
@@ -109,11 +115,11 @@ fn base_config() -> tdts_service::config::ServiceConfigBuilder {
 }
 
 fn service(config: ServiceConfig) -> QueryService {
-    service_with(config, MockIndex::default(), MockIndex::default())
+    service_with(config, MockIndex::default())
 }
 
-fn service_with(config: ServiceConfig, primary: MockIndex, fallback: MockIndex) -> QueryService {
-    QueryService::start_with_engines(config, store(2), Box::new(primary), Box::new(fallback))
+fn service_with(config: ServiceConfig, engine: MockIndex) -> QueryService {
+    QueryService::start_with_engines(config, store(2), Box::new(engine))
         .expect("mock service start")
 }
 
@@ -191,19 +197,16 @@ fn concurrent_clients_each_get_their_answer() {
     assert_eq!(report.executions, 20_000, "expected the full bounded prefix to run");
 }
 
-/// Worker failure → fallback degradation: the primary engine fails every
-/// batch, `max_consecutive_failures: 1` trips permanent degradation on
-/// the first one. Both requests must still be answered (by the
-/// fallback), and the degraded flag must be visible after shutdown.
+/// Worker failure → fallback degradation: the index fails every batch
+/// under its device's own shape, `max_consecutive_failures: 1` trips
+/// permanent degradation on the first one. Both requests must still be
+/// answered (by the same index under `ThreadPerQuery`), and the degraded
+/// flag must be visible after shutdown.
 #[test]
 fn worker_failure_degrades_to_fallback() {
     let report = check("service/degradation", cfg(), || {
         let config = base_config().max_consecutive_failures(1).build().unwrap();
-        let svc = service_with(
-            config,
-            MockIndex { fail: true, ..Default::default() },
-            MockIndex::default(),
-        );
+        let svc = service_with(config, MockIndex { fail_unshaped: true, ..Default::default() });
         let first = svc.submit(&queries(1), 0.5).expect("first submit rides the fallback");
         assert_eq!(first.matches.len(), 1);
         let second = svc.submit(&queries(1), 0.5).expect("degraded submit");
@@ -262,8 +265,8 @@ fn advance_window_races_inflight_query() {
     }
 }
 
-/// A window advance that fails half-way: the primary takes the delta, the
-/// fallback refuses it, so the two indexes sit at different generations.
+/// A window advance that fails half-way: the index takes the tick's ingest
+/// and refuses its expire, so it reflects no generation the store ever had.
 /// The service must stop serving rather than answer from that mix: the
 /// racing request resolves with a pre-advance answer or the advance's typed
 /// error, and the failed advance, a later advance and a later request all
@@ -275,12 +278,12 @@ fn failed_advance_stops_the_service() {
     }
     let report = check("service/advance-error", cfg(), || {
         let config = base_config().window(10.0).advance_every(1).build().unwrap();
-        let fallback = MockIndex { fail_ingest: true, ..Default::default() };
-        let svc = Arc::new(service_with(config, MockIndex::default(), fallback));
+        let engine = MockIndex { fail_expire: true, ..Default::default() };
+        let svc = Arc::new(service_with(config, engine));
         let ticket = svc.submit_nowait(&queries(1), 0.5, None).expect("admission");
         let peer = Arc::clone(&svc);
         let advancer = thread::spawn(move || {
-            let error = peer.advance_window(&new_segment()).expect_err("fallback refuses");
+            let error = peer.advance_window(&new_segment()).expect_err("expire refuses");
             assert!(is_advance_error(&error), "advance: {error:?}");
         });
         match ticket.wait() {

@@ -96,10 +96,8 @@ struct Opts {
     kernel_shape: KernelShape,
     tile_size: usize,
     sanitizer: SanitizerMode,
-    shards: usize,
-    partition: PartitionStrategy,
-    routing: RoutingMode,
-    slab_mode: SlabMode,
+    /// Handed unchanged to `search` and to the service commands.
+    sharding: ShardedIndexConfig,
     clients: usize,
     request_size: usize,
     requests: usize,
@@ -132,10 +130,7 @@ fn parse() -> Opts {
         kernel_shape: KernelShape::ThreadPerQuery,
         tile_size: 128,
         sanitizer: SanitizerMode::from_env().unwrap_or(SanitizerMode::Off),
-        shards: 1,
-        partition: PartitionStrategy::default(),
-        routing: RoutingMode::default(),
-        slab_mode: SlabMode::default(),
+        sharding: ShardedIndexConfig::default(),
         clients: 16,
         request_size: 0,
         requests: 0,
@@ -174,19 +169,20 @@ fn parse() -> Opts {
                 o.sanitizer = SanitizerMode::parse(&val(&mut args)).unwrap_or_else(|| usage())
             }
             "--shards" => {
-                o.shards = val(&mut args).parse().unwrap_or_else(|_| usage());
-                if o.shards == 0 {
+                o.sharding.shards = val(&mut args).parse().unwrap_or_else(|_| usage());
+                if o.sharding.shards == 0 {
                     usage()
                 }
             }
             "--partition" => {
-                o.partition = PartitionStrategy::parse(&val(&mut args)).unwrap_or_else(|| usage())
+                o.sharding.partition =
+                    PartitionStrategy::parse(&val(&mut args)).unwrap_or_else(|| usage())
             }
             "--routing" => {
-                o.routing = RoutingMode::parse(&val(&mut args)).unwrap_or_else(|| usage())
+                o.sharding.routing = RoutingMode::parse(&val(&mut args)).unwrap_or_else(|| usage())
             }
             "--slab-mode" => {
-                o.slab_mode = SlabMode::parse(&val(&mut args)).unwrap_or_else(|| usage())
+                o.sharding.slab_mode = SlabMode::parse(&val(&mut args)).unwrap_or_else(|| usage())
             }
             "--clients" => o.clients = val(&mut args).parse().unwrap_or_else(|_| usage()),
             "--request-size" => o.request_size = val(&mut args).parse().unwrap_or_else(|_| usage()),
@@ -391,29 +387,21 @@ fn main() {
             }
 
             let sanitizer_device = Arc::clone(&device);
-            let engine = if o.shards > 1 {
-                SearchEngine::build_sharded(
-                    &dataset,
-                    method,
-                    &device_config,
-                    &ShardedIndexConfig::builder()
-                        .shards(o.shards)
-                        .partition(o.partition)
-                        .routing(o.routing)
-                        .slab_mode(o.slab_mode)
-                        .build()
-                        .unwrap_or_else(|e| fail(e)),
-                )
-                .unwrap_or_else(|e| fail(e))
+            let engine = if o.sharding.shards > 1 {
+                SearchEngine::build_sharded(&dataset, method, &device_config, &o.sharding)
+                    .unwrap_or_else(|e| fail(e))
             } else {
                 SearchEngine::build(&dataset, method, device).unwrap_or_else(|e| fail(e))
             };
             let (matches, report) = engine.search(&queries, o.d, cap).unwrap_or_else(|e| fail(e));
             println!("method:       {}", engine.method().name());
-            if o.shards > 1 {
+            if o.sharding.shards > 1 {
                 println!(
                     "shards:       {} ({} partition, {} slabs, {} routing)",
-                    o.shards, o.partition, o.slab_mode, o.routing
+                    o.sharding.shards,
+                    o.sharding.partition,
+                    o.sharding.slab_mode,
+                    o.sharding.routing
                 );
                 let r = &report.routing;
                 println!(
@@ -435,13 +423,13 @@ fn main() {
             );
             println!("wall:         {:.3}s", report.wall_seconds);
             if !o.sanitizer.is_off() {
-                if o.shards > 1 {
+                if o.sharding.shards > 1 {
                     // Sharded devices live inside the index; their findings
                     // are aggregated into the merged report.
                     if report.sanitizer_findings == 0 {
                         println!(
                             "sanitizer:    clean ({} across {} shards)",
-                            o.sanitizer, o.shards
+                            o.sanitizer, o.sharding.shards
                         );
                     } else {
                         eprintln!("sanitizer FAILED: {} findings", report.sanitizer_findings);
@@ -618,7 +606,7 @@ fn run_stream(
     queries: &SegmentStore,
     cap: usize,
 ) {
-    if o.shards > 1 {
+    if o.sharding.shards > 1 {
         fail("stream mode requires --shards 1 (sharded indexes cannot absorb deltas)");
     }
     let device = Device::new(device_config.clone()).unwrap_or_else(|e| fail(e));
@@ -758,10 +746,7 @@ fn run_service(
     let mut builder = ServiceConfig::builder(method)
         .device(device_config.clone())
         .workers(o.workers)
-        .shards(o.shards)
-        .partition(o.partition)
-        .routing(o.routing)
-        .slab_mode(o.slab_mode)
+        .sharding(o.sharding)
         .max_batch(o.max_batch)
         .max_delay(Duration::from_secs_f64(o.max_delay_ms / 1e3))
         .queue_capacity(o.queue_capacity)

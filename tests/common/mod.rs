@@ -48,8 +48,9 @@ pub fn assert_byte_identical(got: &[MatchRecord], expect: &[MatchRecord], label:
     }
 }
 
-/// Search `engine` alone, then from four threads released together (all
-/// inside `search` at once, not one after another), and require every
+/// Search `engine` alone under `shape` (`None`: its device's own), then from
+/// four threads released together (all inside `search` at once, not one
+/// after another), and require every
 /// concurrent search to return the solo search's matches, byte for byte, and
 /// its [`SearchReport::deterministic`] costs. Returns the solo report.
 pub fn assert_concurrent_searches_match_solo(
@@ -57,16 +58,18 @@ pub fn assert_concurrent_searches_match_solo(
     queries: &SegmentStore,
     d: f64,
     result_capacity: usize,
+    shape: Option<KernelShape>,
     label: &str,
 ) -> SearchReport {
     const THREADS: usize = 4;
-    let (solo_matches, solo) = engine.search(queries, d, result_capacity).unwrap();
+    let search = || engine.search_shaped(queries, d, result_capacity, shape).unwrap();
+    let (solo_matches, solo) = search();
     let start = std::sync::Barrier::new(THREADS);
     std::thread::scope(|scope| {
         for _ in 0..THREADS {
             scope.spawn(|| {
                 start.wait();
-                let (matches, report) = engine.search(queries, d, result_capacity).unwrap();
+                let (matches, report) = search();
                 assert_byte_identical(&matches, &solo_matches, label);
                 assert_eq!(
                     report.deterministic(),

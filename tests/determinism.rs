@@ -86,11 +86,59 @@ fn concurrent_searches_on_one_engine_report_solo_costs() {
         for method in methods() {
             let engine = fresh_engine(&dataset, method, shape);
             let label = format!("{} / {shape:?}", method.name());
-            let ample =
-                common::assert_concurrent_searches_match_solo(&engine, &queries, D, AMPLE, &label);
+            let ample = common::assert_concurrent_searches_match_solo(
+                &engine, &queries, D, AMPLE, None, &label,
+            );
             // A third of the raw result set forces the redo protocol.
             let pressure = (ample.raw_matches / 3) as usize;
-            common::assert_concurrent_searches_match_solo(&engine, &queries, D, pressure, &label);
+            common::assert_concurrent_searches_match_solo(
+                &engine, &queries, D, pressure, None, &label,
+            );
+        }
+    }
+}
+
+/// The shape a search names is the whole of its shape: on a device configured
+/// with the *other* one it returns the matches and charges the costs of a
+/// device configured with `shape`, unsharded and forwarded through 4 shards.
+#[test]
+fn shape_argument_overrides_the_device_default() {
+    let (dataset, queries) = fixture();
+    let sharding = ShardedIndexConfig::builder().shards(4).build().unwrap();
+    for method in methods() {
+        for sharded in [false, true] {
+            let build = |device_shape: KernelShape| {
+                if sharded {
+                    let config =
+                        DeviceConfig { kernel_shape: device_shape, ..DeviceConfig::tesla_c2075() };
+                    SearchEngine::build_sharded(&dataset, method, &config, &sharding).unwrap()
+                } else {
+                    fresh_engine(&dataset, method, device_shape)
+                }
+            };
+            // A sharded report adopts the phase seconds of the shard with the
+            // largest total *including measured host time* (ROADMAP open
+            // item 3), so which shard that is varies run to run; its summed
+            // ledger fields and every counter do not.
+            let counted = |report: &SearchReport| {
+                let mut out = report.deterministic();
+                if sharded {
+                    let mut sums = tdts::gpu_sim::ResponseTime::new();
+                    sums.kernel_invocations = out.response.kernel_invocations;
+                    sums.h2d_bytes = out.response.h2d_bytes;
+                    sums.d2h_bytes = out.response.d2h_bytes;
+                    out.response = sums;
+                }
+                out
+            };
+            for (shape, other) in [(SHAPES[0], SHAPES[1]), (SHAPES[1], SHAPES[0])] {
+                let label = format!("{} / {shape:?} / sharded: {sharded}", method.name());
+                let (want, want_report) = build(shape).search(&queries, D, AMPLE).unwrap();
+                let (got, got_report) =
+                    build(other).search_shaped(&queries, D, AMPLE, Some(shape)).unwrap();
+                common::assert_byte_identical(&got, &want, &label);
+                assert_eq!(counted(&got_report), counted(&want_report), "{label}");
+            }
         }
     }
 }

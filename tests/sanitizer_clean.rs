@@ -31,11 +31,12 @@ fn mode_under_test() -> SanitizerMode {
     }
 }
 
-fn device_with(shape: KernelShape, mode: SanitizerMode) -> Arc<Device> {
-    let config =
-        DeviceConfig { kernel_shape: shape, sanitizer: mode, ..DeviceConfig::tesla_c2075() };
-    Device::new(config).unwrap()
+/// One resident index serves both kernel shapes; each search names its own.
+fn device_with(mode: SanitizerMode) -> Arc<Device> {
+    Device::new(DeviceConfig { sanitizer: mode, ..DeviceConfig::tesla_c2075() }).unwrap()
 }
+
+const SHAPES: [KernelShape; 2] = [KernelShape::ThreadPerQuery, KernelShape::WarpPerTile];
 
 fn run_clean_matrix(kind: ScenarioKind, result_capacity: usize) {
     let scenario = Scenario::new(kind, SCALE);
@@ -43,15 +44,15 @@ fn run_clean_matrix(kind: ScenarioKind, result_capacity: usize) {
     let queries = scenario.queries();
     let mode = mode_under_test();
 
-    for shape in [KernelShape::ThreadPerQuery, KernelShape::WarpPerTile] {
-        for method in methods() {
-            let dev_off = device_with(shape, SanitizerMode::Off);
-            let dev_san = device_with(shape, mode);
-            let off = SearchEngine::build(&dataset, method, Arc::clone(&dev_off)).unwrap();
-            let san = SearchEngine::build(&dataset, method, Arc::clone(&dev_san)).unwrap();
-
-            let (m_off, r_off) = off.search(&queries, 1.5, result_capacity).unwrap();
-            let (m_san, r_san) = san.search(&queries, 1.5, result_capacity).unwrap();
+    for method in methods() {
+        let dev_san = device_with(mode);
+        let off = SearchEngine::build(&dataset, method, device_with(SanitizerMode::Off)).unwrap();
+        let san = SearchEngine::build(&dataset, method, Arc::clone(&dev_san)).unwrap();
+        for shape in SHAPES {
+            let search = |engine: &SearchEngine| {
+                engine.search_shaped(&queries, 1.5, result_capacity, Some(shape)).unwrap()
+            };
+            let ((m_off, r_off), (m_san, r_san)) = (search(&off), search(&san));
 
             let label = format!("{} / {shape:?} / {kind:?}", method.name());
             assert_eq!(m_off, m_san, "{label}: results differ under sanitizer");
@@ -87,13 +88,18 @@ fn concurrent_searches_on_one_sanitized_device_are_clean() {
     let scenario = Scenario::new(ScenarioKind::S2Merger, SCALE);
     let dataset = PreparedDataset::new(scenario.dataset());
     let queries = scenario.queries();
-    for shape in [KernelShape::ThreadPerQuery, KernelShape::WarpPerTile] {
-        for method in methods() {
+    for method in methods() {
+        let dev = device_with(mode_under_test());
+        let engine = SearchEngine::build(&dataset, method, Arc::clone(&dev)).unwrap();
+        for shape in SHAPES {
             let label = format!("{} / {shape:?}", method.name());
-            let dev = device_with(shape, mode_under_test());
-            let engine = SearchEngine::build(&dataset, method, Arc::clone(&dev)).unwrap();
             let solo = common::assert_concurrent_searches_match_solo(
-                &engine, &queries, 1.5, 2_000_000, &label,
+                &engine,
+                &queries,
+                1.5,
+                2_000_000,
+                Some(shape),
+                &label,
             );
             assert_eq!(solo.sanitizer_findings, 0, "{label}: findings on clean code");
             let report = dev.sanitizer_report();
@@ -109,17 +115,17 @@ fn redo_rounds_under_pressure_are_clean() {
     let scenario = Scenario::new(ScenarioKind::S2Merger, SCALE);
     let dataset = PreparedDataset::new(scenario.dataset());
     let queries = scenario.queries();
-    for shape in [KernelShape::ThreadPerQuery, KernelShape::WarpPerTile] {
-        let dev = device_with(shape, mode_under_test());
-        let engine = SearchEngine::build(
-            &dataset,
-            Method::GpuTemporal(TemporalIndexConfig { bins: 50 }),
-            Arc::clone(&dev),
-        )
-        .unwrap();
+    let dev = device_with(mode_under_test());
+    let engine = SearchEngine::build(
+        &dataset,
+        Method::GpuTemporal(TemporalIndexConfig { bins: 50 }),
+        Arc::clone(&dev),
+    )
+    .unwrap();
+    for shape in SHAPES {
         // A capacity small enough to force overflow redo rounds but large
         // enough for one query alone.
-        let (matches, report) = engine.search(&queries, 2.0, 600).unwrap();
+        let (matches, report) = engine.search_shaped(&queries, 2.0, 600, Some(shape)).unwrap();
         assert!(report.redo_rounds > 0, "{shape:?}: expected buffer pressure");
         assert!(!matches.is_empty());
         assert_eq!(report.sanitizer_findings, 0, "{shape:?}: redo flagged");
@@ -135,7 +141,7 @@ fn batched_halving_under_pressure_is_clean() {
     let scenario = Scenario::new(ScenarioKind::S2Merger, SCALE);
     let dataset = PreparedDataset::new(scenario.dataset());
     let queries = scenario.queries();
-    let dev = device_with(KernelShape::ThreadPerQuery, mode_under_test());
+    let dev = device_with(mode_under_test());
     let engine = SearchEngine::build(
         &dataset,
         Method::GpuBatchedTemporal(BatchedConfig {
@@ -160,7 +166,7 @@ fn two_pass_scatter_is_clean() {
     let scenario = Scenario::new(ScenarioKind::S2Merger, SCALE);
     let dataset = PreparedDataset::new(scenario.dataset());
     let queries = scenario.queries();
-    let dev = device_with(KernelShape::ThreadPerQuery, mode_under_test());
+    let dev = device_with(mode_under_test());
     let search = GpuTemporalSearch::new(
         Arc::clone(&dev),
         &dataset.store_arc(),
@@ -182,7 +188,7 @@ fn full_mode_overhead_within_budget() {
     let queries = scenario.queries();
 
     let time_mode = |mode: SanitizerMode| -> f64 {
-        let dev = device_with(KernelShape::ThreadPerQuery, mode);
+        let dev = device_with(mode);
         let engine = SearchEngine::build(
             &dataset,
             Method::GpuTemporal(TemporalIndexConfig { bins: 50 }),

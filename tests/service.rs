@@ -1,8 +1,9 @@
 //! End-to-end tests of the concurrent batched query service: coalesced
 //! results must be byte-identical to sequential engine calls, failure paths
-//! must be typed errors rather than hangs, and degradation must reroute
-//! batches to the fallback engine.
+//! must be typed errors rather than hangs, and degradation must re-run
+//! batches on the same resident index under the fallback kernel shape.
 
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -122,6 +123,11 @@ fn hostile_d_is_refused_before_admission() {
         let err = service.submit_nowait(&requests[0], d, None).unwrap_err();
         assert!(matches!(err, TdtsError::InvalidConfig(_)), "d = {d}: got {err:?}");
     }
+    // One hostile segment among valid ones refuses the whole request too.
+    let mut poisoned: Vec<Segment> = requests[0].segments().to_vec();
+    poisoned[1].start.x = f64::NAN;
+    let err = service.submit_nowait(&poisoned.into_iter().collect(), D, None).unwrap_err();
+    assert!(matches!(err, TdtsError::InvalidConfig(_)), "NaN start.x: got {err:?}");
     let stats = service.stats();
     assert_eq!(stats.requests_rejected, 0);
     assert_eq!(stats.requests_admitted, 0);
@@ -148,19 +154,77 @@ fn cli_search_refuses_hostile_d() {
     }
 }
 
+/// `advance_window` refuses an invalid new segment before the store or the
+/// index is touched, and keeps serving and advancing afterwards.
+#[test]
+fn advance_window_refuses_hostile_segments_without_mutating() {
+    let (dataset, requests) = merger_requests();
+    let frontier = dataset.store().stats().unwrap().time_span.end;
+    let config = ServiceConfig::builder(temporal())
+        .device(DeviceConfig::test_tiny())
+        .workers(1)
+        .max_delay(Duration::from_millis(1))
+        .result_capacity(CAPACITY)
+        .window(1_000.0)
+        .build()
+        .unwrap();
+    let service = QueryService::start(&dataset, config).unwrap();
+    let (len, generation) = (service.store_snapshot().len(), service.generation());
+
+    let good = Segment::new(
+        Point3::ZERO,
+        Point3::splat(1.0),
+        frontier,
+        frontier + 1.0,
+        SegId(9_000),
+        TrajId(9_000),
+    );
+    let hostile = [
+        Segment { end: Point3::new(f64::INFINITY, 0.0, 0.0), ..good },
+        Segment { t_end: f64::NAN, ..good },
+        Segment { t_end: frontier - 1.0, ..good },
+    ];
+    for bad in hostile {
+        let err = service.advance_window(&[good, bad]).unwrap_err();
+        assert!(matches!(err, TdtsError::InvalidConfig(_)), "{bad:?}: got {err:?}");
+        assert_eq!(service.store_snapshot().len(), len, "{bad:?}");
+        assert_eq!(service.generation(), generation, "{bad:?}");
+    }
+    assert_eq!(service.advance_window(&[good]).unwrap().ingested, 1);
+    assert!(!service.submit(&requests[0], D).unwrap().matches.is_empty());
+}
+
 #[test]
 fn degradation_reroutes_batches_to_fallback() {
     let (dataset, requests) = merger_requests();
-    // A one-entry scratch buffer makes every GPUSpatial batch fail with
-    // ScratchCapacityTooSmall; the service must reroute to the fallback.
-    let broken_spatial = Method::GpuSpatial(GpuSpatialConfig {
-        fsg: FsgConfig::default(),
-        total_scratch: 1,
-        compaction_threshold: 4_096,
-    });
-    let config = ServiceConfig::builder(broken_spatial)
-        .fallback_method(temporal())
-        .device(DeviceConfig::test_tiny())
+    // One tile per candidate entry: the warp-per-tile launch uploads a tile
+    // list far larger than the query batch itself.
+    let warp_per_tile = DeviceConfig {
+        kernel_shape: KernelShape::WarpPerTile,
+        tile_size: 1,
+        ..DeviceConfig::test_tiny()
+    };
+    // What the index keeps resident, read off a roomy device.
+    let roomy = Device::new(warp_per_tile.clone()).unwrap();
+    let built = SearchEngine::build(&dataset, temporal(), Arc::clone(&roomy)).unwrap();
+    let resident = roomy.mem_used();
+    drop(built);
+    // Room for the worker's result buffer plus 1 KiB: enough for a request's
+    // queries and per-query schedule, not for its tile list.
+    let tight = DeviceConfig {
+        global_mem_bytes: resident + CAPACITY * std::mem::size_of::<MatchRecord>() + 1024,
+        ..warp_per_tile
+    };
+    let direct = Device::new(tight.clone()).unwrap();
+    let direct = SearchEngine::build(&dataset, temporal(), direct).unwrap();
+    let err = direct.search(&requests[0], D, CAPACITY).unwrap_err();
+    assert!(
+        matches!(err, TdtsError::Search(SearchError::OutOfDeviceMemory(_))),
+        "the configured shape should not fit: got {err:?}"
+    );
+
+    let config = ServiceConfig::builder(temporal())
+        .device(tight)
         .workers(1)
         .max_batch(16)
         .max_delay(Duration::from_millis(1))
@@ -174,12 +238,15 @@ fn degradation_reroutes_batches_to_fallback() {
     let second = service.submit(&requests[1], D).unwrap();
     service.shutdown();
 
-    // Results still come back correct, just via the fallback engine.
+    // Results still come back correct, from the same index under the
+    // fallback shape: byte-identical to an engine configured with it.
     let device = Device::new(DeviceConfig::test_tiny()).unwrap();
     let engine = SearchEngine::build(&dataset, temporal(), device).unwrap();
-    let (expected, _) = engine.search(&requests[0], D, CAPACITY).unwrap();
-    assert_eq!(response.matches, expected);
-    assert!(!second.matches.is_empty());
+    for (got, request) in [(&response, &requests[0]), (&second, &requests[1])] {
+        let (expected, _) = engine.search(request, D, CAPACITY).unwrap();
+        assert!(!expected.is_empty());
+        assert_eq!(got.matches, expected);
+    }
 
     let stats = service.stats();
     assert!(stats.degraded, "service should be degraded after repeated failures");

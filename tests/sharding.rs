@@ -17,64 +17,69 @@ fn methods() -> Vec<Method> {
     common::methods(40, 500_000, 9)
 }
 
-fn device_config(shape: KernelShape) -> DeviceConfig {
-    let mut config = DeviceConfig::tesla_c2075();
-    config.kernel_shape = shape;
-    config
-}
+const SHAPES: [KernelShape; 2] = [KernelShape::ThreadPerQuery, KernelShape::WarpPerTile];
 
+/// Every index is built once per method and partitioning; the kernel shape
+/// and `d` travel with each search.
 fn check_scenario(store: SegmentStore, queries: SegmentStore, distances: &[f64], label: &str) {
     let dataset = PreparedDataset::new(store);
-    for shape in [KernelShape::ThreadPerQuery, KernelShape::WarpPerTile] {
-        let config = device_config(shape);
-        for &d in distances {
-            for method in methods() {
-                let oracle_engine =
-                    SearchEngine::build(&dataset, method, Device::new(config.clone()).unwrap())
-                        .unwrap();
-                let (oracle, _) = oracle_engine.search(&queries, d, 2_000_000).unwrap();
+    let config = DeviceConfig::tesla_c2075();
+    let cases: Vec<(KernelShape, f64)> =
+        SHAPES.iter().flat_map(|&shape| distances.iter().map(move |&d| (shape, d))).collect();
+    for method in methods() {
+        let oracle_engine =
+            SearchEngine::build(&dataset, method, Device::new(config.clone()).unwrap()).unwrap();
+        let oracles: Vec<Vec<MatchRecord>> = cases
+            .iter()
+            .map(|&(shape, d)| {
+                let (oracle, _) =
+                    oracle_engine.search_shaped(&queries, d, 2_000_000, Some(shape)).unwrap();
                 assert!(
                     !oracle.is_empty(),
                     "{label}/{} d={d}: scenario must produce matches to mean anything",
                     method.name()
                 );
-                for strategy in [PartitionStrategy::Temporal, PartitionStrategy::SpatialGrid] {
-                    // Shard counts crossed with dispatch policy and slab
-                    // edge placement: broadcast and slab routing must both
-                    // reproduce the oracle, on uniform and balanced edges.
-                    let shapes = [
-                        (1usize, RoutingMode::Slab, SlabMode::Uniform),
-                        (2, RoutingMode::Slab, SlabMode::Uniform),
-                        (4, RoutingMode::Broadcast, SlabMode::Uniform),
-                        (4, RoutingMode::Slab, SlabMode::Uniform),
-                        (8, RoutingMode::Slab, SlabMode::Balanced),
-                    ];
-                    for (shards, routing, slab_mode) in shapes {
-                        let engine = SearchEngine::build_sharded(
-                            &dataset,
-                            method,
-                            &config,
-                            &ShardedIndexConfig::builder()
-                                .shards(shards)
-                                .partition(strategy)
-                                .routing(routing)
-                                .slab_mode(slab_mode)
-                                .build()
-                                .unwrap(),
-                        )
-                        .unwrap();
-                        let (got, report) = engine.search(&queries, d, 2_000_000).unwrap();
-                        assert_byte_identical(
-                            &got,
-                            &oracle,
-                            &format!(
-                                "{label}/{} {shape:?} {strategy} shards={shards} \
-                                 {routing} {slab_mode} d={d}",
-                                method.name()
-                            ),
-                        );
-                        assert_eq!(report.matches, got.len() as u64);
-                    }
+                oracle
+            })
+            .collect();
+        for strategy in [PartitionStrategy::Temporal, PartitionStrategy::SpatialGrid] {
+            // Shard counts crossed with dispatch policy and slab edge
+            // placement: broadcast and slab routing must both reproduce the
+            // oracle, on uniform and balanced edges.
+            let layouts = [
+                (1usize, RoutingMode::Slab, SlabMode::Uniform),
+                (2, RoutingMode::Slab, SlabMode::Uniform),
+                (4, RoutingMode::Broadcast, SlabMode::Uniform),
+                (4, RoutingMode::Slab, SlabMode::Uniform),
+                (8, RoutingMode::Slab, SlabMode::Balanced),
+            ];
+            for (shards, routing, slab_mode) in layouts {
+                let engine = SearchEngine::build_sharded(
+                    &dataset,
+                    method,
+                    &config,
+                    &ShardedIndexConfig::builder()
+                        .shards(shards)
+                        .partition(strategy)
+                        .routing(routing)
+                        .slab_mode(slab_mode)
+                        .build()
+                        .unwrap(),
+                )
+                .unwrap();
+                for (&(shape, d), oracle) in cases.iter().zip(&oracles) {
+                    let (got, report) =
+                        engine.search_shaped(&queries, d, 2_000_000, Some(shape)).unwrap();
+                    assert_byte_identical(
+                        &got,
+                        oracle,
+                        &format!(
+                            "{label}/{} {shape:?} {strategy} shards={shards} \
+                             {routing} {slab_mode} d={d}",
+                            method.name()
+                        ),
+                    );
+                    assert_eq!(report.matches, got.len() as u64);
                 }
             }
         }
@@ -148,7 +153,7 @@ fn boundary_straddling_segment_dedups_to_one_record() {
     let (lo, hi) = plan.slab_span(middle);
     assert!(lo < hi, "fixture must actually straddle the slab boundary");
 
-    let config = device_config(KernelShape::ThreadPerQuery);
+    let config = DeviceConfig::tesla_c2075();
     let method = Method::GpuTemporal(TemporalIndexConfig { bins: 4 });
     let oracle_engine =
         SearchEngine::build(&dataset, method, Device::new(config.clone()).unwrap()).unwrap();

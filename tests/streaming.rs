@@ -7,11 +7,12 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use tdts::prelude::*;
 
-fn device(shape: KernelShape) -> Arc<Device> {
-    let mut config = DeviceConfig::tesla_c2075();
-    config.kernel_shape = shape;
-    Device::new(config).unwrap()
+/// One resident index serves both kernel shapes; each search names its own.
+fn device() -> Arc<Device> {
+    Device::new(DeviceConfig::tesla_c2075()).unwrap()
 }
+
+const SHAPES: [KernelShape; 2] = [KernelShape::ThreadPerQuery, KernelShape::WarpPerTile];
 
 fn all_methods(bins: usize, cells: usize, threshold: usize) -> Vec<Method> {
     vec![
@@ -51,54 +52,53 @@ fn base_store(n: usize) -> SegmentStore {
     (0..n as u32).map(|i| seg(i, i as f64 * 0.25)).collect()
 }
 
-/// Assert the warm (incrementally maintained) engine answers exactly like a
-/// cold rebuild of the same method over the same store state.
-fn assert_matches_cold(warm: &SearchEngine, shape: KernelShape, queries: &SegmentStore, d: f64) {
+/// Assert the warm (incrementally maintained) engine answers exactly like
+/// one cold rebuild of the same method over the same store state, under both
+/// kernel shapes at every distance.
+fn assert_matches_cold(warm: &SearchEngine, queries: &SegmentStore, distances: &[f64]) {
     let cold_set = PreparedDataset::new(warm.store().clone());
-    let cold = SearchEngine::build(&cold_set, warm.method(), device(shape)).unwrap();
-    let (got, _) = warm.search(queries, d, 500_000).unwrap();
-    let (want, _) = cold.search(queries, d, 500_000).unwrap();
-    assert_eq!(
-        got,
-        want,
-        "{} ({shape:?}) diverged from cold rebuild at generation {} (d = {d})",
-        warm.method().name(),
-        warm.generation()
-    );
+    let cold = SearchEngine::build(&cold_set, warm.method(), device()).unwrap();
+    for shape in SHAPES {
+        for &d in distances {
+            let (got, _) = warm.search_shaped(queries, d, 500_000, Some(shape)).unwrap();
+            let (want, _) = cold.search_shaped(queries, d, 500_000, Some(shape)).unwrap();
+            assert_eq!(
+                got,
+                want,
+                "{} ({shape:?}) diverged from cold rebuild at generation {} (d = {d})",
+                warm.method().name(),
+                warm.generation()
+            );
+        }
+    }
 }
 
 #[test]
 fn interleaved_append_expire_matches_cold_rebuild() {
     let queries: SegmentStore = (0..12u32).map(|i| seg(100 + i, 3.0 + i as f64 * 0.9)).collect();
-    for shape in [KernelShape::ThreadPerQuery, KernelShape::WarpPerTile] {
-        // Threshold 3 forces FSG delta compaction mid-sequence, so both the
-        // overlay path and the post-compaction path are exercised.
-        for method in all_methods(6, 5, 3) {
-            let dataset = PreparedDataset::new(base_store(48));
-            let mut engine = SearchEngine::build(&dataset, method, device(shape)).unwrap();
-            let t0 = 48.0 * 0.25;
+    // Threshold 3 forces FSG delta compaction mid-sequence, so both the
+    // overlay path and the post-compaction path are exercised.
+    for method in all_methods(6, 5, 3) {
+        let dataset = PreparedDataset::new(base_store(48));
+        let mut engine = SearchEngine::build(&dataset, method, device()).unwrap();
+        let t0 = 48.0 * 0.25;
 
-            // Tick 1: append past the frontier, then search.
-            let tick1: Vec<Segment> =
-                (0..4).map(|i| seg(200 + i, t0 + 1.0 + i as f64 * 0.1)).collect();
-            engine.ingest(&tick1).unwrap();
-            assert_matches_cold(&engine, shape, &queries, 2.5);
+        // Tick 1: append past the frontier, then search.
+        let tick1: Vec<Segment> = (0..4).map(|i| seg(200 + i, t0 + 1.0 + i as f64 * 0.1)).collect();
+        engine.ingest(&tick1).unwrap();
+        assert_matches_cold(&engine, &queries, &[2.5]);
 
-            // Tick 2: expire the oldest prefix, then search.
-            engine.expire_before(4.0).unwrap();
-            assert_matches_cold(&engine, shape, &queries, 2.5);
+        // Tick 2: expire the oldest prefix, then search.
+        engine.expire_before(4.0).unwrap();
+        assert_matches_cold(&engine, &queries, &[2.5]);
 
-            // Tick 3: append again (tips GPUSpatial over its compaction
-            // threshold), expire again, then search at several distances.
-            let tick2: Vec<Segment> =
-                (0..3).map(|i| seg(300 + i, t0 + 2.0 + i as f64 * 0.1)).collect();
-            engine.ingest(&tick2).unwrap();
-            engine.expire_before(7.0).unwrap();
-            for d in [0.6, 2.5, 20.0] {
-                assert_matches_cold(&engine, shape, &queries, d);
-            }
-            assert_eq!(engine.generation(), engine.store().generation());
-        }
+        // Tick 3: append again (tips GPUSpatial over its compaction
+        // threshold), expire again, then search at several distances.
+        let tick2: Vec<Segment> = (0..3).map(|i| seg(300 + i, t0 + 2.0 + i as f64 * 0.1)).collect();
+        engine.ingest(&tick2).unwrap();
+        engine.expire_before(7.0).unwrap();
+        assert_matches_cold(&engine, &queries, &[0.6, 2.5, 20.0]);
+        assert_eq!(engine.generation(), engine.store().generation());
     }
 }
 
@@ -112,8 +112,7 @@ fn fsg_compaction_threshold_boundary() {
     });
     let queries: SegmentStore = (0..8u32).map(|i| seg(100 + i, 5.0 + i as f64)).collect();
     let dataset = PreparedDataset::new(base_store(32));
-    let shape = KernelShape::ThreadPerQuery;
-    let mut engine = SearchEngine::build(&dataset, method, device(shape)).unwrap();
+    let mut engine = SearchEngine::build(&dataset, method, device()).unwrap();
     assert_eq!(engine.delta_backlog(), 0, "cold build has no delta overlay");
 
     // Exactly `threshold` appended segments stay in the overlay: compaction
@@ -122,17 +121,17 @@ fn fsg_compaction_threshold_boundary() {
         (0..threshold as u32).map(|i| seg(400 + i, 9.0 + i as f64 * 0.1)).collect();
     engine.ingest(&at).unwrap();
     assert_eq!(engine.delta_backlog(), threshold, "at the threshold the delta must survive");
-    assert_matches_cold(&engine, shape, &queries, 3.0);
+    assert_matches_cold(&engine, &queries, &[3.0]);
 
     // One more segment tips it over: the overlay folds into the base grid.
     engine.ingest(&[seg(500, 10.0)]).unwrap();
     assert_eq!(engine.delta_backlog(), 0, "past the threshold the delta must compact");
-    assert_matches_cold(&engine, shape, &queries, 3.0);
+    assert_matches_cold(&engine, &queries, &[3.0]);
 
     // Post-compaction appends start a fresh overlay.
     engine.ingest(&[seg(501, 11.0)]).unwrap();
     assert_eq!(engine.delta_backlog(), 1);
-    assert_matches_cold(&engine, shape, &queries, 3.0);
+    assert_matches_cold(&engine, &queries, &[3.0]);
 }
 
 /// Time-ordered random base stores for the property test (`t_start`
@@ -180,19 +179,19 @@ proptest! {
         let t_end = base_len as f64 * 0.5 + 1.0;
         let queries: SegmentStore =
             build_ordered(&qpts, 1_000, t_end * cut_frac).into_iter().collect();
-        for shape in [KernelShape::ThreadPerQuery, KernelShape::WarpPerTile] {
-            // Threshold 4 so tick sizes straddle the compaction boundary.
-            for method in all_methods(bins, cells, 4) {
-                let dataset = PreparedDataset::new(store.clone());
-                let mut engine = SearchEngine::build(&dataset, method, device(shape)).unwrap();
-                engine.ingest(&build_ordered(&tick1, 2_000, t_end + 1.0)).unwrap();
-                engine.expire_before(t_end * cut_frac).unwrap();
-                engine.ingest(&build_ordered(&tick2, 3_000, t_end + 10.0)).unwrap();
+        // Threshold 4 so tick sizes straddle the compaction boundary.
+        for method in all_methods(bins, cells, 4) {
+            let dataset = PreparedDataset::new(store.clone());
+            let mut engine = SearchEngine::build(&dataset, method, device()).unwrap();
+            engine.ingest(&build_ordered(&tick1, 2_000, t_end + 1.0)).unwrap();
+            engine.expire_before(t_end * cut_frac).unwrap();
+            engine.ingest(&build_ordered(&tick2, 3_000, t_end + 10.0)).unwrap();
 
-                let cold_set = PreparedDataset::new(engine.store().clone());
-                let cold = SearchEngine::build(&cold_set, method, device(shape)).unwrap();
-                let (got, _) = engine.search(&queries, d, 500_000).unwrap();
-                let (want, _) = cold.search(&queries, d, 500_000).unwrap();
+            let cold_set = PreparedDataset::new(engine.store().clone());
+            let cold = SearchEngine::build(&cold_set, method, device()).unwrap();
+            for shape in SHAPES {
+                let (got, _) = engine.search_shaped(&queries, d, 500_000, Some(shape)).unwrap();
+                let (want, _) = cold.search_shaped(&queries, d, 500_000, Some(shape)).unwrap();
                 prop_assert_eq!(
                     &got,
                     &want,

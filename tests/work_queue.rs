@@ -10,10 +10,9 @@ use tdts::prelude::*;
 mod common;
 use common::arb_store;
 
-fn device(shape: KernelShape) -> Arc<Device> {
-    let mut c = DeviceConfig::tesla_c2075();
-    c.kernel_shape = shape;
-    Device::new(c).unwrap()
+/// One resident index serves both shapes; each search names its own.
+fn device() -> Arc<Device> {
+    Device::new(DeviceConfig::tesla_c2075()).unwrap()
 }
 
 fn gpu_methods() -> Vec<Method> {
@@ -43,10 +42,11 @@ fn both_shapes_match_oracle_with_identical_results() {
     assert!(!expect.is_empty(), "the fixture must produce matches");
 
     for method in gpu_methods() {
+        let engine = SearchEngine::build(&dataset, method, device()).expect("build");
         let mut results = Vec::new();
         for shape in [KernelShape::ThreadPerQuery, KernelShape::WarpPerTile] {
-            let engine = SearchEngine::build(&dataset, method, device(shape)).expect("build");
-            let (got, report) = engine.search(&queries, d, 2_000_000).expect("search");
+            let (got, report) =
+                engine.search_shaped(&queries, d, 2_000_000, Some(shape)).expect("search");
             assert!(
                 tdts::geom::diff_matches(&got, &expect, 1e-9).is_none(),
                 "{} in {shape:?} differs from the oracle",
@@ -85,9 +85,9 @@ fn work_queue_cuts_spread_on_skewed_schedule() {
         subbins: 8,
         sort_by_selector: true,
     });
+    let engine = SearchEngine::build(&dataset, method, device()).expect("build");
     let run = |shape: KernelShape| {
-        let engine = SearchEngine::build(&dataset, method, device(shape)).expect("build");
-        engine.search(&queries, d, 2_000_000).expect("search")
+        engine.search_shaped(&queries, d, 2_000_000, Some(shape)).expect("search")
     };
     let (tpq_matches, tpq) = run(KernelShape::ThreadPerQuery);
     let (wpt_matches, wpt) = run(KernelShape::WarpPerTile);
@@ -139,14 +139,9 @@ proptest! {
             }),
         ];
         for method in methods {
-            let run = |shape: KernelShape| {
-                let mut c = DeviceConfig::tesla_c2075();
-                c.kernel_shape = shape;
-                c.tile_size = tile_size;
-                let engine =
-                    SearchEngine::build(&dataset, method, Device::new(c).unwrap()).unwrap();
-                engine.search(&queries, d, capacity)
-            };
+            let c = DeviceConfig { tile_size, ..DeviceConfig::tesla_c2075() };
+            let engine = SearchEngine::build(&dataset, method, Device::new(c).unwrap()).unwrap();
+            let run = |shape: KernelShape| engine.search_shaped(&queries, d, capacity, Some(shape));
             // Tiny capacities may legitimately fail with
             // ResultCapacityTooSmall; shapes must then fail identically or
             // return identical results.
