@@ -13,7 +13,8 @@
 //!   test: the exact sub-interval of the temporal overlap of two segments
 //!   during which the two moving points are within a Euclidean distance `d`
 //!   of each other. This is the `compare()` primitive of Algorithms 1–3 in
-//!   the paper.
+//!   the paper. [`PreparedQuery`] is the same test with the query's half of
+//!   the arithmetic done once, for loops over many entries.
 //! * [`SegmentStore`] — an in-memory segment database with the global
 //!   statistics (spatial bounds, temporal extent, maximum segment spatial
 //!   extent) that the indexing schemes are built from.
@@ -37,7 +38,7 @@ pub mod shard;
 pub mod store;
 
 pub use columns::SegmentColumns;
-pub use continuous::{within_distance, ClosestApproach};
+pub use continuous::{within_distance, ClosestApproach, PreparedQuery};
 pub use interval::TimeInterval;
 pub use mbb::Mbb;
 pub use point::Point3;

@@ -1,7 +1,9 @@
 //! Property-based tests for the continuous distance solver and MBB algebra.
 
 use proptest::prelude::*;
-use tdts_geom::{within_distance, Mbb, Point3, SegId, Segment, TrajId};
+use tdts_geom::{
+    within_distance, Mbb, Point3, PreparedQuery, SegId, Segment, TimeInterval, TrajId,
+};
 
 fn arb_point() -> impl Strategy<Value = Point3> {
     (-50.0f64..50.0, -50.0f64..50.0, -50.0f64..50.0).prop_map(|(x, y, z)| Point3::new(x, y, z))
@@ -12,7 +14,59 @@ fn arb_segment() -> impl Strategy<Value = Segment> {
         .prop_map(|(a, b, t0, dt)| Segment::new(a, b, t0, t0 + dt, SegId(0), TrajId(0)))
 }
 
+/// The solver as it was written before [`PreparedQuery`] existed: every
+/// quantity, the query's included, derived inside the one call. Kept
+/// verbatim as the reference the prepared form must match bit for bit.
+fn unprepared_within_distance(a: &Segment, b: &Segment, d: f64) -> Option<TimeInterval> {
+    let ov = a.time_span().intersect(&b.time_span())?;
+    let va = a.velocity();
+    let vb = b.velocity();
+    let base_a = a.start - va * a.t_start;
+    let base_b = b.start - vb * b.t_start;
+    let dv = va - vb;
+    let dp = base_a - base_b;
+    let c2 = dv.norm2();
+    let c1 = 2.0 * dp.dot(&dv);
+    let c0 = dp.norm2();
+    let d2 = d * d;
+    if c2 <= 0.0 {
+        return if c0 <= d2 { Some(ov) } else { None };
+    }
+    let c = c0 - d2;
+    let disc = c1 * c1 - 4.0 * c2 * c;
+    if disc < 0.0 {
+        return None;
+    }
+    let sq = disc.sqrt();
+    let q = -0.5 * (c1 + c1.signum() * sq);
+    let (mut r0, mut r1) = if q != 0.0 {
+        (q / c2, c / q)
+    } else {
+        let r = (-c / c2).max(0.0).sqrt();
+        (-r, r)
+    };
+    if r0 > r1 {
+        std::mem::swap(&mut r0, &mut r1);
+    }
+    TimeInterval::new(r0, r1).intersect(&ov)
+}
+
+fn bits(iv: Option<TimeInterval>) -> Option<(u64, u64)> {
+    iv.map(|iv| (iv.start.to_bits(), iv.end.to_bits()))
+}
+
 proptest! {
+    /// Preparing the query once changes no bit of any answer, in either
+    /// argument order, and `within_distance` is that same solver.
+    #[test]
+    fn prepared_equals_unprepared(a in arb_segment(), b in arb_segment(), d in 0.0f64..30.0) {
+        for (x, y) in [(&a, &b), (&b, &a), (&a, &a)] {
+            let expect = bits(unprepared_within_distance(x, y, d));
+            prop_assert_eq!(bits(PreparedQuery::new(x, d).within(y)), expect);
+            prop_assert_eq!(bits(within_distance(x, y, d)), expect);
+        }
+    }
+
     /// Any time inside the returned interval must actually satisfy the
     /// distance condition (up to rounding), and any time strictly outside it
     /// (within the overlap) must not.

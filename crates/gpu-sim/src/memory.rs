@@ -241,6 +241,36 @@ impl<T: Copy> ColumnarBuffer<T> {
         self.columns[column][row]
     }
 
+    /// The first `N` columns restricted to rows `rows`, bounds-tested once
+    /// for the whole range and *without* cost accounting: for a kernel lane
+    /// that scans a contiguous run of rows and posts the run's closed-form
+    /// charge itself (see `DeviceSegments::refine_range`).
+    ///
+    /// What [`read`] does per element happens here per range. Under
+    /// memcheck a range that leaves the buffer is recorded as one
+    /// out-of-bounds read at the first row past the end and neutralised to
+    /// `None`, so the caller can fall back to per-element reads that report
+    /// each bad access; without a sanitizer it panics like a slice index.
+    ///
+    /// [`read`]: ColumnarBuffer::read
+    #[inline]
+    pub fn row_range<const N: usize>(
+        &self,
+        lane: &Lane,
+        rows: std::ops::Range<usize>,
+    ) -> Option<[&[T]; N]> {
+        if rows.end > self.rows {
+            if let Some(shadow) = self.reservation.shadow() {
+                let offset = rows.start.max(self.rows);
+                let len = self.columns.len() * self.rows;
+                if shadow.oob_read(offset, Origin::Lane(lane.global_id), len) {
+                    return None;
+                }
+            }
+        }
+        Some(std::array::from_fn(|c| &self.columns[c][rows.clone()]))
+    }
+
     /// Raw column access *without* cost accounting. Use only on the host
     /// (index construction, verification); kernels should use [`read`].
     ///

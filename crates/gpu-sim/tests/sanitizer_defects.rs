@@ -8,7 +8,7 @@
 //! kind, buffer, offset, launch shape, and conflicting lanes.
 
 use std::sync::Arc;
-use tdts_gpu_sim::{Device, DeviceConfig, FindingKind, SanitizerMode, Tile};
+use tdts_gpu_sim::{Device, DeviceConfig, FindingKind, Lane, SanitizerMode, Tile};
 
 fn device(mode: SanitizerMode) -> Arc<Device> {
     Device::new(DeviceConfig { sanitizer: mode, ..DeviceConfig::test_tiny() }).unwrap()
@@ -58,6 +58,52 @@ fn oob_device_buffer_read_is_reported_and_neutralised() {
     assert_eq!(f.shape, "static-grid");
     assert_eq!(f.lanes, vec![0]);
     assert!(f.detail.contains("beyond length 3"), "{}", f.detail);
+}
+
+#[test]
+fn oob_columnar_read_is_reported_and_neutralised() {
+    let columns: [&[u32]; 2] = [&[11, 22, 33], &[44, 55, 66]];
+
+    // A single element past the end of its column: reported at its
+    // column-major offset, neutralised to element [0][0].
+    let dev = device(SanitizerMode::Memcheck);
+    let buf = dev.alloc_columns(&columns).unwrap();
+    dev.launch(1, |lane| assert_eq!(buf.read(lane, 1, 7), 11));
+    let f = sole_finding(&dev);
+    assert_eq!(f.kind, FindingKind::OutOfBoundsRead);
+    assert!(f.buffer.starts_with("ColumnarBuffer<u32>#"), "{}", f.buffer);
+    assert_eq!(f.offset, 3 + 7);
+    assert_eq!(f.shape, "static-grid");
+    assert_eq!(f.lanes, vec![0]);
+    assert!(f.detail.contains("beyond length 6"), "{}", f.detail);
+
+    // A row range running past the end: the same finding kind, once for
+    // the whole range at the first row that does not exist, neutralised to
+    // "no slices". In-bounds ranges hand out the rows and report nothing.
+    let dev = device(SanitizerMode::Memcheck);
+    let buf = dev.alloc_columns(&columns).unwrap();
+    dev.launch(1, |lane| {
+        assert!(buf.row_range::<2>(lane, 1..5).is_none());
+        assert_eq!(buf.row_range::<2>(lane, 1..3), Some([&[22, 33][..], &[55, 66][..]]));
+        assert_eq!(buf.row_range::<2>(lane, 3..3), Some([&[][..], &[][..]]));
+    });
+    let f = sole_finding(&dev);
+    assert_eq!(f.kind, FindingKind::OutOfBoundsRead);
+    assert!(f.buffer.starts_with("ColumnarBuffer<u32>#"), "{}", f.buffer);
+    assert_eq!(f.offset, 3);
+    assert_eq!(f.lanes, vec![0]);
+    assert!(f.detail.contains("beyond length 6"), "{}", f.detail);
+
+    // Without a sanitizer both panic like a slice index.
+    let dev = device(SanitizerMode::Off);
+    let buf = dev.alloc_columns(&columns).unwrap();
+    let panics = |f: &dyn Fn(&mut Lane) -> bool| {
+        let mut lane = Lane::new(0);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut lane))).is_err()
+    };
+    assert!(panics(&|lane| buf.read(lane, 1, 7) == 11));
+    assert!(panics(&|lane| buf.row_range::<2>(lane, 1..5).is_none()));
+    assert!(!panics(&|lane| buf.row_range::<2>(lane, 1..3).is_none()));
 }
 
 #[test]

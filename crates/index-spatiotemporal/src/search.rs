@@ -10,14 +10,14 @@
 use crate::index::{ScheduleEntry, Selector, SpatioTemporalIndex, SpatioTemporalIndexConfig};
 use std::sync::Arc;
 use std::time::Instant;
-use tdts_geom::{MatchRecord, SegmentStore, StoreStats};
+use tdts_geom::{MatchRecord, PreparedQuery, SegmentStore, StoreStats};
 use tdts_gpu_sim::{
     Device, DeviceBuffer, KernelShape, Lane, SearchError, SearchReport, Tile, WarpStash,
 };
 use tdts_kernels::{
-    compare_and_stage, finish_search, load_query, run_thread_per_query, run_warp_per_tile,
-    CandidateGenerator, DeviceSegments, KernelContext, LaneWork, SortedQueries, TileGenerator,
-    SCHEDULE_INSTR,
+    compare_and_stage, finish_search, load_query, refine_range_and_stage, run_thread_per_query,
+    run_warp_per_tile, CandidateGenerator, DeviceSegments, KernelContext, LaneWork, SortedQueries,
+    TileGenerator, SCHEDULE_INSTR,
 };
 
 /// High bit of an execution-order slot: the lane is warp-alignment padding
@@ -307,15 +307,18 @@ impl CandidateGenerator for SpatioTemporalThreads<'_> {
             return LaneWork::default(); // no temporally overlapping entries
         }
         let q = load_query(lane, self.queries, qid);
+        if selector == 3 {
+            // Temporal fallback: positions are direct, one contiguous range.
+            let q = PreparedQuery::new(&q, self.d);
+            let range = [entry[1], entry[2]];
+            let compared =
+                refine_range_and_stage(lane, &self.search.dev_entries, range, &q, qid, stash);
+            return LaneWork { compared, scratch_bytes: 0 };
+        }
         let mut compared = 0u64;
         for i in entry[1]..entry[2] {
-            // Selector 0–2: one indirection through X/Y/Z. Selector 3:
-            // positions are direct (temporal fallback).
-            let entry_pos = if selector <= 2 {
-                self.search.dev_arrays[selector as usize].read(lane, i as usize)
-            } else {
-                i
-            };
+            // Selector 0–2: one indirection through X/Y/Z.
+            let entry_pos = self.search.dev_arrays[selector as usize].read(lane, i as usize);
             compared += 1;
             compare_and_stage(lane, &self.search.dev_entries, entry_pos, &q, qid, self.d, stash);
         }

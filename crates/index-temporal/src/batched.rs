@@ -15,9 +15,9 @@ use crate::search::{SortedQueries, TemporalSchedule};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use tdts_geom::{dedup_matches, MatchRecord, SegmentStore, StoreStats};
+use tdts_geom::{dedup_matches, MatchRecord, PreparedQuery, SegmentStore, StoreStats};
 use tdts_gpu_sim::{pipeline_makespan, Device, Phase, SearchError, SearchReport};
-use tdts_kernels::{compare_and_stage, load_query, DeviceSegments, SCHEDULE_INSTR};
+use tdts_kernels::{load_query, refine_range_and_stage, DeviceSegments, SCHEDULE_INSTR};
 
 /// Batched search parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,29 +204,25 @@ impl GpuBatchedTemporalSearch {
                 dev_batch.len(),
                 |warp| {
                     let mut stash = results.warp_stash();
+                    let mut compared = 0u64;
                     warp.for_each_lane(|lane| {
                         let local = lane.global_id;
                         let range = dev_schedule.read(lane, local);
                         lane.instr(SCHEDULE_INSTR);
-                        let q = load_query(lane, &dev_batch, local as u32);
-                        let mut compared = 0u64;
-                        for pos in range[0]..range[1] {
-                            compared += 1;
-                            // Result records carry the *global* sorted query
-                            // index. The commit below reports overflow and
-                            // the host halves the batch.
-                            compare_and_stage(
-                                lane,
-                                &self.dev_entries,
-                                pos,
-                                &q,
-                                base + local as u32,
-                                d,
-                                &mut stash,
-                            );
-                        }
-                        comparisons.fetch_add(compared, Ordering::Relaxed);
+                        let q = PreparedQuery::new(&load_query(lane, &dev_batch, local as u32), d);
+                        // Result records carry the *global* sorted query
+                        // index. The commit below reports overflow and the
+                        // host halves the batch.
+                        compared += refine_range_and_stage(
+                            lane,
+                            &self.dev_entries,
+                            range,
+                            &q,
+                            base + local as u32,
+                            &mut stash,
+                        );
                     });
+                    comparisons.fetch_add(compared, Ordering::Relaxed);
                     stash
                 },
                 |warp, mut stash| {

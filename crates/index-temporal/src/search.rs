@@ -9,12 +9,13 @@ use crate::index::{TemporalIndex, TemporalIndexConfig};
 use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
-use tdts_geom::{dedup_matches, MatchRecord, SegmentStore, StoreStats};
+use tdts_geom::{dedup_matches, MatchRecord, PreparedQuery, SegmentStore, StoreStats};
 use tdts_gpu_sim::{Device, DeviceBuffer, KernelShape, Lane, SearchError, SearchReport, Tile};
 pub use tdts_kernels::SortedQueries;
 use tdts_kernels::{
-    compare, compare_and_stage, finish_search, load_query, run_thread_per_query, run_warp_per_tile,
-    CandidateGenerator, DeviceSegments, KernelContext, LaneWork, TileGenerator, SCHEDULE_INSTR,
+    compare, finish_search, load_query, refine_range_and_stage, run_thread_per_query,
+    run_warp_per_tile, CandidateGenerator, DeviceSegments, KernelContext, LaneWork, TileGenerator,
+    SCHEDULE_INSTR,
 };
 
 /// The host-computed schedule `S`: one candidate entry range per (sorted)
@@ -84,12 +85,8 @@ impl CandidateGenerator for TemporalThreads<'_> {
     ) -> LaneWork {
         let range = self.schedule.read(lane, qid as usize);
         lane.instr(SCHEDULE_INSTR);
-        let q = load_query(lane, self.queries, qid);
-        let mut compared = 0u64;
-        for pos in range[0]..range[1] {
-            compared += 1;
-            compare_and_stage(lane, self.entries, pos, &q, qid, self.d, stash);
-        }
+        let q = PreparedQuery::new(&load_query(lane, self.queries, qid), self.d);
+        let compared = refine_range_and_stage(lane, self.entries, range, &q, qid, stash);
         LaneWork { compared, scratch_bytes: 0 }
     }
 }

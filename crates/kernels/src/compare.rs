@@ -7,7 +7,7 @@
 //! warp's result stash, which the warp commits with one cursor bump.
 
 use crate::segments::DeviceSegments;
-use tdts_geom::{MatchRecord, Segment, TimeInterval};
+use tdts_geom::{MatchRecord, PreparedQuery, Segment, TimeInterval};
 use tdts_gpu_sim::{Lane, WarpStash};
 
 /// Instruction cost of one continuous distance comparison (quadratic
@@ -59,6 +59,24 @@ pub fn compare_and_stage(
     if let Some(interval) = compare(lane, entries, entry_pos, q, d) {
         stash.stage(lane, MatchRecord::new(query_pos, entry_pos, interval));
     }
+}
+
+/// Refine the contiguous entry range `range[0]..range[1]` against the
+/// prepared query `q` and stage a result record per hit — the whole
+/// refinement loop of Algorithm 2 as one scan with one charge (see
+/// [`DeviceSegments::refine_range`]). Returns the comparisons performed.
+#[inline]
+pub fn refine_range_and_stage(
+    lane: &mut Lane,
+    entries: &DeviceSegments,
+    range: [u32; 2],
+    q: &PreparedQuery,
+    query_pos: u32,
+    stash: &mut WarpStash<'_, MatchRecord>,
+) -> u64 {
+    entries.refine_range(lane, range[0]..range[1], q, |lane, entry_pos, interval| {
+        stash.stage(lane, MatchRecord::new(query_pos, entry_pos, interval));
+    })
 }
 
 #[cfg(test)]

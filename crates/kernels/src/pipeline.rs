@@ -157,6 +157,7 @@ pub fn run_thread_per_query<G: CandidateGenerator>(
                 let mut stash = results.warp_stash();
                 let mut qids = [0u32; MAX_WARP_LANES];
                 let mut scratch_bytes = 0u64;
+                let mut compared = 0u64;
                 warp.for_each_lane(|lane| {
                     let slot = match &batch {
                         None => generator.first_round_slot(lane),
@@ -168,8 +169,10 @@ pub fn run_thread_per_query<G: CandidateGenerator>(
                     qids[lane.lane_index()] = qid;
                     let work = generator.run_query(lane, qid, &mut stash, &round);
                     scratch_bytes += work.scratch_bytes;
-                    comparisons.fetch_add(work.compared, Ordering::Relaxed);
+                    compared += work.compared;
                 });
+                // One host atomic per warp for the comparison count.
+                comparisons.fetch_add(compared, Ordering::Relaxed);
                 generator.end_warp(warp, &round, scratch_bytes);
                 (stash, qids)
             },

@@ -12,13 +12,19 @@
 //!   compare reads `t_start`/`t_end` first (16 bytes) and loads the six
 //!   coordinate columns (48 bytes) only when the temporal overlap test
 //!   passes, so temporally-rejected candidates cost 16 bytes, not a row.
+//! * A contiguous range of `k` entries is charged in closed form — one read
+//!   of `16·k + 48·overlaps` bytes — equal to the per-element sum (see
+//!   [`DeviceSegments::refine_range`]).
 //! * Segment ids never reach the device (result records carry entry
 //!   *positions*), so a full row is 64 bytes and uploads are charged
 //!   accordingly.
 
+use crate::compare::COMPARE_INSTR;
+use std::ops::Range;
 use std::sync::Arc;
 use tdts_geom::{
-    within_distance, Point3, SegId, Segment, SegmentColumns, SegmentStore, TimeInterval, TrajId,
+    within_distance, Point3, PreparedQuery, SegId, Segment, SegmentColumns, SegmentStore,
+    TimeInterval, TrajId,
 };
 use tdts_gpu_sim::{ColumnarBuffer, Device, Lane, OutOfDeviceMemory, Warp};
 
@@ -35,6 +41,12 @@ const COL_TE: usize = 7;
 
 /// Bytes of one row: eight `f64` fields, ids not stored.
 pub const COLUMNAR_ROW_BYTES: u64 = 8 * std::mem::size_of::<f64>() as u64;
+
+/// Bytes of the two timestamp columns every comparison touches.
+const TIMESTAMP_BYTES: u64 = 2 * std::mem::size_of::<f64>() as u64;
+
+/// Bytes of the six coordinate columns, touched only on temporal overlap.
+const COORDINATE_BYTES: u64 = COLUMNAR_ROW_BYTES - TIMESTAMP_BYTES;
 
 /// A segment database (or query set) resident in device memory: eight `f64`
 /// columns in the canonical order of [`SegmentColumns::f64_columns`]; ids
@@ -172,12 +184,12 @@ impl DeviceSegments {
     /// compare cost whatever the outcome, keeping the comparison count and
     /// instruction accounting independent of the prefilter).
     ///
-    /// The eight reads are written out here and in [`read_segment`] on
-    /// purpose: sharing them through a helper (a column closure, or a
-    /// function returning both endpoints) measured 20–25 % slower per
-    /// comparison on the `batch-temporal` benchmark workload.
+    /// This is the element-at-a-time form, for candidates reached through an
+    /// indirection (`GPUSpatial`'s `U_k`, the `X`/`Y`/`Z` id arrays, strided
+    /// tile lanes). A lane that walks a contiguous run of entries uses
+    /// [`refine_range`], where the hot loop lives.
     ///
-    /// [`read_segment`]: DeviceSegments::read_segment
+    /// [`refine_range`]: DeviceSegments::refine_range
     pub fn compare_within(
         &self,
         lane: &mut Lane,
@@ -185,13 +197,27 @@ impl DeviceSegments {
         q: &Segment,
         d: f64,
     ) -> Option<TimeInterval> {
+        self.compare_element(lane, pos, q.time_span(), |entry| within_distance(q, entry, d))
+    }
+
+    /// One element of the refinement: the two timestamp reads, the overlap
+    /// test against the query's `span`, and — for survivors only — the six
+    /// coordinate reads and the distance `test`.
+    #[inline(always)]
+    fn compare_element(
+        &self,
+        lane: &mut Lane,
+        pos: usize,
+        span: TimeInterval,
+        test: impl FnOnce(&Segment) -> Option<TimeInterval>,
+    ) -> Option<TimeInterval> {
         let cols = &self.cols;
         let t_start = cols.read(lane, COL_TS, pos);
         let t_end = cols.read(lane, COL_TE, pos);
         // Identical predicate to within_distance's first step: temporally
         // disjoint candidates are rejected after touching only the
         // timestamp columns.
-        q.time_span().intersect(&TimeInterval::new(t_start, t_end))?;
+        span.intersect(&TimeInterval::new(t_start, t_end))?;
         let entry = Segment::new(
             Point3::new(
                 cols.read(lane, COL_SX, pos),
@@ -208,7 +234,90 @@ impl DeviceSegments {
             SegId(0),
             TrajId(0),
         );
-        within_distance(q, &entry, d)
+        test(&entry)
+    }
+
+    /// Refine the contiguous entry `range` against the prepared query `q`:
+    /// one scan over the column slices, `on_hit(lane, pos, interval)` for
+    /// every entry within distance, in position order. Returns the number
+    /// of comparisons performed (the range's length, `k` below).
+    ///
+    /// The range is charged in closed form — **one** global-memory read of
+    /// `16·k` bytes of timestamps plus `48` bytes of coordinates per
+    /// temporally overlapping entry, and **one** `COMPARE_INSTR·k`
+    /// instruction charge — which equals, by construction and by test, what
+    /// `k` calls of [`compare`](crate::compare::compare) post one element at
+    /// a time. The hit callback charges its own staging cost.
+    ///
+    /// The rows are bounds-tested once for the whole range. A range that
+    /// leaves the buffer takes the per-element path, so memcheck reports and
+    /// neutralises each bad read exactly as [`compare_within`] does (and
+    /// without a sanitizer it panics like a slice index).
+    ///
+    /// [`compare_within`]: DeviceSegments::compare_within
+    pub fn refine_range(
+        &self,
+        lane: &mut Lane,
+        range: Range<u32>,
+        q: &PreparedQuery,
+        mut on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
+    ) -> u64 {
+        if range.is_empty() {
+            return 0;
+        }
+        let compared = u64::from(range.end - range.start);
+        let span = q.time_span();
+        let Some([sx, sy, sz, ex, ey, ez, ts, te]) =
+            self.cols.row_range::<8>(lane, range.start as usize..range.end as usize)
+        else {
+            self.refine_elements(lane, range, q, &mut on_hit);
+            return compared;
+        };
+        let mut overlapping = 0u64;
+        for (i, pos) in range.enumerate() {
+            let (t_start, t_end) = (ts[i], te[i]);
+            // The same predicate, in the same place, as the element path.
+            if span.intersect(&TimeInterval::new(t_start, t_end)).is_none() {
+                continue;
+            }
+            overlapping += 1;
+            let entry = Segment::new(
+                Point3::new(sx[i], sy[i], sz[i]),
+                Point3::new(ex[i], ey[i], ez[i]),
+                t_start,
+                t_end,
+                SegId(0),
+                TrajId(0),
+            );
+            if let Some(interval) = q.within(&entry) {
+                on_hit(lane, pos, interval);
+            }
+        }
+        lane.gmem_read(TIMESTAMP_BYTES * compared + COORDINATE_BYTES * overlapping);
+        lane.instr(COMPARE_INSTR * compared);
+        compared
+    }
+
+    /// [`refine_range`] one charged element at a time: where a range that
+    /// leaves the buffer goes, so each bad read is reported where it happens.
+    ///
+    /// [`refine_range`]: DeviceSegments::refine_range
+    #[cold]
+    fn refine_elements(
+        &self,
+        lane: &mut Lane,
+        range: Range<u32>,
+        q: &PreparedQuery,
+        on_hit: &mut impl FnMut(&mut Lane, u32, TimeInterval),
+    ) {
+        for pos in range {
+            let hit =
+                self.compare_element(lane, pos as usize, q.time_span(), |entry| q.within(entry));
+            lane.instr(COMPARE_INSTR);
+            if let Some(interval) = hit {
+                on_hit(lane, pos, interval);
+            }
+        }
     }
 }
 

@@ -7,7 +7,7 @@
 //! A hand-rolled, std-only static pass over the workspace sources (no
 //! `syn`: this environment is offline, so the scanner works on text with
 //! just enough context tracking to skip comments, strings, and test
-//! modules). Seven rules — four encoding invariants the simulated GPU
+//! modules). Eight rules — five encoding invariants the simulated GPU
 //! relies on, three host-side concurrency rules guarding the query
 //! service (the static twin of the `tdts-sync` model checker):
 //!
@@ -16,6 +16,12 @@
 //!   stash seams, never by raw per-lane `.write(lane, …)` scatter calls:
 //!   an unaggregated write is exactly the pattern the racecheck pass
 //!   exists to catch at runtime, so it is rejected at review time too.
+//! * `uncharged-column-read` — `ColumnarBuffer::column` and `row_range`
+//!   hand out device data without posting a memory charge. In kernel-side
+//!   code they have one home, `crates/kernels/src/segments.rs`, where
+//!   `DeviceSegments` pairs every such read with the charge it owes (a
+//!   range's closed-form sum, a broadcast's row); anywhere else a read
+//!   would silently drop out of the simulated cost.
 //! * `float-eq` — the continuous interaction test (`tdts-geom` and the
 //!   kernels crate) must not compare `f64` values with `==`/`!=`;
 //!   threshold logic belongs to epsilon/interval comparisons. Exact-zero
@@ -110,6 +116,9 @@ fn lint(root: &Path) -> ExitCode {
                 }
             };
             let rel = file.strip_prefix(root).unwrap_or(&file).to_path_buf();
+            if rule.exempt_files.iter().any(|exempt| rel == Path::new(exempt)) {
+                continue;
+            }
             findings.extend(scan_source(rule, &rel, &source));
         }
     }
@@ -175,6 +184,9 @@ struct Rule {
     /// Workspace-relative individual files this rule scans in addition to
     /// `scan_dirs` (for rules pinned to specific replay/merge modules).
     scan_files: &'static [&'static str],
+    /// Workspace-relative files under `scan_dirs` the rule leaves alone:
+    /// the one module that is allowed to do what the rule forbids.
+    exempt_files: &'static [&'static str],
     /// Line predicate over (code-only text, full original line).
     matches: fn(code: &str, raw: &str) -> bool,
     /// Whether the rule also applies inside `#[cfg(test)]` modules.
@@ -203,6 +215,7 @@ const RULES: &[Rule] = &[
               warp_stash()/ScatterStash instead",
         scan_dirs: KERNEL_CRATES,
         scan_files: &[],
+        exempt_files: &[],
         matches: |code, _| code.contains(".write(lane"),
         include_tests: false,
         safety_comment_discharges: false,
@@ -210,11 +223,25 @@ const RULES: &[Rule] = &[
         bad_fixture: "fn k(lane: &mut Lane) { buf.write(lane, 0, item); }\n",
     },
     Rule {
+        name: "uncharged-column-read",
+        why: "uncharged ColumnarBuffer access in kernel-side code; read through \
+              DeviceSegments (crates/kernels/src/segments.rs), which posts the charge",
+        scan_dirs: KERNEL_CRATES,
+        scan_files: &[],
+        exempt_files: &["crates/kernels/src/segments.rs"],
+        matches: |code, _| code.contains(".column(") || code.contains(".row_range"),
+        include_tests: false,
+        safety_comment_discharges: false,
+        context_discharges: None,
+        bad_fixture: "fn k(cols: &ColumnarBuffer<f64>, i: usize) -> f64 { cols.column(6)[i] }\n",
+    },
+    Rule {
         name: "float-eq",
         why: "f64 ==/!= in interaction-test code; use epsilon or interval comparisons \
               (waive exact-zero algebraic guards explicitly)",
         scan_dirs: &["crates/geom/src", "crates/kernels/src"],
         scan_files: &[],
+        exempt_files: &[],
         matches: |code, _| float_eq_comparison(code),
         include_tests: false,
         safety_comment_discharges: false,
@@ -227,6 +254,7 @@ const RULES: &[Rule] = &[
               deterministic replay — use BTreeMap/BTreeSet/Vec",
         scan_dirs: &["crates/gpu-sim/src", "crates/service/src"],
         scan_files: &[],
+        exempt_files: &[],
         matches: |code, _| ["HashMap", "HashSet"].iter().any(|t| contains_word(code, t)),
         include_tests: false,
         safety_comment_discharges: false,
@@ -252,6 +280,7 @@ const RULES: &[Rule] = &[
             "xtask/src",
         ],
         scan_files: &[],
+        exempt_files: &[],
         matches: |code, _| contains_word(code, "unsafe"),
         include_tests: true,
         safety_comment_discharges: true,
@@ -264,6 +293,7 @@ const RULES: &[Rule] = &[
               or a stale predicate turns this into a missed-signal hang",
         scan_dirs: &["crates/service/src"],
         scan_files: &[],
+        exempt_files: &[],
         matches: |code, _| condvar_wait(code),
         include_tests: false,
         safety_comment_discharges: false,
@@ -276,6 +306,7 @@ const RULES: &[Rule] = &[
               shim so every lock and wait stays visible to the model checker",
         scan_dirs: &["crates/service/src"],
         scan_files: &[],
+        exempt_files: &[],
         matches: |code, _| {
             code.contains("std::sync")
                 && ["Mutex", "MutexGuard", "Condvar", "RwLock"]
@@ -299,6 +330,7 @@ const RULES: &[Rule] = &[
             "crates/geom/src/result.rs",
             "crates/geom/src/shard.rs",
         ],
+        exempt_files: &[],
         matches: |code, _| {
             code.contains("Instant::now(")
                 || code.contains("SystemTime::now(")
@@ -554,6 +586,21 @@ mod tests {
         let waived = "// lint: allow(raw-device-access): prefix-sum scatter\n    \
                       out.write(lane, idx, rec);\n";
         assert!(scan("raw-device-access", waived).is_empty());
+    }
+
+    #[test]
+    fn uncharged_column_read_fires_on_both_accessors() {
+        assert_eq!(scan("uncharged-column-read", "let t = cols.column(6)[i];\n").len(), 1);
+        assert_eq!(
+            scan("uncharged-column-read", "let s = cols.row_range::<8>(lane, lo..hi);\n").len(),
+            1
+        );
+        assert!(scan("uncharged-column-read", "let t = cols.read(lane, 6, i);\n").is_empty());
+        assert_eq!(
+            rule("uncharged-column-read").exempt_files,
+            ["crates/kernels/src/segments.rs"],
+            "one home"
+        );
     }
 
     #[test]
