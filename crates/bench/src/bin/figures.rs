@@ -23,9 +23,9 @@ const OPTIONS: &str = "  --list              print the target names and exit
   --partition <s>     temporal (default) | spatial-grid slab orientation
   --routing <s>       slab (default) | broadcast query dispatch
   --slab-mode <s>     uniform (default) | balanced slab edge placement
-  --sanitizer <m>     off (default) | memcheck | racecheck | full: the
-                      shadow-state device sanitizer (also set by the
-                      TDTS_SANITIZER env var). Findings abort the run.";
+  --sanitizer <m>     off (default) | full: the shadow-state device
+                      sanitizer (also set by the TDTS_SANITIZER env var).
+                      Findings abort the run.";
 
 fn exit_usage(why: &str) -> ! {
     eprintln!("{why}\nusage: figures [options] <{}|all>...\n{OPTIONS}", names().join("|"));
@@ -84,8 +84,8 @@ fn main() {
                 shard.slab_mode = value(args, "--slab-mode", "uniform or balanced", SlabMode::parse)
             }
             "--sanitizer" => {
-                let expects = "off, memcheck, racecheck or full";
-                cfg.device.sanitizer = value(args, "--sanitizer", expects, SanitizerMode::parse);
+                cfg.device.sanitizer =
+                    value(args, "--sanitizer", "off or full", SanitizerMode::parse)
             }
             arg => match select(arg) {
                 Some(selected) => targets.extend(selected),

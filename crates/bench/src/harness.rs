@@ -21,7 +21,7 @@ use tdts_geom::{MatchRecord, SegmentStore, SlabMode, StoreStats};
 use tdts_gpu_sim::{Device, DeviceConfig, KernelShape, SearchReport};
 use tdts_index_spatial::{FsgConfig, GpuSpatialConfig};
 use tdts_index_spatiotemporal::SpatioTemporalIndexConfig;
-use tdts_index_temporal::{BatchedConfig, GpuTemporalSearch, TemporalIndexConfig};
+use tdts_index_temporal::{BatchedConfig, TemporalIndexConfig};
 use tdts_rtree::RTreeConfig;
 use ScenarioKind::{S1Random as S1, S2Merger as S2, S3RandomDense as S3};
 
@@ -183,13 +183,9 @@ struct Arm {
     /// Result capacity derived from the dataset's default and the base
     /// arm's cell at the same `d`.
     capacity: Option<fn(usize, &Cell) -> usize>,
-    /// An index reached through an inherent API instead of
-    /// [`Method::build_index`]; always unsharded.
-    build: Option<Box<BuildFn>>,
     /// Measured and cross-checked but not printed.
     hidden: bool,
 }
-type BuildFn = dyn Fn(&Prepared, Arc<Device>) -> Result<Box<dyn TrajectoryIndex>, TdtsError>;
 
 impl Arm {
     fn new(label: impl ToString, method: Method) -> Arm {
@@ -202,7 +198,6 @@ impl Arm {
             data: None,
             base: None,
             capacity: None,
-            build: None,
             hidden: false,
         }
     }
@@ -218,9 +213,8 @@ impl Arm {
     /// Whether `build` would give this arm and `other` the same index, so
     /// that they differ only in how they search it (kernel shape, capacity).
     fn same_index(&self, other: &Arm) -> bool {
-        let plain = |arm: &Arm| arm.data.is_none() && arm.build.is_none();
-        plain(self)
-            && plain(other)
+        self.data.is_none()
+            && other.data.is_none()
             && (self.method, &self.device, self.sharding)
                 == (other.method, &other.device, other.sharding)
     }
@@ -285,26 +279,6 @@ struct Built {
     device: Option<Arc<Device>>,
 }
 
-/// `search_two_pass` behind the trait (it ignores the result capacity: the
-/// count pass sizes the output exactly).
-struct TwoPass(GpuTemporalSearch);
-
-impl TrajectoryIndex for TwoPass {
-    fn search_shaped(
-        &self,
-        batch: &QueryBatch<'_>,
-        _shape: Option<KernelShape>,
-    ) -> Result<SearchOutcome, TdtsError> {
-        batch.validate()?;
-        let (matches, report) = self.0.search_two_pass(batch.queries, batch.d)?;
-        Ok(SearchOutcome { matches, report })
-    }
-
-    fn name(&self) -> &'static str {
-        "GPUTemporal"
-    }
-}
-
 /// Generate, build, measure, cross-check and print every table of the target
 /// called `name`. `Err` is a failure no table survives: an unknown name, an
 /// invalid configuration, a search error, a sanitizer finding, or two arms
@@ -364,7 +338,7 @@ fn prepare(cfg: &RunConfig, data: Data) -> Result<Prepared, String> {
 fn build(cfg: &RunConfig, p: &Prepared, arm: &Arm) -> Result<Built, TdtsError> {
     let device_config = arm.device.as_ref().unwrap_or(&cfg.device);
     let run_wide = (cfg.sharding.shards > 1).then_some(cfg.sharding);
-    if let (None, Some(sharding)) = (&arm.build, arm.sharding.or(run_wide)) {
+    if let Some(sharding) = arm.sharding.or(run_wide) {
         eprintln!("[harness] building {} across {} shard(s) ...", arm.label, sharding.shards);
         let sharded = ShardedIndex::build(arm.method, &p.store, &p.stats, device_config, &sharding);
         let sharded = Arc::new(sharded?);
@@ -373,10 +347,7 @@ fn build(cfg: &RunConfig, p: &Prepared, arm: &Arm) -> Result<Built, TdtsError> {
     }
     eprintln!("[harness] building {} ...", arm.label);
     let device = Device::new(device_config.clone()).map_err(TdtsError::InvalidConfig)?;
-    let index = match &arm.build {
-        Some(build) => build(p, Arc::clone(&device))?,
-        None => arm.method.build_index(&p.store, &p.stats, Arc::clone(&device))?,
-    };
+    let index = arm.method.build_index(&p.store, &p.stats, Arc::clone(&device))?;
     Ok(Built { index, sharded: None, device: Some(device) })
 }
 
@@ -965,26 +936,6 @@ pub const TARGETS: &[Target] = &[
         close: Some(|_| {
             Ok("(ratio < 1: GPU faster — the crossover moves left as concentration rises)".into())
         }),
-        ..ROW
-    },
-    // The paper's atomic-append result buffer vs the classic two-pass count /
-    // prefix-sum / scatter: twice the comparisons, no atomics, exact output.
-    Target {
-        name: "ablation-write",
-        title: "Write-strategy ablation — atomic append vs two-pass scatter (S2 Merger)",
-        arms: |p, _| {
-            let config = TemporalIndexConfig { bins: p.params.temporal_bins };
-            let build: Box<BuildFn> = Box::new(move |p, device| {
-                let index = GpuTemporalSearch::new_with_stats(device, &p.store, &p.stats, config);
-                Ok(Box::new(TwoPass(index?)))
-            });
-            let two_pass = Arm::new("two-pass", Method::GpuTemporal(config));
-            let atomic = Arm::new("atomic", Method::GpuTemporal(config));
-            vec![atomic, Arm { build: Some(build), ..two_pass }]
-        },
-        ds: Ds::Fixed(&[0.5, 2.0, 5.0]),
-        layout: Layout::PerArm(ALL),
-        cols: &[D, label("strategy"), RESPONSE, COMPARISONS],
         ..ROW
     },
     // Merger at small-to-mid d: candidate ranges are most skewed there, and a

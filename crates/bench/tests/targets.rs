@@ -10,7 +10,7 @@
 use std::collections::BTreeSet;
 use std::process::Command;
 use tdts_bench::{names, run, select, RunConfig, TARGETS};
-use tdts_gpu_sim::{ResponseTime, SearchReport};
+use tdts_gpu_sim::SearchReport;
 
 fn tiny() -> RunConfig {
     RunConfig { scale: 0.004, trials: 1, ..RunConfig::default() }
@@ -56,21 +56,12 @@ fn every_row_runs_and_cross_checks() {
 
 #[test]
 fn counted_cells_repeat() {
-    // A cell's counted quantities, with or without its simulated phase
-    // seconds: a sharded search adopts the phases of whichever shard its
-    // merge judged slowest by a total that includes measured host time
-    // (ROADMAP item 3), so only its counters and byte totals must repeat.
-    let counted = |name: &str, phases: bool| -> Vec<(u32, u64, u64, SearchReport)> {
-        let cell = |report: &SearchReport| {
-            let ledger = report.response;
-            let response = if phases { ledger.simulated() } else { ResponseTime::default() };
-            let counters = SearchReport { response, ..report.deterministic() };
-            (ledger.kernel_invocations, ledger.h2d_bytes, ledger.d2h_bytes, counters)
-        };
-        run(&tiny(), name).unwrap().cells.iter().map(|c| cell(&c.report)).collect()
+    // A cell's counters, byte totals and simulated phase seconds.
+    let counted = |name: &str| -> Vec<SearchReport> {
+        run(&tiny(), name).unwrap().cells.iter().map(|c| c.report.deterministic()).collect()
     };
     // One paper row and one sharded row.
-    for (name, phases) in [("fig5", true), ("ablation-sharding", false)] {
-        assert_eq!(counted(name, phases), counted(name, phases), "{name}: cells differ");
+    for name in ["fig5", "ablation-sharding"] {
+        assert_eq!(counted(name), counted(name), "{name}: cells differ");
     }
 }

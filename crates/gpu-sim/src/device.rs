@@ -104,8 +104,7 @@ impl Device {
     /// Create a device, validating the configuration.
     pub fn new(config: DeviceConfig) -> Result<Arc<Device>, String> {
         config.validate()?;
-        let sanitizer =
-            (!config.sanitizer.is_off()).then(|| Arc::new(Sanitizer::new(config.sanitizer)));
+        let sanitizer = (!config.sanitizer.is_off()).then(|| Arc::new(Sanitizer::new()));
         let core = Arc::new(DeviceCore {
             config,
             mem_used: AtomicUsize::new(0),
@@ -259,19 +258,6 @@ impl Device {
         let reservation =
             Reservation::new(self, bytes, "ResultBuffer", short_type_name::<T>(), capacity)?;
         Ok(ResultBuffer::with_capacity(capacity, self.core.config.warp_stash_capacity, reservation))
-    }
-
-    /// Allocate a scatter buffer (offline): kernels write at explicit,
-    /// disjoint indices computed from a host-side prefix sum — the two-pass
-    /// alternative to atomic result appends.
-    pub fn alloc_scatter<T>(
-        self: &Arc<Self>,
-        capacity: usize,
-    ) -> Result<crate::memory::ScatterBuffer<T>, OutOfDeviceMemory> {
-        let bytes = capacity * std::mem::size_of::<T>();
-        let reservation =
-            Reservation::new(self, bytes, "ScatterBuffer", short_type_name::<T>(), capacity)?;
-        Ok(crate::memory::ScatterBuffer::with_capacity(capacity, reservation))
     }
 
     /// Allocate per-thread scratch partitions (offline): `partitions` areas

@@ -110,9 +110,13 @@ impl ResponseTime {
     /// launched those kernels — but elapsed simulated time is bounded by
     /// the slowest device (the merge point waits for the last shard), so
     /// the phase breakdown adopts the slower ledger's phases rather than
-    /// summing them.
+    /// summing them. "Slower" is judged on the [`simulated`] phases alone —
+    /// measured `HostCompute` wall time must not decide which device's
+    /// simulated seconds a merged report carries — and a tie keeps `self`.
+    ///
+    /// [`simulated`]: ResponseTime::simulated
     pub fn merge_concurrent(&mut self, other: &ResponseTime) {
-        if other.total() > self.total() {
+        if other.simulated().total() > self.simulated().total() {
             self.seconds = other.seconds;
         }
         self.kernel_invocations += other.kernel_invocations;
@@ -257,6 +261,27 @@ mod tests {
         assert_eq!(b.get(Phase::KernelExec), 3.0);
         assert_eq!(b.total(), a.total());
         assert_eq!(b.kernel_invocations, 3);
+    }
+
+    #[test]
+    fn merge_concurrent_ignores_measured_host_time() {
+        // More host wall time does not make a device slower: the simulated
+        // phases decide, and a tie keeps the ledger merged into.
+        let mut simulated_slow = ResponseTime::new();
+        simulated_slow.add(Phase::KernelExec, 2.0);
+        let mut host_heavy = ResponseTime::new();
+        host_heavy.add(Phase::KernelExec, 1.0);
+        host_heavy.add(Phase::HostCompute, 5.0);
+        let mut a = simulated_slow;
+        a.merge_concurrent(&host_heavy);
+        assert_eq!(a.simulated(), simulated_slow.simulated());
+
+        let mut tie = ResponseTime::new();
+        tie.add(Phase::HostToDevice, 2.0);
+        tie.add(Phase::HostCompute, 1.0);
+        let mut b = simulated_slow;
+        b.merge_concurrent(&tie);
+        assert_eq!(b.get(Phase::KernelExec), 2.0, "a tie goes to the earlier member");
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use launch::{LaunchReport, Warp, MAX_WARP_LANES};
 pub use ledger::{pipeline_makespan, Phase, ResponseTime};
 pub use memory::{
     ColumnarBuffer, DeviceBuffer, OutOfDeviceMemory, PartitionedScratch, ResultBuffer,
-    ScatterBuffer, ScatterStash, ScratchPartition, WarpStash,
+    ScratchPartition, WarpStash,
 };
 pub use redo::{NextBatch, RedoSchedule};
 pub use report::{LoadBalance, RoutingSummary, SearchError, SearchReport};

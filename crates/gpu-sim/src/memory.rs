@@ -10,7 +10,7 @@
 use crate::counters::Lane;
 use crate::device::{Device, DeviceCore};
 use crate::launch::{Warp, MAX_WARP_LANES};
-use crate::sanitizer::{Origin, ShadowRef};
+use crate::sanitizer::ShadowRef;
 use parking_lot::{Mutex, MutexGuard};
 use std::cell::UnsafeCell;
 use std::fmt;
@@ -137,18 +137,17 @@ impl<T: Copy> DeviceBuffer<T> {
 
     /// Read element `i` from a kernel lane, charging the memory counter.
     ///
-    /// Under memcheck an out-of-bounds `i` is recorded as a finding and
-    /// neutralised (the first element is returned) so one run can surface
-    /// every bad access; without a sanitizer it panics like a slice index.
+    /// Under the sanitizer an out-of-bounds `i` is recorded as a finding
+    /// and neutralised (the first element is returned) so one run can
+    /// surface every bad access; without one it panics like a slice index.
     #[inline]
     pub fn read(&self, lane: &mut Lane, i: usize) -> T {
         lane.gmem_read(std::mem::size_of::<T>() as u64);
         if i >= self.data.len() {
             if let Some(shadow) = self.reservation.shadow() {
-                if shadow.oob_read(i, Origin::Lane(lane.global_id), self.data.len()) {
-                    if let Some(&first) = self.data.first() {
-                        return first;
-                    }
+                shadow.oob_read(i, lane.global_id, self.data.len());
+                if let Some(&first) = self.data.first() {
+                    return first;
                 }
             }
         }
@@ -217,21 +216,17 @@ impl<T: Copy> ColumnarBuffer<T> {
     /// Read `column[row]` from a kernel lane, charging the memory counter
     /// for one element of one column.
     ///
-    /// Under memcheck an out-of-range `column`/`row` is recorded as a
-    /// finding and neutralised (element `[0][0]` is returned); without a
-    /// sanitizer it panics like a slice index.
+    /// Under the sanitizer an out-of-range `column`/`row` is recorded as a
+    /// finding and neutralised (element `[0][0]` is returned); without one
+    /// it panics like a slice index.
     #[inline]
     pub fn read(&self, lane: &mut Lane, column: usize, row: usize) -> T {
         lane.gmem_read(std::mem::size_of::<T>() as u64);
         if column >= self.columns.len() || row >= self.rows {
             if let Some(shadow) = self.reservation.shadow() {
                 let offset = column.saturating_mul(self.rows).saturating_add(row);
-                let neutralised = shadow.oob_read(
-                    offset,
-                    Origin::Lane(lane.global_id),
-                    self.columns.len() * self.rows,
-                );
-                if neutralised && self.rows > 0 {
+                shadow.oob_read(offset, lane.global_id, self.columns.len() * self.rows);
+                if self.rows > 0 {
                     if let Some(first) = self.columns.first() {
                         return first[0];
                     }
@@ -246,11 +241,11 @@ impl<T: Copy> ColumnarBuffer<T> {
     /// that scans a contiguous run of rows and posts the run's closed-form
     /// charge itself (see `DeviceSegments::refine_range`).
     ///
-    /// What [`read`] does per element happens here per range. Under
-    /// memcheck a range that leaves the buffer is recorded as one
+    /// What [`read`] does per element happens here per range. Under the
+    /// sanitizer a range that leaves the buffer is recorded as one
     /// out-of-bounds read at the first row past the end and neutralised to
     /// `None`, so the caller can fall back to per-element reads that report
-    /// each bad access; without a sanitizer it panics like a slice index.
+    /// each bad access; without one it panics like a slice index.
     ///
     /// [`read`]: ColumnarBuffer::read
     #[inline]
@@ -262,10 +257,8 @@ impl<T: Copy> ColumnarBuffer<T> {
         if rows.end > self.rows {
             if let Some(shadow) = self.reservation.shadow() {
                 let offset = rows.start.max(self.rows);
-                let len = self.columns.len() * self.rows;
-                if shadow.oob_read(offset, Origin::Lane(lane.global_id), len) {
-                    return None;
-                }
+                shadow.oob_read(offset, lane.global_id, self.columns.len() * self.rows);
+                return None;
             }
         }
         Some(std::array::from_fn(|c| &self.columns[c][rows.clone()]))
@@ -556,135 +549,6 @@ impl<'a, T> WarpStash<'a, T> {
     }
 }
 
-/// A device buffer kernels write at *explicit, caller-disjoint* indices —
-/// the write side of a two-pass (count → prefix-sum → scatter) output
-/// scheme, which avoids result-buffer atomics entirely.
-///
-/// Each slot must be written at most once per launch: double writes are
-/// data races on real hardware. Slots are `Mutex<Option<T>>` — the lock is
-/// uncontended by construction (disjoint indices), costs nothing in the
-/// simulated model, and makes the buffer safe without `unsafe` aliasing
-/// arguments. Without a sanitizer a violation panics; under
-/// [`crate::SanitizerMode::Racecheck`] writes are logged per launch and
-/// conflicting slots surface as structured findings at launch end instead.
-pub struct ScatterBuffer<T> {
-    slots: Box<[Mutex<Option<T>>]>,
-    reservation: Reservation,
-}
-
-impl<T> ScatterBuffer<T> {
-    pub(crate) fn with_capacity(capacity: usize, reservation: Reservation) -> Self {
-        let mut slots = Vec::with_capacity(capacity);
-        slots.resize_with(capacity, || Mutex::new(None));
-        ScatterBuffer { slots: slots.into_boxed_slice(), reservation }
-    }
-
-    /// Capacity in elements.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Store `item` at `idx` without cost accounting. Panics on
-    /// out-of-bounds or double writes (a data race on real hardware) unless
-    /// the responsible sanitizer pass records and neutralises the access.
-    fn raw_write(&self, origin: Origin, idx: usize, item: T) {
-        if idx >= self.slots.len() {
-            if let Some(shadow) = self.reservation.shadow() {
-                if shadow.oob_write(idx, origin, self.slots.len()) {
-                    return;
-                }
-            }
-            panic!("scatter write {idx} out of bounds");
-        }
-        if let Some(shadow) = self.reservation.shadow() {
-            shadow.log_scatter_write(idx, origin);
-        }
-        let mut slot = self.slots[idx].lock();
-        if slot.is_some() {
-            if self.reservation.shadow().is_some_and(ShadowRef::racecheck) {
-                // First write wins; the conflict was logged above and the
-                // launch-end race analysis reports it.
-                return;
-            }
-            panic!("scatter slot {idx} written twice in one launch");
-        }
-        *slot = Some(item);
-    }
-
-    /// Write `item` at `idx` from a kernel lane (plain global write, no
-    /// atomic). Panics on out-of-bounds or double writes.
-    #[inline]
-    pub fn write(&self, lane: &mut Lane, idx: usize, item: T) {
-        lane.gmem_write(std::mem::size_of::<T>() as u64);
-        self.raw_write(Origin::Lane(lane.global_id), idx, item);
-    }
-
-    /// Begin a warp's staged scatter session (see [`ScatterStash`]).
-    pub fn warp_stash(&self) -> ScatterStash<'_, T> {
-        ScatterStash { buffer: self, staged: Vec::new() }
-    }
-
-    /// Drain the first `len` slots to the host (all must have been written)
-    /// and reset for the next launch. A never-written slot panics — or,
-    /// under memcheck, is recorded as an uninitialized read and skipped.
-    pub fn drain_to_host(&mut self, len: usize) -> Vec<T> {
-        assert!(len <= self.slots.len());
-        let mut out = Vec::with_capacity(len);
-        for i in 0..len {
-            match self.slots[i].get_mut().take() {
-                Some(item) => out.push(item),
-                None => {
-                    let neutralised = self
-                        .reservation
-                        .shadow()
-                        .is_some_and(|shadow| shadow.uninit_read(i, Origin::Host, out.len()));
-                    assert!(neutralised, "scatter slot {i} was never written");
-                }
-            }
-        }
-        for slot in self.slots.iter_mut().skip(len) {
-            *slot.get_mut() = None;
-        }
-        if let Some(shadow) = self.reservation.shadow() {
-            shadow.note_drained((out.len() * std::mem::size_of::<T>()) as u64);
-        }
-        out
-    }
-}
-
-/// One warp's staged writes into a [`ScatterBuffer`].
-///
-/// Scatter writes already use no atomics; what warp aggregation buys here is
-/// write-combining: staged records are flushed together in
-/// [`ScatterStash::commit`] as coalesced warp traffic instead of per-lane
-/// stores scattered across the launch.
-pub struct ScatterStash<'a, T> {
-    buffer: &'a ScatterBuffer<T>,
-    staged: Vec<(usize, T)>,
-}
-
-impl<'a, T> ScatterStash<'a, T> {
-    /// Stage `item` for slot `idx` from a kernel lane.
-    #[inline]
-    pub fn stage(&mut self, lane: &mut Lane, idx: usize, item: T) {
-        lane.instr(1);
-        self.staged.push((idx, item));
-    }
-
-    /// Flush all staged writes, charging the warp coalesced write bytes.
-    pub fn commit(&mut self, warp: &mut Warp) {
-        if self.staged.is_empty() {
-            return;
-        }
-        let bytes = (self.staged.len() * std::mem::size_of::<T>()) as u64;
-        warp.instr(COMMIT_INSTR);
-        warp.gmem_write(bytes);
-        for (idx, item) in self.staged.drain(..) {
-            self.buffer.raw_write(Origin::Warp(warp.index()), idx, item);
-        }
-    }
-}
-
 /// Device memory partitioned into equal per-thread scratch areas — the
 /// paper's candidate buffers `U_k` with `|U_k| = s / |Q|` (§IV-A).
 ///
@@ -807,25 +671,23 @@ impl<'a, T: Copy + Default> ScratchPartition<'a, T> {
     /// Read back element `i`, charging the lane's memory counter.
     ///
     /// Without a sanitizer a read past the appended length panics. Under
-    /// memcheck it is recorded — as an uninitialized read when `i` is
+    /// the sanitizer it is recorded — as an uninitialized read when `i` is
     /// inside the partition's capacity but was never written this session,
     /// or as an out-of-bounds read past the capacity — and neutralised by
     /// returning `T::default()`.
     #[inline]
     pub fn read(&self, lane: &mut Lane, i: usize) -> T {
         if i >= self.data.len() {
-            if let Some(shadow) = &self.shadow {
-                let neutralised = if i >= self.cap {
-                    shadow.oob_read(self.base + i, Origin::Lane(lane.global_id), self.cap)
-                } else {
-                    shadow.uninit_read(self.base + i, Origin::Lane(lane.global_id), self.data.len())
-                };
-                if neutralised {
-                    lane.gmem_read(std::mem::size_of::<T>() as u64);
-                    return T::default();
-                }
+            let Some(shadow) = &self.shadow else {
+                panic!("scratch read {i} out of bounds {}", self.data.len());
+            };
+            if i >= self.cap {
+                shadow.oob_read(self.base + i, lane.global_id, self.cap);
+            } else {
+                shadow.uninit_read(self.base + i, lane.global_id, self.data.len());
             }
-            panic!("scratch read {i} out of bounds {}", self.data.len());
+            lane.gmem_read(std::mem::size_of::<T>() as u64);
+            return T::default();
         }
         lane.gmem_read(std::mem::size_of::<T>() as u64);
         self.data[i]
@@ -907,43 +769,6 @@ mod tests {
         let scratch: PartitionedScratch<u32> = dev.alloc_scratch(2, 2).unwrap();
         let _a = scratch.take_partition(0);
         let _b = scratch.take_partition(0);
-    }
-
-    #[test]
-    fn scatter_buffer_write_and_drain() {
-        let dev = device();
-        let mut buf: ScatterBuffer<u32> = dev.alloc_scatter(4).unwrap();
-        let mut lane = Lane::new(0);
-        // Write out of order at disjoint indices.
-        buf.write(&mut lane, 2, 22);
-        buf.write(&mut lane, 0, 10);
-        buf.write(&mut lane, 1, 11);
-        assert_eq!(lane.counters().gmem_write_bytes, 12);
-        assert_eq!(lane.counters().atomics, 0, "two-pass writes use no atomics");
-        assert_eq!(buf.drain_to_host(3), vec![10, 11, 22]);
-        // Reusable after drain.
-        buf.write(&mut lane, 0, 99);
-        assert_eq!(buf.drain_to_host(1), vec![99]);
-    }
-
-    #[test]
-    #[should_panic(expected = "written twice")]
-    fn scatter_double_write_panics() {
-        let dev = device();
-        let buf: ScatterBuffer<u32> = dev.alloc_scatter(2).unwrap();
-        let mut lane = Lane::new(0);
-        buf.write(&mut lane, 0, 1);
-        buf.write(&mut lane, 0, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "never written")]
-    fn scatter_drain_unwritten_panics() {
-        let dev = device();
-        let mut buf: ScatterBuffer<u32> = dev.alloc_scatter(2).unwrap();
-        let mut lane = Lane::new(0);
-        buf.write(&mut lane, 1, 1);
-        let _ = buf.drain_to_host(2);
     }
 
     #[test]
@@ -1127,25 +952,6 @@ mod tests {
         };
         assert_eq!(dropped, 1 << 2);
         assert_eq!(buf.drain_to_host(), vec![41]);
-    }
-
-    #[test]
-    fn scatter_stash_write_combines() {
-        let dev = device();
-        let mut buf: ScatterBuffer<u32> = dev.alloc_scatter(4).unwrap();
-        let mut warp = Warp::standalone(4);
-        {
-            let mut stash = buf.warp_stash();
-            warp.for_each_lane(|lane| {
-                let li = lane.lane_index();
-                stash.stage(lane, li, li as u32 * 10);
-                // Staging is ALU work, not per-lane memory traffic.
-                assert_eq!(lane.counters().gmem_write_bytes, 0);
-            });
-            stash.commit(&mut warp);
-        }
-        assert_eq!(warp.counters().gmem_write_bytes, 16);
-        assert_eq!(buf.drain_to_host(4), vec![0, 10, 20, 30]);
     }
 
     #[test]

@@ -1,44 +1,43 @@
-//! Shadow-state device sanitizer: memcheck + racecheck for the simulated GPU.
+//! Shadow-state device sanitizer for the simulated GPU.
 //!
 //! The simulated device executes kernels as real Rust closures, so the
 //! classic GPU failure modes — out-of-bounds accesses, reads of
-//! uninitialized memory, write-write races between lanes, records silently
-//! lost to result-buffer overflow — either panic the host process or, worse,
-//! stay invisible while corrupting counters and results. This module is the
-//! software analogue of NVIDIA's `compute-sanitizer`: a shadow-state layer
-//! that every memory type in [`crate::memory`] reports into when the device
-//! was created with a non-[`SanitizerMode::Off`]
-//! [`crate::DeviceConfig::sanitizer`].
+//! uninitialized memory, records silently lost to result-buffer overflow —
+//! either panic the host process or, worse, stay invisible while corrupting
+//! counters and results. This module is the software analogue of NVIDIA's
+//! `compute-sanitizer`: a shadow-state layer that every memory type in
+//! [`crate::memory`] reports into when the device was created with
+//! [`SanitizerMode::Full`] ([`crate::DeviceConfig::sanitizer`]).
 //!
-//! Two passes exist, combinable via [`SanitizerMode::Full`]:
+//! The detectors:
 //!
-//! * **Memcheck** — per-buffer shadow bookkeeping: out-of-bounds reads and
-//!   writes (recorded and neutralised instead of panicking, so one run can
-//!   surface many findings), reads of never-written scratch words, malformed
-//!   work-queue tiles (`hi < lo`, which would underflow [`crate::Tile::len`]),
+//! * **Per-buffer shadow bookkeeping** — out-of-bounds reads (recorded and
+//!   neutralised instead of panicking, so one run can surface many
+//!   findings), reads of never-written scratch words, malformed work-queue
+//!   tiles (`hi < lo`, which would underflow [`crate::Tile::len`]),
 //!   device→host transfer accounting mismatches (bytes charged to the ledger
 //!   vs bytes actually drained), and a live-allocation registry that exposes
 //!   leaked buffers.
-//! * **Racecheck** — per-launch access sets. Scatter-buffer writes are logged
-//!   as `(buffer, offset, origin)`; at launch end, slots written more than
-//!   once become [`FindingKind::WriteWriteRace`] (distinct origins) or
-//!   [`FindingKind::DoubleWrite`] (one origin writing twice). Accesses
-//!   *ordered by an atomic* are blessed and never logged: result-buffer
-//!   cursor `fetch_add`s ([`crate::ResultBuffer`]/[`crate::WarpStash`]) and
-//!   work-queue tile grabs hand out unique indices by construction.
-//!   Racecheck also performs **lost-record accounting**: a stash commit that
-//!   drops records (`lost > 0`) must be acknowledged — either by a later
-//!   commit of the same warp storing redo ids into another buffer (the
-//!   device-side redo protocol of `tdts-kernels`), or by the host observing
-//!   the overflow flag ([`crate::ResultBuffer::overflowed`], the host-side
-//!   batch-halving protocol). Unacknowledged losses surface as
+//! * **Lost-record accounting** — a stash commit that drops records
+//!   (`lost > 0`) must be acknowledged: either by a later commit of the same
+//!   warp storing redo ids into another buffer (the device-side redo
+//!   protocol of `tdts-kernels`), or by the host observing the overflow flag
+//!   ([`crate::ResultBuffer::overflowed`], the host-side batch-halving
+//!   protocol). Unacknowledged losses surface as
 //!   [`FindingKind::LostRecords`].
 //!
+//! There is no write-race detector because there is no racy write to
+//! detect: every device write goes through an atomic cursor
+//! ([`crate::ResultBuffer`]/[`crate::WarpStash`], work-queue tile grabs),
+//! which hands out unique indices by construction, or into a scratch
+//! partition one thread owns ([`crate::PartitionedScratch::take_partition`]
+//! panics on a second taker). No device type offers a per-lane write at a
+//! caller-chosen index.
+//!
 //! Findings are structured [`Finding`]s (buffer name, word offset, launch
-//! id, kernel shape, conflicting lanes) collected into a
-//! [`SanitizerReport`]; searches surface the per-search count on
-//! `SearchReport::sanitizer_findings` and tests hard-fail via
-//! [`crate::Device::assert_sanitizer_clean`].
+//! id, kernel shape, lanes) collected into a [`SanitizerReport`]; searches
+//! surface the per-search count on `SearchReport::sanitizer_findings` and
+//! tests hard-fail via [`crate::Device::assert_sanitizer_clean`].
 //!
 //! When the mode is `Off` the device holds no `Sanitizer` at all: no shadow
 //! allocations exist, no access is logged, and the simulated cost counters
@@ -50,33 +49,17 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// Which sanitizer passes a device runs (see the module docs).
+/// Whether a device runs the sanitizer (see the module docs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SanitizerMode {
     /// No shadow state, no checks, zero overhead (the default).
     #[default]
     Off,
-    /// Bounds / initialization / transfer / tile checks only.
-    Memcheck,
-    /// Per-launch access-set race checks and lost-record accounting only.
-    Racecheck,
-    /// Both passes.
+    /// Every detector.
     Full,
 }
 
 impl SanitizerMode {
-    /// True when memcheck-class detectors are active.
-    #[inline]
-    pub fn memcheck(self) -> bool {
-        matches!(self, SanitizerMode::Memcheck | SanitizerMode::Full)
-    }
-
-    /// True when racecheck-class detectors are active.
-    #[inline]
-    pub fn racecheck(self) -> bool {
-        matches!(self, SanitizerMode::Racecheck | SanitizerMode::Full)
-    }
-
     /// True when no detector is active.
     #[inline]
     pub fn is_off(self) -> bool {
@@ -87,16 +70,14 @@ impl SanitizerMode {
     pub fn parse(s: &str) -> Option<SanitizerMode> {
         match s.trim().to_ascii_lowercase().as_str() {
             "off" | "none" => Some(SanitizerMode::Off),
-            "memcheck" => Some(SanitizerMode::Memcheck),
-            "racecheck" => Some(SanitizerMode::Racecheck),
             "full" => Some(SanitizerMode::Full),
             _ => None,
         }
     }
 
     /// Mode requested through the `TDTS_SANITIZER` environment variable
-    /// (`off`/`memcheck`/`racecheck`/`full`), if set and well-formed. Never
-    /// consulted implicitly: callers (tests, CLI) opt in explicitly.
+    /// (`off`/`full`), if set and well-formed. Never consulted implicitly:
+    /// callers (tests, CLI) opt in explicitly.
     pub fn from_env() -> Option<SanitizerMode> {
         std::env::var("TDTS_SANITIZER").ok().and_then(|v| SanitizerMode::parse(&v))
     }
@@ -106,65 +87,25 @@ impl fmt::Display for SanitizerMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             SanitizerMode::Off => "off",
-            SanitizerMode::Memcheck => "memcheck",
-            SanitizerMode::Racecheck => "racecheck",
             SanitizerMode::Full => "full",
         })
-    }
-}
-
-/// Who performed a tracked access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum Origin {
-    /// Host-side code (uploads, drains, tile construction).
-    Host,
-    /// A kernel lane, identified by its global thread id.
-    Lane(usize),
-    /// A warp epilogue (staged commit), identified by the warp index —
-    /// unique per launch even under persistent tiling, where lane global
-    /// ids repeat across tiles.
-    Warp(usize),
-}
-
-impl Origin {
-    fn id(self) -> Option<usize> {
-        match self {
-            Origin::Host => None,
-            Origin::Lane(g) | Origin::Warp(g) => Some(g),
-        }
-    }
-}
-
-impl fmt::Display for Origin {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Origin::Host => f.write_str("host"),
-            Origin::Lane(g) => write!(f, "lane {g}"),
-            Origin::Warp(w) => write!(f, "warp {w}"),
-        }
     }
 }
 
 /// Classification of a sanitizer finding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum FindingKind {
-    /// A kernel read past a buffer's length (memcheck).
+    /// A kernel read past a buffer's length.
     OutOfBoundsRead,
-    /// A kernel write past a buffer's capacity (memcheck).
-    OutOfBoundsWrite,
-    /// A read of a scratch/scatter word that was never written (memcheck).
+    /// A read of a scratch word that was never written.
     UninitializedRead,
-    /// Two different origins wrote the same slot in one launch (racecheck).
-    WriteWriteRace,
-    /// One origin wrote the same slot twice in one launch (racecheck).
-    DoubleWrite,
     /// A stash commit dropped records and neither a device-side redo commit
-    /// nor a host overflow check acknowledged them (racecheck).
+    /// nor a host overflow check acknowledged them.
     LostRecords,
-    /// A work-queue tile with `hi < lo` (memcheck).
+    /// A work-queue tile with `hi < lo`.
     MalformedTile,
     /// Device→host bytes charged to the ledger disagree with bytes actually
-    /// drained from device buffers (memcheck).
+    /// drained from device buffers.
     TransferMismatch,
 }
 
@@ -172,10 +113,7 @@ impl fmt::Display for FindingKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             FindingKind::OutOfBoundsRead => "out-of-bounds-read",
-            FindingKind::OutOfBoundsWrite => "out-of-bounds-write",
             FindingKind::UninitializedRead => "uninitialized-read",
-            FindingKind::WriteWriteRace => "write-write-race",
-            FindingKind::DoubleWrite => "double-write",
             FindingKind::LostRecords => "lost-records",
             FindingKind::MalformedTile => "malformed-tile",
             FindingKind::TransferMismatch => "transfer-mismatch",
@@ -188,7 +126,7 @@ impl fmt::Display for FindingKind {
 pub struct Finding {
     /// What went wrong.
     pub kind: FindingKind,
-    /// Name of the buffer involved, e.g. `ScatterBuffer<u32>#3`.
+    /// Name of the buffer involved, e.g. `ResultBuffer<u32>#3`.
     pub buffer: String,
     /// Word offset within the buffer (tile position for
     /// [`FindingKind::MalformedTile`], 0 when not applicable).
@@ -199,8 +137,8 @@ pub struct Finding {
     /// Kernel shape label of that launch (`static-grid`,
     /// `persistent-warp-per-tile`, or `host`).
     pub shape: String,
-    /// Conflicting lane global ids (warp indices for warp-scoped origins),
-    /// sorted.
+    /// The accessing lane's global id, or the warp index for
+    /// [`FindingKind::LostRecords`]; empty for host-side findings.
     pub lanes: Vec<usize>,
     /// Human-readable specifics.
     pub detail: String,
@@ -230,9 +168,9 @@ pub struct SanitizerReport {
     /// alive by an engine are expected here; buffers that outlive every
     /// owner — e.g. via `mem::forget` — are leaks).
     pub live_allocations: Vec<String>,
-    /// Device→host bytes charged to the response-time ledger (memcheck).
+    /// Device→host bytes charged to the response-time ledger.
     pub d2h_charged_bytes: u64,
-    /// Device→host bytes actually drained from device buffers (memcheck).
+    /// Device→host bytes actually drained from device buffers.
     pub d2h_drained_bytes: u64,
 }
 
@@ -284,8 +222,6 @@ struct CommitEvent {
 struct CurrentLaunch {
     id: u64,
     shape: &'static str,
-    /// Scatter-write log: `(buffer id, slot) -> origins that wrote it`.
-    writes: BTreeMap<(u64, usize), Vec<Origin>>,
     /// Stash-commit log, in push order (sequential within each warp).
     commits: Vec<CommitEvent>,
 }
@@ -370,18 +306,12 @@ fn loss_finding(p: &PendingLoss) -> Finding {
 /// crate-internal `ShadowRef` handles handed out at registration.
 #[derive(Debug)]
 pub struct Sanitizer {
-    mode: SanitizerMode,
     state: Mutex<State>,
 }
 
 impl Sanitizer {
-    pub(crate) fn new(mode: SanitizerMode) -> Sanitizer {
-        Sanitizer { mode, state: Mutex::new(State::default()) }
-    }
-
-    /// The active mode.
-    pub fn mode(&self) -> SanitizerMode {
-        self.mode
+    pub(crate) fn new() -> Sanitizer {
+        Sanitizer { state: Mutex::new(State::default()) }
     }
 
     fn register(&self, kind: &'static str, ty: &'static str, _len: usize) -> u64 {
@@ -396,14 +326,8 @@ impl Sanitizer {
         self.state.lock().allocs.remove(&id);
     }
 
-    fn record(
-        &self,
-        kind: FindingKind,
-        buffer: u64,
-        offset: usize,
-        origin: Origin,
-        detail: String,
-    ) {
+    /// Record a finding of a kernel lane's access to `buffer`.
+    fn record(&self, kind: FindingKind, buffer: u64, offset: usize, lane: usize, detail: String) {
         let mut st = self.state.lock();
         let (launch, shape) = st.launch_context();
         let buffer = st.buffer_name(buffer);
@@ -413,7 +337,7 @@ impl Sanitizer {
             offset,
             launch,
             shape: shape.to_string(),
-            lanes: origin.id().into_iter().collect(),
+            lanes: vec![lane],
             detail,
         });
     }
@@ -422,39 +346,12 @@ impl Sanitizer {
         let mut st = self.state.lock();
         st.launches += 1;
         let id = st.launches;
-        st.current =
-            Some(CurrentLaunch { id, shape, writes: BTreeMap::new(), commits: Vec::new() });
+        st.current = Some(CurrentLaunch { id, shape, commits: Vec::new() });
     }
 
     pub(crate) fn end_launch(&self) {
         let mut st = self.state.lock();
         let Some(launch) = st.current.take() else { return };
-
-        // Race analysis: slots written more than once. The write log is a
-        // BTreeMap and origins are sorted, so finding order is deterministic
-        // whatever the host thread interleaving was.
-        for ((buf, offset), mut origins) in launch.writes {
-            if origins.len() < 2 {
-                continue;
-            }
-            origins.sort_unstable();
-            let all_same = origins.windows(2).all(|w| w[0] == w[1]);
-            let kind =
-                if all_same { FindingKind::DoubleWrite } else { FindingKind::WriteWriteRace };
-            let mut lanes: Vec<usize> = origins.iter().filter_map(|o| o.id()).collect();
-            lanes.dedup();
-            let writers = origins.iter().map(ToString::to_string).collect::<Vec<_>>().join(", ");
-            let buffer = st.buffer_name(buf);
-            st.findings.push(Finding {
-                kind,
-                buffer,
-                offset,
-                launch: launch.id,
-                shape: launch.shape.to_string(),
-                lanes,
-                detail: format!("{} writes to the same slot by {writers}", origins.len()),
-            });
-        }
 
         // Lost-record accounting: a commit with losses is acknowledged
         // inside the launch by a *later* commit of the same warp that stores
@@ -485,15 +382,10 @@ impl Sanitizer {
     }
 
     pub(crate) fn note_d2h_charged(&self, bytes: u64) {
-        if self.mode.memcheck() {
-            self.state.lock().d2h_charged += bytes;
-        }
+        self.state.lock().d2h_charged += bytes;
     }
 
     pub(crate) fn note_malformed_tile(&self, pos: usize, query: u32, lo: u32, hi: u32) {
-        if !self.mode.memcheck() {
-            return;
-        }
         let mut st = self.state.lock();
         let launches = st.launches;
         st.findings.push(Finding {
@@ -518,7 +410,7 @@ impl Sanitizer {
             st.findings.push(loss_finding(p));
         }
         let diff = st.transfer_diff();
-        if self.mode.memcheck() && diff != 0 && diff != st.flagged_transfer_diff {
+        if diff != 0 && diff != st.flagged_transfer_diff {
             let f = st.transfer_finding();
             st.findings.push(f);
             st.flagged_transfer_diff = diff;
@@ -536,11 +428,11 @@ impl Sanitizer {
         let mut findings = st.findings.clone();
         findings.extend(st.pending_losses.iter().map(loss_finding));
         let diff = st.transfer_diff();
-        if self.mode.memcheck() && diff != 0 && diff != st.flagged_transfer_diff {
+        if diff != 0 && diff != st.flagged_transfer_diff {
             findings.push(st.transfer_finding());
         }
         SanitizerReport {
-            mode: self.mode,
+            mode: SanitizerMode::Full,
             launches: st.launches,
             findings,
             live_allocations: st.allocs.values().map(|a| a.name.clone()).collect(),
@@ -551,9 +443,8 @@ impl Sanitizer {
 }
 
 /// Per-buffer handle into the device's [`Sanitizer`], held by each
-/// [`crate::memory`] reservation. All methods are cheap no-ops for the
-/// passes the mode disables; buffers never consult the sanitizer on their
-/// in-bounds hot paths at all.
+/// [`crate::memory`] reservation of a sanitized device. Buffers never
+/// consult it on their in-bounds hot paths at all.
 #[derive(Debug, Clone)]
 pub(crate) struct ShadowRef {
     san: Arc<Sanitizer>,
@@ -574,73 +465,32 @@ impl ShadowRef {
         self.san.deregister(self.id);
     }
 
-    #[inline]
-    pub(crate) fn racecheck(&self) -> bool {
-        self.san.mode.racecheck()
-    }
-
-    /// Record an out-of-bounds read; `false` when memcheck is inactive (the
-    /// caller then preserves the panicking behaviour).
-    pub(crate) fn oob_read(&self, offset: usize, origin: Origin, len: usize) -> bool {
-        if !self.san.mode.memcheck() {
-            return false;
-        }
+    /// Record an out-of-bounds read by kernel lane `lane` (global id).
+    pub(crate) fn oob_read(&self, offset: usize, lane: usize, len: usize) {
         self.san.record(
             FindingKind::OutOfBoundsRead,
             self.id,
             offset,
-            origin,
+            lane,
             format!("read at {offset} beyond length {len}"),
         );
-        true
     }
 
-    /// Record an out-of-bounds write; `false` when memcheck is inactive.
-    pub(crate) fn oob_write(&self, offset: usize, origin: Origin, capacity: usize) -> bool {
-        if !self.san.mode.memcheck() {
-            return false;
-        }
-        self.san.record(
-            FindingKind::OutOfBoundsWrite,
-            self.id,
-            offset,
-            origin,
-            format!("write at {offset} beyond capacity {capacity}"),
-        );
-        true
-    }
-
-    /// Record a read of a never-written word; `false` when memcheck is
-    /// inactive.
-    pub(crate) fn uninit_read(&self, offset: usize, origin: Origin, initialized: usize) -> bool {
-        if !self.san.mode.memcheck() {
-            return false;
-        }
+    /// Record a read of a never-written word by kernel lane `lane`.
+    pub(crate) fn uninit_read(&self, offset: usize, lane: usize, initialized: usize) {
         self.san.record(
             FindingKind::UninitializedRead,
             self.id,
             offset,
-            origin,
+            lane,
             format!("read at {offset} but only {initialized} word(s) were written"),
         );
-        true
-    }
-
-    /// Log a scatter write into the current launch's access set (racecheck).
-    pub(crate) fn log_scatter_write(&self, offset: usize, origin: Origin) {
-        if !self.san.mode.racecheck() {
-            return;
-        }
-        let mut st = self.san.state.lock();
-        if let Some(cur) = st.current.as_mut() {
-            cur.writes.entry((self.id, offset)).or_default().push(origin);
-        }
     }
 
     /// Log a stash commit's stored/lost counts for the current launch
-    /// (racecheck lost-record accounting).
+    /// (lost-record accounting).
     pub(crate) fn log_commit(&self, warp: usize, stored: u64, lost: u64) {
-        if !self.san.mode.racecheck() || (stored == 0 && lost == 0) {
+        if stored == 0 && lost == 0 {
             return;
         }
         let mut st = self.san.state.lock();
@@ -652,17 +502,12 @@ impl ShadowRef {
     /// The host checked this buffer's overflow flag: pending losses on it
     /// are acknowledged (host-driven redo, e.g. batch halving).
     pub(crate) fn ack_losses(&self) {
-        if !self.san.mode.racecheck() {
-            return;
-        }
         self.san.state.lock().pending_losses.retain(|p| p.buffer != self.id);
     }
 
-    /// Record bytes drained to the host (memcheck transfer accounting).
+    /// Record bytes drained to the host (transfer accounting).
     pub(crate) fn note_drained(&self, bytes: u64) {
-        if self.san.mode.memcheck() {
-            self.san.state.lock().d2h_drained += bytes;
-        }
+        self.san.state.lock().d2h_drained += bytes;
     }
 }
 
@@ -671,23 +516,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mode_predicates_and_parse() {
-        assert!(SanitizerMode::Off.is_off());
-        assert!(!SanitizerMode::Off.memcheck() && !SanitizerMode::Off.racecheck());
-        assert!(SanitizerMode::Memcheck.memcheck() && !SanitizerMode::Memcheck.racecheck());
-        assert!(!SanitizerMode::Racecheck.memcheck() && SanitizerMode::Racecheck.racecheck());
-        assert!(SanitizerMode::Full.memcheck() && SanitizerMode::Full.racecheck());
-        assert_eq!(SanitizerMode::parse("full"), Some(SanitizerMode::Full));
-        assert_eq!(SanitizerMode::parse(" MemCheck "), Some(SanitizerMode::Memcheck));
-        assert_eq!(SanitizerMode::parse("racecheck"), Some(SanitizerMode::Racecheck));
+    fn mode_parse_and_display() {
+        assert!(SanitizerMode::Off.is_off() && !SanitizerMode::Full.is_off());
+        assert_eq!(SanitizerMode::parse(" Full "), Some(SanitizerMode::Full));
         assert_eq!(SanitizerMode::parse("off"), Some(SanitizerMode::Off));
+        assert_eq!(SanitizerMode::parse("memcheck"), None, "one switch: off or full");
         assert_eq!(SanitizerMode::parse("bogus"), None);
         assert_eq!(SanitizerMode::Full.to_string(), "full");
     }
 
     #[test]
     fn registry_tracks_live_allocations() {
-        let san = Arc::new(Sanitizer::new(SanitizerMode::Full));
+        let san = Arc::new(Sanitizer::new());
         let a = ShadowRef::new(&san, "DeviceBuffer", "u32", 8);
         let b = ShadowRef::new(&san, "ResultBuffer", "u64", 4);
         let report = san.report();
@@ -700,31 +540,8 @@ mod tests {
     }
 
     #[test]
-    fn race_analysis_classifies_double_writes_and_races() {
-        let san = Arc::new(Sanitizer::new(SanitizerMode::Racecheck));
-        let buf = ShadowRef::new(&san, "ScatterBuffer", "u32", 8);
-        san.begin_launch("static-grid");
-        buf.log_scatter_write(3, Origin::Lane(1));
-        buf.log_scatter_write(3, Origin::Lane(5));
-        buf.log_scatter_write(6, Origin::Lane(2));
-        buf.log_scatter_write(6, Origin::Lane(2));
-        buf.log_scatter_write(0, Origin::Lane(0)); // single write: clean
-        san.end_launch();
-        let report = san.report();
-        assert_eq!(report.findings.len(), 2);
-        assert_eq!(report.findings[0].kind, FindingKind::WriteWriteRace);
-        assert_eq!(report.findings[0].offset, 3);
-        assert_eq!(report.findings[0].lanes, vec![1, 5]);
-        assert_eq!(report.findings[1].kind, FindingKind::DoubleWrite);
-        assert_eq!(report.findings[1].offset, 6);
-        assert_eq!(report.findings[1].lanes, vec![2]);
-        assert_eq!(report.findings[0].launch, 1);
-        assert_eq!(report.findings[0].shape, "static-grid");
-    }
-
-    #[test]
     fn lost_records_require_acknowledgement() {
-        let san = Arc::new(Sanitizer::new(SanitizerMode::Racecheck));
+        let san = Arc::new(Sanitizer::new());
         let results = ShadowRef::new(&san, "ResultBuffer", "u32", 4);
         let redo = ShadowRef::new(&san, "ResultBuffer", "u32", 4);
 
@@ -747,13 +564,15 @@ mod tests {
 
     #[test]
     fn checkpoint_returns_per_search_deltas() {
-        let san = Arc::new(Sanitizer::new(SanitizerMode::Full));
-        let buf = ShadowRef::new(&san, "ScatterBuffer", "u32", 8);
+        let san = Arc::new(Sanitizer::new());
+        let buf = ShadowRef::new(&san, "ResultBuffer", "u32", 8);
         assert_eq!(san.checkpoint(), 0);
         san.begin_launch("static-grid");
-        buf.log_scatter_write(1, Origin::Lane(0));
-        buf.log_scatter_write(1, Origin::Lane(1));
+        buf.oob_read(9, 1, 8);
         san.end_launch();
+        let report = san.report();
+        assert_eq!((report.findings[0].launch, report.findings[0].lanes.clone()), (1, vec![1]));
+        assert_eq!(report.findings[0].shape, "static-grid");
         assert_eq!(san.checkpoint(), 1);
         assert_eq!(san.checkpoint(), 0, "no new findings since the last checkpoint");
         // Unacknowledged losses materialize at the checkpoint.
@@ -766,7 +585,7 @@ mod tests {
 
     #[test]
     fn transfer_mismatch_is_flagged_once_per_delta() {
-        let san = Arc::new(Sanitizer::new(SanitizerMode::Memcheck));
+        let san = Arc::new(Sanitizer::new());
         let buf = ShadowRef::new(&san, "ResultBuffer", "u32", 8);
         san.note_d2h_charged(32);
         buf.note_drained(32);
@@ -779,23 +598,6 @@ mod tests {
         assert_eq!(report.findings[0].kind, FindingKind::TransferMismatch);
         assert_eq!(report.d2h_charged_bytes, 48);
         assert_eq!(report.d2h_drained_bytes, 32);
-    }
-
-    #[test]
-    fn off_mode_logs_nothing() {
-        let san = Arc::new(Sanitizer::new(SanitizerMode::Off));
-        let buf = ShadowRef::new(&san, "ScatterBuffer", "u32", 8);
-        san.begin_launch("static-grid");
-        assert!(!buf.oob_read(9, Origin::Lane(0), 8));
-        assert!(!buf.oob_write(9, Origin::Lane(0), 8));
-        assert!(!buf.uninit_read(1, Origin::Host, 0));
-        buf.log_scatter_write(1, Origin::Lane(0));
-        buf.log_scatter_write(1, Origin::Lane(1));
-        buf.log_commit(0, 0, 7);
-        san.end_launch();
-        san.note_d2h_charged(100);
-        assert!(san.report().is_clean());
-        assert_eq!(san.checkpoint(), 0);
     }
 
     #[test]

@@ -22,16 +22,13 @@ use crate::sanitizer::Sanitizer;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Memcheck pass over a host-built tile list before upload: a tile with
+/// Sanitizer pass over a host-built tile list before upload: a tile with
 /// `hi < lo` would underflow [`Tile::len`] and drive a kernel through a
 /// 4-billion-entry range. Each malformed tile is recorded as a
 /// [`crate::FindingKind::MalformedTile`] finding and neutralised by
 /// clamping `hi` to `lo` (an empty tile), so one run surfaces every bad
 /// tile instead of crashing on the first.
 pub(crate) fn validate_tiles(san: &Sanitizer, tiles: &mut [Tile]) {
-    if !san.mode().memcheck() {
-        return;
-    }
     for (i, t) in tiles.iter_mut().enumerate() {
         if t.hi < t.lo {
             san.note_malformed_tile(i, t.query, t.lo, t.hi);

@@ -1,11 +1,10 @@
 //! Seeded defects: every sanitizer detector must actually fire.
 //!
-//! Each fixture builds a device in the narrowest mode that owns the
-//! detector (memcheck fixtures pair their drains with download charges so
-//! the transfer check stays quiet; racecheck fixtures run without the
-//! memcheck passes to prove the mode gating), injects one defect a real
-//! kernel could exhibit, and asserts the *exact* structured diagnostic —
-//! kind, buffer, offset, launch shape, and conflicting lanes.
+//! Each fixture builds a sanitized device (drains are paired with download
+//! charges so the transfer check stays quiet unless it is the defect),
+//! injects one defect a real kernel could exhibit, and asserts the *exact*
+//! structured diagnostic — kind, buffer, offset, launch shape, and lanes.
+//! Without the sanitizer the same hard defects keep their legacy panic.
 
 use std::sync::Arc;
 use tdts_gpu_sim::{Device, DeviceConfig, FindingKind, Lane, SanitizerMode, Tile};
@@ -22,29 +21,8 @@ fn sole_finding(dev: &Device) -> tdts_gpu_sim::Finding {
 }
 
 #[test]
-fn oob_scatter_write_is_reported_and_neutralised() {
-    let dev = device(SanitizerMode::Memcheck);
-    let mut buf = dev.alloc_scatter::<u32>(4).unwrap();
-    dev.launch(1, |lane| {
-        buf.write(lane, 9, 42); // past capacity: reported, dropped
-        buf.write(lane, 0, 7); // in bounds: lands normally
-    });
-    let f = sole_finding(&dev);
-    assert_eq!(f.kind, FindingKind::OutOfBoundsWrite);
-    assert!(f.buffer.starts_with("ScatterBuffer<u32>#"), "{}", f.buffer);
-    assert_eq!(f.offset, 9);
-    assert_eq!(f.launch, 1);
-    assert_eq!(f.shape, "static-grid");
-    assert_eq!(f.lanes, vec![0]);
-    assert!(f.detail.contains("beyond capacity 4"), "{}", f.detail);
-    let out = buf.drain_to_host(1);
-    dev.charge_download(out.len() * std::mem::size_of::<u32>());
-    assert_eq!(out, vec![7]);
-}
-
-#[test]
 fn oob_device_buffer_read_is_reported_and_neutralised() {
-    let dev = device(SanitizerMode::Memcheck);
+    let dev = device(SanitizerMode::Full);
     let buf = dev.alloc_from_host(vec![11u32, 22, 33]).unwrap();
     dev.launch(1, |lane| {
         // Reads past the length are reported and neutralised to the first
@@ -66,7 +44,7 @@ fn oob_columnar_read_is_reported_and_neutralised() {
 
     // A single element past the end of its column: reported at its
     // column-major offset, neutralised to element [0][0].
-    let dev = device(SanitizerMode::Memcheck);
+    let dev = device(SanitizerMode::Full);
     let buf = dev.alloc_columns(&columns).unwrap();
     dev.launch(1, |lane| assert_eq!(buf.read(lane, 1, 7), 11));
     let f = sole_finding(&dev);
@@ -80,7 +58,7 @@ fn oob_columnar_read_is_reported_and_neutralised() {
     // A row range running past the end: the same finding kind, once for
     // the whole range at the first row that does not exist, neutralised to
     // "no slices". In-bounds ranges hand out the rows and report nothing.
-    let dev = device(SanitizerMode::Memcheck);
+    let dev = device(SanitizerMode::Full);
     let buf = dev.alloc_columns(&columns).unwrap();
     dev.launch(1, |lane| {
         assert!(buf.row_range::<2>(lane, 1..5).is_none());
@@ -108,12 +86,12 @@ fn oob_columnar_read_is_reported_and_neutralised() {
 
 #[test]
 fn uninitialized_scratch_read_is_reported_and_neutralised() {
-    let dev = device(SanitizerMode::Memcheck);
+    let dev = device(SanitizerMode::Full);
     let scratch = dev.alloc_scratch::<u32>(1, 8).unwrap();
     dev.launch(1, |lane| {
         let mut part = scratch.take_partition(0);
         assert!(part.push(lane, 5));
-        // Word 3 of the partition was never written: memcheck reports it
+        // Word 3 of the partition was never written: the sanitizer reports it
         // and the read neutralises to the default value.
         assert_eq!(part.read(lane, 3), 0);
     });
@@ -126,69 +104,11 @@ fn uninitialized_scratch_read_is_reported_and_neutralised() {
 }
 
 #[test]
-fn uninitialized_scatter_drain_is_reported_and_skipped() {
-    let dev = device(SanitizerMode::Memcheck);
-    let mut buf = dev.alloc_scatter::<u32>(4).unwrap();
-    dev.launch(1, |lane| {
-        buf.write(lane, 0, 7);
-        // Slot 1 deliberately never written.
-    });
-    let out = buf.drain_to_host(2);
-    dev.charge_download(out.len() * std::mem::size_of::<u32>());
-    assert_eq!(out, vec![7], "unwritten slot must be skipped, not invented");
-    let f = sole_finding(&dev);
-    assert_eq!(f.kind, FindingKind::UninitializedRead);
-    assert_eq!(f.offset, 1);
-    assert_eq!(f.shape, "host", "the drain is a host-side access");
-    assert!(f.lanes.is_empty());
-}
-
-#[test]
-fn conflicting_scatter_writes_are_a_write_write_race() {
-    // Two lanes writing the same slot — the classic symptom of a cursor
-    // bumped without an atomic. Racecheck mode alone must catch it.
-    let dev = device(SanitizerMode::Racecheck);
-    let mut buf = dev.alloc_scatter::<u32>(4).unwrap();
-    dev.launch(2, |lane| {
-        buf.write(lane, lane.global_id, lane.global_id as u32); // disjoint: fine
-        buf.write(lane, 2, lane.global_id as u32); // both lanes: race
-    });
-    let f = sole_finding(&dev);
-    assert_eq!(f.kind, FindingKind::WriteWriteRace);
-    assert!(f.buffer.starts_with("ScatterBuffer<u32>#"), "{}", f.buffer);
-    assert_eq!(f.offset, 2);
-    assert_eq!(f.launch, 1);
-    assert_eq!(f.shape, "static-grid");
-    assert_eq!(f.lanes, vec![0, 1]);
-    assert!(f.detail.contains("2 writes to the same slot"), "{}", f.detail);
-    // First write wins deterministically under the sanitizer (lanes run in
-    // lane order within a warp).
-    let out = buf.drain_to_host(3);
-    assert_eq!(out[2], 0);
-}
-
-#[test]
-fn repeated_write_by_one_lane_is_a_double_write() {
-    let dev = device(SanitizerMode::Racecheck);
-    let mut buf = dev.alloc_scatter::<u32>(4).unwrap();
-    dev.launch(1, |lane| {
-        buf.write(lane, 0, 4);
-        buf.write(lane, 1, 5);
-        buf.write(lane, 1, 6);
-    });
-    let f = sole_finding(&dev);
-    assert_eq!(f.kind, FindingKind::DoubleWrite);
-    assert_eq!(f.offset, 1);
-    assert_eq!(f.lanes, vec![0]);
-    let _ = buf.drain_to_host(2);
-}
-
-#[test]
 fn unacknowledged_stash_overflow_is_lost_records() {
     // A stash commit drops records (result buffer full) and the kernel
     // neither stages redo ids nor does the host check the overflow flag:
     // the undercount must surface instead of vanishing.
-    let dev = device(SanitizerMode::Racecheck);
+    let dev = device(SanitizerMode::Full);
     let mut results = dev.alloc_result::<u32>(1).unwrap();
     dev.launch_warps(2, |warp| {
         let mut stash = results.warp_stash();
@@ -214,7 +134,7 @@ fn unacknowledged_stash_overflow_is_lost_records() {
 fn overflow_acknowledged_by_host_check_is_clean() {
     // Same overflow, but the host checks the flag (the batch-halving
     // protocol): no finding.
-    let dev = device(SanitizerMode::Racecheck);
+    let dev = device(SanitizerMode::Full);
     let mut results = dev.alloc_result::<u32>(1).unwrap();
     dev.launch_warps(2, |warp| {
         let mut stash = results.warp_stash();
@@ -224,14 +144,15 @@ fn overflow_acknowledged_by_host_check_is_clean() {
         stash.commit(warp);
     });
     assert!(results.overflowed());
-    let _ = results.drain_to_host();
+    let out = results.drain_to_host();
+    dev.charge_download(out.len() * std::mem::size_of::<u32>());
     assert_eq!(dev.sanitizer_checkpoint(), 0);
     dev.assert_sanitizer_clean();
 }
 
 #[test]
 fn malformed_tile_is_reported_and_clamped() {
-    let dev = device(SanitizerMode::Memcheck);
+    let dev = device(SanitizerMode::Full);
     let tiles = vec![
         Tile { query: 0, lo: 0, hi: 4, tag: 0 },
         Tile { query: 3, lo: 9, hi: 2, tag: 0 }, // hi < lo: Tile::len underflows
@@ -252,7 +173,7 @@ fn malformed_tile_is_reported_and_clamped() {
 
 #[test]
 fn uncharged_drain_is_a_transfer_mismatch() {
-    let dev = device(SanitizerMode::Memcheck);
+    let dev = device(SanitizerMode::Full);
     let mut results = dev.alloc_result::<u32>(8).unwrap();
     dev.launch_warps(3, |warp| {
         let mut stash = results.warp_stash();
@@ -273,7 +194,7 @@ fn uncharged_drain_is_a_transfer_mismatch() {
 
 #[test]
 fn forgotten_buffer_shows_as_live_allocation() {
-    let dev = device(SanitizerMode::Memcheck);
+    let dev = device(SanitizerMode::Full);
     {
         let _dropped = dev.alloc_from_host(vec![1u32]).unwrap();
     }
@@ -286,34 +207,23 @@ fn forgotten_buffer_shows_as_live_allocation() {
 }
 
 #[test]
-fn memcheck_findings_are_gated_off_under_racecheck() {
-    // Racecheck-only devices keep the legacy panic on hard memory errors.
-    let dev = device(SanitizerMode::Racecheck);
+fn hard_oob_read_panics_without_a_sanitizer() {
+    // The neutralising path belongs to the sanitizer: an unsanitized device
+    // keeps the legacy panic, and records nothing.
+    let dev = device(SanitizerMode::Off);
     let buf = dev.alloc_from_host(vec![1u32]).unwrap();
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         dev.launch(1, |lane| {
             buf.read(lane, 5);
         });
     }));
-    assert!(err.is_err(), "racecheck must not soften out-of-bounds panics");
-}
-
-#[test]
-fn racecheck_findings_are_gated_off_under_memcheck() {
-    // Memcheck-only devices keep the legacy panic on conflicting writes.
-    let dev = device(SanitizerMode::Memcheck);
-    let buf = dev.alloc_scatter::<u32>(4).unwrap();
-    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        dev.launch(2, |lane| {
-            buf.write(lane, 2, 1);
-        });
-    }));
-    assert!(err.is_err(), "memcheck must not swallow write conflicts");
+    assert!(err.is_err(), "an out-of-bounds read must panic with the sanitizer off");
+    assert!(dev.sanitizer_report().is_clean());
 }
 
 #[test]
 fn persistent_launch_findings_carry_the_persistent_shape() {
-    let dev = device(SanitizerMode::Memcheck);
+    let dev = device(SanitizerMode::Full);
     let entries = dev.alloc_from_host(vec![1u32, 2, 3, 4]).unwrap();
     let queue = dev.work_queue(vec![Tile { query: 0, lo: 0, hi: 4, tag: 0 }]).unwrap();
     dev.launch_persistent(&queue, |warp, tile| {

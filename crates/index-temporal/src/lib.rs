@@ -17,7 +17,6 @@
 
 pub mod batched;
 pub mod index;
-pub mod kernel;
 pub mod search;
 
 pub use batched::{BatchedConfig, BatchedConfigBuilder, GpuBatchedTemporalSearch};

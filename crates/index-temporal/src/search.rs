@@ -9,13 +9,12 @@ use crate::index::{TemporalIndex, TemporalIndexConfig};
 use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
-use tdts_geom::{dedup_matches, MatchRecord, PreparedQuery, SegmentStore, StoreStats};
+use tdts_geom::{MatchRecord, PreparedQuery, SegmentStore, StoreStats};
 use tdts_gpu_sim::{Device, DeviceBuffer, KernelShape, Lane, SearchError, SearchReport, Tile};
 pub use tdts_kernels::SortedQueries;
 use tdts_kernels::{
-    compare, finish_search, load_query, refine_range_and_stage, run_thread_per_query,
-    run_warp_per_tile, CandidateGenerator, DeviceSegments, KernelContext, LaneWork, TileGenerator,
-    SCHEDULE_INSTR,
+    finish_search, load_query, refine_range_and_stage, run_thread_per_query, run_warp_per_tile,
+    CandidateGenerator, DeviceSegments, KernelContext, LaneWork, TileGenerator, SCHEDULE_INSTR,
 };
 
 /// The host-computed schedule `S`: one candidate entry range per (sorted)
@@ -264,131 +263,10 @@ impl GpuTemporalSearch {
     }
 }
 
-impl GpuTemporalSearch {
-    /// Two-pass variant of [`GpuTemporalSearch::search`]: pass 1 counts each
-    /// thread's matches, the host prefix-sums the counts into exclusive
-    /// offsets, and pass 2 recomputes the matches and *scatters* them to
-    /// those offsets — no result-buffer atomics and an exactly-sized output
-    /// allocation, at the price of running every comparison twice. The
-    /// classic GPU alternative to the paper's atomic-append result buffer;
-    /// see the `ablation-write` harness target for the trade-off.
-    pub fn search_two_pass(
-        &self,
-        queries: &SegmentStore,
-        d: f64,
-    ) -> Result<(Vec<MatchRecord>, SearchReport), SearchError> {
-        use std::sync::atomic::{AtomicU64, Ordering};
-
-        let wall_start = Instant::now();
-        let device = self.device.for_search();
-        let mut report = SearchReport::default();
-
-        let host_start = Instant::now();
-        let sorted = SortedQueries::from_store(queries);
-        let schedule = TemporalSchedule::build(&self.index, &sorted);
-        device.charge_host(host_start.elapsed().as_secs_f64());
-
-        if sorted.is_empty() {
-            report.response = device.ledger();
-            report.wall_seconds = wall_start.elapsed().as_secs_f64();
-            return Ok((Vec::new(), report));
-        }
-
-        let n = sorted.len();
-        let dev_queries = DeviceSegments::upload(&device, &sorted.segments)?;
-        let dev_schedule = device.upload(schedule.ranges.clone())?;
-        let mut counts = device.alloc_scatter::<u32>(n)?;
-        let comparisons = AtomicU64::new(0);
-
-        // Pass 1: count.
-        let launch1 = device.launch_warps(n, |warp| {
-            let mut count_stash = counts.warp_stash();
-            warp.for_each_lane(|lane| {
-                let qid = lane.global_id;
-                let range = dev_schedule.read(lane, qid);
-                lane.instr(SCHEDULE_INSTR);
-                let q = load_query(lane, &dev_queries, qid as u32);
-                let mut count = 0u32;
-                let mut compared = 0u64;
-                for pos in range[0]..range[1] {
-                    compared += 1;
-                    count += compare(lane, &self.dev_entries, pos, &q, d).is_some() as u32;
-                }
-                comparisons.fetch_add(compared, Ordering::Relaxed);
-                count_stash.stage(lane, qid, count);
-            });
-            count_stash.commit(warp);
-        });
-        report.divergent_warps += launch1.divergent_warps as u64;
-        report.totals.add(&launch1.totals);
-        report.load.add_launch(&launch1);
-
-        // Host: exclusive prefix sum of the counts.
-        let host_counts = counts.drain_to_host(n);
-        device.charge_download(n * std::mem::size_of::<u32>());
-        let host_start = Instant::now();
-        let mut offsets = Vec::with_capacity(n);
-        let mut total = 0u32;
-        for &c in &host_counts {
-            offsets.push(total);
-            total += c;
-        }
-        device.charge_host(host_start.elapsed().as_secs_f64());
-
-        // Pass 2: scatter into an exactly-sized buffer.
-        let dev_offsets = device.upload(offsets)?;
-        let mut results = device.alloc_scatter::<MatchRecord>(total as usize)?;
-        let launch2 = device.launch_warps(n, |warp| {
-            let mut result_stash = results.warp_stash();
-            warp.for_each_lane(|lane| {
-                let qid = lane.global_id;
-                let range = dev_schedule.read(lane, qid);
-                lane.instr(SCHEDULE_INSTR);
-                let q = load_query(lane, &dev_queries, qid as u32);
-                let base = dev_offsets.read(lane, qid);
-                let mut k = 0u32;
-                let mut compared = 0u64;
-                for pos in range[0]..range[1] {
-                    compared += 1;
-                    if let Some(interval) = compare(lane, &self.dev_entries, pos, &q, d) {
-                        result_stash.stage(
-                            lane,
-                            (base + k) as usize,
-                            MatchRecord::new(qid as u32, pos, interval),
-                        );
-                        k += 1;
-                    }
-                }
-                comparisons.fetch_add(compared, Ordering::Relaxed);
-            });
-            result_stash.commit(warp);
-        });
-        report.divergent_warps += launch2.divergent_warps as u64;
-        report.totals.add(&launch2.totals);
-        report.load.add_launch(&launch2);
-
-        let mut matches = results.drain_to_host(total as usize);
-        device.charge_download(total as usize * std::mem::size_of::<MatchRecord>());
-
-        let host_start = Instant::now();
-        report.raw_matches = matches.len() as u64;
-        sorted.unpermute(&mut matches);
-        dedup_matches(&mut matches); // canonical order (no duplicates exist)
-        device.charge_host(host_start.elapsed().as_secs_f64());
-
-        report.comparisons = comparisons.into_inner();
-        report.matches = matches.len() as u64;
-        report.response = device.ledger();
-        report.wall_seconds = wall_start.elapsed().as_secs_f64();
-        report.sanitizer_findings = device.sanitizer_checkpoint();
-        Ok((matches, report))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdts_geom::{within_distance, Point3, SegId, Segment, TrajId};
+    use tdts_geom::{dedup_matches, within_distance, Point3, SegId, Segment, TrajId};
     use tdts_gpu_sim::DeviceConfig;
 
     fn seg(x: f64, t0: f64, id: u32) -> Segment {
@@ -488,33 +366,6 @@ mod tests {
         let (m, report) = search.search(&SegmentStore::new(), 1.0, 100).unwrap();
         assert!(m.is_empty());
         assert_eq!(report.matches, 0);
-    }
-
-    #[test]
-    fn two_pass_equals_atomic_append() {
-        let store = sorted_store(60);
-        let queries: SegmentStore =
-            (0..25).map(|i| seg(i as f64 * 5.0 + 0.2, i as f64 * 1.1, 200 + i as u32)).collect();
-        let search =
-            GpuTemporalSearch::new(device(), &store, TemporalIndexConfig { bins: 8 }).unwrap();
-        for d in [0.5, 3.0, 12.0] {
-            let (atomic, ra) = search.search(&queries, d, 20_000).unwrap();
-            let (two_pass, rt) = search.search_two_pass(&queries, d).unwrap();
-            assert_eq!(atomic, two_pass, "d = {d}");
-            // Two passes compare everything twice and use no atomics.
-            assert_eq!(rt.comparisons, 2 * ra.comparisons, "d = {d}");
-            assert_eq!(rt.response.kernel_invocations, 2);
-            assert_eq!(rt.raw_matches, rt.matches, "scatter produces no duplicates");
-        }
-    }
-
-    #[test]
-    fn two_pass_empty_queries() {
-        let store = sorted_store(5);
-        let search =
-            GpuTemporalSearch::new(device(), &store, TemporalIndexConfig { bins: 2 }).unwrap();
-        let (m, _) = search.search_two_pass(&SegmentStore::new(), 1.0).unwrap();
-        assert!(m.is_empty());
     }
 
     fn wpt_device() -> Arc<Device> {

@@ -7,7 +7,7 @@
 //! warp's result stash, which the warp commits with one cursor bump.
 
 use crate::segments::DeviceSegments;
-use tdts_geom::{MatchRecord, PreparedQuery, Segment, TimeInterval};
+use tdts_geom::{MatchRecord, PreparedQuery, Segment};
 use tdts_gpu_sim::{Lane, WarpStash};
 
 /// Instruction cost of one continuous distance comparison (quadratic
@@ -25,27 +25,12 @@ pub fn load_query(lane: &mut Lane, queries: &DeviceSegments, query_pos: u32) -> 
     queries.read_segment(lane, query_pos as usize)
 }
 
-/// One refinement comparison *without* result staging: load entry
-/// `entry_pos` (16 or 64 bytes) and run the continuous distance
-/// test, charging the fixed compare cost. Used directly by the counting
-/// pass of the two-pass writer.
-#[inline]
-pub fn compare(
-    lane: &mut Lane,
-    entries: &DeviceSegments,
-    entry_pos: u32,
-    q: &Segment,
-    d: f64,
-) -> Option<TimeInterval> {
-    let interval = entries.compare_within(lane, entry_pos as usize, q, d);
-    lane.instr(COMPARE_INSTR);
-    interval
-}
-
 /// Compare entry `entry_pos` against query `q` and stage a result record on
-/// a hit — one iteration of the refinement loop of Algorithms 1–3. Staging
-/// never rejects: a full result buffer surfaces at the warp's commit, which
-/// reports the lanes that lost records so the host can redo their queries.
+/// a hit — one iteration of the refinement loop of Algorithms 1–3: load the
+/// entry (16 or 64 bytes), run the continuous distance test and charge the
+/// fixed compare cost. Staging never rejects: a full result buffer surfaces
+/// at the warp's commit, which reports the lanes that lost records so the
+/// host can redo their queries.
 #[inline]
 pub fn compare_and_stage(
     lane: &mut Lane,
@@ -56,7 +41,9 @@ pub fn compare_and_stage(
     d: f64,
     stash: &mut WarpStash<'_, MatchRecord>,
 ) {
-    if let Some(interval) = compare(lane, entries, entry_pos, q, d) {
+    let interval = entries.compare_within(lane, entry_pos as usize, q, d);
+    lane.instr(COMPARE_INSTR);
+    if let Some(interval) = interval {
         stash.stage(lane, MatchRecord::new(query_pos, entry_pos, interval));
     }
 }
@@ -83,7 +70,7 @@ pub fn refine_range_and_stage(
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use tdts_geom::{Point3, SegId, TrajId};
+    use tdts_geom::{Point3, SegId, TimeInterval, TrajId};
     use tdts_gpu_sim::{Device, DeviceConfig, Warp};
 
     fn seg(x: f64, t0: f64) -> Segment {

@@ -27,7 +27,7 @@ pub mod queries;
 pub mod segments;
 
 pub use compare::{
-    compare, compare_and_stage, load_query, refine_range_and_stage, COMPARE_INSTR, SCHEDULE_INSTR,
+    compare_and_stage, load_query, refine_range_and_stage, COMPARE_INSTR, SCHEDULE_INSTR,
 };
 pub use pipeline::{
     finish_search, run_thread_per_query, run_warp_per_tile, CandidateGenerator, KernelContext,

@@ -246,12 +246,13 @@ impl DeviceSegments {
     /// `16·k` bytes of timestamps plus `48` bytes of coordinates per
     /// temporally overlapping entry, and **one** `COMPARE_INSTR·k`
     /// instruction charge — which equals, by construction and by test, what
-    /// `k` calls of [`compare`](crate::compare::compare) post one element at
-    /// a time. The hit callback charges its own staging cost.
+    /// `k` calls of [`compare_and_stage`](crate::compare::compare_and_stage)
+    /// post one element at a time. The hit callback charges its own staging
+    /// cost.
     ///
     /// The rows are bounds-tested once for the whole range. A range that
-    /// leaves the buffer takes the per-element path, so memcheck reports and
-    /// neutralises each bad read exactly as [`compare_within`] does (and
+    /// leaves the buffer takes the per-element path, so the sanitizer reports
+    /// and neutralises each bad read exactly as [`compare_within`] does (and
     /// without a sanitizer it panics like a slice index).
     ///
     /// [`compare_within`]: DeviceSegments::compare_within

@@ -45,8 +45,7 @@ fn usage() -> ! {
          \u{20}                                    warp-per-tile (work-queue kernels)\n\
          \u{20}  --tile-size <n>                   candidate entries per work-queue\n\
          \u{20}                                    tile (default 128)\n\
-         \u{20}  --sanitizer <off|memcheck|racecheck|full>\n\
-         \u{20}                                    shadow-state device sanitizer (default\n\
+         \u{20}  --sanitizer <off|full>            shadow-state device sanitizer (default\n\
          \u{20}                                    off, or the TDTS_SANITIZER env var)\n\
          \u{20}  --shards <n>                      simulated devices the entry database\n\
          \u{20}                                    is partitioned across (default 1)\n\

@@ -1,8 +1,11 @@
-//! Integration: all four implementations must return identical result sets,
-//! equal to the brute-force oracle, on every dataset generator.
+//! Integration: all five methods must return result sets byte-identical to
+//! the brute-force oracle, on every dataset generator and on hand-built
+//! degenerate geometry.
 
 use std::sync::Arc;
 use tdts::prelude::*;
+
+mod common;
 
 fn device() -> Arc<Device> {
     Device::new(DeviceConfig::tesla_c2075()).unwrap()
@@ -18,6 +21,11 @@ fn methods(bins: usize, subbins: usize, cells: usize) -> Vec<Method> {
             compaction_threshold: 4_096,
         }),
         Method::GpuTemporal(TemporalIndexConfig { bins }),
+        // Small batches, so a query set spans several of them.
+        Method::GpuBatchedTemporal(BatchedConfig {
+            index: TemporalIndexConfig { bins },
+            batch_size: 8,
+        }),
         Method::GpuSpatioTemporal(SpatioTemporalIndexConfig {
             bins,
             subbins,
@@ -41,19 +49,8 @@ fn check_all(store: SegmentStore, queries: SegmentStore, distances: &[f64], labe
         let expect = brute_force_search(dataset.store(), &queries, d);
         for engine in &engines {
             let (got, report) = engine.search(&queries, d, 2_000_000).expect("search");
-            assert_eq!(
-                got.len(),
-                expect.len(),
-                "{label}: {} at d = {d}: {} vs oracle {}",
-                engine.method().name(),
-                got.len(),
-                expect.len()
-            );
-            assert!(
-                tdts::geom::diff_matches(&got, &expect, 1e-9).is_none(),
-                "{label}: {} differs from oracle at d = {d}",
-                engine.method().name()
-            );
+            let who = format!("{label}: {} at d = {d}", engine.method().name());
+            common::assert_byte_identical(&got, &expect, &who);
             assert_eq!(report.matches as usize, got.len());
         }
     }
@@ -101,4 +98,56 @@ fn degenerate_single_trajectory() {
         RandomWalkConfig { trajectories: 1, timesteps: 10, ..Default::default() }.generate();
     let queries = store.clone();
     check_all(store, queries, &[0.1, 10.0], "single-trajectory");
+}
+
+#[test]
+fn degenerate_geometry() {
+    // The store spans t ∈ [0, 50], so `check_all`'s 50 temporal bins are one
+    // time unit wide and every integer time is a bin edge.
+    let seg = |id: u32, a: [f64; 3], b: [f64; 3], t0: f64, t1: f64| {
+        let (a, b) = (Point3::new(a[0], a[1], a[2]), Point3::new(b[0], b[1], b[2]));
+        Segment::new(a, b, t0, t1, SegId(id), TrajId(id))
+    };
+    // Moves along +x from the origin over t ∈ [3, 7], starting on a bin edge.
+    let mover = |id| seg(id, [0.0, 0.0, 0.0], [4.0, 0.0, 0.0], 3.0, 7.0);
+    let store: SegmentStore = [
+        seg(0, [90.0, 90.0, 90.0], [90.0, 90.0, 90.0], 0.0, 50.0), // fixes the extent
+        seg(1, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], 2.0, 4.0),        // stationary, zero length
+        seg(2, [2.0, 0.5, 0.0], [2.0, 0.5, 0.0], 4.0, 4.0),        // zero duration
+        mover(3),                                                  // identical to query 0
+        seg(4, [0.0, 3.0, 0.0], [4.0, 3.0, 0.0], 3.0, 7.0),        // parallel (c2 = 0), 3 away
+        seg(5, [0.0, 0.0, 1.0], [4.0, 0.0, 1.0], 3.0, 7.0),        // parallel, 1 away
+        seg(6, [4.0, 1.0, 0.0], [0.0, 1.0, 0.0], 3.0, 7.0),        // head-on, closest 1 at t = 5
+        seg(7, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 1.0, 3.0),        // touches query 0 at t = 3 only
+        seg(8, [3.0, 0.0, 0.0], [5.0, 0.0, 0.0], 6.0, 8.0),        // straddles the bin edge t = 7
+        seg(9, [10.0, 0.0, 0.0], [10.0, 0.0, 0.0], 10.0, 11.0),    // exactly one bin
+    ]
+    .into_iter()
+    .collect();
+    let queries: SegmentStore = [
+        mover(100),
+        seg(101, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], 2.0, 4.0), // identical to the stationary entry
+        seg(102, [2.0, 0.0, 0.0], [2.0, 0.0, 0.0], 4.0, 4.0), // zero duration
+        seg(103, [10.0, 0.0, 3.0], [10.0, 0.0, 3.0], 10.0, 10.0), // instant on a bin edge
+    ]
+    .into_iter()
+    .collect();
+
+    // The fixture exercises what it claims: at d = 0 only exact contact
+    // counts, and each parallel entry comes in exactly at its separation.
+    let prepared = PreparedDataset::new(store.clone());
+    let hits = |d: f64, query: u32| -> Vec<u32> {
+        let found = brute_force_search(prepared.store(), &queries, d);
+        let traj = |m: &MatchRecord| prepared.store().get(m.entry as usize).traj_id.0;
+        found.iter().filter(|m| m.query == query).map(traj).collect()
+    };
+    // Entries by trajectory id, in store (t_start) order.
+    assert_eq!(hits(0.0, 0), vec![7, 1, 3, 8], "d = 0: touching, crossing, identical");
+    assert_eq!(hits(1.0, 0), vec![7, 1, 3, 5, 6, 8]);
+    assert_eq!(hits(3.0, 0), vec![7, 1, 3, 4, 5, 6, 2, 8]);
+    assert!(!hits(3.0 - 1e-9, 0).contains(&4), "just inside the separation misses");
+    assert_eq!(hits(0.0, 1), vec![1, 3]);
+    assert_eq!(hits(3.0, 3), vec![9], "an instant on a bin edge, exactly d away");
+
+    check_all(store, queries, &[0.0, 0.5, 1.0, 3.0], "degenerate");
 }

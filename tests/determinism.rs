@@ -116,28 +116,13 @@ fn shape_argument_overrides_the_device_default() {
                     fresh_engine(&dataset, method, device_shape)
                 }
             };
-            // A sharded report adopts the phase seconds of the shard with the
-            // largest total *including measured host time* (ROADMAP open
-            // item 3), so which shard that is varies run to run; its summed
-            // ledger fields and every counter do not.
-            let counted = |report: &SearchReport| {
-                let mut out = report.deterministic();
-                if sharded {
-                    let mut sums = tdts::gpu_sim::ResponseTime::new();
-                    sums.kernel_invocations = out.response.kernel_invocations;
-                    sums.h2d_bytes = out.response.h2d_bytes;
-                    sums.d2h_bytes = out.response.d2h_bytes;
-                    out.response = sums;
-                }
-                out
-            };
             for (shape, other) in [(SHAPES[0], SHAPES[1]), (SHAPES[1], SHAPES[0])] {
                 let label = format!("{} / {shape:?} / sharded: {sharded}", method.name());
                 let (want, want_report) = build(shape).search(&queries, D, AMPLE).unwrap();
                 let (got, got_report) =
                     build(other).search_shaped(&queries, D, AMPLE, Some(shape)).unwrap();
                 common::assert_byte_identical(&got, &want, &label);
-                assert_eq!(counted(&got_report), counted(&want_report), "{label}");
+                assert_eq!(got_report.deterministic(), want_report.deterministic(), "{label}");
             }
         }
     }

@@ -5,10 +5,8 @@
 //! geometries that survive down-scaling (Merger, Random-dense), runs the
 //! full tier-1 workload under [`SanitizerMode::Full`] with **zero**
 //! findings — and returns results and deterministic counters byte-identical
-//! to a run with the sanitizer off. The mode under test honours the
-//! `TDTS_SANITIZER` environment variable (the CI sanitizer job sets
-//! `TDTS_SANITIZER=full` explicitly), defaulting to `Full` so a plain
-//! `cargo test` exercises the strictest mode too.
+//! to a run with the sanitizer off. `Full` is the only mode with detectors,
+//! so a plain `cargo test` runs the whole matrix.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -22,15 +20,6 @@ fn methods() -> Vec<Method> {
 
 const SCALE: f64 = 1.0 / 256.0;
 
-/// The mode the clean matrix runs under: `TDTS_SANITIZER` when set, else
-/// `Full` (never `Off` — an `Off` baseline is built per comparison).
-fn mode_under_test() -> SanitizerMode {
-    match SanitizerMode::from_env() {
-        Some(SanitizerMode::Off) | None => SanitizerMode::Full,
-        Some(m) => m,
-    }
-}
-
 /// One resident index serves both kernel shapes; each search names its own.
 fn device_with(mode: SanitizerMode) -> Arc<Device> {
     Device::new(DeviceConfig { sanitizer: mode, ..DeviceConfig::tesla_c2075() }).unwrap()
@@ -42,10 +31,9 @@ fn run_clean_matrix(kind: ScenarioKind, result_capacity: usize) {
     let scenario = Scenario::new(kind, SCALE);
     let dataset = PreparedDataset::new(scenario.dataset());
     let queries = scenario.queries();
-    let mode = mode_under_test();
 
     for method in methods() {
-        let dev_san = device_with(mode);
+        let dev_san = device_with(SanitizerMode::Full);
         let off = SearchEngine::build(&dataset, method, device_with(SanitizerMode::Off)).unwrap();
         let san = SearchEngine::build(&dataset, method, Arc::clone(&dev_san)).unwrap();
         for shape in SHAPES {
@@ -89,7 +77,7 @@ fn concurrent_searches_on_one_sanitized_device_are_clean() {
     let dataset = PreparedDataset::new(scenario.dataset());
     let queries = scenario.queries();
     for method in methods() {
-        let dev = device_with(mode_under_test());
+        let dev = device_with(SanitizerMode::Full);
         let engine = SearchEngine::build(&dataset, method, Arc::clone(&dev)).unwrap();
         for shape in SHAPES {
             let label = format!("{} / {shape:?}", method.name());
@@ -115,7 +103,7 @@ fn redo_rounds_under_pressure_are_clean() {
     let scenario = Scenario::new(ScenarioKind::S2Merger, SCALE);
     let dataset = PreparedDataset::new(scenario.dataset());
     let queries = scenario.queries();
-    let dev = device_with(mode_under_test());
+    let dev = device_with(SanitizerMode::Full);
     let engine = SearchEngine::build(
         &dataset,
         Method::GpuTemporal(TemporalIndexConfig { bins: 50 }),
@@ -141,7 +129,7 @@ fn batched_halving_under_pressure_is_clean() {
     let scenario = Scenario::new(ScenarioKind::S2Merger, SCALE);
     let dataset = PreparedDataset::new(scenario.dataset());
     let queries = scenario.queries();
-    let dev = device_with(mode_under_test());
+    let dev = device_with(SanitizerMode::Full);
     let engine = SearchEngine::build(
         &dataset,
         Method::GpuBatchedTemporal(BatchedConfig {
@@ -153,27 +141,6 @@ fn batched_halving_under_pressure_is_clean() {
     .unwrap();
     let (matches, report) = engine.search(&queries, 2.0, 600).unwrap();
     assert!(report.redo_rounds > 0, "expected batch halving");
-    assert!(!matches.is_empty());
-    assert_eq!(report.sanitizer_findings, 0);
-    dev.assert_sanitizer_clean();
-}
-
-/// The two-pass count/scatter variant exercises the scatter buffer's
-/// exactly-once shadow tracking end to end.
-#[test]
-fn two_pass_scatter_is_clean() {
-    use tdts::index_temporal::GpuTemporalSearch;
-    let scenario = Scenario::new(ScenarioKind::S2Merger, SCALE);
-    let dataset = PreparedDataset::new(scenario.dataset());
-    let queries = scenario.queries();
-    let dev = device_with(mode_under_test());
-    let search = GpuTemporalSearch::new(
-        Arc::clone(&dev),
-        &dataset.store_arc(),
-        TemporalIndexConfig { bins: 50 },
-    )
-    .unwrap();
-    let (matches, report) = search.search_two_pass(&queries, 1.5).unwrap();
     assert!(!matches.is_empty());
     assert_eq!(report.sanitizer_findings, 0);
     dev.assert_sanitizer_clean();

@@ -7,15 +7,10 @@
 //! A hand-rolled, std-only static pass over the workspace sources (no
 //! `syn`: this environment is offline, so the scanner works on text with
 //! just enough context tracking to skip comments, strings, and test
-//! modules). Eight rules — five encoding invariants the simulated GPU
+//! modules). Seven rules — four encoding invariants the simulated GPU
 //! relies on, three host-side concurrency rules guarding the query
 //! service (the static twin of the `tdts-sync` model checker):
 //!
-//! * `raw-device-access` — kernel-side code (the kernels crate and the
-//!   four index crates) must commit per-lane results through the warp
-//!   stash seams, never by raw per-lane `.write(lane, …)` scatter calls:
-//!   an unaggregated write is exactly the pattern the racecheck pass
-//!   exists to catch at runtime, so it is rejected at review time too.
 //! * `uncharged-column-read` — `ColumnarBuffer::column` and `row_range`
 //!   hand out device data without posting a memory charge. In kernel-side
 //!   code they have one home, `crates/kernels/src/segments.rs`, where
@@ -209,19 +204,6 @@ const KERNEL_CRATES: &[&str] = &[
 ];
 
 const RULES: &[Rule] = &[
-    Rule {
-        name: "raw-device-access",
-        why: "raw per-lane scatter write bypasses the warp-stash seam; stage through \
-              warp_stash()/ScatterStash instead",
-        scan_dirs: KERNEL_CRATES,
-        scan_files: &[],
-        exempt_files: &[],
-        matches: |code, _| code.contains(".write(lane"),
-        include_tests: false,
-        safety_comment_discharges: false,
-        context_discharges: None,
-        bad_fixture: "fn k(lane: &mut Lane) { buf.write(lane, 0, item); }\n",
-    },
     Rule {
         name: "uncharged-column-read",
         why: "uncharged ColumnarBuffer access in kernel-side code; read through \
@@ -574,21 +556,6 @@ mod tests {
     }
 
     #[test]
-    fn raw_device_access_fires_and_waives() {
-        let bad = "fn k(lane: &mut Lane) {\n    out.write(lane, idx, rec);\n}\n";
-        let got = scan("raw-device-access", bad);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].line, 2);
-
-        let ok = "fn k(lane: &mut Lane) {\n    stash.stage(lane, rec);\n}\n";
-        assert!(scan("raw-device-access", ok).is_empty());
-
-        let waived = "// lint: allow(raw-device-access): prefix-sum scatter\n    \
-                      out.write(lane, idx, rec);\n";
-        assert!(scan("raw-device-access", waived).is_empty());
-    }
-
-    #[test]
     fn uncharged_column_read_fires_on_both_accessors() {
         assert_eq!(scan("uncharged-column-read", "let t = cols.column(6)[i];\n").len(), 1);
         assert_eq!(
@@ -692,7 +659,7 @@ mod tests {
 
     #[test]
     fn string_literals_are_invisible_to_rules() {
-        let s = "let msg = \"never use unsafe or HashMap or .write(lane\";\n";
+        let s = "let msg = \"never use unsafe or HashMap\";\n";
         assert!(scan("unsafe-without-safety", s).is_empty());
     }
 
