@@ -42,18 +42,5 @@ fn bench_within_distance(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_closest_approach(c: &mut Criterion) {
-    let segs = make_segments(1024);
-    c.bench_function("closest_approach", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let a = &segs[i % segs.len()];
-            let q = &segs[(i * 13 + 3) % segs.len()];
-            i += 1;
-            black_box(tdts_geom::continuous::closest_approach(black_box(a), black_box(q)))
-        })
-    });
-}
-
-criterion_group!(benches, bench_within_distance, bench_closest_approach);
+criterion_group!(benches, bench_within_distance);
 criterion_main!(benches);

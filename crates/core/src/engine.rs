@@ -62,6 +62,7 @@ impl Method {
     ) -> Result<Box<dyn TrajectoryIndex>, TdtsError> {
         Ok(match *self {
             Method::CpuRTree(cfg) => {
+                cfg.validate().map_err(TdtsError::InvalidConfig)?;
                 Box::new(CpuRTreeIndex::new(RTree::build(store, cfg), Arc::clone(store), cfg))
             }
             Method::GpuSpatial(cfg) => {
@@ -172,11 +173,6 @@ impl SearchEngine {
     /// share it across threads or hand it to the query service.
     pub fn index(&self) -> &dyn TrajectoryIndex {
         self.index.as_ref()
-    }
-
-    /// Consume the engine, yielding the bare index trait object.
-    pub fn into_index(self) -> Box<dyn TrajectoryIndex> {
-        self.index
     }
 
     /// The store generation this engine's index reflects.
@@ -479,6 +475,31 @@ mod tests {
         let err = engine.expire_before(100.0).unwrap_err();
         assert!(matches!(err, TdtsError::IncrementalUnsupported(_)));
         assert_eq!(engine.store().len(), 30);
+    }
+
+    /// A CPU-RTree configuration the tree cannot be built with is a typed
+    /// error from both engine constructors, as a bad GPU configuration is.
+    #[test]
+    fn bad_rtree_config_is_a_typed_error() {
+        let dataset = PreparedDataset::new(store(30));
+        let sharding = crate::sharding::ShardedIndexConfig::builder().shards(2).build().unwrap();
+        for cfg in [
+            RTreeConfig { segments_per_mbb: 0, ..RTreeConfig::default() },
+            RTreeConfig { node_capacity: 1, ..RTreeConfig::default() },
+        ] {
+            let method = Method::CpuRTree(cfg);
+            let err = SearchEngine::build(&dataset, method, device()).err().unwrap();
+            assert!(matches!(err, TdtsError::InvalidConfig(_)), "{cfg:?}: {err}");
+            let err = SearchEngine::build_sharded(
+                &dataset,
+                method,
+                &DeviceConfig::test_tiny(),
+                &sharding,
+            )
+            .err()
+            .unwrap();
+            assert!(matches!(err, TdtsError::InvalidConfig(_)), "{cfg:?} sharded: {err}");
+        }
     }
 
     #[test]

@@ -18,8 +18,6 @@
 
 pub mod engine;
 pub mod error;
-pub mod hybrid;
-pub mod knn;
 pub mod oracle;
 pub mod resolve;
 pub mod sharding;
@@ -27,8 +25,6 @@ pub mod traits;
 
 pub use engine::{Method, PreparedDataset, SearchEngine};
 pub use error::TdtsError;
-pub use hybrid::{HybridConfig, HybridReport, HybridSearch};
-pub use knn::{knn_search, KnnConfig, Neighbor};
 pub use oracle::{brute_force_search, verify_against_oracle};
 pub use resolve::{resolve_matches, ResolvedMatch};
 pub use sharding::{

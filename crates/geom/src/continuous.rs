@@ -11,16 +11,6 @@
 
 use crate::{Point3, Segment, TimeInterval};
 
-/// Outcome of the closest-approach analysis of two segments over their
-/// temporal overlap.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClosestApproach {
-    /// Time of minimum separation, clamped to the temporal overlap.
-    pub t_min: f64,
-    /// Squared separation at `t_min`.
-    pub dist2: f64,
-}
-
 /// Affine position model `p(t) = base + v t` of a segment over its extent,
 /// as `(v, base)`.
 #[inline]
@@ -47,24 +37,6 @@ fn separation_quadratic((va, base_a): (Point3, Point3), b: &Segment) -> (f64, f6
 #[inline]
 pub fn temporal_overlap(a: &Segment, b: &Segment) -> Option<TimeInterval> {
     a.time_span().intersect(&b.time_span())
-}
-
-/// Closest approach of two moving points over their temporal overlap.
-///
-/// Returns `None` if the segments do not overlap temporally.
-pub fn closest_approach(a: &Segment, b: &Segment) -> Option<ClosestApproach> {
-    let ov = temporal_overlap(a, b)?;
-    let (c2, c1, c0) = separation_quadratic(affine_model(a), b);
-    let eval = |t: f64| (c2 * t + c1) * t + c0;
-    let t_min = if c2 > 0.0 {
-        (-c1 / (2.0 * c2)).clamp(ov.start, ov.end)
-    } else {
-        // Constant relative velocity of zero: separation is constant.
-        ov.start
-    };
-    // Guard against rounding: separation can never be negative.
-    let dist2 = eval(t_min).max(0.0);
-    Some(ClosestApproach { t_min, dist2 })
 }
 
 /// A query segment prepared for repeated distance tests at one threshold.
@@ -233,7 +205,6 @@ mod tests {
         let a = seg((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.0, 1.0);
         let b = seg((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 2.0, 3.0);
         assert_eq!(within_distance(&a, &b, 100.0), None);
-        assert_eq!(closest_approach(&a, &b), None);
     }
 
     #[test]
@@ -249,8 +220,6 @@ mod tests {
         let b = seg((0.0, 3.0, 0.0), (1.0, 3.0, 0.0), 0.0, 1.0);
         assert_eq!(within_distance(&a, &b, 2.9), None);
         assert_eq!(within_distance(&a, &b, 3.0), Some(TimeInterval::new(0.0, 1.0)));
-        let ca = closest_approach(&a, &b).unwrap();
-        assert!((ca.dist2 - 9.0).abs() < 1e-12);
     }
 
     #[test]
@@ -258,9 +227,6 @@ mod tests {
         // Two objects crossing at the origin at t = 0.5.
         let a = seg((-1.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.0, 1.0);
         let b = seg((0.0, -1.0, 0.0), (0.0, 1.0, 0.0), 0.0, 1.0);
-        let ca = closest_approach(&a, &b).unwrap();
-        assert!((ca.t_min - 0.5).abs() < 1e-12);
-        assert!(ca.dist2 < 1e-12);
         // Separation is sqrt(8) * |t - 0.5|; within d = sqrt(2)/2 for |t-0.5| <= 0.25.
         let d = (2.0f64).sqrt() / 2.0;
         let r = within_distance(&a, &b, d).unwrap();

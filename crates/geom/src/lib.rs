@@ -38,7 +38,7 @@ pub mod shard;
 pub mod store;
 
 pub use columns::SegmentColumns;
-pub use continuous::{within_distance, ClosestApproach, PreparedQuery};
+pub use continuous::{within_distance, PreparedQuery};
 pub use interval::TimeInterval;
 pub use mbb::Mbb;
 pub use point::Point3;

@@ -1,6 +1,5 @@
 //! Device configuration and the cost-model parameters.
 
-use crate::report::SearchError;
 use crate::sanitizer::SanitizerMode;
 use serde::{Deserialize, Serialize};
 
@@ -85,18 +84,6 @@ pub struct DeviceConfig {
 }
 
 impl DeviceConfig {
-    /// A validated builder starting from the [`DeviceConfig::tesla_c2075`]
-    /// defaults. Prefer this over struct-literal construction: new
-    /// cost-model fields get sensible defaults instead of breaking callers.
-    pub fn builder() -> DeviceConfigBuilder {
-        DeviceConfigBuilder { config: DeviceConfig::tesla_c2075() }
-    }
-
-    /// A builder seeded from an existing configuration (e.g. a preset).
-    pub fn to_builder(&self) -> DeviceConfigBuilder {
-        DeviceConfigBuilder { config: self.clone() }
-    }
-
     /// Configuration approximating the paper's NVIDIA Tesla C2075.
     pub fn tesla_c2075() -> Self {
         DeviceConfig {
@@ -251,80 +238,6 @@ impl Default for DeviceConfig {
     }
 }
 
-/// Builder for [`DeviceConfig`]; obtained from [`DeviceConfig::builder`] or
-/// [`DeviceConfig::to_builder`]. Unset fields keep the seed configuration's
-/// values, so adding cost-model parameters is not a breaking change for
-/// builder users. [`DeviceConfigBuilder::build`] validates the result.
-#[derive(Debug, Clone)]
-pub struct DeviceConfigBuilder {
-    config: DeviceConfig,
-}
-
-macro_rules! builder_setters {
-    ($($(#[$doc:meta])* $field:ident: $ty:ty),* $(,)?) => {
-        $(
-            $(#[$doc])*
-            pub fn $field(mut self, value: $ty) -> Self {
-                self.config.$field = value;
-                self
-            }
-        )*
-    };
-}
-
-impl DeviceConfigBuilder {
-    builder_setters! {
-        /// Number of streaming multiprocessors.
-        num_sms: usize,
-        /// Lanes per warp (at most 64).
-        warp_size: usize,
-        /// Core clock in Hz.
-        clock_hz: f64,
-        /// Global memory capacity in bytes.
-        global_mem_bytes: usize,
-        /// Host→device bandwidth in bytes/second.
-        h2d_bandwidth: f64,
-        /// Device→host bandwidth in bytes/second.
-        d2h_bandwidth: f64,
-        /// Fixed per-transfer latency in seconds.
-        transfer_latency: f64,
-        /// Fixed per-launch overhead in seconds.
-        kernel_launch_overhead: f64,
-        /// Cycles per scalar ALU instruction.
-        cycles_per_instr: f64,
-        /// Cycles per 128-byte global-memory transaction.
-        cycles_per_gmem_transaction: f64,
-        /// Bytes served by one coalesced global-memory transaction.
-        gmem_transaction_bytes: f64,
-        /// Memory-transaction multiplier under intra-warp divergence.
-        uncoalesced_factor: f64,
-        /// Cycles per global atomic operation.
-        cycles_per_atomic: f64,
-        /// Latency-hiding factor (effective warps overlapped per SM).
-        occupancy_factor: f64,
-        /// Per-lane stash capacity for warp-aggregated writes.
-        warp_stash_capacity: usize,
-        /// Query-to-thread mapping of the search kernels.
-        kernel_shape: KernelShape,
-        /// Maximum candidate entries per work-queue tile.
-        tile_size: usize,
-        /// Shadow-state sanitizer passes.
-        sanitizer: SanitizerMode,
-    }
-
-    /// Human-readable device name (appears in reports).
-    pub fn name(mut self, value: impl Into<String>) -> Self {
-        self.config.name = value.into();
-        self
-    }
-
-    /// Validate and produce the configuration.
-    pub fn build(self) -> Result<DeviceConfig, SearchError> {
-        self.config.validate().map_err(SearchError::InvalidConfig)?;
-        Ok(self.config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,30 +308,5 @@ mod tests {
         assert_eq!(DeviceConfig::tesla_c2075().persistent_warps(), 28);
         assert_eq!(DeviceConfig::test_tiny().persistent_warps(), 2);
         assert_eq!(DeviceConfig::modern_gpu().persistent_warps(), 432);
-    }
-
-    #[test]
-    fn builder_overrides_and_validates() {
-        let c = DeviceConfig::builder()
-            .name("custom")
-            .num_sms(4)
-            .kernel_shape(KernelShape::WarpPerTile)
-            .tile_size(16)
-            .build()
-            .unwrap();
-        assert_eq!(c.name, "custom");
-        assert_eq!(c.num_sms, 4);
-        assert_eq!(c.kernel_shape, KernelShape::WarpPerTile);
-        assert_eq!(c.tile_size, 16);
-        // Unset fields keep the tesla_c2075 seed.
-        assert_eq!(c.warp_size, DeviceConfig::tesla_c2075().warp_size);
-
-        let err = DeviceConfig::builder().warp_size(0).build().unwrap_err();
-        assert!(matches!(err, SearchError::InvalidConfig(_)));
-
-        // Seeding from a preset keeps that preset's values.
-        let tiny = DeviceConfig::test_tiny().to_builder().tile_size(4).build().unwrap();
-        assert_eq!(tiny.num_sms, 2);
-        assert_eq!(tiny.tile_size, 4);
     }
 }

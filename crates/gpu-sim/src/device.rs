@@ -142,11 +142,6 @@ impl Device {
         &self.core.config
     }
 
-    /// The sanitizer mode this device runs under.
-    pub fn sanitizer_mode(&self) -> SanitizerMode {
-        self.core.config.sanitizer
-    }
-
     /// Snapshot of everything the sanitizer observed so far. Reports an
     /// empty clean report under [`SanitizerMode::Off`].
     pub fn sanitizer_report(&self) -> SanitizerReport {

@@ -46,7 +46,7 @@ pub mod report;
 pub mod sanitizer;
 pub mod workqueue;
 
-pub use config::{DeviceConfig, DeviceConfigBuilder, KernelShape};
+pub use config::{DeviceConfig, KernelShape};
 pub use counters::{Counters, Lane};
 pub use device::Device;
 pub use launch::{LaunchReport, Warp, MAX_WARP_LANES};

@@ -586,11 +586,6 @@ impl<T: Copy + Default> PartitionedScratch<T> {
         self.taken.len()
     }
 
-    /// Capacity of each partition in elements.
-    pub fn partition_len(&self) -> usize {
-        self.per_thread
-    }
-
     /// Take exclusive access to partition `idx` for the current kernel
     /// thread. Panics if the partition was already taken this launch —
     /// that would be a data race on a real GPU too.

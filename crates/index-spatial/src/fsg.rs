@@ -12,33 +12,6 @@ pub struct FsgConfig {
     pub cells_per_dim: usize,
 }
 
-impl FsgConfig {
-    /// A builder starting from the defaults. Prefer this over struct-literal
-    /// construction: new fields get defaults instead of breaking callers.
-    pub fn builder() -> FsgConfigBuilder {
-        FsgConfigBuilder { config: FsgConfig::default() }
-    }
-}
-
-/// Builder for [`FsgConfig`].
-#[derive(Debug, Clone)]
-pub struct FsgConfigBuilder {
-    config: FsgConfig,
-}
-
-impl FsgConfigBuilder {
-    /// Grid cells per dimension.
-    pub fn cells_per_dim(mut self, n: usize) -> Self {
-        self.config.cells_per_dim = n;
-        self
-    }
-
-    /// Produce the configuration (validated at [`Fsg::build`] time).
-    pub fn build(self) -> FsgConfig {
-        self.config
-    }
-}
-
 impl Default for FsgConfig {
     fn default() -> Self {
         FsgConfig { cells_per_dim: 50 }
@@ -476,12 +449,6 @@ mod tests {
         assert_eq!(err, SearchError::EmptyDataset);
         let err = Fsg::build(&store(), FsgConfig { cells_per_dim: 0 }).unwrap_err();
         assert!(matches!(err, SearchError::InvalidConfig(_)));
-    }
-
-    #[test]
-    fn config_builder() {
-        assert_eq!(FsgConfig::builder().build(), FsgConfig::default());
-        assert_eq!(FsgConfig::builder().cells_per_dim(7).build(), FsgConfig { cells_per_dim: 7 });
     }
 
     /// Entry positions reachable through either triple for a box.

@@ -23,5 +23,5 @@
 pub mod fsg;
 pub mod search;
 
-pub use fsg::{Fsg, FsgConfig, FsgConfigBuilder};
-pub use search::{GpuSpatialConfig, GpuSpatialConfigBuilder, GpuSpatialSearch};
+pub use fsg::{Fsg, FsgConfig};
+pub use search::{GpuSpatialConfig, GpuSpatialSearch};

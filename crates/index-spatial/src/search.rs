@@ -45,51 +45,6 @@ impl Default for GpuSpatialConfig {
     }
 }
 
-impl GpuSpatialConfig {
-    /// A builder starting from the defaults. Prefer this over struct-literal
-    /// construction: new fields get defaults instead of breaking callers.
-    pub fn builder() -> GpuSpatialConfigBuilder {
-        GpuSpatialConfigBuilder { config: GpuSpatialConfig::default() }
-    }
-}
-
-/// Builder for [`GpuSpatialConfig`].
-#[derive(Debug, Clone)]
-pub struct GpuSpatialConfigBuilder {
-    config: GpuSpatialConfig,
-}
-
-impl GpuSpatialConfigBuilder {
-    /// Grid resolution.
-    pub fn fsg(mut self, fsg: FsgConfig) -> Self {
-        self.config.fsg = fsg;
-        self
-    }
-
-    /// Grid cells per dimension (shorthand for [`Self::fsg`]).
-    pub fn cells_per_dim(mut self, n: usize) -> Self {
-        self.config.fsg.cells_per_dim = n;
-        self
-    }
-
-    /// Total candidate-buffer budget `s` in entries.
-    pub fn total_scratch(mut self, s: usize) -> Self {
-        self.config.total_scratch = s;
-        self
-    }
-
-    /// Delta-overlay compaction threshold in segments.
-    pub fn compaction_threshold(mut self, n: usize) -> Self {
-        self.config.compaction_threshold = n;
-        self
-    }
-
-    /// Produce the configuration (validated when the index is built).
-    pub fn build(self) -> GpuSpatialConfig {
-        self.config
-    }
-}
-
 /// `GPUSpatial`: FSG index + device-resident arrays + search driver.
 pub struct GpuSpatialSearch {
     device: Arc<Device>,

@@ -27,45 +27,6 @@ impl Default for SpatioTemporalIndexConfig {
     }
 }
 
-impl SpatioTemporalIndexConfig {
-    /// A builder starting from the defaults. Prefer this over struct-literal
-    /// construction: new fields get defaults instead of breaking callers.
-    pub fn builder() -> SpatioTemporalIndexConfigBuilder {
-        SpatioTemporalIndexConfigBuilder { config: SpatioTemporalIndexConfig::default() }
-    }
-}
-
-/// Builder for [`SpatioTemporalIndexConfig`].
-#[derive(Debug, Clone)]
-pub struct SpatioTemporalIndexConfigBuilder {
-    config: SpatioTemporalIndexConfig,
-}
-
-impl SpatioTemporalIndexConfigBuilder {
-    /// Temporal bin count `m`.
-    pub fn bins(mut self, m: usize) -> Self {
-        self.config.bins = m;
-        self
-    }
-
-    /// Requested spatial subbins per dimension `v`.
-    pub fn subbins(mut self, v: usize) -> Self {
-        self.config.subbins = v;
-        self
-    }
-
-    /// Order query execution by array selector (divergence reduction).
-    pub fn sort_by_selector(mut self, on: bool) -> Self {
-        self.config.sort_by_selector = on;
-        self
-    }
-
-    /// Produce the configuration (validated when the index is built).
-    pub fn build(self) -> SpatioTemporalIndexConfig {
-        self.config
-    }
-}
-
 /// Which lookup the kernel uses for a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Selector {

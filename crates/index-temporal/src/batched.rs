@@ -35,45 +35,6 @@ impl Default for BatchedConfig {
     }
 }
 
-impl BatchedConfig {
-    /// A builder starting from the defaults. Prefer this over struct-literal
-    /// construction: new fields get defaults instead of breaking callers.
-    pub fn builder() -> BatchedConfigBuilder {
-        BatchedConfigBuilder { config: BatchedConfig::default() }
-    }
-}
-
-/// Builder for [`BatchedConfig`].
-#[derive(Debug, Clone)]
-pub struct BatchedConfigBuilder {
-    config: BatchedConfig,
-}
-
-impl BatchedConfigBuilder {
-    /// Temporal index parameters.
-    pub fn index(mut self, index: TemporalIndexConfig) -> Self {
-        self.config.index = index;
-        self
-    }
-
-    /// Temporal bins (shorthand for [`Self::index`]).
-    pub fn bins(mut self, m: usize) -> Self {
-        self.config.index.bins = m;
-        self
-    }
-
-    /// Query segments per batch.
-    pub fn batch_size(mut self, n: usize) -> Self {
-        self.config.batch_size = n;
-        self
-    }
-
-    /// Produce the configuration (validated when the search is built).
-    pub fn build(self) -> BatchedConfig {
-        self.config
-    }
-}
-
 /// The streamed-query-set search of \[22\], on the same temporal index.
 pub struct GpuBatchedTemporalSearch {
     device: Arc<Device>,

@@ -11,33 +11,6 @@ pub struct TemporalIndexConfig {
     pub bins: usize,
 }
 
-impl TemporalIndexConfig {
-    /// A builder starting from the defaults. Prefer this over struct-literal
-    /// construction: new fields get defaults instead of breaking callers.
-    pub fn builder() -> TemporalIndexConfigBuilder {
-        TemporalIndexConfigBuilder { config: TemporalIndexConfig::default() }
-    }
-}
-
-/// Builder for [`TemporalIndexConfig`].
-#[derive(Debug, Clone)]
-pub struct TemporalIndexConfigBuilder {
-    config: TemporalIndexConfig,
-}
-
-impl TemporalIndexConfigBuilder {
-    /// Number of logical bins.
-    pub fn bins(mut self, m: usize) -> Self {
-        self.config.bins = m;
-        self
-    }
-
-    /// Produce the configuration (validated at [`TemporalIndex::build`]).
-    pub fn build(self) -> TemporalIndexConfig {
-        self.config
-    }
-}
-
 impl Default for TemporalIndexConfig {
     fn default() -> Self {
         // §V-D: 1,000 bins gives the lowest response time on the large
@@ -586,14 +559,5 @@ mod tests {
         idx.append(&s, delta.from).unwrap();
         assert!(idx.validate(&s).is_ok());
         assert_superset(&idx, &s, &seg(41.5, 41.9));
-    }
-
-    #[test]
-    fn config_builder() {
-        assert_eq!(TemporalIndexConfig::builder().build(), TemporalIndexConfig::default());
-        assert_eq!(
-            TemporalIndexConfig::builder().bins(64).build(),
-            TemporalIndexConfig { bins: 64 }
-        );
     }
 }

@@ -19,6 +19,6 @@ pub mod batched;
 pub mod index;
 pub mod search;
 
-pub use batched::{BatchedConfig, BatchedConfigBuilder, GpuBatchedTemporalSearch};
-pub use index::{TemporalIndex, TemporalIndexConfig, TemporalIndexConfigBuilder};
+pub use batched::{BatchedConfig, GpuBatchedTemporalSearch};
+pub use index::{TemporalIndex, TemporalIndexConfig};
 pub use search::{GpuTemporalSearch, TemporalSchedule};

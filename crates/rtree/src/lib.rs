@@ -17,4 +17,4 @@ pub mod stmbb;
 pub mod tree;
 
 pub use stmbb::StMbb;
-pub use tree::{RTree, RTreeConfig, RTreeConfigBuilder, SearchStats};
+pub use tree::{RTree, RTreeConfig, SearchStats};

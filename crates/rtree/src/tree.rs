@@ -22,40 +22,15 @@ impl Default for RTreeConfig {
 }
 
 impl RTreeConfig {
-    /// Start a builder seeded with [`RTreeConfig::default`].
-    ///
-    /// Preferred over a struct literal: new tuning knobs can be added
-    /// without breaking existing call sites.
-    pub fn builder() -> RTreeConfigBuilder {
-        RTreeConfigBuilder { config: RTreeConfig::default() }
-    }
-}
-
-/// Builder for [`RTreeConfig`]; see [`RTreeConfig::builder`].
-#[derive(Debug, Clone)]
-pub struct RTreeConfigBuilder {
-    config: RTreeConfig,
-}
-
-impl RTreeConfigBuilder {
-    /// Segments packed per leaf-entry MBB (the paper's `r`).
-    pub fn segments_per_mbb(mut self, r: usize) -> Self {
-        self.config.segments_per_mbb = r;
-        self
-    }
-
-    /// Maximum children per node (fanout).
-    pub fn node_capacity(mut self, cap: usize) -> Self {
-        self.config.node_capacity = cap;
-        self
-    }
-
-    /// Finish, clamping both knobs to at least one.
-    pub fn build(self) -> RTreeConfig {
-        RTreeConfig {
-            segments_per_mbb: self.config.segments_per_mbb.max(1),
-            node_capacity: self.config.node_capacity.max(2),
+    /// Why [`RTree::build`] would refuse this configuration, if it would.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.segments_per_mbb == 0 {
+            return Err("segments_per_mbb (r) must be at least 1".into());
         }
+        if self.node_capacity < 2 {
+            return Err("node_capacity must be at least 2".into());
+        }
+        Ok(())
     }
 }
 
@@ -136,9 +111,12 @@ pub struct RTree {
 
 impl RTree {
     /// Bulk-load a tree over `store` with the given configuration.
+    ///
+    /// Panics on a configuration [`RTreeConfig::validate`] refuses.
     pub fn build(store: &SegmentStore, config: RTreeConfig) -> RTree {
-        assert!(config.segments_per_mbb >= 1, "r must be >= 1");
-        assert!(config.node_capacity >= 2, "node capacity must be >= 2");
+        if let Err(why) = config.validate() {
+            panic!("invalid R-tree configuration: {why}");
+        }
 
         // 1. Pack consecutive same-trajectory segments into leaf entries.
         let mut entries: Vec<LeafEntry> = Vec::new();

@@ -3,7 +3,6 @@
 //! ```sh
 //! tdts-cli generate --dataset random --scale 0.01 --out /tmp/d.csv
 //! tdts-cli search   --dataset random --scale 0.01 --method spatiotemporal --d 10
-//! tdts-cli knn      --dataset dense  --scale 0.001 --k 5
 //! tdts-cli info     --dataset merger --scale 0.01
 //! tdts-cli serve    --dataset merger --scale 0.01 --method temporal --d 5
 //! tdts-cli replay   --dataset merger --scale 0.01 --queries 64 --clients 64
@@ -22,7 +21,6 @@ fn usage() -> ! {
          commands:\n\
          \u{20}  generate   generate a dataset and write it as CSV\n\
          \u{20}  search     run a distance threshold search\n\
-         \u{20}  knn        run a k-nearest-neighbour search\n\
          \u{20}  info       print dataset statistics\n\
          \u{20}  serve      run the query service over per-trajectory requests\n\
          \u{20}  replay     replay concurrent clients through the service and\n\
@@ -34,10 +32,9 @@ fn usage() -> ! {
          options:\n\
          \u{20}  --dataset <random|dense|merger>   (default random)\n\
          \u{20}  --scale <f>                       dataset scale (default 0.01)\n\
-         \u{20}  --method <rtree|spatial|temporal|batched|spatiotemporal|hybrid>\n\
+         \u{20}  --method <rtree|spatial|temporal|batched|spatiotemporal>\n\
          \u{20}                                    (default spatiotemporal)\n\
          \u{20}  --d <f>                           query distance (default 10)\n\
-         \u{20}  --k <n>                           neighbours for knn (default 5)\n\
          \u{20}  --queries <n>                     query trajectories (default 10)\n\
          \u{20}  --bins <n>                        temporal bins (default 1000)\n\
          \u{20}  --subbins <n>                     spatial subbins (default 4)\n\
@@ -88,7 +85,6 @@ struct Opts {
     scale: f64,
     method: String,
     d: f64,
-    k: usize,
     queries: usize,
     bins: usize,
     subbins: usize,
@@ -122,7 +118,6 @@ fn parse() -> Opts {
         scale: 0.01,
         method: "spatiotemporal".into(),
         d: 10.0,
-        k: 5,
         queries: 10,
         bins: 1_000,
         subbins: 4,
@@ -152,7 +147,6 @@ fn parse() -> Opts {
             "--scale" => o.scale = val(&mut args).parse().unwrap_or_else(|_| usage()),
             "--method" => o.method = val(&mut args),
             "--d" => o.d = val(&mut args).parse().unwrap_or_else(|_| usage()),
-            "--k" => o.k = val(&mut args).parse().unwrap_or_else(|_| usage()),
             "--queries" => o.queries = val(&mut args).parse().unwrap_or_else(|_| usage()),
             "--bins" => o.bins = val(&mut args).parse().unwrap_or_else(|_| usage()),
             "--subbins" => o.subbins = val(&mut args).parse().unwrap_or_else(|_| usage()),
@@ -278,33 +272,12 @@ fn main() {
             );
         }
         "generate" => {
-            // CSV: traj_id,seg_id,t_start,t_end,x0,y0,z0,x1,y1,z1
-            use std::io::Write;
             let out = o.out.as_deref().unwrap_or("dataset.csv");
-            let f = std::fs::File::create(out).expect("create output file");
-            let mut w = std::io::BufWriter::new(f);
-            writeln!(w, "traj_id,seg_id,t_start,t_end,x0,y0,z0,x1,y1,z1").unwrap();
-            for s in store.iter() {
-                writeln!(
-                    w,
-                    "{},{},{},{},{},{},{},{},{},{}",
-                    s.traj_id.0,
-                    s.seg_id.0,
-                    s.t_start,
-                    s.t_end,
-                    s.start.x,
-                    s.start.y,
-                    s.start.z,
-                    s.end.x,
-                    s.end.y,
-                    s.end.z
-                )
-                .unwrap();
-            }
-            w.flush().unwrap();
+            let file = std::fs::File::create(out).unwrap_or_else(|e| fail(format!("{out}: {e}")));
+            write_csv(&store, file).unwrap_or_else(|e| fail(format!("{out}: {e}")));
             println!("wrote {} segments to {out}", store.len());
         }
-        "search" | "knn" | "serve" | "replay" | "stream" => {
+        "search" | "serve" | "replay" | "stream" => {
             let mut device_config = DeviceConfig::tesla_c2075();
             device_config.kernel_shape = o.kernel_shape;
             device_config.tile_size = o.tile_size;
@@ -319,13 +292,11 @@ fn main() {
                     index: TemporalIndexConfig { bins: o.bins },
                     batch_size: o.max_batch.max(1),
                 }),
-                "spatiotemporal" | "hybrid" => {
-                    Method::GpuSpatioTemporal(SpatioTemporalIndexConfig {
-                        bins: o.bins,
-                        subbins: o.subbins,
-                        sort_by_selector: true,
-                    })
-                }
+                "spatiotemporal" => Method::GpuSpatioTemporal(SpatioTemporalIndexConfig {
+                    bins: o.bins,
+                    subbins: o.subbins,
+                    sort_by_selector: true,
+                }),
                 other => {
                     eprintln!("unknown method {other}");
                     usage()
@@ -340,48 +311,6 @@ fn main() {
 
             if o.command == "stream" {
                 run_stream(&o, &dataset, method, &device_config, &queries, cap);
-                return;
-            }
-
-            if o.command == "knn" {
-                let engine =
-                    SearchEngine::build(&dataset, method, device).unwrap_or_else(|e| fail(e));
-                let res = knn_search(
-                    &engine,
-                    &queries,
-                    KnnConfig { k: o.k, initial_radius: o.d.max(1e-6), max_doublings: 40 },
-                    cap,
-                )
-                .unwrap_or_else(|e| fail(e));
-                let found: usize = res.iter().map(|v| v.len()).sum();
-                println!("{} neighbours over {} query segments", found, queries.len());
-                for (qi, ns) in res.iter().enumerate().take(3) {
-                    println!("query segment {qi}:");
-                    for n in ns {
-                        println!(
-                            "  entry {:>6} at distance {:.4} (t = {:.2})",
-                            n.entry, n.distance, n.t_min
-                        );
-                    }
-                }
-                return;
-            }
-
-            if o.method == "hybrid" {
-                let hybrid = HybridSearch::build(
-                    &dataset,
-                    HybridConfig::auto(method, Method::CpuRTree(RTreeConfig::default())),
-                    device,
-                )
-                .unwrap_or_else(|e| fail(e));
-                let (matches, report) =
-                    hybrid.search(&queries, o.d, cap).unwrap_or_else(|e| fail(e));
-                println!(
-                    "{} matches; {:.4}s response (gpu fraction {:.2})",
-                    matches.len(),
-                    report.response_seconds,
-                    report.gpu_fraction
-                );
                 return;
             }
 

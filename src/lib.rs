@@ -72,10 +72,9 @@ pub use tdts_service as service;
 /// The commonly used types in one import.
 pub mod prelude {
     pub use tdts_core::{
-        brute_force_search, knn_search, resolve_matches, verify_against_oracle, HybridConfig,
-        HybridReport, HybridSearch, KnnConfig, Method, Neighbor, PreparedDataset, QueryBatch,
-        ResolvedMatch, RoutingMode, SearchEngine, SearchOutcome, ShardStats, ShardedIndex,
-        ShardedIndexConfig, ShardedIndexConfigBuilder, TdtsError, TrajectoryIndex,
+        brute_force_search, resolve_matches, verify_against_oracle, Method, PreparedDataset,
+        QueryBatch, ResolvedMatch, RoutingMode, SearchEngine, SearchOutcome, ShardStats,
+        ShardedIndex, ShardedIndexConfig, ShardedIndexConfigBuilder, TdtsError, TrajectoryIndex,
     };
     pub use tdts_data::{read_csv, selectivity, selectivity_sweep, write_csv, SelectivityPoint};
     pub use tdts_data::{
