@@ -7,8 +7,7 @@
 //! ```
 
 use tdts_bench::{names, run, select, RunConfig};
-use tdts_core::RoutingMode;
-use tdts_geom::{PartitionStrategy, SlabMode};
+use tdts_geom::PartitionStrategy;
 use tdts_gpu_sim::{KernelShape, SanitizerMode};
 
 const OPTIONS: &str = "  --list              print the target names and exit
@@ -21,8 +20,6 @@ const OPTIONS: &str = "  --list              print the target names and exit
   --shards <n>        simulated devices the entry database is partitioned
                       across (default 1 = unsharded)
   --partition <s>     temporal (default) | spatial-grid slab orientation
-  --routing <s>       slab (default) | broadcast query dispatch
-  --slab-mode <s>     uniform (default) | balanced slab edge placement
   --sanitizer <m>     off (default) | full: the shadow-state device
                       sanitizer (also set by the TDTS_SANITIZER env var).
                       Findings abort the run.";
@@ -77,12 +74,6 @@ fn main() {
                 let expects = "temporal or spatial-grid";
                 shard.partition = value(args, "--partition", expects, PartitionStrategy::parse);
             }
-            "--routing" => {
-                shard.routing = value(args, "--routing", "slab or broadcast", RoutingMode::parse)
-            }
-            "--slab-mode" => {
-                shard.slab_mode = value(args, "--slab-mode", "uniform or balanced", SlabMode::parse)
-            }
             "--sanitizer" => {
                 cfg.device.sanitizer =
                     value(args, "--sanitizer", "off or full", SanitizerMode::parse)
@@ -101,10 +92,7 @@ fn main() {
     println!("# tdts figures — scale {:.5} of paper sizes, device: {}", cfg.scale, cfg.device.name);
     let shard = cfg.sharding;
     if shard.shards > 1 {
-        println!(
-            "# sharded: {} simulated devices, {} partition, {} routing, {} slabs",
-            shard.shards, shard.partition, shard.routing, shard.slab_mode
-        );
+        println!("# sharded: {} simulated devices, {} partition", shard.shards, shard.partition);
     }
     for target in targets {
         // Configuration problems, sanitizer findings, diverging result sets

@@ -12,16 +12,16 @@ use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 use std::sync::Arc;
 use tdts_core::{
-    Method, PreparedDataset, QueryBatch, RoutingMode, SearchOutcome, ShardedIndex,
-    ShardedIndexConfig, TdtsError, TrajectoryIndex,
+    Method, PreparedDataset, QueryBatch, SearchOutcome, ShardedIndex, ShardedIndexConfig,
+    TdtsError, TrajectoryIndex,
 };
 use tdts_data::scenario::ScenarioParams;
 use tdts_data::{GaussianClusterConfig, MergerConfig, Scenario, ScenarioKind};
-use tdts_geom::{MatchRecord, SegmentStore, SlabMode, StoreStats};
+use tdts_geom::{MatchRecord, SegmentStore, StoreStats};
 use tdts_gpu_sim::{Device, DeviceConfig, KernelShape, SearchReport};
 use tdts_index_spatial::{FsgConfig, GpuSpatialConfig};
 use tdts_index_spatiotemporal::SpatioTemporalIndexConfig;
-use tdts_index_temporal::{BatchedConfig, TemporalIndexConfig};
+use tdts_index_temporal::TemporalIndexConfig;
 use tdts_rtree::RTreeConfig;
 use ScenarioKind::{S1Random as S1, S2Merger as S2, S3RandomDense as S3};
 
@@ -41,7 +41,7 @@ pub struct RunConfig {
     /// How the entry database is partitioned across simulated devices. With
     /// `shards > 1` every arm that does not set its own sharding becomes a
     /// [`ShardedIndex`] fanning batches out to one device per slab; arms
-    /// that do set a shard count inherit partition, routing and slab mode.
+    /// that do set a shard count inherit the partition.
     pub sharding: ShardedIndexConfig,
 }
 
@@ -125,11 +125,9 @@ enum Layout {
     /// One row per `d`; columns pick arms by index.
     PerD,
     /// One row per (arm, `d`). Arms are taken this many at a time and
-    /// within such a block rows go by `d` first: 1 prints arm-major,
-    /// [`ALL`] prints `d`-major.
+    /// within such a block rows go by `d` first: 1 prints arm-major.
     PerArm(usize),
 }
-const ALL: usize = usize::MAX;
 
 /// Header, width (negative = left-aligned) and cell text of one column.
 struct Col(&'static str, i32, fn(&Row) -> String);
@@ -183,8 +181,6 @@ struct Arm {
     /// Result capacity derived from the dataset's default and the base
     /// arm's cell at the same `d`.
     capacity: Option<fn(usize, &Cell) -> usize>,
-    /// Measured and cross-checked but not printed.
-    hidden: bool,
 }
 
 impl Arm {
@@ -198,7 +194,6 @@ impl Arm {
             data: None,
             base: None,
             capacity: None,
-            hidden: false,
         }
     }
 
@@ -240,7 +235,6 @@ pub struct Cell {
     /// Cross-shard duplicate records the merge dropped in one search.
     pub duplicates_dropped: u64,
     base: Option<usize>,
-    hidden: bool,
 }
 
 impl Cell {
@@ -433,7 +427,6 @@ fn measure(cfg: &RunConfig, table: &Target, p: &Prepared) -> Result<Vec<Vec<Cell
                 replication: built.sharded.as_ref().map_or(1.0, |s| s.replication_factor()),
                 duplicates_dropped,
                 base: arm.base,
-                hidden: arm.hidden,
             });
         }
     }
@@ -476,7 +469,7 @@ fn print(
         Layout::PerD => by_d(&[0]),
         Layout::PerArm(block) => arms.chunks(block.min(arms.len())).flat_map(by_d).collect(),
     };
-    for (di, arm) in order.into_iter().filter(|&(di, a)| !cells[di][a].hidden) {
+    for (di, arm) in order {
         let row = Row { cfg, data: p.name, queries: p.queries.len(), cells: &cells[di], arm };
         println!("{}", line(table.cols.iter().map(|col| (col.2)(&row)).collect()));
     }
@@ -487,7 +480,7 @@ fn print(
     Ok(())
 }
 
-/// `shards` devices under the run's partition, routing and slab mode.
+/// `shards` devices under the run's partition.
 fn sharding(cfg: &RunConfig, shards: usize) -> ShardedIndexConfig {
     let mut sharding = cfg.sharding;
     sharding.shards = shards;
@@ -523,7 +516,6 @@ const ENTRIES: Col = Col("|D|", 12, |r| r.cell().entries.to_string());
 const CAPACITY: Col = Col("capacity", 14, |r| r.cell().capacity.to_string());
 const DUP_DROPPED: Col = Col("dup-drop", 10, |r| r.cell().duplicates_dropped.to_string());
 const RESPONSE: Col = Col("response (s)", 16, |r| secs(r.response(r.arm)));
-const DEVICE: Col = Col("device (s)", 13, |r| secs(r.cell().device_seconds()));
 const COMPARISONS: Col = Col("comparisons", 14, |r| r.report().comparisons.to_string());
 const FALLBACK: Col = Col("fallback", 14, |r| r.report().fallback_queries.to_string());
 const REDO: Col = Col("redo", 12, |r| r.report().redo_rounds.to_string());
@@ -603,63 +595,6 @@ fn sharding_arms(p: &Prepared, cfg: &RunConfig) -> Vec<Arm> {
         }
     }
     arms
-}
-
-/// Three methods × {4, 8} shards × {broadcast, slab-uniform, slab-balanced};
-/// every routed arm is compared against the broadcast arm beside it, and a
-/// hidden single-device arm per method anchors the cross-check.
-///
-/// GPUBatchedTemporal is the showcase: it pays per-batch kernel invocations
-/// and transfers proportional to the queries a shard is *assigned*, so
-/// broadcast's irrelevant queries cost real device time that routing
-/// removes. The resident methods bound the win from below — their
-/// out-of-slab lookups are almost free by design.
-fn routing_arms(p: &Prepared, cfg: &RunConfig) -> Vec<Arm> {
-    use {RoutingMode::*, SlabMode::*};
-    let index = TemporalIndexConfig { bins: p.params.temporal_bins };
-    let batched = Method::GpuBatchedTemporal(BatchedConfig { index, batch_size: 64 });
-    let dispatch = |label: &str, method, shards, routing, slab_mode| {
-        let mut config = sharding(cfg, shards);
-        (config.routing, config.slab_mode) = (routing, slab_mode);
-        Arm::new(label, method).sharded(config)
-    };
-    let mut arms = Vec::new();
-    for method in [Method::GpuTemporal(index), paper_spatiotemporal(p), batched] {
-        arms.push(Arm { hidden: true, ..dispatch("single device", method, 1, Broadcast, Uniform) });
-        for shards in [4, 8] {
-            let broadcast = arms.len();
-            arms.push(dispatch("broadcast", method, shards, Broadcast, Uniform));
-            arms.push(dispatch("slab-uniform", method, shards, Slab, Uniform).vs(broadcast));
-            arms.push(dispatch("slab-balanced", method, shards, Slab, Balanced).vs(broadcast));
-        }
-    }
-    arms
-}
-
-/// Every routed cell must dispatch strictly less than broadcast and may not
-/// cost more device time than the few percent by which re-sorting the
-/// compacted sub-batch regroups warps; the batched method's win is far
-/// outside that margin.
-fn close_routing(cells: &[Vec<Cell>]) -> Result<String, String> {
-    let mut best = 0.0f64;
-    for (routed, broadcast) in versus(cells) {
-        let who = format!("{} {} at {} shards", routed.method, routed.label, routed.shards);
-        let dispatched = |c: &Cell| c.report.routing.shard_queries_routed;
-        let (n, all) = (dispatched(routed), dispatched(broadcast));
-        if n >= all {
-            return Err(format!("{who} dispatched {n} shard-queries, broadcast {all}"));
-        }
-        let (t, all) = (routed.device_seconds(), broadcast.device_seconds());
-        if t > all * 1.05 {
-            return Err(format!("{who} took {t:.6} s of device time, broadcast {all:.6} s"));
-        }
-        best = best.max(all / t);
-    }
-    let found = format!("best device-time win {best:.2}x");
-    let ok = format!(
-        "(routed dispatch strictly below broadcast and byte-identical throughout; {found})"
-    );
-    (best >= 1.10).then_some(ok).ok_or(format!("routing ablation: {found} < 1.10x over broadcast"))
 }
 
 fn scaling_arms(shard_counts: &[usize], weak: bool, cfg: &RunConfig) -> Vec<Arm> {
@@ -880,24 +815,6 @@ pub const TARGETS: &[Target] = &[
         ],
         ..ROW
     },
-    // What the §II residency assumption is worth: the query set resident on
-    // the device vs streamed through it in batches as in the predecessor [22].
-    Target {
-        name: "batched",
-        title: "Residency study — GPUTemporal (resident Q) vs batched predecessor [22]",
-        arms: |p, _| {
-            let index = TemporalIndexConfig { bins: p.params.temporal_bins };
-            let batched = |batch_size| {
-                let method = Method::GpuBatchedTemporal(BatchedConfig { index, batch_size });
-                Arm::new(batch_size, method)
-            };
-            vec![Arm::new("resident", Method::GpuTemporal(index)), batched(256), batched(2_048)]
-        },
-        ds: Ds::Fixed(&[0.5, 2.0, 5.0]),
-        layout: Layout::PerArm(ALL),
-        cols: &[D, label("batch"), RESPONSE, INVOCATIONS],
-        ..ROW
-    },
     // §IV-C2 sorts the schedule by array selector so warps run uniform
     // control paths; unsorted shows the penalty through the divergence model.
     Target {
@@ -977,7 +894,10 @@ pub const TARGETS: &[Target] = &[
     // sets stay identical at every shard count; the simulated response takes
     // the *slowest* shard plus the host merge. The 2x floor at 8 shards is
     // deliberately conservative: at harness scales the unsplittable costs
-    // (query upload, launch overhead) weigh more than at paper scale.
+    // (query upload, launch overhead) weigh more than at paper scale. Each
+    // query goes only to the shards its reach interval touches — under
+    // temporal slabs its own [t0, t1], with no distance slack — so every
+    // 8-shard cell must skip some shard-queries.
     Target {
         name: "ablation-sharding",
         title: "Sharding ablation — 1..8 simulated devices, {partition} partition (S2 Merger)",
@@ -988,6 +908,8 @@ pub const TARGETS: &[Target] = &[
             D,
             SHARDS,
             REPLICATION,
+            ROUTED,
+            SKIPPED,
             RESPONSE,
             Col("speedup", 10, |r| {
                 let speedup = |single: &Cell| single.report.response_seconds() / r.response(r.arm);
@@ -996,40 +918,21 @@ pub const TARGETS: &[Target] = &[
             DUP_DROPPED,
         ],
         close: Some(|cells| {
-            let best = versus(cells)
-                .filter(|(c, _)| c.shards == 8)
+            let eight = || versus(cells).filter(|(c, _)| c.shards == 8);
+            if let Some((c, _)) = eight().find(|(c, _)| c.report.routing.shard_queries_skipped == 0)
+            {
+                return Err(format!(
+                    "sharding ablation: {} at d = {} skipped no shard-query",
+                    c.label, c.d
+                ));
+            }
+            let best = eight()
                 .map(|(c, single)| single.device_seconds() / c.device_seconds())
                 .fold(0.0, f64::max);
             let found = format!("best 8-shard speedup: {best:.2}x");
             let ok = format!("{found} (results byte-identical throughout)");
             (best >= 2.0).then_some(ok).ok_or(format!("sharding ablation: {found} < 2x"))
         }),
-        ..ROW
-    },
-    // Temporal slabs route with zero distance slack — a match needs a shared
-    // time instant, so only the query's own [t0, t1] decides reachability.
-    // Device time is fully modeled and therefore deterministic: the right
-    // basis for asserting the routing win.
-    Target {
-        name: "ablation-routing",
-        title: "Routing ablation — broadcast vs slab dispatch, {partition} partition (S2 Merger)",
-        arms: routing_arms,
-        ds: Ds::FirstMidLast,
-        cols: &[
-            METHOD,
-            D,
-            SHARDS,
-            label("dispatch"),
-            ROUTED,
-            SKIPPED,
-            DEVICE,
-            RESPONSE,
-            Col("win", 8, |r| {
-                let win = |broadcast: &Cell| broadcast.device_seconds() / r.cell().device_seconds();
-                r.base().map_or("-".into(), |broadcast| times(win(broadcast)))
-            }),
-        ],
-        close: Some(close_routing),
         ..ROW
     },
     // Strong scaling: fixed |D|, 1..32 devices. The simulated response, not

@@ -6,9 +6,7 @@ use tdts_gpu_sim::SearchError;
 use tdts_gpu_sim::{Device, KernelShape, SearchReport};
 use tdts_index_spatial::{GpuSpatialConfig, GpuSpatialSearch};
 use tdts_index_spatiotemporal::{GpuSpatioTemporalSearch, SpatioTemporalIndexConfig};
-use tdts_index_temporal::{
-    BatchedConfig, GpuBatchedTemporalSearch, GpuTemporalSearch, TemporalIndexConfig,
-};
+use tdts_index_temporal::{GpuTemporalSearch, TemporalIndexConfig};
 use tdts_rtree::{RTree, RTreeConfig};
 
 use crate::error::TdtsError;
@@ -27,8 +25,6 @@ pub enum Method {
     GpuSpatial(GpuSpatialConfig),
     /// `GPUTemporal`: temporal bins (§IV-B).
     GpuTemporal(TemporalIndexConfig),
-    /// `GPUTemporal` streaming `Q` through the device in pipelined batches.
-    GpuBatchedTemporal(BatchedConfig),
     /// `GPUSpatioTemporal`: temporal bins with spatial subbins (§IV-C).
     GpuSpatioTemporal(SpatioTemporalIndexConfig),
 }
@@ -40,7 +36,6 @@ impl Method {
             Method::CpuRTree(_) => "CPU-RTree",
             Method::GpuSpatial(_) => "GPUSpatial",
             Method::GpuTemporal(_) => "GPUTemporal",
-            Method::GpuBatchedTemporal(_) => "GPUBatchedTemporal",
             Method::GpuSpatioTemporal(_) => "GPUSpatioTemporal",
         }
     }
@@ -70,9 +65,6 @@ impl Method {
             }
             Method::GpuTemporal(cfg) => {
                 Box::new(GpuTemporalSearch::new_with_stats(device, store, stats, cfg)?)
-            }
-            Method::GpuBatchedTemporal(cfg) => {
-                Box::new(GpuBatchedTemporalSearch::new_with_stats(device, store, stats, cfg)?)
             }
             Method::GpuSpatioTemporal(cfg) => {
                 Box::new(GpuSpatioTemporalSearch::new_with_stats(device, store, stats, cfg)?)
@@ -224,8 +216,13 @@ impl SearchEngine {
     }
 
     /// Drop every stored segment that ends before `t` from the canonical
-    /// store and the index. Same contract as [`SearchEngine::ingest`].
+    /// store and the index. Same contract as [`SearchEngine::ingest`]; a
+    /// NaN cut, which no `t_end` is at or after, is refused rather than
+    /// taken to expire everything. `±∞` are valid cuts.
     pub fn expire_before(&mut self, t: f64) -> Result<(), TdtsError> {
+        if t.is_nan() {
+            return Err(TdtsError::InvalidConfig("expiry cut must not be NaN".into()));
+        }
         self.check_incremental()?;
         let delta = Arc::make_mut(&mut self.store).expire_before(t);
         self.index.expire_before(&self.store, &delta)
@@ -299,10 +296,6 @@ mod tests {
                 compaction_threshold: 4_096,
             }),
             Method::GpuTemporal(TemporalIndexConfig { bins: 8 }),
-            Method::GpuBatchedTemporal(BatchedConfig {
-                index: TemporalIndexConfig { bins: 8 },
-                batch_size: 7,
-            }),
             Method::GpuSpatioTemporal(SpatioTemporalIndexConfig {
                 bins: 8,
                 subbins: 4,
@@ -337,7 +330,7 @@ mod tests {
 
     /// NaN, negative and infinite thresholds, and query segments with a
     /// non-finite coordinate or an inverted interval, are refused at every
-    /// `TrajectoryIndex::search` entry point (the four macro'd GPU indexes,
+    /// `TrajectoryIndex::search` entry point (the three macro'd GPU indexes,
     /// the CPU baseline, the sharded index); `d = 0` is a valid query.
     #[test]
     fn hostile_d_is_a_typed_error_at_every_entry_point() {
@@ -453,6 +446,24 @@ mod tests {
             assert_eq!(engine.store().generation(), generation, "{batch:?}");
         }
         engine.ingest(&[in_order]).unwrap();
+    }
+
+    #[test]
+    fn nan_expiry_cut_is_rejected() {
+        let dataset = PreparedDataset::new(store(30));
+        let method = Method::GpuTemporal(TemporalIndexConfig { bins: 8 });
+        let mut engine = SearchEngine::build(&dataset, method, device()).unwrap();
+        let generation = engine.store().generation();
+        let err = engine.expire_before(f64::NAN).unwrap_err();
+        assert!(matches!(err, TdtsError::InvalidConfig(_)), "{err}");
+        assert_eq!(engine.store().len(), 30);
+        assert_eq!(engine.store().generation(), generation);
+        // The infinite cuts stay legal: nothing ends before -inf, everything
+        // ends before +inf.
+        engine.expire_before(f64::NEG_INFINITY).unwrap();
+        assert_eq!(engine.store().len(), 30);
+        engine.expire_before(f64::INFINITY).unwrap();
+        assert_eq!(engine.store().len(), 0);
     }
 
     #[test]

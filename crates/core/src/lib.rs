@@ -27,7 +27,5 @@ pub use engine::{Method, PreparedDataset, SearchEngine};
 pub use error::TdtsError;
 pub use oracle::{brute_force_search, verify_against_oracle};
 pub use resolve::{resolve_matches, ResolvedMatch};
-pub use sharding::{
-    RoutingMode, ShardStats, ShardedIndex, ShardedIndexConfig, ShardedIndexConfigBuilder,
-};
+pub use sharding::{ShardStats, ShardedIndex, ShardedIndexConfig, ShardedIndexConfigBuilder};
 pub use traits::{CpuRTreeIndex, QueryBatch, SearchOutcome, TrajectoryIndex};

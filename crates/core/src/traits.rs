@@ -1,7 +1,7 @@
 //! The [`TrajectoryIndex`] abstraction: one object-safe interface over the
-//! paper's four search implementations (plus the batched-temporal variant),
-//! so engines, services, and tools can hold a `Box<dyn TrajectoryIndex>`
-//! without matching on [`Method`](crate::Method) at every call site.
+//! paper's four search implementations, so engines, services, and tools
+//! can hold a `Box<dyn TrajectoryIndex>` without matching on
+//! [`Method`](crate::Method) at every call site.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -9,7 +9,7 @@ use tdts_geom::{AppendDelta, ExpireDelta, MatchRecord, SegmentStore};
 use tdts_gpu_sim::{KernelShape, Phase, SearchReport};
 use tdts_index_spatial::GpuSpatialSearch;
 use tdts_index_spatiotemporal::GpuSpatioTemporalSearch;
-use tdts_index_temporal::{GpuBatchedTemporalSearch, GpuTemporalSearch};
+use tdts_index_temporal::GpuTemporalSearch;
 use tdts_rtree::{RTree, RTreeConfig};
 
 use crate::error::TdtsError;
@@ -73,8 +73,8 @@ pub trait TrajectoryIndex: Send + Sync {
     /// Run the distance threshold search for every query in the batch under
     /// kernel `shape`; `None` means the configured shape of the device the
     /// index is resident on ([`DeviceConfig::kernel_shape`]). No index build
-    /// depends on the shape, so one resident index serves both. Methods
-    /// with a single kernel shape (CPU-RTree, `GPUBatchedTemporal`) ignore it.
+    /// depends on the shape, so one resident index serves both. CPU-RTree,
+    /// which has no kernel, ignores it.
     ///
     /// [`DeviceConfig::kernel_shape`]: tdts_gpu_sim::DeviceConfig::kernel_shape
     fn search_shaped(
@@ -164,13 +164,12 @@ impl<T: TrajectoryIndex + ?Sized> TrajectoryIndex for Arc<T> {
     }
 }
 
-/// Implement [`TrajectoryIndex`] for a GPU search type by forwarding to
-/// `$search` (called with the index, `queries`, `d`, `result_capacity` and
-/// the shape) and its inherent `generation` / `ingest` / `expire` methods.
+/// Implement [`TrajectoryIndex`] for a GPU search type by forwarding to its
+/// inherent `search_shaped` / `generation` / `ingest` / `expire` methods.
 /// Every GPU method applies deltas in place; only `GPUSpatial` keeps a delta
 /// overlay to report as backlog.
 macro_rules! impl_gpu_index {
-    ($ty:ty, $name:literal, $search:expr $(, delta_backlog = $backlog:expr)?) => {
+    ($ty:ty, $name:literal $(, delta_backlog = $backlog:expr)?) => {
         impl TrajectoryIndex for $ty {
             fn search_shaped(
                 &self,
@@ -178,8 +177,13 @@ macro_rules! impl_gpu_index {
                 shape: Option<KernelShape>,
             ) -> Result<SearchOutcome, TdtsError> {
                 batch.validate()?;
-                let (matches, report) =
-                    ($search)(self, batch.queries, batch.d, batch.result_capacity, shape)?;
+                let (matches, report) = <$ty>::search_shaped(
+                    self,
+                    batch.queries,
+                    batch.d,
+                    batch.result_capacity,
+                    shape,
+                )?;
                 Ok(SearchOutcome { matches, report })
             }
 
@@ -221,24 +225,9 @@ macro_rules! impl_gpu_index {
     };
 }
 
-impl_gpu_index!(
-    GpuSpatialSearch,
-    "GPUSpatial",
-    GpuSpatialSearch::search_shaped,
-    delta_backlog = |s| s.fsg().delta_segments()
-);
-impl_gpu_index!(GpuTemporalSearch, "GPUTemporal", GpuTemporalSearch::search_shaped);
-// One kernel shape only: the batched pipeline is thread-per-query.
-impl_gpu_index!(
-    GpuBatchedTemporalSearch,
-    "GPUBatchedTemporal",
-    |s: &GpuBatchedTemporalSearch, q, d, capacity, _shape| s.search(q, d, capacity)
-);
-impl_gpu_index!(
-    GpuSpatioTemporalSearch,
-    "GPUSpatioTemporal",
-    GpuSpatioTemporalSearch::search_shaped
-);
+impl_gpu_index!(GpuSpatialSearch, "GPUSpatial", delta_backlog = |s| s.fsg().delta_segments());
+impl_gpu_index!(GpuTemporalSearch, "GPUTemporal");
+impl_gpu_index!(GpuSpatioTemporalSearch, "GPUSpatioTemporal");
 
 /// The CPU baseline behind the trait. [`RTree`] does not own the entry
 /// store (its result positions refer to an external store), so this

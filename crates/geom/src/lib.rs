@@ -44,5 +44,5 @@ pub use mbb::Mbb;
 pub use point::Point3;
 pub use result::{dedup_matches, diff_matches, MatchRecord};
 pub use segment::{SegId, Segment, TrajId};
-pub use shard::{PartitionStrategy, ShardPlan, ShardSlice, ShardedStore, SlabHistogram, SlabMode};
+pub use shard::{PartitionStrategy, ShardPlan, ShardSlice, ShardedStore};
 pub use store::{AppendDelta, ExpireDelta, SegmentStore, StoreStats};

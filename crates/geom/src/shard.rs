@@ -1,13 +1,10 @@
 //! Partitioning a segment database across multiple simulated devices.
 //!
-//! [`ShardPlan`] splits the extent of a store into `shards` slabs —
-//! temporal slabs by default ([`PartitionStrategy::Temporal`]), or slabs
-//! along the longest spatial axis ([`PartitionStrategy::SpatialGrid`]) —
-//! and [`ShardedStore::partition`] materialises one shard-local
-//! [`SegmentStore`] per non-empty slab. Slab edges are either equal-width
-//! ([`SlabMode::Uniform`]) or placed at equal-entry-count quantiles of a
-//! [`SlabHistogram`] over the store ([`SlabMode::Balanced`]), so skewed
-//! workloads can trade slab-width regularity for per-device load balance.
+//! [`ShardPlan`] splits the extent of a store into `shards` equal-width
+//! slabs — temporal slabs by default ([`PartitionStrategy::Temporal`]), or
+//! slabs along the longest spatial axis ([`PartitionStrategy::SpatialGrid`])
+//! — and [`ShardedStore::partition`] materialises one shard-local
+//! [`SegmentStore`] per non-empty slab.
 //!
 //! A segment whose extent straddles a slab boundary is **replicated** into
 //! every slab it touches, so each shard can answer any query exactly from
@@ -69,114 +66,6 @@ impl fmt::Display for PartitionStrategy {
     }
 }
 
-/// How a [`ShardPlan`] places its slab edges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum SlabMode {
-    /// Equal-width slabs over the extent (the original layout).
-    #[default]
-    Uniform,
-    /// Equal-entry-count slabs: edges sit at count quantiles of a
-    /// [`SlabHistogram`] of segment midpoints, so each slab holds roughly
-    /// the same number of entries even under heavy skew. Slab widths
-    /// become non-uniform; duplicate quantiles collapse into empty slabs,
-    /// which the partitioner skips.
-    Balanced,
-}
-
-impl SlabMode {
-    /// Parse a CLI spelling; `None` for anything unrecognised.
-    pub fn parse(s: &str) -> Option<SlabMode> {
-        match s {
-            "uniform" | "equal-width" => Some(SlabMode::Uniform),
-            "balanced" | "equal-count" => Some(SlabMode::Balanced),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for SlabMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            SlabMode::Uniform => "uniform",
-            SlabMode::Balanced => "balanced",
-        })
-    }
-}
-
-/// An equal-width bucket histogram of segment midpoints along a plan's
-/// slab axis, over the extent recorded in [`StoreStats`]. This is the
-/// load model behind [`SlabMode::Balanced`]: its count quantiles become
-/// the slab edges, so each slab receives an approximately equal share of
-/// the entries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlabHistogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-}
-
-impl SlabHistogram {
-    /// Bucket the midpoints of every segment's slab-axis interval. The
-    /// extent comes from `stats` (so the histogram and the plan agree on
-    /// `[lo, hi]`); `buckets` bounds edge-placement resolution.
-    pub fn new(
-        store: &SegmentStore,
-        stats: &StoreStats,
-        strategy: PartitionStrategy,
-        buckets: usize,
-    ) -> SlabHistogram {
-        let (axis, lo, hi) = plan_extent(stats, strategy);
-        let buckets = buckets.max(1);
-        let mut counts = vec![0u64; buckets];
-        let span = hi - lo;
-        if span > 0.0 && span.is_finite() {
-            for seg in store.iter() {
-                let (a, b) = axis_interval(seg, strategy, axis);
-                let mid = (a + b) * 0.5;
-                let idx = (((mid - lo) / span) * buckets as f64).floor();
-                let idx = (idx.max(0.0) as usize).min(buckets - 1);
-                counts[idx] += 1;
-            }
-        } else {
-            counts[0] = store.len() as u64;
-        }
-        SlabHistogram { lo, hi, counts }
-    }
-
-    /// Total entries bucketed.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Slab edges at equal-count quantiles: `shards + 1` non-decreasing
-    /// values with `edges[0] = lo` and `edges[shards] = hi`. Interior edge
-    /// `k` sits at the first bucket boundary where the cumulative count
-    /// reaches `k/shards` of the total; mass concentrated in one bucket
-    /// collapses neighbouring edges (empty slabs, skipped downstream).
-    pub fn equal_count_edges(&self, shards: usize) -> Vec<f64> {
-        let shards = shards.max(1);
-        let total = self.total().max(1) as u128;
-        let buckets = self.counts.len();
-        let width = (self.hi - self.lo) / buckets as f64;
-        let mut edges = Vec::with_capacity(shards + 1);
-        edges.push(self.lo);
-        let mut cum = 0u128;
-        let mut bucket = 0usize;
-        for k in 1..shards {
-            // Advance to the first bucket boundary covering k/shards of
-            // the mass; integer cross-multiplication avoids f64 rounding.
-            while bucket < buckets && cum * (shards as u128) < (k as u128) * total {
-                cum += u128::from(self.counts[bucket]);
-                bucket += 1;
-            }
-            let edge = self.lo + bucket as f64 * width;
-            edges.push(edge.max(edges[k - 1]).min(self.hi));
-        }
-        edges.push(self.hi);
-        edges
-    }
-}
-
 /// Slab axis and extent of a plan under `strategy`.
 fn plan_extent(stats: &StoreStats, strategy: PartitionStrategy) -> (usize, f64, f64) {
     match strategy {
@@ -203,16 +92,13 @@ fn axis_interval(seg: &Segment, strategy: PartitionStrategy, axis: usize) -> (f6
 }
 
 /// The slab geometry of a partition: which axis is sliced and where every
-/// slab edge sits. Edges are non-decreasing and may be non-uniform (see
-/// [`SlabMode::Balanced`]); all membership and routing questions reduce to
+/// slab edge sits. All membership and routing questions reduce to
 /// [`ShardPlan::slab_of`], so partitioning and dispatch can never disagree
 /// about which slab a coordinate belongs to.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardPlan {
     /// The partitioning strategy the slabs follow.
     pub strategy: PartitionStrategy,
-    /// How the slab edges were placed.
-    pub mode: SlabMode,
     /// Number of slabs (≥ 1). Slabs can end up empty; only non-empty ones
     /// become [`ShardSlice`]s.
     pub shards: usize,
@@ -227,7 +113,7 @@ pub struct ShardPlan {
 
 impl ShardPlan {
     /// Slice the extent described by `stats` into `shards` equal-width
-    /// slabs ([`SlabMode::Uniform`]).
+    /// slabs.
     pub fn new(stats: &StoreStats, shards: usize, strategy: PartitionStrategy) -> ShardPlan {
         let shards = shards.max(1);
         let (axis, lo, hi) = plan_extent(stats, strategy);
@@ -235,32 +121,7 @@ impl ShardPlan {
         let mut edges: Vec<f64> =
             (0..shards).map(|i| lo + span * i as f64 / shards as f64).collect();
         edges.push(hi);
-        ShardPlan { strategy, mode: SlabMode::Uniform, shards, axis, edges }
-    }
-
-    /// Slice per `mode`: [`SlabMode::Uniform`] ignores the store contents;
-    /// [`SlabMode::Balanced`] places edges at equal-entry-count quantiles
-    /// of a [`SlabHistogram`] over `store`.
-    pub fn with_mode(
-        stats: &StoreStats,
-        store: &SegmentStore,
-        shards: usize,
-        strategy: PartitionStrategy,
-        mode: SlabMode,
-    ) -> ShardPlan {
-        match mode {
-            SlabMode::Uniform => ShardPlan::new(stats, shards, strategy),
-            SlabMode::Balanced => {
-                let shards = shards.max(1);
-                let (axis, ..) = plan_extent(stats, strategy);
-                // Resolution well above the shard count so quantiles land
-                // close to their targets even at 32 shards.
-                let buckets = (shards * 64).clamp(256, 8192);
-                let hist = SlabHistogram::new(store, stats, strategy, buckets);
-                let edges = hist.equal_count_edges(shards);
-                ShardPlan { strategy, mode, shards, axis, edges }
-            }
-        }
+        ShardPlan { strategy, shards, axis, edges }
     }
 
     /// Lower edge of slab 0.
@@ -308,8 +169,7 @@ impl ShardPlan {
     }
 
     /// `[lo, hi)` extent of one slab (the last slab is closed at the top
-    /// by the clamping in [`ShardPlan::slab_of`]). Empty slabs produced by
-    /// collapsed balanced quantiles have `lo == hi`.
+    /// by the clamping in [`ShardPlan::slab_of`]).
     pub fn slab_bounds(&self, slab: usize) -> (f64, f64) {
         (self.edges[slab], self.edges[slab + 1])
     }
@@ -376,8 +236,7 @@ pub struct ShardedStore {
 
 impl ShardedStore {
     /// Partition `store` into at most `shards` equal-width shard-local
-    /// stores ([`SlabMode::Uniform`]; see
-    /// [`ShardedStore::partition_with_mode`] for balanced slabs).
+    /// stores.
     ///
     /// Every segment lands in every slab its extent touches, so the union
     /// of the slices covers the store exactly and each shard is
@@ -389,19 +248,7 @@ impl ShardedStore {
         shards: usize,
         strategy: PartitionStrategy,
     ) -> ShardedStore {
-        ShardedStore::partition_with_mode(store, stats, shards, strategy, SlabMode::Uniform)
-    }
-
-    /// Partition `store` per an explicit [`SlabMode`]; see
-    /// [`ShardedStore::partition`].
-    pub fn partition_with_mode(
-        store: &SegmentStore,
-        stats: &StoreStats,
-        shards: usize,
-        strategy: PartitionStrategy,
-        mode: SlabMode,
-    ) -> ShardedStore {
-        let plan = ShardPlan::with_mode(stats, store, shards, strategy, mode);
+        let plan = ShardPlan::new(stats, shards, strategy);
         let mut segs: Vec<Vec<Segment>> = vec![Vec::new(); plan.shards];
         let mut maps: Vec<Vec<u32>> = vec![Vec::new(); plan.shards];
         let mut replicated = vec![0usize; plan.shards];
@@ -524,20 +371,12 @@ mod tests {
         s.sort_by_t_start();
         let stats = s.stats().unwrap();
         for shards in [2, 3, 8] {
-            for mode in [SlabMode::Uniform, SlabMode::Balanced] {
-                let sharded = ShardedStore::partition_with_mode(
-                    &s,
-                    &stats,
-                    shards,
-                    PartitionStrategy::Temporal,
-                    mode,
-                );
-                for slice in &sharded.slices {
-                    assert!(slice.store.is_sorted_by_t_start());
-                    assert!(slice.to_global.windows(2).all(|w| w[0] < w[1]));
-                    for (local, &global) in slice.to_global.iter().enumerate() {
-                        assert_eq!(slice.store.get(local), s.get(global as usize));
-                    }
+            let sharded = ShardedStore::partition(&s, &stats, shards, PartitionStrategy::Temporal);
+            for slice in &sharded.slices {
+                assert!(slice.store.is_sorted_by_t_start());
+                assert!(slice.to_global.windows(2).all(|w| w[0] < w[1]));
+                for (local, &global) in slice.to_global.iter().enumerate() {
+                    assert_eq!(slice.store.get(local), s.get(global as usize));
                 }
             }
         }
@@ -564,13 +403,10 @@ mod tests {
         let s: SegmentStore =
             vec![seg(1.0, 1.0, 0.0, 0.0, 0), seg(1.0, 1.0, 0.0, 0.0, 1)].into_iter().collect();
         let stats = s.stats().unwrap();
-        for mode in [SlabMode::Uniform, SlabMode::Balanced] {
-            let sharded =
-                ShardedStore::partition_with_mode(&s, &stats, 4, PartitionStrategy::Temporal, mode);
-            assert_eq!(sharded.slices.len(), 1);
-            assert_eq!(sharded.slices[0].store.len(), 2);
-            assert_eq!(sharded.replicated_segments(), 0);
-        }
+        let sharded = ShardedStore::partition(&s, &stats, 4, PartitionStrategy::Temporal);
+        assert_eq!(sharded.slices.len(), 1);
+        assert_eq!(sharded.slices[0].store.len(), 2);
+        assert_eq!(sharded.replicated_segments(), 0);
     }
 
     #[test]
@@ -596,65 +432,6 @@ mod tests {
         assert_eq!(PartitionStrategy::parse("time"), Some(PartitionStrategy::Temporal));
         assert_eq!(PartitionStrategy::parse("grid"), Some(PartitionStrategy::SpatialGrid));
         assert_eq!(PartitionStrategy::parse("bogus"), None);
-    }
-
-    #[test]
-    fn slab_mode_parsing_round_trips() {
-        for m in [SlabMode::Uniform, SlabMode::Balanced] {
-            assert_eq!(SlabMode::parse(&m.to_string()), Some(m));
-        }
-        assert_eq!(SlabMode::parse("equal-count"), Some(SlabMode::Balanced));
-        assert_eq!(SlabMode::parse("equal-width"), Some(SlabMode::Uniform));
-        assert_eq!(SlabMode::parse("bogus"), None);
-    }
-
-    /// A heavily skewed store: balanced edges must even the slab loads out
-    /// where uniform edges pile everything into one slab.
-    #[test]
-    fn balanced_slabs_equalise_entry_counts() {
-        let mut segs = Vec::new();
-        // 60 segments crammed into t in [0, 1], 4 spread over [1, 100].
-        for i in 0..60u32 {
-            let t = i as f64 / 60.0;
-            segs.push(seg(t, t + 0.01, 0.0, 0.1, i));
-        }
-        for (j, t) in [20.0, 40.0, 60.0, 99.0].iter().enumerate() {
-            segs.push(seg(*t, *t + 0.5, 0.0, 0.1, 60 + j as u32));
-        }
-        let s: SegmentStore = segs.into_iter().collect();
-        let stats = s.stats().unwrap();
-
-        let slab_counts = |mode: SlabMode| -> Vec<usize> {
-            let sharded =
-                ShardedStore::partition_with_mode(&s, &stats, 4, PartitionStrategy::Temporal, mode);
-            sharded.slices.iter().map(|sl| sl.store.len()).collect()
-        };
-        let uniform = slab_counts(SlabMode::Uniform);
-        let balanced = slab_counts(SlabMode::Balanced);
-        // Uniform: the skewed pile all lands in the first quarter.
-        assert!(*uniform.iter().max().unwrap() >= 60, "uniform: {uniform:?}");
-        // Balanced: the heaviest slab carries far less than the skewed pile.
-        let max_balanced = *balanced.iter().max().unwrap();
-        assert!(
-            max_balanced <= 25,
-            "balanced slabs still skewed: {balanced:?} (uniform was {uniform:?})"
-        );
-        // Same coverage either way (boundary straddlers may add replicas).
-        assert!(balanced.iter().sum::<usize>() >= 64);
-    }
-
-    #[test]
-    fn balanced_edges_are_monotone_and_cover_extent() {
-        let s = store();
-        let stats = s.stats().unwrap();
-        for strategy in [PartitionStrategy::Temporal, PartitionStrategy::SpatialGrid] {
-            let plan = ShardPlan::with_mode(&stats, &s, 5, strategy, SlabMode::Balanced);
-            assert_eq!(plan.edges.len(), 6);
-            assert!(plan.edges.windows(2).all(|w| w[0] <= w[1]), "edges: {:?}", plan.edges);
-            let (_, lo, hi) = plan_extent(&stats, strategy);
-            assert_eq!(plan.lo(), lo);
-            assert_eq!(plan.hi(), hi);
-        }
     }
 
     #[test]
@@ -705,25 +482,23 @@ mod tests {
             seg(3.0, 3.6, 6.4, 7.1, 53),
         ];
         for strategy in [PartitionStrategy::Temporal, PartitionStrategy::SpatialGrid] {
-            for mode in [SlabMode::Uniform, SlabMode::Balanced] {
-                for shards in [1usize, 2, 3, 8] {
-                    let plan = ShardPlan::with_mode(&stats, &s, shards, strategy, mode);
-                    for q in &queries {
-                        for d in [0.25, 1.0, 3.0] {
-                            for e in s.iter() {
-                                if within_distance(q, e, d).is_none() {
-                                    continue;
-                                }
-                                let (rl, rh) = plan
-                                    .reach_span(q, d)
-                                    .expect("a matching query must reach some slab");
-                                let (el, eh) = plan.slab_span(e);
-                                assert!(
-                                    rl <= eh && el <= rh,
-                                    "{strategy}/{mode} shards={shards} d={d}: entry \
-                                     slabs [{el},{eh}] outside reach [{rl},{rh}]"
-                                );
+            for shards in [1usize, 2, 3, 8] {
+                let plan = ShardPlan::new(&stats, shards, strategy);
+                for q in &queries {
+                    for d in [0.25, 1.0, 3.0] {
+                        for e in s.iter() {
+                            if within_distance(q, e, d).is_none() {
+                                continue;
                             }
+                            let (rl, rh) = plan
+                                .reach_span(q, d)
+                                .expect("a matching query must reach some slab");
+                            let (el, eh) = plan.slab_span(e);
+                            assert!(
+                                rl <= eh && el <= rh,
+                                "{strategy} shards={shards} d={d}: entry \
+                                 slabs [{el},{eh}] outside reach [{rl},{rh}]"
+                            );
                         }
                     }
                 }

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use tdts_geom::{
     within_distance, PartitionStrategy, Point3, SegId, Segment, SegmentStore, ShardPlan,
-    ShardedStore, SlabMode, TrajId,
+    ShardedStore, TrajId,
 };
 
 fn arb_segment() -> impl Strategy<Value = Segment> {
@@ -28,9 +28,9 @@ fn arb_segment() -> impl Strategy<Value = Segment> {
         })
 }
 
-fn arb_inputs() -> impl Strategy<Value = (SegmentStore, usize, PartitionStrategy, SlabMode)> {
-    (proptest::collection::vec(arb_segment(), 1..64), 1usize..=8, 0usize..2, 0usize..2).prop_map(
-        |(mut segs, shards, strategy_sel, mode_sel)| {
+fn arb_inputs() -> impl Strategy<Value = (SegmentStore, usize, PartitionStrategy)> {
+    (proptest::collection::vec(arb_segment(), 1..64), 1usize..=8, 0usize..2).prop_map(
+        |(mut segs, shards, strategy_sel)| {
             // The partitioner is always fed a prepared (t_start-sorted) store.
             segs.sort_by(|a, b| a.t_start.total_cmp(&b.t_start));
             let strategy = if strategy_sel == 0 {
@@ -38,8 +38,7 @@ fn arb_inputs() -> impl Strategy<Value = (SegmentStore, usize, PartitionStrategy
             } else {
                 PartitionStrategy::SpatialGrid
             };
-            let mode = if mode_sel == 0 { SlabMode::Uniform } else { SlabMode::Balanced };
-            (SegmentStore::from_segments(segs), shards, strategy, mode)
+            (SegmentStore::from_segments(segs), shards, strategy)
         },
     )
 }
@@ -49,9 +48,9 @@ proptest! {
     /// accounting identity `total = source + replicated` holds.
     #[test]
     fn partition_covers_every_position(inputs in arb_inputs()) {
-        let (store, shards, strategy, mode) = inputs;
+        let (store, shards, strategy) = inputs;
         let stats = store.stats().unwrap();
-        let sharded = ShardedStore::partition_with_mode(&store, &stats, shards, strategy, mode);
+        let sharded = ShardedStore::partition(&store, &stats, shards, strategy);
         let mut covered = vec![0usize; store.len()];
         for slice in &sharded.slices {
             for &g in slice.to_global.iter() {
@@ -69,9 +68,9 @@ proptest! {
     /// `replicated` count equals the number of multi-slab spans it holds.
     #[test]
     fn slices_preserve_order_and_content(inputs in arb_inputs()) {
-        let (store, shards, strategy, mode) = inputs;
+        let (store, shards, strategy) = inputs;
         let stats = store.stats().unwrap();
-        let sharded = ShardedStore::partition_with_mode(&store, &stats, shards, strategy, mode);
+        let sharded = ShardedStore::partition(&store, &stats, shards, strategy);
         let plan = &sharded.plan;
         for slice in &sharded.slices {
             prop_assert_eq!(slice.store.len(), slice.to_global.len());
@@ -102,9 +101,9 @@ proptest! {
     /// count across slices equals its slab-span width.
     #[test]
     fn copy_count_equals_slab_span(inputs in arb_inputs()) {
-        let (store, shards, strategy, mode) = inputs;
+        let (store, shards, strategy) = inputs;
         let stats = store.stats().unwrap();
-        let sharded = ShardedStore::partition_with_mode(&store, &stats, shards, strategy, mode);
+        let sharded = ShardedStore::partition(&store, &stats, shards, strategy);
         let mut copies = vec![0usize; store.len()];
         for slice in &sharded.slices {
             for &g in slice.to_global.iter() {
@@ -123,17 +122,15 @@ proptest! {
     }
 
     /// Slab geometry: `slab_of` stays clamped in range, agrees with
-    /// `slab_bounds`, and `slab_span` is consistent under either strategy
-    /// and slab mode (balanced plans may contain empty slabs, but never
-    /// hand a probe to one).
+    /// `slab_bounds`, and `slab_span` is consistent under either strategy.
     #[test]
     fn slab_geometry_is_consistent(
         inputs in arb_inputs(),
         probe in -200.0f64..300.0,
     ) {
-        let (store, shards, strategy, mode) = inputs;
+        let (store, shards, strategy) = inputs;
         let stats = store.stats().unwrap();
-        let plan = ShardPlan::with_mode(&stats, &store, shards, strategy, mode);
+        let plan = ShardPlan::new(&stats, shards, strategy);
         prop_assert_eq!(plan.edges.len(), plan.shards + 1);
         prop_assert!(plan.edges.windows(2).all(|w| w[0] <= w[1]));
         let slab = plan.slab_of(probe);
@@ -155,16 +152,16 @@ proptest! {
     /// Routing soundness: whenever the continuous predicate reports a
     /// match, the entry's slab span intersects the query's reach span —
     /// so a dispatcher probing only the reach span cannot lose a record,
-    /// for any strategy, slab mode, or shard count.
+    /// for any strategy or shard count.
     #[test]
     fn reach_span_covers_every_match(
         inputs in arb_inputs(),
         query in arb_segment(),
         d in 0.0f64..30.0,
     ) {
-        let (store, shards, strategy, mode) = inputs;
+        let (store, shards, strategy) = inputs;
         let stats = store.stats().unwrap();
-        let plan = ShardPlan::with_mode(&stats, &store, shards, strategy, mode);
+        let plan = ShardPlan::new(&stats, shards, strategy);
         let reach = plan.reach_span(&query, d);
         if let Some((rl, rh)) = reach {
             prop_assert!(rl <= rh);

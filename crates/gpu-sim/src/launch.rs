@@ -187,13 +187,6 @@ pub struct LaunchReport {
     pub queue_atomics: u64,
 }
 
-impl LaunchReport {
-    /// Execution plus launch overhead.
-    pub fn sim_total_seconds(&self) -> f64 {
-        self.sim_exec_seconds + self.launch_overhead_seconds
-    }
-}
-
 /// What a warp's lanes contribute to its cost, reduced as soon as the lane
 /// work is done so the lanes need not outlive it.
 #[derive(Debug, Clone, Copy)]

@@ -152,57 +152,9 @@ impl fmt::Display for ResponseTime {
     }
 }
 
-/// Makespan of a linear pipeline: `jobs[i]` holds the per-stage durations
-/// of job `i`; stages are executed in order, a job cannot enter a stage
-/// before the previous job left it, and stages work on different jobs
-/// concurrently (classic flow-shop with unit buffers).
-///
-/// Used to model the predecessor algorithm of the paper's \[22\], which
-/// streams query batches through upload → kernel → download with
-/// overlapped transfers; this paper's schemes avoid that pipeline by
-/// keeping `Q` resident.
-pub fn pipeline_makespan(jobs: &[[f64; 3]]) -> f64 {
-    let mut stage_free = [0.0f64; 3];
-    for job in jobs {
-        let mut t = 0.0f64; // time this job enters stage 0
-        for (s, &dur) in job.iter().enumerate() {
-            debug_assert!(dur >= 0.0, "negative stage duration");
-            let start = t.max(stage_free[s]);
-            let end = start + dur;
-            stage_free[s] = end;
-            t = end;
-        }
-    }
-    stage_free[2].max(stage_free[1]).max(stage_free[0])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pipeline_single_job_is_sum() {
-        assert_eq!(pipeline_makespan(&[[1.0, 2.0, 3.0]]), 6.0);
-        assert_eq!(pipeline_makespan(&[]), 0.0);
-    }
-
-    #[test]
-    fn pipeline_overlaps_stages() {
-        // Two identical jobs: second job's stage 0 overlaps first job's
-        // stage 1, so makespan < 2 * sum.
-        let jobs = [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]];
-        let m = pipeline_makespan(&jobs);
-        assert_eq!(m, 4.0); // 3 + 1, perfect overlap
-        assert!(m < 6.0);
-    }
-
-    #[test]
-    fn pipeline_bottleneck_stage_dominates() {
-        // Kernel (stage 1) is the bottleneck: makespan ≈ n * kernel.
-        let jobs = vec![[0.1, 5.0, 0.1]; 4];
-        let m = pipeline_makespan(&jobs);
-        assert!((m - (0.1 + 4.0 * 5.0 + 0.1)).abs() < 1e-9, "m = {m}");
-    }
 
     #[test]
     fn accumulate_and_total() {

@@ -50,7 +50,7 @@ pub use config::{DeviceConfig, KernelShape};
 pub use counters::{Counters, Lane};
 pub use device::Device;
 pub use launch::{LaunchReport, Warp, MAX_WARP_LANES};
-pub use ledger::{pipeline_makespan, Phase, ResponseTime};
+pub use ledger::{Phase, ResponseTime};
 pub use memory::{
     ColumnarBuffer, DeviceBuffer, OutOfDeviceMemory, PartitionedScratch, ResultBuffer,
     ScratchPartition, WarpStash,

@@ -391,8 +391,7 @@ impl<T> ResultBuffer<T> {
     /// Checking the flag is the host-driven redo acknowledgement: the
     /// sanitizer's lost-record accounting treats records dropped by this
     /// buffer as handled once the host has observed (or ruled out) the
-    /// overflow, e.g. the batch-halving protocol of the batched temporal
-    /// scheme.
+    /// overflow.
     pub fn overflowed(&self) -> bool {
         if let Some(shadow) = self.reservation.shadow() {
             shadow.ack_losses();

@@ -22,8 +22,8 @@
 //!   (`lost > 0`) must be acknowledged: either by a later commit of the same
 //!   warp storing redo ids into another buffer (the device-side redo
 //!   protocol of `tdts-kernels`), or by the host observing the overflow flag
-//!   ([`crate::ResultBuffer::overflowed`], the host-side batch-halving
-//!   protocol). Unacknowledged losses surface as
+//!   ([`crate::ResultBuffer::overflowed`], host-driven redo).
+//!   Unacknowledged losses surface as
 //!   [`FindingKind::LostRecords`].
 //!
 //! There is no write-race detector because there is no racy write to
@@ -500,7 +500,7 @@ impl ShadowRef {
     }
 
     /// The host checked this buffer's overflow flag: pending losses on it
-    /// are acknowledged (host-driven redo, e.g. batch halving).
+    /// are acknowledged (host-driven redo).
     pub(crate) fn ack_losses(&self) {
         self.san.state.lock().pending_losses.retain(|p| p.buffer != self.id);
     }

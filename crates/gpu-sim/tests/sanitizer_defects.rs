@@ -132,8 +132,8 @@ fn unacknowledged_stash_overflow_is_lost_records() {
 
 #[test]
 fn overflow_acknowledged_by_host_check_is_clean() {
-    // Same overflow, but the host checks the flag (the batch-halving
-    // protocol): no finding.
+    // Same overflow, but the host checks the flag (host-driven redo): no
+    // finding.
     let dev = device(SanitizerMode::Full);
     let mut results = dev.alloc_result::<u32>(1).unwrap();
     dev.launch_warps(2, |warp| {

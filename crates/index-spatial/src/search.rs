@@ -290,18 +290,6 @@ struct SpatialThreads<'a> {
     d: f64,
 }
 
-impl KernelContext for SpatialThreads<'_> {
-    fn entries(&self) -> &DeviceSegments {
-        &self.search.dev_entries
-    }
-    fn queries(&self) -> &DeviceSegments {
-        self.queries
-    }
-    fn distance(&self) -> f64 {
-        self.d
-    }
-}
-
 impl CandidateGenerator for SpatialThreads<'_> {
     type Round = SpatialRound;
 

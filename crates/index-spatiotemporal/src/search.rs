@@ -252,18 +252,6 @@ struct SpatioTemporalThreads<'a> {
     d: f64,
 }
 
-impl KernelContext for SpatioTemporalThreads<'_> {
-    fn entries(&self) -> &DeviceSegments {
-        &self.search.dev_entries
-    }
-    fn queries(&self) -> &DeviceSegments {
-        self.queries
-    }
-    fn distance(&self) -> f64 {
-        self.d
-    }
-}
-
 impl CandidateGenerator for SpatioTemporalThreads<'_> {
     type Round = ();
 

@@ -15,10 +15,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod batched;
 pub mod index;
 pub mod search;
 
-pub use batched::{BatchedConfig, GpuBatchedTemporalSearch};
 pub use index::{TemporalIndex, TemporalIndexConfig};
 pub use search::{GpuTemporalSearch, TemporalSchedule};

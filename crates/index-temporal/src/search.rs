@@ -56,18 +56,6 @@ struct TemporalThreads<'a> {
     d: f64,
 }
 
-impl KernelContext for TemporalThreads<'_> {
-    fn entries(&self) -> &DeviceSegments {
-        self.entries
-    }
-    fn queries(&self) -> &DeviceSegments {
-        self.queries
-    }
-    fn distance(&self) -> f64 {
-        self.d
-    }
-}
-
 impl CandidateGenerator for TemporalThreads<'_> {
     type Round = ();
 

@@ -1,7 +1,7 @@
 //! Shared GPU kernel pipeline for the distance threshold searches.
 //!
-//! All four search methods of the paper (GPUSpatial, GPUTemporal, batched
-//! GPUTemporal, GPUSpatioTemporal) share one kernel skeleton — iterate the
+//! The paper's three GPU search methods (GPUSpatial, GPUTemporal,
+//! GPUSpatioTemporal) share one kernel skeleton — iterate the
 //! candidates of a query (or a tile of them), run the continuous interaction
 //! test, commit hits through the warp-aggregated result stash, and redo
 //! overflowing queries — and differ only in how candidates are generated.

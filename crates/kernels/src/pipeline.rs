@@ -1,8 +1,8 @@
 //! The host-side search skeleton every GPU method shares.
 //!
-//! All four kernels (GPUSpatial, GPUTemporal, batched GPUTemporal, and
-//! GPUSpatioTemporal) run the same outer protocol; only *candidate
-//! generation* differs. The protocol, in both kernel shapes:
+//! All three kernels (GPUSpatial, GPUTemporal and GPUSpatioTemporal) run
+//! the same outer protocol; only *candidate generation* differs. The
+//! protocol, in both kernel shapes:
 //!
 //! * **Thread-per-query** ([`run_thread_per_query`]): launch one thread per
 //!   query (or per execution-order slot), let each thread generate and
@@ -36,8 +36,9 @@ use tdts_gpu_sim::{
     WarpStash, MAX_WARP_LANES,
 };
 
-/// What the methods share besides the skeleton: the device-resident entry
-/// database, the device-resident query set, and the distance threshold.
+/// What a warp-per-tile kernel reads besides its tile: the device-resident
+/// entry database, the device-resident query set, and the distance
+/// threshold.
 pub trait KernelContext: Sync {
     /// The entry database `D` on the device.
     fn entries(&self) -> &DeviceSegments;
@@ -61,7 +62,7 @@ pub struct LaneWork {
 
 /// A method's thread-per-query candidate generation, plugged into
 /// [`run_thread_per_query`].
-pub trait CandidateGenerator: KernelContext {
+pub trait CandidateGenerator: Sync {
     /// Per-round device state (e.g. the spatial candidate scratch, sized by
     /// the live batch); `()` when a method needs none.
     type Round: Sync;

@@ -4,8 +4,8 @@ use tdts_geom::{MatchRecord, Segment, SegmentStore};
 
 /// A query set sorted by non-decreasing `t_start`, with the permutation
 /// back to original positions (results are reported against the caller's
-/// ordering). Shared by the temporal, batched-temporal, and spatiotemporal
-/// drivers; `GPUSpatial` leaves queries unsorted (§IV-A2).
+/// ordering). Shared by the temporal and spatiotemporal drivers;
+/// `GPUSpatial` leaves queries unsorted (§IV-A2).
 #[derive(Debug, Clone)]
 pub struct SortedQueries {
     /// Query segments in sorted order.

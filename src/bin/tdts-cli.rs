@@ -32,7 +32,7 @@ fn usage() -> ! {
          options:\n\
          \u{20}  --dataset <random|dense|merger>   (default random)\n\
          \u{20}  --scale <f>                       dataset scale (default 0.01)\n\
-         \u{20}  --method <rtree|spatial|temporal|batched|spatiotemporal>\n\
+         \u{20}  --method <rtree|spatial|temporal|spatiotemporal>\n\
          \u{20}                                    (default spatiotemporal)\n\
          \u{20}  --d <f>                           query distance (default 10)\n\
          \u{20}  --queries <n>                     query trajectories (default 10)\n\
@@ -48,10 +48,6 @@ fn usage() -> ! {
          \u{20}                                    is partitioned across (default 1)\n\
          \u{20}  --partition <temporal|spatial-grid>\n\
          \u{20}                                    slab orientation for sharded runs\n\
-         \u{20}  --routing <slab|broadcast>        sharded query dispatch: slab routing\n\
-         \u{20}                                    (default) probes only reachable shards\n\
-         \u{20}  --slab-mode <uniform|balanced>    slab edges: equal-width (default) or\n\
-         \u{20}                                    equal-entry-count (histogram quantiles)\n\
          \u{20}  --clients <n>                     concurrent replay clients (default 16)\n\
          \u{20}  --request-size <n>                query segments per client request\n\
          \u{20}                                    (default 0 = one whole trajectory)\n\
@@ -171,12 +167,6 @@ fn parse() -> Opts {
                 o.sharding.partition =
                     PartitionStrategy::parse(&val(&mut args)).unwrap_or_else(|| usage())
             }
-            "--routing" => {
-                o.sharding.routing = RoutingMode::parse(&val(&mut args)).unwrap_or_else(|| usage())
-            }
-            "--slab-mode" => {
-                o.sharding.slab_mode = SlabMode::parse(&val(&mut args)).unwrap_or_else(|| usage())
-            }
             "--clients" => o.clients = val(&mut args).parse().unwrap_or_else(|_| usage()),
             "--request-size" => o.request_size = val(&mut args).parse().unwrap_or_else(|_| usage()),
             "--requests" => o.requests = val(&mut args).parse().unwrap_or_else(|_| usage()),
@@ -194,7 +184,13 @@ fn parse() -> Opts {
             "--tick-segments" => {
                 o.tick_segments = val(&mut args).parse().unwrap_or_else(|_| usage())
             }
-            "--window" => o.window = Some(val(&mut args).parse().unwrap_or_else(|_| usage())),
+            "--window" => {
+                let window: f64 = val(&mut args).parse().unwrap_or_else(|_| usage());
+                if !(window > 0.0 && window.is_finite()) {
+                    usage()
+                }
+                o.window = Some(window)
+            }
             "--advance-every" => {
                 o.advance_every = val(&mut args).parse().unwrap_or_else(|_| usage());
                 if o.advance_every == 0 {
@@ -288,10 +284,6 @@ fn main() {
                 "rtree" => Method::CpuRTree(RTreeConfig::default()),
                 "spatial" => Method::GpuSpatial(GpuSpatialConfig::default()),
                 "temporal" => Method::GpuTemporal(TemporalIndexConfig { bins: o.bins }),
-                "batched" => Method::GpuBatchedTemporal(BatchedConfig {
-                    index: TemporalIndexConfig { bins: o.bins },
-                    batch_size: o.max_batch.max(1),
-                }),
                 "spatiotemporal" => Method::GpuSpatioTemporal(SpatioTemporalIndexConfig {
                     bins: o.bins,
                     subbins: o.subbins,
@@ -325,11 +317,8 @@ fn main() {
             println!("method:       {}", engine.method().name());
             if o.sharding.shards > 1 {
                 println!(
-                    "shards:       {} ({} partition, {} slabs, {} routing)",
-                    o.sharding.shards,
-                    o.sharding.partition,
-                    o.sharding.slab_mode,
-                    o.sharding.routing
+                    "shards:       {} ({} partition)",
+                    o.sharding.shards, o.sharding.partition
                 );
                 let r = &report.routing;
                 println!(

@@ -73,8 +73,8 @@ pub use tdts_service as service;
 pub mod prelude {
     pub use tdts_core::{
         brute_force_search, resolve_matches, verify_against_oracle, Method, PreparedDataset,
-        QueryBatch, ResolvedMatch, RoutingMode, SearchEngine, SearchOutcome, ShardStats,
-        ShardedIndex, ShardedIndexConfig, ShardedIndexConfigBuilder, TdtsError, TrajectoryIndex,
+        QueryBatch, ResolvedMatch, SearchEngine, SearchOutcome, ShardStats, ShardedIndex,
+        ShardedIndexConfig, ShardedIndexConfigBuilder, TdtsError, TrajectoryIndex,
     };
     pub use tdts_data::{read_csv, selectivity, selectivity_sweep, write_csv, SelectivityPoint};
     pub use tdts_data::{
@@ -82,7 +82,7 @@ pub mod prelude {
     };
     pub use tdts_geom::{
         within_distance, MatchRecord, Mbb, PartitionStrategy, Point3, SegId, Segment, SegmentStore,
-        ShardPlan, ShardedStore, SlabHistogram, SlabMode, TimeInterval, TrajId,
+        ShardPlan, ShardedStore, TimeInterval, TrajId,
     };
     pub use tdts_gpu_sim::{
         Device, DeviceConfig, Finding, FindingKind, KernelShape, LoadBalance, Phase,
@@ -90,7 +90,7 @@ pub mod prelude {
     };
     pub use tdts_index_spatial::{FsgConfig, GpuSpatialConfig};
     pub use tdts_index_spatiotemporal::SpatioTemporalIndexConfig;
-    pub use tdts_index_temporal::{BatchedConfig, TemporalIndexConfig};
+    pub use tdts_index_temporal::TemporalIndexConfig;
     pub use tdts_rtree::RTreeConfig;
     pub use tdts_service::{
         QueryService, SearchResponse, SearchTicket, ServiceConfig, ServiceStats,

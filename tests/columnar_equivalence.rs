@@ -1,7 +1,7 @@
 //! Tier-1: the columnar device layout and its temporal prefilter change
 //! what a comparison is charged, never what it computes.
 //!
-//! All five methods must return *byte-identical* result sets (exact
+//! All four methods must return *byte-identical* result sets (exact
 //! `MatchRecord` equality, not tolerance-based diffing) on the Merger and
 //! Random-dense scenario generators, and each method's comparison count is
 //! pinned: the prefilter rejects inside a comparison, it must not skip one.
@@ -12,7 +12,7 @@ mod common;
 use common::assert_byte_identical;
 
 fn methods() -> Vec<Method> {
-    common::methods(40, 500_000, 9)
+    common::methods(40, 500_000)
 }
 
 /// `comparisons[i][j]` is the pinned count of `methods()[j]` at
@@ -21,7 +21,7 @@ fn check_scenario(
     store: SegmentStore,
     queries: SegmentStore,
     distances: &[f64],
-    comparisons: &[[u64; 5]],
+    comparisons: &[[u64; 4]],
     label: &str,
 ) {
     let dataset = PreparedDataset::new(store);
@@ -52,8 +52,7 @@ fn merger_scenario_byte_identical() {
     let store = MergerConfig { particles: 60, timesteps: 25, ..Default::default() }.generate();
     let queries =
         MergerConfig { particles: 12, timesteps: 25, seed: 77, ..Default::default() }.generate();
-    let comparisons =
-        [[2_017, 29_329, 50_400, 50_400, 21_940], [10_805, 87_437, 50_400, 50_400, 33_594]];
+    let comparisons = [[2_017, 29_329, 50_400, 21_940], [10_805, 87_437, 50_400, 33_594]];
     check_scenario(store, queries, &[1.0, 4.0], &comparisons, "merger");
 }
 
@@ -63,7 +62,6 @@ fn random_dense_scenario_byte_identical() {
     let queries =
         RandomDenseConfig { particles: 12, timesteps: 20, seed: 55, ..Default::default() }
             .generate();
-    let comparisons =
-        [[22_191, 6_310_153, 42_240, 42_240, 42_240], [42_240, 18_166_356, 42_240, 42_240, 42_240]];
+    let comparisons = [[22_191, 6_310_153, 42_240, 42_240], [42_240, 18_166_356, 42_240, 42_240]];
     check_scenario(store, queries, &[2.0, 12.0], &comparisons, "random-dense");
 }

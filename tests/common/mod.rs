@@ -5,10 +5,10 @@
 use proptest::prelude::*;
 use tdts::prelude::*;
 
-/// The five methods over a small fixture: a 10-cell FSG and 4 subbins
-/// throughout; each suite passes the bin count, the GPUSpatial scratch
-/// size and the batched-temporal batch size it was written against.
-pub fn methods(bins: usize, total_scratch: usize, batch_size: usize) -> Vec<Method> {
+/// The four methods over a small fixture: a 10-cell FSG and 4 subbins
+/// throughout; each suite passes the bin count and the GPUSpatial scratch
+/// size it was written against.
+pub fn methods(bins: usize, total_scratch: usize) -> Vec<Method> {
     vec![
         Method::CpuRTree(RTreeConfig::default()),
         Method::GpuSpatial(GpuSpatialConfig {
@@ -17,10 +17,6 @@ pub fn methods(bins: usize, total_scratch: usize, batch_size: usize) -> Vec<Meth
             compaction_threshold: 4_096,
         }),
         Method::GpuTemporal(TemporalIndexConfig { bins }),
-        Method::GpuBatchedTemporal(BatchedConfig {
-            index: TemporalIndexConfig { bins },
-            batch_size,
-        }),
         Method::GpuSpatioTemporal(SpatioTemporalIndexConfig {
             bins,
             subbins: 4,

@@ -1,4 +1,4 @@
-//! Integration: all five methods must return result sets byte-identical to
+//! Integration: all four methods must return result sets byte-identical to
 //! the brute-force oracle, on every dataset generator and on hand-built
 //! degenerate geometry.
 
@@ -21,11 +21,6 @@ fn methods(bins: usize, subbins: usize, cells: usize) -> Vec<Method> {
             compaction_threshold: 4_096,
         }),
         Method::GpuTemporal(TemporalIndexConfig { bins }),
-        // Small batches, so a query set spans several of them.
-        Method::GpuBatchedTemporal(BatchedConfig {
-            index: TemporalIndexConfig { bins },
-            batch_size: 8,
-        }),
         Method::GpuSpatioTemporal(SpatioTemporalIndexConfig {
             bins,
             subbins,

@@ -13,7 +13,7 @@ use tdts::prelude::*;
 mod common;
 
 fn methods() -> Vec<Method> {
-    common::methods(50, 2_000_000, 256)
+    common::methods(50, 2_000_000)
 }
 
 const D: f64 = 1.5;
@@ -131,11 +131,10 @@ fn shape_argument_overrides_the_device_default() {
 /// `(comparisons, atomics, gmem_read_bytes, instructions)` of the fixture at
 /// ample capacity, per method (rows, in [`methods`] order) and kernel shape
 /// (columns, in [`SHAPES`] order).
-const PINNED: [[(u64, u64, u64, u64); 2]; 5] = [
+const PINNED: [[(u64, u64, u64, u64); 2]; 4] = [
     [(24_006, 0, 0, 0), (24_006, 0, 0, 0)],
     [(2_391_505, 124, 71_954_640, 123_636_250), (2_391_505, 21_462, 55_745_700, 117_451_831)],
     [(1_147_904, 84, 46_607_360, 55_117_401), (1_147_904, 11_877, 47_297_152, 55_174_113)],
-    [(1_147_904, 84, 46_607_360, 55_117_401), (1_147_904, 84, 46_607_360, 55_117_401)],
     [(494_346, 93, 21_943_952, 23_746_689), (494_346, 5_801, 22_234_952, 23_774_421)],
 ];
 
@@ -144,53 +143,17 @@ const PINNED: [[(u64, u64, u64, u64); 2]; 5] = [
 type ShardedCounters = (u64, u64, u64, u64, u64);
 
 /// [`ShardedCounters`] of the fixture at ample capacity over 4 temporal
-/// shards, per method (rows, in [`methods`] order), routing (in
-/// [`ROUTINGS`] order) and kernel shape (in [`SHAPES`] order).
-const PINNED_SHARDED: [[[ShardedCounters; 2]; 2]; 5] = [
+/// shards, per method (rows, in [`methods`] order) and kernel shape
+/// (columns, in [`SHAPES`] order).
+const PINNED_SHARDED: [[ShardedCounters; 2]; 4] = [
+    [(24_137, 0, 0, 0, 390), (24_137, 0, 0, 0, 390)],
     [
-        [(24_415, 0, 0, 0, 1_536), (24_415, 0, 0, 0, 1_536)],
-        [(24_137, 0, 0, 0, 390), (24_137, 0, 0, 0, 390)],
+        (1_274_892, 94, 36_204_952, 63_827_765, 390),
+        (1_274_892, 13_581, 31_797_856, 62_641_853, 390),
     ],
-    [
-        [
-            (1_866_778, 128, 52_676_744, 94_392_282, 1_536),
-            (1_866_778, 21_255, 44_304_520, 91_736_427, 1_536),
-        ],
-        [
-            (1_274_892, 94, 36_204_952, 63_827_765, 390),
-            (1_274_892, 13_581, 31_797_856, 62_641_853, 390),
-        ],
-    ],
-    [
-        [
-            (596_992, 104, 38_318_080, 28_678_681, 1_536),
-            (596_992, 7_702, 38_580_608, 28_713_769, 1_536),
-        ],
-        [
-            (590_848, 101, 37_842_352, 28_378_974, 390),
-            (590_848, 7_624, 38_183_552, 28_418_238, 390),
-        ],
-    ],
-    [
-        [
-            (596_992, 104, 38_318_080, 28_678_681, 1_536),
-            (596_992, 104, 38_318_080, 28_678_681, 1_536),
-        ],
-        [(590_848, 101, 37_842_352, 28_378_974, 390), (590_848, 101, 37_842_352, 28_378_974, 390)],
-    ],
-    [
-        [
-            (262_699, 110, 17_744_932, 12_632_665, 1_536),
-            (262_699, 4_081, 17_866_284, 12_648_449, 1_536),
-        ],
-        [
-            (260_426, 110, 17_566_332, 12_518_790, 390),
-            (260_426, 4_039, 17_709_880, 12_538_914, 390),
-        ],
-    ],
+    [(590_848, 101, 37_842_352, 28_378_974, 390), (590_848, 7_624, 38_183_552, 28_418_238, 390)],
+    [(260_426, 110, 17_566_332, 12_518_790, 390), (260_426, 4_039, 17_709_880, 12_538_914, 390)],
 ];
-
-const ROUTINGS: [RoutingMode; 2] = [RoutingMode::Broadcast, RoutingMode::Slab];
 
 /// One search on an index sharded over 4 temporal slabs of fresh devices.
 fn fresh_sharded_search(
@@ -198,13 +161,11 @@ fn fresh_sharded_search(
     queries: &SegmentStore,
     method: Method,
     shape: KernelShape,
-    routing: RoutingMode,
 ) -> SearchReport {
     let config = DeviceConfig { kernel_shape: shape, ..DeviceConfig::tesla_c2075() };
     let sharding = ShardedIndexConfig::builder()
         .shards(4)
         .partition(PartitionStrategy::Temporal)
-        .routing(routing)
         .build()
         .unwrap();
     let engine = SearchEngine::build_sharded(dataset, method, &config, &sharding).unwrap();
@@ -226,23 +187,21 @@ fn fixture_counters_are_pinned() {
             );
         }
     }
-    for (method, rows) in methods().into_iter().zip(PINNED_SHARDED) {
-        for (routing, row) in ROUTINGS.into_iter().zip(rows) {
-            for (shape, pinned) in SHAPES.into_iter().zip(row) {
-                let label = format!("{} / 4 shards, {routing} / {shape:?}", method.name());
-                let r = fresh_sharded_search(&dataset, &queries, method, shape, routing);
-                let again = fresh_sharded_search(&dataset, &queries, method, shape, routing);
-                assert_eq!(r.deterministic(), again.deterministic(), "{label}");
-                let t = r.totals;
-                let got = (
-                    r.comparisons,
-                    t.atomics,
-                    t.gmem_read_bytes,
-                    t.instructions,
-                    r.routing.shard_queries_routed,
-                );
-                assert_eq!(got, pinned, "{label}");
-            }
+    for (method, row) in methods().into_iter().zip(PINNED_SHARDED) {
+        for (shape, pinned) in SHAPES.into_iter().zip(row) {
+            let label = format!("{} / 4 shards / {shape:?}", method.name());
+            let r = fresh_sharded_search(&dataset, &queries, method, shape);
+            let again = fresh_sharded_search(&dataset, &queries, method, shape);
+            assert_eq!(r.deterministic(), again.deterministic(), "{label}");
+            let t = r.totals;
+            let got = (
+                r.comparisons,
+                t.atomics,
+                t.gmem_read_bytes,
+                t.instructions,
+                r.routing.shard_queries_routed,
+            );
+            assert_eq!(got, pinned, "{label}");
         }
     }
 }

@@ -5,8 +5,8 @@
 //! touches — a query's own `[t0, t1]` under temporal slabs (a match needs
 //! a shared time instant, so no distance slack applies), its spatial
 //! extent widened by `d` under spatial-grid slabs. Every test here holds
-//! routed results byte-identical to broadcast and to the unsharded
-//! oracle, while the dispatch counters prove real work was avoided.
+//! routed results byte-identical to the unsharded oracle, while the
+//! dispatch counters prove real work was avoided.
 
 use proptest::prelude::*;
 use tdts::prelude::*;
@@ -14,12 +14,7 @@ use tdts::prelude::*;
 mod common;
 use common::{arb_store, assert_byte_identical};
 
-fn sharded(
-    dataset: &PreparedDataset,
-    shards: usize,
-    routing: RoutingMode,
-    slab_mode: SlabMode,
-) -> SearchEngine {
+fn sharded(dataset: &PreparedDataset, shards: usize) -> SearchEngine {
     SearchEngine::build_sharded(
         dataset,
         Method::GpuTemporal(TemporalIndexConfig { bins: 40 }),
@@ -27,8 +22,6 @@ fn sharded(
         &ShardedIndexConfig::builder()
             .shards(shards)
             .partition(PartitionStrategy::Temporal)
-            .routing(routing)
-            .slab_mode(slab_mode)
             .build()
             .unwrap(),
     )
@@ -36,9 +29,9 @@ fn sharded(
 }
 
 /// The headline behaviour: on a workload whose query segments each span a
-/// narrow slice of the time extent, slab routing cuts the dispatched
-/// shard-query count by at least 2x versus broadcast, with results
-/// byte-identical to both broadcast and the unsharded oracle.
+/// narrow slice of the time extent, slab routing dispatches at most half of
+/// the `|Q| × shards` shard-query pairs, with results byte-identical to the
+/// unsharded oracle.
 #[test]
 fn narrow_extent_queries_cut_dispatch_at_least_2x() {
     let store = MergerConfig { particles: 60, timesteps: 25, ..Default::default() }.generate();
@@ -46,6 +39,7 @@ fn narrow_extent_queries_cut_dispatch_at_least_2x() {
         MergerConfig { particles: 12, timesteps: 25, seed: 77, ..Default::default() }.generate();
     let dataset = PreparedDataset::new(store);
     let shards = 8;
+    let all = (queries.len() * shards) as u64;
 
     let oracle_engine = SearchEngine::build(
         &dataset,
@@ -53,38 +47,27 @@ fn narrow_extent_queries_cut_dispatch_at_least_2x() {
         Device::new(DeviceConfig::tesla_c2075()).unwrap(),
     )
     .unwrap();
+    let routed = sharded(&dataset, shards);
 
     for d in [1.0, 4.0] {
         let (oracle, _) = oracle_engine.search(&queries, d, 2_000_000).unwrap();
         assert!(!oracle.is_empty(), "d={d}: scenario must produce matches to mean anything");
 
-        let broadcast = sharded(&dataset, shards, RoutingMode::Broadcast, SlabMode::Uniform);
-        let (b_matches, b_report) = broadcast.search(&queries, d, 2_000_000).unwrap();
-        assert_byte_identical(&b_matches, &oracle, &format!("broadcast d={d}"));
+        let (r_matches, r_report) = routed.search(&queries, d, 2_000_000).unwrap();
+        assert_byte_identical(&r_matches, &oracle, &format!("routed d={d}"));
+        // Routed + skipped always accounts for the full cross product.
+        let routing = r_report.routing;
         assert_eq!(
-            b_report.routing.shard_queries_routed,
-            (queries.len() * shards) as u64,
-            "broadcast dispatches every query to every shard"
+            routing.shard_queries_routed + routing.shard_queries_skipped,
+            all,
+            "d={d}: dispatch accounting"
         );
-
-        for slab_mode in [SlabMode::Uniform, SlabMode::Balanced] {
-            let routed = sharded(&dataset, shards, RoutingMode::Slab, slab_mode);
-            let (r_matches, r_report) = routed.search(&queries, d, 2_000_000).unwrap();
-            assert_byte_identical(&r_matches, &oracle, &format!("routed {slab_mode} d={d}"));
-            // Routed + skipped always accounts for the full cross product.
-            assert_eq!(
-                r_report.routing.shard_queries_routed + r_report.routing.shard_queries_skipped,
-                (queries.len() * shards) as u64,
-                "{slab_mode} d={d}: dispatch accounting"
-            );
-            assert!(
-                r_report.routing.shard_queries_routed * 2 <= b_report.routing.shard_queries_routed,
-                "{slab_mode} d={d}: routed {} shard-queries, less than half of broadcast's {} \
-                 expected on narrow-extent queries",
-                r_report.routing.shard_queries_routed,
-                b_report.routing.shard_queries_routed
-            );
-        }
+        assert!(
+            routing.shard_queries_routed * 2 <= all,
+            "d={d}: routed {} shard-queries, more than half of the {all} pairs \
+             on narrow-extent queries",
+            routing.shard_queries_routed
+        );
     }
 }
 
@@ -107,7 +90,7 @@ fn zero_reach_batch_skips_every_shard() {
         ));
     }
     let dataset = PreparedDataset::new(store);
-    let engine = sharded(&dataset, 4, RoutingMode::Slab, SlabMode::Uniform);
+    let engine = sharded(&dataset, 4);
     let (matches, report) = engine.search(&queries, 5.0, 100_000).unwrap();
     assert!(matches.is_empty(), "out-of-extent queries cannot match");
     assert_eq!(report.routing.shards_probed, 0, "no shard should be probed");
@@ -116,8 +99,8 @@ fn zero_reach_batch_skips_every_shard() {
     assert_eq!(report.matches, 0);
 }
 
-/// Queries spanning the whole extent reach every slab: routing degenerates
-/// to broadcast dispatch, with zero skips and identical results.
+/// Queries spanning the whole extent reach every slab: every shard is
+/// probed with every query, with zero skips and the oracle's results.
 #[test]
 fn whole_span_queries_probe_every_shard() {
     let store = MergerConfig { particles: 30, timesteps: 20, ..Default::default() }.generate();
@@ -135,11 +118,10 @@ fn whole_span_queries_probe_every_shard() {
     }
     let dataset = PreparedDataset::new(store);
     let shards = 4;
-    let routed = sharded(&dataset, shards, RoutingMode::Slab, SlabMode::Uniform);
+    let routed = sharded(&dataset, shards);
     let (r_matches, r_report) = routed.search(&queries, 6.0, 1_000_000).unwrap();
-    let broadcast = sharded(&dataset, shards, RoutingMode::Broadcast, SlabMode::Uniform);
-    let (b_matches, _) = broadcast.search(&queries, 6.0, 1_000_000).unwrap();
-    assert_byte_identical(&r_matches, &b_matches, "whole-span");
+    let oracle = brute_force_search(dataset.store(), &queries, 6.0);
+    assert_byte_identical(&r_matches, &oracle, "whole-span");
     assert_eq!(r_report.routing.shard_queries_skipped, 0);
     assert_eq!(r_report.routing.shards_probed, shards as u64);
     assert_eq!(r_report.routing.shard_queries_routed, (queries.len() * shards) as u64);
@@ -148,16 +130,15 @@ fn whole_span_queries_probe_every_shard() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// For any database, query set, shard count, partition strategy, slab
-    /// mode, and threshold, slab routing returns exactly broadcast's
-    /// records — and never dispatches more shard-queries than broadcast.
+    /// For any database, query set, shard count, partition strategy and
+    /// threshold, slab routing returns exactly the brute-force oracle's
+    /// records, and routes or skips every shard-query pair exactly once.
     #[test]
-    fn routed_is_byte_identical_to_broadcast(
+    fn routed_is_byte_identical_to_oracle(
         store in arb_store(6, 5),
         queries in arb_store(3, 4),
         shards in 1usize..=8,
         strategy_sel in 0usize..2,
-        slab_sel in 0usize..2,
         d in 0.1f64..25.0,
     ) {
         let strategy = if strategy_sel == 0 {
@@ -165,36 +146,20 @@ proptest! {
         } else {
             PartitionStrategy::SpatialGrid
         };
-        let slab_mode = if slab_sel == 0 { SlabMode::Uniform } else { SlabMode::Balanced };
         let dataset = PreparedDataset::new(store);
-        let build = |routing: RoutingMode| {
-            SearchEngine::build_sharded(
-                &dataset,
-                Method::GpuTemporal(TemporalIndexConfig { bins: 7 }),
-                &DeviceConfig::tesla_c2075(),
-                &ShardedIndexConfig::builder()
-                    .shards(shards)
-                    .partition(strategy)
-                    .routing(routing)
-                    .slab_mode(slab_mode)
-                    .build()
-                    .unwrap(),
-            )
-            .unwrap()
-        };
-        let (b_matches, b_report) = build(RoutingMode::Broadcast)
-            .search(&queries, d, 1_000_000)
-            .unwrap();
-        let (r_matches, r_report) = build(RoutingMode::Slab)
-            .search(&queries, d, 1_000_000)
-            .unwrap();
+        let engine = SearchEngine::build_sharded(
+            &dataset,
+            Method::GpuTemporal(TemporalIndexConfig { bins: 7 }),
+            &DeviceConfig::tesla_c2075(),
+            &ShardedIndexConfig::builder().shards(shards).partition(strategy).build().unwrap(),
+        )
+        .unwrap();
+        let (r_matches, r_report) = engine.search(&queries, d, 1_000_000).unwrap();
+        let oracle = brute_force_search(dataset.store(), &queries, d);
         assert_byte_identical(
             &r_matches,
-            &b_matches,
-            &format!("proptest {strategy} {slab_mode} shards={shards} d={d}"),
-        );
-        prop_assert!(
-            r_report.routing.shard_queries_routed <= b_report.routing.shard_queries_routed
+            &oracle,
+            &format!("proptest {strategy} shards={shards} d={d}"),
         );
         prop_assert_eq!(
             r_report.routing.shard_queries_routed + r_report.routing.shard_queries_skipped,

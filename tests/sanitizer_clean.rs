@@ -15,7 +15,7 @@ use tdts::prelude::*;
 mod common;
 
 fn methods() -> Vec<Method> {
-    common::methods(50, 2_000_000, 64)
+    common::methods(50, 2_000_000)
 }
 
 const SCALE: f64 = 1.0 / 256.0;
@@ -119,31 +119,6 @@ fn redo_rounds_under_pressure_are_clean() {
         assert_eq!(report.sanitizer_findings, 0, "{shape:?}: redo flagged");
         dev.assert_sanitizer_clean();
     }
-}
-
-/// Batch halving in the streaming method is host-driven redo: the
-/// overflow acknowledgement comes from `ResultBuffer::overflowed`, and a
-/// pressured run must stay clean.
-#[test]
-fn batched_halving_under_pressure_is_clean() {
-    let scenario = Scenario::new(ScenarioKind::S2Merger, SCALE);
-    let dataset = PreparedDataset::new(scenario.dataset());
-    let queries = scenario.queries();
-    let dev = device_with(SanitizerMode::Full);
-    let engine = SearchEngine::build(
-        &dataset,
-        Method::GpuBatchedTemporal(BatchedConfig {
-            index: TemporalIndexConfig { bins: 50 },
-            batch_size: 256,
-        }),
-        Arc::clone(&dev),
-    )
-    .unwrap();
-    let (matches, report) = engine.search(&queries, 2.0, 600).unwrap();
-    assert!(report.redo_rounds > 0, "expected batch halving");
-    assert!(!matches.is_empty());
-    assert_eq!(report.sanitizer_findings, 0);
-    dev.assert_sanitizer_clean();
 }
 
 /// Full-mode overhead stays within the 3× budget the sanitizer promises

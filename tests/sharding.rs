@@ -14,7 +14,7 @@ mod common;
 use common::{arb_store, assert_byte_identical};
 
 fn methods() -> Vec<Method> {
-    common::methods(40, 500_000, 9)
+    common::methods(40, 500_000)
 }
 
 const SHAPES: [KernelShape; 2] = [KernelShape::ThreadPerQuery, KernelShape::WarpPerTile];
@@ -43,17 +43,7 @@ fn check_scenario(store: SegmentStore, queries: SegmentStore, distances: &[f64],
             })
             .collect();
         for strategy in [PartitionStrategy::Temporal, PartitionStrategy::SpatialGrid] {
-            // Shard counts crossed with dispatch policy and slab edge
-            // placement: broadcast and slab routing must both reproduce the
-            // oracle, on uniform and balanced edges.
-            let layouts = [
-                (1usize, RoutingMode::Slab, SlabMode::Uniform),
-                (2, RoutingMode::Slab, SlabMode::Uniform),
-                (4, RoutingMode::Broadcast, SlabMode::Uniform),
-                (4, RoutingMode::Slab, SlabMode::Uniform),
-                (8, RoutingMode::Slab, SlabMode::Balanced),
-            ];
-            for (shards, routing, slab_mode) in layouts {
+            for shards in [1, 2, 4, 8] {
                 let engine = SearchEngine::build_sharded(
                     &dataset,
                     method,
@@ -61,8 +51,6 @@ fn check_scenario(store: SegmentStore, queries: SegmentStore, distances: &[f64],
                     &ShardedIndexConfig::builder()
                         .shards(shards)
                         .partition(strategy)
-                        .routing(routing)
-                        .slab_mode(slab_mode)
                         .build()
                         .unwrap(),
                 )
@@ -74,8 +62,7 @@ fn check_scenario(store: SegmentStore, queries: SegmentStore, distances: &[f64],
                         &got,
                         oracle,
                         &format!(
-                            "{label}/{} {shape:?} {strategy} shards={shards} \
-                             {routing} {slab_mode} d={d}",
+                            "{label}/{} {shape:?} {strategy} shards={shards} d={d}",
                             method.name()
                         ),
                     );
@@ -188,8 +175,6 @@ proptest! {
         queries in arb_store(3, 4),
         shards in 1usize..=8,
         strategy_sel in 0usize..2,
-        routing_sel in 0usize..2,
-        slab_sel in 0usize..2,
         d in 0.5f64..25.0,
     ) {
         let strategy = if strategy_sel == 0 {
@@ -197,8 +182,6 @@ proptest! {
         } else {
             PartitionStrategy::SpatialGrid
         };
-        let routing = if routing_sel == 0 { RoutingMode::Broadcast } else { RoutingMode::Slab };
-        let slab_mode = if slab_sel == 0 { SlabMode::Uniform } else { SlabMode::Balanced };
         let dataset = PreparedDataset::new(store);
         let expect = brute_force_search(dataset.store(), &queries, d);
         let engine = SearchEngine::build_sharded(
@@ -208,8 +191,6 @@ proptest! {
             &ShardedIndexConfig::builder()
                 .shards(shards)
                 .partition(strategy)
-                .routing(routing)
-                .slab_mode(slab_mode)
                 .build()
                 .unwrap(),
         )
@@ -218,7 +199,7 @@ proptest! {
         assert_byte_identical(
             &got,
             &expect,
-            &format!("proptest {strategy} {routing} {slab_mode} shards={shards} d={d}"),
+            &format!("proptest {strategy} shards={shards} d={d}"),
         );
     }
 }

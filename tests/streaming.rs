@@ -23,10 +23,6 @@ fn all_methods(bins: usize, cells: usize, threshold: usize) -> Vec<Method> {
             compaction_threshold: threshold,
         }),
         Method::GpuTemporal(TemporalIndexConfig { bins }),
-        Method::GpuBatchedTemporal(BatchedConfig {
-            index: TemporalIndexConfig { bins },
-            batch_size: 5,
-        }),
         Method::GpuSpatioTemporal(SpatioTemporalIndexConfig {
             bins,
             subbins: 3,
