@@ -239,9 +239,17 @@ impl LaneCost {
     }
 }
 
-/// Warps one host worker holds between its bodies and its epilogues; bounds
-/// the memory of a launch with millions of tiles.
-const WARPS_PER_WORKER: usize = 2048;
+/// Most warps a host worker claims at a time. Bodies differ in cost by
+/// orders of magnitude (a tile of a dense query against one of a sparse
+/// one), so workers claim small blocks as they go and finish together.
+const MAX_BLOCK: usize = 64;
+
+/// A block's warps after their bodies ran: the warp (for its epilogue), the
+/// lanes' reduced cost, and what the body staged.
+type Staged<S> = Vec<(Warp, LaneCost, S)>;
+
+/// `turn` value once a worker has panicked: nobody waits for a turn again.
+const POISONED: usize = usize::MAX;
 
 /// Run `n` warps: `body(i)` builds warp `i` and runs its lane work, on
 /// host worker threads and in no particular order across them; `epilogue`
@@ -251,69 +259,112 @@ const WARPS_PER_WORKER: usize = 2048;
 /// overflows a full buffer, and with it every later redo round, is then a
 /// function of the launch alone and never of the host scheduler.
 ///
-/// Each worker takes a contiguous run of warps, runs their bodies, waits
-/// until the worker before it has finished its epilogues, then runs its own
-/// — on the thread that allocated what the bodies staged, so nothing is
-/// freed across threads.
+/// Workers claim blocks of consecutive warps in ascending order and run
+/// their bodies. A block's epilogues run once it is the block's turn —
+/// every earlier block's epilogues done — on the worker that ran its bodies
+/// (so nothing is freed across threads); until then the worker claims and
+/// runs further blocks instead of waiting.
 fn run_ordered<S, B, E>(config: &DeviceConfig, n: usize, body: &B, epilogue: &E) -> Vec<WarpCost>
 where
     B: Fn(usize) -> (Warp, S) + Sync,
     E: Fn(&mut Warp, S) + Sync,
 {
-    use std::sync::mpsc;
-
-    // A gate opens when its sender is dropped: nothing is ever sent.
-    let run_part = |part: std::ops::Range<usize>, gate: mpsc::Receiver<()>| {
-        let staged: Vec<(Warp, LaneCost, S)> = part
-            .map(|i| {
-                let (mut warp, state) = body(i);
-                // The lanes retire with the body; only their cost is kept.
-                let lanes = std::mem::take(&mut warp.lanes);
-                (warp, LaneCost::of(lanes.iter().map(|l| (l.counters, l.path))), state)
-            })
-            .collect();
-        let _ = gate.recv();
-        staged
-            .into_iter()
-            .map(|(mut warp, lanes, state)| {
-                epilogue(&mut warp, state);
-                lanes.with_epilogue(config, &warp.counters)
-            })
-            .collect::<Vec<WarpCost>>()
-    };
+    use std::collections::VecDeque;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Condvar, Mutex, PoisonError};
 
     let workers = std::thread::available_parallelism().map_or(1, |p| p.get()).min(n).max(1);
-    let mut costs = Vec::with_capacity(n);
-    for chunk in (0..n).step_by(workers * WARPS_PER_WORKER) {
-        let end = (chunk + workers * WARPS_PER_WORKER).min(n);
-        let per_worker = (end - chunk).div_ceil(workers);
-        std::thread::scope(|scope| {
-            let (open, mut gate) = mpsc::channel::<()>();
-            drop(open);
-            let mut handles = Vec::new();
-            let mut lo = chunk;
-            while lo + per_worker < end {
-                let (done, next_gate) = mpsc::channel::<()>();
-                let gate = std::mem::replace(&mut gate, next_gate);
-                let part = lo..lo + per_worker;
-                let run_part = &run_part;
-                handles.push(scope.spawn(move || {
-                    // Dropped when this worker returns or unwinds, which
-                    // opens the next worker's gate.
-                    let _done = done;
-                    run_part(part, gate)
-                }));
-                lo += per_worker;
+    // About eight blocks per worker on small launches, so a few heavy
+    // warps still spread over every worker.
+    let block = (n / (workers * 8)).clamp(1, MAX_BLOCK);
+    let blocks = n.div_ceil(block);
+    // The next block to claim. A claim publishes nothing: what one block's
+    // epilogues see of another's is ordered by `turn`'s mutex.
+    let next = AtomicUsize::new(0);
+    // The block whose epilogues run next. Every store leaves a valid count,
+    // so a lock poisoned by a panicking worker is recovered, not refused.
+    let turn = (Mutex::new(0usize), Condvar::new());
+
+    let work = || {
+        let _poison = PoisonOnPanic(&turn);
+        let (lock, cv) = &turn;
+        let mut done: Vec<(usize, Vec<WarpCost>)> = Vec::new();
+        // Blocks whose bodies ran here and whose turn has not come yet.
+        let mut pending: VecDeque<(usize, Staged<S>)> = VecDeque::new();
+        loop {
+            let b = next.fetch_add(1, Ordering::Relaxed);
+            let claimed = b < blocks;
+            if claimed {
+                let staged = (b * block..((b + 1) * block).min(n))
+                    .map(|i| {
+                        let (mut warp, state) = body(i);
+                        // The lanes retire with the body; only their cost is kept.
+                        let lanes = std::mem::take(&mut warp.lanes);
+                        (warp, LaneCost::of(lanes.iter().map(|l| (l.counters, l.path))), state)
+                    })
+                    .collect();
+                pending.push_back((b, staged));
             }
-            // The last run needs no thread of its own.
-            let last = run_part(lo..end, gate);
-            for handle in handles {
-                costs.extend(handle.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+            // Run the epilogues of every pending block whose turn it is. A
+            // worker with blocks left to claim never waits for a turn; one
+            // without waits until its pending blocks are done.
+            while let Some(front) = pending.front().map(|(b, _)| *b) {
+                let current = lock.lock().unwrap_or_else(PoisonError::into_inner);
+                if *current != front {
+                    if *current == POISONED {
+                        return done;
+                    }
+                    if claimed {
+                        break;
+                    }
+                    drop(cv.wait(current).unwrap_or_else(PoisonError::into_inner));
+                    continue;
+                }
+                drop(current);
+                let (b, staged) = pending.pop_front().expect("a pending block");
+                let costs = staged
+                    .into_iter()
+                    .map(|(mut warp, lanes, state)| {
+                        epilogue(&mut warp, state);
+                        lanes.with_epilogue(config, &warp.counters)
+                    })
+                    .collect();
+                done.push((b, costs));
+                *lock.lock().unwrap_or_else(PoisonError::into_inner) = b + 1;
+                cv.notify_all();
             }
-            costs.extend(last);
-        });
+            if !claimed {
+                return done;
+            }
+        }
+    };
+
+    let mut parts = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        // The calling thread is a worker too.
+        let mut parts = work();
+        for handle in handles {
+            parts.extend(handle.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+        parts
+    });
+    parts.sort_unstable_by_key(|(b, _)| *b);
+    parts.into_iter().flat_map(|(_, costs)| costs).collect()
+}
+
+/// Releases every worker waiting for a turn when the worker holding this
+/// unwinds, so a panicking body or epilogue surfaces instead of hanging
+/// the launch.
+struct PoisonOnPanic<'a>(&'a (std::sync::Mutex<usize>, std::sync::Condvar));
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let (lock, cv) = self.0;
+            *lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = POISONED;
+            cv.notify_all();
+        }
     }
-    costs
 }
 
 /// Execute a warp-scoped kernel over `threads` threads and compute the
@@ -724,9 +775,8 @@ mod tests {
     fn ordered_epilogues_run_in_warp_order_and_are_charged() {
         let dev = tiny();
         let order = std::sync::Mutex::new(Vec::new());
-        // More warps than two workers hold at once, so the seams between
-        // workers and between chunks are covered.
-        let threads = (2 * WARPS_PER_WORKER + 3) * 4;
+        // Many blocks, so the hand-overs between workers are covered.
+        let threads = (20 * MAX_BLOCK + 3) * 4;
         let report = dev.launch_warps_ordered(
             threads,
             |warp| warp.index() as u64,
@@ -738,6 +788,17 @@ mod tests {
         let order = order.into_inner().unwrap();
         assert_eq!(order, (0..report.warps as u64).collect::<Vec<_>>());
         assert_eq!(report.totals.atomics, report.warps as u64);
+    }
+
+    #[test]
+    fn a_panicking_body_fails_the_launch_instead_of_hanging() {
+        let dev = tiny();
+        for bad in [0, 37, 99] {
+            let launch = std::panic::AssertUnwindSafe(|| {
+                dev.launch_warps_ordered(100 * 4, |warp| assert_ne!(warp.index(), bad), |_, ()| {})
+            });
+            assert!(std::panic::catch_unwind(launch).is_err(), "warp {bad}");
+        }
     }
 
     #[test]

@@ -154,6 +154,26 @@ impl<T: Copy> DeviceBuffer<T> {
         self.data[i]
     }
 
+    /// Elements `rows`, bounds-tested once for the whole range and *without*
+    /// cost accounting: for a kernel lane that gathers through a run of ids
+    /// and posts the run's closed-form charge itself (see
+    /// `DeviceSegments::refine_gather`). The one-column twin of
+    /// [`ColumnarBuffer::row_range`], with the same sanitizer contract: a
+    /// range that leaves the buffer is recorded as one out-of-bounds read at
+    /// the first missing element and neutralised to `None`; without a
+    /// sanitizer it panics like a slice index.
+    #[inline]
+    pub fn row_range(&self, lane: &Lane, rows: std::ops::Range<usize>) -> Option<&[T]> {
+        if rows.end > self.data.len() {
+            if let Some(shadow) = self.reservation.shadow() {
+                let offset = rows.start.max(self.data.len());
+                shadow.oob_read(offset, lane.global_id, self.data.len());
+                return None;
+            }
+        }
+        Some(&self.data[rows])
+    }
+
     /// Raw slice access *without* cost accounting. Use only on the host
     /// (index construction, verification); kernels should use [`read`].
     ///
@@ -246,6 +266,7 @@ impl<T: Copy> ColumnarBuffer<T> {
     /// out-of-bounds read at the first row past the end and neutralised to
     /// `None`, so the caller can fall back to per-element reads that report
     /// each bad access; without one it panics like a slice index.
+    /// [`DeviceBuffer::row_range`] is the same for a single column.
     ///
     /// [`read`]: ColumnarBuffer::read
     #[inline]
@@ -685,6 +706,17 @@ impl<'a, T: Copy + Default> ScratchPartition<'a, T> {
         }
         lane.gmem_read(std::mem::size_of::<T>() as u64);
         self.data[i]
+    }
+
+    /// Read back everything appended so far in one charged pass: what
+    /// [`read`] charges for each of `0..len()`, as one charge. These
+    /// elements were all written, so no sanitizer check applies.
+    ///
+    /// [`read`]: ScratchPartition::read
+    #[inline]
+    pub fn read_all(&self, lane: &mut Lane) -> &[T] {
+        lane.gmem_read((self.data.len() * std::mem::size_of::<T>()) as u64);
+        &self.data
     }
 }
 

@@ -68,7 +68,8 @@ impl Tile {
     }
 
     /// Append tiles covering `lo..hi` for `query` in chunks of at most
-    /// `tile_size` entries. Appends nothing for an empty range.
+    /// `tile_size` entries. Appends nothing for an empty range. A
+    /// `tile_size` beyond the `u32` position range makes one tile per range.
     pub fn split_into(
         out: &mut Vec<Tile>,
         query: u32,
@@ -79,9 +80,10 @@ impl Tile {
     ) {
         debug_assert!(tile_size >= 1);
         debug_assert!(lo <= hi);
+        let tile_size = u32::try_from(tile_size).unwrap_or(u32::MAX);
         let mut start = lo;
         while start < hi {
-            let end = hi.min(start.saturating_add(tile_size as u32));
+            let end = hi.min(start.saturating_add(tile_size));
             out.push(Tile { query, lo: start, hi: end, tag });
             start = end;
         }
@@ -165,6 +167,16 @@ mod tests {
             pos = t.hi;
         }
         assert_eq!(pos, 35);
+    }
+
+    #[test]
+    fn split_with_a_tile_size_past_u32_makes_one_tile() {
+        // `tile_size as u32` would truncate 2^32 to 0: an empty tile, forever.
+        for tile_size in [u32::MAX as usize + 1, u32::MAX as usize + 2, usize::MAX] {
+            let mut tiles = Vec::new();
+            Tile::split_into(&mut tiles, 2, 10, 35, 0, tile_size);
+            assert_eq!(tiles, vec![Tile { query: 2, lo: 10, hi: 35, tag: 0 }], "{tile_size}");
+        }
     }
 
     #[test]

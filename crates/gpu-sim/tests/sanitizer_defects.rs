@@ -39,6 +39,35 @@ fn oob_device_buffer_read_is_reported_and_neutralised() {
 }
 
 #[test]
+fn oob_device_buffer_row_range_is_reported_and_neutralised() {
+    // A run of ids past the end: one finding for the whole run at the first
+    // element that does not exist, neutralised to "no slice". In-bounds runs
+    // hand out the elements and report nothing.
+    let dev = device(SanitizerMode::Full);
+    let buf = dev.alloc_from_host(vec![11u32, 22, 33]).unwrap();
+    dev.launch(1, |lane| {
+        assert!(buf.row_range(lane, 1..5).is_none());
+        assert_eq!(buf.row_range(lane, 1..3), Some(&[22, 33][..]));
+        assert_eq!(buf.row_range(lane, 3..3), Some(&[][..]));
+        // Handing out a run charges nothing: the caller posts the charge.
+        assert!(lane.counters().is_zero());
+    });
+    let f = sole_finding(&dev);
+    assert_eq!(f.kind, FindingKind::OutOfBoundsRead);
+    assert!(f.buffer.starts_with("DeviceBuffer<u32>#"), "{}", f.buffer);
+    assert_eq!(f.offset, 3);
+    assert_eq!(f.lanes, vec![0]);
+    assert!(f.detail.contains("beyond length 3"), "{}", f.detail);
+
+    // Without a sanitizer it panics like a slice index.
+    let dev = device(SanitizerMode::Off);
+    let buf = dev.alloc_from_host(vec![11u32, 22, 33]).unwrap();
+    let lane = Lane::new(0);
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| buf.row_range(&lane, 1..5)));
+    assert!(err.is_err());
+}
+
+#[test]
 fn oob_columnar_read_is_reported_and_neutralised() {
     let columns: [&[u32]; 2] = [&[11, 22, 33], &[44, 55, 66]];
 

@@ -9,17 +9,18 @@
 
 use crate::fsg::{Fsg, FsgConfig};
 use rayon::prelude::*;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use tdts_geom::{MatchRecord, SegmentStore, StoreStats};
+use tdts_geom::{MatchRecord, PreparedQuery, SegmentStore, StoreStats, TimeInterval};
 use tdts_gpu_sim::{
     Device, DeviceBuffer, KernelShape, Lane, PartitionedScratch, SearchError, SearchReport, Tile,
     Warp, WarpStash,
 };
 use tdts_kernels::{
-    compare_and_stage, finish_search, load_query, run_thread_per_query, run_warp_per_tile,
-    CandidateGenerator, DeviceSegments, KernelContext, LaneWork, TileGenerator,
+    finish_search, run_thread_per_query, run_warp_per_tile, CandidateGenerator, DeviceSegments,
+    LaneWork, TileGenerator,
 };
 
 /// `GPUSpatial` parameters.
@@ -309,7 +310,7 @@ impl CandidateGenerator for SpatialThreads<'_> {
         stash: &mut WarpStash<'_, MatchRecord>,
         round: &SpatialRound,
     ) -> LaneWork {
-        let q = load_query(lane, self.queries, qid);
+        let q = self.queries.read_segment(lane, qid as usize);
         lane.instr(12); // MBB + inflation + cell-range setup
 
         // getCandidates: rasterise the inflated MBB and gather entry
@@ -356,19 +357,14 @@ impl CandidateGenerator for SpatialThreads<'_> {
             stash.mark_dropped(lane);
         } else {
             // Refinement over the candidate set (duplicates included).
-            for i in 0..uk.len() {
-                let entry_pos = uk.read(lane, i);
-                compared += 1;
-                compare_and_stage(
-                    lane,
-                    &self.search.dev_entries,
-                    entry_pos,
-                    &q,
-                    qid,
-                    self.d,
-                    stash,
-                );
-            }
+            let q = PreparedQuery::new(&q, self.d);
+            let positions = uk.read_all(lane);
+            compared = self.search.dev_entries.refine_positions(
+                lane,
+                positions,
+                &q,
+                |lane, pos, interval| stash.stage(lane, MatchRecord::new(qid, pos, interval)),
+            );
         }
         LaneWork { compared, scratch_bytes: uk.pending_write_bytes() }
     }
@@ -408,19 +404,15 @@ const TAG_BASE: u32 = 0;
 /// Tile tag: the range indexes the delta overlay's lookup array `A'`.
 const TAG_DELTA: u32 = 1;
 
-impl KernelContext for SpatialTiles<'_> {
-    fn entries(&self) -> &DeviceSegments {
-        &self.search.dev_entries
-    }
+impl TileGenerator for SpatialTiles<'_> {
     fn queries(&self) -> &DeviceSegments {
         self.queries
     }
+
     fn distance(&self) -> f64 {
         self.d
     }
-}
 
-impl TileGenerator for SpatialTiles<'_> {
     fn push_tiles(&self, tiles: &mut Vec<Tile>, qid: u32, tile_size: usize) {
         for (r, tag) in &self.ranges[qid as usize] {
             Tile::split_into(tiles, qid, r[0], r[1], *tag, tile_size);
@@ -431,17 +423,25 @@ impl TileGenerator for SpatialTiles<'_> {
         12 // MBB + inflation + tile setup
     }
 
-    fn tile_entry_pos(&self, lane: &mut Lane, tile: &Tile, i: usize) -> u32 {
-        // Fused gather + refine: A[i] (or A'[i] for delta tiles) -> entry
-        // position.
+    fn refine_tile(
+        &self,
+        lane: &mut Lane,
+        tile: &Tile,
+        rows: Range<u32>,
+        step: usize,
+        q: &PreparedQuery,
+        on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
+    ) -> u64 {
+        // Fused gather + refine through A (or A' for delta tiles), one
+        // address instruction per id.
         let lookup = if tile.tag == TAG_DELTA {
             &self.search.dev_delta_lookup
         } else {
             &self.search.dev_lookup
         };
-        let entry_pos = lookup.read(lane, i);
-        lane.instr(1);
-        entry_pos
+        let compared = self.search.dev_entries.refine_gather(lane, lookup, rows, step, q, on_hit);
+        lane.instr(compared);
+        compared
     }
 }
 

@@ -8,16 +8,16 @@
 //! tiles (warp-per-tile).
 
 use crate::index::{ScheduleEntry, Selector, SpatioTemporalIndex, SpatioTemporalIndexConfig};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
-use tdts_geom::{MatchRecord, PreparedQuery, SegmentStore, StoreStats};
+use tdts_geom::{MatchRecord, PreparedQuery, SegmentStore, StoreStats, TimeInterval};
 use tdts_gpu_sim::{
     Device, DeviceBuffer, KernelShape, Lane, SearchError, SearchReport, Tile, WarpStash,
 };
 use tdts_kernels::{
-    compare_and_stage, finish_search, load_query, refine_range_and_stage, run_thread_per_query,
-    run_warp_per_tile, CandidateGenerator, DeviceSegments, KernelContext, LaneWork, SortedQueries,
-    TileGenerator, SCHEDULE_INSTR,
+    finish_search, run_thread_per_query, run_warp_per_tile, CandidateGenerator, DeviceSegments,
+    LaneWork, SortedQueries, TileGenerator, SCHEDULE_INSTR,
 };
 
 /// High bit of an execution-order slot: the lane is warp-alignment padding
@@ -237,6 +237,25 @@ impl GpuSpatioTemporalSearch {
         // from redone queries.
         Ok(finish_search(&device, matches, Some(&sorted), comparisons, report, wall_start))
     }
+
+    /// Refine every `step`-th candidate of `rows` for a query whose
+    /// schedule entry chose `selector`: selectors 0–2 gather through the
+    /// `X`/`Y`/`Z` id array, selector 3 (the temporal fallback) is a direct
+    /// entry range. Both kernel shapes refine through here.
+    fn refine(
+        &self,
+        lane: &mut Lane,
+        selector: u32,
+        rows: Range<u32>,
+        step: usize,
+        q: &PreparedQuery,
+        on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
+    ) -> u64 {
+        match self.dev_arrays.get(selector as usize) {
+            Some(ids) => self.dev_entries.refine_gather(lane, ids, rows, step, q, on_hit),
+            None => self.dev_entries.refine_range(lane, rows, step, q, on_hit),
+        }
+    }
 }
 
 /// Thread-per-query candidate generation: the first round launches one
@@ -294,22 +313,11 @@ impl CandidateGenerator for SpatioTemporalThreads<'_> {
         if selector == 4 {
             return LaneWork::default(); // no temporally overlapping entries
         }
-        let q = load_query(lane, self.queries, qid);
-        if selector == 3 {
-            // Temporal fallback: positions are direct, one contiguous range.
-            let q = PreparedQuery::new(&q, self.d);
-            let range = [entry[1], entry[2]];
-            let compared =
-                refine_range_and_stage(lane, &self.search.dev_entries, range, &q, qid, stash);
-            return LaneWork { compared, scratch_bytes: 0 };
-        }
-        let mut compared = 0u64;
-        for i in entry[1]..entry[2] {
-            // Selector 0–2: one indirection through X/Y/Z.
-            let entry_pos = self.search.dev_arrays[selector as usize].read(lane, i as usize);
-            compared += 1;
-            compare_and_stage(lane, &self.search.dev_entries, entry_pos, &q, qid, self.d, stash);
-        }
+        let q = PreparedQuery::new(&self.queries.read_segment(lane, qid as usize), self.d);
+        let stage = |lane: &mut Lane, pos, interval| {
+            stash.stage(lane, MatchRecord::new(qid, pos, interval))
+        };
+        let compared = self.search.refine(lane, selector, entry[1]..entry[2], 1, &q, stage);
         LaneWork { compared, scratch_bytes: 0 }
     }
 }
@@ -326,19 +334,15 @@ struct SpatioTemporalTiles<'a> {
     d: f64,
 }
 
-impl KernelContext for SpatioTemporalTiles<'_> {
-    fn entries(&self) -> &DeviceSegments {
-        &self.search.dev_entries
-    }
+impl TileGenerator for SpatioTemporalTiles<'_> {
     fn queries(&self) -> &DeviceSegments {
         self.queries
     }
+
     fn distance(&self) -> f64 {
         self.d
     }
-}
 
-impl TileGenerator for SpatioTemporalTiles<'_> {
     fn push_tiles(&self, tiles: &mut Vec<Tile>, qid: u32, tile_size: usize) {
         let e = self.schedule[qid as usize];
         if e[0] == 4 {
@@ -347,15 +351,16 @@ impl TileGenerator for SpatioTemporalTiles<'_> {
         Tile::split_into(tiles, qid, e[1], e[2], e[0], tile_size);
     }
 
-    fn tile_entry_pos(&self, lane: &mut Lane, tile: &Tile, i: usize) -> u32 {
-        // Selector 0–2: one indirection through X/Y/Z. Selector 3:
-        // positions are direct (temporal fallback).
-        let selector = tile.tag as usize;
-        if selector <= 2 {
-            self.search.dev_arrays[selector].read(lane, i)
-        } else {
-            i as u32
-        }
+    fn refine_tile(
+        &self,
+        lane: &mut Lane,
+        tile: &Tile,
+        rows: Range<u32>,
+        step: usize,
+        q: &PreparedQuery,
+        on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
+    ) -> u64 {
+        self.search.refine(lane, tile.tag, rows, step, q, on_hit)
     }
 }
 

@@ -7,14 +7,15 @@
 
 use crate::index::{TemporalIndex, TemporalIndexConfig};
 use rayon::prelude::*;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
-use tdts_geom::{MatchRecord, PreparedQuery, SegmentStore, StoreStats};
+use tdts_geom::{MatchRecord, PreparedQuery, SegmentStore, StoreStats, TimeInterval};
 use tdts_gpu_sim::{Device, DeviceBuffer, KernelShape, Lane, SearchError, SearchReport, Tile};
 pub use tdts_kernels::SortedQueries;
 use tdts_kernels::{
-    finish_search, load_query, refine_range_and_stage, run_thread_per_query, run_warp_per_tile,
-    CandidateGenerator, DeviceSegments, KernelContext, LaneWork, TileGenerator, SCHEDULE_INSTR,
+    finish_search, run_thread_per_query, run_warp_per_tile, CandidateGenerator, DeviceSegments,
+    LaneWork, TileGenerator, SCHEDULE_INSTR,
 };
 
 /// The host-computed schedule `S`: one candidate entry range per (sorted)
@@ -70,10 +71,12 @@ impl CandidateGenerator for TemporalThreads<'_> {
         stash: &mut tdts_gpu_sim::WarpStash<'_, MatchRecord>,
         _round: &(),
     ) -> LaneWork {
-        let range = self.schedule.read(lane, qid as usize);
+        let [lo, hi] = self.schedule.read(lane, qid as usize);
         lane.instr(SCHEDULE_INSTR);
-        let q = PreparedQuery::new(&load_query(lane, self.queries, qid), self.d);
-        let compared = refine_range_and_stage(lane, self.entries, range, &q, qid, stash);
+        let q = PreparedQuery::new(&self.queries.read_segment(lane, qid as usize), self.d);
+        let compared = self.entries.refine_range(lane, lo..hi, 1, &q, |lane, pos, interval| {
+            stash.stage(lane, MatchRecord::new(qid, pos, interval))
+        });
         LaneWork { compared, scratch_bytes: 0 }
     }
 }
@@ -88,22 +91,30 @@ struct TemporalTiles<'a> {
     d: f64,
 }
 
-impl KernelContext for TemporalTiles<'_> {
-    fn entries(&self) -> &DeviceSegments {
-        self.entries
-    }
+impl TileGenerator for TemporalTiles<'_> {
     fn queries(&self) -> &DeviceSegments {
         self.queries
     }
+
     fn distance(&self) -> f64 {
         self.d
     }
-}
 
-impl TileGenerator for TemporalTiles<'_> {
     fn push_tiles(&self, tiles: &mut Vec<Tile>, qid: u32, tile_size: usize) {
         let r = self.schedule.ranges[qid as usize];
         Tile::split_into(tiles, qid, r[0], r[1], 0, tile_size);
+    }
+
+    fn refine_tile(
+        &self,
+        lane: &mut Lane,
+        _tile: &Tile,
+        rows: Range<u32>,
+        step: usize,
+        q: &PreparedQuery,
+        on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
+    ) -> u64 {
+        self.entries.refine_range(lane, rows, step, q, on_hit)
     }
 }
 

@@ -8,12 +8,11 @@
 //! This crate holds that skeleton once:
 //!
 //! * [`segments`] — [`DeviceSegments`], the device-resident segment database
-//!   as eight `f64` columns, with per-column memory-traffic accounting: the
-//!   compare touches only the timestamp columns (16 B) when the temporal
-//!   prefilter rejects, the full 64-byte row otherwise.
-//! * [`mod@compare`] — the refinement comparison and its fixed cost model,
-//!   one element at a time (indirect candidates) or a contiguous range as
-//!   one scan with one charge.
+//!   as eight `f64` columns, and the refinement itself: a lane's candidates
+//!   — a contiguous or strided range, or ids gathered through an index
+//!   array — are refined as one scan with one charge. The compare touches
+//!   only the timestamp columns (16 B) when the temporal prefilter rejects,
+//!   the full 64-byte row otherwise.
 //! * [`queries`] — [`SortedQueries`], the `t_start`-sorted query permutation.
 //! * [`pipeline`] — the host-side round protocol for both kernel shapes,
 //!   parameterised by per-method [`CandidateGenerator`]/[`TileGenerator`]
@@ -21,17 +20,13 @@
 
 #![forbid(unsafe_code)]
 
-pub mod compare;
 pub mod pipeline;
 pub mod queries;
 pub mod segments;
 
-pub use compare::{
-    compare_and_stage, load_query, refine_range_and_stage, COMPARE_INSTR, SCHEDULE_INSTR,
-};
 pub use pipeline::{
-    finish_search, run_thread_per_query, run_warp_per_tile, CandidateGenerator, KernelContext,
-    LaneWork, TileGenerator,
+    finish_search, run_thread_per_query, run_warp_per_tile, CandidateGenerator, LaneWork,
+    TileGenerator, SCHEDULE_INSTR,
 };
 pub use queries::SortedQueries;
-pub use segments::{DeviceSegments, COLUMNAR_ROW_BYTES};
+pub use segments::{DeviceSegments, COLUMNAR_ROW_BYTES, COMPARE_INSTR};

@@ -20,35 +20,25 @@
 //!
 //! What a method plugs in is a [`CandidateGenerator`] (thread-per-query) and
 //! a [`TileGenerator`] (warp-per-tile): slot decoding, per-query candidate
-//! iteration, per-round scratch state, and tile construction. Everything
-//! else — result/redo buffers, downloads, ledger charges, report totals,
-//! and the final unpermute/dedup ([`finish_search`]) — lives here once.
+//! iteration, per-round scratch state, tile construction, and which
+//! [`DeviceSegments`] scan a tile's tag selects. Everything else —
+//! result/redo buffers, downloads, ledger charges, report totals, and the
+//! final unpermute/dedup ([`finish_search`]) — lives here once.
 
-use crate::compare::{compare_and_stage, SCHEDULE_INSTR};
 use crate::queries::SortedQueries;
 use crate::segments::DeviceSegments;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use tdts_geom::{dedup_matches, MatchRecord};
+use tdts_geom::{dedup_matches, MatchRecord, PreparedQuery, TimeInterval};
 use tdts_gpu_sim::{
     Device, DeviceBuffer, Lane, NextBatch, RedoSchedule, SearchError, SearchReport, Tile, Warp,
     WarpStash, MAX_WARP_LANES,
 };
 
-/// What a warp-per-tile kernel reads besides its tile: the device-resident
-/// entry database, the device-resident query set, and the distance
-/// threshold.
-pub trait KernelContext: Sync {
-    /// The entry database `D` on the device.
-    fn entries(&self) -> &DeviceSegments;
-
-    /// The query set `Q` on the device.
-    fn queries(&self) -> &DeviceSegments;
-
-    /// The distance threshold `d`.
-    fn distance(&self) -> f64;
-}
+/// Instruction cost of reading a schedule entry / index arithmetic.
+pub const SCHEDULE_INSTR: u64 = 4;
 
 /// Work one lane reports back to the shared thread-per-query skeleton.
 #[derive(Debug, Clone, Copy, Default)]
@@ -112,7 +102,13 @@ pub trait CandidateGenerator: Sync {
 
 /// A method's warp-per-tile candidate decomposition, plugged into
 /// [`run_warp_per_tile`].
-pub trait TileGenerator: KernelContext {
+pub trait TileGenerator: Sync {
+    /// The query set `Q` on the device.
+    fn queries(&self) -> &DeviceSegments;
+
+    /// The distance threshold `d`.
+    fn distance(&self) -> f64;
+
     /// Append the tiles of query `qid` (its candidate ranges cut to at most
     /// `tile_size` entries, tagged as the method requires).
     fn push_tiles(&self, tiles: &mut Vec<Tile>, qid: u32, tile_size: usize);
@@ -123,11 +119,21 @@ pub trait TileGenerator: KernelContext {
         SCHEDULE_INSTR
     }
 
-    /// Resolve tile position `i` to an entry position (identity for direct
-    /// ranges; a charged indirection for lookup-array methods).
-    fn tile_entry_pos(&self, _lane: &mut Lane, _tile: &Tile, i: usize) -> u32 {
-        i as u32
-    }
+    /// Refine one lane's share of `tile` — every `step`-th candidate of
+    /// `rows`, a subrange of `tile.lo..tile.hi` — against the tile's
+    /// prepared query `q`, handing each match to `on_hit`, and return the
+    /// comparisons performed. A method resolves its tile tag here: a direct
+    /// range is [`DeviceSegments::refine_range`], a range of an index array
+    /// is [`DeviceSegments::refine_gather`].
+    fn refine_tile(
+        &self,
+        lane: &mut Lane,
+        tile: &Tile,
+        rows: Range<u32>,
+        step: usize,
+        q: &PreparedQuery,
+        on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
+    ) -> u64;
 }
 
 /// Run the thread-per-query protocol to completion. Returns the raw
@@ -218,7 +224,9 @@ pub fn run_thread_per_query<G: CandidateGenerator>(
 
 /// Run the warp-per-tile protocol to completion. Tile decomposition runs on
 /// the host once per round (charged); each warp reads its tile's query once
-/// through the leader and broadcasts it. Returns the raw matches and the
+/// through the leader, broadcasts it, and prepares it once for the whole
+/// tile; each lane then refines its strided share with one scan
+/// ([`TileGenerator::refine_tile`]). Returns the raw matches and the
 /// comparison count for [`finish_search`].
 pub fn run_warp_per_tile<G: TileGenerator>(
     device: &Arc<Device>,
@@ -262,26 +270,26 @@ pub fn run_warp_per_tile<G: TileGenerator>(
                 // The warp leader reads the tile's query once and broadcasts
                 // it (__shfl_sync analogue): converged charges, one row.
                 let q = generator.queries().broadcast(warp, tile.query as usize);
+                let q = PreparedQuery::new(&q, generator.distance());
                 warp.instr(generator.tile_setup_instr());
+                let mut compared = 0u64;
                 warp.for_each_lane(|lane| {
-                    let mut compared = 0u64;
-                    let mut i = tile.lo as usize + lane.lane_index();
-                    while i < tile.hi as usize {
-                        let entry_pos = generator.tile_entry_pos(lane, &tile, i);
-                        compared += 1;
-                        compare_and_stage(
-                            lane,
-                            generator.entries(),
-                            entry_pos,
-                            &q,
-                            tile.query,
-                            generator.distance(),
-                            &mut stash,
-                        );
-                        i += warp_size;
-                    }
-                    comparisons.fetch_add(compared, Ordering::Relaxed);
+                    // Lanes stride the tile together: lane `l` takes
+                    // positions `lo + l`, `lo + l + warp_size`, ….
+                    let first = tile.lo.saturating_add(lane.lane_index() as u32).min(tile.hi);
+                    compared += generator.refine_tile(
+                        lane,
+                        &tile,
+                        first..tile.hi,
+                        warp_size,
+                        &q,
+                        |lane, entry_pos, interval| {
+                            stash.stage(lane, MatchRecord::new(tile.query, entry_pos, interval))
+                        },
+                    );
                 });
+                // One host atomic per tile for the comparison count.
+                comparisons.fetch_add(compared, Ordering::Relaxed);
                 (stash, tile.query)
             },
             // Tile epilogue, in queue order.

@@ -12,21 +12,21 @@
 //!   compare reads `t_start`/`t_end` first (16 bytes) and loads the six
 //!   coordinate columns (48 bytes) only when the temporal overlap test
 //!   passes, so temporally-rejected candidates cost 16 bytes, not a row.
-//! * A contiguous range of `k` entries is charged in closed form — one read
-//!   of `16·k + 48·overlaps` bytes — equal to the per-element sum (see
-//!   [`DeviceSegments::refine_range`]).
+//! * A lane's `k` candidates — a contiguous or strided range, or ids
+//!   gathered through an index array — are charged in closed form: one read
+//!   of `16·k + 48·overlaps` bytes (plus `4·k` for gathered ids), equal to
+//!   the per-element sum (see [`DeviceSegments::refine_range`] and
+//!   [`DeviceSegments::refine_gather`]).
 //! * Segment ids never reach the device (result records carry entry
 //!   *positions*), so a full row is 64 bytes and uploads are charged
 //!   accordingly.
 
-use crate::compare::COMPARE_INSTR;
 use std::ops::Range;
 use std::sync::Arc;
 use tdts_geom::{
-    within_distance, Point3, PreparedQuery, SegId, Segment, SegmentColumns, SegmentStore,
-    TimeInterval, TrajId,
+    Point3, PreparedQuery, SegId, Segment, SegmentColumns, SegmentStore, TimeInterval, TrajId,
 };
-use tdts_gpu_sim::{ColumnarBuffer, Device, Lane, OutOfDeviceMemory, Warp};
+use tdts_gpu_sim::{ColumnarBuffer, Device, DeviceBuffer, Lane, OutOfDeviceMemory, Warp};
 
 /// Column indices of the canonical device order (matching
 /// [`SegmentColumns::f64_columns`]).
@@ -39,6 +39,12 @@ const COL_EZ: usize = 5;
 const COL_TS: usize = 6;
 const COL_TE: usize = 7;
 
+/// Instruction cost of one continuous distance comparison (quadratic
+/// coefficient computation + root solve + interval clamp). Charged whatever
+/// the outcome, so the comparison count and instruction totals are
+/// independent of both the distance threshold and the temporal prefilter.
+pub const COMPARE_INSTR: u64 = 48;
+
 /// Bytes of one row: eight `f64` fields, ids not stored.
 pub const COLUMNAR_ROW_BYTES: u64 = 8 * std::mem::size_of::<f64>() as u64;
 
@@ -47,6 +53,9 @@ const TIMESTAMP_BYTES: u64 = 2 * std::mem::size_of::<f64>() as u64;
 
 /// Bytes of the six coordinate columns, touched only on temporal overlap.
 const COORDINATE_BYTES: u64 = COLUMNAR_ROW_BYTES - TIMESTAMP_BYTES;
+
+/// Bytes of one id read from an index array on the way to its entry.
+const ID_BYTES: u64 = std::mem::size_of::<u32>() as u64;
 
 /// A segment database (or query set) resident in device memory: eight `f64`
 /// columns in the canonical order of [`SegmentColumns::f64_columns`]; ids
@@ -172,52 +181,175 @@ impl DeviceSegments {
         q
     }
 
-    /// The refinement memory access: load entry `pos` and run the continuous
-    /// distance test against query `q`.
+    /// Refine every `step`-th entry of the contiguous `range` against the
+    /// prepared query `q`: one scan over the column slices,
+    /// `on_hit(lane, pos, interval)` for every entry within distance, in
+    /// position order. Returns the number of comparisons performed (`k`
+    /// below). A thread-per-query lane walks its whole range (`step` 1); a
+    /// warp-per-tile lane walks its share of a tile (`step` = warp size).
     ///
-    /// Reads the two timestamp columns (16 bytes), applies the same temporal
-    /// overlap test [`within_distance`] starts with, and loads the six
-    /// coordinate columns (48 more bytes) only for candidates that overlap
-    /// in time.
+    /// The scan is charged in closed form — **one** global-memory read of
+    /// `16·k` bytes of timestamps plus `48` bytes of coordinates per
+    /// temporally overlapping entry, and **one** `COMPARE_INSTR·k`
+    /// instruction charge — which equals, by construction and by test
+    /// (`tests/refine_equivalence.rs`), the sum of `k` element-at-a-time
+    /// charges. The hit callback charges its own staging cost.
     ///
-    /// Instruction cost is *not* charged here (the caller charges the fixed
-    /// compare cost whatever the outcome, keeping the comparison count and
-    /// instruction accounting independent of the prefilter).
-    ///
-    /// This is the element-at-a-time form, for candidates reached through an
-    /// indirection (`GPUSpatial`'s `U_k`, the `X`/`Y`/`Z` id arrays, strided
-    /// tile lanes). A lane that walks a contiguous run of entries uses
-    /// [`refine_range`], where the hot loop lives.
-    ///
-    /// [`refine_range`]: DeviceSegments::refine_range
-    pub fn compare_within(
+    /// The rows are bounds-tested once for the whole range. A range that
+    /// leaves the buffer takes the per-element path, so the sanitizer reports
+    /// and neutralises each bad read where it happens (and without a
+    /// sanitizer it panics like a slice index).
+    pub fn refine_range(
         &self,
         lane: &mut Lane,
-        pos: usize,
-        q: &Segment,
-        d: f64,
-    ) -> Option<TimeInterval> {
-        self.compare_element(lane, pos, q.time_span(), |entry| within_distance(q, entry, d))
+        range: Range<u32>,
+        step: usize,
+        q: &PreparedQuery,
+        mut on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
+    ) -> u64 {
+        if range.is_empty() {
+            return 0;
+        }
+        let Some(cols) = self.cols.row_range::<8>(lane, range.start as usize..range.end as usize)
+        else {
+            return self.refine_elements(lane, range.step_by(step), q, &mut on_hit);
+        };
+        let (mut compared, mut overlapping) = (0u64, 0u64);
+        for i in (0..cols[0].len()).step_by(step) {
+            compared += 1;
+            if let Some(hit) = test_row(&cols, i, q) {
+                overlapping += 1;
+                if let Some(interval) = hit {
+                    on_hit(lane, range.start + i as u32, interval);
+                }
+            }
+        }
+        charge(lane, compared, overlapping, 0);
+        compared
     }
 
-    /// One element of the refinement: the two timestamp reads, the overlap
-    /// test against the query's `span`, and — for survivors only — the six
-    /// coordinate reads and the distance `test`.
+    /// Refine the entries a lane reaches through an index array — every
+    /// `step`-th id of `ids[range]` (the paper's `X`/`Y`/`Z` arrays, the FSG
+    /// lookup arrays `A`/`A'`) — against the prepared query `q`, in id
+    /// order; `on_hit` receives the entry position. Returns the comparisons
+    /// performed (`k`). Charged like [`refine_range`] plus the `4·k` bytes of
+    /// id reads, in the same one global-memory charge.
+    ///
+    /// The id range is bounds-tested once; one that leaves the index array
+    /// takes the per-element path, so the sanitizer reports and neutralises
+    /// each bad id read where it happens. So does an id that points past
+    /// the entries.
+    ///
+    /// [`refine_range`]: DeviceSegments::refine_range
+    pub fn refine_gather(
+        &self,
+        lane: &mut Lane,
+        ids: &DeviceBuffer<u32>,
+        range: Range<u32>,
+        step: usize,
+        q: &PreparedQuery,
+        mut on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
+    ) -> u64 {
+        if range.is_empty() {
+            return 0;
+        }
+        match ids.row_range(lane, range.start as usize..range.end as usize) {
+            Some(ids) => {
+                self.refine_ids(lane, ids.iter().step_by(step).copied(), ID_BYTES, q, on_hit)
+            }
+            None => {
+                let positions: Vec<u32> =
+                    range.step_by(step).map(|i| ids.read(lane, i as usize)).collect();
+                self.refine_elements(lane, positions, q, &mut on_hit)
+            }
+        }
+    }
+
+    /// Refine entry `positions` the lane has already read (and paid for) —
+    /// `GPUSpatial`'s candidate buffer `U_k` — against the prepared query
+    /// `q`, in the given order. Charged like [`refine_range`].
+    ///
+    /// [`refine_range`]: DeviceSegments::refine_range
+    pub fn refine_positions(
+        &self,
+        lane: &mut Lane,
+        positions: &[u32],
+        q: &PreparedQuery,
+        on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
+    ) -> u64 {
+        self.refine_ids(lane, positions.iter().copied(), 0, q, on_hit)
+    }
+
+    /// The gathered scan over the whole columns, charging `id_bytes` per id
+    /// on top of the entries. Each position is bounds-tested where it is
+    /// used; one past the end is refined on the per-element path, which
+    /// charges (and, under the sanitizer, reports) its own entry reads.
     #[inline(always)]
+    fn refine_ids(
+        &self,
+        lane: &mut Lane,
+        ids: impl Iterator<Item = u32>,
+        id_bytes: u64,
+        q: &PreparedQuery,
+        mut on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
+    ) -> u64 {
+        let cols = self.cols.row_range::<8>(lane, 0..self.len()).expect("whole buffer in bounds");
+        let (mut compared, mut inside, mut overlapping) = (0u64, 0u64, 0u64);
+        for pos in ids {
+            compared += 1;
+            let i = pos as usize;
+            if i >= self.len() {
+                self.refine_elements(lane, [pos], q, &mut on_hit);
+                continue;
+            }
+            inside += 1;
+            if let Some(hit) = test_row(&cols, i, q) {
+                overlapping += 1;
+                if let Some(interval) = hit {
+                    on_hit(lane, pos, interval);
+                }
+            }
+        }
+        charge(lane, inside, overlapping, id_bytes * compared);
+        compared
+    }
+
+    /// The refinement one charged element at a time: where a range that
+    /// leaves its buffer goes, so each bad read is reported where it
+    /// happens. Returns the comparisons performed.
+    #[cold]
+    fn refine_elements(
+        &self,
+        lane: &mut Lane,
+        positions: impl IntoIterator<Item = u32>,
+        q: &PreparedQuery,
+        on_hit: &mut impl FnMut(&mut Lane, u32, TimeInterval),
+    ) -> u64 {
+        let mut compared = 0;
+        for pos in positions {
+            compared += 1;
+            let hit = self.compare_element(lane, pos as usize, q);
+            lane.instr(COMPARE_INSTR);
+            if let Some(interval) = hit {
+                on_hit(lane, pos, interval);
+            }
+        }
+        compared
+    }
+
+    /// One charged element: the two timestamp reads, the overlap test, and
+    /// — for survivors only — the six coordinate reads and the distance
+    /// test.
     fn compare_element(
         &self,
         lane: &mut Lane,
         pos: usize,
-        span: TimeInterval,
-        test: impl FnOnce(&Segment) -> Option<TimeInterval>,
+        q: &PreparedQuery,
     ) -> Option<TimeInterval> {
         let cols = &self.cols;
         let t_start = cols.read(lane, COL_TS, pos);
         let t_end = cols.read(lane, COL_TE, pos);
-        // Identical predicate to within_distance's first step: temporally
-        // disjoint candidates are rejected after touching only the
-        // timestamp columns.
-        span.intersect(&TimeInterval::new(t_start, t_end))?;
+        q.time_span().intersect(&TimeInterval::new(t_start, t_end))?;
         let entry = Segment::new(
             Point3::new(
                 cols.read(lane, COL_SX, pos),
@@ -234,97 +366,47 @@ impl DeviceSegments {
             SegId(0),
             TrajId(0),
         );
-        test(&entry)
+        q.within(&entry)
     }
+}
 
-    /// Refine the contiguous entry `range` against the prepared query `q`:
-    /// one scan over the column slices, `on_hit(lane, pos, interval)` for
-    /// every entry within distance, in position order. Returns the number
-    /// of comparisons performed (the range's length, `k` below).
-    ///
-    /// The range is charged in closed form — **one** global-memory read of
-    /// `16·k` bytes of timestamps plus `48` bytes of coordinates per
-    /// temporally overlapping entry, and **one** `COMPARE_INSTR·k`
-    /// instruction charge — which equals, by construction and by test, what
-    /// `k` calls of [`compare_and_stage`](crate::compare::compare_and_stage)
-    /// post one element at a time. The hit callback charges its own staging
-    /// cost.
-    ///
-    /// The rows are bounds-tested once for the whole range. A range that
-    /// leaves the buffer takes the per-element path, so the sanitizer reports
-    /// and neutralises each bad read exactly as [`compare_within`] does (and
-    /// without a sanitizer it panics like a slice index).
-    ///
-    /// [`compare_within`]: DeviceSegments::compare_within
-    pub fn refine_range(
-        &self,
-        lane: &mut Lane,
-        range: Range<u32>,
-        q: &PreparedQuery,
-        mut on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
-    ) -> u64 {
-        if range.is_empty() {
-            return 0;
-        }
-        let compared = u64::from(range.end - range.start);
-        let span = q.time_span();
-        let Some([sx, sy, sz, ex, ey, ez, ts, te]) =
-            self.cols.row_range::<8>(lane, range.start as usize..range.end as usize)
-        else {
-            self.refine_elements(lane, range, q, &mut on_hit);
-            return compared;
-        };
-        let mut overlapping = 0u64;
-        for (i, pos) in range.enumerate() {
-            let (t_start, t_end) = (ts[i], te[i]);
-            // The same predicate, in the same place, as the element path.
-            if span.intersect(&TimeInterval::new(t_start, t_end)).is_none() {
-                continue;
-            }
-            overlapping += 1;
-            let entry = Segment::new(
-                Point3::new(sx[i], sy[i], sz[i]),
-                Point3::new(ex[i], ey[i], ez[i]),
-                t_start,
-                t_end,
-                SegId(0),
-                TrajId(0),
-            );
-            if let Some(interval) = q.within(&entry) {
-                on_hit(lane, pos, interval);
-            }
-        }
-        lane.gmem_read(TIMESTAMP_BYTES * compared + COORDINATE_BYTES * overlapping);
-        lane.instr(COMPARE_INSTR * compared);
-        compared
-    }
+/// One comparison of the scans: row `i` of the column slices against `q`.
+/// `None` when the temporal prefilter rejects the row (only its timestamps
+/// were touched); otherwise the distance test's outcome.
+#[inline(always)]
+fn test_row(
+    [sx, sy, sz, ex, ey, ez, ts, te]: &[&[f64]; 8],
+    i: usize,
+    q: &PreparedQuery,
+) -> Option<Option<TimeInterval>> {
+    let (t_start, t_end) = (ts[i], te[i]);
+    // The predicate `within` starts with, applied before the six coordinate
+    // columns are touched.
+    q.time_span().intersect(&TimeInterval::new(t_start, t_end))?;
+    let entry = Segment::new(
+        Point3::new(sx[i], sy[i], sz[i]),
+        Point3::new(ex[i], ey[i], ez[i]),
+        t_start,
+        t_end,
+        SegId(0),
+        TrajId(0),
+    );
+    Some(q.within(&entry))
+}
 
-    /// [`refine_range`] one charged element at a time: where a range that
-    /// leaves the buffer goes, so each bad read is reported where it happens.
-    ///
-    /// [`refine_range`]: DeviceSegments::refine_range
-    #[cold]
-    fn refine_elements(
-        &self,
-        lane: &mut Lane,
-        range: Range<u32>,
-        q: &PreparedQuery,
-        on_hit: &mut impl FnMut(&mut Lane, u32, TimeInterval),
-    ) {
-        for pos in range {
-            let hit =
-                self.compare_element(lane, pos as usize, q.time_span(), |entry| q.within(entry));
-            lane.instr(COMPARE_INSTR);
-            if let Some(interval) = hit {
-                on_hit(lane, pos, interval);
-            }
-        }
-    }
+/// The closed-form charge of `compared` in-bounds comparisons, of which
+/// `overlapping` passed the temporal prefilter, plus `extra_bytes` read on
+/// the way: one memory charge and one instruction charge.
+#[inline(always)]
+fn charge(lane: &mut Lane, compared: u64, overlapping: u64, extra_bytes: u64) {
+    lane.gmem_read(TIMESTAMP_BYTES * compared + COORDINATE_BYTES * overlapping + extra_bytes);
+    lane.instr(COMPARE_INSTR * compared);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tdts_geom::within_distance;
     use tdts_gpu_sim::DeviceConfig;
 
     fn seg(x: f64, t0: f64, id: u32) -> Segment {
@@ -340,6 +422,27 @@ mod tests {
 
     fn device() -> Arc<Device> {
         Device::new(DeviceConfig::test_tiny()).unwrap()
+    }
+
+    /// Refine the single entry `pos` on a fresh lane: the hit and the
+    /// lane's read bytes.
+    fn refine_one(
+        resident: &DeviceSegments,
+        pos: u32,
+        q: &Segment,
+        d: f64,
+    ) -> (Option<TimeInterval>, u64) {
+        let mut lane = Lane::new(0);
+        let mut hit = None;
+        let compared = resident.refine_positions(
+            &mut lane,
+            &[pos],
+            &PreparedQuery::new(q, d),
+            |_, _, interval| hit = Some(interval),
+        );
+        assert_eq!(compared, 1);
+        assert_eq!(lane.counters().instructions, COMPARE_INSTR);
+        (hit, lane.counters().gmem_read_bytes)
     }
 
     #[test]
@@ -383,18 +486,12 @@ mod tests {
     fn temporal_reject_touches_only_timestamps() {
         // Query at t in [100, 101]; entry at t in [0, 1]: disjoint.
         let resident = DeviceSegments::alloc(&device(), &[seg(0.0, 0.0, 0)]).unwrap();
-        let mut warp = Warp::standalone(2);
-        warp.for_each_lane(|lane| {
-            if lane.lane_index() == 0 {
-                let q = seg(0.0, 100.0, 9);
-                assert!(resident.compare_within(lane, 0, &q, 5.0).is_none());
-                assert_eq!(lane.counters().gmem_read_bytes, 16, "timestamps only");
-            } else {
-                let q = seg(0.0, 0.0, 9);
-                assert!(resident.compare_within(lane, 0, &q, 5.0).is_some());
-                assert_eq!(lane.counters().gmem_read_bytes, 64, "the full row");
-            }
-        });
+        let (hit, bytes) = refine_one(&resident, 0, &seg(0.0, 100.0, 9), 5.0);
+        assert!(hit.is_none());
+        assert_eq!(bytes, 16, "timestamps only");
+        let (hit, bytes) = refine_one(&resident, 0, &seg(0.0, 0.0, 9), 5.0);
+        assert!(hit.is_some());
+        assert_eq!(bytes, 64, "the full row");
     }
 
     #[test]
@@ -419,23 +516,17 @@ mod tests {
     }
 
     #[test]
-    fn compare_agrees_with_within_distance() {
+    fn refinement_agrees_with_within_distance() {
         let segs: Vec<Segment> = (0..8).map(|i| seg(i as f64 * 1.5, i as f64 * 0.4, i)).collect();
         let resident = DeviceSegments::alloc(&device(), &segs).unwrap();
         let queries: Vec<Segment> =
             (0..5).map(|i| seg(i as f64 * 2.3, i as f64 * 0.7, i)).collect();
-        let mut warp = Warp::standalone(1);
-        warp.for_each_lane(|lane| {
-            for q in &queries {
-                for (i, s) in segs.iter().enumerate() {
-                    for d in [0.1, 1.0, 10.0] {
-                        assert_eq!(
-                            resident.compare_within(lane, i, q, d),
-                            within_distance(q, s, d)
-                        );
-                    }
+        for q in &queries {
+            for (i, s) in segs.iter().enumerate() {
+                for d in [0.1, 1.0, 10.0] {
+                    assert_eq!(refine_one(&resident, i as u32, q, d).0, within_distance(q, s, d));
                 }
             }
-        });
+        }
     }
 }

@@ -11,11 +11,12 @@
 //! relies on, three host-side concurrency rules guarding the query
 //! service (the static twin of the `tdts-sync` model checker):
 //!
-//! * `uncharged-column-read` — `ColumnarBuffer::column` and `row_range`
-//!   hand out device data without posting a memory charge. In kernel-side
-//!   code they have one home, `crates/kernels/src/segments.rs`, where
-//!   `DeviceSegments` pairs every such read with the charge it owes (a
-//!   range's closed-form sum, a broadcast's row); anywhere else a read
+//! * `uncharged-column-read` — `ColumnarBuffer::column` and the
+//!   `row_range` of `ColumnarBuffer` and `DeviceBuffer` hand out device
+//!   data without posting a memory charge. In kernel-side code they have
+//!   one home, `crates/kernels/src/segments.rs`, where `DeviceSegments`
+//!   pairs every such read with the charge it owes (a range's or a
+//!   gather's closed-form sum, a broadcast's row); anywhere else a read
 //!   would silently drop out of the simulated cost.
 //! * `float-eq` — the continuous interaction test (`tdts-geom` and the
 //!   kernels crate) must not compare `f64` values with `==`/`!=`;
@@ -206,8 +207,8 @@ const KERNEL_CRATES: &[&str] = &[
 const RULES: &[Rule] = &[
     Rule {
         name: "uncharged-column-read",
-        why: "uncharged ColumnarBuffer access in kernel-side code; read through \
-              DeviceSegments (crates/kernels/src/segments.rs), which posts the charge",
+        why: "uncharged ColumnarBuffer/DeviceBuffer access in kernel-side code; read \
+              through DeviceSegments (crates/kernels/src/segments.rs), which posts the charge",
         scan_dirs: KERNEL_CRATES,
         scan_files: &[],
         exempt_files: &["crates/kernels/src/segments.rs"],
