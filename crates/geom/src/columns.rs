@@ -9,9 +9,11 @@
 //! schedule filtering touches 8 contiguous bytes instead of dragging a whole
 //! 72-byte [`Segment`] through the memory system.
 //!
-//! [`SegmentStore::columns`](crate::SegmentStore::columns) is the host-side
-//! producer; the GPU side consumes the eight `f64` columns (ids stay on the
-//! host — kernels address entries by position, never by id).
+//! The simulated device charges its reads by this layout (16 bytes of
+//! timestamps per comparison, the other 48 only on temporal overlap), while
+//! the host copy of a device-resident database holds prepared rows instead
+//! (`tdts_geom::PreparedEntry`); ids never reach the device — kernels
+//! address entries by position, never by id.
 
 use crate::{Point3, SegId, Segment, TrajId};
 use serde::{Deserialize, Serialize};

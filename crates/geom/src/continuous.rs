@@ -19,35 +19,59 @@ fn affine_model(s: &Segment) -> (Point3, Point3) {
     (v, s.start - v * s.t_start)
 }
 
-/// Coefficients of the squared separation `|r(t)|^2 = c2 t^2 + c1 t + c0`
-/// between the moving point with model `(va, base_a)` and segment `b`, valid
-/// over their temporal overlap.
-#[inline]
-fn separation_quadratic((va, base_a): (Point3, Point3), b: &Segment) -> (f64, f64, f64) {
-    let (vb, base_b) = affine_model(b);
-    let dv = va - vb; // relative velocity
-    let dp = base_a - base_b; // relative position at t = 0
-    let c2 = dv.norm2();
-    let c1 = 2.0 * dp.dot(&dv);
-    let c0 = dp.norm2();
-    (c2, c1, c0)
-}
-
 /// Temporal overlap of two segments, or `None` if they are temporally disjoint.
 #[inline]
 pub fn temporal_overlap(a: &Segment, b: &Segment) -> Option<TimeInterval> {
     a.time_span().intersect(&b.time_span())
 }
 
+/// An entry segment prepared for repeated distance tests: its half of the
+/// quadratic — velocity, affine base `start − v·t_start` and time span —
+/// computed once, when the entry is placed on the device, instead of once
+/// per comparison.
+///
+/// The layout is one 64-byte row, `(v, base, t_start, t_end)`. It keeps
+/// the natural 8-byte alignment: a 64-byte alignment made no measurable
+/// difference to scan speed, while aligned reallocation (which cannot grow
+/// in place) raised peak memory on streaming ingest. [`PreparedEntry::new`]
+/// performs exactly the operations the unprepared test performs on its
+/// second argument, so [`PreparedQuery::within_prepared`] agrees with
+/// [`within_distance`] bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(C)]
+pub struct PreparedEntry {
+    velocity: Point3,
+    base: Point3,
+    span: TimeInterval,
+}
+
+const _: () = assert!(std::mem::size_of::<PreparedEntry>() == 64);
+
+impl PreparedEntry {
+    /// Prepare entry `e`.
+    #[inline]
+    pub fn new(e: &Segment) -> PreparedEntry {
+        let (velocity, base) = affine_model(e);
+        PreparedEntry { velocity, base, span: e.time_span() }
+    }
+
+    /// Temporal extent of the prepared entry.
+    #[inline]
+    pub fn time_span(&self) -> TimeInterval {
+        self.span
+    }
+}
+
 /// A query segment prepared for repeated distance tests at one threshold.
 ///
 /// Everything [`within_distance`] derives from its first argument and `d`
 /// alone — the time span, the velocity, the affine base `start − v·t_start`
-/// and `d²` — is computed once here, so a refinement loop over many entries
-/// pays only for the entry's half of the quadratic. [`within`] performs the
-/// same floating-point operations in the same order as the unprepared test
-/// (which is a wrapper over it), so the two agree bit for bit.
+/// and `d²` — is computed once here; [`PreparedEntry`] does the same for
+/// the second argument. [`within_prepared`] is the one solver: [`within`]
+/// and [`within_distance`] are wrappers over it, so every form agrees bit
+/// for bit.
 ///
+/// [`within_prepared`]: PreparedQuery::within_prepared
 /// [`within`]: PreparedQuery::within
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PreparedQuery {
@@ -77,17 +101,22 @@ impl PreparedQuery {
     }
 
     /// The continuous distance threshold test of the prepared query against
-    /// `entry`: the closed sub-interval of their temporal overlap during
-    /// which the two moving points are within the prepared distance, or
-    /// `None` if they never are (or never overlap temporally).
+    /// the prepared `entry`: the closed sub-interval of their temporal
+    /// overlap during which the two moving points are within the prepared
+    /// distance, or `None` if they never are (or never overlap temporally).
     ///
-    /// Always inlined: the refinement loops build `entry` from column
-    /// values in registers, and an out-of-line call would round-trip it
-    /// through memory (measured ~4× per comparison on the kernel hot path).
+    /// Always inlined: the refinement scans call it once per candidate, and
+    /// an out-of-line call would round-trip both models through memory.
     #[inline(always)]
-    pub fn within(&self, entry: &Segment) -> Option<TimeInterval> {
-        let ov = self.span.intersect(&entry.time_span())?;
-        let (c2, c1, c0) = separation_quadratic(self.model, entry);
+    pub fn within_prepared(&self, entry: &PreparedEntry) -> Option<TimeInterval> {
+        let ov = self.span.intersect(&entry.span)?;
+        // Coefficients of the squared separation |r(t)|^2 = c2 t^2 + c1 t + c0,
+        // valid over the overlap.
+        let dv = self.model.0 - entry.velocity; // relative velocity
+        let dp = self.model.1 - entry.base; // relative position at t = 0
+        let c2 = dv.norm2();
+        let c1 = 2.0 * dp.dot(&dv);
+        let c0 = dp.norm2();
 
         if c2 <= 0.0 {
             // Parallel motion (zero relative velocity): constant separation c0.
@@ -118,6 +147,13 @@ impl PreparedQuery {
         }
         TimeInterval::new(r0, r1).intersect(&ov)
     }
+
+    /// [`within_prepared`](PreparedQuery::within_prepared) against an
+    /// unprepared `entry`.
+    #[inline]
+    pub fn within(&self, entry: &Segment) -> Option<TimeInterval> {
+        self.within_prepared(&PreparedEntry::new(entry))
+    }
 }
 
 /// The continuous distance threshold test.
@@ -132,7 +168,8 @@ impl PreparedQuery {
 /// error before a comparison runs.
 ///
 /// There is one solver: this is [`PreparedQuery::new`]`(a, d)` followed by
-/// [`within`](PreparedQuery::within)`(b)`.
+/// [`within_prepared`](PreparedQuery::within_prepared) against
+/// [`PreparedEntry::new`]`(b)`.
 ///
 /// ```
 /// use tdts_geom::{within_distance, Point3, SegId, Segment, TrajId};

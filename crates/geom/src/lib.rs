@@ -13,14 +13,15 @@
 //!   test: the exact sub-interval of the temporal overlap of two segments
 //!   during which the two moving points are within a Euclidean distance `d`
 //!   of each other. This is the `compare()` primitive of Algorithms 1–3 in
-//!   the paper. [`PreparedQuery`] is the same test with the query's half of
-//!   the arithmetic done once, for loops over many entries.
+//!   the paper. [`PreparedQuery`] and [`PreparedEntry`] are the same test
+//!   with each side's half of the arithmetic done once: the query's per
+//!   search, the entry's when it is placed on the device.
 //! * [`SegmentStore`] — an in-memory segment database with the global
 //!   statistics (spatial bounds, temporal extent, maximum segment spatial
 //!   extent) that the indexing schemes are built from.
 //! * [`SegmentColumns`] — the same database transposed to columnar
-//!   (struct-of-arrays) layout, the host-side source for per-column device
-//!   buffers with coalesced reads.
+//!   (struct-of-arrays) layout, the layout the simulated device charges its
+//!   reads by.
 //! * [`ShardedStore`] — the database partitioned into shard-local stores
 //!   (temporal or spatial slabs, boundary segments replicated) for
 //!   multi-device execution.
@@ -38,7 +39,7 @@ pub mod shard;
 pub mod store;
 
 pub use columns::SegmentColumns;
-pub use continuous::{within_distance, PreparedQuery};
+pub use continuous::{within_distance, PreparedEntry, PreparedQuery};
 pub use interval::TimeInterval;
 pub use mbb::Mbb;
 pub use point::Point3;

@@ -2,10 +2,10 @@
 //!
 //! A [`SegmentStore`] is no longer build-once: [`append`] and
 //! [`expire_before`] mutate it in place, bumping a monotonically increasing
-//! *generation* number. Derived state — the [`StoreStats`] scan and the
-//! columnar mirror behind [`columns`] — is generation-tagged, so consumers
-//! can never observe values computed against a different segment set, and
-//! appends extend both caches incrementally instead of rescanning.
+//! *generation* number. Derived state — the [`StoreStats`] scan — is
+//! generation-tagged, so consumers can never observe values computed
+//! against a different segment set, and appends extend it incrementally
+//! instead of rescanning.
 //!
 //! Searches pin an *epoch*: index builders snapshot the store behind an
 //! `Arc` and record [`generation`] at build time, so a store mutated for the
@@ -14,12 +14,11 @@
 //!
 //! [`append`]: SegmentStore::append
 //! [`expire_before`]: SegmentStore::expire_before
-//! [`columns`]: SegmentStore::columns
 //! [`generation`]: SegmentStore::generation
 
-use crate::{Mbb, Segment, SegmentColumns, TimeInterval};
+use crate::{Mbb, Segment, TimeInterval};
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Global statistics of a segment database.
 ///
@@ -94,13 +93,6 @@ struct StatsEntry {
     dur_sum: f64,
 }
 
-/// Lazily derived, generation-tagged views of the segment vector.
-#[derive(Debug, Default)]
-struct StoreCache {
-    stats: Option<StatsEntry>,
-    columns: Option<(u64, Arc<SegmentColumns>)>,
-}
-
 /// An in-memory spatiotemporal segment database (the paper's `D`, and also
 /// the representation of a query set `Q`).
 ///
@@ -115,22 +107,22 @@ struct StoreCache {
 pub struct SegmentStore {
     segments: Vec<Segment>,
     /// Monotonically increasing mutation counter. Every mutating method
-    /// bumps it; derived caches carry the generation they were computed at.
+    /// bumps it; the stats cache carries the generation it was computed at.
     generation: u64,
+    /// The lazily computed, generation-tagged stats scan.
     #[serde(skip)]
-    cache: Mutex<StoreCache>,
+    stats: Mutex<Option<StatsEntry>>,
 }
 
 impl Clone for SegmentStore {
     fn clone(&self) -> Self {
-        // Carry the derived caches over (cheap: stats are `Copy`, the
-        // columnar mirror is an `Arc` clone) so a copy-on-write snapshot
-        // does not retranspose an unchanged store.
-        let cache = self.cache.lock().expect("store cache poisoned");
+        // Carry the stats cache over (cheap: it is `Copy`) so a
+        // copy-on-write snapshot does not rescan an unchanged store.
+        let stats = *self.stats.lock().expect("store cache poisoned");
         SegmentStore {
             segments: self.segments.clone(),
             generation: self.generation,
-            cache: Mutex::new(StoreCache { stats: cache.stats, columns: cache.columns.clone() }),
+            stats: Mutex::new(stats),
         }
     }
 }
@@ -143,7 +135,7 @@ impl SegmentStore {
 
     /// Build from a vector of segments (generation 0).
     pub fn from_segments(segments: Vec<Segment>) -> Self {
-        SegmentStore { segments, generation: 0, cache: Mutex::new(StoreCache::default()) }
+        SegmentStore { segments, generation: 0, stats: Mutex::new(None) }
     }
 
     /// Number of segments.
@@ -172,9 +164,9 @@ impl SegmentStore {
         self.generation
     }
 
-    /// Append a segment. The caches go stale by generation tag; prefer
-    /// [`append`](SegmentStore::append) for bulk ingestion, which extends
-    /// them incrementally.
+    /// Append a segment. The stats cache goes stale by generation tag;
+    /// prefer [`append`](SegmentStore::append) for bulk ingestion, which
+    /// extends it incrementally.
     #[inline]
     pub fn push(&mut self, seg: Segment) {
         self.segments.push(seg);
@@ -199,8 +191,8 @@ impl SegmentStore {
         Ok(())
     }
 
-    /// Append a batch of segments at the tail, extending the stats scan and
-    /// the columnar mirror incrementally when they are fresh.
+    /// Append a batch of segments at the tail, extending the stats scan
+    /// incrementally when it is fresh.
     ///
     /// Returns the [`AppendDelta`] describing the new tail. Streaming
     /// ingestion keeps the store sorted by feeding segments whose `t_start`
@@ -211,8 +203,7 @@ impl SegmentStore {
         let prev_generation = self.generation;
         self.segments.extend_from_slice(new);
         self.generation += 1;
-        let cache = self.cache.get_mut().expect("store cache poisoned");
-        if let Some(entry) = &mut cache.stats {
+        if let Some(entry) = self.stats.get_mut().expect("store cache poisoned") {
             if entry.generation == prev_generation && !new.is_empty() {
                 // Continue the cold scan over the appended tail: max/min
                 // merges are exact, and `dur_sum` extends the same
@@ -244,15 +235,6 @@ impl SegmentStore {
                 };
             }
         }
-        if let Some((tag, cols)) = &mut cache.columns {
-            if *tag == prev_generation {
-                let cols = Arc::make_mut(cols);
-                for s in new {
-                    cols.push(s);
-                }
-                *tag = self.generation;
-            }
-        }
         AppendDelta { from, count: new.len(), generation: self.generation }
     }
 
@@ -260,11 +242,8 @@ impl SegmentStore {
     /// preserving the relative order of survivors.
     ///
     /// Returns the [`ExpireDelta`] mapping old positions to new ones.
-    /// Derived caches are invalidated (extents can shrink; positions move),
-    /// so the next [`stats`]/[`columns`] call rescans.
-    ///
-    /// [`stats`]: SegmentStore::stats
-    /// [`columns`]: SegmentStore::columns
+    /// The stats cache is invalidated (extents can shrink), so the next
+    /// [`stats`](SegmentStore::stats) call rescans.
     pub fn expire_before(&mut self, t: f64) -> ExpireDelta {
         let old_len = self.segments.len();
         let mut removed = Vec::new();
@@ -278,9 +257,7 @@ impl SegmentStore {
             keep
         });
         self.generation += 1;
-        let cache = self.cache.get_mut().expect("store cache poisoned");
-        cache.stats = None;
-        cache.columns = None;
+        *self.stats.get_mut().expect("store cache poisoned") = None;
         ExpireDelta { removed, old_len, generation: self.generation }
     }
 
@@ -306,37 +283,15 @@ impl SegmentStore {
         self.segments.get(i)
     }
 
-    /// Columnar (struct-of-arrays) view of the segments, in store order.
-    /// This is the host-side producer for per-column device buffers.
-    ///
-    /// The transpose is computed lazily and tagged with the generation it
-    /// reflects: repeated calls at the same generation share one mirror,
-    /// [`append`](SegmentStore::append) extends it in place, and any other
-    /// mutation makes it stale (the next call retransposes), so a columnar
-    /// device upload can never ship coordinates from a previous generation.
-    pub fn columns(&self) -> Arc<SegmentColumns> {
-        let mut cache = self.cache.lock().expect("store cache poisoned");
-        if let Some((tag, cols)) = &cache.columns {
-            if *tag == self.generation {
-                return Arc::clone(cols);
-            }
-        }
-        let cols = Arc::new(SegmentColumns::from_segments(&self.segments));
-        cache.columns = Some((self.generation, Arc::clone(&cols)));
-        cols
-    }
-
     /// Sort segments by ascending `t_start` (stable). The temporal and
     /// spatiotemporal indexes require this ordering. The stats cache is
     /// re-tagged rather than invalidated — the segment *set* is unchanged,
-    /// so the scan (including its exact duration sum) still holds — while
-    /// the columnar mirror goes stale (row order changed).
+    /// so the scan (including its exact duration sum) still holds.
     pub fn sort_by_t_start(&mut self) {
         let prev_generation = self.generation;
         self.segments.sort_by(|a, b| a.t_start.partial_cmp(&b.t_start).expect("NaN t_start"));
         self.generation += 1;
-        let cache = self.cache.get_mut().expect("store cache poisoned");
-        if let Some(entry) = &mut cache.stats {
+        if let Some(entry) = self.stats.get_mut().expect("store cache poisoned") {
             if entry.generation == prev_generation {
                 entry.generation = self.generation;
             }
@@ -356,14 +311,14 @@ impl SegmentStore {
     /// slab-edge placement, routing reach intervals — never see extents
     /// from a previous generation.
     pub fn stats(&self) -> Option<StoreStats> {
-        let mut cache = self.cache.lock().expect("store cache poisoned");
-        if let Some(entry) = cache.stats {
+        let mut cache = self.stats.lock().expect("store cache poisoned");
+        if let Some(entry) = *cache {
             if entry.generation == self.generation {
                 return entry.stats;
             }
         }
         let (stats, dur_sum) = self.compute_stats();
-        cache.stats = Some(StatsEntry { generation: self.generation, stats, dur_sum });
+        *cache = Some(StatsEntry { generation: self.generation, stats, dur_sum });
         stats
     }
 
@@ -569,42 +524,12 @@ mod tests {
     }
 
     #[test]
-    fn columns_view_matches_store_order() {
-        let store: SegmentStore =
-            vec![seg(1.0, 2.0, 0.0, 1.0, 3), seg(0.0, 0.5, -1.0, 4.0, 7)].into_iter().collect();
-        let cols = store.columns();
-        assert_eq!(cols.len(), store.len());
-        assert_eq!(cols.to_segments(), store.segments());
-    }
-
-    #[test]
-    fn columns_cache_shares_extends_and_invalidates() {
-        let mut store: SegmentStore =
-            vec![seg(0.0, 1.0, 0.0, 1.0, 0), seg(1.0, 2.0, 2.0, 3.0, 1)].into_iter().collect();
-        let a = store.columns();
-        let b = store.columns();
-        assert!(Arc::ptr_eq(&a, &b), "same generation shares one mirror");
-        // Append extends the fresh mirror in place (modulo the held Arc).
-        store.append(&[seg(2.0, 3.0, -1.0, 0.0, 2)]);
-        let c = store.columns();
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.to_segments(), store.segments());
-        assert_eq!(a.len(), 2, "pinned epoch view is untouched");
-        // Expire invalidates: the next call retransposes to the new order.
-        store.expire_before(1.5);
-        let d = store.columns();
-        assert_eq!(d.to_segments(), store.segments());
-    }
-
-    #[test]
     fn clone_preserves_generation_and_caches() {
         let mut store: SegmentStore = vec![seg(0.0, 1.0, 0.0, 1.0, 0)].into_iter().collect();
         store.append(&[seg(1.0, 2.0, 0.0, 1.0, 1)]);
         let _ = store.stats();
-        let cols = store.columns();
         let copy = store.clone();
         assert_eq!(copy.generation(), store.generation());
         assert_eq!(copy.stats(), store.stats());
-        assert!(Arc::ptr_eq(&cols, &copy.columns()), "clone shares the fresh mirror");
     }
 }

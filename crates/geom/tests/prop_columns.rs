@@ -2,7 +2,7 @@
 //! transpose of the array-of-structs segment store.
 
 use proptest::prelude::*;
-use tdts_geom::{Point3, SegId, Segment, SegmentColumns, SegmentStore, TrajId};
+use tdts_geom::{Point3, SegId, Segment, SegmentColumns, TrajId};
 
 fn arb_segment() -> impl Strategy<Value = Segment> {
     (
@@ -32,20 +32,6 @@ proptest! {
         let cols = SegmentColumns::from_segments(&segs);
         prop_assert_eq!(cols.len(), segs.len());
         prop_assert_eq!(cols.to_segments(), segs);
-    }
-
-    /// Row access agrees with the originating AoS vector at every position,
-    /// and is checked out of range.
-    #[test]
-    fn columnar_reads_equal_aos_reads(segs in proptest::collection::vec(arb_segment(), 0..64)) {
-        let store = SegmentStore::from_segments(segs.clone());
-        let cols = store.columns();
-        for (i, s) in segs.iter().enumerate() {
-            prop_assert_eq!(cols.segment(i).as_ref(), Some(s));
-            prop_assert_eq!(store.try_get(i), Some(s));
-        }
-        prop_assert!(cols.segment(segs.len()).is_none());
-        prop_assert!(store.try_get(segs.len()).is_none());
     }
 
     /// Every f64 column holds exactly the corresponding scalar field, in the

@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 use tdts_geom::{
-    within_distance, Mbb, Point3, PreparedQuery, SegId, Segment, TimeInterval, TrajId,
+    within_distance, Mbb, Point3, PreparedEntry, PreparedQuery, SegId, Segment, TimeInterval,
+    TrajId,
 };
 
 fn arb_point() -> impl Strategy<Value = Point3> {
@@ -65,6 +66,40 @@ proptest! {
             prop_assert_eq!(bits(PreparedQuery::new(x, d).within(y)), expect);
             prop_assert_eq!(bits(within_distance(x, y, d)), expect);
         }
+    }
+
+    /// Preparing the entry once, as the device database does when it places
+    /// an entry, changes no bit of any answer — including the degenerate
+    /// entries: zero duration (the `v = 0` branch), parallel motion
+    /// (`c2 = 0`), `d = 0`, and a separation of exactly `d`.
+    #[test]
+    fn prepared_entry_equals_within_distance(
+        q in arb_segment(),
+        e in arb_segment(),
+        kind in 0u32..5,
+        shift in (-20i32..20, -20i32..20),
+        d in (0u32..4, 0.0f64..30.0),
+    ) {
+        let d = if d.0 == 0 { 0.0 } else { d.1 };
+        let offset = Point3::new(f64::from(shift.0), f64::from(shift.1), 0.0);
+        let (e, d) = match kind {
+            // Zero duration: a stationary point inside the query's span.
+            0 => (Segment::new(e.start, e.start, q.t_start, q.t_start, SegId(1), TrajId(1)), d),
+            // Parallel motion: the query translated, same timestamps.
+            1 => (Segment::new(q.start + offset, q.end + offset, q.t_start, q.t_end,
+                               SegId(1), TrajId(1)), d),
+            // The same translation tested at exactly its separation.
+            2 => (Segment::new(q.start + offset, q.end + offset, q.t_start, q.t_end,
+                               SegId(1), TrajId(1)), offset.norm2().sqrt()),
+            // The query itself, at any d (d = 0 included).
+            3 => (q, d),
+            _ => (e, d),
+        };
+        let expect = bits(unprepared_within_distance(&q, &e, d));
+        let prepared = PreparedQuery::new(&q, d).within_prepared(&PreparedEntry::new(&e));
+        prop_assert_eq!(bits(prepared), expect);
+        prop_assert_eq!(bits(within_distance(&q, &e, d)), expect);
+        prop_assert_eq!(PreparedEntry::new(&e).time_span(), e.time_span());
     }
 
     /// Any time inside the returned interval must actually satisfy the

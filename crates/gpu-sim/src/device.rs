@@ -5,7 +5,7 @@ use crate::config::DeviceConfig;
 use crate::launch::{run_launch, run_launch_persistent, run_launch_warps, LaunchReport, Warp};
 use crate::ledger::{Phase, ResponseTime};
 use crate::memory::{
-    ColumnarBuffer, DeviceBuffer, OutOfDeviceMemory, PartitionedScratch, Reservation, ResultBuffer,
+    DeviceBuffer, OutOfDeviceMemory, PartitionedScratch, Reservation, ResultBuffer,
 };
 use crate::sanitizer::{short_type_name, Sanitizer, SanitizerMode, SanitizerReport};
 use crate::workqueue::{Tile, WorkQueue};
@@ -212,37 +212,6 @@ impl Device {
         self.alloc_from_host(data)
     }
 
-    /// Allocate a columnar (struct-of-arrays) buffer *offline* (no ledger
-    /// entry): one device column per input slice, all of equal length. Used
-    /// for the database `D`.
-    pub fn alloc_columns<T: Copy>(
-        self: &Arc<Self>,
-        columns: &[&[T]],
-    ) -> Result<ColumnarBuffer<T>, OutOfDeviceMemory> {
-        let bytes = columns.iter().map(|c| std::mem::size_of_val(*c)).sum();
-        let len = columns.iter().map(|c| c.len()).sum();
-        let reservation =
-            Reservation::new(self, bytes, "ColumnarBuffer", short_type_name::<T>(), len)?;
-        Ok(ColumnarBuffer::new(columns.iter().map(|c| c.to_vec()).collect(), reservation))
-    }
-
-    /// Allocate and transfer a columnar buffer *online*, charging one
-    /// host→device transfer of the combined column bytes to the ledger.
-    /// Used for query sets — note this is `num_columns * 8` bytes per
-    /// segment, not `size_of::<Segment>()`: ids stay on the host.
-    pub fn upload_columns<T: Copy>(
-        self: &Arc<Self>,
-        columns: &[&[T]],
-    ) -> Result<ColumnarBuffer<T>, OutOfDeviceMemory> {
-        let bytes: usize = columns.iter().map(|c| std::mem::size_of_val(*c)).sum();
-        {
-            let mut ledger = self.ledger.lock();
-            ledger.add(Phase::HostToDevice, self.core.config.h2d_seconds(bytes));
-            ledger.h2d_bytes += bytes as u64;
-        }
-        self.alloc_columns(columns)
-    }
-
     /// Allocate a fixed-capacity atomic-append result buffer (offline — the
     /// paper pre-allocates the result buffer before searching).
     pub fn alloc_result<T>(
@@ -445,18 +414,6 @@ mod tests {
         let t = dev.ledger().get(Phase::HostToDevice);
         // latency 1e-3 + 1000/1e6 = 2e-3
         assert!((t - 2e-3).abs() < 1e-9, "t = {t}");
-    }
-
-    #[test]
-    fn column_upload_charges_combined_bytes() {
-        let dev = tiny();
-        // Offline columnar alloc: no ledger entry.
-        let _d = dev.alloc_columns(&[&[0.0f64; 10][..]; 8]).unwrap();
-        assert_eq!(dev.ledger().total(), 0.0);
-        // Online: 8 columns x 10 rows x 8 bytes = 640 bytes, one transfer.
-        let _q = dev.upload_columns(&[&[0.0f64; 10][..]; 8]).unwrap();
-        let t = dev.ledger().get(Phase::HostToDevice);
-        assert!((t - (1e-3 + 640.0 / 1e6)).abs() < 1e-9, "t = {t}");
     }
 
     #[test]

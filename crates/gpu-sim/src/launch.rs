@@ -107,10 +107,17 @@ impl Warp {
     /// Run `f` once per lane, in lane order. May be called repeatedly; the
     /// lanes keep accumulating onto the same counters. By the time an
     /// ordered epilogue runs the lanes have retired and `f` is not called.
-    pub fn for_each_lane(&mut self, mut f: impl FnMut(&mut Lane)) {
-        for lane in &mut self.lanes {
-            f(lane);
-        }
+    pub fn for_each_lane(&mut self, f: impl FnMut(&mut Lane)) {
+        self.lanes_mut().iter_mut().for_each(f);
+    }
+
+    /// The warp's lanes, in lane order, for warp-cooperative work that
+    /// deals items to lanes itself (a tile scan hands candidate `j` to lane
+    /// `j % lane_count`). Empty once the lanes have retired, as in an
+    /// ordered epilogue.
+    #[inline]
+    pub fn lanes_mut(&mut self) -> &mut [Lane] {
+        &mut self.lanes
     }
 
     /// Record `n` converged ALU instructions (executed by the warp as one).
@@ -198,20 +205,23 @@ pub(crate) struct LaneCost {
 }
 
 impl LaneCost {
-    pub(crate) fn of(lanes: impl IntoIterator<Item = (Counters, u64)>) -> LaneCost {
+    pub(crate) fn of(lanes: &[Lane]) -> LaneCost {
         let mut max = Counters::default();
         let mut totals = Counters::default();
-        // Distinct path tags (warp sizes are small; O(k^2) is fine).
-        let mut distinct: Vec<u64> = Vec::with_capacity(4);
-        for (c, p) in lanes {
-            max = max.max(&c);
-            totals.add(&c);
-            if !distinct.contains(&p) {
-                distinct.push(p);
+        // Distinct path tags, counted on the stack (warp sizes are small;
+        // O(k^2) is fine).
+        let mut distinct = [0u64; MAX_WARP_LANES];
+        let mut paths = 0;
+        for lane in lanes {
+            max = max.max(&lane.counters);
+            totals.add(&lane.counters);
+            if !distinct[..paths].contains(&lane.path) {
+                distinct[paths] = lane.path;
+                paths += 1;
             }
         }
-        debug_assert!(!distinct.is_empty(), "a warp has at least one lane");
-        LaneCost { max_instructions: max.instructions, paths: distinct.len(), totals }
+        debug_assert!(paths > 0, "a warp has at least one lane");
+        LaneCost { max_instructions: max.instructions, paths, totals }
     }
 
     /// The warp's simulated cost: the lanes' share plus warp-scoped
@@ -251,8 +261,10 @@ type Staged<S> = Vec<(Warp, LaneCost, S)>;
 /// `turn` value once a worker has panicked: nobody waits for a turn again.
 const POISONED: usize = usize::MAX;
 
-/// Run `n` warps: `body(i)` builds warp `i` and runs its lane work, on
-/// host worker threads and in no particular order across them; `epilogue`
+/// Run `n` warps: `body(i, lanes)` builds warp `i` on the recycled lane
+/// vector `lanes` (cleared, capacity kept, so a worker allocates lanes once
+/// rather than once per warp) and runs its lane work, on host worker
+/// threads and in no particular order across them; `epilogue`
 /// then runs once per warp, one at a time and **in ascending warp order**.
 /// Everything a warp does to state shared across warps — bumping a
 /// result-buffer cursor above all — belongs in the epilogue: which commit
@@ -266,7 +278,7 @@ const POISONED: usize = usize::MAX;
 /// runs further blocks instead of waiting.
 fn run_ordered<S, B, E>(config: &DeviceConfig, n: usize, body: &B, epilogue: &E) -> Vec<WarpCost>
 where
-    B: Fn(usize) -> (Warp, S) + Sync,
+    B: Fn(usize, Vec<Lane>) -> (Warp, S) + Sync,
     E: Fn(&mut Warp, S) + Sync,
 {
     use std::collections::VecDeque;
@@ -291,16 +303,19 @@ where
         let mut done: Vec<(usize, Vec<WarpCost>)> = Vec::new();
         // Blocks whose bodies ran here and whose turn has not come yet.
         let mut pending: VecDeque<(usize, Staged<S>)> = VecDeque::new();
+        // The lanes of the last warp this worker retired, reused by the next.
+        let mut spare: Vec<Lane> = Vec::new();
         loop {
             let b = next.fetch_add(1, Ordering::Relaxed);
             let claimed = b < blocks;
             if claimed {
                 let staged = (b * block..((b + 1) * block).min(n))
                     .map(|i| {
-                        let (mut warp, state) = body(i);
+                        spare.clear();
+                        let (mut warp, state) = body(i, std::mem::take(&mut spare));
                         // The lanes retire with the body; only their cost is kept.
-                        let lanes = std::mem::take(&mut warp.lanes);
-                        (warp, LaneCost::of(lanes.iter().map(|l| (l.counters, l.path))), state)
+                        spare = std::mem::take(&mut warp.lanes);
+                        (warp, LaneCost::of(&spare), state)
                     })
                     .collect();
                 pending.push_back((b, staged));
@@ -391,10 +406,10 @@ where
     let costs = run_ordered(
         config,
         warps,
-        &|w| {
+        &|w, mut lanes: Vec<Lane>| {
             let first = w * warp_size;
             let last = ((w + 1) * warp_size).min(threads);
-            let lanes = (first..last).map(|gid| Lane::at(gid, gid - first)).collect();
+            lanes.extend((first..last).map(|gid| Lane::at(gid, gid - first)));
             let mut warp = Warp::with_lanes(w, lanes);
             let state = body(&mut warp);
             (warp, state)
@@ -519,8 +534,8 @@ where
     let tile_costs = run_ordered(
         config,
         n,
-        &|i| {
-            let lanes = (0..warp_size).map(|l| Lane::at(l, l)).collect();
+        &|i, mut lanes: Vec<Lane>| {
+            lanes.extend((0..warp_size).map(|l| Lane::at(l, l)));
             let mut warp = Warp::with_lanes(i, lanes);
             // The grab itself: leader's cursor atomicAdd + one converged
             // read of the tile descriptor.
@@ -694,6 +709,14 @@ mod tests {
         assert_eq!(r1.divergent_warps, r2.divergent_warps);
     }
 
+    /// Lanes carrying the given counters and path tags.
+    fn lanes_of(specs: &[(Counters, u64)]) -> Vec<Lane> {
+        let lanes = specs.iter().enumerate();
+        lanes
+            .map(|(i, &(counters, path))| Lane { global_id: i, lane_index: i, counters, path })
+            .collect()
+    }
+
     #[test]
     fn warp_cost_formula() {
         let c = DeviceConfig::test_tiny();
@@ -708,7 +731,7 @@ mod tests {
                 0u64,
             ),
         ];
-        let cost = LaneCost::of(lanes.iter().copied()).with_epilogue(&c, &Counters::default());
+        let cost = LaneCost::of(&lanes_of(&lanes)).with_epilogue(&c, &Counters::default());
         // alu = 1 * 10 * 1 = 10; mem = ceil(16/16)=1 txn * 10 = 10; atomics = 1*20.
         assert_eq!(cost.cycles, 40.0);
         assert!(!cost.divergent);
@@ -716,8 +739,7 @@ mod tests {
         // Divergent version: distinct paths double ALU and apply the
         // uncoalesced factor.
         let lanes_div = [(lanes[0].0, 1u64), (lanes[1].0, 2u64)];
-        let cost_div =
-            LaneCost::of(lanes_div.iter().copied()).with_epilogue(&c, &Counters::default());
+        let cost_div = LaneCost::of(&lanes_of(&lanes_div)).with_epilogue(&c, &Counters::default());
         // alu = 2 * 10 = 20; mem = 1 * 10 * 2 = 20; atomics = 20.
         assert_eq!(cost_div.cycles, 60.0);
         assert!(cost_div.divergent);
@@ -738,7 +760,7 @@ mod tests {
         ];
         let extra =
             Counters { instructions: 5, gmem_read_bytes: 0, gmem_write_bytes: 32, atomics: 1 };
-        let cost = LaneCost::of(lanes.iter().copied()).with_epilogue(&c, &extra);
+        let cost = LaneCost::of(&lanes_of(&lanes)).with_epilogue(&c, &extra);
         // Divergent lanes: alu = 2*10 + 5 (no k multiplier on extra) = 25;
         // mem = ceil(16/16)*10*2 (uncoalesced) + ceil(32/16)*10 (coalesced
         // commit) = 20 + 20 = 40; atomics = 1 * 20 = 20.

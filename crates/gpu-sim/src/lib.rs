@@ -52,8 +52,7 @@ pub use device::Device;
 pub use launch::{LaunchReport, Warp, MAX_WARP_LANES};
 pub use ledger::{Phase, ResponseTime};
 pub use memory::{
-    ColumnarBuffer, DeviceBuffer, OutOfDeviceMemory, PartitionedScratch, ResultBuffer,
-    ScratchPartition, WarpStash,
+    DeviceBuffer, OutOfDeviceMemory, PartitionedScratch, ResultBuffer, ScratchPartition, WarpStash,
 };
 pub use redo::{NextBatch, RedoSchedule};
 pub use report::{LoadBalance, RoutingSummary, SearchError, SearchReport};

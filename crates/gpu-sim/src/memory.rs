@@ -155,13 +155,17 @@ impl<T: Copy> DeviceBuffer<T> {
     }
 
     /// Elements `rows`, bounds-tested once for the whole range and *without*
-    /// cost accounting: for a kernel lane that gathers through a run of ids
-    /// and posts the run's closed-form charge itself (see
-    /// `DeviceSegments::refine_gather`). The one-column twin of
-    /// [`ColumnarBuffer::row_range`], with the same sanitizer contract: a
-    /// range that leaves the buffer is recorded as one out-of-bounds read at
-    /// the first missing element and neutralised to `None`; without a
-    /// sanitizer it panics like a slice index.
+    /// cost accounting: for kernel lanes that scan a run of rows or gather
+    /// through a run of ids and post the run's closed-form charge themselves
+    /// (see `DeviceSegments::refine_range` and `refine_gather`).
+    ///
+    /// What [`read`] does per element happens here per range. Under the
+    /// sanitizer a range that leaves the buffer is recorded as one
+    /// out-of-bounds read at the first missing element and neutralised to
+    /// `None`, so the caller can fall back to reads that report each bad
+    /// access; without one it panics like a slice index.
+    ///
+    /// [`read`]: DeviceBuffer::read
     #[inline]
     pub fn row_range(&self, lane: &Lane, rows: std::ops::Range<usize>) -> Option<&[T]> {
         if rows.end > self.data.len() {
@@ -182,159 +186,37 @@ impl<T: Copy> DeviceBuffer<T> {
     pub fn as_slice(&self) -> &[T] {
         &self.data
     }
-}
 
-/// A columnar (struct-of-arrays) device buffer: `num_columns` equal-length
-/// columns of `T`, read-only from kernels.
-///
-/// Segment data lives on the device in this form: where a [`DeviceBuffer`]
-/// of structs would charge a lane the whole struct for any field access, a
-/// columnar read charges exactly the `size_of::<T>()` bytes of the one
-/// column touched — so a schedule-filtering lane that only inspects
-/// `t_start`/`t_end` pays 16 bytes, not a row, and consecutive lanes
-/// reading the same column at consecutive rows model a perfectly coalesced
-/// access. Allocate through [`Device::alloc_columns`] (offline) or
-/// [`Device::upload_columns`] (charged to the response-time ledger).
-#[derive(Debug)]
-pub struct ColumnarBuffer<T> {
-    columns: Vec<Vec<T>>,
-    rows: usize,
-    reservation: Reservation,
-}
-
-impl<T: Copy> ColumnarBuffer<T> {
-    pub(crate) fn new(columns: Vec<Vec<T>>, reservation: Reservation) -> Self {
-        let rows = columns.first().map_or(0, Vec::len);
-        assert!(columns.iter().all(|c| c.len() == rows), "columns must have equal length");
-        ColumnarBuffer { columns, rows, reservation }
-    }
-
-    /// Number of columns.
-    #[inline]
-    pub fn num_columns(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// Number of rows (every column has this length).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.rows
-    }
-
-    /// True if the buffer holds no rows.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
-    /// Total size in bytes across all columns.
-    #[inline]
-    pub fn size_bytes(&self) -> usize {
-        self.columns.len() * self.rows * std::mem::size_of::<T>()
-    }
-
-    /// Read `column[row]` from a kernel lane, charging the memory counter
-    /// for one element of one column.
-    ///
-    /// Under the sanitizer an out-of-range `column`/`row` is recorded as a
-    /// finding and neutralised (element `[0][0]` is returned); without one
-    /// it panics like a slice index.
-    #[inline]
-    pub fn read(&self, lane: &mut Lane, column: usize, row: usize) -> T {
-        lane.gmem_read(std::mem::size_of::<T>() as u64);
-        if column >= self.columns.len() || row >= self.rows {
-            if let Some(shadow) = self.reservation.shadow() {
-                let offset = column.saturating_mul(self.rows).saturating_add(row);
-                shadow.oob_read(offset, lane.global_id, self.columns.len() * self.rows);
-                if self.rows > 0 {
-                    if let Some(first) = self.columns.first() {
-                        return first[0];
-                    }
-                }
-            }
-        }
-        self.columns[column][row]
-    }
-
-    /// The first `N` columns restricted to rows `rows`, bounds-tested once
-    /// for the whole range and *without* cost accounting: for a kernel lane
-    /// that scans a contiguous run of rows and posts the run's closed-form
-    /// charge itself (see `DeviceSegments::refine_range`).
-    ///
-    /// What [`read`] does per element happens here per range. Under the
-    /// sanitizer a range that leaves the buffer is recorded as one
-    /// out-of-bounds read at the first row past the end and neutralised to
-    /// `None`, so the caller can fall back to per-element reads that report
-    /// each bad access; without one it panics like a slice index.
-    /// [`DeviceBuffer::row_range`] is the same for a single column.
-    ///
-    /// [`read`]: ColumnarBuffer::read
-    #[inline]
-    pub fn row_range<const N: usize>(
-        &self,
-        lane: &Lane,
-        rows: std::ops::Range<usize>,
-    ) -> Option<[&[T]; N]> {
-        if rows.end > self.rows {
-            if let Some(shadow) = self.reservation.shadow() {
-                let offset = rows.start.max(self.rows);
-                shadow.oob_read(offset, lane.global_id, self.columns.len() * self.rows);
-                return None;
-            }
-        }
-        Some(std::array::from_fn(|c| &self.columns[c][rows.clone()]))
-    }
-
-    /// Raw column access *without* cost accounting. Use only on the host
-    /// (index construction, verification); kernels should use [`read`].
-    ///
-    /// [`read`]: ColumnarBuffer::read
-    #[inline]
-    pub fn column(&self, column: usize) -> &[T] {
-        &self.columns[column]
-    }
-
-    /// Extend every column in place with host data, *offline* (no transfer
+    /// Append `more` in place with host data, *offline* (no transfer
     /// charge): the device side of generational ingestion — only the
-    /// appended tail is copied, existing rows stay resident. `more` must
-    /// provide one equal-length slice per existing column. Requires
+    /// appended tail is copied, existing elements stay resident. Requires
     /// `&mut self`, i.e. no kernel running.
-    pub fn extend_columns(&mut self, more: &[&[T]]) -> Result<(), OutOfDeviceMemory> {
-        assert_eq!(more.len(), self.columns.len(), "column count must match");
-        let added = more.first().map_or(0, |c| c.len());
-        assert!(more.iter().all(|c| c.len() == added), "columns must have equal length");
-        self.reservation.grow(self.columns.len() * added * std::mem::size_of::<T>())?;
-        for (col, extra) in self.columns.iter_mut().zip(more) {
-            col.extend_from_slice(extra);
-        }
-        self.rows += added;
+    pub fn extend(&mut self, more: &[T]) -> Result<(), OutOfDeviceMemory> {
+        self.reservation.grow(std::mem::size_of_val(more))?;
+        self.data.extend_from_slice(more);
         Ok(())
     }
 
-    /// Remove the rows at the ascending positions in `removed` from every
-    /// column, preserving survivor order and returning the freed bytes to
-    /// the device — the expire side of generational ingestion. Positions
-    /// out of range are ignored. Requires `&mut self`.
+    /// Remove the elements at the ascending positions in `removed`,
+    /// preserving survivor order and returning the freed bytes to the
+    /// device — the expire side of generational ingestion. Positions out of
+    /// range are ignored. Requires `&mut self`.
     pub fn remove_positions(&mut self, removed: &[u32]) {
         if removed.is_empty() {
             return;
         }
-        let before = self.rows;
-        for col in &mut self.columns {
-            let mut next = 0usize;
-            let mut pos = 0u32;
-            col.retain(|_| {
-                let drop_it = removed.get(next).is_some_and(|&r| r == pos);
-                if drop_it {
-                    next += 1;
-                }
-                pos += 1;
-                !drop_it
-            });
-        }
-        self.rows = self.columns.first().map_or(0, Vec::len);
-        self.reservation
-            .shrink(self.columns.len() * (before - self.rows) * std::mem::size_of::<T>());
+        let before = self.data.len();
+        let mut next = 0usize;
+        let mut pos = 0u32;
+        self.data.retain(|_| {
+            let drop_it = removed.get(next).is_some_and(|&r| r == pos);
+            if drop_it {
+                next += 1;
+            }
+            pos += 1;
+            !drop_it
+        });
+        self.reservation.shrink((before - self.data.len()) * std::mem::size_of::<T>());
     }
 }
 
@@ -810,54 +692,26 @@ mod tests {
     }
 
     #[test]
-    fn columnar_buffer_reads_charge_one_column_element() {
-        let dev = device();
-        let buf = dev.alloc_columns(&[&[1.0f64, 2.0, 3.0][..], &[10.0, 20.0, 30.0][..]]).unwrap();
-        assert_eq!(buf.num_columns(), 2);
-        assert_eq!(buf.len(), 3);
-        assert!(!buf.is_empty());
-        assert_eq!(buf.size_bytes(), 2 * 3 * 8);
-        let mut lane = Lane::new(0);
-        assert_eq!(buf.read(&mut lane, 0, 1), 2.0);
-        assert_eq!(lane.counters().gmem_read_bytes, 8, "one column element, not the row");
-        assert_eq!(buf.read(&mut lane, 1, 2), 30.0);
-        assert_eq!(lane.counters().gmem_read_bytes, 16);
-        // Host access is uncharged.
-        assert_eq!(buf.column(1), &[10.0, 20.0, 30.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal length")]
-    fn columnar_buffer_rejects_ragged_columns() {
-        let dev = device();
-        let _ = dev.alloc_columns(&[&[1.0f64][..], &[1.0, 2.0][..]]);
-    }
-
-    #[test]
-    fn columnar_buffer_reserves_and_releases_memory() {
+    fn device_buffer_reserves_and_releases_memory() {
         let dev = device();
         assert_eq!(dev.mem_used(), 0);
         {
-            let buf = dev.alloc_columns(&[&[0u8; 100][..], &[0u8; 100][..]]).unwrap();
+            let buf = dev.alloc_from_host(vec![0u8; 100]).unwrap();
             assert_eq!(dev.mem_used(), buf.size_bytes());
         }
         assert_eq!(dev.mem_used(), 0);
     }
 
     #[test]
-    fn columnar_buffer_extends_and_compacts_in_place() {
+    fn device_buffer_extends_and_compacts_in_place() {
         let dev = device();
-        let mut buf = dev.alloc_columns(&[&[1.0f64, 2.0][..], &[10.0, 20.0][..]]).unwrap();
+        let mut buf = dev.alloc_from_host(vec![[1.0f64, 10.0], [2.0, 20.0]]).unwrap();
         let used = dev.mem_used();
-        buf.extend_columns(&[&[3.0][..], &[30.0][..]]).unwrap();
-        assert_eq!(buf.len(), 3);
-        assert_eq!(buf.column(0), &[1.0, 2.0, 3.0]);
-        assert_eq!(buf.column(1), &[10.0, 20.0, 30.0]);
+        buf.extend(&[[3.0, 30.0]]).unwrap();
+        assert_eq!(buf.as_slice(), &[[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]]);
         assert_eq!(dev.mem_used(), used + 16);
-        buf.remove_positions(&[1]);
-        assert_eq!(buf.len(), 2);
-        assert_eq!(buf.column(0), &[1.0, 3.0]);
-        assert_eq!(buf.column(1), &[10.0, 30.0]);
+        buf.remove_positions(&[1, 7]);
+        assert_eq!(buf.as_slice(), &[[1.0, 10.0], [3.0, 30.0]]);
         assert_eq!(dev.mem_used(), used);
         drop(buf);
         assert_eq!(dev.mem_used(), 0);
@@ -866,10 +720,11 @@ mod tests {
     #[test]
     fn extend_past_device_memory_fails() {
         let dev = device(); // 1 MiB
-        let mut buf = dev.alloc_columns(&[&[0u8; 1024][..]]).unwrap();
-        assert!(buf.extend_columns(&[&vec![0u8; 2 * 1024 * 1024][..]]).is_err());
+        let mut buf = dev.alloc_from_host(vec![0u8; 1024]).unwrap();
+        assert!(buf.extend(&vec![0u8; 2 * 1024 * 1024]).is_err());
         // The failed growth reserved nothing.
         assert_eq!(dev.mem_used(), 1024);
+        assert_eq!(buf.len(), 1024);
     }
 
     #[test]

@@ -68,49 +68,42 @@ fn oob_device_buffer_row_range_is_reported_and_neutralised() {
 }
 
 #[test]
-fn oob_columnar_read_is_reported_and_neutralised() {
-    let columns: [&[u32]; 2] = [&[11, 22, 33], &[44, 55, 66]];
-
-    // A single element past the end of its column: reported at its
-    // column-major offset, neutralised to element [0][0].
+fn extended_and_compacted_buffers_bound_reads_by_their_new_length() {
+    // Ingest grows a resident buffer in place and expiry compacts it: the
+    // bounds every read and run is tested against move with it.
     let dev = device(SanitizerMode::Full);
-    let buf = dev.alloc_columns(&columns).unwrap();
-    dev.launch(1, |lane| assert_eq!(buf.read(lane, 1, 7), 11));
-    let f = sole_finding(&dev);
-    assert_eq!(f.kind, FindingKind::OutOfBoundsRead);
-    assert!(f.buffer.starts_with("ColumnarBuffer<u32>#"), "{}", f.buffer);
-    assert_eq!(f.offset, 3 + 7);
-    assert_eq!(f.shape, "static-grid");
-    assert_eq!(f.lanes, vec![0]);
-    assert!(f.detail.contains("beyond length 6"), "{}", f.detail);
-
-    // A row range running past the end: the same finding kind, once for
-    // the whole range at the first row that does not exist, neutralised to
-    // "no slices". In-bounds ranges hand out the rows and report nothing.
-    let dev = device(SanitizerMode::Full);
-    let buf = dev.alloc_columns(&columns).unwrap();
+    let mut buf = dev.alloc_from_host(vec![11u32, 22, 33]).unwrap();
+    buf.extend(&[44, 55]).unwrap();
+    assert_eq!(dev.mem_used(), 5 * 4);
     dev.launch(1, |lane| {
-        assert!(buf.row_range::<2>(lane, 1..5).is_none());
-        assert_eq!(buf.row_range::<2>(lane, 1..3), Some([&[22, 33][..], &[55, 66][..]]));
-        assert_eq!(buf.row_range::<2>(lane, 3..3), Some([&[][..], &[][..]]));
+        assert_eq!(buf.read(lane, 4), 55);
+        assert_eq!(buf.row_range(lane, 2..5), Some(&[33, 44, 55][..]));
+    });
+    dev.assert_sanitizer_clean();
+
+    buf.remove_positions(&[0, 3]);
+    assert_eq!(buf.as_slice(), &[22, 33, 55]);
+    assert_eq!(dev.mem_used(), 3 * 4);
+    dev.launch(1, |lane| {
+        // The old length no longer holds: past the new end is reported and
+        // neutralised to the (new) first element.
+        assert_eq!(buf.read(lane, 4), 22);
     });
     let f = sole_finding(&dev);
     assert_eq!(f.kind, FindingKind::OutOfBoundsRead);
-    assert!(f.buffer.starts_with("ColumnarBuffer<u32>#"), "{}", f.buffer);
-    assert_eq!(f.offset, 3);
-    assert_eq!(f.lanes, vec![0]);
-    assert!(f.detail.contains("beyond length 6"), "{}", f.detail);
+    assert!(f.buffer.starts_with("DeviceBuffer<u32>#"), "{}", f.buffer);
+    assert_eq!(f.offset, 4);
+    assert!(f.detail.contains("beyond length 3"), "{}", f.detail);
 
-    // Without a sanitizer both panic like a slice index.
+    // Without a sanitizer the same read panics like a slice index.
     let dev = device(SanitizerMode::Off);
-    let buf = dev.alloc_columns(&columns).unwrap();
-    let panics = |f: &dyn Fn(&mut Lane) -> bool| {
-        let mut lane = Lane::new(0);
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut lane))).is_err()
-    };
-    assert!(panics(&|lane| buf.read(lane, 1, 7) == 11));
-    assert!(panics(&|lane| buf.row_range::<2>(lane, 1..5).is_none()));
-    assert!(!panics(&|lane| buf.row_range::<2>(lane, 1..3).is_none()));
+    let mut buf = dev.alloc_from_host(vec![11u32, 22, 33]).unwrap();
+    buf.extend(&[44]).unwrap();
+    buf.remove_positions(&[1, 2]);
+    assert_eq!(buf.as_slice(), &[11, 44]);
+    let mut lane = Lane::new(0);
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| buf.read(&mut lane, 2)));
+    assert!(err.is_err());
 }
 
 #[test]

@@ -9,7 +9,6 @@
 
 use crate::fsg::{Fsg, FsgConfig};
 use rayon::prelude::*;
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -19,8 +18,8 @@ use tdts_gpu_sim::{
     Warp, WarpStash,
 };
 use tdts_kernels::{
-    finish_search, run_thread_per_query, run_warp_per_tile, CandidateGenerator, DeviceSegments,
-    LaneWork, TileGenerator,
+    finish_search, lane_share, run_thread_per_query, run_warp_per_tile, CandidateGenerator,
+    DeviceQueries, DeviceSegments, LaneWork, TileGenerator,
 };
 
 /// `GPUSpatial` parameters.
@@ -227,7 +226,7 @@ impl GpuSpatialSearch {
         }
 
         // Online transfer: the query set.
-        let dev_queries = DeviceSegments::upload(&device, queries.segments())?;
+        let dev_queries = DeviceQueries::upload(&device, queries.segments())?;
         let (matches, comparisons) = if shape == KernelShape::WarpPerTile {
             // Host getCandidates scheduling, computed once and reused
             // across redo rounds (d is fixed for the whole search).
@@ -287,7 +286,7 @@ struct SpatialRound {
 /// `U_k`, then refinement over the gathered positions.
 struct SpatialThreads<'a> {
     search: &'a GpuSpatialSearch,
-    queries: &'a DeviceSegments,
+    queries: &'a DeviceQueries,
     d: f64,
 }
 
@@ -360,7 +359,7 @@ impl CandidateGenerator for SpatialThreads<'_> {
             let q = PreparedQuery::new(&q, self.d);
             let positions = uk.read_all(lane);
             compared = self.search.dev_entries.refine_positions(
-                lane,
+                std::slice::from_mut(lane),
                 positions,
                 &q,
                 |lane, pos, interval| stash.stage(lane, MatchRecord::new(qid, pos, interval)),
@@ -394,7 +393,7 @@ impl CandidateGenerator for SpatialThreads<'_> {
 /// [`SearchError::ScratchCapacityTooSmall`].
 struct SpatialTiles<'a> {
     search: &'a GpuSpatialSearch,
-    queries: &'a DeviceSegments,
+    queries: &'a DeviceQueries,
     ranges: &'a [Vec<([u32; 2], u32)>],
     d: f64,
 }
@@ -405,7 +404,7 @@ const TAG_BASE: u32 = 0;
 const TAG_DELTA: u32 = 1;
 
 impl TileGenerator for SpatialTiles<'_> {
-    fn queries(&self) -> &DeviceSegments {
+    fn queries(&self) -> &DeviceQueries {
         self.queries
     }
 
@@ -425,22 +424,25 @@ impl TileGenerator for SpatialTiles<'_> {
 
     fn refine_tile(
         &self,
-        lane: &mut Lane,
+        warp: &mut Warp,
         tile: &Tile,
-        rows: Range<u32>,
-        step: usize,
         q: &PreparedQuery,
         on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
     ) -> u64 {
         // Fused gather + refine through A (or A' for delta tiles), one
-        // address instruction per id.
+        // address instruction per id: each lane's share, in closed form.
         let lookup = if tile.tag == TAG_DELTA {
             &self.search.dev_delta_lookup
         } else {
             &self.search.dev_lookup
         };
-        let compared = self.search.dev_entries.refine_gather(lane, lookup, rows, step, q, on_hit);
-        lane.instr(compared);
+        let lanes = warp.lanes_mut();
+        let compared =
+            self.search.dev_entries.refine_gather(lanes, lookup, tile.lo..tile.hi, q, on_hit);
+        let w = lanes.len();
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            lane.instr(lane_share(compared, l, w));
+        }
         compared
     }
 }

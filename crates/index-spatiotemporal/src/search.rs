@@ -13,11 +13,11 @@ use std::sync::Arc;
 use std::time::Instant;
 use tdts_geom::{MatchRecord, PreparedQuery, SegmentStore, StoreStats, TimeInterval};
 use tdts_gpu_sim::{
-    Device, DeviceBuffer, KernelShape, Lane, SearchError, SearchReport, Tile, WarpStash,
+    Device, DeviceBuffer, KernelShape, Lane, SearchError, SearchReport, Tile, Warp, WarpStash,
 };
 use tdts_kernels::{
-    finish_search, run_thread_per_query, run_warp_per_tile, CandidateGenerator, DeviceSegments,
-    LaneWork, SortedQueries, TileGenerator, SCHEDULE_INSTR,
+    finish_search, run_thread_per_query, run_warp_per_tile, CandidateGenerator, DeviceQueries,
+    DeviceSegments, LaneWork, SortedQueries, TileGenerator, SCHEDULE_INSTR,
 };
 
 /// High bit of an execution-order slot: the lane is warp-alignment padding
@@ -215,7 +215,7 @@ impl GpuSpatioTemporalSearch {
 
         // Online transfers: Q, plus (thread-per-query only) S and the
         // execution order.
-        let dev_queries = DeviceSegments::upload(&device, &sorted.segments)?;
+        let dev_queries = DeviceQueries::upload(&device, &sorted.segments)?;
         let (matches, comparisons) = if wpt {
             let generator =
                 SpatioTemporalTiles { search: self, queries: &dev_queries, schedule: &schedule, d };
@@ -238,22 +238,21 @@ impl GpuSpatioTemporalSearch {
         Ok(finish_search(&device, matches, Some(&sorted), comparisons, report, wall_start))
     }
 
-    /// Refine every `step`-th candidate of `rows` for a query whose
-    /// schedule entry chose `selector`: selectors 0–2 gather through the
-    /// `X`/`Y`/`Z` id array, selector 3 (the temporal fallback) is a direct
-    /// entry range. Both kernel shapes refine through here.
+    /// Refine the candidates `rows` of a query whose schedule entry chose
+    /// `selector`, dealt round robin to `lanes`: selectors 0–2 gather
+    /// through the `X`/`Y`/`Z` id array, selector 3 (the temporal fallback)
+    /// is a direct entry range. Both kernel shapes refine through here.
     fn refine(
         &self,
-        lane: &mut Lane,
+        lanes: &mut [Lane],
         selector: u32,
         rows: Range<u32>,
-        step: usize,
         q: &PreparedQuery,
         on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
     ) -> u64 {
         match self.dev_arrays.get(selector as usize) {
-            Some(ids) => self.dev_entries.refine_gather(lane, ids, rows, step, q, on_hit),
-            None => self.dev_entries.refine_range(lane, rows, step, q, on_hit),
+            Some(ids) => self.dev_entries.refine_gather(lanes, ids, rows, q, on_hit),
+            None => self.dev_entries.refine_range(lanes, rows, q, on_hit),
         }
     }
 }
@@ -264,7 +263,7 @@ impl GpuSpatioTemporalSearch {
 /// id array (or the direct temporal range).
 struct SpatioTemporalThreads<'a> {
     search: &'a GpuSpatioTemporalSearch,
-    queries: &'a DeviceSegments,
+    queries: &'a DeviceQueries,
     schedule: DeviceBuffer<[u32; 4]>,
     exec: DeviceBuffer<u32>,
     exec_len: usize,
@@ -317,7 +316,8 @@ impl CandidateGenerator for SpatioTemporalThreads<'_> {
         let stage = |lane: &mut Lane, pos, interval| {
             stash.stage(lane, MatchRecord::new(qid, pos, interval))
         };
-        let compared = self.search.refine(lane, selector, entry[1]..entry[2], 1, &q, stage);
+        let lanes = std::slice::from_mut(lane);
+        let compared = self.search.refine(lanes, selector, entry[1]..entry[2], &q, stage);
         LaneWork { compared, scratch_bytes: 0 }
     }
 }
@@ -329,13 +329,13 @@ impl CandidateGenerator for SpatioTemporalThreads<'_> {
 /// overlapping entries) contributes no tiles.
 struct SpatioTemporalTiles<'a> {
     search: &'a GpuSpatioTemporalSearch,
-    queries: &'a DeviceSegments,
+    queries: &'a DeviceQueries,
     schedule: &'a [[u32; 4]],
     d: f64,
 }
 
 impl TileGenerator for SpatioTemporalTiles<'_> {
-    fn queries(&self) -> &DeviceSegments {
+    fn queries(&self) -> &DeviceQueries {
         self.queries
     }
 
@@ -353,14 +353,12 @@ impl TileGenerator for SpatioTemporalTiles<'_> {
 
     fn refine_tile(
         &self,
-        lane: &mut Lane,
+        warp: &mut Warp,
         tile: &Tile,
-        rows: Range<u32>,
-        step: usize,
         q: &PreparedQuery,
         on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
     ) -> u64 {
-        self.search.refine(lane, tile.tag, rows, step, q, on_hit)
+        self.search.refine(warp.lanes_mut(), tile.tag, tile.lo..tile.hi, q, on_hit)
     }
 }
 

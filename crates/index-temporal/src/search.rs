@@ -7,15 +7,16 @@
 
 use crate::index::{TemporalIndex, TemporalIndexConfig};
 use rayon::prelude::*;
-use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 use tdts_geom::{MatchRecord, PreparedQuery, SegmentStore, StoreStats, TimeInterval};
-use tdts_gpu_sim::{Device, DeviceBuffer, KernelShape, Lane, SearchError, SearchReport, Tile};
+use tdts_gpu_sim::{
+    Device, DeviceBuffer, KernelShape, Lane, SearchError, SearchReport, Tile, Warp,
+};
 pub use tdts_kernels::SortedQueries;
 use tdts_kernels::{
-    finish_search, run_thread_per_query, run_warp_per_tile, CandidateGenerator, DeviceSegments,
-    LaneWork, TileGenerator, SCHEDULE_INSTR,
+    finish_search, run_thread_per_query, run_warp_per_tile, CandidateGenerator, DeviceQueries,
+    DeviceSegments, LaneWork, TileGenerator, SCHEDULE_INSTR,
 };
 
 /// The host-computed schedule `S`: one candidate entry range per (sorted)
@@ -52,7 +53,7 @@ impl TemporalSchedule {
 /// entry and refines the contiguous range with no indirection at all.
 struct TemporalThreads<'a> {
     entries: &'a DeviceSegments,
-    queries: &'a DeviceSegments,
+    queries: &'a DeviceQueries,
     schedule: DeviceBuffer<[u32; 2]>,
     d: f64,
 }
@@ -74,9 +75,10 @@ impl CandidateGenerator for TemporalThreads<'_> {
         let [lo, hi] = self.schedule.read(lane, qid as usize);
         lane.instr(SCHEDULE_INSTR);
         let q = PreparedQuery::new(&self.queries.read_segment(lane, qid as usize), self.d);
-        let compared = self.entries.refine_range(lane, lo..hi, 1, &q, |lane, pos, interval| {
+        let stage = |lane: &mut Lane, pos, interval| {
             stash.stage(lane, MatchRecord::new(qid, pos, interval))
-        });
+        };
+        let compared = self.entries.refine_range(std::slice::from_mut(lane), lo..hi, &q, stage);
         LaneWork { compared, scratch_bytes: 0 }
     }
 }
@@ -86,13 +88,13 @@ impl CandidateGenerator for TemporalThreads<'_> {
 /// uploaded schedule `S` (each tile carries its own range).
 struct TemporalTiles<'a> {
     entries: &'a DeviceSegments,
-    queries: &'a DeviceSegments,
+    queries: &'a DeviceQueries,
     schedule: &'a TemporalSchedule,
     d: f64,
 }
 
 impl TileGenerator for TemporalTiles<'_> {
-    fn queries(&self) -> &DeviceSegments {
+    fn queries(&self) -> &DeviceQueries {
         self.queries
     }
 
@@ -107,14 +109,12 @@ impl TileGenerator for TemporalTiles<'_> {
 
     fn refine_tile(
         &self,
-        lane: &mut Lane,
-        _tile: &Tile,
-        rows: Range<u32>,
-        step: usize,
+        warp: &mut Warp,
+        tile: &Tile,
         q: &PreparedQuery,
         on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
     ) -> u64 {
-        self.entries.refine_range(lane, rows, step, q, on_hit)
+        self.entries.refine_range(warp.lanes_mut(), tile.lo..tile.hi, q, on_hit)
     }
 }
 
@@ -240,7 +240,7 @@ impl GpuTemporalSearch {
         }
 
         // Online transfers: Q and (thread-per-query only) S.
-        let dev_queries = DeviceSegments::upload(&device, &sorted.segments)?;
+        let dev_queries = DeviceQueries::upload(&device, &sorted.segments)?;
         let (matches, comparisons) = if shape == KernelShape::WarpPerTile {
             let generator = TemporalTiles {
                 entries: &self.dev_entries,

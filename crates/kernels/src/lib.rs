@@ -8,11 +8,12 @@
 //! This crate holds that skeleton once:
 //!
 //! * [`segments`] — [`DeviceSegments`], the device-resident segment database
-//!   as eight `f64` columns, and the refinement itself: a lane's candidates
-//!   — a contiguous or strided range, or ids gathered through an index
-//!   array — are refined as one scan with one charge. The compare touches
-//!   only the timestamp columns (16 B) when the temporal prefilter rejects,
-//!   the full 64-byte row otherwise.
+//!   (charged as eight `f64` columns, held on the host as prepared rows),
+//!   and the refinement itself: a lane's candidates — a contiguous range,
+//!   or ids gathered through an index array — or a warp's whole tile are
+//!   refined as one scan with one charge per lane. The compare touches only
+//!   the timestamp columns (16 B) when the temporal prefilter rejects, the
+//!   full 64-byte row otherwise. [`DeviceQueries`] holds the query set.
 //! * [`queries`] — [`SortedQueries`], the `t_start`-sorted query permutation.
 //! * [`pipeline`] — the host-side round protocol for both kernel shapes,
 //!   parameterised by per-method [`CandidateGenerator`]/[`TileGenerator`]
@@ -29,4 +30,4 @@ pub use pipeline::{
     TileGenerator, SCHEDULE_INSTR,
 };
 pub use queries::SortedQueries;
-pub use segments::{DeviceSegments, COLUMNAR_ROW_BYTES, COMPARE_INSTR};
+pub use segments::{lane_share, DeviceQueries, DeviceSegments, COLUMNAR_ROW_BYTES, COMPARE_INSTR};

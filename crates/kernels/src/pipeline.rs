@@ -13,21 +13,22 @@
 //!   the paper's incremental processing of `Q` (§V-E).
 //! * **Warp-per-tile** ([`run_warp_per_tile`]): the host cuts every query's
 //!   candidate range into fixed-size tiles, a persistent grid of warps pulls
-//!   them from a device-side work queue, and each warp's lanes stride one
-//!   tile together. An overflowing tile re-queues its whole *query* through
-//!   the same redo protocol (several tiles of one query may report the same
-//!   overflow, so redo ids are deduplicated first).
+//!   them from a device-side work queue, and each warp scans one tile once,
+//!   dealing candidate `j` to lane `j % warp_size`. An overflowing tile
+//!   re-queues its whole *query* through the same redo protocol (several
+//!   tiles of one query may report the same overflow, so redo ids are
+//!   deduplicated first).
 //!
 //! What a method plugs in is a [`CandidateGenerator`] (thread-per-query) and
 //! a [`TileGenerator`] (warp-per-tile): slot decoding, per-query candidate
 //! iteration, per-round scratch state, tile construction, and which
-//! [`DeviceSegments`] scan a tile's tag selects. Everything else —
-//! result/redo buffers, downloads, ledger charges, report totals, and the
-//! final unpermute/dedup ([`finish_search`]) — lives here once.
+//! [`DeviceSegments`](crate::DeviceSegments) scan a tile's tag selects.
+//! Everything else — result/redo buffers, downloads, ledger charges, report
+//! totals, and the final unpermute/dedup ([`finish_search`]) — lives here
+//! once.
 
 use crate::queries::SortedQueries;
-use crate::segments::DeviceSegments;
-use std::ops::Range;
+use crate::segments::DeviceQueries;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -104,7 +105,7 @@ pub trait CandidateGenerator: Sync {
 /// [`run_warp_per_tile`].
 pub trait TileGenerator: Sync {
     /// The query set `Q` on the device.
-    fn queries(&self) -> &DeviceSegments;
+    fn queries(&self) -> &DeviceQueries;
 
     /// The distance threshold `d`.
     fn distance(&self) -> f64;
@@ -119,18 +120,20 @@ pub trait TileGenerator: Sync {
         SCHEDULE_INSTR
     }
 
-    /// Refine one lane's share of `tile` — every `step`-th candidate of
-    /// `rows`, a subrange of `tile.lo..tile.hi` — against the tile's
-    /// prepared query `q`, handing each match to `on_hit`, and return the
+    /// Refine the whole `tile` against its prepared query `q` on the
+    /// warp's lanes — one scan, candidate `j` of the tile on lane
+    /// `j % warp_size`, the mapping of lanes striding the tile together —
+    /// handing each match to `on_hit` on its lane, and return the
     /// comparisons performed. A method resolves its tile tag here: a direct
-    /// range is [`DeviceSegments::refine_range`], a range of an index array
-    /// is [`DeviceSegments::refine_gather`].
+    /// range is [`refine_range`], a range of an index array is
+    /// [`refine_gather`], each over [`Warp::lanes_mut`].
+    ///
+    /// [`refine_range`]: crate::DeviceSegments::refine_range
+    /// [`refine_gather`]: crate::DeviceSegments::refine_gather
     fn refine_tile(
         &self,
-        lane: &mut Lane,
+        warp: &mut Warp,
         tile: &Tile,
-        rows: Range<u32>,
-        step: usize,
         q: &PreparedQuery,
         on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
     ) -> u64;
@@ -225,7 +228,7 @@ pub fn run_thread_per_query<G: CandidateGenerator>(
 /// Run the warp-per-tile protocol to completion. Tile decomposition runs on
 /// the host once per round (charged); each warp reads its tile's query once
 /// through the leader, broadcasts it, and prepares it once for the whole
-/// tile; each lane then refines its strided share with one scan
+/// tile; the warp then scans the tile once, each lane charged its share
 /// ([`TileGenerator::refine_tile`]). Returns the raw matches and the
 /// comparison count for [`finish_search`].
 pub fn run_warp_per_tile<G: TileGenerator>(
@@ -236,7 +239,6 @@ pub fn run_warp_per_tile<G: TileGenerator>(
     report: &mut SearchReport,
 ) -> Result<(Vec<MatchRecord>, u64), SearchError> {
     let tile_size = device.config().tile_size;
-    let warp_size = device.config().warp_size;
 
     let build_tiles = |ids: Option<&[u32]>| -> Vec<Tile> {
         let host_start = Instant::now();
@@ -272,22 +274,10 @@ pub fn run_warp_per_tile<G: TileGenerator>(
                 let q = generator.queries().broadcast(warp, tile.query as usize);
                 let q = PreparedQuery::new(&q, generator.distance());
                 warp.instr(generator.tile_setup_instr());
-                let mut compared = 0u64;
-                warp.for_each_lane(|lane| {
-                    // Lanes stride the tile together: lane `l` takes
-                    // positions `lo + l`, `lo + l + warp_size`, ….
-                    let first = tile.lo.saturating_add(lane.lane_index() as u32).min(tile.hi);
-                    compared += generator.refine_tile(
-                        lane,
-                        &tile,
-                        first..tile.hi,
-                        warp_size,
-                        &q,
-                        |lane, entry_pos, interval| {
-                            stash.stage(lane, MatchRecord::new(tile.query, entry_pos, interval))
-                        },
-                    );
-                });
+                let compared =
+                    generator.refine_tile(warp, &tile, &q, |lane, entry_pos, interval| {
+                        stash.stage(lane, MatchRecord::new(tile.query, entry_pos, interval))
+                    });
                 // One host atomic per tile for the comparison count.
                 comparisons.fetch_add(compared, Ordering::Relaxed);
                 (stash, tile.query)

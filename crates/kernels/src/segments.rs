@@ -1,10 +1,15 @@
-//! Device-resident segment databases.
+//! Device-resident segment databases and query sets.
 //!
-//! [`DeviceSegments`] keeps a segment set in device memory as eight `f64`
-//! columns (struct of arrays): consecutive lanes reading the same field hit
-//! consecutive words — the coalescing-friendly layout the paper's `X`/`Y`/`Z`
-//! id arrays already use — and every accessor charges exactly the column
-//! elements a lane touches.
+//! [`DeviceSegments`] keeps a segment database in device memory. The
+//! *simulated* device stores it as eight `f64` columns (struct of arrays)
+//! and is charged accordingly: consecutive lanes reading the same field hit
+//! consecutive words — the coalescing-friendly layout the paper's
+//! `X`/`Y`/`Z` id arrays already use — and a comparison is charged exactly
+//! the column elements it touches. The host memory behind it holds one
+//! prepared row per entry instead ([`PreparedEntry`]: velocity, affine
+//! base and time span in 64 bytes), computed once when the entry is placed
+//! or ingested, so a comparison pays for the solver and not for re-deriving
+//! the entry's half of the quadratic.
 //!
 //! Accounting rules (see DESIGN.md §"Data layout"):
 //!
@@ -12,32 +17,25 @@
 //!   compare reads `t_start`/`t_end` first (16 bytes) and loads the six
 //!   coordinate columns (48 bytes) only when the temporal overlap test
 //!   passes, so temporally-rejected candidates cost 16 bytes, not a row.
-//! * A lane's `k` candidates — a contiguous or strided range, or ids
-//!   gathered through an index array — are charged in closed form: one read
-//!   of `16·k + 48·overlaps` bytes (plus `4·k` for gathered ids), equal to
-//!   the per-element sum (see [`DeviceSegments::refine_range`] and
+//! * A lane's `k` candidates — a contiguous range, its share of a tile, or
+//!   ids gathered through an index array — are charged in closed form: one
+//!   read of `16·k + 48·overlaps` bytes (plus `4·k` for gathered ids), equal
+//!   to the per-element sum (see [`DeviceSegments::refine_range`] and
 //!   [`DeviceSegments::refine_gather`]).
 //! * Segment ids never reach the device (result records carry entry
 //!   *positions*), so a full row is 64 bytes and uploads are charged
 //!   accordingly.
+//!
+//! [`DeviceQueries`] holds the query set `Q` as plain 64-byte segment rows:
+//! kernels read a query whole (GPUSpatial builds its MBB from the
+//! endpoints) and prepare it once per thread or tile.
 
 use std::ops::Range;
 use std::sync::Arc;
 use tdts_geom::{
-    Point3, PreparedQuery, SegId, Segment, SegmentColumns, SegmentStore, TimeInterval, TrajId,
+    Point3, PreparedEntry, PreparedQuery, SegId, Segment, SegmentStore, TimeInterval, TrajId,
 };
-use tdts_gpu_sim::{ColumnarBuffer, Device, DeviceBuffer, Lane, OutOfDeviceMemory, Warp};
-
-/// Column indices of the canonical device order (matching
-/// [`SegmentColumns::f64_columns`]).
-const COL_SX: usize = 0;
-const COL_SY: usize = 1;
-const COL_SZ: usize = 2;
-const COL_EX: usize = 3;
-const COL_EY: usize = 4;
-const COL_EZ: usize = 5;
-const COL_TS: usize = 6;
-const COL_TE: usize = 7;
+use tdts_gpu_sim::{Device, DeviceBuffer, Lane, OutOfDeviceMemory, Warp, MAX_WARP_LANES};
 
 /// Instruction cost of one continuous distance comparison (quadratic
 /// coefficient computation + root solve + interval clamp). Charged whatever
@@ -57,12 +55,26 @@ const COORDINATE_BYTES: u64 = COLUMNAR_ROW_BYTES - TIMESTAMP_BYTES;
 /// Bytes of one id read from an index array on the way to its entry.
 const ID_BYTES: u64 = std::mem::size_of::<u32>() as u64;
 
-/// A segment database (or query set) resident in device memory: eight `f64`
-/// columns in the canonical order of [`SegmentColumns::f64_columns`]; ids
-/// stay on the host.
+/// How many of `candidates` dealt round robin to `lanes` lanes land on
+/// lane `lane`: candidate `j` goes to lane `j % lanes`, the mapping of a
+/// warp's lanes striding a tile together.
+#[inline]
+pub fn lane_share(candidates: u64, lane: usize, lanes: usize) -> u64 {
+    let lanes = lanes as u64;
+    candidates / lanes + u64::from((lane as u64) < candidates % lanes)
+}
+
+/// A segment database resident in device memory: one [`PreparedEntry`]
+/// row per entry, in position order, charged as the columnar layout
+/// described in the module docs; ids stay on the host.
 #[derive(Debug)]
 pub struct DeviceSegments {
-    cols: ColumnarBuffer<f64>,
+    rows: DeviceBuffer<PreparedEntry>,
+}
+
+/// The prepared rows of `segments`, in order.
+fn prepare(segments: &[Segment]) -> Vec<PreparedEntry> {
+    segments.iter().map(PreparedEntry::new).collect()
 }
 
 impl DeviceSegments {
@@ -71,21 +83,16 @@ impl DeviceSegments {
         device: &Arc<Device>,
         segments: &[Segment],
     ) -> Result<DeviceSegments, OutOfDeviceMemory> {
-        let cols = SegmentColumns::from_segments(segments);
-        Ok(DeviceSegments { cols: device.alloc_columns(&cols.f64_columns())? })
+        Ok(DeviceSegments { rows: device.alloc_from_host(prepare(segments))? })
     }
 
-    /// Place a whole [`SegmentStore`] in device memory *offline*, reading
-    /// the store's generation-tagged columnar mirror — repeated builds (or a
-    /// compaction rebuild) at the same store generation share one host-side
-    /// transpose, and a mirror from a previous generation can never be
-    /// shipped (the tag forces a fresh transpose after any mutation).
+    /// Place a whole [`SegmentStore`] in device memory *offline*, in store
+    /// order.
     pub fn alloc_store(
         device: &Arc<Device>,
         store: &SegmentStore,
     ) -> Result<DeviceSegments, OutOfDeviceMemory> {
-        let cols = store.columns();
-        Ok(DeviceSegments { cols: device.alloc_columns(&cols.f64_columns())? })
+        DeviceSegments::alloc(device, store.segments())
     }
 
     /// Upload `segments` *online*, charging the host-to-device transfer for
@@ -94,30 +101,29 @@ impl DeviceSegments {
         device: &Arc<Device>,
         segments: &[Segment],
     ) -> Result<DeviceSegments, OutOfDeviceMemory> {
-        let cols = SegmentColumns::from_segments(segments);
-        Ok(DeviceSegments { cols: device.upload_columns(&cols.f64_columns())? })
+        Ok(DeviceSegments { rows: device.upload(prepare(segments))? })
     }
 
     /// Append `segments` to the resident database in place, *offline* (no
-    /// transfer charge, like [`alloc`]) — only the new tail is copied,
-    /// existing rows stay put. The device side of generational ingestion.
+    /// transfer charge, like [`alloc`]) — only the new tail is prepared and
+    /// copied, existing rows stay put. The device side of generational
+    /// ingestion.
     ///
     /// [`alloc`]: DeviceSegments::alloc
     pub fn extend(&mut self, segments: &[Segment]) -> Result<(), OutOfDeviceMemory> {
-        let tail = SegmentColumns::from_segments(segments);
-        self.cols.extend_columns(&tail.f64_columns())
+        self.rows.extend(&prepare(segments))
     }
 
     /// Remove the rows at the ascending positions in `removed`, preserving
     /// survivor order — the expire side of generational ingestion. Freed
     /// device bytes are returned to the allocator.
     pub fn remove_positions(&mut self, removed: &[u32]) {
-        self.cols.remove_positions(removed)
+        self.rows.remove_positions(removed)
     }
 
     /// Number of segments.
     pub fn len(&self) -> usize {
-        self.cols.len()
+        self.rows.len()
     }
 
     /// True if no segments are stored.
@@ -129,278 +135,208 @@ impl DeviceSegments {
     ///
     /// [`upload`]: DeviceSegments::upload
     pub fn size_bytes(&self) -> usize {
-        self.cols.size_bytes()
+        self.rows.size_bytes()
     }
 
-    /// Reconstruct segment `pos` *without* cost accounting. Host-side use
-    /// only (the warp-broadcast prologue reads through the leader and
-    /// charges via [`broadcast`]). Rows carry placeholder ids.
+    /// Refine the entries of the contiguous `range` against the prepared
+    /// query `q`, dealt round robin to `lanes`: entry `range.start + j` is
+    /// lane `j % lanes.len()`'s. A thread-per-query lane passes itself alone
+    /// and walks the whole range; a warp-per-tile kernel passes the warp's
+    /// lanes and scans the tile once. `on_hit(lane, pos, interval)` runs for
+    /// every entry within distance, on the entry's lane, in position order.
+    /// Returns the number of comparisons performed.
     ///
-    /// [`broadcast`]: DeviceSegments::broadcast
-    pub fn host_segment(&self, pos: usize) -> Segment {
-        let at = |col: usize| self.cols.column(col)[pos];
-        Segment::new(
-            Point3::new(at(COL_SX), at(COL_SY), at(COL_SZ)),
-            Point3::new(at(COL_EX), at(COL_EY), at(COL_EZ)),
-            at(COL_TS),
-            at(COL_TE),
-            SegId(0),
-            TrajId(0),
-        )
-    }
-
-    /// Read the whole segment at `pos` from a kernel lane, charging the full
-    /// 64-byte row (every column is touched). Rows carry placeholder ids; no
-    /// kernel consumes them (result records store entry positions).
-    pub fn read_segment(&self, lane: &mut Lane, pos: usize) -> Segment {
-        let cols = &self.cols;
-        Segment::new(
-            Point3::new(
-                cols.read(lane, COL_SX, pos),
-                cols.read(lane, COL_SY, pos),
-                cols.read(lane, COL_SZ, pos),
-            ),
-            Point3::new(
-                cols.read(lane, COL_EX, pos),
-                cols.read(lane, COL_EY, pos),
-                cols.read(lane, COL_EZ, pos),
-            ),
-            cols.read(lane, COL_TS, pos),
-            cols.read(lane, COL_TE, pos),
-            SegId(0),
-            TrajId(0),
-        )
-    }
-
-    /// Warp-leader read of segment `pos`, broadcast to the warp
-    /// (`__shfl_sync` analogue): one converged row read charged at warp
-    /// scope.
-    pub fn broadcast(&self, warp: &mut Warp, pos: usize) -> Segment {
-        let q = self.host_segment(pos);
-        warp.gmem_read(COLUMNAR_ROW_BYTES);
-        q
-    }
-
-    /// Refine every `step`-th entry of the contiguous `range` against the
-    /// prepared query `q`: one scan over the column slices,
-    /// `on_hit(lane, pos, interval)` for every entry within distance, in
-    /// position order. Returns the number of comparisons performed (`k`
-    /// below). A thread-per-query lane walks its whole range (`step` 1); a
-    /// warp-per-tile lane walks its share of a tile (`step` = warp size).
+    /// Each lane's `k` comparisons are charged in closed form — **one**
+    /// global-memory read of `16·k` bytes of timestamps plus `48` bytes of
+    /// coordinates per temporally overlapping entry, and **one**
+    /// `COMPARE_INSTR·k` instruction charge — which equals, by construction
+    /// and by test (`tests/refine_equivalence.rs`), the sum of `k`
+    /// element-at-a-time charges. The hit callback charges its own staging
+    /// cost.
     ///
-    /// The scan is charged in closed form — **one** global-memory read of
-    /// `16·k` bytes of timestamps plus `48` bytes of coordinates per
-    /// temporally overlapping entry, and **one** `COMPARE_INSTR·k`
-    /// instruction charge — which equals, by construction and by test
-    /// (`tests/refine_equivalence.rs`), the sum of `k` element-at-a-time
-    /// charges. The hit callback charges its own staging cost.
-    ///
-    /// The rows are bounds-tested once for the whole range. A range that
-    /// leaves the buffer takes the per-element path, so the sanitizer reports
-    /// and neutralises each bad read where it happens (and without a
-    /// sanitizer it panics like a slice index).
+    /// The rows are bounds-tested once for the whole range. In a range that
+    /// leaves the buffer each missing row is reported where it is reached:
+    /// the sanitizer records an out-of-bounds read and neutralises it to a
+    /// temporal reject (the comparison still counts), and without a
+    /// sanitizer it panics like a slice index.
     pub fn refine_range(
         &self,
-        lane: &mut Lane,
+        lanes: &mut [Lane],
         range: Range<u32>,
-        step: usize,
         q: &PreparedQuery,
-        mut on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
+        on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
     ) -> u64 {
         if range.is_empty() {
             return 0;
         }
-        let Some(cols) = self.cols.row_range::<8>(lane, range.start as usize..range.end as usize)
-        else {
-            return self.refine_elements(lane, range.step_by(step), q, &mut on_hit);
-        };
-        let (mut compared, mut overlapping) = (0u64, 0u64);
-        for i in (0..cols[0].len()).step_by(step) {
-            compared += 1;
-            if let Some(hit) = test_row(&cols, i, q) {
-                overlapping += 1;
-                if let Some(interval) = hit {
-                    on_hit(lane, range.start + i as u32, interval);
-                }
-            }
+        match self.rows.as_slice().get(range.start as usize..range.end as usize) {
+            Some(run) => self.scan(lanes, range.zip(run.iter().map(Some)), 0, q, on_hit),
+            None => self.scan(lanes, range.map(|pos| self.row(pos)), 0, q, on_hit),
         }
-        charge(lane, compared, overlapping, 0);
-        compared
     }
 
-    /// Refine the entries a lane reaches through an index array — every
-    /// `step`-th id of `ids[range]` (the paper's `X`/`Y`/`Z` arrays, the FSG
-    /// lookup arrays `A`/`A'`) — against the prepared query `q`, in id
-    /// order; `on_hit` receives the entry position. Returns the comparisons
-    /// performed (`k`). Charged like [`refine_range`] plus the `4·k` bytes of
-    /// id reads, in the same one global-memory charge.
+    /// Refine the entries reached through an index array — the ids
+    /// `ids[range]` (the paper's `X`/`Y`/`Z` arrays, the FSG lookup arrays
+    /// `A`/`A'`) — against the prepared query `q`, dealt round robin to
+    /// `lanes` like [`refine_range`]; `on_hit` receives the entry position.
+    /// Returns the comparisons performed. Charged like [`refine_range`]
+    /// plus each lane's `4·k` bytes of id reads, in the same one
+    /// global-memory charge.
     ///
-    /// The id range is bounds-tested once; one that leaves the index array
-    /// takes the per-element path, so the sanitizer reports and neutralises
-    /// each bad id read where it happens. So does an id that points past
-    /// the entries.
+    /// The id range is bounds-tested once. One that leaves the index array
+    /// is read id by id, so the sanitizer reports and neutralises each bad
+    /// id read where it happens; an id that points past the entries is
+    /// reported like a missing row of [`refine_range`].
     ///
     /// [`refine_range`]: DeviceSegments::refine_range
     pub fn refine_gather(
         &self,
-        lane: &mut Lane,
+        lanes: &mut [Lane],
         ids: &DeviceBuffer<u32>,
         range: Range<u32>,
-        step: usize,
         q: &PreparedQuery,
-        mut on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
+        on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
     ) -> u64 {
         if range.is_empty() {
             return 0;
         }
-        match ids.row_range(lane, range.start as usize..range.end as usize) {
-            Some(ids) => {
-                self.refine_ids(lane, ids.iter().step_by(step).copied(), ID_BYTES, q, on_hit)
+        match ids.row_range(&lanes[0], range.start as usize..range.end as usize) {
+            Some(run) => {
+                self.scan(lanes, run.iter().map(|&pos| self.row(pos)), ID_BYTES, q, on_hit)
             }
             None => {
-                let positions: Vec<u32> =
-                    range.step_by(step).map(|i| ids.read(lane, i as usize)).collect();
-                self.refine_elements(lane, positions, q, &mut on_hit)
+                // Each id read is charged (4 bytes) by the lane that makes it.
+                let w = lanes.len();
+                let positions: Vec<u32> = range
+                    .zip((0..w).cycle())
+                    .map(|(i, l)| ids.read(&mut lanes[l], i as usize))
+                    .collect();
+                self.scan(lanes, positions.into_iter().map(|pos| self.row(pos)), 0, q, on_hit)
             }
         }
     }
 
     /// Refine entry `positions` the lane has already read (and paid for) —
     /// `GPUSpatial`'s candidate buffer `U_k` — against the prepared query
-    /// `q`, in the given order. Charged like [`refine_range`].
-    ///
-    /// [`refine_range`]: DeviceSegments::refine_range
+    /// `q`, in the given order, dealt round robin to `lanes`. Charged like
+    /// [`refine_range`](DeviceSegments::refine_range).
     pub fn refine_positions(
         &self,
-        lane: &mut Lane,
+        lanes: &mut [Lane],
         positions: &[u32],
         q: &PreparedQuery,
         on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
     ) -> u64 {
-        self.refine_ids(lane, positions.iter().copied(), 0, q, on_hit)
+        self.scan(lanes, positions.iter().map(|&pos| self.row(pos)), 0, q, on_hit)
     }
 
-    /// The gathered scan over the whole columns, charging `id_bytes` per id
-    /// on top of the entries. Each position is bounds-tested where it is
-    /// used; one past the end is refined on the per-element path, which
-    /// charges (and, under the sanitizer, reports) its own entry reads.
+    /// Entry `pos` and its row, `None` past the end of the buffer.
     #[inline(always)]
-    fn refine_ids(
+    fn row(&self, pos: u32) -> (u32, Option<&PreparedEntry>) {
+        (pos, self.rows.as_slice().get(pos as usize))
+    }
+
+    /// The one refinement scan: `candidates` are `(position, row)` pairs in
+    /// order, dealt round robin to `lanes`, with `None` for a row past the
+    /// end of the buffer. Each lane is charged once at the end, in closed
+    /// form, plus `id_bytes` per candidate it was dealt.
+    #[inline(always)]
+    fn scan<'r>(
         &self,
-        lane: &mut Lane,
-        ids: impl Iterator<Item = u32>,
+        lanes: &mut [Lane],
+        candidates: impl Iterator<Item = (u32, Option<&'r PreparedEntry>)>,
         id_bytes: u64,
         q: &PreparedQuery,
         mut on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
     ) -> u64 {
-        let cols = self.cols.row_range::<8>(lane, 0..self.len()).expect("whole buffer in bounds");
-        let (mut compared, mut inside, mut overlapping) = (0u64, 0u64, 0u64);
-        for pos in ids {
+        let w = lanes.len();
+        assert!((1..=MAX_WARP_LANES).contains(&w), "a scan runs on 1..={MAX_WARP_LANES} lanes");
+        let mut overlapping = [0u64; MAX_WARP_LANES];
+        let (mut compared, mut next) = (0u64, 0usize);
+        for (pos, row) in candidates {
+            let l = next;
+            next = if next + 1 == w { 0 } else { next + 1 };
             compared += 1;
-            let i = pos as usize;
-            if i >= self.len() {
-                self.refine_elements(lane, [pos], q, &mut on_hit);
+            let Some(entry) = row else {
+                self.missing_row(&lanes[l], pos);
+                continue;
+            };
+            // The predicate `within_prepared` starts with, applied first so
+            // a temporally rejected entry is charged its timestamps only.
+            if q.time_span().intersect(&entry.time_span()).is_none() {
                 continue;
             }
-            inside += 1;
-            if let Some(hit) = test_row(&cols, i, q) {
-                overlapping += 1;
-                if let Some(interval) = hit {
-                    on_hit(lane, pos, interval);
-                }
+            overlapping[l] += 1;
+            if let Some(interval) = q.within_prepared(entry) {
+                on_hit(&mut lanes[l], pos, interval);
             }
         }
-        charge(lane, inside, overlapping, id_bytes * compared);
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            let k = lane_share(compared, l, w);
+            lane.gmem_read((TIMESTAMP_BYTES + id_bytes) * k + COORDINATE_BYTES * overlapping[l]);
+            lane.instr(COMPARE_INSTR * k);
+        }
         compared
     }
 
-    /// The refinement one charged element at a time: where a range that
-    /// leaves its buffer goes, so each bad read is reported where it
-    /// happens. Returns the comparisons performed.
+    /// A candidate row past the end of the buffer: under the sanitizer an
+    /// out-of-bounds read attributed to `lane` (the scan then treats the
+    /// row as temporally rejected); without one a slice-index panic.
     #[cold]
-    fn refine_elements(
-        &self,
-        lane: &mut Lane,
-        positions: impl IntoIterator<Item = u32>,
-        q: &PreparedQuery,
-        on_hit: &mut impl FnMut(&mut Lane, u32, TimeInterval),
-    ) -> u64 {
-        let mut compared = 0;
-        for pos in positions {
-            compared += 1;
-            let hit = self.compare_element(lane, pos as usize, q);
-            lane.instr(COMPARE_INSTR);
-            if let Some(interval) = hit {
-                on_hit(lane, pos, interval);
-            }
-        }
-        compared
-    }
-
-    /// One charged element: the two timestamp reads, the overlap test, and
-    /// — for survivors only — the six coordinate reads and the distance
-    /// test.
-    fn compare_element(
-        &self,
-        lane: &mut Lane,
-        pos: usize,
-        q: &PreparedQuery,
-    ) -> Option<TimeInterval> {
-        let cols = &self.cols;
-        let t_start = cols.read(lane, COL_TS, pos);
-        let t_end = cols.read(lane, COL_TE, pos);
-        q.time_span().intersect(&TimeInterval::new(t_start, t_end))?;
-        let entry = Segment::new(
-            Point3::new(
-                cols.read(lane, COL_SX, pos),
-                cols.read(lane, COL_SY, pos),
-                cols.read(lane, COL_SZ, pos),
-            ),
-            Point3::new(
-                cols.read(lane, COL_EX, pos),
-                cols.read(lane, COL_EY, pos),
-                cols.read(lane, COL_EZ, pos),
-            ),
-            t_start,
-            t_end,
-            SegId(0),
-            TrajId(0),
-        );
-        q.within(&entry)
+    fn missing_row(&self, lane: &Lane, pos: u32) {
+        let pos = pos as usize;
+        let row = self.rows.row_range(lane, pos..pos + 1);
+        debug_assert!(row.is_none(), "row {pos} is in bounds");
     }
 }
 
-/// One comparison of the scans: row `i` of the column slices against `q`.
-/// `None` when the temporal prefilter rejects the row (only its timestamps
-/// were touched); otherwise the distance test's outcome.
-#[inline(always)]
-fn test_row(
-    [sx, sy, sz, ex, ey, ez, ts, te]: &[&[f64]; 8],
-    i: usize,
-    q: &PreparedQuery,
-) -> Option<Option<TimeInterval>> {
-    let (t_start, t_end) = (ts[i], te[i]);
-    // The predicate `within` starts with, applied before the six coordinate
-    // columns are touched.
-    q.time_span().intersect(&TimeInterval::new(t_start, t_end))?;
-    let entry = Segment::new(
-        Point3::new(sx[i], sy[i], sz[i]),
-        Point3::new(ex[i], ey[i], ez[i]),
+/// The query set `Q` resident in device memory: one plain 64-byte row per
+/// segment — start, end, `t_start`, `t_end`; ids stay on the host.
+#[derive(Debug)]
+pub struct DeviceQueries {
+    rows: DeviceBuffer<[f64; 8]>,
+}
+
+/// A segment's device row (ids dropped).
+fn row_of(s: &Segment) -> [f64; 8] {
+    [s.start.x, s.start.y, s.start.z, s.end.x, s.end.y, s.end.z, s.t_start, s.t_end]
+}
+
+/// The segment of a device row, with placeholder ids: no kernel consumes
+/// them (result records store positions).
+fn segment_of([sx, sy, sz, ex, ey, ez, t_start, t_end]: [f64; 8]) -> Segment {
+    Segment::new(
+        Point3::new(sx, sy, sz),
+        Point3::new(ex, ey, ez),
         t_start,
         t_end,
         SegId(0),
         TrajId(0),
-    );
-    Some(q.within(&entry))
+    )
 }
 
-/// The closed-form charge of `compared` in-bounds comparisons, of which
-/// `overlapping` passed the temporal prefilter, plus `extra_bytes` read on
-/// the way: one memory charge and one instruction charge.
-#[inline(always)]
-fn charge(lane: &mut Lane, compared: u64, overlapping: u64, extra_bytes: u64) {
-    lane.gmem_read(TIMESTAMP_BYTES * compared + COORDINATE_BYTES * overlapping + extra_bytes);
-    lane.instr(COMPARE_INSTR * compared);
+impl DeviceQueries {
+    /// Upload `segments` *online*, charging the host-to-device transfer for
+    /// exactly the bytes shipped (64 per segment).
+    pub fn upload(
+        device: &Arc<Device>,
+        segments: &[Segment],
+    ) -> Result<DeviceQueries, OutOfDeviceMemory> {
+        Ok(DeviceQueries { rows: device.upload(segments.iter().map(row_of).collect())? })
+    }
+
+    /// Read query `pos` from a kernel lane, charging the full 64-byte row.
+    pub fn read_segment(&self, lane: &mut Lane, pos: usize) -> Segment {
+        segment_of(self.rows.read(lane, pos))
+    }
+
+    /// Warp-leader read of query `pos`, broadcast to the warp
+    /// (`__shfl_sync` analogue): one converged row read charged at warp
+    /// scope.
+    pub fn broadcast(&self, warp: &mut Warp, pos: usize) -> Segment {
+        warp.gmem_read(COLUMNAR_ROW_BYTES);
+        segment_of(self.rows.as_slice()[pos])
+    }
 }
 
 #[cfg(test)]
@@ -435,7 +371,7 @@ mod tests {
         let mut lane = Lane::new(0);
         let mut hit = None;
         let compared = resident.refine_positions(
-            &mut lane,
+            std::slice::from_mut(&mut lane),
             &[pos],
             &PreparedQuery::new(q, d),
             |_, _, interval| hit = Some(interval),
@@ -448,37 +384,42 @@ mod tests {
     #[test]
     fn rows_are_64_bytes_without_ids() {
         let segs = vec![seg(0.0, 0.0, 3), seg(2.0, 1.0, 4)];
-        let resident = DeviceSegments::alloc(&device(), &segs).unwrap();
+        let dev = device();
+        let resident = DeviceSegments::alloc(&dev, &segs).unwrap();
         assert_eq!(resident.len(), 2);
         assert_eq!(resident.size_bytes(), 2 * COLUMNAR_ROW_BYTES as usize);
+        let _queries = DeviceQueries::upload(&dev, &segs).unwrap();
+        assert_eq!(dev.ledger().h2d_bytes, 2 * COLUMNAR_ROW_BYTES);
+        assert_eq!(dev.mem_used(), 4 * COLUMNAR_ROW_BYTES as usize);
     }
 
     #[test]
-    fn reads_return_the_stored_segments_up_to_ids() {
+    fn query_reads_return_the_uploaded_segments_up_to_ids() {
         let segs: Vec<Segment> = (0..6).map(|i| seg(i as f64 * 2.0, i as f64 * 0.3, i)).collect();
-        let resident = DeviceSegments::alloc(&device(), &segs).unwrap();
+        let queries = DeviceQueries::upload(&device(), &segs).unwrap();
         let mut warp = Warp::standalone(1);
+        let same = |r: Segment, s: &Segment| {
+            assert_eq!((r.start, r.end, r.t_start, r.t_end), (s.start, s.end, s.t_start, s.t_end))
+        };
+        for (i, s) in segs.iter().enumerate() {
+            same(queries.broadcast(&mut warp, i), s);
+        }
         warp.for_each_lane(|lane| {
             for (i, s) in segs.iter().enumerate() {
-                for r in [resident.read_segment(lane, i), resident.host_segment(i)] {
-                    assert_eq!(r.start, s.start);
-                    assert_eq!(r.end, s.end);
-                    assert_eq!(r.t_start, s.t_start);
-                    assert_eq!(r.t_end, s.t_end);
-                }
+                same(queries.read_segment(lane, i), s);
             }
         });
     }
 
     #[test]
-    fn full_read_charges_64_bytes() {
-        let resident = DeviceSegments::alloc(&device(), &[seg(0.0, 0.0, 0)]).unwrap();
+    fn full_query_read_charges_64_bytes() {
+        let queries = DeviceQueries::upload(&device(), &[seg(0.0, 0.0, 0)]).unwrap();
         let mut warp = Warp::standalone(1);
         warp.for_each_lane(|lane| {
-            resident.read_segment(lane, 0);
+            queries.read_segment(lane, 0);
             assert_eq!(lane.counters().gmem_read_bytes, 64);
         });
-        resident.broadcast(&mut warp, 0);
+        queries.broadcast(&mut warp, 0);
         assert_eq!(warp.counters().gmem_read_bytes, 64);
     }
 
@@ -505,14 +446,8 @@ mod tests {
         let expired = store.expire_before(2.0);
         assert!(!expired.removed.is_empty());
         resident.remove_positions(&expired.removed);
-        assert_eq!(resident.len(), store.len());
-        for (i, s) in store.segments().iter().enumerate() {
-            let r = resident.host_segment(i);
-            assert_eq!(r.start, s.start);
-            assert_eq!(r.end, s.end);
-            assert_eq!(r.t_start, s.t_start);
-            assert_eq!(r.t_end, s.t_end);
-        }
+        assert_eq!(resident.rows.as_slice(), prepare(store.segments()));
+        assert_eq!(dev.mem_used(), resident.size_bytes());
     }
 
     #[test]
@@ -525,6 +460,21 @@ mod tests {
             for (i, s) in segs.iter().enumerate() {
                 for d in [0.1, 1.0, 10.0] {
                     assert_eq!(refine_one(&resident, i as u32, q, d).0, within_distance(q, s, d));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_shares_deal_every_candidate_once() {
+        for lanes in 1..=8 {
+            for candidates in 0..40u64 {
+                let shares: Vec<u64> =
+                    (0..lanes).map(|l| lane_share(candidates, l, lanes)).collect();
+                assert_eq!(shares.iter().sum::<u64>(), candidates);
+                for (l, &k) in shares.iter().enumerate() {
+                    // Lane `l` takes candidates l, l + lanes, … below the count.
+                    assert_eq!(k, (l as u64..candidates).step_by(lanes).count() as u64);
                 }
             }
         }

@@ -1,14 +1,17 @@
 //! The refinement scans equal an element-at-a-time model of the same work —
-//! the records (positions, interval bits, order), the comparison count, the
-//! lane's counters and the warp's commit charges.
+//! the records (positions, interval bits, order), the comparison count,
+//! every lane's counters and the warp's commit charges.
 //!
 //! The model is written here from the accounting rules alone: per
 //! candidate, `4` bytes for a gathered id, `16` bytes of timestamps, `48`
 //! more for a temporal overlap, `COMPARE_INSTR` instructions, and one more
-//! for a staged hit. The scans post all of that as one closed-form charge,
-//! so these tests are what lets the closed form stand for the per-element
-//! sum — for contiguous ranges, for the strided share a warp-per-tile lane
-//! walks, and for ids gathered through an index array.
+//! for a staged hit. It walks each lane's share separately — lane `l` of
+//! `w` takes candidates `l`, `l + w`, … — the way the lanes of a warp
+//! stride a tile together. The scans visit the candidates once, in order,
+//! deal candidate `j` to lane `j % w`, and post each lane's charge in
+//! closed form, so these tests are what lets the one scan and the closed
+//! form stand for the per-lane, per-element sum — for contiguous ranges,
+//! for a warp's whole tile, and for ids gathered through an index array.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -28,23 +31,24 @@ fn p(x: f64, y: f64, z: f64) -> Point3 {
     Point3::new(x, y, z)
 }
 
-/// Everything one lane's refinement leaves behind.
+/// Everything one refinement leaves behind.
 #[derive(Debug, PartialEq)]
 struct Outcome {
     /// `(query, entry, interval.start bits, interval.end bits)` in commit order.
     records: Vec<(u32, u32, u64, u64)>,
     compared: u64,
-    lane: Counters,
+    /// Each lane's counters, in lane order.
+    lanes: Vec<Counters>,
     warp: Counters,
 }
 
-/// How the lane reaches its candidates.
+/// How the lanes reach their candidates.
 #[derive(Debug, Clone)]
 enum Walk {
-    /// Every `step`-th entry of `lo..hi`.
-    Range { lo: u32, hi: u32, step: usize },
-    /// Every `step`-th id of `ids[lo..hi]`.
-    Gather { ids: Vec<u32>, lo: u32, hi: u32, step: usize },
+    /// The entries `lo..hi`.
+    Range { lo: u32, hi: u32 },
+    /// The ids `ids[lo..hi]`.
+    Gather { ids: Vec<u32>, lo: u32, hi: u32 },
     /// Positions the lane already holds (`U_k`).
     Positions(Vec<u32>),
 }
@@ -53,51 +57,53 @@ impl Walk {
     /// The entry positions the walk visits, in order, and whether each one
     /// was gathered through an id read.
     fn positions(&self) -> (Vec<u32>, bool) {
-        let stepped = |lo: u32, hi: u32, step: usize| (lo..hi.max(lo)).step_by(step);
         match self {
-            Walk::Range { lo, hi, step } => (stepped(*lo, *hi, *step).collect(), false),
-            Walk::Gather { ids, lo, hi, step } => {
-                (stepped(*lo, *hi, *step).map(|i| ids[i as usize]).collect(), true)
-            }
+            Walk::Range { lo, hi } => ((*lo..*hi).collect(), false),
+            Walk::Gather { ids, lo, hi } => ((*lo..*hi).map(|i| ids[i as usize]).collect(), true),
             Walk::Positions(positions) => (positions.clone(), false),
         }
     }
 }
 
-/// The element-at-a-time model of one lane's refinement.
-fn model(entries: &[Segment], walk: &Walk, q: &Segment, d: f64) -> Outcome {
+/// The element-at-a-time model of a refinement on `w` lanes, each lane
+/// walking its share with stride `w`.
+fn model(entries: &[Segment], walk: &Walk, q: &Segment, d: f64, w: usize) -> Outcome {
     let (positions, gathered) = walk.positions();
-    let mut out = Outcome {
-        records: Vec::new(),
-        compared: positions.len() as u64,
-        lane: Counters::default(),
-        warp: Counters::default(),
-    };
-    for &pos in &positions {
-        let e = &entries[pos as usize];
-        out.lane.instructions += COMPARE_INSTR;
-        out.lane.gmem_read_bytes += if gathered { 4 } else { 0 };
-        out.lane.gmem_read_bytes +=
-            if q.time_span().intersect(&e.time_span()).is_some() { COLUMNAR_ROW_BYTES } else { 16 };
-        if let Some(iv) = within_distance(q, e, d) {
-            out.lane.instructions += 1;
-            out.records.push((QUERY_POS, pos, iv.start.to_bits(), iv.end.to_bits()));
+    let mut lanes = vec![Counters::default(); w];
+    let mut staged = vec![Vec::new(); w];
+    for (l, lane) in lanes.iter_mut().enumerate() {
+        for &pos in positions.iter().skip(l).step_by(w) {
+            let e = &entries[pos as usize];
+            lane.instructions += COMPARE_INSTR;
+            lane.gmem_read_bytes += if gathered { 4 } else { 0 };
+            lane.gmem_read_bytes += if q.time_span().intersect(&e.time_span()).is_some() {
+                COLUMNAR_ROW_BYTES
+            } else {
+                16
+            };
+            if let Some(iv) = within_distance(q, e, d) {
+                lane.instructions += 1;
+                staged[l].push((QUERY_POS, pos, iv.start.to_bits(), iv.end.to_bits()));
+            }
         }
     }
-    if !out.records.is_empty() {
-        // Flush rounds of the stash's capacity: 8 converged instructions and
-        // one atomic each, plus the coalesced writes.
+    let mut warp = Counters::default();
+    let records: Vec<_> = staged.iter().flatten().copied().collect();
+    if !records.is_empty() {
+        // Flush rounds of the stash's capacity, set by the fullest lane: 8
+        // converged instructions and one atomic each, plus the coalesced
+        // writes of every record, lane by lane.
         let capacity = DeviceConfig::test_tiny().warp_stash_capacity;
-        let flushes = out.records.len().div_ceil(capacity) as u64;
-        out.warp.instructions = 8 * flushes;
-        out.warp.atomics = flushes;
-        out.warp.gmem_write_bytes = (out.records.len() * std::mem::size_of::<MatchRecord>()) as u64;
+        let flushes = staged.iter().map(|s| s.len().div_ceil(capacity)).max().unwrap() as u64;
+        warp.instructions = 8 * flushes;
+        warp.atomics = flushes;
+        warp.gmem_write_bytes = (records.len() * std::mem::size_of::<MatchRecord>()) as u64;
     }
-    out
+    Outcome { records, compared: positions.len() as u64, lanes, warp }
 }
 
-/// The scan under test, on a one-lane warp.
-fn refine(entries: &[Segment], walk: &Walk, q: &Segment, d: f64) -> Outcome {
+/// The scan under test, on a warp of `w` lanes.
+fn refine(entries: &[Segment], walk: &Walk, q: &Segment, d: f64, w: usize) -> Outcome {
     let dev = Device::new(DeviceConfig::test_tiny()).unwrap();
     let resident = DeviceSegments::alloc(&dev, entries).unwrap();
     let ids = match walk {
@@ -106,46 +112,45 @@ fn refine(entries: &[Segment], walk: &Walk, q: &Segment, d: f64) -> Outcome {
     };
     let ids: DeviceBuffer<u32> = dev.alloc_from_host(ids).unwrap();
     let mut results = dev.alloc_result::<MatchRecord>(walk.positions().0.len().max(1)).unwrap();
-    let mut warp = Warp::standalone(1);
+    let mut warp = Warp::standalone(w);
     let q = PreparedQuery::new(q, d);
-    let mut compared = 0;
-    let mut lane_counters = Counters::default();
-    {
+    let (compared, lanes) = {
         let mut stash = results.warp_stash();
-        warp.for_each_lane(|lane| {
-            let stage = |lane: &mut tdts_gpu_sim::Lane, pos, interval| {
-                stash.stage(lane, MatchRecord::new(QUERY_POS, pos, interval))
-            };
-            compared = match walk {
-                Walk::Range { lo, hi, step } => {
-                    resident.refine_range(lane, *lo..*hi, *step, &q, stage)
-                }
-                Walk::Gather { lo, hi, step, .. } => {
-                    resident.refine_gather(lane, &ids, *lo..*hi, *step, &q, stage)
-                }
-                Walk::Positions(positions) => resident.refine_positions(lane, positions, &q, stage),
-            };
-            lane_counters = *lane.counters();
-        });
+        let stage = |lane: &mut tdts_gpu_sim::Lane, pos, interval| {
+            stash.stage(lane, MatchRecord::new(QUERY_POS, pos, interval))
+        };
+        let lanes = warp.lanes_mut();
+        let compared = match walk {
+            Walk::Range { lo, hi } => resident.refine_range(lanes, *lo..*hi, &q, stage),
+            Walk::Gather { lo, hi, .. } => resident.refine_gather(lanes, &ids, *lo..*hi, &q, stage),
+            Walk::Positions(positions) => resident.refine_positions(lanes, positions, &q, stage),
+        };
+        let lanes = warp.lanes_mut().iter().map(|lane| *lane.counters()).collect();
         assert_eq!(stash.commit(&mut warp), 0, "the result buffer holds every hit");
-    }
+        (compared, lanes)
+    };
     let records = results
         .drain_to_host()
         .into_iter()
         .map(|r| (r.query, r.entry, r.interval.start.to_bits(), r.interval.end.to_bits()))
         .collect();
-    Outcome { records, compared, lane: lane_counters, warp: *warp.counters() }
+    Outcome { records, compared, lanes, warp: *warp.counters() }
 }
 
-/// Refine, require the model's outcome, and hand it back.
-fn check(entries: &[Segment], walk: Walk, q: &Segment, d: f64) -> Outcome {
-    let got = refine(entries, &walk, q, d);
-    assert_eq!(got, model(entries, &walk, q, d), "{walk:?}, d = {d}");
+/// Refine on `w` lanes, require the model's outcome, and hand it back.
+fn check_on(entries: &[Segment], walk: Walk, q: &Segment, d: f64, w: usize) -> Outcome {
+    let got = refine(entries, &walk, q, d, w);
+    assert_eq!(got, model(entries, &walk, q, d, w), "{walk:?}, d = {d}, {w} lanes");
     got
 }
 
+/// [`check_on`] a single lane: a thread-per-query walk.
+fn check(entries: &[Segment], walk: Walk, q: &Segment, d: f64) -> Outcome {
+    check_on(entries, walk, q, d, 1)
+}
+
 fn range(lo: u32, hi: u32) -> Walk {
-    Walk::Range { lo, hi, step: 1 }
+    Walk::Range { lo, hi }
 }
 
 /// The query every fixture refines against: t in [2, 6], moving along +x.
@@ -173,15 +178,17 @@ fn empty_and_inverted_ranges_do_nothing() {
     let store = mixed_store();
     let ids: Vec<u32> = (0..8).rev().collect();
     for (lo, hi) in [(0, 0), (3, 3), (8, 8), (5, 2)] {
-        for walk in [range(lo, hi), Walk::Gather { ids: ids.clone(), lo, hi, step: 3 }] {
-            let out = check(&store, walk, &query(), 2.0);
-            assert_eq!(out.compared, 0);
-            assert!(out.records.is_empty());
-            assert!(out.lane.is_zero() && out.warp.is_zero());
+        for walk in [range(lo, hi), Walk::Gather { ids: ids.clone(), lo, hi }] {
+            for w in [1, 4] {
+                let out = check_on(&store, walk.clone(), &query(), 2.0, w);
+                assert_eq!(out.compared, 0);
+                assert!(out.records.is_empty());
+                assert!(out.lanes.iter().all(Counters::is_zero) && out.warp.is_zero());
+            }
         }
     }
     let out = check(&store, Walk::Positions(Vec::new()), &query(), 2.0);
-    assert!(out.lane.is_zero());
+    assert!(out.lanes[0].is_zero());
 }
 
 #[test]
@@ -197,28 +204,42 @@ fn single_elements_and_a_range_ending_at_len() {
     }
 }
 
+/// `n` entries cycling through [`mixed_store`]'s kinds.
+fn long_store(n: usize) -> Vec<Segment> {
+    mixed_store().into_iter().cycle().take(n).collect()
+}
+
 #[test]
-fn strided_shares_partition_the_range() {
-    // The lanes of a warp striding one tile together visit every candidate
-    // exactly once, and their charges add up to the whole range's.
+fn a_warp_scans_its_tile_like_lanes_striding_it() {
+    // A tile of every length from empty to three warps and one, contiguous
+    // or gathered through ids that are out of order and repeat: the one scan
+    // gives every lane the counters and records of its strided walk.
+    for w in 1..=5usize {
+        let store = long_store(3 * w + 4);
+        for len in 0..=(3 * w + 1) as u32 {
+            for lo in [0, 2] {
+                check_on(&store, range(lo, lo + len), &query(), 3.0, w);
+                let ids: Vec<u32> = (0..lo + len).map(|i| (i * 7 + 3) % 11 % len.max(1)).collect();
+                check_on(&store, Walk::Gather { ids, lo, hi: lo + len }, &query(), 3.0, w);
+            }
+        }
+    }
+}
+
+#[test]
+fn lane_shares_partition_the_tile() {
+    // The lanes of a warp scanning one tile together visit every candidate
+    // exactly once, and their charges add up to one lane walking it all.
     let store = mixed_store();
     let whole = check(&store, range(1, 8), &query(), 3.0);
-    for step in 1..=4u32 {
-        let mut records = Vec::new();
-        let mut bytes = 0;
-        for lane in 0..step {
-            let share = check(
-                &store,
-                Walk::Range { lo: 1 + lane, hi: 8, step: step as usize },
-                &query(),
-                3.0,
-            );
-            records.extend(share.records);
-            bytes += share.lane.gmem_read_bytes;
-        }
+    for w in 1..=4 {
+        let shared = check_on(&store, range(1, 8), &query(), 3.0, w);
+        let mut records = shared.records.clone();
         records.sort_by_key(|r| r.1);
-        assert_eq!(records, whole.records, "step {step}");
-        assert_eq!(bytes, whole.lane.gmem_read_bytes, "step {step}");
+        assert_eq!(records, whole.records, "{w} lanes");
+        let mut sum = Counters::default();
+        shared.lanes.iter().for_each(|c| sum.add(c));
+        assert_eq!(sum, whole.lanes[0], "{w} lanes");
     }
 }
 
@@ -227,12 +248,13 @@ fn gathered_ids_cost_four_bytes_each_and_keep_their_order() {
     let store = mixed_store();
     // Out of order, with a repeat: both survive into the records.
     let ids = vec![5, 3, 0, 3, 1, 7];
-    let out =
-        check(&store, Walk::Gather { ids: ids.clone(), lo: 0, hi: 6, step: 1 }, &query(), 3.0);
+    let out = check(&store, Walk::Gather { ids: ids.clone(), lo: 0, hi: 6 }, &query(), 3.0);
     assert_eq!(out.records.iter().map(|r| r.1).collect::<Vec<_>>(), vec![5, 3, 0, 3, 7]);
-    assert_eq!(out.lane.gmem_read_bytes, 6 * 4 + 5 * COLUMNAR_ROW_BYTES + 16);
-    let stepped = check(&store, Walk::Gather { ids, lo: 1, hi: 6, step: 2 }, &query(), 3.0);
-    assert_eq!(stepped.records.iter().map(|r| r.1).collect::<Vec<_>>(), vec![3, 3, 7]);
+    assert_eq!(out.lanes[0].gmem_read_bytes, 6 * 4 + 5 * COLUMNAR_ROW_BYTES + 16);
+    // On two lanes, lane 0 takes ids 3, 3, 7 and lane 1 takes 0, 1: lane 0's
+    // records commit first.
+    let shared = check_on(&store, Walk::Gather { ids, lo: 1, hi: 6 }, &query(), 3.0, 2);
+    assert_eq!(shared.records.iter().map(|r| r.1).collect::<Vec<_>>(), vec![3, 3, 7, 0]);
 }
 
 #[test]
@@ -244,8 +266,8 @@ fn temporally_disjoint_entries_cost_their_timestamps_only() {
         .collect();
     let out = check(&store, range(0, 9), &query(), 100.0);
     assert!(out.records.is_empty());
-    assert_eq!(out.lane.gmem_read_bytes, 9 * 16);
-    assert_eq!(out.lane.instructions, 9 * COMPARE_INSTR);
+    assert_eq!(out.lanes[0].gmem_read_bytes, 9 * 16);
+    assert_eq!(out.lanes[0].instructions, 9 * COMPARE_INSTR);
 }
 
 #[test]
@@ -257,8 +279,8 @@ fn overlapping_entries_cost_the_full_row_and_hits_one_more_instruction() {
     let out = check(&store, range(0, 8), &query(), 3.0);
     let hit: Vec<u32> = out.records.iter().map(|r| r.1).collect();
     assert_eq!(hit, vec![0, 2, 3, 4, 5, 7]);
-    assert_eq!(out.lane.gmem_read_bytes, 7 * COLUMNAR_ROW_BYTES + 16);
-    assert_eq!(out.lane.instructions, 8 * COMPARE_INSTR + 6);
+    assert_eq!(out.lanes[0].gmem_read_bytes, 7 * COLUMNAR_ROW_BYTES + 16);
+    assert_eq!(out.lanes[0].instructions, 8 * COMPARE_INSTR + 6);
 }
 
 #[test]
@@ -297,7 +319,8 @@ fn out_of_bounds_gathers_are_reported_element_by_element() {
         let resident = DeviceSegments::alloc(&dev, &mixed_store()).unwrap();
         let ids = dev.alloc_from_host(ids).unwrap();
         dev.launch(1, |lane| {
-            let compared = resident.refine_gather(lane, &ids, range.clone(), 1, &q, |_, _, _| {});
+            let lanes = std::slice::from_mut(lane);
+            let compared = resident.refine_gather(lanes, &ids, range.clone(), &q, |_, _, _| {});
             assert_eq!(compared, range.len() as u64);
         });
         let report = dev.sanitizer_report();
@@ -310,9 +333,66 @@ fn out_of_bounds_gathers_are_reported_element_by_element() {
     let ids = dev.alloc_from_host(vec![3u32, 99]).unwrap();
     let mut lane = tdts_gpu_sim::Lane::new(0);
     let gather = std::panic::AssertUnwindSafe(|| {
-        resident.refine_gather(&mut lane, &ids, 0..2, 1, &q, |_, _, _| {})
+        resident.refine_gather(std::slice::from_mut(&mut lane), &ids, 0..2, &q, |_, _, _| {})
     });
     assert!(std::panic::catch_unwind(gather).is_err());
+}
+
+#[test]
+fn a_tile_leaving_its_buffer_is_reported_and_still_counted() {
+    // A warp's tile whose id run leaves the index array, and one whose
+    // entry range leaves the database: every missing read is an
+    // out-of-bounds finding, neutralised, and its comparison still counts
+    // on the lane it was dealt to.
+    let q = PreparedQuery::new(&query(), 3.0);
+    let dev = sanitized();
+    let resident = DeviceSegments::alloc(&dev, &mixed_store()).unwrap();
+    let ids = dev.alloc_from_host(vec![0u32, 3, 5]).unwrap();
+    dev.launch_warps(4, |warp| {
+        let mut hits = Vec::new();
+        let lanes = warp.lanes_mut();
+        let compared = resident.refine_gather(lanes, &ids, 1..6, &q, |_, pos, _| hits.push(pos));
+        assert_eq!(compared, 5);
+        // Lanes 0..4 take ids 1..5, lane 0 also id 5: the three missing ids
+        // neutralise to the first id (entry 0, a hit), so the hits are the
+        // two real ids, 3 and 5, then entry 0 three times.
+        assert_eq!(hits, vec![3, 5, 0, 0, 0]);
+        // Each lane is charged its share of the comparisons (the callback
+        // here stages nothing).
+        let shares: Vec<u64> = lanes.iter().map(|l| l.counters().instructions).collect();
+        assert_eq!(shares, [2, 1, 1, 1].map(|k| k * COMPARE_INSTR));
+    });
+    let report = dev.sanitizer_report();
+    assert_eq!(report.findings.len(), 4, "{report}");
+    assert!(report.findings.iter().all(|f| f.kind == FindingKind::OutOfBoundsRead));
+
+    let dev = sanitized();
+    let resident = DeviceSegments::alloc(&dev, &mixed_store()).unwrap();
+    dev.launch_warps(4, |warp| {
+        let mut hits = Vec::new();
+        let lanes = warp.lanes_mut();
+        let compared = resident.refine_range(lanes, 6..11, &q, |_, pos, _| hits.push(pos));
+        assert_eq!(compared, 5);
+        // Entries 6 and 7 exist (only 7 is within 3); 8..11 do not.
+        assert_eq!(hits, vec![7]);
+        // Lane 0 takes entries 6 (overlapping, far) and 10 (missing).
+        assert_eq!(lanes[0].counters().gmem_read_bytes, COLUMNAR_ROW_BYTES + 16);
+        assert_eq!(lanes[0].counters().instructions, 2 * COMPARE_INSTR);
+    });
+    let report = dev.sanitizer_report();
+    assert_eq!(report.findings.len(), 3, "{report}");
+    assert!(report.findings.iter().all(|f| f.kind == FindingKind::OutOfBoundsRead));
+
+    // Without a sanitizer both panic like a slice index.
+    let dev = Device::new(DeviceConfig::test_tiny()).unwrap();
+    let resident = DeviceSegments::alloc(&dev, &mixed_store()).unwrap();
+    let ids = dev.alloc_from_host(vec![0u32, 3, 5]).unwrap();
+    let mut warp = Warp::standalone(4);
+    let mut scan = |f: &mut dyn FnMut(&mut Warp) -> u64| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut warp))).is_err()
+    };
+    assert!(scan(&mut |w| resident.refine_gather(w.lanes_mut(), &ids, 1..6, &q, |_, _, _| {})));
+    assert!(scan(&mut |w| resident.refine_range(w.lanes_mut(), 6..11, &q, |_, _, _| {})));
 }
 
 /// One generated entry: a kind selector plus free parameters, resolved
@@ -354,7 +434,7 @@ proptest! {
         recipes in proptest::collection::vec(arb_recipe(), 1..40),
         cut in (0.0f64..1.0, 0.0f64..1.0),
         d in (0u32..4, 0.0f64..30.0),
-        step in 1usize..6,
+        w in 1usize..6,
         picks in proptest::collection::vec(0u32..1_000, 0..40),
     ) {
         // One query in four is itself instantaneous.
@@ -367,12 +447,12 @@ proptest! {
         let at = |f: f64| ((f * (len + 1.0)) as u32).min(store.len() as u32);
         let d = if d.0 == 0 { 0.0 } else { d.1 };
         let (lo, hi) = (at(cut.0), at(cut.1));
-        check(&store, Walk::Range { lo, hi, step }, &q, d);
+        check_on(&store, range(lo, hi), &q, d, w);
         check(&store, range(0, store.len() as u32), &q, d);
         // Arbitrary ids into the store, repeats and any order included.
         let ids: Vec<u32> = picks.iter().map(|&i| i % store.len() as u32).collect();
         let n = ids.len() as u32;
-        check(&store, Walk::Gather { ids: ids.clone(), lo: lo.min(n), hi: hi.min(n), step }, &q, d);
-        check(&store, Walk::Positions(ids), &q, d);
+        check_on(&store, Walk::Gather { ids: ids.clone(), lo: lo.min(n), hi: hi.min(n) }, &q, d, w);
+        check_on(&store, Walk::Positions(ids), &q, d, w);
     }
 }

@@ -11,13 +11,15 @@
 //! relies on, three host-side concurrency rules guarding the query
 //! service (the static twin of the `tdts-sync` model checker):
 //!
-//! * `uncharged-column-read` — `ColumnarBuffer::column` and the
-//!   `row_range` of `ColumnarBuffer` and `DeviceBuffer` hand out device
-//!   data without posting a memory charge. In kernel-side code they have
-//!   one home, `crates/kernels/src/segments.rs`, where `DeviceSegments`
-//!   pairs every such read with the charge it owes (a range's or a
-//!   gather's closed-form sum, a broadcast's row); anywhere else a read
-//!   would silently drop out of the simulated cost.
+//! * `uncharged-column-read` — `DeviceBuffer::row_range` and
+//!   `DeviceBuffer::as_slice` hand out device data without posting a
+//!   memory charge (the `.column(` accessor of the former columnar buffer
+//!   stays matched, so it cannot return unnoticed). In kernel-side code
+//!   they have one home, `crates/kernels/src/segments.rs`, where
+//!   `DeviceSegments` and `DeviceQueries` pair every such read with the
+//!   charge it owes (a range's or a gather's closed-form sum, a
+//!   broadcast's row); anywhere else a read would silently drop out of the
+//!   simulated cost.
 //! * `float-eq` — the continuous interaction test (`tdts-geom` and the
 //!   kernels crate) must not compare `f64` values with `==`/`!=`;
 //!   threshold logic belongs to epsilon/interval comparisons. Exact-zero
@@ -207,16 +209,18 @@ const KERNEL_CRATES: &[&str] = &[
 const RULES: &[Rule] = &[
     Rule {
         name: "uncharged-column-read",
-        why: "uncharged ColumnarBuffer/DeviceBuffer access in kernel-side code; read \
-              through DeviceSegments (crates/kernels/src/segments.rs), which posts the charge",
+        why: "uncharged DeviceBuffer access in kernel-side code; read through \
+              DeviceSegments/DeviceQueries (crates/kernels/src/segments.rs), which post the charge",
         scan_dirs: KERNEL_CRATES,
         scan_files: &[],
         exempt_files: &["crates/kernels/src/segments.rs"],
-        matches: |code, _| code.contains(".column(") || code.contains(".row_range"),
+        matches: |code, _| {
+            code.contains(".column(") || code.contains(".row_range") || code.contains(".as_slice(")
+        },
         include_tests: false,
         safety_comment_discharges: false,
         context_discharges: None,
-        bad_fixture: "fn k(cols: &ColumnarBuffer<f64>, i: usize) -> f64 { cols.column(6)[i] }\n",
+        bad_fixture: "fn k(rows: &DeviceBuffer<f64>, i: usize) -> f64 { rows.as_slice()[i] }\n",
     },
     Rule {
         name: "float-eq",
@@ -557,13 +561,14 @@ mod tests {
     }
 
     #[test]
-    fn uncharged_column_read_fires_on_both_accessors() {
+    fn uncharged_column_read_fires_on_every_accessor() {
         assert_eq!(scan("uncharged-column-read", "let t = cols.column(6)[i];\n").len(), 1);
         assert_eq!(
-            scan("uncharged-column-read", "let s = cols.row_range::<8>(lane, lo..hi);\n").len(),
+            scan("uncharged-column-read", "let s = rows.row_range(lane, lo..hi);\n").len(),
             1
         );
-        assert!(scan("uncharged-column-read", "let t = cols.read(lane, 6, i);\n").is_empty());
+        assert_eq!(scan("uncharged-column-read", "let r = rows.as_slice()[i];\n").len(), 1);
+        assert!(scan("uncharged-column-read", "let r = rows.read(lane, i);\n").is_empty());
         assert_eq!(
             rule("uncharged-column-read").exempt_files,
             ["crates/kernels/src/segments.rs"],
