@@ -548,11 +548,7 @@ const fn gpu_over_cpu(head: &'static str) -> Col {
 
 fn spatial(cells_per_dim: usize) -> Method {
     let fsg = FsgConfig { cells_per_dim };
-    Method::GpuSpatial(GpuSpatialConfig {
-        fsg,
-        total_scratch: 4_000_000,
-        compaction_threshold: 4_096,
-    })
+    Method::GpuSpatial(GpuSpatialConfig { fsg, total_scratch: 4_000_000 })
 }
 
 fn temporal(bins: usize) -> Method {

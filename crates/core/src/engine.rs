@@ -178,12 +178,6 @@ impl SearchEngine {
         self.index.supports_incremental()
     }
 
-    /// Segments in the index's un-compacted delta overlay (0 for methods
-    /// without one).
-    pub fn delta_backlog(&self) -> usize {
-        self.index.delta_backlog()
-    }
-
     /// Refuse a mutation the index cannot follow, before the store changes.
     fn check_incremental(&self) -> Result<(), TdtsError> {
         if self.index.supports_incremental() {
@@ -293,7 +287,6 @@ mod tests {
             Method::GpuSpatial(GpuSpatialConfig {
                 fsg: FsgConfig { cells_per_dim: 6 },
                 total_scratch: 50_000,
-                compaction_threshold: 4_096,
             }),
             Method::GpuTemporal(TemporalIndexConfig { bins: 8 }),
             Method::GpuSpatioTemporal(SpatioTemporalIndexConfig {

@@ -106,13 +106,6 @@ pub trait TrajectoryIndex: Send + Sync {
         0
     }
 
-    /// Segments currently held in an un-compacted delta overlay (0 for
-    /// implementations without one). Observability: a backlog that shrinks
-    /// across an ingest means the index compacted that tick.
-    fn delta_backlog(&self) -> usize {
-        0
-    }
-
     /// Absorb the segments described by `delta`, which `store` has already
     /// appended. After this returns `Ok`, a search must produce results
     /// byte-identical to a cold rebuild at `store`'s current generation.
@@ -158,18 +151,13 @@ impl<T: TrajectoryIndex + ?Sized> TrajectoryIndex for Arc<T> {
     fn generation(&self) -> u64 {
         (**self).generation()
     }
-
-    fn delta_backlog(&self) -> usize {
-        (**self).delta_backlog()
-    }
 }
 
 /// Implement [`TrajectoryIndex`] for a GPU search type by forwarding to its
 /// inherent `search_shaped` / `generation` / `ingest` / `expire` methods.
-/// Every GPU method applies deltas in place; only `GPUSpatial` keeps a delta
-/// overlay to report as backlog.
+/// Every GPU method applies deltas in place.
 macro_rules! impl_gpu_index {
-    ($ty:ty, $name:literal $(, delta_backlog = $backlog:expr)?) => {
+    ($ty:ty, $name:literal) => {
         impl TrajectoryIndex for $ty {
             fn search_shaped(
                 &self,
@@ -199,11 +187,6 @@ macro_rules! impl_gpu_index {
                 <$ty>::generation(self)
             }
 
-            $(fn delta_backlog(&self) -> usize {
-                let backlog: fn(&$ty) -> usize = $backlog;
-                backlog(self)
-            })?
-
             fn ingest(
                 &mut self,
                 store: &Arc<SegmentStore>,
@@ -225,7 +208,7 @@ macro_rules! impl_gpu_index {
     };
 }
 
-impl_gpu_index!(GpuSpatialSearch, "GPUSpatial", delta_backlog = |s| s.fsg().delta_segments());
+impl_gpu_index!(GpuSpatialSearch, "GPUSpatial");
 impl_gpu_index!(GpuTemporalSearch, "GPUTemporal");
 impl_gpu_index!(GpuSpatioTemporalSearch, "GPUSpatioTemporal");
 

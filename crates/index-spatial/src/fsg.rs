@@ -85,17 +85,6 @@ pub struct Fsg {
     /// The lookup array `A`: entry positions, grouped by cell, duplicates
     /// allowed (an entry MBB can overlap many cells).
     pub lookup: Vec<u32>,
-    /// Delta overlay `G'`: non-empty cells among segments appended since the
-    /// last build/compaction, searched alongside the base triple.
-    pub delta_cell_ids: Vec<u64>,
-    /// Per-cell half-open ranges into `delta_lookup`.
-    pub delta_cell_ranges: Vec<[u32; 2]>,
-    /// Delta lookup array `A'`.
-    pub delta_lookup: Vec<u32>,
-    /// Number of store entries indexed through the delta overlay. These are
-    /// always the last `delta_segments` positions of the store: appends land
-    /// at the tail, and expiry preserves relative order.
-    delta_segments: usize,
 }
 
 /// Sort `(cell, entry)` pairs and group them into the sparse triple
@@ -174,10 +163,6 @@ impl Fsg {
             cell_ids: Vec::new(),
             cell_ranges: Vec::new(),
             lookup: Vec::new(),
-            delta_cell_ids: Vec::new(),
-            delta_cell_ranges: Vec::new(),
-            delta_lookup: Vec::new(),
-            delta_segments: 0,
         };
 
         // (cell, entry) pairs; entries can map to several cells.
@@ -192,8 +177,11 @@ impl Fsg {
         Ok(grid)
     }
 
-    /// Rasterise store entries `from..` into the delta overlay.
+    /// Rasterise store entries `from..` and fold them into the grid.
     ///
+    /// The new `(cell, entry)` pairs join the existing ones and the triple
+    /// is regrouped, so the result is the triple a cold build would give
+    /// whenever the appended entries lie inside the build-time bounds.
     /// The grid geometry (`bounds`, `cell_size`) stays fixed: out-of-bounds
     /// segments clamp into edge cells, exactly as out-of-bounds query boxes
     /// do, so any overlapping query/entry pair still shares at least one
@@ -210,7 +198,7 @@ impl Fsg {
         if tail.is_empty() {
             return Ok(());
         }
-        let mut pairs = pairs_of(&self.delta_cell_ids, &self.delta_cell_ranges, &self.delta_lookup);
+        let mut pairs = pairs_of(&self.cell_ids, &self.cell_ranges, &self.lookup);
         for (off, seg) in tail.iter().enumerate() {
             let mbb = seg.mbb();
             self.data_bounds = self.data_bounds.merge(&mbb);
@@ -218,63 +206,22 @@ impl Fsg {
                 pairs.push((self.linear(x, y, z), (from + off) as u32));
             }
         }
-        (self.delta_cell_ids, self.delta_cell_ranges, self.delta_lookup) = regroup(pairs);
-        self.delta_segments += tail.len();
+        (self.cell_ids, self.cell_ranges, self.lookup) = regroup(pairs);
         Ok(())
     }
 
-    /// Drop expired entry positions from both triples and renumber the
+    /// Drop expired entry positions from the grid and renumber the
     /// survivors to their post-expiry store positions.
     ///
     /// `data_bounds` is left as-is — a conservative over-estimate only ever
     /// costs candidate work, never correctness.
     pub fn expire(&mut self, delta: &ExpireDelta) -> Result<(), SearchError> {
-        let remap = |ids: &[u64], ranges: &[[u32; 2]], lookup: &[u32]| {
-            let mut pairs = Vec::with_capacity(lookup.len());
-            for (ci, &h) in ids.iter().enumerate() {
-                let [a, b] = ranges[ci];
-                for &p in &lookup[a as usize..b as usize] {
-                    if let Some(np) = delta.remap(p as usize) {
-                        pairs.push((h, np as u32));
-                    }
-                }
-            }
-            regroup(pairs)
-        };
-        let delta_lo = delta.old_len.saturating_sub(self.delta_segments) as u32;
-        let removed_in_delta =
-            delta.removed.len() - delta.removed.partition_point(|&r| r < delta_lo);
-        (self.cell_ids, self.cell_ranges, self.lookup) =
-            remap(&self.cell_ids, &self.cell_ranges, &self.lookup);
-        (self.delta_cell_ids, self.delta_cell_ranges, self.delta_lookup) =
-            remap(&self.delta_cell_ids, &self.delta_cell_ranges, &self.delta_lookup);
-        self.delta_segments -= removed_in_delta;
-        Ok(())
-    }
-
-    /// Merge the delta overlay into the base triple. Both use the same grid
-    /// geometry, so the merge is a pair-set union; the delta empties.
-    pub fn compact(&mut self) {
-        if self.delta_lookup.is_empty() && self.delta_segments == 0 {
-            return;
-        }
-        let mut pairs = pairs_of(&self.cell_ids, &self.cell_ranges, &self.lookup);
-        pairs.extend(pairs_of(&self.delta_cell_ids, &self.delta_cell_ranges, &self.delta_lookup));
+        let pairs = pairs_of(&self.cell_ids, &self.cell_ranges, &self.lookup)
+            .into_iter()
+            .filter_map(|(h, p)| delta.remap(p as usize).map(|np| (h, np as u32)))
+            .collect();
         (self.cell_ids, self.cell_ranges, self.lookup) = regroup(pairs);
-        self.delta_cell_ids.clear();
-        self.delta_cell_ranges.clear();
-        self.delta_lookup.clear();
-        self.delta_segments = 0;
-    }
-
-    /// Number of store entries currently indexed through the delta overlay.
-    pub fn delta_segments(&self) -> usize {
-        self.delta_segments
-    }
-
-    /// Host-side binary search for cell `h` in the delta overlay `G'`.
-    pub fn find_delta_cell(&self, h: u64) -> Option<usize> {
-        self.delta_cell_ids.binary_search(&h).ok()
+        Ok(())
     }
 
     fn clamp_cell(&self, v: f64, dim: usize) -> usize {
@@ -451,35 +398,27 @@ mod tests {
         assert!(matches!(err, SearchError::InvalidConfig(_)));
     }
 
-    /// Entry positions reachable through either triple for a box.
+    /// Entry positions reachable through the grid for a box.
     fn reachable(fsg: &Fsg, mbb: &Mbb) -> std::collections::BTreeSet<u32> {
         let mut out = std::collections::BTreeSet::new();
         if fsg.outside(mbb) {
             return out;
         }
         for (x, y, z) in fsg.rasterise(mbb).iter() {
-            let h = fsg.linear(x, y, z);
-            if let Some(ci) = fsg.find_cell(h) {
+            if let Some(ci) = fsg.find_cell(fsg.linear(x, y, z)) {
                 let [a, b] = fsg.cell_ranges[ci];
                 out.extend(fsg.lookup[a as usize..b as usize].iter().copied());
-            }
-            if let Some(ci) = fsg.find_delta_cell(h) {
-                let [a, b] = fsg.delta_cell_ranges[ci];
-                out.extend(fsg.delta_lookup[a as usize..b as usize].iter().copied());
             }
         }
         out
     }
 
     #[test]
-    fn append_lands_in_delta_and_is_reachable() {
+    fn append_folds_into_grid_and_is_reachable() {
         let mut s = store();
-        let fsg_cfg = FsgConfig { cells_per_dim: 5 };
-        let mut fsg = Fsg::build(&s, fsg_cfg).unwrap();
+        let mut fsg = Fsg::build(&s, FsgConfig { cells_per_dim: 5 }).unwrap();
         s.append(&[seg((4.0, 4.0, 4.0), (5.0, 5.0, 5.0), 3)]);
         fsg.append(&s, 3).unwrap();
-        assert_eq!(fsg.delta_segments(), 1);
-        assert!(!fsg.delta_cell_ids.is_empty());
         let r = reachable(&fsg, &s.get(3).mbb());
         assert!(r.contains(&3), "appended entry must be reachable, got {r:?}");
         // Appending an already-covered offset range is rejected past the end.
@@ -502,19 +441,13 @@ mod tests {
     }
 
     #[test]
-    fn compact_merges_delta_into_base() {
+    fn in_bounds_append_equals_cold_build() {
         let mut s = store();
         let mut fsg = Fsg::build(&s, FsgConfig { cells_per_dim: 5 }).unwrap();
         s.append(&[seg((2.0, 2.0, 2.0), (3.0, 3.0, 3.0), 3)]);
         fsg.append(&s, 3).unwrap();
-        let before: Vec<_> = s.iter().map(|e| reachable(&fsg, &e.mbb())).collect();
-        fsg.compact();
-        assert_eq!(fsg.delta_segments(), 0);
-        assert!(fsg.delta_cell_ids.is_empty() && fsg.delta_lookup.is_empty());
-        let after: Vec<_> = s.iter().map(|e| reachable(&fsg, &e.mbb())).collect();
-        assert_eq!(before, after, "compaction must not change reachability");
-        // Base triple is identical to a cold build over the same store (the
-        // appended entry was in-bounds, so geometry matches).
+        // The appended entry is in-bounds, so the geometry matches a cold
+        // build over the same store and so must the triple.
         let cold = Fsg::build(&s, FsgConfig { cells_per_dim: 5 }).unwrap();
         assert_eq!(fsg.cell_ids, cold.cell_ids);
         assert_eq!(fsg.cell_ranges, cold.cell_ranges);
@@ -522,7 +455,7 @@ mod tests {
     }
 
     #[test]
-    fn expire_remaps_both_triples() {
+    fn expire_remaps_appended_survivors() {
         // Entries 0..3 at t=0..1; append one at t=5..6, then expire t<2.
         let mut s = store();
         let mut fsg = Fsg::build(&s, FsgConfig { cells_per_dim: 5 }).unwrap();
@@ -538,8 +471,7 @@ mod tests {
         let d = s.expire_before(2.0);
         assert_eq!(d.removed, vec![0, 1, 2]);
         fsg.expire(&d).unwrap();
-        assert!(fsg.lookup.is_empty(), "all base entries expired");
-        assert_eq!(fsg.delta_segments(), 1);
+        assert!(fsg.lookup.iter().all(|&p| p == 0), "only the survivor is left");
         let r = reachable(&fsg, &s.get(0).mbb());
         assert_eq!(r.into_iter().collect::<Vec<_>>(), vec![0], "survivor renumbered to 0");
     }

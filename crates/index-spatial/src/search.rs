@@ -30,18 +30,11 @@ pub struct GpuSpatialConfig {
     /// Total candidate-buffer budget `s` in entries; each query gets
     /// `s / |Q|` slots (`U_k`), growing as re-invocations shrink the batch.
     pub total_scratch: usize,
-    /// Compact the delta overlay back into the base grid once it indexes
-    /// more than this many segments (streaming ingest only).
-    pub compaction_threshold: usize,
 }
 
 impl Default for GpuSpatialConfig {
     fn default() -> Self {
-        GpuSpatialConfig {
-            fsg: FsgConfig::default(),
-            total_scratch: 2_000_000,
-            compaction_threshold: 4_096,
-        }
+        GpuSpatialConfig { fsg: FsgConfig::default(), total_scratch: 2_000_000 }
     }
 }
 
@@ -58,12 +51,6 @@ pub struct GpuSpatialSearch {
     dev_cell_ranges: DeviceBuffer<[u32; 2]>,
     /// `A`: entry positions grouped by cell.
     dev_lookup: DeviceBuffer<u32>,
-    /// `G'`: the delta overlay's non-empty cells (empty until ingest).
-    dev_delta_cell_ids: DeviceBuffer<u64>,
-    /// Per-cell half-open ranges into the delta lookup array.
-    dev_delta_cell_ranges: DeviceBuffer<[u32; 2]>,
-    /// `A'`: the delta overlay's entry positions grouped by cell.
-    dev_delta_lookup: DeviceBuffer<u32>,
 }
 
 impl GpuSpatialSearch {
@@ -91,9 +78,6 @@ impl GpuSpatialSearch {
         let dev_cell_ids = device.alloc_from_host(fsg.cell_ids.clone())?;
         let dev_cell_ranges = device.alloc_from_host(fsg.cell_ranges.clone())?;
         let dev_lookup = device.alloc_from_host(fsg.lookup.clone())?;
-        let dev_delta_cell_ids = device.alloc_from_host(Vec::new())?;
-        let dev_delta_cell_ranges = device.alloc_from_host(Vec::new())?;
-        let dev_delta_lookup = device.alloc_from_host(Vec::new())?;
         Ok(GpuSpatialSearch {
             device,
             fsg,
@@ -103,9 +87,6 @@ impl GpuSpatialSearch {
             dev_cell_ids,
             dev_cell_ranges,
             dev_lookup,
-            dev_delta_cell_ids,
-            dev_delta_cell_ranges,
-            dev_delta_lookup,
         })
     }
 
@@ -124,10 +105,9 @@ impl GpuSpatialSearch {
         self.generation
     }
 
-    /// Rasterise store entries `delta.from..` into the delta overlay,
-    /// extend the device-resident database in place, and compact the
-    /// overlay into the base grid once it crosses the configured threshold
-    /// (all offline — no PCIe transfer is charged).
+    /// Fold store entries `delta.from..` into the grid, extend the
+    /// device-resident database in place and re-place the grid arrays
+    /// (offline — no PCIe transfer is charged).
     pub fn ingest(
         &mut self,
         store: &SegmentStore,
@@ -135,21 +115,12 @@ impl GpuSpatialSearch {
     ) -> Result<(), SearchError> {
         self.fsg.append(store, delta.from)?;
         self.dev_entries.extend(&store.segments()[delta.from..])?;
-        if self.fsg.delta_segments() > self.config.compaction_threshold {
-            self.fsg.compact();
-            self.dev_cell_ids = self.device.alloc_from_host(self.fsg.cell_ids.clone())?;
-            self.dev_cell_ranges = self.device.alloc_from_host(self.fsg.cell_ranges.clone())?;
-            self.dev_lookup = self.device.alloc_from_host(self.fsg.lookup.clone())?;
-        }
-        self.dev_delta_cell_ids = self.device.alloc_from_host(self.fsg.delta_cell_ids.clone())?;
-        self.dev_delta_cell_ranges =
-            self.device.alloc_from_host(self.fsg.delta_cell_ranges.clone())?;
-        self.dev_delta_lookup = self.device.alloc_from_host(self.fsg.delta_lookup.clone())?;
+        self.place_grid()?;
         self.generation = delta.generation;
         Ok(())
     }
 
-    /// Drop expired entries from the database and both grid triples.
+    /// Drop expired entries from the database and the grid.
     pub fn expire(
         &mut self,
         store: &SegmentStore,
@@ -158,25 +129,23 @@ impl GpuSpatialSearch {
         let _ = store;
         self.fsg.expire(delta)?;
         self.dev_entries.remove_positions(&delta.removed);
-        self.dev_cell_ids = self.device.alloc_from_host(self.fsg.cell_ids.clone())?;
-        self.dev_cell_ranges = self.device.alloc_from_host(self.fsg.cell_ranges.clone())?;
-        self.dev_lookup = self.device.alloc_from_host(self.fsg.lookup.clone())?;
-        self.dev_delta_cell_ids = self.device.alloc_from_host(self.fsg.delta_cell_ids.clone())?;
-        self.dev_delta_cell_ranges =
-            self.device.alloc_from_host(self.fsg.delta_cell_ranges.clone())?;
-        self.dev_delta_lookup = self.device.alloc_from_host(self.fsg.delta_lookup.clone())?;
+        self.place_grid()?;
         self.generation = delta.generation;
         Ok(())
     }
 
-    /// Device-side binary search of cell `h` in a sorted cell-id array,
-    /// charging one global read per probe (the paper's `O(log |G|)` step).
-    fn find_cell_device(
-        &self,
-        lane: &mut Lane,
-        cell_ids: &DeviceBuffer<u64>,
-        h: u64,
-    ) -> Option<usize> {
+    /// Re-place the grid triple in device memory after a host-side update.
+    fn place_grid(&mut self) -> Result<(), SearchError> {
+        self.dev_cell_ids = self.device.alloc_from_host(self.fsg.cell_ids.clone())?;
+        self.dev_cell_ranges = self.device.alloc_from_host(self.fsg.cell_ranges.clone())?;
+        self.dev_lookup = self.device.alloc_from_host(self.fsg.lookup.clone())?;
+        Ok(())
+    }
+
+    /// Device-side binary search of cell `h` in `G`, charging one global
+    /// read per probe (the paper's `O(log |G|)` step).
+    fn find_cell_device(&self, lane: &mut Lane, h: u64) -> Option<usize> {
+        let cell_ids = &self.dev_cell_ids;
         let n = cell_ids.len();
         let (mut lo, mut hi) = (0usize, n);
         while lo < hi {
@@ -231,7 +200,7 @@ impl GpuSpatialSearch {
             // Host getCandidates scheduling, computed once and reused
             // across redo rounds (d is fixed for the whole search).
             let host_start = Instant::now();
-            let ranges: Vec<Vec<([u32; 2], u32)>> = queries
+            let ranges: Vec<Vec<[u32; 2]>> = queries
                 .segments()
                 .par_iter()
                 .map(|q| {
@@ -239,17 +208,10 @@ impl GpuSpatialSearch {
                     let mut rs = Vec::new();
                     if !self.fsg.outside(&search_box) {
                         for (x, y, z) in self.fsg.rasterise(&search_box).iter() {
-                            let h = self.fsg.linear(x, y, z);
-                            if let Some(ci) = self.fsg.find_cell(h) {
+                            if let Some(ci) = self.fsg.find_cell(self.fsg.linear(x, y, z)) {
                                 let r = self.fsg.cell_ranges[ci];
                                 if r[0] < r[1] {
-                                    rs.push((r, TAG_BASE));
-                                }
-                            }
-                            if let Some(ci) = self.fsg.find_delta_cell(h) {
-                                let r = self.fsg.delta_cell_ranges[ci];
-                                if r[0] < r[1] {
-                                    rs.push((r, TAG_DELTA));
+                                    rs.push(r);
                                 }
                             }
                         }
@@ -313,36 +275,23 @@ impl CandidateGenerator for SpatialThreads<'_> {
         lane.instr(12); // MBB + inflation + cell-range setup
 
         // getCandidates: rasterise the inflated MBB and gather entry
-        // positions into U_k, probing the base grid and the delta overlay.
+        // positions into U_k, one probe of `G` per cell.
         let mut uk = round.scratch.take_partition(lane.global_id);
         let search_box = q.mbb().inflate(self.d);
         let mut overflow = false;
         if !self.search.fsg.outside(&search_box) {
             let range = self.search.fsg.rasterise(&search_box);
-            let triples = [
-                (&self.search.dev_cell_ids, &self.search.dev_cell_ranges, &self.search.dev_lookup),
-                (
-                    &self.search.dev_delta_cell_ids,
-                    &self.search.dev_delta_cell_ranges,
-                    &self.search.dev_delta_lookup,
-                ),
-            ];
             'cells: for (x, y, z) in range.iter() {
                 let h = self.search.fsg.linear(x, y, z);
                 lane.instr(4);
-                for (cell_ids, cell_ranges, lookup) in triples {
-                    if cell_ids.is_empty() {
-                        continue;
-                    }
-                    if let Some(ci) = self.search.find_cell_device(lane, cell_ids, h) {
-                        let r = cell_ranges.read(lane, ci);
-                        for ai in r[0]..r[1] {
-                            let entry_pos = lookup.read(lane, ai as usize);
-                            lane.instr(1);
-                            if !uk.push(lane, entry_pos) {
-                                overflow = true;
-                                break 'cells;
-                            }
+                if let Some(ci) = self.search.find_cell_device(lane, h) {
+                    let r = self.search.dev_cell_ranges.read(lane, ci);
+                    for ai in r[0]..r[1] {
+                        let entry_pos = self.search.dev_lookup.read(lane, ai as usize);
+                        lane.instr(1);
+                        if !uk.push(lane, entry_pos) {
+                            overflow = true;
+                            break 'cells;
                         }
                     }
                 }
@@ -394,14 +343,9 @@ impl CandidateGenerator for SpatialThreads<'_> {
 struct SpatialTiles<'a> {
     search: &'a GpuSpatialSearch,
     queries: &'a DeviceQueries,
-    ranges: &'a [Vec<([u32; 2], u32)>],
+    ranges: &'a [Vec<[u32; 2]>],
     d: f64,
 }
-
-/// Tile tag: the range indexes the base lookup array `A`.
-const TAG_BASE: u32 = 0;
-/// Tile tag: the range indexes the delta overlay's lookup array `A'`.
-const TAG_DELTA: u32 = 1;
 
 impl TileGenerator for SpatialTiles<'_> {
     fn queries(&self) -> &DeviceQueries {
@@ -413,8 +357,8 @@ impl TileGenerator for SpatialTiles<'_> {
     }
 
     fn push_tiles(&self, tiles: &mut Vec<Tile>, qid: u32, tile_size: usize) {
-        for (r, tag) in &self.ranges[qid as usize] {
-            Tile::split_into(tiles, qid, r[0], r[1], *tag, tile_size);
+        for r in &self.ranges[qid as usize] {
+            Tile::split_into(tiles, qid, r[0], r[1], 0, tile_size);
         }
     }
 
@@ -429,16 +373,16 @@ impl TileGenerator for SpatialTiles<'_> {
         q: &PreparedQuery,
         on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
     ) -> u64 {
-        // Fused gather + refine through A (or A' for delta tiles), one
-        // address instruction per id: each lane's share, in closed form.
-        let lookup = if tile.tag == TAG_DELTA {
-            &self.search.dev_delta_lookup
-        } else {
-            &self.search.dev_lookup
-        };
+        // Fused gather + refine through A, one address instruction per id:
+        // each lane's share, in closed form.
         let lanes = warp.lanes_mut();
-        let compared =
-            self.search.dev_entries.refine_gather(lanes, lookup, tile.lo..tile.hi, q, on_hit);
+        let compared = self.search.dev_entries.refine_gather(
+            lanes,
+            &self.search.dev_lookup,
+            tile.lo..tile.hi,
+            q,
+            on_hit,
+        );
         let w = lanes.len();
         for (l, lane) in lanes.iter_mut().enumerate() {
             lane.instr(lane_share(compared, l, w));
@@ -494,11 +438,7 @@ mod tests {
     }
 
     fn cfg(cells: usize, scratch: usize) -> GpuSpatialConfig {
-        GpuSpatialConfig {
-            fsg: FsgConfig { cells_per_dim: cells },
-            total_scratch: scratch,
-            compaction_threshold: 4_096,
-        }
+        GpuSpatialConfig { fsg: FsgConfig { cells_per_dim: cells }, total_scratch: scratch }
     }
 
     #[test]
@@ -639,9 +579,7 @@ mod tests {
             let dev = make_dev();
             let mut store = grid_store(6);
             let queries = grid_store(4);
-            // Threshold 2 → the second tick (3 appended total) compacts.
-            let mut config = cfg(5, 100_000);
-            config.compaction_threshold = 2;
+            let config = cfg(5, 100_000);
             let mut search = GpuSpatialSearch::new(dev.clone(), &store, config).unwrap();
             for tick in 0..3 {
                 let base = 100.0 + tick as f64 * 10.0;
@@ -651,7 +589,6 @@ mod tests {
                 ]);
                 search.ingest(&store, &delta).unwrap();
             }
-            assert_eq!(search.fsg().delta_segments(), 2, "last tick stays in the delta");
             let exp = store.expire_before(1.5);
             assert!(!exp.removed.is_empty());
             search.expire(&store, &exp).unwrap();

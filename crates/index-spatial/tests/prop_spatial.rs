@@ -84,6 +84,46 @@ proptest! {
         }
     }
 
+    /// Appends that stay inside the build-time bounds leave the geometry
+    /// unchanged, so folding them in gives exactly the cold build's arrays.
+    #[test]
+    fn in_bounds_appends_equal_cold_build(
+        store in arb_store(20),
+        ticks in proptest::collection::vec(
+            proptest::collection::vec(((0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+                                       (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0)), 1..6),
+            1..4,
+        ),
+        cells in 1usize..12,
+    ) {
+        let config = FsgConfig { cells_per_dim: cells };
+        let bounds = store.stats().unwrap().bounds;
+        let lerp = |lo: f64, hi: f64, f: f64| (lo + (hi - lo) * f).clamp(lo, hi);
+        let inside = |f: (f64, f64, f64)| {
+            let (lo, hi) = (bounds.lo, bounds.hi);
+            Point3::new(lerp(lo.x, hi.x, f.0), lerp(lo.y, hi.y, f.1), lerp(lo.z, hi.z, f.2))
+        };
+        let mut store = store;
+        let mut fsg = Fsg::build(&store, config).unwrap();
+        for tick in ticks {
+            let from = store.len();
+            let new: Vec<Segment> = tick
+                .into_iter()
+                .enumerate()
+                .map(|(i, (a, b))| {
+                    let id = (from + i) as u32;
+                    Segment::new(inside(a), inside(b), 10.0, 11.0, SegId(id), TrajId(id))
+                })
+                .collect();
+            store.append(&new);
+            fsg.append(&store, from).unwrap();
+        }
+        let cold = Fsg::build(&store, config).unwrap();
+        prop_assert_eq!(&fsg.cell_ids, &cold.cell_ids);
+        prop_assert_eq!(&fsg.cell_ranges, &cold.cell_ranges);
+        prop_assert_eq!(&fsg.lookup, &cold.lookup);
+    }
+
     /// End-to-end GPUSpatial equals brute force for arbitrary resolutions
     /// and scratch budgets (exercising the redo protocol).
     #[test]
@@ -101,7 +141,6 @@ proptest! {
             GpuSpatialConfig {
                 fsg: FsgConfig { cells_per_dim: cells },
                 total_scratch: scratch,
-                compaction_threshold: 4_096,
             },
         )
         .unwrap();

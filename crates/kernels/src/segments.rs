@@ -176,8 +176,8 @@ impl DeviceSegments {
     }
 
     /// Refine the entries reached through an index array — the ids
-    /// `ids[range]` (the paper's `X`/`Y`/`Z` arrays, the FSG lookup arrays
-    /// `A`/`A'`) — against the prepared query `q`, dealt round robin to
+    /// `ids[range]` (the paper's `X`/`Y`/`Z` arrays, the FSG lookup array
+    /// `A`) — against the prepared query `q`, dealt round robin to
     /// `lanes` like [`refine_range`]; `on_hit` receives the entry position.
     /// Returns the comparisons performed. Charged like [`refine_range`]
     /// plus each lane's `4·k` bytes of id reads, in the same one

@@ -27,7 +27,7 @@ fn usage() -> ! {
          \u{20}             compare with sequential single-request engine calls\n\
          \u{20}  stream     stream object updates through a generational index:\n\
          \u{20}             per-tick append + sliding-window expiry with repeated\n\
-         \u{20}             queries, reporting ingest/search/compaction cost\n\
+         \u{20}             queries, reporting ingest/expire/search cost\n\
          \n\
          options:\n\
          \u{20}  --dataset <random|dense|merger>   (default random)\n\
@@ -94,8 +94,8 @@ struct Opts {
     requests: usize,
     workers: usize,
     max_batch: usize,
-    max_delay_ms: f64,
-    deadline_ms: Option<f64>,
+    max_delay: Duration,
+    deadline: Option<Duration>,
     queue_capacity: usize,
     out: Option<String>,
     ticks: usize,
@@ -126,8 +126,8 @@ fn parse() -> Opts {
         requests: 0,
         workers: 2,
         max_batch: 256,
-        max_delay_ms: 2.0,
-        deadline_ms: None,
+        max_delay: Duration::from_millis(2),
+        deadline: None,
         queue_capacity: 1024,
         out: None,
         ticks: 8,
@@ -140,7 +140,12 @@ fn parse() -> Opts {
         let val = |args: &mut dyn Iterator<Item = String>| args.next().unwrap_or_else(|| usage());
         match a.as_str() {
             "--dataset" => o.dataset = val(&mut args),
-            "--scale" => o.scale = val(&mut args).parse().unwrap_or_else(|_| usage()),
+            "--scale" => {
+                o.scale = val(&mut args).parse().unwrap_or_else(|_| usage());
+                if !(o.scale > 0.0 && o.scale.is_finite()) {
+                    usage()
+                }
+            }
             "--method" => o.method = val(&mut args),
             "--d" => o.d = val(&mut args).parse().unwrap_or_else(|_| usage()),
             "--queries" => o.queries = val(&mut args).parse().unwrap_or_else(|_| usage()),
@@ -172,10 +177,8 @@ fn parse() -> Opts {
             "--requests" => o.requests = val(&mut args).parse().unwrap_or_else(|_| usage()),
             "--workers" => o.workers = val(&mut args).parse().unwrap_or_else(|_| usage()),
             "--max-batch" => o.max_batch = val(&mut args).parse().unwrap_or_else(|_| usage()),
-            "--max-delay-ms" => o.max_delay_ms = val(&mut args).parse().unwrap_or_else(|_| usage()),
-            "--deadline-ms" => {
-                o.deadline_ms = Some(val(&mut args).parse().unwrap_or_else(|_| usage()))
-            }
+            "--max-delay-ms" => o.max_delay = millis(&val(&mut args)),
+            "--deadline-ms" => o.deadline = Some(millis(&val(&mut args))),
             "--queue-capacity" => {
                 o.queue_capacity = val(&mut args).parse().unwrap_or_else(|_| usage())
             }
@@ -202,6 +205,17 @@ fn parse() -> Opts {
         }
     }
     o
+}
+
+/// A millisecond flag value. A NaN or negative one is refused, and so is
+/// one too large to add to an [`Instant`], which the service does with it.
+fn millis(v: &str) -> Duration {
+    let ms: f64 = v.parse().unwrap_or_else(|_| usage());
+    let duration = Duration::try_from_secs_f64(ms / 1e3).unwrap_or_else(|_| usage());
+    if Instant::now().checked_add(duration).is_none() {
+        usage()
+    }
+    duration
 }
 
 fn main() {
@@ -548,16 +562,8 @@ fn run_stream(
         if o.verify { ", verifying against cold rebuilds" } else { "" }
     );
     println!(
-        "{:>4} {:>9} {:>8} {:>9} {:>11} {:>11} {:>11} {:>9} {:>8}",
-        "tick",
-        "entries",
-        "ingested",
-        "expired",
-        "ingest ms",
-        "expire ms",
-        "search ms",
-        "matches",
-        "compact"
+        "{:>4} {:>9} {:>8} {:>9} {:>11} {:>11} {:>11} {:>9}",
+        "tick", "entries", "ingested", "expired", "ingest ms", "expire ms", "search ms", "matches"
     );
 
     let mut rng = 0x5eed_u64 ^ dataset.store().len() as u64;
@@ -569,11 +575,9 @@ fn run_stream(
             synth_tick(&stats.bounds, frontier, tick_segments, duration, &mut rng, &mut next_id);
         frontier = new.iter().map(|s| s.t_end).fold(frontier, f64::max);
 
-        let backlog_before = engine.delta_backlog();
         let t = Instant::now();
         engine.ingest(&new).unwrap_or_else(|e| fail(e));
         let ingest_ms = t.elapsed().as_secs_f64() * 1e3;
-        let compacted = engine.delta_backlog() <= backlog_before && !new.is_empty();
 
         let mut expired = 0usize;
         let mut expire_ms = 0.0f64;
@@ -604,7 +608,7 @@ fn run_stream(
         total_expire += expire_ms;
         total_search += search_ms;
         println!(
-            "{:>4} {:>9} {:>8} {:>9} {:>11.3} {:>11.3} {:>11.3} {:>9} {:>8}",
+            "{:>4} {:>9} {:>8} {:>9} {:>11.3} {:>11.3} {:>11.3} {:>9}",
             tick,
             engine.store().len(),
             new.len(),
@@ -612,8 +616,7 @@ fn run_stream(
             ingest_ms,
             expire_ms,
             search_ms,
-            matches.len(),
-            if compacted { "yes" } else { "-" }
+            matches.len()
         );
 
         if o.verify {
@@ -665,11 +668,11 @@ fn run_service(
         .workers(o.workers)
         .sharding(o.sharding)
         .max_batch(o.max_batch)
-        .max_delay(Duration::from_secs_f64(o.max_delay_ms / 1e3))
+        .max_delay(o.max_delay)
         .queue_capacity(o.queue_capacity)
         .result_capacity(cap);
-    if let Some(ms) = o.deadline_ms {
-        builder = builder.default_deadline(Duration::from_secs_f64(ms / 1e3));
+    if let Some(deadline) = o.deadline {
+        builder = builder.default_deadline(deadline);
     }
     let config = builder.build().unwrap_or_else(|e| fail(e));
     let service = QueryService::start(dataset, config).unwrap_or_else(|e| fail(e));
@@ -679,7 +682,7 @@ fn run_service(
         dataset.store().len(),
         o.workers,
         o.max_batch,
-        o.max_delay_ms
+        o.max_delay.as_secs_f64() * 1e3
     );
 
     if o.command == "serve" {

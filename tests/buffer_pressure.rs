@@ -35,7 +35,6 @@ fn result_overflow_is_transparent_for_all_gpu_methods() {
         Method::GpuSpatial(GpuSpatialConfig {
             fsg: FsgConfig { cells_per_dim: 6 },
             total_scratch: 2_000_000,
-            compaction_threshold: 4_096,
         }),
         Method::GpuTemporal(TemporalIndexConfig { bins: 16 }),
         Method::GpuSpatioTemporal(SpatioTemporalIndexConfig {
@@ -88,7 +87,6 @@ fn spatial_scratch_overflow_is_transparent() {
         Method::GpuSpatial(GpuSpatialConfig {
             fsg: FsgConfig { cells_per_dim: 8 },
             total_scratch: 2_000_000,
-            compaction_threshold: 4_096,
         }),
         device(),
     )
@@ -102,7 +100,6 @@ fn spatial_scratch_overflow_is_transparent() {
             fsg: FsgConfig { cells_per_dim: 8 },
             // Enough for a few queries at a time only.
             total_scratch: dataset.store().len() * 2,
-            compaction_threshold: 4_096,
         }),
         device(),
     )

@@ -14,7 +14,6 @@ pub fn methods(bins: usize, total_scratch: usize) -> Vec<Method> {
         Method::GpuSpatial(GpuSpatialConfig {
             fsg: FsgConfig { cells_per_dim: 10 },
             total_scratch,
-            compaction_threshold: 4_096,
         }),
         Method::GpuTemporal(TemporalIndexConfig { bins }),
         Method::GpuSpatioTemporal(SpatioTemporalIndexConfig {

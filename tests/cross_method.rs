@@ -18,7 +18,6 @@ fn methods(bins: usize, subbins: usize, cells: usize) -> Vec<Method> {
         Method::GpuSpatial(GpuSpatialConfig {
             fsg: FsgConfig { cells_per_dim: cells },
             total_scratch: 500_000,
-            compaction_threshold: 4_096,
         }),
         Method::GpuTemporal(TemporalIndexConfig { bins }),
         Method::GpuSpatioTemporal(SpatioTemporalIndexConfig {

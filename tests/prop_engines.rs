@@ -33,7 +33,6 @@ proptest! {
             Method::GpuSpatial(GpuSpatialConfig {
                 fsg: FsgConfig { cells_per_dim: cells },
                 total_scratch: 200_000,
-                compaction_threshold: 4_096,
             }),
             Method::GpuTemporal(TemporalIndexConfig { bins }),
             Method::GpuSpatioTemporal(SpatioTemporalIndexConfig { bins, subbins, sort_by_selector: true }),

@@ -50,7 +50,6 @@ fn gpuspatial_comparisons_grow_with_d() {
         Method::GpuSpatial(GpuSpatialConfig {
             fsg: FsgConfig { cells_per_dim: 20 },
             total_scratch: 8_000_000,
-            compaction_threshold: 4_096,
         }),
         device(),
     )

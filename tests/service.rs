@@ -154,6 +154,28 @@ fn cli_search_refuses_hostile_d() {
     }
 }
 
+/// Hostile duration and scale flags are usage errors (exit 2), not panics
+/// in `Duration` conversion or a dataset generator that never finishes.
+#[test]
+fn cli_refuses_hostile_durations_and_scale() {
+    let mut cases = Vec::new();
+    for v in ["nan", "-1", "inf"] {
+        cases.extend([("--max-delay-ms", v), ("--deadline-ms", v), ("--scale", v)]);
+    }
+    // Finite, but past any `Instant` the service could add it to.
+    cases.extend([("--max-delay-ms", "1e22"), ("--deadline-ms", "1e22")]);
+    for (flag, v) in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_tdts-cli"))
+            .args(["serve", "--dataset", "merger", "--scale", "0.002", "--queries", "2"])
+            .args([flag, v])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {v}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag} {v}: {stderr}");
+    }
+}
+
 /// `advance_window` refuses an invalid new segment before the store or the
 /// index is touched, and keeps serving and advancing afterwards.
 #[test]

@@ -1,7 +1,7 @@
 //! Tier-1 streaming contract: after ANY interleaved append/expire sequence,
 //! every method's search results are byte-identical to a cold rebuild of
 //! the same method over the store at the same generation — for both kernel
-//! shapes. Also pins the FSG delta-overlay compaction threshold boundary.
+//! shapes.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -14,13 +14,12 @@ fn device() -> Arc<Device> {
 
 const SHAPES: [KernelShape; 2] = [KernelShape::ThreadPerQuery, KernelShape::WarpPerTile];
 
-fn all_methods(bins: usize, cells: usize, threshold: usize) -> Vec<Method> {
+fn all_methods(bins: usize, cells: usize) -> Vec<Method> {
     vec![
         Method::CpuRTree(RTreeConfig::default()),
         Method::GpuSpatial(GpuSpatialConfig {
             fsg: FsgConfig { cells_per_dim: cells },
             total_scratch: 500_000,
-            compaction_threshold: threshold,
         }),
         Method::GpuTemporal(TemporalIndexConfig { bins }),
         Method::GpuSpatioTemporal(SpatioTemporalIndexConfig {
@@ -72,9 +71,7 @@ fn assert_matches_cold(warm: &SearchEngine, queries: &SegmentStore, distances: &
 #[test]
 fn interleaved_append_expire_matches_cold_rebuild() {
     let queries: SegmentStore = (0..12u32).map(|i| seg(100 + i, 3.0 + i as f64 * 0.9)).collect();
-    // Threshold 3 forces FSG delta compaction mid-sequence, so both the
-    // overlay path and the post-compaction path are exercised.
-    for method in all_methods(6, 5, 3) {
+    for method in all_methods(6, 5) {
         let dataset = PreparedDataset::new(base_store(48));
         let mut engine = SearchEngine::build(&dataset, method, device()).unwrap();
         let t0 = 48.0 * 0.25;
@@ -88,46 +85,14 @@ fn interleaved_append_expire_matches_cold_rebuild() {
         engine.expire_before(4.0).unwrap();
         assert_matches_cold(&engine, &queries, &[2.5]);
 
-        // Tick 3: append again (tips GPUSpatial over its compaction
-        // threshold), expire again, then search at several distances.
+        // Tick 3: append again, expire again, then search at several
+        // distances.
         let tick2: Vec<Segment> = (0..3).map(|i| seg(300 + i, t0 + 2.0 + i as f64 * 0.1)).collect();
         engine.ingest(&tick2).unwrap();
         engine.expire_before(7.0).unwrap();
         assert_matches_cold(&engine, &queries, &[0.6, 2.5, 20.0]);
         assert_eq!(engine.generation(), engine.store().generation());
     }
-}
-
-#[test]
-fn fsg_compaction_threshold_boundary() {
-    let threshold = 4;
-    let method = Method::GpuSpatial(GpuSpatialConfig {
-        fsg: FsgConfig { cells_per_dim: 5 },
-        total_scratch: 500_000,
-        compaction_threshold: threshold,
-    });
-    let queries: SegmentStore = (0..8u32).map(|i| seg(100 + i, 5.0 + i as f64)).collect();
-    let dataset = PreparedDataset::new(base_store(32));
-    let mut engine = SearchEngine::build(&dataset, method, device()).unwrap();
-    assert_eq!(engine.delta_backlog(), 0, "cold build has no delta overlay");
-
-    // Exactly `threshold` appended segments stay in the overlay: compaction
-    // fires strictly above the threshold, not at it.
-    let at: Vec<Segment> =
-        (0..threshold as u32).map(|i| seg(400 + i, 9.0 + i as f64 * 0.1)).collect();
-    engine.ingest(&at).unwrap();
-    assert_eq!(engine.delta_backlog(), threshold, "at the threshold the delta must survive");
-    assert_matches_cold(&engine, &queries, &[3.0]);
-
-    // One more segment tips it over: the overlay folds into the base grid.
-    engine.ingest(&[seg(500, 10.0)]).unwrap();
-    assert_eq!(engine.delta_backlog(), 0, "past the threshold the delta must compact");
-    assert_matches_cold(&engine, &queries, &[3.0]);
-
-    // Post-compaction appends start a fresh overlay.
-    engine.ingest(&[seg(501, 11.0)]).unwrap();
-    assert_eq!(engine.delta_backlog(), 1);
-    assert_matches_cold(&engine, &queries, &[3.0]);
 }
 
 /// Time-ordered random base stores for the property test (`t_start`
@@ -175,8 +140,7 @@ proptest! {
         let t_end = base_len as f64 * 0.5 + 1.0;
         let queries: SegmentStore =
             build_ordered(&qpts, 1_000, t_end * cut_frac).into_iter().collect();
-        // Threshold 4 so tick sizes straddle the compaction boundary.
-        for method in all_methods(bins, cells, 4) {
+        for method in all_methods(bins, cells) {
             let dataset = PreparedDataset::new(store.clone());
             let mut engine = SearchEngine::build(&dataset, method, device()).unwrap();
             engine.ingest(&build_ordered(&tick1, 2_000, t_end + 1.0)).unwrap();

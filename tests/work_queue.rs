@@ -20,7 +20,6 @@ fn gpu_methods() -> Vec<Method> {
         Method::GpuSpatial(GpuSpatialConfig {
             fsg: FsgConfig { cells_per_dim: 10 },
             total_scratch: 500_000,
-            compaction_threshold: 4_096,
         }),
         Method::GpuTemporal(TemporalIndexConfig { bins: 50 }),
         Method::GpuSpatioTemporal(SpatioTemporalIndexConfig {
@@ -129,7 +128,6 @@ proptest! {
             Method::GpuSpatial(GpuSpatialConfig {
                 fsg: FsgConfig { cells_per_dim: cells },
                 total_scratch: 200_000,
-                compaction_threshold: 4_096,
             }),
             Method::GpuTemporal(TemporalIndexConfig { bins }),
             Method::GpuSpatioTemporal(SpatioTemporalIndexConfig {
