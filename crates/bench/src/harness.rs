@@ -341,7 +341,7 @@ fn build(cfg: &RunConfig, p: &Prepared, arm: &Arm) -> Result<Built, TdtsError> {
     }
     eprintln!("[harness] building {} ...", arm.label);
     let device = Device::new(device_config.clone()).map_err(TdtsError::InvalidConfig)?;
-    let index = arm.method.build_index(&p.store, &p.stats, Arc::clone(&device))?;
+    let index = arm.method.build_index(&p.store, Arc::clone(&device))?;
     Ok(Built { index, sharded: None, device: Some(device) })
 }
 

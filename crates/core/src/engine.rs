@@ -1,7 +1,7 @@
 //! Unified engine over the paper's search implementations.
 
 use std::sync::Arc;
-use tdts_geom::{MatchRecord, Segment, SegmentStore, StoreStats};
+use tdts_geom::{MatchRecord, Segment, SegmentStore};
 use tdts_gpu_sim::SearchError;
 use tdts_gpu_sim::{Device, KernelShape, SearchReport};
 use tdts_index_spatial::{GpuSpatialConfig, GpuSpatialSearch};
@@ -42,17 +42,12 @@ impl Method {
 
     /// Build the index this method describes over the canonical `store`.
     ///
-    /// `stats` is the store's global statistics, computed once by the
-    /// caller (see [`SegmentStore::stats`]) and shared across every index
-    /// built on the same store instead of being rescanned per method.
-    ///
     /// GPU methods place the database and index into `device` memory
     /// (offline — excluded from response time, as in the paper). The CPU
     /// baseline ignores the device.
     pub fn build_index(
         &self,
         store: &Arc<SegmentStore>,
-        stats: &StoreStats,
         device: Arc<Device>,
     ) -> Result<Box<dyn TrajectoryIndex>, TdtsError> {
         Ok(match *self {
@@ -60,14 +55,10 @@ impl Method {
                 cfg.validate().map_err(TdtsError::InvalidConfig)?;
                 Box::new(CpuRTreeIndex::new(RTree::build(store, cfg), Arc::clone(store), cfg))
             }
-            Method::GpuSpatial(cfg) => {
-                Box::new(GpuSpatialSearch::new_with_stats(device, store, stats, cfg)?)
-            }
-            Method::GpuTemporal(cfg) => {
-                Box::new(GpuTemporalSearch::new_with_stats(device, store, stats, cfg)?)
-            }
+            Method::GpuSpatial(cfg) => Box::new(GpuSpatialSearch::new(device, store, cfg)?),
+            Method::GpuTemporal(cfg) => Box::new(GpuTemporalSearch::new(device, store, cfg)?),
             Method::GpuSpatioTemporal(cfg) => {
-                Box::new(GpuSpatioTemporalSearch::new_with_stats(device, store, stats, cfg)?)
+                Box::new(GpuSpatioTemporalSearch::new(device, store, cfg)?)
             }
         })
     }
@@ -107,10 +98,15 @@ impl PreparedDataset {
 ///
 /// A thin convenience wrapper over `Box<dyn TrajectoryIndex>` that also
 /// remembers the method descriptor and the canonical store.
+///
+/// Fail-stop: once the index refuses a delta the store has already
+/// absorbed, store and index disagree, so that call, every later mutation
+/// and every later search return the index's error.
 pub struct SearchEngine {
     store: Arc<SegmentStore>,
     method: Method,
     index: Box<dyn TrajectoryIndex>,
+    failed: Option<TdtsError>,
 }
 
 impl SearchEngine {
@@ -123,9 +119,11 @@ impl SearchEngine {
         device: Arc<Device>,
     ) -> Result<SearchEngine, TdtsError> {
         let store = dataset.store_arc();
-        let stats = store.stats().ok_or(TdtsError::Search(SearchError::EmptyDataset))?;
-        let index = method.build_index(&store, &stats, device)?;
-        Ok(SearchEngine { store, method, index })
+        if store.is_empty() {
+            return Err(TdtsError::Search(SearchError::EmptyDataset));
+        }
+        let index = method.build_index(&store, device)?;
+        Ok(SearchEngine { store, method, index, failed: None })
     }
 
     /// Build `method` sharded across `sharding.shards` simulated devices
@@ -148,7 +146,7 @@ impl SearchEngine {
             device_config,
             sharding,
         )?);
-        Ok(SearchEngine { store, method, index })
+        Ok(SearchEngine { store, method, index, failed: None })
     }
 
     /// The method this engine implements.
@@ -187,6 +185,11 @@ impl SearchEngine {
         }
     }
 
+    /// Fail-stop: once the index has refused a delta, return its refusal.
+    fn check_live(&self) -> Result<(), TdtsError> {
+        self.failed.clone().map_or(Ok(()), Err)
+    }
+
     /// Append `new_segments` to the canonical store and bring the index to
     /// the new generation.
     ///
@@ -198,15 +201,18 @@ impl SearchEngine {
     /// byte-identical to a cold rebuild at the new generation.
     ///
     /// Fails with [`TdtsError::IncrementalUnsupported`] when the index is
-    /// sharded or shared. The store is left unmodified by every refusal.
+    /// sharded or shared. These refusals leave the store unmodified; a
+    /// refusal by the index itself (e.g. out of device memory) comes after
+    /// the store changed and stops the engine (see [`SearchEngine`]).
     pub fn ingest(&mut self, new_segments: &[Segment]) -> Result<(), TdtsError> {
+        self.check_live()?;
         if new_segments.is_empty() {
             return Ok(());
         }
         self.store.check_append(new_segments).map_err(TdtsError::InvalidConfig)?;
         self.check_incremental()?;
         let delta = Arc::make_mut(&mut self.store).append(new_segments);
-        self.index.ingest(&self.store, &delta)
+        self.index.ingest(&self.store, &delta).inspect_err(|e| self.failed = Some(e.clone()))
     }
 
     /// Drop every stored segment that ends before `t` from the canonical
@@ -214,12 +220,13 @@ impl SearchEngine {
     /// NaN cut, which no `t_end` is at or after, is refused rather than
     /// taken to expire everything. `±∞` are valid cuts.
     pub fn expire_before(&mut self, t: f64) -> Result<(), TdtsError> {
+        self.check_live()?;
         if t.is_nan() {
             return Err(TdtsError::InvalidConfig("expiry cut must not be NaN".into()));
         }
         self.check_incremental()?;
         let delta = Arc::make_mut(&mut self.store).expire_before(t);
-        self.index.expire_before(&self.store, &delta)
+        self.index.expire_before(&self.store, &delta).inspect_err(|e| self.failed = Some(e.clone()))
     }
 
     /// Run the distance threshold search.
@@ -247,6 +254,7 @@ impl SearchEngine {
         result_capacity: usize,
         shape: Option<KernelShape>,
     ) -> Result<(Vec<MatchRecord>, SearchReport), TdtsError> {
+        self.check_live()?;
         let batch = QueryBatch { queries, d, result_capacity };
         let outcome = self.index.search_shaped(&batch, shape)?;
         Ok((outcome.matches, outcome.report))
@@ -323,8 +331,8 @@ mod tests {
 
     /// NaN, negative and infinite thresholds, and query segments with a
     /// non-finite coordinate or an inverted interval, are refused at every
-    /// `TrajectoryIndex::search` entry point (the three macro'd GPU indexes,
-    /// the CPU baseline, the sharded index); `d = 0` is a valid query.
+    /// `TrajectoryIndex::search` entry point (every `GpuSearch` scheme, the
+    /// CPU baseline, the sharded index); `d = 0` is a valid query.
     #[test]
     fn hostile_d_is_a_typed_error_at_every_entry_point() {
         let dataset = PreparedDataset::new(store(40));
@@ -457,6 +465,36 @@ mod tests {
         assert_eq!(engine.store().len(), 30);
         engine.expire_before(f64::INFINITY).unwrap();
         assert_eq!(engine.store().len(), 0);
+    }
+
+    #[test]
+    fn empty_store_is_refused_by_every_method() {
+        let dataset = PreparedDataset::new(SegmentStore::new());
+        for method in all_methods() {
+            let err = SearchEngine::build(&dataset, method, device()).err().unwrap();
+            assert_eq!(err, TdtsError::Search(SearchError::EmptyDataset), "{}", method.name());
+        }
+    }
+
+    /// An index refusal after the store absorbed the delta stops the
+    /// engine: that call, later mutations and later searches all return
+    /// the refusal, and no later mutation reaches the store.
+    #[test]
+    fn index_refusal_stops_the_engine() {
+        let mut config = DeviceConfig::test_tiny();
+        config.global_mem_bytes = 64 * 40 + 32 * 1024;
+        let dataset = PreparedDataset::new(store(40));
+        let method = Method::GpuTemporal(TemporalIndexConfig { bins: 8 });
+        let mut engine =
+            SearchEngine::build(&dataset, method, Device::new(config).unwrap()).unwrap();
+        let tail: Vec<Segment> = (0..2_000).map(|i| seg(500 + i, 20.0 + i as f64 * 0.01)).collect();
+        let err = engine.ingest(&tail).unwrap_err();
+        assert!(matches!(err, TdtsError::Search(SearchError::OutOfDeviceMemory(_))), "{err}");
+        assert_eq!(engine.store().len(), 2_040);
+        assert_eq!(engine.search(&store(5), 2.0, 100).unwrap_err(), err);
+        assert_eq!(engine.ingest(&[seg(9_000, 99.0)]).unwrap_err(), err);
+        assert_eq!(engine.expire_before(f64::INFINITY).unwrap_err(), err);
+        assert_eq!(engine.store().len(), 2_040);
     }
 
     #[test]

@@ -246,9 +246,7 @@ impl ShardedIndex {
             // memory, and the merged response time models N devices
             // answering side by side.
             let device = Device::new(device_config.clone()).map_err(TdtsError::InvalidConfig)?;
-            let shard_stats =
-                slice.store.stats().expect("partition slices are non-empty by construction");
-            let index = method.build_index(&slice.store, &shard_stats, Arc::clone(&device))?;
+            let index = method.build_index(&slice.store, Arc::clone(&device))?;
             free_device_bytes = free_device_bytes.min(device.mem_available());
             members.push(ShardMember {
                 slab: slice.slab,

@@ -7,9 +7,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use tdts_geom::{AppendDelta, ExpireDelta, MatchRecord, SegmentStore};
 use tdts_gpu_sim::{KernelShape, Phase, SearchReport};
-use tdts_index_spatial::GpuSpatialSearch;
-use tdts_index_spatiotemporal::GpuSpatioTemporalSearch;
-use tdts_index_temporal::GpuTemporalSearch;
+use tdts_kernels::{GpuSearch, Scheme};
 use tdts_rtree::{RTree, RTreeConfig};
 
 use crate::error::TdtsError;
@@ -153,64 +151,44 @@ impl<T: TrajectoryIndex + ?Sized> TrajectoryIndex for Arc<T> {
     }
 }
 
-/// Implement [`TrajectoryIndex`] for a GPU search type by forwarding to its
-/// inherent `search_shaped` / `generation` / `ingest` / `expire` methods.
-/// Every GPU method applies deltas in place.
-macro_rules! impl_gpu_index {
-    ($ty:ty, $name:literal) => {
-        impl TrajectoryIndex for $ty {
-            fn search_shaped(
-                &self,
-                batch: &QueryBatch<'_>,
-                shape: Option<KernelShape>,
-            ) -> Result<SearchOutcome, TdtsError> {
-                batch.validate()?;
-                let (matches, report) = <$ty>::search_shaped(
-                    self,
-                    batch.queries,
-                    batch.d,
-                    batch.result_capacity,
-                    shape,
-                )?;
-                Ok(SearchOutcome { matches, report })
-            }
+/// Every GPU method is one [`GpuSearch`] over its scheme and applies deltas
+/// in place.
+impl<S: Scheme> TrajectoryIndex for GpuSearch<S> {
+    fn search_shaped(
+        &self,
+        batch: &QueryBatch<'_>,
+        shape: Option<KernelShape>,
+    ) -> Result<SearchOutcome, TdtsError> {
+        batch.validate()?;
+        let (matches, report) =
+            GpuSearch::search_shaped(self, batch.queries, batch.d, batch.result_capacity, shape)?;
+        Ok(SearchOutcome { matches, report })
+    }
 
-            fn name(&self) -> &'static str {
-                $name
-            }
+    fn name(&self) -> &'static str {
+        S::NAME
+    }
 
-            fn supports_incremental(&self) -> bool {
-                true
-            }
+    fn supports_incremental(&self) -> bool {
+        true
+    }
 
-            fn generation(&self) -> u64 {
-                <$ty>::generation(self)
-            }
+    fn generation(&self) -> u64 {
+        GpuSearch::generation(self)
+    }
 
-            fn ingest(
-                &mut self,
-                store: &Arc<SegmentStore>,
-                delta: &AppendDelta,
-            ) -> Result<(), TdtsError> {
-                <$ty>::ingest(self, store, delta)?;
-                Ok(())
-            }
+    fn ingest(&mut self, store: &Arc<SegmentStore>, delta: &AppendDelta) -> Result<(), TdtsError> {
+        Ok(GpuSearch::ingest(self, store, delta)?)
+    }
 
-            fn expire_before(
-                &mut self,
-                store: &Arc<SegmentStore>,
-                delta: &ExpireDelta,
-            ) -> Result<(), TdtsError> {
-                <$ty>::expire(self, store, delta)?;
-                Ok(())
-            }
-        }
-    };
+    fn expire_before(
+        &mut self,
+        store: &Arc<SegmentStore>,
+        delta: &ExpireDelta,
+    ) -> Result<(), TdtsError> {
+        Ok(GpuSearch::expire(self, store, delta)?)
+    }
 }
-
-impl_gpu_index!(GpuSpatialSearch, "GPUSpatial");
-impl_gpu_index!(GpuTemporalSearch, "GPUTemporal");
-impl_gpu_index!(GpuSpatioTemporalSearch, "GPUSpatioTemporal");
 
 /// The CPU baseline behind the trait. [`RTree`] does not own the entry
 /// store (its result positions refer to an external store), so this

@@ -177,7 +177,8 @@ impl Fsg {
         Ok(grid)
     }
 
-    /// Rasterise store entries `from..` and fold them into the grid.
+    /// The grid with store entries `from..` rasterised and folded in,
+    /// built beside `self`, which is left as it was.
     ///
     /// The new `(cell, entry)` pairs join the existing ones and the triple
     /// is regrouped, so the result is the triple a cold build would give
@@ -187,41 +188,42 @@ impl Fsg {
     /// do, so any overlapping query/entry pair still shares at least one
     /// cell (clamping is monotone per dimension). `data_bounds` grows to
     /// keep the [`outside`](Fsg::outside) early-reject correct.
-    pub fn append(&mut self, store: &SegmentStore, from: usize) -> Result<(), SearchError> {
+    pub fn append(&self, store: &SegmentStore, from: usize) -> Result<Fsg, SearchError> {
         if from > store.len() {
             return Err(SearchError::InvalidConfig(format!(
                 "FSG append offset {from} past store length {}",
                 store.len()
             )));
         }
-        let tail = &store.segments()[from..];
-        if tail.is_empty() {
-            return Ok(());
-        }
         let mut pairs = pairs_of(&self.cell_ids, &self.cell_ranges, &self.lookup);
-        for (off, seg) in tail.iter().enumerate() {
+        let mut data_bounds = self.data_bounds;
+        for (off, seg) in store.segments()[from..].iter().enumerate() {
             let mbb = seg.mbb();
-            self.data_bounds = self.data_bounds.merge(&mbb);
+            data_bounds = data_bounds.merge(&mbb);
             for (x, y, z) in self.rasterise(&mbb).iter() {
                 pairs.push((self.linear(x, y, z), (from + off) as u32));
             }
         }
-        (self.cell_ids, self.cell_ranges, self.lookup) = regroup(pairs);
-        Ok(())
+        Ok(self.regrouped(pairs, data_bounds))
     }
 
-    /// Drop expired entry positions from the grid and renumber the
-    /// survivors to their post-expiry store positions.
+    /// The grid without the expired entry positions, survivors renumbered
+    /// to their post-expiry store positions, built beside `self`.
     ///
-    /// `data_bounds` is left as-is — a conservative over-estimate only ever
+    /// `data_bounds` is kept as-is — a conservative over-estimate only ever
     /// costs candidate work, never correctness.
-    pub fn expire(&mut self, delta: &ExpireDelta) -> Result<(), SearchError> {
+    pub fn expire(&self, delta: &ExpireDelta) -> Result<Fsg, SearchError> {
         let pairs = pairs_of(&self.cell_ids, &self.cell_ranges, &self.lookup)
             .into_iter()
             .filter_map(|(h, p)| delta.remap(p as usize).map(|np| (h, np as u32)))
             .collect();
-        (self.cell_ids, self.cell_ranges, self.lookup) = regroup(pairs);
-        Ok(())
+        Ok(self.regrouped(pairs, self.data_bounds))
+    }
+
+    /// This grid's geometry over the triple grouped from `pairs`.
+    fn regrouped(&self, pairs: Vec<(u64, u32)>, data_bounds: Mbb) -> Fsg {
+        let (cell_ids, cell_ranges, lookup) = regroup(pairs);
+        Fsg { data_bounds, cell_ids, cell_ranges, lookup, ..*self }
     }
 
     fn clamp_cell(&self, v: f64, dim: usize) -> usize {
@@ -418,7 +420,7 @@ mod tests {
         let mut s = store();
         let mut fsg = Fsg::build(&s, FsgConfig { cells_per_dim: 5 }).unwrap();
         s.append(&[seg((4.0, 4.0, 4.0), (5.0, 5.0, 5.0), 3)]);
-        fsg.append(&s, 3).unwrap();
+        fsg = fsg.append(&s, 3).unwrap();
         let r = reachable(&fsg, &s.get(3).mbb());
         assert!(r.contains(&3), "appended entry must be reachable, got {r:?}");
         // Appending an already-covered offset range is rejected past the end.
@@ -432,7 +434,7 @@ mod tests {
         let far = Mbb::new(Point3::splat(50.0), Point3::splat(51.0));
         assert!(fsg.outside(&far), "before append, far box is outside");
         s.append(&[seg((50.0, 50.0, 50.0), (51.0, 51.0, 51.0), 3)]);
-        fsg.append(&s, 3).unwrap();
+        fsg = fsg.append(&s, 3).unwrap();
         assert!(!fsg.outside(&far), "data_bounds must have grown");
         // The clamped entry sits in the hi edge cell, where a clamped
         // far-away query box also rasterises.
@@ -445,7 +447,7 @@ mod tests {
         let mut s = store();
         let mut fsg = Fsg::build(&s, FsgConfig { cells_per_dim: 5 }).unwrap();
         s.append(&[seg((2.0, 2.0, 2.0), (3.0, 3.0, 3.0), 3)]);
-        fsg.append(&s, 3).unwrap();
+        fsg = fsg.append(&s, 3).unwrap();
         // The appended entry is in-bounds, so the geometry matches a cold
         // build over the same store and so must the triple.
         let cold = Fsg::build(&s, FsgConfig { cells_per_dim: 5 }).unwrap();
@@ -467,10 +469,10 @@ mod tests {
             SegId(3),
             TrajId(3),
         )]);
-        fsg.append(&s, 3).unwrap();
+        fsg = fsg.append(&s, 3).unwrap();
         let d = s.expire_before(2.0);
         assert_eq!(d.removed, vec![0, 1, 2]);
-        fsg.expire(&d).unwrap();
+        fsg = fsg.expire(&d).unwrap();
         assert!(fsg.lookup.iter().all(|&p| p == 0), "only the survivor is left");
         let r = reachable(&fsg, &s.get(0).mbb());
         assert_eq!(r.into_iter().collect::<Vec<_>>(), vec![0], "survivor renumbered to 0");

@@ -1,26 +1,31 @@
-//! The `GPUSpatial` search driver and kernel (Algorithm 1).
+//! The `GPUSpatial` scheme (§IV-A, Algorithm 1).
 //!
-//! The kernel skeleton (candidate iteration → refinement → warp-stash
-//! commit → redo) lives in [`tdts_kernels`]; this module contributes the
-//! FSG-specific candidate generation: the device-side `getCandidates` walk
-//! over rasterised grid cells into the per-query candidate buffer `U_k`
-//! (thread-per-query), or the host-side rasterisation into lookup-range
-//! tiles with a fused gather+refine kernel (warp-per-tile).
+//! The driver ([`GpuSearch`]) and the kernel skeleton (candidate iteration →
+//! refinement → warp-stash commit → redo) live in [`tdts_kernels`]; this
+//! module contributes the FSG-specific candidate generation: the
+//! device-side `getCandidates` walk over rasterised grid cells into the
+//! per-query candidate buffer `U_k` (thread-per-query), or the host-side
+//! rasterisation into lookup-range tiles with a fused gather+refine kernel
+//! (warp-per-tile).
 
 use crate::fsg::{Fsg, FsgConfig};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
-use tdts_geom::{MatchRecord, PreparedQuery, SegmentStore, StoreStats, TimeInterval};
+use tdts_geom::{
+    ExpireDelta, MatchRecord, PreparedQuery, Segment, SegmentStore, StoreStats, TimeInterval,
+};
 use tdts_gpu_sim::{
-    Device, DeviceBuffer, KernelShape, Lane, PartitionedScratch, SearchError, SearchReport, Tile,
+    Device, DeviceBuffer, DeviceConfig, KernelShape, Lane, PartitionedScratch, SearchError, Tile,
     Warp, WarpStash,
 };
 use tdts_kernels::{
-    finish_search, lane_share, run_thread_per_query, run_warp_per_tile, CandidateGenerator,
-    DeviceQueries, DeviceSegments, LaneWork, TileGenerator,
+    lane_share, Batch, CandidateGenerator, GpuSearch, LaneWork, Scheme, TileGenerator,
 };
+
+/// `GPUSpatial`: the FSG, its arrays and the database resident on the
+/// device.
+pub type GpuSpatialSearch = GpuSearch<SpatialScheme>;
 
 /// `GPUSpatial` parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,119 +43,24 @@ impl Default for GpuSpatialConfig {
     }
 }
 
-/// `GPUSpatial`: FSG index + device-resident arrays + search driver.
-pub struct GpuSpatialSearch {
-    device: Arc<Device>,
-    fsg: Fsg,
-    config: GpuSpatialConfig,
-    generation: u64,
-    dev_entries: DeviceSegments,
+/// The FSG arrays resident on the device.
+pub struct GridArrays {
     /// `G`: sorted linearised coordinates of non-empty cells.
-    dev_cell_ids: DeviceBuffer<u64>,
+    cell_ids: DeviceBuffer<u64>,
     /// Per-cell half-open ranges into the lookup array.
-    dev_cell_ranges: DeviceBuffer<[u32; 2]>,
+    cell_ranges: DeviceBuffer<[u32; 2]>,
     /// `A`: entry positions grouped by cell.
-    dev_lookup: DeviceBuffer<u32>,
+    lookup: DeviceBuffer<u32>,
 }
 
-impl GpuSpatialSearch {
-    /// Build the FSG over `store` (any order — the index is purely spatial)
-    /// and place the database and index in device memory (offline).
-    pub fn new(
-        device: Arc<Device>,
-        store: &SegmentStore,
-        config: GpuSpatialConfig,
-    ) -> Result<GpuSpatialSearch, SearchError> {
-        let stats = store.stats().ok_or(SearchError::EmptyDataset)?;
-        GpuSpatialSearch::new_with_stats(device, store, &stats, config)
-    }
-
-    /// [`new`](GpuSpatialSearch::new) with the store's [`StoreStats`]
-    /// supplied by the caller, sharing one stats scan across methods.
-    pub fn new_with_stats(
-        device: Arc<Device>,
-        store: &SegmentStore,
-        stats: &StoreStats,
-        config: GpuSpatialConfig,
-    ) -> Result<GpuSpatialSearch, SearchError> {
-        let fsg = Fsg::build_with_stats(store, stats, config.fsg)?;
-        let dev_entries = DeviceSegments::alloc_store(&device, store)?;
-        let dev_cell_ids = device.alloc_from_host(fsg.cell_ids.clone())?;
-        let dev_cell_ranges = device.alloc_from_host(fsg.cell_ranges.clone())?;
-        let dev_lookup = device.alloc_from_host(fsg.lookup.clone())?;
-        Ok(GpuSpatialSearch {
-            device,
-            fsg,
-            config,
-            generation: store.generation(),
-            dev_entries,
-            dev_cell_ids,
-            dev_cell_ranges,
-            dev_lookup,
-        })
-    }
-
-    /// The grid.
-    pub fn fsg(&self) -> &Fsg {
-        &self.fsg
-    }
-
-    /// The device this search runs on.
-    pub fn device(&self) -> &Arc<Device> {
-        &self.device
-    }
-
-    /// The store generation this index currently reflects.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Fold store entries `delta.from..` into the grid, extend the
-    /// device-resident database in place and re-place the grid arrays
-    /// (offline — no PCIe transfer is charged).
-    pub fn ingest(
-        &mut self,
-        store: &SegmentStore,
-        delta: &tdts_geom::AppendDelta,
-    ) -> Result<(), SearchError> {
-        self.fsg.append(store, delta.from)?;
-        self.dev_entries.extend(&store.segments()[delta.from..])?;
-        self.place_grid()?;
-        self.generation = delta.generation;
-        Ok(())
-    }
-
-    /// Drop expired entries from the database and the grid.
-    pub fn expire(
-        &mut self,
-        store: &SegmentStore,
-        delta: &tdts_geom::ExpireDelta,
-    ) -> Result<(), SearchError> {
-        let _ = store;
-        self.fsg.expire(delta)?;
-        self.dev_entries.remove_positions(&delta.removed);
-        self.place_grid()?;
-        self.generation = delta.generation;
-        Ok(())
-    }
-
-    /// Re-place the grid triple in device memory after a host-side update.
-    fn place_grid(&mut self) -> Result<(), SearchError> {
-        self.dev_cell_ids = self.device.alloc_from_host(self.fsg.cell_ids.clone())?;
-        self.dev_cell_ranges = self.device.alloc_from_host(self.fsg.cell_ranges.clone())?;
-        self.dev_lookup = self.device.alloc_from_host(self.fsg.lookup.clone())?;
-        Ok(())
-    }
-
+impl GridArrays {
     /// Device-side binary search of cell `h` in `G`, charging one global
     /// read per probe (the paper's `O(log |G|)` step).
-    fn find_cell_device(&self, lane: &mut Lane, h: u64) -> Option<usize> {
-        let cell_ids = &self.dev_cell_ids;
-        let n = cell_ids.len();
-        let (mut lo, mut hi) = (0usize, n);
+    fn find_cell(&self, lane: &mut Lane, h: u64) -> Option<usize> {
+        let (mut lo, mut hi) = (0usize, self.cell_ids.len());
         while lo < hi {
             let mid = (lo + hi) / 2;
-            let v = cell_ids.read(lane, mid);
+            let v = self.cell_ids.read(lane, mid);
             lane.instr(2);
             match v.cmp(&h) {
                 std::cmp::Ordering::Equal => return Some(mid),
@@ -160,78 +70,93 @@ impl GpuSpatialSearch {
         }
         None
     }
+}
 
-    /// Run the distance threshold search. Queries are *not* sorted (§IV-A2:
-    /// sorting by one spatial dimension would not help 3-D data), so results
-    /// already refer to the caller's ordering.
-    pub fn search(
-        &self,
-        queries: &SegmentStore,
-        d: f64,
-        result_capacity: usize,
-    ) -> Result<(Vec<MatchRecord>, SearchReport), SearchError> {
-        self.search_shaped(queries, d, result_capacity, None)
+/// The `GPUSpatial` [`Scheme`]: queries left unsorted (so results already
+/// refer to the caller's ordering), the grid triple on the device, and —
+/// under warp-per-tile only — the host-rasterised lookup ranges as the
+/// plan.
+pub struct SpatialScheme;
+
+impl Scheme for SpatialScheme {
+    const NAME: &'static str = "GPUSpatial";
+    const SORTS_QUERIES: bool = false;
+    type Config = GpuSpatialConfig;
+    type Index = Fsg;
+    type Arrays = GridArrays;
+    /// Per query, the non-empty lookup ranges of the cells its inflated
+    /// MBB rasterises to (empty under thread-per-query, which walks the
+    /// grid on the device).
+    type Plan = Vec<Vec<[u32; 2]>>;
+    type Threads<'a> = SpatialThreads<'a>;
+    type Tiles<'a> = SpatialTiles<'a>;
+
+    fn build(
+        store: &SegmentStore,
+        stats: &StoreStats,
+        config: &GpuSpatialConfig,
+    ) -> Result<Fsg, SearchError> {
+        Fsg::build_with_stats(store, stats, config.fsg)
     }
 
-    /// [`GpuSpatialSearch::search`] under kernel `shape`; `None` is
-    /// the device's configured [`KernelShape`]. The resident index and
-    /// database are the same for both shapes.
-    pub fn search_shaped(
-        &self,
-        queries: &SegmentStore,
+    fn append(fsg: &Fsg, store: &SegmentStore, from: usize) -> Result<Fsg, SearchError> {
+        fsg.append(store, from)
+    }
+
+    fn expire(fsg: &Fsg, _store: &SegmentStore, delta: &ExpireDelta) -> Result<Fsg, SearchError> {
+        fsg.expire(delta)
+    }
+
+    fn place(device: &Arc<Device>, fsg: &Fsg) -> Result<GridArrays, SearchError> {
+        Ok(GridArrays {
+            cell_ids: device.alloc_from_host(fsg.cell_ids.clone())?,
+            cell_ranges: device.alloc_from_host(fsg.cell_ranges.clone())?,
+            lookup: device.alloc_from_host(fsg.lookup.clone())?,
+        })
+    }
+
+    /// Host `getCandidates` scheduling for warp-per-tile, computed once and
+    /// reused across redo rounds (d is fixed for the whole search).
+    fn plan(
+        search: &GpuSpatialSearch,
+        queries: &[Segment],
         d: f64,
-        result_capacity: usize,
-        shape: Option<KernelShape>,
-    ) -> Result<(Vec<MatchRecord>, SearchReport), SearchError> {
-        let wall_start = Instant::now();
-        let device = self.device.for_search();
-        let shape = shape.unwrap_or(device.config().kernel_shape);
-        let mut report = SearchReport::default();
-
-        if queries.is_empty() {
-            report.response = device.ledger();
-            report.wall_seconds = wall_start.elapsed().as_secs_f64();
-            return Ok((Vec::new(), report));
+        shape: KernelShape,
+        _device: &DeviceConfig,
+    ) -> Vec<Vec<[u32; 2]>> {
+        if shape == KernelShape::ThreadPerQuery {
+            return Vec::new();
         }
-
-        // Online transfer: the query set.
-        let dev_queries = DeviceQueries::upload(&device, queries.segments())?;
-        let (matches, comparisons) = if shape == KernelShape::WarpPerTile {
-            // Host getCandidates scheduling, computed once and reused
-            // across redo rounds (d is fixed for the whole search).
-            let host_start = Instant::now();
-            let ranges: Vec<Vec<[u32; 2]>> = queries
-                .segments()
-                .par_iter()
-                .map(|q| {
-                    let search_box = q.mbb().inflate(d);
-                    let mut rs = Vec::new();
-                    if !self.fsg.outside(&search_box) {
-                        for (x, y, z) in self.fsg.rasterise(&search_box).iter() {
-                            if let Some(ci) = self.fsg.find_cell(self.fsg.linear(x, y, z)) {
-                                let r = self.fsg.cell_ranges[ci];
-                                if r[0] < r[1] {
-                                    rs.push(r);
-                                }
+        let fsg = search.index();
+        queries
+            .par_iter()
+            .map(|q| {
+                let search_box = q.mbb().inflate(d);
+                let mut rs = Vec::new();
+                if !fsg.outside(&search_box) {
+                    for (x, y, z) in fsg.rasterise(&search_box).iter() {
+                        if let Some(ci) = fsg.find_cell(fsg.linear(x, y, z)) {
+                            let r = fsg.cell_ranges[ci];
+                            if r[0] < r[1] {
+                                rs.push(r);
                             }
                         }
                     }
-                    rs
-                })
-                .collect();
-            device.charge_host(host_start.elapsed().as_secs_f64());
+                }
+                rs
+            })
+            .collect()
+    }
 
-            let generator =
-                SpatialTiles { search: self, queries: &dev_queries, ranges: &ranges, d };
-            run_warp_per_tile(&device, &generator, queries.len(), result_capacity, &mut report)?
-        } else {
-            let generator = SpatialThreads { search: self, queries: &dev_queries, d };
-            run_thread_per_query(&device, &generator, queries.len(), result_capacity, &mut report)?
-        };
+    fn threads<'a>(
+        batch: Batch<'a, Self>,
+        _plan: &'a Vec<Vec<[u32; 2]>>,
+    ) -> Result<SpatialThreads<'a>, SearchError> {
+        Ok(SpatialThreads { batch })
+    }
 
-        // No query sorting → no unpermute; the host dedup collapses pairs an
-        // entry rasterised into several cells reported more than once.
-        Ok(finish_search(&device, matches, None, comparisons, report, wall_start))
+    fn tiles<'a>(batch: Batch<'a, Self>, ranges: &'a Vec<Vec<[u32; 2]>>) -> SpatialTiles<'a> {
+        SpatialTiles { batch, ranges }
     }
 }
 
@@ -239,17 +164,15 @@ impl GpuSpatialSearch {
 /// buffers `U_k` (the budget `s` split across the live batch) and the
 /// sticky overflow flag that turns a stuck redo into
 /// [`SearchError::ScratchCapacityTooSmall`].
-struct SpatialRound {
+pub struct SpatialRound {
     scratch: PartitionedScratch<u32>,
     overflow: AtomicBool,
 }
 
 /// Thread-per-query candidate generation: device-side `getCandidates` into
 /// `U_k`, then refinement over the gathered positions.
-struct SpatialThreads<'a> {
-    search: &'a GpuSpatialSearch,
-    queries: &'a DeviceQueries,
-    d: f64,
+pub struct SpatialThreads<'a> {
+    batch: Batch<'a, SpatialScheme>,
 }
 
 impl CandidateGenerator for SpatialThreads<'_> {
@@ -257,9 +180,10 @@ impl CandidateGenerator for SpatialThreads<'_> {
 
     fn begin_round(&self, batch_len: usize) -> Result<SpatialRound, SearchError> {
         // Candidate buffers: the budget `s` split across this batch.
-        let per_thread = (self.search.config.total_scratch / batch_len).max(1);
+        let search = self.batch.search;
+        let per_thread = (search.config().total_scratch / batch_len).max(1);
         Ok(SpatialRound {
-            scratch: self.search.device.alloc_scratch::<u32>(batch_len, per_thread)?,
+            scratch: search.device().alloc_scratch::<u32>(batch_len, per_thread)?,
             overflow: AtomicBool::new(false),
         })
     }
@@ -271,23 +195,25 @@ impl CandidateGenerator for SpatialThreads<'_> {
         stash: &mut WarpStash<'_, MatchRecord>,
         round: &SpatialRound,
     ) -> LaneWork {
-        let q = self.queries.read_segment(lane, qid as usize);
+        let (search, d) = (self.batch.search, self.batch.d);
+        let (fsg, grid) = (search.index(), search.arrays());
+        let q = self.batch.queries.read_segment(lane, qid as usize);
         lane.instr(12); // MBB + inflation + cell-range setup
 
         // getCandidates: rasterise the inflated MBB and gather entry
         // positions into U_k, one probe of `G` per cell.
         let mut uk = round.scratch.take_partition(lane.global_id);
-        let search_box = q.mbb().inflate(self.d);
+        let search_box = q.mbb().inflate(d);
         let mut overflow = false;
-        if !self.search.fsg.outside(&search_box) {
-            let range = self.search.fsg.rasterise(&search_box);
+        if !fsg.outside(&search_box) {
+            let range = fsg.rasterise(&search_box);
             'cells: for (x, y, z) in range.iter() {
-                let h = self.search.fsg.linear(x, y, z);
+                let h = fsg.linear(x, y, z);
                 lane.instr(4);
-                if let Some(ci) = self.search.find_cell_device(lane, h) {
-                    let r = self.search.dev_cell_ranges.read(lane, ci);
+                if let Some(ci) = grid.find_cell(lane, h) {
+                    let r = grid.cell_ranges.read(lane, ci);
                     for ai in r[0]..r[1] {
-                        let entry_pos = self.search.dev_lookup.read(lane, ai as usize);
+                        let entry_pos = grid.lookup.read(lane, ai as usize);
                         lane.instr(1);
                         if !uk.push(lane, entry_pos) {
                             overflow = true;
@@ -305,9 +231,9 @@ impl CandidateGenerator for SpatialThreads<'_> {
             stash.mark_dropped(lane);
         } else {
             // Refinement over the candidate set (duplicates included).
-            let q = PreparedQuery::new(&q, self.d);
+            let q = PreparedQuery::new(&q, d);
             let positions = uk.read_all(lane);
-            compared = self.search.dev_entries.refine_positions(
+            compared = search.entries().refine_positions(
                 std::slice::from_mut(lane),
                 positions,
                 &q,
@@ -327,7 +253,8 @@ impl CandidateGenerator for SpatialThreads<'_> {
         // A single query alone cannot complete: the batch was 1, so its
         // candidate buffer was the entire budget `s`.
         if round.overflow.load(Ordering::Relaxed) {
-            SearchError::ScratchCapacityTooSmall { capacity: self.search.config.total_scratch }
+            let capacity = self.batch.search.config().total_scratch;
+            SearchError::ScratchCapacityTooSmall { capacity }
         } else {
             SearchError::ResultCapacityTooSmall { capacity: result_capacity }
         }
@@ -340,22 +267,12 @@ impl CandidateGenerator for SpatialThreads<'_> {
 /// compares — so the per-query candidate buffer `U_k` disappears along with
 /// its overflow path: warp-per-tile `GPUSpatial` can never return
 /// [`SearchError::ScratchCapacityTooSmall`].
-struct SpatialTiles<'a> {
-    search: &'a GpuSpatialSearch,
-    queries: &'a DeviceQueries,
+pub struct SpatialTiles<'a> {
+    batch: Batch<'a, SpatialScheme>,
     ranges: &'a [Vec<[u32; 2]>],
-    d: f64,
 }
 
 impl TileGenerator for SpatialTiles<'_> {
-    fn queries(&self) -> &DeviceQueries {
-        self.queries
-    }
-
-    fn distance(&self) -> f64 {
-        self.d
-    }
-
     fn push_tiles(&self, tiles: &mut Vec<Tile>, qid: u32, tile_size: usize) {
         for r in &self.ranges[qid as usize] {
             Tile::split_into(tiles, qid, r[0], r[1], 0, tile_size);
@@ -376,13 +293,9 @@ impl TileGenerator for SpatialTiles<'_> {
         // Fused gather + refine through A, one address instruction per id:
         // each lane's share, in closed form.
         let lanes = warp.lanes_mut();
-        let compared = self.search.dev_entries.refine_gather(
-            lanes,
-            &self.search.dev_lookup,
-            tile.lo..tile.hi,
-            q,
-            on_hit,
-        );
+        let search = self.batch.search;
+        let lookup = &search.arrays().lookup;
+        let compared = search.entries().refine_gather(lanes, lookup, tile.lo..tile.hi, q, on_hit);
         let w = lanes.len();
         for (l, lane) in lanes.iter_mut().enumerate() {
             lane.instr(lane_share(compared, l, w));

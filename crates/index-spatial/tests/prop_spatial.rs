@@ -116,7 +116,7 @@ proptest! {
                 })
                 .collect();
             store.append(&new);
-            fsg.append(&store, from).unwrap();
+            fsg = fsg.append(&store, from).unwrap();
         }
         let cold = Fsg::build(&store, config).unwrap();
         prop_assert_eq!(&fsg.cell_ids, &cold.cell_ids);

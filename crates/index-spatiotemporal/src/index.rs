@@ -175,7 +175,8 @@ impl SpatioTemporalIndex {
         &self.temporal
     }
 
-    /// Extend the index over store entries `from..` (time-ordered appends).
+    /// The index extended over store entries `from..` (time-ordered
+    /// appends), built beside `self`, which is left as it was.
     ///
     /// The temporal directory may grow new bins past the old extent, which
     /// changes the `(subbin, bin)` layout stride: every per-dimension row is
@@ -184,12 +185,13 @@ impl SpatioTemporalIndex {
     /// the same clamp [`schedule_for`](Self::schedule_for) applies to query
     /// intervals, so an entry overlapping a query's inflated interval always
     /// shares its subbin, even for entries outside the build-time volume.
-    pub fn append(&mut self, store: &SegmentStore, from: usize) -> Result<(), SearchError> {
+    pub fn append(&self, store: &SegmentStore, from: usize) -> Result<Self, SearchError> {
         let old_m = self.temporal.bins();
-        self.temporal.append(store, from)?;
-        let new_m = self.temporal.bins();
+        let mut next = self.emptied();
+        next.temporal.append(store, from)?;
+        let new_m = next.temporal.bins();
+        next.m = new_m;
         let segs = store.segments();
-
         for d in 0..3 {
             let mut arrays = Vec::with_capacity(self.arrays[d].len() + (segs.len() - from));
             let mut ranges = Vec::with_capacity(self.v * new_m);
@@ -200,7 +202,7 @@ impl SpatioTemporalIndex {
                         let [a, b] = self.ranges[d][j * old_m + i];
                         arrays.extend_from_slice(&self.arrays[d][a as usize..b as usize]);
                     }
-                    let (b_lo, b_hi) = self.temporal.bin_range(i);
+                    let (b_lo, b_hi) = next.temporal.bin_range(i);
                     let lo = (b_lo as usize).max(from);
                     for (pos, s) in segs.iter().enumerate().take(b_hi as usize).skip(lo) {
                         let (s_lo, s_hi) = self.subbin_span(d, s.min_coord(d), s.max_coord(d));
@@ -211,18 +213,19 @@ impl SpatioTemporalIndex {
                     ranges.push([start, arrays.len() as u32]);
                 }
             }
-            self.arrays[d] = arrays;
-            self.ranges[d] = ranges;
+            next.arrays[d] = arrays;
+            next.ranges[d] = ranges;
         }
-        self.m = new_m;
-        Ok(())
+        Ok(next)
     }
 
-    /// Drop expired entries from the temporal directory and every
-    /// per-dimension id array, renumbering survivors to their post-expiry
-    /// store positions. The subbin geometry and bin layout are unchanged.
-    pub fn expire(&mut self, store: &SegmentStore, delta: &ExpireDelta) -> Result<(), SearchError> {
-        self.temporal.expire(store, delta)?;
+    /// The index without the expired entries, built beside `self`: the
+    /// temporal directory and every per-dimension id array drop them and
+    /// renumber survivors to their post-expiry store positions. The subbin
+    /// geometry and bin layout are unchanged.
+    pub fn expire(&self, store: &SegmentStore, delta: &ExpireDelta) -> Result<Self, SearchError> {
+        let mut next = self.emptied();
+        next.temporal.expire(store, delta)?;
         for d in 0..3 {
             let mut arrays = Vec::with_capacity(self.arrays[d].len());
             let mut ranges = Vec::with_capacity(self.ranges[d].len());
@@ -235,10 +238,16 @@ impl SpatioTemporalIndex {
                 }
                 ranges.push([start, arrays.len() as u32]);
             }
-            self.arrays[d] = arrays;
-            self.ranges[d] = ranges;
+            next.arrays[d] = arrays;
+            next.ranges[d] = ranges;
         }
-        Ok(())
+        Ok(next)
+    }
+
+    /// This index's geometry and temporal directory with no id arrays.
+    fn emptied(&self) -> SpatioTemporalIndex {
+        let (arrays, ranges) = Default::default();
+        SpatioTemporalIndex { temporal: self.temporal.clone(), arrays, ranges, ..*self }
     }
 
     /// Effective subbins per dimension (after the extent-constraint cap).

@@ -1,24 +1,28 @@
-//! The `GPUSpatioTemporal` search driver and kernel (Algorithm 3).
+//! The `GPUSpatioTemporal` scheme (§IV-C, Algorithm 3).
 //!
-//! The kernel skeleton (candidate iteration → refinement → warp-stash
-//! commit → redo) lives in [`tdts_kernels`]; this module contributes the
-//! selector machinery: the per-query schedule entry choosing one of the
-//! `X`/`Y`/`Z` id arrays (or the temporal fallback), the selector-sorted,
-//! warp-padded execution order (thread-per-query), and selector-tagged
-//! tiles (warp-per-tile).
+//! The driver ([`GpuSearch`]) and the kernel skeleton (candidate iteration →
+//! refinement → warp-stash commit → redo) live in [`tdts_kernels`]; this
+//! module contributes the selector machinery: the per-query schedule entry
+//! choosing one of the `X`/`Y`/`Z` id arrays (or the temporal fallback),
+//! the selector-sorted, warp-padded execution order (thread-per-query), and
+//! selector-tagged tiles (warp-per-tile).
 
-use crate::index::{ScheduleEntry, Selector, SpatioTemporalIndex, SpatioTemporalIndexConfig};
+use crate::index::{Selector, SpatioTemporalIndex, SpatioTemporalIndexConfig};
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
-use tdts_geom::{MatchRecord, PreparedQuery, SegmentStore, StoreStats, TimeInterval};
+use tdts_geom::{
+    ExpireDelta, MatchRecord, PreparedQuery, Segment, SegmentStore, StoreStats, TimeInterval,
+};
 use tdts_gpu_sim::{
-    Device, DeviceBuffer, KernelShape, Lane, SearchError, SearchReport, Tile, Warp, WarpStash,
+    Device, DeviceBuffer, DeviceConfig, KernelShape, Lane, SearchError, Tile, Warp, WarpStash,
 };
 use tdts_kernels::{
-    finish_search, run_thread_per_query, run_warp_per_tile, CandidateGenerator, DeviceQueries,
-    DeviceSegments, LaneWork, SortedQueries, TileGenerator, SCHEDULE_INSTR,
+    Batch, CandidateGenerator, GpuSearch, LaneWork, Scheme, TileGenerator, SCHEDULE_INSTR,
 };
+
+/// `GPUSpatioTemporal`: the index, its `X`/`Y`/`Z` id arrays and the
+/// database resident on the device.
+pub type GpuSpatioTemporalSearch = GpuSearch<SpatioTemporalScheme>;
 
 /// High bit of an execution-order slot: the lane is warp-alignment padding
 /// (the low bits carry the selector so the lane stays on its group's path).
@@ -45,152 +49,93 @@ fn pad_groups_to_warps(exec: &[u32], schedule: &[[u32; 4]], warp_size: usize) ->
     out
 }
 
-/// `GPUSpatioTemporal`: index + device-resident arrays + search driver.
-pub struct GpuSpatioTemporalSearch {
-    device: Arc<Device>,
-    index: SpatioTemporalIndex,
-    config: SpatioTemporalIndexConfig,
-    generation: u64,
-    dev_entries: DeviceSegments,
-    /// The `X`, `Y`, `Z` id arrays on the device.
-    dev_arrays: [DeviceBuffer<u32>; 3],
+/// A batch's plan: the encoded schedule entry of every sorted query, the
+/// execution order (thread-per-query only; empty under warp-per-tile) and
+/// the count of queries sent to the temporal fallback.
+pub struct SpatioTemporalPlan {
+    schedule: Vec<[u32; 4]>,
+    exec_order: Vec<u32>,
+    fallback: u64,
 }
 
-impl GpuSpatioTemporalSearch {
-    /// Build the index over `store` (must be sorted by `t_start`) and place
-    /// the database plus the three id arrays in device memory (offline).
-    pub fn new(
-        device: Arc<Device>,
-        store: &SegmentStore,
-        config: SpatioTemporalIndexConfig,
-    ) -> Result<GpuSpatioTemporalSearch, SearchError> {
-        let stats = store.stats().ok_or(SearchError::EmptyDataset)?;
-        GpuSpatioTemporalSearch::new_with_stats(device, store, &stats, config)
-    }
+/// The `GPUSpatioTemporal` [`Scheme`]: queries sorted by `t_start`, the
+/// `X`/`Y`/`Z` id arrays on the device, and a selector schedule as the plan.
+pub struct SpatioTemporalScheme;
 
-    /// [`new`](GpuSpatioTemporalSearch::new) with the store's
-    /// [`StoreStats`] supplied by the caller, sharing one stats scan across
-    /// methods.
-    pub fn new_with_stats(
-        device: Arc<Device>,
+impl Scheme for SpatioTemporalScheme {
+    const NAME: &'static str = "GPUSpatioTemporal";
+    const SORTS_QUERIES: bool = true;
+    type Config = SpatioTemporalIndexConfig;
+    type Index = SpatioTemporalIndex;
+    /// The `X`, `Y`, `Z` id arrays on the device.
+    type Arrays = [DeviceBuffer<u32>; 3];
+    type Plan = SpatioTemporalPlan;
+    type Threads<'a> = SpatioTemporalThreads<'a>;
+    type Tiles<'a> = SpatioTemporalTiles<'a>;
+
+    fn build(
         store: &SegmentStore,
         stats: &StoreStats,
-        config: SpatioTemporalIndexConfig,
-    ) -> Result<GpuSpatioTemporalSearch, SearchError> {
-        let index = SpatioTemporalIndex::build_with_stats(store, stats, config)?;
-        let dev_entries = DeviceSegments::alloc_store(&device, store)?;
-        let dev_arrays = [
+        config: &SpatioTemporalIndexConfig,
+    ) -> Result<SpatioTemporalIndex, SearchError> {
+        SpatioTemporalIndex::build_with_stats(store, stats, *config)
+    }
+
+    fn append(
+        index: &SpatioTemporalIndex,
+        store: &SegmentStore,
+        from: usize,
+    ) -> Result<SpatioTemporalIndex, SearchError> {
+        index.append(store, from)
+    }
+
+    fn expire(
+        index: &SpatioTemporalIndex,
+        store: &SegmentStore,
+        delta: &ExpireDelta,
+    ) -> Result<SpatioTemporalIndex, SearchError> {
+        index.expire(store, delta)
+    }
+
+    /// The id arrays are re-placed whole after every update: their
+    /// `(subbin, bin)` layout shifts when new temporal bins appear.
+    fn place(
+        device: &Arc<Device>,
+        index: &SpatioTemporalIndex,
+    ) -> Result<[DeviceBuffer<u32>; 3], SearchError> {
+        Ok([
             device.alloc_from_host(index.arrays[0].clone())?,
             device.alloc_from_host(index.arrays[1].clone())?,
             device.alloc_from_host(index.arrays[2].clone())?,
-        ];
-        Ok(GpuSpatioTemporalSearch {
-            device,
-            index,
-            config,
-            generation: store.generation(),
-            dev_entries,
-            dev_arrays,
-        })
+        ])
     }
 
-    /// The index.
-    pub fn index(&self) -> &SpatioTemporalIndex {
-        &self.index
-    }
-
-    /// The device this search runs on.
-    pub fn device(&self) -> &Arc<Device> {
-        &self.device
-    }
-
-    /// The store generation this index currently reflects.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Extend the index over store entries `delta.from..` and grow the
-    /// device-resident database in place. The per-dimension id arrays are
-    /// re-spliced on the host (their `(subbin, bin)` layout shifts when new
-    /// temporal bins appear) and re-placed on the device offline.
-    pub fn ingest(
-        &mut self,
-        store: &SegmentStore,
-        delta: &tdts_geom::AppendDelta,
-    ) -> Result<(), SearchError> {
-        self.index.append(store, delta.from)?;
-        self.dev_entries.extend(&store.segments()[delta.from..])?;
-        self.dev_arrays = [
-            self.device.alloc_from_host(self.index.arrays[0].clone())?,
-            self.device.alloc_from_host(self.index.arrays[1].clone())?,
-            self.device.alloc_from_host(self.index.arrays[2].clone())?,
-        ];
-        self.generation = delta.generation;
-        Ok(())
-    }
-
-    /// Drop expired entries from the index and the device-resident database.
-    pub fn expire(
-        &mut self,
-        store: &SegmentStore,
-        delta: &tdts_geom::ExpireDelta,
-    ) -> Result<(), SearchError> {
-        self.index.expire(store, delta)?;
-        self.dev_entries.remove_positions(&delta.removed);
-        self.dev_arrays = [
-            self.device.alloc_from_host(self.index.arrays[0].clone())?,
-            self.device.alloc_from_host(self.index.arrays[1].clone())?,
-            self.device.alloc_from_host(self.index.arrays[2].clone())?,
-        ];
-        self.generation = delta.generation;
-        Ok(())
-    }
-
-    /// Run the distance threshold search at distance `d` with a result
-    /// buffer of `result_capacity` records.
-    pub fn search(
-        &self,
-        queries: &SegmentStore,
+    /// Compute the schedule and order query execution by array selector to
+    /// reduce warp divergence (§IV-C2).
+    fn plan(
+        search: &GpuSpatioTemporalSearch,
+        queries: &[Segment],
         d: f64,
-        result_capacity: usize,
-    ) -> Result<(Vec<MatchRecord>, SearchReport), SearchError> {
-        self.search_shaped(queries, d, result_capacity, None)
-    }
-
-    /// [`GpuSpatioTemporalSearch::search`] under kernel `shape`; `None` is
-    /// the device's configured [`KernelShape`]. The resident index and
-    /// database are the same for both shapes.
-    pub fn search_shaped(
-        &self,
-        queries: &SegmentStore,
-        d: f64,
-        result_capacity: usize,
-        shape: Option<KernelShape>,
-    ) -> Result<(Vec<MatchRecord>, SearchReport), SearchError> {
-        let wall_start = Instant::now();
-        let device = self.device.for_search();
-        let shape = shape.unwrap_or(device.config().kernel_shape);
-        let mut report = SearchReport::default();
-
-        // Host: sort Q, compute the schedule, and order query execution by
-        // array selector to reduce warp divergence (§IV-C2).
-        let host_start = Instant::now();
-        let sorted = SortedQueries::from_store(queries);
-        let mut schedule: Vec<[u32; 4]> = Vec::with_capacity(sorted.len());
+        shape: KernelShape,
+        device: &DeviceConfig,
+    ) -> SpatioTemporalPlan {
+        let mut schedule: Vec<[u32; 4]> = Vec::with_capacity(queries.len());
         let mut fallback = 0u64;
-        for q in &sorted.segments {
-            let entry: ScheduleEntry = self.index.schedule_for(q, d);
+        for q in queries {
+            let entry = search.index().schedule_for(q, d);
             if entry.selector == Selector::Temporal {
                 fallback += 1;
             }
             schedule.push(entry.encode());
         }
-        let wpt = shape == KernelShape::WarpPerTile;
-        let mut exec_order: Vec<u32> = (0..sorted.len() as u32).collect();
-        // Warp-per-tile dispatch skips the selector sort entirely: every
+        // Warp-per-tile dispatch skips the execution order entirely: every
         // tile carries its selector, so warps are selector-homogeneous by
-        // construction and need no execution-order permutation or padding.
-        if self.config.sort_by_selector && !wpt {
+        // construction and need no permutation or padding.
+        if shape == KernelShape::WarpPerTile {
+            return SpatioTemporalPlan { schedule, exec_order: Vec::new(), fallback };
+        }
+        let mut exec_order: Vec<u32> = (0..queries.len() as u32).collect();
+        if search.config().sort_by_selector {
             // Selector first (bounds divergence to the group boundaries),
             // then candidate count: SIMT warps cost as much as their
             // heaviest lane, so co-scheduling similar workloads keeps
@@ -202,58 +147,45 @@ impl GpuSpatioTemporalSearch {
             // Warp-align the selector groups with idle lanes so no warp
             // mixes control paths (mixing triggers the uncoalesced-memory
             // penalty, which dwarfs the few wasted lanes).
-            exec_order = pad_groups_to_warps(&exec_order, &schedule, device.config().warp_size);
+            exec_order = pad_groups_to_warps(&exec_order, &schedule, device.warp_size);
         }
-        device.charge_host(host_start.elapsed().as_secs_f64());
-        report.fallback_queries = fallback;
-
-        if sorted.is_empty() {
-            report.response = device.ledger();
-            report.wall_seconds = wall_start.elapsed().as_secs_f64();
-            return Ok((Vec::new(), report));
-        }
-
-        // Online transfers: Q, plus (thread-per-query only) S and the
-        // execution order.
-        let dev_queries = DeviceQueries::upload(&device, &sorted.segments)?;
-        let (matches, comparisons) = if wpt {
-            let generator =
-                SpatioTemporalTiles { search: self, queries: &dev_queries, schedule: &schedule, d };
-            run_warp_per_tile(&device, &generator, sorted.len(), result_capacity, &mut report)?
-        } else {
-            let generator = SpatioTemporalThreads {
-                search: self,
-                queries: &dev_queries,
-                schedule: device.upload(schedule.clone())?,
-                exec: device.upload(exec_order.clone())?,
-                exec_len: exec_order.len(),
-                d,
-            };
-            run_thread_per_query(&device, &generator, sorted.len(), result_capacity, &mut report)?
-        };
-
-        // Host postprocessing. Single-subbin lookups produce no duplicates;
-        // dedup still runs to canonicalise order and to collapse duplicates
-        // from redone queries.
-        Ok(finish_search(&device, matches, Some(&sorted), comparisons, report, wall_start))
+        SpatioTemporalPlan { schedule, exec_order, fallback }
     }
 
-    /// Refine the candidates `rows` of a query whose schedule entry chose
-    /// `selector`, dealt round robin to `lanes`: selectors 0–2 gather
-    /// through the `X`/`Y`/`Z` id array, selector 3 (the temporal fallback)
-    /// is a direct entry range. Both kernel shapes refine through here.
-    fn refine(
-        &self,
-        lanes: &mut [Lane],
-        selector: u32,
-        rows: Range<u32>,
-        q: &PreparedQuery,
-        on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
-    ) -> u64 {
-        match self.dev_arrays.get(selector as usize) {
-            Some(ids) => self.dev_entries.refine_gather(lanes, ids, rows, q, on_hit),
-            None => self.dev_entries.refine_range(lanes, rows, q, on_hit),
-        }
+    fn fallback_queries(plan: &SpatioTemporalPlan) -> u64 {
+        plan.fallback
+    }
+
+    fn threads<'a>(
+        batch: Batch<'a, Self>,
+        plan: &'a SpatioTemporalPlan,
+    ) -> Result<SpatioTemporalThreads<'a>, SearchError> {
+        // Online transfers: the schedule and the execution order.
+        let schedule = batch.device.upload(plan.schedule.clone())?;
+        let exec = batch.device.upload(plan.exec_order.clone())?;
+        Ok(SpatioTemporalThreads { batch, schedule, exec })
+    }
+
+    fn tiles<'a>(batch: Batch<'a, Self>, plan: &'a SpatioTemporalPlan) -> SpatioTemporalTiles<'a> {
+        SpatioTemporalTiles { batch, schedule: &plan.schedule }
+    }
+}
+
+/// Refine the candidates `rows` of a query whose schedule entry chose
+/// `selector`, dealt round robin to `lanes`: selectors 0–2 gather through
+/// the `X`/`Y`/`Z` id array, selector 3 (the temporal fallback) is a direct
+/// entry range. Both kernel shapes refine through here.
+fn refine(
+    search: &GpuSpatioTemporalSearch,
+    lanes: &mut [Lane],
+    selector: u32,
+    rows: Range<u32>,
+    q: &PreparedQuery,
+    on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
+) -> u64 {
+    match search.arrays().get(selector as usize) {
+        Some(ids) => search.entries().refine_gather(lanes, ids, rows, q, on_hit),
+        None => search.entries().refine_range(lanes, rows, q, on_hit),
     }
 }
 
@@ -261,13 +193,10 @@ impl GpuSpatioTemporalSearch {
 /// thread per *slot* of the padded execution order; each live lane reads its
 /// schedule entry, takes its selector's control path, and walks the chosen
 /// id array (or the direct temporal range).
-struct SpatioTemporalThreads<'a> {
-    search: &'a GpuSpatioTemporalSearch,
-    queries: &'a DeviceQueries,
+pub struct SpatioTemporalThreads<'a> {
+    batch: Batch<'a, SpatioTemporalScheme>,
     schedule: DeviceBuffer<[u32; 4]>,
     exec: DeviceBuffer<u32>,
-    exec_len: usize,
-    d: f64,
 }
 
 impl CandidateGenerator for SpatioTemporalThreads<'_> {
@@ -278,7 +207,7 @@ impl CandidateGenerator for SpatioTemporalThreads<'_> {
     }
 
     fn first_round_threads(&self, _n_queries: usize) -> usize {
-        self.exec_len
+        self.exec.len()
     }
 
     fn first_round_slot(&self, lane: &mut Lane) -> u32 {
@@ -312,12 +241,13 @@ impl CandidateGenerator for SpatioTemporalThreads<'_> {
         if selector == 4 {
             return LaneWork::default(); // no temporally overlapping entries
         }
-        let q = PreparedQuery::new(&self.queries.read_segment(lane, qid as usize), self.d);
+        let batch = &self.batch;
+        let q = PreparedQuery::new(&batch.queries.read_segment(lane, qid as usize), batch.d);
         let stage = |lane: &mut Lane, pos, interval| {
             stash.stage(lane, MatchRecord::new(qid, pos, interval))
         };
         let lanes = std::slice::from_mut(lane);
-        let compared = self.search.refine(lanes, selector, entry[1]..entry[2], &q, stage);
+        let compared = refine(batch.search, lanes, selector, entry[1]..entry[2], &q, stage);
         LaneWork { compared, scratch_bytes: 0 }
     }
 }
@@ -327,22 +257,12 @@ impl CandidateGenerator for SpatioTemporalThreads<'_> {
 /// one selector at a time — selector homogeneity by construction, with no
 /// execution-order sort or idle-lane padding. Selector 4 (no temporally
 /// overlapping entries) contributes no tiles.
-struct SpatioTemporalTiles<'a> {
-    search: &'a GpuSpatioTemporalSearch,
-    queries: &'a DeviceQueries,
+pub struct SpatioTemporalTiles<'a> {
+    batch: Batch<'a, SpatioTemporalScheme>,
     schedule: &'a [[u32; 4]],
-    d: f64,
 }
 
 impl TileGenerator for SpatioTemporalTiles<'_> {
-    fn queries(&self) -> &DeviceQueries {
-        self.queries
-    }
-
-    fn distance(&self) -> f64 {
-        self.d
-    }
-
     fn push_tiles(&self, tiles: &mut Vec<Tile>, qid: u32, tile_size: usize) {
         let e = self.schedule[qid as usize];
         if e[0] == 4 {
@@ -358,7 +278,7 @@ impl TileGenerator for SpatioTemporalTiles<'_> {
         q: &PreparedQuery,
         on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
     ) -> u64 {
-        self.search.refine(warp.lanes_mut(), tile.tag, tile.lo..tile.hi, q, on_hit)
+        refine(self.batch.search, warp.lanes_mut(), tile.tag, tile.lo..tile.hi, q, on_hit)
     }
 }
 

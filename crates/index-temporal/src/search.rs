@@ -1,23 +1,26 @@
-//! The `GPUTemporal` search driver (host side) and kernel (Algorithm 2).
+//! The `GPUTemporal` scheme (§IV-B, Algorithm 2).
 //!
-//! The kernel skeleton (candidate iteration → refinement → warp-stash
-//! commit → redo) lives in [`tdts_kernels`]; this module contributes only
-//! what is specific to the method: the host-computed schedule `S` of
-//! contiguous candidate ranges, and the generators that walk it.
+//! The driver ([`GpuSearch`]) and the kernel skeleton (candidate iteration →
+//! refinement → warp-stash commit → redo) live in [`tdts_kernels`]; this
+//! module contributes only what is specific to the method: the temporal
+//! bin index, the host-computed schedule `S` of contiguous candidate
+//! ranges, and the generators that walk it.
 
 use crate::index::{TemporalIndex, TemporalIndexConfig};
 use rayon::prelude::*;
 use std::sync::Arc;
-use std::time::Instant;
-use tdts_geom::{MatchRecord, PreparedQuery, SegmentStore, StoreStats, TimeInterval};
+use tdts_geom::{
+    ExpireDelta, MatchRecord, PreparedQuery, Segment, SegmentStore, StoreStats, TimeInterval,
+};
 use tdts_gpu_sim::{
-    Device, DeviceBuffer, KernelShape, Lane, SearchError, SearchReport, Tile, Warp,
+    Device, DeviceBuffer, DeviceConfig, KernelShape, Lane, SearchError, Tile, Warp, WarpStash,
 };
-pub use tdts_kernels::SortedQueries;
 use tdts_kernels::{
-    finish_search, run_thread_per_query, run_warp_per_tile, CandidateGenerator, DeviceQueries,
-    DeviceSegments, LaneWork, TileGenerator, SCHEDULE_INSTR,
+    Batch, CandidateGenerator, GpuSearch, LaneWork, Scheme, TileGenerator, SCHEDULE_INSTR,
 };
+
+/// `GPUTemporal`: the temporal bin index and the device-resident database.
+pub type GpuTemporalSearch = GpuSearch<TemporalScheme>;
 
 /// The host-computed schedule `S`: one candidate entry range per (sorted)
 /// query segment (§IV-B2).
@@ -25,8 +28,6 @@ use tdts_kernels::{
 pub struct TemporalSchedule {
     /// Half-open entry position ranges, one per query ( `(0, 0)` = none).
     pub ranges: Vec<[u32; 2]>,
-    /// Sum of range lengths (scheduled candidate comparisons).
-    pub total_candidates: u64,
 }
 
 impl TemporalSchedule {
@@ -35,27 +36,93 @@ impl TemporalSchedule {
     /// bin search does not parallelise across thread blocks; here the
     /// per-query range lookups are independent, so they fan out across host
     /// cores.
-    pub fn build(index: &TemporalIndex, queries: &SortedQueries) -> TemporalSchedule {
-        let ranges: Vec<[u32; 2]> = queries
-            .segments
+    pub fn build(index: &TemporalIndex, queries: &[Segment]) -> TemporalSchedule {
+        let ranges = queries
             .par_iter()
             .map(|q| {
                 let r = index.candidate_range(q).unwrap_or((0, 0));
                 [r.0, r.1]
             })
             .collect();
-        let total_candidates = ranges.iter().map(|r| (r[1] - r[0]) as u64).sum();
-        TemporalSchedule { ranges, total_candidates }
+        TemporalSchedule { ranges }
+    }
+}
+
+/// The `GPUTemporal` [`Scheme`]: queries sorted by `t_start`, no device
+/// arrays beside the entries, and the schedule `S` as the plan.
+pub struct TemporalScheme;
+
+impl Scheme for TemporalScheme {
+    const NAME: &'static str = "GPUTemporal";
+    const SORTS_QUERIES: bool = true;
+    type Config = TemporalIndexConfig;
+    type Index = TemporalIndex;
+    type Arrays = ();
+    type Plan = TemporalSchedule;
+    type Threads<'a> = TemporalThreads<'a>;
+    type Tiles<'a> = TemporalTiles<'a>;
+
+    fn build(
+        store: &SegmentStore,
+        stats: &StoreStats,
+        config: &TemporalIndexConfig,
+    ) -> Result<TemporalIndex, SearchError> {
+        TemporalIndex::build_with_stats(store, stats, *config)
+    }
+
+    fn append(
+        index: &TemporalIndex,
+        store: &SegmentStore,
+        from: usize,
+    ) -> Result<TemporalIndex, SearchError> {
+        let mut next = index.clone();
+        next.append(store, from)?;
+        Ok(next)
+    }
+
+    fn expire(
+        index: &TemporalIndex,
+        store: &SegmentStore,
+        delta: &ExpireDelta,
+    ) -> Result<TemporalIndex, SearchError> {
+        let mut next = index.clone();
+        next.expire(store, delta)?;
+        Ok(next)
+    }
+
+    fn place(_device: &Arc<Device>, _index: &TemporalIndex) -> Result<(), SearchError> {
+        Ok(())
+    }
+
+    fn plan(
+        search: &GpuTemporalSearch,
+        queries: &[Segment],
+        _d: f64,
+        _shape: KernelShape,
+        _device: &DeviceConfig,
+    ) -> TemporalSchedule {
+        TemporalSchedule::build(search.index(), queries)
+    }
+
+    fn threads<'a>(
+        batch: Batch<'a, Self>,
+        schedule: &'a TemporalSchedule,
+    ) -> Result<TemporalThreads<'a>, SearchError> {
+        // Online transfer: the schedule (warp-per-tile tiles carry it).
+        let schedule = batch.device.upload(schedule.ranges.clone())?;
+        Ok(TemporalThreads { batch, schedule })
+    }
+
+    fn tiles<'a>(batch: Batch<'a, Self>, schedule: &'a TemporalSchedule) -> TemporalTiles<'a> {
+        TemporalTiles { batch, schedule }
     }
 }
 
 /// Thread-per-query candidate generation: each thread reads its schedule
 /// entry and refines the contiguous range with no indirection at all.
-struct TemporalThreads<'a> {
-    entries: &'a DeviceSegments,
-    queries: &'a DeviceQueries,
+pub struct TemporalThreads<'a> {
+    batch: Batch<'a, TemporalScheme>,
     schedule: DeviceBuffer<[u32; 2]>,
-    d: f64,
 }
 
 impl CandidateGenerator for TemporalThreads<'_> {
@@ -69,16 +136,18 @@ impl CandidateGenerator for TemporalThreads<'_> {
         &self,
         lane: &mut Lane,
         qid: u32,
-        stash: &mut tdts_gpu_sim::WarpStash<'_, MatchRecord>,
+        stash: &mut WarpStash<'_, MatchRecord>,
         _round: &(),
     ) -> LaneWork {
         let [lo, hi] = self.schedule.read(lane, qid as usize);
         lane.instr(SCHEDULE_INSTR);
-        let q = PreparedQuery::new(&self.queries.read_segment(lane, qid as usize), self.d);
+        let batch = &self.batch;
+        let q = PreparedQuery::new(&batch.queries.read_segment(lane, qid as usize), batch.d);
         let stage = |lane: &mut Lane, pos, interval| {
             stash.stage(lane, MatchRecord::new(qid, pos, interval))
         };
-        let compared = self.entries.refine_range(std::slice::from_mut(lane), lo..hi, &q, stage);
+        let entries = batch.search.entries();
+        let compared = entries.refine_range(std::slice::from_mut(lane), lo..hi, &q, stage);
         LaneWork { compared, scratch_bytes: 0 }
     }
 }
@@ -86,22 +155,12 @@ impl CandidateGenerator for TemporalThreads<'_> {
 /// Warp-per-tile decomposition: the host splits every scheduled range into
 /// tiles of at most `tile_size` entries; the tile list replaces the
 /// uploaded schedule `S` (each tile carries its own range).
-struct TemporalTiles<'a> {
-    entries: &'a DeviceSegments,
-    queries: &'a DeviceQueries,
+pub struct TemporalTiles<'a> {
+    batch: Batch<'a, TemporalScheme>,
     schedule: &'a TemporalSchedule,
-    d: f64,
 }
 
 impl TileGenerator for TemporalTiles<'_> {
-    fn queries(&self) -> &DeviceQueries {
-        self.queries
-    }
-
-    fn distance(&self) -> f64 {
-        self.d
-    }
-
     fn push_tiles(&self, tiles: &mut Vec<Tile>, qid: u32, tile_size: usize) {
         let r = self.schedule.ranges[qid as usize];
         Tile::split_into(tiles, qid, r[0], r[1], 0, tile_size);
@@ -114,151 +173,7 @@ impl TileGenerator for TemporalTiles<'_> {
         q: &PreparedQuery,
         on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
     ) -> u64 {
-        self.entries.refine_range(warp.lanes_mut(), tile.lo..tile.hi, q, on_hit)
-    }
-}
-
-/// `GPUTemporal`: the complete search implementation (index + device state).
-///
-/// Constructing it sorts nothing and transfers the database *offline* (the
-/// paper stores `D` and the index on the GPU before the timed search).
-pub struct GpuTemporalSearch {
-    device: Arc<Device>,
-    index: TemporalIndex,
-    generation: u64,
-    dev_entries: DeviceSegments,
-}
-
-impl GpuTemporalSearch {
-    /// Build the index over `store` (must be sorted by `t_start`) and place
-    /// the database in device memory.
-    pub fn new(
-        device: Arc<Device>,
-        store: &SegmentStore,
-        config: TemporalIndexConfig,
-    ) -> Result<GpuTemporalSearch, SearchError> {
-        let stats = store.stats().ok_or(SearchError::EmptyDataset)?;
-        GpuTemporalSearch::new_with_stats(device, store, &stats, config)
-    }
-
-    /// [`new`](GpuTemporalSearch::new) with the store's [`StoreStats`]
-    /// supplied by the caller, sharing one stats scan across methods.
-    pub fn new_with_stats(
-        device: Arc<Device>,
-        store: &SegmentStore,
-        stats: &StoreStats,
-        config: TemporalIndexConfig,
-    ) -> Result<GpuTemporalSearch, SearchError> {
-        let index = TemporalIndex::build_with_stats(store, stats, config)?;
-        let dev_entries = DeviceSegments::alloc_store(&device, store)?;
-        Ok(GpuTemporalSearch { device, index, generation: store.generation(), dev_entries })
-    }
-
-    /// The temporal index.
-    pub fn index(&self) -> &TemporalIndex {
-        &self.index
-    }
-
-    /// The device this search runs on.
-    pub fn device(&self) -> &Arc<Device> {
-        &self.device
-    }
-
-    /// The store generation this index currently reflects.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Extend the bin directory over store entries `delta.from..` and grow
-    /// the device-resident database in place (offline; appends must arrive
-    /// time-ordered, continuing the store's global `t_start` order).
-    pub fn ingest(
-        &mut self,
-        store: &SegmentStore,
-        delta: &tdts_geom::AppendDelta,
-    ) -> Result<(), SearchError> {
-        self.index.append(store, delta.from)?;
-        self.dev_entries.extend(&store.segments()[delta.from..])?;
-        self.generation = delta.generation;
-        Ok(())
-    }
-
-    /// Drop expired entries from the bin directory and the device-resident
-    /// database.
-    pub fn expire(
-        &mut self,
-        store: &SegmentStore,
-        delta: &tdts_geom::ExpireDelta,
-    ) -> Result<(), SearchError> {
-        self.index.expire(store, delta)?;
-        self.dev_entries.remove_positions(&delta.removed);
-        self.generation = delta.generation;
-        Ok(())
-    }
-
-    /// Run the distance threshold search for `queries` at distance `d`,
-    /// with a result buffer of `result_capacity` records.
-    ///
-    /// Returns the canonical (sorted, deduplicated) result set and the
-    /// search report. The search charges a ledger of its own
-    /// ([`Device::for_search`]), so the report's response time covers exactly
-    /// this search even while others run on the same index.
-    pub fn search(
-        &self,
-        queries: &SegmentStore,
-        d: f64,
-        result_capacity: usize,
-    ) -> Result<(Vec<MatchRecord>, SearchReport), SearchError> {
-        self.search_shaped(queries, d, result_capacity, None)
-    }
-
-    /// [`GpuTemporalSearch::search`] under kernel `shape`; `None` is the
-    /// device's configured [`KernelShape`]. The resident index and database
-    /// are the same for both shapes.
-    pub fn search_shaped(
-        &self,
-        queries: &SegmentStore,
-        d: f64,
-        result_capacity: usize,
-        shape: Option<KernelShape>,
-    ) -> Result<(Vec<MatchRecord>, SearchReport), SearchError> {
-        let wall_start = Instant::now();
-        let device = self.device.for_search();
-        let shape = shape.unwrap_or(device.config().kernel_shape);
-        let mut report = SearchReport::default();
-
-        // Host: sort Q and compute the schedule S.
-        let host_start = Instant::now();
-        let sorted = SortedQueries::from_store(queries);
-        let schedule = TemporalSchedule::build(&self.index, &sorted);
-        device.charge_host(host_start.elapsed().as_secs_f64());
-
-        if sorted.is_empty() {
-            report.response = device.ledger();
-            report.wall_seconds = wall_start.elapsed().as_secs_f64();
-            return Ok((Vec::new(), report));
-        }
-
-        // Online transfers: Q and (thread-per-query only) S.
-        let dev_queries = DeviceQueries::upload(&device, &sorted.segments)?;
-        let (matches, comparisons) = if shape == KernelShape::WarpPerTile {
-            let generator = TemporalTiles {
-                entries: &self.dev_entries,
-                queries: &dev_queries,
-                schedule: &schedule,
-                d,
-            };
-            run_warp_per_tile(&device, &generator, sorted.len(), result_capacity, &mut report)?
-        } else {
-            let generator = TemporalThreads {
-                entries: &self.dev_entries,
-                queries: &dev_queries,
-                schedule: device.upload(schedule.ranges.clone())?,
-                d,
-            };
-            run_thread_per_query(&device, &generator, sorted.len(), result_capacity, &mut report)?
-        };
-        Ok(finish_search(&device, matches, Some(&sorted), comparisons, report, wall_start))
+        self.batch.search.entries().refine_range(warp.lanes_mut(), tile.lo..tile.hi, q, on_hit)
     }
 }
 
@@ -267,6 +182,7 @@ mod tests {
     use super::*;
     use tdts_geom::{dedup_matches, within_distance, Point3, SegId, Segment, TrajId};
     use tdts_gpu_sim::DeviceConfig;
+    use tdts_kernels::SortedQueries;
 
     fn seg(x: f64, t0: f64, id: u32) -> Segment {
         Segment::new(

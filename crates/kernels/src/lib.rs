@@ -1,12 +1,19 @@
-//! Shared GPU kernel pipeline for the distance threshold searches.
+//! Shared GPU search driver and kernel pipeline for the distance threshold
+//! searches.
 //!
 //! The paper's three GPU search methods (GPUSpatial, GPUTemporal,
-//! GPUSpatioTemporal) share one kernel skeleton — iterate the
-//! candidates of a query (or a tile of them), run the continuous interaction
-//! test, commit hits through the warp-aggregated result stash, and redo
-//! overflowing queries — and differ only in how candidates are generated.
-//! This crate holds that skeleton once:
+//! GPUSpatioTemporal) share one driver — place the database and index on
+//! the device, plan each query batch on the host, run a kernel, drain and
+//! dedup — and one kernel skeleton — iterate the candidates of a query (or
+//! a tile of them), run the continuous interaction test, commit hits
+//! through the warp-aggregated result stash, and redo overflowing queries.
+//! They differ only in their index and how candidates are generated. This
+//! crate holds the shared parts once:
 //!
+//! * [`search`] — [`GpuSearch`], the one driver: device residency, store
+//!   generations with all-or-nothing ingest/expire, the timed plan step,
+//!   the kernel-shape choice and the search epilogue, parameterised by a
+//!   per-method [`Scheme`] (index, device arrays, plan, generators).
 //! * [`segments`] — [`DeviceSegments`], the device-resident segment database
 //!   (charged as eight `f64` columns, held on the host as prepared rows),
 //!   and the refinement itself: a lane's candidates — a contiguous range,
@@ -23,11 +30,10 @@
 
 pub mod pipeline;
 pub mod queries;
+pub mod search;
 pub mod segments;
 
-pub use pipeline::{
-    finish_search, run_thread_per_query, run_warp_per_tile, CandidateGenerator, LaneWork,
-    TileGenerator, SCHEDULE_INSTR,
-};
+pub use pipeline::{CandidateGenerator, LaneWork, TileGenerator, SCHEDULE_INSTR};
 pub use queries::SortedQueries;
+pub use search::{Batch, GpuSearch, Scheme};
 pub use segments::{lane_share, DeviceQueries, DeviceSegments, COLUMNAR_ROW_BYTES, COMPARE_INSTR};

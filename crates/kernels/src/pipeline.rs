@@ -4,14 +4,14 @@
 //! the same outer protocol; only *candidate generation* differs. The
 //! protocol, in both kernel shapes:
 //!
-//! * **Thread-per-query** ([`run_thread_per_query`]): launch one thread per
+//! * **Thread-per-query** (`run_thread_per_query`): launch one thread per
 //!   query (or per execution-order slot), let each thread generate and
 //!   refine its candidates, commit matches through the warp stash, and stage
 //!   the query id for *redo* when its records were dropped by a full result
 //!   buffer. The host drains results and redo ids after every round and
 //!   re-launches over the redo set ([`RedoSchedule`]) until it is empty —
 //!   the paper's incremental processing of `Q` (§V-E).
-//! * **Warp-per-tile** ([`run_warp_per_tile`]): the host cuts every query's
+//! * **Warp-per-tile** (`run_warp_per_tile`): the host cuts every query's
 //!   candidate range into fixed-size tiles, a persistent grid of warps pulls
 //!   them from a device-side work queue, and each warp scans one tile once,
 //!   dealing candidate `j` to lane `j % warp_size`. An overflowing tile
@@ -23,16 +23,14 @@
 //! a [`TileGenerator`] (warp-per-tile): slot decoding, per-query candidate
 //! iteration, per-round scratch state, tile construction, and which
 //! [`DeviceSegments`](crate::DeviceSegments) scan a tile's tag selects.
-//! Everything else — result/redo buffers, downloads, ledger charges, report
-//! totals, and the final unpermute/dedup ([`finish_search`]) — lives here
-//! once.
+//! Everything else — result/redo buffers, downloads, ledger charges and
+//! report totals — lives here once.
 
-use crate::queries::SortedQueries;
 use crate::segments::DeviceQueries;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use tdts_geom::{dedup_matches, MatchRecord, PreparedQuery, TimeInterval};
+use tdts_geom::{MatchRecord, PreparedQuery, TimeInterval};
 use tdts_gpu_sim::{
     Device, DeviceBuffer, Lane, NextBatch, RedoSchedule, SearchError, SearchReport, Tile, Warp,
     WarpStash, MAX_WARP_LANES,
@@ -52,7 +50,7 @@ pub struct LaneWork {
 }
 
 /// A method's thread-per-query candidate generation, plugged into
-/// [`run_thread_per_query`].
+/// `run_thread_per_query`.
 pub trait CandidateGenerator: Sync {
     /// Per-round device state (e.g. the spatial candidate scratch, sized by
     /// the live batch); `()` when a method needs none.
@@ -102,14 +100,8 @@ pub trait CandidateGenerator: Sync {
 }
 
 /// A method's warp-per-tile candidate decomposition, plugged into
-/// [`run_warp_per_tile`].
+/// `run_warp_per_tile`.
 pub trait TileGenerator: Sync {
-    /// The query set `Q` on the device.
-    fn queries(&self) -> &DeviceQueries;
-
-    /// The distance threshold `d`.
-    fn distance(&self) -> f64;
-
     /// Append the tiles of query `qid` (its candidate ranges cut to at most
     /// `tile_size` entries, tagged as the method requires).
     fn push_tiles(&self, tiles: &mut Vec<Tile>, qid: u32, tile_size: usize);
@@ -141,8 +133,8 @@ pub trait TileGenerator: Sync {
 
 /// Run the thread-per-query protocol to completion. Returns the raw
 /// (sorted-position, undeduplicated) matches and the comparison count;
-/// callers hand both to [`finish_search`].
-pub fn run_thread_per_query<G: CandidateGenerator>(
+/// the driver deduplicates them.
+pub(crate) fn run_thread_per_query<G: CandidateGenerator>(
     device: &Arc<Device>,
     generator: &G,
     n_queries: usize,
@@ -229,11 +221,13 @@ pub fn run_thread_per_query<G: CandidateGenerator>(
 /// the host once per round (charged); each warp reads its tile's query once
 /// through the leader, broadcasts it, and prepares it once for the whole
 /// tile; the warp then scans the tile once, each lane charged its share
-/// ([`TileGenerator::refine_tile`]). Returns the raw matches and the
-/// comparison count for [`finish_search`].
-pub fn run_warp_per_tile<G: TileGenerator>(
+/// ([`TileGenerator::refine_tile`]) against the query prepared at distance
+/// `d`. Returns the raw matches and the comparison count.
+pub(crate) fn run_warp_per_tile<G: TileGenerator>(
     device: &Arc<Device>,
     generator: &G,
+    queries: &DeviceQueries,
+    d: f64,
     n_queries: usize,
     result_capacity: usize,
     report: &mut SearchReport,
@@ -271,8 +265,7 @@ pub fn run_warp_per_tile<G: TileGenerator>(
                 let mut stash = results.warp_stash();
                 // The warp leader reads the tile's query once and broadcasts
                 // it (__shfl_sync analogue): converged charges, one row.
-                let q = generator.queries().broadcast(warp, tile.query as usize);
-                let q = PreparedQuery::new(&q, generator.distance());
+                let q = PreparedQuery::new(&queries.broadcast(warp, tile.query as usize), d);
                 warp.instr(generator.tile_setup_instr());
                 let compared =
                     generator.refine_tile(warp, &tile, &q, |lane, entry_pos, interval| {
@@ -317,31 +310,4 @@ pub fn run_warp_per_tile<G: TileGenerator>(
         }
     }
     Ok((matches, comparisons.into_inner()))
-}
-
-/// Host postprocessing shared by every driver: map sorted query positions
-/// back to the caller's ordering (when the method sorted `Q`), collapse
-/// duplicates, and seal the report from the device ledger.
-pub fn finish_search(
-    device: &Device,
-    mut matches: Vec<MatchRecord>,
-    sorted: Option<&SortedQueries>,
-    comparisons: u64,
-    mut report: SearchReport,
-    wall_start: Instant,
-) -> (Vec<MatchRecord>, SearchReport) {
-    let host_start = Instant::now();
-    report.raw_matches = matches.len() as u64;
-    if let Some(sorted) = sorted {
-        sorted.unpermute(&mut matches);
-    }
-    dedup_matches(&mut matches);
-    device.charge_host(host_start.elapsed().as_secs_f64());
-
-    report.comparisons = comparisons;
-    report.matches = matches.len() as u64;
-    report.response = device.ledger();
-    report.wall_seconds = wall_start.elapsed().as_secs_f64();
-    report.sanitizer_findings = device.sanitizer_checkpoint();
-    (matches, report)
 }

@@ -26,21 +26,20 @@ impl SortedQueries {
         SortedQueries { segments, original_pos: order }
     }
 
-    /// Number of queries.
-    pub fn len(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// True if there are no queries.
-    pub fn is_empty(&self) -> bool {
-        self.segments.is_empty()
-    }
-
     /// Rewrite `query` fields of `matches` from sorted positions back to the
     /// caller's original positions.
     pub fn unpermute(&self, matches: &mut [MatchRecord]) {
         for m in matches {
             m.query = self.original_pos[m.query as usize];
         }
+    }
+}
+
+/// The sorted segments.
+impl std::ops::Deref for SortedQueries {
+    type Target = [Segment];
+
+    fn deref(&self) -> &[Segment] {
+        &self.segments
     }
 }

@@ -1,0 +1,280 @@
+//! The one GPU search driver. The paper's three GPU methods are one
+//! pipeline in three variations (§IV): an index resident on the device, a
+//! host-side plan per query batch, and a kernel that walks the plan.
+//! [`GpuSearch`] owns what they share, including the host clock; a
+//! [`Scheme`] supplies what differs.
+
+use crate::pipeline::{run_thread_per_query, run_warp_per_tile, CandidateGenerator, TileGenerator};
+use crate::queries::SortedQueries;
+use crate::segments::{DeviceQueries, DeviceSegments};
+use std::sync::Arc;
+use std::time::Instant;
+use tdts_geom::{
+    dedup_matches, AppendDelta, ExpireDelta, MatchRecord, Segment, SegmentStore, StoreStats,
+};
+use tdts_gpu_sim::{Device, DeviceConfig, KernelShape, SearchError, SearchReport};
+
+/// What one GPU method contributes to [`GpuSearch`].
+///
+/// `append` and `expire` return the updated index as a new value instead of
+/// mutating in place, so the driver can place its device arrays before it
+/// commits anything: a refused update leaves the search as it was.
+pub trait Scheme: Sized + 'static {
+    /// The paper's name for the method (e.g. `"GPUTemporal"`).
+    const NAME: &'static str;
+    /// Whether the driver sorts `Q` by `t_start` before planning. The
+    /// temporal schemes do; `GPUSpatial` does not (§IV-A2: sorting by one
+    /// spatial dimension would not help 3-D data).
+    const SORTS_QUERIES: bool;
+    /// Index and search parameters.
+    type Config: Copy + Send + Sync + 'static;
+    /// The host-side index.
+    type Index: Send + Sync + 'static;
+    /// The index arrays resident on the device beside the entries.
+    type Arrays: Send + Sync + 'static;
+    /// The host-side plan for one query batch.
+    type Plan: Send + Sync + 'static;
+    /// Thread-per-query candidate generation over a plan.
+    type Threads<'a>: CandidateGenerator;
+    /// Warp-per-tile decomposition of a plan.
+    type Tiles<'a>: TileGenerator;
+
+    /// Build the index over `store`, whose statistics are `stats`.
+    fn build(
+        store: &SegmentStore,
+        stats: &StoreStats,
+        config: &Self::Config,
+    ) -> Result<Self::Index, SearchError>;
+
+    /// The index extended over store entries `from..`.
+    fn append(
+        index: &Self::Index,
+        store: &SegmentStore,
+        from: usize,
+    ) -> Result<Self::Index, SearchError>;
+
+    /// The index without the entries `delta` removed from `store`.
+    fn expire(
+        index: &Self::Index,
+        store: &SegmentStore,
+        delta: &ExpireDelta,
+    ) -> Result<Self::Index, SearchError>;
+
+    /// Place the index's device arrays in `device` memory (offline).
+    fn place(device: &Arc<Device>, index: &Self::Index) -> Result<Self::Arrays, SearchError>;
+
+    /// Plan a batch: `queries` (sorted when [`SORTS_QUERIES`]) at distance
+    /// `d` under kernel `shape` on a device configured as `device`.
+    ///
+    /// [`SORTS_QUERIES`]: Scheme::SORTS_QUERIES
+    fn plan(
+        search: &GpuSearch<Self>,
+        queries: &[Segment],
+        d: f64,
+        shape: KernelShape,
+        device: &DeviceConfig,
+    ) -> Self::Plan;
+
+    /// Queries the plan sends to the temporal fallback (the report's
+    /// `fallback_queries`).
+    fn fallback_queries(_plan: &Self::Plan) -> u64 {
+        0
+    }
+
+    /// The thread-per-query generator for `plan`; may upload plan buffers
+    /// to the batch's device.
+    fn threads<'a>(
+        batch: Batch<'a, Self>,
+        plan: &'a Self::Plan,
+    ) -> Result<Self::Threads<'a>, SearchError>;
+
+    /// The warp-per-tile generator for `plan`.
+    fn tiles<'a>(batch: Batch<'a, Self>, plan: &'a Self::Plan) -> Self::Tiles<'a>;
+}
+
+/// One batch as a scheme's generators see it: the resident search, the
+/// batch's own device handle (uploads charge its ledger), the uploaded `Q`
+/// and the distance `d`.
+pub struct Batch<'a, S: Scheme> {
+    /// The resident index, device arrays and entries.
+    pub search: &'a GpuSearch<S>,
+    /// The search's handle on the device, with its own ledger.
+    pub device: &'a Arc<Device>,
+    /// The query set on the device.
+    pub queries: &'a DeviceQueries,
+    /// The distance threshold.
+    pub d: f64,
+}
+
+/// A GPU search method: the scheme's index and device arrays, and the
+/// entry database, resident on one device.
+///
+/// Constructing it sorts nothing and transfers the database *offline* (the
+/// paper stores `D` and the index on the GPU before the timed search).
+pub struct GpuSearch<S: Scheme> {
+    device: Arc<Device>,
+    config: S::Config,
+    index: S::Index,
+    arrays: S::Arrays,
+    entries: DeviceSegments,
+    generation: u64,
+}
+
+impl<S: Scheme> GpuSearch<S> {
+    /// Build the index over `store` and place the database and the index
+    /// arrays in device memory. The temporal schemes need `store` sorted
+    /// by `t_start`.
+    pub fn new(
+        device: Arc<Device>,
+        store: &SegmentStore,
+        config: S::Config,
+    ) -> Result<GpuSearch<S>, SearchError> {
+        let stats = store.stats().ok_or(SearchError::EmptyDataset)?;
+        GpuSearch::new_with_stats(device, store, &stats, config)
+    }
+
+    /// [`new`](GpuSearch::new) with the store's [`StoreStats`] supplied by
+    /// the caller.
+    pub fn new_with_stats(
+        device: Arc<Device>,
+        store: &SegmentStore,
+        stats: &StoreStats,
+        config: S::Config,
+    ) -> Result<GpuSearch<S>, SearchError> {
+        let index = S::build(store, stats, &config)?;
+        let entries = DeviceSegments::alloc(&device, store.segments())?;
+        let arrays = S::place(&device, &index)?;
+        Ok(GpuSearch { device, config, index, arrays, entries, generation: store.generation() })
+    }
+
+    /// The host-side index.
+    pub fn index(&self) -> &S::Index {
+        &self.index
+    }
+
+    /// The index arrays resident on the device.
+    pub fn arrays(&self) -> &S::Arrays {
+        &self.arrays
+    }
+
+    /// The entry database resident on the device.
+    pub fn entries(&self) -> &DeviceSegments {
+        &self.entries
+    }
+
+    /// The configuration the search was built with.
+    pub fn config(&self) -> &S::Config {
+        &self.config
+    }
+
+    /// The device this search runs on.
+    pub fn device(&self) -> &Arc<Device> {
+        &self.device
+    }
+
+    /// The store generation this index currently reflects.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Absorb store entries `delta.from..` (offline; the temporal schemes
+    /// need them to continue the store's `t_start` order): extend the index,
+    /// re-place its device arrays and grow the resident database in place.
+    /// Every fallible step runs before anything is committed, so on `Err`
+    /// the search is exactly as it was.
+    pub fn ingest(&mut self, store: &SegmentStore, delta: &AppendDelta) -> Result<(), SearchError> {
+        let index = S::append(&self.index, store, delta.from)?;
+        let arrays = S::place(&self.device, &index)?;
+        self.entries.extend(&store.segments()[delta.from..])?;
+        (self.index, self.arrays, self.generation) = (index, arrays, delta.generation);
+        Ok(())
+    }
+
+    /// Drop expired entries from the index, its device arrays and the
+    /// resident database. All-or-nothing like [`ingest`](GpuSearch::ingest).
+    pub fn expire(&mut self, store: &SegmentStore, delta: &ExpireDelta) -> Result<(), SearchError> {
+        let index = S::expire(&self.index, store, delta)?;
+        let arrays = S::place(&self.device, &index)?;
+        self.entries.remove_positions(&delta.removed);
+        (self.index, self.arrays, self.generation) = (index, arrays, delta.generation);
+        Ok(())
+    }
+
+    /// Run the distance threshold search for `queries` at distance `d`,
+    /// with a result buffer of `result_capacity` records.
+    ///
+    /// Returns the canonical (sorted, deduplicated) result set, reported
+    /// against the caller's query order, and the search report. The search
+    /// charges a ledger of its own ([`Device::for_search`]), so the
+    /// report's response time covers exactly this search even while others
+    /// run on the same index.
+    pub fn search(
+        &self,
+        queries: &SegmentStore,
+        d: f64,
+        result_capacity: usize,
+    ) -> Result<(Vec<MatchRecord>, SearchReport), SearchError> {
+        self.search_shaped(queries, d, result_capacity, None)
+    }
+
+    /// [`GpuSearch::search`] under kernel `shape`; `None` is the device's
+    /// configured [`KernelShape`]. The resident index and database are the
+    /// same for both shapes.
+    pub fn search_shaped(
+        &self,
+        queries: &SegmentStore,
+        d: f64,
+        result_capacity: usize,
+        shape: Option<KernelShape>,
+    ) -> Result<(Vec<MatchRecord>, SearchReport), SearchError> {
+        let wall_start = Instant::now();
+        let device = self.device.for_search();
+        let shape = shape.unwrap_or(device.config().kernel_shape);
+        let mut report = SearchReport::default();
+
+        // Host: sort Q (when the scheme does) and plan the batch.
+        let host_start = Instant::now();
+        let sorted = S::SORTS_QUERIES.then(|| SortedQueries::from_store(queries));
+        let segments = sorted.as_deref().unwrap_or(queries.segments());
+        let plan = S::plan(self, segments, d, shape, device.config());
+        device.charge_host(host_start.elapsed().as_secs_f64());
+        report.fallback_queries = S::fallback_queries(&plan);
+
+        if segments.is_empty() {
+            report.response = device.ledger();
+            report.wall_seconds = wall_start.elapsed().as_secs_f64();
+            return Ok((Vec::new(), report));
+        }
+
+        // Online transfer: Q (the generators add their plan buffers).
+        let uploaded = DeviceQueries::upload(&device, segments)?;
+        let batch = Batch { search: self, device: &device, queries: &uploaded, d };
+        let n = segments.len();
+        let (mut matches, comparisons) = match shape {
+            KernelShape::WarpPerTile => {
+                let tiles = S::tiles(batch, &plan);
+                run_warp_per_tile(&device, &tiles, &uploaded, d, n, result_capacity, &mut report)?
+            }
+            KernelShape::ThreadPerQuery => {
+                let threads = S::threads(batch, &plan)?;
+                run_thread_per_query(&device, &threads, n, result_capacity, &mut report)?
+            }
+        };
+
+        // Host: map sorted positions back to the caller's order and
+        // collapse duplicates, then seal the report from the ledger.
+        let host_start = Instant::now();
+        report.raw_matches = matches.len() as u64;
+        if let Some(sorted) = &sorted {
+            sorted.unpermute(&mut matches);
+        }
+        dedup_matches(&mut matches);
+        device.charge_host(host_start.elapsed().as_secs_f64());
+        report.comparisons = comparisons;
+        report.matches = matches.len() as u64;
+        report.response = device.ledger();
+        report.wall_seconds = wall_start.elapsed().as_secs_f64();
+        report.sanitizer_findings = device.sanitizer_checkpoint();
+        Ok((matches, report))
+    }
+}

@@ -32,9 +32,7 @@
 
 use std::ops::Range;
 use std::sync::Arc;
-use tdts_geom::{
-    Point3, PreparedEntry, PreparedQuery, SegId, Segment, SegmentStore, TimeInterval, TrajId,
-};
+use tdts_geom::{Point3, PreparedEntry, PreparedQuery, SegId, Segment, TimeInterval, TrajId};
 use tdts_gpu_sim::{Device, DeviceBuffer, Lane, OutOfDeviceMemory, Warp, MAX_WARP_LANES};
 
 /// Instruction cost of one continuous distance comparison (quadratic
@@ -84,15 +82,6 @@ impl DeviceSegments {
         segments: &[Segment],
     ) -> Result<DeviceSegments, OutOfDeviceMemory> {
         Ok(DeviceSegments { rows: device.alloc_from_host(prepare(segments))? })
-    }
-
-    /// Place a whole [`SegmentStore`] in device memory *offline*, in store
-    /// order.
-    pub fn alloc_store(
-        device: &Arc<Device>,
-        store: &SegmentStore,
-    ) -> Result<DeviceSegments, OutOfDeviceMemory> {
-        DeviceSegments::alloc(device, store.segments())
     }
 
     /// Upload `segments` *online*, charging the host-to-device transfer for
@@ -342,7 +331,7 @@ impl DeviceQueries {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdts_geom::within_distance;
+    use tdts_geom::{within_distance, SegmentStore};
     use tdts_gpu_sim::DeviceConfig;
 
     fn seg(x: f64, t0: f64, id: u32) -> Segment {
@@ -439,7 +428,7 @@ mod tests {
     fn extend_and_remove_track_store_mutations() {
         let dev = device();
         let mut store: SegmentStore = (0..5).map(|i| seg(i as f64, i as f64 * 0.5, i)).collect();
-        let mut resident = DeviceSegments::alloc_store(&dev, &store).unwrap();
+        let mut resident = DeviceSegments::alloc(&dev, store.segments()).unwrap();
         let delta = store.append(&[seg(9.0, 5.0, 9), seg(10.0, 6.0, 10)]);
         resident.extend(&store.segments()[delta.from..]).unwrap();
         assert_eq!(resident.len(), store.len());

@@ -311,7 +311,7 @@ impl QueryService {
             Box::new(sharded)
         } else {
             let device = Device::new(config.device.clone()).map_err(TdtsError::InvalidConfig)?;
-            let index = config.method.build_index(&store, &stats, Arc::clone(&device))?;
+            let index = config.method.build_index(&store, Arc::clone(&device))?;
             free = device.mem_available();
             index
         };

@@ -95,6 +95,84 @@ fn interleaved_append_expire_matches_cold_rebuild() {
     }
 }
 
+/// Every kernel shape's matches and comparison count for `queries`.
+fn outcomes(index: &dyn TrajectoryIndex, queries: &SegmentStore) -> Vec<(Vec<MatchRecord>, u64)> {
+    let batch = QueryBatch { queries, d: 2.5, result_capacity: 500 };
+    SHAPES
+        .iter()
+        .map(|&shape| {
+            let outcome = index.search_shaped(&batch, Some(shape)).unwrap();
+            (outcome.matches, outcome.report.comparisons)
+        })
+        .collect()
+}
+
+/// A GPU index that refuses a delta for want of device memory is exactly as
+/// it was: the same generation, and under both kernel shapes the same
+/// matches and comparisons as before the delta, with no panic. An append
+/// is refused on a device sized for the base store; an expiry, wherever it
+/// re-places device arrays, on a device with no memory left.
+#[test]
+fn refused_gpu_update_leaves_the_index_as_it_was() {
+    let n = 40;
+    let base = base_store(n);
+    let queries: SegmentStore = base.iter().take(12).copied().collect();
+    let tail: Vec<Segment> =
+        (0..2_000u32).map(|i| seg(1_000 + i, n as f64 * 0.25 + 1.0 + i as f64 * 0.01)).collect();
+    let mut config = DeviceConfig::test_tiny();
+    config.global_mem_bytes = 64 * n + 32 * 1024;
+    let methods = [
+        Method::GpuSpatial(GpuSpatialConfig {
+            fsg: FsgConfig { cells_per_dim: 5 },
+            total_scratch: 1_000,
+        }),
+        Method::GpuTemporal(TemporalIndexConfig { bins: 6 }),
+        Method::GpuSpatioTemporal(SpatioTemporalIndexConfig {
+            bins: 6,
+            subbins: 3,
+            sort_by_selector: true,
+        }),
+    ];
+    for method in methods {
+        let name = method.name();
+        let device = Device::new(config.clone()).unwrap();
+        let mut store = Arc::new(base.clone());
+        let mut index = method.build_index(&store, Arc::clone(&device)).unwrap();
+        let generation = index.generation();
+        let before = outcomes(&*index, &queries);
+        assert!(!before[0].0.is_empty(), "{name}: the fixture must match something");
+
+        let delta = Arc::make_mut(&mut store).append(&tail);
+        let err = index.ingest(&store, &delta).unwrap_err();
+        assert!(
+            matches!(err, TdtsError::Search(SearchError::OutOfDeviceMemory(_))),
+            "{name}: {err}"
+        );
+        assert_eq!(index.generation(), generation, "{name}: refused append");
+        assert_eq!(outcomes(&*index, &queries), before, "{name}: refused append");
+
+        let device = Device::new(config.clone()).unwrap();
+        let mut store = Arc::new(base.clone());
+        let mut index = method.build_index(&store, Arc::clone(&device)).unwrap();
+        let filler = device.alloc_from_host(vec![0u8; device.mem_available()]).unwrap();
+        let delta = Arc::make_mut(&mut store).expire_before(2.0);
+        let result = index.expire_before(&store, &delta);
+        drop(filler);
+        if matches!(method, Method::GpuTemporal(_)) {
+            // No device arrays to re-place: the expiry only frees memory.
+            result.unwrap();
+            continue;
+        }
+        let err = result.unwrap_err();
+        assert!(
+            matches!(err, TdtsError::Search(SearchError::OutOfDeviceMemory(_))),
+            "{name}: {err}"
+        );
+        assert_eq!(index.generation(), generation, "{name}: refused expiry");
+        assert_eq!(outcomes(&*index, &queries), before, "{name}: refused expiry");
+    }
+}
+
 /// Time-ordered random base stores for the property test (`t_start`
 /// strictly increasing with position, positions in a small box).
 fn arb_ordered_store(max_segs: usize) -> impl Strategy<Value = Vec<(f64, f64, f64)>> {

@@ -316,6 +316,10 @@ const RULES: &[Rule] = &[
             "crates/gpu-sim/src/report.rs",
             "crates/geom/src/result.rs",
             "crates/geom/src/shard.rs",
+            // A scheme supplies its plan; the one GPU search driver times it.
+            "crates/index-spatial/src/search.rs",
+            "crates/index-temporal/src/search.rs",
+            "crates/index-spatiotemporal/src/search.rs",
         ],
         exempt_files: &[],
         matches: |code, _| {
