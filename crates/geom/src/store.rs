@@ -55,12 +55,19 @@ pub struct AppendDelta {
 
 /// Description of one [`SegmentStore::expire_before`]: `removed` holds the
 /// *old* positions (ascending) that were deleted from a store of `old_len`
-/// segments. Surviving old position `p` moves to
-/// `p - removed.partition_point(|&r| (r as usize) < p)`.
+/// segments, and `rank[p]` is the number of survivors before old position
+/// `p` (length `old_len + 1`). Survivors keep their relative order, so old
+/// position `p` survives iff `rank[p + 1] > rank[p]` and then moves to
+/// `rank[p]`; a boundary between old positions (a bin start, a range end)
+/// moves to `rank[b]`. Both are one lookup, filled in by the one pass that
+/// removes the segments.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExpireDelta {
     /// Old positions removed, in ascending order.
     pub removed: Vec<u32>,
+    /// `rank[p]` = survivors at old positions `0..p`, for `p` in
+    /// `0..=old_len`.
+    pub rank: Vec<u32>,
     /// Store length before the expire.
     pub old_len: usize,
     /// Store generation *after* the expire.
@@ -70,15 +77,13 @@ pub struct ExpireDelta {
 impl ExpireDelta {
     /// New position of surviving old position `p` (`None` if `p` was
     /// removed or out of range).
+    #[inline]
     pub fn remap(&self, p: usize) -> Option<usize> {
         if p >= self.old_len {
             return None;
         }
-        let shift = self.removed.partition_point(|&r| (r as usize) < p);
-        if self.removed.get(shift).is_some_and(|&r| r as usize == p) {
-            return None;
-        }
-        Some(p - shift)
+        let before = self.rank[p];
+        (self.rank[p + 1] > before).then_some(before as usize)
     }
 }
 
@@ -247,18 +252,21 @@ impl SegmentStore {
     pub fn expire_before(&mut self, t: f64) -> ExpireDelta {
         let old_len = self.segments.len();
         let mut removed = Vec::new();
-        let mut pos: u32 = 0;
+        let mut rank = Vec::with_capacity(old_len + 1);
+        let mut kept: u32 = 0;
         self.segments.retain(|s| {
             let keep = s.t_end >= t;
             if !keep {
-                removed.push(pos);
+                removed.push(rank.len() as u32);
             }
-            pos += 1;
+            rank.push(kept);
+            kept += u32::from(keep);
             keep
         });
+        rank.push(kept);
         self.generation += 1;
         *self.stats.get_mut().expect("store cache poisoned") = None;
-        ExpireDelta { removed, old_len, generation: self.generation }
+        ExpireDelta { removed, rank, old_len, generation: self.generation }
     }
 
     /// Immutable view of the segments.
@@ -511,6 +519,7 @@ mod tests {
         assert_eq!(store.len(), 2);
         assert_eq!(delta.old_len, 4);
         assert_eq!(delta.removed, vec![0, 2]);
+        assert_eq!(delta.rank, vec![0, 0, 1, 1, 2]);
         assert_eq!(delta.remap(0), None);
         assert_eq!(delta.remap(1), Some(0));
         assert_eq!(delta.remap(2), None);

@@ -81,7 +81,7 @@ pub struct SpatioTemporalIndex {
     /// Effective subbin count (requested `v` capped by the extent
     /// constraint).
     v: usize,
-    /// Temporal bin count `m`.
+    /// Temporal bins in the directory, `m` (`temporal.bins()`).
     m: usize,
     /// Per-dimension minimum coordinate of the database volume.
     lo: [f64; 3],
@@ -185,15 +185,18 @@ impl SpatioTemporalIndex {
     /// the same clamp [`schedule_for`](Self::schedule_for) applies to query
     /// intervals, so an entry overlapping a query's inflated interval always
     /// shares its subbin, even for entries outside the build-time volume.
+    /// Each tail entry's span is computed once per dimension.
     pub fn append(&self, store: &SegmentStore, from: usize) -> Result<Self, SearchError> {
         let old_m = self.temporal.bins();
         let mut next = self.emptied();
         next.temporal.append(store, from)?;
         let new_m = next.temporal.bins();
         next.m = new_m;
-        let segs = store.segments();
+        let tail = &store.segments()[from..];
         for d in 0..3 {
-            let mut arrays = Vec::with_capacity(self.arrays[d].len() + (segs.len() - from));
+            let spans: Vec<(usize, usize)> =
+                tail.iter().map(|s| self.subbin_span(d, s.min_coord(d), s.max_coord(d))).collect();
+            let mut arrays = Vec::with_capacity(self.arrays[d].len() + tail.len());
             let mut ranges = Vec::with_capacity(self.v * new_m);
             for j in 0..self.v {
                 for i in 0..new_m {
@@ -204,8 +207,8 @@ impl SpatioTemporalIndex {
                     }
                     let (b_lo, b_hi) = next.temporal.bin_range(i);
                     let lo = (b_lo as usize).max(from);
-                    for (pos, s) in segs.iter().enumerate().take(b_hi as usize).skip(lo) {
-                        let (s_lo, s_hi) = self.subbin_span(d, s.min_coord(d), s.max_coord(d));
+                    for pos in lo..b_hi as usize {
+                        let (s_lo, s_hi) = spans[pos - from];
                         if (s_lo..=s_hi).contains(&j) {
                             arrays.push(pos as u32);
                         }
@@ -221,22 +224,32 @@ impl SpatioTemporalIndex {
 
     /// The index without the expired entries, built beside `self`: the
     /// temporal directory and every per-dimension id array drop them and
-    /// renumber survivors to their post-expiry store positions. The subbin
-    /// geometry and bin layout are unchanged.
+    /// renumber survivors to their post-expiry store positions, one rank
+    /// lookup each. The bins the temporal directory drops from its front
+    /// lose their `(subbin, bin)` ranges too (every entry in them expired);
+    /// the subbin geometry is unchanged.
     pub fn expire(&self, store: &SegmentStore, delta: &ExpireDelta) -> Result<Self, SearchError> {
         let mut next = self.emptied();
         next.temporal.expire(store, delta)?;
+        next.m = next.temporal.bins();
+        let dropped = self.m - next.m;
         for d in 0..3 {
             let mut arrays = Vec::with_capacity(self.arrays[d].len());
-            let mut ranges = Vec::with_capacity(self.ranges[d].len());
-            for r in &self.ranges[d] {
-                let start = arrays.len() as u32;
-                for &pos in &self.arrays[d][r[0] as usize..r[1] as usize] {
-                    if let Some(np) = delta.remap(pos as usize) {
-                        arrays.push(np as u32);
+            let mut ranges = Vec::with_capacity(self.v * next.m);
+            for row in self.ranges[d].chunks_exact(self.m) {
+                debug_assert!(row[..dropped].iter().all(|r| {
+                    let ids = &self.arrays[d][r[0] as usize..r[1] as usize];
+                    ids.iter().all(|&pos| delta.remap(pos as usize).is_none())
+                }));
+                for r in &row[dropped..] {
+                    let start = arrays.len() as u32;
+                    for &pos in &self.arrays[d][r[0] as usize..r[1] as usize] {
+                        if let Some(np) = delta.remap(pos as usize) {
+                            arrays.push(np as u32);
+                        }
                     }
+                    ranges.push([start, arrays.len() as u32]);
                 }
-                ranges.push([start, arrays.len() as u32]);
             }
             next.arrays[d] = arrays;
             next.ranges[d] = ranges;

@@ -27,6 +27,12 @@ impl Default for TemporalIndexConfig {
 /// of any entry in it or any earlier bin) is precomputed so that the lower
 /// bound of a candidate range can be found with one binary search.
 ///
+/// Under a sliding window the directory stays bounded: appends add bins of
+/// the same width past the old extent, and expiry drops the bins it has
+/// emptied from the front. The dropped bins are remembered as a count, so
+/// local bin `j` is logical bin `first_bin + j` and every boundary is still
+/// computed as `t_min + (first_bin + j)·b`, bit for bit as before the drop.
+///
 /// ```
 /// use tdts_geom::{Point3, SegId, Segment, SegmentStore, TrajId};
 /// use tdts_index_temporal::{TemporalIndex, TemporalIndexConfig};
@@ -56,6 +62,9 @@ pub struct TemporalIndex {
     t_max: f64,
     bin_width: f64,
     entries: usize,
+    /// Logical bins dropped from the front of the directory: local bin `j`
+    /// starts at `t_min + (first_bin + j)·bin_width`.
+    first_bin: usize,
 }
 
 impl TemporalIndex {
@@ -121,12 +130,28 @@ impl TemporalIndex {
             reach[j] = current;
         }
 
-        Ok(TemporalIndex { bin_start_pos, reach, t_min, t_max, bin_width, entries: segs.len() })
+        Ok(TemporalIndex {
+            bin_start_pos,
+            reach,
+            t_min,
+            t_max,
+            bin_width,
+            entries: segs.len(),
+            first_bin: 0,
+        })
     }
 
-    /// Number of bins.
+    /// Number of bins in the directory (the bins expiry has emptied and
+    /// dropped from the front are not counted).
     pub fn bins(&self) -> usize {
         self.reach.len()
+    }
+
+    /// Start time of logical bin `j`: the one boundary formula, shared by
+    /// build, append and search.
+    #[inline]
+    fn boundary(&self, j: usize) -> f64 {
+        self.t_min + j as f64 * self.bin_width
     }
 
     /// Number of indexed entries.
@@ -153,15 +178,23 @@ impl TemporalIndex {
     /// comparisons themselves hold.
     #[inline]
     pub fn bin_of(&self, t: f64) -> usize {
+        self.logical_bin_of(t).saturating_sub(self.first_bin)
+    }
+
+    /// [`bin_of`](TemporalIndex::bin_of) over the logical directory,
+    /// dropped bins included: a result below `first_bin` is a time before
+    /// the first kept bin.
+    #[inline]
+    fn logical_bin_of(&self, t: f64) -> usize {
         if t <= self.t_min {
             return 0;
         }
-        let m = self.bins();
+        let m = self.first_bin + self.bins();
         let mut j = (((t - self.t_min) / self.bin_width) as usize).min(m - 1);
-        while j + 1 < m && t >= self.t_min + (j + 1) as f64 * self.bin_width {
+        while j + 1 < m && t >= self.boundary(j + 1) {
             j += 1;
         }
-        while j > 0 && t < self.t_min + j as f64 * self.bin_width {
+        while j > 0 && t < self.boundary(j) {
             j -= 1;
         }
         j
@@ -178,7 +211,8 @@ impl TemporalIndex {
             return None;
         }
         // Last bin whose start-time interval begins no later than q.t_end.
-        let j_hi = self.bin_of(q.t_end);
+        // Before the first kept bin there are only dropped, empty ones.
+        let j_hi = self.logical_bin_of(q.t_end).checked_sub(self.first_bin)?;
         // First bin that reaches q.t_start (reach is monotone).
         let j_lo = self.reach.partition_point(|&r| r < q.t_start);
         if j_lo >= self.bins() || j_lo > j_hi {
@@ -212,12 +246,21 @@ impl TemporalIndex {
         if self.reach.windows(2).any(|w| w[0] > w[1]) {
             return Err("reach not monotone".into());
         }
-        for j in 0..self.bins() {
+        let m = self.bins();
+        for j in 0..m {
             let (lo, hi) = self.bin_range(j);
             for pos in lo..hi {
                 let s = store.get(pos as usize);
                 if s.t_end > self.reach[j] {
                     return Err(format!("entry {pos} exceeds reach of bin {j}"));
+                }
+                // Logical bin 0 is open below and the last bin above: the
+                // bin search clamps times beyond either end into them.
+                let logical = self.first_bin + j;
+                if (logical > 0 && s.t_start < self.boundary(logical))
+                    || (j + 1 < m && s.t_start >= self.boundary(logical + 1))
+                {
+                    return Err(format!("entry {pos} starts outside bin {j}"));
                 }
             }
         }
@@ -257,6 +300,16 @@ impl TemporalIndex {
             last = s.t_start;
         }
 
+        // Only an empty index can take a tail that starts before its first
+        // kept bin: give back the dropped bins down to the tail's.
+        let first = self.logical_bin_of(tail[0].t_start);
+        if first < self.first_bin {
+            let regrow = self.first_bin - first;
+            self.bin_start_pos.splice(0..0, std::iter::repeat_n(0, regrow));
+            self.reach.splice(0..0, std::iter::repeat_n(f64::NEG_INFINITY, regrow));
+            self.first_bin = first;
+        }
+
         let m = self.bins();
         let n_old = from;
         let last_t = tail.last().expect("non-empty tail").t_start;
@@ -265,7 +318,7 @@ impl TemporalIndex {
         } else {
             ((last_t - self.t_min) / self.bin_width) as usize
         };
-        let new_m = m.max(need + 1);
+        let new_m = m.max((need + 1).saturating_sub(self.first_bin));
 
         // Re-derive every boundary that sat at (or belongs past) the old
         // end by binary search in the sorted tail. Boundaries pointing
@@ -276,7 +329,7 @@ impl TemporalIndex {
             if j < m && (self.bin_start_pos[j] as usize) < n_old {
                 continue;
             }
-            let bin_start = self.t_min + j as f64 * self.bin_width;
+            let bin_start = self.boundary(self.first_bin + j);
             let off = tail.partition_point(|s| s.t_start < bin_start);
             let boundary = (n_old + off) as u32;
             if j < m {
@@ -315,10 +368,14 @@ impl TemporalIndex {
 
     /// Remove expired entries from the index in place: `store` is the
     /// post-expire store and `delta` the removal description from
-    /// [`SegmentStore::expire_before`]. Bin boundaries are remapped by the
-    /// prefix count of removals (entries never change bins — relative
-    /// order is preserved) and the reach prefix-max is recomputed from the
-    /// survivors (a removed long entry can shrink it).
+    /// [`SegmentStore::expire_before`]. Each bin boundary `b` moves to
+    /// `delta.rank[b]` (entries never change bins — relative order is
+    /// preserved), the reach prefix-max is recomputed from the survivors (a
+    /// removed long entry can shrink it), and the bins left empty at the
+    /// front are dropped, the last bin always kept. A dropped bin has reach
+    /// `-inf` and starts before every survivor, so no candidate range
+    /// changes: a query that ends before the first kept bin finds nothing,
+    /// as it would have in the dropped ones.
     pub fn expire(&mut self, store: &SegmentStore, delta: &ExpireDelta) -> Result<(), SearchError> {
         if delta.old_len != self.entries {
             return Err(SearchError::InvalidConfig(format!(
@@ -327,8 +384,7 @@ impl TemporalIndex {
             )));
         }
         for b in &mut self.bin_start_pos {
-            let shift = delta.removed.partition_point(|&r| r < *b);
-            *b -= shift as u32;
+            *b = delta.rank[*b as usize];
         }
         self.entries = store.len();
         let segs = store.segments();
@@ -341,6 +397,12 @@ impl TemporalIndex {
             }
             self.reach[j] = current;
         }
+        // Bin `j` is empty, as are all before it, iff bin `j + 1` starts at
+        // 0; the slice stops short of the last bin's end.
+        let emptied = self.bin_start_pos[1..self.bins()].partition_point(|&p| p == 0);
+        self.bin_start_pos.drain(..emptied);
+        self.reach.drain(..emptied);
+        self.first_bin += emptied;
         Ok(())
     }
 
@@ -559,5 +621,60 @@ mod tests {
         idx.append(&s, delta.from).unwrap();
         assert!(idx.validate(&s).is_ok());
         assert_superset(&idx, &s, &seg(41.5, 41.9));
+    }
+
+    #[test]
+    fn expire_drops_drained_front_bins_and_keeps_every_range() {
+        // Twenty unit segments starting at t = 0..19; ten bins of width 2.
+        let mut s = store(&(0..20).map(|i| (i as f64, i as f64 + 1.0)).collect::<Vec<_>>());
+        let mut idx = TemporalIndex::build(&s, TemporalIndexConfig { bins: 10 }).unwrap();
+        // Entries 0..=6 end before 8: bins 0–2 drain, bin 3 keeps entry 7.
+        let delta = s.expire_before(8.0);
+        assert_eq!(delta.removed, (0..7).collect::<Vec<u32>>());
+        idx.expire(&s, &delta).unwrap();
+        assert!(idx.validate(&s).is_ok());
+        assert_eq!(idx.bins(), 7, "the three drained bins are dropped");
+        assert_eq!(idx.bin_range(0), (0, 1), "bin 3 (entry 7) is the first kept bin");
+        assert_eq!(idx.time_span(), (0.0, 20.0));
+        // Every range is the one the untrimmed directory gives: bins
+        // `bin_of(t_end)` back to the first bin reaching `t_start`, in
+        // post-expiry positions (old entry `i` is now `i - 7`).
+        let pinned = [
+            ((8.5, 9.5), Some((1, 3))),     // bin 4
+            ((0.0, 7.2), Some((0, 1))),     // bin 3
+            ((6.0, 6.0), Some((0, 1))),     // on bin 3's start
+            ((3.0, 12.5), Some((0, 7))),    // bins 3–6
+            ((19.5, 25.0), Some((11, 13))), // bin 9
+            ((0.0, 5.0), None),             // ends before the first kept bin
+            ((1.0, 2.0), None),
+            ((5.9, 5.99), None),
+            ((-5.0, -1.0), None), // before `t_min`
+            ((30.0, 31.0), None), // after `t_max`
+        ];
+        for ((t0, t1), want) in pinned {
+            assert_eq!(idx.candidate_range(&seg(t0, t1)), want, "query [{t0}, {t1}]");
+            assert_superset(&idx, &s, &seg(t0, t1));
+        }
+    }
+
+    #[test]
+    fn a_drained_index_keeps_one_bin_and_regrows_for_an_earlier_tail() {
+        let mut s = store(&(0..20).map(|i| (i as f64, i as f64 + 1.0)).collect::<Vec<_>>());
+        let mut idx = TemporalIndex::build(&s, TemporalIndexConfig { bins: 10 }).unwrap();
+        let delta = s.expire_before(100.0);
+        idx.expire(&s, &delta).unwrap();
+        assert!(idx.validate(&s).is_ok());
+        assert_eq!((idx.bins(), idx.entries()), (1, 0), "the last bin is kept");
+        assert_eq!(idx.candidate_range(&seg(18.0, 19.0)), None);
+        // The tail starts at t = 10, eight bins before the kept one.
+        let delta =
+            s.append(&(0..6).map(|i| seg(10.0 + i as f64, 11.5 + i as f64)).collect::<Vec<_>>());
+        idx.append(&s, delta.from).unwrap();
+        assert!(idx.validate(&s).is_ok());
+        assert_eq!(idx.bins(), 5, "bins 5–9 from the tail's bin on");
+        for qi in 0..25 {
+            assert_superset(&idx, &s, &seg(qi as f64 * 0.9, qi as f64 * 0.9 + 0.7));
+        }
+        assert_eq!(idx.candidate_range(&seg(8.0, 9.5)), None);
     }
 }

@@ -399,11 +399,17 @@ impl QueryService {
     /// [`ServiceConfig::advance_every`] advances — expire segments ending
     /// before `frontier - window`.
     ///
-    /// The store is mutated while batches keep running; the index is then
-    /// updated under the engine gate, which waits for the batches already
-    /// searching to finish and holds later ones back until the index is at
-    /// the new generation. A query racing an advance is answered from the
-    /// pre- or the post-advance generation, never a mix.
+    /// The append lands in the canonical store while batches keep running
+    /// (they search the index, never the store). The index is then updated
+    /// under the engine gate, which waits for the batches already searching
+    /// to finish and holds later ones back until the index is at the new
+    /// generation; inside that one hold the index ingests the appended
+    /// tail, the store applies the expiry cut in place and the index drops
+    /// what it removed. Only a reader holding the store (a
+    /// [`store_snapshot`](QueryService::store_snapshot), or CPU-RTree's own
+    /// handle) makes the cut copy it first, and that reader keeps its own
+    /// generation. A query racing an advance is answered from the pre- or
+    /// the post-advance generation, never a mix.
     ///
     /// Fail-stop: if the index refuses a delta it may hold half of the tick,
     /// so this call, every later one, and every request admitted afterwards
@@ -433,9 +439,6 @@ impl QueryService {
         stream.store.check_append(new_segments).map_err(TdtsError::InvalidConfig)?;
 
         let append = Arc::make_mut(&mut stream.store).append(new_segments);
-        // Snapshot the post-append epoch: ingest reads the appended tail
-        // from it even after the expiry below rewrites the canonical store.
-        let appended = Arc::clone(&stream.store);
         for seg in new_segments {
             stream.frontier = stream.frontier.max(seg.t_end);
         }
@@ -445,15 +448,13 @@ impl QueryService {
             .advances
             .is_multiple_of(self.shared.config.advance_every as u64)
             .then_some(stream.frontier - window);
-        let expire = cut.map(|cut| Arc::make_mut(&mut stream.store).expire_before(cut));
-        let expired = expire.as_ref().map_or(0, |d| d.removed.len());
-
+        let mut expired = 0;
         self.shared.engine.update(|engine| {
-            engine.ingest(&appended, &append)?;
-            match &expire {
-                Some(delta) => engine.expire_before(&stream.store, delta),
-                None => Ok(()),
-            }
+            engine.ingest(&stream.store, &append)?;
+            let Some(cut) = cut else { return Ok(()) };
+            let delta = Arc::make_mut(&mut stream.store).expire_before(cut);
+            expired = delta.removed.len();
+            engine.expire_before(&stream.store, &delta)
         })?;
 
         self.shared.stats.window_advances.fetch_add(1, Ordering::Relaxed);

@@ -482,8 +482,9 @@ fn print_stats(stats: &ServiceStats) {
     }
 }
 
-/// Synthesize one tick of time-ordered object updates: `count` short
-/// segments starting at `frontier`, positions drawn inside `bounds` from a
+/// Synthesize one tick of time-ordered object updates: `count` segments of
+/// length `duration` — one time step — with starts spread evenly over
+/// `[frontier, frontier + duration)`, positions drawn inside `bounds` from a
 /// cheap deterministic generator (splitmix-style).
 fn synth_tick(
     bounds: &Mbb,
@@ -502,7 +503,7 @@ fn synth_tick(
         (bounds.hi.y - bounds.lo.y).max(1e-9),
         (bounds.hi.z - bounds.lo.z).max(1e-9),
     ];
-    let dt = duration / 4.0;
+    let dt = duration / count as f64;
     (0..count)
         .map(|i| {
             let start = Point3::new(
@@ -528,7 +529,9 @@ fn synth_tick(
 /// a generational index, with the same query set re-run each tick (shifted
 /// to sit inside the live window). Reports per-tick ingest, expiry, and
 /// search cost; with `--verify`, each tick's results are checked
-/// byte-identical against a cold rebuild at the same generation.
+/// byte-identical against a cold rebuild at the same generation, and a run
+/// in which every tick compared two empty result sets fails: it verified
+/// nothing.
 fn run_stream(
     o: &Opts,
     dataset: &PreparedDataset,
@@ -570,6 +573,7 @@ fn run_stream(
     let mut next_id = dataset.store().len() as u32 + 1_000_000;
     let mut frontier = span.end;
     let (mut total_ingest, mut total_expire, mut total_search) = (0.0f64, 0.0f64, 0.0f64);
+    let mut nonempty_ticks = 0usize;
     for tick in 0..o.ticks {
         let new =
             synth_tick(&stats.bounds, frontier, tick_segments, duration, &mut rng, &mut next_id);
@@ -607,6 +611,7 @@ fn run_stream(
         total_ingest += ingest_ms;
         total_expire += expire_ms;
         total_search += search_ms;
+        nonempty_ticks += usize::from(!matches.is_empty());
         println!(
             "{:>4} {:>9} {:>8} {:>9} {:>11.3} {:>11.3} {:>11.3} {:>9}",
             tick,
@@ -647,7 +652,18 @@ fn run_stream(
         engine.generation()
     );
     if o.verify {
-        println!("verification: OK (all {} ticks byte-identical to cold rebuilds)", o.ticks);
+        if nonempty_ticks == 0 {
+            eprintln!(
+                "verification FAILED: all {} ticks compared empty result sets; \
+                 nothing was verified",
+                o.ticks
+            );
+            std::process::exit(1);
+        }
+        println!(
+            "verification: OK (all {} ticks byte-identical to cold rebuilds, {} with matches)",
+            o.ticks, nonempty_ticks
+        );
     }
 }
 

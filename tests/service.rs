@@ -216,6 +216,49 @@ fn advance_window_refuses_hostile_segments_without_mutating() {
     assert!(!service.submit(&requests[0], D).unwrap().matches.is_empty());
 }
 
+/// A window advance cuts the canonical store in place: with no snapshot
+/// held it is the same allocation before and after an expiring advance,
+/// and a snapshot pinned across one keeps its own generation and length.
+#[test]
+fn advance_window_cuts_an_unpinned_store_in_place() {
+    let (dataset, requests) = merger_requests();
+    let span = dataset.store().stats().unwrap().time_span;
+    let config = ServiceConfig::builder(temporal())
+        .device(DeviceConfig::test_tiny())
+        .workers(1)
+        .max_delay(Duration::from_millis(1))
+        .result_capacity(CAPACITY)
+        .window((span.end - span.start) * 0.6)
+        .build()
+        .unwrap();
+    let service = QueryService::start(&dataset, config).unwrap();
+    // The service now holds the only handle on the store.
+    drop(dataset);
+    let mut frontier = span.end;
+    let mut tick = |id: u32| {
+        let t0 = frontier;
+        frontier += 1.0;
+        let seg =
+            Segment::new(Point3::ZERO, Point3::splat(1.0), t0, frontier, SegId(id), TrajId(id));
+        service.advance_window(&[seg]).unwrap()
+    };
+
+    let before = Arc::as_ptr(&service.store_snapshot());
+    let advance = tick(9_000);
+    assert!(advance.expired > 0, "the advance must cut the store");
+    assert_eq!(Arc::as_ptr(&service.store_snapshot()), before, "an unpinned store is not copied");
+
+    let pinned = service.store_snapshot();
+    let (generation, len) = (pinned.generation(), pinned.len());
+    let advance = tick(9_001);
+    assert!(advance.expired > 0, "the advance must cut the store");
+    assert_eq!((pinned.generation(), pinned.len()), (generation, len), "the pin keeps its epoch");
+    assert!(service.generation() > generation);
+    assert_ne!(Arc::as_ptr(&service.store_snapshot()), Arc::as_ptr(&pinned));
+    assert_eq!(service.store_snapshot().len(), len + 1 - advance.expired);
+    assert!(service.submit(&requests[11], D).is_ok());
+}
+
 #[test]
 fn degradation_reroutes_batches_to_fallback() {
     let (dataset, requests) = merger_requests();

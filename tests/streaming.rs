@@ -95,6 +95,75 @@ fn interleaved_append_expire_matches_cold_rebuild() {
     }
 }
 
+/// Stream five window lengths through one temporal-directory index: every
+/// tick appends a timestep's worth of segments and expires one, and every
+/// tick's answers under both kernel shapes equal a cold rebuild's. The
+/// directory (`bins` reads it) stays bounded by the window: after window 5
+/// it holds no more bins than after window 1 plus what one tick adds.
+fn stream_five_windows<I: TrajectoryIndex>(
+    build: impl Fn(&SegmentStore) -> I,
+    bins: impl Fn(&I) -> usize,
+) {
+    const TICKS_PER_WINDOW: usize = 6;
+    const STEP: f64 = 2.0;
+    let window = TICKS_PER_WINDOW as f64 * STEP;
+    let mut store = Arc::new(base_store(48));
+    let mut index = build(&store);
+    let mut frontier = store.stats().unwrap().time_span.end;
+    let (mut after_window_1, mut tick_growth) = (0, 0);
+    for tick in 0..5 * TICKS_PER_WINDOW {
+        let id0 = 1_000 + 8 * tick as u32;
+        let new: Vec<Segment> =
+            (0..8).map(|i| seg(id0 + i, frontier + i as f64 * STEP / 8.0)).collect();
+        frontier = new.iter().map(|s| s.t_end).fold(frontier, f64::max);
+        let before = bins(&index);
+        let delta = Arc::make_mut(&mut store).append(&new);
+        index.ingest(&store, &delta).unwrap();
+        tick_growth = tick_growth.max(bins(&index) - before);
+        let delta = Arc::make_mut(&mut store).expire_before(frontier - window);
+        assert!(!delta.removed.is_empty(), "tick {tick} expires a timestep");
+        index.expire_before(&store, &delta).unwrap();
+
+        let queries: SegmentStore = (0..12u32)
+            .map(|i| seg(100 + i, frontier - window * 0.5 + i as f64 * 0.4 - 2.0))
+            .collect();
+        let cold = build(&store);
+        for shape in SHAPES {
+            let batch = QueryBatch { queries: &queries, d: 2.5, result_capacity: 500_000 };
+            let got = index.search_shaped(&batch, Some(shape)).unwrap().matches;
+            let want = cold.search_shaped(&batch, Some(shape)).unwrap().matches;
+            assert!(!want.is_empty(), "tick {tick}: the probe must match something");
+            assert_eq!(got, want, "{} ({shape:?}) tick {tick}", index.name());
+        }
+        if tick + 1 == TICKS_PER_WINDOW {
+            after_window_1 = bins(&index);
+        }
+    }
+    let after_window_5 = bins(&index);
+    assert!(
+        after_window_5 <= after_window_1 + tick_growth,
+        "{}: {after_window_5} bins after window 5, {after_window_1} after window 1, \
+         {tick_growth} added by one tick",
+        index.name()
+    );
+}
+
+#[test]
+fn a_window_of_ticks_keeps_the_temporal_directory_bounded() {
+    use tdts::index_spatiotemporal::GpuSpatioTemporalSearch;
+    use tdts::index_temporal::GpuTemporalSearch;
+    let temporal = TemporalIndexConfig { bins: 6 };
+    stream_five_windows(
+        |store| GpuTemporalSearch::new(device(), store, temporal).unwrap(),
+        |search| search.index().bins(),
+    );
+    let spatiotemporal = SpatioTemporalIndexConfig { bins: 6, subbins: 3, sort_by_selector: true };
+    stream_five_windows(
+        |store| GpuSpatioTemporalSearch::new(device(), store, spatiotemporal).unwrap(),
+        |search| search.index().temporal().bins(),
+    );
+}
+
 /// Every kernel shape's matches and comparison count for `queries`.
 fn outcomes(index: &dyn TrajectoryIndex, queries: &SegmentStore) -> Vec<(Vec<MatchRecord>, u64)> {
     let batch = QueryBatch { queries, d: 2.5, result_capacity: 500 };
@@ -243,4 +312,27 @@ proptest! {
             }
         }
     }
+}
+
+/// `tdts-cli stream --verify` streams ticks of one time step each, so the
+/// probe finds matches on every tick; a run whose ticks all compared empty
+/// result sets verified nothing and exits non-zero.
+#[test]
+fn cli_stream_verify_compares_nonempty_ticks() {
+    let stream = |d: &str| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_tdts-cli"))
+            .args(["stream", "--dataset", "merger", "--scale", "0.002", "--method", "temporal"])
+            .args(["--ticks", "4", "--advance-every", "2", "--verify", "--d", d])
+            .output()
+            .unwrap()
+    };
+    let out = stream("1");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("4 with matches"), "{stdout}");
+
+    let out = stream("0.000001");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("compared empty result sets"), "{stderr}");
 }
