@@ -467,6 +467,21 @@ mod tests {
         assert_eq!(engine.store().len(), 0);
     }
 
+    /// A valid segment far past the indexed span would grow the temporal
+    /// directory without bound: the index refuses it with a typed error
+    /// after the store took it, so the engine stops.
+    #[test]
+    fn far_future_ingest_is_a_typed_error_then_fail_stop() {
+        let dataset = PreparedDataset::new(store(30));
+        let method = Method::GpuTemporal(TemporalIndexConfig { bins: 10 });
+        let mut engine = SearchEngine::build(&dataset, method, device()).unwrap();
+        let err = engine.ingest(&[seg(100, 1e12)]).unwrap_err();
+        assert!(matches!(err, TdtsError::Search(SearchError::InvalidConfig(_))), "{err}");
+        assert_eq!(engine.search(&store(5), 2.0, 100).unwrap_err(), err);
+        assert_eq!(engine.ingest(&[seg(101, 2e12)]).unwrap_err(), err);
+        assert_eq!(engine.store().len(), 31);
+    }
+
     #[test]
     fn empty_store_is_refused_by_every_method() {
         let dataset = PreparedDataset::new(SegmentStore::new());

@@ -1,12 +1,11 @@
 //! Translating positional result records into user-facing ids.
 
-use serde::{Deserialize, Serialize};
 use tdts_geom::{MatchRecord, SegId, SegmentStore, TimeInterval, TrajId};
 
 /// A result record with segment and trajectory ids resolved — the form an
 /// application consumes (e.g. "star trajectory 17 is within `d` of the
 /// supernova trajectory during `[t0, t1]`").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResolvedMatch {
     pub query_seg: SegId,
     pub query_traj: TrajId,

@@ -12,11 +12,10 @@
 use crate::builder::TrajectoryBuilder;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use tdts_geom::{Point3, SegmentStore};
 
 /// Configuration of the Gaussian-cluster generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GaussianClusterConfig {
     /// Number of particles (trajectories).
     pub particles: usize,

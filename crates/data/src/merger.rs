@@ -18,7 +18,6 @@
 use crate::builder::TrajectoryBuilder;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use tdts_geom::{Point3, SegmentStore};
 
 /// Configuration of the synthetic galaxy-merger generator.
@@ -27,7 +26,7 @@ use tdts_geom::{Point3, SegmentStore};
 /// timesteps = 25,165,824 entry segments. Length units are arbitrary
 /// "kpc-like" units; the paper's Merger query distances (d up to 5) probe
 /// the same selectivity range relative to the ~15-unit disk radius.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MergerConfig {
     /// Total particles across both disks.
     pub particles: usize,

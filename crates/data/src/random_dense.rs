@@ -5,7 +5,6 @@ use crate::builder::TrajectoryBuilder;
 use crate::random_walk::step;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use tdts_geom::{Point3, SegmentStore};
 
 /// Configuration of the dense random-walk generator.
@@ -15,7 +14,7 @@ use tdts_geom::{Point3, SegmentStore};
 /// neighbourhood number density of 0.112 stars/pc³, which fixes a cubic
 /// volume of 65,536 / 0.112 ≈ 585,142 pc³ (side ≈ 83.6 pc). All particles
 /// span the full time range, as in a simulation snapshot series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RandomDenseConfig {
     /// Number of particles (trajectories).
     pub particles: usize,

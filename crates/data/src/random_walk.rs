@@ -3,7 +3,6 @@
 use crate::builder::TrajectoryBuilder;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use tdts_geom::{Point3, SegmentStore};
 
 /// Configuration of the random-walk generator.
@@ -14,7 +13,7 @@ use tdts_geom::{Point3, SegmentStore};
 /// (a 1,000-unit cube with ~5-unit steps) are calibrated so that the paper's
 /// query distance sweep (d up to 50) spans the same selectivity regimes —
 /// see EXPERIMENTS.md.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RandomWalkConfig {
     /// Number of trajectories.
     pub trajectories: usize,

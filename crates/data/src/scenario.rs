@@ -2,11 +2,10 @@
 //! parameter values used for each figure.
 
 use crate::{MergerConfig, RandomDenseConfig, RandomWalkConfig};
-use serde::{Deserialize, Serialize};
 use tdts_geom::SegmentStore;
 
 /// Which of the paper's three scenarios (§V-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScenarioKind {
     /// S1: *Random* dataset, query set of 100 trajectories × 400 steps
     /// (39,900 query segments). Figure 4.
@@ -20,7 +19,7 @@ pub enum ScenarioKind {
 }
 
 /// Index parameters the paper selected per scenario (§V-C–E).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioParams {
     /// FSG resolution in grid cells per dimension (GPUSpatial).
     pub fsg_cells_per_dim: usize,
@@ -38,7 +37,7 @@ pub struct ScenarioParams {
 /// `scale = 1.0` reproduces paper sizes; smaller scales shrink the particle
 /// and query-trajectory counts proportionally (densities preserved where the
 /// dataset has a meaningful density; see the per-generator `scaled` docs).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scenario {
     pub kind: ScenarioKind,
     pub scale: f64,

@@ -7,12 +7,11 @@
 //! Figures 4–6 are explained (and how new datasets can be assessed before
 //! choosing a method).
 
-use serde::{Deserialize, Serialize};
 use tdts_geom::{Segment, SegmentStore};
 
 /// Average candidate counts per query for each selection strategy, plus the
 /// true match rate, at one query distance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelectivityPoint {
     pub d: f64,
     /// Entries that overlap the query temporally (GPUTemporal's candidates,

@@ -16,7 +16,6 @@
 //! address entries by position, never by id.
 
 use crate::{Point3, SegId, Segment, TrajId};
-use serde::{Deserialize, Serialize};
 
 /// Canonical order of the eight `f64` columns as consumed by device code:
 /// start x/y/z, end x/y/z, `t_start`, `t_end`.
@@ -27,7 +26,7 @@ pub const F64_COLUMN_NAMES: [&str; 8] = ["sx", "sy", "sz", "ex", "ey", "ez", "t_
 /// Each scalar field of [`Segment`] becomes its own column; row `i` across
 /// all columns reconstructs the segment at position `i` of the originating
 /// array-of-structs store. All ten columns always have equal length.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SegmentColumns {
     /// Start-point x coordinates.
     pub sx: Vec<f64>,

@@ -1,13 +1,11 @@
 //! Closed intervals on the temporal axis.
 
-use serde::{Deserialize, Serialize};
-
 /// A closed time interval `[start, end]` with `start <= end`.
 ///
 /// Distance threshold search results are annotated with the interval during
 /// which the query and entry segments are within the threshold distance of
 /// each other, so this type appears in every result record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeInterval {
     pub start: f64,
     pub end: f64,

@@ -1,14 +1,13 @@
 //! Spatial minimum bounding boxes.
 
 use crate::Point3;
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned 3-D minimum bounding box (MBB).
 ///
 /// Used both by the flatly structured grid (segments are rasterised to grid
 /// cells via their MBB) and by the R-tree baseline (leaf nodes pack `r`
 /// segments per MBB).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mbb {
     pub lo: Point3,
     pub hi: Point3,

@@ -1,13 +1,12 @@
 //! 3-D spatial points and vectors.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Div, Index, Mul, Neg, Sub, SubAssign};
 
 /// A point (or vector) in 3-D Euclidean space.
 ///
 /// Coordinates are `f64`; the GPU simulator executes kernels with the same
 /// precision so host and "device" results agree bit-for-bit.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point3 {
     pub x: f64,
     pub y: f64,

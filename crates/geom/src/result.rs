@@ -2,7 +2,6 @@
 
 use crate::TimeInterval;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// One element of the final result set: a query/entry pair annotated with
 /// the time interval during which the two segments are within the threshold
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// `query` and `entry` are *positions* in the query set and entry database
 /// respectively (not segment ids), because that is what kernels naturally
 /// produce; translate via the stores when ids are needed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MatchRecord {
     pub query: u32,
     pub entry: u32,

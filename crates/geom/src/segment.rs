@@ -1,14 +1,13 @@
 //! 4-D trajectory line segments.
 
 use crate::{Mbb, Point3, TimeInterval};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of an entry or query segment within its database.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SegId(pub u32);
 
 /// Identifier of the trajectory a segment belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TrajId(pub u32);
 
 /// A spatiotemporal trajectory line segment.
@@ -17,7 +16,7 @@ pub struct TrajId(pub u32);
 /// velocity from `start` (at time `t_start`) to `end` (at time `t_end`).
 /// This matches the paper's database entries: a 4-D (1 temporal + 3 spatial
 /// dimensions) line segment with a segment id and a trajectory id.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     pub start: Point3,
     pub end: Point3,

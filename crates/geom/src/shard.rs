@@ -27,12 +27,11 @@
 //! back to positions in the global store.
 
 use crate::{Segment, SegmentStore, StoreStats};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// How a [`ShardPlan`] slices the store's extent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PartitionStrategy {
     /// Slabs of the temporal extent (`[min t_start, max t_end]`). The
     /// default: trajectory workloads advance in lock-step timesteps, so
@@ -95,7 +94,7 @@ fn axis_interval(seg: &Segment, strategy: PartitionStrategy, axis: usize) -> (f6
 /// slab edge sits. All membership and routing questions reduce to
 /// [`ShardPlan::slab_of`], so partitioning and dispatch can never disagree
 /// about which slab a coordinate belongs to.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardPlan {
     /// The partitioning strategy the slabs follow.
     pub strategy: PartitionStrategy,

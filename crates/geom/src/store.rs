@@ -17,7 +17,6 @@
 //! [`generation`]: SegmentStore::generation
 
 use crate::{Mbb, Segment, TimeInterval};
-use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 
 /// Global statistics of a segment database.
@@ -26,7 +25,7 @@ use std::sync::Mutex;
 /// index needs the temporal extent, the spatial grid needs the spatial
 /// bounds, and the spatiotemporal subbins are constrained by the maximum
 /// per-dimension spatial extent of any single segment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StoreStats {
     /// Spatial bounds over all segment endpoints.
     pub bounds: Mbb,
@@ -108,14 +107,13 @@ struct StatsEntry {
 ///
 /// [`sort_by_t_start`]: SegmentStore::sort_by_t_start
 /// [`expire_before`]: SegmentStore::expire_before
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Default)]
 pub struct SegmentStore {
     segments: Vec<Segment>,
     /// Monotonically increasing mutation counter. Every mutating method
     /// bumps it; the stats cache carries the generation it was computed at.
     generation: u64,
     /// The lazily computed, generation-tagged stats scan.
-    #[serde(skip)]
     stats: Mutex<Option<StatsEntry>>,
 }
 

@@ -1,7 +1,6 @@
 //! Device configuration and the cost-model parameters.
 
 use crate::sanitizer::SanitizerMode;
-use serde::{Deserialize, Serialize};
 
 /// How kernels map queries onto the launch grid.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// entries, a persistent grid of warps pulls tiles from a device-side
 /// [`crate::WorkQueue`] (one atomic per grab), and the warp's lanes stride
 /// one tile's entries together.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum KernelShape {
     /// One thread per query, static grid (the paper's mapping).
     #[default]
@@ -32,7 +31,7 @@ pub enum KernelShape {
 /// instruction/transaction/atomic, occupancy) are first-order estimates; the
 /// paper's comparative results depend on *relative* costs, which these
 /// preserve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceConfig {
     /// Human-readable device name (appears in reports).
     pub name: String,

@@ -1,10 +1,8 @@
 //! Per-lane cost counters.
 
-use serde::{Deserialize, Serialize};
-
 /// Cost counters accumulated by one lane (GPU thread) during a kernel, and
 /// also the aggregate over warps/launches.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Scalar ALU instructions (arithmetic, comparisons, address math).
     pub instructions: u64,

@@ -10,9 +10,8 @@ use crate::memory::{
 use crate::sanitizer::{short_type_name, Sanitizer, SanitizerMode, SanitizerReport};
 use crate::workqueue::{Tile, WorkQueue};
 use crate::Lane;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// What every handle on one simulated GPU shares: the configuration, the
 /// global-memory accounting and the sanitizer.
@@ -28,8 +27,7 @@ pub(crate) struct DeviceCore {
     /// device. The sanitizer keeps one device-wide "current launch" and one
     /// charged-vs-drained transfer balance, so — like `compute-sanitizer`
     /// serialising kernels — such a device admits one search at a time.
-    /// (A `std` mutex, unlike the ledger's: the condvar needs its guard.)
-    searching: std::sync::Mutex<bool>,
+    searching: Mutex<bool>,
     search_done: Condvar,
 }
 
@@ -109,7 +107,7 @@ impl Device {
             config,
             mem_used: AtomicUsize::new(0),
             sanitizer,
-            searching: std::sync::Mutex::new(false),
+            searching: Mutex::new(false),
             search_done: Condvar::new(),
         });
         Ok(Arc::new(Device { core, ledger: Mutex::new(ResponseTime::new()), gated: false }))
@@ -123,10 +121,10 @@ impl Device {
     pub fn for_search(&self) -> Arc<Device> {
         let gated = self.core.sanitizer.is_some();
         if gated {
-            let mut searching = self.core.searching.lock().unwrap_or_else(|e| e.into_inner());
+            let mut searching = self.core.searching.lock().unwrap_or_else(PoisonError::into_inner);
             while *searching {
                 searching =
-                    self.core.search_done.wait(searching).unwrap_or_else(|e| e.into_inner());
+                    self.core.search_done.wait(searching).unwrap_or_else(PoisonError::into_inner);
             }
             *searching = true;
         }
@@ -205,7 +203,7 @@ impl Device {
     ) -> Result<DeviceBuffer<T>, OutOfDeviceMemory> {
         let bytes = data.len() * std::mem::size_of::<T>();
         {
-            let mut ledger = self.ledger.lock();
+            let mut ledger = self.ledger.lock().unwrap_or_else(PoisonError::into_inner);
             ledger.add(Phase::HostToDevice, self.core.config.h2d_seconds(bytes));
             ledger.h2d_bytes += bytes as u64;
         }
@@ -335,7 +333,7 @@ impl Device {
     }
 
     fn charge_launch(&self, report: &LaunchReport) {
-        let mut ledger = self.ledger.lock();
+        let mut ledger = self.ledger.lock().unwrap_or_else(PoisonError::into_inner);
         ledger.add(Phase::KernelLaunch, report.launch_overhead_seconds);
         ledger.add(Phase::KernelExec, report.sim_exec_seconds);
         ledger.kernel_invocations += 1;
@@ -345,7 +343,7 @@ impl Device {
     /// reading back redo queues).
     pub fn charge_download(&self, bytes: usize) {
         {
-            let mut ledger = self.ledger.lock();
+            let mut ledger = self.ledger.lock().unwrap_or_else(PoisonError::into_inner);
             ledger.add(Phase::DeviceToHost, self.core.config.d2h_seconds(bytes));
             ledger.d2h_bytes += bytes as u64;
         }
@@ -358,19 +356,19 @@ impl Device {
     /// duplicate filtering). The engine measures these with a wall clock and
     /// records them here so the total response time includes them.
     pub fn charge_host(&self, seconds: f64) {
-        self.ledger.lock().add(Phase::HostCompute, seconds);
+        self.ledger.lock().unwrap_or_else(PoisonError::into_inner).add(Phase::HostCompute, seconds);
     }
 
     /// Snapshot of this handle's response-time ledger.
     pub fn ledger(&self) -> ResponseTime {
-        *self.ledger.lock()
+        *self.ledger.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 impl Drop for Device {
     fn drop(&mut self) {
         if self.gated {
-            *self.core.searching.lock().unwrap_or_else(|e| e.into_inner()) = false;
+            *self.core.searching.lock().unwrap_or_else(PoisonError::into_inner) = false;
             self.core.search_done.notify_one();
         }
     }

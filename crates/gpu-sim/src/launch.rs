@@ -51,7 +51,6 @@
 use crate::config::DeviceConfig;
 use crate::counters::{Counters, Lane};
 use crate::sanitizer::Sanitizer;
-use serde::{Deserialize, Serialize};
 
 /// Kernel-shape label of static-grid launches in sanitizer findings.
 pub(crate) const SHAPE_STATIC: &str = "static-grid";
@@ -152,7 +151,7 @@ impl Warp {
 }
 
 /// Cost summary of one warp.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct WarpCost {
     pub cycles: f64,
     pub divergent: bool,
@@ -160,7 +159,7 @@ pub(crate) struct WarpCost {
 }
 
 /// Report returned by [`crate::Device::launch`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaunchReport {
     /// Number of GPU threads launched.
     pub threads: usize,
@@ -826,7 +825,7 @@ mod tests {
     #[test]
     fn persistent_launch_processes_every_tile_once() {
         use crate::workqueue::Tile;
-        use parking_lot::Mutex;
+        use std::sync::Mutex;
         let dev = tiny();
         let mut tiles = Vec::new();
         for q in 0..7u32 {
@@ -836,9 +835,9 @@ mod tests {
         let seen = Mutex::new(Vec::new());
         let report = dev.launch_persistent(&queue, |warp, tile| {
             warp.for_each_lane(|lane| lane.instr(1));
-            seen.lock().push(tile);
+            seen.lock().unwrap().push(tile);
         });
-        let mut got = seen.into_inner();
+        let mut got = seen.into_inner().unwrap();
         got.sort_by_key(|t| (t.query, t.lo));
         assert_eq!(got, tiles);
         // Grid capped at persistent_warps (test_tiny: 2 SMs * 1.0 = 2).

@@ -1,6 +1,5 @@
 //! Response-time accounting.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Phases of a distance threshold search that contribute to response time.
@@ -9,7 +8,7 @@ use std::fmt;
 /// storage of the database `D` on the GPU (§V-B); the engine therefore only
 /// records phases that occur between receiving the query set and returning
 /// the final result set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Host-side computation (query sorting, schedule construction, dedup).
     HostCompute,
@@ -58,7 +57,7 @@ impl fmt::Display for Phase {
 }
 
 /// Accumulated simulated response time, broken down by [`Phase`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ResponseTime {
     seconds: [f64; 5],
     /// Number of kernel invocations recorded (the paper reports re-invocation

@@ -11,12 +11,11 @@ use crate::counters::Lane;
 use crate::device::{Device, DeviceCore};
 use crate::launch::{Warp, MAX_WARP_LANES};
 use crate::sanitizer::ShadowRef;
-use parking_lot::{Mutex, MutexGuard};
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Converged ALU instructions charged per warp-aggregated flush: ballot,
 /// popcount, leader election, base broadcast, and address arithmetic.
@@ -496,7 +495,7 @@ impl<T: Copy + Default> PartitionedScratch<T> {
             !self.taken[idx].swap(true, Ordering::AcqRel),
             "scratch partition {idx} taken twice in one launch"
         );
-        let mut data = self.parts[idx].lock();
+        let mut data = self.parts[idx].lock().unwrap_or_else(PoisonError::into_inner);
         data.clear();
         ScratchPartition {
             data,

@@ -4,7 +4,6 @@ use crate::counters::Counters;
 use crate::launch::LaunchReport;
 use crate::ledger::ResponseTime;
 use crate::memory::OutOfDeviceMemory;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Load-balance metrics accumulated over every kernel launch of a search.
@@ -14,7 +13,7 @@ use std::fmt;
 /// one-thread-per-query mapping the spread tracks the skew of per-query
 /// candidate-range lengths; warp-per-tile dispatch caps every dispatch unit
 /// at `tile_size` entries, so the spread collapses toward 1.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LoadBalance {
     /// Cycles of the most expensive warp over all launches.
     pub max_warp_cycles: f64,
@@ -99,7 +98,7 @@ impl LoadBalance {
 /// they count dispatch *work*, which every shard really performed (or
 /// provably avoided), independent of whether the shards ran back to back
 /// or side by side.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoutingSummary {
     /// Shard-query pairs actually dispatched: each query counts once per
     /// shard whose sub-batch it joined. Broadcast dispatch reports
@@ -130,7 +129,7 @@ impl RoutingSummary {
 }
 
 /// Summary of one distance threshold search execution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SearchReport {
     /// Simulated response-time breakdown.
     pub response: ResponseTime,

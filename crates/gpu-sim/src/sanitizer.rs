@@ -43,14 +43,12 @@
 //! allocations exist, no access is logged, and the simulated cost counters
 //! are byte-identical to a build without this module.
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Whether a device runs the sanitizer (see the module docs).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SanitizerMode {
     /// No shadow state, no checks, zero overhead (the default).
     #[default]
@@ -93,7 +91,7 @@ impl fmt::Display for SanitizerMode {
 }
 
 /// Classification of a sanitizer finding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FindingKind {
     /// A kernel read past a buffer's length.
     OutOfBoundsRead,
@@ -122,7 +120,7 @@ impl fmt::Display for FindingKind {
 }
 
 /// One structured sanitizer diagnostic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Finding {
     /// What went wrong.
     pub kind: FindingKind,
@@ -156,7 +154,7 @@ impl fmt::Display for Finding {
 
 /// Snapshot of everything the sanitizer knows, retrievable via
 /// [`crate::Device::sanitizer_report`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SanitizerReport {
     /// The mode the device runs under.
     pub mode: SanitizerMode,
@@ -314,8 +312,14 @@ impl Sanitizer {
         Sanitizer { state: Mutex::new(State::default()) }
     }
 
+    /// The shadow state, poison absorbed: a launch that panicked while
+    /// holding it leaves the findings recorded so far readable.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn register(&self, kind: &'static str, ty: &'static str, _len: usize) -> u64 {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         let id = st.next_id;
         st.next_id += 1;
         st.allocs.insert(id, Alloc { name: format!("{kind}<{ty}>#{id}") });
@@ -323,12 +327,12 @@ impl Sanitizer {
     }
 
     fn deregister(&self, id: u64) {
-        self.state.lock().allocs.remove(&id);
+        self.state().allocs.remove(&id);
     }
 
     /// Record a finding of a kernel lane's access to `buffer`.
     fn record(&self, kind: FindingKind, buffer: u64, offset: usize, lane: usize, detail: String) {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         let (launch, shape) = st.launch_context();
         let buffer = st.buffer_name(buffer);
         st.findings.push(Finding {
@@ -343,14 +347,14 @@ impl Sanitizer {
     }
 
     pub(crate) fn begin_launch(&self, shape: &'static str) {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         st.launches += 1;
         let id = st.launches;
         st.current = Some(CurrentLaunch { id, shape, commits: Vec::new() });
     }
 
     pub(crate) fn end_launch(&self) {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         let Some(launch) = st.current.take() else { return };
 
         // Lost-record accounting: a commit with losses is acknowledged
@@ -382,11 +386,11 @@ impl Sanitizer {
     }
 
     pub(crate) fn note_d2h_charged(&self, bytes: u64) {
-        self.state.lock().d2h_charged += bytes;
+        self.state().d2h_charged += bytes;
     }
 
     pub(crate) fn note_malformed_tile(&self, pos: usize, query: u32, lo: u32, hi: u32) {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         let launches = st.launches;
         st.findings.push(Finding {
             kind: FindingKind::MalformedTile,
@@ -404,7 +408,7 @@ impl Sanitizer {
     /// the end of every search; `SearchReport::sanitizer_findings` carries
     /// the delta so merged reports sum correctly.
     pub(crate) fn checkpoint(&self) -> u64 {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         let pending = std::mem::take(&mut st.pending_losses);
         for p in &pending {
             st.findings.push(loss_finding(p));
@@ -424,7 +428,7 @@ impl Sanitizer {
     /// an unflagged transfer mismatch are synthesized into the returned
     /// report without being consumed.
     pub fn report(&self) -> SanitizerReport {
-        let st = self.state.lock();
+        let st = self.state();
         let mut findings = st.findings.clone();
         findings.extend(st.pending_losses.iter().map(loss_finding));
         let diff = st.transfer_diff();
@@ -493,7 +497,7 @@ impl ShadowRef {
         if stored == 0 && lost == 0 {
             return;
         }
-        let mut st = self.san.state.lock();
+        let mut st = self.san.state();
         if let Some(cur) = st.current.as_mut() {
             cur.commits.push(CommitEvent { warp, buffer: self.id, stored, lost });
         }
@@ -502,12 +506,12 @@ impl ShadowRef {
     /// The host checked this buffer's overflow flag: pending losses on it
     /// are acknowledged (host-driven redo).
     pub(crate) fn ack_losses(&self) {
-        self.san.state.lock().pending_losses.retain(|p| p.buffer != self.id);
+        self.san.state().pending_losses.retain(|p| p.buffer != self.id);
     }
 
     /// Record bytes drained to the host (transfer accounting).
     pub(crate) fn note_drained(&self, bytes: u64) {
-        self.san.state.lock().d2h_drained += bytes;
+        self.san.state().d2h_drained += bytes;
     }
 }
 

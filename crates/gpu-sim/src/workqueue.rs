@@ -19,7 +19,6 @@
 
 use crate::memory::DeviceBuffer;
 use crate::sanitizer::Sanitizer;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Sanitizer pass over a host-built tile list before upload: a tile with
@@ -42,7 +41,7 @@ pub(crate) fn validate_tiles(san: &Sanitizer, tiles: &mut [Tile]) {
 /// index has several candidate arrays (GPUSpatioTemporal stores the X/Y/Z
 /// selector or the temporal-fallback marker here); single-array schemes
 /// leave it 0.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tile {
     /// Query index this tile belongs to.
     pub query: u32,

@@ -1,11 +1,10 @@
 //! The flatly structured grid (FSG).
 
-use serde::{Deserialize, Serialize};
 use tdts_geom::{ExpireDelta, Mbb, Point3, SegmentStore, StoreStats};
 use tdts_gpu_sim::SearchError;
 
 /// FSG resolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FsgConfig {
     /// Grid cells per dimension (the paper found 50 best for the Random
     /// dataset, §V-C).
@@ -67,7 +66,7 @@ impl CellRange {
 /// let [a_min, a_max] = fsg.cell_ranges[cell];
 /// assert!(fsg.lookup[a_min as usize..a_max as usize].contains(&0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fsg {
     bounds: Mbb,
     /// Union of the build-time bounds and every appended segment's MBB.

@@ -1,12 +1,11 @@
 //! The spatiotemporal (bins × subbins) index.
 
-use serde::{Deserialize, Serialize};
 use tdts_geom::{ExpireDelta, Segment, SegmentStore, StoreStats};
 use tdts_gpu_sim::SearchError;
-use tdts_index_temporal::{TemporalIndex, TemporalIndexConfig};
+use tdts_index_temporal::{check_bins, TemporalIndex, TemporalIndexConfig};
 
 /// Index parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpatioTemporalIndexConfig {
     /// Temporal bin count `m` (as in `GPUTemporal`).
     pub bins: usize,
@@ -28,7 +27,7 @@ impl Default for SpatioTemporalIndexConfig {
 }
 
 /// Which lookup the kernel uses for a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Selector {
     /// Use the id array of the given dimension (0 = X, 1 = Y, 2 = Z).
     Dim(u8),
@@ -43,7 +42,7 @@ pub enum Selector {
 /// (into the selected dimension array, or directly into the entry database
 /// for the temporal fallback). Encoded in 4 integers on the device, exactly
 /// the paper's fixed-size, alignment-preserving encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduleEntry {
     pub selector: Selector,
     pub lo: u32,
@@ -75,7 +74,7 @@ impl ScheduleEntry {
 
 /// The spatiotemporal index: a [`TemporalIndex`] plus per-dimension id
 /// arrays in `(subbin, bin)` lexicographic layout.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpatioTemporalIndex {
     temporal: TemporalIndex,
     /// Effective subbin count (requested `v` capped by the extent
@@ -143,9 +142,10 @@ impl SpatioTemporalIndex {
         }
 
         // Populate the per-dimension arrays in (subbin, bin) order.
+        let rows = check_bins(v.checked_mul(m))?;
         let mut arrays: [Vec<u32>; 3] = [Vec::new(), Vec::new(), Vec::new()];
         let mut ranges: [Vec<[u32; 2]>; 3] =
-            [Vec::with_capacity(v * m), Vec::with_capacity(v * m), Vec::with_capacity(v * m)];
+            [Vec::with_capacity(rows), Vec::with_capacity(rows), Vec::with_capacity(rows)];
         let segs = store.segments();
         for d in 0..3 {
             for j in 0..v {
@@ -191,13 +191,14 @@ impl SpatioTemporalIndex {
         let mut next = self.emptied();
         next.temporal.append(store, from)?;
         let new_m = next.temporal.bins();
+        let rows = check_bins(self.v.checked_mul(new_m))?;
         next.m = new_m;
         let tail = &store.segments()[from..];
         for d in 0..3 {
             let spans: Vec<(usize, usize)> =
                 tail.iter().map(|s| self.subbin_span(d, s.min_coord(d), s.max_coord(d))).collect();
             let mut arrays = Vec::with_capacity(self.arrays[d].len() + tail.len());
-            let mut ranges = Vec::with_capacity(self.v * new_m);
+            let mut ranges = Vec::with_capacity(rows);
             for j in 0..self.v {
                 for i in 0..new_m {
                     let start = arrays.len() as u32;
@@ -423,6 +424,21 @@ mod tests {
         )
         .unwrap();
         assert_eq!(idx.effective_subbins(), 1);
+    }
+
+    #[test]
+    fn oversized_directory_rejected() {
+        // Point segments leave `v` uncapped, so `v * m` overflows.
+        let s: SegmentStore = (0..10)
+            .map(|i| {
+                let p = Point3::new(i as f64, i as f64, i as f64);
+                Segment::new(p, p, i as f64, i as f64 + 1.0, SegId(i), TrajId(i))
+            })
+            .collect();
+        let config =
+            SpatioTemporalIndexConfig { bins: 4, subbins: usize::MAX, sort_by_selector: true };
+        let err = SpatioTemporalIndex::build(&s, config).unwrap_err();
+        assert!(matches!(err, SearchError::InvalidConfig(_)), "{err}");
     }
 
     #[test]

@@ -1,11 +1,24 @@
 //! The temporal bin index.
 
-use serde::{Deserialize, Serialize};
 use tdts_geom::{ExpireDelta, Segment, SegmentStore, StoreStats};
 use tdts_gpu_sim::SearchError;
 
+/// The most bins a directory may hold. Far above any configured count (the
+/// largest sweep uses 100,000), it turns a hostile `bins` or an append far
+/// past the indexed time span into a typed error instead of an allocation
+/// that aborts the process.
+pub const MAX_BINS: usize = 1 << 22;
+
+/// `n` (`None` when computing it overflowed) if a directory of `n` bins
+/// stays within [`MAX_BINS`], [`SearchError::InvalidConfig`] otherwise.
+pub fn check_bins(n: Option<usize>) -> Result<usize, SearchError> {
+    n.filter(|&n| n <= MAX_BINS).ok_or_else(|| {
+        SearchError::InvalidConfig(format!("the bin directory would exceed {MAX_BINS} bins"))
+    })
+}
+
 /// Temporal index parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TemporalIndexConfig {
     /// Number of logical bins `m` the temporal extent is partitioned into.
     pub bins: usize,
@@ -50,7 +63,7 @@ impl Default for TemporalIndexConfig {
 /// assert!(lo <= 4 && 6 <= hi, "range [{lo}, {hi}) must cover entries 4 and 5");
 /// assert!(index.validate(&store).is_ok());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TemporalIndex {
     /// `bin_start_pos[j]` = position of the first entry whose start time
     /// falls in bin `j` or later; length `m + 1` (last element = n).
@@ -69,7 +82,7 @@ pub struct TemporalIndex {
 
 impl TemporalIndex {
     /// Build the index. `store` must be sorted by non-decreasing `t_start`
-    /// (checked) and non-empty; `bins >= 1`. Violations are reported as
+    /// (checked) and non-empty; `1 <= bins <= MAX_BINS`. Violations are reported as
     /// [`SearchError::UnsortedDataset`], [`SearchError::EmptyDataset`], and
     /// [`SearchError::InvalidConfig`] respectively.
     pub fn build(
@@ -91,13 +104,13 @@ impl TemporalIndex {
         if config.bins < 1 {
             return Err(SearchError::InvalidConfig("need at least one temporal bin".into()));
         }
+        let m = check_bins(Some(config.bins))?;
         if store.is_empty() {
             return Err(SearchError::EmptyDataset);
         }
         if !store.is_sorted_by_t_start() {
             return Err(SearchError::UnsortedDataset);
         }
-        let m = config.bins;
         let t_min = stats.time_span.start;
         let t_max = stats.time_span.end;
         // Degenerate span: all entries in one bin of nominal width 1.
@@ -222,8 +235,7 @@ impl TemporalIndex {
     }
 
     /// Check structural invariants against the store the index was built
-    /// from; returns a description of the first violation. Used by tests
-    /// and recommended after deserialising an index.
+    /// from; returns a description of the first violation.
     pub fn validate(&self, store: &SegmentStore) -> Result<(), String> {
         if store.len() != self.entries {
             return Err(format!(
@@ -274,8 +286,10 @@ impl TemporalIndex {
     /// fixed width are appended past the old temporal extent as needed.
     ///
     /// Requires the store to remain sorted by `t_start`
-    /// ([`SearchError::UnsortedDataset`] otherwise) and `from` to equal the
-    /// currently indexed entry count ([`SearchError::InvalidConfig`]).
+    /// ([`SearchError::UnsortedDataset`] otherwise), `from` to equal the
+    /// currently indexed entry count, and the grown directory to stay
+    /// within [`MAX_BINS`] ([`SearchError::InvalidConfig`]). A refused
+    /// append leaves the index as it was.
     ///
     /// The resulting *structure* differs from a cold rebuild (more,
     /// narrower bins), but every candidate range stays a superset of the
@@ -300,9 +314,20 @@ impl TemporalIndex {
             last = s.t_start;
         }
 
+        // The grown directory spans logical bins `first..end`; size it
+        // before touching anything (the float-to-int cast saturates).
+        let last_t = tail.last().expect("non-empty tail").t_start;
+        let need = if last_t <= self.t_min {
+            0
+        } else {
+            ((last_t - self.t_min) / self.bin_width) as usize
+        };
+        let first = self.logical_bin_of(tail[0].t_start).min(self.first_bin);
+        let end = (self.first_bin + self.bins()).max(need.saturating_add(1));
+        let new_m = check_bins(Some(end - first))?;
+
         // Only an empty index can take a tail that starts before its first
         // kept bin: give back the dropped bins down to the tail's.
-        let first = self.logical_bin_of(tail[0].t_start);
         if first < self.first_bin {
             let regrow = self.first_bin - first;
             self.bin_start_pos.splice(0..0, std::iter::repeat_n(0, regrow));
@@ -312,13 +337,6 @@ impl TemporalIndex {
 
         let m = self.bins();
         let n_old = from;
-        let last_t = tail.last().expect("non-empty tail").t_start;
-        let need = if last_t <= self.t_min {
-            0
-        } else {
-            ((last_t - self.t_min) / self.bin_width) as usize
-        };
-        let new_m = m.max((need + 1).saturating_sub(self.first_bin));
 
         // Re-derive every boundary that sat at (or belongs past) the old
         // end by binary search in the sorted tail. Boundaries pointing
@@ -538,6 +556,29 @@ mod tests {
         let s = store(&[(0.0, 1.0)]);
         let err = TemporalIndex::build(&s, TemporalIndexConfig { bins: 0 }).unwrap_err();
         assert!(matches!(err, SearchError::InvalidConfig(_)));
+    }
+
+    #[test]
+    fn oversized_directory_rejected() {
+        let s = store(&[(0.0, 1.0)]);
+        for bins in [MAX_BINS + 1, usize::MAX] {
+            let err = TemporalIndex::build(&s, TemporalIndexConfig { bins }).unwrap_err();
+            assert!(matches!(err, SearchError::InvalidConfig(_)), "{bins}: {err}");
+        }
+    }
+
+    /// One valid segment far past the indexed span would grow the
+    /// directory past `MAX_BINS`: the append is refused and changes nothing.
+    #[test]
+    fn far_future_append_rejected_without_mutating() {
+        let mut s = store(&(0..10).map(|i| (i as f64, i as f64 + 2.0)).collect::<Vec<_>>());
+        let mut idx = TemporalIndex::build(&s, TemporalIndexConfig { bins: 10 }).unwrap();
+        assert_eq!(idx.time_span(), (0.0, 11.0));
+        let before = idx.clone();
+        let delta = s.append(&[seg(1e12, 1e12 + 1.0)]);
+        let err = idx.append(&s, delta.from).unwrap_err();
+        assert!(matches!(err, SearchError::InvalidConfig(_)), "{err}");
+        assert_eq!(idx, before);
     }
 
     fn assert_superset(idx: &TemporalIndex, s: &SegmentStore, q: &Segment) {

@@ -18,5 +18,5 @@
 pub mod index;
 pub mod search;
 
-pub use index::{TemporalIndex, TemporalIndexConfig};
+pub use index::{check_bins, TemporalIndex, TemporalIndexConfig, MAX_BINS};
 pub use search::{GpuTemporalSearch, TemporalSchedule};

@@ -1,13 +1,12 @@
 //! Spatiotemporal minimum bounding boxes.
 
-use serde::{Deserialize, Serialize};
 use tdts_geom::{Mbb, Segment, TimeInterval};
 
 /// A 4-D bounding box: spatial [`Mbb`] plus temporal extent.
 ///
 /// The R-tree prunes on both: a subtree can be skipped when it is farther
 /// than `d` in space *or* disjoint in time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StMbb {
     pub space: Mbb,
     pub time: TimeInterval,

@@ -2,11 +2,10 @@
 
 use crate::stmbb::StMbb;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use tdts_geom::{within_distance, MatchRecord, SegmentStore};
 
 /// R-tree build parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RTreeConfig {
     /// Segments packed per leaf-entry MBB (the paper's `r`). Consecutive
     /// same-trajectory segments are grouped, so an entry's MBB stays tight.
@@ -35,7 +34,7 @@ impl RTreeConfig {
 }
 
 /// Aggregate counters of one batch search, for the `r`-trade-off analysis.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Tree nodes visited across all queries.
     pub nodes_visited: u64,

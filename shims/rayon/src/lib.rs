@@ -6,15 +6,13 @@
 //!
 //! Semantics preserved from rayon:
 //! * `collect()` keeps input order;
-//! * panics in worker closures propagate to the caller;
-//! * `par_sort_by` is stable, `par_sort_unstable_by` need not be.
+//! * panics in worker closures propagate to the caller.
 
 use std::cmp::Ordering;
 
 pub mod prelude {
     pub use crate::{
-        IntoParallelIterator, IntoParallelRefIterator, ParallelIterator, ParallelSlice,
-        ParallelSliceMut,
+        IntoParallelIterator, IntoParallelRefIterator, ParallelIterator, ParallelSliceMut,
     };
 }
 
@@ -50,23 +48,8 @@ fn par_map_vec<T: Send, R: Send, F: Fn(T) -> R + Sync>(items: Vec<T>, f: &F) -> 
     })
 }
 
-/// Run two closures concurrently, returning both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        (ra, hb.join().expect("rayon shim worker panicked"))
-    })
-}
-
 /// A parallel iterator: adapters compose lazily, evaluation happens in
-/// `drive()` (called by `collect`/`sum`/...), which fans work out across
+/// `drive()` (called by `collect`), which fans work out across
 /// threads and returns results in input order.
 pub trait ParallelIterator: Sized + Send {
     type Item: Send;
@@ -89,25 +72,6 @@ pub trait ParallelIterator: Sized + Send {
         I::Item: Send,
     {
         FlatMapIter { base: self, f }
-    }
-
-    fn filter_map<F, R>(self, f: F) -> FilterMap<Self, F>
-    where
-        F: Fn(Self::Item) -> Option<R> + Sync + Send,
-        R: Send,
-    {
-        FilterMap { base: self, f }
-    }
-
-    fn sum<S>(self) -> S
-    where
-        S: std::iter::Sum<Self::Item>,
-    {
-        self.drive().into_iter().sum()
-    }
-
-    fn count(self) -> usize {
-        self.drive().len()
     }
 
     fn collect<C>(self) -> C
@@ -168,60 +132,16 @@ where
     }
 }
 
-pub struct FilterMap<P, F> {
-    base: P,
-    f: F,
-}
-
-impl<P, F, R> ParallelIterator for FilterMap<P, F>
-where
-    P: ParallelIterator,
-    F: Fn(P::Item) -> Option<R> + Sync + Send,
-    R: Send,
-{
-    type Item = R;
-    fn drive(self) -> Vec<R> {
-        par_map_vec(self.base.drive(), &self.f).into_iter().flatten().collect()
-    }
-}
-
 /// Conversion into a parallel iterator.
 pub trait IntoParallelIterator {
     type Item: Send;
     fn into_par_iter(self) -> IndexedParIter<Self::Item>;
 }
 
-macro_rules! impl_range_par_iter {
-    ($($t:ty),*) => {$(
-        impl IntoParallelIterator for std::ops::Range<$t> {
-            type Item = $t;
-            fn into_par_iter(self) -> IndexedParIter<$t> {
-                IndexedParIter { items: self.collect() }
-            }
-        }
-    )*};
-}
-
-impl_range_par_iter!(usize, u32, u64, i32, i64);
-
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-    fn into_par_iter(self) -> IndexedParIter<T> {
-        IndexedParIter { items: self }
-    }
-}
-
-impl<'a, T: Sync> IntoParallelIterator for &'a [T] {
-    type Item = &'a T;
-    fn into_par_iter(self) -> IndexedParIter<&'a T> {
-        IndexedParIter { items: self.iter().collect() }
-    }
-}
-
-impl<'a, T: Sync> IntoParallelIterator for &'a Vec<T> {
-    type Item = &'a T;
-    fn into_par_iter(self) -> IndexedParIter<&'a T> {
-        IndexedParIter { items: self.iter().collect() }
+impl IntoParallelIterator for std::ops::Range<usize> {
+    type Item = usize;
+    fn into_par_iter(self) -> IndexedParIter<usize> {
+        IndexedParIter { items: self.collect() }
     }
 }
 
@@ -238,32 +158,15 @@ impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
     }
 }
 
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
-    type Item = &'a T;
-    fn par_iter(&'a self) -> IndexedParIter<&'a T> {
-        IndexedParIter { items: self.iter().collect() }
-    }
-}
-
-/// Read-only parallel slice helpers.
-pub trait ParallelSlice<T: Sync> {
-    fn as_parallel_slice(&self) -> &[T];
-}
-
-impl<T: Sync> ParallelSlice<T> for [T] {
-    fn as_parallel_slice(&self) -> &[T] {
-        self
-    }
-}
-
-/// Parallel sorts. Strategy: sort contiguous chunks on worker threads,
+/// Parallel sort. Strategy: sort contiguous chunks on worker threads,
 /// then run the std stable sort over the whole slice — timsort detects the
 /// pre-sorted runs and performs only the O(n log k) merge work, so the
-/// comparison-heavy O(n log n) phase is what parallelizes.
+/// comparison-heavy O(n log n) phase is what parallelizes. The result is
+/// stable, which satisfies the unstable contract.
 pub trait ParallelSliceMut<T: Send> {
     fn as_parallel_slice_mut(&mut self) -> &mut [T];
 
-    fn par_sort_by<F>(&mut self, cmp: F)
+    fn par_sort_unstable_by<F>(&mut self, cmp: F)
     where
         F: Fn(&T, &T) -> Ordering + Sync,
     {
@@ -283,30 +186,6 @@ pub trait ParallelSliceMut<T: Send> {
         });
         // Merge the sorted runs (run-adaptive stable sort).
         slice.sort_by(|a, b| cmp(a, b));
-    }
-
-    fn par_sort_unstable_by<F>(&mut self, cmp: F)
-    where
-        F: Fn(&T, &T) -> Ordering + Sync,
-    {
-        // Stable ordering satisfies the unstable contract.
-        self.par_sort_by(cmp);
-    }
-
-    fn par_sort_by_key<K, F>(&mut self, key: F)
-    where
-        K: Ord,
-        F: Fn(&T) -> K + Sync,
-    {
-        self.par_sort_by(|a, b| key(a).cmp(&key(b)));
-    }
-
-    fn par_sort_unstable_by_key<K, F>(&mut self, key: F)
-    where
-        K: Ord,
-        F: Fn(&T) -> K + Sync,
-    {
-        self.par_sort_by(|a, b| key(a).cmp(&key(b)));
     }
 }
 
@@ -338,26 +217,13 @@ mod tests {
     }
 
     #[test]
-    fn sum_matches_serial() {
-        let par: u64 = (0..1u64 << 16).into_par_iter().sum();
-        let ser: u64 = (0..1u64 << 16).sum();
-        assert_eq!(par, ser);
-    }
-
-    #[test]
-    fn par_sort_sorts_and_is_stable() {
+    fn par_sort_sorts() {
         // Keys with many duplicates; payload records original position.
         let mut v: Vec<(u32, usize)> = (0..50_000).map(|i| ((i * 7919 % 100) as u32, i)).collect();
-        v.par_sort_by(|a, b| a.0.cmp(&b.0));
+        v.par_sort_unstable_by(|a, b| a.0.cmp(&b.0));
         assert!(v.windows(2).all(|w| w[0].0 <= w[1].0));
-        // Stability: equal keys keep original relative order.
+        // The merge pass is stable: equal keys keep their original order.
         assert!(v.windows(2).all(|w| w[0].0 < w[1].0 || w[0].1 < w[1].1));
-    }
-
-    #[test]
-    fn join_runs_both() {
-        let (a, b) = super::join(|| 2 + 2, || "ok");
-        assert_eq!((a, b), (4, "ok"));
     }
 
     #[test]
