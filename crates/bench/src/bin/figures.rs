@@ -21,8 +21,7 @@ const OPTIONS: &str = "  --list              print the target names and exit
                       across (default 1 = unsharded)
   --partition <s>     temporal (default) | spatial-grid slab orientation
   --sanitizer <m>     off (default) | full: the shadow-state device
-                      sanitizer (also set by the TDTS_SANITIZER env var).
-                      Findings abort the run.";
+                      sanitizer. Findings abort the run.";
 
 fn exit_usage(why: &str) -> ! {
     eprintln!("{why}\nusage: figures [options] <{}|all>...\n{OPTIONS}", names().join("|"));
@@ -43,9 +42,6 @@ fn value<T>(
 fn main() {
     let mut cfg = RunConfig::default();
     let mut targets: Vec<&str> = Vec::new();
-    if let Some(mode) = SanitizerMode::from_env() {
-        cfg.device.sanitizer = mode;
-    }
     let positive = |v: &str| v.parse().ok().filter(|&n| n > 0);
     let args = &mut std::env::args().skip(1);
     while let Some(arg) = args.next() {

@@ -10,14 +10,12 @@
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
-use std::sync::Arc;
 use tdts_core::{
-    Method, PreparedDataset, QueryBatch, SearchOutcome, ShardedIndex, ShardedIndexConfig,
-    TdtsError, TrajectoryIndex,
+    Method, PreparedDataset, SearchEngine, ShardedIndex, ShardedIndexConfig, TdtsError,
 };
 use tdts_data::scenario::ScenarioParams;
 use tdts_data::{GaussianClusterConfig, MergerConfig, Scenario, ScenarioKind};
-use tdts_geom::{MatchRecord, SegmentStore, StoreStats};
+use tdts_geom::{MatchRecord, SegmentStore};
 use tdts_gpu_sim::{Device, DeviceConfig, KernelShape, SearchReport};
 use tdts_index_spatial::{FsgConfig, GpuSpatialConfig};
 use tdts_index_spatiotemporal::SpatioTemporalIndexConfig;
@@ -257,20 +255,10 @@ pub struct Ran {
 /// A generated dataset, canonicalised (sorted by `t_start`) for every index.
 struct Prepared {
     name: &'static str,
-    store: Arc<SegmentStore>,
-    stats: StoreStats,
+    dataset: PreparedDataset,
     queries: SegmentStore,
     params: ScenarioParams,
     sweep: Vec<f64>,
-}
-
-struct Built {
-    index: Box<dyn TrajectoryIndex>,
-    /// Typed handle to a sharded index, for its replication and dedup
-    /// counters.
-    sharded: Option<Arc<ShardedIndex>>,
-    /// An unsharded arm's device, for the sanitizer's diagnostics.
-    device: Option<Arc<Device>>,
 }
 
 /// Generate, build, measure, cross-check and print every table of the target
@@ -323,26 +311,21 @@ fn prepare(cfg: &RunConfig, data: Data) -> Result<Prepared, String> {
             ("merger", store, queries, params, vec![0.5])
         }
     };
-    let store = PreparedDataset::new(store).store_arc();
-    let stats = store.stats().ok_or(format!("{name}: empty dataset"))?;
-    eprintln!("[harness] {name}: |D| = {}, |Q| = {}", store.len(), queries.len());
-    Ok(Prepared { name, store, stats, queries, params, sweep })
+    let dataset = PreparedDataset::new(store);
+    eprintln!("[harness] {name}: |D| = {}, |Q| = {}", dataset.store().len(), queries.len());
+    Ok(Prepared { name, dataset, queries, params, sweep })
 }
 
-fn build(cfg: &RunConfig, p: &Prepared, arm: &Arm) -> Result<Built, TdtsError> {
+fn build(cfg: &RunConfig, p: &Prepared, arm: &Arm) -> Result<SearchEngine, TdtsError> {
     let device_config = arm.device.as_ref().unwrap_or(&cfg.device);
     let run_wide = (cfg.sharding.shards > 1).then_some(cfg.sharding);
     if let Some(sharding) = arm.sharding.or(run_wide) {
         eprintln!("[harness] building {} across {} shard(s) ...", arm.label, sharding.shards);
-        let sharded = ShardedIndex::build(arm.method, &p.store, &p.stats, device_config, &sharding);
-        let sharded = Arc::new(sharded?);
-        let index = Box::new(Arc::clone(&sharded));
-        return Ok(Built { index, sharded: Some(sharded), device: None });
+        return SearchEngine::build_sharded(&p.dataset, arm.method, device_config, &sharding);
     }
     eprintln!("[harness] building {} ...", arm.label);
     let device = Device::new(device_config.clone()).map_err(TdtsError::InvalidConfig)?;
-    let index = arm.method.build_index(&p.store, Arc::clone(&device))?;
-    Ok(Built { index, sharded: None, device: Some(device) })
+    SearchEngine::build(&p.dataset, arm.method, device)
 }
 
 /// Measure every (arm, `d`) cell — an arm that differs from its base only in
@@ -364,7 +347,7 @@ fn measure(cfg: &RunConfig, table: &Target, p: &Prepared) -> Result<Vec<Vec<Cell
     let mut order: Vec<usize> = (0..arms.len()).collect();
     order.sort_by_key(|&a| arms[a].base.is_some());
     let shared = |a: usize| arms[a].base.filter(|&base| arms[a].same_index(&arms[base]));
-    let mut kept: Vec<Option<Rc<Built>>> = arms.iter().map(|_| None).collect();
+    let mut kept: Vec<Option<Rc<SearchEngine>>> = arms.iter().map(|_| None).collect();
     for a in order {
         let arm = &arms[a];
         let own = arm.data.map(|data| prepare(cfg, data)).transpose()?;
@@ -379,7 +362,7 @@ fn measure(cfg: &RunConfig, table: &Target, p: &Prepared) -> Result<Vec<Vec<Cell
         if (0..arms.len()).any(|later| shared(later) == Some(a)) {
             kept[a] = Some(Rc::clone(&built));
         }
-        let dropped = || built.sharded.as_ref().map_or(0, |s| s.duplicates_dropped());
+        let dropped = || built.sharded().map_or(0, ShardedIndex::duplicates_dropped);
         for (di, &d) in ds.iter().enumerate() {
             let who = format!("{} at d = {d}", arm.label);
             let mut capacity = p.params.result_buffer_capacity;
@@ -389,19 +372,20 @@ fn measure(cfg: &RunConfig, table: &Target, p: &Prepared) -> Result<Vec<Vec<Cell
             }
             let dropped_before = dropped();
             // The harness's one timing loop: the trial with the least response.
-            let batch = QueryBatch { queries: &p.queries, d, result_capacity: capacity };
-            let search =
-                || built.index.search_shaped(&batch, arm.shape).map_err(|e| format!("{who}: {e}"));
+            let search = || {
+                let found = built.search_shaped(&p.queries, d, capacity, arm.shape);
+                found.map_err(|e| format!("{who}: {e}"))
+            };
             let mut best = search()?;
             for _ in 1..cfg.trials {
                 let next = search()?;
-                if next.report.response_seconds() < best.report.response_seconds() {
+                if next.1.response_seconds() < best.1.response_seconds() {
                     best = next;
                 }
             }
-            let SearchOutcome { matches, report } = best;
+            let (matches, report) = best;
             if report.sanitizer_findings > 0 {
-                let detail = built.device.as_ref().map(|dev| dev.sanitizer_report().to_string());
+                let detail = built.device().map(|dev| dev.sanitizer_report().to_string());
                 let detail = detail.unwrap_or_default();
                 return Err(format!("{who}: sanitizer found defects\n{detail}"));
             }
@@ -422,9 +406,9 @@ fn measure(cfg: &RunConfig, table: &Target, p: &Prepared) -> Result<Vec<Vec<Cell
                 d,
                 report,
                 capacity,
-                entries: p.store.len(),
-                shards: built.sharded.as_ref().map_or(1, |s| s.requested_shards()),
-                replication: built.sharded.as_ref().map_or(1.0, |s| s.replication_factor()),
+                entries: p.dataset.store().len(),
+                shards: built.sharded().map_or(1, ShardedIndex::requested_shards),
+                replication: built.sharded().map_or(1.0, ShardedIndex::replication_factor),
                 duplicates_dropped,
                 base: arm.base,
             });
@@ -453,7 +437,7 @@ fn print(
         .title
         .replace("{tile}", &cfg.device.tile_size.to_string())
         .replace("{partition}", &cfg.sharding.partition.to_string())
-        .replace("{n}", &p.store.len().to_string());
+        .replace("{n}", &p.dataset.store().len().to_string());
     if *last_title != title {
         println!("\n## {title}");
         if table.cols.iter().any(|col| !col.0.is_empty()) {

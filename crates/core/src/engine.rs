@@ -10,13 +10,15 @@ use tdts_index_temporal::{GpuTemporalSearch, TemporalIndexConfig};
 use tdts_rtree::{RTree, RTreeConfig};
 
 use crate::error::TdtsError;
+use crate::sharding::ShardedIndex;
 use crate::traits::{CpuRTreeIndex, QueryBatch, TrajectoryIndex};
 
 /// A search method with its configuration.
 ///
 /// `Method` is a *factory*: [`Method::build_index`] constructs the matching
-/// [`TrajectoryIndex`] implementation, and everything downstream (engine,
-/// service, tools) works through the trait object.
+/// [`TrajectoryIndex`] implementation for a [`SearchEngine`] (directly, or
+/// per shard of a [`ShardedIndex`]), and everything downstream (service,
+/// figures harness, CLI) holds that engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Method {
     /// The paper's CPU baseline: multithreaded in-memory R-tree.
@@ -93,19 +95,48 @@ impl PreparedDataset {
     }
 }
 
+/// What a [`SearchEngine`] searches: one index, or a [`ShardedIndex`] over
+/// one device per shard.
+enum Resident {
+    /// One index and the device it is resident on (`None` for an index
+    /// handed to [`SearchEngine::with_index`]). The CPU baseline keeps the
+    /// device it was given and never touches it.
+    Single {
+        index: Box<dyn TrajectoryIndex>,
+        device: Option<Arc<Device>>,
+    },
+    Sharded(ShardedIndex),
+}
+
+impl Resident {
+    fn index(&self) -> &dyn TrajectoryIndex {
+        match self {
+            Resident::Single { index, .. } => index.as_ref(),
+            Resident::Sharded(sharded) => sharded,
+        }
+    }
+
+    fn index_mut(&mut self) -> &mut dyn TrajectoryIndex {
+        match self {
+            Resident::Single { index, .. } => index.as_mut(),
+            Resident::Sharded(sharded) => sharded,
+        }
+    }
+}
+
 /// One search implementation, fully built (index constructed, database
-/// resident on the device for the GPU methods) and ready to serve queries.
-///
-/// A thin convenience wrapper over `Box<dyn TrajectoryIndex>` that also
-/// remembers the method descriptor and the canonical store.
+/// resident on the device for the GPU methods) and ready to serve queries:
+/// the one owner of a canonical store, the index over it and the devices
+/// under that index. The query service, the figures harness and the CLI all
+/// hold one of these.
 ///
 /// Fail-stop: once the index refuses a delta the store has already
 /// absorbed, store and index disagree, so that call, every later mutation
-/// and every later search return the index's error.
+/// and every later search return the index's error ([`SearchEngine::failed`]).
 pub struct SearchEngine {
     store: Arc<SegmentStore>,
     method: Method,
-    index: Box<dyn TrajectoryIndex>,
+    resident: Resident,
     failed: Option<TdtsError>,
 }
 
@@ -122,15 +153,16 @@ impl SearchEngine {
         if store.is_empty() {
             return Err(TdtsError::Search(SearchError::EmptyDataset));
         }
-        let index = method.build_index(&store, device)?;
-        Ok(SearchEngine { store, method, index, failed: None })
+        let index = method.build_index(&store, Arc::clone(&device))?;
+        let resident = Resident::Single { index, device: Some(device) };
+        Ok(SearchEngine { store, method, resident, failed: None })
     }
 
     /// Build `method` sharded across `sharding.shards` simulated devices
     /// (each instantiated from `device_config`), per the tentpole
     /// multi-device execution model in [`crate::sharding`]. With
-    /// `sharding.shards == 1` this is equivalent to [`SearchEngine::build`]
-    /// on a fresh device.
+    /// `sharding.shards == 1` this is a one-member [`ShardedIndex`]: the
+    /// same results as [`SearchEngine::build`] on a fresh device.
     pub fn build_sharded(
         dataset: &PreparedDataset,
         method: Method,
@@ -139,14 +171,20 @@ impl SearchEngine {
     ) -> Result<SearchEngine, TdtsError> {
         let store = dataset.store_arc();
         let stats = store.stats().ok_or(TdtsError::Search(SearchError::EmptyDataset))?;
-        let index = Box::new(crate::sharding::ShardedIndex::build(
-            method,
-            &store,
-            &stats,
-            device_config,
-            sharding,
-        )?);
-        Ok(SearchEngine { store, method, index, failed: None })
+        let sharded = ShardedIndex::build(method, &store, &stats, device_config, sharding)?;
+        Ok(SearchEngine { store, method, resident: Resident::Sharded(sharded), failed: None })
+    }
+
+    /// Wrap an `index` the caller built over `dataset`'s store, with no
+    /// device: the seam a test double (the service's model-check mock)
+    /// enters through.
+    pub fn with_index(
+        dataset: &PreparedDataset,
+        method: Method,
+        index: Box<dyn TrajectoryIndex>,
+    ) -> SearchEngine {
+        let resident = Resident::Single { index, device: None };
+        SearchEngine { store: dataset.store_arc(), method, resident, failed: None }
     }
 
     /// The method this engine implements.
@@ -159,29 +197,53 @@ impl SearchEngine {
         &self.store
     }
 
-    /// The underlying index as the trait object, for callers that want to
-    /// share it across threads or hand it to the query service.
-    pub fn index(&self) -> &dyn TrajectoryIndex {
-        self.index.as_ref()
+    /// Shared handle to the canonical store's current epoch. A holder keeps
+    /// that epoch; the engine's next mutation then copies the store first.
+    pub fn store_arc(&self) -> Arc<SegmentStore> {
+        Arc::clone(&self.store)
+    }
+
+    /// The sharded index, for its per-shard stats, duplicates dropped and
+    /// free device bytes; `None` when the engine is unsharded.
+    pub fn sharded(&self) -> Option<&ShardedIndex> {
+        match &self.resident {
+            Resident::Sharded(sharded) => Some(sharded),
+            Resident::Single { .. } => None,
+        }
+    }
+
+    /// The one device an unsharded engine is resident on, for its free bytes
+    /// and sanitizer report; `None` when sharded (each shard has its own)
+    /// or built by [`SearchEngine::with_index`].
+    pub fn device(&self) -> Option<&Device> {
+        match &self.resident {
+            Resident::Single { device, .. } => device.as_deref(),
+            Resident::Sharded(_) => None,
+        }
+    }
+
+    /// The index refusal that stopped the engine, if one has.
+    pub fn failed(&self) -> Option<&TdtsError> {
+        self.failed.as_ref()
     }
 
     /// The store generation this engine's index reflects.
     pub fn generation(&self) -> u64 {
-        self.index.generation()
+        self.resident.index().generation()
     }
 
     /// Whether the underlying index accepts append/expire deltas (every
-    /// unsharded method; not sharded or shared indexes).
+    /// unsharded method; not a sharded one).
     pub fn supports_incremental(&self) -> bool {
-        self.index.supports_incremental()
+        self.resident.index().supports_incremental()
     }
 
     /// Refuse a mutation the index cannot follow, before the store changes.
     fn check_incremental(&self) -> Result<(), TdtsError> {
-        if self.index.supports_incremental() {
+        if self.supports_incremental() {
             Ok(())
         } else {
-            Err(TdtsError::IncrementalUnsupported(self.index.name()))
+            Err(TdtsError::IncrementalUnsupported(self.resident.index().name()))
         }
     }
 
@@ -201,7 +263,7 @@ impl SearchEngine {
     /// byte-identical to a cold rebuild at the new generation.
     ///
     /// Fails with [`TdtsError::IncrementalUnsupported`] when the index is
-    /// sharded or shared. These refusals leave the store unmodified; a
+    /// sharded. These refusals leave the store unmodified; a
     /// refusal by the index itself (e.g. out of device memory) comes after
     /// the store changed and stops the engine (see [`SearchEngine`]).
     pub fn ingest(&mut self, new_segments: &[Segment]) -> Result<(), TdtsError> {
@@ -212,7 +274,8 @@ impl SearchEngine {
         self.store.check_append(new_segments).map_err(TdtsError::InvalidConfig)?;
         self.check_incremental()?;
         let delta = Arc::make_mut(&mut self.store).append(new_segments);
-        self.index.ingest(&self.store, &delta).inspect_err(|e| self.failed = Some(e.clone()))
+        let index = self.resident.index_mut();
+        index.ingest(&self.store, &delta).inspect_err(|e| self.failed = Some(e.clone()))
     }
 
     /// Drop every stored segment that ends before `t` from the canonical
@@ -226,7 +289,8 @@ impl SearchEngine {
         }
         self.check_incremental()?;
         let delta = Arc::make_mut(&mut self.store).expire_before(t);
-        self.index.expire_before(&self.store, &delta).inspect_err(|e| self.failed = Some(e.clone()))
+        let index = self.resident.index_mut();
+        index.expire_before(&self.store, &delta).inspect_err(|e| self.failed = Some(e.clone()))
     }
 
     /// Run the distance threshold search.
@@ -256,7 +320,7 @@ impl SearchEngine {
     ) -> Result<(Vec<MatchRecord>, SearchReport), TdtsError> {
         self.check_live()?;
         let batch = QueryBatch { queries, d, result_capacity };
-        let outcome = self.index.search_shaped(&batch, shape)?;
+        let outcome = self.resident.index().search_shaped(&batch, shape)?;
         Ok((outcome.matches, outcome.report))
     }
 }
@@ -503,8 +567,10 @@ mod tests {
         let mut engine =
             SearchEngine::build(&dataset, method, Device::new(config).unwrap()).unwrap();
         let tail: Vec<Segment> = (0..2_000).map(|i| seg(500 + i, 20.0 + i as f64 * 0.01)).collect();
+        assert_eq!(engine.failed(), None);
         let err = engine.ingest(&tail).unwrap_err();
         assert!(matches!(err, TdtsError::Search(SearchError::OutOfDeviceMemory(_))), "{err}");
+        assert_eq!(engine.failed(), Some(&err));
         assert_eq!(engine.store().len(), 2_040);
         assert_eq!(engine.search(&store(5), 2.0, 100).unwrap_err(), err);
         assert_eq!(engine.ingest(&[seg(9_000, 99.0)]).unwrap_err(), err);
@@ -524,6 +590,8 @@ mod tests {
         )
         .unwrap();
         assert!(!engine.supports_incremental());
+        assert_eq!(engine.sharded().map(ShardedIndex::requested_shards), Some(2));
+        assert!(engine.device().is_none(), "each shard has its own device");
         let gen_before = engine.store().generation();
         let err = engine.ingest(&[seg(300, 99.0)]).unwrap_err();
         assert!(matches!(err, TdtsError::IncrementalUnsupported(_)));

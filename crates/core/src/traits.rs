@@ -1,7 +1,8 @@
 //! The [`TrajectoryIndex`] abstraction: one object-safe interface over the
-//! paper's four search implementations, so engines, services, and tools
-//! can hold a `Box<dyn TrajectoryIndex>` without matching on
-//! [`Method`](crate::Method) at every call site.
+//! paper's four search implementations and the sharded index, so a
+//! [`SearchEngine`](crate::SearchEngine) — the one owner of a resident index,
+//! held by the service, the figures harness and the CLI — searches and
+//! updates any of them without matching on [`Method`](crate::Method).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -65,8 +66,8 @@ pub struct SearchOutcome {
 /// residency for GPU methods. Building happens elsewhere (offline, as in
 /// the paper); this trait is the online query path only.
 ///
-/// `Send + Sync` is required so a query service can share one index across
-/// worker threads behind an `Arc`.
+/// `Send + Sync` is required so a query service can share one engine, and
+/// with it one index, across worker threads behind an `Arc`.
 pub trait TrajectoryIndex: Send + Sync {
     /// Run the distance threshold search for every query in the batch under
     /// kernel `shape`; `None` means the configured shape of the device the
@@ -122,32 +123,6 @@ pub trait TrajectoryIndex: Send + Sync {
     ) -> Result<(), TdtsError> {
         let _ = (store, delta);
         Err(TdtsError::IncrementalUnsupported(self.name()))
-    }
-}
-
-/// A shared handle searches through the shared index, so a caller can keep
-/// a typed `Arc` (e.g. to read per-shard stats off a
-/// [`ShardedIndex`](crate::sharding::ShardedIndex)) while also handing the
-/// same index to code that wants a `Box<dyn TrajectoryIndex>`.
-impl<T: TrajectoryIndex + ?Sized> TrajectoryIndex for Arc<T> {
-    fn search_shaped(
-        &self,
-        batch: &QueryBatch<'_>,
-        shape: Option<KernelShape>,
-    ) -> Result<SearchOutcome, TdtsError> {
-        (**self).search_shaped(batch, shape)
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    // `supports_incremental`/`ingest`/`expire_before` keep the refusing
-    // defaults: a shared handle cannot get `&mut` access to the underlying
-    // index, so mutation through an `Arc` is always `IncrementalUnsupported`.
-
-    fn generation(&self) -> u64 {
-        (**self).generation()
     }
 }
 

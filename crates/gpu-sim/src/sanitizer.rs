@@ -64,20 +64,13 @@ impl SanitizerMode {
         self == SanitizerMode::Off
     }
 
-    /// Parse a mode name as used by CLI flags and `TDTS_SANITIZER`.
+    /// Parse a mode name as used by the `--sanitizer` CLI flags.
     pub fn parse(s: &str) -> Option<SanitizerMode> {
         match s.trim().to_ascii_lowercase().as_str() {
             "off" | "none" => Some(SanitizerMode::Off),
             "full" => Some(SanitizerMode::Full),
             _ => None,
         }
-    }
-
-    /// Mode requested through the `TDTS_SANITIZER` environment variable
-    /// (`off`/`full`), if set and well-formed. Never consulted implicitly:
-    /// callers (tests, CLI) opt in explicitly.
-    pub fn from_env() -> Option<SanitizerMode> {
-        std::env::var("TDTS_SANITIZER").ok().and_then(|v| SanitizerMode::parse(&v))
     }
 }
 

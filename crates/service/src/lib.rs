@@ -9,9 +9,10 @@
 //! parallelism the GPU methods are built around (the paper's response times
 //! assume the query set is large enough to saturate the device).
 //!
-//! [`QueryService`] closes that gap. It owns one long-lived index built once
-//! per [`PreparedDataset`](tdts_core::PreparedDataset), admits concurrent
-//! requests behind a bounded queue, *coalesces* them into batches (flushed
+//! [`QueryService`] closes that gap. It owns one long-lived
+//! [`SearchEngine`](tdts_core::SearchEngine) — store, index and devices —
+//! built once per [`PreparedDataset`](tdts_core::PreparedDataset), admits
+//! concurrent requests behind a bounded queue, *coalesces* them into batches (flushed
 //! on [`ServiceConfig::max_batch`] pending queries or
 //! [`ServiceConfig::max_delay`] elapsed), runs each batch on a worker as
 //! one kernel invocation, and demultiplexes the per-query result

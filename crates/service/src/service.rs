@@ -15,14 +15,16 @@
 //!                      [demux: remap query ids, fulfil oneshots]
 //! ```
 //!
-//! The service holds exactly one index, whatever the worker count: a search
-//! charges a ledger of its own
+//! The service holds exactly one [`SearchEngine`] — one store, the index
+//! over it and the devices under that index — whatever the worker count: a
+//! search charges a ledger of its own
 //! ([`Device::for_search`](tdts_gpu_sim::Device::for_search)) and names its
 //! kernel shape per call, so every worker searches the same resident index
 //! concurrently and the degraded path is that index under
-//! [`KernelShape::ThreadPerQuery`]. Workers pin the index per batch through
-//! the `EngineGate`; a window advance takes the gate exclusively and applies
-//! each delta once.
+//! [`KernelShape::ThreadPerQuery`]. Workers pin the engine per batch through
+//! the `EngineGate`; a window advance takes the gate exclusively and runs
+//! the engine's own ingest and expiry, so store, index and the fail-stop
+//! ([`SearchEngine::failed`]) have one owner.
 
 // All synchronisation goes through the tdts-sync shim: in normal builds
 // these are plain `std` re-exports (zero cost, byte-identical behavior);
@@ -36,9 +38,9 @@ use tdts_sync::sync::{Condvar, Mutex};
 use tdts_sync::thread::{self, JoinHandle};
 use tdts_sync::time::{Duration, Instant};
 
-use tdts_core::{PreparedDataset, QueryBatch, ShardedIndex, TdtsError, TrajectoryIndex};
+use tdts_core::{PreparedDataset, QueryBatch, SearchEngine, TdtsError};
 use tdts_geom::{MatchRecord, Segment, SegmentStore};
-use tdts_gpu_sim::{Device, KernelShape, SearchError, SearchReport};
+use tdts_gpu_sim::{Device, KernelShape, SearchReport};
 
 use crate::config::ServiceConfig;
 use crate::oneshot::ResponseSlot;
@@ -108,15 +110,12 @@ struct Batch {
     oldest: Instant,
 }
 
-/// The one resident index every worker searches.
-type Engine = Box<dyn TrajectoryIndex>;
-
-/// Writer-preferring reader/writer gate over the shared [`Engine`]. Any
-/// number of workers pin the engine for the length of a batch; a window
-/// advance keeps new pins out, waits for the live ones to drop, and then
-/// holds the state lock — and with it the engine — for the whole update.
-/// A batch therefore searches the pre- or the post-advance generation,
-/// never a half-applied one.
+/// Writer-preferring reader/writer gate over the service's one
+/// [`SearchEngine`]. Any number of workers pin the engine for the length of
+/// a batch; a window advance keeps new pins out, waits for the live ones to
+/// drop, and then holds the state lock — and with it the engine — for the
+/// whole update. A batch therefore searches the pre- or the post-advance
+/// generation, never a half-applied one.
 struct EngineGate {
     state: Mutex<GateState>,
     /// Signalled when the last pin drops and when an update ends.
@@ -124,15 +123,11 @@ struct EngineGate {
 }
 
 struct GateState {
-    engine: Arc<Engine>,
+    engine: Arc<SearchEngine>,
     /// Batches currently searching a clone of `engine`.
     pins: usize,
     /// An update is waiting for `pins` to reach zero.
     updating: bool,
-    /// The first engine error of an update. The index may then hold one
-    /// delta of the tick and not the other, so nothing is served from it
-    /// again.
-    failed: Option<TdtsError>,
 }
 
 /// A worker's hold on the engine for one batch; dropping it lets a
@@ -140,59 +135,48 @@ struct GateState {
 struct PinnedEngine<'a> {
     /// `Some` until drop, which releases the clone *before* the pin count
     /// says it is gone — the update relies on being the only owner.
-    engine: Option<Arc<Engine>>,
+    engine: Option<Arc<SearchEngine>>,
     gate: &'a EngineGate,
 }
 
 impl EngineGate {
-    fn new(engine: Engine) -> EngineGate {
+    fn new(engine: SearchEngine) -> EngineGate {
         EngineGate {
-            state: Mutex::new(GateState {
-                engine: Arc::new(engine),
-                pins: 0,
-                updating: false,
-                failed: None,
-            }),
+            state: Mutex::new(GateState { engine: Arc::new(engine), pins: 0, updating: false }),
             changed_cv: Condvar::new(),
         }
     }
 
-    /// Pin the engine for one batch, or report the update failure that
-    /// stopped the service from serving.
+    /// Pin the engine for one batch, or report the index refusal that
+    /// stopped it ([`SearchEngine::failed`]): the index may then hold one
+    /// delta of a tick and not the other, so nothing is served from it
+    /// again.
     fn pin(&self) -> Result<PinnedEngine<'_>, TdtsError> {
         let mut state = self.state.lock().unwrap();
         while state.updating {
             state = self.changed_cv.wait(state).unwrap();
         }
-        if let Some(error) = &state.failed {
+        if let Some(error) = state.engine.failed() {
             return Err(error.clone());
         }
         state.pins += 1;
         Ok(PinnedEngine { engine: Some(Arc::clone(&state.engine)), gate: self })
     }
 
-    /// The update failure, if one has stopped the service.
-    fn failure(&self) -> Option<TdtsError> {
-        self.state.lock().unwrap().failed.clone()
+    /// Read the engine between updates.
+    fn read<R>(&self, with: impl FnOnce(&SearchEngine) -> R) -> R {
+        with(&self.state.lock().unwrap().engine)
     }
 
-    /// Run `apply` with the engine to itself. Its first error is kept:
-    /// this and every later [`pin`](EngineGate::pin) then return it.
-    fn update(
-        &self,
-        apply: impl FnOnce(&mut Engine) -> Result<(), TdtsError>,
-    ) -> Result<(), TdtsError> {
+    /// Run `apply` with the engine to itself.
+    fn update<R>(&self, apply: impl FnOnce(&mut SearchEngine) -> R) -> R {
         let mut state = self.state.lock().unwrap();
         state.updating = true;
         while state.pins > 0 {
             state = self.changed_cv.wait(state).unwrap();
         }
         state.updating = false;
-        let engine = Arc::get_mut(&mut state.engine).expect("no pin outlives its count");
-        let result = apply(engine);
-        if let Err(error) = &result {
-            state.failed = Some(error.clone());
-        }
+        let result = apply(Arc::get_mut(&mut state.engine).expect("no pin outlives its count"));
         drop(state);
         self.changed_cv.notify_all();
         result
@@ -200,9 +184,9 @@ impl EngineGate {
 }
 
 impl std::ops::Deref for PinnedEngine<'_> {
-    type Target = Engine;
+    type Target = SearchEngine;
 
-    fn deref(&self) -> &Engine {
+    fn deref(&self) -> &SearchEngine {
         self.engine.as_deref().expect("the engine is held until drop")
     }
 }
@@ -220,10 +204,8 @@ impl Drop for PinnedEngine<'_> {
     }
 }
 
-/// The canonical store behind streaming mode, advanced under one lock so
-/// window advances are serialised while queries keep flowing.
+/// The sliding window's position; the store it cuts is the engine's.
 struct StreamState {
-    store: Arc<SegmentStore>,
     /// Latest `t_end` ever stored — the window's leading edge. Tracked
     /// explicitly (not re-derived from the store) because expiry never
     /// moves the frontier backwards.
@@ -264,7 +246,7 @@ struct Shared {
 
 /// A long-lived query service over one [`PreparedDataset`].
 ///
-/// The index is built once at [`QueryService::start`] and shared by every
+/// The engine is built once at [`QueryService::start`] and shared by every
 /// worker; after that, any number of client threads can [`submit`]
 /// concurrently. Requests are coalesced into batches,
 /// each batch runs as a single kernel invocation on a worker, and the
@@ -275,72 +257,50 @@ pub struct QueryService {
     shared: Arc<Shared>,
     batcher: Mutex<Option<JoinHandle<()>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    /// Typed handle to the sharded index (`None` when
-    /// `config.sharding.shards == 1`), kept so [`QueryService::stats`] can
-    /// read its per-shard work counters.
-    shard_engine: Option<Arc<ShardedIndex>>,
-    /// Streaming-mode canonical store (window advances mutate it; query
-    /// batches never touch it).
+    /// Serialises window advances.
     stream: Mutex<StreamState>,
 }
 
 impl QueryService {
-    /// Build the index over `dataset` and start the batcher and worker
+    /// Build the engine over `dataset` and start the batcher and worker
     /// threads.
     pub fn start(
         dataset: &PreparedDataset,
         config: ServiceConfig,
     ) -> Result<QueryService, TdtsError> {
         config.validate()?;
-        let store = dataset.store_arc();
-        let stats = store.stats().ok_or(TdtsError::Search(SearchError::EmptyDataset))?;
         // With shards > 1 the index is a ShardedIndex: the store partitioned
         // across `shards` devices, fanned out per batch.
-        let mut shard_engine = None;
-        let free;
-        let engine: Engine = if config.sharding.shards > 1 {
-            let sharded = Arc::new(ShardedIndex::build(
-                config.method,
-                &store,
-                &stats,
-                &config.device,
-                &config.sharding,
-            )?);
-            shard_engine = Some(Arc::clone(&sharded));
-            free = sharded.free_device_bytes();
-            Box::new(sharded)
+        let engine = if config.sharding.shards > 1 {
+            SearchEngine::build_sharded(dataset, config.method, &config.device, &config.sharding)?
         } else {
             let device = Device::new(config.device.clone()).map_err(TdtsError::InvalidConfig)?;
-            let index = config.method.build_index(&store, Arc::clone(&device))?;
-            free = device.mem_available();
-            index
+            SearchEngine::build(dataset, config.method, device)?
+        };
+        let free = match engine.sharded() {
+            Some(sharded) => sharded.free_device_bytes(),
+            None => engine.device().map_or(0, Device::mem_available),
         };
         config.check_result_room(free)?;
-        Ok(Self::launch(config, engine, shard_engine, store, stats.time_span.end))
+        Ok(Self::launch(config, engine))
     }
 
-    /// Start the service over a pre-built index, skipping the build. This is
-    /// the model-check seam: harnesses inject a cheap mock engine so each of
-    /// the checker's thousands of executions starts a real service (real
-    /// batcher, workers, admission, shutdown protocol) in microseconds.
+    /// Start the service over a pre-built engine, skipping the build. This
+    /// is the model-check seam: harnesses wrap a cheap mock index in
+    /// [`SearchEngine::with_index`] so each of the checker's thousands of
+    /// executions starts a real service (real batcher, workers, admission,
+    /// shutdown protocol) in microseconds.
     #[cfg(feature = "model-check")]
-    pub fn start_with_engines(
+    pub fn start_with_engine(
         config: ServiceConfig,
-        store: Arc<SegmentStore>,
-        engine: Box<dyn TrajectoryIndex>,
+        engine: SearchEngine,
     ) -> Result<QueryService, TdtsError> {
         config.validate()?;
-        let frontier = store.stats().map_or(0.0, |s| s.time_span.end);
-        Ok(Self::launch(config, engine, None, store, frontier))
+        Ok(Self::launch(config, engine))
     }
 
-    fn launch(
-        config: ServiceConfig,
-        engine: Engine,
-        shard_engine: Option<Arc<ShardedIndex>>,
-        store: Arc<SegmentStore>,
-        frontier: f64,
-    ) -> QueryService {
+    fn launch(config: ServiceConfig, engine: SearchEngine) -> QueryService {
+        let frontier = engine.store().stats().map_or(0.0, |s| s.time_span.end);
         let workers = config.workers;
         let shared = Arc::new(Shared {
             config,
@@ -371,8 +331,7 @@ impl QueryService {
             shared,
             batcher: Mutex::new(Some(batcher)),
             workers: Mutex::new(workers),
-            shard_engine,
-            stream: Mutex::new(StreamState { store, frontier, advances: 0 }),
+            stream: Mutex::new(StreamState { frontier, advances: 0 }),
         }
     }
 
@@ -387,33 +346,33 @@ impl QueryService {
     pub fn stats(&self) -> ServiceStats {
         let mut stats = self.shared.stats.snapshot();
         stats.shards = self.shared.config.sharding.shards;
-        if let Some(engine) = &self.shard_engine {
-            stats.duplicates_dropped = engine.duplicates_dropped();
-            stats.per_shard = engine.shard_stats();
-        }
+        self.shared.engine.read(|engine| {
+            if let Some(sharded) = engine.sharded() {
+                stats.duplicates_dropped = sharded.duplicates_dropped();
+                stats.per_shard = sharded.shard_stats();
+            }
+        });
         stats
     }
 
     /// Advance the sliding time window: append `new_segments` to the
-    /// canonical store and to the index, and — every
+    /// engine's store and index, and — every
     /// [`ServiceConfig::advance_every`] advances — expire segments ending
     /// before `frontier - window`.
     ///
-    /// The append lands in the canonical store while batches keep running
-    /// (they search the index, never the store). The index is then updated
-    /// under the engine gate, which waits for the batches already searching
-    /// to finish and holds later ones back until the index is at the new
-    /// generation; inside that one hold the index ingests the appended
-    /// tail, the store applies the expiry cut in place and the index drops
-    /// what it removed. Only a reader holding the store (a
+    /// Both deltas run inside one exclusive hold of the engine gate, which
+    /// waits for the batches already searching to finish and holds later
+    /// ones back until the engine is at the new generation:
+    /// [`SearchEngine::ingest`], then [`SearchEngine::expire_before`], each
+    /// changing store and index together. Only a reader holding the store (a
     /// [`store_snapshot`](QueryService::store_snapshot), or CPU-RTree's own
-    /// handle) makes the cut copy it first, and that reader keeps its own
+    /// handle) makes a delta copy it first, and that reader keeps its own
     /// generation. A query racing an advance is answered from the pre- or
     /// the post-advance generation, never a mix.
     ///
-    /// Fail-stop: if the index refuses a delta it may hold half of the tick,
-    /// so this call, every later one, and every request admitted afterwards
-    /// get that error.
+    /// Fail-stop: if the index refuses a delta the engine stops
+    /// ([`SearchEngine::failed`]), so this call, every later one, and every
+    /// request admitted afterwards get that error.
     ///
     /// `new_segments` must be valid, sorted by `t_start` and start no
     /// earlier than the newest stored segment (the streaming model: updates
@@ -431,52 +390,36 @@ impl QueryService {
             return Err(TdtsError::ShuttingDown);
         }
         let mut stream = self.stream.lock().unwrap();
-        // Advances are serialised by the stream lock, so a failure cannot
-        // appear between this check and the update below.
-        if let Some(error) = self.shared.engine.failure() {
-            return Err(error);
-        }
-        stream.store.check_append(new_segments).map_err(TdtsError::InvalidConfig)?;
-
-        let append = Arc::make_mut(&mut stream.store).append(new_segments);
-        for seg in new_segments {
-            stream.frontier = stream.frontier.max(seg.t_end);
-        }
-        stream.advances += 1;
-
-        let cut = stream
-            .advances
-            .is_multiple_of(self.shared.config.advance_every as u64)
-            .then_some(stream.frontier - window);
-        let mut expired = 0;
-        self.shared.engine.update(|engine| {
-            engine.ingest(&stream.store, &append)?;
-            let Some(cut) = cut else { return Ok(()) };
-            let delta = Arc::make_mut(&mut stream.store).expire_before(cut);
-            expired = delta.removed.len();
-            engine.expire_before(&stream.store, &delta)
+        let frontier = new_segments.iter().fold(stream.frontier, |f, seg| f.max(seg.t_end));
+        let advances = stream.advances + 1;
+        let every = self.shared.config.advance_every as u64;
+        let cut = advances.is_multiple_of(every).then_some(frontier - window);
+        let (expired, generation) = self.shared.engine.update(|engine| {
+            engine.ingest(new_segments)?;
+            let len = engine.store().len();
+            if let Some(cut) = cut {
+                engine.expire_before(cut)?;
+            }
+            Ok::<_, TdtsError>((len - engine.store().len(), engine.store().generation()))
         })?;
+        *stream = StreamState { frontier, advances };
 
+        let ingested = new_segments.len();
         self.shared.stats.window_advances.fetch_add(1, Ordering::Relaxed);
-        self.shared.stats.segments_ingested.fetch_add(append.count as u64, Ordering::Relaxed);
+        self.shared.stats.segments_ingested.fetch_add(ingested as u64, Ordering::Relaxed);
         self.shared.stats.segments_expired.fetch_add(expired as u64, Ordering::Relaxed);
-        Ok(WindowAdvance {
-            ingested: append.count,
-            expired,
-            cut,
-            generation: stream.store.generation(),
-        })
+        Ok(WindowAdvance { ingested, expired, cut, generation })
     }
 
-    /// The streaming store's current generation (0 until the first
-    /// mutation; the build generation of a freshly started service).
+    /// The engine store's current generation (0 until the first mutation;
+    /// the build generation of a freshly started service).
     pub fn generation(&self) -> u64 {
-        self.stream.lock().unwrap().store.generation()
+        self.shared.engine.read(|engine| engine.store().generation())
     }
 
-    /// A snapshot handle of the streaming store's current epoch.
+    /// A snapshot handle of the engine store's current epoch.
     pub fn store_snapshot(&self) -> Arc<SegmentStore> {
-        Arc::clone(&self.stream.lock().unwrap().store)
+        self.shared.engine.read(SearchEngine::store_arc)
     }
 
     /// Submit one request and block for its response, applying
@@ -726,19 +669,18 @@ fn run_batch(shared: &Shared, batch: Batch) {
         ranges.push((lo, merged.len() as u32));
     }
 
-    let query_batch =
-        QueryBatch { queries: &merged, d: batch.d, result_capacity: shared.config.result_capacity };
     // Pin the engine for the whole batch: a window advance must not mutate
-    // it under the search (other workers pin the same index and search
+    // it under the search (other workers pin the same engine and search
     // alongside). The degraded path is the same resident index under the
     // simplest kernel shape: no work queue or tile list to go wrong.
     let fallback = Some(KernelShape::ThreadPerQuery);
+    let capacity = shared.config.result_capacity;
     let mut used_fallback = shared.stats.degraded.load(Ordering::SeqCst);
     let result = shared.engine.pin().and_then(|engine| {
         if used_fallback {
-            return engine.search_shaped(&query_batch, fallback);
+            return engine.search_shaped(&merged, batch.d, capacity, fallback);
         }
-        match engine.search(&query_batch) {
+        match engine.search(&merged, batch.d, capacity) {
             Ok(outcome) => {
                 shared.consecutive_failures.store(0, Ordering::SeqCst);
                 Ok(outcome)
@@ -751,30 +693,30 @@ fn run_batch(shared: &Shared, batch: Batch) {
                     shared.stats.degraded.store(true, Ordering::SeqCst);
                 }
                 used_fallback = true;
-                engine.search_shaped(&query_batch, fallback)
+                engine.search_shaped(&merged, batch.d, capacity, fallback)
             }
         }
     });
 
     match result {
-        Ok(outcome) => {
+        Ok((found, report)) => {
             if used_fallback {
                 shared.stats.fallback_batches.fetch_add(1, Ordering::Relaxed);
             }
             let done = Instant::now();
-            shared.stats.record_batch(merged.len(), done - batch.oldest, &outcome.report);
+            shared.stats.record_batch(merged.len(), done - batch.oldest, &report);
             // Demux: matches are in canonical order (sorted by query id
             // first), so each request's slice is contiguous.
             for (request, &(lo, hi)) in live.iter().zip(&ranges) {
-                let start = outcome.matches.partition_point(|m| m.query < lo);
-                let end = outcome.matches.partition_point(|m| m.query < hi);
-                let mut matches = outcome.matches[start..end].to_vec();
+                let start = found.partition_point(|m| m.query < lo);
+                let end = found.partition_point(|m| m.query < hi);
+                let mut matches = found[start..end].to_vec();
                 for m in &mut matches {
                     m.query -= lo;
                 }
                 let served = request.slot.fulfill(Ok(SearchResponse {
                     matches,
-                    report: outcome.report,
+                    report,
                     batch_queries: merged.len(),
                     batch_requests: live.len(),
                     waited: done - request.enqueued_at,

@@ -2,8 +2,9 @@
 //!
 //! Each test spins up a *real* `QueryService` — real batcher, worker
 //! pool, admission control, and shutdown protocol — inside
-//! `tdts_sync::model::check`, with a cheap mock engine injected through
-//! the `start_with_engines` seam so every one of the checker's executions
+//! `tdts_sync::model::check`, with a cheap mock index wrapped in a
+//! `SearchEngine` and injected through the `start_with_engine` seam so
+//! every one of the checker's executions
 //! starts in microseconds. The scheduler then explores thread
 //! interleavings exhaustively at the configured preemption bound;
 //! invariants are plain `assert!`s (a failure under any schedule becomes
@@ -16,7 +17,9 @@
 
 use std::sync::Arc;
 
-use tdts_core::{Method, QueryBatch, SearchOutcome, TdtsError, TrajectoryIndex};
+use tdts_core::{
+    Method, PreparedDataset, QueryBatch, SearchEngine, SearchOutcome, TdtsError, TrajectoryIndex,
+};
 use tdts_geom::{
     AppendDelta, ExpireDelta, MatchRecord, Point3, SegId, Segment, SegmentStore, TimeInterval,
     TrajId,
@@ -85,28 +88,23 @@ impl TrajectoryIndex for MockIndex {
     }
 }
 
-fn store(segments: usize) -> Arc<SegmentStore> {
-    let mut s = SegmentStore::new();
-    for i in 0..segments {
-        let t = i as f64;
-        s.push(Segment::new(
-            Point3::ZERO,
-            Point3::splat(1.0),
-            t,
-            t + 1.0,
-            SegId(i as u32),
-            TrajId(0),
-        ));
-    }
-    Arc::new(s)
+/// `n` unit segments, one per time step from `t = 0`: a query set, and the
+/// mock engine's store.
+fn queries(n: usize) -> SegmentStore {
+    (0..n)
+        .map(|i| {
+            let t = i as f64;
+            Segment::new(Point3::ZERO, Point3::splat(1.0), t, t + 1.0, SegId(i as u32), TrajId(0))
+        })
+        .collect()
 }
 
-fn queries(n: usize) -> SegmentStore {
-    (*store(n)).clone()
+fn method() -> Method {
+    Method::GpuTemporal(TemporalIndexConfig { bins: 8 })
 }
 
 fn base_config() -> tdts_service::config::ServiceConfigBuilder {
-    ServiceConfig::builder(Method::GpuTemporal(TemporalIndexConfig { bins: 8 }))
+    ServiceConfig::builder(method())
         .device(DeviceConfig::test_tiny())
         .workers(1)
         .max_batch(1)
@@ -118,9 +116,10 @@ fn service(config: ServiceConfig) -> QueryService {
     service_with(config, MockIndex::default())
 }
 
-fn service_with(config: ServiceConfig, engine: MockIndex) -> QueryService {
-    QueryService::start_with_engines(config, store(2), Box::new(engine))
-        .expect("mock service start")
+fn service_with(config: ServiceConfig, index: MockIndex) -> QueryService {
+    let dataset = PreparedDataset::new(queries(2));
+    let engine = SearchEngine::with_index(&dataset, method(), Box::new(index));
+    QueryService::start_with_engine(config, engine).expect("mock service start")
 }
 
 /// The bound for the service harnesses. One preemption already reaches

@@ -10,7 +10,6 @@
 //!                   --ticks 10 --tick-segments 200 --verify
 //! ```
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tdts::prelude::*;
 
@@ -42,8 +41,8 @@ fn usage() -> ! {
          \u{20}                                    warp-per-tile (work-queue kernels)\n\
          \u{20}  --tile-size <n>                   candidate entries per work-queue\n\
          \u{20}                                    tile (default 128)\n\
-         \u{20}  --sanitizer <off|full>            shadow-state device sanitizer (default\n\
-         \u{20}                                    off, or the TDTS_SANITIZER env var)\n\
+         \u{20}  --sanitizer <off|full>            shadow-state device sanitizer\n\
+         \u{20}                                    (default off)\n\
          \u{20}  --shards <n>                      simulated devices the entry database\n\
          \u{20}                                    is partitioned across (default 1)\n\
          \u{20}  --partition <temporal|spatial-grid>\n\
@@ -119,7 +118,7 @@ fn parse() -> Opts {
         subbins: 4,
         kernel_shape: KernelShape::ThreadPerQuery,
         tile_size: 128,
-        sanitizer: SanitizerMode::from_env().unwrap_or(SanitizerMode::Off),
+        sanitizer: SanitizerMode::Off,
         sharding: ShardedIndexConfig::default(),
         clients: 16,
         request_size: 0,
@@ -292,7 +291,6 @@ fn main() {
             device_config.kernel_shape = o.kernel_shape;
             device_config.tile_size = o.tile_size;
             device_config.sanitizer = o.sanitizer;
-            let device = Device::new(device_config.clone()).unwrap_or_else(|e| fail(e));
             let dataset = PreparedDataset::new(store);
             let method = match o.method.as_str() {
                 "rtree" => Method::CpuRTree(RTreeConfig::default()),
@@ -320,13 +318,13 @@ fn main() {
                 return;
             }
 
-            let sanitizer_device = Arc::clone(&device);
             let engine = if o.sharding.shards > 1 {
                 SearchEngine::build_sharded(&dataset, method, &device_config, &o.sharding)
-                    .unwrap_or_else(|e| fail(e))
             } else {
-                SearchEngine::build(&dataset, method, device).unwrap_or_else(|e| fail(e))
+                let device = Device::new(device_config.clone()).unwrap_or_else(|e| fail(e));
+                SearchEngine::build(&dataset, method, device)
             };
+            let engine = engine.unwrap_or_else(|e| fail(e));
             let (matches, report) = engine.search(&queries, o.d, cap).unwrap_or_else(|e| fail(e));
             println!("method:       {}", engine.method().name());
             if o.sharding.shards > 1 {
@@ -354,20 +352,8 @@ fn main() {
             );
             println!("wall:         {:.3}s", report.wall_seconds);
             if !o.sanitizer.is_off() {
-                if o.sharding.shards > 1 {
-                    // Sharded devices live inside the index; their findings
-                    // are aggregated into the merged report.
-                    if report.sanitizer_findings == 0 {
-                        println!(
-                            "sanitizer:    clean ({} across {} shards)",
-                            o.sanitizer, o.sharding.shards
-                        );
-                    } else {
-                        eprintln!("sanitizer FAILED: {} findings", report.sanitizer_findings);
-                        std::process::exit(1);
-                    }
-                } else {
-                    let san = sanitizer_device.sanitizer_report();
+                if let Some(device) = engine.device() {
+                    let san = device.sanitizer_report();
                     if san.is_clean() {
                         println!(
                             "sanitizer:    clean ({} over {} launches)",
@@ -377,6 +363,16 @@ fn main() {
                         eprint!("sanitizer FAILED:\n{san}");
                         std::process::exit(1);
                     }
+                } else if report.sanitizer_findings == 0 {
+                    // Sharded devices live inside the index; their findings
+                    // are aggregated into the merged report.
+                    println!(
+                        "sanitizer:    clean ({} across {} shards)",
+                        o.sanitizer, o.sharding.shards
+                    );
+                } else {
+                    eprintln!("sanitizer FAILED: {} findings", report.sanitizer_findings);
+                    std::process::exit(1);
                 }
             }
             if o.verify {

@@ -259,6 +259,59 @@ fn advance_window_cuts_an_unpinned_store_in_place() {
     assert!(service.submit(&requests[11], D).is_ok());
 }
 
+/// A real GPU index that refuses a window advance stops the service: the
+/// device holds the index and one result buffer but not the appended rows,
+/// so that advance, a later advance and a later request all get the same
+/// `OutOfDeviceMemory`, and the refusal is not mistaken for a kernel
+/// failure to degrade from.
+#[test]
+fn refused_gpu_advance_stops_the_service() {
+    let (dataset, requests) = merger_requests();
+    let frontier = dataset.store().stats().unwrap().time_span.end;
+    // What the index keeps resident, read off a roomy device.
+    let roomy = Device::new(DeviceConfig::test_tiny()).unwrap();
+    let built = SearchEngine::build(&dataset, temporal(), Arc::clone(&roomy)).unwrap();
+    let resident = roomy.mem_used();
+    drop(built);
+    let tight = DeviceConfig {
+        global_mem_bytes: resident + CAPACITY * std::mem::size_of::<MatchRecord>() + 4 * 1024,
+        ..DeviceConfig::test_tiny()
+    };
+    // One failed search would degrade: the stopped engine must answer
+    // without one.
+    let config = ServiceConfig::builder(temporal())
+        .device(tight)
+        .workers(1)
+        .max_delay(Duration::from_millis(1))
+        .max_consecutive_failures(1)
+        .result_capacity(CAPACITY)
+        .window(1_000.0)
+        .build()
+        .unwrap();
+    let service = QueryService::start(&dataset, config).unwrap();
+    assert!(!service.submit(&requests[0], D).unwrap().matches.is_empty());
+
+    let tail = |from: f64, n: u32| -> Vec<Segment> {
+        (0..n)
+            .map(|i| {
+                let t = from + f64::from(i) * 1e-3;
+                let id = 10_000 + i;
+                Segment::new(Point3::ZERO, Point3::splat(1.0), t, t + 1.0, SegId(id), TrajId(id))
+            })
+            .collect()
+    };
+    let err = service.advance_window(&tail(frontier, 20_000)).unwrap_err();
+    assert!(matches!(err, TdtsError::Search(SearchError::OutOfDeviceMemory(_))), "{err:?}");
+    assert_eq!(service.advance_window(&tail(frontier + 10.0, 1)).unwrap_err(), err);
+    assert_eq!(service.submit(&requests[1], D).unwrap_err(), err);
+
+    service.shutdown();
+    let stats = service.stats();
+    assert_eq!((stats.requests_served, stats.requests_failed), (1, 1));
+    assert_eq!(stats.fallback_batches, 0);
+    assert!(!stats.degraded, "a stopped engine is not a degraded one");
+}
+
 #[test]
 fn degradation_reroutes_batches_to_fallback() {
     let (dataset, requests) = merger_requests();
