@@ -30,6 +30,7 @@
 
 pub mod columns;
 pub mod continuous;
+pub mod front;
 pub mod interval;
 pub mod mbb;
 pub mod point;
@@ -40,6 +41,7 @@ pub mod store;
 
 pub use columns::SegmentColumns;
 pub use continuous::{within_distance, PreparedEntry, PreparedQuery};
+pub use front::FrontVec;
 pub use interval::TimeInterval;
 pub use mbb::Mbb;
 pub use point::Point3;

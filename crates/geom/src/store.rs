@@ -16,7 +16,7 @@
 //! [`expire_before`]: SegmentStore::expire_before
 //! [`generation`]: SegmentStore::generation
 
-use crate::{Mbb, Segment, TimeInterval};
+use crate::{FrontVec, Mbb, Segment, TimeInterval};
 use std::sync::Mutex;
 
 /// Global statistics of a segment database.
@@ -54,19 +54,25 @@ pub struct AppendDelta {
 
 /// Description of one [`SegmentStore::expire_before`]: `removed` holds the
 /// *old* positions (ascending) that were deleted from a store of `old_len`
-/// segments, and `rank[p]` is the number of survivors before old position
-/// `p` (length `old_len + 1`). Survivors keep their relative order, so old
-/// position `p` survives iff `rank[p + 1] > rank[p]` and then moves to
-/// `rank[p]`; a boundary between old positions (a bin start, a range end)
-/// moves to `rank[b]`. Both are one lookup, filled in by the one pass that
-/// removes the segments.
+/// segments. Survivors keep their relative order.
+///
+/// The cut only rewrites the store's *prefix* `0..prefix()`, which ends
+/// one past the last removed position: every old position from there on
+/// survives and moves down by `removed.len()`. Inside the prefix a rank
+/// table, `prefix() + 1` entries filled in by the one pass that removes the
+/// segments, answers where each survivor goes. So [`remap`] (a position)
+/// and [`rank`] (a boundary between positions: a bin start, a range end)
+/// are one lookup or one subtraction each.
+///
+/// [`remap`]: ExpireDelta::remap
+/// [`rank`]: ExpireDelta::rank
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExpireDelta {
     /// Old positions removed, in ascending order.
     pub removed: Vec<u32>,
     /// `rank[p]` = survivors at old positions `0..p`, for `p` in
-    /// `0..=old_len`.
-    pub rank: Vec<u32>,
+    /// `0..=prefix`.
+    rank: Vec<u32>,
     /// Store length before the expire.
     pub old_len: usize,
     /// Store generation *after* the expire.
@@ -74,6 +80,23 @@ pub struct ExpireDelta {
 }
 
 impl ExpireDelta {
+    /// One past the last removed old position (0 when nothing was
+    /// removed): the prefix of the store the cut rewrote.
+    #[inline]
+    pub fn prefix(&self) -> usize {
+        self.rank.len() - 1
+    }
+
+    /// Survivors at old positions `0..b`: where a boundary `b` between old
+    /// positions moves, for `b` in `0..=old_len`.
+    #[inline]
+    pub fn rank(&self, b: usize) -> usize {
+        match self.rank.get(b) {
+            Some(&r) => r as usize,
+            None => b - self.removed.len(),
+        }
+    }
+
     /// New position of surviving old position `p` (`None` if `p` was
     /// removed or out of range).
     #[inline]
@@ -81,8 +104,13 @@ impl ExpireDelta {
         if p >= self.old_len {
             return None;
         }
-        let before = self.rank[p];
-        (self.rank[p + 1] > before).then_some(before as usize)
+        match self.rank.get(p + 1) {
+            Some(&next) => {
+                let before = self.rank[p];
+                (next > before).then_some(before as usize)
+            }
+            None => Some(p - self.removed.len()),
+        }
     }
 }
 
@@ -100,16 +128,23 @@ struct StatsEntry {
 /// An in-memory spatiotemporal segment database (the paper's `D`, and also
 /// the representation of a query set `Q`).
 ///
-/// The store owns a flat `Vec<Segment>`; indexes reference entries by their
-/// *position* in this vector, so reordering methods ([`sort_by_t_start`])
-/// and [`expire_before`] change those positions but never the segments' own
-/// ids.
+/// The store owns its segments in one [`FrontVec`]; indexes reference
+/// entries by their *position* among them, so reordering methods
+/// ([`sort_by_t_start`]) and [`expire_before`] change those positions but
+/// never the segments' own ids. A cut drops its rows behind the vector's
+/// front offset, so the rows past the cut's prefix do not move.
 ///
 /// [`sort_by_t_start`]: SegmentStore::sort_by_t_start
 /// [`expire_before`]: SegmentStore::expire_before
 #[derive(Debug, Default)]
 pub struct SegmentStore {
-    segments: Vec<Segment>,
+    segments: FrontVec<Segment>,
+    /// Every segment has `t_start <= t_end` and `t_start` is non-decreasing
+    /// in position order, so a row that ends before a cut starts before it:
+    /// [`expire_before`](SegmentStore::expire_before) scans only the rows
+    /// that start before the cut. Kept exactly through appends; a cut or an
+    /// unordered store leaves it `false` until the next sort.
+    time_ordered: bool,
     /// Monotonically increasing mutation counter. Every mutating method
     /// bumps it; the stats cache carries the generation it was computed at.
     generation: u64,
@@ -124,6 +159,7 @@ impl Clone for SegmentStore {
         let stats = *self.stats.lock().expect("store cache poisoned");
         SegmentStore {
             segments: self.segments.clone(),
+            time_ordered: self.time_ordered,
             generation: self.generation,
             stats: Mutex::new(stats),
         }
@@ -138,7 +174,13 @@ impl SegmentStore {
 
     /// Build from a vector of segments (generation 0).
     pub fn from_segments(segments: Vec<Segment>) -> Self {
-        SegmentStore { segments, generation: 0, stats: Mutex::new(None) }
+        let time_ordered = continues_time_order(None, &segments);
+        SegmentStore {
+            segments: segments.into(),
+            time_ordered,
+            generation: 0,
+            stats: Mutex::new(None),
+        }
     }
 
     /// Number of segments.
@@ -172,6 +214,7 @@ impl SegmentStore {
     /// extends it incrementally.
     #[inline]
     pub fn push(&mut self, seg: Segment) {
+        self.time_ordered &= continues_time_order(self.segments.last(), &[seg]);
         self.segments.push(seg);
         self.generation += 1;
     }
@@ -204,6 +247,7 @@ impl SegmentStore {
     pub fn append(&mut self, new: &[Segment]) -> AppendDelta {
         let from = self.segments.len();
         let prev_generation = self.generation;
+        self.time_ordered &= continues_time_order(self.segments.last(), new);
         self.segments.extend_from_slice(new);
         self.generation += 1;
         if let Some(entry) = self.stats.get_mut().expect("store cache poisoned") {
@@ -244,33 +288,52 @@ impl SegmentStore {
     /// Remove every segment that ends strictly before `t` (`t_end < t`),
     /// preserving the relative order of survivors.
     ///
-    /// Returns the [`ExpireDelta`] mapping old positions to new ones.
-    /// The stats cache is invalidated (extents can shrink), so the next
-    /// [`stats`](SegmentStore::stats) call rescans.
+    /// Returns the [`ExpireDelta`] mapping old positions to new ones. On a
+    /// time-ordered store (every `t_start <= t_end`, `t_start` sorted) only
+    /// the rows that start before `t` are scanned, and only the survivors
+    /// among the rows up to the last removed one move; the rest stay where
+    /// they are behind the store's front offset. An unordered store is
+    /// scanned whole by the same loop. The stats cache is invalidated
+    /// (extents can shrink), so the next [`stats`](SegmentStore::stats)
+    /// call rescans.
     pub fn expire_before(&mut self, t: f64) -> ExpireDelta {
         let old_len = self.segments.len();
+        let scan = if self.time_ordered && !t.is_nan() {
+            self.segments.partition_point(|s| s.t_start < t)
+        } else {
+            old_len
+        };
+        let keep = |s: &Segment| s.t_end >= t;
         let mut removed = Vec::new();
-        let mut rank = Vec::with_capacity(old_len + 1);
+        let mut rank = vec![0];
         let mut kept: u32 = 0;
-        self.segments.retain(|s| {
-            let keep = s.t_end >= t;
-            if !keep {
-                removed.push(rank.len() as u32);
+        for (p, s) in self.segments[..scan].iter().enumerate() {
+            if keep(s) {
+                kept += 1;
+            } else {
+                removed.push(p as u32);
             }
             rank.push(kept);
-            kept += u32::from(keep);
-            keep
-        });
-        rank.push(kept);
+        }
+        let prefix = removed.last().map_or(0, |&r| r as usize + 1);
+        rank.truncate(prefix + 1);
+        self.segments.cut_front(prefix, |_, s| keep(s).then_some(*s));
         self.generation += 1;
         *self.stats.get_mut().expect("store cache poisoned") = None;
         ExpireDelta { removed, rank, old_len, generation: self.generation }
     }
 
+    /// Rows cut from the front but not yet compacted away: host memory the
+    /// store holds beyond its segments, bounded by a quarter of them plus
+    /// the last cut (see [`FrontVec`]).
+    pub fn slack(&self) -> usize {
+        self.segments.slack()
+    }
+
     /// Immutable view of the segments.
     #[inline]
     pub fn segments(&self) -> &[Segment] {
-        &self.segments
+        self.segments.as_slice()
     }
 
     /// Segment at position `i`. Panics out of range; prefer [`try_get`] when
@@ -295,7 +358,9 @@ impl SegmentStore {
     /// so the scan (including its exact duration sum) still holds.
     pub fn sort_by_t_start(&mut self) {
         let prev_generation = self.generation;
-        self.segments.sort_by(|a, b| a.t_start.partial_cmp(&b.t_start).expect("NaN t_start"));
+        let segs = self.segments.as_mut_slice();
+        segs.sort_by(|a, b| a.t_start.partial_cmp(&b.t_start).expect("NaN t_start"));
+        self.time_ordered = continues_time_order(None, segs);
         self.generation += 1;
         if let Some(entry) = self.stats.get_mut().expect("store cache poisoned") {
             if entry.generation == prev_generation {
@@ -337,7 +402,7 @@ impl SegmentStore {
         let mut t_max = f64::NEG_INFINITY;
         let mut max_ext = [0.0f64; 3];
         let mut dur_sum = 0.0;
-        for s in &self.segments {
+        for s in self.segments.iter() {
             bounds.expand_to_point(&s.start);
             bounds.expand_to_point(&s.end);
             t_min = t_min.min(s.t_start);
@@ -368,6 +433,18 @@ impl SegmentStore {
     pub fn iter(&self) -> std::slice::Iter<'_, Segment> {
         self.segments.iter()
     }
+}
+
+/// Whether `new`, placed after `last`, keeps a store time-ordered: every
+/// segment has `t_start <= t_end` (false for a NaN) and `t_start` does not
+/// decrease.
+fn continues_time_order(last: Option<&Segment>, new: &[Segment]) -> bool {
+    let mut prev = last.map_or(f64::NEG_INFINITY, |s| s.t_start);
+    new.iter().all(|s| {
+        let ordered = prev <= s.t_start && s.t_start <= s.t_end;
+        prev = s.t_start;
+        ordered
+    })
 }
 
 impl FromIterator<Segment> for SegmentStore {
@@ -517,7 +594,8 @@ mod tests {
         assert_eq!(store.len(), 2);
         assert_eq!(delta.old_len, 4);
         assert_eq!(delta.removed, vec![0, 2]);
-        assert_eq!(delta.rank, vec![0, 0, 1, 1, 2]);
+        assert_eq!(delta.prefix(), 3);
+        assert_eq!((0..=4).map(|b| delta.rank(b)).collect::<Vec<_>>(), vec![0, 0, 1, 1, 2]);
         assert_eq!(delta.remap(0), None);
         assert_eq!(delta.remap(1), Some(0));
         assert_eq!(delta.remap(2), None);

@@ -1,6 +1,7 @@
-//! Property-based test: the rank table an expiry returns answers every
+//! Property-based tests: the rank table an expiry returns answers every
 //! position and boundary lookup exactly as the binary searches over the
-//! removed positions it replaces.
+//! removed positions it replaces, and a store streamed through random
+//! appends and cuts holds exactly what a `retain` model holds.
 
 use proptest::prelude::*;
 use tdts_geom::{ExpireDelta, Point3, SegId, Segment, SegmentStore, TrajId};
@@ -43,13 +44,60 @@ proptest! {
             expire.iter().enumerate().filter(|(_, &gone)| gone).map(|(i, _)| i as u32).collect();
         prop_assert_eq!(&delta.removed, &removed);
         prop_assert_eq!(delta.old_len, expire.len());
-        prop_assert_eq!(delta.rank.len(), expire.len() + 1);
+        prop_assert_eq!(delta.prefix(), removed.last().map_or(0, |&r| r as usize + 1));
         for p in 0..delta.old_len + 2 {
             prop_assert_eq!(delta.remap(p), remap_by_search(&delta, p), "remap({})", p);
         }
         for b in 0..=delta.old_len {
-            prop_assert_eq!(delta.rank[b] as usize, boundary_by_search(&delta, b), "rank[{}]", b);
+            prop_assert_eq!(delta.rank(b), boundary_by_search(&delta, b), "rank({})", b);
         }
-        prop_assert_eq!(delta.rank[delta.old_len] as usize, store.len());
+        prop_assert_eq!(delta.rank(delta.old_len), store.len());
+    }
+
+    /// Random time-ordered appends and cuts, long segments straddling
+    /// several cuts, cut to empty and regrown: the store's segments equal a
+    /// `retain` model after every step, and every old position past the
+    /// cut's `t_start` partition point `P` remaps to `p - removed.len()`.
+    #[test]
+    fn streamed_store_equals_a_retain_model(
+        steps in proptest::collection::vec(
+            (proptest::collection::vec((0u8..4, 0.0f64..6.0), 0..40), 0.0f64..3.0),
+            1..40,
+        ),
+    ) {
+        let mut store = SegmentStore::new();
+        let mut model: Vec<Segment> = Vec::new();
+        let mut t = 0.0;
+        let mut id = 0u32;
+        for (new, advance) in steps {
+            let new: Vec<Segment> = new
+                .into_iter()
+                .map(|(gap, length)| {
+                    t += f64::from(gap) * 0.25;
+                    id += 1;
+                    Segment::new(Point3::ZERO, Point3::ZERO, t, t + length, SegId(id), TrajId(0))
+                })
+                .collect();
+            let delta = store.append(&new);
+            prop_assert_eq!(delta.from, model.len());
+            model.extend_from_slice(&new);
+            // Cuts trail the frontier; a large `advance` empties the store.
+            let cut = t - 4.0 + advance * 2.0;
+            let partition = model.partition_point(|s| s.t_start < cut);
+            let delta = store.expire_before(cut);
+            let old = std::mem::take(&mut model);
+            model = old.iter().copied().filter(|s| s.t_end >= cut).collect();
+            prop_assert_eq!(store.segments(), &model[..]);
+            prop_assert!(delta.prefix() <= partition);
+            prop_assert!(delta.removed.iter().all(|&r| (r as usize) < partition));
+            for p in 0..old.len() {
+                let kept = old[..p].iter().filter(|s| s.t_end >= cut).count();
+                let want = (old[p].t_end >= cut).then_some(kept);
+                prop_assert_eq!(delta.remap(p), want, "remap({})", p);
+                if p >= partition {
+                    prop_assert_eq!(delta.remap(p), Some(p - delta.removed.len()));
+                }
+            }
+        }
     }
 }

@@ -5,7 +5,7 @@ use crate::config::DeviceConfig;
 use crate::launch::{run_launch, run_launch_persistent, run_launch_warps, LaunchReport, Warp};
 use crate::ledger::{Phase, ResponseTime};
 use crate::memory::{
-    DeviceBuffer, OutOfDeviceMemory, PartitionedScratch, Reservation, ResultBuffer,
+    DeviceBuffer, OutOfDeviceMemory, PartitionedScratch, Reservation, Reserved, ResultBuffer,
 };
 use crate::sanitizer::{short_type_name, Sanitizer, SanitizerMode, SanitizerReport};
 use crate::workqueue::{Tile, WorkQueue};
@@ -180,6 +180,13 @@ impl Device {
     /// Bytes of simulated global memory still free.
     pub fn mem_available(&self) -> usize {
         self.core.config.global_mem_bytes - self.mem_used()
+    }
+
+    /// Reserve `bytes` of global memory ahead of an in-place update, so it
+    /// can take every allocation before it changes anything (see
+    /// [`Reserved`]).
+    pub fn reserve(self: &Arc<Self>, bytes: usize) -> Result<Reserved, OutOfDeviceMemory> {
+        Reserved::new(self, bytes)
     }
 
     /// Allocate a read-only device buffer *offline* (no ledger entry).

@@ -52,7 +52,8 @@ pub use device::Device;
 pub use launch::{LaunchReport, Warp, MAX_WARP_LANES};
 pub use ledger::{Phase, ResponseTime};
 pub use memory::{
-    DeviceBuffer, OutOfDeviceMemory, PartitionedScratch, ResultBuffer, ScratchPartition, WarpStash,
+    DeviceBuffer, OutOfDeviceMemory, PartitionedScratch, Reserved, ResultBuffer, ScratchPartition,
+    WarpStash,
 };
 pub use redo::{NextBatch, RedoSchedule};
 pub use report::{LoadBalance, RoutingSummary, SearchError, SearchReport};

@@ -16,6 +16,7 @@ use std::fmt;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use tdts_geom::FrontVec;
 
 /// Converged ALU instructions charged per warp-aggregated flush: ballot,
 /// popcount, leader election, base broadcast, and address arithmetic.
@@ -73,14 +74,6 @@ impl Reservation {
         self.shadow.as_ref()
     }
 
-    /// Reserve `additional` bytes on the same device (in-place buffer
-    /// growth). The reservation releases the enlarged total on drop.
-    pub(crate) fn grow(&mut self, additional: usize) -> Result<(), OutOfDeviceMemory> {
-        self.device.reserve(additional)?;
-        self.bytes += additional;
-        Ok(())
-    }
-
     /// Return `fewer` bytes to the device (in-place buffer compaction).
     pub(crate) fn shrink(&mut self, fewer: usize) {
         let fewer = fewer.min(self.bytes);
@@ -98,6 +91,21 @@ impl Drop for Reservation {
     }
 }
 
+/// Device bytes reserved ahead of an in-place update, so that a multi-step
+/// update can take every allocation it needs before it changes anything:
+/// [`DeviceBuffer::extend`] then moves bytes from here into the buffers it
+/// grows and cannot fail. Obtained from [`Device::reserve`]; whatever is
+/// left when it drops goes back to the device.
+#[derive(Debug)]
+pub struct Reserved(Reservation);
+
+impl Reserved {
+    pub(crate) fn new(device: &Arc<Device>, bytes: usize) -> Result<Self, OutOfDeviceMemory> {
+        device.core.reserve(bytes)?;
+        Ok(Reserved(Reservation { device: Arc::clone(&device.core), bytes, shadow: None }))
+    }
+}
+
 /// A buffer resident in simulated device global memory, read-only from
 /// kernels.
 ///
@@ -105,15 +113,21 @@ impl Drop for Reservation {
 /// host→device transfer to the response-time ledger. Kernel lanes read
 /// elements through [`DeviceBuffer::read`], which charges the lane's
 /// global-memory counter.
+///
+/// The elements sit behind a front offset ([`FrontVec`]), so an expiry that
+/// cuts the buffer's head moves only the survivors of the cut prefix and
+/// leaves the rest in place. The device is charged for the live elements
+/// alone: the slack in front of them is host memory the simulated device
+/// never sees.
 #[derive(Debug)]
 pub struct DeviceBuffer<T> {
-    data: Vec<T>,
+    data: FrontVec<T>,
     reservation: Reservation,
 }
 
 impl<T: Copy> DeviceBuffer<T> {
     pub(crate) fn new(data: Vec<T>, reservation: Reservation) -> Self {
-        DeviceBuffer { data, reservation }
+        DeviceBuffer { data: data.into(), reservation }
     }
 
     /// Number of elements.
@@ -150,7 +164,7 @@ impl<T: Copy> DeviceBuffer<T> {
                 }
             }
         }
-        self.data[i]
+        self.data.as_slice()[i]
     }
 
     /// Elements `rows`, bounds-tested once for the whole range and *without*
@@ -174,7 +188,7 @@ impl<T: Copy> DeviceBuffer<T> {
                 return None;
             }
         }
-        Some(&self.data[rows])
+        Some(&self.data.as_slice()[rows])
     }
 
     /// Raw slice access *without* cost accounting. Use only on the host
@@ -183,39 +197,61 @@ impl<T: Copy> DeviceBuffer<T> {
     /// [`read`]: DeviceBuffer::read
     #[inline]
     pub fn as_slice(&self) -> &[T] {
-        &self.data
+        self.data.as_slice()
     }
 
     /// Append `more` in place with host data, *offline* (no transfer
     /// charge): the device side of generational ingestion — only the
-    /// appended tail is copied, existing elements stay resident. Requires
-    /// `&mut self`, i.e. no kernel running.
-    pub fn extend(&mut self, more: &[T]) -> Result<(), OutOfDeviceMemory> {
-        self.reservation.grow(std::mem::size_of_val(more))?;
+    /// appended tail is copied, existing elements stay resident. The device
+    /// bytes come out of `reserved`, taken before the update began, so the
+    /// append cannot fail. Requires `&mut self`, i.e. no kernel running.
+    ///
+    /// # Panics
+    ///
+    /// If `reserved` holds fewer bytes than `more` occupies.
+    pub fn extend(&mut self, more: &[T], reserved: &mut Reserved) {
+        let bytes = std::mem::size_of_val(more);
+        assert!(bytes <= reserved.0.bytes, "extend past the bytes reserved for it");
+        reserved.0.bytes -= bytes;
+        self.reservation.bytes += bytes;
         self.data.extend_from_slice(more);
-        Ok(())
+    }
+
+    /// Cut the first `n` elements in place: keep those `keep(i, &x)` maps
+    /// to `Some`, rewritten with the value it returns, in order, and drop
+    /// the rest (see [`FrontVec::cut_front`]). The elements past `n` stay
+    /// where they are; the dropped bytes go back to the device. Returns the
+    /// number dropped. Requires `&mut self`, i.e. no kernel running.
+    pub fn cut_front(&mut self, n: usize, keep: impl FnMut(usize, &T) -> Option<T>) -> usize {
+        let dropped = self.data.cut_front(n, keep);
+        self.reservation.shrink(dropped * std::mem::size_of::<T>());
+        dropped
     }
 
     /// Remove the elements at the ascending positions in `removed`,
     /// preserving survivor order and returning the freed bytes to the
-    /// device — the expire side of generational ingestion. Positions out of
-    /// range are ignored. Requires `&mut self`.
+    /// device — the expire side of generational ingestion. Only the
+    /// elements up to the last removed one are visited; those past it stay
+    /// in place. Positions out of range are ignored. Requires `&mut self`.
     pub fn remove_positions(&mut self, removed: &[u32]) {
-        if removed.is_empty() {
-            return;
-        }
-        let before = self.data.len();
-        let mut next = 0usize;
-        let mut pos = 0u32;
-        self.data.retain(|_| {
-            let drop_it = removed.get(next).is_some_and(|&r| r == pos);
-            if drop_it {
-                next += 1;
+        let mut next = removed.partition_point(|&r| (r as usize) < self.len());
+        let n = removed[..next].last().map_or(0, |&r| r as usize + 1);
+        self.cut_front(n, |i, &x| {
+            if next > 0 && removed[next - 1] as usize == i {
+                next -= 1;
+                None
+            } else {
+                Some(x)
             }
-            pos += 1;
-            !drop_it
         });
-        self.reservation.shrink((before - self.data.len()) * std::mem::size_of::<T>());
+    }
+}
+
+impl<T: Copy> AsRef<[T]> for DeviceBuffer<T> {
+    /// [`as_slice`](DeviceBuffer::as_slice): host access without cost
+    /// accounting.
+    fn as_ref(&self) -> &[T] {
+        self.as_slice()
     }
 }
 
@@ -706,8 +742,12 @@ mod tests {
         let dev = device();
         let mut buf = dev.alloc_from_host(vec![[1.0f64, 10.0], [2.0, 20.0]]).unwrap();
         let used = dev.mem_used();
-        buf.extend(&[[3.0, 30.0]]).unwrap();
+        let mut reserved = dev.reserve(24).unwrap();
+        buf.extend(&[[3.0, 30.0]], &mut reserved);
         assert_eq!(buf.as_slice(), &[[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]]);
+        assert_eq!(dev.mem_used(), used + 24);
+        // What the extend did not take goes back when the reservation drops.
+        drop(reserved);
         assert_eq!(dev.mem_used(), used + 16);
         buf.remove_positions(&[1, 7]);
         assert_eq!(buf.as_slice(), &[[1.0, 10.0], [3.0, 30.0]]);
@@ -717,13 +757,12 @@ mod tests {
     }
 
     #[test]
-    fn extend_past_device_memory_fails() {
+    fn reserve_past_device_memory_fails() {
         let dev = device(); // 1 MiB
-        let mut buf = dev.alloc_from_host(vec![0u8; 1024]).unwrap();
-        assert!(buf.extend(&vec![0u8; 2 * 1024 * 1024]).is_err());
-        // The failed growth reserved nothing.
+        let _buf = dev.alloc_from_host(vec![0u8; 1024]).unwrap();
+        assert!(dev.reserve(2 * 1024 * 1024).is_err());
+        // The failed reservation took nothing.
         assert_eq!(dev.mem_used(), 1024);
-        assert_eq!(buf.len(), 1024);
     }
 
     #[test]

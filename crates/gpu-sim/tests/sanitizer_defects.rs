@@ -73,7 +73,7 @@ fn extended_and_compacted_buffers_bound_reads_by_their_new_length() {
     // bounds every read and run is tested against move with it.
     let dev = device(SanitizerMode::Full);
     let mut buf = dev.alloc_from_host(vec![11u32, 22, 33]).unwrap();
-    buf.extend(&[44, 55]).unwrap();
+    buf.extend(&[44, 55], &mut dev.reserve(8).unwrap());
     assert_eq!(dev.mem_used(), 5 * 4);
     dev.launch(1, |lane| {
         assert_eq!(buf.read(lane, 4), 55);
@@ -98,7 +98,7 @@ fn extended_and_compacted_buffers_bound_reads_by_their_new_length() {
     // Without a sanitizer the same read panics like a slice index.
     let dev = device(SanitizerMode::Off);
     let mut buf = dev.alloc_from_host(vec![11u32, 22, 33]).unwrap();
-    buf.extend(&[44]).unwrap();
+    buf.extend(&[44], &mut dev.reserve(4).unwrap());
     buf.remove_positions(&[1, 2]);
     assert_eq!(buf.as_slice(), &[11, 44]);
     let mut lane = Lane::new(0);

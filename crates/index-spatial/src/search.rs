@@ -78,6 +78,15 @@ impl GridArrays {
 /// plan.
 pub struct SpatialScheme;
 
+/// Place the grid's arrays in `device` memory (offline).
+fn place(device: &Arc<Device>, fsg: &Fsg) -> Result<GridArrays, SearchError> {
+    Ok(GridArrays {
+        cell_ids: device.alloc_from_host(fsg.cell_ids.clone())?,
+        cell_ranges: device.alloc_from_host(fsg.cell_ranges.clone())?,
+        lookup: device.alloc_from_host(fsg.lookup.clone())?,
+    })
+}
+
 impl Scheme for SpatialScheme {
     const NAME: &'static str = "GPUSpatial";
     const SORTS_QUERIES: bool = false;
@@ -92,27 +101,40 @@ impl Scheme for SpatialScheme {
     type Tiles<'a> = SpatialTiles<'a>;
 
     fn build(
+        device: &Arc<Device>,
         store: &SegmentStore,
         stats: &StoreStats,
         config: &GpuSpatialConfig,
-    ) -> Result<Fsg, SearchError> {
-        Fsg::build_with_stats(store, stats, config.fsg)
+    ) -> Result<(Fsg, GridArrays), SearchError> {
+        let fsg = Fsg::build_with_stats(store, stats, config.fsg)?;
+        let grid = place(device, &fsg)?;
+        Ok((fsg, grid))
     }
 
-    fn append(fsg: &Fsg, store: &SegmentStore, from: usize) -> Result<Fsg, SearchError> {
-        fsg.append(store, from)
+    /// The grid is rebuilt beside the old one and re-placed whole: an
+    /// append can move every cell's run of ids.
+    fn ingest(
+        fsg: &mut Fsg,
+        grid: &mut GridArrays,
+        device: &Arc<Device>,
+        store: &SegmentStore,
+        from: usize,
+    ) -> Result<(), SearchError> {
+        let next = fsg.append(store, from)?;
+        (*grid, *fsg) = (place(device, &next)?, next);
+        Ok(())
     }
 
-    fn expire(fsg: &Fsg, _store: &SegmentStore, delta: &ExpireDelta) -> Result<Fsg, SearchError> {
-        fsg.expire(delta)
-    }
-
-    fn place(device: &Arc<Device>, fsg: &Fsg) -> Result<GridArrays, SearchError> {
-        Ok(GridArrays {
-            cell_ids: device.alloc_from_host(fsg.cell_ids.clone())?,
-            cell_ranges: device.alloc_from_host(fsg.cell_ranges.clone())?,
-            lookup: device.alloc_from_host(fsg.lookup.clone())?,
-        })
+    fn expire(
+        fsg: &mut Fsg,
+        grid: &mut GridArrays,
+        device: &Arc<Device>,
+        _store: &SegmentStore,
+        delta: &ExpireDelta,
+    ) -> Result<(), SearchError> {
+        let next = fsg.expire(delta)?;
+        (*grid, *fsg) = (place(device, &next)?, next);
+        Ok(())
     }
 
     /// Host `getCandidates` scheduling for warp-per-tile, computed once and
@@ -295,7 +317,8 @@ impl TileGenerator for SpatialTiles<'_> {
         let lanes = warp.lanes_mut();
         let search = self.batch.search;
         let lookup = &search.arrays().lookup;
-        let compared = search.entries().refine_gather(lanes, lookup, tile.lo..tile.hi, q, on_hit);
+        let compared =
+            search.entries().refine_gather(lanes, lookup, 0, tile.lo..tile.hi, q, on_hit);
         let w = lanes.len();
         for (l, lane) in lanes.iter_mut().enumerate() {
             lane.instr(lane_share(compared, l, w));

@@ -1,7 +1,8 @@
 //! The spatiotemporal (bins × subbins) index.
 
-use tdts_geom::{ExpireDelta, Segment, SegmentStore, StoreStats};
-use tdts_gpu_sim::SearchError;
+use std::sync::Arc;
+use tdts_geom::{ExpireDelta, FrontVec, Segment, SegmentStore, StoreStats};
+use tdts_gpu_sim::{Device, DeviceBuffer, Reserved, SearchError};
 use tdts_index_temporal::{check_bins, TemporalIndex, TemporalIndexConfig};
 
 /// Index parameters.
@@ -39,17 +40,23 @@ pub enum Selector {
 }
 
 /// One schedule entry: the lookup selector plus a half-open index range
-/// (into the selected dimension array, or directly into the entry database
-/// for the temporal fallback). Encoded in 4 integers on the device, exactly
-/// the paper's fixed-size, alignment-preserving encoding.
+/// (into the selected dimension's run for `subbin`, or directly into the
+/// entry database for the temporal fallback). Encoded in 4 integers on the
+/// device, exactly the paper's fixed-size, alignment-preserving encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduleEntry {
     pub selector: Selector,
     pub lo: u32,
     pub hi: u32,
+    /// The subbin whose run a [`Selector::Dim`] entry reads (0 otherwise).
+    pub subbin: u32,
 }
 
 impl ScheduleEntry {
+    /// An entry that scans nothing.
+    pub const EMPTY: ScheduleEntry =
+        ScheduleEntry { selector: Selector::Empty, lo: 0, hi: 0, subbin: 0 };
+
     /// Number of candidates this entry scans.
     pub fn len(&self) -> u32 {
         self.hi - self.lo
@@ -60,37 +67,102 @@ impl ScheduleEntry {
         self.hi == self.lo
     }
 
-    /// Device encoding: `[selector, lo, hi, 0]` with selectors 0–2 = X/Y/Z,
-    /// 3 = temporal fallback, 4 = empty.
+    /// Device encoding: `[selector, lo, hi, subbin]` with selectors 0–2 =
+    /// X/Y/Z, 3 = temporal fallback, 4 = empty.
     pub fn encode(&self) -> [u32; 4] {
         let sel = match self.selector {
             Selector::Dim(d) => d as u32,
             Selector::Temporal => 3,
             Selector::Empty => 4,
         };
-        [sel, self.lo, self.hi, 0]
+        [sel, self.lo, self.hi, self.subbin]
     }
 }
 
-/// The spatiotemporal index: a [`TemporalIndex`] plus per-dimension id
-/// arrays in `(subbin, bin)` lexicographic layout.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpatioTemporalIndex {
+/// One `(dimension, subbin)` run of the paper's `X`/`Y`/`Z` id arrays: the
+/// stable slots of the entries whose extent in that dimension overlaps the
+/// subbin, temporal bin by temporal bin, in position order within a bin.
+/// The run is therefore sorted by position, so an append only extends its
+/// tail and a cut only rewrites its head.
+///
+/// Offsets into the run are kept as counters of ids ever pushed (wrapping
+/// `u32`); `head` counts the ids ever cut from the front, so a counter `c`
+/// is offset `c - head`, and a cut that pops the head changes no counter
+/// past it.
+///
+/// `R` holds the slots: a host vector as built, a [`DeviceBuffer`] once
+/// placed — the one copy a search reads, cuts and extends in place.
+#[derive(Debug)]
+pub struct Run<R = Vec<u32>> {
+    ids: R,
+    /// `bounds[i]` = ids pushed before temporal bin `i`, for `i` in
+    /// `0..=m` (the last is the run's end).
+    bounds: FrontVec<u32>,
+    head: u32,
+}
+
+impl<R: AsRef<[u32]>> Run<R> {
+    /// The run's slots, oldest first.
+    pub fn ids(&self) -> &R {
+        &self.ids
+    }
+
+    /// Offset of temporal bin `i`'s first id (`i == m`: the run's length).
+    fn offset(&self, i: usize) -> u32 {
+        self.bounds[i].wrapping_sub(self.head)
+    }
+
+    /// The counter `offset` ids past the head.
+    fn counter(&self, offset: usize) -> u32 {
+        self.head.wrapping_add(offset as u32)
+    }
+}
+
+/// An append checked against the index and ready to apply: the grown
+/// temporal directory and, per run, the slots it gains.
+#[derive(Debug)]
+pub struct Append {
+    temporal: TemporalIndex,
+    from: usize,
+    /// Per run, the slots to push, in position order.
+    tails: Vec<Vec<u32>>,
+}
+
+impl Append {
+    /// Ids the append adds over all runs.
+    pub fn ids(&self) -> usize {
+        self.tails.iter().map(Vec::len).sum()
+    }
+}
+
+/// The spatiotemporal index: a [`TemporalIndex`] plus one run of stable
+/// slots per `(dimension, subbin)`.
+///
+/// An entry's *slot* is its store position plus `origin`, the rows ever
+/// cut from the store (wrapping `u32`). A cut that leaves an entry's
+/// position shifted by exactly the rows it removed leaves its slot as it
+/// was; that is every entry past the cut's prefix. So a window advance
+/// re-keys only the surviving entries inside the prefix (long segments that
+/// started before removed ones), and the runs hold slots that mostly never
+/// change. A search maps slot to position (`slot - origin`) per candidate.
+///
+/// [`build`](SpatioTemporalIndex::build) keeps the runs in host vectors;
+/// [`place`](SpatioTemporalIndex::place) moves them into device memory,
+/// where a search streams them in place.
+#[derive(Debug)]
+pub struct SpatioTemporalIndex<R = Vec<u32>> {
     temporal: TemporalIndex,
     /// Effective subbin count (requested `v` capped by the extent
     /// constraint).
     v: usize,
-    /// Temporal bins in the directory, `m` (`temporal.bins()`).
-    m: usize,
     /// Per-dimension minimum coordinate of the database volume.
     lo: [f64; 3],
     /// Per-dimension subbin width.
     width: [f64; 3],
-    /// The `X`, `Y`, `Z` id arrays.
-    pub arrays: [Vec<u32>; 3],
-    /// Per dimension: half-open ranges into the array, indexed `j * m + i`
-    /// for subbin `j`, temporal bin `i`.
-    pub ranges: [Vec<[u32; 2]>; 3],
+    /// Slot of store position 0.
+    origin: u32,
+    /// Run `d * v + j` for dimension `d`, subbin `j`.
+    runs: Vec<Run<R>>,
 }
 
 impl SpatioTemporalIndex {
@@ -141,7 +213,10 @@ impl SpatioTemporalIndex {
             width[d] = if extent[d] > 0.0 { extent[d] / v as f64 } else { 1.0 };
         }
 
-        // Populate the per-dimension arrays in (subbin, bin) order.
+        // Populate the per-dimension arrays in (subbin, bin) order, then
+        // cut each into one run per subbin. Filling three arrays and
+        // cutting them afterwards builds faster than filling the 3·v runs
+        // in the same loop.
         let rows = check_bins(v.checked_mul(m))?;
         let mut arrays: [Vec<u32>; 3] = [Vec::new(), Vec::new(), Vec::new()];
         let mut ranges: [Vec<[u32; 2]>; 3] =
@@ -166,102 +241,51 @@ impl SpatioTemporalIndex {
                 }
             }
         }
+        let mut runs = Vec::with_capacity(3 * v);
+        for (ids, ranges) in arrays.iter().zip(&ranges) {
+            for bins in ranges.chunks_exact(m) {
+                let (first, end) = (bins[0][0], bins[m - 1][1]);
+                let bounds = bins.iter().map(|&[start, _]| start).chain([end]);
+                let bounds: Vec<u32> = bounds.map(|b| b - first).collect();
+                let ids = ids[first as usize..end as usize].to_vec();
+                runs.push(Run { ids, bounds: bounds.into(), head: 0 });
+            }
+        }
 
-        Ok(SpatioTemporalIndex { temporal, v, m, lo, width, arrays, ranges })
+        Ok(SpatioTemporalIndex { temporal, v, lo, width, origin: 0, runs })
     }
 
+    /// Move the runs into `device` memory (offline), one buffer per run.
+    pub fn place(
+        self,
+        device: &Arc<Device>,
+    ) -> Result<SpatioTemporalIndex<DeviceBuffer<u32>>, SearchError> {
+        let place = |run: Run| -> Result<_, SearchError> {
+            let Run { ids, bounds, head } = run;
+            Ok(Run { ids: device.alloc_from_host(ids)?, bounds, head })
+        };
+        let runs = self.runs.into_iter().map(place).collect::<Result<_, _>>()?;
+        let SpatioTemporalIndex { temporal, v, lo, width, origin, .. } = self;
+        Ok(SpatioTemporalIndex { temporal, v, lo, width, origin, runs })
+    }
+}
+
+impl<R: AsRef<[u32]>> SpatioTemporalIndex<R> {
     /// The underlying temporal index.
     pub fn temporal(&self) -> &TemporalIndex {
         &self.temporal
     }
 
-    /// The index extended over store entries `from..` (time-ordered
-    /// appends), built beside `self`, which is left as it was.
-    ///
-    /// The temporal directory may grow new bins past the old extent, which
-    /// changes the `(subbin, bin)` layout stride: every per-dimension row is
-    /// re-spliced, copying old chunks and appending the tail entries of each
-    /// bin. Tail entries are placed by their clamped subbin index span —
-    /// the same clamp [`schedule_for`](Self::schedule_for) applies to query
-    /// intervals, so an entry overlapping a query's inflated interval always
-    /// shares its subbin, even for entries outside the build-time volume.
-    /// Each tail entry's span is computed once per dimension.
-    pub fn append(&self, store: &SegmentStore, from: usize) -> Result<Self, SearchError> {
-        let old_m = self.temporal.bins();
-        let mut next = self.emptied();
-        next.temporal.append(store, from)?;
-        let new_m = next.temporal.bins();
-        let rows = check_bins(self.v.checked_mul(new_m))?;
-        next.m = new_m;
-        let tail = &store.segments()[from..];
-        for d in 0..3 {
-            let spans: Vec<(usize, usize)> =
-                tail.iter().map(|s| self.subbin_span(d, s.min_coord(d), s.max_coord(d))).collect();
-            let mut arrays = Vec::with_capacity(self.arrays[d].len() + tail.len());
-            let mut ranges = Vec::with_capacity(rows);
-            for j in 0..self.v {
-                for i in 0..new_m {
-                    let start = arrays.len() as u32;
-                    if i < old_m {
-                        let [a, b] = self.ranges[d][j * old_m + i];
-                        arrays.extend_from_slice(&self.arrays[d][a as usize..b as usize]);
-                    }
-                    let (b_lo, b_hi) = next.temporal.bin_range(i);
-                    let lo = (b_lo as usize).max(from);
-                    for pos in lo..b_hi as usize {
-                        let (s_lo, s_hi) = spans[pos - from];
-                        if (s_lo..=s_hi).contains(&j) {
-                            arrays.push(pos as u32);
-                        }
-                    }
-                    ranges.push([start, arrays.len() as u32]);
-                }
-            }
-            next.arrays[d] = arrays;
-            next.ranges[d] = ranges;
-        }
-        Ok(next)
+    /// Run `d * v + j` for dimension `d`, subbin `j` (`v` =
+    /// [`effective_subbins`](Self::effective_subbins)).
+    pub fn runs(&self) -> &[Run<R>] {
+        &self.runs
     }
 
-    /// The index without the expired entries, built beside `self`: the
-    /// temporal directory and every per-dimension id array drop them and
-    /// renumber survivors to their post-expiry store positions, one rank
-    /// lookup each. The bins the temporal directory drops from its front
-    /// lose their `(subbin, bin)` ranges too (every entry in them expired);
-    /// the subbin geometry is unchanged.
-    pub fn expire(&self, store: &SegmentStore, delta: &ExpireDelta) -> Result<Self, SearchError> {
-        let mut next = self.emptied();
-        next.temporal.expire(store, delta)?;
-        next.m = next.temporal.bins();
-        let dropped = self.m - next.m;
-        for d in 0..3 {
-            let mut arrays = Vec::with_capacity(self.arrays[d].len());
-            let mut ranges = Vec::with_capacity(self.v * next.m);
-            for row in self.ranges[d].chunks_exact(self.m) {
-                debug_assert!(row[..dropped].iter().all(|r| {
-                    let ids = &self.arrays[d][r[0] as usize..r[1] as usize];
-                    ids.iter().all(|&pos| delta.remap(pos as usize).is_none())
-                }));
-                for r in &row[dropped..] {
-                    let start = arrays.len() as u32;
-                    for &pos in &self.arrays[d][r[0] as usize..r[1] as usize] {
-                        if let Some(np) = delta.remap(pos as usize) {
-                            arrays.push(np as u32);
-                        }
-                    }
-                    ranges.push([start, arrays.len() as u32]);
-                }
-            }
-            next.arrays[d] = arrays;
-            next.ranges[d] = ranges;
-        }
-        Ok(next)
-    }
-
-    /// This index's geometry and temporal directory with no id arrays.
-    fn emptied(&self) -> SpatioTemporalIndex {
-        let (arrays, ranges) = Default::default();
-        SpatioTemporalIndex { temporal: self.temporal.clone(), arrays, ranges, ..*self }
+    /// Slot of store position 0: subtract it from a run's id to get the
+    /// entry's position.
+    pub fn origin(&self) -> u32 {
+        self.origin
     }
 
     /// Effective subbins per dimension (after the extent-constraint cap).
@@ -283,12 +307,12 @@ impl SpatioTemporalIndex {
     /// (host side, §IV-C2).
     pub fn schedule_for(&self, q: &Segment, d: f64) -> ScheduleEntry {
         let Some((i_lo, i_hi)) = self.temporal.candidate_bins(q) else {
-            return ScheduleEntry { selector: Selector::Empty, lo: 0, hi: 0 };
+            return ScheduleEntry::EMPTY;
         };
 
         // Per dimension: usable iff the inflated query interval stays within
         // one subbin; among usable dimensions pick the fewest candidates.
-        let mut best: Option<(u32, u8, u32, u32)> = None; // (count, dim, lo, hi)
+        let mut best: Option<(u32, ScheduleEntry)> = None;
         for dim in 0..3usize {
             let q_lo = q.min_coord(dim) - d;
             let q_hi = q.max_coord(dim) + d;
@@ -296,23 +320,42 @@ impl SpatioTemporalIndex {
             if s_lo != s_hi {
                 continue; // spans multiple subbins in this dimension
             }
-            let first = self.ranges[dim][s_lo * self.m + i_lo][0];
-            let last = self.ranges[dim][s_lo * self.m + i_hi][1];
+            let run = &self.runs[dim * self.v + s_lo];
+            let first = run.offset(i_lo);
+            let last = run.offset(i_hi + 1);
             let count = last.saturating_sub(first);
-            if best.is_none_or(|(c, ..)| count < c) {
-                best = Some((count, dim as u8, first, last.max(first)));
+            if best.is_none_or(|(c, _)| count < c) {
+                let selector = Selector::Dim(dim as u8);
+                let entry =
+                    ScheduleEntry { selector, lo: first, hi: last.max(first), subbin: s_lo as u32 };
+                best = Some((count, entry));
             }
         }
 
         match best {
-            Some((_, dim, lo, hi)) => ScheduleEntry { selector: Selector::Dim(dim), lo, hi },
+            Some((_, entry)) => entry,
             None => {
                 // Fallback to the temporal scheme: contiguous entry range.
                 match self.temporal.candidate_range(q) {
-                    Some((lo, hi)) => ScheduleEntry { selector: Selector::Temporal, lo, hi },
-                    None => ScheduleEntry { selector: Selector::Empty, lo: 0, hi: 0 },
+                    Some((lo, hi)) => {
+                        ScheduleEntry { selector: Selector::Temporal, lo, hi, subbin: 0 }
+                    }
+                    None => ScheduleEntry::EMPTY,
                 }
             }
+        }
+    }
+
+    /// The entry positions a schedule entry scans, in scan order.
+    pub fn candidates(&self, entry: &ScheduleEntry) -> Vec<u32> {
+        match entry.selector {
+            Selector::Dim(d) => {
+                let run = &self.runs[d as usize * self.v + entry.subbin as usize];
+                let ids = &run.ids.as_ref()[entry.lo as usize..entry.hi as usize];
+                ids.iter().map(|id| id.wrapping_sub(self.origin)).collect()
+            }
+            Selector::Temporal => (entry.lo..entry.hi).collect(),
+            Selector::Empty => Vec::new(),
         }
     }
 
@@ -320,44 +363,159 @@ impl SpatioTemporalIndex {
     /// from; returns a description of the first violation.
     pub fn validate(&self, store: &SegmentStore) -> Result<(), String> {
         self.temporal.validate(store)?;
-        for d in 0..3 {
-            if self.ranges[d].len() != self.v * self.m {
-                return Err(format!("dim {d}: expected {} ranges", self.v * self.m));
+        let m = self.temporal.bins();
+        let starts = self.temporal.bin_starts();
+        if self.runs.len() != 3 * self.v {
+            return Err(format!("expected {} runs, found {}", 3 * self.v, self.runs.len()));
+        }
+        let mut count = vec![[0u32; 3]; store.len()];
+        for (r, run) in self.runs.iter().enumerate() {
+            // Bin bounds tile the run in order, from its head to its end.
+            if run.bounds.len() != m + 1 {
+                return Err(format!("run {r}: {} bounds for {m} bins", run.bounds.len()));
             }
-            // Ranges tile the array contiguously in (subbin, bin) order.
-            let mut cursor = 0u32;
-            for (k, r) in self.ranges[d].iter().enumerate() {
-                if r[0] != cursor || r[1] < r[0] {
-                    return Err(format!("dim {d}: range {k} not contiguous"));
+            let offsets: Vec<usize> = (0..=m).map(|i| run.offset(i) as usize).collect();
+            if offsets[0] != 0 || offsets[m] != run.ids.as_ref().len() {
+                return Err(format!("run {r}: bounds do not span the run"));
+            }
+            if offsets.windows(2).any(|w| w[0] > w[1]) {
+                return Err(format!("run {r}: bounds not monotone"));
+            }
+            // Every id is a live slot, in its bin, in position order.
+            for i in 0..m {
+                let mut prev = None;
+                for &id in &run.ids.as_ref()[offsets[i]..offsets[i + 1]] {
+                    let pos = id.wrapping_sub(self.origin);
+                    if pos < starts[i] || pos >= starts[i + 1] {
+                        return Err(format!("run {r}: slot {id} (entry {pos}) outside bin {i}"));
+                    }
+                    if prev.is_some_and(|p| p >= pos) {
+                        return Err(format!("run {r}: entry {pos} out of position order"));
+                    }
+                    prev = Some(pos);
+                    count[pos as usize][r / self.v] += 1;
                 }
-                cursor = r[1];
             }
-            if cursor as usize != self.arrays[d].len() {
-                return Err(format!("dim {d}: ranges do not cover the array"));
-            }
-            // Every entry appears in at least one subbin of its bin and at
-            // most two (the subbin-width constraint).
-            let mut count = vec![0u32; store.len()];
-            for &pos in &self.arrays[d] {
-                count[pos as usize] += 1;
-            }
-            if let Some(pos) = count.iter().position(|&c| c == 0) {
-                return Err(format!("dim {d}: entry {pos} missing from array"));
-            }
-            // The width constraint bounds overlap at two subbins; exact
-            // boundary alignment can touch a third (closed intervals).
-            if let Some(pos) = count.iter().position(|&c| c > 3) {
-                return Err(format!("dim {d}: entry {pos} appears {} times", count[pos]));
+        }
+        // Every entry appears in at least one subbin per dimension; the
+        // width constraint bounds overlap at two subbins, and exact
+        // boundary alignment can touch a third (closed intervals).
+        for (pos, per_dim) in count.iter().enumerate() {
+            for (d, &c) in per_dim.iter().enumerate() {
+                if c == 0 {
+                    return Err(format!("dim {d}: entry {pos} missing from every run"));
+                }
+                if c > 3 {
+                    return Err(format!("dim {d}: entry {pos} appears {c} times"));
+                }
             }
         }
         Ok(())
     }
 
     /// Extra index memory relative to `GPUTemporal`, in bytes — the paper
-    /// states `>= 3|D| * 4` bytes for the three id arrays.
+    /// states `>= 3|D| * 4` bytes for the three id arrays, plus a `(lo, hi)`
+    /// pair per `(dimension, subbin, bin)`.
     pub fn extra_bytes(&self) -> usize {
-        self.arrays.iter().map(|a| a.len() * 4).sum::<usize>()
-            + self.ranges.iter().map(|r| r.len() * 8).sum::<usize>()
+        self.runs.iter().map(|r| r.ids.as_ref().len() * 4).sum::<usize>()
+            + 3 * self.v * self.temporal.bins() * 8
+    }
+}
+
+/// The streaming side: a placed index grows and cuts its runs in device
+/// memory, in place.
+impl SpatioTemporalIndex<DeviceBuffer<u32>> {
+    /// Check an append of store entries `from..` (time-ordered) against the
+    /// index without changing it: the grown temporal directory, and each
+    /// tail entry's slot for every run its clamped subbin span covers — the
+    /// same clamp [`schedule_for`](Self::schedule_for) applies to query
+    /// intervals, so an entry overlapping a query's inflated interval
+    /// always shares its subbin, even for entries outside the build-time
+    /// volume. Apply it with [`apply_append`](Self::apply_append).
+    pub fn prepare_append(&self, store: &SegmentStore, from: usize) -> Result<Append, SearchError> {
+        let mut temporal = self.temporal.clone();
+        temporal.append(store, from)?;
+        check_bins(self.v.checked_mul(temporal.bins()))?;
+        let mut tails = vec![Vec::new(); self.runs.len()];
+        for (k, s) in store.segments()[from..].iter().enumerate() {
+            let slot = ((from + k) as u32).wrapping_add(self.origin);
+            for d in 0..3 {
+                let (s_lo, s_hi) = self.subbin_span(d, s.min_coord(d), s.max_coord(d));
+                for tail in &mut tails[d * self.v + s_lo..=d * self.v + s_hi] {
+                    tail.push(slot);
+                }
+            }
+        }
+        Ok(Append { temporal, from, tails })
+    }
+
+    /// Apply a [`prepare_append`](Self::prepare_append)ed append, with the
+    /// device bytes of [`Append::ids`] ids taken from `reserved`, so it
+    /// cannot fail: every run's tail grows, and only the bin bounds from
+    /// the first bin that starts at or after the old end move; the
+    /// directory's new bins get theirs.
+    pub fn apply_append(&mut self, append: Append, reserved: &mut Reserved) {
+        let Append { temporal, from, tails } = append;
+        let starts = temporal.bin_starts();
+        let first = starts.partition_point(|&b| (b as usize) < from);
+        let origin = self.origin;
+        for (run, tail) in self.runs.iter_mut().zip(&tails) {
+            let end = run.counter(run.ids.len());
+            run.bounds.truncate(first);
+            let mut k = 0;
+            for &start in &starts[first..] {
+                while k < tail.len() && tail[k].wrapping_sub(origin) < start {
+                    k += 1;
+                }
+                run.bounds.push(end.wrapping_add(k as u32));
+            }
+            run.ids.extend(tail, reserved);
+        }
+        self.temporal = temporal;
+    }
+
+    /// Drop the expired entries in place. Each run loses the ids of the
+    /// entries `delta` removed, all at its head, and re-keys the survivors
+    /// among them (the cut moved their positions); every other id keeps
+    /// its slot. Only the temporal bins that start inside the cut's prefix
+    /// get new bounds, and the bins the temporal directory drops from its
+    /// front (every entry in them expired) lose theirs. A cut only frees
+    /// device memory. The subbin geometry is unchanged.
+    pub fn expire(&mut self, store: &SegmentStore, delta: &ExpireDelta) -> Result<(), SearchError> {
+        let m = self.temporal.bins();
+        let cut_bins =
+            self.temporal.bin_starts()[..m].partition_point(|&b| (b as usize) < delta.prefix());
+        self.temporal.expire(store, delta)?;
+        let dropped_bins = m - self.temporal.bins();
+        let (old, origin) = (self.origin, self.origin.wrapping_add(delta.removed.len() as u32));
+        let rekey = |slot: u32| {
+            let p = delta.remap(slot.wrapping_sub(old) as usize)?;
+            Some((p as u32).wrapping_add(origin))
+        };
+        let starts = self.temporal.bin_starts();
+        let prefix = delta.prefix() as u32;
+        for run in &mut self.runs {
+            // Host-side maintenance between searches, not a kernel read:
+            // lint: allow(uncharged-column-read)
+            let ids = run.ids.as_slice();
+            let n = ids.iter().take_while(|&&id| id.wrapping_sub(old) < prefix).count();
+            let dropped = run.ids.cut_front(n, |_, &slot| rekey(slot));
+            run.head = run.head.wrapping_add(dropped as u32);
+            // The survivors of the cut head, by new position (host-side):
+            // lint: allow(uncharged-column-read)
+            let kept = &run.ids.as_slice()[..n - dropped];
+            let mut k = 0;
+            for i in dropped_bins.min(cut_bins)..cut_bins {
+                let start = starts[i - dropped_bins];
+                while k < kept.len() && kept[k].wrapping_sub(origin) < start {
+                    k += 1;
+                }
+                run.bounds.as_mut_slice()[i] = run.counter(k);
+            }
+            run.bounds.cut_front(dropped_bins, |_, _| None);
+        }
+        self.origin = origin;
+        Ok(())
     }
 }
 
@@ -391,14 +549,16 @@ mod tests {
             SpatioTemporalIndexConfig { bins: 8, subbins: 4, sort_by_selector: true },
         )
         .unwrap();
+        let v = idx.effective_subbins();
         for d in 0..3 {
             let mut seen = vec![false; s.len()];
-            for &pos in &idx.arrays[d] {
+            let runs = &idx.runs()[d * v..(d + 1) * v];
+            for &pos in runs.iter().flat_map(|run| run.ids()) {
                 seen[pos as usize] = true;
             }
             assert!(seen.iter().all(|&x| x), "dim {d} missing entries");
             // At most doubled (entries overlap <= 2 subbins).
-            assert!(idx.arrays[d].len() <= 2 * s.len());
+            assert!(runs.iter().map(|r| r.ids().len()).sum::<usize>() <= 2 * s.len());
         }
         assert!(idx.extra_bytes() >= 3 * s.len() * 4);
     }
@@ -454,13 +614,7 @@ mod tests {
             let d = 0.8;
             let entry = idx.schedule_for(&q, d);
             // Collect the candidate entry positions the schedule yields.
-            let candidates: Vec<u32> = match entry.selector {
-                Selector::Dim(dim) => {
-                    idx.arrays[dim as usize][entry.lo as usize..entry.hi as usize].to_vec()
-                }
-                Selector::Temporal => (entry.lo..entry.hi).collect(),
-                Selector::Empty => Vec::new(),
-            };
+            let candidates = idx.candidates(&entry);
             // Every true match must be among the candidates.
             for (pos, e) in s.iter().enumerate() {
                 if tdts_geom::within_distance(&q, e, d).is_some() {
@@ -507,17 +661,17 @@ mod tests {
     #[test]
     fn selector_encoding() {
         assert_eq!(
-            ScheduleEntry { selector: Selector::Dim(2), lo: 5, hi: 9 }.encode(),
-            [2, 5, 9, 0]
+            ScheduleEntry { selector: Selector::Dim(2), lo: 5, hi: 9, subbin: 1 }.encode(),
+            [2, 5, 9, 1]
         );
         assert_eq!(
-            ScheduleEntry { selector: Selector::Temporal, lo: 1, hi: 2 }.encode(),
+            ScheduleEntry { selector: Selector::Temporal, lo: 1, hi: 2, subbin: 0 }.encode(),
             [3, 1, 2, 0]
         );
-        let e = ScheduleEntry { selector: Selector::Empty, lo: 0, hi: 0 };
+        let e = ScheduleEntry::EMPTY;
         assert_eq!(e.encode(), [4, 0, 0, 0]);
         assert!(e.is_empty());
-        assert_eq!(ScheduleEntry { selector: Selector::Dim(0), lo: 3, hi: 10 }.len(), 7);
+        assert_eq!(ScheduleEntry { selector: Selector::Dim(0), lo: 3, hi: 10, subbin: 0 }.len(), 7);
     }
 
     #[test]

@@ -24,5 +24,5 @@
 pub mod index;
 pub mod search;
 
-pub use index::{ScheduleEntry, Selector, SpatioTemporalIndex, SpatioTemporalIndexConfig};
+pub use index::{Run, ScheduleEntry, Selector, SpatioTemporalIndex, SpatioTemporalIndexConfig};
 pub use search::GpuSpatioTemporalSearch;

@@ -24,6 +24,9 @@ use tdts_kernels::{
 /// database resident on the device.
 pub type GpuSpatioTemporalSearch = GpuSearch<SpatioTemporalScheme>;
 
+/// The index a search holds: its runs in device memory.
+type Index = SpatioTemporalIndex<DeviceBuffer<u32>>;
+
 /// High bit of an execution-order slot: the lane is warp-alignment padding
 /// (the low bits carry the selector so the lane stays on its group's path).
 const IDLE_LANE: u32 = 1 << 31;
@@ -66,48 +69,49 @@ impl Scheme for SpatioTemporalScheme {
     const NAME: &'static str = "GPUSpatioTemporal";
     const SORTS_QUERIES: bool = true;
     type Config = SpatioTemporalIndexConfig;
-    type Index = SpatioTemporalIndex;
-    /// The `X`, `Y`, `Z` id arrays on the device.
-    type Arrays = [DeviceBuffer<u32>; 3];
+    /// The index, its `X`/`Y`/`Z` runs resident on the device.
+    type Index = Index;
+    /// The runs live in the index.
+    type Arrays = ();
     type Plan = SpatioTemporalPlan;
     type Threads<'a> = SpatioTemporalThreads<'a>;
     type Tiles<'a> = SpatioTemporalTiles<'a>;
 
+    /// The runs move into device memory: the search reads, extends and
+    /// cuts that one copy.
     fn build(
+        device: &Arc<Device>,
         store: &SegmentStore,
         stats: &StoreStats,
         config: &SpatioTemporalIndexConfig,
-    ) -> Result<SpatioTemporalIndex, SearchError> {
-        SpatioTemporalIndex::build_with_stats(store, stats, *config)
+    ) -> Result<(Index, ()), SearchError> {
+        let index = SpatioTemporalIndex::build_with_stats(store, stats, *config)?;
+        Ok((index.place(device)?, ()))
     }
 
-    fn append(
-        index: &SpatioTemporalIndex,
+    /// Only the run tails grow, in place: the device bytes for every tail
+    /// are reserved before any run changes.
+    fn ingest(
+        index: &mut Index,
+        _arrays: &mut (),
+        device: &Arc<Device>,
         store: &SegmentStore,
         from: usize,
-    ) -> Result<SpatioTemporalIndex, SearchError> {
-        index.append(store, from)
+    ) -> Result<(), SearchError> {
+        let append = index.prepare_append(store, from)?;
+        let mut reserved = device.reserve(append.ids() * std::mem::size_of::<u32>())?;
+        index.apply_append(append, &mut reserved);
+        Ok(())
     }
 
     fn expire(
-        index: &SpatioTemporalIndex,
+        index: &mut Index,
+        _arrays: &mut (),
+        _device: &Arc<Device>,
         store: &SegmentStore,
         delta: &ExpireDelta,
-    ) -> Result<SpatioTemporalIndex, SearchError> {
+    ) -> Result<(), SearchError> {
         index.expire(store, delta)
-    }
-
-    /// The id arrays are re-placed whole after every update: their
-    /// `(subbin, bin)` layout shifts when new temporal bins appear.
-    fn place(
-        device: &Arc<Device>,
-        index: &SpatioTemporalIndex,
-    ) -> Result<[DeviceBuffer<u32>; 3], SearchError> {
-        Ok([
-            device.alloc_from_host(index.arrays[0].clone())?,
-            device.alloc_from_host(index.arrays[1].clone())?,
-            device.alloc_from_host(index.arrays[2].clone())?,
-        ])
     }
 
     /// Compute the schedule and order query execution by array selector to
@@ -172,20 +176,24 @@ impl Scheme for SpatioTemporalScheme {
 }
 
 /// Refine the candidates `rows` of a query whose schedule entry chose
-/// `selector`, dealt round robin to `lanes`: selectors 0–2 gather through
-/// the `X`/`Y`/`Z` id array, selector 3 (the temporal fallback) is a direct
-/// entry range. Both kernel shapes refine through here.
+/// `selector` and `subbin`, dealt round robin to `lanes`: selectors 0–2
+/// gather through the subbin's run of the `X`/`Y`/`Z` id array (slots,
+/// mapped to positions per candidate), selector 3 (the temporal fallback)
+/// is a direct entry range. Both kernel shapes refine through here.
 fn refine(
     search: &GpuSpatioTemporalSearch,
     lanes: &mut [Lane],
-    selector: u32,
+    [selector, subbin]: [u32; 2],
     rows: Range<u32>,
     q: &PreparedQuery,
     on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
 ) -> u64 {
-    match search.arrays().get(selector as usize) {
-        Some(ids) => search.entries().refine_gather(lanes, ids, rows, q, on_hit),
-        None => search.entries().refine_range(lanes, rows, q, on_hit),
+    let index = search.index();
+    if selector < 3 {
+        let run = &index.runs()[selector as usize * index.effective_subbins() + subbin as usize];
+        search.entries().refine_gather(lanes, run.ids(), index.origin(), rows, q, on_hit)
+    } else {
+        search.entries().refine_range(lanes, rows, q, on_hit)
     }
 }
 
@@ -247,7 +255,8 @@ impl CandidateGenerator for SpatioTemporalThreads<'_> {
             stash.stage(lane, MatchRecord::new(qid, pos, interval))
         };
         let lanes = std::slice::from_mut(lane);
-        let compared = refine(batch.search, lanes, selector, entry[1]..entry[2], &q, stage);
+        let run = [selector, entry[3]];
+        let compared = refine(batch.search, lanes, run, entry[1]..entry[2], &q, stage);
         LaneWork { compared, scratch_bytes: 0 }
     }
 }
@@ -278,7 +287,8 @@ impl TileGenerator for SpatioTemporalTiles<'_> {
         q: &PreparedQuery,
         on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
     ) -> u64 {
-        refine(self.batch.search, warp.lanes_mut(), tile.tag, tile.lo..tile.hi, q, on_hit)
+        let run = [tile.tag, self.schedule[tile.query as usize][3]];
+        refine(self.batch.search, warp.lanes_mut(), run, tile.lo..tile.hi, q, on_hit)
     }
 }
 

@@ -8,7 +8,7 @@ use tdts_geom::{
 };
 use tdts_gpu_sim::{Device, DeviceConfig};
 use tdts_index_spatiotemporal::{
-    GpuSpatioTemporalSearch, Selector, SpatioTemporalIndex, SpatioTemporalIndexConfig,
+    GpuSpatioTemporalSearch, SpatioTemporalIndex, SpatioTemporalIndexConfig,
 };
 
 fn arb_sorted_store(max: usize) -> impl Strategy<Value = SegmentStore> {
@@ -83,13 +83,7 @@ proptest! {
             TrajId(1000),
         );
         let entry = idx.schedule_for(&q, d);
-        let candidates: Vec<u32> = match entry.selector {
-            Selector::Dim(dim) => {
-                idx.arrays[dim as usize][entry.lo as usize..entry.hi as usize].to_vec()
-            }
-            Selector::Temporal => (entry.lo..entry.hi).collect(),
-            Selector::Empty => Vec::new(),
-        };
+        let candidates = idx.candidates(&entry);
         for (pos, e) in store.iter().enumerate() {
             if within_distance(&q, e, d).is_some() {
                 prop_assert!(

@@ -68,6 +68,10 @@ pub struct TemporalIndex {
     /// `bin_start_pos[j]` = position of the first entry whose start time
     /// falls in bin `j` or later; length `m + 1` (last element = n).
     bin_start_pos: Vec<u32>,
+    /// `bin_max[j]` = max `t_end` over the entries of bin `j` alone, or
+    /// `-inf` while empty: what `reach` is the prefix max of, kept so an
+    /// expiry rescans only the bins it cut.
+    bin_max: Vec<f64>,
     /// `reach[j]` = max `t_end` over all entries in bins `0..=j` (monotone
     /// non-decreasing), or `-inf` while empty.
     reach: Vec<f64>,
@@ -131,27 +135,34 @@ impl TemporalIndex {
         bin_start_pos[0] = 0; // bin 0 always starts at the first entry
         bin_start_pos.push(segs.len() as u32);
 
-        // Prefix-max reach.
-        let mut reach = vec![f64::NEG_INFINITY; m];
-        let mut current = f64::NEG_INFINITY;
-        for j in 0..m {
-            let lo = bin_start_pos[j] as usize;
-            let hi = bin_start_pos[j + 1] as usize;
-            for s in &segs[lo..hi] {
-                current = current.max(s.t_end);
-            }
-            reach[j] = current;
-        }
-
-        Ok(TemporalIndex {
+        let bin_max: Vec<f64> = (0..m)
+            .map(|j| {
+                let (lo, hi) = (bin_start_pos[j] as usize, bin_start_pos[j + 1] as usize);
+                segs[lo..hi].iter().fold(f64::NEG_INFINITY, |r, s| r.max(s.t_end))
+            })
+            .collect();
+        let mut index = TemporalIndex {
             bin_start_pos,
-            reach,
+            reach: vec![f64::NEG_INFINITY; m],
+            bin_max,
             t_min,
             t_max,
             bin_width,
             entries: segs.len(),
             first_bin: 0,
-        })
+        };
+        index.fold_reach(0);
+        Ok(index)
+    }
+
+    /// Recompute the prefix-max `reach` from bin `j0` on out of the per-bin
+    /// maxima (the bins before `j0` are unchanged).
+    fn fold_reach(&mut self, j0: usize) {
+        let mut current = j0.checked_sub(1).map_or(f64::NEG_INFINITY, |j| self.reach[j]);
+        for (r, &bin_max) in self.reach[j0..].iter_mut().zip(&self.bin_max[j0..]) {
+            current = current.max(bin_max);
+            *r = current;
+        }
     }
 
     /// Number of bins in the directory (the bins expiry has emptied and
@@ -175,6 +186,12 @@ impl TemporalIndex {
     /// Temporal extent `[t_min, t_max]` of the database.
     pub fn time_span(&self) -> (f64, f64) {
         (self.t_min, self.t_max)
+    }
+
+    /// Every bin's first entry position, then the entry count: bin `j`
+    /// spans `bin_starts()[j]..bin_starts()[j + 1]`.
+    pub fn bin_starts(&self) -> &[u32] {
+        &self.bin_start_pos
     }
 
     /// Entry position range (half-open) of bin `j`.
@@ -259,8 +276,16 @@ impl TemporalIndex {
             return Err("reach not monotone".into());
         }
         let m = self.bins();
+        if self.bin_max.len() != m {
+            return Err("bin_max length mismatch".into());
+        }
         for j in 0..m {
             let (lo, hi) = self.bin_range(j);
+            let bin_max =
+                (lo..hi).fold(f64::NEG_INFINITY, |r, p| r.max(store.get(p as usize).t_end));
+            if bin_max.to_bits() != self.bin_max[j].to_bits() {
+                return Err(format!("bin {j}: max t_end {bin_max}, recorded {}", self.bin_max[j]));
+            }
             for pos in lo..hi {
                 let s = store.get(pos as usize);
                 if s.t_end > self.reach[j] {
@@ -331,6 +356,7 @@ impl TemporalIndex {
         if first < self.first_bin {
             let regrow = self.first_bin - first;
             self.bin_start_pos.splice(0..0, std::iter::repeat_n(0, regrow));
+            self.bin_max.splice(0..0, std::iter::repeat_n(f64::NEG_INFINITY, regrow));
             self.reach.splice(0..0, std::iter::repeat_n(f64::NEG_INFINITY, regrow));
             self.first_bin = first;
         }
@@ -358,24 +384,19 @@ impl TemporalIndex {
         }
         self.bin_start_pos.push(segs.len() as u32);
 
-        // Fold the tail into the prefix-max reach, extending it for the
-        // new bins. Only bins at or after the first tail entry's bin can
-        // have gained entries.
+        // Fold the tail into the per-bin maxima, extending them for the
+        // new bins, and the reach after them. Only bins at or after the
+        // first tail entry's bin can have gained entries.
         let j0 = self.bin_of(tail[0].t_start).min(new_m - 1);
-        let mut current = if j0 > 0 { self.reach[j0 - 1] } else { f64::NEG_INFINITY };
+        self.bin_max.resize(new_m, f64::NEG_INFINITY);
+        self.reach.resize(new_m, f64::NEG_INFINITY);
         for j in j0..new_m {
-            if j >= self.reach.len() {
-                self.reach.push(f64::NEG_INFINITY);
-            }
             let lo = (self.bin_start_pos[j] as usize).max(n_old);
             let hi = self.bin_start_pos[j + 1] as usize;
-            let mut r = self.reach[j].max(current);
-            for s in &segs[lo..hi] {
-                r = r.max(s.t_end);
-            }
-            self.reach[j] = r;
-            current = r;
+            let bin_max = &mut self.bin_max[j];
+            *bin_max = segs[lo..hi].iter().fold(*bin_max, |r, s| r.max(s.t_end));
         }
+        self.fold_reach(j0);
 
         for s in tail {
             self.t_max = self.t_max.max(s.t_end);
@@ -387,13 +408,15 @@ impl TemporalIndex {
     /// Remove expired entries from the index in place: `store` is the
     /// post-expire store and `delta` the removal description from
     /// [`SegmentStore::expire_before`]. Each bin boundary `b` moves to
-    /// `delta.rank[b]` (entries never change bins — relative order is
-    /// preserved), the reach prefix-max is recomputed from the survivors (a
-    /// removed long entry can shrink it), and the bins left empty at the
-    /// front are dropped, the last bin always kept. A dropped bin has reach
-    /// `-inf` and starts before every survivor, so no candidate range
-    /// changes: a query that ends before the first kept bin finds nothing,
-    /// as it would have in the dropped ones.
+    /// `delta.rank(b)` (entries never change bins — relative order is
+    /// preserved). Only the bins that start inside the cut's prefix lost
+    /// or moved entries, so only they rescan theirs for a new maximum; the
+    /// reach prefix-max is refolded from the per-bin maxima (a removed long
+    /// entry can shrink it). The bins left empty at the front are dropped,
+    /// the last bin always kept. A dropped bin has reach `-inf` and starts
+    /// before every survivor, so no candidate range changes: a query that
+    /// ends before the first kept bin finds nothing, as it would have in
+    /// the dropped ones.
     pub fn expire(&mut self, store: &SegmentStore, delta: &ExpireDelta) -> Result<(), SearchError> {
         if delta.old_len != self.entries {
             return Err(SearchError::InvalidConfig(format!(
@@ -401,24 +424,25 @@ impl TemporalIndex {
                 delta.old_len, self.entries
             )));
         }
+        let m = self.bins();
+        let cut = self.bin_start_pos[..m].partition_point(|&b| (b as usize) < delta.prefix());
         for b in &mut self.bin_start_pos {
-            *b = delta.rank[*b as usize];
+            *b = delta.rank(*b as usize) as u32;
         }
         self.entries = store.len();
         let segs = store.segments();
-        let mut current = f64::NEG_INFINITY;
-        for j in 0..self.bins() {
-            let lo = self.bin_start_pos[j] as usize;
-            let hi = self.bin_start_pos[j + 1] as usize;
-            for s in &segs[lo..hi] {
-                current = current.max(s.t_end);
-            }
-            self.reach[j] = current;
+        for j in 0..cut {
+            let (lo, hi) = self.bin_range(j);
+            self.bin_max[j] = segs[lo as usize..hi as usize]
+                .iter()
+                .fold(f64::NEG_INFINITY, |r, s| r.max(s.t_end));
         }
+        self.fold_reach(0);
         // Bin `j` is empty, as are all before it, iff bin `j + 1` starts at
         // 0; the slice stops short of the last bin's end.
-        let emptied = self.bin_start_pos[1..self.bins()].partition_point(|&p| p == 0);
+        let emptied = self.bin_start_pos[1..m].partition_point(|&p| p == 0);
         self.bin_start_pos.drain(..emptied);
+        self.bin_max.drain(..emptied);
         self.reach.drain(..emptied);
         self.first_bin += emptied;
         Ok(())

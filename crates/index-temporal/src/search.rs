@@ -63,35 +63,32 @@ impl Scheme for TemporalScheme {
     type Tiles<'a> = TemporalTiles<'a>;
 
     fn build(
+        _device: &Arc<Device>,
         store: &SegmentStore,
         stats: &StoreStats,
         config: &TemporalIndexConfig,
-    ) -> Result<TemporalIndex, SearchError> {
-        TemporalIndex::build_with_stats(store, stats, *config)
+    ) -> Result<(TemporalIndex, ()), SearchError> {
+        Ok((TemporalIndex::build_with_stats(store, stats, *config)?, ()))
     }
 
-    fn append(
-        index: &TemporalIndex,
+    fn ingest(
+        index: &mut TemporalIndex,
+        _arrays: &mut (),
+        _device: &Arc<Device>,
         store: &SegmentStore,
         from: usize,
-    ) -> Result<TemporalIndex, SearchError> {
-        let mut next = index.clone();
-        next.append(store, from)?;
-        Ok(next)
+    ) -> Result<(), SearchError> {
+        index.append(store, from)
     }
 
     fn expire(
-        index: &TemporalIndex,
+        index: &mut TemporalIndex,
+        _arrays: &mut (),
+        _device: &Arc<Device>,
         store: &SegmentStore,
         delta: &ExpireDelta,
-    ) -> Result<TemporalIndex, SearchError> {
-        let mut next = index.clone();
-        next.expire(store, delta)?;
-        Ok(next)
-    }
-
-    fn place(_device: &Arc<Device>, _index: &TemporalIndex) -> Result<(), SearchError> {
-        Ok(())
+    ) -> Result<(), SearchError> {
+        index.expire(store, delta)
     }
 
     fn plan(

@@ -16,9 +16,10 @@ use tdts_gpu_sim::{Device, DeviceConfig, KernelShape, SearchError, SearchReport}
 
 /// What one GPU method contributes to [`GpuSearch`].
 ///
-/// `append` and `expire` return the updated index as a new value instead of
-/// mutating in place, so the driver can place its device arrays before it
-/// commits anything: a refused update leaves the search as it was.
+/// `ingest` and `expire` update the index and its device arrays in place
+/// and are all-or-nothing: every fallible step (a check, a device
+/// allocation) runs before anything changes, so a refused update leaves
+/// both as they were.
 pub trait Scheme: Sized + 'static {
     /// The paper's name for the method (e.g. `"GPUTemporal"`).
     const NAME: &'static str;
@@ -39,29 +40,33 @@ pub trait Scheme: Sized + 'static {
     /// Warp-per-tile decomposition of a plan.
     type Tiles<'a>: TileGenerator;
 
-    /// Build the index over `store`, whose statistics are `stats`.
+    /// Build the index over `store`, whose statistics are `stats`, and
+    /// place its device arrays in `device` memory (offline).
     fn build(
+        device: &Arc<Device>,
         store: &SegmentStore,
         stats: &StoreStats,
         config: &Self::Config,
-    ) -> Result<Self::Index, SearchError>;
+    ) -> Result<(Self::Index, Self::Arrays), SearchError>;
 
-    /// The index extended over store entries `from..`.
-    fn append(
-        index: &Self::Index,
+    /// Extend `index` and its device `arrays` over store entries `from..`.
+    fn ingest(
+        index: &mut Self::Index,
+        arrays: &mut Self::Arrays,
+        device: &Arc<Device>,
         store: &SegmentStore,
         from: usize,
-    ) -> Result<Self::Index, SearchError>;
+    ) -> Result<(), SearchError>;
 
-    /// The index without the entries `delta` removed from `store`.
+    /// Drop the entries `delta` removed from `store` from `index` and its
+    /// device `arrays`.
     fn expire(
-        index: &Self::Index,
+        index: &mut Self::Index,
+        arrays: &mut Self::Arrays,
+        device: &Arc<Device>,
         store: &SegmentStore,
         delta: &ExpireDelta,
-    ) -> Result<Self::Index, SearchError>;
-
-    /// Place the index's device arrays in `device` memory (offline).
-    fn place(device: &Arc<Device>, index: &Self::Index) -> Result<Self::Arrays, SearchError>;
+    ) -> Result<(), SearchError>;
 
     /// Plan a batch: `queries` (sorted when [`SORTS_QUERIES`]) at distance
     /// `d` under kernel `shape` on a device configured as `device`.
@@ -141,9 +146,8 @@ impl<S: Scheme> GpuSearch<S> {
         stats: &StoreStats,
         config: S::Config,
     ) -> Result<GpuSearch<S>, SearchError> {
-        let index = S::build(store, stats, &config)?;
+        let (index, arrays) = S::build(&device, store, stats, &config)?;
         let entries = DeviceSegments::alloc(&device, store.segments())?;
-        let arrays = S::place(&device, &index)?;
         Ok(GpuSearch { device, config, index, arrays, entries, generation: store.generation() })
     }
 
@@ -178,25 +182,43 @@ impl<S: Scheme> GpuSearch<S> {
     }
 
     /// Absorb store entries `delta.from..` (offline; the temporal schemes
-    /// need them to continue the store's `t_start` order): extend the index,
-    /// re-place its device arrays and grow the resident database in place.
-    /// Every fallible step runs before anything is committed, so on `Err`
-    /// the search is exactly as it was.
+    /// need them to continue the store's `t_start` order): extend the index
+    /// and its device arrays, and grow the resident database, in place. The
+    /// delta must continue the entries the search holds
+    /// ([`SearchError::InvalidConfig`] otherwise). The database rows'
+    /// device bytes are reserved first and the scheme's update is
+    /// all-or-nothing, so on `Err` the search is exactly as it was.
     pub fn ingest(&mut self, store: &SegmentStore, delta: &AppendDelta) -> Result<(), SearchError> {
-        let index = S::append(&self.index, store, delta.from)?;
-        let arrays = S::place(&self.device, &index)?;
-        self.entries.extend(&store.segments()[delta.from..])?;
-        (self.index, self.arrays, self.generation) = (index, arrays, delta.generation);
+        if delta.from != self.entries.len() {
+            return Err(SearchError::InvalidConfig(format!(
+                "append delta starts at {} but the search holds {} entries",
+                delta.from,
+                self.entries.len()
+            )));
+        }
+        let tail = &store.segments()[delta.from..];
+        let mut rows = self.device.reserve(DeviceSegments::bytes_for(tail.len()))?;
+        S::ingest(&mut self.index, &mut self.arrays, &self.device, store, delta.from)?;
+        self.entries.extend(tail, &mut rows);
+        self.generation = delta.generation;
         Ok(())
     }
 
     /// Drop expired entries from the index, its device arrays and the
-    /// resident database. All-or-nothing like [`ingest`](GpuSearch::ingest).
+    /// resident database. The delta must describe the entries the search
+    /// holds ([`SearchError::InvalidConfig`] otherwise); all-or-nothing
+    /// like [`ingest`](GpuSearch::ingest).
     pub fn expire(&mut self, store: &SegmentStore, delta: &ExpireDelta) -> Result<(), SearchError> {
-        let index = S::expire(&self.index, store, delta)?;
-        let arrays = S::place(&self.device, &index)?;
+        if delta.old_len != self.entries.len() {
+            return Err(SearchError::InvalidConfig(format!(
+                "expire delta describes {} entries but the search holds {}",
+                delta.old_len,
+                self.entries.len()
+            )));
+        }
+        S::expire(&mut self.index, &mut self.arrays, &self.device, store, delta)?;
         self.entries.remove_positions(&delta.removed);
-        (self.index, self.arrays, self.generation) = (index, arrays, delta.generation);
+        self.generation = delta.generation;
         Ok(())
     }
 

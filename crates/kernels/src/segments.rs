@@ -33,7 +33,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 use tdts_geom::{Point3, PreparedEntry, PreparedQuery, SegId, Segment, TimeInterval, TrajId};
-use tdts_gpu_sim::{Device, DeviceBuffer, Lane, OutOfDeviceMemory, Warp, MAX_WARP_LANES};
+use tdts_gpu_sim::{Device, DeviceBuffer, Lane, OutOfDeviceMemory, Reserved, Warp, MAX_WARP_LANES};
 
 /// Instruction cost of one continuous distance comparison (quadratic
 /// coefficient computation + root solve + interval clamp). Charged whatever
@@ -93,19 +93,27 @@ impl DeviceSegments {
         Ok(DeviceSegments { rows: device.upload(prepare(segments))? })
     }
 
+    /// Device bytes `rows` appended rows occupy: what to [`Device::reserve`]
+    /// ahead of an [`extend`](DeviceSegments::extend).
+    pub fn bytes_for(rows: usize) -> usize {
+        rows * std::mem::size_of::<PreparedEntry>()
+    }
+
     /// Append `segments` to the resident database in place, *offline* (no
-    /// transfer charge, like [`alloc`]) — only the new tail is prepared and
-    /// copied, existing rows stay put. The device side of generational
-    /// ingestion.
+    /// transfer charge, like [`alloc`]), with device bytes taken from
+    /// `reserved` — only the new tail is prepared and copied, existing rows
+    /// stay put. The device side of generational ingestion.
     ///
     /// [`alloc`]: DeviceSegments::alloc
-    pub fn extend(&mut self, segments: &[Segment]) -> Result<(), OutOfDeviceMemory> {
-        self.rows.extend(&prepare(segments))
+    pub fn extend(&mut self, segments: &[Segment], reserved: &mut Reserved) {
+        self.rows.extend(&prepare(segments), reserved)
     }
 
     /// Remove the rows at the ascending positions in `removed`, preserving
-    /// survivor order — the expire side of generational ingestion. Freed
-    /// device bytes are returned to the allocator.
+    /// survivor order — the expire side of generational ingestion. Only the
+    /// survivors before the last removed row move; the rows after it stay
+    /// in place behind the buffer's front offset. Freed device bytes are
+    /// returned to the allocator.
     pub fn remove_positions(&mut self, removed: &[u32]) {
         self.rows.remove_positions(removed)
     }
@@ -172,6 +180,10 @@ impl DeviceSegments {
     /// plus each lane's `4·k` bytes of id reads, in the same one
     /// global-memory charge.
     ///
+    /// An id is the entry's position plus `origin` (wrapping): an index
+    /// whose ids are stable slots passes the slot of position 0, one whose
+    /// ids are positions passes 0.
+    ///
     /// The id range is bounds-tested once. One that leaves the index array
     /// is read id by id, so the sanitizer reports and neutralises each bad
     /// id read where it happens; an id that points past the entries is
@@ -182,6 +194,7 @@ impl DeviceSegments {
         &self,
         lanes: &mut [Lane],
         ids: &DeviceBuffer<u32>,
+        origin: u32,
         range: Range<u32>,
         q: &PreparedQuery,
         on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
@@ -191,14 +204,15 @@ impl DeviceSegments {
         }
         match ids.row_range(&lanes[0], range.start as usize..range.end as usize) {
             Some(run) => {
-                self.scan(lanes, run.iter().map(|&pos| self.row(pos)), ID_BYTES, q, on_hit)
+                let rows = run.iter().map(|&id| self.row(id.wrapping_sub(origin)));
+                self.scan(lanes, rows, ID_BYTES, q, on_hit)
             }
             None => {
                 // Each id read is charged (4 bytes) by the lane that makes it.
                 let w = lanes.len();
                 let positions: Vec<u32> = range
                     .zip((0..w).cycle())
-                    .map(|(i, l)| ids.read(&mut lanes[l], i as usize))
+                    .map(|(i, l)| ids.read(&mut lanes[l], i as usize).wrapping_sub(origin))
                     .collect();
                 self.scan(lanes, positions.into_iter().map(|pos| self.row(pos)), 0, q, on_hit)
             }
@@ -430,7 +444,8 @@ mod tests {
         let mut store: SegmentStore = (0..5).map(|i| seg(i as f64, i as f64 * 0.5, i)).collect();
         let mut resident = DeviceSegments::alloc(&dev, store.segments()).unwrap();
         let delta = store.append(&[seg(9.0, 5.0, 9), seg(10.0, 6.0, 10)]);
-        resident.extend(&store.segments()[delta.from..]).unwrap();
+        let mut reserved = dev.reserve(DeviceSegments::bytes_for(delta.count)).unwrap();
+        resident.extend(&store.segments()[delta.from..], &mut reserved);
         assert_eq!(resident.len(), store.len());
         let expired = store.expire_before(2.0);
         assert!(!expired.removed.is_empty());

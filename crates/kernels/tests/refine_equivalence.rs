@@ -122,7 +122,9 @@ fn refine(entries: &[Segment], walk: &Walk, q: &Segment, d: f64, w: usize) -> Ou
         let lanes = warp.lanes_mut();
         let compared = match walk {
             Walk::Range { lo, hi } => resident.refine_range(lanes, *lo..*hi, &q, stage),
-            Walk::Gather { lo, hi, .. } => resident.refine_gather(lanes, &ids, *lo..*hi, &q, stage),
+            Walk::Gather { lo, hi, .. } => {
+                resident.refine_gather(lanes, &ids, 0, *lo..*hi, &q, stage)
+            }
             Walk::Positions(positions) => resident.refine_positions(lanes, positions, &q, stage),
         };
         let lanes = warp.lanes_mut().iter().map(|lane| *lane.counters()).collect();
@@ -320,7 +322,7 @@ fn out_of_bounds_gathers_are_reported_element_by_element() {
         let ids = dev.alloc_from_host(ids).unwrap();
         dev.launch(1, |lane| {
             let lanes = std::slice::from_mut(lane);
-            let compared = resident.refine_gather(lanes, &ids, range.clone(), &q, |_, _, _| {});
+            let compared = resident.refine_gather(lanes, &ids, 0, range.clone(), &q, |_, _, _| {});
             assert_eq!(compared, range.len() as u64);
         });
         let report = dev.sanitizer_report();
@@ -333,7 +335,7 @@ fn out_of_bounds_gathers_are_reported_element_by_element() {
     let ids = dev.alloc_from_host(vec![3u32, 99]).unwrap();
     let mut lane = tdts_gpu_sim::Lane::new(0);
     let gather = std::panic::AssertUnwindSafe(|| {
-        resident.refine_gather(std::slice::from_mut(&mut lane), &ids, 0..2, &q, |_, _, _| {})
+        resident.refine_gather(std::slice::from_mut(&mut lane), &ids, 0, 0..2, &q, |_, _, _| {})
     });
     assert!(std::panic::catch_unwind(gather).is_err());
 }
@@ -351,7 +353,7 @@ fn a_tile_leaving_its_buffer_is_reported_and_still_counted() {
     dev.launch_warps(4, |warp| {
         let mut hits = Vec::new();
         let lanes = warp.lanes_mut();
-        let compared = resident.refine_gather(lanes, &ids, 1..6, &q, |_, pos, _| hits.push(pos));
+        let compared = resident.refine_gather(lanes, &ids, 0, 1..6, &q, |_, pos, _| hits.push(pos));
         assert_eq!(compared, 5);
         // Lanes 0..4 take ids 1..5, lane 0 also id 5: the three missing ids
         // neutralise to the first id (entry 0, a hit), so the hits are the
@@ -391,7 +393,7 @@ fn a_tile_leaving_its_buffer_is_reported_and_still_counted() {
     let mut scan = |f: &mut dyn FnMut(&mut Warp) -> u64| {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut warp))).is_err()
     };
-    assert!(scan(&mut |w| resident.refine_gather(w.lanes_mut(), &ids, 1..6, &q, |_, _, _| {})));
+    assert!(scan(&mut |w| resident.refine_gather(w.lanes_mut(), &ids, 0, 1..6, &q, |_, _, _| {})));
     assert!(scan(&mut |w| resident.refine_range(w.lanes_mut(), 6..11, &q, |_, _, _| {})));
 }
 

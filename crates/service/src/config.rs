@@ -60,8 +60,10 @@ pub struct ServiceConfig {
     /// store by slab edges fixed at build time and cannot absorb deltas.
     pub window: Option<f64>,
     /// Apply the expiry cut once every this many window advances (ingest
-    /// still happens on every advance). Batching expiry amortises the
-    /// position-remap cost across ticks.
+    /// still happens on every advance), letting the window overshoot by up
+    /// to `advance_every - 1` ticks. A cut costs time in proportion to the
+    /// rows it removes and the survivors among them, not to the window, so
+    /// batching cuts saves little beyond the per-cut constant.
     pub advance_every: usize,
 }
 

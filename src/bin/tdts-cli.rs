@@ -647,6 +647,16 @@ fn run_stream(
         o.ticks,
         engine.generation()
     );
+    // Every tick's reads and the cuts' front-offset compactions ran on
+    // this one device; any finding over the stream fails the run.
+    if let Some(device) = engine.device().filter(|_| !o.sanitizer.is_off()) {
+        let san = device.sanitizer_report();
+        if !san.is_clean() {
+            eprint!("sanitizer FAILED:\n{san}");
+            std::process::exit(1);
+        }
+        println!("sanitizer:    clean ({} over {} launches)", o.sanitizer, san.launches);
+    }
     if o.verify {
         if nonempty_ticks == 0 {
             eprintln!(

@@ -179,8 +179,10 @@ fn outcomes(index: &dyn TrajectoryIndex, queries: &SegmentStore) -> Vec<(Vec<Mat
 /// A GPU index that refuses a delta for want of device memory is exactly as
 /// it was: the same generation, and under both kernel shapes the same
 /// matches and comparisons as before the delta, with no panic. An append
-/// is refused on a device sized for the base store; an expiry, wherever it
-/// re-places device arrays, on a device with no memory left.
+/// is refused on a device sized for the base store; an expiry, where it
+/// re-places device arrays (GPUSpatial's grid), on a device with no memory
+/// left. The other GPU methods cut their arrays in place, so the same
+/// expiry succeeds there.
 #[test]
 fn refused_gpu_update_leaves_the_index_as_it_was() {
     let n = 40;
@@ -227,9 +229,11 @@ fn refused_gpu_update_leaves_the_index_as_it_was() {
         let delta = Arc::make_mut(&mut store).expire_before(2.0);
         let result = index.expire_before(&store, &delta);
         drop(filler);
-        if matches!(method, Method::GpuTemporal(_)) {
-            // No device arrays to re-place: the expiry only frees memory.
+        if !matches!(method, Method::GpuSpatial(_)) {
+            // Nothing to re-place: the directory and the id runs are cut in
+            // place, so the expiry only frees memory.
             result.unwrap();
+            assert_eq!(index.generation(), delta.generation, "{name}: in-place expiry");
             continue;
         }
         let err = result.unwrap_err();
@@ -240,6 +244,270 @@ fn refused_gpu_update_leaves_the_index_as_it_was() {
         assert_eq!(index.generation(), generation, "{name}: refused expiry");
         assert_eq!(outcomes(&*index, &queries), before, "{name}: refused expiry");
     }
+}
+
+/// A delta that does not continue the entries a GPU index holds — the same
+/// append ingested twice, an expiry computed over rows the index never
+/// took — is refused with a typed error before anything changes, for every
+/// GPU method.
+#[test]
+fn a_delta_that_does_not_continue_the_index_is_refused() {
+    let base = base_store(40);
+    let queries: SegmentStore = base.iter().take(12).copied().collect();
+    let tail: Vec<Segment> = (0..2u32).map(|i| seg(500 + i, 11.0 + i as f64 * 0.1)).collect();
+    for method in all_methods(6, 5).into_iter().skip(1) {
+        let name = method.name();
+        let mut store = Arc::new(base.clone());
+        let mut index = method.build_index(&store, device()).unwrap();
+        let delta = Arc::make_mut(&mut store).append(&tail);
+        index.ingest(&store, &delta).unwrap();
+        let generation = index.generation();
+        let before = outcomes(&*index, &queries);
+
+        let refused =
+            |err: TdtsError| matches!(err, TdtsError::Search(SearchError::InvalidConfig(_)));
+        let err = index.ingest(&store, &delta).unwrap_err();
+        assert!(refused(err), "{name}: the same append twice");
+        let mut ahead = (*store).clone();
+        ahead.append(&[seg(600, 12.0)]);
+        let delta = ahead.expire_before(4.0);
+        let err = index.expire_before(&Arc::new(ahead), &delta).unwrap_err();
+        assert!(refused(err), "{name}: an expiry over rows the index never took");
+        assert_eq!(index.generation(), generation, "{name}");
+        assert_eq!(outcomes(&*index, &queries), before, "{name}");
+    }
+}
+
+/// `seg`, with every fourth segment lasting long enough to straddle
+/// several window cuts.
+fn straddling(i: u32, t: f64) -> Segment {
+    let s = seg(i, t);
+    let t_end = if i.is_multiple_of(4) { t + 5.0 } else { s.t_end };
+    Segment::new(s.start, s.end, t, t_end, s.seg_id, s.traj_id)
+}
+
+/// `(comparisons, gmem_read_bytes, instructions, atomics, tiles_dispatched,
+/// simulated seconds)` of one search.
+type TickCosts = (u64, u64, u64, u64, u64, f64);
+
+/// Per tick of [`streamed_spatiotemporal_costs`]: what each kernel shape
+/// (in [`SHAPES`] order) charged, and the device bytes in use.
+const PINNED_STREAM: [([TickCosts; 2], usize); 12] = [
+    (
+        [
+            (107, 6560, 5210, 3, 0, 7.539449275362319e-5),
+            (107, 6300, 5266, 30, 10, 5.660855072463768e-5),
+        ],
+        2216,
+    ),
+    (
+        [
+            (95, 6128, 4634, 3, 0, 7.609014492753624e-5),
+            (95, 5868, 4690, 30, 10, 5.633028985507246e-5),
+        ],
+        2208,
+    ),
+    (
+        [
+            (122, 6992, 5930, 3, 0, 7.467301449275362e-5),
+            (122, 6720, 5986, 30, 10, 5.660855072463768e-5),
+        ],
+        2200,
+    ),
+    (
+        [
+            (144, 7704, 6986, 3, 0, 7.541040579710145e-5),
+            (144, 7432, 7042, 30, 10, 5.674768115942029e-5),
+        ],
+        2196,
+    ),
+    (
+        [
+            (86, 5396, 4194, 2, 0, 7.539536231884059e-5),
+            (86, 5256, 4258, 30, 10, 5.633028985507246e-5),
+        ],
+        2196,
+    ),
+    (
+        [
+            (145, 7836, 7034, 3, 0, 7.628692753623188e-5),
+            (145, 7564, 7090, 30, 10, 5.730420289855072e-5),
+        ],
+        2192,
+    ),
+    (
+        [
+            (133, 7560, 6458, 3, 0, 7.503408695652174e-5),
+            (133, 7292, 6514, 30, 10, 5.716507246376811e-5),
+        ],
+        2196,
+    ),
+    (
+        [
+            (83, 5332, 4050, 2, 0, 7.574947826086957e-5),
+            (83, 5196, 4114, 30, 10, 5.633028985507246e-5),
+        ],
+        2200,
+    ),
+    (
+        [
+            (118, 6916, 5738, 3, 0, 7.475582608695653e-5),
+            (118, 6648, 5794, 30, 10, 5.730420289855072e-5),
+        ],
+        2196,
+    ),
+    (
+        [
+            (137, 7628, 6650, 3, 0, 7.522953623188406e-5),
+            (137, 7356, 6706, 30, 10, 5.660855072463768e-5),
+        ],
+        2196,
+    ),
+    (
+        [
+            (86, 5400, 4194, 2, 0, 7.440124637681159e-5),
+            (86, 5256, 4258, 30, 10, 5.633028985507246e-5),
+        ],
+        2196,
+    ),
+    (
+        [
+            (160, 8712, 7754, 3, 0, 7.823608695652174e-5),
+            (160, 8432, 7810, 30, 10, 5.716507246376811e-5),
+        ],
+        2200,
+    ),
+];
+
+/// A streamed `GPUSpatioTemporal` index: every tick appends eight
+/// [`straddling`] segments and cuts the window, so every cut leaves long
+/// segments alive in front of short ones it removed. Per tick, what each
+/// kernel shape's search charges and the device bytes the resident index
+/// holds.
+fn streamed_spatiotemporal_costs() -> Vec<([TickCosts; 2], usize)> {
+    use tdts::index_spatiotemporal::GpuSpatioTemporalSearch;
+    let config = SpatioTemporalIndexConfig { bins: 8, subbins: 3, sort_by_selector: true };
+    let mut store: SegmentStore = (0..48u32).map(|i| straddling(i, i as f64 * 0.25)).collect();
+    let mut search = GpuSpatioTemporalSearch::new(device(), &store, config).unwrap();
+    let window = 9.0;
+    let mut frontier = store.stats().unwrap().time_span.end;
+    let mut rows = Vec::new();
+    for tick in 0..12u32 {
+        let t0 = store.segments().last().unwrap().t_start + 0.25;
+        let new: Vec<Segment> =
+            (0..8).map(|i| straddling(1_000 + 8 * tick + i, t0 + i as f64 * 0.25)).collect();
+        frontier = new.iter().map(|s| s.t_end).fold(frontier, f64::max);
+        let delta = store.append(&new);
+        search.ingest(&store, &delta).unwrap();
+        let delta = store.expire_before(frontier - window);
+        let last = *delta.removed.last().unwrap() as usize;
+        assert!((0..last).any(|p| delta.remap(p).is_some()), "tick {tick}: no straddler");
+        search.expire(&store, &delta).unwrap();
+        let mem = search.device().mem_used();
+        let queries: SegmentStore = store.iter().step_by(3).copied().collect();
+        let costs = SHAPES.map(|shape| {
+            let (matches, r) = search.search_shaped(&queries, 0.4, 500_000, Some(shape)).unwrap();
+            assert!(!matches.is_empty(), "tick {tick}: the probe must match something");
+            assert!(r.fallback_queries < queries.len() as u64, "tick {tick}: no id array used");
+            let t = r.totals;
+            let sim = r.response.simulated().total();
+            (
+                r.comparisons,
+                t.gmem_read_bytes,
+                t.instructions,
+                t.atomics,
+                r.load.tiles_dispatched,
+                sim,
+            )
+        });
+        rows.push((costs, mem));
+    }
+    rows
+}
+
+/// What a streamed `GPUSpatioTemporal` search charges, tick by tick and
+/// under both kernel shapes, is the same as when every advance rebuilt the
+/// id arrays and re-placed them whole: the run layout moves ids, not
+/// costs, and holds the same device bytes.
+#[test]
+fn streamed_spatiotemporal_charges_are_pinned() {
+    for (tick, (got, want)) in
+        streamed_spatiotemporal_costs().iter().zip(&PINNED_STREAM).enumerate()
+    {
+        assert_eq!(got, want, "tick {tick}");
+    }
+}
+
+/// Twenty-six ticks of eight [`straddling`] segments each over a 48-row
+/// base, cut by a 9-unit window; tick 12 cuts everything and tick 13
+/// regrows the window from empty.
+fn long_stream() -> Vec<(Vec<Segment>, f64)> {
+    let mut t = 48.0 * 0.25;
+    let mut frontier = t + 5.0;
+    (0..26u32)
+        .map(|tick| {
+            let new: Vec<Segment> = (0..8)
+                .map(|i| {
+                    t += 0.25;
+                    straddling(1_000 + 8 * tick + i, t)
+                })
+                .collect();
+            frontier = new.iter().map(|s| s.t_end).fold(frontier, f64::max);
+            (new, if tick == 12 { f64::INFINITY } else { frontier - 9.0 })
+        })
+        .collect()
+}
+
+/// The long stream through every method: after every tick each kernel
+/// shape answers like a cold rebuild and the store's front-offset slack
+/// stays bounded. Streamed once more through a `GPUSpatioTemporal` search
+/// over a store it owns alone, the front offset compacts several times and
+/// the runs validate against the store every tick, with the device charged
+/// for exactly the live rows and ids.
+#[test]
+fn a_long_stream_compacts_and_matches_cold_rebuilds() {
+    use tdts::index_spatiotemporal::GpuSpatioTemporalSearch;
+    let base: SegmentStore = (0..48u32).map(|i| straddling(i, i as f64 * 0.25)).collect();
+    for method in all_methods(6, 5) {
+        let mut engine =
+            SearchEngine::build(&PreparedDataset::new(base.clone()), method, device()).unwrap();
+        for (tick, (new, cut)) in long_stream().into_iter().enumerate() {
+            engine.ingest(&new).unwrap();
+            engine.expire_before(cut).unwrap();
+            let store = engine.store();
+            assert!(store.slack() <= store.len() / 4 + 8, "tick {tick}: slack {}", store.slack());
+            if store.is_empty() {
+                let queries: SegmentStore = new.iter().copied().collect();
+                assert!(engine.search(&queries, 2.5, 500_000).unwrap().0.is_empty());
+                continue;
+            }
+            let queries: SegmentStore = store.iter().step_by(3).copied().collect();
+            assert_matches_cold(&engine, &queries, &[0.4, 2.5]);
+        }
+    }
+
+    let config = SpatioTemporalIndexConfig { bins: 6, subbins: 3, sort_by_selector: true };
+    let mut store = base;
+    let mut search = GpuSpatioTemporalSearch::new(device(), &store, config).unwrap();
+    let mut compactions = 0;
+    for (tick, (new, cut)) in long_stream().into_iter().enumerate() {
+        let delta = store.append(&new);
+        search.ingest(&store, &delta).unwrap();
+        let slack = store.slack();
+        let delta = store.expire_before(cut);
+        compactions += usize::from(store.slack() < slack);
+        search.expire(&store, &delta).unwrap();
+        let index = search.index();
+        if !store.is_empty() {
+            index.validate(&store).unwrap_or_else(|e| panic!("tick {tick}: {e}"));
+        }
+        assert_eq!(search.entries().len(), store.len(), "tick {tick}");
+        // The device is charged for the live rows and ids alone.
+        let ids: usize = index.runs().iter().map(|run| run.ids().len()).sum();
+        let resident = search.entries().size_bytes() + 4 * ids;
+        assert_eq!(search.device().mem_used(), resident, "tick {tick}");
+    }
+    assert!(compactions >= 2, "{compactions} compactions");
 }
 
 /// Time-ordered random base stores for the property test (`t_start`
