@@ -46,12 +46,14 @@ impl Method {
     ///
     /// GPU methods place the database and index into `device` memory
     /// (offline — excluded from response time, as in the paper). The CPU
-    /// baseline ignores the device.
+    /// baseline ignores the device. A store holding a segment that is not
+    /// [valid](Segment::is_valid) is [`TdtsError::InvalidConfig`].
     pub fn build_index(
         &self,
         store: &Arc<SegmentStore>,
         device: Arc<Device>,
     ) -> Result<Box<dyn TrajectoryIndex>, TdtsError> {
+        check_database(store)?;
         Ok(match *self {
             Method::CpuRTree(cfg) => {
                 cfg.validate().map_err(TdtsError::InvalidConfig)?;
@@ -63,6 +65,19 @@ impl Method {
                 Box::new(GpuSpatioTemporalSearch::new(device, store, cfg)?)
             }
         })
+    }
+}
+
+/// Refuse a database holding a segment that is not
+/// [valid](Segment::is_valid), naming its position: the index methods prune
+/// on different coordinates, so such a segment would make them disagree
+/// (or panic) instead of erroring.
+pub(crate) fn check_database(store: &SegmentStore) -> Result<(), TdtsError> {
+    match store.iter().position(|s| !s.is_valid()) {
+        Some(bad) => Err(TdtsError::InvalidConfig(format!(
+            "database segment {bad} has a non-finite coordinate or t_start > t_end"
+        ))),
+        None => Ok(()),
     }
 }
 

@@ -47,7 +47,7 @@ use tdts_gpu_sim::{
     Device, DeviceConfig, KernelShape, Phase, RoutingSummary, SearchError, SearchReport,
 };
 
-use crate::engine::Method;
+use crate::engine::{check_database, Method};
 use crate::error::TdtsError;
 use crate::traits::{QueryBatch, SearchOutcome, TrajectoryIndex};
 
@@ -227,7 +227,9 @@ impl ShardedIndex {
     /// geometry adapt to each shard's own extent).
     ///
     /// `stats` is the *global* store's statistics and only drives the slab
-    /// plan; per-shard index parameters come from per-shard scans.
+    /// plan; per-shard index parameters come from per-shard scans. A store
+    /// holding a segment that is not [valid](tdts_geom::Segment::is_valid) is refused
+    /// before it is partitioned, with its global position.
     pub fn build(
         method: Method,
         store: &Arc<SegmentStore>,
@@ -238,6 +240,7 @@ impl ShardedIndex {
         if config.shards == 0 {
             return Err(TdtsError::InvalidConfig("shard count must be at least 1".into()));
         }
+        check_database(store)?;
         let sharded = ShardedStore::partition(store, stats, config.shards, config.partition);
         let mut members = Vec::with_capacity(sharded.slices.len());
         let mut free_device_bytes = usize::MAX;

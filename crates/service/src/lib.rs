@@ -12,11 +12,12 @@
 //! [`QueryService`] closes that gap. It owns one long-lived
 //! [`SearchEngine`](tdts_core::SearchEngine) — store, index and devices —
 //! built once per [`PreparedDataset`](tdts_core::PreparedDataset), admits
-//! concurrent requests behind a bounded queue, *coalesces* them into batches (flushed
-//! on [`ServiceConfig::max_batch`] pending queries or
-//! [`ServiceConfig::max_delay`] elapsed), runs each batch on a worker as
-//! one kernel invocation, and demultiplexes the per-query result
-//! slices back to the waiting clients. Coalescing changes nothing about the
+//! concurrent requests behind a bounded queue, and lets each worker *coalesce*
+//! them into a batch it cuts itself (once [`ServiceConfig::max_batch`]
+//! queries are pending or the oldest request has waited
+//! [`ServiceConfig::max_delay`]), runs that batch as one kernel invocation,
+//! and demultiplexes the per-query result slices back to the waiting
+//! clients. Coalescing changes nothing about the
 //! results: the canonical result order is sorted by query id, so each
 //! request's records form a contiguous slice that is renumbered back to the
 //! request's own query positions — byte-identical to running that request

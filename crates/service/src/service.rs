@@ -1,12 +1,14 @@
-//! The query service: admission control → batcher → worker pool → demux.
+//! The query service: admission control → worker pool → demux.
 //!
 //! ```text
 //!  clients ──submit──▶ [admission: bounded in-flight count]
 //!                          │ PendingSearch (owned queries + oneshot slot)
 //!                          ▼
-//!                      [batcher thread: coalesce by d,
-//!                       flush on max_batch queries or max_delay]
-//!                          │ Batch
+//!                      [pending queue, in arrival order]
+//!                          │ a worker cuts one Batch: the oldest request
+//!                          │ + later same-d requests, up to max_batch,
+//!                          │ once max_batch queries wait or the oldest
+//!                          │ has waited max_delay
 //!                          ▼
 //!                      [worker pool: one shared resident index,
 //!                       configured shape → ThreadPerQuery degradation]
@@ -102,10 +104,33 @@ struct PendingQueue {
     queries: usize,
 }
 
+impl PendingQueue {
+    /// Cut one batch: the oldest request, then later requests with the same
+    /// `d` in arrival order while the batch holds fewer than `max_batch`
+    /// queries (best-effort: one oversized request can still exceed it).
+    fn cut(&mut self, max_batch: usize) -> Batch {
+        let first = self.items.pop_front().expect("a batch is cut from a non-empty queue");
+        let (d, oldest) = (first.d, first.enqueued_at);
+        let mut queries = first.queries.len();
+        let mut requests = vec![first];
+        let mut i = 0;
+        while i < self.items.len() && queries < max_batch {
+            if self.items[i].d.to_bits() == d.to_bits() {
+                let request = self.items.remove(i).expect("index in bounds");
+                queries += request.queries.len();
+                requests.push(request);
+            } else {
+                i += 1;
+            }
+        }
+        self.queries -= queries;
+        Batch { requests, d, oldest }
+    }
+}
+
 struct Batch {
     requests: Vec<PendingSearch>,
     d: f64,
-    queries: usize,
     /// Enqueue time of the oldest request, for end-to-end batch latency.
     oldest: Instant,
 }
@@ -231,14 +256,12 @@ struct Shared {
     config: ServiceConfig,
     engine: EngineGate,
     pending: Mutex<PendingQueue>,
+    /// Wakes workers: on a submit, when a worker leaves requests behind
+    /// after its cut, and on shutdown.
     pending_cv: Condvar,
-    batches: Mutex<VecDeque<Batch>>,
-    batches_cv: Condvar,
+    /// Raised under the `pending` lock; workers exit once it is set and the
+    /// queue is empty, so no admitted request is dropped on shutdown.
     shutdown: AtomicBool,
-    /// Set by the batcher after its final flush; workers only exit once the
-    /// batch queue is empty *and* this is set, so no admitted request is
-    /// dropped on shutdown.
-    batcher_done: AtomicBool,
     in_flight: AtomicUsize,
     consecutive_failures: AtomicU32,
     stats: StatsInner,
@@ -248,22 +271,20 @@ struct Shared {
 ///
 /// The engine is built once at [`QueryService::start`] and shared by every
 /// worker; after that, any number of client threads can [`submit`]
-/// concurrently. Requests are coalesced into batches,
-/// each batch runs as a single kernel invocation on a worker, and the
-/// batch's results are demultiplexed back to the individual clients.
+/// concurrently. Each worker cuts a batch of coalesced requests from the one
+/// pending queue and runs it as a single kernel invocation, and the batch's
+/// results are demultiplexed back to the individual clients.
 ///
 /// [`submit`]: QueryService::submit
 pub struct QueryService {
     shared: Arc<Shared>,
-    batcher: Mutex<Option<JoinHandle<()>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     /// Serialises window advances.
     stream: Mutex<StreamState>,
 }
 
 impl QueryService {
-    /// Build the engine over `dataset` and start the batcher and worker
-    /// threads.
+    /// Build the engine over `dataset` and start the worker threads.
     pub fn start(
         dataset: &PreparedDataset,
         config: ServiceConfig,
@@ -288,8 +309,8 @@ impl QueryService {
     /// Start the service over a pre-built engine, skipping the build. This
     /// is the model-check seam: harnesses wrap a cheap mock index in
     /// [`SearchEngine::with_index`] so each of the checker's thousands of
-    /// executions starts a real service (real batcher, workers, admission,
-    /// shutdown protocol) in microseconds.
+    /// executions starts a real service (real workers, batch cut,
+    /// admission, shutdown protocol) in microseconds.
     #[cfg(feature = "model-check")]
     pub fn start_with_engine(
         config: ServiceConfig,
@@ -307,19 +328,12 @@ impl QueryService {
             engine: EngineGate::new(engine),
             pending: Mutex::new(PendingQueue::default()),
             pending_cv: Condvar::new(),
-            batches: Mutex::new(VecDeque::new()),
-            batches_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            batcher_done: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
             consecutive_failures: AtomicU32::new(0),
             stats: StatsInner::default(),
         });
 
-        let batcher = {
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || batcher_loop(&shared))
-        };
         let workers = (0..workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
@@ -329,7 +343,6 @@ impl QueryService {
 
         QueryService {
             shared,
-            batcher: Mutex::new(Some(batcher)),
             workers: Mutex::new(workers),
             stream: Mutex::new(StreamState { frontier, advances: 0 }),
         }
@@ -486,8 +499,9 @@ impl QueryService {
         };
         {
             let mut pending = shared.pending.lock().unwrap();
-            // Re-check under the lock: shutdown() drains this queue, and a
-            // request slipped in after the drain would never resolve.
+            // Re-check under the lock: workers exit once the flag is up and
+            // the queue is empty, so a request pushed after that would never
+            // resolve.
             if shared.shutdown.load(Ordering::SeqCst) {
                 drop(pending);
                 shared.in_flight.fetch_sub(1, Ordering::SeqCst);
@@ -496,7 +510,9 @@ impl QueryService {
             pending.queries += request.queries.len();
             pending.items.push_back(request);
         }
-        shared.pending_cv.notify_all();
+        // Workers are interchangeable: whichever wakes re-checks the flush
+        // triggers against the queue as it now stands.
+        shared.pending_cv.notify_one();
         Ok(SearchTicket { slot, deadline, shared: Arc::clone(shared) })
     }
 
@@ -504,34 +520,19 @@ impl QueryService {
     /// join all threads. Idempotent; also runs on drop.
     pub fn shutdown(&self) {
         // The stop flag must be raised while holding the pending lock:
-        // the batcher checks it under that lock before parking, so an
-        // unlocked store could land (with its notify wasted) in the gap
-        // between the batcher's check and its wait, leaving the batcher
-        // asleep forever. Found by the model checker
-        // (`service/max-batch-flush`, lost-wakeup); same class as the
-        // `fixture/unlocked-done-store` defect.
+        // workers check it under that lock before parking, so an unlocked
+        // store could land (with its notify wasted) in the gap between a
+        // worker's check and its wait, leaving that worker asleep forever.
+        // Found by the model checker (`service/max-batch-flush`,
+        // lost-wakeup); same class as the `fixture/unlocked-done-store`
+        // defect.
         {
             let _pending = self.shared.pending.lock().unwrap();
             self.shared.shutdown.store(true, Ordering::SeqCst);
         }
         self.shared.pending_cv.notify_all();
-        if let Some(handle) = self.batcher.lock().unwrap().take() {
-            let _ = handle.join();
-        }
-        self.shared.batches_cv.notify_all();
         for handle in self.workers.lock().unwrap().drain(..) {
             let _ = handle.join();
-        }
-        // Requests that raced past the admission check after the batcher's
-        // final flush: reject them rather than leave their clients hanging.
-        let leftovers: Vec<PendingSearch> = {
-            let mut pending = self.shared.pending.lock().unwrap();
-            pending.queries = 0;
-            pending.items.drain(..).collect()
-        };
-        for request in leftovers {
-            request.slot.fulfill(Err(TdtsError::ShuttingDown));
-            self.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
         }
     }
 }
@@ -542,20 +543,21 @@ impl Drop for QueryService {
     }
 }
 
-fn batcher_loop(shared: &Shared) {
+/// Wait for a flush trigger — `max_batch` queries pending, the oldest
+/// request `max_delay` old, or shutdown — then cut one batch and run it.
+/// Exit once shutdown is raised and the queue is empty.
+fn worker_loop(shared: &Shared) {
     let max_batch = shared.config.max_batch;
     let max_delay = shared.config.max_delay;
     loop {
-        let flush: Vec<PendingSearch> = {
+        let (batch, more) = {
             let mut pending = shared.pending.lock().unwrap();
             loop {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                if pending.queries >= max_batch {
-                    break;
-                }
+                let stopping = shared.shutdown.load(Ordering::SeqCst);
                 match pending.items.front() {
+                    None if stopping => return,
+                    None => pending = shared.pending_cv.wait(pending).unwrap(),
+                    Some(_) if stopping || pending.queries >= max_batch => break,
                     Some(oldest) => {
                         let flush_at = oldest.enqueued_at + max_delay;
                         let now = Instant::now();
@@ -566,77 +568,16 @@ fn batcher_loop(shared: &Shared) {
                             shared.pending_cv.wait_timeout(pending, flush_at - now).unwrap();
                         pending = guard;
                     }
-                    None => pending = shared.pending_cv.wait(pending).unwrap(),
                 }
             }
-            pending.queries = 0;
-            pending.items.drain(..).collect()
+            let batch = pending.cut(max_batch);
+            (batch, !pending.items.is_empty())
         };
-
-        let stopping = shared.shutdown.load(Ordering::SeqCst);
-        if !flush.is_empty() {
-            // Coalesce into per-d groups, preserving arrival order. A group
-            // stops accepting once it holds max_batch queries (best-effort:
-            // one oversized request can still exceed it).
-            let mut groups: Vec<Batch> = Vec::new();
-            for request in flush {
-                let n = request.queries.len();
-                match groups
-                    .iter_mut()
-                    .find(|b| b.d.to_bits() == request.d.to_bits() && b.queries < max_batch)
-                {
-                    Some(batch) => {
-                        batch.queries += n;
-                        batch.requests.push(request);
-                    }
-                    None => groups.push(Batch {
-                        d: request.d,
-                        queries: n,
-                        oldest: request.enqueued_at,
-                        requests: vec![request],
-                    }),
-                }
-            }
-            shared.batches.lock().unwrap().extend(groups);
-            shared.batches_cv.notify_all();
+        if more {
+            // What this cut left behind may already be due.
+            shared.pending_cv.notify_one();
         }
-        if stopping {
-            // The completion flag must be set while holding the batch-queue
-            // lock. Workers check it under that lock before waiting; a bare
-            // store can land in the gap between a worker's check and its
-            // wait registration, and the notify below then wakes nobody —
-            // the worker blocks forever. (Previously masked by shutdown()'s
-            // backstop notify after joining this thread; the model
-            // checker's `fixture/unlocked-done-store` reproduces the
-            // unmasked defect.)
-            {
-                let _batches = shared.batches.lock().unwrap();
-                shared.batcher_done.store(true, Ordering::SeqCst);
-            }
-            shared.batches_cv.notify_all();
-            return;
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let batch = {
-            let mut batches = shared.batches.lock().unwrap();
-            loop {
-                if let Some(batch) = batches.pop_front() {
-                    break Some(batch);
-                }
-                if shared.batcher_done.load(Ordering::SeqCst) {
-                    break None;
-                }
-                batches = shared.batches_cv.wait(batches).unwrap();
-            }
-        };
-        match batch {
-            Some(batch) => run_batch(shared, batch),
-            None => return,
-        }
+        run_batch(shared, batch);
     }
 }
 

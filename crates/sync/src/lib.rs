@@ -1,8 +1,9 @@
 //! Drop-in `std::sync` shim with a deterministic concurrency model checker.
 //!
 //! The query service in `tdts-service` is a hand-rolled std-threads
-//! pipeline: bounded admission → coalescing batcher → worker pool →
-//! first-write-wins oneshot. Its correctness depends on interleavings the
+//! pipeline: bounded admission → one pending queue from which each worker
+//! cuts its own coalesced batch → first-write-wins oneshot. Its
+//! correctness depends on interleavings the
 //! OS scheduler almost never produces — a notify fired between a predicate
 //! check and the wait that follows it, a shutdown racing a half-filled
 //! batch, a spurious wakeup hitting an `if` that should have been a

@@ -102,7 +102,7 @@ pub struct Finding {
     pub kind: FindingKind,
     /// Human-readable context: which threads, which objects.
     pub detail: String,
-    /// Replay token (`"<seed>:<choices>"`); feed to
+    /// Replay token (the scheduler's choices, `.`-separated); feed to
     /// [`ModelConfig::replay`] to re-run exactly this interleaving.
     pub schedule: String,
 }
@@ -187,10 +187,6 @@ pub struct ModelConfig {
     /// Hard cap on schedule points in one execution; exceeding it fails
     /// the check loudly (it means a livelock under the model).
     pub max_steps: usize,
-    /// Permutes scheduler choice order; `0` keeps the natural
-    /// current-thread-first order. Any seed explores the same tree, in a
-    /// different order.
-    pub seed: u64,
     /// A schedule token from a [`Finding`]; when set, runs exactly that
     /// interleaving once instead of searching.
     pub replay: Option<String>,
@@ -203,7 +199,6 @@ impl Default for ModelConfig {
             spurious_wakeups: 1,
             max_executions: 100_000,
             max_steps: 20_000,
-            seed: 0,
             replay: None,
         }
     }
@@ -225,12 +220,6 @@ impl ModelConfig {
     /// Set the execution cap.
     pub fn max_executions(mut self, n: usize) -> Self {
         self.max_executions = n;
-        self
-    }
-
-    /// Set the exploration-order seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -390,13 +379,6 @@ fn lock_state(exec: &Exec) -> StdMutexGuard<'_, ExecState> {
     }
 }
 
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 impl Exec {
     fn new(config: ModelConfig, path: Vec<usize>) -> Exec {
         Exec {
@@ -481,11 +463,6 @@ impl Exec {
                     candidates.push(t);
                 }
             }
-        }
-        if candidates.len() > 1 && self.config.seed != 0 {
-            let rot =
-                (splitmix(self.config.seed ^ st.steps.len() as u64) as usize) % candidates.len();
-            candidates.rotate_left(rot);
         }
         let step_index = st.steps.len();
         let chosen = if step_index < st.path.len() {
@@ -1002,8 +979,9 @@ fn next_path(steps: &[Step]) -> Option<Vec<usize>> {
     None
 }
 
-/// Schedule token: `<seed>:<choices>` with zero-runs compressed as `zN`.
-fn format_token(seed: u64, steps: &[Step]) -> String {
+/// Schedule token: the chosen alternative at each step, `.`-separated,
+/// with zero-runs compressed as `zN`.
+fn format_token(steps: &[Step]) -> String {
     let mut parts: Vec<String> = Vec::new();
     let mut zeros = 0usize;
     for step in steps {
@@ -1020,17 +998,13 @@ fn format_token(seed: u64, steps: &[Step]) -> String {
     if zeros > 0 {
         parts.push(format!("z{zeros}"));
     }
-    format!("{seed}:{}", parts.join("."))
+    parts.join(".")
 }
 
-fn parse_token(token: &str) -> Result<(u64, Vec<usize>), String> {
-    let (seed, rest) = token
-        .split_once(':')
-        .ok_or_else(|| format!("malformed schedule token `{token}`: missing `seed:`"))?;
-    let seed: u64 = seed.parse().map_err(|_| format!("bad seed in schedule token `{token}`"))?;
+fn parse_token(token: &str) -> Result<Vec<usize>, String> {
     let mut path = Vec::new();
-    if !rest.is_empty() {
-        for part in rest.split('.') {
+    if !token.is_empty() {
+        for part in token.split('.') {
             if let Some(count) = part.strip_prefix('z') {
                 let count: usize =
                     count.parse().map_err(|_| format!("bad zero-run in token `{token}`"))?;
@@ -1040,7 +1014,7 @@ fn parse_token(token: &str) -> Result<(u64, Vec<usize>), String> {
             }
         }
     }
-    Ok((seed, path))
+    Ok(path)
 }
 
 /// Explore the schedules of `f` and return what was found.
@@ -1057,17 +1031,12 @@ where
 {
     install_panic_filter();
     let f = Arc::new(f);
-    let (config, mut path, replay_only) = match &config.replay {
-        Some(token) => {
-            let (seed, path) = match parse_token(token) {
-                Ok(parsed) => parsed,
-                Err(error) => panic!("model check `{name}`: {error}"),
-            };
-            let mut config = config.clone();
-            config.seed = seed;
-            (config, path, true)
-        }
-        None => (config.clone(), Vec::new(), false),
+    let (mut path, replay_only) = match &config.replay {
+        Some(token) => match parse_token(token) {
+            Ok(path) => (path, true),
+            Err(error) => panic!("model check `{name}`: {error}"),
+        },
+        None => (Vec::new(), false),
     };
     let mut executions = 0usize;
     let mut schedule_points = 0u64;
@@ -1083,7 +1052,7 @@ where
             );
         }
         if let Some(mut finding) = result.finding {
-            finding.schedule = format_token(config.seed, &result.steps);
+            finding.schedule = format_token(&result.steps);
             return ModelReport {
                 name: name.to_string(),
                 executions,
@@ -1200,11 +1169,9 @@ mod tests {
             Step { chosen: 2, alternatives: 3 },
             Step { chosen: 0, alternatives: 1 },
         ];
-        let token = format_token(7, &steps);
-        assert_eq!(token, "7:z2.2.z1");
-        let (seed, path) = parse_token(&token).unwrap();
-        assert_eq!(seed, 7);
-        assert_eq!(path, vec![0, 0, 2, 0]);
+        let token = format_token(&steps);
+        assert_eq!(token, "z2.2.z1");
+        assert_eq!(parse_token(&token).unwrap(), vec![0, 0, 2, 0]);
     }
 
     #[test]

@@ -98,13 +98,16 @@ fn forgotten_notify_leaks_waiter() {
     report.expect_finding(FindingKind::PendingWaiterLeak);
 }
 
-/// Fixture 4: the pre-fix `tdts-service` batcher-exit protocol. The
+/// Fixture 4: a completion flag stored without the queue lock. The
 /// producer announces completion through an *atomic* flag stored without
 /// holding the queue lock, then notifies. The store+notify can land
 /// between the consumer's flag check (under the lock) and its wait
 /// registration — the consumer then waits forever on a condvar that was
-/// notified. This is the exact defect the shim refactor fixed in
-/// `QueryService::batcher_loop` (see DESIGN.md §5).
+/// notified. This is the shape of both lost wakeups the checker found in
+/// `tdts-service`: the batcher thread's exit flag (that stage is gone;
+/// workers now cut their own batches) and `shutdown()`'s stop flag, which
+/// is still raised under the pending-queue lock for this reason (see
+/// DESIGN.md §5d).
 #[test]
 fn unlocked_done_flag_store_misses_wakeup() {
     let report = check("fixture/unlocked-done-store", cfg(), || {

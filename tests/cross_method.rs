@@ -145,3 +145,50 @@ fn degenerate_geometry() {
 
     check_all(store, queries, &[0.0, 0.5, 1.0, 3.0], "degenerate");
 }
+
+/// A database holding an invalid segment is refused where it enters, with
+/// a typed error naming the segment's position in the canonical store: it
+/// used to panic CPU-RTree's build ("NaN center") and be silently dropped
+/// from every GPU method's answers.
+#[test]
+fn hostile_database_is_refused_at_build() {
+    type Poison = fn(&mut Segment);
+    let kinds: [(&str, Poison); 3] = [
+        ("t_end = NaN", |s| s.t_end = f64::NAN),
+        ("NaN coordinate", |s| s.start.y = f64::NAN),
+        ("inverted interval", |s| s.t_end = s.t_start - 1.0),
+    ];
+    let mut valid = RandomWalkConfig { trajectories: 4, timesteps: 10, ..Default::default() }
+        .generate()
+        .segments()
+        .to_vec();
+    valid.sort_by(|a, b| a.t_start.total_cmp(&b.t_start));
+    let sharding = ShardedIndexConfig::builder().shards(2).build().unwrap();
+    for (kind, poison) in kinds {
+        let mut segments = valid.clone();
+        poison(&mut segments[17]);
+        let dataset = PreparedDataset::new(segments.into_iter().collect());
+        let bad = dataset.store().iter().position(|s| !s.is_valid()).expect("one hostile segment");
+        for method in common::methods(8, 500_000) {
+            let unsharded = SearchEngine::build(&dataset, method, device()).err();
+            let sharded = SearchEngine::build_sharded(
+                &dataset,
+                method,
+                &DeviceConfig::tesla_c2075(),
+                &sharding,
+            )
+            .err();
+            for (layout, error) in [("unsharded", unsharded), ("2 shards", sharded)] {
+                let who = format!("{kind}, {}, {layout}", method.name());
+                match error {
+                    Some(TdtsError::InvalidConfig(message)) => assert!(
+                        message.contains(&format!("segment {bad} ")),
+                        "{who}: error does not name segment {bad}: {message}"
+                    ),
+                    Some(other) => panic!("{who}: expected InvalidConfig, got {other:?}"),
+                    None => panic!("{who}: a hostile database was accepted"),
+                }
+            }
+        }
+    }
+}
