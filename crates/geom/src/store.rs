@@ -353,13 +353,18 @@ impl SegmentStore {
     }
 
     /// Sort segments by ascending `t_start` (stable). The temporal and
-    /// spatiotemporal indexes require this ordering. The stats cache is
+    /// spatiotemporal indexes require this ordering. A NaN `t_start` sorts
+    /// last, so a hostile store is left for the build's validity check to
+    /// refuse; `-0.0` and `0.0` stay equal keys. The stats cache is
     /// re-tagged rather than invalidated — the segment *set* is unchanged,
     /// so the scan (including its exact duration sum) still holds.
     pub fn sort_by_t_start(&mut self) {
         let prev_generation = self.generation;
         let segs = self.segments.as_mut_slice();
-        segs.sort_by(|a, b| a.t_start.partial_cmp(&b.t_start).expect("NaN t_start"));
+        segs.sort_by(|a, b| match (a.t_start.is_nan(), b.t_start.is_nan()) {
+            (false, false) => a.t_start.partial_cmp(&b.t_start).expect("neither key is NaN"),
+            (a_nan, b_nan) => a_nan.cmp(&b_nan),
+        });
         self.time_ordered = continues_time_order(None, segs);
         self.generation += 1;
         if let Some(entry) = self.stats.get_mut().expect("store cache poisoned") {
@@ -513,6 +518,23 @@ mod tests {
         assert!(store.is_sorted_by_t_start());
         assert_eq!(store.get(0).t_start, 0.0);
         assert_eq!(store.get(2).t_start, 2.0);
+    }
+
+    #[test]
+    fn nan_t_start_sorts_last_and_signed_zeros_stay_equal() {
+        let mut hostile = seg(0.0, 1.0, 0.0, 0.0, 0);
+        hostile.t_start = f64::NAN;
+        let mut store: SegmentStore = vec![
+            hostile,
+            seg(0.0, 1.0, 0.0, 0.0, 1),
+            seg(-0.0, 1.0, 0.0, 0.0, 2),
+            seg(-1.0, 1.0, 0.0, 0.0, 3),
+        ]
+        .into_iter()
+        .collect();
+        store.sort_by_t_start();
+        let order: Vec<u32> = store.iter().map(|s| s.traj_id.0).collect();
+        assert_eq!(order, [3, 1, 2, 0], "stable among equal keys, NaN last");
     }
 
     #[test]

@@ -173,8 +173,6 @@ pub struct LaunchReport {
     pub sim_exec_seconds: f64,
     /// Fixed launch overhead in seconds.
     pub launch_overhead_seconds: f64,
-    /// Host wall-clock time actually spent executing the kernel closures.
-    pub wall_seconds: f64,
     /// Cycles of the most expensive warp (for persistent launches, a warp's
     /// cycles are summed over every tile it processed).
     pub max_warp_cycles: f64,
@@ -400,7 +398,6 @@ where
     if let Some(san) = san {
         san.begin_launch(SHAPE_STATIC);
     }
-    let start = std::time::Instant::now();
 
     let costs = run_ordered(
         config,
@@ -416,11 +413,10 @@ where
         epilogue,
     );
 
-    let wall_seconds = start.elapsed().as_secs_f64();
     if let Some(san) = san {
         san.end_launch();
     }
-    finish_report(config, threads, warps, 0, &costs, wall_seconds, (0, 0))
+    finish_report(config, threads, warps, 0, &costs, (0, 0))
 }
 
 /// Fraction of SMs that still receive a warp in the launch's final
@@ -447,7 +443,6 @@ fn finish_report(
     warps: usize,
     divergent_extra: usize,
     costs: &[WarpCost],
-    wall_seconds: f64,
     queue: (u64, u64),
 ) -> LaunchReport {
     // Round-robin warp → SM assignment; SM time = sum of its warps' cycles
@@ -475,7 +470,6 @@ fn finish_report(
         totals,
         sim_exec_seconds,
         launch_overhead_seconds: config.kernel_launch_overhead,
-        wall_seconds,
         max_warp_cycles,
         mean_warp_cycles: if warps == 0 { 0.0 } else { sum_warp_cycles / warps as f64 },
         last_wave_occupancy: last_wave_occupancy(config.num_sms, warps),
@@ -525,7 +519,6 @@ where
     if let Some(san) = san {
         san.begin_launch(SHAPE_PERSISTENT);
     }
-    let start = std::time::Instant::now();
 
     // Phase 1 — execution: every tile runs exactly once, in parallel on
     // the host; per-tile divergence and the max-over-lanes rule are
@@ -546,7 +539,6 @@ where
         epilogue,
     );
     queue.mark_drained(grid);
-    let wall_seconds = start.elapsed().as_secs_f64();
     if let Some(san) = san {
         san.end_launch();
     }
@@ -578,7 +570,6 @@ where
         grid,
         divergent_tiles,
         &per_warp,
-        wall_seconds,
         (queue.dispatched() as u64, queue.probes() as u64),
     )
 }

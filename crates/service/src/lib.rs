@@ -155,7 +155,8 @@ mod tests {
             .build()
             .unwrap();
         let service = QueryService::start(&dataset(20), config).unwrap();
-        let err = service.submit_with_deadline(&queries(1), 5.0, Duration::ZERO).unwrap_err();
+        let deadline = Some(tdts_sync::time::Instant::now());
+        let err = service.submit_nowait(&queries(1), 5.0, deadline).unwrap().wait().unwrap_err();
         assert!(matches!(err, tdts_core::TdtsError::Timeout));
         assert_eq!(service.stats().requests_timed_out, 1);
     }

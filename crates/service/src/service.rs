@@ -14,7 +14,8 @@
 //!                       configured shape → ThreadPerQuery degradation]
 //!                          │ per-request MatchRecord slices
 //!                          ▼
-//!                      [demux: remap query ids, fulfil oneshots]
+//!                      [demux: release admission slots, then fulfil
+//!                       oneshots]
 //! ```
 //!
 //! The service holds exactly one [`SearchEngine`] — one store, the index
@@ -27,15 +28,22 @@
 //! the `EngineGate`; a window advance takes the gate exclusively and runs
 //! the engine's own ingest and expiry, so store, index and the fail-stop
 //! ([`SearchEngine::failed`]) have one owner.
+//!
+//! Every piece of protocol state lives under one of the two locks the
+//! service waits on. The pending-queue lock holds the queue, the admission
+//! count, the stop flag, the failure streak and the degraded flag; the
+//! engine gate's lock holds the engine, its pins and the window's position.
+//! A flag its waiters check under a lock is only ever written under that
+//! lock, so no notify can fall between a waiter's check and its wait.
 
 // All synchronisation goes through the tdts-sync shim: in normal builds
 // these are plain `std` re-exports (zero cost, byte-identical behavior);
-// under the `model-check` feature every lock/wait/notify/spawn/atomic-op
-// below becomes a schedule point the virtual scheduler can interleave.
+// under the `model-check` feature every lock/wait/notify/spawn below
+// becomes a schedule point the virtual scheduler can interleave.
 use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use tdts_sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use tdts_sync::sync::{Condvar, Mutex};
 use tdts_sync::thread::{self, JoinHandle};
 use tdts_sync::time::{Duration, Instant};
@@ -96,19 +104,35 @@ struct PendingSearch {
     slot: Arc<ResponseSlot>,
 }
 
+/// The pending queue and the protocol state its waiters check: every field
+/// is read and written under the one `Shared::pending` lock.
 #[derive(Default)]
 struct PendingQueue {
     items: VecDeque<PendingSearch>,
     /// Total query segments across `items` (the flush trigger counts
     /// queries, not requests).
     queries: usize,
+    /// Admitted requests whose tickets are not yet resolved: queued, cut or
+    /// being searched. Bounded by `queue_capacity`.
+    in_flight: usize,
+    /// Raised by shutdown; workers exit once it is set and the queue is
+    /// empty, so no admitted request is dropped.
+    stopping: bool,
+    /// Batches in a row that failed under the configured kernel shape.
+    consecutive_failures: u32,
+    /// Permanently degraded: every batch goes straight to the fallback
+    /// shape.
+    degraded: bool,
 }
 
 impl PendingQueue {
     /// Cut one batch: the oldest request, then later requests with the same
     /// `d` in arrival order while the batch holds fewer than `max_batch`
     /// queries (best-effort: one oversized request can still exceed it).
-    fn cut(&mut self, max_batch: usize) -> Batch {
+    /// Requests whose deadline passed by `now` are split off and their
+    /// admission slots released; the caller answers them with
+    /// [`TdtsError::Timeout`] once the lock is dropped.
+    fn cut(&mut self, max_batch: usize, now: Instant) -> (Batch, Vec<PendingSearch>) {
         let first = self.items.pop_front().expect("a batch is cut from a non-empty queue");
         let (d, oldest) = (first.d, first.enqueued_at);
         let mut queries = first.queries.len();
@@ -124,7 +148,10 @@ impl PendingQueue {
             }
         }
         self.queries -= queries;
-        Batch { requests, d, oldest }
+        let (expired, requests): (Vec<_>, Vec<_>) =
+            requests.into_iter().partition(|r| r.deadline.is_some_and(|at| at <= now));
+        self.in_flight -= expired.len();
+        (Batch { requests, d, oldest, degraded: self.degraded }, expired)
     }
 }
 
@@ -133,6 +160,8 @@ struct Batch {
     d: f64,
     /// Enqueue time of the oldest request, for end-to-end batch latency.
     oldest: Instant,
+    /// The service was degraded when the batch was cut.
+    degraded: bool,
 }
 
 /// Writer-preferring reader/writer gate over the service's one
@@ -149,6 +178,8 @@ struct EngineGate {
 
 struct GateState {
     engine: Arc<SearchEngine>,
+    /// The window's position; only an update reads or moves it.
+    window: Window,
     /// Batches currently searching a clone of `engine`.
     pins: usize,
     /// An update is waiting for `pins` to reach zero.
@@ -166,8 +197,14 @@ struct PinnedEngine<'a> {
 
 impl EngineGate {
     fn new(engine: SearchEngine) -> EngineGate {
+        let frontier = engine.store().stats().map_or(0.0, |s| s.time_span.end);
         EngineGate {
-            state: Mutex::new(GateState { engine: Arc::new(engine), pins: 0, updating: false }),
+            state: Mutex::new(GateState {
+                engine: Arc::new(engine),
+                window: Window { frontier, advances: 0 },
+                pins: 0,
+                updating: false,
+            }),
             changed_cv: Condvar::new(),
         }
     }
@@ -193,15 +230,16 @@ impl EngineGate {
         with(&self.state.lock().unwrap().engine)
     }
 
-    /// Run `apply` with the engine to itself.
-    fn update<R>(&self, apply: impl FnOnce(&mut SearchEngine) -> R) -> R {
+    /// Run `apply` with the engine and the window to itself.
+    fn update<R>(&self, apply: impl FnOnce(&mut SearchEngine, &mut Window) -> R) -> R {
         let mut state = self.state.lock().unwrap();
         state.updating = true;
         while state.pins > 0 {
             state = self.changed_cv.wait(state).unwrap();
         }
         state.updating = false;
-        let result = apply(Arc::get_mut(&mut state.engine).expect("no pin outlives its count"));
+        let GateState { engine, window, .. } = &mut *state;
+        let result = apply(Arc::get_mut(engine).expect("no pin outlives its count"), window);
         drop(state);
         self.changed_cv.notify_all();
         result
@@ -230,7 +268,7 @@ impl Drop for PinnedEngine<'_> {
 }
 
 /// The sliding window's position; the store it cuts is the engine's.
-struct StreamState {
+struct Window {
     /// Latest `t_end` ever stored — the window's leading edge. Tracked
     /// explicitly (not re-derived from the store) because expiry never
     /// moves the frontier backwards.
@@ -259,11 +297,6 @@ struct Shared {
     /// Wakes workers: on a submit, when a worker leaves requests behind
     /// after its cut, and on shutdown.
     pending_cv: Condvar,
-    /// Raised under the `pending` lock; workers exit once it is set and the
-    /// queue is empty, so no admitted request is dropped on shutdown.
-    shutdown: AtomicBool,
-    in_flight: AtomicUsize,
-    consecutive_failures: AtomicU32,
     stats: StatsInner,
 }
 
@@ -279,8 +312,6 @@ struct Shared {
 pub struct QueryService {
     shared: Arc<Shared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    /// Serialises window advances.
-    stream: Mutex<StreamState>,
 }
 
 impl QueryService {
@@ -321,16 +352,12 @@ impl QueryService {
     }
 
     fn launch(config: ServiceConfig, engine: SearchEngine) -> QueryService {
-        let frontier = engine.store().stats().map_or(0.0, |s| s.time_span.end);
         let workers = config.workers;
         let shared = Arc::new(Shared {
             config,
             engine: EngineGate::new(engine),
             pending: Mutex::new(PendingQueue::default()),
             pending_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            in_flight: AtomicUsize::new(0),
-            consecutive_failures: AtomicU32::new(0),
             stats: StatsInner::default(),
         });
 
@@ -341,11 +368,7 @@ impl QueryService {
             })
             .collect();
 
-        QueryService {
-            shared,
-            workers: Mutex::new(workers),
-            stream: Mutex::new(StreamState { frontier, advances: 0 }),
-        }
+        QueryService { shared, workers: Mutex::new(workers) }
     }
 
     /// The service configuration.
@@ -358,6 +381,7 @@ impl QueryService {
     /// sharded index's per-shard work counters.
     pub fn stats(&self) -> ServiceStats {
         let mut stats = self.shared.stats.snapshot();
+        stats.degraded = self.shared.pending.lock().unwrap().degraded;
         stats.shards = self.shared.config.sharding.shards;
         self.shared.engine.read(|engine| {
             if let Some(sharded) = engine.sharded() {
@@ -399,23 +423,22 @@ impl QueryService {
                 "advance_window requires a sliding window (ServiceConfig::window)".into(),
             ));
         };
-        if self.shared.shutdown.load(Ordering::SeqCst) {
+        if self.shared.pending.lock().unwrap().stopping {
             return Err(TdtsError::ShuttingDown);
         }
-        let mut stream = self.stream.lock().unwrap();
-        let frontier = new_segments.iter().fold(stream.frontier, |f, seg| f.max(seg.t_end));
-        let advances = stream.advances + 1;
         let every = self.shared.config.advance_every as u64;
-        let cut = advances.is_multiple_of(every).then_some(frontier - window);
-        let (expired, generation) = self.shared.engine.update(|engine| {
+        let (expired, cut, generation) = self.shared.engine.update(|engine, position| {
+            let frontier = new_segments.iter().fold(position.frontier, |f, seg| f.max(seg.t_end));
+            let advances = position.advances + 1;
+            let cut = advances.is_multiple_of(every).then_some(frontier - window);
             engine.ingest(new_segments)?;
             let len = engine.store().len();
             if let Some(cut) = cut {
                 engine.expire_before(cut)?;
             }
-            Ok::<_, TdtsError>((len - engine.store().len(), engine.store().generation()))
+            *position = Window { frontier, advances };
+            Ok::<_, TdtsError>((len - engine.store().len(), cut, engine.store().generation()))
         })?;
-        *stream = StreamState { frontier, advances };
 
         let ingested = new_segments.len();
         self.shared.stats.window_advances.fetch_add(1, Ordering::Relaxed);
@@ -442,17 +465,6 @@ impl QueryService {
         self.submit_nowait(queries, d, deadline)?.wait()
     }
 
-    /// Submit one request and block for its response, failing with
-    /// [`TdtsError::Timeout`] after `deadline`.
-    pub fn submit_with_deadline(
-        &self,
-        queries: &SegmentStore,
-        d: f64,
-        deadline: Duration,
-    ) -> Result<SearchResponse, TdtsError> {
-        self.submit_nowait(queries, d, Some(Instant::now() + deadline))?.wait()
-    }
-
     /// Submit without blocking; redeem the ticket with
     /// [`SearchTicket::wait`]. Admission control applies here: beyond
     /// [`ServiceConfig::queue_capacity`] unfinished requests this returns
@@ -471,24 +483,6 @@ impl QueryService {
         // slot and can never join a coalesced batch, where it would fail (or
         // silently change the answers of) every request batched with it.
         QueryBatch { queries, d, result_capacity: shared.config.result_capacity }.validate()?;
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return Err(TdtsError::ShuttingDown);
-        }
-        let capacity = shared.config.queue_capacity;
-        if shared
-            .in_flight
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| (n < capacity).then_some(n + 1))
-            .is_err()
-        {
-            shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(TdtsError::Overloaded);
-        }
-        shared.stats.admitted.fetch_add(1, Ordering::Relaxed);
-        shared
-            .stats
-            .max_queue_depth
-            .fetch_max(shared.in_flight.load(Ordering::SeqCst) as u64, Ordering::Relaxed);
-
         let slot = Arc::new(ResponseSlot::new());
         let request = PendingSearch {
             queries: queries.iter().copied().collect(),
@@ -497,19 +491,25 @@ impl QueryService {
             enqueued_at: Instant::now(),
             slot: Arc::clone(&slot),
         };
-        {
+        // Stop check, admission and push in one hold: workers exit once the
+        // flag is up and the queue is empty, so a request admitted after
+        // that would never resolve.
+        let depth = {
             let mut pending = shared.pending.lock().unwrap();
-            // Re-check under the lock: workers exit once the flag is up and
-            // the queue is empty, so a request pushed after that would never
-            // resolve.
-            if shared.shutdown.load(Ordering::SeqCst) {
-                drop(pending);
-                shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+            if pending.stopping {
                 return Err(TdtsError::ShuttingDown);
             }
+            if pending.in_flight >= shared.config.queue_capacity {
+                shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+                return Err(TdtsError::Overloaded);
+            }
+            pending.in_flight += 1;
             pending.queries += request.queries.len();
             pending.items.push_back(request);
-        }
+            pending.in_flight
+        };
+        shared.stats.admitted.fetch_add(1, Ordering::Relaxed);
+        shared.stats.max_queue_depth.fetch_max(depth as u64, Ordering::Relaxed);
         // Workers are interchangeable: whichever wakes re-checks the flush
         // triggers against the queue as it now stands.
         shared.pending_cv.notify_one();
@@ -519,17 +519,7 @@ impl QueryService {
     /// Stop accepting requests, finish everything already admitted, and
     /// join all threads. Idempotent; also runs on drop.
     pub fn shutdown(&self) {
-        // The stop flag must be raised while holding the pending lock:
-        // workers check it under that lock before parking, so an unlocked
-        // store could land (with its notify wasted) in the gap between a
-        // worker's check and its wait, leaving that worker asleep forever.
-        // Found by the model checker (`service/max-batch-flush`,
-        // lost-wakeup); same class as the `fixture/unlocked-done-store`
-        // defect.
-        {
-            let _pending = self.shared.pending.lock().unwrap();
-            self.shared.shutdown.store(true, Ordering::SeqCst);
-        }
+        self.shared.pending.lock().unwrap().stopping = true;
         self.shared.pending_cv.notify_all();
         for handle in self.workers.lock().unwrap().drain(..) {
             let _ = handle.join();
@@ -550,14 +540,13 @@ fn worker_loop(shared: &Shared) {
     let max_batch = shared.config.max_batch;
     let max_delay = shared.config.max_delay;
     loop {
-        let (batch, more) = {
+        let (batch, expired, more) = {
             let mut pending = shared.pending.lock().unwrap();
             loop {
-                let stopping = shared.shutdown.load(Ordering::SeqCst);
                 match pending.items.front() {
-                    None if stopping => return,
+                    None if pending.stopping => return,
                     None => pending = shared.pending_cv.wait(pending).unwrap(),
-                    Some(_) if stopping || pending.queries >= max_batch => break,
+                    Some(_) if pending.stopping || pending.queries >= max_batch => break,
                     Some(oldest) => {
                         let flush_at = oldest.enqueued_at + max_delay;
                         let now = Instant::now();
@@ -570,39 +559,30 @@ fn worker_loop(shared: &Shared) {
                     }
                 }
             }
-            let batch = pending.cut(max_batch);
-            (batch, !pending.items.is_empty())
+            let (batch, expired) = pending.cut(max_batch, Instant::now());
+            (batch, expired, !pending.items.is_empty())
         };
         if more {
             // What this cut left behind may already be due.
             shared.pending_cv.notify_one();
         }
-        run_batch(shared, batch);
+        // Expired requests are answered without costing kernel time; the cut
+        // already released their slots.
+        for request in expired {
+            request.slot.fulfill(Err(TdtsError::Timeout));
+        }
+        if !batch.requests.is_empty() {
+            run_batch(shared, batch);
+        }
     }
 }
 
 fn run_batch(shared: &Shared, batch: Batch) {
-    // Expired requests are answered (and released from the in-flight
-    // budget) without costing kernel time.
-    let now = Instant::now();
-    let mut live = Vec::with_capacity(batch.requests.len());
-    for request in batch.requests {
-        if request.deadline.is_some_and(|at| at <= now) {
-            request.slot.fulfill(Err(TdtsError::Timeout));
-            shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        } else {
-            live.push(request);
-        }
-    }
-    if live.is_empty() {
-        return;
-    }
-
     // Coalesce every request's queries into one store, remembering each
     // request's query-id range for the demux.
     let mut merged = SegmentStore::new();
-    let mut ranges = Vec::with_capacity(live.len());
-    for request in &live {
+    let mut ranges = Vec::with_capacity(batch.requests.len());
+    for request in &batch.requests {
         let lo = merged.len() as u32;
         for seg in request.queries.iter() {
             merged.push(*seg);
@@ -616,39 +596,47 @@ fn run_batch(shared: &Shared, batch: Batch) {
     // simplest kernel shape: no work queue or tile list to go wrong.
     let fallback = Some(KernelShape::ThreadPerQuery);
     let capacity = shared.config.result_capacity;
-    let mut used_fallback = shared.stats.degraded.load(Ordering::SeqCst);
+    // Whether the configured shape succeeded, when this batch tried it.
+    let mut configured_ok = None;
     let result = shared.engine.pin().and_then(|engine| {
-        if used_fallback {
+        if batch.degraded {
             return engine.search_shaped(&merged, batch.d, capacity, fallback);
         }
-        match engine.search(&merged, batch.d, capacity) {
-            Ok(outcome) => {
-                shared.consecutive_failures.store(0, Ordering::SeqCst);
-                Ok(outcome)
-            }
-            Err(_) => {
-                let failures = shared.consecutive_failures.fetch_add(1, Ordering::SeqCst) + 1;
-                if failures >= shared.config.max_consecutive_failures {
+        let outcome = engine.search(&merged, batch.d, capacity);
+        configured_ok = Some(outcome.is_ok());
+        outcome.or_else(|_| engine.search_shaped(&merged, batch.d, capacity, fallback))
+    });
+
+    // Record the outcome and release the batch's admission slots in one
+    // hold, before any ticket resolves: a client answered here may submit
+    // again at once and must find its slot free.
+    {
+        let mut pending = shared.pending.lock().unwrap();
+        match configured_ok {
+            Some(true) => pending.consecutive_failures = 0,
+            Some(false) => {
+                pending.consecutive_failures += 1;
+                if pending.consecutive_failures >= shared.config.max_consecutive_failures {
                     // Degrade permanently: every later batch goes straight
                     // to the fallback shape.
-                    shared.stats.degraded.store(true, Ordering::SeqCst);
+                    pending.degraded = true;
                 }
-                used_fallback = true;
-                engine.search_shaped(&merged, batch.d, capacity, fallback)
             }
+            None => {}
         }
-    });
+        pending.in_flight -= batch.requests.len();
+    }
 
     match result {
         Ok((found, report)) => {
-            if used_fallback {
+            if batch.degraded || configured_ok == Some(false) {
                 shared.stats.fallback_batches.fetch_add(1, Ordering::Relaxed);
             }
             let done = Instant::now();
             shared.stats.record_batch(merged.len(), done - batch.oldest, &report);
             // Demux: matches are in canonical order (sorted by query id
             // first), so each request's slice is contiguous.
-            for (request, &(lo, hi)) in live.iter().zip(&ranges) {
+            for (request, &(lo, hi)) in batch.requests.iter().zip(&ranges) {
                 let start = found.partition_point(|m| m.query < lo);
                 let end = found.partition_point(|m| m.query < hi);
                 let mut matches = found[start..end].to_vec();
@@ -659,23 +647,21 @@ fn run_batch(shared: &Shared, batch: Batch) {
                     matches,
                     report,
                     batch_queries: merged.len(),
-                    batch_requests: live.len(),
+                    batch_requests: batch.requests.len(),
                     waited: done - request.enqueued_at,
                 }));
                 if served {
                     shared.stats.served.fetch_add(1, Ordering::Relaxed);
                 }
-                shared.in_flight.fetch_sub(1, Ordering::SeqCst);
             }
         }
         Err(error) => {
             // Both shapes failed, or a failed window advance stopped the
             // service: every rider gets the typed error.
-            for request in &live {
+            for request in &batch.requests {
                 if request.slot.fulfill(Err(error.clone())) {
                     shared.stats.failed.fetch_add(1, Ordering::Relaxed);
                 }
-                shared.in_flight.fetch_sub(1, Ordering::SeqCst);
             }
         }
     }

@@ -2,17 +2,17 @@
 //! [`SearchReport`] (whose `LoadBalance` section aggregates across every
 //! batch the service executed).
 
-// Pure-observability counters stay on raw `std` atomics: they carry no
-// protocol decisions, and routing them through the tdts-sync shim would
-// only blow up the model checker's schedule space. The `degraded` flag
-// (drives the fallback-shape routing) and the cumulative-report lock go
-// through the shim.
-use std::sync::atomic::AtomicU64;
+// The counters are pure observability and stay on raw `std` atomics: they
+// carry no protocol decisions, and scheduling them would only blow up the
+// model checker's schedule space. The protocol state (admission count,
+// stop flag, failure streak, `degraded`) lives under the service's
+// pending-queue lock instead; the cumulative-report lock goes through the
+// shim.
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use tdts_core::ShardStats;
 use tdts_gpu_sim::SearchReport;
-use tdts_sync::atomic::{AtomicBool, Ordering};
 use tdts_sync::sync::Mutex;
 
 /// Lock-free counters the hot paths touch, plus the merged report.
@@ -28,7 +28,6 @@ pub(crate) struct StatsInner {
     pub(crate) batch_queries: AtomicU64,
     pub(crate) batch_latency_nanos: AtomicU64,
     pub(crate) max_queue_depth: AtomicU64,
-    pub(crate) degraded: AtomicBool,
     pub(crate) window_advances: AtomicU64,
     pub(crate) segments_ingested: AtomicU64,
     pub(crate) segments_expired: AtomicU64,
@@ -43,6 +42,7 @@ impl StatsInner {
         self.cumulative.lock().unwrap().merge(report);
     }
 
+    /// The counters; the caller fills in `degraded` and the shard fields.
     pub(crate) fn snapshot(&self) -> ServiceStats {
         let batches = self.batches.load(Ordering::Relaxed);
         let queries = self.batch_queries.load(Ordering::Relaxed);
@@ -62,7 +62,7 @@ impl StatsInner {
                 latency_nanos as f64 * 1e-9 / batches as f64
             },
             max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
+            degraded: false,
             window_advances: self.window_advances.load(Ordering::Relaxed),
             segments_ingested: self.segments_ingested.load(Ordering::Relaxed),
             segments_expired: self.segments_expired.load(Ordering::Relaxed),

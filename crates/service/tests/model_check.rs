@@ -123,18 +123,10 @@ fn service_with(config: ServiceConfig, index: MockIndex) -> QueryService {
     QueryService::start_with_engine(config, engine).expect("mock service start")
 }
 
-/// The bound for the harnesses with one client and one worker: two
-/// preemptions, the bound every tdts-sync defect fixture is caught at.
+/// Two preemptions, the bound every tdts-sync defect fixture is caught at.
+/// Every harness runs at it except `service/advance-vs-query/w2`.
 fn cfg() -> ModelConfig {
     ModelConfig::default().preemptions(2)
-}
-
-/// The bound for the harnesses with two clients or two workers. One
-/// preemption already reaches the notify-between-check-and-wait and
-/// shutdown-vs-flush races; at two their trees grow past 10^5 executions
-/// (`service/two-clients`: 139,794), too slow for every CI run.
-fn cfg_wide() -> ModelConfig {
-    ModelConfig::default().preemptions(1)
 }
 
 fn assert_exhaustive(report: &tdts_sync::model::ModelReport) {
@@ -164,7 +156,7 @@ fn submit_flushes_at_max_batch_boundary() {
 
 /// Submit → flush at the `max_delay` boundary. `max_batch` is far above
 /// the submitted query count, so the only way this batch ever flushes is
-/// the batcher's timed wait expiring — which in the model is a scheduler
+/// a worker's timed wait expiring — which in the model is a scheduler
 /// choice that advances the virtual clock, explored alongside the
 /// shutdown-triggered flush.
 #[test]
@@ -183,7 +175,7 @@ fn submit_flushes_at_max_delay_boundary() {
 /// them into one batch.
 #[test]
 fn concurrent_clients_each_get_their_answer() {
-    let report = check("service/two-clients", cfg_wide(), || {
+    let report = check("service/two-clients", cfg(), || {
         let svc = Arc::new(service(base_config().max_batch(2).build().unwrap()));
         let peer = Arc::clone(&svc);
         let client = thread::spawn(move || {
@@ -229,13 +221,18 @@ fn new_segment() -> [Segment; 1] {
 /// advance takes the engine gate exclusively against the workers' per-batch
 /// pins; every query must be answered and the advance must complete, under
 /// every interleaving. The two-worker run — two pins that can be live at
-/// once — has the largest tree of the suite at one preemption (114,492
-/// executions), above the default execution cap.
+/// once — has the largest tree of the suite even at one preemption (93,130
+/// executions), so it stays at that bound, with room above the default
+/// execution cap.
 #[test]
 fn advance_window_races_inflight_query() {
     for workers in [1, 2] {
         let name = format!("service/advance-vs-query/w{workers}");
-        let model = if workers == 1 { cfg() } else { cfg_wide().max_executions(250_000) };
+        let model = if workers == 1 {
+            cfg()
+        } else {
+            ModelConfig::default().preemptions(1).max_executions(250_000)
+        };
         let report = check(&name, model, move || {
             let config =
                 base_config().workers(workers).window(10.0).advance_every(1).build().unwrap();
@@ -353,8 +350,7 @@ fn prop_arrival_patterns_answer_exactly_once() {
             let per_client = 1 + rng.below(2) as usize;
             let max_batch = 1 + rng.below(3) as usize;
             let name = format!("service/prop-arrivals/c{clients}-q{per_client}-b{max_batch}");
-            let config = cfg_wide();
-            let report = check(&name, config, move || {
+            let report = check(&name, cfg(), move || {
                 let svc = Arc::new(service(base_config().max_batch(max_batch).build().unwrap()));
                 let ticket =
                     svc.submit_nowait(&queries(per_client), 0.5, None).expect("root admission");
@@ -379,6 +375,23 @@ fn prop_arrival_patterns_answer_exactly_once() {
             assert_exhaustive(&report);
         },
     );
+}
+
+/// A closed-loop client at the admission bound: with `queue_capacity(1)`,
+/// a request submitted as soon as the previous one's answer arrived must be
+/// admitted. A worker releases a batch's admission slots before it resolves
+/// any of its tickets, so an answered request never still holds its slot.
+#[test]
+fn resubmit_after_response_is_admitted() {
+    let report = check("service/resubmit-after-response", cfg(), || {
+        let svc = service(base_config().queue_capacity(1).build().unwrap());
+        for _ in 0..2 {
+            let response = svc.submit(&queries(1), 0.5).expect("closed-loop submit");
+            assert_eq!(response.matches.len(), 1);
+        }
+        svc.shutdown();
+    });
+    assert_exhaustive(&report);
 }
 
 /// Deadline expiry racing fulfilment: the client's deadline can fire

@@ -13,16 +13,22 @@
 //!
 //! ## Two build modes
 //!
-//! * **Normal builds** (the default): every type in [`sync`], [`thread`],
-//!   [`time`], and [`atomic`] is a plain re-export of its `std`
-//!   counterpart. Zero cost, byte-identical behavior — code written
-//!   against the shim compiles to exactly what it compiled to before.
+//! * **Normal builds** (the default): every type in [`sync`], [`thread`]
+//!   and [`time`] is a plain re-export of its `std` counterpart. Zero
+//!   cost, byte-identical behavior — code written against the shim
+//!   compiles to exactly what it compiled to before.
 //! * **`model-check` builds**: the same names resolve to shim types that
-//!   route every lock, wait, notify, spawn, join, and atomic access
-//!   through a virtual scheduler (`model::check`) which explores thread
+//!   route every lock, wait, notify, spawn and join through a virtual
+//!   scheduler (`model::check`) which explores thread
 //!   interleavings exhaustively up to a preemption bound. Outside a model
 //!   execution the shim types fall back to real `std` behavior, so
 //!   ordinary tests keep working even with the feature enabled.
+//!
+//! There are no protocol atomics. A flag that a condvar's waiters check
+//! under a lock belongs under that lock, as a plain field; both lost
+//! wakeups this checker ever found in the service were such flags stored
+//! outside it. Pure-observability counters stay on `std::sync::atomic`,
+//! invisible to the scheduler.
 //!
 //! ## What the checker detects
 //!
@@ -71,21 +77,6 @@ pub mod time {
     pub use crate::shim::Instant;
     #[cfg(not(feature = "model-check"))]
     pub use std::time::Instant;
-}
-
-/// Protocol atomics (`shutdown` flags, admission counters). Model builds
-/// make every operation a scheduling point — the model serialises threads,
-/// so all orderings collapse to sequential consistency, but the points
-/// *between* operations are where preemptions are injected. Keep
-/// pure-observability counters on `std::sync::atomic`; route only
-/// protocol-bearing flags through this module.
-pub mod atomic {
-    pub use std::sync::atomic::Ordering;
-
-    #[cfg(feature = "model-check")]
-    pub use crate::shim::{AtomicBool, AtomicU32, AtomicUsize};
-    #[cfg(not(feature = "model-check"))]
-    pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize};
 }
 
 /// A first-write-wins send tracker for oneshot-style slots.

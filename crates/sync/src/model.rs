@@ -2,12 +2,12 @@
 //! on `std` only.
 //!
 //! [`check`] runs a closure (the "root thread") under a virtual scheduler.
-//! Every shim operation — lock, unlock, Condvar wait/notify, spawn, join,
-//! protocol-atomic access — is a *schedule point*: the scheduler decides
-//! which thread runs next, and only one thread ever runs at a time. The
-//! set of decisions taken is a path in a tree; the checker explores that
-//! tree depth-first, backtracking over the last decision with an untried
-//! alternative, until the tree is exhausted or a bound is hit.
+//! Every shim operation — lock, unlock, Condvar wait/notify, spawn, join —
+//! is a *schedule point*: the scheduler decides which thread runs next,
+//! and only one thread ever runs at a time. The set of decisions taken is
+//! a path in a tree; the checker explores that tree depth-first,
+//! backtracking over the last decision with an untried alternative, until
+//! the tree is exhausted or a bound is hit.
 //!
 //! ## What bounds the search
 //!
@@ -32,8 +32,8 @@
 //!
 //! ## What a clean pass proves
 //!
-//! Within the preemption bound and the modelled semantics (sequentially
-//! consistent atomics, FIFO notify order), every explored schedule is free
+//! Within the preemption bound and the modelled semantics (threads
+//! serialised, FIFO notify order), every explored schedule is free
 //! of the finding kinds below. It is a *bounded* proof: schedules needing
 //! more preemptions, weak-memory reorderings, or OS-level wake reordering
 //! are out of model. See DESIGN.md §5 "Host concurrency model".
@@ -851,10 +851,6 @@ impl Ctx {
 
     pub(crate) fn notify(&self, cv: usize, all: bool) {
         self.exec.notify(self.id, cv, all);
-    }
-
-    pub(crate) fn atomic_point(&self) {
-        self.exec.point(self.id);
     }
 
     pub(crate) fn spawn(&self, body: Box<dyn FnOnce() + Send>) -> usize {

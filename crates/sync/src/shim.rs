@@ -1,5 +1,5 @@
 //! Scheduler-aware twins of `std::sync::{Mutex, Condvar}`,
-//! `std::thread::spawn`, `std::time::Instant`, and the protocol atomics.
+//! `std::thread::spawn` and `std::time::Instant`.
 //!
 //! Only compiled under the `model-check` feature. Every type here behaves
 //! exactly like its `std` counterpart when no model execution is active on
@@ -10,7 +10,6 @@
 
 use std::fmt;
 use std::ops::{Add, Deref, DerefMut, Sub};
-use std::sync::atomic::Ordering;
 use std::sync::{
     Condvar as StdCondvar, LockResult, Mutex as StdMutex, MutexGuard as StdMutexGuard, OnceLock,
     PoisonError,
@@ -435,95 +434,6 @@ impl Sub<Instant> for Instant {
 
     fn sub(self, rhs: Instant) -> Duration {
         self.duration_since(rhs)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Protocol atomics
-// ---------------------------------------------------------------------------
-
-macro_rules! model_atomic {
-    ($name:ident, $std:ty, $value:ty) => {
-        /// Model-aware protocol atomic: every operation is a schedule
-        /// point. The model serialises threads, so all memory orderings
-        /// collapse to sequential consistency; the `Ordering` argument is
-        /// accepted for API parity and forwarded to the inner `std`
-        /// atomic.
-        #[derive(Debug, Default)]
-        pub struct $name {
-            inner: $std,
-        }
-
-        impl $name {
-            /// See the `std::sync::atomic` counterpart.
-            pub const fn new(value: $value) -> $name {
-                $name { inner: <$std>::new(value) }
-            }
-
-            /// See the `std::sync::atomic` counterpart.
-            pub fn load(&self, order: Ordering) -> $value {
-                point();
-                self.inner.load(order)
-            }
-
-            /// See the `std::sync::atomic` counterpart.
-            pub fn store(&self, value: $value, order: Ordering) {
-                point();
-                self.inner.store(value, order);
-            }
-
-            /// See the `std::sync::atomic` counterpart.
-            pub fn swap(&self, value: $value, order: Ordering) -> $value {
-                point();
-                self.inner.swap(value, order)
-            }
-        }
-    };
-}
-
-model_atomic!(AtomicBool, std::sync::atomic::AtomicBool, bool);
-model_atomic!(AtomicU32, std::sync::atomic::AtomicU32, u32);
-model_atomic!(AtomicUsize, std::sync::atomic::AtomicUsize, usize);
-
-impl AtomicU32 {
-    /// See `std::sync::atomic::AtomicU32::fetch_add`.
-    pub fn fetch_add(&self, value: u32, order: Ordering) -> u32 {
-        point();
-        self.inner.fetch_add(value, order)
-    }
-}
-
-impl AtomicUsize {
-    /// See `std::sync::atomic::AtomicUsize::fetch_add`.
-    pub fn fetch_add(&self, value: usize, order: Ordering) -> usize {
-        point();
-        self.inner.fetch_add(value, order)
-    }
-
-    /// See `std::sync::atomic::AtomicUsize::fetch_sub`.
-    pub fn fetch_sub(&self, value: usize, order: Ordering) -> usize {
-        point();
-        self.inner.fetch_sub(value, order)
-    }
-
-    /// See `std::sync::atomic::AtomicUsize::fetch_update`.
-    pub fn fetch_update<F>(
-        &self,
-        set_order: Ordering,
-        fetch_order: Ordering,
-        f: F,
-    ) -> Result<usize, usize>
-    where
-        F: FnMut(usize) -> Option<usize>,
-    {
-        point();
-        self.inner.fetch_update(set_order, fetch_order, f)
-    }
-}
-
-fn point() {
-    if let Some(ctx) = model::current_op() {
-        ctx.atomic_point();
     }
 }
 

@@ -99,36 +99,33 @@ fn forgotten_notify_leaks_waiter() {
 }
 
 /// Fixture 4: a completion flag stored without the queue lock. The
-/// producer announces completion through an *atomic* flag stored without
-/// holding the queue lock, then notifies. The store+notify can land
-/// between the consumer's flag check (under the lock) and its wait
-/// registration — the consumer then waits forever on a condvar that was
-/// notified. This is the shape of both lost wakeups the checker found in
-/// `tdts-service`: the batcher thread's exit flag (that stage is gone;
-/// workers now cut their own batches) and `shutdown()`'s stop flag, which
-/// is still raised under the pending-queue lock for this reason (see
-/// DESIGN.md §5d).
+/// producer sets a flag that lives under a lock of its own, not the queue
+/// lock the condvar waits with, then notifies. The store+notify can land
+/// between the consumer's flag check (made while holding the queue lock)
+/// and its wait registration — the consumer then waits forever on a
+/// condvar that was notified. This is the shape of both lost wakeups the
+/// checker found in `tdts-service`: the batcher thread's exit flag and
+/// `shutdown()`'s stop flag. The service now keeps every such flag as a
+/// plain field under the lock its waiters check it under (DESIGN.md §5d).
 #[test]
 fn unlocked_done_flag_store_misses_wakeup() {
     let report = check("fixture/unlocked-done-store", cfg(), || {
-        use tdts_sync::atomic::{AtomicBool, Ordering};
-
         struct State {
             queue: Mutex<Vec<u32>>,
             cv: Condvar,
-            done: AtomicBool,
+            done: Mutex<bool>,
         }
         let state = Arc::new(State {
             queue: Mutex::new(vec![1]),
             cv: Condvar::new(),
-            done: AtomicBool::new(false),
+            done: Mutex::new(false),
         });
         let producer_state = Arc::clone(&state);
         let producer = thread::spawn(move || {
             // BUG: completion flag stored and notified without holding
             // the queue lock — it can fire between the consumer's check
             // and its wait registration.
-            producer_state.done.store(true, Ordering::SeqCst);
+            *producer_state.done.lock().unwrap() = true;
             producer_state.cv.notify_all();
         });
         let mut guard = state.queue.lock().unwrap();
@@ -137,7 +134,7 @@ fn unlocked_done_flag_store_misses_wakeup() {
                 assert_eq!(item, 1);
                 continue;
             }
-            if state.done.load(Ordering::SeqCst) {
+            if *state.done.lock().unwrap() {
                 break;
             }
             guard = state.cv.wait(guard).unwrap();

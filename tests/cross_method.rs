@@ -153,8 +153,9 @@ fn degenerate_geometry() {
 #[test]
 fn hostile_database_is_refused_at_build() {
     type Poison = fn(&mut Segment);
-    let kinds: [(&str, Poison); 3] = [
+    let kinds: [(&str, Poison); 4] = [
         ("t_end = NaN", |s| s.t_end = f64::NAN),
+        ("t_start = NaN", |s| s.t_start = f64::NAN),
         ("NaN coordinate", |s| s.start.y = f64::NAN),
         ("inverted interval", |s| s.t_end = s.t_start - 1.0),
     ];

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tdts::prelude::*;
 
@@ -86,7 +86,8 @@ fn timeout_and_queue_full_are_typed_errors() {
     let service = QueryService::start(&dataset, config).unwrap();
 
     // An already-expired deadline resolves as Timeout, not a hang.
-    let err = service.submit_with_deadline(&requests[0], D, Duration::ZERO).unwrap_err();
+    let deadline = Some(Instant::now());
+    let err = service.submit_nowait(&requests[0], D, deadline).unwrap().wait().unwrap_err();
     assert!(matches!(err, TdtsError::Timeout), "got {err:?}");
 
     // The timed-out request still occupies its admission slot until a worker
