@@ -282,7 +282,12 @@ where
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Condvar, Mutex, PoisonError};
 
-    let workers = std::thread::available_parallelism().map_or(1, |p| p.get()).min(n).max(1);
+    // The host's parallelism, read once: on Linux each query reads cgroup
+    // files, a cost on the order of the scoped spawn it sizes.
+    static HOST_THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    let host =
+        *HOST_THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
+    let workers = host.min(n).max(1);
     // About eight blocks per worker on small launches, so a few heavy
     // warps still spread over every worker.
     let block = (n / (workers * 8)).clamp(1, MAX_BLOCK);

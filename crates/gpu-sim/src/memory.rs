@@ -385,16 +385,17 @@ impl<T> Drop for ResultBuffer<T> {
 
 /// One warp's staged appends into a [`ResultBuffer`].
 ///
-/// Each lane stages matches into its own slot of the stash (a
+/// Lanes stage `(lane, record)` pairs into one flat buffer (a
 /// register/shared-memory tile on real hardware, sized by
 /// [`crate::DeviceConfig::warp_stash_capacity`]); [`commit`] then bumps the
 /// shared cursor **once** for the warp's whole batch and scatters the
-/// records contiguously.
+/// records contiguously, lane-major and in staging order within a lane.
 ///
 /// [`commit`]: WarpStash::commit
 pub struct WarpStash<'a, T> {
     buffer: &'a ResultBuffer<T>,
-    staged: Vec<Vec<T>>,
+    /// `(lane index, record)` in staging order, lanes interleaved.
+    staged: Vec<(usize, T)>,
     dropped: u64,
     /// Records successfully stored through this stash (sanitizer
     /// lost-record accounting; reset at every [`WarpStash::commit`]).
@@ -405,20 +406,12 @@ pub struct WarpStash<'a, T> {
 }
 
 impl<'a, T> WarpStash<'a, T> {
-    fn lane_slot(&mut self, lane_index: usize) -> &mut Vec<T> {
-        assert!(lane_index < MAX_WARP_LANES, "lane index {lane_index} out of range");
-        if self.staged.len() <= lane_index {
-            self.staged.resize_with(lane_index + 1, Vec::new);
-        }
-        &mut self.staged[lane_index]
-    }
-
     /// Stage `item` from a kernel lane: one ALU op. Capacity is only
     /// checked at [`WarpStash::commit`].
     #[inline]
     pub fn stage(&mut self, lane: &mut Lane, item: T) {
         lane.instr(1);
-        self.lane_slot(lane.lane_index()).push(item);
+        self.staged.push((lane.lane_index(), item));
     }
 
     /// Stage `item` on behalf of lane `lane_index` from the warp epilogue
@@ -426,7 +419,8 @@ impl<'a, T> WarpStash<'a, T> {
     /// to stage redo ids for dropped lanes.
     #[inline]
     pub fn stage_at(&mut self, lane_index: usize, item: T) {
-        self.lane_slot(lane_index).push(item);
+        assert!(lane_index < MAX_WARP_LANES, "lane index {lane_index} out of range");
+        self.staged.push((lane_index, item));
     }
 
     /// Record that `lane` lost a record without staging one (e.g. its
@@ -448,27 +442,30 @@ impl<'a, T> WarpStash<'a, T> {
     /// converged instructions per round and coalesced write bytes for the
     /// stored records.
     pub fn commit(&mut self, warp: &mut Warp) -> u64 {
-        let item_bytes = std::mem::size_of::<T>() as u64;
-        let total: usize = self.staged.iter().map(Vec::len).sum();
-        if total > 0 {
+        if !self.staged.is_empty() {
+            // Records per lane, then each lane's next slot: lane-major.
+            let mut next = [0usize; MAX_WARP_LANES];
+            for &(li, _) in &self.staged {
+                next[li] += 1;
+            }
             let cap = self.buffer.stash_capacity;
-            let flushes =
-                self.staged.iter().map(|s| s.len().div_ceil(cap)).max().unwrap_or(1) as u64;
+            let flushes = next.iter().map(|n| n.div_ceil(cap)).fold(0, usize::max) as u64;
             warp.instr(flushes * COMMIT_INSTR);
             warp.atomics(flushes);
-            let base = self.buffer.cursor.fetch_add(total, Ordering::Relaxed);
-            let mut offset = 0usize;
-            for li in 0..self.staged.len() {
-                for item in std::mem::take(&mut self.staged[li]) {
-                    if self.buffer.raw_write(base + offset, item) {
-                        warp.gmem_write(item_bytes);
-                        self.stored += 1;
-                    } else {
-                        self.lost += 1;
-                        self.dropped |= 1 << li;
-                    }
-                    offset += 1;
+            let mut slot = self.buffer.cursor.fetch_add(self.staged.len(), Ordering::Relaxed);
+            for n in &mut next {
+                slot += std::mem::replace(n, slot);
+            }
+            let item_bytes = std::mem::size_of::<T>() as u64;
+            for (li, item) in self.staged.drain(..) {
+                if self.buffer.raw_write(next[li], item) {
+                    warp.gmem_write(item_bytes);
+                    self.stored += 1;
+                } else {
+                    self.lost += 1;
+                    self.dropped |= 1 << li;
                 }
+                next[li] += 1;
             }
         }
         self.log_commit(warp);

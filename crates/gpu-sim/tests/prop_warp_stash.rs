@@ -1,8 +1,8 @@
 //! Property tests for warp-aggregated result writes: a [`WarpStash`] commit
 //! must behave like appending the lanes' records, in lane order, to a plain
-//! `Vec` truncated at the buffer's capacity — same stored multiset, same
-//! dropped-lane mask, same overflow flag — while paying one global atomic
-//! per flush round rather than one per record.
+//! `Vec` truncated at the buffer's capacity — same stored records in the
+//! same order, same dropped-lane mask, same overflow flag — while paying one
+//! global atomic per flush round rather than one per record.
 //!
 //! [`WarpStash`]: tdts_gpu_sim::WarpStash
 
@@ -57,6 +57,86 @@ proptest! {
         prop_assert_eq!(stored, model);
         prop_assert_eq!(dropped, model_dropped);
         prop_assert_eq!(overflowed, total > capacity);
+    }
+
+    /// Lanes stage in an arbitrary interleaving, as a tile scan's round
+    /// robin does, mixed with epilogue `stage_at`s and `mark_dropped`s. The
+    /// commit writes lane-major, each lane's records in staging order, and
+    /// charges the warp per flush round of the fullest lane.
+    #[test]
+    fn commit_is_lane_major_and_staging_stable(
+        capacity in 1usize..60,
+        lane_count in 1usize..=6,
+        // (op, lane, item): op 0..=5 stages from the lane, 6..=7 stages on
+        // its behalf, 8 marks it dropped.
+        ops in proptest::collection::vec((0u8..9, 0usize..6, 0u32..10_000), 0..64),
+    ) {
+        let dev = device();
+        let stash_capacity = dev.config().warp_stash_capacity;
+        let mut results = dev.alloc_result::<u32>(capacity).unwrap();
+        let mut warp = Warp::standalone(lane_count);
+        let mut stash = results.warp_stash();
+
+        let mut per_lane: Vec<Vec<u32>> = vec![Vec::new(); lane_count];
+        let mut lane_stages = vec![0u64; lane_count];
+        let mut marked = 0u64;
+        for &(op, lane, item) in &ops {
+            let li = lane % lane_count;
+            match op {
+                0..=5 => {
+                    stash.stage(&mut warp.lanes_mut()[li], item);
+                    lane_stages[li] += 1;
+                    per_lane[li].push(item);
+                }
+                6..=7 => {
+                    stash.stage_at(li, item);
+                    per_lane[li].push(item);
+                }
+                _ => {
+                    stash.mark_dropped(&warp.lanes_mut()[li]);
+                    marked |= 1 << li;
+                }
+            }
+        }
+        let dropped = stash.commit(&mut warp);
+        // The commit emptied the stash: a second one flushes and charges
+        // nothing.
+        let first = *warp.counters();
+        prop_assert_eq!(stash.commit(&mut warp), 0);
+        prop_assert_eq!(*warp.counters(), first);
+        let overflowed = results.overflowed();
+        let stored = results.drain_to_host();
+
+        // The model: lanes concatenated in lane order, cut at capacity.
+        let mut model: Vec<u32> = Vec::new();
+        let mut model_dropped = marked;
+        for (li, items) in per_lane.iter().enumerate() {
+            for &item in items {
+                if model.len() < capacity {
+                    model.push(item);
+                } else {
+                    model_dropped |= 1 << li;
+                }
+            }
+        }
+        let total: usize = per_lane.iter().map(Vec::len).sum();
+        prop_assert_eq!(&stored, &model);
+        prop_assert_eq!(dropped, model_dropped);
+        prop_assert_eq!(overflowed, total > capacity);
+
+        // One flush round per `warp_stash_capacity` records of the fullest
+        // lane, each `COMMIT_INSTR` (8) converged instructions and one
+        // atomic; coalesced write bytes for the stored records only.
+        let rounds = per_lane.iter().map(|items| items.len().div_ceil(stash_capacity)).max();
+        let rounds = rounds.unwrap_or(0) as u64;
+        let counters = warp.counters();
+        prop_assert_eq!(counters.instructions, rounds * 8);
+        prop_assert_eq!(counters.atomics, rounds);
+        prop_assert_eq!(counters.gmem_write_bytes, (stored.len() * 4) as u64);
+        prop_assert_eq!(counters.gmem_read_bytes, 0);
+        for (lane, &stages) in warp.lanes_mut().iter().zip(&lane_stages) {
+            prop_assert_eq!(lane.counters().instructions, stages);
+        }
     }
 
     /// A full launch writing through the warp stash performs one

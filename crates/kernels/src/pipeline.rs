@@ -24,7 +24,10 @@
 //! iteration, per-round scratch state, tile construction, and which
 //! [`DeviceSegments`](crate::DeviceSegments) scan a tile's tag selects.
 //! Everything else — result/redo buffers, downloads, ledger charges and
-//! report totals — lives here once.
+//! report totals — lives here once. A warp's (or tile's) comparison count
+//! rides in its staged state with its matches and is summed in the ordered
+//! epilogue, which runs one warp at a time, so no kernel body writes a
+//! counter that other host workers share.
 
 use crate::segments::DeviceQueries;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -173,14 +176,14 @@ pub(crate) fn run_thread_per_query<G: CandidateGenerator>(
                     scratch_bytes += work.scratch_bytes;
                     compared += work.compared;
                 });
-                // One host atomic per warp for the comparison count.
-                comparisons.fetch_add(compared, Ordering::Relaxed);
                 generator.end_warp(warp, &round, scratch_bytes);
-                (stash, qids)
+                (stash, qids, compared)
             },
-            // Warp epilogue, in warp order: one cursor bump for the warp's
-            // matches, then stage redo ids for lanes that lost records.
-            |warp, (mut stash, qids)| {
+            // Warp epilogue, in warp order: the comparison count, one cursor
+            // bump for the warp's matches, then redo ids for lanes that lost
+            // records.
+            |warp, (mut stash, qids, compared)| {
+                comparisons.fetch_add(compared, Ordering::Relaxed);
                 let dropped = stash.commit(warp);
                 if dropped != 0 {
                     let mut redo_stash = redo.warp_stash();
@@ -271,12 +274,11 @@ pub(crate) fn run_warp_per_tile<G: TileGenerator>(
                     generator.refine_tile(warp, &tile, &q, |lane, entry_pos, interval| {
                         stash.stage(lane, MatchRecord::new(tile.query, entry_pos, interval))
                     });
-                // One host atomic per tile for the comparison count.
-                comparisons.fetch_add(compared, Ordering::Relaxed);
-                (stash, tile.query)
+                (stash, tile.query, compared)
             },
             // Tile epilogue, in queue order.
-            |warp, (mut stash, query)| {
+            |warp, (mut stash, query, compared)| {
+                comparisons.fetch_add(compared, Ordering::Relaxed);
                 if stash.commit(warp) != 0 {
                     // Any lost record re-queues the whole query.
                     let mut redo_stash = redo.warp_stash();

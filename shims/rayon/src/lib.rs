@@ -16,9 +16,13 @@ pub mod prelude {
     };
 }
 
-/// Number of worker threads for a work size of `n` items.
+/// Number of worker threads for a work size of `n` items. The host's
+/// parallelism is read once: on Linux each query reads cgroup files.
 fn threads_for(n: usize) -> usize {
-    std::thread::available_parallelism().map(|t| t.get()).unwrap_or(1).min(n).max(1)
+    static HOST_THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    let host =
+        *HOST_THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |t| t.get()));
+    host.min(n).max(1)
 }
 
 /// Parallel ordered map: apply `f` to every item, preserving order.
