@@ -17,8 +17,12 @@
 //! threads. The per-shard result slices come back in shard-local query and
 //! entry positions; the merge path translates both back (sub-batch query
 //! ids via the shard's routing map, entry positions via `to_global`),
-//! concatenates, and canonicalises with [`dedup_matches`]. The result set
-//! is therefore *byte-identical* to running the same method unsharded on
+//! concatenates, and canonicalises with [`dedup_matches`]. Each shard's
+//! slice is already a canonical run, and the dedup counting-sorts the
+//! concatenation by query id and sorts each query's run alone, so the
+//! merge is linear in the records and runs on the calling thread. The
+//! canonical order is total, its only ties byte-identical records, so the
+//! result set is *byte-identical* to running the same method unsharded on
 //! one device — the single-device simulator stays the oracle.
 //!
 //! Accounting follows the same discipline: per-device ledgers aggregate

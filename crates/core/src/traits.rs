@@ -30,13 +30,14 @@ pub struct QueryBatch<'a> {
 
 impl QueryBatch<'_> {
     /// Refuse a threshold or a query segment no exact search can answer.
-    /// Every comparison against NaN is false and a negative `d` is squared
-    /// away, so without this check a release build returns a confidently
-    /// wrong result set — a different one per method — instead of an error.
+    /// Every comparison against NaN is false, a negative `d` is squared
+    /// away and a `d` above about 1.3e154 squares to infinity, so without
+    /// this check a release build returns a confidently wrong result set —
+    /// a different one per method — instead of an error.
     pub fn validate(&self) -> Result<(), TdtsError> {
-        if !(self.d.is_finite() && self.d >= 0.0) {
+        if !(self.d >= 0.0 && (self.d * self.d).is_finite()) {
             return Err(TdtsError::InvalidConfig(format!(
-                "distance threshold d must be finite and non-negative, got {}",
+                "distance threshold d must be non-negative with a finite square, got {}",
                 self.d
             )));
         }

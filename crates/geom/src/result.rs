@@ -1,7 +1,8 @@
 //! Result records of a distance threshold search.
 
+use std::cmp::Ordering;
+
 use crate::TimeInterval;
-use rayon::prelude::*;
 
 /// One element of the final result set: a query/entry pair annotated with
 /// the time interval during which the two segments are within the threshold
@@ -52,19 +53,68 @@ impl MatchRecord {
 /// differs in its interval is never silently swallowed by a neighbour
 /// that happens to share its pair.
 ///
-/// Result sets reach millions of records at benchmark scales and this sort
-/// sits on the timed host path, so it runs in parallel. The interval
-/// tiebreak (IEEE total order, robust to NaN) keeps the canonical order
-/// deterministic regardless of how kernel scheduling or shard interleaving
-/// ordered the records.
+/// The order is total — the interval tiebreak is IEEE total order, robust
+/// to NaN and `-0.0` — and its only ties are byte-identical records, so
+/// the canonical set is deterministic however kernel scheduling or shard
+/// interleaving ordered the input. The sort runs on the calling thread in
+/// linear time on search output: query ids are dense batch positions, so
+/// the records are counting-sorted by query (skipped when they already
+/// come in query order) and each query's short run, often already in
+/// entry order, is sorted on its own. Query ids sparse relative to the
+/// record count fall back to one comparison sort.
 pub fn dedup_matches(matches: &mut Vec<MatchRecord>) {
-    matches.par_sort_unstable_by(|a, b| {
-        a.key()
-            .cmp(&b.key())
-            .then(a.interval.start.total_cmp(&b.interval.start))
-            .then(a.interval.end.total_cmp(&b.interval.end))
-    });
+    if matches.is_sorted_by_key(|m| m.query) {
+        sort_query_runs(matches);
+    } else {
+        let buckets = matches.iter().map(|m| m.query as usize + 1).max().unwrap_or(0);
+        if buckets <= BUCKETS_PER_RECORD * matches.len() {
+            bucket_by_query(matches, buckets);
+            sort_query_runs(matches);
+        } else {
+            matches.sort_unstable_by(|a, b| a.query.cmp(&b.query).then_with(|| within_query(a, b)));
+        }
+    }
     matches.dedup_by_key(|m| m.dedup_key());
+}
+
+/// Counting-sort buckets allowed per record before the bucket array costs
+/// more than a comparison sort.
+const BUCKETS_PER_RECORD: usize = 4;
+
+/// The canonical order among the records of one query.
+#[inline]
+fn within_query(a: &MatchRecord, b: &MatchRecord) -> Ordering {
+    a.entry
+        .cmp(&b.entry)
+        .then_with(|| a.interval.start.total_cmp(&b.interval.start))
+        .then_with(|| a.interval.end.total_cmp(&b.interval.end))
+}
+
+/// Sort each run of equal query ids of a query-ordered `matches`.
+fn sort_query_runs(matches: &mut [MatchRecord]) {
+    for run in matches.chunk_by_mut(|a, b| a.query == b.query) {
+        run.sort_unstable_by(within_query);
+    }
+}
+
+/// Stable counting sort of `matches` by query id (every id below
+/// `buckets`). Counts are taken per run of equal ids, because search
+/// output arrives grouped by query.
+fn bucket_by_query(matches: &mut Vec<MatchRecord>, buckets: usize) {
+    let mut next = vec![0usize; buckets + 1];
+    for run in matches.chunk_by(|a, b| a.query == b.query) {
+        next[run[0].query as usize + 1] += run.len();
+    }
+    for b in 1..buckets {
+        next[b] += next[b - 1];
+    }
+    let mut sorted = matches.clone();
+    for m in matches.iter() {
+        let slot = &mut next[m.query as usize];
+        sorted[*slot] = *m;
+        *slot += 1;
+    }
+    *matches = sorted;
 }
 
 /// Compare two *canonicalised* result sets for equality up to interval

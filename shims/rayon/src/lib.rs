@@ -1,19 +1,15 @@
-//! Offline stand-in for `rayon`: the parallel-iterator and parallel-sort
-//! surface this workspace uses, implemented with real OS threads via
+//! Offline stand-in for `rayon`: the parallel-iterator surface this
+//! workspace uses, implemented with real OS threads via
 //! `std::thread::scope` (no thread pool — threads are spawned per
 //! operation, which is fine at this workspace's granularity: operations
-//! are kernel launches, oracle sweeps, and large sorts).
+//! are kernel launches, oracle sweeps and CPU-RTree batch searches).
 //!
 //! Semantics preserved from rayon:
 //! * `collect()` keeps input order;
 //! * panics in worker closures propagate to the caller.
 
-use std::cmp::Ordering;
-
 pub mod prelude {
-    pub use crate::{
-        IntoParallelIterator, IntoParallelRefIterator, ParallelIterator, ParallelSliceMut,
-    };
+    pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParallelIterator};
 }
 
 /// Number of worker threads for a work size of `n` items. The host's
@@ -162,43 +158,6 @@ impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
     }
 }
 
-/// Parallel sort. Strategy: sort contiguous chunks on worker threads,
-/// then run the std stable sort over the whole slice — timsort detects the
-/// pre-sorted runs and performs only the O(n log k) merge work, so the
-/// comparison-heavy O(n log n) phase is what parallelizes. The result is
-/// stable, which satisfies the unstable contract.
-pub trait ParallelSliceMut<T: Send> {
-    fn as_parallel_slice_mut(&mut self) -> &mut [T];
-
-    fn par_sort_unstable_by<F>(&mut self, cmp: F)
-    where
-        F: Fn(&T, &T) -> Ordering + Sync,
-    {
-        let slice = self.as_parallel_slice_mut();
-        let n = slice.len();
-        let threads = threads_for(n);
-        if threads <= 1 || n < 4096 {
-            slice.sort_by(|a, b| cmp(a, b));
-            return;
-        }
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|s| {
-            for part in slice.chunks_mut(chunk) {
-                let cmp = &cmp;
-                s.spawn(move || part.sort_by(|a, b| cmp(a, b)));
-            }
-        });
-        // Merge the sorted runs (run-adaptive stable sort).
-        slice.sort_by(|a, b| cmp(a, b));
-    }
-}
-
-impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn as_parallel_slice_mut(&mut self) -> &mut [T] {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
@@ -218,16 +177,6 @@ mod tests {
             .collect();
         assert_eq!(v.len(), 300);
         assert_eq!(&v[..4], &[0, 1, 2, 10]);
-    }
-
-    #[test]
-    fn par_sort_sorts() {
-        // Keys with many duplicates; payload records original position.
-        let mut v: Vec<(u32, usize)> = (0..50_000).map(|i| ((i * 7919 % 100) as u32, i)).collect();
-        v.par_sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        assert!(v.windows(2).all(|w| w[0].0 <= w[1].0));
-        // The merge pass is stable: equal keys keep their original order.
-        assert!(v.windows(2).all(|w| w[0].0 < w[1].0 || w[0].1 < w[1].1));
     }
 
     #[test]

@@ -193,3 +193,43 @@ fn hostile_database_is_refused_at_build() {
         }
     }
 }
+
+/// A threshold whose square overflows is refused as a typed error by every
+/// method, unsharded and sharded: `d = 1e155` squared to infinity, and
+/// unchecked it tripped a debug assertion on two segments 5 units apart and
+/// returned no match at all in release builds. The largest accepted
+/// thresholds still answer exactly, their overflowing discriminants
+/// included.
+#[test]
+fn hostile_huge_d_is_refused() {
+    let dataset = PreparedDataset::new(
+        RandomWalkConfig { trajectories: 4, timesteps: 10, ..Default::default() }.generate(),
+    );
+    let queries: SegmentStore = dataset.store().iter().step_by(5).copied().collect();
+    let sharding = ShardedIndexConfig::builder().shards(2).build().unwrap();
+    for method in common::methods(8, 500_000) {
+        let unsharded = SearchEngine::build(&dataset, method, device()).unwrap();
+        let sharded =
+            SearchEngine::build_sharded(&dataset, method, &DeviceConfig::tesla_c2075(), &sharding)
+                .unwrap();
+        for (layout, engine) in [("unsharded", unsharded), ("2 shards", sharded)] {
+            for d in [1e155, f64::MAX] {
+                let who = format!("{}, {layout}, d = {d}", method.name());
+                match engine.search(&queries, d, 2_000_000) {
+                    Err(TdtsError::InvalidConfig(message)) => {
+                        assert!(message.contains("finite square"), "{who}: {message}")
+                    }
+                    Err(other) => panic!("{who}: expected InvalidConfig, got {other:?}"),
+                    Ok(_) => panic!("{who}: an overflowing threshold was accepted"),
+                }
+            }
+            for d in [1e150, 1e154] {
+                let who = format!("{}, {layout}, d = {d}", method.name());
+                let (got, _) = engine.search(&queries, d, 2_000_000).expect(&who);
+                let expect = brute_force_search(dataset.store(), &queries, d);
+                assert!(!expect.is_empty(), "{who}: every overlapping pair matches");
+                common::assert_byte_identical(&got, &expect, &who);
+            }
+        }
+    }
+}

@@ -120,7 +120,8 @@ fn hostile_d_is_refused_before_admission() {
         .unwrap();
     let service = QueryService::start(&dataset, config).unwrap();
 
-    for d in [f64::NAN, -1.0, f64::INFINITY] {
+    // 1e155 is finite, but its square is not.
+    for d in [f64::NAN, -1.0, f64::INFINITY, 1e155] {
         let err = service.submit_nowait(&requests[0], d, None).unwrap_err();
         assert!(matches!(err, TdtsError::InvalidConfig(_)), "d = {d}: got {err:?}");
     }
