@@ -1,7 +1,7 @@
 //! Unified engine over the paper's search implementations.
 
 use std::sync::Arc;
-use tdts_geom::{MatchRecord, Segment, SegmentStore};
+use tdts_geom::{first_invalid, MatchRecord, Segment, SegmentStore};
 use tdts_gpu_sim::SearchError;
 use tdts_gpu_sim::{Device, KernelShape, SearchReport};
 use tdts_index_spatial::{GpuSpatialConfig, GpuSpatialSearch};
@@ -69,14 +69,13 @@ impl Method {
 }
 
 /// Refuse a database holding a segment that is not
-/// [valid](Segment::is_valid), naming its position: the index methods prune
-/// on different coordinates, so such a segment would make them disagree
-/// (or panic) instead of erroring.
+/// [valid](Segment::is_valid), naming its position and the rule it breaks:
+/// the index methods prune on different coordinates, and past the numeric
+/// domain the distance test overflows, so such a segment would make them
+/// disagree (or panic) instead of erroring.
 pub(crate) fn check_database(store: &SegmentStore) -> Result<(), TdtsError> {
-    match store.iter().position(|s| !s.is_valid()) {
-        Some(bad) => Err(TdtsError::InvalidConfig(format!(
-            "database segment {bad} has a non-finite coordinate or t_start > t_end"
-        ))),
+    match first_invalid(store.iter()) {
+        Some(bad) => Err(TdtsError::InvalidConfig(format!("database {bad}"))),
         None => Ok(()),
     }
 }
@@ -343,7 +342,7 @@ impl SearchEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdts_geom::{Point3, SegId, Segment, TrajId};
+    use tdts_geom::{Point3, SegId, Segment, TrajId, DOMAIN_BOUND};
     use tdts_gpu_sim::{DeviceConfig, Phase};
     use tdts_index_spatial::FsgConfig;
 
@@ -408,10 +407,11 @@ mod tests {
         assert!(!reference.unwrap().is_empty());
     }
 
-    /// NaN, negative and infinite thresholds, and query segments with a
-    /// non-finite coordinate or an inverted interval, are refused at every
-    /// `TrajectoryIndex::search` entry point (every `GpuSearch` scheme, the
-    /// CPU baseline, the sharded index); `d = 0` is a valid query.
+    /// NaN, negative, infinite and past-the-domain thresholds, and query
+    /// segments outside the numeric domain or with an inverted interval,
+    /// are refused at every `TrajectoryIndex::search` entry point (every
+    /// `GpuSearch` scheme, the CPU baseline, the sharded index); `d = 0`
+    /// and `d = DOMAIN_BOUND` are valid queries.
     #[test]
     fn hostile_d_is_a_typed_error_at_every_entry_point() {
         let dataset = PreparedDataset::new(store(40));
@@ -431,7 +431,7 @@ mod tests {
             .unwrap(),
         );
         for engine in &engines {
-            for d in [f64::NAN, -1.0, f64::INFINITY, f64::NEG_INFINITY] {
+            for d in [f64::NAN, -1.0, f64::INFINITY, f64::NEG_INFINITY, 2.0 * DOMAIN_BOUND] {
                 let err = engine.search(&queries, d, 20_000).unwrap_err();
                 assert!(
                     matches!(err, TdtsError::InvalidConfig(_)),
@@ -440,6 +440,7 @@ mod tests {
                 );
             }
             engine.search(&queries, 0.0, 20_000).unwrap();
+            engine.search(&queries, DOMAIN_BOUND, 20_000).unwrap();
             for poison in hostile_segments(*queries.get(3)) {
                 let mut poisoned = queries.segments().to_vec();
                 poisoned[3] = poison;
@@ -453,16 +454,21 @@ mod tests {
         }
     }
 
-    /// `valid` with one field made hostile, one variant per way the methods
-    /// used to disagree: a NaN coordinate, an infinite coordinate, a NaN
-    /// timestamp (which also defeats the `t_start <= t_end` ordering), and a
-    /// finite but inverted interval.
-    fn hostile_segments(valid: Segment) -> [Segment; 4] {
-        let mut hostile = [valid; 4];
+    /// `valid` made hostile, one variant per way the methods used to
+    /// disagree: a NaN coordinate, an infinite coordinate, a NaN timestamp
+    /// (which also defeats the `t_start <= t_end` ordering), a finite but
+    /// inverted interval, and finite endpoints whose velocity squared
+    /// overflows (x from −2e154 to 2e154 in one time unit), which the
+    /// solver turned into NaN roots and a match over the whole overlap.
+    fn hostile_segments(valid: Segment) -> [Segment; 5] {
+        let mut hostile = [valid; 5];
         hostile[0].start.x = f64::NAN;
         hostile[1].end.x = f64::INFINITY;
         hostile[2].t_end = f64::NAN;
         hostile[3].t_end = valid.t_start - 1.0;
+        hostile[4].start.x = -2e154;
+        hostile[4].end.x = 2e154;
+        hostile[4].t_end = valid.t_start + 1.0;
         hostile
     }
 

@@ -6,7 +6,9 @@
 
 use std::sync::Arc;
 use std::time::Instant;
-use tdts_geom::{AppendDelta, ExpireDelta, MatchRecord, SegmentStore};
+use tdts_geom::{
+    check_threshold, first_invalid, AppendDelta, ExpireDelta, MatchRecord, SegmentStore,
+};
 use tdts_gpu_sim::{KernelShape, Phase, SearchReport};
 use tdts_kernels::{GpuSearch, Scheme};
 use tdts_rtree::{RTree, RTreeConfig};
@@ -29,24 +31,19 @@ pub struct QueryBatch<'a> {
 }
 
 impl QueryBatch<'_> {
-    /// Refuse a threshold or a query segment no exact search can answer.
+    /// Refuse a threshold or a query segment outside the
+    /// [numeric domain](tdts_geom::DOMAIN_BOUND): `d` must satisfy
+    /// `0 ≤ d ≤ 2¹⁶⁰` and every query be [valid](tdts_geom::Segment::is_valid).
     /// Every comparison against NaN is false, a negative `d` is squared
-    /// away and a `d` above about 1.3e154 squares to infinity, so without
-    /// this check a release build returns a confidently wrong result set —
-    /// a different one per method — instead of an error.
+    /// away, and past the domain the distance test's coefficients overflow,
+    /// so without this check a release build returns a confidently wrong
+    /// result set — a different one per method — instead of an error.
     pub fn validate(&self) -> Result<(), TdtsError> {
-        if !(self.d >= 0.0 && (self.d * self.d).is_finite()) {
-            return Err(TdtsError::InvalidConfig(format!(
-                "distance threshold d must be non-negative with a finite square, got {}",
-                self.d
-            )));
+        check_threshold(self.d).map_err(TdtsError::InvalidConfig)?;
+        match first_invalid(self.queries.iter()) {
+            Some(bad) => Err(TdtsError::InvalidConfig(format!("query {bad}"))),
+            None => Ok(()),
         }
-        if let Some(bad) = self.queries.iter().position(|q| !q.is_valid()) {
-            return Err(TdtsError::InvalidConfig(format!(
-                "query segment {bad} has a non-finite coordinate or t_start > t_end"
-            )));
-        }
-        Ok(())
     }
 }
 

@@ -9,7 +9,7 @@
 //! This is the refinement step (`compare()` in Algorithms 1–3 of the paper):
 //! it is exact — no time sampling is involved.
 
-use crate::{Point3, Segment, TimeInterval};
+use crate::{check_threshold, Point3, Segment, TimeInterval};
 
 /// Affine position model `p(t) = base + v t` of a segment over its extent,
 /// as `(v, base)`.
@@ -84,14 +84,15 @@ pub struct PreparedQuery {
 impl PreparedQuery {
     /// Prepare `q` for tests at distance `d`.
     ///
-    /// `d` must be non-negative with a finite square. That is a
-    /// precondition, not a check: `QueryBatch::validate` refuses any other
-    /// `d` as a typed error at every search entry point, and the assertion
+    /// `q` and `d` must lie in the [numeric domain](crate::DOMAIN_BOUND):
+    /// `q` [valid](Segment::is_valid) and `0 ≤ d ≤ 2¹⁶⁰`. That is a
+    /// precondition, not a check: `QueryBatch::validate` refuses anything
+    /// else as a typed error at every search entry point, and the assertion
     /// here only catches a caller inside the workspace that bypassed it
     /// (debug builds).
     #[inline]
     pub fn new(q: &Segment, d: f64) -> PreparedQuery {
-        debug_assert!(d >= 0.0 && (d * d).is_finite(), "invalid query distance {d}");
+        debug_assert!(check_threshold(d).is_ok(), "invalid query distance {d}");
         PreparedQuery { span: q.time_span(), model: affine_model(q), d2: d * d }
     }
 
@@ -124,17 +125,30 @@ impl PreparedQuery {
             return if c0 <= self.d2 { Some(ov) } else { None };
         }
 
-        // Solve c2 t^2 + c1 t + (c0 - d2) <= 0.
+        // Solve c2 t^2 + c1 t + (c0 - d2) <= 0. Every coefficient and the
+        // discriminant are finite inside the numeric domain (DOMAIN_BOUND).
         let c = c0 - self.d2;
         let disc = c1 * c1 - 4.0 * c2 * c;
         if disc < 0.0 {
             return None; // never within d
         }
-        if !disc.is_finite() {
-            // +inf, or NaN from inf − inf: the discriminant overflowed.
-            return within_rescaled(c2, c1, c, ov);
+        // Numerically stable root computation (avoids cancellation when
+        // c1 and sqrt(disc) are close in magnitude).
+        let sq = disc.sqrt();
+        let q = -0.5 * (c1 + c1.signum() * sq);
+        // q == 0 only when c1 == 0 exactly, where q/c2 and c/q divide by zero.
+        // lint: allow(float-eq): exact-zero algebraic guard, not a threshold test
+        let (mut r0, mut r1) = if q != 0.0 {
+            (q / c2, c / q)
+        } else {
+            // c1 == 0 and disc == c1^2 - 4 c2 c >= 0: symmetric roots.
+            let r = (-c / c2).max(0.0).sqrt();
+            (-r, r)
+        };
+        if r0 > r1 {
+            std::mem::swap(&mut r0, &mut r1);
         }
-        within_roots(c2, c1, c, disc, ov)
+        TimeInterval::new(r0, r1).intersect(&ov)
     }
 
     /// [`within_prepared`](PreparedQuery::within_prepared) against an
@@ -145,67 +159,19 @@ impl PreparedQuery {
     }
 }
 
-/// The sub-interval of `ov` where `c2 t² + c1 t + c <= 0`, given its
-/// discriminant `disc >= 0` (`c2 > 0`).
-#[inline(always)]
-fn within_roots(c2: f64, c1: f64, c: f64, disc: f64, ov: TimeInterval) -> Option<TimeInterval> {
-    // Numerically stable root computation (avoids cancellation when
-    // c1 and sqrt(disc) are close in magnitude).
-    let sq = disc.sqrt();
-    let q = -0.5 * (c1 + c1.signum() * sq);
-    // q == 0 only when c1 == 0 exactly, where q/c2 and c/q divide by zero.
-    // lint: allow(float-eq): exact-zero algebraic guard, not a threshold test
-    let (mut r0, mut r1) = if q != 0.0 {
-        (q / c2, c / q)
-    } else {
-        // c1 == 0 and disc == c1^2 - 4 c2 c >= 0: symmetric roots.
-        let r = (-c / c2).max(0.0).sqrt();
-        (-r, r)
-    };
-    if r0 > r1 {
-        std::mem::swap(&mut r0, &mut r1);
-    }
-    TimeInterval::new(r0, r1).intersect(&ov)
-}
-
-/// [`within_roots`] for a discriminant that overflowed (a large `d` or a
-/// fast relative motion): all three coefficients are first scaled by one
-/// power of two, chosen so both terms of the discriminant land below 4.
-/// Such scaling is exact and leaves the roots unchanged, so the answer is
-/// the one unbounded-exponent arithmetic would give (unless a scaled
-/// coefficient falls below the normal range). Out of line, so the
-/// refinement scans' hot path carries one compare for it.
-#[cold]
-fn within_rescaled(c2: f64, c1: f64, c: f64, ov: TimeInterval) -> Option<TimeInterval> {
-    if !(c2.is_finite() && c1.is_finite() && c.is_finite()) {
-        return within_roots(c2, c1, c, c1 * c1 - 4.0 * c2 * c, ov);
-    }
-    // Binary exponent of a positive finite value (subnormals read as -1023).
-    let exponent = |x: f64| ((x.to_bits() >> 52) & 0x7ff) as i32 - 1023;
-    // 2^-e for 0 <= e <= 1022.
-    let inverse_pow2 = |e: i32| f64::from_bits(((1023 - e) as u64) << 52);
-    // |c1| < 2^k and 2·sqrt(c2·|c|) < 2^(k+1).
-    let k = exponent(c1.abs()).max(exponent(c2.sqrt()) + exponent(c.abs().sqrt()) + 1).max(0) + 1;
-    // In two steps, because 2^-k may be subnormal; each is exact.
-    let (s1, s2) = (inverse_pow2(k / 2), inverse_pow2(k - k / 2));
-    let (c2, c1, c) = (c2 * s1 * s2, c1 * s1 * s2, c * s1 * s2);
-    let disc = c1 * c1 - 4.0 * c2 * c;
-    if disc < 0.0 {
-        return None;
-    }
-    within_roots(c2, c1, c, disc, ov)
-}
-
 /// The continuous distance threshold test.
 ///
 /// Returns the closed sub-interval of the temporal overlap of `a` and `b`
 /// during which the two moving points are within Euclidean distance `d`,
 /// or `None` if they never are (or never overlap temporally).
 ///
-/// `d` must be non-negative with a finite square. That is a precondition:
-/// `QueryBatch::validate` is the enforcing boundary — every search entry
-/// point and the service's admission refuse any other `d` with a typed
-/// error before a comparison runs.
+/// `a`, `b` and `d` must lie in the [numeric domain](crate::DOMAIN_BOUND),
+/// inside which every coefficient of the quadratic is finite, so the
+/// answer is exact up to their rounding. That is a precondition:
+/// `QueryBatch::validate` and the
+/// database and ingest checks are the enforcing boundary — every search
+/// entry point and the service's admission refuse anything else with a
+/// typed error before a comparison runs.
 ///
 /// There is one solver: this is [`PreparedQuery::new`]`(a, d)` followed by
 /// [`within_prepared`](PreparedQuery::within_prepared) against
@@ -350,26 +316,6 @@ mod tests {
         let r = within_distance(&a, &b, 0.6).unwrap();
         assert_eq!(r, TimeInterval::new(1.0, 1.0));
         assert_eq!(within_distance(&a, &b, 0.4), None);
-    }
-
-    #[test]
-    fn huge_d_with_overflowing_discriminant_returns_the_whole_overlap() {
-        // d² = 1e300 is finite, but 4·c2·(c0 − d²) = −1.6e313 is not. The
-        // pair never separates by more than 2e6, so it is within d
-        // throughout [0, 1].
-        let a = seg((0.0, 0.0, 0.0), (2e6, 0.0, 0.0), 0.0, 1.0);
-        let b = seg((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0, 1.0);
-        assert_eq!(within_distance(&a, &b, 1e150), Some(TimeInterval::new(0.0, 1.0)));
-        assert_eq!(within_distance(&b, &a, 1e150), Some(TimeInterval::new(0.0, 1.0)));
-        // Crossing, not merely near: the rescaled branch still finds a
-        // contact interval strictly inside the overlap, where the
-        // separation |t − 0.5|·4e100 is at most d = 1e99.
-        let a = seg((-2e100, 0.0, 0.0), (2e100, 0.0, 0.0), 0.0, 1.0);
-        let r = within_distance(&a, &b, 1e99).unwrap();
-        assert!((r.start - 0.475).abs() < 1e-12 && (r.end - 0.525).abs() < 1e-12, "{r:?}");
-        // Passing 3e99 away at that scale: no contact.
-        let b = seg((0.0, 3e99, 0.0), (0.0, 3e99, 0.0), 0.0, 1.0);
-        assert_eq!(within_distance(&a, &b, 1e99), None);
     }
 
     #[test]

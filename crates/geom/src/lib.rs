@@ -16,6 +16,9 @@
 //!   the paper. [`PreparedQuery`] and [`PreparedEntry`] are the same test
 //!   with each side's half of the arithmetic done once: the query's per
 //!   search, the entry's when it is placed on the device.
+//! * [`DOMAIN_BOUND`] — the numeric domain every segment and threshold
+//!   lies in (magnitudes up to 2¹⁶⁰), inside which the test stays finite;
+//!   [`first_invalid`] and [`check_threshold`] are its one check.
 //! * [`SegmentStore`] — an in-memory segment database with the global
 //!   statistics (spatial bounds, temporal extent, maximum segment spatial
 //!   extent) that the indexing schemes are built from.
@@ -30,6 +33,7 @@
 
 pub mod columns;
 pub mod continuous;
+pub mod domain;
 pub mod front;
 pub mod interval;
 pub mod mbb;
@@ -41,6 +45,7 @@ pub mod store;
 
 pub use columns::SegmentColumns;
 pub use continuous::{within_distance, PreparedEntry, PreparedQuery};
+pub use domain::{check_threshold, first_invalid, InvalidSegment, DOMAIN_BOUND};
 pub use front::FrontVec;
 pub use interval::TimeInterval;
 pub use mbb::Mbb;

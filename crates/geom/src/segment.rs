@@ -41,17 +41,18 @@ impl Segment {
         Segment { start, end, t_start, t_end, seg_id, traj_id }
     }
 
-    /// True when all eight coordinates and timestamps are finite and
-    /// `t_start <= t_end`. Every comparison against NaN is false and the
-    /// index methods prune on different coordinates, so a segment failing
-    /// this makes them disagree with each other instead of erroring; it is
-    /// refused wherever segments enter from outside (query batches, ingest).
+    /// True when the segment lies in the [numeric domain](crate::DOMAIN_BOUND):
+    /// all eight coordinates and timestamps, and the three components of its
+    /// [velocity](Segment::velocity), have magnitude at most 2¹⁶⁰ (NaN and
+    /// infinity do not), and `t_start <= t_end`. Every comparison against NaN
+    /// is false, the index methods prune on different coordinates, and past
+    /// the domain the distance test's coefficients overflow, so a segment
+    /// failing this makes the methods disagree with each other instead of
+    /// erroring. It is refused wherever segments enter from outside (a built
+    /// database, query batches, ingest); [`first_invalid`](crate::first_invalid)
+    /// names the rule it breaks.
     pub fn is_valid(&self) -> bool {
-        let Segment { start, end, t_start, t_end, .. } = self;
-        [start.x, start.y, start.z, end.x, end.y, end.z, *t_start, *t_end]
-            .iter()
-            .all(|v| v.is_finite())
-            && t_start <= t_end
+        crate::domain::segment_violation(self).is_none()
     }
 
     /// Temporal extent `[t_start, t_end]`.

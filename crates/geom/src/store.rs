@@ -16,7 +16,7 @@
 //! [`expire_before`]: SegmentStore::expire_before
 //! [`generation`]: SegmentStore::generation
 
-use crate::{FrontVec, Mbb, Segment, TimeInterval};
+use crate::{first_invalid, FrontVec, Mbb, Segment, TimeInterval};
 use std::sync::Mutex;
 
 /// Global statistics of a segment database.
@@ -225,10 +225,8 @@ impl SegmentStore {
     /// `Err` carries the reason; callers run this before
     /// [`append`](SegmentStore::append), which itself accepts anything.
     pub fn check_append(&self, new: &[Segment]) -> Result<(), String> {
-        if let Some(bad) = new.iter().position(|s| !s.is_valid()) {
-            return Err(format!(
-                "appended segment {bad} has a non-finite coordinate or t_start > t_end"
-            ));
+        if let Some(bad) = first_invalid(new) {
+            return Err(format!("appended {bad}"));
         }
         let tail = self.segments.last().into_iter().chain(new);
         if !tail.clone().zip(tail.skip(1)).all(|(a, b)| a.t_start <= b.t_start) {
@@ -274,7 +272,7 @@ impl SegmentStore {
                     generation: self.generation,
                     stats: Some(StoreStats {
                         bounds,
-                        time_span: TimeInterval::new(t_min, t_max),
+                        time_span: TimeInterval { start: t_min, end: t_max },
                         max_segment_extent: max_ext,
                         mean_duration: dur_sum / self.segments.len() as f64,
                     }),
@@ -380,6 +378,9 @@ impl SegmentStore {
     }
 
     /// Global statistics of the store. Returns `None` for an empty store.
+    /// They are computed whatever the store holds: a store with a segment
+    /// outside the numeric domain gets a time span that may be inverted or
+    /// NaN, and is refused by the build it is scanned for.
     ///
     /// Computed on first call per generation and cached: every index built
     /// on the same store generation shares one O(n) scan. A stale tag (any
@@ -419,7 +420,7 @@ impl SegmentStore {
         }
         let stats = StoreStats {
             bounds,
-            time_span: TimeInterval::new(t_min, t_max),
+            time_span: TimeInterval { start: t_min, end: t_max },
             max_segment_extent: max_ext,
             mean_duration: dur_sum / self.segments.len() as f64,
         };
@@ -535,6 +536,23 @@ mod tests {
         store.sort_by_t_start();
         let order: Vec<u32> = store.iter().map(|s| s.traj_id.0).collect();
         assert_eq!(order, [3, 1, 2, 0], "stable among equal keys, NaN last");
+    }
+
+    /// Stats are computed whatever the store holds: a store of one
+    /// inverted segment, which the builds refuse, used to trip the time
+    /// span's ordering assertion while being scanned for them.
+    #[test]
+    fn stats_of_a_hostile_store_do_not_panic() {
+        let mut inverted = seg(0.0, 1.0, 0.0, 0.0, 0);
+        inverted.t_end = -1.0;
+        let mut store: SegmentStore = vec![inverted].into_iter().collect();
+        let span = store.stats().unwrap().time_span;
+        assert_eq!((span.start, span.end), (0.0, -1.0));
+        let delta = store.append(&[inverted]);
+        assert_eq!(delta.count, 1);
+        assert_eq!(store.stats().unwrap().time_span.end, -1.0);
+        let bad = store.check_append(&[inverted]).unwrap_err();
+        assert_eq!(bad, "appended segment 0 has t_start > t_end");
     }
 
     #[test]

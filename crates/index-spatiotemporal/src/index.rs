@@ -213,41 +213,30 @@ impl SpatioTemporalIndex {
             width[d] = if extent[d] > 0.0 { extent[d] / v as f64 } else { 1.0 };
         }
 
-        // Populate the per-dimension arrays in (subbin, bin) order, then
-        // cut each into one run per subbin. Filling three arrays and
-        // cutting them afterwards builds faster than filling the 3·v runs
-        // in the same loop.
-        let rows = check_bins(v.checked_mul(m))?;
-        let mut arrays: [Vec<u32>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        let mut ranges: [Vec<[u32; 2]>; 3] =
-            [Vec::with_capacity(rows), Vec::with_capacity(rows), Vec::with_capacity(rows)];
+        // One run per (dimension, subbin): its entries in (bin, position)
+        // order, each bin's ids ending at `bounds[i + 1]`. Each entry is
+        // pushed straight into the subbins `stored_subbins` gives it.
+        check_bins(v.checked_mul(m))?;
         let segs = store.segments();
+        let mut runs = Vec::with_capacity(3 * v);
         for d in 0..3 {
-            for j in 0..v {
-                let sub_lo = lo[d] + j as f64 * width[d];
-                let sub_hi = sub_lo + width[d];
-                for i in 0..m {
-                    let (b_lo, b_hi) = temporal.bin_range(i);
-                    let start = arrays[d].len() as u32;
-                    for pos in b_lo..b_hi {
-                        let s = &segs[pos as usize];
-                        // Closed-interval overlap so boundary segments are
-                        // never lost (they may appear in two subbins).
-                        if s.min_coord(d) <= sub_hi && s.max_coord(d) >= sub_lo {
-                            arrays[d].push(pos);
-                        }
+            let mut ids: Vec<Vec<u32>> = vec![Vec::new(); v];
+            let mut bounds: Vec<Vec<u32>> = vec![vec![0]; v];
+            for i in 0..m {
+                let (b_lo, b_hi) = temporal.bin_range(i);
+                for pos in b_lo..b_hi {
+                    let s = &segs[pos as usize];
+                    let (first, last) =
+                        stored_subbins(s.min_coord(d), s.max_coord(d), lo[d], width[d], v);
+                    for run in &mut ids[first..=last] {
+                        run.push(pos);
                     }
-                    ranges[d].push([start, arrays[d].len() as u32]);
+                }
+                for (run, bounds) in ids.iter().zip(&mut bounds) {
+                    bounds.push(run.len() as u32);
                 }
             }
-        }
-        let mut runs = Vec::with_capacity(3 * v);
-        for (ids, ranges) in arrays.iter().zip(&ranges) {
-            for bins in ranges.chunks_exact(m) {
-                let (first, end) = (bins[0][0], bins[m - 1][1]);
-                let bounds = bins.iter().map(|&[start, _]| start).chain([end]);
-                let bounds: Vec<u32> = bounds.map(|b| b - first).collect();
-                let ids = ids[first as usize..end as usize].to_vec();
+            for (ids, bounds) in ids.into_iter().zip(bounds) {
                 runs.push(Run { ids, bounds: bounds.into(), head: 0 });
             }
         }
@@ -296,10 +285,7 @@ impl<R: AsRef<[u32]>> SpatioTemporalIndex<R> {
     /// Subbin index range `(s_lo, s_hi)` (inclusive, clamped) overlapped by
     /// `[lo, hi]` in dimension `d`.
     fn subbin_span(&self, d: usize, lo: f64, hi: f64) -> (usize, usize) {
-        let to_idx = |x: f64| -> usize {
-            let i = ((x - self.lo[d]) / self.width[d]).floor();
-            (i.max(0.0) as usize).min(self.v - 1)
-        };
+        let to_idx = |x| subbin_of(x, self.lo[d], self.width[d], self.v);
         (to_idx(lo), to_idx(hi))
     }
 
@@ -419,6 +405,48 @@ impl<R: AsRef<[u32]>> SpatioTemporalIndex<R> {
     pub fn extra_bytes(&self) -> usize {
         self.runs.iter().map(|r| r.ids.as_ref().len() * 4).sum::<usize>()
             + 3 * self.v * self.temporal.bins() * 8
+    }
+}
+
+/// The subbin of coordinate `x` in a dimension whose `v` subbins start at
+/// `lo` and are `width` wide, clamped to `0..v` (the float-to-int cast
+/// saturates, so any finite or infinite quotient lands in range).
+fn subbin_of(x: f64, lo: f64, width: f64, v: usize) -> usize {
+    let i = ((x - lo) / width).floor();
+    (i.max(0.0) as usize).min(v - 1)
+}
+
+/// The subbins an entry spanning `[min, max]` is stored in, in a dimension
+/// whose `v` subbins start at `lo` and are `width` wide: every subbin whose
+/// closed interval `[lo + j·width, lo + (j+1)·width]` it overlaps (so a
+/// segment on a boundary appears in both neighbours), widened to its
+/// clamped span ([`subbin_of`]), which is where a query looks it up. The
+/// two differ only where `lo + j·width` rounds away from the quotient the
+/// span takes, as at an extent that absorbs the smaller coordinates.
+fn stored_subbins(min: f64, max: f64, lo: f64, width: f64, v: usize) -> (usize, usize) {
+    let sub_lo = |j: usize| lo + j as f64 * width;
+    let (span_lo, span_hi) = (subbin_of(min, lo, width, v), subbin_of(max, lo, width, v));
+    // Both interval ends grow with `j`, so the overlapped subbins run from
+    // the first whose interval ends at or after `min` to the last whose
+    // interval starts at or before `max`; walk there from the span.
+    let mut first = span_lo;
+    while first > 0 && sub_lo(first - 1) + width >= min {
+        first -= 1;
+    }
+    while first < v && sub_lo(first) + width < min {
+        first += 1;
+    }
+    let mut last = span_hi;
+    while last + 1 < v && sub_lo(last + 1) <= max {
+        last += 1;
+    }
+    while last > 0 && sub_lo(last) > max {
+        last -= 1;
+    }
+    if first > last || sub_lo(last) > max {
+        (span_lo, span_hi)
+    } else {
+        (first.min(span_lo), last.max(span_hi))
     }
 }
 
@@ -561,6 +589,37 @@ mod tests {
             assert!(runs.iter().map(|r| r.ids().len()).sum::<usize>() <= 2 * s.len());
         }
         assert!(idx.extra_bytes() >= 3 * s.len() * 4);
+    }
+
+    /// An extent that absorbs the smaller coordinates (a point at -2^160
+    /// beside unit-scale ones) makes `lo + v·width` round below the data's
+    /// maximum. Entries above it used to fall into no subbin, while a query
+    /// there clamps to the last one and missed them.
+    #[test]
+    fn an_absorbing_extent_keeps_every_entry_in_a_subbin() {
+        let far = -tdts_geom::DOMAIN_BOUND;
+        let mut segs: Vec<Segment> = store(20).segments().to_vec();
+        segs.push(Segment::new(
+            Point3::splat(far),
+            Point3::splat(far),
+            5.0,
+            6.0,
+            SegId(20),
+            TrajId(20),
+        ));
+        let s: SegmentStore = segs.into_iter().collect();
+        let mut sorted = s.clone();
+        sorted.sort_by_t_start();
+        let idx = SpatioTemporalIndex::build(
+            &sorted,
+            SpatioTemporalIndexConfig { bins: 4, subbins: 3, sort_by_selector: true },
+        )
+        .unwrap();
+        assert!(idx.validate(&sorted).is_ok(), "{:?}", idx.validate(&sorted));
+        for (i, q) in sorted.iter().enumerate() {
+            let entry = idx.schedule_for(q, 0.5);
+            assert!(idx.candidates(&entry).contains(&(i as u32)), "entry {i} missed by itself");
+        }
     }
 
     #[test]

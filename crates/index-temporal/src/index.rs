@@ -339,17 +339,31 @@ impl TemporalIndex {
             last = s.t_start;
         }
 
+        // An index that expiry emptied can take a tail that starts before
+        // `t_min`, below every boundary. No entry is left to stay
+        // consistent with, so the directory restarts at the tail, as a
+        // build over it would: same bin width, one empty bin to grow from.
+        let restart = tail[0].t_start < self.t_min;
+        let t_min = if restart { tail[0].t_start } else { self.t_min };
+
         // The grown directory spans logical bins `first..end`; size it
         // before touching anything (the float-to-int cast saturates).
         let last_t = tail.last().expect("non-empty tail").t_start;
-        let need = if last_t <= self.t_min {
-            0
+        let need = if last_t <= t_min { 0 } else { ((last_t - t_min) / self.bin_width) as usize };
+        let (first, end) = if restart {
+            (0, need.saturating_add(1))
         } else {
-            ((last_t - self.t_min) / self.bin_width) as usize
+            let first = self.logical_bin_of(tail[0].t_start).min(self.first_bin);
+            (first, (self.first_bin + self.bins()).max(need.saturating_add(1)))
         };
-        let first = self.logical_bin_of(tail[0].t_start).min(self.first_bin);
-        let end = (self.first_bin + self.bins()).max(need.saturating_add(1));
         let new_m = check_bins(Some(end - first))?;
+        if restart {
+            debug_assert_eq!(self.entries, 0, "a tail before t_min needs an empty index");
+            self.bin_start_pos = vec![0, 0];
+            self.bin_max = vec![f64::NEG_INFINITY];
+            self.reach = vec![f64::NEG_INFINITY];
+            (self.t_min, self.t_max, self.first_bin) = (t_min, t_min, 0);
+        }
 
         // Only an empty index can take a tail that starts before its first
         // kept bin: give back the dropped bins down to the tail's.
@@ -741,5 +755,23 @@ mod tests {
             assert_superset(&idx, &s, &seg(qi as f64 * 0.9, qi as f64 * 0.9 + 0.7));
         }
         assert_eq!(idx.candidate_range(&seg(8.0, 9.5)), None);
+    }
+
+    /// A drained index can take a tail that starts before the build's
+    /// `t_min`: it used to place those entries before bin 0, outside every
+    /// candidate range, and to refuse queries that end before `t_min`.
+    #[test]
+    fn a_drained_index_restarts_for_a_tail_before_t_min() {
+        let mut s = store(&(0..20).map(|i| (i as f64, i as f64 + 1.0)).collect::<Vec<_>>());
+        let mut idx = TemporalIndex::build(&s, TemporalIndexConfig { bins: 10 }).unwrap();
+        let delta = s.expire_before(100.0);
+        idx.expire(&s, &delta).unwrap();
+        let delta = s.append(&[seg(-50.0, 3.0), seg(-50.0, -50.0), seg(-7.0, -6.0)]);
+        idx.append(&s, delta.from).unwrap();
+        assert!(idx.validate(&s).is_ok());
+        assert_eq!(idx.time_span().0, -50.0);
+        for qi in 0..40 {
+            assert_superset(&idx, &s, &seg(qi as f64 * 1.5 - 55.0, qi as f64 * 1.5 - 54.0));
+        }
     }
 }

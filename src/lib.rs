@@ -82,7 +82,7 @@ pub mod prelude {
     };
     pub use tdts_geom::{
         within_distance, MatchRecord, Mbb, PartitionStrategy, Point3, SegId, Segment, SegmentStore,
-        ShardPlan, ShardedStore, TimeInterval, TrajId,
+        ShardPlan, ShardedStore, TimeInterval, TrajId, DOMAIN_BOUND,
     };
     pub use tdts_gpu_sim::{
         Device, DeviceConfig, Finding, FindingKind, KernelShape, LoadBalance, Phase,

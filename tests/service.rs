@@ -120,8 +120,9 @@ fn hostile_d_is_refused_before_admission() {
         .unwrap();
     let service = QueryService::start(&dataset, config).unwrap();
 
-    // 1e155 is finite, but its square is not.
-    for d in [f64::NAN, -1.0, f64::INFINITY, 1e155] {
+    // 1e155 is finite, but its square is not; twice the domain bound squares
+    // to a finite value, but lies outside the numeric domain.
+    for d in [f64::NAN, -1.0, f64::INFINITY, 1e155, 2.0 * DOMAIN_BOUND] {
         let err = service.submit_nowait(&requests[0], d, None).unwrap_err();
         assert!(matches!(err, TdtsError::InvalidConfig(_)), "d = {d}: got {err:?}");
     }
