@@ -1,6 +1,5 @@
 //! Exhaustive reference search for verification.
 
-use rayon::prelude::*;
 use tdts_geom::{dedup_matches, diff_matches, within_distance, MatchRecord, SegmentStore};
 
 /// Brute-force distance threshold search: every query against every entry.
@@ -12,15 +11,14 @@ pub fn brute_force_search(
     queries: &SegmentStore,
     d: f64,
 ) -> Vec<MatchRecord> {
-    let mut matches: Vec<MatchRecord> = (0..queries.len())
-        .into_par_iter()
-        .flat_map_iter(|qi| {
-            let q = *queries.get(qi);
-            store.iter().enumerate().filter_map(move |(ei, e)| {
-                within_distance(&q, e, d).map(|iv| MatchRecord::new(qi as u32, ei as u32, iv))
-            })
-        })
-        .collect();
+    let mut matches = tdts_geom::par::par_map(queries.len(), |qi| {
+        let q = *queries.get(qi);
+        let hits = store.iter().enumerate().filter_map(|(ei, e)| {
+            within_distance(&q, e, d).map(|iv| MatchRecord::new(qi as u32, ei as u32, iv))
+        });
+        hits.collect::<Vec<_>>()
+    })
+    .concat();
     dedup_matches(&mut matches);
     matches
 }

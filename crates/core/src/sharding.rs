@@ -377,12 +377,11 @@ impl ShardedIndex {
     /// bounds the fleet's total result-buffer reservation near the
     /// single-device footprint instead of `capacity x shards`; the
     /// full-capacity escalation retry in [`ShardedIndex::search_sharded`]
-    /// covers the pathological tail.
+    /// covers the pathological tail. Only a probed shard asks, and empty
+    /// slabs get no member, so its weight and `probed` are non-zero.
     fn budget_share(capacity: usize, weight: u128, total_weight: u128, probed: usize) -> usize {
-        let floor = (capacity / probed.max(1)).max(1);
-        if total_weight == 0 {
-            return capacity.min(floor.max(capacity));
-        }
+        debug_assert!(weight > 0 && total_weight >= weight && probed > 0);
+        let floor = (capacity / probed).max(1);
         let share =
             ((capacity as u128).saturating_mul(weight.saturating_mul(2)) / total_weight) as usize;
         share.max(floor).min(capacity)

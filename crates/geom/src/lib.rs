@@ -25,6 +25,8 @@
 //! * [`SegmentColumns`] — the same database transposed to columnar
 //!   (struct-of-arrays) layout, the layout the simulated device charges its
 //!   reads by.
+//! * [`par`] — the host-parallel loop every crate runs its per-query
+//!   host work and the simulated GPU its warps on.
 //! * [`ShardedStore`] — the database partitioned into shard-local stores
 //!   (temporal or spatial slabs, boundary segments replicated) for
 //!   multi-device execution.
@@ -37,6 +39,7 @@ pub mod domain;
 pub mod front;
 pub mod interval;
 pub mod mbb;
+pub mod par;
 pub mod point;
 pub mod result;
 pub mod segment;

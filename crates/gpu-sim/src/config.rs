@@ -218,14 +218,27 @@ impl DeviceConfig {
         if self.tile_size == 0 {
             return Err("tile size must be at least one entry".into());
         }
-        if self.clock_hz <= 0.0 || self.clock_hz.is_nan() {
-            return Err("clock must be positive".into());
-        }
-        if !(self.h2d_bandwidth > 0.0 && self.d2h_bandwidth > 0.0) {
-            return Err("bandwidths must be positive".into());
-        }
-        if self.occupancy_factor <= 0.0 || self.occupancy_factor.is_nan() {
-            return Err("occupancy factor must be positive".into());
+        // A NaN vanishes in a max, an infinity zeroes a quotient, and a
+        // negative cost breaks the dispatch replay's bit-pattern order: every
+        // cost is finite and non-negative, every divisor also positive.
+        for (name, value, divisor) in [
+            ("clock_hz", self.clock_hz, true),
+            ("h2d_bandwidth", self.h2d_bandwidth, true),
+            ("d2h_bandwidth", self.d2h_bandwidth, true),
+            ("gmem_transaction_bytes", self.gmem_transaction_bytes, true),
+            ("occupancy_factor", self.occupancy_factor, true),
+            ("transfer_latency", self.transfer_latency, false),
+            ("kernel_launch_overhead", self.kernel_launch_overhead, false),
+            ("cycles_per_instr", self.cycles_per_instr, false),
+            ("cycles_per_gmem_transaction", self.cycles_per_gmem_transaction, false),
+            ("uncoalesced_factor", self.uncoalesced_factor, false),
+            ("cycles_per_atomic", self.cycles_per_atomic, false),
+        ] {
+            if !value.is_finite() || value < 0.0 || (divisor && value <= 0.0) {
+                return Err(format!(
+                    "{name} must be finite and non-negative (divisors positive), got {value}"
+                ));
+            }
         }
         Ok(())
     }

@@ -2,7 +2,7 @@
 //! ledger of one search.
 
 use crate::config::DeviceConfig;
-use crate::launch::{run_launch, run_launch_persistent, run_launch_warps, LaunchReport, Warp};
+use crate::launch::{run_launch_persistent, run_launch_warps, LaunchReport, Warp};
 use crate::ledger::{Phase, ResponseTime};
 use crate::memory::{
     DeviceBuffer, OutOfDeviceMemory, PartitionedScratch, Reservation, Reserved, ResultBuffer,
@@ -252,15 +252,13 @@ impl Device {
     /// plus simulated execution time to the ledger.
     ///
     /// The kernel closure runs once per thread (in parallel over warps on the
-    /// host thread pool) and records its costs on the [`Lane`].
+    /// host's cores, through [`tdts_geom::par::par_ordered`]) and records its
+    /// costs on the [`Lane`].
     pub fn launch<K>(&self, threads: usize, kernel: K) -> LaunchReport
     where
         K: Fn(&mut Lane) + Sync,
     {
-        let report =
-            run_launch(&self.core.config, self.core.sanitizer.as_deref(), threads, &kernel);
-        self.charge_launch(&report);
-        report
+        self.launch_warps(threads, |warp| warp.for_each_lane(|lane| kernel(lane)))
     }
 
     /// Launch a warp-scoped kernel: the closure receives each [`Warp`] and
@@ -403,6 +401,24 @@ mod tests {
         let mut c = DeviceConfig::test_tiny();
         c.warp_size = 0;
         assert!(Device::new(c).is_err());
+        // Cost parameters that would make a launch report wrong simulated
+        // time: zero, NaN or infinite divisors, negative or NaN costs.
+        let hostile: [fn(&mut DeviceConfig); 9] = [
+            |c| c.gmem_transaction_bytes = 0.0,
+            |c| c.cycles_per_atomic = f64::NAN,
+            |c| c.clock_hz = f64::INFINITY,
+            |c| c.cycles_per_instr = -1.0,
+            |c| c.kernel_launch_overhead = -1.0,
+            |c| c.transfer_latency = f64::NAN,
+            |c| c.cycles_per_gmem_transaction = f64::INFINITY,
+            |c| c.uncoalesced_factor = -0.5,
+            |c| c.d2h_bandwidth = f64::INFINITY,
+        ];
+        for (i, spoil) in hostile.iter().enumerate() {
+            let mut c = DeviceConfig::test_tiny();
+            spoil(&mut c);
+            assert!(Device::new(c).is_err(), "hostile config {i} accepted");
+        }
     }
 
     #[test]

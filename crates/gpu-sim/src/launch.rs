@@ -4,9 +4,11 @@
 //!
 //! A launch of `n` threads is partitioned into warps of
 //! [`DeviceConfig::warp_size`] consecutive global ids. Warps execute in
-//! parallel on host worker threads; within a warp, lanes run
-//! sequentially (their *results* are identical to lock-step execution
-//! because lanes only communicate through device atomics).
+//! parallel on the host's cores through [`tdts_geom::par::par_ordered`],
+//! the workspace's one host-parallel loop (a scoped thread per core for
+//! the launch); within a warp, lanes run sequentially (their *results* are
+//! identical to lock-step execution because lanes only communicate through
+//! device atomics).
 //!
 //! # Cost model
 //!
@@ -246,142 +248,30 @@ impl LaneCost {
     }
 }
 
-/// Most warps a host worker claims at a time. Bodies differ in cost by
-/// orders of magnitude (a tile of a dense query against one of a sparse
-/// one), so workers claim small blocks as they go and finish together.
-const MAX_BLOCK: usize = 64;
-
-/// A block's warps after their bodies ran: the warp (for its epilogue), the
-/// lanes' reduced cost, and what the body staged.
-type Staged<S> = Vec<(Warp, LaneCost, S)>;
-
-/// `turn` value once a worker has panicked: nobody waits for a turn again.
-const POISONED: usize = usize::MAX;
-
-/// Run `n` warps: `body(i, lanes)` builds warp `i` on the recycled lane
-/// vector `lanes` (cleared, capacity kept, so a worker allocates lanes once
-/// rather than once per warp) and runs its lane work, on host worker
-/// threads and in no particular order across them; `epilogue`
-/// then runs once per warp, one at a time and **in ascending warp order**.
-/// Everything a warp does to state shared across warps — bumping a
-/// result-buffer cursor above all — belongs in the epilogue: which commit
-/// overflows a full buffer, and with it every later redo round, is then a
-/// function of the launch alone and never of the host scheduler.
-///
-/// Workers claim blocks of consecutive warps in ascending order and run
-/// their bodies. A block's epilogues run once it is the block's turn —
-/// every earlier block's epilogues done — on the worker that ran its bodies
-/// (so nothing is freed across threads); until then the worker claims and
-/// runs further blocks instead of waiting.
+/// Run `n` warps on [`tdts_geom::par::par_ordered`]: `body(i, lanes)` builds
+/// warp `i` on its worker's recycled lane vector and runs its lane work;
+/// `epilogue` then runs once per warp **in warp order**, so which commit
+/// overflows a full buffer, and every later redo round, is a function of
+/// the launch alone.
 fn run_ordered<S, B, E>(config: &DeviceConfig, n: usize, body: &B, epilogue: &E) -> Vec<WarpCost>
 where
     B: Fn(usize, Vec<Lane>) -> (Warp, S) + Sync,
     E: Fn(&mut Warp, S) + Sync,
 {
-    use std::collections::VecDeque;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Condvar, Mutex, PoisonError};
-
-    // The host's parallelism, read once: on Linux each query reads cgroup
-    // files, a cost on the order of the scoped spawn it sizes.
-    static HOST_THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    let host =
-        *HOST_THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
-    let workers = host.min(n).max(1);
-    // About eight blocks per worker on small launches, so a few heavy
-    // warps still spread over every worker.
-    let block = (n / (workers * 8)).clamp(1, MAX_BLOCK);
-    let blocks = n.div_ceil(block);
-    // The next block to claim. A claim publishes nothing: what one block's
-    // epilogues see of another's is ordered by `turn`'s mutex.
-    let next = AtomicUsize::new(0);
-    // The block whose epilogues run next. Every store leaves a valid count,
-    // so a lock poisoned by a panicking worker is recovered, not refused.
-    let turn = (Mutex::new(0usize), Condvar::new());
-
-    let work = || {
-        let _poison = PoisonOnPanic(&turn);
-        let (lock, cv) = &turn;
-        let mut done: Vec<(usize, Vec<WarpCost>)> = Vec::new();
-        // Blocks whose bodies ran here and whose turn has not come yet.
-        let mut pending: VecDeque<(usize, Staged<S>)> = VecDeque::new();
-        // The lanes of the last warp this worker retired, reused by the next.
-        let mut spare: Vec<Lane> = Vec::new();
-        loop {
-            let b = next.fetch_add(1, Ordering::Relaxed);
-            let claimed = b < blocks;
-            if claimed {
-                let staged = (b * block..((b + 1) * block).min(n))
-                    .map(|i| {
-                        spare.clear();
-                        let (mut warp, state) = body(i, std::mem::take(&mut spare));
-                        // The lanes retire with the body; only their cost is kept.
-                        spare = std::mem::take(&mut warp.lanes);
-                        (warp, LaneCost::of(&spare), state)
-                    })
-                    .collect();
-                pending.push_back((b, staged));
-            }
-            // Run the epilogues of every pending block whose turn it is. A
-            // worker with blocks left to claim never waits for a turn; one
-            // without waits until its pending blocks are done.
-            while let Some(front) = pending.front().map(|(b, _)| *b) {
-                let current = lock.lock().unwrap_or_else(PoisonError::into_inner);
-                if *current != front {
-                    if *current == POISONED {
-                        return done;
-                    }
-                    if claimed {
-                        break;
-                    }
-                    drop(cv.wait(current).unwrap_or_else(PoisonError::into_inner));
-                    continue;
-                }
-                drop(current);
-                let (b, staged) = pending.pop_front().expect("a pending block");
-                let costs = staged
-                    .into_iter()
-                    .map(|(mut warp, lanes, state)| {
-                        epilogue(&mut warp, state);
-                        lanes.with_epilogue(config, &warp.counters)
-                    })
-                    .collect();
-                done.push((b, costs));
-                *lock.lock().unwrap_or_else(PoisonError::into_inner) = b + 1;
-                cv.notify_all();
-            }
-            if !claimed {
-                return done;
-            }
-        }
-    };
-
-    let mut parts = std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
-        // The calling thread is a worker too.
-        let mut parts = work();
-        for handle in handles {
-            parts.extend(handle.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-        }
-        parts
-    });
-    parts.sort_unstable_by_key(|(b, _)| *b);
-    parts.into_iter().flat_map(|(_, costs)| costs).collect()
-}
-
-/// Releases every worker waiting for a turn when the worker holding this
-/// unwinds, so a panicking body or epilogue surfaces instead of hanging
-/// the launch.
-struct PoisonOnPanic<'a>(&'a (std::sync::Mutex<usize>, std::sync::Condvar));
-
-impl Drop for PoisonOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            let (lock, cv) = self.0;
-            *lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = POISONED;
-            cv.notify_all();
-        }
-    }
+    tdts_geom::par::par_ordered(
+        n,
+        |spare: &mut Vec<Lane>, i| {
+            spare.clear();
+            let (mut warp, state) = body(i, std::mem::take(spare));
+            // The lanes retire with the body; only their cost is kept.
+            *spare = std::mem::take(&mut warp.lanes);
+            (warp, LaneCost::of(spare), state)
+        },
+        |(mut warp, lanes, state)| {
+            epilogue(&mut warp, state);
+            lanes.with_epilogue(config, &warp.counters)
+        },
+    )
 }
 
 /// Execute a warp-scoped kernel over `threads` threads and compute the
@@ -579,26 +469,6 @@ where
     )
 }
 
-/// Execute a lane-scoped kernel over `threads` threads; thin wrapper over
-/// [`run_launch_warps`] with no per-warp epilogue.
-pub(crate) fn run_launch<K>(
-    config: &DeviceConfig,
-    san: Option<&Sanitizer>,
-    threads: usize,
-    kernel: &K,
-) -> LaunchReport
-where
-    K: Fn(&mut Lane) + Sync,
-{
-    run_launch_warps(
-        config,
-        san,
-        threads,
-        &|warp: &mut Warp| warp.for_each_lane(|lane| kernel(lane)),
-        &|_, ()| {},
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -793,7 +663,7 @@ mod tests {
         let dev = tiny();
         let order = std::sync::Mutex::new(Vec::new());
         // Many blocks, so the hand-overs between workers are covered.
-        let threads = (20 * MAX_BLOCK + 3) * 4;
+        let threads = (20 * tdts_geom::par::MAX_BLOCK + 3) * 4;
         let report = dev.launch_warps_ordered(
             threads,
             |warp| warp.index() as u64,
@@ -814,7 +684,11 @@ mod tests {
             let launch = std::panic::AssertUnwindSafe(|| {
                 dev.launch_warps_ordered(100 * 4, |warp| assert_ne!(warp.index(), bad), |_, ()| {})
             });
-            assert!(std::panic::catch_unwind(launch).is_err(), "warp {bad}");
+            assert!(std::panic::catch_unwind(launch).is_err(), "body of warp {bad}");
+            let launch = std::panic::AssertUnwindSafe(|| {
+                dev.launch_warps_ordered(100 * 4, |_| {}, |warp, ()| assert_ne!(warp.index(), bad))
+            });
+            assert!(std::panic::catch_unwind(launch).is_err(), "epilogue of warp {bad}");
         }
     }
 

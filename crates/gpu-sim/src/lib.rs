@@ -6,7 +6,7 @@
 //! device that preserves every behaviour the paper's evaluation depends on:
 //!
 //! * **Real parallel execution** — kernels are plain Rust closures executed
-//!   over a work-stealing CPU thread pool, one closure invocation per GPU
+//!   on every host core ([`tdts_geom::par`]), one closure invocation per GPU
 //!   thread, grouped into 32-wide warps. Results are therefore real, not
 //!   modelled.
 //! * **SIMT cost accounting** — every lane records instruction, global

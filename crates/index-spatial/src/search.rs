@@ -9,7 +9,6 @@
 //! (warp-per-tile).
 
 use crate::fsg::{Fsg, FsgConfig};
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use tdts_geom::{
@@ -150,24 +149,21 @@ impl Scheme for SpatialScheme {
             return Vec::new();
         }
         let fsg = search.index();
-        queries
-            .par_iter()
-            .map(|q| {
-                let search_box = q.mbb().inflate(d);
-                let mut rs = Vec::new();
-                if !fsg.outside(&search_box) {
-                    for (x, y, z) in fsg.rasterise(&search_box).iter() {
-                        if let Some(ci) = fsg.find_cell(fsg.linear(x, y, z)) {
-                            let r = fsg.cell_ranges[ci];
-                            if r[0] < r[1] {
-                                rs.push(r);
-                            }
+        tdts_geom::par::par_map(queries.len(), |qi| {
+            let search_box = queries[qi].mbb().inflate(d);
+            let mut rs = Vec::new();
+            if !fsg.outside(&search_box) {
+                for (x, y, z) in fsg.rasterise(&search_box).iter() {
+                    if let Some(ci) = fsg.find_cell(fsg.linear(x, y, z)) {
+                        let r = fsg.cell_ranges[ci];
+                        if r[0] < r[1] {
+                            rs.push(r);
                         }
                     }
                 }
-                rs
-            })
-            .collect()
+            }
+            rs
+        })
     }
 
     fn threads<'a>(

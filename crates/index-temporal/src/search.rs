@@ -7,7 +7,6 @@
 //! ranges, and the generators that walk it.
 
 use crate::index::{TemporalIndex, TemporalIndexConfig};
-use rayon::prelude::*;
 use std::sync::Arc;
 use tdts_geom::{
     ExpireDelta, MatchRecord, PreparedQuery, Segment, SegmentStore, StoreStats, TimeInterval,
@@ -37,13 +36,10 @@ impl TemporalSchedule {
     /// per-query range lookups are independent, so they fan out across host
     /// cores.
     pub fn build(index: &TemporalIndex, queries: &[Segment]) -> TemporalSchedule {
-        let ranges = queries
-            .par_iter()
-            .map(|q| {
-                let r = index.candidate_range(q).unwrap_or((0, 0));
-                [r.0, r.1]
-            })
-            .collect();
+        let ranges = tdts_geom::par::par_map(queries.len(), |qi| {
+            let r = index.candidate_range(&queries[qi]).unwrap_or((0, 0));
+            [r.0, r.1]
+        });
         TemporalSchedule { ranges }
     }
 }

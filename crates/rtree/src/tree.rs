@@ -1,7 +1,6 @@
 //! R-tree construction and the parallel distance threshold search.
 
 use crate::stmbb::StMbb;
-use rayon::prelude::*;
 use tdts_geom::{within_distance, MatchRecord, SegmentStore};
 
 /// R-tree build parameters.
@@ -269,14 +268,11 @@ impl RTree {
         queries: &SegmentStore,
         d: f64,
     ) -> (Vec<MatchRecord>, SearchStats) {
-        let per_query: Vec<(Vec<MatchRecord>, SearchStats)> = (0..queries.len())
-            .into_par_iter()
-            .map(|qi| {
-                let mut out = Vec::new();
-                let stats = self.search_one(store, queries, qi, d, &mut out);
-                (out, stats)
-            })
-            .collect();
+        let per_query = tdts_geom::par::par_map(queries.len(), |qi| {
+            let mut out = Vec::new();
+            let stats = self.search_one(store, queries, qi, d, &mut out);
+            (out, stats)
+        });
         let mut matches = Vec::new();
         let mut stats = SearchStats::default();
         for (m, s) in per_query {

@@ -7,9 +7,10 @@
 //! A hand-rolled, std-only static pass over the workspace sources (no
 //! `syn`: this environment is offline, so the scanner works on text with
 //! just enough context tracking to skip comments, strings, and test
-//! modules). Seven rules — four encoding invariants the simulated GPU
+//! modules). Eight rules — four encoding invariants the simulated GPU
 //! relies on, three host-side concurrency rules guarding the query
-//! service (the static twin of the `tdts-sync` model checker):
+//! service (the static twin of the `tdts-sync` model checker), and one
+//! keeping host parallelism in one place:
 //!
 //! * `uncharged-column-read` — `DeviceBuffer::row_range` and
 //!   `DeviceBuffer::as_slice` hand out device data without posting a
@@ -45,6 +46,10 @@
 //!   merging) must not read `Instant::now`/`SystemTime::now`/`.elapsed()`;
 //!   time there comes from the simulated ledger or is threaded in, so
 //!   replays stay bit-identical.
+//! * `host-threads` — the library crates below the service start host
+//!   threads in one place, `tdts_geom::par` (`crates/geom/src/par.rs`);
+//!   a `thread::scope(`/`thread::spawn(` anywhere else in them would be a
+//!   second host-parallel mechanism with its own thread count.
 //!
 //! A finding is waived by `// lint: allow(<rule>)` on the offending line
 //! or the line directly above it (give a reason after the marker).
@@ -331,6 +336,28 @@ const RULES: &[Rule] = &[
         safety_comment_discharges: false,
         context_discharges: None,
         bad_fixture: "fn replay_step() { let t0 = std::time::Instant::now(); }\n",
+    },
+    Rule {
+        name: "host-threads",
+        why: "host thread started outside tdts_geom::par; run host-parallel work through \
+              par::par_map/par_ordered so the workspace keeps one mechanism and one thread count",
+        scan_dirs: &[
+            "crates/geom/src",
+            "crates/gpu-sim/src",
+            "crates/kernels/src",
+            "crates/index-spatial/src",
+            "crates/index-temporal/src",
+            "crates/index-spatiotemporal/src",
+            "crates/rtree/src",
+            "crates/core/src",
+        ],
+        scan_files: &[],
+        exempt_files: &["crates/geom/src/par.rs"],
+        matches: |code, _| code.contains("thread::scope(") || code.contains("thread::spawn("),
+        include_tests: false,
+        safety_comment_discharges: false,
+        context_discharges: None,
+        bad_fixture: "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n",
     },
 ];
 
@@ -665,6 +692,16 @@ mod tests {
             scan("wall-clock-in-replay", "// Instant::now() is banned here\n").is_empty(),
             "comments don't count"
         );
+    }
+
+    #[test]
+    fn host_threads_fires_outside_the_one_home() {
+        assert_eq!(scan("host-threads", "std::thread::scope(|s| work(s));\n").len(), 1);
+        assert_eq!(scan("host-threads", "let h = thread::spawn(move || run());\n").len(), 1);
+        assert!(scan("host-threads", "let out = par::par_map(n, f);\n").is_empty());
+        let in_tests = "#[cfg(test)]\nmod tests {\n    fn t() { std::thread::spawn(|| {}); }\n}\n";
+        assert!(scan("host-threads", in_tests).is_empty(), "tests may start threads");
+        assert_eq!(rule("host-threads").exempt_files, ["crates/geom/src/par.rs"], "one home");
     }
 
     #[test]
