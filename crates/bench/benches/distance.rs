@@ -1,46 +1,87 @@
-//! Micro-benchmark of the continuous distance comparison — the innermost
-//! operation every implementation spends its time in.
+//! Micro-benchmark of the refinement scan — the loop every GPU method
+//! spends its host time in: one query against a run of prepared rows,
+//! pre-tested a chunk at a time, with the exact solver on the rows that
+//! pass.
+//!
+//! * `scan/range-1-lane` — one lane walks 65,536 contiguous rows, the
+//!   thread-per-query refinement of GPUTemporal.
+//! * `scan/gather-32-lanes` — a 32-lane warp scans the same rows reached
+//!   through a shuffled id array, the warp-per-tile gather of
+//!   GPUSpatioTemporal.
+//!
+//! Every entry overlaps the query in time and about one in a hundred comes
+//! within the distance, so nearly every row is rejected by the arithmetic
+//! of the quadratic rather than by its timestamps.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use tdts_geom::{within_distance, Point3, SegId, Segment, TrajId};
+use tdts_geom::{Point3, PreparedQuery, SegId, Segment, TrajId};
+use tdts_gpu_sim::{Device, DeviceConfig, Warp};
+use tdts_kernels::DeviceSegments;
 
-fn make_segments(n: usize) -> Vec<Segment> {
-    // Deterministic pseudo-random segments via an LCG.
+const ROWS: u32 = 1 << 16;
+
+fn make_segments(n: u32) -> Vec<Segment> {
+    // Deterministic pseudo-random segments via an LCG: starts spread over a
+    // 100-unit box, each moving about one unit over t in [0, 1].
     let mut state = 0x9e3779b97f4a7c15u64;
     let mut next = move || {
         state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        ((state >> 33) as f64) / (u32::MAX as f64) * 100.0 - 50.0
+        ((state >> 33) as f64) / (u32::MAX as f64)
     };
     (0..n)
         .map(|i| {
-            Segment::new(
-                Point3::new(next(), next(), next()),
-                Point3::new(next(), next(), next()),
-                0.0,
-                1.0,
-                SegId(i as u32),
-                TrajId(i as u32),
-            )
+            let start = Point3::new(next() * 100.0 - 50.0, next() * 100.0 - 50.0, next() * 20.0);
+            let step = Point3::new(next() - 0.5, next() - 0.5, next() - 0.5);
+            Segment::new(start, start + step, 0.0, 1.0, SegId(i), TrajId(i))
         })
         .collect()
 }
 
-fn bench_within_distance(c: &mut Criterion) {
-    let segs = make_segments(1024);
-    let mut group = c.benchmark_group("within_distance");
-    for d in [1.0, 10.0, 100.0] {
-        group.bench_function(format!("d={d}"), |b| {
-            let mut i = 0usize;
-            b.iter(|| {
-                let a = &segs[i % segs.len()];
-                let q = &segs[(i * 7 + 1) % segs.len()];
-                i += 1;
-                black_box(within_distance(black_box(a), black_box(q), d))
-            })
-        });
-    }
+fn bench_scan(c: &mut Criterion) {
+    let device = Device::new(DeviceConfig::tesla_c2075()).expect("valid device");
+    let entries = DeviceSegments::alloc(&device, &make_segments(ROWS)).expect("fits the device");
+    let query = Segment::new(
+        Point3::new(-1.0, 2.0, 10.0),
+        Point3::new(0.5, 1.5, 10.5),
+        0.0,
+        1.0,
+        SegId(0),
+        TrajId(0),
+    );
+    let q = PreparedQuery::new(&query, 5.0);
+    // A fixed permutation of the rows: ROWS is a power of two and the
+    // multiplier odd.
+    let ids = device
+        .alloc_from_host((0..ROWS).map(|i| i.wrapping_mul(40_503) % ROWS).collect())
+        .expect("fits the device");
+
+    let mut group = c.benchmark_group("scan");
+    group.bench_function("range-1-lane", |b| {
+        let mut warp = Warp::standalone(1);
+        b.iter(|| {
+            let mut hits = 0u32;
+            let compared =
+                entries.refine_range(warp.lanes_mut(), 0..ROWS, black_box(&q), |_, _, _| hits += 1);
+            black_box((compared, hits))
+        })
+    });
+    group.bench_function("gather-32-lanes", |b| {
+        let mut warp = Warp::standalone(32);
+        b.iter(|| {
+            let mut hits = 0u32;
+            let compared = entries.refine_gather(
+                warp.lanes_mut(),
+                &ids,
+                0,
+                0..ROWS,
+                black_box(&q),
+                |_, _, _| hits += 1,
+            );
+            black_box((compared, hits))
+        })
+    });
     group.finish();
 }
 
-criterion_group!(benches, bench_within_distance);
+criterion_group!(benches, bench_scan);
 criterion_main!(benches);

@@ -10,10 +10,12 @@
 //! 72-byte [`Segment`] through the memory system.
 //!
 //! The simulated device charges its reads by this layout (16 bytes of
-//! timestamps per comparison, the other 48 only on temporal overlap), while
-//! the host copy of a device-resident database holds prepared rows instead
-//! (`tdts_geom::PreparedEntry`); ids never reach the device — kernels
-//! address entries by position, never by id.
+//! timestamps per comparison, the other 48 only on temporal overlap). A
+//! device-resident database holds eight columns of the same bytes in
+//! prepared form ([`PreparedColumns`](crate::PreparedColumns): velocity and
+//! affine base in place of the endpoints, then the two timestamps), which
+//! the refinement scan pre-tests with unit stride; ids never reach the
+//! device — kernels address entries by position, never by id.
 
 use crate::{Point3, SegId, Segment, TrajId};
 

@@ -30,22 +30,22 @@ pub fn temporal_overlap(a: &Segment, b: &Segment) -> Option<TimeInterval> {
 /// computed once, when the entry is placed on the device, instead of once
 /// per comparison.
 ///
-/// The layout is one 64-byte row, `(v, base, t_start, t_end)`. It keeps
-/// the natural 8-byte alignment: a 64-byte alignment made no measurable
-/// difference to scan speed, while aligned reallocation (which cannot grow
-/// in place) raised peak memory on streaming ingest. [`PreparedEntry::new`]
-/// performs exactly the operations the unprepared test performs on its
-/// second argument, so [`PreparedQuery::within_prepared`] agrees with
-/// [`within_distance`] bit for bit.
+/// A device-resident database keeps its entries as the eight columns of
+/// [`PreparedColumns`], not as rows of this type; [`to_row`] and
+/// [`from_row`] convert between one entry and one row across them.
+/// [`PreparedEntry::new`] performs exactly the operations the unprepared
+/// test performs on its second argument, so
+/// [`PreparedQuery::within_prepared`] agrees with [`within_distance`] bit
+/// for bit.
+///
+/// [`to_row`]: PreparedEntry::to_row
+/// [`from_row`]: PreparedEntry::from_row
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[repr(C)]
 pub struct PreparedEntry {
     velocity: Point3,
     base: Point3,
     span: TimeInterval,
 }
-
-const _: () = assert!(std::mem::size_of::<PreparedEntry>() == 64);
 
 impl PreparedEntry {
     /// Prepare entry `e`.
@@ -60,6 +60,54 @@ impl PreparedEntry {
     pub fn time_span(&self) -> TimeInterval {
         self.span
     }
+
+    /// The entry's row across the [`PreparedColumns`]:
+    /// `[vx, vy, vz, bx, by, bz, t_start, t_end]`.
+    #[inline]
+    pub fn to_row(&self) -> [f64; 8] {
+        let (v, b, span) = (self.velocity, self.base, self.span);
+        [v.x, v.y, v.z, b.x, b.y, b.z, span.start, span.end]
+    }
+
+    /// The entry whose [`to_row`](PreparedEntry::to_row) is `row`.
+    #[inline(always)]
+    pub fn from_row([vx, vy, vz, bx, by, bz, start, end]: [f64; 8]) -> PreparedEntry {
+        PreparedEntry {
+            velocity: Point3::new(vx, vy, vz),
+            base: Point3::new(bx, by, bz),
+            span: TimeInterval { start, end },
+        }
+    }
+}
+
+/// Prepared entries in struct-of-arrays form: the eight columns
+/// `vx vy vz bx by bz t_start t_end` of [`PreparedEntry::to_row`], entry
+/// `i` in row `i` of each — the layout the simulated device is charged
+/// for, and the one [`PreparedQuery::pretest`] reads with unit stride.
+pub type PreparedColumns<'a> = [&'a [f64]; 8];
+
+/// [`PreparedQuery::pretest`] verdict bit: the row overlaps the query in
+/// time.
+pub const OVERLAPS: u8 = 1;
+
+/// [`PreparedQuery::pretest`] verdict bit: the row may come within the
+/// distance, so [`PreparedQuery::within_prepared`] must decide it. Set only
+/// together with [`OVERLAPS`].
+pub const MAY_MATCH: u8 = 2;
+
+/// The coefficients of the squared separation
+/// `|r(t)|² = c2·t² + c1·t + c0` of two affine motions, and the
+/// discriminant of `c2·t² + c1·t + (c0 − d²)`. The one place they are
+/// computed, so [`PreparedQuery::pretest`] and
+/// [`PreparedQuery::within_prepared`] run the same IEEE operations in the
+/// same order and agree on every bit of them.
+struct Quadratic {
+    c2: f64,
+    c1: f64,
+    c0: f64,
+    /// `c0 − d²`.
+    c: f64,
+    disc: f64,
 }
 
 /// A query segment prepared for repeated distance tests at one threshold.
@@ -112,13 +160,7 @@ impl PreparedQuery {
     #[inline(always)]
     pub fn within_prepared(&self, entry: &PreparedEntry) -> Option<TimeInterval> {
         let ov = self.span.intersect(&entry.span)?;
-        // Coefficients of the squared separation |r(t)|^2 = c2 t^2 + c1 t + c0,
-        // valid over the overlap.
-        let dv = self.model.0 - entry.velocity; // relative velocity
-        let dp = self.model.1 - entry.base; // relative position at t = 0
-        let c2 = dv.norm2();
-        let c1 = 2.0 * dp.dot(&dv);
-        let c0 = dp.norm2();
+        let Quadratic { c2, c1, c0, c, disc } = self.quadratic(entry.velocity, entry.base);
 
         if c2 <= 0.0 {
             // Parallel motion (zero relative velocity): constant separation c0.
@@ -127,8 +169,6 @@ impl PreparedQuery {
 
         // Solve c2 t^2 + c1 t + (c0 - d2) <= 0. Every coefficient and the
         // discriminant are finite inside the numeric domain (DOMAIN_BOUND).
-        let c = c0 - self.d2;
-        let disc = c1 * c1 - 4.0 * c2 * c;
         if disc < 0.0 {
             return None; // never within d
         }
@@ -149,6 +189,67 @@ impl PreparedQuery {
             std::mem::swap(&mut r0, &mut r1);
         }
         TimeInterval::new(r0, r1).intersect(&ov)
+    }
+
+    /// [`Quadratic`] of the query against an entry moving as
+    /// `base + velocity·t`: `dv` is the relative velocity, `dp` the
+    /// relative position at `t = 0`.
+    #[inline(always)]
+    fn quadratic(&self, velocity: Point3, base: Point3) -> Quadratic {
+        let dv = self.model.0 - velocity;
+        let dp = self.model.1 - base;
+        let c2 = dv.norm2();
+        let c1 = 2.0 * dp.dot(&dv);
+        let c0 = dp.norm2();
+        let c = c0 - self.d2;
+        Quadratic { c2, c1, c0, c, disc: c1 * c1 - 4.0 * c2 * c }
+    }
+
+    /// The branch-free pre-test of the refinement scan: one verdict per row
+    /// of `rows` into `verdicts` (which sets how many rows are read) —
+    /// [`OVERLAPS`] if the row overlaps the query in time, and
+    /// [`MAY_MATCH`] as well if it also has `disc ≥ 0`.
+    ///
+    /// The invariant: a row without [`MAY_MATCH`] gets `None` from
+    /// [`within_prepared`], exactly, so a scan runs the solver on the
+    /// `MAY_MATCH` rows alone and loses no match. It holds for every row
+    /// and query without a NaN timestamp, which includes every one the
+    /// numeric domain admits: both decide the overlap alike and compute
+    /// the [`Quadratic`] with the same operations in the same order, and
+    /// the solver answers `None` when the spans are disjoint or
+    /// `disc < 0`. Its parallel-motion branch (`c2 = 0`) needs no term of
+    /// its own: there `disc = c1² − 0 ≥ 0`, so the row is passed on.
+    ///
+    /// The loop reads each column with unit stride and has no branch, so
+    /// the compiler vectorises it.
+    ///
+    /// # Panics
+    ///
+    /// If a column holds fewer rows than `verdicts`.
+    ///
+    /// [`within_prepared`]: PreparedQuery::within_prepared
+    #[inline]
+    pub fn pretest(&self, rows: PreparedColumns<'_>, verdicts: &mut [u8]) {
+        let n = verdicts.len();
+        let [vx, vy, vz, bx, by, bz, t_start, t_end] = rows;
+        let (vx, vy, vz, bx, by, bz) = (&vx[..n], &vy[..n], &vz[..n], &bx[..n], &by[..n], &bz[..n]);
+        let (t_start, t_end) = (&t_start[..n], &t_end[..n]);
+        let TimeInterval { start: q_start, end: q_end } = self.span;
+        let query_ok = q_start <= q_end;
+        for (i, verdict) in verdicts.iter_mut().enumerate() {
+            // `intersect(..).is_some()` — max(starts) <= min(ends) — as the
+            // four comparisons it is equivalent to on non-NaN values, the
+            // query's own hoisted out of the loop.
+            let (start, end) = (t_start[i], t_end[i]);
+            let overlaps = query_ok & (start <= end) & (q_start <= end) & (start <= q_end);
+            let velocity = Point3::new(vx[i], vy[i], vz[i]);
+            let Quadratic { disc, .. } = self.quadratic(velocity, Point3::new(bx[i], by[i], bz[i]));
+            // The negation of the solver's own reject test, so that a NaN
+            // discriminant passes here as it passes there.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            let may_match = overlaps & !(disc < 0.0);
+            *verdict = (u8::from(overlaps) * OVERLAPS) | (u8::from(may_match) * MAY_MATCH);
+        }
     }
 
     /// [`within_prepared`](PreparedQuery::within_prepared) against an

@@ -15,7 +15,9 @@
 //!   of each other. This is the `compare()` primitive of Algorithms 1–3 in
 //!   the paper. [`PreparedQuery`] and [`PreparedEntry`] are the same test
 //!   with each side's half of the arithmetic done once: the query's per
-//!   search, the entry's when it is placed on the device.
+//!   search, the entry's when it is placed on the device, as a row of the
+//!   [`PreparedColumns`]. [`PreparedQuery::pretest`] rejects whole chunks
+//!   of those columns ahead of the solver, only where the solver would.
 //! * [`DOMAIN_BOUND`] — the numeric domain every segment and threshold
 //!   lies in (magnitudes up to 2¹⁶⁰), inside which the test stays finite;
 //!   [`first_invalid`] and [`check_threshold`] are its one check.
@@ -47,7 +49,9 @@ pub mod shard;
 pub mod store;
 
 pub use columns::SegmentColumns;
-pub use continuous::{within_distance, PreparedEntry, PreparedQuery};
+pub use continuous::{
+    within_distance, PreparedColumns, PreparedEntry, PreparedQuery, MAY_MATCH, OVERLAPS,
+};
 pub use domain::{check_threshold, first_invalid, InvalidSegment, DOMAIN_BOUND};
 pub use front::FrontVec;
 pub use interval::TimeInterval;

@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use tdts_geom::{
-    within_distance, Mbb, Point3, PreparedEntry, PreparedQuery, SegId, Segment, TimeInterval,
-    TrajId,
+    first_invalid, within_distance, Mbb, Point3, PreparedEntry, PreparedQuery, SegId, Segment,
+    TimeInterval, TrajId, DOMAIN_BOUND, MAY_MATCH, OVERLAPS,
 };
 
 fn arb_point() -> impl Strategy<Value = Point3> {
@@ -56,6 +56,56 @@ fn bits(iv: Option<TimeInterval>) -> Option<(u64, u64)> {
     iv.map(|iv| (iv.start.to_bits(), iv.end.to_bits()))
 }
 
+/// Require the pre-test's invariant of `q` at `d` on every row of
+/// `entries`, pre-tested together as columns: [`OVERLAPS`] is exactly the
+/// temporal overlap, [`MAY_MATCH`] comes only with it, and a row without
+/// `MAY_MATCH` is one `within_prepared` answers `None` for.
+fn assert_pretest_superset(q: &Segment, d: f64, entries: &[Segment]) {
+    let prepared = PreparedQuery::new(q, d);
+    let rows: Vec<PreparedEntry> = entries.iter().map(PreparedEntry::new).collect();
+    let columns: [Vec<f64>; 8] =
+        std::array::from_fn(|c| rows.iter().map(|row| row.to_row()[c]).collect());
+    let mut verdicts = vec![0xff; rows.len()];
+    prepared.pretest(columns.each_ref().map(Vec::as_slice), &mut verdicts);
+    for ((e, row), verdict) in entries.iter().zip(&rows).zip(verdicts) {
+        assert_eq!(PreparedEntry::from_row(row.to_row()), *row);
+        let overlaps = q.time_span().intersect(&e.time_span()).is_some();
+        assert_eq!(verdict & OVERLAPS != 0, overlaps, "overlap verdict of {e:?} vs {q:?}");
+        assert_eq!(verdict & !(OVERLAPS | MAY_MATCH), 0, "stray verdict bits");
+        assert!(overlaps || verdict & MAY_MATCH == 0, "MAY_MATCH without overlap");
+        if verdict & MAY_MATCH == 0 {
+            let exact = prepared.within_prepared(row);
+            assert_eq!(exact, None, "pre-test rejected a match: q {q:?}, e {e:?}, d {d}");
+        }
+    }
+}
+
+/// The threshold where `within_prepared` of `q` against `e` turns from
+/// `None` to `Some`, as two adjacent doubles `(none, some)`, found by
+/// bisecting the bit patterns of non-negative `d` (which order like the
+/// values). `None` when the pair never overlaps in time or touches at
+/// `d = 0`. At `some` the solver's discriminant is as close to zero as a
+/// double allows whenever the closest approach falls inside the overlap,
+/// so any rounding the pre-test does differently from the solver shows.
+fn flip_point(q: &Segment, e: &Segment) -> Option<(f64, f64)> {
+    let ov = q.time_span().intersect(&e.time_span())?;
+    let within = |d: f64| PreparedQuery::new(q, d).within(e).is_some();
+    let far = q.position_at(ov.start).dist(&e.position_at(ov.start));
+    let (mut none, mut some) = (0.0f64.to_bits(), (2.0 * far + 1.0).min(DOMAIN_BOUND).to_bits());
+    if within(0.0) || !within(f64::from_bits(some)) {
+        return None;
+    }
+    while some - none > 1 {
+        let mid = none + (some - none) / 2;
+        if within(f64::from_bits(mid)) {
+            some = mid;
+        } else {
+            none = mid;
+        }
+    }
+    Some((f64::from_bits(none), f64::from_bits(some)))
+}
+
 proptest! {
     /// Preparing the query once changes no bit of any answer, in either
     /// argument order, and `within_distance` is that same solver.
@@ -100,6 +150,81 @@ proptest! {
         prop_assert_eq!(bits(prepared), expect);
         prop_assert_eq!(bits(within_distance(&q, &e, d)), expect);
         prop_assert_eq!(PreparedEntry::new(&e).time_span(), e.time_span());
+    }
+
+    /// The scan's pre-test passes every row the solver can match: on
+    /// random rows and on every degenerate kind — parallel motion
+    /// (`c2 = 0`), `d = 0`, a separation of exactly `d`, zero-duration and
+    /// temporally disjoint entries — and at the exact threshold where each
+    /// random pair starts to match.
+    #[test]
+    fn pretest_rejects_only_what_the_solver_rejects(
+        q in arb_segment(),
+        es in proptest::collection::vec(arb_segment(), 1..24),
+        shift in (-20i32..20, -20i32..20, -3i32..3),
+        d in (0u32..4, 0.0f64..30.0),
+    ) {
+        let d = if d.0 == 0 { 0.0 } else { d.1 };
+        let offset = Point3::new(f64::from(shift.0), f64::from(shift.1), f64::from(shift.2));
+        let parallel = Segment::new(q.start + offset, q.end + offset, q.t_start, q.t_end,
+                                    SegId(1), TrajId(1));
+        let mut entries = es.clone();
+        entries.extend([
+            q,
+            parallel,
+            // Zero duration: a stationary point inside the query's span.
+            Segment::new(es[0].start, es[0].start, q.t_start, q.t_start, SegId(2), TrajId(2)),
+            // Zero duration at the query's end, and one just past it.
+            Segment::new(es[0].end, es[0].end, q.t_end, q.t_end, SegId(3), TrajId(3)),
+            Segment::new(q.end, q.end, q.t_end + 1e-9, q.t_end + 1e-9, SegId(4), TrajId(4)),
+            // Temporally disjoint: the query itself, later.
+            Segment::new(q.start, q.end, q.t_end + 1.0, q.t_end + 2.0, SegId(5), TrajId(5)),
+        ]);
+        for d in [d, 0.0] {
+            assert_pretest_superset(&q, d, &entries);
+        }
+        // Parallel motion at exactly its separation.
+        assert_pretest_superset(&q, offset.norm(), &[parallel]);
+        for e in &es {
+            if let Some((none, some)) = flip_point(&q, e) {
+                assert_pretest_superset(&q, none, &[*e]);
+                assert_pretest_superset(&q, some, &[*e]);
+            }
+        }
+    }
+
+    /// The same invariant at the edge of the numeric domain: coordinates,
+    /// timestamps and thresholds up to 2^160 in magnitude.
+    #[test]
+    fn pretest_superset_holds_at_the_domain_edge(
+        q in arb_segment(),
+        es in proptest::collection::vec(arb_segment(), 1..12),
+        scale in (0u32..4, 100i32..=160),
+        d in 0.0f64..1.0,
+    ) {
+        let k = 2.0f64.powi(scale.1);
+        let big = |s: &Segment| {
+            let (start, end) = (s.start * k, s.end * k);
+            let (t_start, t_end) = if scale.0 == 0 {
+                (s.t_start * k, s.t_end * k)
+            } else {
+                (s.t_start, s.t_end)
+            };
+            Segment::new(start, end, t_start, t_end, s.seg_id, s.traj_id)
+        };
+        let q = big(&q);
+        let entries: Vec<Segment> = es.iter().map(big).collect();
+        let d = (d * k).min(DOMAIN_BOUND);
+        if first_invalid(std::iter::once(&q).chain(&entries)).is_none() {
+            assert_pretest_superset(&q, d, &entries);
+            assert_pretest_superset(&q, DOMAIN_BOUND, &entries);
+            for e in &entries {
+                if let Some((none, some)) = flip_point(&q, e) {
+                    assert_pretest_superset(&q, none, &[*e]);
+                    assert_pretest_superset(&q, some, &[*e]);
+                }
+            }
+        }
     }
 
     /// Any time inside the returned interval must actually satisfy the

@@ -88,9 +88,10 @@ impl DeviceCore {
 /// * **Offline** ([`Device::alloc_from_host`]) — used while building indexes
 ///   and storing the database `D`; the paper excludes these from response
 ///   time, so no ledger entry is made.
-/// * **Online** ([`Device::upload`], [`Device::charge_download`],
-///   [`Device::launch`], [`Device::charge_host`]) — everything between query
-///   arrival and the final result set; each records its simulated duration.
+/// * **Online** ([`Device::upload`], [`Device::charge_upload`],
+///   [`Device::charge_download`], [`Device::launch`],
+///   [`Device::charge_host`]) — everything between query arrival and the
+///   final result set; each records its simulated duration.
 pub struct Device {
     pub(crate) core: Arc<DeviceCore>,
     ledger: Mutex<ResponseTime>,
@@ -208,13 +209,18 @@ impl Device {
         self: &Arc<Self>,
         data: Vec<T>,
     ) -> Result<DeviceBuffer<T>, OutOfDeviceMemory> {
-        let bytes = data.len() * std::mem::size_of::<T>();
-        {
-            let mut ledger = self.ledger.lock().unwrap_or_else(PoisonError::into_inner);
-            ledger.add(Phase::HostToDevice, self.core.config.h2d_seconds(bytes));
-            ledger.h2d_bytes += bytes as u64;
-        }
+        self.charge_upload(std::mem::size_of_val(data.as_slice()));
         self.alloc_from_host(data)
+    }
+
+    /// Charge one host→device transfer of `bytes`: the online half of
+    /// [`upload`](Device::upload), for data shipped in one transfer and
+    /// placed with [`alloc_from_host`](Device::alloc_from_host) as several
+    /// buffers (a database's columns).
+    pub fn charge_upload(&self, bytes: usize) {
+        let mut ledger = self.ledger.lock().unwrap_or_else(PoisonError::into_inner);
+        ledger.add(Phase::HostToDevice, self.core.config.h2d_seconds(bytes));
+        ledger.h2d_bytes += bytes as u64;
     }
 
     /// Allocate a fixed-capacity atomic-append result buffer (offline — the

@@ -15,10 +15,12 @@
 //!   the kernel-shape choice and the search epilogue, parameterised by a
 //!   per-method [`Scheme`] (index, device arrays, plan, generators).
 //! * [`segments`] — [`DeviceSegments`], the device-resident segment database
-//!   (charged as eight `f64` columns, held on the host as prepared rows),
-//!   and the refinement itself: a lane's candidates — a contiguous range,
-//!   or ids gathered through an index array — or a warp's whole tile are
-//!   refined as one scan with one charge per lane. The compare touches only
+//!   (eight prepared `f64` columns, on the host exactly as the device is
+//!   charged for them), and the refinement itself: a lane's candidates — a
+//!   contiguous range, or ids gathered through an index array — or a warp's
+//!   whole tile are refined as one chunked scan with one charge per lane:
+//!   a vectorised pre-test per chunk, the exact solver on the rows it
+//!   passes. The compare touches only
 //!   the timestamp columns (16 B) when the temporal prefilter rejects, the
 //!   full 64-byte row otherwise. [`DeviceQueries`] holds the query set.
 //! * [`queries`] — [`SortedQueries`], the `t_start`-sorted query permutation.
@@ -36,4 +38,6 @@ pub mod segments;
 pub use pipeline::{CandidateGenerator, LaneWork, TileGenerator, SCHEDULE_INSTR};
 pub use queries::SortedQueries;
 pub use search::{Batch, GpuSearch, Scheme};
-pub use segments::{lane_share, DeviceQueries, DeviceSegments, COLUMNAR_ROW_BYTES, COMPARE_INSTR};
+pub use segments::{
+    lane_share, DeviceQueries, DeviceSegments, COLUMNAR_ROW_BYTES, COMPARE_INSTR, SCAN_CHUNK,
+};

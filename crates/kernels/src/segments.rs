@@ -1,15 +1,23 @@
 //! Device-resident segment databases and query sets.
 //!
-//! [`DeviceSegments`] keeps a segment database in device memory. The
-//! *simulated* device stores it as eight `f64` columns (struct of arrays)
-//! and is charged accordingly: consecutive lanes reading the same field hit
-//! consecutive words — the coalescing-friendly layout the paper's
+//! [`DeviceSegments`] keeps a segment database in device memory as eight
+//! `f64` columns (struct of arrays) — the prepared columns
+//! `vx vy vz bx by bz t_start t_end` of [`PreparedColumns`]: velocity,
+//! affine base and time span, computed once when the entry is placed or
+//! ingested, so a comparison pays for the solver and not for re-deriving
+//! the entry's half of the quadratic. The host holds exactly the layout the
+//! simulated device is charged for: consecutive lanes reading the same
+//! field hit consecutive words — the coalescing-friendly layout the paper's
 //! `X`/`Y`/`Z` id arrays already use — and a comparison is charged exactly
-//! the column elements it touches. The host memory behind it holds one
-//! prepared row per entry instead ([`PreparedEntry`]: velocity, affine
-//! base and time span in 64 bytes), computed once when the entry is placed
-//! or ingested, so a comparison pays for the solver and not for re-deriving
-//! the entry's half of the quadratic.
+//! the column elements it touches.
+//!
+//! The scan walks its candidates in chunks of [`SCAN_CHUNK`] rows. A chunk
+//! goes through [`PreparedQuery::pretest`] first, a branch-free loop over
+//! the columns that the compiler vectorises, and only the rows it passes
+//! reach the exact solver ([`PreparedQuery::within_prepared`]). The pre-test
+//! rejects a row only where the solver would answer `None`, so the hits
+//! are the solver's, bit for bit. Contiguous ranges are pre-tested in place;
+//! gathered candidates are first copied into a chunk of stack columns.
 //!
 //! Accounting rules (see DESIGN.md §"Data layout"):
 //!
@@ -17,6 +25,8 @@
 //!   compare reads `t_start`/`t_end` first (16 bytes) and loads the six
 //!   coordinate columns (48 bytes) only when the temporal overlap test
 //!   passes, so temporally-rejected candidates cost 16 bytes, not a row.
+//!   The host pre-tests whole chunks; what the device is charged does not
+//!   depend on how the host evaluates a row.
 //! * A lane's `k` candidates — a contiguous range, its share of a tile, or
 //!   ids gathered through an index array — are charged in closed form: one
 //!   read of `16·k + 48·overlaps` bytes (plus `4·k` for gathered ids), equal
@@ -32,7 +42,10 @@
 
 use std::ops::Range;
 use std::sync::Arc;
-use tdts_geom::{Point3, PreparedEntry, PreparedQuery, SegId, Segment, TimeInterval, TrajId};
+use tdts_geom::{
+    Point3, PreparedColumns, PreparedEntry, PreparedQuery, SegId, Segment, TimeInterval, TrajId,
+    MAY_MATCH, OVERLAPS,
+};
 use tdts_gpu_sim::{Device, DeviceBuffer, Lane, OutOfDeviceMemory, Reserved, Warp, MAX_WARP_LANES};
 
 /// Instruction cost of one continuous distance comparison (quadratic
@@ -53,6 +66,38 @@ const COORDINATE_BYTES: u64 = COLUMNAR_ROW_BYTES - TIMESTAMP_BYTES;
 /// Bytes of one id read from an index array on the way to its entry.
 const ID_BYTES: u64 = std::mem::size_of::<u32>() as u64;
 
+/// Rows the refinement scan pre-tests at a time. Chunks of 64 to 128 rows
+/// scanned fastest; a chunk is also a whole number of 32-lane warps' turns.
+pub const SCAN_CHUNK: usize = 64;
+
+/// What a gathered candidate past the end of the database is pre-tested as:
+/// a row with an empty time span, so it overlaps nothing and is a temporal
+/// reject.
+const MISSING_ROW: [f64; 8] = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY];
+
+/// Rows `lo..hi` of every column.
+#[inline(always)]
+fn cut<'a>(columns: PreparedColumns<'a>, lo: usize, hi: usize) -> PreparedColumns<'a> {
+    let [vx, vy, vz, bx, by, bz, t_start, t_end] = columns;
+    [
+        &vx[lo..hi],
+        &vy[lo..hi],
+        &vz[lo..hi],
+        &bx[lo..hi],
+        &by[lo..hi],
+        &bz[lo..hi],
+        &t_start[lo..hi],
+        &t_end[lo..hi],
+    ]
+}
+
+/// Row `i` across the columns.
+#[inline(always)]
+fn row_at(columns: PreparedColumns<'_>, i: usize) -> [f64; 8] {
+    let [vx, vy, vz, bx, by, bz, t_start, t_end] = columns;
+    [vx[i], vy[i], vz[i], bx[i], by[i], bz[i], t_start[i], t_end[i]]
+}
+
 /// How many of `candidates` dealt round robin to `lanes` lanes land on
 /// lane `lane`: candidate `j` goes to lane `j % lanes`, the mapping of a
 /// warp's lanes striding a tile together.
@@ -62,17 +107,23 @@ pub fn lane_share(candidates: u64, lane: usize, lanes: usize) -> u64 {
     candidates / lanes + u64::from((lane as u64) < candidates % lanes)
 }
 
-/// A segment database resident in device memory: one [`PreparedEntry`]
-/// row per entry, in position order, charged as the columnar layout
-/// described in the module docs; ids stay on the host.
+/// A segment database resident in device memory: the eight prepared
+/// columns described in the module docs, in position order; ids stay on
+/// the host.
 #[derive(Debug)]
 pub struct DeviceSegments {
-    rows: DeviceBuffer<PreparedEntry>,
+    columns: [DeviceBuffer<f64>; 8],
 }
 
-/// The prepared rows of `segments`, in order.
-fn prepare(segments: &[Segment]) -> Vec<PreparedEntry> {
-    segments.iter().map(PreparedEntry::new).collect()
+/// The prepared columns of `segments`, in order.
+fn prepare(segments: &[Segment]) -> [Vec<f64>; 8] {
+    let mut columns: [Vec<f64>; 8] = std::array::from_fn(|_| Vec::with_capacity(segments.len()));
+    for s in segments {
+        for (column, x) in columns.iter_mut().zip(PreparedEntry::new(s).to_row()) {
+            column.push(x);
+        }
+    }
+    columns
 }
 
 impl DeviceSegments {
@@ -81,46 +132,56 @@ impl DeviceSegments {
         device: &Arc<Device>,
         segments: &[Segment],
     ) -> Result<DeviceSegments, OutOfDeviceMemory> {
-        Ok(DeviceSegments { rows: device.alloc_from_host(prepare(segments))? })
+        let mut columns = Vec::with_capacity(8);
+        for column in prepare(segments) {
+            columns.push(device.alloc_from_host(column)?);
+        }
+        Ok(DeviceSegments { columns: columns.try_into().expect("eight prepared columns") })
     }
 
-    /// Upload `segments` *online*, charging the host-to-device transfer for
-    /// exactly the bytes shipped (64 per segment).
+    /// Upload `segments` *online*, charging **one** host-to-device transfer
+    /// for exactly the bytes shipped (64 per segment).
     pub fn upload(
         device: &Arc<Device>,
         segments: &[Segment],
     ) -> Result<DeviceSegments, OutOfDeviceMemory> {
-        Ok(DeviceSegments { rows: device.upload(prepare(segments))? })
+        device.charge_upload(DeviceSegments::bytes_for(segments.len()));
+        DeviceSegments::alloc(device, segments)
     }
 
     /// Device bytes `rows` appended rows occupy: what to [`Device::reserve`]
     /// ahead of an [`extend`](DeviceSegments::extend).
     pub fn bytes_for(rows: usize) -> usize {
-        rows * std::mem::size_of::<PreparedEntry>()
+        rows * COLUMNAR_ROW_BYTES as usize
     }
 
     /// Append `segments` to the resident database in place, *offline* (no
     /// transfer charge, like [`alloc`]), with device bytes taken from
-    /// `reserved` — only the new tail is prepared and copied, existing rows
-    /// stay put. The device side of generational ingestion.
+    /// `reserved` — 64 per row, 8 for each column. Only the new tail is
+    /// prepared and copied, existing rows stay put. The device side of
+    /// generational ingestion.
     ///
     /// [`alloc`]: DeviceSegments::alloc
     pub fn extend(&mut self, segments: &[Segment], reserved: &mut Reserved) {
-        self.rows.extend(&prepare(segments), reserved)
+        for (column, more) in self.columns.iter_mut().zip(prepare(segments)) {
+            column.extend(&more, reserved);
+        }
     }
 
     /// Remove the rows at the ascending positions in `removed`, preserving
-    /// survivor order — the expire side of generational ingestion. Only the
-    /// survivors before the last removed row move; the rows after it stay
-    /// in place behind the buffer's front offset. Freed device bytes are
-    /// returned to the allocator.
+    /// survivor order — the expire side of generational ingestion. In each
+    /// column only the survivors before the last removed row move; the rows
+    /// after it stay in place behind the column's front offset. Freed device
+    /// bytes are returned to the allocator.
     pub fn remove_positions(&mut self, removed: &[u32]) {
-        self.rows.remove_positions(removed)
+        for column in &mut self.columns {
+            column.remove_positions(removed);
+        }
     }
 
     /// Number of segments.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.columns[0].len()
     }
 
     /// True if no segments are stored.
@@ -132,7 +193,13 @@ impl DeviceSegments {
     ///
     /// [`upload`]: DeviceSegments::upload
     pub fn size_bytes(&self) -> usize {
-        self.rows.size_bytes()
+        self.columns.iter().map(DeviceBuffer::size_bytes).sum()
+    }
+
+    /// The resident columns, host access without cost accounting.
+    fn column_slices(&self) -> PreparedColumns<'_> {
+        let [vx, vy, vz, bx, by, bz, t_start, t_end] = &self.columns;
+        [vx, vy, vz, bx, by, bz, t_start, t_end].map(DeviceBuffer::as_slice)
     }
 
     /// Refine the entries of the contiguous `range` against the prepared
@@ -151,11 +218,11 @@ impl DeviceSegments {
     /// element-at-a-time charges. The hit callback charges its own staging
     /// cost.
     ///
-    /// The rows are bounds-tested once for the whole range. In a range that
-    /// leaves the buffer each missing row is reported where it is reached:
-    /// the sanitizer records an out-of-bounds read and neutralises it to a
-    /// temporal reject (the comparison still counts), and without a
-    /// sanitizer it panics like a slice index.
+    /// The rows are bounds-tested once for the whole range and pre-tested in
+    /// place. In a range that leaves the buffer each missing row is reported
+    /// where it is reached: the sanitizer records an out-of-bounds read and
+    /// neutralises it to a temporal reject (the comparison still counts),
+    /// and without a sanitizer it panics like a slice index.
     pub fn refine_range(
         &self,
         lanes: &mut [Lane],
@@ -166,10 +233,18 @@ impl DeviceSegments {
         if range.is_empty() {
             return 0;
         }
-        match self.rows.as_slice().get(range.start as usize..range.end as usize) {
-            Some(run) => self.scan(lanes, range.zip(run.iter().map(Some)), 0, q, on_hit),
-            None => self.scan(lanes, range.map(|pos| self.row(pos)), 0, q, on_hit),
+        let mut scan = Scan::new(lanes, q, on_hit);
+        let rows = range.start as usize..range.end as usize;
+        if rows.end <= self.len() {
+            let columns = self.column_slices();
+            for lo in rows.clone().step_by(scan.chunk_rows) {
+                let hi = (lo + scan.chunk_rows).min(rows.end);
+                scan.chunk(cut(columns, lo, hi), |j| (lo + j) as u32);
+            }
+        } else {
+            self.gather(&mut scan, range);
         }
+        scan.finish(0)
     }
 
     /// Refine the entries reached through an index array — the ids
@@ -204,8 +279,9 @@ impl DeviceSegments {
         }
         match ids.row_range(&lanes[0], range.start as usize..range.end as usize) {
             Some(run) => {
-                let rows = run.iter().map(|&id| self.row(id.wrapping_sub(origin)));
-                self.scan(lanes, rows, ID_BYTES, q, on_hit)
+                let mut scan = Scan::new(lanes, q, on_hit);
+                self.gather(&mut scan, run.iter().map(|&id| id.wrapping_sub(origin)));
+                scan.finish(ID_BYTES)
             }
             None => {
                 // Each id read is charged (4 bytes) by the lane that makes it.
@@ -214,7 +290,7 @@ impl DeviceSegments {
                     .zip((0..w).cycle())
                     .map(|(i, l)| ids.read(&mut lanes[l], i as usize).wrapping_sub(origin))
                     .collect();
-                self.scan(lanes, positions.into_iter().map(|pos| self.row(pos)), 0, q, on_hit)
+                self.refine_positions(lanes, &positions, q, on_hit)
             }
         }
     }
@@ -230,66 +306,133 @@ impl DeviceSegments {
         q: &PreparedQuery,
         on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
     ) -> u64 {
-        self.scan(lanes, positions.iter().map(|&pos| self.row(pos)), 0, q, on_hit)
+        let mut scan = Scan::new(lanes, q, on_hit);
+        self.gather(&mut scan, positions.iter().copied());
+        scan.finish(0)
     }
 
-    /// Entry `pos` and its row, `None` past the end of the buffer.
+    /// Feed the entries at `positions` to `scan`, a chunk at a time, each
+    /// chunk's rows copied into stack columns first. A position past the
+    /// end of the buffer is reported by [`missing_row`] on the lane it is
+    /// dealt to and pre-tested as [`MISSING_ROW`].
+    ///
+    /// [`missing_row`]: DeviceSegments::missing_row
     #[inline(always)]
-    fn row(&self, pos: u32) -> (u32, Option<&PreparedEntry>) {
-        (pos, self.rows.as_slice().get(pos as usize))
-    }
-
-    /// The one refinement scan: `candidates` are `(position, row)` pairs in
-    /// order, dealt round robin to `lanes`, with `None` for a row past the
-    /// end of the buffer. Each lane is charged once at the end, in closed
-    /// form, plus `id_bytes` per candidate it was dealt.
-    #[inline(always)]
-    fn scan<'r>(
-        &self,
-        lanes: &mut [Lane],
-        candidates: impl Iterator<Item = (u32, Option<&'r PreparedEntry>)>,
-        id_bytes: u64,
-        q: &PreparedQuery,
-        mut on_hit: impl FnMut(&mut Lane, u32, TimeInterval),
-    ) -> u64 {
-        let w = lanes.len();
-        assert!((1..=MAX_WARP_LANES).contains(&w), "a scan runs on 1..={MAX_WARP_LANES} lanes");
-        let mut overlapping = [0u64; MAX_WARP_LANES];
-        let (mut compared, mut next) = (0u64, 0usize);
-        for (pos, row) in candidates {
-            let l = next;
-            next = if next + 1 == w { 0 } else { next + 1 };
-            compared += 1;
-            let Some(entry) = row else {
-                self.missing_row(&lanes[l], pos);
-                continue;
-            };
-            // The predicate `within_prepared` starts with, applied first so
-            // a temporally rejected entry is charged its timestamps only.
-            if q.time_span().intersect(&entry.time_span()).is_none() {
-                continue;
+    fn gather<H>(&self, scan: &mut Scan<'_, '_, H>, mut positions: impl Iterator<Item = u32>)
+    where
+        H: FnMut(&mut Lane, u32, TimeInterval),
+    {
+        // Every column cut to one length, so one test bounds a row's reads.
+        let len = self.len();
+        let columns = cut(self.column_slices(), 0, len);
+        let mut staged = [[0.0f64; SCAN_CHUNK]; 8];
+        let mut at = [0u32; SCAN_CHUNK];
+        loop {
+            let mut n = 0;
+            for (slot, pos) in at[..scan.chunk_rows].iter_mut().zip(positions.by_ref()) {
+                let row = if (pos as usize) < len {
+                    row_at(columns, pos as usize)
+                } else {
+                    self.missing_row(&scan.lanes[n % scan.lanes.len()], pos);
+                    MISSING_ROW
+                };
+                for (column, x) in staged.iter_mut().zip(row) {
+                    column[n] = x;
+                }
+                *slot = pos;
+                n += 1;
             }
-            overlapping[l] += 1;
-            if let Some(interval) = q.within_prepared(entry) {
-                on_hit(&mut lanes[l], pos, interval);
+            if n == 0 {
+                return;
+            }
+            let [vx, vy, vz, bx, by, bz, t_start, t_end] = &staged;
+            scan.chunk(cut([vx, vy, vz, bx, by, bz, t_start, t_end], 0, n), |j| at[j]);
+            if n < scan.chunk_rows {
+                return;
             }
         }
-        for (l, lane) in lanes.iter_mut().enumerate() {
-            let k = lane_share(compared, l, w);
-            lane.gmem_read((TIMESTAMP_BYTES + id_bytes) * k + COORDINATE_BYTES * overlapping[l]);
-            lane.instr(COMPARE_INSTR * k);
-        }
-        compared
     }
 
-    /// A candidate row past the end of the buffer: under the sanitizer an
-    /// out-of-bounds read attributed to `lane` (the scan then treats the
-    /// row as temporally rejected); without one a slice-index panic.
+    /// A candidate row past the end of the buffer: under the sanitizer one
+    /// out-of-bounds read of `t_start`, the column a comparison reads
+    /// first, attributed to `lane` (the scan then treats the row as
+    /// temporally rejected); without one a slice-index panic.
     #[cold]
     fn missing_row(&self, lane: &Lane, pos: u32) {
         let pos = pos as usize;
-        let row = self.rows.row_range(lane, pos..pos + 1);
+        let [.., t_start, _] = &self.columns;
+        let row = t_start.row_range(lane, pos..pos + 1);
         debug_assert!(row.is_none(), "row {pos} is in bounds");
+    }
+}
+
+/// One refinement scan in progress: candidates in order, dealt round robin
+/// to `lanes`, and what each lane has been dealt. Every lane is charged
+/// once, at [`finish`](Scan::finish), in closed form.
+///
+/// Chunks hold a whole number of turns of the lanes — [`SCAN_CHUNK`] rows
+/// rounded down to a multiple of the lane count — so row `j` of every chunk
+/// is lane `j % lanes`'s.
+struct Scan<'l, 'q, H> {
+    lanes: &'l mut [Lane],
+    q: &'q PreparedQuery,
+    on_hit: H,
+    /// Rows per full chunk.
+    chunk_rows: usize,
+    compared: u64,
+    /// Per chunk row, how many of the candidates dealt to it overlapped the
+    /// query in time; row `j`'s count is lane `j % lanes`'s.
+    overlapping: [u32; SCAN_CHUNK],
+}
+
+impl<'l, 'q, H: FnMut(&mut Lane, u32, TimeInterval)> Scan<'l, 'q, H> {
+    fn new(lanes: &'l mut [Lane], q: &'q PreparedQuery, on_hit: H) -> Self {
+        let w = lanes.len();
+        assert!((1..=MAX_WARP_LANES).contains(&w), "a scan runs on 1..={MAX_WARP_LANES} lanes");
+        let chunk_rows = SCAN_CHUNK - SCAN_CHUNK % w;
+        Scan { lanes, q, on_hit, chunk_rows, compared: 0, overlapping: [0; SCAN_CHUNK] }
+    }
+
+    /// Deal the next chunk of at most `chunk_rows` candidates: `rows` (all
+    /// columns one length), row `j` being entry `position(j)`. The chunk is
+    /// pre-tested as a whole; the rows it passes go to the exact solver.
+    #[inline(always)]
+    fn chunk(&mut self, rows: PreparedColumns<'_>, position: impl Fn(usize) -> u32) {
+        let n = rows[0].len();
+        let mut verdicts = [0u8; SCAN_CHUNK];
+        self.q.pretest(rows, &mut verdicts[..n]);
+        for (count, verdict) in self.overlapping.iter_mut().zip(&verdicts[..n]) {
+            *count += u32::from(verdict & OVERLAPS);
+        }
+        // The solver's rows, eight verdicts at a time.
+        for (word, group) in verdicts.chunks_exact(8).enumerate() {
+            let group = u64::from_le_bytes(group.try_into().expect("eight verdicts"));
+            let mut may_match = group & u64::from_le_bytes([MAY_MATCH; 8]);
+            while may_match != 0 {
+                let j = 8 * word + may_match.trailing_zeros() as usize / 8;
+                may_match &= may_match - 1;
+                let entry = PreparedEntry::from_row(row_at(rows, j));
+                if let Some(interval) = self.q.within_prepared(&entry) {
+                    let lane = &mut self.lanes[j % self.lanes.len()];
+                    (self.on_hit)(lane, position(j), interval);
+                }
+            }
+        }
+        self.compared += n as u64;
+    }
+
+    /// Post each lane's closed-form charge, plus `id_bytes` per candidate
+    /// it was dealt, and return the comparisons performed.
+    fn finish(self, id_bytes: u64) -> u64 {
+        let w = self.lanes.len();
+        for (l, lane) in self.lanes.iter_mut().enumerate() {
+            let k = lane_share(self.compared, l, w);
+            let overlapping: u64 =
+                self.overlapping.iter().skip(l).step_by(w).map(|&c| u64::from(c)).sum();
+            lane.gmem_read((TIMESTAMP_BYTES + id_bytes) * k + COORDINATE_BYTES * overlapping);
+            lane.instr(COMPARE_INSTR * k);
+        }
+        self.compared
     }
 }
 
@@ -450,7 +593,10 @@ mod tests {
         let expired = store.expire_before(2.0);
         assert!(!expired.removed.is_empty());
         resident.remove_positions(&expired.removed);
-        assert_eq!(resident.rows.as_slice(), prepare(store.segments()));
+        assert_eq!(
+            resident.column_slices(),
+            prepare(store.segments()).each_ref().map(Vec::as_slice)
+        );
         assert_eq!(dev.mem_used(), resident.size_bytes());
     }
 

@@ -19,7 +19,7 @@ use tdts_geom::{within_distance, MatchRecord, Point3, PreparedQuery, SegId, Segm
 use tdts_gpu_sim::{
     Counters, Device, DeviceBuffer, DeviceConfig, FindingKind, SanitizerMode, Warp,
 };
-use tdts_kernels::{DeviceSegments, COLUMNAR_ROW_BYTES, COMPARE_INSTR};
+use tdts_kernels::{DeviceSegments, COLUMNAR_ROW_BYTES, COMPARE_INSTR, SCAN_CHUNK};
 
 const QUERY_POS: u32 = 7;
 
@@ -47,8 +47,9 @@ struct Outcome {
 enum Walk {
     /// The entries `lo..hi`.
     Range { lo: u32, hi: u32 },
-    /// The ids `ids[lo..hi]`.
-    Gather { ids: Vec<u32>, lo: u32, hi: u32 },
+    /// The ids `ids[lo..hi]`, entry positions, stored on the device as
+    /// `position + origin` (wrapping) and gathered with that `origin`.
+    Gather { ids: Vec<u32>, origin: u32, lo: u32, hi: u32 },
     /// Positions the lane already holds (`U_k`).
     Positions(Vec<u32>),
 }
@@ -59,7 +60,9 @@ impl Walk {
     fn positions(&self) -> (Vec<u32>, bool) {
         match self {
             Walk::Range { lo, hi } => ((*lo..*hi).collect(), false),
-            Walk::Gather { ids, lo, hi } => ((*lo..*hi).map(|i| ids[i as usize]).collect(), true),
+            Walk::Gather { ids, lo, hi, .. } => {
+                ((*lo..*hi).map(|i| ids[i as usize]).collect(), true)
+            }
             Walk::Positions(positions) => (positions.clone(), false),
         }
     }
@@ -104,11 +107,24 @@ fn model(entries: &[Segment], walk: &Walk, q: &Segment, d: f64, w: usize) -> Out
 
 /// The scan under test, on a warp of `w` lanes.
 fn refine(entries: &[Segment], walk: &Walk, q: &Segment, d: f64, w: usize) -> Outcome {
-    let dev = Device::new(DeviceConfig::test_tiny()).unwrap();
-    let resident = DeviceSegments::alloc(&dev, entries).unwrap();
-    let ids = match walk {
-        Walk::Gather { ids, .. } => ids.clone(),
-        _ => Vec::new(),
+    refine_on(&Device::new(DeviceConfig::test_tiny()).unwrap(), entries, walk, q, d, w)
+}
+
+/// [`refine`] on device `dev`.
+fn refine_on(
+    dev: &Arc<Device>,
+    entries: &[Segment],
+    walk: &Walk,
+    q: &Segment,
+    d: f64,
+    w: usize,
+) -> Outcome {
+    let resident = DeviceSegments::alloc(dev, entries).unwrap();
+    let (ids, origin) = match walk {
+        Walk::Gather { ids, origin, .. } => {
+            (ids.iter().map(|pos| pos.wrapping_add(*origin)).collect(), *origin)
+        }
+        _ => (Vec::new(), 0),
     };
     let ids: DeviceBuffer<u32> = dev.alloc_from_host(ids).unwrap();
     let mut results = dev.alloc_result::<MatchRecord>(walk.positions().0.len().max(1)).unwrap();
@@ -123,7 +139,7 @@ fn refine(entries: &[Segment], walk: &Walk, q: &Segment, d: f64, w: usize) -> Ou
         let compared = match walk {
             Walk::Range { lo, hi } => resident.refine_range(lanes, *lo..*hi, &q, stage),
             Walk::Gather { lo, hi, .. } => {
-                resident.refine_gather(lanes, &ids, 0, *lo..*hi, &q, stage)
+                resident.refine_gather(lanes, &ids, origin, *lo..*hi, &q, stage)
             }
             Walk::Positions(positions) => resident.refine_positions(lanes, positions, &q, stage),
         };
@@ -131,6 +147,8 @@ fn refine(entries: &[Segment], walk: &Walk, q: &Segment, d: f64, w: usize) -> Ou
         assert_eq!(stash.commit(&mut warp), 0, "the result buffer holds every hit");
         (compared, lanes)
     };
+    // Charged like a search's download, so a sanitized device balances.
+    dev.charge_download(results.len() * std::mem::size_of::<MatchRecord>());
     let records = results
         .drain_to_host()
         .into_iter()
@@ -180,7 +198,7 @@ fn empty_and_inverted_ranges_do_nothing() {
     let store = mixed_store();
     let ids: Vec<u32> = (0..8).rev().collect();
     for (lo, hi) in [(0, 0), (3, 3), (8, 8), (5, 2)] {
-        for walk in [range(lo, hi), Walk::Gather { ids: ids.clone(), lo, hi }] {
+        for walk in [range(lo, hi), Walk::Gather { ids: ids.clone(), origin: 0, lo, hi }] {
             for w in [1, 4] {
                 let out = check_on(&store, walk.clone(), &query(), 2.0, w);
                 assert_eq!(out.compared, 0);
@@ -222,7 +240,8 @@ fn a_warp_scans_its_tile_like_lanes_striding_it() {
             for lo in [0, 2] {
                 check_on(&store, range(lo, lo + len), &query(), 3.0, w);
                 let ids: Vec<u32> = (0..lo + len).map(|i| (i * 7 + 3) % 11 % len.max(1)).collect();
-                check_on(&store, Walk::Gather { ids, lo, hi: lo + len }, &query(), 3.0, w);
+                let walk = Walk::Gather { ids, origin: 0, lo, hi: lo + len };
+                check_on(&store, walk, &query(), 3.0, w);
             }
         }
     }
@@ -245,17 +264,79 @@ fn lane_shares_partition_the_tile() {
     }
 }
 
+/// The lengths around the scan's chunk size `C`: empty, one row, one
+/// short of a chunk, a chunk, one past it, and three chunks and a tail.
+fn chunk_boundary_lengths() -> [u32; 6] {
+    let c = SCAN_CHUNK as u32;
+    [0, 1, c - 1, c, c + 1, 3 * c + 5]
+}
+
+/// `len` ids into the first `len / 2 + 1` entries, out of order and
+/// repeating.
+fn scrambled_ids(len: u32) -> Vec<u32> {
+    (0..len).map(|i| (i * 37 + 11) % (len / 2 + 1)).collect()
+}
+
+#[test]
+fn chunk_boundaries_equal_the_element_model() {
+    // Every walk at every length around the chunk size, on one lane, on
+    // three (whose chunks hold 63 rows, so the boundaries shift) and on a
+    // full warp: hits, their per-lane order and every counter match the
+    // element-at-a-time model.
+    for len in chunk_boundary_lengths() {
+        let store = long_store(len as usize + 3);
+        let ids = scrambled_ids(len + 3);
+        for w in [1, 3, 32] {
+            check_on(&store, range(0, len), &query(), 3.0, w);
+            check_on(&store, range(3, len + 3), &query(), 3.0, w);
+            for origin in [0, 1000, u32::MAX - 4] {
+                let walk = Walk::Gather { ids: ids.clone(), origin, lo: 3, hi: len + 3 };
+                check_on(&store, walk, &query(), 3.0, w);
+            }
+            check_on(&store, Walk::Positions(ids[3..].to_vec()), &query(), 3.0, w);
+        }
+    }
+}
+
+#[test]
+fn a_bad_id_mid_chunk_is_one_finding_and_a_temporal_reject() {
+    // A gathered id past the entries in the middle of the second chunk: one
+    // out-of-bounds finding on the lane it is dealt to, and otherwise the
+    // outcome of gathering a temporally disjoint entry in its place.
+    let len = 3 * SCAN_CHUNK as u32 + 5;
+    let store = long_store(len as usize);
+    let disjoint = 1;
+    assert!(store[disjoint as usize].time_span().intersect(&query().time_span()).is_none());
+    let bad_at = SCAN_CHUNK + SCAN_CHUNK / 2;
+    for w in [1, 3, 32] {
+        let mut ids = scrambled_ids(len);
+        ids[bad_at] = 10_000;
+        let dev = sanitized();
+        let walk = Walk::Gather { ids: ids.clone(), origin: 7, lo: 0, hi: len };
+        let got = refine_on(&dev, &store, &walk, &query(), 3.0, w);
+        ids[bad_at] = disjoint;
+        let walk = Walk::Gather { ids, origin: 7, lo: 0, hi: len };
+        assert_eq!(got, model(&store, &walk, &query(), 3.0, w), "{w} lanes");
+        let report = dev.sanitizer_report();
+        assert_eq!(report.findings.len(), 1, "{report}");
+        let finding = &report.findings[0];
+        assert_eq!(finding.kind, FindingKind::OutOfBoundsRead);
+        assert_eq!((finding.offset, finding.lanes.as_slice()), (10_000, &[bad_at % w][..]));
+    }
+}
+
 #[test]
 fn gathered_ids_cost_four_bytes_each_and_keep_their_order() {
     let store = mixed_store();
     // Out of order, with a repeat: both survive into the records.
     let ids = vec![5, 3, 0, 3, 1, 7];
-    let out = check(&store, Walk::Gather { ids: ids.clone(), lo: 0, hi: 6 }, &query(), 3.0);
+    let out =
+        check(&store, Walk::Gather { ids: ids.clone(), origin: 0, lo: 0, hi: 6 }, &query(), 3.0);
     assert_eq!(out.records.iter().map(|r| r.1).collect::<Vec<_>>(), vec![5, 3, 0, 3, 7]);
     assert_eq!(out.lanes[0].gmem_read_bytes, 6 * 4 + 5 * COLUMNAR_ROW_BYTES + 16);
     // On two lanes, lane 0 takes ids 3, 3, 7 and lane 1 takes 0, 1: lane 0's
     // records commit first.
-    let shared = check_on(&store, Walk::Gather { ids, lo: 1, hi: 6 }, &query(), 3.0, 2);
+    let shared = check_on(&store, Walk::Gather { ids, origin: 0, lo: 1, hi: 6 }, &query(), 3.0, 2);
     assert_eq!(shared.records.iter().map(|r| r.1).collect::<Vec<_>>(), vec![3, 3, 7, 0]);
 }
 
@@ -454,7 +535,8 @@ proptest! {
         // Arbitrary ids into the store, repeats and any order included.
         let ids: Vec<u32> = picks.iter().map(|&i| i % store.len() as u32).collect();
         let n = ids.len() as u32;
-        check_on(&store, Walk::Gather { ids: ids.clone(), lo: lo.min(n), hi: hi.min(n) }, &q, d, w);
+        let walk = Walk::Gather { ids: ids.clone(), origin: picks.len() as u32, lo: lo.min(n), hi: hi.min(n) };
+        check_on(&store, walk, &q, d, w);
         check_on(&store, Walk::Positions(ids), &q, d, w);
     }
 }
