@@ -54,6 +54,16 @@ impl Method {
         device: Arc<Device>,
     ) -> Result<Box<dyn TrajectoryIndex>, TdtsError> {
         check_database(store)?;
+        self.build_checked_index(store, device)
+    }
+
+    /// [`build_index`](Method::build_index) over a store whose segments
+    /// [`check_database`] has already passed (or a slice of one that has).
+    pub(crate) fn build_checked_index(
+        &self,
+        store: &Arc<SegmentStore>,
+        device: Arc<Device>,
+    ) -> Result<Box<dyn TrajectoryIndex>, TdtsError> {
         Ok(match *self {
             Method::CpuRTree(cfg) => {
                 cfg.validate().map_err(TdtsError::InvalidConfig)?;

@@ -244,24 +244,35 @@ impl ShardedIndex {
         if config.shards == 0 {
             return Err(TdtsError::InvalidConfig("shard count must be at least 1".into()));
         }
+        // The whole store is checked once, so an error names the global
+        // position; the slices hold only its segments.
         check_database(store)?;
         let sharded = ShardedStore::partition(store, stats, config.shards, config.partition);
-        let mut members = Vec::with_capacity(sharded.slices.len());
-        let mut free_device_bytes = usize::MAX;
-        for slice in &sharded.slices {
+        // The members build side by side on the host's cores (an index's
+        // own parallel steps then run inline); the results come back in
+        // shard order, so the first error is the first failing shard's.
+        let built = tdts_geom::par::par_map(sharded.slices.len(), |i| {
+            let slice = &sharded.slices[i];
             // One device per shard: the slab is resident in that device's
             // memory, and the merged response time models N devices
             // answering side by side.
             let device = Device::new(device_config.clone()).map_err(TdtsError::InvalidConfig)?;
-            let index = method.build_index(&slice.store, Arc::clone(&device))?;
-            free_device_bytes = free_device_bytes.min(device.mem_available());
-            members.push(ShardMember {
+            let index = method.build_checked_index(&slice.store, Arc::clone(&device))?;
+            let member = ShardMember {
                 slab: slice.slab,
                 index,
                 to_global: Arc::clone(&slice.to_global),
                 entries: slice.store.len(),
                 replicated: slice.replicated,
-            });
+            };
+            Ok::<_, TdtsError>((member, device.mem_available()))
+        });
+        let mut members = Vec::with_capacity(built.len());
+        let mut free_device_bytes = usize::MAX;
+        for result in built {
+            let (member, free) = result?;
+            free_device_bytes = free_device_bytes.min(free);
+            members.push(member);
         }
         if members.is_empty() {
             return Err(TdtsError::Search(SearchError::EmptyDataset));

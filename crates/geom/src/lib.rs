@@ -46,6 +46,7 @@ pub mod point;
 pub mod result;
 pub mod segment;
 pub mod shard;
+mod sort;
 pub mod store;
 
 pub use columns::SegmentColumns;

@@ -4,7 +4,13 @@
 //! [`par_map`]; the simulated GPU runs its warps with [`par_ordered`],
 //! whose in-order epilogues keep a launch's cursor bumps, and every counter
 //! after them, independent of host scheduling.
+//!
+//! Loops do not nest: a loop started from inside another loop's body runs
+//! inline on the worker that started it, so an outer loop over a few heavy
+//! items (the members of a sharded index) and an inner one per item (an
+//! index's three dimensions) never start more threads than the host has.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
@@ -32,7 +38,8 @@ where
 /// time and **in ascending index order**; the epilogues' results come back
 /// in index order. Each worker reuses one `W::default()` scratch. What an
 /// item does to state shared across items belongs in the epilogue. A panic
-/// in a body or an epilogue propagates to the caller.
+/// in a body or an epilogue propagates to the caller. Called from inside
+/// another loop's body, it runs every item inline, in index order.
 ///
 /// Workers claim blocks of at most [`MAX_BLOCK`] consecutive indices in
 /// ascending order and run their bodies. A block's epilogues run once every
@@ -46,6 +53,10 @@ where
     B: Fn(&mut W, usize) -> S + Sync,
     E: Fn(S) -> T + Sync,
 {
+    if IN_LOOP.get() {
+        let mut scratch = W::default();
+        return (0..n).map(|i| epilogue(body(&mut scratch, i))).collect();
+    }
     let workers = host_threads().min(n).max(1);
     // About eight blocks per worker on small inputs, so a few heavy items
     // still spread over every worker.
@@ -60,6 +71,7 @@ where
 
     let work = || {
         let _poison = PoisonOnPanic(&turn);
+        let _in_loop = InLoop::enter();
         let (lock, cv) = &turn;
         let mut scratch = W::default();
         let mut done: Vec<(usize, Vec<T>)> = Vec::new();
@@ -118,6 +130,27 @@ where
 fn host_threads() -> usize {
     static HOST_THREADS: OnceLock<usize> = OnceLock::new();
     *HOST_THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+}
+
+thread_local! {
+    /// Set while this thread runs a loop's bodies and epilogues.
+    static IN_LOOP: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as inside a loop until dropped (also on
+/// unwinding), then restores what it found.
+struct InLoop(bool);
+
+impl InLoop {
+    fn enter() -> InLoop {
+        InLoop(IN_LOOP.replace(true))
+    }
+}
+
+impl Drop for InLoop {
+    fn drop(&mut self) {
+        IN_LOOP.set(self.0);
+    }
 }
 
 /// Releases every worker waiting for a turn when the worker holding this
@@ -192,6 +225,22 @@ mod tests {
         );
         assert_eq!(order.into_inner().unwrap(), (0..n).collect::<Vec<_>>());
         assert_eq!(out, (0..n).map(|i| i * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn nested_loops_run_inline() {
+        let outer = std::thread::current().id();
+        let inner: Vec<Vec<(usize, bool)>> = par_map(4, |i| {
+            let worker = std::thread::current().id();
+            par_map(3 * MAX_BLOCK, |j| (i * 1000 + j, std::thread::current().id() == worker))
+        });
+        for (i, items) in inner.iter().enumerate() {
+            assert_eq!(items.len(), 3 * MAX_BLOCK);
+            assert!(items.iter().enumerate().all(|(j, &(x, here))| x == i * 1000 + j && here));
+        }
+        // The calling thread leaves the loop as it entered it.
+        assert_eq!(std::thread::current().id(), outer);
+        assert!(!IN_LOOP.get());
     }
 
     #[test]

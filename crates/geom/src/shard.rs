@@ -248,19 +248,32 @@ impl ShardedStore {
         strategy: PartitionStrategy,
     ) -> ShardedStore {
         let plan = ShardPlan::new(stats, shards, strategy);
-        let mut segs: Vec<Vec<Segment>> = vec![Vec::new(); plan.shards];
-        let mut maps: Vec<Vec<u32>> = vec![Vec::new(); plan.shards];
+        // One pass over the store takes every segment's slab span and sizes
+        // every slab; the position maps are then filled at their final
+        // length, and the slabs copy their segments side by side.
+        let mut spans = Vec::with_capacity(store.len());
+        let mut counts = vec![0usize; plan.shards];
         let mut replicated = vec![0usize; plan.shards];
-        for (pos, seg) in store.iter().enumerate() {
+        for seg in store.iter() {
             let (lo, hi) = plan.slab_span(seg);
             for slab in lo..=hi {
-                segs[slab].push(*seg);
-                maps[slab].push(pos as u32);
+                counts[slab] += 1;
                 if hi > lo {
                     replicated[slab] += 1;
                 }
             }
+            spans.push((lo as u32, hi as u32));
         }
+        let mut maps: Vec<Vec<u32>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
+        for (pos, (lo, hi)) in spans.into_iter().enumerate() {
+            for map in maps.iter_mut().take(hi as usize + 1).skip(lo as usize) {
+                map.push(pos as u32);
+            }
+        }
+        let all = store.segments();
+        let segs: Vec<Vec<Segment>> = crate::par::par_map(plan.shards, |slab| {
+            maps[slab].iter().map(|&pos| all[pos as usize]).collect()
+        });
         let slices = segs
             .into_iter()
             .zip(maps)

@@ -350,26 +350,49 @@ impl SegmentStore {
         self.segments.get(i)
     }
 
-    /// Sort segments by ascending `t_start` (stable). The temporal and
-    /// spatiotemporal indexes require this ordering. A NaN `t_start` sorts
-    /// last, so a hostile store is left for the build's validity check to
-    /// refuse; `-0.0` and `0.0` stay equal keys. The stats cache is
-    /// re-tagged rather than invalidated — the segment *set* is unchanged,
-    /// so the scan (including its exact duration sum) still holds.
+    /// Sort segments by ascending `t_start`, stably: segments with equal
+    /// keys keep their relative order. The temporal and spatiotemporal
+    /// indexes require this ordering. A NaN `t_start` sorts last, so a
+    /// hostile store is left for the build's validity check to refuse;
+    /// `-0.0` and `0.0` are equal keys. The order is exactly that of a
+    /// stable comparison sort under `partial_cmp` with every NaN greater
+    /// than every number.
+    ///
+    /// Each `t_start` maps to an order-preserving `u64` key. Stores of at
+    /// least 4,096 rows sort (key, position) pairs with a least-significant
+    /// digit first radix sort, 16 bits a pass, skipping every pass whose
+    /// digit is the same for all keys (times that are small integers leave
+    /// the low 32 bits alike); the segments then move to their slots in
+    /// place, one permutation cycle at a time, so no second copy of the
+    /// store is made. Smaller stores compare the keys directly. A
+    /// [time-ordered](SegmentStore::is_time_ordered) store is already in
+    /// this order and is left as it is.
+    ///
+    /// The stats cache is re-tagged rather than invalidated — the segment
+    /// *set* is unchanged, so the scan (including its exact duration sum)
+    /// still holds.
     pub fn sort_by_t_start(&mut self) {
         let prev_generation = self.generation;
-        let segs = self.segments.as_mut_slice();
-        segs.sort_by(|a, b| match (a.t_start.is_nan(), b.t_start.is_nan()) {
-            (false, false) => a.t_start.partial_cmp(&b.t_start).expect("neither key is NaN"),
-            (a_nan, b_nan) => a_nan.cmp(&b_nan),
-        });
-        self.time_ordered = continues_time_order(None, segs);
+        if !self.time_ordered {
+            let segs = self.segments.as_mut_slice();
+            crate::sort::sort_by_t_start(segs);
+            self.time_ordered = continues_time_order(None, segs);
+        }
         self.generation += 1;
         if let Some(entry) = self.stats.get_mut().expect("store cache poisoned") {
             if entry.generation == prev_generation {
                 entry.generation = self.generation;
             }
         }
+    }
+
+    /// True if every segment has `t_start <= t_end` and `t_start` does not
+    /// decrease in position order: the flag that lets
+    /// [`expire_before`](SegmentStore::expire_before) scan only the rows
+    /// that start before its cut. Set by a sort or construction that finds
+    /// it so, kept through appends, cleared by a cut.
+    pub fn is_time_ordered(&self) -> bool {
+        self.time_ordered
     }
 
     /// True if segments are sorted by non-decreasing `t_start`.

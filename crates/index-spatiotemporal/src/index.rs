@@ -215,11 +215,11 @@ impl SpatioTemporalIndex {
 
         // One run per (dimension, subbin): its entries in (bin, position)
         // order, each bin's ids ending at `bounds[i + 1]`. Each entry is
-        // pushed straight into the subbins `stored_subbins` gives it.
+        // pushed straight into the subbins `stored_subbins` gives it. The
+        // three dimensions build side by side on the host's cores.
         check_bins(v.checked_mul(m))?;
         let segs = store.segments();
-        let mut runs = Vec::with_capacity(3 * v);
-        for d in 0..3 {
+        let dim_runs = tdts_geom::par::par_map(3, |d| {
             let mut ids: Vec<Vec<u32>> = vec![Vec::new(); v];
             let mut bounds: Vec<Vec<u32>> = vec![vec![0]; v];
             for i in 0..m {
@@ -236,10 +236,11 @@ impl SpatioTemporalIndex {
                     bounds.push(run.len() as u32);
                 }
             }
-            for (ids, bounds) in ids.into_iter().zip(bounds) {
-                runs.push(Run { ids, bounds: bounds.into(), head: 0 });
-            }
-        }
+            let runs = ids.into_iter().zip(bounds);
+            runs.map(|(ids, bounds)| Run { ids, bounds: bounds.into(), head: 0 })
+                .collect::<Vec<_>>()
+        });
+        let runs = dim_runs.into_iter().flatten().collect();
 
         Ok(SpatioTemporalIndex { temporal, v, lo, width, origin: 0, runs })
     }

@@ -205,3 +205,55 @@ fn fixture_counters_are_pinned() {
         }
     }
 }
+
+/// The builds that run on the host's cores — an index's three dimensions,
+/// a sharded index's members — give what the same build gives run inline
+/// (as a loop nested in another loop's body runs), every time.
+#[test]
+fn parallel_builds_are_deterministic() {
+    use tdts::geom::par::par_map;
+    use tdts::index_spatiotemporal::SpatioTemporalIndex;
+
+    let (dataset, queries) = fixture();
+    let store = dataset.store();
+    let stats = store.stats().unwrap();
+    let config = SpatioTemporalIndexConfig { bins: 50, subbins: 8, sort_by_selector: true };
+    let build = || SpatioTemporalIndex::build_with_stats(store, &stats, config).unwrap();
+    let inline = par_map(1, |_| build()).pop().unwrap();
+    for index in [build(), build()] {
+        assert!(index.effective_subbins() > 1, "one subbin leaves nothing to compare");
+        assert_eq!(index.runs().len(), inline.runs().len());
+        for (run, expected) in index.runs().iter().zip(inline.runs()) {
+            assert_eq!(run.ids(), expected.ids());
+        }
+        assert_eq!(format!("{index:?}"), format!("{inline:?}"), "runs, bounds and geometry");
+    }
+
+    for method in methods() {
+        for shape in SHAPES {
+            let label = format!("{} / 4 shards / {shape:?}", method.name());
+            let config = DeviceConfig { kernel_shape: shape, ..DeviceConfig::tesla_c2075() };
+            let sharding = ShardedIndexConfig::builder().shards(4).build().unwrap();
+            let build = || SearchEngine::build_sharded(&dataset, method, &config, &sharding);
+            let inline = par_map(1, |_| build().unwrap()).pop().unwrap();
+            let (expected, report) = inline.search(&queries, D, AMPLE).unwrap();
+            // Every per-shard field but the response seconds, which the CPU
+            // baseline measures in host wall; `deterministic()` covers the
+            // simulated ones.
+            let stats = |engine: &SearchEngine| -> Vec<ShardStats> {
+                let mut stats = engine.sharded().unwrap().shard_stats();
+                stats.iter_mut().for_each(|s| s.response_seconds = 0.0);
+                stats
+            };
+            let expected_stats = stats(&inline);
+            assert!(expected_stats.len() > 1, "{label}: one member leaves nothing to compare");
+            for _ in 0..2 {
+                let engine = build().unwrap();
+                let (matches, again) = engine.search(&queries, D, AMPLE).unwrap();
+                common::assert_byte_identical(&matches, &expected, &label);
+                assert_eq!(again.deterministic(), report.deterministic(), "{label}");
+                assert_eq!(stats(&engine), expected_stats, "{label}");
+            }
+        }
+    }
+}
