@@ -3,20 +3,27 @@
 //! pre-tested a chunk at a time, with the exact solver on the rows that
 //! pass.
 //!
+//! * `scan/pretest-64` — the pre-test alone over the 65,536 rows in chunks
+//!   of 64, as the scan calls it: its cost per row apart from the solver
+//!   and the lanes.
 //! * `scan/range-1-lane` — one lane walks 65,536 contiguous rows, the
 //!   thread-per-query refinement of GPUTemporal.
 //! * `scan/gather-32-lanes` — a 32-lane warp scans the same rows reached
 //!   through a shuffled id array, the warp-per-tile gather of
 //!   GPUSpatioTemporal.
 //!
+//! Each id ends in the copy of the pre-test loop the host runs
+//! (`tdts_geom::scan_isa`: `avx2` or `portable`), so a number says which
+//! loop produced it.
+//!
 //! Every entry overlaps the query in time and about one in a hundred comes
 //! within the distance, so nearly every row is rejected by the arithmetic
 //! of the quadratic rather than by its timestamps.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use tdts_geom::{Point3, PreparedQuery, SegId, Segment, TrajId};
+use tdts_geom::{scan_isa, Point3, PreparedEntry, PreparedQuery, SegId, Segment, TrajId};
 use tdts_gpu_sim::{Device, DeviceConfig, Warp};
-use tdts_kernels::DeviceSegments;
+use tdts_kernels::{DeviceSegments, SCAN_CHUNK};
 
 const ROWS: u32 = 1 << 16;
 
@@ -39,7 +46,10 @@ fn make_segments(n: u32) -> Vec<Segment> {
 
 fn bench_scan(c: &mut Criterion) {
     let device = Device::new(DeviceConfig::tesla_c2075()).expect("valid device");
-    let entries = DeviceSegments::alloc(&device, &make_segments(ROWS)).expect("fits the device");
+    let segments = make_segments(ROWS);
+    let entries = DeviceSegments::alloc(&device, &segments).expect("fits the device");
+    let rows: Vec<[f64; 8]> = segments.iter().map(|s| PreparedEntry::new(s).to_row()).collect();
+    let columns: [Vec<f64>; 8] = std::array::from_fn(|c| rows.iter().map(|r| r[c]).collect());
     let query = Segment::new(
         Point3::new(-1.0, 2.0, 10.0),
         Point3::new(0.5, 1.5, 10.5),
@@ -55,8 +65,19 @@ fn bench_scan(c: &mut Criterion) {
         .alloc_from_host((0..ROWS).map(|i| i.wrapping_mul(40_503) % ROWS).collect())
         .expect("fits the device");
 
+    let isa = scan_isa();
     let mut group = c.benchmark_group("scan");
-    group.bench_function("range-1-lane", |b| {
+    group.bench_function(format!("pretest-{SCAN_CHUNK}/{isa}"), |b| {
+        let mut verdicts = [0u8; SCAN_CHUNK];
+        b.iter(|| {
+            for at in (0..ROWS as usize).step_by(SCAN_CHUNK) {
+                let chunk = columns.each_ref().map(|c| &c[at..]);
+                black_box(&q).pretest(chunk, &mut verdicts);
+                black_box(&verdicts);
+            }
+        })
+    });
+    group.bench_function(format!("range-1-lane/{isa}"), |b| {
         let mut warp = Warp::standalone(1);
         b.iter(|| {
             let mut hits = 0u32;
@@ -65,7 +86,7 @@ fn bench_scan(c: &mut Criterion) {
             black_box((compared, hits))
         })
     });
-    group.bench_function("gather-32-lanes", |b| {
+    group.bench_function(format!("gather-32-lanes/{isa}"), |b| {
         let mut warp = Warp::standalone(32);
         b.iter(|| {
             let mut hits = 0u32;

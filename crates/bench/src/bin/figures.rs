@@ -7,7 +7,7 @@
 //! ```
 
 use tdts_bench::{names, run, select, RunConfig};
-use tdts_geom::PartitionStrategy;
+use tdts_geom::{scan_isa, PartitionStrategy};
 use tdts_gpu_sim::{KernelShape, SanitizerMode};
 
 const OPTIONS: &str = "  --list              print the target names and exit
@@ -85,7 +85,12 @@ fn main() {
         exit_usage("no target given");
     }
 
-    println!("# tdts figures — scale {:.5} of paper sizes, device: {}", cfg.scale, cfg.device.name);
+    println!(
+        "# tdts figures — scale {:.5} of paper sizes, device: {}, host scan pre-test: {}",
+        cfg.scale,
+        cfg.device.name,
+        scan_isa()
+    );
     let shard = cfg.sharding;
     if shard.shards > 1 {
         println!("# sharded: {} simulated devices, {} partition", shard.shards, shard.partition);

@@ -215,13 +215,17 @@ impl PreparedQuery {
     /// `MAY_MATCH` rows alone and loses no match. It holds for every row
     /// and query without a NaN timestamp, which includes every one the
     /// numeric domain admits: both decide the overlap alike and compute
-    /// the [`Quadratic`] with the same operations in the same order, and
+    /// the `Quadratic` with the same operations in the same order, and
     /// the solver answers `None` when the spans are disjoint or
     /// `disc < 0`. Its parallel-motion branch (`c2 = 0`) needs no term of
     /// its own: there `disc = c1² − 0 ≥ 0`, so the row is passed on.
     ///
     /// The loop reads each column with unit stride and has no branch, so
-    /// the compiler vectorises it.
+    /// the compiler vectorises it. It is compiled twice: for the target's
+    /// baseline, and for AVX2 (four rows an instruction), which runs
+    /// wherever the CPU has it ([`scan_isa`] says which copy this host
+    /// runs). Both copies run the same IEEE operations on every row, so
+    /// their verdicts agree bit for bit.
     ///
     /// # Panics
     ///
@@ -230,6 +234,31 @@ impl PreparedQuery {
     /// [`within_prepared`]: PreparedQuery::within_prepared
     #[inline]
     pub fn pretest(&self, rows: PreparedColumns<'_>, verdicts: &mut [u8]) {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if has_avx2() {
+            #[allow(unsafe_code)]
+            // SAFETY: `has_avx2` has just detected AVX2 on the running CPU,
+            // the one feature `pretest_avx2` is compiled for.
+            unsafe {
+                self.pretest_avx2(rows, verdicts)
+            };
+            return;
+        }
+        self.pretest_rows(rows, verdicts);
+    }
+
+    /// [`pretest`](PreparedQuery::pretest)'s loop compiled for AVX2. Only
+    /// the code generation differs: the body is the one `pretest_rows`.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[target_feature(enable = "avx2")]
+    fn pretest_avx2(&self, rows: PreparedColumns<'_>, verdicts: &mut [u8]) {
+        self.pretest_rows(rows, verdicts);
+    }
+
+    /// The body of [`pretest`](PreparedQuery::pretest), inlined into each
+    /// copy so each is compiled for its own instruction set.
+    #[inline(always)]
+    fn pretest_rows(&self, rows: PreparedColumns<'_>, verdicts: &mut [u8]) {
         let n = verdicts.len();
         let [vx, vy, vz, bx, by, bz, t_start, t_end] = rows;
         let (vx, vy, vz, bx, by, bz) = (&vx[..n], &vy[..n], &vz[..n], &bx[..n], &by[..n], &bz[..n]);
@@ -257,6 +286,32 @@ impl PreparedQuery {
     #[inline]
     pub fn within(&self, entry: &Segment) -> Option<TimeInterval> {
         self.within_prepared(&PreparedEntry::new(entry))
+    }
+}
+
+/// Whether the running CPU has AVX2: the one feature check behind
+/// [`PreparedQuery::pretest`]'s choice of loop. The standard library caches
+/// the answer, so a call costs one atomic load.
+#[inline]
+fn has_avx2() -> bool {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+    {
+        false
+    }
+}
+
+/// Which copy of [`PreparedQuery::pretest`]'s loop this host runs:
+/// `"avx2"` or `"portable"`. Read-only — the CPU decides, nothing else — so
+/// that every host-wall number can say which loop produced it.
+pub fn scan_isa() -> &'static str {
+    if has_avx2() {
+        "avx2"
+    } else {
+        "portable"
     }
 }
 
@@ -417,6 +472,226 @@ mod tests {
         let r = within_distance(&a, &b, 0.6).unwrap();
         assert_eq!(r, TimeInterval::new(1.0, 1.0));
         assert_eq!(within_distance(&a, &b, 0.4), None);
+    }
+
+    /// Rows in one chunk of the kernels' refinement scan (`SCAN_CHUNK`).
+    /// The variant tests run every chunk length up to two chunks and three
+    /// rows, so both copies' vector bodies and scalar tails run.
+    const CHUNK: usize = 64;
+
+    /// On a CPU without AVX2 the dispatched pre-test is the portable copy
+    /// too, so `test` compares nothing wide: say so rather than pass
+    /// silently. Written to stderr directly, which the test harness does
+    /// not capture, so the line shows in a passing run.
+    fn note_if_wide_copy_skipped(test: &str) {
+        use std::io::Write;
+        if scan_isa() != "avx2" {
+            let line = format!("{test}: this CPU has no AVX2; the wide copy was skipped\n");
+            let _ = std::io::stderr().write_all(line.as_bytes());
+        }
+    }
+
+    /// Require the dispatched pre-test (the AVX2 copy, on a CPU that has
+    /// it) to write the portable copy's verdicts, byte for byte, for every
+    /// prefix of `rows` at each of the first four start offsets.
+    fn assert_copies_agree(q: &PreparedQuery, rows: &[[f64; 8]]) {
+        let columns: [Vec<f64>; 8] = std::array::from_fn(|c| rows.iter().map(|r| r[c]).collect());
+        for offset in 0..rows.len().min(4) {
+            let columns = columns.each_ref().map(|c| &c[offset..]);
+            for n in 0..=rows.len() - offset {
+                let mut portable = vec![0xff; n];
+                q.pretest_rows(columns, &mut portable);
+                let mut dispatched = vec![0xff; n];
+                q.pretest(columns, &mut dispatched);
+                assert_eq!(dispatched, portable, "{n} rows from {offset}, query {q:?}");
+            }
+        }
+    }
+
+    /// A query with any span, motion and `d²`, NaN and infinities included:
+    /// the fields `PreparedQuery::new` would compute, set directly.
+    fn raw_query(span: (f64, f64), v: Point3, base: Point3, d2: f64) -> PreparedQuery {
+        PreparedQuery { span: TimeInterval { start: span.0, end: span.1 }, model: (v, base), d2 }
+    }
+
+    /// Deterministic pseudo-random segments via an LCG: motions in a
+    /// 100-unit box over spans inside `[-0.5, 11.5]`, about one in five
+    /// disjoint from `[0, 1]`.
+    fn lcg_segments(n: usize, seed: u64) -> Vec<Segment> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 33) as f64) / (u32::MAX as f64)
+        };
+        (0..n)
+            .map(|_| {
+                let p = (next() * 100.0 - 50.0, next() * 100.0 - 50.0, next() * 10.0);
+                let e = (p.0 + next() * 8.0 - 4.0, p.1 + next() * 8.0 - 4.0, p.2 + next() - 0.5);
+                let t0 = next() * 6.0 - 0.5;
+                seg(p, e, t0, t0 + next() * 6.0)
+            })
+            .collect()
+    }
+
+    fn rows_of(segments: &[Segment]) -> Vec<[f64; 8]> {
+        segments.iter().map(|s| PreparedEntry::new(s).to_row()).collect()
+    }
+
+    #[test]
+    fn pretest_copies_agree_at_every_chunk_length() {
+        note_if_wide_copy_skipped("pretest_copies_agree_at_every_chunk_length");
+        let rows = rows_of(&lcg_segments(2 * CHUNK + 3, 0x2545f4914f6cdd1d));
+        let q = seg((-1.0, 2.0, 3.0), (0.5, 1.5, 3.5), 0.0, 1.0);
+        for d in [0.0, 0.5, 5.0, 25.0, 200.0] {
+            assert_copies_agree(&PreparedQuery::new(&q, d), &rows);
+        }
+    }
+
+    #[test]
+    fn pretest_copies_agree_on_nan_inf_and_signed_zero_timestamps() {
+        note_if_wide_copy_skipped("pretest_copies_agree_on_nan_inf_and_signed_zero_timestamps");
+        let special = [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, 1.0];
+        let pairs: Vec<(f64, f64)> =
+            special.iter().flat_map(|&a| special.iter().map(move |&b| (a, b))).collect();
+        let motion = rows_of(&lcg_segments(pairs.len(), 7));
+        let rows: Vec<[f64; 8]> = pairs
+            .iter()
+            .zip(&motion)
+            .map(|(&(t0, t1), row)| [row[0], row[1], row[2], row[3], row[4], row[5], t0, t1])
+            .collect();
+        let (v, base) = (Point3::new(0.1, -0.2, 0.3), Point3::new(1.0, 2.0, 3.0));
+        for &span in &pairs {
+            assert_copies_agree(&raw_query(span, v, base, 2500.0), &rows);
+        }
+        // The same specials in each motion column and in d².
+        for c in 0..6 {
+            for &x in &special {
+                let mut rows = rows.clone();
+                rows.iter_mut().step_by(3).for_each(|row| row[c] = x);
+                assert_copies_agree(&raw_query((0.0, 1.0), v, base, x.abs()), &rows);
+            }
+        }
+    }
+
+    #[test]
+    fn pretest_copies_agree_on_parallel_motion_and_zero_d() {
+        note_if_wide_copy_skipped("pretest_copies_agree_on_parallel_motion_and_zero_d");
+        let q = seg((0.0, 0.0, 0.0), (1.0, 2.0, 3.0), 0.0, 1.0);
+        // The query translated (c2 = 0) by 0, 1, 2, … units, and stationary
+        // points on its path (a zero-duration entry at each of its times).
+        let rows: Vec<[f64; 8]> = (0..2 * CHUNK + 3)
+            .map(|i| {
+                let k = i as f64;
+                let e = if i % 2 == 0 {
+                    seg((0.0, k / 2.0, 0.0), (1.0, 2.0 + k / 2.0, 3.0), 0.0, 1.0)
+                } else {
+                    let t = k / (2 * CHUNK) as f64;
+                    let p = q.position_at(t.min(1.0));
+                    seg((p.x, p.y, p.z), (p.x, p.y, p.z), t, t)
+                };
+                PreparedEntry::new(&e).to_row()
+            })
+            .collect();
+        for d in [0.0, 1.0, 2.5, 3.0] {
+            assert_copies_agree(&PreparedQuery::new(&q, d), &rows);
+        }
+    }
+
+    #[test]
+    fn pretest_copies_agree_at_the_domain_edge() {
+        note_if_wide_copy_skipped("pretest_copies_agree_at_the_domain_edge");
+        // Coordinates up to 2^160, timestamps too in every other row.
+        let k = crate::DOMAIN_BOUND / 64.0;
+        let big = |s: &Segment, time: bool| {
+            let t = if time { k } else { 1.0 };
+            Segment::new(s.start * k, s.end * k, s.t_start * t, s.t_end * t, s.seg_id, s.traj_id)
+        };
+        let segments: Vec<Segment> = lcg_segments(2 * CHUNK + 3, 11)
+            .iter()
+            .enumerate()
+            .map(|(i, s)| big(s, i % 2 == 0))
+            .collect();
+        let rows = rows_of(&segments);
+        let q = seg((-1.0, 1.0, 0.0), (1.0, -1.0, 0.5), 0.0, 1.0);
+        for q in [big(&q, false), big(&q, true)] {
+            for d in [0.0, 1.0, k, crate::DOMAIN_BOUND] {
+                assert_copies_agree(&PreparedQuery::new(&q, d), &rows);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The copies agree on the rows of `prop_continuous`'s generators:
+        /// random segments, and the degenerate kinds its pre-test property
+        /// adds to them.
+        #[test]
+        fn pretest_copies_agree_on_generated_rows(
+            q in arb_segment(),
+            es in proptest::collection::vec(arb_segment(), 1..40),
+            shift in (-20i32..20, -20i32..20, -3i32..3),
+            d in (0u32..4, 0.0f64..30.0),
+        ) {
+            static NOTE: std::sync::Once = std::sync::Once::new();
+            NOTE.call_once(|| note_if_wide_copy_skipped("pretest_copies_agree_on_generated_rows"));
+            let d = if d.0 == 0 { 0.0 } else { d.1 };
+            let offset = Point3::new(f64::from(shift.0), f64::from(shift.1), f64::from(shift.2));
+            let mut entries = es.clone();
+            entries.extend([
+                q,
+                Segment::new(q.start + offset, q.end + offset, q.t_start, q.t_end,
+                             SegId(1), TrajId(1)),
+                Segment::new(es[0].start, es[0].start, q.t_start, q.t_start, SegId(2), TrajId(2)),
+                Segment::new(q.start, q.end, q.t_end + 1.0, q.t_end + 2.0, SegId(3), TrajId(3)),
+            ]);
+            let rows = rows_of(&entries);
+            for d in [d, 0.0, offset.norm()] {
+                assert_copies_agree(&PreparedQuery::new(&q, d), &rows);
+            }
+            // Each pair at its flip point, where the discriminant is as
+            // close to zero as a double allows: a row in each slot of a
+            // vector and of the tail.
+            for e in &es {
+                if let Some((none, some)) = flip_point(&q, e) {
+                    let rows = rows_of(&[*e; 9]);
+                    for d in [none, some] {
+                        assert_copies_agree(&PreparedQuery::new(&q, d), &rows);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `prop_continuous`'s flip point: the two adjacent doubles `(none,
+    /// some)` between which `within` of `q` against `e` turns from `None`
+    /// to `Some`, found by bisecting the bit patterns of non-negative `d`.
+    fn flip_point(q: &Segment, e: &Segment) -> Option<(f64, f64)> {
+        let ov = q.time_span().intersect(&e.time_span())?;
+        let within = |d: f64| PreparedQuery::new(q, d).within(e).is_some();
+        let far = q.position_at(ov.start).dist(&e.position_at(ov.start));
+        let (mut none, mut some) = (0.0f64.to_bits(), (2.0 * far + 1.0).to_bits());
+        if within(0.0) || !within(f64::from_bits(some)) {
+            return None;
+        }
+        while some - none > 1 {
+            let mid = none + (some - none) / 2;
+            if within(f64::from_bits(mid)) {
+                some = mid;
+            } else {
+                none = mid;
+            }
+        }
+        Some((f64::from_bits(none), f64::from_bits(some)))
+    }
+
+    /// `prop_continuous`'s segment generator.
+    fn arb_segment() -> impl proptest::prelude::Strategy<Value = Segment> {
+        use proptest::prelude::Strategy;
+        let arb_point = || {
+            (-50.0f64..50.0, -50.0f64..50.0, -50.0f64..50.0)
+                .prop_map(|(x, y, z)| Point3::new(x, y, z))
+        };
+        (arb_point(), arb_point(), 0.0f64..10.0, 0.001f64..5.0)
+            .prop_map(|(a, b, t0, dt)| Segment::new(a, b, t0, t0 + dt, SegId(0), TrajId(0)))
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   with each side's half of the arithmetic done once: the query's per
 //!   search, the entry's when it is placed on the device, as a row of the
 //!   [`PreparedColumns`]. [`PreparedQuery::pretest`] rejects whole chunks
-//!   of those columns ahead of the solver, only where the solver would.
+//!   of those columns ahead of the solver, only where the solver would, in
+//!   a loop compiled for the host's vector width ([`scan_isa`]).
 //! * [`DOMAIN_BOUND`] — the numeric domain every segment and threshold
 //!   lies in (magnitudes up to 2¹⁶⁰), inside which the test stays finite;
 //!   [`first_invalid`] and [`check_threshold`] are its one check.
@@ -33,7 +34,7 @@
 //!   (temporal or spatial slabs, boundary segments replicated) for
 //!   multi-device execution.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod columns;
 pub mod continuous;
@@ -51,7 +52,7 @@ pub mod store;
 
 pub use columns::SegmentColumns;
 pub use continuous::{
-    within_distance, PreparedColumns, PreparedEntry, PreparedQuery, MAY_MATCH, OVERLAPS,
+    scan_isa, within_distance, PreparedColumns, PreparedEntry, PreparedQuery, MAY_MATCH, OVERLAPS,
 };
 pub use domain::{check_threshold, first_invalid, InvalidSegment, DOMAIN_BOUND};
 pub use front::FrontVec;

@@ -279,6 +279,7 @@ fn main() {
                 stats.max_segment_extent[1],
                 stats.max_segment_extent[2]
             );
+            println!("scan pre-test:  {}", tdts_geom::scan_isa());
         }
         "generate" => {
             let out = o.out.as_deref().unwrap_or("dataset.csv");

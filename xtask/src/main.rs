@@ -7,10 +7,11 @@
 //! A hand-rolled, std-only static pass over the workspace sources (no
 //! `syn`: this environment is offline, so the scanner works on text with
 //! just enough context tracking to skip comments, strings, and test
-//! modules). Eight rules — four encoding invariants the simulated GPU
+//! modules). Nine rules — four encoding invariants the simulated GPU
 //! relies on, three host-side concurrency rules guarding the query
-//! service (the static twin of the `tdts-sync` model checker), and one
-//! keeping host parallelism in one place:
+//! service (the static twin of the `tdts-sync` model checker), one
+//! keeping host parallelism in one place and one keeping CPU-feature code
+//! in one place:
 //!
 //! * `uncharged-column-read` — `DeviceBuffer::row_range` and
 //!   `DeviceBuffer::as_slice` hand out device data without posting a
@@ -50,6 +51,13 @@
 //!   threads in one place, `tdts_geom::par` (`crates/geom/src/par.rs`);
 //!   a `thread::scope(`/`thread::spawn(` anywhere else in them would be a
 //!   second host-parallel mechanism with its own thread count.
+//! * `target-features` — `#[target_feature(..)]`, a `*_feature_detected!`
+//!   check and `allow(unsafe_code)` appear in one file,
+//!   `crates/geom/src/continuous.rs`, where the refinement pre-test picks
+//!   its AVX2 or portable copy at run time. That dispatch is `tdts-geom`'s
+//!   one unsafe block; anywhere else such code would be a second,
+//!   untested instruction-set path or an unsafe hole in a crate that
+//!   denies unsafe code.
 //!
 //! A finding is waived by `// lint: allow(<rule>)` on the offending line
 //! or the line directly above it (give a reason after the marker).
@@ -211,6 +219,23 @@ const KERNEL_CRATES: &[&str] = &[
     "crates/index-spatiotemporal/src",
 ];
 
+/// Every library, binary and tool source directory of the workspace.
+const ALL_SOURCES: &[&str] = &[
+    "src",
+    "crates/kernels/src",
+    "crates/index-spatial/src",
+    "crates/index-temporal/src",
+    "crates/index-spatiotemporal/src",
+    "crates/gpu-sim/src",
+    "crates/geom/src",
+    "crates/core/src",
+    "crates/data/src",
+    "crates/rtree/src",
+    "crates/service/src",
+    "crates/bench/src",
+    "xtask/src",
+];
+
 const RULES: &[Rule] = &[
     Rule {
         name: "uncharged-column-read",
@@ -256,21 +281,7 @@ const RULES: &[Rule] = &[
     Rule {
         name: "unsafe-without-safety",
         why: "unsafe without a `// SAFETY:` comment in the three preceding lines",
-        scan_dirs: &[
-            "src",
-            "crates/kernels/src",
-            "crates/index-spatial/src",
-            "crates/index-temporal/src",
-            "crates/index-spatiotemporal/src",
-            "crates/gpu-sim/src",
-            "crates/geom/src",
-            "crates/core/src",
-            "crates/data/src",
-            "crates/rtree/src",
-            "crates/service/src",
-            "crates/bench/src",
-            "xtask/src",
-        ],
+        scan_dirs: ALL_SOURCES,
         scan_files: &[],
         exempt_files: &[],
         matches: |code, _| contains_word(code, "unsafe"),
@@ -358,6 +369,23 @@ const RULES: &[Rule] = &[
         safety_comment_discharges: false,
         context_discharges: None,
         bad_fixture: "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n",
+    },
+    Rule {
+        name: "target-features",
+        why: "target_feature, a CPU-feature check or allow(unsafe_code) outside \
+              crates/geom/src/continuous.rs, the one home of the pre-test's runtime dispatch",
+        scan_dirs: ALL_SOURCES,
+        scan_files: &[],
+        exempt_files: &["crates/geom/src/continuous.rs"],
+        matches: |code, _| {
+            code.contains("target_feature(")
+                || code.contains("_feature_detected!")
+                || code.contains("allow(unsafe_code)")
+        },
+        include_tests: true,
+        safety_comment_discharges: false,
+        context_discharges: None,
+        bad_fixture: "#[target_feature(enable = \"avx2\")]\nfn f() {}\n",
     },
 ];
 
@@ -702,6 +730,28 @@ mod tests {
         let in_tests = "#[cfg(test)]\nmod tests {\n    fn t() { std::thread::spawn(|| {}); }\n}\n";
         assert!(scan("host-threads", in_tests).is_empty(), "tests may start threads");
         assert_eq!(rule("host-threads").exempt_files, ["crates/geom/src/par.rs"], "one home");
+    }
+
+    #[test]
+    fn target_features_fire_outside_the_one_home() {
+        assert_eq!(scan("target-features", "#[target_feature(enable = \"avx2\")]\n").len(), 1);
+        assert_eq!(
+            scan("target-features", "if std::arch::is_x86_feature_detected!(\"avx2\") {}\n").len(),
+            1
+        );
+        assert_eq!(scan("target-features", "is_aarch64_feature_detected!(\"neon\");\n").len(), 1);
+        assert_eq!(scan("target-features", "#[allow(unsafe_code)]\n").len(), 1);
+        assert_eq!(scan("target-features", "#![allow(unsafe_code)]\n").len(), 1);
+        assert!(scan("target-features", "#![deny(unsafe_code)]\n").is_empty());
+        assert!(scan("target-features", "#[cfg(target_feature = \"avx2\")]\n").is_empty());
+        assert!(scan("target-features", "println!(\"{}\", tdts_geom::scan_isa());\n").is_empty());
+        let in_tests = "#[cfg(test)]\nmod tests {\n    #[target_feature(enable = \"avx2\")]\n}\n";
+        assert_eq!(scan("target-features", in_tests).len(), 1, "tests too");
+        assert_eq!(
+            rule("target-features").exempt_files,
+            ["crates/geom/src/continuous.rs"],
+            "one home"
+        );
     }
 
     #[test]
