@@ -13,7 +13,6 @@ use tdts_gpu_sim::{KernelShape, SanitizerMode};
 const OPTIONS: &str = "  --list              print the target names and exit
   --scale <f>         dataset scale vs the paper (default 1/16)
   --no-verify         skip cross-arm result-set verification
-  --trials <n>        trials per measurement (default 2)
   --kernel-shape <s>  thread-per-query (default) | warp-per-tile
   --tile-size <n>     work-queue tile size in candidate entries (default 128;
                       used by warp-per-tile kernels)
@@ -53,7 +52,6 @@ fn main() {
                 cfg.scale = value(args, "--scale", "a float in (0, 1]", in_range);
             }
             "--no-verify" => cfg.verify = false,
-            "--trials" => cfg.trials = value(args, "--trials", "a positive integer", positive),
             "--kernel-shape" => {
                 let expects = "thread-per-query or warp-per-tile";
                 cfg.device.kernel_shape = value(args, "--kernel-shape", expects, |v| match v {

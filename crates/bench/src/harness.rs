@@ -4,7 +4,7 @@
 //! a `d` sweep → response time and counted quantities — so every table of
 //! every figure, in-text study and extension study is one [`Target`]
 //! literal in [`TARGETS`], and [`run`] is the only code that builds
-//! indexes, times searches, cross-checks result sets and prints. Adding a
+//! indexes, runs searches, cross-checks result sets and prints. Adding a
 //! study is adding a literal.
 
 use std::collections::hash_map::DefaultHasher;
@@ -30,10 +30,6 @@ pub struct RunConfig {
     pub scale: f64,
     /// Cross-check that every arm of a table returns the same result set.
     pub verify: bool,
-    /// Trials per measurement; the minimum response time is reported (the
-    /// paper averages 3 trials with negligible deviation; the minimum is
-    /// more robust against scheduler noise on small hosts).
-    pub trials: usize,
     /// Simulated device.
     pub device: DeviceConfig,
     /// How the entry database is partitioned across simulated devices. With
@@ -48,7 +44,6 @@ impl Default for RunConfig {
         RunConfig {
             scale: 1.0 / 16.0,
             verify: true,
-            trials: 2,
             device: DeviceConfig::tesla_c2075(),
             sharding: ShardedIndexConfig::default(),
         }
@@ -73,9 +68,7 @@ pub struct Target {
 }
 
 /// From a table's measured cells (`[d][arm]`): its closing line (none when
-/// empty), or why its scale-calibrated shape check failed. A check reads
-/// counters and the simulated clock only — `response_seconds()` includes
-/// measured host wall time, which no assertion may depend on.
+/// empty), or why its scale-calibrated shape check failed.
 type Close = fn(&[Vec<Cell>]) -> Result<String, String>;
 
 /// The target names, in `all` order.
@@ -213,8 +206,9 @@ impl Arm {
     }
 }
 
-/// One measured (arm, `d`) cell: the best of the run's trials.
-#[derive(Debug, Clone)]
+/// One measured (arm, `d`) cell. Every second in it is priced from counted
+/// work, so two runs measure the same cell.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
     /// The arm's label within its table.
     pub label: String,
@@ -237,9 +231,9 @@ pub struct Cell {
 
 impl Cell {
     /// Simulated device time: transfers, launches and kernel execution,
-    /// without measured host wall time.
+    /// without the host steps.
     fn device_seconds(&self) -> f64 {
-        self.report.response.simulated().total()
+        self.report.response.device_seconds()
     }
 }
 
@@ -371,19 +365,8 @@ fn measure(cfg: &RunConfig, table: &Target, p: &Prepared) -> Result<Vec<Vec<Cell
                 capacity = derive(capacity, base);
             }
             let dropped_before = dropped();
-            // The harness's one timing loop: the trial with the least response.
-            let search = || {
-                let found = built.search_shaped(&p.queries, d, capacity, arm.shape);
-                found.map_err(|e| format!("{who}: {e}"))
-            };
-            let mut best = search()?;
-            for _ in 1..cfg.trials {
-                let next = search()?;
-                if next.1.response_seconds() < best.1.response_seconds() {
-                    best = next;
-                }
-            }
-            let (matches, report) = best;
+            let found = built.search_shaped(&p.queries, d, capacity, arm.shape);
+            let (matches, report) = found.map_err(|e| format!("{who}: {e}"))?;
             if report.sanitizer_findings > 0 {
                 let detail = built.device().map(|dev| dev.sanitizer_report().to_string());
                 let detail = detail.unwrap_or_default();
@@ -398,8 +381,7 @@ fn measure(cfg: &RunConfig, table: &Target, p: &Prepared) -> Result<Vec<Vec<Cell
                     return Err(format!("{who}: {n} records differ from {first}"));
                 }
             }
-            // Every trial drops the same (deterministic) duplicates.
-            let duplicates_dropped = (dropped() - dropped_before) / cfg.trials.max(1) as u64;
+            let duplicates_dropped = dropped() - dropped_before;
             cells[di][a] = Some(Cell {
                 label: arm.label.clone(),
                 method: arm.method.name(),
@@ -915,8 +897,7 @@ pub const TARGETS: &[Target] = &[
         }),
         ..ROW
     },
-    // Strong scaling: fixed |D|, 1..32 devices. The simulated response, not
-    // host wall time, is the subject.
+    // Strong scaling: fixed |D|, 1..32 devices.
     Target {
         name: "scaling-sharding",
         title: "Sharding scaling study — strong (fixed |D| = {n}, d = 0.5, {partition} partition)",

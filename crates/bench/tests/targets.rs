@@ -1,5 +1,5 @@
 //! The figures harness's own test: the table is well-formed, the binary's
-//! target list is the table's, every row runs, and counted cells repeat.
+//! target list is the table's, every row runs, and cells repeat.
 //!
 //! Runs at scale 0.004 so the whole table fits a debug-profile test run.
 //! The shape checks are calibrated for `--scale 0.02` and above (the best
@@ -9,11 +9,10 @@
 
 use std::collections::BTreeSet;
 use std::process::Command;
-use tdts_bench::{names, run, select, RunConfig, TARGETS};
-use tdts_gpu_sim::SearchReport;
+use tdts_bench::{names, run, select, Cell, RunConfig, TARGETS};
 
 fn tiny() -> RunConfig {
-    RunConfig { scale: 0.004, trials: 1, ..RunConfig::default() }
+    RunConfig { scale: 0.004, ..RunConfig::default() }
 }
 
 #[test]
@@ -56,12 +55,26 @@ fn every_row_runs_and_cross_checks() {
 
 #[test]
 fn counted_cells_repeat() {
-    // A cell's counters, byte totals and simulated phase seconds.
-    let counted = |name: &str| -> Vec<SearchReport> {
-        run(&tiny(), name).unwrap().cells.iter().map(|c| c.report.deterministic()).collect()
-    };
-    // One paper row and one sharded row.
-    for name in ["fig5", "ablation-sharding"] {
-        assert_eq!(counted(name), counted(name), "{name}: cells differ");
+    let cells = |name: &str| -> Vec<Cell> { run(&tiny(), name).unwrap().cells };
+    // Two paper rows (the CPU baseline among their arms) and a sharded one:
+    // every field of every cell, its response seconds included.
+    for name in ["fig4", "fig5", "ablation-sharding"] {
+        assert_eq!(cells(name), cells(name), "{name}: cells differ");
+    }
+}
+
+/// The CPU baseline's counted response does not fall as `d` grows: a
+/// larger threshold visits at least as many nodes, refines at least as many
+/// candidates and produces at least as many records per query.
+#[test]
+fn fig4_cpu_column_does_not_fall_with_d() {
+    let ran = run(&tiny(), "fig4").unwrap();
+    let cpu: Vec<&Cell> = ran.cells.iter().filter(|c| c.method == "CPU-RTree").collect();
+    assert!(cpu.len() > 2, "{} CPU cells", cpu.len());
+    for pair in cpu.windows(2) {
+        let (lo, hi) = (pair[0], pair[1]);
+        assert!(lo.d < hi.d);
+        let (a, b) = (lo.report.response_seconds(), hi.report.response_seconds());
+        assert!(a <= b, "CPU-RTree falls from {a} s at d = {} to {b} s at d = {}", lo.d, hi.d);
     }
 }

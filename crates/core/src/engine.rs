@@ -322,8 +322,11 @@ impl SearchEngine {
     /// `result_capacity` bounds the GPU result buffer (the paper's fixed
     /// 5×10⁷-element buffer); the CPU baseline ignores it (host memory is
     /// dynamic, §III). Returns the canonical result set and a report whose
-    /// `response` is simulated time for GPU methods and measured wall time
-    /// (charged to `Phase::HostCompute`) for the CPU baseline.
+    /// every second is priced from counted work: simulated device time plus
+    /// the host steps (`Phase::HostCompute`) for the GPU methods, and the
+    /// per-query prices replayed onto six cores for the CPU baseline
+    /// (DESIGN.md §4c). The report's `wall_seconds` is left at 0; a caller
+    /// that wants the wall times its own call.
     pub fn search(
         &self,
         queries: &SegmentStore,

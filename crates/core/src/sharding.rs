@@ -28,8 +28,9 @@
 //! Accounting follows the same discipline: per-device ledgers aggregate
 //! through [`SearchReport::merge_concurrent`] (work counters and transfer
 //! bytes sum, response time is the slowest *probed* shard's, because the
-//! merge point waits for the last device), and the measured host-side
-//! routing + merge cost is charged to [`Phase::HostCompute`] on top. The
+//! merge point waits for the last device), and the host-side routing and
+//! merge, priced from the (query, shard) pairs routed and the records
+//! merged ([`HostWork`]), are charged to [`Phase::HostCompute`] on top. The
 //! dispatch decisions themselves land in [`RoutingSummary`] on the report
 //! and in the per-shard [`ShardStats`] counters.
 //!
@@ -42,13 +43,12 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use tdts_geom::{
     dedup_matches, PartitionStrategy, SegmentStore, ShardPlan, ShardedStore, StoreStats,
 };
 use tdts_gpu_sim::{
-    Device, DeviceConfig, KernelShape, Phase, RoutingSummary, SearchError, SearchReport,
+    Device, DeviceConfig, HostWork, KernelShape, Phase, RoutingSummary, SearchError, SearchReport,
 };
 
 use crate::engine::{check_database, Method};
@@ -403,19 +403,12 @@ impl ShardedIndex {
         batch: &QueryBatch<'_>,
         shape: Option<KernelShape>,
     ) -> Result<SearchOutcome, TdtsError> {
-        let wall_start = Instant::now();
         let n_queries = batch.queries.len() as u64;
 
         // Dispatch. Device concurrency is *modeled*, not raced: the ledger
         // merge below takes the slowest probed shard's phase breakdown,
         // exactly as N real devices driven from one host would respond.
-        // Running the searches sequentially keeps each shard's real-wall
-        // host phases (candidate lookup, schedule build) uncontended —
-        // fanning them out as host threads would inflate every shard's
-        // measurements on small hosts and overstate the merged response.
-        let route_start = Instant::now();
         let subs = self.route(batch.queries, batch.d);
-        let routing_elapsed = route_start.elapsed().as_secs_f64();
 
         // Per-shard compacted sub-batches, budgeted result capacity,
         // full-capacity retry on budget misfits.
@@ -471,7 +464,6 @@ impl ShardedIndex {
         // replicated segments report byte-identical records from every
         // shard that holds them; dedup_matches collapses those on
         // (query, entry, interval) keys.
-        let merge_start = Instant::now();
         let mut merged = Vec::new();
         let mut aggregate: Option<SearchReport> = None;
         let mut raw_total = 0usize;
@@ -510,10 +502,9 @@ impl ShardedIndex {
             }
             report.routing.budget_redos += u64::from(w.budget_redo);
         }
-        report
-            .response
-            .add(Phase::HostCompute, routing_elapsed + merge_start.elapsed().as_secs_f64());
-        report.wall_seconds = wall_start.elapsed().as_secs_f64();
+        let host = HostWork::RoutePairs(subs.len() * batch.queries.len()).seconds()
+            + HostWork::MergeRecords(raw_total).seconds();
+        report.response.add(Phase::HostCompute, host);
 
         self.duplicates_dropped.fetch_add(dropped, Ordering::Relaxed);
         {

@@ -5,13 +5,12 @@
 //! updates any of them without matching on [`Method`](crate::Method).
 
 use std::sync::Arc;
-use std::time::Instant;
 use tdts_geom::{
     check_threshold, first_invalid, AppendDelta, ExpireDelta, MatchRecord, SegmentStore,
 };
-use tdts_gpu_sim::{KernelShape, Phase, SearchReport};
+use tdts_gpu_sim::{replay_earliest_free, KernelShape, Phase, SearchReport};
 use tdts_kernels::{GpuSearch, Scheme};
-use tdts_rtree::{RTree, RTreeConfig};
+use tdts_rtree::{RTree, RTreeConfig, SearchStats};
 
 use crate::error::TdtsError;
 
@@ -163,9 +162,24 @@ impl<S: Scheme> TrajectoryIndex for GpuSearch<S> {
     }
 }
 
+/// Cores of the paper's CPU baseline host (a 6-core Xeon), each running
+/// one query segment at a time.
+const CPU_WORKERS: usize = 6;
+// Nanoseconds per R-tree node visited, candidate refined, record produced.
+const CPU_NODE_NS: f64 = 497.0;
+const CPU_CANDIDATE_NS: f64 = 82.4;
+const CPU_MATCH_NS: f64 = 546.0;
+
 /// The CPU baseline behind the trait. [`RTree`] does not own the entry
 /// store (its result positions refer to an external store), so this
 /// wrapper pairs the tree with the canonical store it was built from.
+///
+/// Its response time is counted like the GPU methods': each query is
+/// priced from the nodes it visited, the candidates it refined and the
+/// records it produced, and the priced queries are replayed in batch order
+/// onto six cores, each to the one that becomes free earliest
+/// (the paper's one query segment per task). The prices were fitted once
+/// to this baseline's measured wall (DESIGN.md §4c).
 pub struct CpuRTreeIndex {
     tree: RTree,
     store: Arc<SegmentStore>,
@@ -198,17 +212,21 @@ impl TrajectoryIndex for CpuRTreeIndex {
         _shape: Option<KernelShape>,
     ) -> Result<SearchOutcome, TdtsError> {
         batch.validate()?;
-        let start = Instant::now();
-        let (matches, stats) = self.tree.search(&self.store, batch.queries, batch.d);
-        let wall = start.elapsed().as_secs_f64();
+        let (matches, per_query) = self.tree.search(&self.store, batch.queries, batch.d);
+        let price = |s: &SearchStats| {
+            let ns = CPU_NODE_NS * s.nodes_visited as f64
+                + CPU_CANDIDATE_NS * s.candidates as f64
+                + CPU_MATCH_NS * s.matches as f64;
+            ns * 1e-9
+        };
+        let busy = replay_earliest_free(CPU_WORKERS, per_query.iter().map(price), |_, _| {});
         let mut report = SearchReport {
-            comparisons: stats.candidates,
-            raw_matches: stats.matches,
+            comparisons: per_query.iter().map(|s| s.candidates).sum(),
+            raw_matches: per_query.iter().map(|s| s.matches).sum(),
             matches: matches.len() as u64,
-            wall_seconds: wall,
             ..SearchReport::default()
         };
-        report.response.add(Phase::HostCompute, wall);
+        report.response.add(Phase::HostCompute, busy.into_iter().fold(0.0, f64::max));
         Ok(SearchOutcome { matches, report })
     }
 

@@ -19,12 +19,6 @@ fn affine_model(s: &Segment) -> (Point3, Point3) {
     (v, s.start - v * s.t_start)
 }
 
-/// Temporal overlap of two segments, or `None` if they are temporally disjoint.
-#[inline]
-pub fn temporal_overlap(a: &Segment, b: &Segment) -> Option<TimeInterval> {
-    a.time_span().intersect(&b.time_span())
-}
-
 /// An entry segment prepared for repeated distance tests: its half of the
 /// quadratic — velocity, affine base `start − v·t_start` and time span —
 /// computed once, when the entry is placed on the device, instead of once
@@ -350,43 +344,40 @@ pub fn within_distance(a: &Segment, b: &Segment, d: f64) -> Option<TimeInterval>
     PreparedQuery::new(a, d).within(b)
 }
 
-/// Reference implementation of [`within_distance`] by dense time sampling.
-///
-/// Only intended for tests: samples the overlap at `steps + 1` points and
-/// returns the hull of the sample times within distance `d`. Exposed from the
-/// crate so the integration suites and property tests of downstream crates
-/// can cross-check the analytic solver.
-pub fn within_distance_sampled(
-    a: &Segment,
-    b: &Segment,
-    d: f64,
-    steps: usize,
-) -> Option<TimeInterval> {
-    let ov = temporal_overlap(a, b)?;
-    let d2 = d * d;
-    let mut first: Option<f64> = None;
-    let mut last: Option<f64> = None;
-    for i in 0..=steps {
-        let t = ov.start + ov.length() * (i as f64) / (steps as f64).max(1.0);
-        let pa = a.position_at(t);
-        let pb = b.position_at(t);
-        if pa.dist2(&pb) <= d2 {
-            if first.is_none() {
-                first = Some(t);
-            }
-            last = Some(t);
-        }
-    }
-    match (first, last) {
-        (Some(s), Some(e)) => Some(TimeInterval::new(s, e)),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Point3, SegId, TrajId};
+
+    /// Reference implementation of [`within_distance`] by dense time
+    /// sampling: samples the temporal overlap at `steps + 1` points and
+    /// returns the hull of the sample times within distance `d`.
+    fn within_distance_sampled(
+        a: &Segment,
+        b: &Segment,
+        d: f64,
+        steps: usize,
+    ) -> Option<TimeInterval> {
+        let ov = a.time_span().intersect(&b.time_span())?;
+        let d2 = d * d;
+        let mut first: Option<f64> = None;
+        let mut last: Option<f64> = None;
+        for i in 0..=steps {
+            let t = ov.start + ov.length() * (i as f64) / (steps as f64).max(1.0);
+            let pa = a.position_at(t);
+            let pb = b.position_at(t);
+            if pa.dist2(&pb) <= d2 {
+                if first.is_none() {
+                    first = Some(t);
+                }
+                last = Some(t);
+            }
+        }
+        match (first, last) {
+            (Some(s), Some(e)) => Some(TimeInterval::new(s, e)),
+            _ => None,
+        }
+    }
 
     fn seg(p0: (f64, f64, f64), p1: (f64, f64, f64), t0: f64, t1: f64) -> Segment {
         Segment::new(

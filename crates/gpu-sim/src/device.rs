@@ -2,6 +2,7 @@
 //! ledger of one search.
 
 use crate::config::DeviceConfig;
+use crate::host::HostWork;
 use crate::launch::{run_launch_persistent, run_launch_warps, LaunchReport, Warp};
 use crate::ledger::{Phase, ResponseTime};
 use crate::memory::{
@@ -363,10 +364,11 @@ impl Device {
         }
     }
 
-    /// Charge host-side computation time (schedule construction, sorting,
-    /// duplicate filtering). The engine measures these with a wall clock and
-    /// records them here so the total response time includes them.
-    pub fn charge_host(&self, seconds: f64) {
+    /// Charge a host step of the search (sorting, planning, duplicate
+    /// filtering) at its counted price, so the total response time includes
+    /// it.
+    pub fn charge_host(&self, work: HostWork) {
+        let seconds = work.seconds();
         self.ledger.lock().unwrap_or_else(PoisonError::into_inner).add(Phase::HostCompute, seconds);
     }
 
@@ -447,10 +449,10 @@ mod tests {
     fn download_and_host_charges() {
         let dev = tiny();
         dev.charge_download(500_000);
-        dev.charge_host(0.25);
+        dev.charge_host(HostWork::Tiles(1000));
         let l = dev.ledger();
         assert!((l.get(Phase::DeviceToHost) - 0.501).abs() < 1e-9);
-        assert_eq!(l.get(Phase::HostCompute), 0.25);
+        assert_eq!(l.get(Phase::HostCompute), HostWork::Tiles(1000).seconds());
     }
 
     #[test]
@@ -460,11 +462,11 @@ mod tests {
         let dev = Device::new(config).unwrap();
         let (a, b) = (dev.for_search(), dev.for_search());
         a.charge_download(500_000);
-        b.charge_host(0.25);
+        b.charge_host(HostWork::Tiles(1000));
         let _buf = a.upload(vec![0u8; 1000]).unwrap();
         assert!((a.ledger().get(Phase::DeviceToHost) - 0.501).abs() < 1e-9);
         assert_eq!(a.ledger().get(Phase::HostCompute), 0.0);
-        assert_eq!(b.ledger().total(), 0.25);
+        assert_eq!(b.ledger().total(), HostWork::Tiles(1000).seconds());
         assert_eq!(dev.ledger().total(), 0.0);
         // Memory accounting is the device's, whichever handle allocated.
         assert_eq!((dev.mem_used(), a.mem_used(), b.mem_used()), (1000, 1000, 1000));

@@ -405,9 +405,6 @@ where
     B: Fn(&mut Warp, crate::workqueue::Tile) -> S + Sync,
     E: Fn(&mut Warp, S) + Sync,
 {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
     let warp_size = config.warp_size;
     let n = queue.len();
     let grid = config.persistent_warps().min(n);
@@ -439,23 +436,17 @@ where
     }
 
     // Phase 2 — dispatch replay: tiles go, in queue order, to the
-    // earliest-free persistent warp. Cycles are non-negative, so the IEEE
-    // bit pattern orders them and keeps the heap key `Ord`.
-    let mut free: BinaryHeap<Reverse<(u64, usize)>> =
-        (0..grid).map(|w| Reverse((0u64, w))).collect();
+    // earliest-free persistent warp.
     let mut per_warp =
         vec![WarpCost { cycles: 0.0, divergent: false, totals: Counters::default() }; grid];
     let mut divergent_tiles = 0usize;
-    for cost in &tile_costs {
-        let Reverse((_, w)) = free.pop().expect("grid is non-empty whenever tiles exist");
-        per_warp[w].cycles += cost.cycles;
-        per_warp[w].totals.add(&cost.totals);
-        divergent_tiles += cost.divergent as usize;
-        free.push(Reverse((per_warp[w].cycles.to_bits(), w)));
-    }
-    for wc in &mut per_warp {
+    let busy = replay_earliest_free(grid, tile_costs.iter().map(|c| c.cycles), |tile, w| {
+        per_warp[w].totals.add(&tile_costs[tile].totals);
+        divergent_tiles += tile_costs[tile].divergent as usize;
+    });
+    for (wc, cycles) in per_warp.iter_mut().zip(busy) {
         // The failed probe that terminates the persistent loop.
-        wc.cycles += config.cycles_per_atomic;
+        wc.cycles = cycles + config.cycles_per_atomic;
         wc.totals.atomics += 1;
     }
 
@@ -467,6 +458,35 @@ where
         &per_warp,
         (queue.dispatched() as u64, queue.probes() as u64),
     )
+}
+
+/// Hand the jobs whose costs `costs` lists, in order, each to the one of
+/// `workers` that becomes free earliest (ties to the lowest index), calling
+/// `assign(job, worker)` for each, and return every worker's busy time —
+/// the largest is the makespan. A persistent launch dispatches its tiles
+/// this way, and the CPU baseline its one-query tasks.
+///
+/// Costs must be non-negative: their IEEE bit patterns then order like the
+/// values and keep the heap key `Ord`.
+pub fn replay_earliest_free(
+    workers: usize,
+    costs: impl IntoIterator<Item = f64>,
+    mut assign: impl FnMut(usize, usize),
+) -> Vec<f64> {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    let mut busy = vec![0.0f64; workers];
+    let mut free: BinaryHeap<Reverse<(u64, usize)>> =
+        (0..workers).map(|w| Reverse((0u64, w))).collect();
+    for (job, cost) in costs.into_iter().enumerate() {
+        debug_assert!(cost >= 0.0, "negative cost {cost} for job {job}");
+        let Reverse((_, w)) = free.pop().expect("jobs need at least one worker");
+        busy[w] += cost;
+        assign(job, w);
+        free.push(Reverse((busy[w].to_bits(), w)));
+    }
+    busy
 }
 
 #[cfg(test)]
@@ -779,6 +799,23 @@ mod tests {
             wpt_report.sim_exec_seconds,
             static_report.sim_exec_seconds
         );
+    }
+
+    #[test]
+    fn replay_is_a_sum_on_one_worker_and_the_heaviest_job_on_many() {
+        let costs = [1.0, 2.0, 0.5, 40.0, 1.0, 1.5, 0.25, 1.0];
+        let busy = replay_earliest_free(1, costs, |_, w| assert_eq!(w, 0));
+        assert_eq!(busy, vec![costs.iter().sum::<f64>()]);
+        // One heavy job among light ones: with enough workers the light
+        // jobs share the others, and the makespan is the heavy job's cost.
+        let busy = replay_earliest_free(6, costs, |_, _| {});
+        assert_eq!(busy.iter().cloned().fold(0.0, f64::max), 40.0);
+        assert_eq!(busy.iter().sum::<f64>(), costs.iter().sum::<f64>());
+        // Earliest free first, ties to the lowest index.
+        let mut order = Vec::new();
+        replay_earliest_free(2, [3.0, 1.0, 1.0, 1.0], |job, w| order.push((job, w)));
+        assert_eq!(order, vec![(0, 0), (1, 1), (2, 1), (3, 1)]);
+        assert!(replay_earliest_free(3, [], |_, _| unreachable!()).iter().all(|&b| b == 0.0));
     }
 
     #[test]

@@ -93,6 +93,12 @@ impl ResponseTime {
         self.seconds.iter().sum()
     }
 
+    /// The device's share of the response: transfers, launches and kernel
+    /// execution, summed in pipeline order, without `HostCompute`.
+    pub fn device_seconds(&self) -> f64 {
+        self.seconds[Phase::HostToDevice.index()..].iter().sum()
+    }
+
     /// Component-wise sum of two ledgers.
     pub fn merge(&mut self, other: &ResponseTime) {
         for (a, b) in self.seconds.iter_mut().zip(other.seconds.iter()) {
@@ -109,26 +115,17 @@ impl ResponseTime {
     /// launched those kernels — but elapsed simulated time is bounded by
     /// the slowest device (the merge point waits for the last shard), so
     /// the phase breakdown adopts the slower ledger's phases rather than
-    /// summing them. "Slower" is judged on the [`simulated`] phases alone —
-    /// measured `HostCompute` wall time must not decide which device's
-    /// simulated seconds a merged report carries — and a tie keeps `self`.
-    ///
-    /// [`simulated`]: ResponseTime::simulated
+    /// summing them. "Slower" is judged on the
+    /// [`device_seconds`](ResponseTime::device_seconds) alone — the host
+    /// steps of each shard's search run on the one host either way — and
+    /// a tie keeps `self`.
     pub fn merge_concurrent(&mut self, other: &ResponseTime) {
-        if other.simulated().total() > self.simulated().total() {
+        if other.device_seconds() > self.device_seconds() {
             self.seconds = other.seconds;
         }
         self.kernel_invocations += other.kernel_invocations;
         self.h2d_bytes += other.h2d_bytes;
         self.d2h_bytes += other.d2h_bytes;
-    }
-
-    /// The simulated phases alone: `HostCompute`, the one phase measured
-    /// with a wall clock, is cleared.
-    pub fn simulated(&self) -> ResponseTime {
-        let mut out = *self;
-        out.seconds[Phase::HostCompute.index()] = 0.0;
-        out
     }
 
     /// Total minus kernel-launch overhead — the paper's "optimistic" curve
@@ -215,9 +212,9 @@ mod tests {
     }
 
     #[test]
-    fn merge_concurrent_ignores_measured_host_time() {
-        // More host wall time does not make a device slower: the simulated
-        // phases decide, and a tie keeps the ledger merged into.
+    fn merge_concurrent_is_decided_by_device_seconds() {
+        // More host time does not make a device slower: the device phases
+        // decide, and a tie keeps the ledger merged into.
         let mut simulated_slow = ResponseTime::new();
         simulated_slow.add(Phase::KernelExec, 2.0);
         let mut host_heavy = ResponseTime::new();
@@ -225,7 +222,8 @@ mod tests {
         host_heavy.add(Phase::HostCompute, 5.0);
         let mut a = simulated_slow;
         a.merge_concurrent(&host_heavy);
-        assert_eq!(a.simulated(), simulated_slow.simulated());
+        assert_eq!(a.total(), simulated_slow.total());
+        assert_eq!(a.device_seconds(), 2.0);
 
         let mut tie = ResponseTime::new();
         tie.add(Phase::HostToDevice, 2.0);

@@ -38,6 +38,7 @@
 pub mod config;
 pub mod counters;
 pub mod device;
+pub mod host;
 pub mod launch;
 pub mod ledger;
 pub mod memory;
@@ -49,7 +50,8 @@ pub mod workqueue;
 pub use config::{DeviceConfig, KernelShape};
 pub use counters::{Counters, Lane};
 pub use device::Device;
-pub use launch::{LaunchReport, Warp, MAX_WARP_LANES};
+pub use host::HostWork;
+pub use launch::{replay_earliest_free, LaunchReport, Warp, MAX_WARP_LANES};
 pub use ledger::{Phase, ResponseTime};
 pub use memory::{
     DeviceBuffer, OutOfDeviceMemory, PartitionedScratch, Reserved, ResultBuffer, ScratchPartition,

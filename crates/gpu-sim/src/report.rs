@@ -152,7 +152,10 @@ pub struct SearchReport {
     pub totals: Counters,
     /// Load-imbalance metrics over every launch (see [`LoadBalance`]).
     pub load: LoadBalance,
-    /// Host wall-clock seconds actually spent (all phases).
+    /// Host wall-clock seconds the caller waited for the search. The
+    /// engines leave it at 0 — every second they report is priced from
+    /// counted work — and the caller that times its own call fills it in
+    /// (the query service, `tdts-cli search`).
     pub wall_seconds: f64,
     /// Sanitizer findings recorded during this search (0 under
     /// [`crate::SanitizerMode::Off`]); a per-search delta from
@@ -168,15 +171,6 @@ impl SearchReport {
     /// Total simulated response time in seconds.
     pub fn response_seconds(&self) -> f64 {
         self.response.total()
-    }
-
-    /// The report with its measured quantities cleared: host wall seconds
-    /// and the `HostCompute` phase derived from them. What remains is a
-    /// function of counted work alone, so two runs of the same search on
-    /// fresh devices must compare equal on it whatever the host scheduler
-    /// did (`tests/determinism.rs`).
-    pub fn deterministic(&self) -> SearchReport {
-        SearchReport { response: self.response.simulated(), wall_seconds: 0.0, ..*self }
     }
 
     /// Accumulate another search's report into this one. Used by callers
@@ -204,7 +198,8 @@ impl SearchReport {
     /// metrics) sum because every device really did that work, but elapsed
     /// time does not: the merge point waits for the slowest shard, so the
     /// response adopts the slower device's phase breakdown
-    /// ([`ResponseTime::merge_concurrent`]) and wall time takes the max.
+    /// ([`ResponseTime::merge_concurrent`]). Shards are engines, which
+    /// leave `wall_seconds` at 0, so it is not merged.
     ///
     /// The caller owns the final `matches` count: per-shard counts sum
     /// here, but cross-shard dedup of boundary replicas happens after the
@@ -220,7 +215,6 @@ impl SearchReport {
         self.divergent_warps += other.divergent_warps;
         self.totals.add(&other.totals);
         self.load.merge(&other.load);
-        self.wall_seconds = self.wall_seconds.max(other.wall_seconds);
         self.sanitizer_findings += other.sanitizer_findings;
         self.routing.merge(&other.routing);
     }
@@ -294,9 +288,8 @@ mod tests {
         // Response is the slower shard's, not the sum.
         assert_eq!(a.response.get(Phase::KernelExec), 4.0);
         assert_eq!(a.response_seconds(), 4.0);
-        // Work sums across shards; wall takes the max.
+        // Work sums across shards.
         assert_eq!(a.comparisons, 400);
-        assert_eq!(a.wall_seconds, 0.5);
     }
 
     #[test]

@@ -166,6 +166,12 @@ impl Scheme for SpatialScheme {
         })
     }
 
+    /// One candidate-cell list per query under warp-per-tile; none under
+    /// thread-per-query, whose lanes look their cells up on the device.
+    fn plan_entries(plan: &Vec<Vec<[u32; 2]>>) -> usize {
+        plan.len()
+    }
+
     fn threads<'a>(
         batch: Batch<'a, Self>,
         _plan: &'a Vec<Vec<[u32; 2]>>,

@@ -160,6 +160,10 @@ impl Scheme for SpatioTemporalScheme {
         plan.fallback
     }
 
+    fn plan_entries(plan: &SpatioTemporalPlan) -> usize {
+        plan.schedule.len()
+    }
+
     fn threads<'a>(
         batch: Batch<'a, Self>,
         plan: &'a SpatioTemporalPlan,

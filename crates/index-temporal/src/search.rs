@@ -97,6 +97,10 @@ impl Scheme for TemporalScheme {
         TemporalSchedule::build(search.index(), queries)
     }
 
+    fn plan_entries(schedule: &TemporalSchedule) -> usize {
+        schedule.ranges.len()
+    }
+
     fn threads<'a>(
         batch: Batch<'a, Self>,
         schedule: &'a TemporalSchedule,

@@ -32,11 +32,10 @@
 use crate::segments::DeviceQueries;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 use tdts_geom::{MatchRecord, PreparedQuery, TimeInterval};
 use tdts_gpu_sim::{
-    Device, DeviceBuffer, Lane, NextBatch, RedoSchedule, SearchError, SearchReport, Tile, Warp,
-    WarpStash, MAX_WARP_LANES,
+    Device, DeviceBuffer, HostWork, Lane, NextBatch, RedoSchedule, SearchError, SearchReport, Tile,
+    Warp, WarpStash, MAX_WARP_LANES,
 };
 
 /// Instruction cost of reading a schedule entry / index arithmetic.
@@ -238,14 +237,13 @@ pub(crate) fn run_warp_per_tile<G: TileGenerator>(
     let tile_size = device.config().tile_size;
 
     let build_tiles = |ids: Option<&[u32]>| -> Vec<Tile> {
-        let host_start = Instant::now();
         let mut tiles = Vec::new();
         let mut push = |qid: u32| generator.push_tiles(&mut tiles, qid, tile_size);
         match ids {
             None => (0..n_queries as u32).for_each(&mut push),
             Some(ids) => ids.iter().copied().for_each(&mut push),
         }
-        device.charge_host(host_start.elapsed().as_secs_f64());
+        device.charge_host(HostWork::Tiles(tiles.len()));
         tiles
     };
 

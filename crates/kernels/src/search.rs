@@ -1,18 +1,17 @@
 //! The one GPU search driver. The paper's three GPU methods are one
 //! pipeline in three variations (§IV): an index resident on the device, a
 //! host-side plan per query batch, and a kernel that walks the plan.
-//! [`GpuSearch`] owns what they share, including the host clock; a
-//! [`Scheme`] supplies what differs.
+//! [`GpuSearch`] owns what they share, including the host steps' charges;
+//! a [`Scheme`] supplies what differs.
 
 use crate::pipeline::{run_thread_per_query, run_warp_per_tile, CandidateGenerator, TileGenerator};
 use crate::queries::SortedQueries;
 use crate::segments::{DeviceQueries, DeviceSegments};
 use std::sync::Arc;
-use std::time::Instant;
 use tdts_geom::{
     dedup_matches, AppendDelta, ExpireDelta, MatchRecord, Segment, SegmentStore, StoreStats,
 };
-use tdts_gpu_sim::{Device, DeviceConfig, KernelShape, SearchError, SearchReport};
+use tdts_gpu_sim::{Device, DeviceConfig, HostWork, KernelShape, SearchError, SearchReport};
 
 /// What one GPU method contributes to [`GpuSearch`].
 ///
@@ -85,6 +84,10 @@ pub trait Scheme: Sized + 'static {
     fn fallback_queries(_plan: &Self::Plan) -> u64 {
         0
     }
+
+    /// Entries the plan holds, which [`GpuSearch`] charges as
+    /// [`HostWork::PlanEntries`].
+    fn plan_entries(plan: &Self::Plan) -> usize;
 
     /// The thread-per-query generator for `plan`; may upload plan buffers
     /// to the batch's device.
@@ -249,22 +252,22 @@ impl<S: Scheme> GpuSearch<S> {
         result_capacity: usize,
         shape: Option<KernelShape>,
     ) -> Result<(Vec<MatchRecord>, SearchReport), SearchError> {
-        let wall_start = Instant::now();
         let device = self.device.for_search();
         let shape = shape.unwrap_or(device.config().kernel_shape);
         let mut report = SearchReport::default();
 
         // Host: sort Q (when the scheme does) and plan the batch.
-        let host_start = Instant::now();
         let sorted = S::SORTS_QUERIES.then(|| SortedQueries::from_store(queries));
+        if sorted.is_some() {
+            device.charge_host(HostWork::SortQueries(queries.len()));
+        }
         let segments = sorted.as_deref().unwrap_or(queries.segments());
         let plan = S::plan(self, segments, d, shape, device.config());
-        device.charge_host(host_start.elapsed().as_secs_f64());
+        device.charge_host(HostWork::PlanEntries(S::plan_entries(&plan)));
         report.fallback_queries = S::fallback_queries(&plan);
 
         if segments.is_empty() {
             report.response = device.ledger();
-            report.wall_seconds = wall_start.elapsed().as_secs_f64();
             return Ok((Vec::new(), report));
         }
 
@@ -285,17 +288,16 @@ impl<S: Scheme> GpuSearch<S> {
 
         // Host: map sorted positions back to the caller's order and
         // collapse duplicates, then seal the report from the ledger.
-        let host_start = Instant::now();
         report.raw_matches = matches.len() as u64;
         if let Some(sorted) = &sorted {
             sorted.unpermute(&mut matches);
+            device.charge_host(HostWork::UnpermuteRecords(matches.len()));
         }
+        device.charge_host(HostWork::DedupRecords(matches.len()));
         dedup_matches(&mut matches);
-        device.charge_host(host_start.elapsed().as_secs_f64());
         report.comparisons = comparisons;
         report.matches = matches.len() as u64;
         report.response = device.ledger();
-        report.wall_seconds = wall_start.elapsed().as_secs_f64();
         report.sanitizer_findings = device.sanitizer_checkpoint();
         Ok((matches, report))
     }

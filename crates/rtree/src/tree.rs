@@ -32,23 +32,16 @@ impl RTreeConfig {
     }
 }
 
-/// Aggregate counters of one batch search, for the `r`-trade-off analysis.
+/// Counters of one query's search, for the `r`-trade-off analysis and the
+/// baseline's counted response time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Tree nodes visited across all queries.
+    /// Tree nodes visited.
     pub nodes_visited: u64,
     /// Segments compared with the continuous distance test (refinement).
     pub candidates: u64,
     /// Final result records produced.
     pub matches: u64,
-}
-
-impl SearchStats {
-    fn add(&mut self, other: &SearchStats) {
-        self.nodes_visited += other.nodes_visited;
-        self.candidates += other.candidates;
-        self.matches += other.matches;
-    }
 }
 
 /// A leaf entry: up to `r` consecutive same-trajectory segments.
@@ -93,7 +86,7 @@ struct Node {
 /// let (matches, stats) = tree.search(&store, &queries, 10.0);
 /// let found: Vec<u32> = matches.iter().map(|m| m.entry).collect();
 /// assert_eq!(found, vec![4, 5, 6]);
-/// assert!(stats.candidates < 100, "the tree must prune most of the store");
+/// assert!(stats[0].candidates < 100, "the tree must prune most of the store");
 /// ```
 #[derive(Debug)]
 pub struct RTree {
@@ -261,24 +254,20 @@ impl RTree {
 
     /// Batch search: all queries in parallel (one query segment per task,
     /// matching the paper's OpenMP scheme). Returns the canonically-ordered
-    /// result set and the aggregated stats.
+    /// result set and each query's stats, in query order.
     pub fn search(
         &self,
         store: &SegmentStore,
         queries: &SegmentStore,
         d: f64,
-    ) -> (Vec<MatchRecord>, SearchStats) {
+    ) -> (Vec<MatchRecord>, Vec<SearchStats>) {
         let per_query = tdts_geom::par::par_map(queries.len(), |qi| {
             let mut out = Vec::new();
             let stats = self.search_one(store, queries, qi, d, &mut out);
             (out, stats)
         });
-        let mut matches = Vec::new();
-        let mut stats = SearchStats::default();
-        for (m, s) in per_query {
-            matches.extend(m);
-            stats.add(&s);
-        }
+        let (found, stats): (Vec<Vec<MatchRecord>>, _) = per_query.into_iter().unzip();
+        let mut matches = found.concat();
         tdts_geom::dedup_matches(&mut matches);
         (matches, stats)
     }
@@ -319,7 +308,8 @@ mod tests {
         let tree = RTree::build(&store, RTreeConfig::default());
         let (m, stats) = tree.search(&store, &line_store(3), 1.0);
         assert!(m.is_empty());
-        assert_eq!(stats.matches, 0);
+        assert_eq!(stats.len(), 3, "one stats row per query");
+        assert!(stats.iter().all(|s| s.matches == 0));
     }
 
     #[test]
@@ -347,12 +337,13 @@ mod tests {
         let tree = RTree::build(&store, RTreeConfig::default());
         let (batch, stats) = tree.search(&store, &queries, 10.0);
         let mut single = Vec::new();
-        for qi in 0..queries.len() {
-            tree.search_one(&store, &queries, qi, 10.0, &mut single);
+        for (qi, stats) in stats.iter().enumerate() {
+            let one = tree.search_one(&store, &queries, qi, 10.0, &mut single);
+            assert_eq!(&one, stats, "query {qi}");
         }
         tdts_geom::dedup_matches(&mut single);
         assert_eq!(batch, single);
-        assert_eq!(stats.matches as usize, batch.len());
+        assert_eq!(stats.iter().map(|s| s.matches).sum::<u64>() as usize, batch.len());
     }
 
     fn multi_traj_store(trajs: usize, segs_per: usize) -> SegmentStore {
@@ -386,8 +377,9 @@ mod tests {
         let (m8, s8) = t8.search(&store, &queries, 10.0);
         assert_eq!(m1, m8);
         // Bigger r => fewer nodes visited but at least as many candidates.
-        assert!(s8.nodes_visited <= s1.nodes_visited);
-        assert!(s8.candidates >= s1.candidates);
+        let sum = |s: &[SearchStats], f: fn(&SearchStats) -> u64| s.iter().map(f).sum::<u64>();
+        assert!(sum(&s8, |s| s.nodes_visited) <= sum(&s1, |s| s.nodes_visited));
+        assert!(sum(&s8, |s| s.candidates) >= sum(&s1, |s| s.candidates));
     }
 
     #[test]

@@ -65,13 +65,15 @@ proptest! {
     ) {
         let tree = RTree::build(&store, RTreeConfig { segments_per_mbb: r, node_capacity: cap });
         let (got, stats) = tree.search(&store, &queries, d);
+        let matches: u64 = stats.iter().map(|s| s.matches).sum();
+        let candidates: u64 = stats.iter().map(|s| s.candidates).sum();
         let expect = brute_force(&store, &queries, d);
         if let Some(diff) = diff_matches(&got, &expect, 1e-9) {
             prop_assert!(false, "r={r} cap={cap} d={d}: {diff}");
         }
-        prop_assert_eq!(stats.matches as usize >= got.len(), true);
+        prop_assert_eq!(matches as usize >= got.len(), true);
         // Candidates never exceed the full cross product.
-        prop_assert!(stats.candidates <= (store.len() * queries.len()) as u64);
+        prop_assert!(candidates <= (store.len() * queries.len()) as u64);
     }
 
     /// Results are independent of the tree parameters.

@@ -598,6 +598,9 @@ fn run_batch(shared: &Shared, batch: Batch) {
     let capacity = shared.config.result_capacity;
     // Whether the configured shape succeeded, when this batch tried it.
     let mut configured_ok = None;
+    // The engines price their work and read no clock; the batch's wall is
+    // timed here, where its requests wait for it.
+    let started = Instant::now();
     let result = shared.engine.pin().and_then(|engine| {
         if batch.degraded {
             return engine.search_shaped(&merged, batch.d, capacity, fallback);
@@ -606,6 +609,7 @@ fn run_batch(shared: &Shared, batch: Batch) {
         configured_ok = Some(outcome.is_ok());
         outcome.or_else(|_| engine.search_shaped(&merged, batch.d, capacity, fallback))
     });
+    let searched = started.elapsed();
 
     // Record the outcome and release the batch's admission slots in one
     // hold, before any ticket resolves: a client answered here may submit
@@ -628,7 +632,8 @@ fn run_batch(shared: &Shared, batch: Batch) {
     }
 
     match result {
-        Ok((found, report)) => {
+        Ok((found, mut report)) => {
+            report.wall_seconds = searched.as_secs_f64();
             if batch.degraded || configured_ok == Some(false) {
                 shared.stats.fallback_batches.fetch_add(1, Ordering::Relaxed);
             }

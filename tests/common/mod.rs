@@ -47,7 +47,7 @@ pub fn assert_byte_identical(got: &[MatchRecord], expect: &[MatchRecord], label:
 /// four threads released together (all inside `search` at once, not one
 /// after another), and require every
 /// concurrent search to return the solo search's matches, byte for byte, and
-/// its [`SearchReport::deterministic`] costs. Returns the solo report.
+/// its report. Returns the solo report.
 pub fn assert_concurrent_searches_match_solo(
     engine: &SearchEngine,
     queries: &SegmentStore,
@@ -67,8 +67,7 @@ pub fn assert_concurrent_searches_match_solo(
                 let (matches, report) = search();
                 assert_byte_identical(&matches, &solo_matches, label);
                 assert_eq!(
-                    report.deterministic(),
-                    solo.deterministic(),
+                    report, solo,
                     "{label}: a concurrent search's costs differ from the solo run"
                 );
             });

@@ -1,8 +1,8 @@
 //! Tier-1: the cost model is deterministic, not just the match set.
 //!
-//! Two searches of the same queries on freshly built devices must agree on
-//! [`SearchReport::deterministic`] — every counter, every simulated phase —
-//! whatever the host scheduler did, with and without result-buffer pressure
+//! Two searches of the same queries on freshly built devices must return
+//! equal [`SearchReport`]s — every counter, every phase, the host steps'
+//! counted seconds included — whatever the host scheduler did, with and without result-buffer pressure
 //! (where the redo protocol re-launches over the queries that lost records).
 //! The absolute counters of one small fixture are pinned as well: a
 //! refactoring that claims to change no counter has to leave that table
@@ -54,11 +54,7 @@ fn repeated_searches_report_identical_costs() {
                 let (m1, r1) = fresh_search(&dataset, &queries, method, shape, capacity);
                 let (m2, r2) = fresh_search(&dataset, &queries, method, shape, capacity);
                 assert_eq!(m1, m2, "{label} / {capacity}: matches differ between runs");
-                assert_eq!(
-                    r1.deterministic(),
-                    r2.deterministic(),
-                    "{label} / {capacity}: cost model differs between runs"
-                );
+                assert_eq!(r1, r2, "{label} / {capacity}: cost model differs between runs");
                 assert_eq!(
                     expected.get_or_insert_with(|| m1.clone()),
                     &m1,
@@ -122,7 +118,7 @@ fn shape_argument_overrides_the_device_default() {
                 let (got, got_report) =
                     build(other).search_shaped(&queries, D, AMPLE, Some(shape)).unwrap();
                 common::assert_byte_identical(&got, &want, &label);
-                assert_eq!(got_report.deterministic(), want_report.deterministic(), "{label}");
+                assert_eq!(got_report, want_report, "{label}");
             }
         }
     }
@@ -192,7 +188,7 @@ fn fixture_counters_are_pinned() {
             let label = format!("{} / 4 shards / {shape:?}", method.name());
             let r = fresh_sharded_search(&dataset, &queries, method, shape);
             let again = fresh_sharded_search(&dataset, &queries, method, shape);
-            assert_eq!(r.deterministic(), again.deterministic(), "{label}");
+            assert_eq!(r, again, "{label}");
             let t = r.totals;
             let got = (
                 r.comparisons,
@@ -237,21 +233,14 @@ fn parallel_builds_are_deterministic() {
             let build = || SearchEngine::build_sharded(&dataset, method, &config, &sharding);
             let inline = par_map(1, |_| build().unwrap()).pop().unwrap();
             let (expected, report) = inline.search(&queries, D, AMPLE).unwrap();
-            // Every per-shard field but the response seconds, which the CPU
-            // baseline measures in host wall; `deterministic()` covers the
-            // simulated ones.
-            let stats = |engine: &SearchEngine| -> Vec<ShardStats> {
-                let mut stats = engine.sharded().unwrap().shard_stats();
-                stats.iter_mut().for_each(|s| s.response_seconds = 0.0);
-                stats
-            };
+            let stats = |engine: &SearchEngine| engine.sharded().unwrap().shard_stats();
             let expected_stats = stats(&inline);
             assert!(expected_stats.len() > 1, "{label}: one member leaves nothing to compare");
             for _ in 0..2 {
                 let engine = build().unwrap();
                 let (matches, again) = engine.search(&queries, D, AMPLE).unwrap();
                 common::assert_byte_identical(&matches, &expected, &label);
-                assert_eq!(again.deterministic(), report.deterministic(), "{label}");
+                assert_eq!(again, report, "{label}");
                 assert_eq!(stats(&engine), expected_stats, "{label}");
             }
         }

@@ -408,3 +408,28 @@ fn coalescing_flushes_one_batch_at_max_batch_queries() {
     assert_eq!(stats.batches_executed, 1);
     assert!((stats.mean_batch_queries - total_queries as f64).abs() < 1e-9);
 }
+
+/// The engines price their work and leave `wall_seconds` at 0; the worker
+/// times the batch search its requests wait for and reports it there.
+#[test]
+fn served_wall_seconds_are_timed_by_the_worker() {
+    let (dataset, requests) = merger_requests();
+    let config = ServiceConfig::builder(temporal())
+        .device(DeviceConfig::test_tiny())
+        .workers(1)
+        .result_capacity(CAPACITY)
+        .build()
+        .unwrap();
+    let service = QueryService::start(&dataset, config).unwrap();
+    for request in requests.iter().take(3) {
+        let response = service.submit(request, D).unwrap();
+        let wall = response.report.wall_seconds;
+        assert!(wall > 0.0, "the batch search took no wall time");
+        assert!(wall <= response.waited.as_secs_f64(), "{wall} s > waited {:?}", response.waited);
+    }
+    service.shutdown();
+
+    let device = Device::new(DeviceConfig::test_tiny()).unwrap();
+    let engine = SearchEngine::build(&dataset, temporal(), device).unwrap();
+    assert_eq!(engine.search(&requests[0], D, CAPACITY).unwrap().1.wall_seconds, 0.0);
+}

@@ -410,7 +410,7 @@ fn streamed_spatiotemporal_costs() -> Vec<([TickCosts; 2], usize)> {
             assert!(!matches.is_empty(), "tick {tick}: the probe must match something");
             assert!(r.fallback_queries < queries.len() as u64, "tick {tick}: no id array used");
             let t = r.totals;
-            let sim = r.response.simulated().total();
+            let sim = r.response.device_seconds();
             (
                 r.comparisons,
                 t.gmem_read_bytes,
