@@ -1,6 +1,6 @@
 //! Host-parallel loops: the one place the workspace starts host threads,
 //! one per core of the host's available parallelism (read once). The CPU
-//! R-tree, the oracle and the host plan steps map per query with
+//! R-tree, the oracle and GPUSpatial's plan map per query with
 //! [`par_map`]; the simulated GPU runs its warps with [`par_ordered`],
 //! whose in-order epilogues keep a launch's cursor bumps, and every counter
 //! after them, independent of host scheduling.
@@ -30,32 +30,41 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    par_ordered(n, |_: &mut (), i| f(i), |t| t)
+    par_ordered(n, |_: &mut (), i| f(i), |_, t| t)
 }
 
 /// Run `body(scratch, i)` for every index in `0..n` on host workers, in no
-/// particular order, then `epilogue` on what each body returned, one at a
-/// time and **in ascending index order**; the epilogues' results come back
-/// in index order. Each worker reuses one `W::default()` scratch. What an
-/// item does to state shared across items belongs in the epilogue. A panic
-/// in a body or an epilogue propagates to the caller. Called from inside
-/// another loop's body, it runs every item inline, in index order.
+/// particular order, then `epilogue(scratch, staged)` on what each body
+/// returned, one at a time and **in ascending index order**; the
+/// epilogues' results come back in index order. Each worker reuses one
+/// `W::default()` scratch, and an item's epilogue gets the scratch of the
+/// worker that ran its body. What an item does to state shared across
+/// items belongs in the epilogue: it is one `FnMut`, never run by two
+/// workers at once. A panic in a body or an epilogue propagates to the
+/// caller. Called from inside another loop's body, it runs every item
+/// inline, in index order.
 ///
 /// Workers claim blocks of at most [`MAX_BLOCK`] consecutive indices in
 /// ascending order and run their bodies. A block's epilogues run once every
 /// earlier block's are done, on the worker that ran its bodies (so nothing
-/// staged is freed across threads); until then that worker claims further
-/// blocks rather than waiting.
-pub fn par_ordered<W, S, T, B, E>(n: usize, body: B, epilogue: E) -> Vec<T>
+/// staged is freed across threads), under one lock for the whole block;
+/// until its turn comes that worker claims further blocks rather than
+/// waiting.
+pub fn par_ordered<W, S, T, B, E>(n: usize, body: B, mut epilogue: E) -> Vec<T>
 where
     W: Default,
     T: Send,
     B: Fn(&mut W, usize) -> S + Sync,
-    E: Fn(S) -> T + Sync,
+    E: FnMut(&mut W, S) -> T + Send,
 {
     if IN_LOOP.get() {
         let mut scratch = W::default();
-        return (0..n).map(|i| epilogue(body(&mut scratch, i))).collect();
+        return (0..n)
+            .map(|i| {
+                let staged = body(&mut scratch, i);
+                epilogue(&mut scratch, staged)
+            })
+            .collect();
     }
     let workers = host_threads().min(n).max(1);
     // About eight blocks per worker on small inputs, so a few heavy items
@@ -68,6 +77,8 @@ where
     // The block whose epilogues run next. Every store leaves a valid count,
     // so a lock poisoned by a panicking worker is recovered, not refused.
     let turn = (Mutex::new(0usize), Condvar::new());
+    // Only the worker whose turn it is takes this lock, once per block.
+    let epilogue = Mutex::new(epilogue);
 
     let work = || {
         let _poison = PoisonOnPanic(&turn);
@@ -102,7 +113,10 @@ where
                 }
                 drop(current);
                 let (b, staged) = pending.pop_front().expect("a pending block");
-                done.push((b, staged.into_iter().map(&epilogue).collect()));
+                let mut epilogue = epilogue.lock().unwrap_or_else(PoisonError::into_inner);
+                let results = staged.into_iter().map(|s| (*epilogue)(&mut scratch, s)).collect();
+                drop(epilogue);
+                done.push((b, results));
                 *lock.lock().unwrap_or_else(PoisonError::into_inner) = b + 1;
                 cv.notify_all();
             }
@@ -218,13 +232,36 @@ mod tests {
         let out = par_ordered(
             n,
             |_: &mut (), i| skewed(i),
-            |i| {
+            |_, i| {
                 order.lock().unwrap().push(i);
                 i * 2
             },
         );
         assert_eq!(order.into_inner().unwrap(), (0..n).collect::<Vec<_>>());
         assert_eq!(out, (0..n).map(|i| i * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn epilogues_take_what_their_bodies_left_in_the_workers_scratch_in_order() {
+        // Each body queues its index in its worker's scratch; each epilogue
+        // finds its own index the oldest there, so a worker's items can
+        // share one queue. Sums across items are plain epilogue state.
+        let n = 20 * MAX_BLOCK + 3;
+        let mut sum = 0;
+        let out = par_ordered(
+            n,
+            |queued: &mut VecDeque<usize>, i| {
+                queued.push_back(i);
+                i
+            },
+            |queued, i| {
+                assert_eq!(queued.pop_front(), Some(i));
+                sum += i;
+                i
+            },
+        );
+        assert_eq!(out, (0..n).collect::<Vec<_>>());
+        assert_eq!(sum, n * (n - 1) / 2);
     }
 
     #[test]
@@ -260,7 +297,7 @@ mod tests {
                 scratch.0.push(i);
                 scratch.0.len()
             },
-            |seen| seen,
+            |_, seen| seen,
         );
         let created = CREATED.load(Ordering::Relaxed);
         assert!((1..=host_threads().min(n)).contains(&created), "{created} scratches");

@@ -23,16 +23,6 @@ impl Counters {
         self.atomics += other.atomics;
     }
 
-    /// Component-wise maximum (used for the SIMT max-over-lanes reduction).
-    pub fn max(&self, other: &Counters) -> Counters {
-        Counters {
-            instructions: self.instructions.max(other.instructions),
-            gmem_read_bytes: self.gmem_read_bytes.max(other.gmem_read_bytes),
-            gmem_write_bytes: self.gmem_write_bytes.max(other.gmem_write_bytes),
-            atomics: self.atomics.max(other.atomics),
-        }
-    }
-
     /// True if nothing was recorded.
     pub fn is_zero(&self) -> bool {
         *self == Counters::default()
@@ -131,10 +121,6 @@ mod tests {
         let mut a =
             Counters { instructions: 1, gmem_read_bytes: 2, gmem_write_bytes: 3, atomics: 4 };
         let b = Counters { instructions: 10, gmem_read_bytes: 1, gmem_write_bytes: 30, atomics: 2 };
-        assert_eq!(
-            a.max(&b),
-            Counters { instructions: 10, gmem_read_bytes: 2, gmem_write_bytes: 30, atomics: 4 }
-        );
         a.add(&b);
         assert_eq!(
             a,

@@ -284,7 +284,8 @@ impl Device {
     /// parallel and returns what the warp staged; `epilogue` then runs once
     /// per warp, one at a time and **in warp order**. A kernel whose
     /// epilogue commits to a buffer that can fill must use this form, so
-    /// which commit overflows never depends on host scheduling.
+    /// which commit overflows never depends on host scheduling. Being run
+    /// one warp at a time, the epilogue may keep state across warps.
     pub fn launch_warps_ordered<S, B, E>(
         &self,
         threads: usize,
@@ -293,10 +294,10 @@ impl Device {
     ) -> LaunchReport
     where
         B: Fn(&mut Warp) -> S + Sync,
-        E: Fn(&mut Warp, S) + Sync,
+        E: FnMut(&mut Warp, S) + Send,
     {
         let san = self.core.sanitizer.as_deref();
-        let report = run_launch_warps(&self.core.config, san, threads, &body, &epilogue);
+        let report = run_launch_warps(&self.core.config, san, threads, &body, epilogue);
         self.charge_launch(&report);
         report
     }
@@ -323,23 +324,34 @@ impl Device {
     where
         K: Fn(&mut Warp, Tile) + Sync,
     {
-        self.launch_persistent_ordered(queue, kernel, |_, ()| {})
+        self.launch_persistent_ordered(
+            queue,
+            |warp, _: &mut (), tile| kernel(warp, tile),
+            |_, _, ()| {},
+        )
     }
 
     /// [`Device::launch_persistent`] with the per-tile epilogue run in queue
-    /// order (see [`Device::launch_warps_ordered`]).
-    pub fn launch_persistent_ordered<S, B, E>(
+    /// order (see [`Device::launch_warps_ordered`]). Each host worker of the
+    /// launch keeps one `U::default()` scratch for the kernel: `body` gets
+    /// the scratch of the worker running the tile, and the tile's
+    /// `epilogue` the same one. A worker's tiles can so stage into one
+    /// [`crate::WarpStash`], each epilogue committing the oldest records
+    /// ([`crate::WarpStash::commit_oldest`]): its worker's epilogues run in
+    /// the order its bodies did.
+    pub fn launch_persistent_ordered<U, S, B, E>(
         &self,
         queue: &WorkQueue,
         body: B,
         epilogue: E,
     ) -> LaunchReport
     where
-        B: Fn(&mut Warp, Tile) -> S + Sync,
-        E: Fn(&mut Warp, S) + Sync,
+        U: Default,
+        B: Fn(&mut Warp, &mut U, Tile) -> S + Sync,
+        E: FnMut(&mut Warp, &mut U, S) + Send,
     {
         let san = self.core.sanitizer.as_deref();
-        let report = run_launch_persistent(&self.core.config, san, queue, &body, &epilogue);
+        let report = run_launch_persistent(&self.core.config, san, queue, &body, epilogue);
         self.charge_launch(&report);
         report
     }

@@ -49,10 +49,32 @@
 //! time, in warp order: which commit crosses the capacity, which queries
 //! are redone, and every counter of every later round are then a function
 //! of the launch alone.
+//!
+//! # Host bookkeeping
+//!
+//! What the host does per warp (for a persistent launch, per tile) besides
+//! the kernel's own work is kept to a few words, so host time follows the
+//! counted work:
+//!
+//! * Each host worker keeps one [`Warp`] for the whole launch. Its lanes are
+//!   reset, not rebuilt, between warps: `Warp::retire` reduces the lanes'
+//!   counters and path tags to the warp's lane cost (`max_over_lanes`, the
+//!   sums and `k`) and clears them in the same pass.
+//! * The body hands its epilogue only that lane cost, the warp-scoped
+//!   counters and what the kernel staged. A kernel's per-worker scratch (a
+//!   persistent launch's `U`) holds what should outlive a tile, such as the
+//!   one [`crate::WarpStash`] a worker stages every tile's records in.
+//! * The ordered pass that runs the epilogues also prices each warp and,
+//!   for a persistent launch, replays the work-queue cursor
+//!   (`EarliestFree`) tile by tile: no per-tile cost list is kept and no
+//!   second serial pass runs after the launch.
 
 use crate::config::DeviceConfig;
 use crate::counters::{Counters, Lane};
 use crate::sanitizer::Sanitizer;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// Kernel-shape label of static-grid launches in sanitizer findings.
 pub(crate) const SHAPE_STATIC: &str = "static-grid";
@@ -90,6 +112,52 @@ impl Warp {
     pub fn standalone(lane_count: usize) -> Self {
         assert!((1..=MAX_WARP_LANES).contains(&lane_count));
         Warp::with_lanes(0, (0..lane_count).map(|gid| Lane::at(gid, gid)).collect())
+    }
+
+    /// Make this warp warp `index` of a launch, its lanes carrying the
+    /// global ids `gids` (at most [`MAX_WARP_LANES`]). The lanes come in
+    /// clean from the previous warp's [`Warp::retire`], so only their ids are
+    /// rewritten; a launch worker keeps one `Warp` for all its warps.
+    fn reset(&mut self, index: usize, gids: Range<usize>) {
+        debug_assert!(gids.len() <= MAX_WARP_LANES);
+        self.index = index;
+        self.counters = Counters::default();
+        self.lane_count = gids.len();
+        if self.lanes.len() == gids.len() {
+            for (lane, gid) in self.lanes.iter_mut().zip(gids) {
+                lane.global_id = gid;
+            }
+        } else {
+            let first = gids.start;
+            self.lanes.clear();
+            self.lanes.extend(gids.map(|gid| Lane::at(gid, gid - first)));
+        }
+    }
+
+    /// Retire the lanes: reduce their counters and path tags to the warp's
+    /// [`LaneCost`] and clear them for the next [`Warp::reset`], in one pass.
+    fn retire(&mut self) -> LaneCost {
+        let mut max_instructions = 0;
+        let mut totals = Counters::default();
+        let first = self.lanes.first().map_or(0, |lane| lane.path);
+        let mut uniform = true;
+        for lane in &mut self.lanes {
+            let counters = std::mem::take(&mut lane.counters);
+            max_instructions = max_instructions.max(counters.instructions);
+            totals.add(&counters);
+            uniform &= lane.path == first;
+        }
+        let paths = if uniform { 1 } else { distinct_paths(&self.lanes) };
+        if first != 0 || !uniform {
+            self.lanes.iter_mut().for_each(|lane| lane.path = 0);
+        }
+        LaneCost { max_instructions, paths, totals }
+    }
+
+    /// The warp an ordered epilogue runs on: its lanes have retired, its
+    /// warp-scoped counters are those its body recorded.
+    fn retired(index: usize, lane_count: usize, counters: Counters) -> Warp {
+        Warp { index, lanes: Vec::new(), lane_count, counters }
     }
 
     /// Index of this warp within the launch.
@@ -152,6 +220,22 @@ impl Warp {
     }
 }
 
+/// The number of distinct path tags among `lanes` (`k` in the module docs),
+/// counted on the stack: warp sizes are small, O(k²) is fine, and only
+/// divergent warps get here.
+#[cold]
+fn distinct_paths(lanes: &[Lane]) -> usize {
+    let mut distinct = [0u64; MAX_WARP_LANES];
+    let mut paths = 0;
+    for lane in lanes {
+        if !distinct[..paths].contains(&lane.path) {
+            distinct[paths] = lane.path;
+            paths += 1;
+        }
+    }
+    paths
+}
+
 /// Cost summary of one warp.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct WarpCost {
@@ -194,7 +278,7 @@ pub struct LaunchReport {
 }
 
 /// What a warp's lanes contribute to its cost, reduced as soon as the lane
-/// work is done so the lanes need not outlive it.
+/// work is done so the lanes can be cleared for the next warp.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LaneCost {
     max_instructions: u64,
@@ -204,25 +288,6 @@ pub(crate) struct LaneCost {
 }
 
 impl LaneCost {
-    pub(crate) fn of(lanes: &[Lane]) -> LaneCost {
-        let mut max = Counters::default();
-        let mut totals = Counters::default();
-        // Distinct path tags, counted on the stack (warp sizes are small;
-        // O(k^2) is fine).
-        let mut distinct = [0u64; MAX_WARP_LANES];
-        let mut paths = 0;
-        for lane in lanes {
-            max = max.max(&lane.counters);
-            totals.add(&lane.counters);
-            if !distinct[..paths].contains(&lane.path) {
-                distinct[paths] = lane.path;
-                paths += 1;
-            }
-        }
-        debug_assert!(paths > 0, "a warp has at least one lane");
-        LaneCost { max_instructions: max.instructions, paths, totals }
-    }
-
     /// The warp's simulated cost: the lanes' share plus warp-scoped
     /// `warp_extra` charges recorded by a per-warp epilogue. The extra
     /// charges are converged: no `k` multiplier on instructions, no
@@ -248,30 +313,70 @@ impl LaneCost {
     }
 }
 
-/// Run `n` warps on [`tdts_geom::par::par_ordered`]: `body(i, lanes)` builds
-/// warp `i` on its worker's recycled lane vector and runs its lane work;
-/// `epilogue` then runs once per warp **in warp order**, so which commit
-/// overflows a full buffer, and every later redo round, is a function of
-/// the launch alone.
-fn run_ordered<S, B, E>(config: &DeviceConfig, n: usize, body: &B, epilogue: &E) -> Vec<WarpCost>
-where
-    B: Fn(usize, Vec<Lane>) -> (Warp, S) + Sync,
-    E: Fn(&mut Warp, S) + Sync,
+/// A launch worker: the one [`Warp`] it runs every warp of the launch on,
+/// reset between them, and the kernel's own per-worker scratch.
+struct Worker<U> {
+    warp: Warp,
+    kernel: U,
+}
+
+impl<U: Default> Default for Worker<U> {
+    fn default() -> Self {
+        Worker { warp: Warp::with_lanes(0, Vec::new()), kernel: U::default() }
+    }
+}
+
+/// What a warp's body leaves for its epilogue: a few words of cost and
+/// whatever the kernel staged.
+struct Retired<S> {
+    index: usize,
+    lane_count: usize,
+    lanes: LaneCost,
+    counters: Counters,
+    staged: S,
+}
+
+/// Run `n` warps on [`tdts_geom::par::par_ordered`]: warp `i` runs on its
+/// worker's warp, reset to the lanes `gids(i)`, through `body`; its lanes
+/// retire into a [`LaneCost`] and `epilogue` then runs once per warp **in
+/// warp order**, so which commit overflows a full buffer, and every later
+/// redo round, is a function of the launch alone. Each warp's cost goes to
+/// `sink`, in warp order, from the same ordered pass.
+fn run_ordered<U, S, G, B, E, K>(
+    config: &DeviceConfig,
+    n: usize,
+    gids: &G,
+    body: &B,
+    mut epilogue: E,
+    mut sink: K,
+) where
+    U: Default,
+    G: Fn(usize) -> Range<usize> + Sync,
+    B: Fn(&mut Warp, &mut U) -> S + Sync,
+    E: FnMut(&mut Warp, &mut U, S) + Send,
+    K: FnMut(WarpCost) + Send,
 {
     tdts_geom::par::par_ordered(
         n,
-        |spare: &mut Vec<Lane>, i| {
-            spare.clear();
-            let (mut warp, state) = body(i, std::mem::take(spare));
-            // The lanes retire with the body; only their cost is kept.
-            *spare = std::mem::take(&mut warp.lanes);
-            (warp, LaneCost::of(spare), state)
+        |worker: &mut Worker<U>, i| {
+            let warp = &mut worker.warp;
+            warp.reset(i, gids(i));
+            let staged = body(warp, &mut worker.kernel);
+            let lanes = warp.retire();
+            Retired {
+                index: i,
+                lane_count: warp.lane_count,
+                lanes,
+                counters: warp.counters,
+                staged,
+            }
         },
-        |(mut warp, lanes, state)| {
-            epilogue(&mut warp, state);
-            lanes.with_epilogue(config, &warp.counters)
+        |worker: &mut Worker<U>, retired: Retired<S>| {
+            let mut warp = Warp::retired(retired.index, retired.lane_count, retired.counters);
+            epilogue(&mut warp, &mut worker.kernel, retired.staged);
+            sink(retired.lanes.with_epilogue(config, &warp.counters));
         },
-    )
+    );
 }
 
 /// Execute a warp-scoped kernel over `threads` threads and compute the
@@ -282,11 +387,11 @@ pub(crate) fn run_launch_warps<S, B, E>(
     san: Option<&Sanitizer>,
     threads: usize,
     body: &B,
-    epilogue: &E,
+    mut epilogue: E,
 ) -> LaunchReport
 where
     B: Fn(&mut Warp) -> S + Sync,
-    E: Fn(&mut Warp, S) + Sync,
+    E: FnMut(&mut Warp, S) + Send,
 {
     let warp_size = config.warp_size;
     let warps = threads.div_ceil(warp_size);
@@ -294,24 +399,26 @@ where
         san.begin_launch(SHAPE_STATIC);
     }
 
-    let costs = run_ordered(
+    let mut cycles = Vec::with_capacity(warps);
+    let mut totals = Counters::default();
+    let mut divergent = 0;
+    run_ordered(
         config,
         warps,
-        &|w, mut lanes: Vec<Lane>| {
-            let first = w * warp_size;
-            let last = ((w + 1) * warp_size).min(threads);
-            lanes.extend((first..last).map(|gid| Lane::at(gid, gid - first)));
-            let mut warp = Warp::with_lanes(w, lanes);
-            let state = body(&mut warp);
-            (warp, state)
+        &|w| w * warp_size..((w + 1) * warp_size).min(threads),
+        &|warp: &mut Warp, _: &mut ()| body(warp),
+        |warp: &mut Warp, _: &mut (), staged| epilogue(warp, staged),
+        |cost: WarpCost| {
+            cycles.push(cost.cycles);
+            totals.add(&cost.totals);
+            divergent += usize::from(cost.divergent);
         },
-        epilogue,
     );
 
     if let Some(san) = san {
         san.end_launch();
     }
-    finish_report(config, threads, warps, 0, &costs, (0, 0))
+    finish_report(config, threads, &cycles, totals, divergent, (0, 0))
 }
 
 /// Fraction of SMs that still receive a warp in the launch's final
@@ -329,30 +436,27 @@ fn last_wave_occupancy(num_sms: usize, warps: usize) -> f64 {
 }
 
 /// Shared tail of static and persistent launches: round-robin the per-warp
-/// costs onto SMs, aggregate counters, and derive the imbalance metrics.
-/// `divergent_extra` carries per-tile divergence events of a persistent
-/// launch (whose `costs` are already per-warp sums).
+/// `cycles` onto SMs and derive the imbalance metrics. `totals` and
+/// `divergent_warps` are summed over every warp (for a persistent launch,
+/// over every tile).
 fn finish_report(
     config: &DeviceConfig,
     threads: usize,
-    warps: usize,
-    divergent_extra: usize,
-    costs: &[WarpCost],
+    cycles: &[f64],
+    totals: Counters,
+    divergent_warps: usize,
     queue: (u64, u64),
 ) -> LaunchReport {
     // Round-robin warp → SM assignment; SM time = sum of its warps' cycles
     // divided by the occupancy factor.
+    let warps = cycles.len();
     let mut sm_cycles = vec![0.0f64; config.num_sms];
-    let mut totals = Counters::default();
-    let mut divergent_warps = divergent_extra;
     let mut max_warp_cycles = 0.0f64;
     let mut sum_warp_cycles = 0.0f64;
-    for (w, cost) in costs.iter().enumerate() {
-        sm_cycles[w % config.num_sms] += cost.cycles;
-        totals.add(&cost.totals);
-        divergent_warps += cost.divergent as usize;
-        max_warp_cycles = max_warp_cycles.max(cost.cycles);
-        sum_warp_cycles += cost.cycles;
+    for (w, &c) in cycles.iter().enumerate() {
+        sm_cycles[w % config.num_sms] += c;
+        max_warp_cycles = max_warp_cycles.max(c);
+        sum_warp_cycles += c;
     }
     let max_sm = sm_cycles.iter().cloned().fold(0.0, f64::max);
     let sim_exec_seconds = max_sm / config.occupancy_factor / config.clock_hz;
@@ -378,7 +482,7 @@ fn finish_report(
 /// count) loops pulling tiles from `queue` until it drains. Every grab is
 /// charged one global atomic plus a converged read of the 16-byte tile
 /// descriptor; each warp pays one further atomic for the failed probe that
-/// tells it the queue is empty. A warp receives fresh lanes per tile, so
+/// tells it the queue is empty. A warp's lanes start every tile clean, so
 /// the divergence multiplier and the max-over-lanes rule apply *within*
 /// each tile, and the warp's cycles are the sum over the tiles it
 /// processed — exactly the cost shape of a device-side `while
@@ -389,21 +493,22 @@ fn finish_report(
 /// and their epilogues in queue order (see [`run_ordered`]), so a tile's
 /// cost is a function of the launch alone — warp-cooperative kernels
 /// address only [`Lane::lane_index`] and the tile, never which persistent
-/// warp happened to grab it; then the atomic cursor is replayed
-/// deterministically, handing each tile in queue order to the warp that
-/// becomes free earliest (ties to the lowest warp index) — which is
+/// warp happened to grab it. The same ordered pass then replays the atomic
+/// cursor ([`EarliestFree`]), handing each tile in queue order to the warp
+/// that becomes free earliest (ties to the lowest warp index) — which is
 /// exactly the assignment lock-step SIMT timing produces for a device-side
 /// cursor, and never the host thread scheduler's racing order.
-pub(crate) fn run_launch_persistent<S, B, E>(
+pub(crate) fn run_launch_persistent<U, S, B, E>(
     config: &DeviceConfig,
     san: Option<&Sanitizer>,
     queue: &crate::workqueue::WorkQueue,
     body: &B,
-    epilogue: &E,
+    epilogue: E,
 ) -> LaunchReport
 where
-    B: Fn(&mut Warp, crate::workqueue::Tile) -> S + Sync,
-    E: Fn(&mut Warp, S) + Sync,
+    U: Default,
+    B: Fn(&mut Warp, &mut U, crate::workqueue::Tile) -> S + Sync,
+    E: FnMut(&mut Warp, &mut U, S) + Send,
 {
     let warp_size = config.warp_size;
     let n = queue.len();
@@ -412,52 +517,83 @@ where
         san.begin_launch(SHAPE_PERSISTENT);
     }
 
-    // Phase 1 — execution: every tile runs exactly once, in parallel on
-    // the host; per-tile divergence and the max-over-lanes rule are
-    // resolved here.
-    let tile_costs = run_ordered(
+    // Every tile runs exactly once, in parallel on the host; per-tile
+    // divergence and the max-over-lanes rule are resolved as its lanes
+    // retire, and its cost is dispatched in queue order.
+    let mut dispatch = EarliestFree::new(grid);
+    let mut totals = Counters::default();
+    let mut divergent_tiles = 0;
+    run_ordered(
         config,
         n,
-        &|i, mut lanes: Vec<Lane>| {
-            lanes.extend((0..warp_size).map(|l| Lane::at(l, l)));
-            let mut warp = Warp::with_lanes(i, lanes);
+        &|_| 0..warp_size,
+        &|warp: &mut Warp, kernel: &mut U| {
             // The grab itself: leader's cursor atomicAdd + one converged
             // read of the tile descriptor.
             warp.atomics(1);
             warp.gmem_read(std::mem::size_of::<crate::workqueue::Tile>() as u64);
-            let state = body(&mut warp, queue.tile_at(i));
-            (warp, state)
+            let i = warp.index();
+            body(warp, kernel, queue.tile_at(i))
         },
         epilogue,
+        |cost: WarpCost| {
+            dispatch.assign(cost.cycles);
+            totals.add(&cost.totals);
+            divergent_tiles += usize::from(cost.divergent);
+        },
     );
     queue.mark_drained(grid);
     if let Some(san) = san {
         san.end_launch();
     }
 
-    // Phase 2 — dispatch replay: tiles go, in queue order, to the
-    // earliest-free persistent warp.
-    let mut per_warp =
-        vec![WarpCost { cycles: 0.0, divergent: false, totals: Counters::default() }; grid];
-    let mut divergent_tiles = 0usize;
-    let busy = replay_earliest_free(grid, tile_costs.iter().map(|c| c.cycles), |tile, w| {
-        per_warp[w].totals.add(&tile_costs[tile].totals);
-        divergent_tiles += tile_costs[tile].divergent as usize;
-    });
-    for (wc, cycles) in per_warp.iter_mut().zip(busy) {
-        // The failed probe that terminates the persistent loop.
-        wc.cycles = cycles + config.cycles_per_atomic;
-        wc.totals.atomics += 1;
-    }
-
+    // The failed probe that terminates each warp's persistent loop.
+    let cycles: Vec<f64> =
+        dispatch.into_busy().into_iter().map(|busy| busy + config.cycles_per_atomic).collect();
+    totals.atomics += grid as u64;
     finish_report(
         config,
         grid * warp_size,
-        grid,
+        &cycles,
+        totals,
         divergent_tiles,
-        &per_warp,
         (queue.dispatched() as u64, queue.probes() as u64),
     )
+}
+
+/// Earliest-free dispatch: each job, in order, goes to the worker that
+/// becomes free earliest (ties to the lowest index), and adds its cost to
+/// that worker's busy time.
+///
+/// Costs must be non-negative: their IEEE bit patterns then order like the
+/// values and keep the heap key `Ord`.
+pub(crate) struct EarliestFree {
+    busy: Vec<f64>,
+    free: BinaryHeap<Reverse<(u64, usize)>>,
+}
+
+impl EarliestFree {
+    pub(crate) fn new(workers: usize) -> EarliestFree {
+        EarliestFree {
+            busy: vec![0.0; workers],
+            free: (0..workers).map(|w| Reverse((0u64, w))).collect(),
+        }
+    }
+
+    /// Hand a job costing `cost` to the earliest-free worker; returns it.
+    pub(crate) fn assign(&mut self, cost: f64) -> usize {
+        debug_assert!(cost >= 0.0, "negative cost {cost}");
+        let mut next = self.free.peek_mut().expect("jobs need at least one worker");
+        let w = next.0 .1;
+        self.busy[w] += cost;
+        *next = Reverse((self.busy[w].to_bits(), w));
+        w
+    }
+
+    /// Every worker's busy time; the largest is the makespan.
+    pub(crate) fn into_busy(self) -> Vec<f64> {
+        self.busy
+    }
 }
 
 /// Hand the jobs whose costs `costs` lists, in order, each to the one of
@@ -473,20 +609,11 @@ pub fn replay_earliest_free(
     costs: impl IntoIterator<Item = f64>,
     mut assign: impl FnMut(usize, usize),
 ) -> Vec<f64> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let mut busy = vec![0.0f64; workers];
-    let mut free: BinaryHeap<Reverse<(u64, usize)>> =
-        (0..workers).map(|w| Reverse((0u64, w))).collect();
+    let mut dispatch = EarliestFree::new(workers);
     for (job, cost) in costs.into_iter().enumerate() {
-        debug_assert!(cost >= 0.0, "negative cost {cost} for job {job}");
-        let Reverse((_, w)) = free.pop().expect("jobs need at least one worker");
-        busy[w] += cost;
-        assign(job, w);
-        free.push(Reverse((busy[w].to_bits(), w)));
+        assign(job, dispatch.assign(cost));
     }
-    busy
+    dispatch.into_busy()
 }
 
 #[cfg(test)]
@@ -594,12 +721,18 @@ mod tests {
         assert_eq!(r1.divergent_warps, r2.divergent_warps);
     }
 
-    /// Lanes carrying the given counters and path tags.
-    fn lanes_of(specs: &[(Counters, u64)]) -> Vec<Lane> {
+    /// The cost of the lanes carrying the given counters and path tags, as
+    /// their warp retires them.
+    fn retire(specs: &[(Counters, u64)]) -> LaneCost {
         let lanes = specs.iter().enumerate();
-        lanes
+        let lanes = lanes
             .map(|(i, &(counters, path))| Lane { global_id: i, lane_index: i, counters, path })
-            .collect()
+            .collect();
+        let mut warp = Warp::with_lanes(0, lanes);
+        let cost = warp.retire();
+        // Retired lanes are clean for the next warp.
+        assert!(warp.lanes.iter().all(|lane| lane.counters.is_zero() && lane.path == 0));
+        cost
     }
 
     #[test]
@@ -616,7 +749,7 @@ mod tests {
                 0u64,
             ),
         ];
-        let cost = LaneCost::of(&lanes_of(&lanes)).with_epilogue(&c, &Counters::default());
+        let cost = retire(&lanes).with_epilogue(&c, &Counters::default());
         // alu = 1 * 10 * 1 = 10; mem = ceil(16/16)=1 txn * 10 = 10; atomics = 1*20.
         assert_eq!(cost.cycles, 40.0);
         assert!(!cost.divergent);
@@ -624,7 +757,7 @@ mod tests {
         // Divergent version: distinct paths double ALU and apply the
         // uncoalesced factor.
         let lanes_div = [(lanes[0].0, 1u64), (lanes[1].0, 2u64)];
-        let cost_div = LaneCost::of(&lanes_of(&lanes_div)).with_epilogue(&c, &Counters::default());
+        let cost_div = retire(&lanes_div).with_epilogue(&c, &Counters::default());
         // alu = 2 * 10 = 20; mem = 1 * 10 * 2 = 20; atomics = 20.
         assert_eq!(cost_div.cycles, 60.0);
         assert!(cost_div.divergent);
@@ -645,7 +778,7 @@ mod tests {
         ];
         let extra =
             Counters { instructions: 5, gmem_read_bytes: 0, gmem_write_bytes: 32, atomics: 1 };
-        let cost = LaneCost::of(&lanes_of(&lanes)).with_epilogue(&c, &extra);
+        let cost = retire(&lanes).with_epilogue(&c, &extra);
         // Divergent lanes: alu = 2*10 + 5 (no k multiplier on extra) = 25;
         // mem = ceil(16/16)*10*2 (uncoalesced) + ceil(32/16)*10 (coalesced
         // commit) = 20 + 20 = 40; atomics = 1 * 20 = 20.

@@ -12,6 +12,7 @@ use crate::device::{Device, DeviceCore};
 use crate::launch::{Warp, MAX_WARP_LANES};
 use crate::sanitizer::ShadowRef;
 use std::cell::UnsafeCell;
+use std::collections::VecDeque;
 use std::fmt;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -321,7 +322,7 @@ impl<T> ResultBuffer<T> {
     /// [`WarpStash::commit`] to flush them with one cursor `fetch_add` for
     /// the whole warp.
     pub fn warp_stash(&self) -> WarpStash<'_, T> {
-        WarpStash { buffer: self, staged: Vec::new(), dropped: 0, stored: 0, lost: 0 }
+        WarpStash { buffer: self, staged: VecDeque::new(), dropped: 0, stored: 0, lost: 0 }
     }
 
     /// True if any append was rejected.
@@ -385,20 +386,28 @@ impl<T> Drop for ResultBuffer<T> {
 
 /// One warp's staged appends into a [`ResultBuffer`].
 ///
-/// Lanes stage `(lane, record)` pairs into one flat buffer (a
+/// Lanes stage `(lane, record)` pairs into one flat queue (a
 /// register/shared-memory tile on real hardware, sized by
 /// [`crate::DeviceConfig::warp_stash_capacity`]); [`commit`] then bumps the
 /// shared cursor **once** for the warp's whole batch and scatters the
 /// records contiguously, lane-major and in staging order within a lane.
 ///
+/// A host worker of a persistent launch keeps one stash for all its tiles:
+/// each tile's body stages behind the records of tiles whose epilogues
+/// have not run yet, and each epilogue commits its own tile's records, the
+/// oldest ones, with [`commit_oldest`]. The stash's storage then grows to
+/// what the worker has outstanding once, instead of once per tile.
+///
 /// [`commit`]: WarpStash::commit
+/// [`commit_oldest`]: WarpStash::commit_oldest
 pub struct WarpStash<'a, T> {
     buffer: &'a ResultBuffer<T>,
-    /// `(lane index, record)` in staging order, lanes interleaved.
-    staged: Vec<(usize, T)>,
+    /// `(lane index, record)` in staging order, lanes interleaved; commits
+    /// take them from the front.
+    staged: VecDeque<(usize, T)>,
     dropped: u64,
     /// Records successfully stored through this stash (sanitizer
-    /// lost-record accounting; reset at every [`WarpStash::commit`]).
+    /// lost-record accounting; reset at every commit).
     stored: u64,
     /// Records dropped through this stash (overflow or
     /// [`WarpStash::mark_dropped`]).
@@ -411,7 +420,7 @@ impl<'a, T> WarpStash<'a, T> {
     #[inline]
     pub fn stage(&mut self, lane: &mut Lane, item: T) {
         lane.instr(1);
-        self.staged.push((lane.lane_index(), item));
+        self.staged.push_back((lane.lane_index(), item));
     }
 
     /// Stage `item` on behalf of lane `lane_index` from the warp epilogue
@@ -420,16 +429,28 @@ impl<'a, T> WarpStash<'a, T> {
     #[inline]
     pub fn stage_at(&mut self, lane_index: usize, item: T) {
         assert!(lane_index < MAX_WARP_LANES, "lane index {lane_index} out of range");
-        self.staged.push((lane_index, item));
+        self.staged.push_back((lane_index, item));
     }
 
     /// Record that `lane` lost a record without staging one (e.g. its
     /// scratch overflowed before any result was produced), so it shows up
-    /// in the mask returned by [`WarpStash::commit`].
+    /// in the mask returned by the next commit.
     #[inline]
     pub fn mark_dropped(&mut self, lane: &Lane) {
         self.lost += 1;
         self.dropped |= 1 << lane.lane_index();
+    }
+
+    /// Records staged and not committed yet.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.staged.len()
+    }
+
+    /// True if nothing awaits a commit.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.staged.is_empty()
     }
 
     /// Flush all staged records and return the dropped-lane bitmask (bit
@@ -442,22 +463,35 @@ impl<'a, T> WarpStash<'a, T> {
     /// converged instructions per round and coalesced write bytes for the
     /// stored records.
     pub fn commit(&mut self, warp: &mut Warp) -> u64 {
-        if !self.staged.is_empty() {
+        self.commit_oldest(warp, self.staged.len())
+    }
+
+    /// [`WarpStash::commit`] the `count` oldest staged records alone — one
+    /// tile's, when a worker's tiles share the stash — and leave the rest
+    /// staged.
+    ///
+    /// # Panics
+    ///
+    /// If fewer than `count` records are staged.
+    pub fn commit_oldest(&mut self, warp: &mut Warp, count: usize) -> u64 {
+        if count > 0 {
             // Records per lane, then each lane's next slot: lane-major.
             let mut next = [0usize; MAX_WARP_LANES];
-            for &(li, _) in &self.staged {
+            let (mut deepest, mut lanes) = (0, 0);
+            for &(li, _) in self.staged.range(..count) {
                 next[li] += 1;
+                deepest = deepest.max(next[li]);
+                lanes = lanes.max(li + 1);
             }
-            let cap = self.buffer.stash_capacity;
-            let flushes = next.iter().map(|n| n.div_ceil(cap)).fold(0, usize::max) as u64;
+            let flushes = deepest.div_ceil(self.buffer.stash_capacity) as u64;
             warp.instr(flushes * COMMIT_INSTR);
             warp.atomics(flushes);
-            let mut slot = self.buffer.cursor.fetch_add(self.staged.len(), Ordering::Relaxed);
-            for n in &mut next {
+            let mut slot = self.buffer.cursor.fetch_add(count, Ordering::Relaxed);
+            for n in &mut next[..lanes] {
                 slot += std::mem::replace(n, slot);
             }
             let item_bytes = std::mem::size_of::<T>() as u64;
-            for (li, item) in self.staged.drain(..) {
+            for (li, item) in self.staged.drain(..count) {
                 if self.buffer.raw_write(next[li], item) {
                     warp.gmem_write(item_bytes);
                     self.stored += 1;

@@ -32,14 +32,17 @@ pub struct TemporalSchedule {
 impl TemporalSchedule {
     /// Compute the schedule for sorted queries. The paper does this on the
     /// host (a negligible portion of response time) because the incremental
-    /// bin search does not parallelise across thread blocks; here the
-    /// per-query range lookups are independent, so they fan out across host
-    /// cores.
+    /// bin search does not parallelise across thread blocks. Each lookup is
+    /// a pair of binary searches taking tens of nanoseconds, far less than
+    /// starting host workers for them, so they run on the calling thread.
     pub fn build(index: &TemporalIndex, queries: &[Segment]) -> TemporalSchedule {
-        let ranges = tdts_geom::par::par_map(queries.len(), |qi| {
-            let r = index.candidate_range(&queries[qi]).unwrap_or((0, 0));
-            [r.0, r.1]
-        });
+        let ranges = queries
+            .iter()
+            .map(|q| {
+                let r = index.candidate_range(q).unwrap_or((0, 0));
+                [r.0, r.1]
+            })
+            .collect();
         TemporalSchedule { ranges }
     }
 }

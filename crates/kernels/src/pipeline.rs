@@ -14,7 +14,9 @@
 //! * **Warp-per-tile** (`run_warp_per_tile`): the host cuts every query's
 //!   candidate range into fixed-size tiles, a persistent grid of warps pulls
 //!   them from a device-side work queue, and each warp scans one tile once,
-//!   dealing candidate `j` to lane `j % warp_size`. An overflowing tile
+//!   dealing candidate `j` to lane `j % warp_size`. Each host worker stages
+//!   its tiles' matches in one warp stash, and a tile's epilogue commits
+//!   the oldest records there, its own. An overflowing tile
 //!   re-queues its whole *query* through the same redo protocol (several
 //!   tiles of one query may report the same overflow, so redo ids are
 //!   deduplicated first).
@@ -26,11 +28,11 @@
 //! Everything else — result/redo buffers, downloads, ledger charges and
 //! report totals — lives here once. A warp's (or tile's) comparison count
 //! rides in its staged state with its matches and is summed in the ordered
-//! epilogue, which runs one warp at a time, so no kernel body writes a
-//! counter that other host workers share.
+//! epilogue, which runs one warp at a time (a plain `u64`, the epilogue
+//! being one `FnMut`), so no kernel body writes a counter that other host
+//! workers share.
 
 use crate::segments::DeviceQueries;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tdts_geom::{MatchRecord, PreparedQuery, TimeInterval};
 use tdts_gpu_sim::{
@@ -151,7 +153,7 @@ pub(crate) fn run_thread_per_query<G: CandidateGenerator>(
     let mut batch_len = n_queries;
     let mut launch_threads = generator.first_round_threads(n_queries);
     let mut redo_schedule = RedoSchedule::new();
-    let comparisons = AtomicU64::new(0);
+    let mut comparisons = 0u64;
 
     loop {
         let round = generator.begin_round(batch_len)?;
@@ -182,7 +184,7 @@ pub(crate) fn run_thread_per_query<G: CandidateGenerator>(
             // bump for the warp's matches, then redo ids for lanes that lost
             // records.
             |warp, (mut stash, qids, compared)| {
-                comparisons.fetch_add(compared, Ordering::Relaxed);
+                comparisons += compared;
                 let dropped = stash.commit(warp);
                 if dropped != 0 {
                     let mut redo_stash = redo.warp_stash();
@@ -216,7 +218,7 @@ pub(crate) fn run_thread_per_query<G: CandidateGenerator>(
             }
         }
     }
-    Ok((matches, comparisons.into_inner()))
+    Ok((matches, comparisons))
 }
 
 /// Run the warp-per-tile protocol to completion. Tile decomposition runs on
@@ -256,14 +258,16 @@ pub(crate) fn run_warp_per_tile<G: TileGenerator>(
     let mut matches: Vec<MatchRecord> = Vec::new();
     let mut batch_len = n_queries;
     let mut redo_schedule = RedoSchedule::new();
-    let comparisons = AtomicU64::new(0);
+    let mut comparisons = 0u64;
 
     loop {
         let queue = device.work_queue(std::mem::take(&mut tiles))?;
         let launch = device.launch_persistent_ordered(
             &queue,
-            |warp, tile| {
-                let mut stash = results.warp_stash();
+            // Each host worker stages its tiles' matches in one stash.
+            |warp, stash: &mut Option<WarpStash<'_, MatchRecord>>, tile| {
+                let stash = stash.get_or_insert_with(|| results.warp_stash());
+                let before = stash.len();
                 // The warp leader reads the tile's query once and broadcasts
                 // it (__shfl_sync analogue): converged charges, one row.
                 let q = PreparedQuery::new(&queries.broadcast(warp, tile.query as usize), d);
@@ -272,12 +276,14 @@ pub(crate) fn run_warp_per_tile<G: TileGenerator>(
                     generator.refine_tile(warp, &tile, &q, |lane, entry_pos, interval| {
                         stash.stage(lane, MatchRecord::new(tile.query, entry_pos, interval))
                     });
-                (stash, tile.query, compared)
+                (stash.len() - before, tile.query, compared)
             },
-            // Tile epilogue, in queue order.
-            |warp, (mut stash, query, compared)| {
-                comparisons.fetch_add(compared, Ordering::Relaxed);
-                if stash.commit(warp) != 0 {
+            // Tile epilogue, in queue order: the tile's matches are the
+            // oldest its worker's stash holds.
+            |warp, stash, (staged, query, compared)| {
+                comparisons += compared;
+                let stash = stash.as_mut().expect("the tile's body ran on this worker");
+                if stash.commit_oldest(warp, staged) != 0 {
                     // Any lost record re-queues the whole query.
                     let mut redo_stash = redo.warp_stash();
                     redo_stash.stage_at(0, query);
@@ -309,5 +315,5 @@ pub(crate) fn run_warp_per_tile<G: TileGenerator>(
             }
         }
     }
-    Ok((matches, comparisons.into_inner()))
+    Ok((matches, comparisons))
 }

@@ -427,10 +427,15 @@ impl<'l, 'q, H: FnMut(&mut Lane, u32, TimeInterval)> Scan<'l, 'q, H> {
     /// it was dealt, and return the comparisons performed.
     fn finish(self, id_bytes: u64) -> u64 {
         let w = self.lanes.len();
-        for (l, lane) in self.lanes.iter_mut().enumerate() {
+        // Fold the chunk rows onto their lanes, a whole turn at a time.
+        let mut per_lane = [0u64; MAX_WARP_LANES];
+        for turn in self.overlapping[..self.chunk_rows].chunks_exact(w) {
+            for (sum, &count) in per_lane.iter_mut().zip(turn) {
+                *sum += u64::from(count);
+            }
+        }
+        for (l, (lane, &overlapping)) in self.lanes.iter_mut().zip(&per_lane).enumerate() {
             let k = lane_share(self.compared, l, w);
-            let overlapping: u64 =
-                self.overlapping.iter().skip(l).step_by(w).map(|&c| u64::from(c)).sum();
             lane.gmem_read((TIMESTAMP_BYTES + id_bytes) * k + COORDINATE_BYTES * overlapping);
             lane.instr(COMPARE_INSTR * k);
         }
