@@ -13,8 +13,8 @@
 //!   GPUSpatioTemporal.
 //!
 //! Each id ends in the copy of the pre-test loop the host runs
-//! (`tdts_geom::scan_isa`: `avx2` or `portable`), so a number says which
-//! loop produced it.
+//! (`tdts_geom::scan_isa`: `avx512`, `avx2` or `portable`), so a number
+//! says which loop produced it.
 //!
 //! Every entry overlaps the query in time and about one in a hundred comes
 //! within the distance, so nearly every row is rejected by the arithmetic
@@ -68,12 +68,10 @@ fn bench_scan(c: &mut Criterion) {
     let isa = scan_isa();
     let mut group = c.benchmark_group("scan");
     group.bench_function(format!("pretest-{SCAN_CHUNK}/{isa}"), |b| {
-        let mut verdicts = [0u8; SCAN_CHUNK];
         b.iter(|| {
             for at in (0..ROWS as usize).step_by(SCAN_CHUNK) {
-                let chunk = columns.each_ref().map(|c| &c[at..]);
-                black_box(&q).pretest(chunk, &mut verdicts);
-                black_box(&verdicts);
+                let chunk = columns.each_ref().map(|c| &c[at..at + SCAN_CHUNK]);
+                black_box(black_box(&q).pretest(chunk));
             }
         })
     });

@@ -80,14 +80,19 @@ impl PreparedEntry {
 /// for, and the one [`PreparedQuery::pretest`] reads with unit stride.
 pub type PreparedColumns<'a> = [&'a [f64]; 8];
 
-/// [`PreparedQuery::pretest`] verdict bit: the row overlaps the query in
-/// time.
-pub const OVERLAPS: u8 = 1;
-
-/// [`PreparedQuery::pretest`] verdict bit: the row may come within the
-/// distance, so [`PreparedQuery::within_prepared`] must decide it. Set only
-/// together with [`OVERLAPS`].
-pub const MAY_MATCH: u8 = 2;
+/// [`PreparedQuery::pretest`]'s verdict on a chunk of at most 64 rows, one
+/// bit per row in each word: bit `i` is row `i`'s, and no bit at or above
+/// the chunk's length is set. One vote word per chunk, as a GPU subgroup
+/// ballots a predicate across its lanes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Ballot {
+    /// The rows that overlap the query in time.
+    pub overlaps: u64,
+    /// The rows that may come within the distance, so
+    /// [`PreparedQuery::within_prepared`] must decide them: those of
+    /// `overlaps` whose discriminant is not negative.
+    pub may_match: u64,
+}
 
 /// The coefficients of the squared separation
 /// `|r(t)|² = c2·t² + c1·t + c0` of two affine motions, and the
@@ -199,14 +204,14 @@ impl PreparedQuery {
         Quadratic { c2, c1, c0, c, disc: c1 * c1 - 4.0 * c2 * c }
     }
 
-    /// The branch-free pre-test of the refinement scan: one verdict per row
-    /// of `rows` into `verdicts` (which sets how many rows are read) —
-    /// [`OVERLAPS`] if the row overlaps the query in time, and
-    /// [`MAY_MATCH`] as well if it also has `disc ≥ 0`.
+    /// The branch-free pre-test of the refinement scan: the [`Ballot`] of a
+    /// chunk of at most 64 rows, as many as the first column holds — bit
+    /// `i` of `overlaps` set if row `i` overlaps the query in time, and of
+    /// `may_match` if it also has `disc ≥ 0`.
     ///
-    /// The invariant: a row without [`MAY_MATCH`] gets `None` from
+    /// The invariant: a row without its `may_match` bit gets `None` from
     /// [`within_prepared`], exactly, so a scan runs the solver on the
-    /// `MAY_MATCH` rows alone and loses no match. It holds for every row
+    /// `may_match` rows alone and loses no match. It holds for every row
     /// and query without a NaN timestamp, which includes every one the
     /// numeric domain admits: both decide the overlap alike and compute
     /// the `Quadratic` with the same operations in the same order, and
@@ -215,64 +220,106 @@ impl PreparedQuery {
     /// its own: there `disc = c1² − 0 ≥ 0`, so the row is passed on.
     ///
     /// The loop reads each column with unit stride and has no branch, so
-    /// the compiler vectorises it. It is compiled twice: for the target's
-    /// baseline, and for AVX2 (four rows an instruction), which runs
-    /// wherever the CPU has it ([`scan_isa`] says which copy this host
-    /// runs). Both copies run the same IEEE operations on every row, so
-    /// their verdicts agree bit for bit.
+    /// the compiler vectorises it. It is compiled three times: for the
+    /// target's baseline, for AVX2 (four rows an instruction) and for
+    /// AVX-512 (eight), and runs the widest copy the CPU has ([`scan_isa`]
+    /// says which). Every copy runs the same IEEE operations on every row —
+    /// no fused multiply-add, no reassociation — so their ballots agree bit
+    /// for bit.
     ///
     /// # Panics
     ///
-    /// If a column holds fewer rows than `verdicts`.
+    /// If the first column holds more than 64 rows, or another column
+    /// fewer rows than the first.
     ///
     /// [`within_prepared`]: PreparedQuery::within_prepared
     #[inline]
-    pub fn pretest(&self, rows: PreparedColumns<'_>, verdicts: &mut [u8]) {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        if has_avx2() {
-            #[allow(unsafe_code)]
-            // SAFETY: `has_avx2` has just detected AVX2 on the running CPU,
-            // the one feature `pretest_avx2` is compiled for.
-            unsafe {
-                self.pretest_avx2(rows, verdicts)
-            };
-            return;
+    pub fn pretest(&self, rows: PreparedColumns<'_>) -> Ballot {
+        #[allow(unsafe_code)]
+        // SAFETY: `widest_copy` returns only a copy whose `detected` found
+        // every feature it is compiled for on the running CPU.
+        unsafe {
+            self.pretest_as(widest_copy(), rows)
         }
-        self.pretest_rows(rows, verdicts);
+    }
+
+    /// [`pretest`](PreparedQuery::pretest) run by `copy`.
+    ///
+    /// # Safety
+    ///
+    /// `copy.detected()` must hold on the running CPU.
+    #[allow(unsafe_code)]
+    #[inline(always)]
+    // SAFETY: a contract on the caller, who must name its detection.
+    unsafe fn pretest_as(&self, copy: PretestCopy, rows: PreparedColumns<'_>) -> Ballot {
+        match copy {
+            PretestCopy::Portable => self.ballot(rows),
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            // SAFETY: the caller has detected AVX2, the one feature
+            // `pretest_avx2` is compiled for.
+            PretestCopy::Avx2 => unsafe { self.pretest_avx2(rows) },
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            // SAFETY: the caller has detected the four AVX-512 subsets
+            // `pretest_avx512` is compiled for.
+            PretestCopy::Avx512 => unsafe { self.pretest_avx512(rows) },
+            #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+            PretestCopy::Avx2 | PretestCopy::Avx512 => unreachable!("no x86 copy is detected"),
+        }
     }
 
     /// [`pretest`](PreparedQuery::pretest)'s loop compiled for AVX2. Only
-    /// the code generation differs: the body is the one `pretest_rows`.
+    /// the code generation differs: the body is the one `ballot`.
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     #[target_feature(enable = "avx2")]
-    fn pretest_avx2(&self, rows: PreparedColumns<'_>, verdicts: &mut [u8]) {
-        self.pretest_rows(rows, verdicts);
+    fn pretest_avx2(&self, rows: PreparedColumns<'_>) -> Ballot {
+        self.ballot(rows)
+    }
+
+    /// [`pretest`](PreparedQuery::pretest)'s loop compiled for AVX-512
+    /// (eight rows an instruction, each comparison into a mask register).
+    /// The body is the one `ballot`.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[target_feature(enable = "avx512f,avx512vl,avx512dq,avx512bw")]
+    fn pretest_avx512(&self, rows: PreparedColumns<'_>) -> Ballot {
+        self.ballot(rows)
     }
 
     /// The body of [`pretest`](PreparedQuery::pretest), inlined into each
     /// copy so each is compiled for its own instruction set.
     #[inline(always)]
-    fn pretest_rows(&self, rows: PreparedColumns<'_>, verdicts: &mut [u8]) {
-        let n = verdicts.len();
+    fn ballot(&self, rows: PreparedColumns<'_>) -> Ballot {
         let [vx, vy, vz, bx, by, bz, t_start, t_end] = rows;
-        let (vx, vy, vz, bx, by, bz) = (&vx[..n], &vy[..n], &vz[..n], &bx[..n], &by[..n], &bz[..n]);
+        let n = vx.len();
+        assert!(n <= u64::BITS as usize, "a ballot holds at most 64 rows, not {n}");
+        let (vy, vz, bx, by, bz) = (&vy[..n], &vz[..n], &bx[..n], &by[..n], &bz[..n]);
         let (t_start, t_end) = (&t_start[..n], &t_end[..n]);
         let TimeInterval { start: q_start, end: q_end } = self.span;
-        let query_ok = q_start <= q_end;
-        for (i, verdict) in verdicts.iter_mut().enumerate() {
+        let mut ballot = Ballot::default();
+        // An empty or NaN query span overlaps no row. Tested once here, not
+        // per row, so the loop's only lane-wide values are its comparisons.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        if !(q_start <= q_end) {
+            return ballot;
+        }
+        for i in 0..n {
             // `intersect(..).is_some()` — max(starts) <= min(ends) — as the
             // four comparisons it is equivalent to on non-NaN values, the
-            // query's own hoisted out of the loop.
+            // query's own tested above.
             let (start, end) = (t_start[i], t_end[i]);
-            let overlaps = query_ok & (start <= end) & (q_start <= end) & (start <= q_end);
+            let overlaps = (start <= end) & (q_start <= end) & (start <= q_end);
             let velocity = Point3::new(vx[i], vy[i], vz[i]);
             let Quadratic { disc, .. } = self.quadratic(velocity, Point3::new(bx[i], by[i], bz[i]));
             // The negation of the solver's own reject test, so that a NaN
             // discriminant passes here as it passes there.
             #[allow(clippy::neg_cmp_op_on_partial_ord)]
             let may_match = overlaps & !(disc < 0.0);
-            *verdict = (u8::from(overlaps) * OVERLAPS) | (u8::from(may_match) * MAY_MATCH);
+            // A select, not a shifted bool: each copy keeps the comparison
+            // masks at full lane width and ORs the row's bit in under them.
+            let bit = 1u64 << i;
+            ballot.overlaps |= if overlaps { bit } else { 0 };
+            ballot.may_match |= if may_match { bit } else { 0 };
         }
+        ballot
     }
 
     /// [`within_prepared`](PreparedQuery::within_prepared) against an
@@ -283,30 +330,65 @@ impl PreparedQuery {
     }
 }
 
-/// Whether the running CPU has AVX2: the one feature check behind
-/// [`PreparedQuery::pretest`]'s choice of loop. The standard library caches
-/// the answer, so a call costs one atomic load.
-#[inline]
-fn has_avx2() -> bool {
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
+/// A copy of [`PreparedQuery::pretest`]'s loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PretestCopy {
+    Portable,
+    Avx2,
+    Avx512,
+}
+
+impl PretestCopy {
+    /// Whether the running CPU has every feature this copy is compiled
+    /// for: the AVX-512 copy's four subsets are detected together.
+    fn detected(self) -> bool {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        {
+            match self {
+                PretestCopy::Portable => true,
+                PretestCopy::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+                PretestCopy::Avx512 => {
+                    std::arch::is_x86_feature_detected!("avx512f")
+                        && std::arch::is_x86_feature_detected!("avx512vl")
+                        && std::arch::is_x86_feature_detected!("avx512dq")
+                        && std::arch::is_x86_feature_detected!("avx512bw")
+                }
+            }
+        }
+        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+        {
+            self == PretestCopy::Portable
+        }
     }
-    #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-    {
-        false
+
+    fn name(self) -> &'static str {
+        match self {
+            PretestCopy::Portable => "portable",
+            PretestCopy::Avx2 => "avx2",
+            PretestCopy::Avx512 => "avx512",
+        }
     }
 }
 
+/// The widest copy the running CPU has, detected on the first call and
+/// cached: the one choice behind [`PreparedQuery::pretest`].
+#[inline]
+fn widest_copy() -> PretestCopy {
+    static WIDEST: std::sync::OnceLock<PretestCopy> = std::sync::OnceLock::new();
+    *WIDEST.get_or_init(|| {
+        [PretestCopy::Avx512, PretestCopy::Avx2]
+            .into_iter()
+            .find(|copy| copy.detected())
+            .unwrap_or(PretestCopy::Portable)
+    })
+}
+
 /// Which copy of [`PreparedQuery::pretest`]'s loop this host runs:
-/// `"avx2"` or `"portable"`. Read-only — the CPU decides, nothing else — so
-/// that every host-wall number can say which loop produced it.
+/// `"avx512"`, `"avx2"` or `"portable"`. Read-only — the CPU decides,
+/// nothing else — so that every host-wall number can say which loop
+/// produced it.
 pub fn scan_isa() -> &'static str {
-    if has_avx2() {
-        "avx2"
-    } else {
-        "portable"
-    }
+    widest_copy().name()
 }
 
 /// The continuous distance threshold test.
@@ -465,36 +547,49 @@ mod tests {
         assert_eq!(within_distance(&a, &b, 0.4), None);
     }
 
-    /// Rows in one chunk of the kernels' refinement scan (`SCAN_CHUNK`).
-    /// The variant tests run every chunk length up to two chunks and three
-    /// rows, so both copies' vector bodies and scalar tails run.
+    /// Rows in one chunk of the kernels' refinement scan (`SCAN_CHUNK`),
+    /// one ballot word. The variant tests run every chunk length up to a
+    /// full ballot at four start offsets, so every copy's vector body and
+    /// scalar tail run.
     const CHUNK: usize = 64;
 
-    /// On a CPU without AVX2 the dispatched pre-test is the portable copy
-    /// too, so `test` compares nothing wide: say so rather than pass
-    /// silently. Written to stderr directly, which the test harness does
-    /// not capture, so the line shows in a passing run.
-    fn note_if_wide_copy_skipped(test: &str) {
+    /// The wide copies, each compared with the portable body.
+    const WIDE_COPIES: [PretestCopy; 2] = [PretestCopy::Avx2, PretestCopy::Avx512];
+
+    /// A wide copy this CPU lacks compares nothing in `test`: say so rather
+    /// than pass silently. Written to stderr directly, which the test
+    /// harness does not capture, so the line shows in a passing run.
+    fn note_skipped_copies(test: &str) {
         use std::io::Write;
-        if scan_isa() != "avx2" {
-            let line = format!("{test}: this CPU has no AVX2; the wide copy was skipped\n");
+        for copy in WIDE_COPIES.into_iter().filter(|copy| !copy.detected()) {
+            let name = copy.name();
+            let line = format!("{test}: this CPU has no {name}; the {name} copy was skipped\n");
             let _ = std::io::stderr().write_all(line.as_bytes());
         }
     }
 
-    /// Require the dispatched pre-test (the AVX2 copy, on a CPU that has
-    /// it) to write the portable copy's verdicts, byte for byte, for every
-    /// prefix of `rows` at each of the first four start offsets.
+    /// Require every wide copy this CPU runs, and the dispatched pre-test,
+    /// to cast the portable body's ballot, mask for mask: `rows` cut into
+    /// ballots from each of the first four start offsets, each ballot at
+    /// every length up to a full one, so every row is tested in every slot.
     fn assert_copies_agree(q: &PreparedQuery, rows: &[[f64; 8]]) {
         let columns: [Vec<f64>; 8] = std::array::from_fn(|c| rows.iter().map(|r| r[c]).collect());
-        for offset in 0..rows.len().min(4) {
-            let columns = columns.each_ref().map(|c| &c[offset..]);
-            for n in 0..=rows.len() - offset {
-                let mut portable = vec![0xff; n];
-                q.pretest_rows(columns, &mut portable);
-                let mut dispatched = vec![0xff; n];
-                q.pretest(columns, &mut dispatched);
-                assert_eq!(dispatched, portable, "{n} rows from {offset}, query {q:?}");
+        let starts = (0..rows.len().min(4)).flat_map(|offset| (offset..rows.len()).step_by(CHUNK));
+        for start in starts {
+            for n in 0..=(rows.len() - start).min(CHUNK) {
+                let chunk = columns.each_ref().map(|c| &c[start..start + n]);
+                let portable = q.ballot(chunk);
+                let past = u64::MAX.checked_shl(n as u32).unwrap_or(0);
+                assert_eq!(portable.overlaps & past, 0, "a bit past row {n}");
+                assert_eq!(portable.may_match & !portable.overlaps, 0, "may_match without overlap");
+                for copy in WIDE_COPIES.into_iter().filter(|copy| copy.detected()) {
+                    #[allow(unsafe_code)]
+                    // SAFETY: `copy.detected()` has just found every feature
+                    // the copy is compiled for on the running CPU.
+                    let wide = unsafe { q.pretest_as(copy, chunk) };
+                    assert_eq!(wide, portable, "{copy:?}, {n} rows from {start}, query {q:?}");
+                }
+                assert_eq!(q.pretest(chunk), portable, "dispatched, {n} rows from {start}");
             }
         }
     }
@@ -530,7 +625,7 @@ mod tests {
 
     #[test]
     fn pretest_copies_agree_at_every_chunk_length() {
-        note_if_wide_copy_skipped("pretest_copies_agree_at_every_chunk_length");
+        note_skipped_copies("pretest_copies_agree_at_every_chunk_length");
         let rows = rows_of(&lcg_segments(2 * CHUNK + 3, 0x2545f4914f6cdd1d));
         let q = seg((-1.0, 2.0, 3.0), (0.5, 1.5, 3.5), 0.0, 1.0);
         for d in [0.0, 0.5, 5.0, 25.0, 200.0] {
@@ -540,7 +635,7 @@ mod tests {
 
     #[test]
     fn pretest_copies_agree_on_nan_inf_and_signed_zero_timestamps() {
-        note_if_wide_copy_skipped("pretest_copies_agree_on_nan_inf_and_signed_zero_timestamps");
+        note_skipped_copies("pretest_copies_agree_on_nan_inf_and_signed_zero_timestamps");
         let special = [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, 1.0];
         let pairs: Vec<(f64, f64)> =
             special.iter().flat_map(|&a| special.iter().map(move |&b| (a, b))).collect();
@@ -566,7 +661,7 @@ mod tests {
 
     #[test]
     fn pretest_copies_agree_on_parallel_motion_and_zero_d() {
-        note_if_wide_copy_skipped("pretest_copies_agree_on_parallel_motion_and_zero_d");
+        note_skipped_copies("pretest_copies_agree_on_parallel_motion_and_zero_d");
         let q = seg((0.0, 0.0, 0.0), (1.0, 2.0, 3.0), 0.0, 1.0);
         // The query translated (c2 = 0) by 0, 1, 2, … units, and stationary
         // points on its path (a zero-duration entry at each of its times).
@@ -590,7 +685,7 @@ mod tests {
 
     #[test]
     fn pretest_copies_agree_at_the_domain_edge() {
-        note_if_wide_copy_skipped("pretest_copies_agree_at_the_domain_edge");
+        note_skipped_copies("pretest_copies_agree_at_the_domain_edge");
         // Coordinates up to 2^160, timestamps too in every other row.
         let k = crate::DOMAIN_BOUND / 64.0;
         let big = |s: &Segment, time: bool| {
@@ -623,7 +718,7 @@ mod tests {
             d in (0u32..4, 0.0f64..30.0),
         ) {
             static NOTE: std::sync::Once = std::sync::Once::new();
-            NOTE.call_once(|| note_if_wide_copy_skipped("pretest_copies_agree_on_generated_rows"));
+            NOTE.call_once(|| note_skipped_copies("pretest_copies_agree_on_generated_rows"));
             let d = if d.0 == 0 { 0.0 } else { d.1 };
             let offset = Point3::new(f64::from(shift.0), f64::from(shift.1), f64::from(shift.2));
             let mut entries = es.clone();

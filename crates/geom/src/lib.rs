@@ -17,8 +17,11 @@
 //!   with each side's half of the arithmetic done once: the query's per
 //!   search, the entry's when it is placed on the device, as a row of the
 //!   [`PreparedColumns`]. [`PreparedQuery::pretest`] rejects whole chunks
-//!   of those columns ahead of the solver, only where the solver would, in
-//!   a loop compiled for the host's vector width ([`scan_isa`]).
+//!   of those columns ahead of the solver, only where the solver would, and
+//!   returns its verdict on a chunk of up to 64 rows as one [`Ballot`]: two
+//!   mask words, a bit per row. Its loop is compiled three times — the
+//!   portable baseline, AVX2 and AVX-512 — and the widest copy the CPU has
+//!   runs ([`scan_isa`]); all three cast the same ballot, bit for bit.
 //! * [`DOMAIN_BOUND`] — the numeric domain every segment and threshold
 //!   lies in (magnitudes up to 2¹⁶⁰), inside which the test stays finite;
 //!   [`first_invalid`] and [`check_threshold`] are its one check.
@@ -52,7 +55,7 @@ pub mod store;
 
 pub use columns::SegmentColumns;
 pub use continuous::{
-    scan_isa, within_distance, PreparedColumns, PreparedEntry, PreparedQuery, MAY_MATCH, OVERLAPS,
+    scan_isa, within_distance, Ballot, PreparedColumns, PreparedEntry, PreparedQuery,
 };
 pub use domain::{check_threshold, first_invalid, InvalidSegment, DOMAIN_BOUND};
 pub use front::FrontVec;

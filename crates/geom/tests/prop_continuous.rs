@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use tdts_geom::{
-    first_invalid, within_distance, Mbb, Point3, PreparedEntry, PreparedQuery, SegId, Segment,
-    TimeInterval, TrajId, DOMAIN_BOUND, MAY_MATCH, OVERLAPS,
+    first_invalid, within_distance, Ballot, Mbb, Point3, PreparedEntry, PreparedQuery, SegId,
+    Segment, TimeInterval, TrajId, DOMAIN_BOUND,
 };
 
 fn arb_point() -> impl Strategy<Value = Point3> {
@@ -57,25 +57,32 @@ fn bits(iv: Option<TimeInterval>) -> Option<(u64, u64)> {
 }
 
 /// Require the pre-test's invariant of `q` at `d` on every row of
-/// `entries`, pre-tested together as columns: [`OVERLAPS`] is exactly the
-/// temporal overlap, [`MAY_MATCH`] comes only with it, and a row without
-/// `MAY_MATCH` is one `within_prepared` answers `None` for.
+/// `entries`, pre-tested together as columns, a ballot of at most 64 rows
+/// at a time: `overlaps` is exactly the temporal overlap, `may_match` comes
+/// only with it, a row without `may_match` is one `within_prepared`
+/// answers `None` for, and no bit at or above the ballot's length is set.
 fn assert_pretest_superset(q: &Segment, d: f64, entries: &[Segment]) {
     let prepared = PreparedQuery::new(q, d);
     let rows: Vec<PreparedEntry> = entries.iter().map(PreparedEntry::new).collect();
     let columns: [Vec<f64>; 8] =
         std::array::from_fn(|c| rows.iter().map(|row| row.to_row()[c]).collect());
-    let mut verdicts = vec![0xff; rows.len()];
-    prepared.pretest(columns.each_ref().map(Vec::as_slice), &mut verdicts);
-    for ((e, row), verdict) in entries.iter().zip(&rows).zip(verdicts) {
-        assert_eq!(PreparedEntry::from_row(row.to_row()), *row);
-        let overlaps = q.time_span().intersect(&e.time_span()).is_some();
-        assert_eq!(verdict & OVERLAPS != 0, overlaps, "overlap verdict of {e:?} vs {q:?}");
-        assert_eq!(verdict & !(OVERLAPS | MAY_MATCH), 0, "stray verdict bits");
-        assert!(overlaps || verdict & MAY_MATCH == 0, "MAY_MATCH without overlap");
-        if verdict & MAY_MATCH == 0 {
-            let exact = prepared.within_prepared(row);
-            assert_eq!(exact, None, "pre-test rejected a match: q {q:?}, e {e:?}, d {d}");
+    for at in (0..rows.len()).step_by(64) {
+        let n = (rows.len() - at).min(64);
+        let chunk = columns.each_ref().map(|c| &c[at..at + n]);
+        let Ballot { overlaps, may_match } = prepared.pretest(chunk);
+        let valid = u64::MAX.checked_shl(n as u32).map_or(u64::MAX, |past| !past);
+        assert_eq!(overlaps & !valid, 0, "overlap bits past row {n}");
+        assert_eq!(may_match & !valid, 0, "may_match bits past row {n}");
+        for (i, (e, row)) in entries[at..at + n].iter().zip(&rows[at..at + n]).enumerate() {
+            assert_eq!(PreparedEntry::from_row(row.to_row()), *row);
+            let (row_overlaps, row_may_match) = (overlaps >> i & 1 != 0, may_match >> i & 1 != 0);
+            let exact_overlap = q.time_span().intersect(&e.time_span()).is_some();
+            assert_eq!(row_overlaps, exact_overlap, "overlap verdict of {e:?} vs {q:?}");
+            assert!(row_overlaps || !row_may_match, "may_match without overlap");
+            if !row_may_match {
+                let exact = prepared.within_prepared(row);
+                assert_eq!(exact, None, "pre-test rejected a match: q {q:?}, e {e:?}, d {d}");
+            }
         }
     }
 }

@@ -13,11 +13,13 @@
 //!
 //! The scan walks its candidates in chunks of [`SCAN_CHUNK`] rows. A chunk
 //! goes through [`PreparedQuery::pretest`] first, a branch-free loop over
-//! the columns that the compiler vectorises, and only the rows it passes
-//! reach the exact solver ([`PreparedQuery::within_prepared`]). The pre-test
-//! rejects a row only where the solver would answer `None`, so the hits
-//! are the solver's, bit for bit. Contiguous ranges are pre-tested in place;
-//! gathered candidates are first copied into a chunk of stack columns.
+//! the columns that the compiler vectorises into one [`Ballot`] — a bit per
+//! row for the temporal overlap and one for the rows that may match — and
+//! only the rows of its `may_match` word reach the exact solver
+//! ([`PreparedQuery::within_prepared`]). The pre-test rejects a row only
+//! where the solver would answer `None`, so the hits are the solver's, bit
+//! for bit. Contiguous ranges are pre-tested in place; gathered candidates
+//! are first copied into a chunk of stack columns.
 //!
 //! Accounting rules (see DESIGN.md §"Data layout"):
 //!
@@ -43,8 +45,8 @@
 use std::ops::Range;
 use std::sync::Arc;
 use tdts_geom::{
-    Point3, PreparedColumns, PreparedEntry, PreparedQuery, SegId, Segment, TimeInterval, TrajId,
-    MAY_MATCH, OVERLAPS,
+    Ballot, Point3, PreparedColumns, PreparedEntry, PreparedQuery, SegId, Segment, TimeInterval,
+    TrajId,
 };
 use tdts_gpu_sim::{Device, DeviceBuffer, Lane, OutOfDeviceMemory, Reserved, Warp, MAX_WARP_LANES};
 
@@ -66,11 +68,12 @@ const COORDINATE_BYTES: u64 = COLUMNAR_ROW_BYTES - TIMESTAMP_BYTES;
 /// Bytes of one id read from an index array on the way to its entry.
 const ID_BYTES: u64 = std::mem::size_of::<u32>() as u64;
 
-/// Rows the refinement scan pre-tests at a time. Chunks of 64 to 128 rows
-/// scanned fastest; with the AVX2 copy of the pre-test, 128 led 64 in 8 of
-/// 10 paired `batch-temporal` runs by a median 5.6 % on a 2-core x86-64
-/// host, short of a clear gain. A chunk is also a whole number of 32-lane warps' turns.
+/// Rows the refinement scan pre-tests at a time: one bit of each
+/// [`Ballot`] word per row, and a whole number of turns of a 32-lane warp.
 pub const SCAN_CHUNK: usize = 64;
+
+const _: () = assert!(SCAN_CHUNK == u64::BITS as usize, "a chunk is one ballot word");
+const _: () = assert!(SCAN_CHUNK >= MAX_WARP_LANES, "a chunk holds a turn of every warp");
 
 /// What a gathered candidate past the end of the database is pre-tested as:
 /// a row with an empty time span, so it overlaps nothing and is a temporal
@@ -381,9 +384,15 @@ struct Scan<'l, 'q, H> {
     on_hit: H,
     /// Rows per full chunk.
     chunk_rows: usize,
+    /// The `overlaps` word of a full chunk whose every row overlaps.
+    all_overlap: u64,
     compared: u64,
-    /// Per chunk row, how many of the candidates dealt to it overlapped the
-    /// query in time; row `j`'s count is lane `j % lanes`'s.
+    /// Full chunks whose every row overlapped the query in time: each gave
+    /// every lane `chunk_rows / lanes` overlapping candidates.
+    overlapping_chunks: u64,
+    /// Per chunk row, how many of the candidates dealt to it in the other
+    /// chunks overlapped the query in time; row `j`'s count is lane
+    /// `j % lanes`'s.
     overlapping: [u32; SCAN_CHUNK],
 }
 
@@ -392,7 +401,16 @@ impl<'l, 'q, H: FnMut(&mut Lane, u32, TimeInterval)> Scan<'l, 'q, H> {
         let w = lanes.len();
         assert!((1..=MAX_WARP_LANES).contains(&w), "a scan runs on 1..={MAX_WARP_LANES} lanes");
         let chunk_rows = SCAN_CHUNK - SCAN_CHUNK % w;
-        Scan { lanes, q, on_hit, chunk_rows, compared: 0, overlapping: [0; SCAN_CHUNK] }
+        Scan {
+            lanes,
+            q,
+            on_hit,
+            chunk_rows,
+            all_overlap: u64::MAX >> (SCAN_CHUNK - chunk_rows),
+            compared: 0,
+            overlapping_chunks: 0,
+            overlapping: [0; SCAN_CHUNK],
+        }
     }
 
     /// Deal the next chunk of at most `chunk_rows` candidates: `rows` (all
@@ -401,23 +419,21 @@ impl<'l, 'q, H: FnMut(&mut Lane, u32, TimeInterval)> Scan<'l, 'q, H> {
     #[inline(always)]
     fn chunk(&mut self, rows: PreparedColumns<'_>, position: impl Fn(usize) -> u32) {
         let n = rows[0].len();
-        let mut verdicts = [0u8; SCAN_CHUNK];
-        self.q.pretest(rows, &mut verdicts[..n]);
-        for (count, verdict) in self.overlapping.iter_mut().zip(&verdicts[..n]) {
-            *count += u32::from(verdict & OVERLAPS);
+        let Ballot { overlaps, mut may_match } = self.q.pretest(rows);
+        if overlaps == self.all_overlap {
+            self.overlapping_chunks += 1;
+        } else {
+            for (j, count) in self.overlapping[..n].iter_mut().enumerate() {
+                *count += (overlaps >> j) as u32 & 1;
+            }
         }
-        // The solver's rows, eight verdicts at a time.
-        for (word, group) in verdicts.chunks_exact(8).enumerate() {
-            let group = u64::from_le_bytes(group.try_into().expect("eight verdicts"));
-            let mut may_match = group & u64::from_le_bytes([MAY_MATCH; 8]);
-            while may_match != 0 {
-                let j = 8 * word + may_match.trailing_zeros() as usize / 8;
-                may_match &= may_match - 1;
-                let entry = PreparedEntry::from_row(row_at(rows, j));
-                if let Some(interval) = self.q.within_prepared(&entry) {
-                    let lane = &mut self.lanes[j % self.lanes.len()];
-                    (self.on_hit)(lane, position(j), interval);
-                }
+        while may_match != 0 {
+            let j = may_match.trailing_zeros() as usize;
+            may_match &= may_match - 1;
+            let entry = PreparedEntry::from_row(row_at(rows, j));
+            if let Some(interval) = self.q.within_prepared(&entry) {
+                let lane = &mut self.lanes[j % self.lanes.len()];
+                (self.on_hit)(lane, position(j), interval);
             }
         }
         self.compared += n as u64;
@@ -428,7 +444,8 @@ impl<'l, 'q, H: FnMut(&mut Lane, u32, TimeInterval)> Scan<'l, 'q, H> {
     fn finish(self, id_bytes: u64) -> u64 {
         let w = self.lanes.len();
         // Fold the chunk rows onto their lanes, a whole turn at a time.
-        let mut per_lane = [0u64; MAX_WARP_LANES];
+        let full = self.overlapping_chunks * (self.chunk_rows / w) as u64;
+        let mut per_lane = [full; MAX_WARP_LANES];
         for turn in self.overlapping[..self.chunk_rows].chunks_exact(w) {
             for (sum, &count) in per_lane.iter_mut().zip(turn) {
                 *sum += u64::from(count);

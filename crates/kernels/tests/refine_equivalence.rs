@@ -298,6 +298,42 @@ fn chunk_boundaries_equal_the_element_model() {
     }
 }
 
+/// `n` entries cycling through those of [`mixed_store`]'s kinds that
+/// overlap the query in time.
+fn overlapping_store(n: usize) -> Vec<Segment> {
+    let span = query().time_span();
+    let kinds = mixed_store().into_iter().filter(|e| e.time_span().intersect(&span).is_some());
+    kinds.collect::<Vec<_>>().into_iter().cycle().take(n).collect()
+}
+
+#[test]
+fn chunks_whose_every_row_overlaps_equal_the_element_model() {
+    // Stores whose every row overlaps the query, so each full chunk of a
+    // walk is counted whole, and one whose second chunk holds a single
+    // disjoint row, counted row by row like every tail: on one lane, on
+    // three (63-row chunks) and on a full warp, every walk's records, their
+    // per-lane order and every counter match the element-at-a-time model.
+    let mut stores = [0, 1, 63, 64, 65, 197].map(overlapping_store).to_vec();
+    let span = query().time_span();
+    assert!(stores.iter().flatten().all(|e| e.time_span().intersect(&span).is_some()));
+    let mut one_disjoint = overlapping_store(197);
+    one_disjoint[SCAN_CHUNK + SCAN_CHUNK / 2] = mixed_store()[1];
+    assert!(one_disjoint[SCAN_CHUNK + SCAN_CHUNK / 2].time_span().intersect(&span).is_none());
+    stores.push(one_disjoint);
+    for store in &stores {
+        let len = store.len() as u32;
+        let in_order: Vec<u32> = (0..len).collect();
+        for w in [1, 3, 32] {
+            check_on(store, range(0, len), &query(), 3.0, w);
+            let walk = Walk::Gather { ids: in_order.clone(), origin: 0, lo: 0, hi: len };
+            check_on(store, walk, &query(), 3.0, w);
+            let walk = Walk::Gather { ids: scrambled_ids(len), origin: 1000, lo: 0, hi: len };
+            check_on(store, walk, &query(), 3.0, w);
+            check_on(store, Walk::Positions(in_order.clone()), &query(), 3.0, w);
+        }
+    }
+}
+
 #[test]
 fn a_bad_id_mid_chunk_is_one_finding_and_a_temporal_reject() {
     // A gathered id past the entries in the middle of the second chunk: one

@@ -393,7 +393,11 @@ const RULES: &[Rule] = &[
         include_tests: true,
         safety_comment_discharges: false,
         context_discharges: None,
-        bad_fixture: "#[target_feature(enable = \"avx2\")]\nfn f() {}\n",
+        bad_fixture: concat!(
+            "#[target_feature(enable = \"avx2\")]\nfn f() {}\n",
+            "#[target_feature(enable = \"avx512f,avx512vl,avx512dq,avx512bw\")]\nfn g() {}\n",
+            "let wide = std::arch::is_x86_feature_detected!(\"avx512f\");\n",
+        ),
     },
 ];
 
@@ -748,6 +752,10 @@ mod tests {
             1
         );
         assert_eq!(scan("target-features", "is_aarch64_feature_detected!(\"neon\");\n").len(), 1);
+        let avx512 = "#[target_feature(enable = \"avx512f,avx512vl\")]\n";
+        assert_eq!(scan("target-features", avx512).len(), 1);
+        let fixture = rule("target-features").bad_fixture;
+        assert_eq!(scan("target-features", fixture).len(), 3, "both copies' forms and a detection");
         assert_eq!(scan("target-features", "#[allow(unsafe_code)]\n").len(), 1);
         assert_eq!(scan("target-features", "#![allow(unsafe_code)]\n").len(), 1);
         assert!(scan("target-features", "#![deny(unsafe_code)]\n").is_empty());
