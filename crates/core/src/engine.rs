@@ -125,25 +125,23 @@ enum Resident {
     /// One index and the device it is resident on (`None` for an index
     /// handed to [`SearchEngine::with_index`]). The CPU baseline keeps the
     /// device it was given and never touches it.
-    Single {
-        index: Box<dyn TrajectoryIndex>,
-        device: Option<Arc<Device>>,
-    },
-    Sharded(ShardedIndex),
+    Single { index: Box<dyn TrajectoryIndex>, device: Option<Arc<Device>> },
+    /// Boxed: it keeps the device config every re-partition builds from.
+    Sharded(Box<ShardedIndex>),
 }
 
 impl Resident {
     fn index(&self) -> &dyn TrajectoryIndex {
         match self {
             Resident::Single { index, .. } => index.as_ref(),
-            Resident::Sharded(sharded) => sharded,
+            Resident::Sharded(sharded) => sharded.as_ref(),
         }
     }
 
     fn index_mut(&mut self) -> &mut dyn TrajectoryIndex {
         match self {
             Resident::Single { index, .. } => index.as_mut(),
-            Resident::Sharded(sharded) => sharded,
+            Resident::Sharded(sharded) => sharded.as_mut(),
         }
     }
 }
@@ -196,7 +194,8 @@ impl SearchEngine {
         let store = dataset.store_arc();
         let stats = store.stats().ok_or(TdtsError::Search(SearchError::EmptyDataset))?;
         let sharded = ShardedIndex::build(method, &store, &stats, device_config, sharding)?;
-        Ok(SearchEngine { store, method, resident: Resident::Sharded(sharded), failed: None })
+        let resident = Resident::Sharded(Box::new(sharded));
+        Ok(SearchEngine { store, method, resident, failed: None })
     }
 
     /// Wrap an `index` the caller built over `dataset`'s store, with no
@@ -231,7 +230,7 @@ impl SearchEngine {
     /// free device bytes; `None` when the engine is unsharded.
     pub fn sharded(&self) -> Option<&ShardedIndex> {
         match &self.resident {
-            Resident::Sharded(sharded) => Some(sharded),
+            Resident::Sharded(sharded) => Some(sharded.as_ref()),
             Resident::Single { .. } => None,
         }
     }
@@ -256,21 +255,6 @@ impl SearchEngine {
         self.resident.index().generation()
     }
 
-    /// Whether the underlying index accepts append/expire deltas (every
-    /// unsharded method; not a sharded one).
-    pub fn supports_incremental(&self) -> bool {
-        self.resident.index().supports_incremental()
-    }
-
-    /// Refuse a mutation the index cannot follow, before the store changes.
-    fn check_incremental(&self) -> Result<(), TdtsError> {
-        if self.supports_incremental() {
-            Ok(())
-        } else {
-            Err(TdtsError::IncrementalUnsupported(self.resident.index().name()))
-        }
-    }
-
     /// Fail-stop: once the index has refused a delta, return its refusal.
     fn check_live(&self) -> Result<(), TdtsError> {
         self.failed.clone().map_or(Ok(()), Err)
@@ -284,19 +268,17 @@ impl SearchEngine {
     /// rejects a batch that starts before the current store's last
     /// `t_start`, and any batch holding an invalid segment
     /// ([`SegmentStore::check_append`]). After `Ok`, searches are
-    /// byte-identical to a cold rebuild at the new generation.
+    /// byte-identical to a cold rebuild at the new generation, sharded or not.
     ///
-    /// Fails with [`TdtsError::IncrementalUnsupported`] when the index is
-    /// sharded. These refusals leave the store unmodified; a
-    /// refusal by the index itself (e.g. out of device memory) comes after
-    /// the store changed and stops the engine (see [`SearchEngine`]).
+    /// These refusals leave the store unmodified; a refusal by the index
+    /// itself (e.g. out of device memory) comes after the store changed and
+    /// stops the engine (see [`SearchEngine`]).
     pub fn ingest(&mut self, new_segments: &[Segment]) -> Result<(), TdtsError> {
         self.check_live()?;
         if new_segments.is_empty() {
             return Ok(());
         }
         self.store.check_append(new_segments).map_err(TdtsError::InvalidConfig)?;
-        self.check_incremental()?;
         let delta = Arc::make_mut(&mut self.store).append(new_segments);
         let index = self.resident.index_mut();
         index.ingest(&self.store, &delta).inspect_err(|e| self.failed = Some(e.clone()))
@@ -311,7 +293,6 @@ impl SearchEngine {
         if t.is_nan() {
             return Err(TdtsError::InvalidConfig("expiry cut must not be NaN".into()));
         }
-        self.check_incremental()?;
         let delta = Arc::make_mut(&mut self.store).expire_before(t);
         let index = self.resident.index_mut();
         index.expire_before(&self.store, &delta).inspect_err(|e| self.failed = Some(e.clone()))
@@ -612,8 +593,11 @@ mod tests {
         assert_eq!(engine.store().len(), 2_040);
     }
 
+    /// A sharded engine re-partitions on every delta, so its generation
+    /// follows the store's through ingests, an expiry that empties the
+    /// store and the ingest that refills it.
     #[test]
-    fn sharded_engine_refuses_incremental_without_mutating_store() {
+    fn sharded_engine_generation_follows_the_store() {
         let dataset = PreparedDataset::new(store(30));
         let sharding = crate::sharding::ShardedIndexConfig::builder().shards(2).build().unwrap();
         let mut engine = SearchEngine::build_sharded(
@@ -623,17 +607,23 @@ mod tests {
             &sharding,
         )
         .unwrap();
-        assert!(!engine.supports_incremental());
         assert_eq!(engine.sharded().map(ShardedIndex::requested_shards), Some(2));
         assert!(engine.device().is_none(), "each shard has its own device");
-        let gen_before = engine.store().generation();
-        let err = engine.ingest(&[seg(300, 99.0)]).unwrap_err();
-        assert!(matches!(err, TdtsError::IncrementalUnsupported(_)));
-        assert_eq!(engine.store().len(), 30);
-        assert_eq!(engine.store().generation(), gen_before);
-        let err = engine.expire_before(100.0).unwrap_err();
-        assert!(matches!(err, TdtsError::IncrementalUnsupported(_)));
-        assert_eq!(engine.store().len(), 30);
+        assert_eq!(engine.generation(), engine.store().generation());
+        engine.ingest(&[seg(300, 99.0)]).unwrap();
+        assert_eq!(engine.store().len(), 31);
+        assert_eq!(engine.generation(), engine.store().generation());
+        engine.expire_before(50.0).unwrap();
+        assert_eq!(engine.store().len(), 1);
+        assert_eq!(engine.generation(), engine.store().generation());
+        engine.expire_before(f64::INFINITY).unwrap();
+        assert_eq!(engine.sharded().map(ShardedIndex::shards), Some(0));
+        assert_eq!(engine.generation(), engine.store().generation());
+        assert!(engine.search(&store(5), 2.0, 100).unwrap().0.is_empty());
+        engine.ingest(&[seg(301, 200.0)]).unwrap();
+        assert!(engine.sharded().is_some_and(|sharded| sharded.shards() > 0));
+        assert_eq!(engine.generation(), engine.store().generation());
+        assert!(engine.failed().is_none());
     }
 
     /// A CPU-RTree configuration the tree cannot be built with is a typed

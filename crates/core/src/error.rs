@@ -25,9 +25,6 @@ pub enum TdtsError {
     /// The service is shutting down and no longer accepts or completes
     /// requests.
     ShuttingDown,
-    /// The index implementation cannot apply in-place append/expire (e.g. a
-    /// shared `Arc` handle, or a sharded index); rebuild it instead.
-    IncrementalUnsupported(&'static str),
 }
 
 impl fmt::Display for TdtsError {
@@ -38,9 +35,6 @@ impl fmt::Display for TdtsError {
             TdtsError::Timeout => write!(f, "request deadline exceeded"),
             TdtsError::Overloaded => write!(f, "service overloaded: admission queue is full"),
             TdtsError::ShuttingDown => write!(f, "service is shutting down"),
-            TdtsError::IncrementalUnsupported(who) => {
-                write!(f, "{who} does not support incremental append/expire")
-            }
         }
     }
 }
@@ -70,10 +64,6 @@ mod tests {
         assert!(TdtsError::Overloaded.to_string().contains("admission queue"));
         let wrapped = TdtsError::from(SearchError::EmptyDataset);
         assert!(wrapped.to_string().starts_with("search failed:"));
-        assert_eq!(
-            TdtsError::IncrementalUnsupported("ShardedIndex").to_string(),
-            "ShardedIndex does not support incremental append/expire"
-        );
     }
 
     #[test]

@@ -34,6 +34,9 @@
 //! dispatch decisions themselves land in [`RoutingSummary`] on the report
 //! and in the per-shard [`ShardStats`] counters.
 //!
+//! A sharded index takes every delta the way CPU-RTree does: it rebuilds,
+//! re-partitioning the new store with the same [`ShardedIndex::build`].
+//!
 //! The device result buffer is also *budgeted*: each probed shard gets a
 //! share of `result_capacity` proportional to its routed-query count times
 //! its resident entries (a candidate-volume proxy), floored at an even
@@ -45,7 +48,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use tdts_geom::{
-    dedup_matches, PartitionStrategy, SegmentStore, ShardPlan, ShardedStore, StoreStats,
+    dedup_matches, AppendDelta, ExpireDelta, PartitionStrategy, SegmentStore, ShardPlan,
+    ShardedStore, StoreStats,
 };
 use tdts_gpu_sim::{
     Device, DeviceConfig, HostWork, KernelShape, Phase, RoutingSummary, SearchError, SearchReport,
@@ -147,7 +151,9 @@ struct ShardCounters {
     budget_redos: u64,
 }
 
-/// A point-in-time view of one shard's configuration and cumulative work.
+/// A point-in-time view of one shard's configuration and its work since the
+/// index last re-partitioned: every delta rebuilds the shards and moves the
+/// slabs, so these counters restart at each one.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 #[non_exhaustive]
 pub struct ShardStats {
@@ -184,18 +190,23 @@ pub struct ShardStats {
 /// N simulated devices. See the [module docs](self) for the execution and
 /// accounting model.
 pub struct ShardedIndex {
-    method_name: &'static str,
+    /// What every rebuild repeats: the inner method, the device each member
+    /// is created from, and the requested shard count and partition
+    /// (instantiated members may be fewer when slabs come up empty).
+    method: Method,
+    device_config: DeviceConfig,
+    config: ShardedIndexConfig,
     /// The slab geometry the members were partitioned under; also the
     /// routing table ([`ShardPlan::reach_span`]).
     plan: ShardPlan,
-    /// Requested shard count (instantiated members may be fewer when slabs
-    /// come up empty).
-    requested_shards: usize,
     source_entries: usize,
     members: Vec<ShardMember>,
-    /// Free bytes on the fullest shard device once its index was resident
-    /// (fixed at build: a sharded index takes no deltas).
+    /// Free bytes on the fullest shard device once its index was resident,
+    /// as of the last partition.
     free_device_bytes: usize,
+    /// The store generation the members were partitioned from.
+    generation: u64,
+    /// Cumulative across rebuilds, unlike the per-shard counters.
     duplicates_dropped: AtomicU64,
     counters: Mutex<Vec<ShardCounters>>,
 }
@@ -203,10 +214,10 @@ pub struct ShardedIndex {
 impl std::fmt::Debug for ShardedIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedIndex")
-            .field("method", &self.method_name)
+            .field("method", &self.method.name())
             .field("partition", &self.plan.strategy)
             .field("shards", &self.members.len())
-            .field("requested_shards", &self.requested_shards)
+            .field("requested_shards", &self.config.shards)
             .field("resident_entries", &self.resident_entries())
             .finish_non_exhaustive()
     }
@@ -279,15 +290,35 @@ impl ShardedIndex {
         }
         let counters = Mutex::new(vec![ShardCounters::default(); members.len()]);
         Ok(ShardedIndex {
-            method_name: method.name(),
+            method,
+            device_config: device_config.clone(),
+            config: *config,
             plan: sharded.plan,
-            requested_shards: config.shards,
             source_entries: store.len(),
             members,
             free_device_bytes,
+            generation: store.generation(),
             duplicates_dropped: AtomicU64::new(0),
             counters,
         })
+    }
+
+    /// Re-partition `store`, which has absorbed a delta: build a new index
+    /// beside this one and swap it in, keeping the duplicate count. A store
+    /// expired to empty leaves no member, so every batch routes nowhere and
+    /// answers with no matches; the next ingest re-partitions.
+    fn rebuild(&mut self, store: &Arc<SegmentStore>) -> Result<(), TdtsError> {
+        let Some(stats) = store.stats() else {
+            self.members.clear();
+            self.source_entries = 0;
+            self.generation = store.generation();
+            return Ok(());
+        };
+        let fresh =
+            ShardedIndex::build(self.method, store, &stats, &self.device_config, &self.config)?;
+        *self =
+            ShardedIndex { duplicates_dropped: AtomicU64::new(self.duplicates_dropped()), ..fresh };
+        Ok(())
     }
 
     /// Shard count actually instantiated (non-empty slabs).
@@ -297,7 +328,7 @@ impl ShardedIndex {
 
     /// Shard count requested at build time.
     pub fn requested_shards(&self) -> usize {
-        self.requested_shards
+        self.config.shards
     }
 
     /// The partitioning strategy in effect.
@@ -325,7 +356,8 @@ impl ShardedIndex {
     }
 
     /// Device memory left for per-search buffers: the free bytes of the
-    /// fullest shard device with its index resident.
+    /// fullest shard device with its index resident, as of the last
+    /// re-partition (every delta re-partitions).
     pub fn free_device_bytes(&self) -> usize {
         self.free_device_bytes
     }
@@ -335,7 +367,8 @@ impl ShardedIndex {
         self.duplicates_dropped.load(Ordering::Relaxed)
     }
 
-    /// Per-shard configuration and cumulative work counters.
+    /// Per-shard configuration and work counters since the last
+    /// re-partition.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         let counters = self.counters.lock().unwrap();
         self.members
@@ -537,7 +570,23 @@ impl TrajectoryIndex for ShardedIndex {
     /// a different algorithm, and its result sets are byte-identical to the
     /// inner method's.
     fn name(&self) -> &'static str {
-        self.method_name
+        self.method.name()
+    }
+
+    fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    fn ingest(&mut self, store: &Arc<SegmentStore>, _delta: &AppendDelta) -> Result<(), TdtsError> {
+        self.rebuild(store)
+    }
+
+    fn expire_before(
+        &mut self,
+        store: &Arc<SegmentStore>,
+        _delta: &ExpireDelta,
+    ) -> Result<(), TdtsError> {
+        self.rebuild(store)
     }
 }
 

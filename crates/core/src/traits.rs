@@ -88,27 +88,15 @@ pub trait TrajectoryIndex: Send + Sync {
     /// The paper's name for the implementation (e.g. `"GPUTemporal"`).
     fn name(&self) -> &'static str;
 
-    /// Whether the index accepts [`ingest`](TrajectoryIndex::ingest) and
-    /// [`expire_before`](TrajectoryIndex::expire_before) at all, in place
-    /// (the GPU methods) or by rebuilding (CPU-RTree). When `false` both
-    /// return [`TdtsError::IncrementalUnsupported`].
-    fn supports_incremental(&self) -> bool {
-        false
-    }
-
-    /// The store generation this index reflects. `0` for implementations
-    /// that do not track generations (they are rebuilt per store state).
-    fn generation(&self) -> u64 {
-        0
-    }
+    /// The store generation this index reflects.
+    fn generation(&self) -> u64;
 
     /// Absorb the segments described by `delta`, which `store` has already
-    /// appended. After this returns `Ok`, a search must produce results
-    /// byte-identical to a cold rebuild at `store`'s current generation.
-    fn ingest(&mut self, store: &Arc<SegmentStore>, delta: &AppendDelta) -> Result<(), TdtsError> {
-        let _ = (store, delta);
-        Err(TdtsError::IncrementalUnsupported(self.name()))
-    }
+    /// appended: in place (the GPU methods) or by rebuilding over `store`
+    /// (CPU-RTree, and a sharded index, which re-partitions). After this
+    /// returns `Ok`, a search must produce results byte-identical to a cold
+    /// rebuild at `store`'s current generation.
+    fn ingest(&mut self, store: &Arc<SegmentStore>, delta: &AppendDelta) -> Result<(), TdtsError>;
 
     /// Drop the segments described by `delta`, which `store` has already
     /// expired, remapping retained positions. Same correctness contract
@@ -117,10 +105,7 @@ pub trait TrajectoryIndex: Send + Sync {
         &mut self,
         store: &Arc<SegmentStore>,
         delta: &ExpireDelta,
-    ) -> Result<(), TdtsError> {
-        let _ = (store, delta);
-        Err(TdtsError::IncrementalUnsupported(self.name()))
-    }
+    ) -> Result<(), TdtsError>;
 }
 
 /// Every GPU method is one [`GpuSearch`] over its scheme and applies deltas
@@ -139,10 +124,6 @@ impl<S: Scheme> TrajectoryIndex for GpuSearch<S> {
 
     fn name(&self) -> &'static str {
         S::NAME
-    }
-
-    fn supports_incremental(&self) -> bool {
-        true
     }
 
     fn generation(&self) -> u64 {
@@ -232,10 +213,6 @@ impl TrajectoryIndex for CpuRTreeIndex {
 
     fn name(&self) -> &'static str {
         "CPU-RTree"
-    }
-
-    fn supports_incremental(&self) -> bool {
-        true
     }
 
     fn generation(&self) -> u64 {

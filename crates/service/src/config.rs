@@ -56,8 +56,8 @@ pub struct ServiceConfig {
     /// ingests new segments into the index and (every
     /// [`ServiceConfig::advance_every`] advances) expires segments ending
     /// before `frontier - w`, where the frontier is the latest `t_end`
-    /// seen. Requires `sharding.shards == 1`: sharded indexes partition the
-    /// store by slab edges fixed at build time and cannot absorb deltas.
+    /// seen. Every index takes the deltas; a sharded one re-partitions the
+    /// store on each.
     pub window: Option<f64>,
     /// Apply the expiry cut once every this many window advances (ingest
     /// still happens on every advance), letting the window overshoot by up
@@ -100,19 +100,10 @@ impl ServiceConfig {
                 "queue_capacity must admit at least one request".into(),
             ));
         }
-        if let Some(window) = self.window {
-            if !(window > 0.0 && window.is_finite()) {
-                return Err(TdtsError::InvalidConfig(
-                    "window must be a positive finite duration".into(),
-                ));
-            }
-            if self.sharding.shards > 1 {
-                return Err(TdtsError::InvalidConfig(
-                    "sliding-window mode requires shards == 1 (sharded indexes cannot \
-                     absorb append/expire deltas)"
-                        .into(),
-                ));
-            }
+        if self.window.is_some_and(|w| !(w > 0.0 && w.is_finite())) {
+            return Err(TdtsError::InvalidConfig(
+                "window must be a positive finite duration".into(),
+            ));
         }
         if self.advance_every < 1 {
             return Err(TdtsError::InvalidConfig("advance_every must be at least 1".into()));

@@ -198,31 +198,32 @@ mod tests {
         assert!(matches!(err, tdts_core::TdtsError::InvalidConfig(_)));
     }
 
-    #[test]
-    fn window_config_rejects_sharding() {
-        let err = ServiceConfig::builder(Method::GpuTemporal(TemporalIndexConfig { bins: 8 }))
-            .window(5.0)
-            .sharding(ShardedIndexConfig::builder().shards(2).build().unwrap())
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, tdts_core::TdtsError::InvalidConfig(_)));
-    }
-
+    /// Unsharded and over 4 shards: every advance leaves the service
+    /// answering byte-identically to a cold engine of the same shape built
+    /// from the post-advance store snapshot.
     #[test]
     fn sliding_window_streams_and_matches_cold_rebuild() {
-        use tdts_core::{PreparedDataset, SearchEngine};
+        for shards in [1, 4] {
+            stream_and_match_cold_rebuild(shards);
+        }
+    }
+
+    fn stream_and_match_cold_rebuild(shards: usize) {
+        use tdts_core::SearchEngine;
         use tdts_geom::{Point3, SegId, Segment, TrajId};
 
         let data = dataset(20);
         let t_max = data.store().iter().map(|s| s.t_end).fold(f64::MIN, f64::max);
         let method = Method::GpuTemporal(TemporalIndexConfig { bins: 8 });
+        let sharding = ShardedIndexConfig::builder().shards(shards).build().unwrap();
         let config = ServiceConfig::builder(method)
             .device(DeviceConfig::test_tiny())
-            // Four workers share the one engine pair the advances update.
+            // Four workers share the one engine the advances update.
             .workers(4)
             .max_batch(16)
             .max_delay(Duration::from_millis(1))
             .result_capacity(4_096)
+            .sharding(sharding)
             .window(4.0)
             .advance_every(2)
             .build()
@@ -245,10 +246,33 @@ mod tests {
                 })
                 .collect()
         };
+        // The service's answers must be byte-identical to a cold engine
+        // built from the post-advance store snapshot.
+        let probe: tdts_geom::SegmentStore = tick(3, t_max + 2.0).into_iter().collect();
+        let matches_cold = |label: &str| {
+            let snapshot = service.store_snapshot();
+            let got = service.submit(&probe, 5.0).unwrap().matches;
+            let cold_set = PreparedDataset::new(snapshot.as_ref().clone());
+            let cold = if shards > 1 {
+                SearchEngine::build_sharded(
+                    &cold_set,
+                    method,
+                    &DeviceConfig::test_tiny(),
+                    &sharding,
+                )
+            } else {
+                let device = tdts_gpu_sim::Device::new(DeviceConfig::test_tiny()).unwrap();
+                SearchEngine::build(&cold_set, method, device)
+            };
+            let (want, _) = cold.unwrap().search(&probe, 5.0, 4_096).unwrap();
+            assert_eq!(got, want, "{shards} shard(s), {label}: streamed service != cold rebuild");
+            got
+        };
 
         // Tick 1: ingest only (advance_every = 2 defers the expiry cut).
         let adv1 = service.advance_window(&tick(1, t_max + 1.0)).unwrap();
         assert_eq!((adv1.ingested, adv1.expired, adv1.cut), (3, 0, None));
+        matches_cold("tick 1");
         // Tick 2: ingest further ahead; now the cut applies and the old
         // dataset (ending more than `window` before the frontier) expires.
         let adv2 = service.advance_window(&tick(2, t_max + 3.0)).unwrap();
@@ -256,23 +280,8 @@ mod tests {
         assert!(adv2.cut.is_some());
         assert!(adv2.expired > 0, "window should have expired old segments");
         assert!(adv2.generation > adv1.generation);
-
-        // The service's answers must be byte-identical to a cold engine
-        // built from the post-advance store snapshot.
-        let snapshot = service.store_snapshot();
-        assert!(snapshot.len() < initial_len + 6, "expiry must have shrunk the store");
-        let probe: tdts_geom::SegmentStore = tick(3, t_max + 2.0).into_iter().collect();
-        let got = service.submit(&probe, 5.0).unwrap().matches;
-        let cold_set = PreparedDataset::new(snapshot.as_ref().clone());
-        let cold = SearchEngine::build(
-            &cold_set,
-            method,
-            tdts_gpu_sim::Device::new(DeviceConfig::test_tiny()).unwrap(),
-        )
-        .unwrap();
-        let (want, _) = cold.search(&probe, 5.0, 4_096).unwrap();
-        assert_eq!(got, want, "streamed service must match cold rebuild");
-        assert!(!got.is_empty());
+        assert!(service.store_snapshot().len() < initial_len + 6, "expiry must shrink the store");
+        assert!(!matches_cold("tick 2").is_empty());
 
         service.shutdown();
         let stats = service.stats();
@@ -280,6 +289,7 @@ mod tests {
         assert_eq!(stats.fallback_batches, 0);
         assert_eq!(stats.segments_ingested, 6);
         assert_eq!(stats.segments_expired, adv2.expired as u64);
+        assert_eq!(stats.per_shard.is_empty(), shards == 1);
     }
 
     #[test]

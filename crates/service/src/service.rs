@@ -378,7 +378,8 @@ impl QueryService {
 
     /// A point-in-time snapshot of the service counters. Under sharded
     /// execution (`config.sharding.shards > 1`) the snapshot carries the
-    /// sharded index's per-shard work counters.
+    /// sharded index's per-shard work counters since its last re-partition
+    /// (every window advance re-partitions).
     pub fn stats(&self) -> ServiceStats {
         let mut stats = self.shared.stats.snapshot();
         stats.degraded = self.shared.pending.lock().unwrap().degraded;

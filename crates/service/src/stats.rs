@@ -115,7 +115,7 @@ pub struct ServiceStats {
     /// Cross-shard duplicate records dropped by the sharded index's merge
     /// path (0 when unsharded).
     pub duplicates_dropped: u64,
-    /// Per-slab work counters of the sharded index, in slab order (empty
-    /// when unsharded).
+    /// Per-slab work counters of the sharded index since its last
+    /// re-partition, in slab order (empty when unsharded).
     pub per_shard: Vec<ShardStats>,
 }

@@ -25,7 +25,7 @@ use tdts_geom::{
     AppendDelta, ExpireDelta, MatchRecord, Point3, SegId, Segment, SegmentStore, TimeInterval,
     TrajId,
 };
-use tdts_gpu_sim::{DeviceConfig, KernelShape, SearchError, SearchReport};
+use tdts_gpu_sim::{DeviceConfig, KernelShape, OutOfDeviceMemory, SearchError, SearchReport};
 use tdts_index_temporal::TemporalIndexConfig;
 use tdts_service::service::QueryService;
 use tdts_service::ServiceConfig;
@@ -65,8 +65,8 @@ impl TrajectoryIndex for MockIndex {
         "mock"
     }
 
-    fn supports_incremental(&self) -> bool {
-        true
+    fn generation(&self) -> u64 {
+        0
     }
 
     fn ingest(
@@ -83,10 +83,19 @@ impl TrajectoryIndex for MockIndex {
         _delta: &ExpireDelta,
     ) -> Result<(), TdtsError> {
         if self.fail_expire {
-            return Err(TdtsError::IncrementalUnsupported("mock"));
+            return Err(expire_refusal());
         }
         Ok(())
     }
+}
+
+/// What `fail_expire` refuses an expiry with: an index refusal after the
+/// store has changed, as a device out of memory for the update would give.
+fn expire_refusal() -> TdtsError {
+    TdtsError::Search(SearchError::OutOfDeviceMemory(OutOfDeviceMemory {
+        requested: 1,
+        available: 0,
+    }))
 }
 
 /// `n` unit segments, one per time step from `t = 0`: a query set, and the
@@ -264,9 +273,6 @@ fn advance_window_races_inflight_query() {
 /// get that same error. No hang, no panic.
 #[test]
 fn failed_advance_stops_the_service() {
-    fn is_advance_error(error: &TdtsError) -> bool {
-        matches!(error, TdtsError::IncrementalUnsupported("mock"))
-    }
     let report = check("service/advance-error", cfg(), || {
         let config = base_config().window(10.0).advance_every(1).build().unwrap();
         let engine = MockIndex { fail_expire: true, ..Default::default() };
@@ -275,17 +281,17 @@ fn failed_advance_stops_the_service() {
         let peer = Arc::clone(&svc);
         let advancer = thread::spawn(move || {
             let error = peer.advance_window(&new_segment()).expect_err("expire refuses");
-            assert!(is_advance_error(&error), "advance: {error:?}");
+            assert_eq!(error, expire_refusal(), "advance");
         });
         match ticket.wait() {
             Ok(response) => assert_eq!(response.matches.len(), 1),
-            Err(error) => assert!(is_advance_error(&error), "racing request: {error:?}"),
+            Err(error) => assert_eq!(error, expire_refusal(), "racing request"),
         }
         advancer.join().unwrap();
         let error = svc.advance_window(&new_segment()).expect_err("service has stopped");
-        assert!(is_advance_error(&error), "later advance: {error:?}");
+        assert_eq!(error, expire_refusal(), "later advance");
         let error = svc.submit(&queries(1), 0.5).expect_err("service has stopped");
-        assert!(is_advance_error(&error), "later request: {error:?}");
+        assert_eq!(error, expire_refusal(), "later request");
         svc.shutdown();
     });
     assert_exhaustive(&report);

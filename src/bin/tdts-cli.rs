@@ -24,9 +24,10 @@ fn usage() -> ! {
          \u{20}  serve      run the query service over per-trajectory requests\n\
          \u{20}  replay     replay concurrent clients through the service and\n\
          \u{20}             compare with sequential single-request engine calls\n\
-         \u{20}  stream     stream object updates through a generational index:\n\
-         \u{20}             per-tick append + sliding-window expiry with repeated\n\
-         \u{20}             queries, reporting ingest/expire/search cost\n\
+         \u{20}  stream     stream object updates through a windowed service: per\n\
+         \u{20}             tick one window advance (append + expiry cut) and one\n\
+         \u{20}             request, reporting advance/search cost; --shards and\n\
+         \u{20}             --workers are honoured\n\
          \n\
          options:\n\
          \u{20}  --dataset <random|dense|merger>   (default random)\n\
@@ -186,18 +187,9 @@ fn parse() -> Opts {
             "--tick-segments" => {
                 o.tick_segments = val(&mut args).parse().unwrap_or_else(|_| usage())
             }
-            "--window" => {
-                let window: f64 = val(&mut args).parse().unwrap_or_else(|_| usage());
-                if !(window > 0.0 && window.is_finite()) {
-                    usage()
-                }
-                o.window = Some(window)
-            }
+            "--window" => o.window = Some(val(&mut args).parse().unwrap_or_else(|_| usage())),
             "--advance-every" => {
-                o.advance_every = val(&mut args).parse().unwrap_or_else(|_| usage());
-                if o.advance_every == 0 {
-                    usage()
-                }
+                o.advance_every = val(&mut args).parse().unwrap_or_else(|_| usage())
             }
             "--verify" => o.verify = true,
             _ => usage(),
@@ -319,13 +311,7 @@ fn main() {
                 return;
             }
 
-            let engine = if o.sharding.shards > 1 {
-                SearchEngine::build_sharded(&dataset, method, &device_config, &o.sharding)
-            } else {
-                let device = Device::new(device_config.clone()).unwrap_or_else(|e| fail(e));
-                SearchEngine::build(&dataset, method, device)
-            };
-            let engine = engine.unwrap_or_else(|e| fail(e));
+            let engine = build_engine(&o, &dataset, method, &device_config);
             let started = Instant::now();
             let (matches, report) = engine.search(&queries, o.d, cap).unwrap_or_else(|e| fail(e));
             let wall = started.elapsed();
@@ -390,6 +376,53 @@ fn main() {
         }
         _ => usage(),
     }
+}
+
+/// The engine `search` runs and `stream --verify` rebuilds cold: sharded
+/// per `--shards`, on fresh devices.
+fn build_engine(
+    o: &Opts,
+    dataset: &PreparedDataset,
+    method: Method,
+    device_config: &DeviceConfig,
+) -> SearchEngine {
+    let engine = if o.sharding.shards > 1 {
+        SearchEngine::build_sharded(dataset, method, device_config, &o.sharding)
+    } else {
+        let device = Device::new(device_config.clone()).unwrap_or_else(|e| fail(e));
+        SearchEngine::build(dataset, method, device)
+    };
+    engine.unwrap_or_else(|e| fail(e))
+}
+
+/// Start the service every service command runs, from the options; with
+/// `window`, a sliding-window service. Its validation is where the option
+/// rules live: a bad value fails here.
+fn start_service(
+    o: &Opts,
+    dataset: &PreparedDataset,
+    method: Method,
+    device_config: &DeviceConfig,
+    cap: usize,
+    window: Option<f64>,
+) -> QueryService {
+    let mut builder = ServiceConfig::builder(method)
+        .device(device_config.clone())
+        .workers(o.workers)
+        .sharding(o.sharding)
+        .max_batch(o.max_batch)
+        .max_delay(o.max_delay)
+        .queue_capacity(o.queue_capacity)
+        .result_capacity(cap)
+        .advance_every(o.advance_every);
+    if let Some(deadline) = o.deadline {
+        builder = builder.default_deadline(deadline);
+    }
+    if let Some(window) = window {
+        builder = builder.window(window);
+    }
+    let config = builder.build().unwrap_or_else(|e| fail(e));
+    QueryService::start(dataset, config).unwrap_or_else(|e| fail(e))
 }
 
 /// Split a query set into client requests: `request_size` consecutive
@@ -524,13 +557,13 @@ fn synth_tick(
         .collect()
 }
 
-/// Stream mode: per-tick append (+ periodic sliding-window expiry) against
-/// a generational index, with the same query set re-run each tick (shifted
-/// to sit inside the live window). Reports per-tick ingest, expiry, and
-/// search cost; with `--verify`, each tick's results are checked
-/// byte-identical against a cold rebuild at the same generation, and a run
-/// in which every tick compared two empty result sets fails: it verified
-/// nothing.
+/// Stream mode: a sliding-window service takes one window advance per tick
+/// (append, and every `--advance-every` ticks the expiry cut) and then one
+/// request, the same query set shifted to sit inside the live window.
+/// Reports per-tick advance and search cost; with `--verify`, each tick's
+/// results are checked byte-identical against a cold rebuild of the
+/// service's store, and a run in which every tick compared two empty result
+/// sets fails: it verified nothing.
 fn run_stream(
     o: &Opts,
     dataset: &PreparedDataset,
@@ -539,14 +572,10 @@ fn run_stream(
     queries: &SegmentStore,
     cap: usize,
 ) {
-    if o.sharding.shards > 1 {
-        fail("stream mode requires --shards 1 (sharded indexes cannot absorb deltas)");
-    }
-    let device = Device::new(device_config.clone()).unwrap_or_else(|e| fail(e));
-    let mut engine = SearchEngine::build(dataset, method, device).unwrap_or_else(|e| fail(e));
     let stats = dataset.store().stats().expect("non-empty dataset");
     let span = stats.time_span;
     let window = o.window.unwrap_or((span.end - span.start).max(1.0) * 0.5);
+    let service = start_service(o, dataset, method, device_config, cap, Some(window));
     let tick_segments =
         if o.tick_segments > 0 { o.tick_segments } else { (dataset.store().len() / 20).max(16) };
     let duration = stats.mean_duration.max(1e-3);
@@ -564,14 +593,16 @@ fn run_stream(
         if o.verify { ", verifying against cold rebuilds" } else { "" }
     );
     println!(
-        "{:>4} {:>9} {:>8} {:>9} {:>11} {:>11} {:>11} {:>9}",
-        "tick", "entries", "ingested", "expired", "ingest ms", "expire ms", "search ms", "matches"
+        "{:>4} {:>9} {:>8} {:>9} {:>11} {:>11} {:>9}",
+        "tick", "entries", "ingested", "expired", "advance ms", "search ms", "matches"
     );
 
     let mut rng = 0x5eed_u64 ^ dataset.store().len() as u64;
     let mut next_id = dataset.store().len() as u32 + 1_000_000;
+    // The generator's clock: each tick starts where the last one ended.
     let mut frontier = span.end;
-    let (mut total_ingest, mut total_expire, mut total_search) = (0.0f64, 0.0f64, 0.0f64);
+    let mut entries = dataset.store().len();
+    let (mut total_advance, mut total_search) = (0.0f64, 0.0f64);
     let mut nonempty_ticks = 0usize;
     for tick in 0..o.ticks {
         let new =
@@ -579,18 +610,9 @@ fn run_stream(
         frontier = new.iter().map(|s| s.t_end).fold(frontier, f64::max);
 
         let t = Instant::now();
-        engine.ingest(&new).unwrap_or_else(|e| fail(e));
-        let ingest_ms = t.elapsed().as_secs_f64() * 1e3;
-
-        let mut expired = 0usize;
-        let mut expire_ms = 0.0f64;
-        if (tick + 1) % o.advance_every == 0 {
-            let before = engine.store().len();
-            let t = Instant::now();
-            engine.expire_before(frontier - window).unwrap_or_else(|e| fail(e));
-            expire_ms = t.elapsed().as_secs_f64() * 1e3;
-            expired = before - engine.store().len();
-        }
+        let advance = service.advance_window(&new).unwrap_or_else(|e| fail(e));
+        let advance_ms = t.elapsed().as_secs_f64() * 1e3;
+        entries = entries + advance.ingested - advance.expired;
 
         // The repeated query set, shifted so it probes the live window.
         let offset = (frontier - window * 0.5) - q_min;
@@ -604,61 +626,57 @@ fn run_stream(
             })
             .collect();
         let t = Instant::now();
-        let (matches, _) = engine.search(&probe, o.d, cap).unwrap_or_else(|e| fail(e));
+        let matches = service.submit(&probe, o.d).unwrap_or_else(|e| fail(e)).matches;
         let search_ms = t.elapsed().as_secs_f64() * 1e3;
 
-        total_ingest += ingest_ms;
-        total_expire += expire_ms;
+        total_advance += advance_ms;
         total_search += search_ms;
         nonempty_ticks += usize::from(!matches.is_empty());
         println!(
-            "{:>4} {:>9} {:>8} {:>9} {:>11.3} {:>11.3} {:>11.3} {:>9}",
+            "{:>4} {:>9} {:>8} {:>9} {:>11.3} {:>11.3} {:>9}",
             tick,
-            engine.store().len(),
-            new.len(),
-            expired,
-            ingest_ms,
-            expire_ms,
+            entries,
+            advance.ingested,
+            advance.expired,
+            advance_ms,
             search_ms,
             matches.len()
         );
 
         if o.verify {
-            let cold_set = PreparedDataset::new(engine.store().clone());
-            let cold_device = Device::new(device_config.clone()).unwrap_or_else(|e| fail(e));
-            let cold =
-                SearchEngine::build(&cold_set, method, cold_device).unwrap_or_else(|e| fail(e));
+            let cold_set = PreparedDataset::new(service.store_snapshot().as_ref().clone());
+            let cold = build_engine(o, &cold_set, method, device_config);
             let (want, _) = cold.search(&probe, o.d, cap).unwrap_or_else(|e| fail(e));
             if matches != want {
                 eprintln!(
-                    "verification FAILED at tick {tick}: streamed index returned {} \
+                    "verification FAILED at tick {tick}: streamed service returned {} \
                      matches, cold rebuild {} (generation {})",
                     matches.len(),
                     want.len(),
-                    engine.generation()
+                    advance.generation
                 );
                 std::process::exit(1);
             }
         }
     }
+    service.shutdown();
+    let stats = service.stats();
     println!(
-        "totals: {:.3} ms ingest, {:.3} ms expire, {:.3} ms search over {} ticks \
-         (generation {})",
-        total_ingest,
-        total_expire,
+        "totals: {:.3} ms advance, {:.3} ms search over {} ticks (generation {})",
+        total_advance,
         total_search,
         o.ticks,
-        engine.generation()
+        service.generation()
     );
-    // Every tick's reads and the cuts' front-offset compactions ran on
-    // this one device; any finding over the stream fails the run.
-    if let Some(device) = engine.device().filter(|_| !o.sanitizer.is_off()) {
-        let san = device.sanitizer_report();
-        if !san.is_clean() {
-            eprint!("sanitizer FAILED:\n{san}");
-            std::process::exit(1);
+    print_stats(&stats);
+    // Each tick's search counts its devices' findings since the last one,
+    // those of the tick's advance (cuts, a sharded rebuild) included.
+    if !o.sanitizer.is_off() {
+        let findings = stats.cumulative.sanitizer_findings;
+        if findings > 0 {
+            fail(format!("sanitizer FAILED: {findings} finding(s)"));
         }
-        println!("sanitizer:    clean ({} over {} launches)", o.sanitizer, san.launches);
+        println!("sanitizer:    clean ({} over {} batches)", o.sanitizer, stats.batches_executed);
     }
     if o.verify {
         if nonempty_ticks == 0 {
@@ -688,19 +706,7 @@ fn run_service(
     if requests.is_empty() {
         fail("no query trajectories to serve");
     }
-    let mut builder = ServiceConfig::builder(method)
-        .device(device_config.clone())
-        .workers(o.workers)
-        .sharding(o.sharding)
-        .max_batch(o.max_batch)
-        .max_delay(o.max_delay)
-        .queue_capacity(o.queue_capacity)
-        .result_capacity(cap);
-    if let Some(deadline) = o.deadline {
-        builder = builder.default_deadline(deadline);
-    }
-    let config = builder.build().unwrap_or_else(|e| fail(e));
-    let service = QueryService::start(dataset, config).unwrap_or_else(|e| fail(e));
+    let service = start_service(o, dataset, method, device_config, cap, None);
     println!(
         "service: {} over {} entries; {} workers, max batch {}, max delay {:.1} ms",
         method.name(),

@@ -2,8 +2,9 @@
 //!
 //! Each case builds one engine (any of the four methods, either kernel
 //! shape, unsharded or over 1 or 4 shards) or one sliding-window
-//! `QueryService`, then runs a random sequence of searches, ingests,
-//! expiries and window advances. Hostile values are mixed into every
+//! `QueryService` (unsharded or over 4 shards), then runs a random
+//! sequence of searches, ingests, expiries and window advances; a sharded
+//! index re-partitions on every delta. Hostile values are mixed into every
 //! argument: NaN and ±inf, values one ulp past the numeric domain,
 //! inverted, zero-length, zero-duration and coincident segments, the
 //! overflowing-velocity segment, `d` that is 0, negative, NaN, or at and
@@ -321,9 +322,6 @@ fn run_engine(mut engine: SearchEngine, steps: &[StepGene], shape: KernelShape) 
                 expect_invalid(&who, Some(err));
                 assert!(unchanged, "{who}: refused, but mutated");
             }
-            (Err(TdtsError::IncrementalUnsupported(_)), None) => {
-                assert!(unchanged, "{who}: refused, but mutated");
-            }
             // A refusal by the index itself comes after the store changed,
             // and stops the engine.
             (Err(err), None) => assert_eq!(engine.failed(), Some(err), "{who}: not fail-stopped"),
@@ -331,10 +329,17 @@ fn run_engine(mut engine: SearchEngine, steps: &[StepGene], shape: KernelShape) 
     }
 }
 
-fn run_service(dataset: &[Segment], method: Method, device: DeviceConfig, steps: &[StepGene]) {
+fn run_service(
+    dataset: &[Segment],
+    method: Method,
+    device: DeviceConfig,
+    sharding: ShardedIndexConfig,
+    steps: &[StepGene],
+) {
     let prepared = PreparedDataset::new(dataset.iter().copied().collect());
     let config = ServiceConfig::builder(method)
         .device(device)
+        .sharding(sharding)
         .workers(1)
         .max_delay(Duration::from_millis(1))
         .result_capacity(10_000)
@@ -402,15 +407,15 @@ proptest! {
         let shape = [KernelShape::ThreadPerQuery, KernelShape::WarpPerTile][shape_sel as usize];
         let device = DeviceConfig { kernel_shape: shape, ..DeviceConfig::tesla_c2075() };
         let segments = decode_batch(&database, 0.0, 0, false);
+        let shards = [0, 0, 1, 4][shards_sel as usize];
+        let partition =
+            [PartitionStrategy::Temporal, PartitionStrategy::SpatialGrid][partition_sel as usize];
         if through_service == 0 {
-            run_service(&segments, method, device, &steps);
-        } else {
-            let shards = [0, 0, 1, 4][shards_sel as usize];
-            let partition =
-                [PartitionStrategy::Temporal, PartitionStrategy::SpatialGrid][partition_sel as usize];
-            if let Some(engine) = build(&segments, method, &device, shards, partition) {
-                run_engine(engine, &steps, shape);
-            }
+            let sharding =
+                ShardedIndexConfig::builder().shards(shards.max(1)).partition(partition).build();
+            run_service(&segments, method, device, sharding.unwrap(), &steps);
+        } else if let Some(engine) = build(&segments, method, &device, shards, partition) {
+            run_engine(engine, &steps, shape);
         }
     }
 }

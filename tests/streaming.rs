@@ -1,7 +1,7 @@
 //! Tier-1 streaming contract: after ANY interleaved append/expire sequence,
 //! every method's search results are byte-identical to a cold rebuild of
 //! the same method over the store at the same generation — for both kernel
-//! shapes.
+//! shapes, unsharded and sharded.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -47,12 +47,29 @@ fn base_store(n: usize) -> SegmentStore {
     (0..n as u32).map(|i| seg(i, i as f64 * 0.25)).collect()
 }
 
+/// An engine over `dataset`: unsharded, or over 4 shards of `partition`.
+fn build_engine(
+    dataset: &PreparedDataset,
+    method: Method,
+    partition: Option<PartitionStrategy>,
+) -> SearchEngine {
+    match partition {
+        None => SearchEngine::build(dataset, method, device()),
+        Some(partition) => {
+            let sharding =
+                ShardedIndexConfig::builder().shards(4).partition(partition).build().unwrap();
+            SearchEngine::build_sharded(dataset, method, &DeviceConfig::tesla_c2075(), &sharding)
+        }
+    }
+    .unwrap()
+}
+
 /// Assert the warm (incrementally maintained) engine answers exactly like
-/// one cold rebuild of the same method over the same store state, under both
-/// kernel shapes at every distance.
+/// one cold rebuild of the same method and sharding over the same store
+/// state, under both kernel shapes at every distance.
 fn assert_matches_cold(warm: &SearchEngine, queries: &SegmentStore, distances: &[f64]) {
     let cold_set = PreparedDataset::new(warm.store().clone());
-    let cold = SearchEngine::build(&cold_set, warm.method(), device()).unwrap();
+    let cold = build_engine(&cold_set, warm.method(), warm.sharded().map(ShardedIndex::partition));
     for shape in SHAPES {
         for &d in distances {
             let (got, _) = warm.search_shaped(queries, d, 500_000, Some(shape)).unwrap();
@@ -60,20 +77,25 @@ fn assert_matches_cold(warm: &SearchEngine, queries: &SegmentStore, distances: &
             assert_eq!(
                 got,
                 want,
-                "{} ({shape:?}) diverged from cold rebuild at generation {} (d = {d})",
+                "{} ({shape:?}, {:?}) diverged from cold rebuild at generation {} (d = {d})",
                 warm.method().name(),
+                warm.sharded(),
                 warm.generation()
             );
         }
     }
 }
 
+/// Every method, unsharded and over 4 shards of either partition; a sharded
+/// engine re-partitions on each delta and is compared with a cold sharded
+/// build.
 #[test]
 fn interleaved_append_expire_matches_cold_rebuild() {
     let queries: SegmentStore = (0..12u32).map(|i| seg(100 + i, 3.0 + i as f64 * 0.9)).collect();
-    for method in all_methods(6, 5) {
+    let layouts = [None, Some(PartitionStrategy::Temporal), Some(PartitionStrategy::SpatialGrid)];
+    for (method, partition) in all_methods(6, 5).into_iter().flat_map(|m| layouts.map(|p| (m, p))) {
         let dataset = PreparedDataset::new(base_store(48));
-        let mut engine = SearchEngine::build(&dataset, method, device()).unwrap();
+        let mut engine = build_engine(&dataset, method, partition);
         let t0 = 48.0 * 0.25;
 
         // Tick 1: append past the frontier, then search.
@@ -91,6 +113,21 @@ fn interleaved_append_expire_matches_cold_rebuild() {
         engine.ingest(&tick2).unwrap();
         engine.expire_before(7.0).unwrap();
         assert_matches_cold(&engine, &queries, &[0.6, 2.5, 20.0]);
+        assert_eq!(engine.generation(), engine.store().generation());
+
+        // Tick 4: expire everything, so every batch answers with no
+        // matches; then ingest into the empty engine and search near it.
+        engine.expire_before(f64::INFINITY).unwrap();
+        for shape in SHAPES {
+            let (got, _) = engine.search_shaped(&queries, 20.0, 500_000, Some(shape)).unwrap();
+            assert!(got.is_empty(), "{} ({shape:?}, {partition:?})", method.name());
+        }
+        let tick3: Vec<Segment> = (0..4).map(|i| seg(400 + i, t0 + 3.0 + i as f64 * 0.1)).collect();
+        engine.ingest(&tick3).unwrap();
+        let near: SegmentStore =
+            (0..6u32).map(|i| seg(500 + i, t0 + 2.5 + i as f64 * 0.2)).collect();
+        assert_matches_cold(&engine, &near, &[0.6, 2.5]);
+        assert!(!engine.search(&near, 2.5, 500_000).unwrap().0.is_empty());
         assert_eq!(engine.generation(), engine.store().generation());
     }
 }
