@@ -151,12 +151,59 @@ const PINNED_SHARDED: [[ShardedCounters; 2]; 4] = [
     [(260_426, 110, 17_566_332, 12_518_790, 390), (260_426, 4_039, 17_709_880, 12_538_914, 390)],
 ];
 
+/// `(redo_rounds, kernel_invocations, h2d_bytes, d2h_bytes, atomics,
+/// gmem_read_bytes, instructions)` of one search under result-buffer
+/// pressure: every redo round's launch, upload and download shows here.
+type PressuredCounters = (u32, u32, u64, u64, u64, u64, u64);
+
+fn pressured_counters(r: &SearchReport) -> PressuredCounters {
+    let (t, rt) = (r.totals, r.response);
+    let (rounds, launches) = (r.redo_rounds, rt.kernel_invocations);
+    (rounds, launches, rt.h2d_bytes, rt.d2h_bytes, t.atomics, t.gmem_read_bytes, t.instructions)
+}
+
+/// [`PressuredCounters`] of the fixture at a third of the ample run's raw
+/// result count, per method (rows, in [`methods`] order) and kernel shape
+/// (columns, in [`SHAPES`] order): unsharded, and over 4 temporal shards
+/// (a third of the sharded ample run's raw result count).
+const PINNED_PRESSURED: [[PressuredCounters; 2]; 4] = [
+    [(0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0)],
+    [
+        (3, 4, 26_060, 418_532, 148, 79_232_120, 135_510_651),
+        (3, 4, 564_192, 425_628, 38_187, 96_086_656, 201_271_592),
+    ],
+    [
+        (3, 4, 29_116, 386_452, 197, 91_044_084, 107_630_371),
+        (3, 4, 304_768, 397_292, 26_686, 92_389_504, 107_768_335),
+    ],
+    [
+        (3, 4, 33_996, 383_276, 214, 43_669_548, 46_353_697),
+        (3, 4, 155_856, 392_432, 13_787, 45_216_428, 48_361_843),
+    ],
+];
+const PINNED_PRESSURED_SHARDED: [[PressuredCounters; 2]; 4] = [
+    [(0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0)],
+    [
+        (4, 8, 25_240, 434_104, 135, 44_232_456, 77_368_718),
+        (4, 8, 248_576, 435_636, 16_955, 38_894_584, 75_937_888),
+    ],
+    [
+        (4, 8, 28_544, 387_824, 145, 48_992_288, 36_741_171),
+        (4, 8, 120_576, 391_000, 10_950, 49_433_472, 36_799_891),
+    ],
+    [
+        (4, 8, 34_176, 387_444, 171, 24_712_324, 17_683_894),
+        (4, 8, 71_456, 389_620, 5_988, 23_262_044, 16_495_691),
+    ],
+];
+
 /// One search on an index sharded over 4 temporal slabs of fresh devices.
 fn fresh_sharded_search(
     dataset: &PreparedDataset,
     queries: &SegmentStore,
     method: Method,
     shape: KernelShape,
+    result_capacity: usize,
 ) -> SearchReport {
     let config = DeviceConfig { kernel_shape: shape, ..DeviceConfig::tesla_c2075() };
     let sharding = ShardedIndexConfig::builder()
@@ -165,29 +212,33 @@ fn fresh_sharded_search(
         .build()
         .unwrap();
     let engine = SearchEngine::build_sharded(dataset, method, &config, &sharding).unwrap();
-    engine.search(queries, D, AMPLE).unwrap().1
+    engine.search(queries, D, result_capacity).unwrap().1
 }
 
 #[test]
 fn fixture_counters_are_pinned() {
     let (dataset, queries) = fixture();
-    for (method, row) in methods().into_iter().zip(PINNED) {
-        for (shape, pinned) in SHAPES.into_iter().zip(row) {
+    for ((method, row), pressured) in methods().into_iter().zip(PINNED).zip(PINNED_PRESSURED) {
+        for ((shape, pinned), pressured) in SHAPES.into_iter().zip(row).zip(pressured) {
+            let label = format!("{} / {shape:?}", method.name());
             let (_, r) = fresh_search(&dataset, &queries, method, shape, AMPLE);
             let t = r.totals;
             assert_eq!(
                 (r.comparisons, t.atomics, t.gmem_read_bytes, t.instructions),
                 pinned,
-                "{} / {shape:?}",
-                method.name()
+                "{label}"
             );
+            let pressure = (r.raw_matches / 3) as usize;
+            let (_, r) = fresh_search(&dataset, &queries, method, shape, pressure);
+            assert_eq!(pressured_counters(&r), pressured, "{label} / pressure {pressure}");
         }
     }
-    for (method, row) in methods().into_iter().zip(PINNED_SHARDED) {
-        for (shape, pinned) in SHAPES.into_iter().zip(row) {
+    let sharded = methods().into_iter().zip(PINNED_SHARDED).zip(PINNED_PRESSURED_SHARDED);
+    for ((method, row), pressured) in sharded {
+        for ((shape, pinned), pressured) in SHAPES.into_iter().zip(row).zip(pressured) {
             let label = format!("{} / 4 shards / {shape:?}", method.name());
-            let r = fresh_sharded_search(&dataset, &queries, method, shape);
-            let again = fresh_sharded_search(&dataset, &queries, method, shape);
+            let r = fresh_sharded_search(&dataset, &queries, method, shape, AMPLE);
+            let again = fresh_sharded_search(&dataset, &queries, method, shape, AMPLE);
             assert_eq!(r, again, "{label}");
             let t = r.totals;
             let got = (
@@ -198,6 +249,9 @@ fn fixture_counters_are_pinned() {
                 r.routing.shard_queries_routed,
             );
             assert_eq!(got, pinned, "{label}");
+            let pressure = (r.raw_matches / 3) as usize;
+            let r = fresh_sharded_search(&dataset, &queries, method, shape, pressure);
+            assert_eq!(pressured_counters(&r), pressured, "{label} / pressure {pressure}");
         }
     }
 }
