@@ -1,7 +1,7 @@
 //! Unified engine over the paper's search implementations.
 
 use std::sync::Arc;
-use tdts_geom::{first_invalid, MatchRecord, Segment, SegmentStore};
+use tdts_geom::{first_invalid, InvalidSegment, MatchRecord, Segment, SegmentStore};
 use tdts_gpu_sim::SearchError;
 use tdts_gpu_sim::{Device, KernelShape, SearchReport};
 use tdts_index_spatial::{GpuSpatialConfig, GpuSpatialSearch};
@@ -53,7 +53,7 @@ impl Method {
         store: &Arc<SegmentStore>,
         device: Arc<Device>,
     ) -> Result<Box<dyn TrajectoryIndex>, TdtsError> {
-        check_database(store)?;
+        check_database(store, 0)?;
         self.build_checked_index(store, device)
     }
 
@@ -78,14 +78,17 @@ impl Method {
     }
 }
 
-/// Refuse a database holding a segment that is not
-/// [valid](Segment::is_valid), naming its position and the rule it breaks:
-/// the index methods prune on different coordinates, and past the numeric
-/// domain the distance test overflows, so such a segment would make them
-/// disagree (or panic) instead of erroring.
-pub(crate) fn check_database(store: &SegmentStore) -> Result<(), TdtsError> {
-    match first_invalid(store.iter()) {
-        Some(bad) => Err(TdtsError::InvalidConfig(format!("database {bad}"))),
+/// Refuse a database holding a segment at position `from` or later that is
+/// not [valid](Segment::is_valid), naming its position and the rule it
+/// breaks: the index methods prune on different coordinates, and past the
+/// numeric domain the distance test overflows, so such a segment would
+/// make them disagree (or panic) instead of erroring.
+pub(crate) fn check_database(store: &SegmentStore, from: usize) -> Result<(), TdtsError> {
+    match first_invalid(store.segments().get(from..).unwrap_or_default()) {
+        Some(bad) => {
+            let bad = InvalidSegment { position: from + bad.position, ..bad };
+            Err(TdtsError::InvalidConfig(format!("database {bad}")))
+        }
         None => Ok(()),
     }
 }

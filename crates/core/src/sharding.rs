@@ -257,7 +257,19 @@ impl ShardedIndex {
         }
         // The whole store is checked once, so an error names the global
         // position; the slices hold only its segments.
-        check_database(store)?;
+        check_database(store, 0)?;
+        ShardedIndex::build_checked(method, store, stats, device_config, config)
+    }
+
+    /// [`build`](ShardedIndex::build) over a store [`check_database`] has
+    /// passed; every rebuild runs it.
+    fn build_checked(
+        method: Method,
+        store: &Arc<SegmentStore>,
+        stats: &StoreStats,
+        device_config: &DeviceConfig,
+        config: &ShardedIndexConfig,
+    ) -> Result<ShardedIndex, TdtsError> {
         let sharded = ShardedStore::partition(store, stats, config.shards, config.partition);
         // The members build side by side on the host's cores (an index's
         // own parallel steps then run inline); the results come back in
@@ -315,7 +327,7 @@ impl ShardedIndex {
             return Ok(());
         };
         let fresh =
-            ShardedIndex::build(self.method, store, &stats, &self.device_config, &self.config)?;
+            Self::build_checked(self.method, store, &stats, &self.device_config, &self.config)?;
         *self =
             ShardedIndex { duplicates_dropped: AtomicU64::new(self.duplicates_dropped()), ..fresh };
         Ok(())
@@ -577,10 +589,12 @@ impl TrajectoryIndex for ShardedIndex {
         self.generation
     }
 
-    fn ingest(&mut self, store: &Arc<SegmentStore>, _delta: &AppendDelta) -> Result<(), TdtsError> {
+    fn ingest(&mut self, store: &Arc<SegmentStore>, delta: &AppendDelta) -> Result<(), TdtsError> {
+        check_database(store, delta.from)?; // the rows before passed at their build
         self.rebuild(store)
     }
 
+    /// Expiry only removes segments: nothing is checked.
     fn expire_before(
         &mut self,
         store: &Arc<SegmentStore>,
@@ -708,6 +722,22 @@ mod tests {
         let outcome = index.search(&batch).unwrap();
         assert_eq!(outcome.matches, brute_force_search(dataset.store(), &queries, 1.5));
         assert_eq!(index.name(), "CPU-RTree");
+    }
+
+    /// A rebuild checks only the appended tail, and still refuses an
+    /// invalid segment there, named by its position in the store, leaving
+    /// the old members in place.
+    #[test]
+    fn ingest_refuses_an_invalid_tail() {
+        let (dataset, mut index) = build(Method::GpuTemporal(TemporalIndexConfig { bins: 8 }), 4);
+        let mut store = (*dataset.store_arc()).clone();
+        let mut bad = *store.get(1);
+        bad.t_end = bad.t_start - 1.0;
+        let delta = store.append(&[*store.get(0), bad]);
+        let err = index.ingest(&Arc::new(store), &delta).unwrap_err();
+        let want = format!("database segment {} has t_start > t_end", delta.from + 1);
+        assert_eq!(err, TdtsError::InvalidConfig(want));
+        assert_eq!(index.generation(), dataset.store_arc().generation());
     }
 
     #[test]

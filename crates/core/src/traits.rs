@@ -200,7 +200,7 @@ impl TrajectoryIndex for CpuRTreeIndex {
                 + CPU_MATCH_NS * s.matches as f64;
             ns * 1e-9
         };
-        let busy = replay_earliest_free(CPU_WORKERS, per_query.iter().map(price), |_, _| {});
+        let busy = replay_earliest_free(CPU_WORKERS, per_query.iter().map(price));
         let mut report = SearchReport {
             comparisons: per_query.iter().map(|s| s.candidates).sum(),
             raw_matches: per_query.iter().map(|s| s.matches).sum(),

@@ -65,4 +65,5 @@ pub use point::Point3;
 pub use result::{dedup_matches, diff_matches, MatchRecord};
 pub use segment::{SegId, Segment, TrajId};
 pub use shard::{PartitionStrategy, ShardPlan, ShardSlice, ShardedStore};
+pub use sort::t_start_order;
 pub use store::{AppendDelta, ExpireDelta, SegmentStore, StoreStats};

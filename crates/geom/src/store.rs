@@ -375,7 +375,7 @@ impl SegmentStore {
         let prev_generation = self.generation;
         if !self.time_ordered {
             let segs = self.segments.as_mut_slice();
-            crate::sort::sort_by_t_start(segs);
+            crate::sort::permute(segs, &mut crate::sort::t_start_order(segs));
             self.time_ordered = continues_time_order(None, segs);
         }
         self.generation += 1;

@@ -1,12 +1,13 @@
-//! Property-based tests: `SegmentStore::sort_by_t_start` gives exactly the
-//! permutation of a stable comparison sort under `partial_cmp` with every
-//! NaN last, on both of its paths (direct key comparison for small stores,
-//! the radix sort for large ones), and leaves the store's bookkeeping (the
-//! generation, the re-tagged stats cache, the time-order flag) as that sort
-//! would.
+//! Property-based tests: `SegmentStore::sort_by_t_start` and the order it
+//! applies, `t_start_order` (which also sorts query batches), give exactly
+//! the permutation of a stable comparison sort under `partial_cmp` with
+//! every NaN last — signed zeros tie and keep their row order — on both
+//! paths (direct key comparison for small stores, the radix sort for large
+//! ones), and the sort leaves the store's bookkeeping (the generation, the
+//! re-tagged stats cache, the time-order flag) as that sort would.
 
 use proptest::prelude::*;
-use tdts_geom::{Point3, SegId, Segment, SegmentStore, TrajId};
+use tdts_geom::{t_start_order, Point3, SegId, Segment, SegmentStore, TrajId};
 
 /// The order before the radix sort: `slice::sort_by` with the comparator
 /// the store used to sort with.
@@ -55,6 +56,16 @@ fn arb_time() -> impl Strategy<Value = f64> {
     })
 }
 
+/// A time that is mostly a signed zero: `-0.0` and `0.0` tie, densely.
+fn signed_zero_time() -> impl Strategy<Value = f64> {
+    (0u32..10).prop_map(|pick| match pick {
+        0..=3 => 0.0,
+        4..=7 => -0.0,
+        8 => 1.0,
+        _ => -1.0,
+    })
+}
+
 /// Rows over `times`, arranged as drawn (0), presorted (1) or reversed (2).
 fn store_of(times: &[f64], durs: &[f64], arrange: u32) -> SegmentStore {
     let segs: Vec<Segment> = times
@@ -71,11 +82,16 @@ fn store_of(times: &[f64], durs: &[f64], arrange: u32) -> SegmentStore {
     SegmentStore::from_segments(segs)
 }
 
-/// Sort `store` and check it against the reference: the same rows in the
-/// same slots, one generation later, the stats it held before, and the
-/// time-order flag of the sorted rows.
+/// Sort `store` and check it against the reference: the order
+/// `t_start_order` gives, then the same rows in the same slots, one
+/// generation later, the stats it held before, and the time-order flag of
+/// the sorted rows.
 fn check_sort(mut store: SegmentStore) {
     let expected = reference(store.segments());
+    let order = t_start_order(store.segments());
+    let ordered: Vec<u32> = order.iter().map(|&i| store.get(i as usize).seg_id.0).collect();
+    let expected_ids: Vec<u32> = expected.iter().map(|s| s.seg_id.0).collect();
+    assert_eq!(ordered, expected_ids, "t_start_order");
     let stats = format!("{:?}", store.stats());
     let generation = store.generation();
     store.sort_by_t_start();
@@ -110,7 +126,29 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Signed-zero ties in small stores keep their row order.
+    #[test]
+    fn signed_zero_ties_keep_row_order(
+        times in proptest::collection::vec(signed_zero_time(), 0..80),
+        arrange in 0u32..3,
+    ) {
+        check_sort(store_of(&times, &[1.0], arrange));
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Signed-zero ties past the radix threshold: one key, in row order.
+    #[test]
+    fn radix_signed_zero_ties_keep_row_order(
+        times in proptest::collection::vec(signed_zero_time(), 4_096..5_000),
+        arrange in 0u32..3,
+    ) {
+        check_sort(store_of(&times, &[1.0], arrange));
+    }
 
     /// Stores past the radix threshold: the same keys, sorted by digits.
     #[test]

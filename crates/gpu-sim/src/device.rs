@@ -311,7 +311,7 @@ impl Device {
         if let Some(san) = &self.core.sanitizer {
             crate::workqueue::validate_tiles(san, &mut tiles);
         }
-        Ok(WorkQueue::new(self.upload(tiles)?))
+        Ok(WorkQueue { tiles: self.upload(tiles)? })
     }
 
     /// Launch a persistent warp-per-tile kernel: a fixed grid of

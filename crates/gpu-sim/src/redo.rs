@@ -22,24 +22,15 @@ pub enum NextBatch {
     Stuck,
 }
 
-/// Tracks queries awaiting re-execution and sizes the next batch.
+/// Tracks queries awaiting re-execution and sizes the next batch. It
+/// starts empty: the first round (all queries) is launched by the caller
+/// before consulting the schedule.
 #[derive(Debug, Default)]
 pub struct RedoSchedule {
     queue: VecDeque<u32>,
 }
 
 impl RedoSchedule {
-    /// Empty schedule; the first round (all queries) is launched by the
-    /// caller before consulting the schedule.
-    pub fn new() -> RedoSchedule {
-        RedoSchedule::default()
-    }
-
-    /// Queries currently waiting (excluding any in-flight batch).
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Record a finished round: `redo` lists the queries that overflowed out
     /// of a batch of `batch_len`, and the return value says what to run
     /// next.
@@ -77,55 +68,56 @@ mod tests {
 
     #[test]
     fn all_done_immediately() {
-        let mut s = RedoSchedule::new();
+        let mut s = RedoSchedule::default();
         assert_eq!(s.next(vec![], 100), NextBatch::Done);
     }
 
     #[test]
     fn partial_redo_runs_all_remaining() {
-        let mut s = RedoSchedule::new();
+        let mut s = RedoSchedule::default();
         match s.next(vec![3, 7, 9], 100) {
             NextBatch::Ids(ids) => assert_eq!(ids, vec![3, 7, 9]),
             other => panic!("{other:?}"),
         }
-        assert_eq!(s.pending(), 0);
+        // Nothing was deferred.
         assert_eq!(s.next(vec![], 3), NextBatch::Done);
     }
 
     #[test]
     fn no_progress_halves_and_defers() {
-        let mut s = RedoSchedule::new();
+        let mut s = RedoSchedule::default();
         // 8 queries launched, all 8 redo → run 4, keep 4 queued.
         match s.next((0..8).collect(), 8) {
-            NextBatch::Ids(ids) => assert_eq!(ids.len(), 4),
+            NextBatch::Ids(ids) => assert_eq!(ids, vec![0, 1, 2, 3]),
             other => panic!("{other:?}"),
         }
-        assert_eq!(s.pending(), 4);
-        // Those 4 all redo again → run 2.
+        // Those 4 all redo again → run 2, keep 6 queued.
         match s.next((0..4).collect(), 4) {
-            NextBatch::Ids(ids) => assert_eq!(ids.len(), 2),
+            NextBatch::Ids(ids) => assert_eq!(ids, vec![4, 5]),
             other => panic!("{other:?}"),
         }
-        assert_eq!(s.pending(), 6);
+        // The 2 complete → run the 6 deferred.
+        assert_eq!(s.next(vec![], 2), NextBatch::Ids(vec![6, 7, 0, 1, 2, 3]));
+        assert_eq!(s.next(vec![], 6), NextBatch::Done);
     }
 
     #[test]
     fn redo_order_and_duplicates_do_not_matter() {
-        let a = RedoSchedule::new().next(vec![9, 3, 7, 3], 4);
-        let b = RedoSchedule::new().next(vec![3, 7, 3, 9], 4);
+        let a = RedoSchedule::default().next(vec![9, 3, 7, 3], 4);
+        let b = RedoSchedule::default().next(vec![3, 7, 3, 9], 4);
         assert_eq!(a, NextBatch::Ids(vec![3, 7, 9]));
         assert_eq!(a, b);
     }
 
     #[test]
     fn single_query_stuck() {
-        let mut s = RedoSchedule::new();
+        let mut s = RedoSchedule::default();
         assert_eq!(s.next(vec![5], 1), NextBatch::Stuck);
     }
 
     #[test]
     fn progress_resumes_full_queue() {
-        let mut s = RedoSchedule::new();
+        let mut s = RedoSchedule::default();
         // No progress on 4 → run 2 (2 deferred).
         let _ = s.next(vec![0, 1, 2, 3], 4);
         // Those 2 complete → run the 2 deferred.
@@ -140,7 +132,7 @@ mod tests {
     fn terminates_under_worst_case() {
         // Adversarial: every round redoes everything until batch = 1, then
         // the single query completes. Must terminate.
-        let mut s = RedoSchedule::new();
+        let mut s = RedoSchedule::default();
         let mut batch: Vec<u32> = (0..64).collect();
         let mut rounds = 0;
         loop {

@@ -31,27 +31,24 @@ pub struct LoadBalance {
     pub min_last_wave_occupancy: f64,
 }
 
-impl LoadBalance {
-    /// Fold one launch's metrics into the totals.
-    pub fn add_launch(&mut self, r: &LaunchReport) {
-        self.tiles_dispatched += r.tiles_dispatched;
-        self.queue_atomics += r.queue_atomics;
-        if r.warps == 0 {
-            return;
+/// One launch's metrics, ready to [`merge`](LoadBalance::merge) into a
+/// search's totals.
+impl From<&LaunchReport> for LoadBalance {
+    fn from(r: &LaunchReport) -> LoadBalance {
+        LoadBalance {
+            max_warp_cycles: r.max_warp_cycles,
+            warp_cycles: r.mean_warp_cycles * r.warps as f64,
+            warps: r.warps as u64,
+            tiles_dispatched: r.tiles_dispatched,
+            queue_atomics: r.queue_atomics,
+            min_last_wave_occupancy: r.last_wave_occupancy,
         }
-        self.max_warp_cycles = self.max_warp_cycles.max(r.max_warp_cycles);
-        self.warp_cycles += r.mean_warp_cycles * r.warps as f64;
-        let first = self.warps == 0;
-        self.warps += r.warps as u64;
-        self.min_last_wave_occupancy = if first {
-            r.last_wave_occupancy
-        } else {
-            self.min_last_wave_occupancy.min(r.last_wave_occupancy)
-        };
     }
+}
 
-    /// Fold another accumulated [`LoadBalance`] into this one (e.g. when a
-    /// service aggregates the reports of many batch searches).
+impl LoadBalance {
+    /// Fold another accumulated [`LoadBalance`] into this one: a launch into
+    /// its search, or many batch searches into a service's totals.
     pub fn merge(&mut self, other: &LoadBalance) {
         self.tiles_dispatched += other.tiles_dispatched;
         self.queue_atomics += other.queue_atomics;

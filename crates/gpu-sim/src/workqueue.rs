@@ -7,7 +7,9 @@
 //! most [`crate::DeviceConfig::tile_size`] entries, uploads them, and a
 //! persistent grid of warps ([`crate::Device::launch_persistent`]) loops
 //! grabbing tiles off a single global atomic cursor until the queue is
-//! empty.
+//! empty. The host keeps no copy of that cursor: the launch replays the
+//! grabs in queue order and counts the probes from the tile and warp
+//! counts.
 //!
 //! The cost model charges **one global atomic per grab** (plus one
 //! converged 16-byte tile read). That is the faithful price of the
@@ -19,7 +21,6 @@
 
 use crate::memory::DeviceBuffer;
 use crate::sanitizer::Sanitizer;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Sanitizer pass over a host-built tile list before upload: a tile with
 /// `hi < lo` would underflow [`Tile::len`] and drive a kernel through a
@@ -89,24 +90,22 @@ impl Tile {
     }
 }
 
-/// A queue of [`Tile`]s in device memory behind one global atomic cursor.
+/// A queue of [`Tile`]s in device memory, drained through one global
+/// atomic cursor.
 ///
 /// Created via [`crate::Device::work_queue`] (which charges the tile
 /// upload as a host→device transfer) and consumed by a single
 /// [`crate::Device::launch_persistent`], which charges every cursor probe
 /// — one per dispatched tile plus the failed probe each persistent warp
-/// pays to discover the queue is empty — as a global atomic.
+/// pays to discover the queue is empty — as a global atomic. The cursor
+/// itself is never kept: a drained queue of `n` tiles and a grid of `g`
+/// warps always took `n + g` probes, and the launch reports them.
 #[derive(Debug)]
 pub struct WorkQueue {
-    tiles: DeviceBuffer<Tile>,
-    cursor: AtomicUsize,
+    pub(crate) tiles: DeviceBuffer<Tile>,
 }
 
 impl WorkQueue {
-    pub(crate) fn new(tiles: DeviceBuffer<Tile>) -> Self {
-        WorkQueue { tiles, cursor: AtomicUsize::new(0) }
-    }
-
     /// Total tiles enqueued.
     pub fn len(&self) -> usize {
         self.tiles.len()
@@ -120,25 +119,6 @@ impl WorkQueue {
     /// The tile at queue position `i` (after any sanitizer clamping).
     pub fn tile_at(&self, i: usize) -> Tile {
         self.tiles.as_slice()[i]
-    }
-
-    /// Record a completed persistent launch by `warps` warps: the cursor
-    /// ends at `len + warps` (every tile grabbed once, plus one failed
-    /// probe per warp).
-    pub(crate) fn mark_drained(&self, warps: usize) {
-        self.cursor.store(self.len() + warps, Ordering::Relaxed);
-    }
-
-    /// Tiles handed out so far (clamped to [`WorkQueue::len`]; failed
-    /// probes past the end do not count).
-    pub fn dispatched(&self) -> usize {
-        self.cursor.load(Ordering::Relaxed).min(self.len())
-    }
-
-    /// Total cursor probes so far: successful grabs plus the failed probe
-    /// each persistent warp pays to discover the queue is empty.
-    pub fn probes(&self) -> usize {
-        self.cursor.load(Ordering::Relaxed)
     }
 }
 
@@ -186,21 +166,14 @@ mod tests {
     }
 
     #[test]
-    fn drained_queue_reports_grabs_and_failed_probes() {
+    fn queue_holds_its_tiles_in_order() {
         let dev = tiny();
         let mut tiles = Vec::new();
         Tile::split_into(&mut tiles, 0, 0, 20, 0, 4);
         let queue = dev.work_queue(tiles.clone()).unwrap();
         assert_eq!(queue.len(), 5);
-        assert_eq!(queue.dispatched(), 0);
         let got: Vec<Tile> = (0..queue.len()).map(|i| queue.tile_at(i)).collect();
         assert_eq!(got, tiles);
-        // A persistent launch by 2 warps: every tile grabbed once, plus one
-        // failed probe per warp — the probes bump the cursor past the end
-        // but never count as dispatched tiles.
-        queue.mark_drained(2);
-        assert_eq!(queue.dispatched(), 5);
-        assert_eq!(queue.probes(), 7);
     }
 
     #[test]

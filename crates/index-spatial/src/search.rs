@@ -15,8 +15,7 @@ use tdts_geom::{
     ExpireDelta, MatchRecord, PreparedQuery, Segment, SegmentStore, StoreStats, TimeInterval,
 };
 use tdts_gpu_sim::{
-    Device, DeviceBuffer, DeviceConfig, KernelShape, Lane, PartitionedScratch, SearchError, Tile,
-    Warp, WarpStash,
+    Device, DeviceBuffer, KernelShape, Lane, PartitionedScratch, SearchError, Tile, Warp, WarpStash,
 };
 use tdts_kernels::{
     lane_share, Batch, CandidateGenerator, GpuSearch, LaneWork, Scheme, TileGenerator,
@@ -42,8 +41,10 @@ impl Default for GpuSpatialConfig {
     }
 }
 
-/// The FSG arrays resident on the device.
-pub struct GridArrays {
+/// The index a search holds: the FSG, its arrays resident on the device.
+pub struct GridIndex {
+    /// The host-side grid (rasterisation and the warp-per-tile plan).
+    pub fsg: Fsg,
     /// `G`: sorted linearised coordinates of non-empty cells.
     cell_ids: DeviceBuffer<u64>,
     /// Per-cell half-open ranges into the lookup array.
@@ -52,7 +53,17 @@ pub struct GridArrays {
     lookup: DeviceBuffer<u32>,
 }
 
-impl GridArrays {
+impl GridIndex {
+    /// Place the grid's arrays in `device` memory (offline).
+    fn place(device: &Arc<Device>, fsg: Fsg) -> Result<GridIndex, SearchError> {
+        Ok(GridIndex {
+            cell_ids: device.alloc_from_host(fsg.cell_ids.clone())?,
+            cell_ranges: device.alloc_from_host(fsg.cell_ranges.clone())?,
+            lookup: device.alloc_from_host(fsg.lookup.clone())?,
+            fsg,
+        })
+    }
+
     /// Device-side binary search of cell `h` in `G`, charging one global
     /// read per probe (the paper's `O(log |G|)` step).
     fn find_cell(&self, lane: &mut Lane, h: u64) -> Option<usize> {
@@ -77,21 +88,11 @@ impl GridArrays {
 /// plan.
 pub struct SpatialScheme;
 
-/// Place the grid's arrays in `device` memory (offline).
-fn place(device: &Arc<Device>, fsg: &Fsg) -> Result<GridArrays, SearchError> {
-    Ok(GridArrays {
-        cell_ids: device.alloc_from_host(fsg.cell_ids.clone())?,
-        cell_ranges: device.alloc_from_host(fsg.cell_ranges.clone())?,
-        lookup: device.alloc_from_host(fsg.lookup.clone())?,
-    })
-}
-
 impl Scheme for SpatialScheme {
     const NAME: &'static str = "GPUSpatial";
     const SORTS_QUERIES: bool = false;
     type Config = GpuSpatialConfig;
-    type Index = Fsg;
-    type Arrays = GridArrays;
+    type Index = GridIndex;
     /// Per query, the non-empty lookup ranges of the cells its inflated
     /// MBB rasterises to (empty under thread-per-query, which walks the
     /// grid on the device).
@@ -104,35 +105,29 @@ impl Scheme for SpatialScheme {
         store: &SegmentStore,
         stats: &StoreStats,
         config: &GpuSpatialConfig,
-    ) -> Result<(Fsg, GridArrays), SearchError> {
-        let fsg = Fsg::build_with_stats(store, stats, config.fsg)?;
-        let grid = place(device, &fsg)?;
-        Ok((fsg, grid))
+    ) -> Result<GridIndex, SearchError> {
+        GridIndex::place(device, Fsg::build_with_stats(store, stats, config.fsg)?)
     }
 
     /// The grid is rebuilt beside the old one and re-placed whole: an
     /// append can move every cell's run of ids.
     fn ingest(
-        fsg: &mut Fsg,
-        grid: &mut GridArrays,
+        grid: &mut GridIndex,
         device: &Arc<Device>,
         store: &SegmentStore,
         from: usize,
     ) -> Result<(), SearchError> {
-        let next = fsg.append(store, from)?;
-        (*grid, *fsg) = (place(device, &next)?, next);
+        *grid = GridIndex::place(device, grid.fsg.append(store, from)?)?;
         Ok(())
     }
 
     fn expire(
-        fsg: &mut Fsg,
-        grid: &mut GridArrays,
+        grid: &mut GridIndex,
         device: &Arc<Device>,
         _store: &SegmentStore,
         delta: &ExpireDelta,
     ) -> Result<(), SearchError> {
-        let next = fsg.expire(delta)?;
-        (*grid, *fsg) = (place(device, &next)?, next);
+        *grid = GridIndex::place(device, grid.fsg.expire(delta)?)?;
         Ok(())
     }
 
@@ -143,12 +138,11 @@ impl Scheme for SpatialScheme {
         queries: &[Segment],
         d: f64,
         shape: KernelShape,
-        _device: &DeviceConfig,
     ) -> Vec<Vec<[u32; 2]>> {
         if shape == KernelShape::ThreadPerQuery {
             return Vec::new();
         }
-        let fsg = search.index();
+        let fsg = &search.index().fsg;
         tdts_geom::par::par_map(queries.len(), |qi| {
             let search_box = queries[qi].mbb().inflate(d);
             let mut rs = Vec::new();
@@ -176,7 +170,7 @@ impl Scheme for SpatialScheme {
         batch: Batch<'a, Self>,
         _plan: &'a Vec<Vec<[u32; 2]>>,
     ) -> Result<SpatialThreads<'a>, SearchError> {
-        Ok(SpatialThreads { batch })
+        Ok(SpatialThreads { batch, overflow: AtomicBool::new(false) })
     }
 
     fn tiles<'a>(batch: Batch<'a, Self>, ranges: &'a Vec<Vec<[u32; 2]>>) -> SpatialTiles<'a> {
@@ -184,32 +178,24 @@ impl Scheme for SpatialScheme {
     }
 }
 
-/// Per-round device state of the thread-per-query mapping: the candidate
-/// buffers `U_k` (the budget `s` split across the live batch) and the
-/// sticky overflow flag that turns a stuck redo into
-/// [`SearchError::ScratchCapacityTooSmall`].
-pub struct SpatialRound {
-    scratch: PartitionedScratch<u32>,
-    overflow: AtomicBool,
-}
-
 /// Thread-per-query candidate generation: device-side `getCandidates` into
 /// `U_k`, then refinement over the gathered positions.
 pub struct SpatialThreads<'a> {
     batch: Batch<'a, SpatialScheme>,
+    /// Set when a lane of the current round overflowed its `U_k`: a stuck
+    /// redo is then [`SearchError::ScratchCapacityTooSmall`].
+    overflow: AtomicBool,
 }
 
 impl CandidateGenerator for SpatialThreads<'_> {
-    type Round = SpatialRound;
+    /// The candidate buffers `U_k`: the budget `s` split across the batch.
+    type Round = PartitionedScratch<u32>;
 
-    fn begin_round(&self, batch_len: usize) -> Result<SpatialRound, SearchError> {
-        // Candidate buffers: the budget `s` split across this batch.
+    fn begin_round(&self, batch_len: usize) -> Result<PartitionedScratch<u32>, SearchError> {
+        self.overflow.store(false, Ordering::Relaxed);
         let search = self.batch.search;
         let per_thread = (search.config().total_scratch / batch_len).max(1);
-        Ok(SpatialRound {
-            scratch: search.device().alloc_scratch::<u32>(batch_len, per_thread)?,
-            overflow: AtomicBool::new(false),
-        })
+        Ok(search.device().alloc_scratch::<u32>(batch_len, per_thread)?)
     }
 
     fn run_query(
@@ -217,16 +203,17 @@ impl CandidateGenerator for SpatialThreads<'_> {
         lane: &mut Lane,
         qid: u32,
         stash: &mut WarpStash<'_, MatchRecord>,
-        round: &SpatialRound,
+        scratch: &PartitionedScratch<u32>,
     ) -> LaneWork {
         let (search, d) = (self.batch.search, self.batch.d);
-        let (fsg, grid) = (search.index(), search.arrays());
+        let grid = search.index();
+        let fsg = &grid.fsg;
         let q = self.batch.queries.read_segment(lane, qid as usize);
         lane.instr(12); // MBB + inflation + cell-range setup
 
         // getCandidates: rasterise the inflated MBB and gather entry
         // positions into U_k, one probe of `G` per cell.
-        let mut uk = round.scratch.take_partition(lane.global_id);
+        let mut uk = scratch.take_partition(lane.global_id);
         let search_box = q.mbb().inflate(d);
         let mut overflow = false;
         if !fsg.outside(&search_box) {
@@ -251,7 +238,7 @@ impl CandidateGenerator for SpatialThreads<'_> {
         if overflow {
             // Buffer exceeded: abandon; host will re-invoke with a larger
             // per-query buffer (lines 10–12 of Algorithm 1).
-            round.overflow.store(true, Ordering::Relaxed);
+            self.overflow.store(true, Ordering::Relaxed);
             stash.mark_dropped(lane);
         } else {
             // Refinement over the candidate set (duplicates included).
@@ -267,16 +254,10 @@ impl CandidateGenerator for SpatialThreads<'_> {
         LaneWork { compared, scratch_bytes: uk.pending_write_bytes() }
     }
 
-    fn end_warp(&self, warp: &mut Warp, _round: &SpatialRound, scratch_bytes: u64) {
-        // Flush the staged U_k chunks as coalesced traffic before the
-        // result commit.
-        warp.gmem_write(scratch_bytes);
-    }
-
-    fn stuck_error(&self, round: &SpatialRound, result_capacity: usize) -> SearchError {
+    fn stuck_error(&self, result_capacity: usize) -> SearchError {
         // A single query alone cannot complete: the batch was 1, so its
         // candidate buffer was the entire budget `s`.
-        if round.overflow.load(Ordering::Relaxed) {
+        if self.overflow.load(Ordering::Relaxed) {
             let capacity = self.batch.search.config().total_scratch;
             SearchError::ScratchCapacityTooSmall { capacity }
         } else {
@@ -303,9 +284,7 @@ impl TileGenerator for SpatialTiles<'_> {
         }
     }
 
-    fn tile_setup_instr(&self) -> u64 {
-        12 // MBB + inflation + tile setup
-    }
+    const TILE_SETUP_INSTR: u64 = 12; // MBB + inflation + tile setup
 
     fn refine_tile(
         &self,
@@ -318,7 +297,7 @@ impl TileGenerator for SpatialTiles<'_> {
         // each lane's share, in closed form.
         let lanes = warp.lanes_mut();
         let search = self.batch.search;
-        let lookup = &search.arrays().lookup;
+        let lookup = &search.index().lookup;
         let compared =
             search.entries().refine_gather(lanes, lookup, 0, tile.lo..tile.hi, q, on_hit);
         let w = lanes.len();
@@ -430,6 +409,24 @@ mod tests {
         let search = GpuSpatialSearch::new(device(), &store, cfg(3, 4)).unwrap();
         let err = search.search(&queries, 100.0, 10_000).unwrap_err();
         assert!(matches!(err, SearchError::ScratchCapacityTooSmall { .. }), "got {err:?}");
+    }
+
+    /// A stuck redo names the cause of its last round, a lone query's:
+    /// `U_k` overflows in the first round do not make it a scratch error.
+    #[test]
+    fn stuck_error_names_the_last_rounds_cause() {
+        let (store, queries) = (grid_store(8), grid_store(4));
+        // Sixteen ways, s = 256 overflows U_k in the first round; a lone
+        // query has all of it and overflows only a 10-record result buffer.
+        let search = GpuSpatialSearch::new(device(), &store, cfg(4, 256)).unwrap();
+        let (_, ample) = search.search(&queries, 50.0, 10_000).unwrap();
+        assert!(ample.redo_rounds > 0, "the first round must overflow U_k");
+        let err = search.search(&queries, 50.0, 10).unwrap_err();
+        assert_eq!(err, SearchError::ResultCapacityTooSmall { capacity: 10 });
+        // A lone query overflows U_k even with the whole budget s = 4.
+        let search = GpuSpatialSearch::new(device(), &store, cfg(4, 4)).unwrap();
+        let err = search.search(&queries, 50.0, 10).unwrap_err();
+        assert_eq!(err, SearchError::ScratchCapacityTooSmall { capacity: 4 });
     }
 
     #[test]

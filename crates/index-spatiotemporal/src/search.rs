@@ -13,9 +13,7 @@ use std::sync::Arc;
 use tdts_geom::{
     ExpireDelta, MatchRecord, PreparedQuery, Segment, SegmentStore, StoreStats, TimeInterval,
 };
-use tdts_gpu_sim::{
-    Device, DeviceBuffer, DeviceConfig, KernelShape, Lane, SearchError, Tile, Warp, WarpStash,
-};
+use tdts_gpu_sim::{Device, DeviceBuffer, KernelShape, Lane, SearchError, Tile, Warp, WarpStash};
 use tdts_kernels::{
     Batch, CandidateGenerator, GpuSearch, LaneWork, Scheme, TileGenerator, SCHEDULE_INSTR,
 };
@@ -71,8 +69,6 @@ impl Scheme for SpatioTemporalScheme {
     type Config = SpatioTemporalIndexConfig;
     /// The index, its `X`/`Y`/`Z` runs resident on the device.
     type Index = Index;
-    /// The runs live in the index.
-    type Arrays = ();
     type Plan = SpatioTemporalPlan;
     type Threads<'a> = SpatioTemporalThreads<'a>;
     type Tiles<'a> = SpatioTemporalTiles<'a>;
@@ -84,16 +80,14 @@ impl Scheme for SpatioTemporalScheme {
         store: &SegmentStore,
         stats: &StoreStats,
         config: &SpatioTemporalIndexConfig,
-    ) -> Result<(Index, ()), SearchError> {
-        let index = SpatioTemporalIndex::build_with_stats(store, stats, *config)?;
-        Ok((index.place(device)?, ()))
+    ) -> Result<Index, SearchError> {
+        SpatioTemporalIndex::build_with_stats(store, stats, *config)?.place(device)
     }
 
     /// Only the run tails grow, in place: the device bytes for every tail
     /// are reserved before any run changes.
     fn ingest(
         index: &mut Index,
-        _arrays: &mut (),
         device: &Arc<Device>,
         store: &SegmentStore,
         from: usize,
@@ -106,7 +100,6 @@ impl Scheme for SpatioTemporalScheme {
 
     fn expire(
         index: &mut Index,
-        _arrays: &mut (),
         _device: &Arc<Device>,
         store: &SegmentStore,
         delta: &ExpireDelta,
@@ -121,7 +114,6 @@ impl Scheme for SpatioTemporalScheme {
         queries: &[Segment],
         d: f64,
         shape: KernelShape,
-        device: &DeviceConfig,
     ) -> SpatioTemporalPlan {
         let mut schedule: Vec<[u32; 4]> = Vec::with_capacity(queries.len());
         let mut fallback = 0u64;
@@ -151,7 +143,8 @@ impl Scheme for SpatioTemporalScheme {
             // Warp-align the selector groups with idle lanes so no warp
             // mixes control paths (mixing triggers the uncoalesced-memory
             // penalty, which dwarfs the few wasted lanes).
-            exec_order = pad_groups_to_warps(&exec_order, &schedule, device.warp_size);
+            let warp_size = search.device().config().warp_size;
+            exec_order = pad_groups_to_warps(&exec_order, &schedule, warp_size);
         }
         SpatioTemporalPlan { schedule, exec_order, fallback }
     }
@@ -218,12 +211,8 @@ impl CandidateGenerator for SpatioTemporalThreads<'_> {
         Ok(())
     }
 
-    fn first_round_threads(&self, _n_queries: usize) -> usize {
-        self.exec.len()
-    }
-
-    fn first_round_slot(&self, lane: &mut Lane) -> u32 {
-        self.exec.read(lane, lane.global_id)
+    fn first_round_slots(&self) -> Option<&DeviceBuffer<u32>> {
+        Some(&self.exec)
     }
 
     fn decode_slot(&self, lane: &mut Lane, code: u32) -> Option<u32> {

@@ -11,9 +11,7 @@ use std::sync::Arc;
 use tdts_geom::{
     ExpireDelta, MatchRecord, PreparedQuery, Segment, SegmentStore, StoreStats, TimeInterval,
 };
-use tdts_gpu_sim::{
-    Device, DeviceBuffer, DeviceConfig, KernelShape, Lane, SearchError, Tile, Warp, WarpStash,
-};
+use tdts_gpu_sim::{Device, DeviceBuffer, KernelShape, Lane, SearchError, Tile, Warp, WarpStash};
 use tdts_kernels::{
     Batch, CandidateGenerator, GpuSearch, LaneWork, Scheme, TileGenerator, SCHEDULE_INSTR,
 };
@@ -56,7 +54,6 @@ impl Scheme for TemporalScheme {
     const SORTS_QUERIES: bool = true;
     type Config = TemporalIndexConfig;
     type Index = TemporalIndex;
-    type Arrays = ();
     type Plan = TemporalSchedule;
     type Threads<'a> = TemporalThreads<'a>;
     type Tiles<'a> = TemporalTiles<'a>;
@@ -66,13 +63,12 @@ impl Scheme for TemporalScheme {
         store: &SegmentStore,
         stats: &StoreStats,
         config: &TemporalIndexConfig,
-    ) -> Result<(TemporalIndex, ()), SearchError> {
-        Ok((TemporalIndex::build_with_stats(store, stats, *config)?, ()))
+    ) -> Result<TemporalIndex, SearchError> {
+        TemporalIndex::build_with_stats(store, stats, *config)
     }
 
     fn ingest(
         index: &mut TemporalIndex,
-        _arrays: &mut (),
         _device: &Arc<Device>,
         store: &SegmentStore,
         from: usize,
@@ -82,7 +78,6 @@ impl Scheme for TemporalScheme {
 
     fn expire(
         index: &mut TemporalIndex,
-        _arrays: &mut (),
         _device: &Arc<Device>,
         store: &SegmentStore,
         delta: &ExpireDelta,
@@ -95,7 +90,6 @@ impl Scheme for TemporalScheme {
         queries: &[Segment],
         _d: f64,
         _shape: KernelShape,
-        _device: &DeviceConfig,
     ) -> TemporalSchedule {
         TemporalSchedule::build(search.index(), queries)
     }

@@ -13,7 +13,7 @@
 //! * [`search`] — [`GpuSearch`], the one driver: device residency, store
 //!   generations with all-or-nothing ingest/expire, the timed plan step,
 //!   the kernel-shape choice and the search epilogue, parameterised by a
-//!   per-method [`Scheme`] (index, device arrays, plan, generators).
+//!   per-method [`Scheme`] (index with its device arrays, plan, generators).
 //! * [`segments`] — [`DeviceSegments`], the device-resident segment database
 //!   (eight prepared `f64` columns, on the host exactly as the device is
 //!   charged for them), and the refinement itself: a lane's candidates — a
@@ -24,7 +24,7 @@
 //!   the timestamp columns (16 B) when the temporal prefilter rejects, the
 //!   full 64-byte row otherwise. [`DeviceQueries`] holds the query set.
 //! * [`queries`] — [`SortedQueries`], the `t_start`-sorted query permutation.
-//! * [`pipeline`] — the host-side round protocol for both kernel shapes,
+//! * [`pipeline`] — the host-side redo-round loop, once for both kernel shapes,
 //!   parameterised by per-method [`CandidateGenerator`]/[`TileGenerator`]
 //!   implementations.
 

@@ -1,43 +1,38 @@
 //! The host-side search skeleton every GPU method shares.
 //!
 //! All three kernels (GPUSpatial, GPUTemporal and GPUSpatioTemporal) run
-//! the same outer protocol; only *candidate generation* differs. The
-//! protocol, in both kernel shapes:
+//! one protocol: launch a round into a fixed-size result buffer, drain it
+//! and the ids of the queries that lost records, and re-launch over those
+//! ids ([`RedoSchedule`]) until none are left — the paper's incremental
+//! processing of `Q` (§V-E). `run_rounds` owns that loop once: both
+//! buffers, folding each launch into the report, both downloads and the
+//! schedule. A kernel shape supplies only the launch of one round:
 //!
-//! * **Thread-per-query** (`run_thread_per_query`): launch one thread per
-//!   query (or per execution-order slot), let each thread generate and
-//!   refine its candidates, commit matches through the warp stash, and stage
-//!   the query id for *redo* when its records were dropped by a full result
-//!   buffer. The host drains results and redo ids after every round and
-//!   re-launches over the redo set ([`RedoSchedule`]) until it is empty —
-//!   the paper's incremental processing of `Q` (§V-E).
+//! * **Thread-per-query** (`run_thread_per_query`): one thread per query
+//!   (or execution-order slot), or per redo id, uploaded. Each thread
+//!   refines its candidates and commits matches through the warp stash; a
+//!   lane whose records were dropped stages its query id for redo.
 //! * **Warp-per-tile** (`run_warp_per_tile`): the host cuts every query's
-//!   candidate range into fixed-size tiles, a persistent grid of warps pulls
-//!   them from a device-side work queue, and each warp scans one tile once,
-//!   dealing candidate `j` to lane `j % warp_size`. Each host worker stages
-//!   its tiles' matches in one warp stash, and a tile's epilogue commits
-//!   the oldest records there, its own. An overflowing tile
-//!   re-queues its whole *query* through the same redo protocol (several
-//!   tiles of one query may report the same overflow, so redo ids are
-//!   deduplicated first).
+//!   (or redo id's) candidate range into fixed-size tiles, a persistent
+//!   grid of warps pulls them from a device-side work queue, and each warp
+//!   scans one tile once, candidate `j` on lane `j % warp_size`. Each host
+//!   worker stages its tiles' matches in one warp stash, and a tile's
+//!   epilogue commits the oldest records there, its own. An overflowing
+//!   tile re-queues its whole *query* (the schedule collapses repeats).
 //!
-//! What a method plugs in is a [`CandidateGenerator`] (thread-per-query) and
-//! a [`TileGenerator`] (warp-per-tile): slot decoding, per-query candidate
-//! iteration, per-round scratch state, tile construction, and which
-//! [`DeviceSegments`](crate::DeviceSegments) scan a tile's tag selects.
-//! Everything else — result/redo buffers, downloads, ledger charges and
-//! report totals — lives here once. A warp's (or tile's) comparison count
-//! rides in its staged state with its matches and is summed in the ordered
-//! epilogue, which runs one warp at a time (a plain `u64`, the epilogue
-//! being one `FnMut`), so no kernel body writes a counter that other host
-//! workers share.
+//! A method plugs in a [`CandidateGenerator`] and a [`TileGenerator`]: slot
+//! decoding, per-query candidate iteration, per-round scratch state, tile
+//! construction, and which [`DeviceSegments`](crate::DeviceSegments) scan a
+//! tile's tag selects. A warp's (or tile's) comparison count rides in its
+//! staged state and is summed in the ordered epilogue, which runs one warp
+//! at a time, so no kernel body writes a counter other host workers share.
 
 use crate::segments::DeviceQueries;
 use std::sync::Arc;
 use tdts_geom::{MatchRecord, PreparedQuery, TimeInterval};
 use tdts_gpu_sim::{
-    Device, DeviceBuffer, HostWork, Lane, NextBatch, RedoSchedule, SearchError, SearchReport, Tile,
-    Warp, WarpStash, MAX_WARP_LANES,
+    Device, DeviceBuffer, HostWork, Lane, LaunchReport, LoadBalance, NextBatch, RedoSchedule,
+    ResultBuffer, SearchError, SearchReport, Tile, Warp, WarpStash, MAX_WARP_LANES,
 };
 
 /// Instruction cost of reading a schedule entry / index arithmetic.
@@ -48,8 +43,9 @@ pub const SCHEDULE_INSTR: u64 = 4;
 pub struct LaneWork {
     /// Refinement comparisons performed (the report's `comparisons`).
     pub compared: u64,
-    /// Bytes of candidate-buffer writes to flush as coalesced traffic in
-    /// the warp epilogue (only `GPUSpatial`'s `U_k` gather uses this).
+    /// Bytes of candidate-buffer writes, which the driver flushes as one
+    /// coalesced warp write per warp before its result commit (only
+    /// `GPUSpatial`'s `U_k` gather stages any).
     pub scratch_bytes: u64,
 }
 
@@ -63,16 +59,11 @@ pub trait CandidateGenerator: Sync {
     /// Allocate per-round state before each launch over `batch_len` queries.
     fn begin_round(&self, batch_len: usize) -> Result<Self::Round, SearchError>;
 
-    /// Threads to launch in the first round (defaults to one per query;
-    /// GPUSpatioTemporal launches one per padded execution-order slot).
-    fn first_round_threads(&self, n_queries: usize) -> usize {
-        n_queries
-    }
-
-    /// Fetch the lane's execution slot in the first round (redo rounds read
-    /// from the uploaded redo-id buffer instead).
-    fn first_round_slot(&self, lane: &mut Lane) -> u32 {
-        lane.global_id as u32
+    /// The first round's slots, one thread each, read as a redo round's
+    /// ids are; `None` (the default) runs query `i` on thread `i`.
+    /// GPUSpatioTemporal launches its padded execution order.
+    fn first_round_slots(&self) -> Option<&DeviceBuffer<u32>> {
+        None
     }
 
     /// Decode a slot into a query id, or `None` for a padding lane that
@@ -93,12 +84,9 @@ pub trait CandidateGenerator: Sync {
         round: &Self::Round,
     ) -> LaneWork;
 
-    /// Warp hook, run after the lanes and *before* the stash commit.
-    /// `GPUSpatial` flushes its staged candidate-buffer bytes here.
-    fn end_warp(&self, _warp: &mut Warp, _round: &Self::Round, _scratch_bytes: u64) {}
-
-    /// The error when a single query cannot complete even alone in a batch.
-    fn stuck_error(&self, _round: &Self::Round, result_capacity: usize) -> SearchError {
+    /// The error when a single query cannot complete even alone in a batch;
+    /// the last round's state names the cause.
+    fn stuck_error(&self, result_capacity: usize) -> SearchError {
         SearchError::ResultCapacityTooSmall { capacity: result_capacity }
     }
 }
@@ -112,9 +100,7 @@ pub trait TileGenerator: Sync {
 
     /// Per-tile setup instruction charge (broadcast decode, MBB setup, …),
     /// converged at warp scope.
-    fn tile_setup_instr(&self) -> u64 {
-        SCHEDULE_INSTR
-    }
+    const TILE_SETUP_INSTR: u64 = SCHEDULE_INSTR;
 
     /// Refine the whole `tile` against its prepared query `q` on the
     /// warp's lanes — one scan, candidate `j` of the tile on lane
@@ -135,49 +121,113 @@ pub trait TileGenerator: Sync {
     ) -> u64;
 }
 
-/// Run the thread-per-query protocol to completion. Returns the raw
-/// (sorted-position, undeduplicated) matches and the comparison count;
-/// the driver deduplicates them.
+/// The redo-round loop both kernel shapes share. `launch` runs one round
+/// over every query (`None`) or the redo ids, committing into the result
+/// and redo buffers, and returns the launch and its comparison count;
+/// `stuck` names the error when a lone query cannot complete. Returns the
+/// raw (sorted-position, undeduplicated) matches.
+fn run_rounds<L>(
+    device: &Arc<Device>,
+    n_queries: usize,
+    result_capacity: usize,
+    redo_capacity: usize,
+    report: &mut SearchReport,
+    stuck: impl FnOnce() -> SearchError,
+    mut launch: L,
+) -> Result<Vec<MatchRecord>, SearchError>
+where
+    L: FnMut(
+        Option<Vec<u32>>,
+        &ResultBuffer<MatchRecord>,
+        &ResultBuffer<u32>,
+    ) -> Result<(LaunchReport, u64), SearchError>,
+{
+    let mut results = device.alloc_result::<MatchRecord>(result_capacity)?;
+    let mut redo = device.alloc_result::<u32>(redo_capacity)?;
+
+    let mut matches: Vec<MatchRecord> = Vec::new();
+    let mut ids = None; // None = all queries
+    let mut batch_len = n_queries;
+    let mut redo_schedule = RedoSchedule::default();
+
+    loop {
+        let (round, compared) = launch(ids.take(), &results, &redo)?;
+        report.comparisons += compared;
+        report.divergent_warps += round.divergent_warps as u64;
+        report.totals.add(&round.totals);
+        report.load.merge(&LoadBalance::from(&round));
+
+        let produced = results.len();
+        device.charge_download(produced * std::mem::size_of::<MatchRecord>());
+        matches.extend(results.drain_to_host());
+        let redo_ids = redo.drain_to_host();
+        device.charge_download(redo_ids.len() * std::mem::size_of::<u32>());
+
+        match redo_schedule.next(redo_ids, batch_len) {
+            NextBatch::Done => break,
+            NextBatch::Stuck => return Err(stuck()),
+            NextBatch::Ids(next) => {
+                report.redo_rounds += 1;
+                batch_len = next.len();
+                ids = Some(next);
+            }
+        }
+    }
+    Ok(matches)
+}
+
+/// Run the thread-per-query protocol to completion: a redo round uploads
+/// its ids and launches one thread per id.
 pub(crate) fn run_thread_per_query<G: CandidateGenerator>(
     device: &Arc<Device>,
     generator: &G,
     n_queries: usize,
     result_capacity: usize,
     report: &mut SearchReport,
-) -> Result<(Vec<MatchRecord>, u64), SearchError> {
-    let mut results = device.alloc_result::<MatchRecord>(result_capacity)?;
-    let mut redo = device.alloc_result::<u32>(n_queries)?;
-
-    let mut matches: Vec<MatchRecord> = Vec::new();
+) -> Result<Vec<MatchRecord>, SearchError> {
     let mut batch: Option<DeviceBuffer<u32>> = None; // None = all queries
-    let mut batch_len = n_queries;
-    let mut launch_threads = generator.first_round_threads(n_queries);
-    let mut redo_schedule = RedoSchedule::new();
-    let mut comparisons = 0u64;
-
-    loop {
-        let round = generator.begin_round(batch_len)?;
+    let mut round = None;
+    let slots = n_queries; // redo slots: one per query
+    let stuck = || generator.stuck_error(result_capacity);
+    run_rounds(device, n_queries, result_capacity, slots, report, stuck, |ids, results, redo| {
+        let batch_len = match ids {
+            None => n_queries,
+            Some(ids) => {
+                let len = ids.len();
+                batch = Some(device.upload(ids)?);
+                len
+            }
+        };
+        // The last round's state goes only after the next round's ids are
+        // on the device, then this round's is allocated.
+        round = None;
+        let round = &*round.insert(generator.begin_round(batch_len)?);
+        let order = batch.as_ref().or(generator.first_round_slots());
+        let threads = order.map_or(n_queries, DeviceBuffer::len);
+        let mut comparisons = 0u64;
         let launch = device.launch_warps_ordered(
-            launch_threads,
+            threads,
             |warp| {
                 let mut stash = results.warp_stash();
                 let mut qids = [0u32; MAX_WARP_LANES];
                 let mut scratch_bytes = 0u64;
                 let mut compared = 0u64;
                 warp.for_each_lane(|lane| {
-                    let slot = match &batch {
-                        None => generator.first_round_slot(lane),
+                    let slot = match order {
+                        None => lane.global_id as u32,
                         Some(ids) => ids.read(lane, lane.global_id),
                     };
                     let Some(qid) = generator.decode_slot(lane, slot) else {
                         return;
                     };
                     qids[lane.lane_index()] = qid;
-                    let work = generator.run_query(lane, qid, &mut stash, &round);
+                    let work = generator.run_query(lane, qid, &mut stash, round);
                     scratch_bytes += work.scratch_bytes;
                     compared += work.compared;
                 });
-                generator.end_warp(warp, &round, scratch_bytes);
+                // The lanes' staged scratch chunks go out as coalesced
+                // traffic before the result commit.
+                warp.gmem_write(scratch_bytes);
                 (stash, qids, compared)
             },
             // Warp epilogue, in warp order: the comparison count, one cursor
@@ -197,36 +247,17 @@ pub(crate) fn run_thread_per_query<G: CandidateGenerator>(
                 }
             },
         );
-        report.divergent_warps += launch.divergent_warps as u64;
-        report.totals.add(&launch.totals);
-        report.load.add_launch(&launch);
-
-        let produced = results.len();
-        device.charge_download(produced * std::mem::size_of::<MatchRecord>());
-        matches.extend(results.drain_to_host());
-        let redo_ids = redo.drain_to_host();
-        device.charge_download(redo_ids.len() * std::mem::size_of::<u32>());
-
-        match redo_schedule.next(redo_ids, batch_len) {
-            NextBatch::Done => break,
-            NextBatch::Stuck => return Err(generator.stuck_error(&round, result_capacity)),
-            NextBatch::Ids(ids) => {
-                report.redo_rounds += 1;
-                batch_len = ids.len();
-                launch_threads = ids.len();
-                batch = Some(device.upload(ids)?);
-            }
-        }
-    }
-    Ok((matches, comparisons))
+        Ok((launch, comparisons))
+    })
 }
 
 /// Run the warp-per-tile protocol to completion. Tile decomposition runs on
-/// the host once per round (charged); each warp reads its tile's query once
-/// through the leader, broadcasts it, and prepares it once for the whole
-/// tile; the warp then scans the tile once, each lane charged its share
+/// the host once per round (charged; a redo round re-cuts the redo ids'
+/// tiles); each warp reads its tile's query once through the leader,
+/// broadcasts it, and prepares it once for the whole tile; the warp then
+/// scans the tile once, each lane charged its share
 /// ([`TileGenerator::refine_tile`]) against the query prepared at distance
-/// `d`. Returns the raw matches and the comparison count.
+/// `d`.
 pub(crate) fn run_warp_per_tile<G: TileGenerator>(
     device: &Arc<Device>,
     generator: &G,
@@ -235,10 +266,9 @@ pub(crate) fn run_warp_per_tile<G: TileGenerator>(
     n_queries: usize,
     result_capacity: usize,
     report: &mut SearchReport,
-) -> Result<(Vec<MatchRecord>, u64), SearchError> {
+) -> Result<Vec<MatchRecord>, SearchError> {
     let tile_size = device.config().tile_size;
-
-    let build_tiles = |ids: Option<&[u32]>| -> Vec<Tile> {
+    let cut = |ids: Option<&[u32]>| -> Vec<Tile> {
         let mut tiles = Vec::new();
         let mut push = |qid: u32| generator.push_tiles(&mut tiles, qid, tile_size);
         match ids {
@@ -249,19 +279,18 @@ pub(crate) fn run_warp_per_tile<G: TileGenerator>(
         tiles
     };
 
-    let mut tiles = build_tiles(None);
-    let mut results = device.alloc_result::<MatchRecord>(result_capacity)?;
-    // Each tile stages at most one redo id (its query); the first round has
-    // the most tiles, later rounds cover subsets of its queries.
-    let mut redo = device.alloc_result::<u32>(tiles.len().max(1))?;
-
-    let mut matches: Vec<MatchRecord> = Vec::new();
-    let mut batch_len = n_queries;
-    let mut redo_schedule = RedoSchedule::new();
-    let mut comparisons = 0u64;
-
-    loop {
+    let mut tiles = cut(None);
+    // Redo slots: each tile stages at most one redo id (its query); the
+    // first round has the most tiles, later rounds cover subsets of its
+    // queries.
+    let slots = tiles.len().max(1);
+    let stuck = || SearchError::ResultCapacityTooSmall { capacity: result_capacity };
+    run_rounds(device, n_queries, result_capacity, slots, report, stuck, |ids, results, redo| {
+        if let Some(ids) = ids {
+            tiles = cut(Some(&ids));
+        }
         let queue = device.work_queue(std::mem::take(&mut tiles))?;
+        let mut comparisons = 0u64;
         let launch = device.launch_persistent_ordered(
             &queue,
             // Each host worker stages its tiles' matches in one stash.
@@ -271,7 +300,7 @@ pub(crate) fn run_warp_per_tile<G: TileGenerator>(
                 // The warp leader reads the tile's query once and broadcasts
                 // it (__shfl_sync analogue): converged charges, one row.
                 let q = PreparedQuery::new(&queries.broadcast(warp, tile.query as usize), d);
-                warp.instr(generator.tile_setup_instr());
+                warp.instr(G::TILE_SETUP_INSTR);
                 let compared =
                     generator.refine_tile(warp, &tile, &q, |lane, entry_pos, interval| {
                         stash.stage(lane, MatchRecord::new(tile.query, entry_pos, interval))
@@ -291,29 +320,6 @@ pub(crate) fn run_warp_per_tile<G: TileGenerator>(
                 }
             },
         );
-        report.divergent_warps += launch.divergent_warps as u64;
-        report.totals.add(&launch.totals);
-        report.load.add_launch(&launch);
-
-        let produced = results.len();
-        device.charge_download(produced * std::mem::size_of::<MatchRecord>());
-        matches.extend(results.drain_to_host());
-        // Several tiles of one query may each report the overflow; the redo
-        // schedule collapses them.
-        let redo_ids = redo.drain_to_host();
-        device.charge_download(redo_ids.len() * std::mem::size_of::<u32>());
-
-        match redo_schedule.next(redo_ids, batch_len) {
-            NextBatch::Done => break,
-            NextBatch::Stuck => {
-                return Err(SearchError::ResultCapacityTooSmall { capacity: result_capacity })
-            }
-            NextBatch::Ids(ids) => {
-                report.redo_rounds += 1;
-                batch_len = ids.len();
-                tiles = build_tiles(Some(&ids));
-            }
-        }
-    }
-    Ok((matches, comparisons))
+        Ok((launch, comparisons))
+    })
 }

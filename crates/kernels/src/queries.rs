@@ -1,6 +1,6 @@
 //! Query-set preprocessing shared by the temporally-sorted drivers.
 
-use tdts_geom::{MatchRecord, Segment, SegmentStore};
+use tdts_geom::{t_start_order, MatchRecord, Segment, SegmentStore};
 
 /// A query set sorted by non-decreasing `t_start`, with the permutation
 /// back to original positions (results are reported against the caller's
@@ -15,13 +15,10 @@ pub struct SortedQueries {
 }
 
 impl SortedQueries {
-    /// Sort a query store by `t_start` (stable). Uses IEEE total order, so
-    /// a NaN timestamp sorts to the end instead of aborting the search.
+    /// Sort a query store by `t_start` in the order a database is sorted
+    /// in ([`t_start_order`]: stable, signed zeros tied, NaN last).
     pub fn from_store(queries: &SegmentStore) -> SortedQueries {
-        let mut order: Vec<u32> = (0..queries.len() as u32).collect();
-        order.sort_by(|&a, &b| {
-            queries.get(a as usize).t_start.total_cmp(&queries.get(b as usize).t_start)
-        });
+        let order = t_start_order(queries.segments());
         let segments = order.iter().map(|&i| *queries.get(i as usize)).collect();
         SortedQueries { segments, original_pos: order }
     }

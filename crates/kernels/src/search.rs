@@ -11,7 +11,7 @@ use std::sync::Arc;
 use tdts_geom::{
     dedup_matches, AppendDelta, ExpireDelta, MatchRecord, Segment, SegmentStore, StoreStats,
 };
-use tdts_gpu_sim::{Device, DeviceConfig, HostWork, KernelShape, SearchError, SearchReport};
+use tdts_gpu_sim::{Device, HostWork, KernelShape, SearchError, SearchReport};
 
 /// What one GPU method contributes to [`GpuSearch`].
 ///
@@ -28,10 +28,8 @@ pub trait Scheme: Sized + 'static {
     const SORTS_QUERIES: bool;
     /// Index and search parameters.
     type Config: Copy + Send + Sync + 'static;
-    /// The host-side index.
+    /// The index, with whatever arrays of it are resident on the device.
     type Index: Send + Sync + 'static;
-    /// The index arrays resident on the device beside the entries.
-    type Arrays: Send + Sync + 'static;
     /// The host-side plan for one query batch.
     type Plan: Send + Sync + 'static;
     /// Thread-per-query candidate generation over a plan.
@@ -46,29 +44,27 @@ pub trait Scheme: Sized + 'static {
         store: &SegmentStore,
         stats: &StoreStats,
         config: &Self::Config,
-    ) -> Result<(Self::Index, Self::Arrays), SearchError>;
+    ) -> Result<Self::Index, SearchError>;
 
-    /// Extend `index` and its device `arrays` over store entries `from..`.
+    /// Extend `index` and its device arrays over store entries `from..`.
     fn ingest(
         index: &mut Self::Index,
-        arrays: &mut Self::Arrays,
         device: &Arc<Device>,
         store: &SegmentStore,
         from: usize,
     ) -> Result<(), SearchError>;
 
     /// Drop the entries `delta` removed from `store` from `index` and its
-    /// device `arrays`.
+    /// device arrays.
     fn expire(
         index: &mut Self::Index,
-        arrays: &mut Self::Arrays,
         device: &Arc<Device>,
         store: &SegmentStore,
         delta: &ExpireDelta,
     ) -> Result<(), SearchError>;
 
     /// Plan a batch: `queries` (sorted when [`SORTS_QUERIES`]) at distance
-    /// `d` under kernel `shape` on a device configured as `device`.
+    /// `d` under kernel `shape`.
     ///
     /// [`SORTS_QUERIES`]: Scheme::SORTS_QUERIES
     fn plan(
@@ -76,7 +72,6 @@ pub trait Scheme: Sized + 'static {
         queries: &[Segment],
         d: f64,
         shape: KernelShape,
-        device: &DeviceConfig,
     ) -> Self::Plan;
 
     /// Queries the plan sends to the temporal fallback (the report's
@@ -104,7 +99,7 @@ pub trait Scheme: Sized + 'static {
 /// batch's own device handle (uploads charge its ledger), the uploaded `Q`
 /// and the distance `d`.
 pub struct Batch<'a, S: Scheme> {
-    /// The resident index, device arrays and entries.
+    /// The resident index and entries.
     pub search: &'a GpuSearch<S>,
     /// The search's handle on the device, with its own ledger.
     pub device: &'a Arc<Device>,
@@ -114,8 +109,8 @@ pub struct Batch<'a, S: Scheme> {
     pub d: f64,
 }
 
-/// A GPU search method: the scheme's index and device arrays, and the
-/// entry database, resident on one device.
+/// A GPU search method: the scheme's index and the entry database,
+/// resident on one device.
 ///
 /// Constructing it sorts nothing and transfers the database *offline* (the
 /// paper stores `D` and the index on the GPU before the timed search).
@@ -123,7 +118,6 @@ pub struct GpuSearch<S: Scheme> {
     device: Arc<Device>,
     config: S::Config,
     index: S::Index,
-    arrays: S::Arrays,
     entries: DeviceSegments,
     generation: u64,
 }
@@ -149,19 +143,14 @@ impl<S: Scheme> GpuSearch<S> {
         stats: &StoreStats,
         config: S::Config,
     ) -> Result<GpuSearch<S>, SearchError> {
-        let (index, arrays) = S::build(&device, store, stats, &config)?;
+        let index = S::build(&device, store, stats, &config)?;
         let entries = DeviceSegments::alloc(&device, store.segments())?;
-        Ok(GpuSearch { device, config, index, arrays, entries, generation: store.generation() })
+        Ok(GpuSearch { device, config, index, entries, generation: store.generation() })
     }
 
-    /// The host-side index.
+    /// The index.
     pub fn index(&self) -> &S::Index {
         &self.index
-    }
-
-    /// The index arrays resident on the device.
-    pub fn arrays(&self) -> &S::Arrays {
-        &self.arrays
     }
 
     /// The entry database resident on the device.
@@ -201,7 +190,7 @@ impl<S: Scheme> GpuSearch<S> {
         }
         let tail = &store.segments()[delta.from..];
         let mut rows = self.device.reserve(DeviceSegments::bytes_for(tail.len()))?;
-        S::ingest(&mut self.index, &mut self.arrays, &self.device, store, delta.from)?;
+        S::ingest(&mut self.index, &self.device, store, delta.from)?;
         self.entries.extend(tail, &mut rows);
         self.generation = delta.generation;
         Ok(())
@@ -219,7 +208,7 @@ impl<S: Scheme> GpuSearch<S> {
                 self.entries.len()
             )));
         }
-        S::expire(&mut self.index, &mut self.arrays, &self.device, store, delta)?;
+        S::expire(&mut self.index, &self.device, store, delta)?;
         self.entries.remove_positions(&delta.removed);
         self.generation = delta.generation;
         Ok(())
@@ -262,7 +251,7 @@ impl<S: Scheme> GpuSearch<S> {
             device.charge_host(HostWork::SortQueries(queries.len()));
         }
         let segments = sorted.as_deref().unwrap_or(queries.segments());
-        let plan = S::plan(self, segments, d, shape, device.config());
+        let plan = S::plan(self, segments, d, shape);
         device.charge_host(HostWork::PlanEntries(S::plan_entries(&plan)));
         report.fallback_queries = S::fallback_queries(&plan);
 
@@ -275,7 +264,7 @@ impl<S: Scheme> GpuSearch<S> {
         let uploaded = DeviceQueries::upload(&device, segments)?;
         let batch = Batch { search: self, device: &device, queries: &uploaded, d };
         let n = segments.len();
-        let (mut matches, comparisons) = match shape {
+        let mut matches = match shape {
             KernelShape::WarpPerTile => {
                 let tiles = S::tiles(batch, &plan);
                 run_warp_per_tile(&device, &tiles, &uploaded, d, n, result_capacity, &mut report)?
@@ -295,7 +284,6 @@ impl<S: Scheme> GpuSearch<S> {
         }
         device.charge_host(HostWork::DedupRecords(matches.len()));
         dedup_matches(&mut matches);
-        report.comparisons = comparisons;
         report.matches = matches.len() as u64;
         report.response = device.ledger();
         report.sanitizer_findings = device.sanitizer_checkpoint();
