@@ -7,7 +7,7 @@
 //! ```
 
 use tdts_bench::{names, run, select, RunConfig};
-use tdts_geom::{scan_isa, PartitionStrategy};
+use tdts_geom::scan_isa;
 use tdts_gpu_sim::{KernelShape, SanitizerMode};
 
 const OPTIONS: &str = "  --list              print the target names and exit
@@ -17,8 +17,7 @@ const OPTIONS: &str = "  --list              print the target names and exit
   --tile-size <n>     work-queue tile size in candidate entries (default 128;
                       used by warp-per-tile kernels)
   --shards <n>        simulated devices the entry database is partitioned
-                      across (default 1 = unsharded)
-  --partition <s>     temporal (default) | spatial-grid slab orientation
+                      across in temporal slabs (default 1 = unsharded)
   --sanitizer <m>     off (default) | full: the shadow-state device
                       sanitizer. Findings abort the run.";
 
@@ -44,7 +43,6 @@ fn main() {
     let positive = |v: &str| v.parse().ok().filter(|&n| n > 0);
     let args = &mut std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let shard = &mut cfg.sharding;
         match arg.as_str() {
             "--list" => return names().iter().for_each(|name| println!("{name}")),
             "--scale" => {
@@ -63,10 +61,8 @@ fn main() {
             "--tile-size" => {
                 cfg.device.tile_size = value(args, "--tile-size", "a positive integer", positive)
             }
-            "--shards" => shard.shards = value(args, "--shards", "a positive integer", positive),
-            "--partition" => {
-                let expects = "temporal or spatial-grid";
-                shard.partition = value(args, "--partition", expects, PartitionStrategy::parse);
+            "--shards" => {
+                cfg.sharding.shards = value(args, "--shards", "a positive integer", positive)
             }
             "--sanitizer" => {
                 cfg.device.sanitizer =
@@ -89,9 +85,8 @@ fn main() {
         cfg.device.name,
         scan_isa()
     );
-    let shard = cfg.sharding;
-    if shard.shards > 1 {
-        println!("# sharded: {} simulated devices, {} partition", shard.shards, shard.partition);
+    if cfg.sharding.shards > 1 {
+        println!("# sharded: {} simulated devices, temporal partition", cfg.sharding.shards);
     }
     for target in targets {
         // Configuration problems, sanitizer findings, diverging result sets

@@ -34,8 +34,8 @@ pub struct RunConfig {
     pub device: DeviceConfig,
     /// How the entry database is partitioned across simulated devices. With
     /// `shards > 1` every arm that does not set its own sharding becomes a
-    /// [`ShardedIndex`] fanning batches out to one device per slab; arms
-    /// that do set a shard count inherit the partition.
+    /// [`ShardedIndex`] fanning batches out to one device per temporal
+    /// slab.
     pub sharding: ShardedIndexConfig,
 }
 
@@ -56,8 +56,8 @@ impl Default for RunConfig {
 /// datasets).
 pub struct Target {
     pub name: &'static str,
-    /// `{tile}`, `{partition}` and `{n}` stand for the run's tile size, its
-    /// partition strategy and the dataset's |D|.
+    /// `{tile}` and `{n}` stand for the run's tile size and the dataset's
+    /// |D|.
     title: &'static str,
     data: Data,
     arms: fn(&Prepared, &RunConfig) -> Vec<Arm>,
@@ -192,7 +192,9 @@ impl Arm {
         Arm { base: Some(base), ..self }
     }
 
-    fn sharded(self, sharding: ShardedIndexConfig) -> Arm {
+    fn sharded(self, shards: usize) -> Arm {
+        let mut sharding = ShardedIndexConfig::default();
+        sharding.shards = shards;
         Arm { sharding: Some(sharding), ..self }
     }
 
@@ -418,7 +420,6 @@ fn print(
     let title = table
         .title
         .replace("{tile}", &cfg.device.tile_size.to_string())
-        .replace("{partition}", &cfg.sharding.partition.to_string())
         .replace("{n}", &p.dataset.store().len().to_string());
     if *last_title != title {
         println!("\n## {title}");
@@ -444,13 +445,6 @@ fn print(
         println!("{foot}");
     }
     Ok(())
-}
-
-/// `shards` devices under the run's partition.
-fn sharding(cfg: &RunConfig, shards: usize) -> ShardedIndexConfig {
-    let mut sharding = cfg.sharding;
-    sharding.shards = shards;
-    sharding
 }
 
 fn digest(matches: &[MatchRecord]) -> u64 {
@@ -546,13 +540,13 @@ fn per_subbins(p: &Prepared, vs: &[usize]) -> Vec<Arm> {
 
 /// GPUTemporal and GPUSpatioTemporal, each on 1/2/4/8 devices; every arm is
 /// compared against its method's single-device arm.
-fn sharding_arms(p: &Prepared, cfg: &RunConfig) -> Vec<Arm> {
+fn sharding_arms(p: &Prepared, _: &RunConfig) -> Vec<Arm> {
     let mut arms = Vec::new();
     for method in [temporal(p.params.temporal_bins), paper_spatiotemporal(p)] {
         let single = arms.len();
         for shards in [1, 2, 4, 8] {
             let label = format!("{} on {shards}", method.name());
-            let arm = Arm::new(label, method).sharded(sharding(cfg, shards));
+            let arm = Arm::new(label, method).sharded(shards);
             arms.push(if shards == 1 { arm } else { arm.vs(single) });
         }
     }
@@ -563,7 +557,7 @@ fn scaling_arms(shard_counts: &[usize], weak: bool, cfg: &RunConfig) -> Vec<Arm>
     let bins = Scenario::new(S2, cfg.scale).params().temporal_bins;
     let arm = |&shards: &usize| Arm {
         data: weak.then_some(Data::Merger16ths(shards)),
-        ..Arm::new(format!("{shards} shard(s)"), temporal(bins)).sharded(sharding(cfg, shards))
+        ..Arm::new(format!("{shards} shard(s)"), temporal(bins)).sharded(shards)
     };
     shard_counts.iter().map(arm).collect()
 }
@@ -857,12 +851,11 @@ pub const TARGETS: &[Target] = &[
     // the *slowest* shard plus the host merge. The 2x floor at 8 shards is
     // deliberately conservative: at harness scales the unsplittable costs
     // (query upload, launch overhead) weigh more than at paper scale. Each
-    // query goes only to the shards its reach interval touches — under
-    // temporal slabs its own [t0, t1], with no distance slack — so every
-    // 8-shard cell must skip some shard-queries.
+    // query goes only to the slabs its own [t0, t1] touches, with no
+    // distance slack, so every 8-shard cell must skip some shard-queries.
     Target {
         name: "ablation-sharding",
-        title: "Sharding ablation — 1..8 simulated devices, {partition} partition (S2 Merger)",
+        title: "Sharding ablation — 1..8 simulated devices, temporal partition (S2 Merger)",
         arms: sharding_arms,
         ds: Ds::FirstMidLast,
         cols: &[
@@ -900,7 +893,7 @@ pub const TARGETS: &[Target] = &[
     // Strong scaling: fixed |D|, 1..32 devices.
     Target {
         name: "scaling-sharding",
-        title: "Sharding scaling study — strong (fixed |D| = {n}, d = 0.5, {partition} partition)",
+        title: "Sharding scaling study — strong (fixed |D| = {n}, d = 0.5, temporal partition)",
         data: Data::Merger16ths(16),
         arms: |_, cfg| scaling_arms(&[1, 2, 4, 8, 16, 32], false, cfg),
         cols: &[
@@ -920,7 +913,7 @@ pub const TARGETS: &[Target] = &[
     Target {
         name: "scaling-sharding",
         title: "Sharding scaling study — weak (|D| grows with devices, d = 0.5, \
-                {partition} partition)",
+                temporal partition)",
         data: Data::Merger16ths(1),
         arms: |_, cfg| scaling_arms(&[1, 2, 4, 8, 16], true, cfg),
         cols: &[

@@ -184,8 +184,8 @@ impl SearchEngine {
     }
 
     /// Build `method` sharded across `sharding.shards` simulated devices
-    /// (each instantiated from `device_config`), per the tentpole
-    /// multi-device execution model in [`crate::sharding`]. With
+    /// (each instantiated from `device_config`), one temporal slab each,
+    /// as [`crate::sharding`] describes. With
     /// `sharding.shards == 1` this is a one-member [`ShardedIndex`]: the
     /// same results as [`SearchEngine::build`] on a fresh device.
     pub fn build_sharded(

@@ -1,15 +1,15 @@
 //! Sharded multi-device execution: one [`TrajectoryIndex`] over N devices.
 //!
 //! [`ShardedIndex`] partitions the entry database with
-//! [`ShardedStore`] into equal-width slabs (temporal slabs by default,
-//! spatial slabs as an alternative — boundary segments replicated so every
-//! shard is self-sufficient), builds one inner index per shard on its *own*
-//! simulated device, and routes each [`QueryBatch`]: it computes each
-//! query's *reach interval* against the [`ShardPlan`] slab geometry
+//! [`ShardedStore`] into equal-width temporal slabs (boundary segments
+//! replicated so every shard is self-sufficient), builds one inner index
+//! per shard on its *own* simulated device, and routes each
+//! [`QueryBatch`]: it takes each query's time span against the
+//! [`ShardPlan`] slab geometry
 //! ([`ShardPlan::reach_span`](tdts_geom::ShardPlan::reach_span)) and sends
-//! each shard only the sub-batch of queries whose reach touches its slab;
+//! each shard only the sub-batch of queries whose span touches its slab;
 //! shards no query can reach are never probed. Boundary replication is what
-//! makes this exact: every entry is resident in all slabs its extent
+//! makes this exact: every entry is resident in all slabs its time span
 //! touches, so probing exactly the reach span loses nothing, and the usual
 //! merge dedup collapses the straddler duplicates.
 //!
@@ -67,33 +67,26 @@ use crate::traits::{QueryBatch, SearchOutcome, TrajectoryIndex};
 ///
 /// ```
 /// use tdts_core::ShardedIndexConfig;
-/// use tdts_geom::PartitionStrategy;
 ///
-/// let cfg = ShardedIndexConfig::builder()
-///     .shards(8)
-///     .partition(PartitionStrategy::Temporal)
-///     .build()
-///     .unwrap();
+/// let cfg = ShardedIndexConfig::builder().shards(8).build().unwrap();
 /// assert_eq!(cfg.shards, 8);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ShardedIndexConfig {
-    /// Number of slabs to split the store into (≥ 1). Empty slabs are
-    /// skipped, so fewer devices than `shards` may be instantiated.
+    /// Number of temporal slabs to split the store into (≥ 1). Empty slabs
+    /// are skipped, so fewer devices than `shards` may be instantiated.
     pub shards: usize,
-    /// Slab orientation (temporal by default).
-    pub partition: PartitionStrategy,
 }
 
 impl Default for ShardedIndexConfig {
     fn default() -> Self {
-        ShardedIndexConfig { shards: 1, partition: PartitionStrategy::default() }
+        ShardedIndexConfig { shards: 1 }
     }
 }
 
 impl ShardedIndexConfig {
-    /// Start a builder seeded with the defaults (1 shard, temporal slabs).
+    /// Start a builder seeded with the default of 1 shard.
     pub fn builder() -> ShardedIndexConfigBuilder {
         ShardedIndexConfigBuilder { cfg: ShardedIndexConfig::default() }
     }
@@ -109,12 +102,6 @@ impl ShardedIndexConfigBuilder {
     /// Number of slabs to split the store into (≥ 1).
     pub fn shards(mut self, shards: usize) -> Self {
         self.cfg.shards = shards;
-        self
-    }
-
-    /// Slab orientation.
-    pub fn partition(mut self, partition: PartitionStrategy) -> Self {
-        self.cfg.partition = partition;
         self
     }
 
@@ -136,19 +123,6 @@ struct ShardMember {
     index: Box<dyn TrajectoryIndex>,
     to_global: Arc<Vec<u32>>,
     entries: usize,
-    replicated: usize,
-}
-
-/// Cumulative per-shard work, accumulated across searches.
-#[derive(Debug, Clone, Copy, Default)]
-struct ShardCounters {
-    searches: u64,
-    response_seconds: f64,
-    comparisons: u64,
-    raw_matches: u64,
-    queries_routed: u64,
-    queries_skipped: u64,
-    budget_redos: u64,
 }
 
 /// A point-in-time view of one shard's configuration and its work since the
@@ -159,7 +133,7 @@ struct ShardCounters {
 pub struct ShardStats {
     /// Slab id in the shard plan.
     pub shard: usize,
-    /// Lower edge of this shard's slab (axis units of the plan strategy).
+    /// Lower edge of this shard's slab in time.
     pub slab_lo: f64,
     /// Upper edge of this shard's slab.
     pub slab_hi: f64,
@@ -175,11 +149,10 @@ pub struct ShardStats {
     pub comparisons: u64,
     /// Result records this shard produced before cross-shard dedup.
     pub raw_matches: u64,
-    /// Queries dispatched to this shard: those whose reach interval
-    /// touched this slab.
+    /// Queries dispatched to this shard: those whose time span touched
+    /// this slab.
     pub queries_routed: u64,
-    /// Queries whose reach interval missed this slab (never dispatched
-    /// here).
+    /// Queries whose time span missed this slab (never dispatched here).
     pub queries_skipped: u64,
     /// Searches re-run at full result capacity after this shard's routed
     /// budget share proved too small.
@@ -191,8 +164,8 @@ pub struct ShardStats {
 /// accounting model.
 pub struct ShardedIndex {
     /// What every rebuild repeats: the inner method, the device each member
-    /// is created from, and the requested shard count and partition
-    /// (instantiated members may be fewer when slabs come up empty).
+    /// is created from, and the requested shard count (instantiated members
+    /// may be fewer when slabs come up empty).
     method: Method,
     device_config: DeviceConfig,
     config: ShardedIndexConfig,
@@ -208,14 +181,15 @@ pub struct ShardedIndex {
     generation: u64,
     /// Cumulative across rebuilds, unlike the per-shard counters.
     duplicates_dropped: AtomicU64,
-    counters: Mutex<Vec<ShardCounters>>,
+    /// One record per member, seeded with its slab and entries at build
+    /// and updated once per search.
+    stats: Mutex<Vec<ShardStats>>,
 }
 
 impl std::fmt::Debug for ShardedIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedIndex")
             .field("method", &self.method.name())
-            .field("partition", &self.plan.strategy)
             .field("shards", &self.members.len())
             .field("requested_shards", &self.config.shards)
             .field("resident_entries", &self.resident_entries())
@@ -224,7 +198,7 @@ impl std::fmt::Debug for ShardedIndex {
 }
 
 /// Work a single shard contributed to one batch search, staged before the
-/// counters lock is taken.
+/// stats lock is taken.
 #[derive(Clone, Copy, Default)]
 struct ShardWork {
     routed: u64,
@@ -270,7 +244,8 @@ impl ShardedIndex {
         device_config: &DeviceConfig,
         config: &ShardedIndexConfig,
     ) -> Result<ShardedIndex, TdtsError> {
-        let sharded = ShardedStore::partition(store, stats, config.shards, config.partition);
+        let sharded =
+            ShardedStore::partition(store, stats, config.shards, PartitionStrategy::Temporal);
         // The members build side by side on the host's cores (an index's
         // own parallel steps then run inline); the results come back in
         // shard order, so the first error is the first failing shard's.
@@ -286,21 +261,29 @@ impl ShardedIndex {
                 index,
                 to_global: Arc::clone(&slice.to_global),
                 entries: slice.store.len(),
-                replicated: slice.replicated,
             };
             Ok::<_, TdtsError>((member, device.mem_available()))
         });
         let mut members = Vec::with_capacity(built.len());
+        let mut shard_stats = Vec::with_capacity(built.len());
         let mut free_device_bytes = usize::MAX;
-        for result in built {
+        for (result, slice) in built.into_iter().zip(&sharded.slices) {
             let (member, free) = result?;
             free_device_bytes = free_device_bytes.min(free);
+            let (slab_lo, slab_hi) = sharded.plan.slab_bounds(slice.slab);
+            shard_stats.push(ShardStats {
+                shard: slice.slab,
+                slab_lo,
+                slab_hi,
+                entries: member.entries,
+                replicated: slice.replicated,
+                ..ShardStats::default()
+            });
             members.push(member);
         }
         if members.is_empty() {
             return Err(TdtsError::Search(SearchError::EmptyDataset));
         }
-        let counters = Mutex::new(vec![ShardCounters::default(); members.len()]);
         Ok(ShardedIndex {
             method,
             device_config: device_config.clone(),
@@ -311,7 +294,7 @@ impl ShardedIndex {
             free_device_bytes,
             generation: store.generation(),
             duplicates_dropped: AtomicU64::new(0),
-            counters,
+            stats: Mutex::new(shard_stats),
         })
     }
 
@@ -322,6 +305,7 @@ impl ShardedIndex {
     fn rebuild(&mut self, store: &Arc<SegmentStore>) -> Result<(), TdtsError> {
         let Some(stats) = store.stats() else {
             self.members.clear();
+            self.stats.get_mut().unwrap().clear();
             self.source_entries = 0;
             self.generation = store.generation();
             return Ok(());
@@ -341,16 +325,6 @@ impl ShardedIndex {
     /// Shard count requested at build time.
     pub fn requested_shards(&self) -> usize {
         self.config.shards
-    }
-
-    /// The partitioning strategy in effect.
-    pub fn partition(&self) -> PartitionStrategy {
-        self.plan.strategy
-    }
-
-    /// The slab geometry the shards were partitioned under.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
     }
 
     /// Total segments resident across shards, counting boundary replicas.
@@ -382,36 +356,15 @@ impl ShardedIndex {
     /// Per-shard configuration and work counters since the last
     /// re-partition.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        let counters = self.counters.lock().unwrap();
-        self.members
-            .iter()
-            .zip(counters.iter())
-            .map(|(m, c)| {
-                let (slab_lo, slab_hi) = self.plan.slab_bounds(m.slab);
-                ShardStats {
-                    shard: m.slab,
-                    slab_lo,
-                    slab_hi,
-                    entries: m.entries,
-                    replicated: m.replicated,
-                    searches: c.searches,
-                    response_seconds: c.response_seconds,
-                    comparisons: c.comparisons,
-                    raw_matches: c.raw_matches,
-                    queries_routed: c.queries_routed,
-                    queries_skipped: c.queries_skipped,
-                    budget_redos: c.budget_redos,
-                }
-            })
-            .collect()
+        self.stats.lock().unwrap().clone()
     }
 
     /// The per-shard sub-batches: for each member, the batch positions of
-    /// the queries whose reach interval touches its slab.
-    fn route(&self, queries: &SegmentStore, d: f64) -> Vec<Vec<u32>> {
+    /// the queries whose time span touches its slab.
+    fn route(&self, queries: &SegmentStore) -> Vec<Vec<u32>> {
         let mut routed: Vec<Vec<u32>> = vec![Vec::new(); self.members.len()];
         let reach: Vec<Option<(usize, usize)>> =
-            queries.iter().map(|q| self.plan.reach_span(q, d)).collect();
+            queries.iter().map(|q| self.plan.reach_span(q)).collect();
         for (mi, member) in self.members.iter().enumerate() {
             for (qi, span) in reach.iter().enumerate() {
                 if let Some((lo, hi)) = span {
@@ -453,7 +406,7 @@ impl ShardedIndex {
         // Dispatch. Device concurrency is *modeled*, not raced: the ledger
         // merge below takes the slowest probed shard's phase breakdown,
         // exactly as N real devices driven from one host would respond.
-        let subs = self.route(batch.queries, batch.d);
+        let subs = self.route(batch.queries);
 
         // Per-shard compacted sub-batches, budgeted result capacity,
         // full-capacity retry on budget misfits.
@@ -552,17 +505,14 @@ impl ShardedIndex {
         report.response.add(Phase::HostCompute, host);
 
         self.duplicates_dropped.fetch_add(dropped, Ordering::Relaxed);
-        {
-            let mut counters = self.counters.lock().unwrap();
-            for (c, w) in counters.iter_mut().zip(&work) {
-                c.searches += u64::from(w.routed > 0);
-                c.response_seconds += w.response_seconds;
-                c.comparisons += w.comparisons;
-                c.raw_matches += w.raw_matches as u64;
-                c.queries_routed += w.routed;
-                c.queries_skipped += w.skipped;
-                c.budget_redos += u64::from(w.budget_redo);
-            }
+        for (s, w) in self.stats.lock().unwrap().iter_mut().zip(&work) {
+            s.searches += u64::from(w.routed > 0);
+            s.response_seconds += w.response_seconds;
+            s.comparisons += w.comparisons;
+            s.raw_matches += w.raw_matches as u64;
+            s.queries_routed += w.routed;
+            s.queries_skipped += w.skipped;
+            s.budget_redos += u64::from(w.budget_redo);
         }
         Ok(SearchOutcome { matches: merged, report })
     }

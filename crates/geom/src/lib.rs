@@ -34,8 +34,8 @@
 //! * [`par`] — the host-parallel loop every crate runs its per-query
 //!   host work and the simulated GPU its warps on.
 //! * [`ShardedStore`] — the database partitioned into shard-local stores
-//!   (temporal or spatial slabs, boundary segments replicated) for
-//!   multi-device execution.
+//!   (temporal slabs, boundary segments replicated) for multi-device
+//!   execution.
 
 #![deny(unsafe_code)]
 

@@ -1,23 +1,20 @@
 //! Partitioning a segment database across multiple simulated devices.
 //!
-//! [`ShardPlan`] splits the extent of a store into `shards` equal-width
-//! slabs — temporal slabs by default ([`PartitionStrategy::Temporal`]), or
-//! slabs along the longest spatial axis ([`PartitionStrategy::SpatialGrid`])
-//! — and [`ShardedStore::partition`] materialises one shard-local
-//! [`SegmentStore`] per non-empty slab.
+//! [`ShardPlan`] splits the store's temporal extent into `shards`
+//! equal-width slabs, and [`ShardedStore::partition`] materialises one
+//! shard-local [`SegmentStore`] per non-empty slab.
 //!
-//! A segment whose extent straddles a slab boundary is **replicated** into
-//! every slab it touches, so each shard can answer any query exactly from
-//! local data alone; the resulting cross-shard duplicate matches carry
+//! A segment whose time span straddles a slab boundary is **replicated**
+//! into every slab it touches, so each shard can answer any query exactly
+//! from local data alone; the resulting cross-shard duplicate matches carry
 //! byte-identical intervals and are collapsed by
 //! [`dedup_matches`](crate::dedup_matches) at the merge point.
 //!
 //! Replication also makes *routing* sound: [`ShardPlan::reach_span`]
-//! computes the inclusive slab range a query can possibly find matches in
-//! (its own temporal extent for temporal slabs — no `d` slack, because a
-//! match requires temporal overlap; its axis extent widened by `±d` for
-//! spatial slabs). Any entry within distance `d` of the query at some
-//! shared instant is resident in at least one slab of that range, so a
+//! computes the inclusive slab range a query can possibly find matches in —
+//! the slabs of its own time span, with no `d` slack, because a match
+//! requires temporal overlap. Any entry within distance `d` of the query at
+//! some shared instant is resident in at least one slab of that range, so a
 //! dispatcher may skip every other shard without losing a single record.
 //!
 //! Each shard-local store is a position-ascending subsequence of the
@@ -27,83 +24,35 @@
 //! back to positions in the global store.
 
 use crate::{Segment, SegmentStore, StoreStats};
-use std::fmt;
 use std::sync::Arc;
 
-/// How a [`ShardPlan`] slices the store's extent.
+/// How a [`ShardPlan`] slices the store: temporal slabs, the one
+/// partition.
+///
+/// The type and the argument of [`ShardPlan::new`] and
+/// [`ShardedStore::partition`] that takes it select nothing. They stay
+/// because the benchmark package (`perfbench/`), which builds unedited
+/// against this API, passes `PartitionStrategy::Temporal` to
+/// [`ShardedStore::partition`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PartitionStrategy {
-    /// Slabs of the temporal extent (`[min t_start, max t_end]`). The
-    /// default: trajectory workloads advance in lock-step timesteps, so
-    /// temporal slabs balance well and replicate only the segments that
-    /// straddle a slab boundary in time.
+    /// Slabs of the temporal extent (`[min t_start, max t_end]`):
+    /// trajectory workloads advance in lock-step timesteps, so temporal
+    /// slabs balance well and replicate only the segments that straddle a
+    /// slab boundary in time.
     #[default]
     Temporal,
-    /// Slabs along the *longest* spatial axis of the store bounds. Useful
-    /// when trajectories are short-lived but spatially spread; can
-    /// replicate heavily when motion spans the chosen axis.
-    SpatialGrid,
 }
 
-impl PartitionStrategy {
-    /// Parse a CLI spelling; `None` for anything unrecognised.
-    pub fn parse(s: &str) -> Option<PartitionStrategy> {
-        match s {
-            "temporal" | "time" => Some(PartitionStrategy::Temporal),
-            "spatial" | "spatial-grid" | "grid" => Some(PartitionStrategy::SpatialGrid),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for PartitionStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            PartitionStrategy::Temporal => "temporal",
-            PartitionStrategy::SpatialGrid => "spatial-grid",
-        })
-    }
-}
-
-/// Slab axis and extent of a plan under `strategy`.
-fn plan_extent(stats: &StoreStats, strategy: PartitionStrategy) -> (usize, f64, f64) {
-    match strategy {
-        PartitionStrategy::Temporal => (0, stats.time_span.start, stats.time_span.end),
-        PartitionStrategy::SpatialGrid => {
-            let ext = stats.bounds.extent();
-            let mut axis = 0;
-            for dim in 1..3 {
-                if ext.coord(dim) > ext.coord(axis) {
-                    axis = dim;
-                }
-            }
-            (axis, stats.bounds.lo.coord(axis), stats.bounds.hi.coord(axis))
-        }
-    }
-}
-
-/// A segment's interval along the slab axis under `strategy`.
-fn axis_interval(seg: &Segment, strategy: PartitionStrategy, axis: usize) -> (f64, f64) {
-    match strategy {
-        PartitionStrategy::Temporal => (seg.t_start, seg.t_end),
-        PartitionStrategy::SpatialGrid => (seg.min_coord(axis), seg.max_coord(axis)),
-    }
-}
-
-/// The slab geometry of a partition: which axis is sliced and where every
-/// slab edge sits. All membership and routing questions reduce to
-/// [`ShardPlan::slab_of`], so partitioning and dispatch can never disagree
-/// about which slab a coordinate belongs to.
+/// The slab geometry of a partition: where every slab edge sits in time.
+/// All membership and routing questions reduce to [`ShardPlan::slab_of`],
+/// so partitioning and dispatch can never disagree about which slab an
+/// instant belongs to.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardPlan {
-    /// The partitioning strategy the slabs follow.
-    pub strategy: PartitionStrategy,
     /// Number of slabs (≥ 1). Slabs can end up empty; only non-empty ones
     /// become [`ShardSlice`]s.
     pub shards: usize,
-    /// Spatial axis being sliced (0 = x, 1 = y, 2 = z). Meaningful for
-    /// [`PartitionStrategy::SpatialGrid`] only.
-    pub axis: usize,
     /// Non-decreasing slab edges, `shards + 1` of them: slab `s` spans
     /// `[edges[s], edges[s + 1])` (the last slab is closed at the top by
     /// clamping in [`ShardPlan::slab_of`]).
@@ -111,16 +60,16 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// Slice the extent described by `stats` into `shards` equal-width
-    /// slabs.
-    pub fn new(stats: &StoreStats, shards: usize, strategy: PartitionStrategy) -> ShardPlan {
+    /// Slice `stats.time_span` into `shards` equal-width slabs. The
+    /// strategy is always [`PartitionStrategy::Temporal`].
+    pub fn new(stats: &StoreStats, shards: usize, _strategy: PartitionStrategy) -> ShardPlan {
         let shards = shards.max(1);
-        let (axis, lo, hi) = plan_extent(stats, strategy);
+        let (lo, hi) = (stats.time_span.start, stats.time_span.end);
         let span = hi - lo;
         let mut edges: Vec<f64> =
             (0..shards).map(|i| lo + span * i as f64 / shards as f64).collect();
         edges.push(hi);
-        ShardPlan { strategy, shards, axis, edges }
+        ShardPlan { shards, edges }
     }
 
     /// Lower edge of slab 0.
@@ -138,7 +87,7 @@ impl ShardPlan {
         self.hi() - self.lo()
     }
 
-    /// True when the extent is empty or non-finite: every coordinate then
+    /// True when the extent is empty or non-finite: every instant then
     /// maps to slab 0.
     pub fn is_degenerate(&self) -> bool {
         // `!is_finite()` first so a NaN span (empty extent) is degenerate
@@ -146,25 +95,25 @@ impl ShardPlan {
         !self.span().is_finite() || self.span() <= 0.0
     }
 
-    /// Inclusive range of slabs `seg` touches. A segment entirely inside
-    /// one slab yields `(s, s)`; a boundary straddler spans several and is
-    /// replicated into each by [`ShardedStore::partition`].
+    /// Inclusive range of slabs `seg`'s `[t_start, t_end]` touches. A
+    /// segment entirely inside one slab yields `(s, s)`; a boundary
+    /// straddler spans several and is replicated into each by
+    /// [`ShardedStore::partition`].
     pub fn slab_span(&self, seg: &Segment) -> (usize, usize) {
-        let (lo_v, hi_v) = axis_interval(seg, self.strategy, self.axis);
-        (self.slab_of(lo_v), self.slab_of(hi_v))
+        (self.slab_of(seg.t_start), self.slab_of(seg.t_end))
     }
 
-    /// The slab a coordinate falls in, clamped to `[0, shards - 1]` so
+    /// The slab an instant falls in, clamped to `[0, shards - 1]` so
     /// values at (or marginally past) the extent edges stay in range.
-    /// Non-decreasing in `v`, which is what makes routing sound: any
-    /// coordinate between two others maps to a slab between theirs.
-    pub fn slab_of(&self, v: f64) -> usize {
+    /// Non-decreasing in `t`, which is what makes routing sound: any
+    /// instant between two others maps to a slab between theirs.
+    pub fn slab_of(&self, t: f64) -> usize {
         if self.is_degenerate() {
             return 0;
         }
-        // Count the interior edges at or below v: slabs are closed on the
+        // Count the interior edges at or below t: slabs are closed on the
         // left, and a value past the top edge clamps into the last slab.
-        self.edges[1..self.shards].partition_point(|e| *e <= v)
+        self.edges[1..self.shards].partition_point(|e| *e <= t)
     }
 
     /// `[lo, hi)` extent of one slab (the last slab is closed at the top
@@ -173,36 +122,23 @@ impl ShardPlan {
         (self.edges[slab], self.edges[slab + 1])
     }
 
-    /// The axis interval a query at threshold `d` must be checked against.
+    /// Inclusive range of slabs a query can possibly find matches in at
+    /// any threshold, or `None` when its time span misses the plan extent
+    /// entirely (no entry can match; the dispatcher skips every shard).
     ///
-    /// * Temporal slabs: the query's own `[t_start, t_end]`, with **no**
-    ///   `d` slack. A match requires a shared instant `t`: the entry's
-    ///   time span contains `t`, so the entry is resident in `slab_of(t)`,
-    ///   and `t` lies inside the query's own extent.
-    /// * Spatial slabs: `[min − d, max + d]` along the sliced axis. At the
-    ///   shared instant the two positions are within Euclidean distance
-    ///   `d`, hence within `d` on every axis; the entry's axis extent
-    ///   therefore intersects the widened query interval.
-    pub fn reach_interval(&self, query: &Segment, d: f64) -> (f64, f64) {
-        let (lo_v, hi_v) = axis_interval(query, self.strategy, self.axis);
-        match self.strategy {
-            PartitionStrategy::Temporal => (lo_v, hi_v),
-            PartitionStrategy::SpatialGrid => (lo_v - d, hi_v + d),
-        }
-    }
-
-    /// Inclusive range of slabs a query can possibly find matches in, or
-    /// `None` when its reach interval misses the plan extent entirely (no
-    /// entry can match; the dispatcher skips every shard). Because each
-    /// entry is replicated into *every* slab its interval touches, probing
-    /// exactly the slabs of this range returns the same result set as
-    /// broadcasting to all of them — see the module docs.
-    pub fn reach_span(&self, query: &Segment, d: f64) -> Option<(usize, usize)> {
-        let (lo_v, hi_v) = self.reach_interval(query, d);
-        if hi_v < self.lo() || lo_v > self.hi() || hi_v < lo_v {
+    /// The reach is the query's own `[t_start, t_end]`, with **no** `d`
+    /// slack: a match requires a shared instant `t`, the entry's time span
+    /// contains `t`, so the entry is resident in `slab_of(t)`, and `t`
+    /// lies inside the query's own span. Because each entry is replicated
+    /// into *every* slab its span touches, probing exactly the slabs of
+    /// this range returns the same result set as broadcasting to all of
+    /// them.
+    pub fn reach_span(&self, query: &Segment) -> Option<(usize, usize)> {
+        let (lo, hi) = (query.t_start, query.t_end);
+        if hi < self.lo() || lo > self.hi() || hi < lo {
             return None;
         }
-        Some((self.slab_of(lo_v), self.slab_of(hi_v)))
+        Some((self.slab_of(lo), self.slab_of(hi)))
     }
 }
 
@@ -234,10 +170,10 @@ pub struct ShardedStore {
 }
 
 impl ShardedStore {
-    /// Partition `store` into at most `shards` equal-width shard-local
-    /// stores.
+    /// Partition `store` into at most `shards` equal-width temporal
+    /// slabs, one shard-local store each.
     ///
-    /// Every segment lands in every slab its extent touches, so the union
+    /// Every segment lands in every slab its time span touches, so the union
     /// of the slices covers the store exactly and each shard is
     /// self-sufficient for any query. Empty slabs produce no slice; the
     /// result always has at least one slice when the store is non-empty.
@@ -328,8 +264,7 @@ mod tests {
     }
 
     fn store() -> SegmentStore {
-        // Temporal extent [0, 4]; x extent [0, 8]; y, z much smaller so x
-        // is the longest axis.
+        // Temporal extent [0, 4].
         vec![
             seg(0.0, 0.5, 0.0, 1.0, 0),
             seg(0.5, 1.5, 2.0, 3.0, 1),
@@ -395,22 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn spatial_partition_slices_longest_axis() {
-        let s = store();
-        let stats = s.stats().unwrap();
-        let sharded = ShardedStore::partition(&s, &stats, 4, PartitionStrategy::SpatialGrid);
-        assert_eq!(sharded.plan.axis, 0, "x has the largest extent");
-        let mut seen = vec![false; s.len()];
-        for slice in &sharded.slices {
-            for &g in slice.to_global.iter() {
-                seen[g as usize] = true;
-            }
-        }
-        assert!(seen.iter().all(|&b| b));
-        assert!(sharded.slices.len() > 1);
-    }
-
-    #[test]
     fn degenerate_extent_collapses_to_one_slab() {
         let s: SegmentStore =
             vec![seg(1.0, 1.0, 0.0, 0.0, 0), seg(1.0, 1.0, 0.0, 0.0, 1)].into_iter().collect();
@@ -437,47 +356,20 @@ mod tests {
     }
 
     #[test]
-    fn strategy_parsing_round_trips() {
-        for s in [PartitionStrategy::Temporal, PartitionStrategy::SpatialGrid] {
-            assert_eq!(PartitionStrategy::parse(&s.to_string()), Some(s));
-        }
-        assert_eq!(PartitionStrategy::parse("time"), Some(PartitionStrategy::Temporal));
-        assert_eq!(PartitionStrategy::parse("grid"), Some(PartitionStrategy::SpatialGrid));
-        assert_eq!(PartitionStrategy::parse("bogus"), None);
-    }
-
-    #[test]
     fn reach_span_temporal_needs_no_slack() {
         let s = store();
         let stats = s.stats().unwrap();
         let plan = ShardPlan::new(&stats, 4, PartitionStrategy::Temporal);
         // Extent [0, 4], slab width 1. A query over [1.2, 1.8] reaches
-        // slab 1 only, regardless of d.
+        // slab 1 only, however far apart in space.
         let q = seg(1.2, 1.8, 0.0, 1.0, 9);
-        assert_eq!(plan.reach_span(&q, 1000.0), Some((1, 1)));
+        assert_eq!(plan.reach_span(&q), Some((1, 1)));
         // Touching the extent edge still routes (closed comparison).
         let edge = seg(-5.0, 0.0, 0.0, 1.0, 9);
-        assert_eq!(plan.reach_span(&edge, 1.0), Some((0, 0)));
+        assert_eq!(plan.reach_span(&edge), Some((0, 0)));
         // Entirely before/after the extent: no shard can match.
-        assert_eq!(plan.reach_span(&seg(-5.0, -0.1, 0.0, 1.0, 9), 1000.0), None);
-        assert_eq!(plan.reach_span(&seg(4.5, 9.0, 0.0, 1.0, 9), 1000.0), None);
-    }
-
-    #[test]
-    fn reach_span_spatial_expands_by_d() {
-        let s = store();
-        let stats = s.stats().unwrap();
-        let plan = ShardPlan::new(&stats, 4, PartitionStrategy::SpatialGrid);
-        // x extent [0, 8], slab width 2. A point-like query at x = 3
-        // reaches slab 1 at d = 0.5 but slabs 0..=2 at d = 1.5.
-        let q = seg(0.0, 1.0, 3.0, 3.0, 9);
-        assert_eq!(plan.reach_span(&q, 0.5), Some((1, 1)));
-        assert_eq!(plan.reach_span(&q, 1.5), Some((0, 2)));
-        // Far off-extent but within d of the edge: clamps into slab 0.
-        let far = seg(0.0, 1.0, -3.0, -3.0, 9);
-        assert_eq!(plan.reach_span(&far, 4.0), Some((0, 0)));
-        // Beyond d of the whole extent: unreachable.
-        assert_eq!(plan.reach_span(&far, 2.0), None);
+        assert_eq!(plan.reach_span(&seg(-5.0, -0.1, 0.0, 1.0, 9)), None);
+        assert_eq!(plan.reach_span(&seg(4.5, 9.0, 0.0, 1.0, 9)), None);
     }
 
     /// The routing soundness lemma, checked directly against the
@@ -493,25 +385,22 @@ mod tests {
             seg(0.0, 4.0, 0.0, 8.0, 52),
             seg(3.0, 3.6, 6.4, 7.1, 53),
         ];
-        for strategy in [PartitionStrategy::Temporal, PartitionStrategy::SpatialGrid] {
-            for shards in [1usize, 2, 3, 8] {
-                let plan = ShardPlan::new(&stats, shards, strategy);
-                for q in &queries {
-                    for d in [0.25, 1.0, 3.0] {
-                        for e in s.iter() {
-                            if within_distance(q, e, d).is_none() {
-                                continue;
-                            }
-                            let (rl, rh) = plan
-                                .reach_span(q, d)
-                                .expect("a matching query must reach some slab");
-                            let (el, eh) = plan.slab_span(e);
-                            assert!(
-                                rl <= eh && el <= rh,
-                                "{strategy} shards={shards} d={d}: entry \
-                                 slabs [{el},{eh}] outside reach [{rl},{rh}]"
-                            );
+        for shards in [1usize, 2, 3, 8] {
+            let plan = ShardPlan::new(&stats, shards, PartitionStrategy::Temporal);
+            for q in &queries {
+                for d in [0.25, 1.0, 3.0] {
+                    for e in s.iter() {
+                        if within_distance(q, e, d).is_none() {
+                            continue;
                         }
+                        let (rl, rh) =
+                            plan.reach_span(q).expect("a matching query must reach some slab");
+                        let (el, eh) = plan.slab_span(e);
+                        assert!(
+                            rl <= eh && el <= rh,
+                            "shards={shards} d={d}: entry slabs [{el},{eh}] outside reach \
+                             [{rl},{rh}]"
+                        );
                     }
                 }
             }

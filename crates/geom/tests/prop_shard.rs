@@ -28,19 +28,12 @@ fn arb_segment() -> impl Strategy<Value = Segment> {
         })
 }
 
-fn arb_inputs() -> impl Strategy<Value = (SegmentStore, usize, PartitionStrategy)> {
-    (proptest::collection::vec(arb_segment(), 1..64), 1usize..=8, 0usize..2).prop_map(
-        |(mut segs, shards, strategy_sel)| {
-            // The partitioner is always fed a prepared (t_start-sorted) store.
-            segs.sort_by(|a, b| a.t_start.total_cmp(&b.t_start));
-            let strategy = if strategy_sel == 0 {
-                PartitionStrategy::Temporal
-            } else {
-                PartitionStrategy::SpatialGrid
-            };
-            (SegmentStore::from_segments(segs), shards, strategy)
-        },
-    )
+fn arb_inputs() -> impl Strategy<Value = (SegmentStore, usize)> {
+    (proptest::collection::vec(arb_segment(), 1..64), 1usize..=8).prop_map(|(mut segs, shards)| {
+        // The partitioner is always fed a prepared (t_start-sorted) store.
+        segs.sort_by(|a, b| a.t_start.total_cmp(&b.t_start));
+        (SegmentStore::from_segments(segs), shards)
+    })
 }
 
 proptest! {
@@ -48,9 +41,9 @@ proptest! {
     /// accounting identity `total = source + replicated` holds.
     #[test]
     fn partition_covers_every_position(inputs in arb_inputs()) {
-        let (store, shards, strategy) = inputs;
+        let (store, shards) = inputs;
         let stats = store.stats().unwrap();
-        let sharded = ShardedStore::partition(&store, &stats, shards, strategy);
+        let sharded = ShardedStore::partition(&store, &stats, shards, PartitionStrategy::Temporal);
         let mut covered = vec![0usize; store.len()];
         for slice in &sharded.slices {
             for &g in slice.to_global.iter() {
@@ -68,9 +61,9 @@ proptest! {
     /// `replicated` count equals the number of multi-slab spans it holds.
     #[test]
     fn slices_preserve_order_and_content(inputs in arb_inputs()) {
-        let (store, shards, strategy) = inputs;
+        let (store, shards) = inputs;
         let stats = store.stats().unwrap();
-        let sharded = ShardedStore::partition(&store, &stats, shards, strategy);
+        let sharded = ShardedStore::partition(&store, &stats, shards, PartitionStrategy::Temporal);
         let plan = &sharded.plan;
         for slice in &sharded.slices {
             prop_assert_eq!(slice.store.len(), slice.to_global.len());
@@ -97,13 +90,13 @@ proptest! {
         }
     }
 
-    /// A segment appears in exactly the slabs its extent touches: its copy
+    /// A segment appears in exactly the slabs its time span touches: its copy
     /// count across slices equals its slab-span width.
     #[test]
     fn copy_count_equals_slab_span(inputs in arb_inputs()) {
-        let (store, shards, strategy) = inputs;
+        let (store, shards) = inputs;
         let stats = store.stats().unwrap();
-        let sharded = ShardedStore::partition(&store, &stats, shards, strategy);
+        let sharded = ShardedStore::partition(&store, &stats, shards, PartitionStrategy::Temporal);
         let mut copies = vec![0usize; store.len()];
         for slice in &sharded.slices {
             for &g in slice.to_global.iter() {
@@ -122,15 +115,15 @@ proptest! {
     }
 
     /// Slab geometry: `slab_of` stays clamped in range, agrees with
-    /// `slab_bounds`, and `slab_span` is consistent under either strategy.
+    /// `slab_bounds`, and `slab_span` is consistent.
     #[test]
     fn slab_geometry_is_consistent(
         inputs in arb_inputs(),
         probe in -200.0f64..300.0,
     ) {
-        let (store, shards, strategy) = inputs;
+        let (store, shards) = inputs;
         let stats = store.stats().unwrap();
-        let plan = ShardPlan::new(&stats, shards, strategy);
+        let plan = ShardPlan::new(&stats, shards, PartitionStrategy::Temporal);
         prop_assert_eq!(plan.edges.len(), plan.shards + 1);
         prop_assert!(plan.edges.windows(2).all(|w| w[0] <= w[1]));
         let slab = plan.slab_of(probe);
@@ -152,17 +145,17 @@ proptest! {
     /// Routing soundness: whenever the continuous predicate reports a
     /// match, the entry's slab span intersects the query's reach span —
     /// so a dispatcher probing only the reach span cannot lose a record,
-    /// for any strategy or shard count.
+    /// for any shard count.
     #[test]
     fn reach_span_covers_every_match(
         inputs in arb_inputs(),
         query in arb_segment(),
         d in 0.0f64..30.0,
     ) {
-        let (store, shards, strategy) = inputs;
+        let (store, shards) = inputs;
         let stats = store.stats().unwrap();
-        let plan = ShardPlan::new(&stats, shards, strategy);
-        let reach = plan.reach_span(&query, d);
+        let plan = ShardPlan::new(&stats, shards, PartitionStrategy::Temporal);
+        let reach = plan.reach_span(&query);
         if let Some((rl, rh)) = reach {
             prop_assert!(rl <= rh);
             prop_assert!(rh < plan.shards);

@@ -102,7 +102,8 @@ pub struct RoutingSummary {
     /// `shards × |Q|` here and 0 below.
     pub shard_queries_routed: u64,
     /// Shard-query pairs skipped because the query's reach interval missed
-    /// the shard's slab. `routed + skipped = shards × |Q|` always.
+    /// the shard's slab. `routed + skipped = shards × |Q|` always, counting
+    /// the shards built (an empty slab builds none).
     pub shard_queries_skipped: u64,
     /// Shards that received a non-empty sub-batch and were searched.
     pub shards_probed: u64,

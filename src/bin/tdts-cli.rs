@@ -45,9 +45,8 @@ fn usage() -> ! {
          \u{20}  --sanitizer <off|full>            shadow-state device sanitizer\n\
          \u{20}                                    (default off)\n\
          \u{20}  --shards <n>                      simulated devices the entry database\n\
-         \u{20}                                    is partitioned across (default 1)\n\
-         \u{20}  --partition <temporal|spatial-grid>\n\
-         \u{20}                                    slab orientation for sharded runs\n\
+         \u{20}                                    is partitioned across in temporal\n\
+         \u{20}                                    slabs (default 1)\n\
          \u{20}  --clients <n>                     concurrent replay clients (default 16)\n\
          \u{20}  --request-size <n>                query segments per client request\n\
          \u{20}                                    (default 0 = one whole trajectory)\n\
@@ -167,10 +166,6 @@ fn parse() -> Opts {
                 if o.sharding.shards == 0 {
                     usage()
                 }
-            }
-            "--partition" => {
-                o.sharding.partition =
-                    PartitionStrategy::parse(&val(&mut args)).unwrap_or_else(|| usage())
             }
             "--clients" => o.clients = val(&mut args).parse().unwrap_or_else(|_| usage()),
             "--request-size" => o.request_size = val(&mut args).parse().unwrap_or_else(|_| usage()),
@@ -317,10 +312,7 @@ fn main() {
             let wall = started.elapsed();
             println!("method:       {}", engine.method().name());
             if o.sharding.shards > 1 {
-                println!(
-                    "shards:       {} ({} partition)",
-                    o.sharding.shards, o.sharding.partition
-                );
+                println!("shards:       {} (temporal partition)", o.sharding.shards);
                 let r = &report.routing;
                 println!(
                     "routing:      {} shard-queries dispatched, {} skipped; \

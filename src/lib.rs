@@ -81,8 +81,8 @@ pub mod prelude {
         MergerConfig, RandomDenseConfig, RandomWalkConfig, Scenario, ScenarioKind,
     };
     pub use tdts_geom::{
-        within_distance, MatchRecord, Mbb, PartitionStrategy, Point3, SegId, Segment, SegmentStore,
-        ShardPlan, ShardedStore, TimeInterval, TrajId, DOMAIN_BOUND,
+        within_distance, MatchRecord, Mbb, Point3, SegId, Segment, SegmentStore, ShardPlan,
+        ShardedStore, TimeInterval, TrajId, DOMAIN_BOUND,
     };
     pub use tdts_gpu_sim::{
         Device, DeviceConfig, Finding, FindingKind, KernelShape, LoadBalance, Phase,

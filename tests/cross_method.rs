@@ -297,8 +297,9 @@ fn domain_edge_answers_match_the_oracle() {
 /// them is near 2^560, and every float-to-int cast saturates before it is
 /// clamped to the grid. (A box below about 2^-540 would make squared
 /// separations underflow, so the solver would report entries 2^-600 apart
-/// as touching and spatial-grid shard routing would disagree with it: the
-/// same precision limit as above, see CHANGES.md, FOUND.)
+/// as touching and the exact box prunes of CPU-RTree and GPUSpatial would
+/// disagree with it: the same precision limit as above, see CHANGES.md,
+/// FOUND.)
 #[test]
 fn domain_edge_saturating_index_casts_match_the_oracle() {
     const B: f64 = DOMAIN_BOUND;
@@ -329,7 +330,7 @@ fn domain_edge_saturating_index_casts_match_the_oracle() {
 }
 
 /// Search `queries` at each of `distances` with every method, unsharded and
-/// over 1 and 4 shards (temporal and spatial slabs), under both kernel
+/// over 1 and 4 temporal slabs, under both kernel
 /// shapes, and require the oracle's matches byte for byte. Returns the
 /// oracle's result sets, each non-empty.
 fn check_every_layout(
@@ -342,21 +343,15 @@ fn check_every_layout(
         distances.iter().map(|&d| brute_force_search(dataset.store(), queries, d)).collect();
     assert!(expects.iter().all(|e| !e.is_empty()), "every threshold has matches");
     let config = DeviceConfig::tesla_c2075();
-    let layouts = [
-        (1, PartitionStrategy::Temporal),
-        (4, PartitionStrategy::Temporal),
-        (4, PartitionStrategy::SpatialGrid),
-    ];
     for method in common::methods(8, 500_000) {
         let mut engines = vec![(
             "unsharded".to_string(),
             SearchEngine::build(&dataset, method, device()).unwrap(),
         )];
-        for (shards, partition) in layouts {
-            let sharding =
-                ShardedIndexConfig::builder().shards(shards).partition(partition).build().unwrap();
+        for shards in [1, 4] {
+            let sharding = ShardedIndexConfig::builder().shards(shards).build().unwrap();
             let engine = SearchEngine::build_sharded(&dataset, method, &config, &sharding).unwrap();
-            engines.push((format!("{shards} {partition} shards"), engine));
+            engines.push((format!("{shards} temporal shards"), engine));
         }
         for (layout, engine) in &engines {
             for shape in [KernelShape::ThreadPerQuery, KernelShape::WarpPerTile] {

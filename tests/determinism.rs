@@ -206,11 +206,7 @@ fn fresh_sharded_search(
     result_capacity: usize,
 ) -> SearchReport {
     let config = DeviceConfig { kernel_shape: shape, ..DeviceConfig::tesla_c2075() };
-    let sharding = ShardedIndexConfig::builder()
-        .shards(4)
-        .partition(PartitionStrategy::Temporal)
-        .build()
-        .unwrap();
+    let sharding = ShardedIndexConfig::builder().shards(4).build().unwrap();
     let engine = SearchEngine::build_sharded(dataset, method, &config, &sharding).unwrap();
     engine.search(queries, D, result_capacity).unwrap().1
 }

@@ -232,14 +232,12 @@ fn build(
     method: Method,
     config: &DeviceConfig,
     shards: usize,
-    partition: PartitionStrategy,
 ) -> Option<SearchEngine> {
     let dataset = PreparedDataset::new(segments.iter().copied().collect());
     let built = if shards == 0 {
         SearchEngine::build(&dataset, method, Device::new(config.clone()).unwrap())
     } else {
-        let sharding =
-            ShardedIndexConfig::builder().shards(shards).partition(partition).build().unwrap();
+        let sharding = ShardedIndexConfig::builder().shards(shards).build().unwrap();
         SearchEngine::build_sharded(&dataset, method, config, &sharding)
     };
     let who = format!("build {} over {segments:?}", method.name());
@@ -399,22 +397,19 @@ proptest! {
     fn hostile_sequences_are_refused_or_answered_exactly(
         database in seg_genes(160, 0..=12),
         steps in step_genes(),
-        layout in (0u32..4, 0u32..2, 0u32..4, 0u32..2, (1usize..10, 1usize..8, 1usize..6)),
+        layout in (0u32..4, 0u32..2, 0u32..4, (1usize..10, 1usize..8, 1usize..6)),
         through_service in 0u32..4,
     ) {
-        let (method_sel, shape_sel, shards_sel, partition_sel, grid) = layout;
+        let (method_sel, shape_sel, shards_sel, grid) = layout;
         let method = method(method_sel, grid);
         let shape = [KernelShape::ThreadPerQuery, KernelShape::WarpPerTile][shape_sel as usize];
         let device = DeviceConfig { kernel_shape: shape, ..DeviceConfig::tesla_c2075() };
         let segments = decode_batch(&database, 0.0, 0, false);
         let shards = [0, 0, 1, 4][shards_sel as usize];
-        let partition =
-            [PartitionStrategy::Temporal, PartitionStrategy::SpatialGrid][partition_sel as usize];
         if through_service == 0 {
-            let sharding =
-                ShardedIndexConfig::builder().shards(shards.max(1)).partition(partition).build();
+            let sharding = ShardedIndexConfig::builder().shards(shards.max(1)).build();
             run_service(&segments, method, device, sharding.unwrap(), &steps);
-        } else if let Some(engine) = build(&segments, method, &device, shards, partition) {
+        } else if let Some(engine) = build(&segments, method, &device, shards) {
             run_engine(engine, &steps, shape);
         }
     }

@@ -1,12 +1,11 @@
 //! Tier-1: slab-aware query routing is an optimisation, never an answer
 //! change.
 //!
-//! Routing dispatches each query only to the shards its reach interval
-//! touches — a query's own `[t0, t1]` under temporal slabs (a match needs
-//! a shared time instant, so no distance slack applies), its spatial
-//! extent widened by `d` under spatial-grid slabs. Every test here holds
-//! routed results byte-identical to the unsharded oracle, while the
-//! dispatch counters prove real work was avoided.
+//! Routing dispatches each query only to the temporal slabs its own
+//! `[t0, t1]` touches: a match needs a shared time instant, so no distance
+//! slack applies. Every test here holds routed results byte-identical to
+//! the unsharded oracle, while the dispatch counters prove real work was
+//! avoided.
 
 use proptest::prelude::*;
 use tdts::prelude::*;
@@ -19,11 +18,7 @@ fn sharded(dataset: &PreparedDataset, shards: usize) -> SearchEngine {
         dataset,
         Method::GpuTemporal(TemporalIndexConfig { bins: 40 }),
         &DeviceConfig::tesla_c2075(),
-        &ShardedIndexConfig::builder()
-            .shards(shards)
-            .partition(PartitionStrategy::Temporal)
-            .build()
-            .unwrap(),
+        &ShardedIndexConfig::builder().shards(shards).build().unwrap(),
     )
     .unwrap()
 }
@@ -130,40 +125,34 @@ fn whole_span_queries_probe_every_shard() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// For any database, query set, shard count, partition strategy and
-    /// threshold, slab routing returns exactly the brute-force oracle's
+    /// For any database, query set, shard count and threshold, slab
+    /// routing returns exactly the brute-force oracle's
     /// records, and routes or skips every shard-query pair exactly once.
     #[test]
     fn routed_is_byte_identical_to_oracle(
         store in arb_store(6, 5),
         queries in arb_store(3, 4),
         shards in 1usize..=8,
-        strategy_sel in 0usize..2,
         d in 0.1f64..25.0,
     ) {
-        let strategy = if strategy_sel == 0 {
-            PartitionStrategy::Temporal
-        } else {
-            PartitionStrategy::SpatialGrid
-        };
         let dataset = PreparedDataset::new(store);
         let engine = SearchEngine::build_sharded(
             &dataset,
             Method::GpuTemporal(TemporalIndexConfig { bins: 7 }),
             &DeviceConfig::tesla_c2075(),
-            &ShardedIndexConfig::builder().shards(shards).partition(strategy).build().unwrap(),
+            &ShardedIndexConfig::builder().shards(shards).build().unwrap(),
         )
         .unwrap();
         let (r_matches, r_report) = engine.search(&queries, d, 1_000_000).unwrap();
         let oracle = brute_force_search(dataset.store(), &queries, d);
-        assert_byte_identical(
-            &r_matches,
-            &oracle,
-            &format!("proptest {strategy} shards={shards} d={d}"),
-        );
+        assert_byte_identical(&r_matches, &oracle, &format!("proptest shards={shards} d={d}"));
+        // An empty slab instantiates no shard, so the pairs are counted over
+        // the shards built, which may be fewer than requested.
+        let built = engine.sharded().unwrap().shards();
+        prop_assert!(built <= shards);
         prop_assert_eq!(
             r_report.routing.shard_queries_routed + r_report.routing.shard_queries_skipped,
-            (queries.len() * shards) as u64
+            (queries.len() * built) as u64
         );
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Partitioning the entry database across simulated devices must leave
 //! result sets *byte-identical* to the single-device oracle — for every
-//! method, every kernel shape, both partition strategies, and shard counts
-//! 1/2/4/8 — because boundary segments are replicated into every slab they
-//! straddle and the merge collapses the duplicate records on full
+//! method, every kernel shape, and temporal slabs at shard counts 1/2/4/8 —
+//! because boundary segments are replicated into every slab they straddle
+//! and the merge collapses the duplicate records on full
 //! `(query, entry, interval)` keys.
 
 use proptest::prelude::*;
@@ -19,7 +19,7 @@ fn methods() -> Vec<Method> {
 
 const SHAPES: [KernelShape; 2] = [KernelShape::ThreadPerQuery, KernelShape::WarpPerTile];
 
-/// Every index is built once per method and partitioning; the kernel shape
+/// Every index is built once per method and shard count; the kernel shape
 /// and `d` travel with each search.
 fn check_scenario(store: SegmentStore, queries: SegmentStore, distances: &[f64], label: &str) {
     let dataset = PreparedDataset::new(store);
@@ -42,32 +42,23 @@ fn check_scenario(store: SegmentStore, queries: SegmentStore, distances: &[f64],
                 oracle
             })
             .collect();
-        for strategy in [PartitionStrategy::Temporal, PartitionStrategy::SpatialGrid] {
-            for shards in [1, 2, 4, 8] {
-                let engine = SearchEngine::build_sharded(
-                    &dataset,
-                    method,
-                    &config,
-                    &ShardedIndexConfig::builder()
-                        .shards(shards)
-                        .partition(strategy)
-                        .build()
-                        .unwrap(),
-                )
-                .unwrap();
-                for (&(shape, d), oracle) in cases.iter().zip(&oracles) {
-                    let (got, report) =
-                        engine.search_shaped(&queries, d, 2_000_000, Some(shape)).unwrap();
-                    assert_byte_identical(
-                        &got,
-                        oracle,
-                        &format!(
-                            "{label}/{} {shape:?} {strategy} shards={shards} d={d}",
-                            method.name()
-                        ),
-                    );
-                    assert_eq!(report.matches, got.len() as u64);
-                }
+        for shards in [1, 2, 4, 8] {
+            let engine = SearchEngine::build_sharded(
+                &dataset,
+                method,
+                &config,
+                &ShardedIndexConfig::builder().shards(shards).build().unwrap(),
+            )
+            .unwrap();
+            for (&(shape, d), oracle) in cases.iter().zip(&oracles) {
+                let (got, report) =
+                    engine.search_shaped(&queries, d, 2_000_000, Some(shape)).unwrap();
+                assert_byte_identical(
+                    &got,
+                    oracle,
+                    &format!("{label}/{} {shape:?} shards={shards} d={d}", method.name()),
+                );
+                assert_eq!(report.matches, got.len() as u64);
             }
         }
     }
@@ -135,7 +126,7 @@ fn boundary_straddling_segment_dedups_to_one_record() {
 
     let dataset = PreparedDataset::new(store);
     let stats = dataset.store().stats().unwrap();
-    let plan = ShardPlan::new(&stats, 2, PartitionStrategy::Temporal);
+    let plan = ShardPlan::new(&stats, 2, tdts::geom::PartitionStrategy::Temporal);
     let middle = dataset.store().iter().find(|s| s.t_start == 4.0).unwrap();
     let (lo, hi) = plan.slab_span(middle);
     assert!(lo < hi, "fixture must actually straddle the slab boundary");
@@ -151,11 +142,7 @@ fn boundary_straddling_segment_dedups_to_one_record() {
         &dataset,
         method,
         &config,
-        &ShardedIndexConfig::builder()
-            .shards(2)
-            .partition(PartitionStrategy::Temporal)
-            .build()
-            .unwrap(),
+        &ShardedIndexConfig::builder().shards(2).build().unwrap(),
     )
     .unwrap();
     let (got, report) = sharded.search(&queries, 5.0, 10_000).unwrap();
@@ -168,38 +155,25 @@ fn boundary_straddling_segment_dedups_to_one_record() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Any partition of any database merges back to the unsharded oracle.
+    /// Any temporal partition of any database merges back to the unsharded
+    /// oracle.
     #[test]
     fn any_partition_merges_back_to_oracle(
         store in arb_store(6, 5),
         queries in arb_store(3, 4),
         shards in 1usize..=8,
-        strategy_sel in 0usize..2,
         d in 0.5f64..25.0,
     ) {
-        let strategy = if strategy_sel == 0 {
-            PartitionStrategy::Temporal
-        } else {
-            PartitionStrategy::SpatialGrid
-        };
         let dataset = PreparedDataset::new(store);
         let expect = brute_force_search(dataset.store(), &queries, d);
         let engine = SearchEngine::build_sharded(
             &dataset,
             Method::GpuTemporal(TemporalIndexConfig { bins: 7 }),
             &DeviceConfig::tesla_c2075(),
-            &ShardedIndexConfig::builder()
-                .shards(shards)
-                .partition(strategy)
-                .build()
-                .unwrap(),
+            &ShardedIndexConfig::builder().shards(shards).build().unwrap(),
         )
         .unwrap();
         let (got, _) = engine.search(&queries, d, 1_000_000).unwrap();
-        assert_byte_identical(
-            &got,
-            &expect,
-            &format!("proptest {strategy} shards={shards} d={d}"),
-        );
+        assert_byte_identical(&got, &expect, &format!("proptest shards={shards} d={d}"));
     }
 }

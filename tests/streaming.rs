@@ -47,21 +47,14 @@ fn base_store(n: usize) -> SegmentStore {
     (0..n as u32).map(|i| seg(i, i as f64 * 0.25)).collect()
 }
 
-/// An engine over `dataset`: unsharded, or over 4 shards of `partition`.
-fn build_engine(
-    dataset: &PreparedDataset,
-    method: Method,
-    partition: Option<PartitionStrategy>,
-) -> SearchEngine {
-    match partition {
-        None => SearchEngine::build(dataset, method, device()),
-        Some(partition) => {
-            let sharding =
-                ShardedIndexConfig::builder().shards(4).partition(partition).build().unwrap();
-            SearchEngine::build_sharded(dataset, method, &DeviceConfig::tesla_c2075(), &sharding)
-        }
+/// An engine over `dataset`: unsharded (`shards == 0`), or over `shards`
+/// temporal slabs.
+fn build_engine(dataset: &PreparedDataset, method: Method, shards: usize) -> SearchEngine {
+    if shards == 0 {
+        return SearchEngine::build(dataset, method, device()).unwrap();
     }
-    .unwrap()
+    let sharding = ShardedIndexConfig::builder().shards(shards).build().unwrap();
+    SearchEngine::build_sharded(dataset, method, &DeviceConfig::tesla_c2075(), &sharding).unwrap()
 }
 
 /// Assert the warm (incrementally maintained) engine answers exactly like
@@ -69,7 +62,8 @@ fn build_engine(
 /// state, under both kernel shapes at every distance.
 fn assert_matches_cold(warm: &SearchEngine, queries: &SegmentStore, distances: &[f64]) {
     let cold_set = PreparedDataset::new(warm.store().clone());
-    let cold = build_engine(&cold_set, warm.method(), warm.sharded().map(ShardedIndex::partition));
+    let shards = warm.sharded().map_or(0, ShardedIndex::requested_shards);
+    let cold = build_engine(&cold_set, warm.method(), shards);
     for shape in SHAPES {
         for &d in distances {
             let (got, _) = warm.search_shaped(queries, d, 500_000, Some(shape)).unwrap();
@@ -86,16 +80,15 @@ fn assert_matches_cold(warm: &SearchEngine, queries: &SegmentStore, distances: &
     }
 }
 
-/// Every method, unsharded and over 4 shards of either partition; a sharded
+/// Every method, unsharded and over 4 temporal slabs; a sharded
 /// engine re-partitions on each delta and is compared with a cold sharded
 /// build.
 #[test]
 fn interleaved_append_expire_matches_cold_rebuild() {
     let queries: SegmentStore = (0..12u32).map(|i| seg(100 + i, 3.0 + i as f64 * 0.9)).collect();
-    let layouts = [None, Some(PartitionStrategy::Temporal), Some(PartitionStrategy::SpatialGrid)];
-    for (method, partition) in all_methods(6, 5).into_iter().flat_map(|m| layouts.map(|p| (m, p))) {
+    for (method, shards) in all_methods(6, 5).into_iter().flat_map(|m| [0, 4].map(|s| (m, s))) {
         let dataset = PreparedDataset::new(base_store(48));
-        let mut engine = build_engine(&dataset, method, partition);
+        let mut engine = build_engine(&dataset, method, shards);
         let t0 = 48.0 * 0.25;
 
         // Tick 1: append past the frontier, then search.
@@ -120,7 +113,7 @@ fn interleaved_append_expire_matches_cold_rebuild() {
         engine.expire_before(f64::INFINITY).unwrap();
         for shape in SHAPES {
             let (got, _) = engine.search_shaped(&queries, 20.0, 500_000, Some(shape)).unwrap();
-            assert!(got.is_empty(), "{} ({shape:?}, {partition:?})", method.name());
+            assert!(got.is_empty(), "{} ({shape:?}, shards={shards})", method.name());
         }
         let tick3: Vec<Segment> = (0..4).map(|i| seg(400 + i, t0 + 3.0 + i as f64 * 0.1)).collect();
         engine.ingest(&tick3).unwrap();
