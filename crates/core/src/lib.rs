@@ -11,8 +11,9 @@
 //! A [`PreparedDataset`] canonicalises the entry database (sorted by
 //! `t_start`, the order the temporal indexes require), so result records
 //! from every method refer to the same entry positions and can be compared
-//! directly — which [`oracle`] and [`verify_against_oracle`] do against an
-//! exhaustive parallel reference search.
+//! directly — which [`verify_against_oracle`] does against the exhaustive
+//! reference search, [`brute_force_search`] (from `tdts-geom`, re-exported
+//! here).
 
 #![forbid(unsafe_code)]
 
@@ -25,7 +26,8 @@ pub mod traits;
 
 pub use engine::{Method, PreparedDataset, SearchEngine};
 pub use error::TdtsError;
-pub use oracle::{brute_force_search, verify_against_oracle};
+pub use oracle::verify_against_oracle;
 pub use resolve::{resolve_matches, ResolvedMatch};
 pub use sharding::{ShardStats, ShardedIndex, ShardedIndexConfig, ShardedIndexConfigBuilder};
+pub use tdts_geom::brute_force_search;
 pub use traits::{CpuRTreeIndex, QueryBatch, SearchOutcome, TrajectoryIndex};

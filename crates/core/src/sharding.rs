@@ -558,8 +558,7 @@ impl TrajectoryIndex for ShardedIndex {
 mod tests {
     use super::*;
     use crate::engine::PreparedDataset;
-    use crate::oracle::brute_force_search;
-    use tdts_geom::{Point3, SegId, Segment, TrajId};
+    use tdts_geom::{brute_force_search, Point3, SegId, Segment, TrajId};
     use tdts_index_temporal::TemporalIndexConfig;
     use tdts_rtree::RTreeConfig;
 

@@ -59,18 +59,6 @@ impl TimeInterval {
         }
     }
 
-    /// Smallest interval containing both.
-    #[inline]
-    pub fn hull(&self, other: &TimeInterval) -> TimeInterval {
-        TimeInterval { start: self.start.min(other.start), end: self.end.max(other.end) }
-    }
-
-    /// True if `other` is entirely inside `self`.
-    #[inline]
-    pub fn contains_interval(&self, other: &TimeInterval) -> bool {
-        self.start <= other.start && other.end <= self.end
-    }
-
     /// Approximate equality of both endpoints, for result-set comparisons.
     #[inline]
     pub fn approx_eq(&self, other: &TimeInterval, eps: f64) -> bool {
@@ -115,15 +103,6 @@ mod tests {
         assert_eq!(a.intersect(&b), Some(TimeInterval::new(1.0, 2.0)));
         assert_eq!(a.intersect(&c), Some(TimeInterval::new(2.0, 2.0)));
         assert_eq!(a.intersect(&d), None);
-    }
-
-    #[test]
-    fn hull_and_containment() {
-        let a = TimeInterval::new(0.0, 1.0);
-        let b = TimeInterval::new(2.0, 3.0);
-        assert_eq!(a.hull(&b), TimeInterval::new(0.0, 3.0));
-        assert!(TimeInterval::new(0.0, 3.0).contains_interval(&b));
-        assert!(!b.contains_interval(&a));
     }
 
     #[test]

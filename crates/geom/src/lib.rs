@@ -22,6 +22,9 @@
 //!   mask words, a bit per row. Its loop is compiled three times — the
 //!   portable baseline, AVX2 and AVX-512 — and the widest copy the CPU has
 //!   runs ([`scan_isa`]); all three cast the same ballot, bit for bit.
+//! * [`brute_force_search`] — the exhaustive reference search: every query
+//!   against every entry through [`within_distance`], canonicalised by
+//!   [`dedup_matches`]. Every method's exactness is tested against it.
 //! * [`DOMAIN_BOUND`] — the numeric domain every segment and threshold
 //!   lies in (magnitudes up to 2¹⁶⁰), inside which the test stays finite;
 //!   [`first_invalid`] and [`check_threshold`] are its one check.
@@ -62,7 +65,7 @@ pub use front::FrontVec;
 pub use interval::TimeInterval;
 pub use mbb::Mbb;
 pub use point::Point3;
-pub use result::{dedup_matches, diff_matches, MatchRecord};
+pub use result::{brute_force_search, dedup_matches, diff_matches, MatchRecord};
 pub use segment::{SegId, Segment, TrajId};
 pub use shard::{PartitionStrategy, ShardPlan, ShardSlice, ShardedStore};
 pub use sort::t_start_order;

@@ -36,12 +36,6 @@ impl Mbb {
         self.lo.x > self.hi.x
     }
 
-    /// Box containing a single point.
-    #[inline]
-    pub fn from_point(p: Point3) -> Self {
-        Mbb { lo: p, hi: p }
-    }
-
     /// Grow to include `p`.
     #[inline]
     pub fn expand_to_point(&mut self, p: &Point3) {
@@ -98,15 +92,6 @@ impl Mbb {
         self.contains_point(&other.lo) && self.contains_point(&other.hi)
     }
 
-    /// Squared minimum distance from `p` to the box (0 if inside).
-    #[inline]
-    pub fn min_dist2_to_point(&self, p: &Point3) -> f64 {
-        let dx = (self.lo.x - p.x).max(0.0).max(p.x - self.hi.x);
-        let dy = (self.lo.y - p.y).max(0.0).max(p.y - self.hi.y);
-        let dz = (self.lo.z - p.z).max(0.0).max(p.z - self.hi.z);
-        dx * dx + dy * dy + dz * dz
-    }
-
     /// Squared minimum distance between two boxes (0 if they overlap).
     #[inline]
     pub fn min_dist2_to_box(&self, other: &Mbb) -> f64 {
@@ -159,7 +144,7 @@ mod tests {
 
     #[test]
     fn merge_with_empty() {
-        let a = Mbb::from_point(Point3::new(1.0, 1.0, 1.0));
+        let a = Mbb::new(Point3::splat(1.0), Point3::splat(1.0));
         let e = Mbb::empty();
         assert_eq!(a.merge(&e), a);
         assert_eq!(e.merge(&a), a);
@@ -197,8 +182,6 @@ mod tests {
     #[test]
     fn distances() {
         let a = Mbb::new(Point3::ZERO, Point3::splat(1.0));
-        assert_eq!(a.min_dist2_to_point(&Point3::splat(0.5)), 0.0);
-        assert_eq!(a.min_dist2_to_point(&Point3::new(2.0, 0.5, 0.5)), 1.0);
         let b = Mbb::new(Point3::new(3.0, 0.0, 0.0), Point3::new(4.0, 1.0, 1.0));
         assert_eq!(a.min_dist2_to_box(&b), 4.0);
         assert_eq!(a.min_dist2_to_box(&a), 0.0);

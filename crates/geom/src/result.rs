@@ -2,7 +2,7 @@
 
 use std::cmp::Ordering;
 
-use crate::TimeInterval;
+use crate::{within_distance, SegmentStore, TimeInterval};
 
 /// One element of the final result set: a query/entry pair annotated with
 /// the time interval during which the two segments are within the threshold
@@ -117,6 +117,29 @@ fn bucket_by_query(matches: &mut Vec<MatchRecord>, buckets: usize) {
     *matches = sorted;
 }
 
+/// The exhaustive reference search, the all-pairs test of the paper's §II:
+/// every query against every entry, canonicalised with [`dedup_matches`].
+/// Exactness of every method is defined against it.
+///
+/// Parallelised over queries ([`crate::par::par_map`]) so tests can verify
+/// non-trivial datasets; still O(|D| · |Q|), use only as an oracle.
+pub fn brute_force_search(
+    store: &SegmentStore,
+    queries: &SegmentStore,
+    d: f64,
+) -> Vec<MatchRecord> {
+    let mut matches = crate::par::par_map(queries.len(), |qi| {
+        let q = *queries.get(qi);
+        let hits = store.iter().enumerate().filter_map(|(ei, e)| {
+            within_distance(&q, e, d).map(|iv| MatchRecord::new(qi as u32, ei as u32, iv))
+        });
+        hits.collect::<Vec<_>>()
+    })
+    .concat();
+    dedup_matches(&mut matches);
+    matches
+}
+
 /// Compare two *canonicalised* result sets for equality up to interval
 /// rounding `eps`. Returns a human-readable description of the first
 /// difference, or `None` when equal. Used by tests and the verification
@@ -144,9 +167,47 @@ pub fn diff_matches(a: &[MatchRecord], b: &[MatchRecord], eps: f64) -> Option<St
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Point3, SegId, Segment, TrajId};
 
     fn m(q: u32, e: u32, s: f64, t: f64) -> MatchRecord {
         MatchRecord::new(q, e, TimeInterval::new(s, t))
+    }
+
+    /// A unit step in x over `[t0, t0 + 1]`.
+    fn seg(x: f64, t0: f64, id: u32) -> Segment {
+        Segment::new(
+            Point3::new(x, 0.0, 0.0),
+            Point3::new(x + 1.0, 0.0, 0.0),
+            t0,
+            t0 + 1.0,
+            SegId(id),
+            TrajId(id),
+        )
+    }
+
+    #[test]
+    fn oracle_finds_expected_pairs() {
+        let store: SegmentStore = (0..10).map(|i| seg(i as f64 * 5.0, 0.0, i)).collect();
+        let mut queries = SegmentStore::new();
+        queries.push(seg(0.0, 0.0, 100));
+        // Both walk in lock-step (+1 in x over [0,1]), so separations are
+        // constant: entry 1 stays exactly 5 away.
+        let got = brute_force_search(&store, &queries, 4.5);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].entry, 0);
+        let got = brute_force_search(&store, &queries, 5.0);
+        assert_eq!(got.len(), 2);
+        assert_eq!(got[1].entry, 1);
+    }
+
+    #[test]
+    fn oracle_is_deterministic_under_parallelism() {
+        let store: SegmentStore =
+            (0..50).map(|i| seg((i % 13) as f64, (i % 7) as f64 * 0.2, i)).collect();
+        let queries: SegmentStore = (0..20).map(|i| seg(i as f64 * 0.7, 0.5, i)).collect();
+        let a = brute_force_search(&store, &queries, 3.0);
+        let b = brute_force_search(&store, &queries, 3.0);
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -98,13 +98,6 @@ impl Segment {
         Mbb::new(self.start.min(&self.end), self.start.max(&self.end))
     }
 
-    /// Largest spatial extent of the segment over the three dimensions.
-    #[inline]
-    pub fn max_spatial_extent(&self) -> f64 {
-        let d = self.end - self.start;
-        d.x.abs().max(d.y.abs()).max(d.z.abs())
-    }
-
     /// Spatial extent of the segment in dimension `dim` (0 = x, 1 = y, 2 = z).
     #[inline]
     pub fn spatial_extent(&self, dim: usize) -> f64 {
@@ -155,7 +148,6 @@ mod tests {
     #[test]
     fn extents_and_mbb() {
         let s = seg(Point3::new(1.0, 5.0, -2.0), Point3::new(4.0, 3.0, 0.0), 0.0, 1.0);
-        assert_eq!(s.max_spatial_extent(), 3.0);
         assert_eq!(s.spatial_extent(0), 3.0);
         assert_eq!(s.spatial_extent(1), 2.0);
         assert_eq!(s.spatial_extent(2), 2.0);

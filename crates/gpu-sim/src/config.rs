@@ -174,11 +174,6 @@ impl DeviceConfig {
         }
     }
 
-    /// Total core count (`num_sms * warp_size` in this simplified model).
-    pub fn total_cores(&self) -> usize {
-        self.num_sms * self.warp_size
-    }
-
     /// Grid size (in warps) of a persistent [`KernelShape::WarpPerTile`]
     /// launch: one resident warp per latency-hiding slot on every SM, so
     /// the device is exactly filled and every warp stays busy pulling tiles
@@ -257,7 +252,7 @@ mod tests {
     #[test]
     fn c2075_shape() {
         let c = DeviceConfig::tesla_c2075();
-        assert_eq!(c.total_cores(), 448);
+        assert_eq!(c.num_sms * c.warp_size, 448);
         assert!(c.validate().is_ok());
     }
 
@@ -266,7 +261,7 @@ mod tests {
         let old = DeviceConfig::tesla_c2075();
         let new = DeviceConfig::modern_gpu();
         assert!(new.validate().is_ok());
-        assert!(new.total_cores() > old.total_cores());
+        assert!(new.num_sms * new.warp_size > old.num_sms * old.warp_size);
         assert!(new.h2d_bandwidth > old.h2d_bandwidth);
         assert!(new.global_mem_bytes > old.global_mem_bytes);
         assert!(new.kernel_launch_overhead < old.kernel_launch_overhead);

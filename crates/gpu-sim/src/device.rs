@@ -10,7 +10,6 @@ use crate::memory::{
 };
 use crate::sanitizer::{short_type_name, Sanitizer, SanitizerMode, SanitizerReport};
 use crate::workqueue::{Tile, WorkQueue};
-use crate::Lane;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
@@ -67,19 +66,22 @@ impl DeviceCore {
 /// the buffers resident on it — without seeing each other's charges.
 ///
 /// ```
-/// use tdts_gpu_sim::{Device, DeviceConfig};
+/// use tdts_gpu_sim::{Device, DeviceConfig, Warp};
 /// use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// let device = Device::new(DeviceConfig::tesla_c2075()).unwrap();
 /// let data = device.alloc_from_host((0..1024u64).collect()).unwrap();
 ///
-/// // A kernel summing the buffer: one thread per element.
+/// // A kernel summing the buffer: one thread per element, no epilogue.
 /// let sum = AtomicU64::new(0);
-/// let report = device.launch(data.len(), |lane| {
-///     let v = data.read(lane, lane.global_id); // charges the memory counter
-///     lane.instr(1);
-///     sum.fetch_add(v, Ordering::Relaxed);
-/// });
+/// let kernel = |warp: &mut Warp| {
+///     warp.for_each_lane(|lane| {
+///         let v = data.read(lane, lane.global_id); // charges the memory counter
+///         lane.instr(1);
+///         sum.fetch_add(v, Ordering::Relaxed);
+///     })
+/// };
+/// let report = device.launch_warps_ordered(data.len(), kernel, |_, ()| {});
 /// assert_eq!(sum.into_inner(), 1024 * 1023 / 2);
 /// assert_eq!(report.warps, 1024 / 32);
 /// assert!(report.sim_exec_seconds > 0.0); // deterministic simulated time
@@ -90,9 +92,10 @@ impl DeviceCore {
 ///   and storing the database `D`; the paper excludes these from response
 ///   time, so no ledger entry is made.
 /// * **Online** ([`Device::upload`], [`Device::charge_upload`],
-///   [`Device::charge_download`], [`Device::launch`],
-///   [`Device::charge_host`]) — everything between query arrival and the
-///   final result set; each records its simulated duration.
+///   [`Device::charge_download`], [`Device::launch_warps_ordered`],
+///   [`Device::launch_persistent_ordered`], [`Device::charge_host`]) —
+///   everything between query arrival and the final result set; each
+///   records its simulated duration.
 pub struct Device {
     pub(crate) core: Arc<DeviceCore>,
     ledger: Mutex<ResponseTime>,
@@ -255,37 +258,21 @@ impl Device {
         Ok(PartitionedScratch::new(partitions, per_thread, reservation))
     }
 
-    /// Launch a kernel over `threads` GPU threads and charge launch overhead
-    /// plus simulated execution time to the ledger.
+    /// Launch a kernel over `threads` GPU threads, in warps, and charge
+    /// launch overhead plus simulated execution time to the ledger.
     ///
-    /// The kernel closure runs once per thread (in parallel over warps on the
-    /// host's cores, through [`tdts_geom::par::par_ordered`]) and records its
-    /// costs on the [`Lane`].
-    pub fn launch<K>(&self, threads: usize, kernel: K) -> LaunchReport
-    where
-        K: Fn(&mut Lane) + Sync,
-    {
-        self.launch_warps(threads, |warp| warp.for_each_lane(|lane| kernel(lane)))
-    }
-
-    /// Launch a warp-scoped kernel: the closure receives each [`Warp`] and
-    /// drives its lanes via [`Warp::for_each_lane`], then may run a per-warp
-    /// epilogue (e.g. committing a [`crate::memory::WarpStash`]) whose costs
-    /// are charged at converged rates. Ledger accounting matches
-    /// [`Device::launch`].
-    pub fn launch_warps<K>(&self, threads: usize, kernel: K) -> LaunchReport
-    where
-        K: Fn(&mut Warp) + Sync,
-    {
-        self.launch_warps_ordered(threads, kernel, |_, ()| {})
-    }
-
-    /// [`Device::launch_warps`] split in two: `body` runs per warp in
-    /// parallel and returns what the warp staged; `epilogue` then runs once
-    /// per warp, one at a time and **in warp order**. A kernel whose
-    /// epilogue commits to a buffer that can fill must use this form, so
-    /// which commit overflows never depends on host scheduling. Being run
-    /// one warp at a time, the epilogue may keep state across warps.
+    /// The launch runs in two parts. `body` runs once per [`Warp`], in
+    /// parallel over the host's cores (through
+    /// [`tdts_geom::par::par_ordered`]): it drives the warp's lanes with
+    /// [`Warp::for_each_lane`], each lane recording its costs on its
+    /// [`Lane`](crate::Lane), and returns what the warp staged. `epilogue`
+    /// then runs once per warp, one at a time and **in warp order**; what it
+    /// records on the warp is charged at converged rates. A kernel that
+    /// commits to a buffer that can fill (a [`crate::WarpStash`] into a
+    /// result buffer, say) does so in the epilogue, so which commit
+    /// overflows never depends on host scheduling. Being run one warp at a
+    /// time, the epilogue may keep state across warps; a kernel with nothing
+    /// to commit passes `|_, ()| {}`.
     pub fn launch_warps_ordered<S, B, E>(
         &self,
         threads: usize,
@@ -303,7 +290,7 @@ impl Device {
     }
 
     /// Upload a tile list *online* (charged as a host→device transfer) and
-    /// wrap it in a [`WorkQueue`] for [`Device::launch_persistent`].
+    /// wrap it in a [`WorkQueue`] for [`Device::launch_persistent_ordered`].
     pub fn work_queue(
         self: &Arc<Self>,
         mut tiles: Vec<Tile>,
@@ -316,27 +303,16 @@ impl Device {
 
     /// Launch a persistent warp-per-tile kernel: a fixed grid of
     /// [`crate::DeviceConfig::persistent_warps`] warps (capped by the tile
-    /// count) loops pulling tiles from `queue` until it drains, invoking the
-    /// kernel once per (warp, tile). Each grab costs one global atomic plus
+    /// count) loops pulling tiles from `queue` until it drains, running
+    /// `body` once per (warp, tile). Each grab costs one global atomic plus
     /// a converged tile-descriptor read; ledger accounting matches
-    /// [`Device::launch`].
-    pub fn launch_persistent<K>(&self, queue: &WorkQueue, kernel: K) -> LaunchReport
-    where
-        K: Fn(&mut Warp, Tile) + Sync,
-    {
-        self.launch_persistent_ordered(
-            queue,
-            |warp, _: &mut (), tile| kernel(warp, tile),
-            |_, _, ()| {},
-        )
-    }
-
-    /// [`Device::launch_persistent`] with the per-tile epilogue run in queue
-    /// order (see [`Device::launch_warps_ordered`]). Each host worker of the
-    /// launch keeps one `U::default()` scratch for the kernel: `body` gets
-    /// the scratch of the worker running the tile, and the tile's
-    /// `epilogue` the same one. A worker's tiles can so stage into one
-    /// [`crate::WarpStash`], each epilogue committing the oldest records
+    /// [`Device::launch_warps_ordered`].
+    ///
+    /// The per-tile `epilogue` runs in queue order, as there. Each host
+    /// worker of the launch keeps one `U::default()` scratch for the kernel:
+    /// `body` gets the scratch of the worker running the tile, and the
+    /// tile's `epilogue` the same one. A worker's tiles can so stage into
+    /// one [`crate::WarpStash`], each epilogue committing the oldest records
     /// ([`crate::WarpStash::commit_oldest`]): its worker's epilogues run in
     /// the order its bodies did.
     pub fn launch_persistent_ordered<U, S, B, E>(
@@ -416,6 +392,11 @@ mod tests {
         Device::new(DeviceConfig::test_tiny()).unwrap()
     }
 
+    /// A one-instruction-per-lane kernel over 8 threads, with no epilogue.
+    fn launch_one_instr(dev: &Device) -> LaunchReport {
+        dev.launch_warps_ordered(8, |warp| warp.for_each_lane(|lane| lane.instr(1)), |_, ()| {})
+    }
+
     #[test]
     fn rejects_invalid_config() {
         let mut c = DeviceConfig::test_tiny();
@@ -490,13 +471,13 @@ mod tests {
         config.sanitizer = SanitizerMode::Full;
         let dev = Device::new(config).unwrap();
         let first = dev.for_search();
-        first.launch(8, |lane| lane.instr(1));
+        launch_one_instr(&first);
         let (entered, entered_rx) = std::sync::mpsc::channel();
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 let second = dev.for_search();
                 entered.send(()).unwrap();
-                second.launch(8, |lane| lane.instr(1));
+                launch_one_instr(&second);
             });
             // The second search cannot enter while the first handle lives.
             assert!(entered_rx.recv_timeout(std::time::Duration::from_millis(50)).is_err());
@@ -510,12 +491,8 @@ mod tests {
     #[test]
     fn launch_counts_invocations() {
         let dev = tiny();
-        dev.launch(8, |lane| {
-            lane.instr(1);
-        });
-        dev.launch(8, |lane| {
-            lane.instr(1);
-        });
+        launch_one_instr(&dev);
+        launch_one_instr(&dev);
         let l = dev.ledger();
         assert_eq!(l.kernel_invocations, 2);
         assert!(l.get(Phase::KernelLaunch) > 0.0);

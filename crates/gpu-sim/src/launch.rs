@@ -33,22 +33,22 @@
 //!
 //! # Warp-scoped launches
 //!
-//! [`crate::Device::launch_warps`] hands the kernel a whole [`Warp`] instead
-//! of individual lanes, so kernels can run a *per-warp epilogue* after the
-//! lane loop — the simulated analogue of warp-level primitives
-//! (`__ballot_sync`/`__shfl_sync` + a leader `atomicAdd`). Costs recorded on
-//! the warp itself (via [`Warp::instr`] etc.) are charged *converged*: no
-//! divergence multiplier on instructions and no uncoalesced factor on memory
-//! traffic, because all lanes execute the epilogue together and commit
-//! writes are contiguous.
+//! Both launches, [`crate::Device::launch_warps_ordered`] and
+//! [`crate::Device::launch_persistent_ordered`], hand the kernel a whole
+//! [`Warp`] instead of individual lanes: the kernel drives the lanes with
+//! [`Warp::for_each_lane`] and can then run a *per-warp epilogue* — the
+//! simulated analogue of warp-level primitives (`__ballot_sync`/
+//! `__shfl_sync` + a leader `atomicAdd`). Costs recorded on the warp itself
+//! (via [`Warp::instr`] etc.) are charged *converged*: no divergence
+//! multiplier on instructions and no uncoalesced factor on memory traffic,
+//! because all lanes execute the epilogue together and commit writes are
+//! contiguous.
 //!
-//! Lane work runs on host threads in whatever order they get to it. An
-//! epilogue that commits to a buffer that can fill is therefore passed
-//! separately ([`crate::Device::launch_warps_ordered`],
-//! [`crate::Device::launch_persistent_ordered`]) and run one warp at a
-//! time, in warp order: which commit crosses the capacity, which queries
-//! are redone, and every counter of every later round are then a function
-//! of the launch alone.
+//! Lane work runs on host threads in whatever order they get to it. The
+//! epilogue, which may commit to a buffer that can fill, is therefore
+//! passed separately and run one warp at a time, in warp order: which
+//! commit crosses the capacity, which queries are redone, and every counter
+//! of every later round are then a function of the launch alone.
 //!
 //! # Host bookkeeping
 //!
@@ -89,7 +89,8 @@ pub(crate) const SHAPE_PERSISTENT: &str = "persistent-warp-per-tile";
 pub const MAX_WARP_LANES: usize = 64;
 
 /// Execution context for one warp, handed to kernels launched via
-/// [`crate::Device::launch_warps`].
+/// [`crate::Device::launch_warps_ordered`] and
+/// [`crate::Device::launch_persistent_ordered`].
 ///
 /// Lane work happens inside [`Warp::for_each_lane`]; anything recorded on
 /// the warp afterwards (the epilogue) is charged at converged-execution
@@ -246,7 +247,8 @@ pub(crate) struct WarpCost {
     pub totals: Counters,
 }
 
-/// Report returned by [`crate::Device::launch`].
+/// Report returned by [`crate::Device::launch_warps_ordered`] and
+/// [`crate::Device::launch_persistent_ordered`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaunchReport {
     /// Number of GPU threads launched.
@@ -615,12 +617,17 @@ mod tests {
         Device::new(DeviceConfig::test_tiny()).unwrap()
     }
 
+    /// Launch a lane-level kernel over `threads` threads, with no epilogue.
+    fn per_lane(dev: &Device, threads: usize, kernel: impl Fn(&mut Lane) + Sync) -> LaunchReport {
+        dev.launch_warps_ordered(threads, |warp| warp.for_each_lane(&kernel), |_, ()| {})
+    }
+
     #[test]
     fn every_thread_runs_exactly_once() {
         let dev = tiny();
         let n = 1003; // not a multiple of the warp size
         let sum = AtomicU64::new(0);
-        let report = dev.launch(n, |lane| {
+        let report = per_lane(&dev, n, |lane| {
             sum.fetch_add(lane.global_id as u64 + 1, Ordering::Relaxed);
         });
         assert_eq!(report.threads, n);
@@ -632,7 +639,7 @@ mod tests {
     #[test]
     fn zero_thread_launch() {
         let dev = tiny();
-        let report = dev.launch(0, |_| panic!("must not run"));
+        let report = per_lane(&dev, 0, |_| panic!("must not run"));
         assert_eq!(report.threads, 0);
         assert_eq!(report.warps, 0);
         assert_eq!(report.sim_exec_seconds, 0.0);
@@ -642,19 +649,19 @@ mod tests {
     #[test]
     fn exec_time_scales_with_work() {
         let dev = tiny();
-        let light = dev.launch(64, |lane| lane.instr(10));
-        let heavy = dev.launch(64, |lane| lane.instr(10_000));
+        let light = per_lane(&dev, 64, |lane| lane.instr(10));
+        let heavy = per_lane(&dev, 64, |lane| lane.instr(10_000));
         assert!(heavy.sim_exec_seconds > light.sim_exec_seconds * 100.0);
     }
 
     #[test]
     fn divergence_costs_more() {
         let dev = tiny();
-        let uniform = dev.launch(64, |lane| {
+        let uniform = per_lane(&dev, 64, |lane| {
             lane.set_path(0);
             lane.instr(1000);
         });
-        let divergent = dev.launch(64, |lane| {
+        let divergent = per_lane(&dev, 64, |lane| {
             lane.set_path((lane.global_id % 4) as u64);
             lane.instr(1000);
         });
@@ -669,12 +676,12 @@ mod tests {
         // SIMT max-over-lanes: one busy lane in a warp costs as much as all
         // lanes busy.
         let dev = tiny();
-        let one_busy = dev.launch(4, |lane| {
+        let one_busy = per_lane(&dev, 4, |lane| {
             if lane.global_id == 0 {
                 lane.instr(10_000);
             }
         });
-        let all_busy = dev.launch(4, |lane| {
+        let all_busy = per_lane(&dev, 4, |lane| {
             let _ = lane.global_id;
             lane.instr(10_000);
         });
@@ -684,7 +691,7 @@ mod tests {
     #[test]
     fn totals_aggregate_all_lanes() {
         let dev = tiny();
-        let report = dev.launch(10, |lane| {
+        let report = per_lane(&dev, 10, |lane| {
             lane.instr(2);
             lane.gmem_read(8);
         });
@@ -695,12 +702,12 @@ mod tests {
     #[test]
     fn determinism_across_runs() {
         let dev = tiny();
-        let r1 = dev.launch(1000, |lane| {
+        let r1 = per_lane(&dev, 1000, |lane| {
             lane.instr((lane.global_id % 17) as u64);
             lane.gmem_read((lane.global_id % 5) as u64 * 8);
             lane.set_path((lane.global_id % 3) as u64);
         });
-        let r2 = dev.launch(1000, |lane| {
+        let r2 = per_lane(&dev, 1000, |lane| {
             lane.instr((lane.global_id % 17) as u64);
             lane.gmem_read((lane.global_id % 5) as u64 * 8);
             lane.set_path((lane.global_id % 3) as u64);
@@ -784,14 +791,18 @@ mod tests {
         let dev = tiny();
         let epilogues = AtomicU64::new(0);
         let lanes_run = AtomicU64::new(0);
-        let report = dev.launch_warps(10, |warp| {
-            warp.for_each_lane(|lane| {
-                lane.instr(1);
-                lanes_run.fetch_add(1, Ordering::Relaxed);
-            });
-            warp.atomics(1);
-            epilogues.fetch_add(1, Ordering::Relaxed);
-        });
+        let report = dev.launch_warps_ordered(
+            10,
+            |warp| {
+                warp.for_each_lane(|lane| {
+                    lane.instr(1);
+                    lanes_run.fetch_add(1, Ordering::Relaxed);
+                });
+                warp.atomics(1);
+                epilogues.fetch_add(1, Ordering::Relaxed);
+            },
+            |_, ()| {},
+        );
         // 10 threads on 4-lane warps: 3 warps, the last partial (2 lanes).
         assert_eq!(report.warps, 3);
         assert_eq!(epilogues.load(Ordering::Relaxed), 3);
@@ -845,10 +856,14 @@ mod tests {
         }
         let queue = dev.work_queue(tiles.clone()).unwrap();
         let seen = Mutex::new(Vec::new());
-        let report = dev.launch_persistent(&queue, |warp, tile| {
-            warp.for_each_lane(|lane| lane.instr(1));
-            seen.lock().unwrap().push(tile);
-        });
+        let report = dev.launch_persistent_ordered(
+            &queue,
+            |warp, _: &mut (), tile| {
+                warp.for_each_lane(|lane| lane.instr(1));
+                seen.lock().unwrap().push(tile);
+            },
+            |_, _, ()| {},
+        );
         let mut got = seen.into_inner().unwrap();
         got.sort_by_key(|t| (t.query, t.lo));
         assert_eq!(got, tiles);
@@ -867,7 +882,11 @@ mod tests {
     fn persistent_launch_with_empty_queue_is_a_noop() {
         let dev = tiny();
         let queue = dev.work_queue(Vec::new()).unwrap();
-        let report = dev.launch_persistent(&queue, |_, _| panic!("must not run"));
+        let report = dev.launch_persistent_ordered(
+            &queue,
+            |_, _: &mut (), _| panic!("must not run"),
+            |_, _, ()| {},
+        );
         assert_eq!(report.warps, 0);
         assert_eq!(report.tiles_dispatched, 0);
         assert_eq!(report.queue_atomics, 0);
@@ -884,7 +903,7 @@ mod tests {
         let lens: Vec<u32> = std::iter::once(1024).chain(std::iter::repeat_n(4, 63)).collect();
         let dev = tiny();
 
-        let static_report = dev.launch(lens.len(), |lane| {
+        let static_report = per_lane(&dev, lens.len(), |lane| {
             for _ in 0..lens[lane.global_id] {
                 lane.instr(10);
                 lane.gmem_read(16);
@@ -897,16 +916,20 @@ mod tests {
         }
         let queue = dev.work_queue(tiles).unwrap();
         let ws = dev.config().warp_size;
-        let wpt_report = dev.launch_persistent(&queue, |warp, tile| {
-            warp.for_each_lane(|lane| {
-                let mut i = tile.lo as usize + lane.lane_index();
-                while i < tile.hi as usize {
-                    lane.instr(10);
-                    lane.gmem_read(16);
-                    i += ws;
-                }
-            });
-        });
+        let wpt_report = dev.launch_persistent_ordered(
+            &queue,
+            |warp, _: &mut (), tile| {
+                warp.for_each_lane(|lane| {
+                    let mut i = tile.lo as usize + lane.lane_index();
+                    while i < tile.hi as usize {
+                        lane.instr(10);
+                        lane.gmem_read(16);
+                        i += ws;
+                    }
+                });
+            },
+            |_, _, ()| {},
+        );
 
         let spread = |r: &LaunchReport| r.max_warp_cycles / r.mean_warp_cycles;
         assert!(
@@ -943,14 +966,18 @@ mod tests {
     #[test]
     fn lane_indices_match_position_in_warp() {
         let dev = tiny();
-        dev.launch_warps(13, |warp| {
-            let mut expect = 0usize;
-            let base = warp.index() * 4;
-            warp.for_each_lane(|lane| {
-                assert_eq!(lane.lane_index(), expect);
-                assert_eq!(lane.global_id, base + expect);
-                expect += 1;
-            });
-        });
+        dev.launch_warps_ordered(
+            13,
+            |warp| {
+                let mut expect = 0usize;
+                let base = warp.index() * 4;
+                warp.for_each_lane(|lane| {
+                    assert_eq!(lane.lane_index(), expect);
+                    assert_eq!(lane.global_id, base + expect);
+                    expect += 1;
+                });
+            },
+            |_, ()| {},
+        );
     }
 }

@@ -5,9 +5,9 @@
 //! lengths. The work queue replaces that static mapping with dynamic
 //! dispatch: the host splits every candidate range into [`Tile`]s of at
 //! most [`crate::DeviceConfig::tile_size`] entries, uploads them, and a
-//! persistent grid of warps ([`crate::Device::launch_persistent`]) loops
-//! grabbing tiles off a single global atomic cursor until the queue is
-//! empty. The host keeps no copy of that cursor: the launch replays the
+//! persistent grid of warps ([`crate::Device::launch_persistent_ordered`])
+//! loops grabbing tiles off a single global atomic cursor until the queue
+//! is empty. The host keeps no copy of that cursor: the launch replays the
 //! grabs in queue order and counts the probes from the tile and warp
 //! counts.
 //!
@@ -95,9 +95,9 @@ impl Tile {
 ///
 /// Created via [`crate::Device::work_queue`] (which charges the tile
 /// upload as a host→device transfer) and consumed by a single
-/// [`crate::Device::launch_persistent`], which charges every cursor probe
-/// — one per dispatched tile plus the failed probe each persistent warp
-/// pays to discover the queue is empty — as a global atomic. The cursor
+/// [`crate::Device::launch_persistent_ordered`], which charges every cursor
+/// probe — one per dispatched tile plus the failed probe each persistent
+/// warp pays to discover the queue is empty — as a global atomic. The cursor
 /// itself is never kept: a drained queue of `n` tiles and a grid of `g`
 /// warps always took `n + g` probes, and the launch reports them.
 #[derive(Debug)]

@@ -3,13 +3,18 @@
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tdts_gpu_sim::{Device, DeviceConfig};
+use tdts_gpu_sim::{Device, DeviceConfig, Lane, LaunchReport};
 
 fn tiny_with(warp: usize, sms: usize) -> std::sync::Arc<Device> {
     let mut c = DeviceConfig::test_tiny();
     c.warp_size = warp;
     c.num_sms = sms;
     Device::new(c).unwrap()
+}
+
+/// Launch a lane-level kernel over `threads` threads, with no epilogue.
+fn per_lane(dev: &Device, threads: usize, kernel: impl Fn(&mut Lane) + Sync) -> LaunchReport {
+    dev.launch_warps_ordered(threads, |warp| warp.for_each_lane(&kernel), |_, ()| {})
 }
 
 proptest! {
@@ -26,14 +31,14 @@ proptest! {
     ) {
         let dev = tiny_with(warp, sms);
         let ran = AtomicUsize::new(0);
-        let kernel = |lane: &mut tdts_gpu_sim::Lane| {
+        let kernel = |lane: &mut Lane| {
             ran.fetch_add(1, Ordering::Relaxed);
             lane.instr(work * (1 + lane.global_id as u64 % 7));
             lane.gmem_read(8 * (lane.global_id as u64 % 3));
         };
-        let r1 = dev.launch(threads, kernel);
+        let r1 = per_lane(&dev, threads, kernel);
         prop_assert_eq!(ran.swap(0, Ordering::Relaxed), threads);
-        let r2 = dev.launch(threads, kernel);
+        let r2 = per_lane(&dev, threads, kernel);
         prop_assert_eq!(ran.load(Ordering::Relaxed), threads);
         prop_assert_eq!(r1.sim_exec_seconds, r2.sim_exec_seconds);
         prop_assert_eq!(r1.totals, r2.totals);
@@ -49,11 +54,17 @@ proptest! {
     ) {
         let dev = tiny_with(32, 4);
         let mut buf = dev.alloc_result::<u32>(capacity).unwrap();
-        dev.launch_warps(threads, |warp| {
-            let mut stash = buf.warp_stash();
-            warp.for_each_lane(|lane| stash.stage(lane, lane.global_id as u32));
-            stash.commit(warp);
-        });
+        dev.launch_warps_ordered(
+            threads,
+            |warp| {
+                let mut stash = buf.warp_stash();
+                warp.for_each_lane(|lane| stash.stage(lane, lane.global_id as u32));
+                stash
+            },
+            |warp, mut stash| {
+                stash.commit(warp);
+            },
+        );
         prop_assert_eq!(buf.attempted(), threads);
         if threads <= capacity {
             prop_assert!(!buf.overflowed());
@@ -80,7 +91,7 @@ proptest! {
     fn scratch_isolation(threads in 1usize..300, per in 1usize..20) {
         let dev = tiny_with(8, 2);
         let scratch = dev.alloc_scratch::<u32>(threads, per).unwrap();
-        dev.launch(threads, |lane| {
+        per_lane(&dev, threads, |lane| {
             let mut p = scratch.take_partition(lane.global_id);
             for i in 0..per {
                 assert!(p.push(lane, (lane.global_id * 1000 + i) as u32));
@@ -98,11 +109,11 @@ proptest! {
     fn more_sms_not_slower(threads in 1usize..2000, work in 1u64..50) {
         let d1 = tiny_with(8, 1);
         let d2 = tiny_with(8, 8);
-        let kernel = |lane: &mut tdts_gpu_sim::Lane| {
+        let kernel = |lane: &mut Lane| {
             lane.instr(work);
         };
-        let t1 = d1.launch(threads, kernel).sim_exec_seconds;
-        let t2 = d2.launch(threads, kernel).sim_exec_seconds;
+        let t1 = per_lane(&d1, threads, kernel).sim_exec_seconds;
+        let t2 = per_lane(&d2, threads, kernel).sim_exec_seconds;
         prop_assert!(t2 <= t1 + 1e-15);
     }
 

@@ -150,15 +150,19 @@ proptest! {
         let config = dev.config();
         let capacity = threads * items as usize;
         let mut results = dev.alloc_result::<u32>(capacity).unwrap();
-        let launch = dev.launch_warps(threads, |warp| {
-            let mut stash = results.warp_stash();
-            warp.for_each_lane(|lane| {
-                for k in 0..items {
-                    stash.stage(lane, lane.global_id as u32 * 100 + k as u32);
-                }
-            });
-            assert_eq!(stash.commit(warp), 0, "no lane may overflow here");
-        });
+        let launch = dev.launch_warps_ordered(
+            threads,
+            |warp| {
+                let mut stash = results.warp_stash();
+                warp.for_each_lane(|lane| {
+                    for k in 0..items {
+                        stash.stage(lane, lane.global_id as u32 * 100 + k as u32);
+                    }
+                });
+                stash
+            },
+            |warp, mut stash| assert_eq!(stash.commit(warp), 0, "no lane may overflow here"),
+        );
         prop_assert!(!results.overflowed());
         prop_assert_eq!(results.drain_to_host().len(), capacity);
         // Every lane stages `items` records: ceil(items / stash) rounds per warp.

@@ -62,7 +62,7 @@ proptest! {
         let tiles = tiles_for(&lens, tile_size);
         let queue = dev.work_queue(tiles.clone()).unwrap();
         let entries_run = AtomicU64::new(0);
-        let report = dev.launch_persistent(&queue, |warp, tile| {
+        let kernel = |warp: &mut tdts_gpu_sim::Warp, _: &mut (), tile: Tile| {
             warp.for_each_lane(|lane| {
                 let mut i = tile.lo as usize + lane.lane_index();
                 while i < tile.hi as usize {
@@ -71,7 +71,8 @@ proptest! {
                     i += dev.config().warp_size;
                 }
             });
-        });
+        };
+        let report = dev.launch_persistent_ordered(&queue, kernel, |_, _, ()| {});
         let total_entries: u64 = lens.iter().map(|&l| l as u64).sum();
         prop_assert_eq!(entries_run.load(Ordering::Relaxed), total_entries);
         prop_assert_eq!(report.totals.instructions, total_entries);
@@ -92,7 +93,7 @@ proptest! {
         tile_size in 1usize..64,
     ) {
         let dev = tiny_with(warp, 2, tile_size);
-        let kernel = |warp: &mut tdts_gpu_sim::Warp, tile: Tile| {
+        let kernel = |warp: &mut tdts_gpu_sim::Warp, _: &mut (), tile: Tile| {
             warp.for_each_lane(|lane| {
                 let mut i = tile.lo as usize + lane.lane_index();
                 while i < tile.hi as usize {
@@ -103,8 +104,10 @@ proptest! {
             });
             warp.gmem_write(8);
         };
-        let r1 = dev.launch_persistent(&dev.work_queue(tiles_for(&lens, tile_size)).unwrap(), kernel);
-        let r2 = dev.launch_persistent(&dev.work_queue(tiles_for(&lens, tile_size)).unwrap(), kernel);
+        let queue = dev.work_queue(tiles_for(&lens, tile_size)).unwrap();
+        let r1 = dev.launch_persistent_ordered(&queue, kernel, |_, _, ()| {});
+        let queue = dev.work_queue(tiles_for(&lens, tile_size)).unwrap();
+        let r2 = dev.launch_persistent_ordered(&queue, kernel, |_, _, ()| {});
         prop_assert_eq!(r1.sim_exec_seconds, r2.sim_exec_seconds);
         prop_assert_eq!(r1.max_warp_cycles, r2.max_warp_cycles);
         prop_assert_eq!(r1.mean_warp_cycles, r2.mean_warp_cycles);

@@ -13,6 +13,11 @@ fn device(mode: SanitizerMode) -> Arc<Device> {
     Device::new(DeviceConfig { sanitizer: mode, ..DeviceConfig::test_tiny() }).unwrap()
 }
 
+/// Launch a lane-level kernel over `threads` threads, with no epilogue.
+fn per_lane(dev: &Device, threads: usize, kernel: impl Fn(&mut Lane) + Sync) {
+    dev.launch_warps_ordered(threads, |warp| warp.for_each_lane(&kernel), |_, ()| {});
+}
+
 /// The one finding of a single-defect fixture.
 fn sole_finding(dev: &Device) -> tdts_gpu_sim::Finding {
     let report = dev.sanitizer_report();
@@ -24,7 +29,7 @@ fn sole_finding(dev: &Device) -> tdts_gpu_sim::Finding {
 fn oob_device_buffer_read_is_reported_and_neutralised() {
     let dev = device(SanitizerMode::Full);
     let buf = dev.alloc_from_host(vec![11u32, 22, 33]).unwrap();
-    dev.launch(1, |lane| {
+    per_lane(&dev, 1, |lane| {
         // Reads past the length are reported and neutralised to the first
         // element instead of crashing the whole simulated kernel.
         assert_eq!(buf.read(lane, 10), 11);
@@ -45,7 +50,7 @@ fn oob_device_buffer_row_range_is_reported_and_neutralised() {
     // hand out the elements and report nothing.
     let dev = device(SanitizerMode::Full);
     let buf = dev.alloc_from_host(vec![11u32, 22, 33]).unwrap();
-    dev.launch(1, |lane| {
+    per_lane(&dev, 1, |lane| {
         assert!(buf.row_range(lane, 1..5).is_none());
         assert_eq!(buf.row_range(lane, 1..3), Some(&[22, 33][..]));
         assert_eq!(buf.row_range(lane, 3..3), Some(&[][..]));
@@ -75,7 +80,7 @@ fn extended_and_compacted_buffers_bound_reads_by_their_new_length() {
     let mut buf = dev.alloc_from_host(vec![11u32, 22, 33]).unwrap();
     buf.extend(&[44, 55], &mut dev.reserve(8).unwrap());
     assert_eq!(dev.mem_used(), 5 * 4);
-    dev.launch(1, |lane| {
+    per_lane(&dev, 1, |lane| {
         assert_eq!(buf.read(lane, 4), 55);
         assert_eq!(buf.row_range(lane, 2..5), Some(&[33, 44, 55][..]));
     });
@@ -84,7 +89,7 @@ fn extended_and_compacted_buffers_bound_reads_by_their_new_length() {
     buf.remove_positions(&[0, 3]);
     assert_eq!(buf.as_slice(), &[22, 33, 55]);
     assert_eq!(dev.mem_used(), 3 * 4);
-    dev.launch(1, |lane| {
+    per_lane(&dev, 1, |lane| {
         // The old length no longer holds: past the new end is reported and
         // neutralised to the (new) first element.
         assert_eq!(buf.read(lane, 4), 22);
@@ -110,7 +115,7 @@ fn extended_and_compacted_buffers_bound_reads_by_their_new_length() {
 fn uninitialized_scratch_read_is_reported_and_neutralised() {
     let dev = device(SanitizerMode::Full);
     let scratch = dev.alloc_scratch::<u32>(1, 8).unwrap();
-    dev.launch(1, |lane| {
+    per_lane(&dev, 1, |lane| {
         let mut part = scratch.take_partition(0);
         assert!(part.push(lane, 5));
         // Word 3 of the partition was never written: the sanitizer reports it
@@ -132,14 +137,20 @@ fn unacknowledged_stash_overflow_is_lost_records() {
     // the undercount must surface instead of vanishing.
     let dev = device(SanitizerMode::Full);
     let mut results = dev.alloc_result::<u32>(1).unwrap();
-    dev.launch_warps(2, |warp| {
-        let mut stash = results.warp_stash();
-        warp.for_each_lane(|lane| {
-            stash.stage(lane, lane.global_id as u32);
-        });
-        let dropped = stash.commit(warp);
-        assert_ne!(dropped, 0, "fixture must overflow");
-    });
+    dev.launch_warps_ordered(
+        2,
+        |warp| {
+            let mut stash = results.warp_stash();
+            warp.for_each_lane(|lane| {
+                stash.stage(lane, lane.global_id as u32);
+            });
+            stash
+        },
+        |warp, mut stash| {
+            let dropped = stash.commit(warp);
+            assert_ne!(dropped, 0, "fixture must overflow");
+        },
+    );
     // Deliberately no `results.overflowed()` check and no redo commit.
     assert_eq!(dev.sanitizer_checkpoint(), 1);
     let f = sole_finding(&dev);
@@ -158,13 +169,19 @@ fn overflow_acknowledged_by_host_check_is_clean() {
     // finding.
     let dev = device(SanitizerMode::Full);
     let mut results = dev.alloc_result::<u32>(1).unwrap();
-    dev.launch_warps(2, |warp| {
-        let mut stash = results.warp_stash();
-        warp.for_each_lane(|lane| {
-            stash.stage(lane, lane.global_id as u32);
-        });
-        stash.commit(warp);
-    });
+    dev.launch_warps_ordered(
+        2,
+        |warp| {
+            let mut stash = results.warp_stash();
+            warp.for_each_lane(|lane| {
+                stash.stage(lane, lane.global_id as u32);
+            });
+            stash
+        },
+        |warp, mut stash| {
+            stash.commit(warp);
+        },
+    );
     assert!(results.overflowed());
     let out = results.drain_to_host();
     dev.charge_download(out.len() * std::mem::size_of::<u32>());
@@ -197,11 +214,17 @@ fn malformed_tile_is_reported_and_clamped() {
 fn uncharged_drain_is_a_transfer_mismatch() {
     let dev = device(SanitizerMode::Full);
     let mut results = dev.alloc_result::<u32>(8).unwrap();
-    dev.launch_warps(3, |warp| {
-        let mut stash = results.warp_stash();
-        warp.for_each_lane(|lane| stash.stage(lane, lane.global_id as u32));
-        stash.commit(warp);
-    });
+    dev.launch_warps_ordered(
+        3,
+        |warp| {
+            let mut stash = results.warp_stash();
+            warp.for_each_lane(|lane| stash.stage(lane, lane.global_id as u32));
+            stash
+        },
+        |warp, mut stash| {
+            stash.commit(warp);
+        },
+    );
     let out = results.drain_to_host();
     assert_eq!(out.len(), 3);
     // Deliberately no `charge_download`: the simulated response time now
@@ -235,7 +258,7 @@ fn hard_oob_read_panics_without_a_sanitizer() {
     let dev = device(SanitizerMode::Off);
     let buf = dev.alloc_from_host(vec![1u32]).unwrap();
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        dev.launch(1, |lane| {
+        per_lane(&dev, 1, |lane| {
             buf.read(lane, 5);
         });
     }));
@@ -248,12 +271,16 @@ fn persistent_launch_findings_carry_the_persistent_shape() {
     let dev = device(SanitizerMode::Full);
     let entries = dev.alloc_from_host(vec![1u32, 2, 3, 4]).unwrap();
     let queue = dev.work_queue(vec![Tile { query: 0, lo: 0, hi: 4, tag: 0 }]).unwrap();
-    dev.launch_persistent(&queue, |warp, tile| {
-        warp.for_each_lane(|lane| {
-            // Off-by-one: reads one element past the tile's end.
-            let _ = entries.read(lane, tile.hi as usize + lane.lane_index());
-        });
-    });
+    dev.launch_persistent_ordered(
+        &queue,
+        |warp, _: &mut (), tile| {
+            warp.for_each_lane(|lane| {
+                // Off-by-one: reads one element past the tile's end.
+                let _ = entries.read(lane, tile.hi as usize + lane.lane_index());
+            });
+        },
+        |_, _, ()| {},
+    );
     let report = dev.sanitizer_report();
     let f = &report.findings[0];
     assert_eq!(f.kind, FindingKind::OutOfBoundsRead);

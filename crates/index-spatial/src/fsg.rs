@@ -26,11 +26,6 @@ pub struct CellRange {
 }
 
 impl CellRange {
-    /// Number of cells covered.
-    pub fn cell_count(&self) -> usize {
-        (0..3).map(|d| self.hi[d] - self.lo[d] + 1).product()
-    }
-
     /// Iterate all (ix, iy, iz) triples in the range, row-major.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
         let (lo, hi) = (self.lo, self.hi);
@@ -346,7 +341,6 @@ mod tests {
         let r = fsg.rasterise(&Mbb::new(Point3::splat(0.0), Point3::splat(3.0)));
         assert_eq!(r.lo, [0, 0, 0]);
         assert_eq!(r.hi, [1, 1, 1]);
-        assert_eq!(r.cell_count(), 8);
         assert_eq!(r.iter().count(), 8);
         // Clamped outside.
         let r = fsg.rasterise(&Mbb::new(Point3::splat(-100.0), Point3::splat(-50.0)));

@@ -311,7 +311,7 @@ impl TileGenerator for SpatialTiles<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdts_geom::{dedup_matches, within_distance, Point3, SegId, Segment, TrajId};
+    use tdts_geom::{brute_force_search, Point3, SegId, Segment, TrajId};
     use tdts_gpu_sim::DeviceConfig;
 
     fn seg(x: f64, y: f64, t0: f64, id: u32) -> Segment {
@@ -337,19 +337,6 @@ mod tests {
         s
     }
 
-    fn brute(store: &SegmentStore, queries: &SegmentStore, d: f64) -> Vec<MatchRecord> {
-        let mut out = Vec::new();
-        for (qi, q) in queries.iter().enumerate() {
-            for (ei, e) in store.iter().enumerate() {
-                if let Some(iv) = within_distance(q, e, d) {
-                    out.push(MatchRecord::new(qi as u32, ei as u32, iv));
-                }
-            }
-        }
-        dedup_matches(&mut out);
-        out
-    }
-
     fn device() -> Arc<Device> {
         Device::new(DeviceConfig::test_tiny()).unwrap()
     }
@@ -366,7 +353,7 @@ mod tests {
         let search = GpuSpatialSearch::new(device(), &store, cfg(6, 100_000)).unwrap();
         for d in [0.5, 3.0, 12.0] {
             let (got, report) = search.search(&queries, d, 20_000).unwrap();
-            let expect = brute(&store, &queries, d);
+            let expect = brute_force_search(&store, &queries, d);
             assert_eq!(got, expect, "d = {d}");
             assert!(report.comparisons >= report.matches);
         }
@@ -395,7 +382,7 @@ mod tests {
                                      // large d means up to 64+ candidates per query.
         let search = GpuSpatialSearch::new(device(), &store, cfg(4, 256)).unwrap();
         let (got, report) = search.search(&queries, 50.0, 10_000).unwrap();
-        let expect = brute(&store, &queries, 50.0);
+        let expect = brute_force_search(&store, &queries, 50.0);
         assert_eq!(got, expect);
         assert!(report.redo_rounds > 0, "expected re-invocation");
         assert!(report.response.kernel_invocations > 1);
@@ -473,7 +460,7 @@ mod tests {
         assert!(matches!(err, SearchError::ScratchCapacityTooSmall { .. }));
         let wpt = GpuSpatialSearch::new(wpt_device(), &store, cfg(3, 4)).unwrap();
         let (got, _) = wpt.search(&queries, 100.0, 10_000).unwrap();
-        assert_eq!(got, brute(&store, &queries, 100.0));
+        assert_eq!(got, brute_force_search(&store, &queries, 100.0));
     }
 
     #[test]
@@ -535,7 +522,7 @@ mod tests {
                 let (warm, _) = search.search(&queries, d, 20_000).unwrap();
                 let (want, _) = cold.search(&queries, d, 20_000).unwrap();
                 assert_eq!(warm, want, "d = {d}");
-                assert_eq!(warm, brute(&store, &queries, d), "d = {d}");
+                assert_eq!(warm, brute_force_search(&store, &queries, d), "d = {d}");
             }
         }
     }

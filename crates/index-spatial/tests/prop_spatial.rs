@@ -1,10 +1,7 @@
 //! Property tests for the FSG and the GPUSpatial search.
 
 use proptest::prelude::*;
-use tdts_geom::{
-    dedup_matches, diff_matches, within_distance, MatchRecord, Point3, SegId, Segment,
-    SegmentStore, TrajId,
-};
+use tdts_geom::{brute_force_search, diff_matches, Point3, SegId, Segment, SegmentStore, TrajId};
 use tdts_gpu_sim::{Device, DeviceConfig};
 use tdts_index_spatial::{Fsg, FsgConfig, GpuSpatialConfig, GpuSpatialSearch};
 
@@ -32,19 +29,6 @@ fn arb_store(max: usize) -> impl Strategy<Value = SegmentStore> {
             })
             .collect()
     })
-}
-
-fn brute(store: &SegmentStore, queries: &SegmentStore, d: f64) -> Vec<MatchRecord> {
-    let mut out = Vec::new();
-    for (qi, q) in queries.iter().enumerate() {
-        for (ei, e) in store.iter().enumerate() {
-            if let Some(iv) = within_distance(q, e, d) {
-                out.push(MatchRecord::new(qi as u32, ei as u32, iv));
-            }
-        }
-    }
-    dedup_matches(&mut out);
-    out
 }
 
 proptest! {
@@ -146,7 +130,7 @@ proptest! {
         .unwrap();
         match search.search(&queries, d, 30_000) {
             Ok((got, _)) => {
-                let expect = brute(&store, &queries, d);
+                let expect = brute_force_search(&store, &queries, d);
                 prop_assert!(diff_matches(&got, &expect, 1e-9).is_none(),
                     "mismatch at cells {cells} d {d} scratch {scratch}");
             }

@@ -3,8 +3,7 @@
 
 use proptest::prelude::*;
 use tdts_geom::{
-    dedup_matches, diff_matches, within_distance, MatchRecord, Point3, SegId, Segment,
-    SegmentStore, TrajId,
+    brute_force_search, diff_matches, within_distance, Point3, SegId, Segment, SegmentStore, TrajId,
 };
 use tdts_gpu_sim::{Device, DeviceConfig};
 use tdts_index_spatiotemporal::{
@@ -39,19 +38,6 @@ fn arb_sorted_store(max: usize) -> impl Strategy<Value = SegmentStore> {
         segs.sort_by(|x, y| x.t_start.partial_cmp(&y.t_start).unwrap());
         segs.into_iter().collect()
     })
-}
-
-fn brute(store: &SegmentStore, queries: &SegmentStore, d: f64) -> Vec<MatchRecord> {
-    let mut out = Vec::new();
-    for (qi, q) in queries.iter().enumerate() {
-        for (ei, e) in store.iter().enumerate() {
-            if let Some(iv) = within_distance(q, e, d) {
-                out.push(MatchRecord::new(qi as u32, ei as u32, iv));
-            }
-        }
-    }
-    dedup_matches(&mut out);
-    out
 }
 
 proptest! {
@@ -113,7 +99,7 @@ proptest! {
         )
         .unwrap();
         let (got, report) = search.search(&queries, d, 30_000).unwrap();
-        let expect = brute(&store, &queries, d);
+        let expect = brute_force_search(&store, &queries, d);
         prop_assert!(diff_matches(&got, &expect, 1e-9).is_none(),
             "mismatch (bins {bins}, v {subbins}, d {d}, sort {sort})");
         prop_assert!(report.fallback_queries <= queries.len() as u64);

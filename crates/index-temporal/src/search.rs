@@ -174,7 +174,7 @@ impl TileGenerator for TemporalTiles<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdts_geom::{dedup_matches, within_distance, Point3, SegId, Segment, TrajId};
+    use tdts_geom::{brute_force_search, Point3, SegId, Segment, TrajId};
     use tdts_gpu_sim::DeviceConfig;
     use tdts_kernels::SortedQueries;
 
@@ -191,19 +191,6 @@ mod tests {
 
     fn sorted_store(n: usize) -> SegmentStore {
         (0..n).map(|i| seg(i as f64 * 3.0, i as f64 * 0.5, i as u32)).collect()
-    }
-
-    fn brute(store: &SegmentStore, queries: &SegmentStore, d: f64) -> Vec<MatchRecord> {
-        let mut out = Vec::new();
-        for (qi, q) in queries.iter().enumerate() {
-            for (ei, e) in store.iter().enumerate() {
-                if let Some(iv) = within_distance(q, e, d) {
-                    out.push(MatchRecord::new(qi as u32, ei as u32, iv));
-                }
-            }
-        }
-        dedup_matches(&mut out);
-        out
     }
 
     fn device() -> Arc<Device> {
@@ -232,7 +219,7 @@ mod tests {
             GpuTemporalSearch::new(device(), &store, TemporalIndexConfig { bins: 8 }).unwrap();
         for d in [0.5, 2.0, 10.0] {
             let (got, report) = search.search(&queries, d, 10_000).unwrap();
-            let expect = brute(&store, &queries, d);
+            let expect = brute_force_search(&store, &queries, d);
             assert_eq!(got, expect, "d = {d}");
             assert_eq!(report.matches as usize, got.len());
             assert!(report.comparisons >= report.matches);
@@ -345,7 +332,7 @@ mod tests {
                 let (warm, _) = search.search(&queries, d, 20_000).unwrap();
                 let (want, _) = cold.search(&queries, d, 20_000).unwrap();
                 assert_eq!(warm, want, "d = {d}");
-                assert_eq!(warm, brute(&store, &queries, d), "d = {d}");
+                assert_eq!(warm, brute_force_search(&store, &queries, d), "d = {d}");
             }
         }
     }

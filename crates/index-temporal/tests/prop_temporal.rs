@@ -1,10 +1,7 @@
 //! Property tests for the temporal index and the GPUTemporal search.
 
 use proptest::prelude::*;
-use tdts_geom::{
-    dedup_matches, diff_matches, within_distance, MatchRecord, Point3, SegId, Segment,
-    SegmentStore, TrajId,
-};
+use tdts_geom::{brute_force_search, diff_matches, Point3, SegId, Segment, SegmentStore, TrajId};
 use tdts_gpu_sim::{Device, DeviceConfig};
 use tdts_index_temporal::{GpuTemporalSearch, TemporalIndex, TemporalIndexConfig};
 
@@ -28,19 +25,6 @@ fn arb_sorted_store(max: usize) -> impl Strategy<Value = SegmentStore> {
             segs.sort_by(|x, y| x.t_start.partial_cmp(&y.t_start).unwrap());
             segs.into_iter().collect()
         })
-}
-
-fn brute(store: &SegmentStore, queries: &SegmentStore, d: f64) -> Vec<MatchRecord> {
-    let mut out = Vec::new();
-    for (qi, q) in queries.iter().enumerate() {
-        for (ei, e) in store.iter().enumerate() {
-            if let Some(iv) = within_distance(q, e, d) {
-                out.push(MatchRecord::new(qi as u32, ei as u32, iv));
-            }
-        }
-    }
-    dedup_matches(&mut out);
-    out
 }
 
 proptest! {
@@ -99,7 +83,7 @@ proptest! {
         let device = Device::new(DeviceConfig::test_tiny()).unwrap();
         let search = GpuTemporalSearch::new(device, &store, TemporalIndexConfig { bins }).unwrap();
         let (got, report) = search.search(&queries, d, 30_000).unwrap();
-        let expect = brute(&store, &queries, d);
+        let expect = brute_force_search(&store, &queries, d);
         prop_assert!(diff_matches(&got, &expect, 1e-9).is_none(),
             "mismatch at bins {bins} d {d}");
         prop_assert!(report.comparisons >= expect.len() as u64);

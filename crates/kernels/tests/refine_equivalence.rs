@@ -437,11 +437,16 @@ fn out_of_bounds_gathers_are_reported_element_by_element() {
         let dev = sanitized();
         let resident = DeviceSegments::alloc(&dev, &mixed_store()).unwrap();
         let ids = dev.alloc_from_host(ids).unwrap();
-        dev.launch(1, |lane| {
-            let lanes = std::slice::from_mut(lane);
-            let compared = resident.refine_gather(lanes, &ids, 0, range.clone(), &q, |_, _, _| {});
-            assert_eq!(compared, range.len() as u64);
-        });
+        dev.launch_warps_ordered(
+            1,
+            |warp| {
+                let lanes = warp.lanes_mut();
+                let compared =
+                    resident.refine_gather(lanes, &ids, 0, range.clone(), &q, |_, _, _| {});
+                assert_eq!(compared, range.len() as u64);
+            },
+            |_, ()| {},
+        );
         let report = dev.sanitizer_report();
         assert!(!report.findings.is_empty());
         assert!(report.findings.iter().all(|f| f.kind == FindingKind::OutOfBoundsRead));
@@ -467,37 +472,46 @@ fn a_tile_leaving_its_buffer_is_reported_and_still_counted() {
     let dev = sanitized();
     let resident = DeviceSegments::alloc(&dev, &mixed_store()).unwrap();
     let ids = dev.alloc_from_host(vec![0u32, 3, 5]).unwrap();
-    dev.launch_warps(4, |warp| {
-        let mut hits = Vec::new();
-        let lanes = warp.lanes_mut();
-        let compared = resident.refine_gather(lanes, &ids, 0, 1..6, &q, |_, pos, _| hits.push(pos));
-        assert_eq!(compared, 5);
-        // Lanes 0..4 take ids 1..5, lane 0 also id 5: the three missing ids
-        // neutralise to the first id (entry 0, a hit), so the hits are the
-        // two real ids, 3 and 5, then entry 0 three times.
-        assert_eq!(hits, vec![3, 5, 0, 0, 0]);
-        // Each lane is charged its share of the comparisons (the callback
-        // here stages nothing).
-        let shares: Vec<u64> = lanes.iter().map(|l| l.counters().instructions).collect();
-        assert_eq!(shares, [2, 1, 1, 1].map(|k| k * COMPARE_INSTR));
-    });
+    dev.launch_warps_ordered(
+        4,
+        |warp| {
+            let mut hits = Vec::new();
+            let lanes = warp.lanes_mut();
+            let compared =
+                resident.refine_gather(lanes, &ids, 0, 1..6, &q, |_, pos, _| hits.push(pos));
+            assert_eq!(compared, 5);
+            // Lanes 0..4 take ids 1..5, lane 0 also id 5: the three missing ids
+            // neutralise to the first id (entry 0, a hit), so the hits are the
+            // two real ids, 3 and 5, then entry 0 three times.
+            assert_eq!(hits, vec![3, 5, 0, 0, 0]);
+            // Each lane is charged its share of the comparisons (the callback
+            // here stages nothing).
+            let shares: Vec<u64> = lanes.iter().map(|l| l.counters().instructions).collect();
+            assert_eq!(shares, [2, 1, 1, 1].map(|k| k * COMPARE_INSTR));
+        },
+        |_, ()| {},
+    );
     let report = dev.sanitizer_report();
     assert_eq!(report.findings.len(), 4, "{report}");
     assert!(report.findings.iter().all(|f| f.kind == FindingKind::OutOfBoundsRead));
 
     let dev = sanitized();
     let resident = DeviceSegments::alloc(&dev, &mixed_store()).unwrap();
-    dev.launch_warps(4, |warp| {
-        let mut hits = Vec::new();
-        let lanes = warp.lanes_mut();
-        let compared = resident.refine_range(lanes, 6..11, &q, |_, pos, _| hits.push(pos));
-        assert_eq!(compared, 5);
-        // Entries 6 and 7 exist (only 7 is within 3); 8..11 do not.
-        assert_eq!(hits, vec![7]);
-        // Lane 0 takes entries 6 (overlapping, far) and 10 (missing).
-        assert_eq!(lanes[0].counters().gmem_read_bytes, COLUMNAR_ROW_BYTES + 16);
-        assert_eq!(lanes[0].counters().instructions, 2 * COMPARE_INSTR);
-    });
+    dev.launch_warps_ordered(
+        4,
+        |warp| {
+            let mut hits = Vec::new();
+            let lanes = warp.lanes_mut();
+            let compared = resident.refine_range(lanes, 6..11, &q, |_, pos, _| hits.push(pos));
+            assert_eq!(compared, 5);
+            // Entries 6 and 7 exist (only 7 is within 3); 8..11 do not.
+            assert_eq!(hits, vec![7]);
+            // Lane 0 takes entries 6 (overlapping, far) and 10 (missing).
+            assert_eq!(lanes[0].counters().gmem_read_bytes, COLUMNAR_ROW_BYTES + 16);
+            assert_eq!(lanes[0].counters().instructions, 2 * COMPARE_INSTR);
+        },
+        |_, ()| {},
+    );
     let report = dev.sanitizer_report();
     assert_eq!(report.findings.len(), 3, "{report}");
     assert!(report.findings.iter().all(|f| f.kind == FindingKind::OutOfBoundsRead));

@@ -1,25 +1,8 @@
 //! Property tests: the R-tree search must agree exactly with brute force.
 
 use proptest::prelude::*;
-use tdts_geom::{
-    dedup_matches, diff_matches, within_distance, MatchRecord, Point3, SegId, Segment,
-    SegmentStore, TrajId,
-};
+use tdts_geom::{brute_force_search, diff_matches, Point3, SegId, Segment, SegmentStore, TrajId};
 use tdts_rtree::{RTree, RTreeConfig};
-
-/// Exhaustive reference search.
-fn brute_force(store: &SegmentStore, queries: &SegmentStore, d: f64) -> Vec<MatchRecord> {
-    let mut out = Vec::new();
-    for (qi, q) in queries.iter().enumerate() {
-        for (ei, e) in store.iter().enumerate() {
-            if let Some(interval) = within_distance(q, e, d) {
-                out.push(MatchRecord::new(qi as u32, ei as u32, interval));
-            }
-        }
-    }
-    dedup_matches(&mut out);
-    out
-}
 
 fn arb_store(max_trajs: usize, max_segs: usize) -> impl Strategy<Value = SegmentStore> {
     proptest::collection::vec(
@@ -67,7 +50,7 @@ proptest! {
         let (got, stats) = tree.search(&store, &queries, d);
         let matches: u64 = stats.iter().map(|s| s.matches).sum();
         let candidates: u64 = stats.iter().map(|s| s.candidates).sum();
-        let expect = brute_force(&store, &queries, d);
+        let expect = brute_force_search(&store, &queries, d);
         if let Some(diff) = diff_matches(&got, &expect, 1e-9) {
             prop_assert!(false, "r={r} cap={cap} d={d}: {diff}");
         }
